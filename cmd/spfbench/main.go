@@ -25,9 +25,11 @@
 //	spfbench -benchcompare FILE -baselines A.json,B.json [-threshold 3]
 //	                              # compare a fresh -benchjson run against
 //	                              # the committed baselines; exit nonzero
-//	                              # on a regression beyond the threshold
-//	                              # or a benchmark missing from the fresh
-//	                              # run (the CI regression gate)
+//	                              # on a regression beyond the threshold,
+//	                              # on more allocs/op than baseline for
+//	                              # the deterministic E28/E34 loops, or a
+//	                              # benchmark missing from the fresh run
+//	                              # (the CI regression gate)
 package main
 
 import (
@@ -559,13 +561,32 @@ func loadBenchEntries(path string) ([]benchEntry, error) {
 	return entries, nil
 }
 
+// exactAllocBenchmarks are the benchmarks whose allocs/op is deterministic
+// (one goroutine's steady-state loop, no background work inside the timed
+// region), so the gate holds them to their baseline exactly: any extra
+// allocation per op is a regression, whatever the machine.
+var exactAllocBenchmarks = []string{
+	"BenchmarkE28ResidentReadThroughput/",
+	"BenchmarkE34EnginePointOps/",
+}
+
+func gatesAllocsExactly(name string) bool {
+	for _, prefix := range exactAllocBenchmarks {
+		if strings.HasPrefix(name, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
 // runBenchCompare is the CI regression gate: every benchmark present in a
 // baseline file must exist in the fresh run and be no slower than
-// threshold times its baseline ns/op. The threshold is deliberately
-// generous — shared CI runners are noisy — so only real regressions (or
-// benchmarks rotting out of the tracked set) fail the gate. Fresh entries
-// without a baseline are reported but pass: they are new benchmarks whose
-// baseline lands with the PR that adds them.
+// threshold times its baseline ns/op, and the exactAllocBenchmarks must
+// not allocate more per op than their baseline. The ns/op threshold is
+// deliberately generous — shared CI runners are noisy — so only real
+// regressions (or benchmarks rotting out of the tracked set) fail the
+// gate. Fresh entries without a baseline are reported but pass: they are
+// new benchmarks whose baseline lands with the PR that adds them.
 func runBenchCompare(freshPath string, baselinePaths []string, threshold float64) error {
 	fresh, err := loadBenchEntries(freshPath)
 	if err != nil {
@@ -601,8 +622,14 @@ func runBenchCompare(freshPath string, baselinePaths []string, threshold float64
 					fmt.Sprintf("%s: %.1f ns/op vs baseline %.1f (%.2fx > %.2fx threshold)",
 						base.Name, got.NsPerOp, base.NsPerOp, ratio, threshold))
 			}
-			fmt.Printf("%-55s base=%10.1f fresh=%10.1f ratio=%5.2fx  %s\n",
-				base.Name, base.NsPerOp, got.NsPerOp, ratio, status)
+			if gatesAllocsExactly(base.Name) && got.AllocsPerOp > base.AllocsPerOp {
+				status = "ALLOCS"
+				failures = append(failures,
+					fmt.Sprintf("%s: %d allocs/op vs baseline %d (exact gate)",
+						base.Name, got.AllocsPerOp, base.AllocsPerOp))
+			}
+			fmt.Printf("%-55s base=%10.1f fresh=%10.1f ratio=%5.2fx allocs %d->%d  %s\n",
+				base.Name, base.NsPerOp, got.NsPerOp, ratio, base.AllocsPerOp, got.AllocsPerOp, status)
 		}
 	}
 	for _, e := range fresh {

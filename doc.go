@@ -110,15 +110,15 @@
 //     the latch pair a crabbing descent would compare. Detection of a
 //     corrupt child still fires mid-descent (the child is fetched through
 //     the validating pool read while the parent latch is held, so a bad
-//     stored image routes through single-page recovery transparently, and
-//     an in-memory fence mismatch surfaces as ErrDetected) while descents
-//     of other subtrees proceed.
+//     stored image routes through single-page recovery transparently; a
+//     fence mismatch between two individually plausible pages surfaces as
+//     ErrDetected inside the engine, and spf has the implicated pair
+//     rebuilt and retries) while descents of other subtrees proceed.
 //   - Scans traverse foster chains with the same hand-over-hand protocol
-//     and re-descend between chains; descents route by zero-allocation
-//     views over the encoded page (internal/btree nodeView) rather than
-//     materializing nodes, so the read path costs no per-entry copies —
-//     mutations still decode/apply/re-encode under the exclusive leaf
-//     latch, keeping redo exact by construction.
+//     and re-descend between chains. Nodes are never decoded: both
+//     engines read and write one packed record-page layout in place —
+//     see "Page layout" in ARCHITECTURE.md for the byte diagram, the
+//     per-engine extensions and the table of who checks what.
 //
 // BenchmarkE23ParallelTreeOps compares the latch-coupled tree against a
 // tree-global-mutex shim (the seed's serialization) under a mixed
@@ -362,7 +362,7 @@
 // BENCH_restore.json / BENCH_restart.json / BENCH_server.json /
 // BENCH_lifecycle.json / BENCH_engine.json baselines or drops out of the
 // tracked set. A fuzz job runs the native fuzzers (server frame reader,
-// request parser, hash page decoder) on a short budget. A
+// request parser, structured page layouts) on a short budget. A
 // chaos job runs the seeded torture matrix under the race detector, the
 // examples job smoke-runs spfserver under a short spfload ramp, and a
 // soak job runs spfserver with the log lifecycle on under sustained

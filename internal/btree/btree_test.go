@@ -464,17 +464,14 @@ func TestDescentDetectsFenceCorruption(t *testing.T) {
 	}
 	lt.unlatch(h, false)
 	h.Lock()
-	n, err := decodeNode(h.Page().Payload())
+	n, err := parseNode(h.Page().Payload())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n.low.inf || len(n.low.k) == 0 {
 		t.Skip("root leaf; no interior fence to corrupt")
 	}
-	n.low.k[0] ^= 0xFF
-	if err := h.Page().SetPayload(n.encode()); err != nil {
-		t.Fatal(err)
-	}
+	n.low.k[0] ^= 0xFF // the fence aliases the buffered page
 	h.Unlock()
 	h.Release()
 	// The next descent to that leaf must detect the mismatch.
@@ -506,12 +503,14 @@ func TestVerifyAllFindsShapeViolations(t *testing.T) {
 	}
 	lt.unlatch(h, false)
 	h.Lock()
-	n, _ := decodeNode(h.Page().Payload())
-	if len(n.entries) >= 2 {
-		n.entries[0], n.entries[1] = n.entries[1], n.entries[0]
-		if err := h.Page().SetPayload(n.encode()); err != nil {
-			t.Fatal(err)
-		}
+	n, _ := parseNode(h.Page().Payload())
+	if n.Count() >= 2 {
+		// Keys alias the buffered page and are all the same length here.
+		k0, _, _, _ := n.Record(0)
+		k1, _, _, _ := n.Record(1)
+		tmp := append([]byte(nil), k0...)
+		copy(k0, k1)
+		copy(k1, tmp)
 	}
 	h.Unlock()
 	h.Release()
@@ -649,49 +648,71 @@ func TestShortestSeparator(t *testing.T) {
 	}
 }
 
-func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
-	n := newLeaf(finite([]byte("aaa")), finite([]byte("zzz")))
-	n.foster = 77
-	n.chainHigh = infFence
-	n.entries = []leafEntry{
-		{key: []byte("bbb"), val: []byte("v1")},
-		{key: []byte("ccc"), val: []byte("v2"), ghost: true},
+func TestNodePayloadRoundTrip(t *testing.T) {
+	pg := page.New(1, page.TypeBTree, 512)
+	if err := pg.SetPayload(newNodePayload(0, finite([]byte("aaa")), finite([]byte("zzz")), infFence, 77, page.InvalidID)); err != nil {
+		t.Fatal(err)
 	}
-	got, err := decodeNode(n.encode())
+	if err := pg.InsertRecord(0, []byte("bbb"), []byte("v1"), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := pg.InsertRecord(1, []byte("ccc"), []byte("v2"), true); err != nil {
+		t.Fatal(err)
+	}
+	got, err := parseNode(pg.Payload())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.low.equal(n.low) || !got.high.equal(n.high) || !got.chainHigh.equal(n.chainHigh) {
+	if !got.low.equal(finite([]byte("aaa"))) || !got.high.equal(finite([]byte("zzz"))) || !got.chain.equal(infFence) {
 		t.Error("fences lost")
 	}
-	if got.foster != 77 || len(got.entries) != 2 || !got.entries[1].ghost {
-		t.Errorf("decoded %+v", got)
+	if _, _, ghost, err := got.Record(1); got.foster != 77 || got.Count() != 2 || !ghost || err != nil {
+		t.Errorf("parsed %+v", got)
 	}
-	if n.encodedSize() != len(n.encode()) {
-		t.Errorf("encodedSize = %d, actual %d", n.encodedSize(), len(n.encode()))
+	if err := pg.Check(); err != nil {
+		t.Errorf("Check: %v", err)
 	}
 
-	b := newBranch(2, finite(nil), infFence, []page.ID{1, 2, 3}, [][]byte{[]byte("m"), []byte("t")})
-	gb, err := decodeNode(b.encode())
+	// A branch: leftmost child in the extension, (separator -> child)
+	// records behind it.
+	b := page.New(2, page.TypeBTree, 512)
+	if err := b.SetPayload(newNodePayload(2, finite(nil), infFence, infFence, page.InvalidID, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for i, sep := range []string{"m", "t"} {
+		if err := applyOp(encodeAdoptOp(opAdopt, []byte(sep), page.ID(i+2)), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gb, err := parseNode(b.Payload())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gb.children) != 3 || len(gb.seps) != 2 || gb.level != 2 {
-		t.Errorf("branch decoded %+v", gb)
+	if gb.fanout() != 3 || gb.Count() != 2 || gb.level != 2 {
+		t.Errorf("branch parsed %+v", gb)
 	}
-	if b.encodedSize() != len(b.encode()) {
-		t.Errorf("branch encodedSize = %d, actual %d", b.encodedSize(), len(b.encode()))
+	id, lo, hi, err := gb.childFor([]byte("p"))
+	if err != nil || id != 2 || !lo.equal(finite([]byte("m"))) || !hi.equal(finite([]byte("t"))) {
+		t.Errorf("childFor(p) = %d [%v, %v) %v", id, lo, hi, err)
 	}
 }
 
-func TestDecodeNodeRejectsGarbage(t *testing.T) {
-	if _, err := decodeNode([]byte{1, 2, 3}); !errors.Is(err, ErrNodeCorrupt) {
+func TestParseNodeRejectsGarbage(t *testing.T) {
+	if _, err := parseNode([]byte{1, 2, 3}); !errors.Is(err, ErrNodeCorrupt) {
 		t.Errorf("garbage: %v", err)
 	}
-	n := newLeaf(finite(nil), infFence)
-	enc := n.encode()
-	if _, err := decodeNode(append(enc, 0xFF)); !errors.Is(err, ErrNodeCorrupt) {
+	enc := newNodePayload(0, finite(nil), infFence, infFence, page.InvalidID, page.InvalidID)
+	if _, err := parseNode(enc); err != nil {
+		t.Fatalf("empty leaf: %v", err)
+	}
+	if _, err := parseNode(append(enc, 0xFF)); !errors.Is(err, ErrNodeCorrupt) {
 		t.Errorf("trailing bytes: %v", err)
+	}
+	// Foster flag without a foster id.
+	bad := append([]byte(nil), enc...)
+	bad[5+2] |= flagFoster
+	if _, err := parseNode(bad); !errors.Is(err, ErrNodeCorrupt) {
+		t.Errorf("foster flag with no foster id: %v", err)
 	}
 }
 

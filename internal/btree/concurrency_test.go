@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/page"
 )
 
@@ -184,13 +185,14 @@ func TestSplitRacingReaderSeesWholeLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	var leafKeys [][]byte
-	if err := lv.eachEntry(func(k, _ []byte, ghost bool) bool {
+	for i := 0; i < lv.Count(); i++ {
+		k, _, ghost, err := lv.Record(i)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ghost {
 			leafKeys = append(leafKeys, append([]byte(nil), k...))
 		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
 	}
 	lt.unlatch(h, false)
 	if len(leafKeys) < 2 {
@@ -221,24 +223,23 @@ func TestSplitRacingReaderSeesWholeLeaf(t *testing.T) {
 	// Perform the split under the held latch, mirroring fosterSplit: the
 	// foster child is fully allocated and written before the truncating
 	// apply installs its incoming pointer; the latch covers both steps.
-	nd, err := decodeNode(h.Page().Payload())
+	nd, err := parseNode(h.Page().Payload())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid := len(nd.entries) / 2
-	fosterKey := shortestSeparator(nd.entries[mid-1].key, nd.entries[mid].key)
-	child := &node{level: nd.level, high: nd.high, chainHigh: nd.chainHigh, foster: nd.foster}
-	child.entries = append([]leafEntry(nil), nd.entries[mid:]...)
-	child.low = finite(fosterKey)
+	child, fosterKey, err := splitOff(h.Page(), &nd)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := p.txns.BeginSystem()
-	childH, err := p.AllocateNode(st, h.Page().Type(), child.encode())
+	childH, err := p.AllocateNode(st, h.Page().Type(), child.Payload())
 	if err != nil {
 		t.Fatal(err)
 	}
 	childID := childH.ID()
 	childH.Release()
 	preImage := append([]byte(nil), h.Page().Payload()...)
-	if err := logApply(st, h, encodeSplitTruncate(childID, fosterKey, preImage)); err != nil {
+	if err := ops.LogApply(st, h, encodeSplitTruncate(childID, fosterKey, preImage)); err != nil {
 		t.Fatal(err)
 	}
 	h.Unlock()
@@ -299,17 +300,10 @@ func TestAdoptionRacingReaderSeesConsistentPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	childN, err := decodeNode(func() []byte {
-		childH.RLock()
-		defer childH.RUnlock()
-		return append([]byte(nil), childH.Page().Payload()...)
-	}())
-	if err != nil {
-		t.Fatal(err)
-	}
+	childN := snapshotNode(t, childH)
 	fosterPID := childN.foster
-	fosterKey := append([]byte(nil), childN.high.k...)
-	oldChainHigh := childN.chainHigh
+	fosterKey := childN.high.k
+	oldChainHigh := childN.chain
 
 	// Keys owned by the foster child F — the ones whose routing flips from
 	// "via child's foster pointer" to "via parent's new separator".
@@ -317,16 +311,9 @@ func TestAdoptionRacingReaderSeesConsistentPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fosterN, err := decodeNode(func() []byte {
-		fosterH.RLock()
-		defer fosterH.RUnlock()
-		return append([]byte(nil), fosterH.Page().Payload()...)
-	}())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fosterN := snapshotNode(t, fosterH)
 	var fosterKeys [][]byte
-	collectLeafKeys(t, tr, fosterN, &fosterKeys)
+	collectLeafKeys(t, tr, &fosterN, &fosterKeys)
 	fosterH.Release()
 	if len(fosterKeys) == 0 {
 		t.Skip("foster child holds no keys")
@@ -349,10 +336,10 @@ func TestAdoptionRacingReaderSeesConsistentPair(t *testing.T) {
 	}
 
 	st := p.BeginSystem()
-	if err := logApply(st, parentH, encodeAdopt(fosterKey, fosterPID)); err != nil {
+	if err := ops.LogApply(st, parentH, encodeAdoptOp(opAdopt, fosterKey, fosterPID)); err != nil {
 		t.Fatal(err)
 	}
-	if err := logApply(st, childH, encodeClearFoster(fosterPID, oldChainHigh)); err != nil {
+	if err := ops.LogApply(st, childH, encodeFosterOp(opClearFoster, fosterPID, oldChainHigh)); err != nil {
 		t.Fatal(err)
 	}
 	childH.Unlock()
@@ -377,38 +364,19 @@ func findAdoptablePair(t *testing.T, tr *Tree, parentID, childID *page.ID) bool 
 	t.Helper()
 	var walk func(id page.ID) bool
 	walk = func(id page.ID) bool {
-		h, err := tr.pager.Fetch(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.RLock()
-		n, err := decodeNode(h.Page().Payload())
-		h.RUnlock()
-		h.Release()
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := fetchNode(t, tr, id)
 		if n.isLeaf() {
 			return false
 		}
-		for _, c := range n.children {
-			ch, err := tr.pager.Fetch(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ch.RLock()
-			cn, err := decodeNode(ch.Page().Payload())
-			ch.RUnlock()
-			ch.Release()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cn.hasFoster() && !cn.high.inf && cn.high.less(cn.chainHigh) {
+		children := childIDs(t, &n)
+		for _, c := range children {
+			cn := fetchNode(t, tr, c)
+			if cn.hasFoster() && !cn.high.inf && cn.high.less(cn.chain) {
 				*parentID, *childID = id, c
 				return true
 			}
 		}
-		for _, c := range n.children {
+		for _, c := range children {
 			if walk(c) {
 				return true
 			}
@@ -423,41 +391,63 @@ func findAdoptablePair(t *testing.T, tr *Tree, parentID, childID *page.ID) bool 
 func collectLeafKeys(t *testing.T, tr *Tree, n *node, out *[][]byte) {
 	t.Helper()
 	if n.isLeaf() {
-		for _, e := range n.entries {
-			if !e.ghost {
-				*out = append(*out, append([]byte(nil), e.key...))
+		for i := 0; i < n.Count(); i++ {
+			k, _, ghost, err := n.Record(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ghost {
+				*out = append(*out, append([]byte(nil), k...))
 			}
 		}
 	} else {
-		for _, c := range n.children {
-			h, err := tr.pager.Fetch(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.RLock()
-			cn, err := decodeNode(h.Page().Payload())
-			h.RUnlock()
-			h.Release()
-			if err != nil {
-				t.Fatal(err)
-			}
-			collectLeafKeys(t, tr, cn, out)
+		for _, c := range childIDs(t, n) {
+			cn := fetchNode(t, tr, c)
+			collectLeafKeys(t, tr, &cn, out)
 		}
 	}
 	if n.hasFoster() {
-		h, err := tr.pager.Fetch(n.foster)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.RLock()
-		fn, err := decodeNode(h.Page().Payload())
-		h.RUnlock()
-		h.Release()
-		if err != nil {
-			t.Fatal(err)
-		}
-		collectLeafKeys(t, tr, fn, out)
+		fn := fetchNode(t, tr, n.foster)
+		collectLeafKeys(t, tr, &fn, out)
 	}
+}
+
+// snapshotNode parses a private copy of h's payload taken under its shared
+// latch, so the returned node stays valid after the latch drops.
+func snapshotNode(t *testing.T, h *buffer.Handle) node {
+	t.Helper()
+	h.RLock()
+	payload := append([]byte(nil), h.Page().Payload()...)
+	h.RUnlock()
+	n, err := parseNode(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// fetchNode is snapshotNode of page id.
+func fetchNode(t *testing.T, tr *Tree, id page.ID) node {
+	t.Helper()
+	h, err := tr.pager.Fetch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	return snapshotNode(t, h)
+}
+
+// childIDs lists a branch node's children in key order.
+func childIDs(t *testing.T, n *node) []page.ID {
+	t.Helper()
+	ids := make([]page.ID, n.fanout())
+	for i := range ids {
+		var err error
+		if ids[i], err = n.child(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ids
 }
 
 // TestConcurrentInsertsDisjointRangesConverge hammers splits specifically:
@@ -541,14 +531,11 @@ func TestDescentErrorsSurfaceUnderConcurrency(t *testing.T) {
 	}
 	lt.unlatch(h, false)
 	h.Lock()
-	nd, err := decodeNode(h.Page().Payload())
+	nd, err := parseNode(h.Page().Payload())
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd.low.k[0] ^= 0xFF
-	if err := h.Page().SetPayload(nd.encode()); err != nil {
-		t.Fatal(err)
-	}
+	nd.low.k[0] ^= 0xFF // the fence aliases the buffered page
 	h.Unlock()
 	h.Release()
 

@@ -22,9 +22,11 @@ import (
 	"repro/internal/page"
 )
 
-// Errors from node encoding/decoding and structural checks.
+// Errors from node parsing and structural checks. ErrNodeCorrupt is the
+// shared layout error, so a violation reads the same whether the layout
+// (internal/page) or the B-tree header check found it.
 var (
-	ErrNodeCorrupt   = errors.New("btree: node payload corrupt")
+	ErrNodeCorrupt   = page.ErrCorrupt
 	ErrNodeFull      = errors.New("btree: node full")
 	ErrKeyNotFound   = errors.New("btree: key not found")
 	ErrKeyExists     = errors.New("btree: key already exists")
@@ -86,38 +88,46 @@ func (f fence) String() string {
 	return fmt.Sprintf("%q", f.k)
 }
 
-// leafEntry is one record in a leaf node. Ghost records ("pseudo-deleted",
-// §5.1.5) remain in place after logical deletion until a system transaction
-// reclaims them.
-type leafEntry struct {
-	key   []byte
-	val   []byte
-	ghost bool
-}
+// A node page is a record page (internal/page Records) of kind KindNode
+// operated on in place — there is no decoded node struct. The engine
+// extension and the three reserved records carry the B-tree's header:
+//
+//	extension: u16 level (0 = leaf)
+//	           u8  flags (bit0 foster present, bit1 high==inf, bit2 chainHigh==inf)
+//	           u64 foster page id (0 when none)
+//	           u64 leftmost child id (0 in leaves)
+//	reserved:  low fence, high fence, chain-high fence (empty when infinite;
+//	           low is never infinite — the leftmost node's low fence is the
+//	           empty string)
+//	records:   leaf:   key -> value, ghost flag in the record
+//	           branch: separator -> child id; the child left of the first
+//	                   separator is the extension's leftmost child, so child
+//	                   i covers [sep[i-1], sep[i]) with sep[-1] = low and
+//	                   sep[count] = high
+const (
+	nodeExtSize = 2 + 1 + 8 + 8
 
-// node is the decoded form of a B-tree page payload.
+	flagFoster   = 1 << 0
+	flagHighInf  = 1 << 1
+	flagChainInf = 1 << 2
+
+	// Reserved record slots.
+	slotLow, slotHigh, slotChain = 0, 1, 2
+)
+
+// node is the parsed header of a latched node page: the record view plus
+// the extension fields and fences, every slice aliasing the payload. It is
+// valid only while the caller's page latch is held and becomes stale the
+// moment an op is applied to the page; callers retaining any field beyond
+// that window copy it explicitly.
 type node struct {
-	level     uint16 // 0 = leaf
-	low       fence  // low fence: inclusive lower bound
-	high      fence  // high fence: exclusive upper bound of keys in THIS node
-	chainHigh fence  // high fence of the entire foster chain (== high when no foster child)
-	foster    page.ID
-
-	// Leaf state (level == 0).
-	entries []leafEntry
-
-	// Branch state (level > 0): children[i] covers [sep[i-1], sep[i])
-	// with sep[-1] = low and sep[len] = high.
-	children []page.ID
-	seps     [][]byte
-}
-
-func newLeaf(low, high fence) *node {
-	return &node{level: 0, low: low, high: high, chainHigh: high}
-}
-
-func newBranch(level uint16, low, high fence, children []page.ID, seps [][]byte) *node {
-	return &node{level: level, low: low, high: high, chainHigh: high, children: children, seps: seps}
+	page.Records
+	level  uint16
+	foster page.ID
+	child0 page.ID // leftmost child (branches)
+	low    fence   // inclusive lower bound
+	high   fence   // exclusive upper bound of keys in THIS node
+	chain  fence   // high fence of the entire foster chain (== high when no foster child)
 }
 
 func (n *node) isLeaf() bool    { return n.level == 0 }
@@ -126,334 +136,202 @@ func (n *node) hasFoster() bool { return n.foster != page.InvalidID }
 // fanout returns the number of entries (leaf) or children (branch).
 func (n *node) fanout() int {
 	if n.isLeaf() {
-		return len(n.entries)
+		return n.Count()
 	}
-	return len(n.children)
+	return n.Count() + 1
 }
 
-// Node payload layout (little endian):
-//
-//	u16 level
-//	u8  flags (bit0: foster present, bit1: high==inf, bit2: chainHigh==inf)
-//	fence low  (u16 len + bytes; inf never occurs for low in this layout —
-//	            the leftmost node's low fence is the empty string)
-//	fence high (u16 len + bytes, omitted when inf)
-//	fence chainHigh (u16 len + bytes, omitted when inf)
-//	u64 foster page id (0 when none)
-//	u16 count
-//	leaf:   count * (u16 keyLen, key, u32 valLen|ghostBit, val)
-//	branch: count * u64 child ids, then (count-1) * (u16 sepLen, sep)
-const ghostBit = 1 << 31
-
-// encode serializes the node into a page payload.
-func (n *node) encode() []byte {
-	var buf bytes.Buffer
-	var tmp [8]byte
-	put16 := func(v uint16) {
-		binary.LittleEndian.PutUint16(tmp[:2], v)
-		buf.Write(tmp[:2])
+// nodeExt encodes the extension.
+func nodeExt(level uint16, foster, child0 page.ID, high, chain fence) []byte {
+	ext := make([]byte, nodeExtSize)
+	binary.LittleEndian.PutUint16(ext, level)
+	if foster != page.InvalidID {
+		ext[2] |= flagFoster
 	}
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:4], v)
-		buf.Write(tmp[:4])
+	if high.inf {
+		ext[2] |= flagHighInf
 	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:8], v)
-		buf.Write(tmp[:8])
+	if chain.inf {
+		ext[2] |= flagChainInf
 	}
-	putBytes16 := func(b []byte) {
-		put16(uint16(len(b)))
-		buf.Write(b)
-	}
-	put16(n.level)
-	var flags uint8
-	if n.hasFoster() {
-		flags |= 1
-	}
-	if n.high.inf {
-		flags |= 2
-	}
-	if n.chainHigh.inf {
-		flags |= 4
-	}
-	buf.WriteByte(flags)
-	putBytes16(n.low.k)
-	if !n.high.inf {
-		putBytes16(n.high.k)
-	}
-	if !n.chainHigh.inf {
-		putBytes16(n.chainHigh.k)
-	}
-	put64(uint64(n.foster))
-	if n.isLeaf() {
-		put16(uint16(len(n.entries)))
-		for _, e := range n.entries {
-			putBytes16(e.key)
-			vl := uint32(len(e.val))
-			if e.ghost {
-				vl |= ghostBit
-			}
-			put32(vl)
-			buf.Write(e.val)
-		}
-	} else {
-		put16(uint16(len(n.children)))
-		for _, c := range n.children {
-			put64(uint64(c))
-		}
-		for _, s := range n.seps {
-			putBytes16(s)
-		}
-	}
-	return buf.Bytes()
+	binary.LittleEndian.PutUint64(ext[3:], uint64(foster))
+	binary.LittleEndian.PutUint64(ext[11:], uint64(child0))
+	return ext
 }
 
-// encodedSize returns the byte length encode would produce.
-func (n *node) encodedSize() int {
-	size := 2 + 1 + 2 + len(n.low.k) + 8 + 2
-	if !n.high.inf {
-		size += 2 + len(n.high.k)
-	}
-	if !n.chainHigh.inf {
-		size += 2 + len(n.chainHigh.k)
-	}
-	if n.isLeaf() {
-		for _, e := range n.entries {
-			size += 2 + len(e.key) + 4 + len(e.val)
-		}
-	} else {
-		size += 8 * len(n.children)
-		for _, s := range n.seps {
-			size += 2 + len(s)
-		}
-	}
-	return size
+// newNodePayload builds the payload of a node holding no records yet.
+func newNodePayload(level uint16, low, high, chain fence, foster, child0 page.ID) []byte {
+	return page.NewRecords(page.KindNode, nodeExt(level, foster, child0, high, chain), low.k, high.k, chain.k)
 }
 
-// decodeNode parses a page payload into a node. The decode is zero-copy:
-// every key, value, fence, and separator aliases the payload, so the node
-// is valid only while the caller's page latch is held and becomes stale the
-// moment an op is applied to the page. Callers retaining any field beyond
-// that window copy it explicitly.
-func decodeNode(payload []byte) (*node, error) {
-	r := &reader{b: payload}
-	n := &node{}
-	n.level = r.u16()
-	flags := r.u8()
-	n.low = finite(r.bytes16())
-	if flags&2 != 0 {
+// parseNode reads a node page's header and runs the in-page plausibility
+// checks every read repeats (§4.2): layout kind, extension shape, flag and
+// pointer agreement. Record offsets are bounds-checked as they are
+// dereferenced; the whole-page structure was validated by page.Check when
+// the image entered the pool.
+func parseNode(payload []byte) (node, error) {
+	r, err := page.ParseRecords(payload)
+	if err != nil {
+		return node{}, err
+	}
+	ext := r.Ext()
+	if r.Kind() != page.KindNode || len(ext) != nodeExtSize || r.Reserved() != 3 {
+		return node{}, fmt.Errorf("%w: not a B-tree node (kind %d, extension %d bytes, %d reserved records)",
+			ErrNodeCorrupt, r.Kind(), len(ext), r.Reserved())
+	}
+	n := node{
+		Records: r,
+		level:   binary.LittleEndian.Uint16(ext),
+		foster:  page.ID(binary.LittleEndian.Uint64(ext[3:])),
+		child0:  page.ID(binary.LittleEndian.Uint64(ext[11:])),
+	}
+	flags := ext[2]
+	var fk [3][]byte
+	for i := range fk {
+		if fk[i], err = r.ReservedRecord(i); err != nil {
+			return node{}, err
+		}
+	}
+	n.low, n.high, n.chain = finite(fk[slotLow]), finite(fk[slotHigh]), finite(fk[slotChain])
+	if flags&flagHighInf != 0 {
 		n.high = infFence
-	} else {
-		n.high = finite(r.bytes16())
 	}
-	if flags&4 != 0 {
-		n.chainHigh = infFence
-	} else {
-		n.chainHigh = finite(r.bytes16())
+	if flags&flagChainInf != 0 {
+		n.chain = infFence
 	}
-	n.foster = page.ID(r.u64())
-	count := int(r.u16())
-	if n.isLeaf() {
-		n.entries = make([]leafEntry, 0, count)
-		for i := 0; i < count; i++ {
-			key := r.bytes16()
-			vl := r.u32()
-			ghost := vl&ghostBit != 0
-			vl &^= ghostBit
-			val := r.take(int(vl))
-			n.entries = append(n.entries, leafEntry{key: key, val: val, ghost: ghost})
-		}
-	} else {
-		n.children = make([]page.ID, 0, count)
-		for i := 0; i < count; i++ {
-			n.children = append(n.children, page.ID(r.u64()))
-		}
-		if count > 0 {
-			n.seps = make([][]byte, 0, count-1)
-			for i := 0; i < count-1; i++ {
-				n.seps = append(n.seps, r.bytes16())
-			}
-		}
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNodeCorrupt, r.err)
-	}
-	if r.pos != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrNodeCorrupt, len(payload)-r.pos)
-	}
-	if flags&1 != 0 && n.foster == page.InvalidID {
-		return nil, fmt.Errorf("%w: foster flag with no foster id", ErrNodeCorrupt)
-	}
-	if flags&1 == 0 && n.foster != page.InvalidID {
-		return nil, fmt.Errorf("%w: foster id with no foster flag", ErrNodeCorrupt)
+	switch {
+	case flags&^(flagFoster|flagHighInf|flagChainInf) != 0:
+		return node{}, fmt.Errorf("%w: unknown flag bits %#x", ErrNodeCorrupt, flags)
+	case (flags&flagFoster != 0) != n.hasFoster():
+		return node{}, fmt.Errorf("%w: foster flag disagrees with foster id %d", ErrNodeCorrupt, n.foster)
+	case n.high.inf && len(fk[slotHigh]) != 0, n.chain.inf && len(fk[slotChain]) != 0:
+		return node{}, fmt.Errorf("%w: infinite fence with key bytes", ErrNodeCorrupt)
+	case n.isLeaf() != (n.child0 == page.InvalidID):
+		return node{}, fmt.Errorf("%w: level %d with leftmost child %d", ErrNodeCorrupt, n.level, n.child0)
 	}
 	return n, nil
 }
 
-// reader is a bounds-checked little-endian cursor.
-type reader struct {
-	b   []byte
-	pos int
-	err error
+// child returns branch child i (0 <= i < fanout).
+func (n *node) child(i int) (page.ID, error) {
+	if i == 0 {
+		return n.child0, nil
+	}
+	_, v, _, err := n.Record(i - 1)
+	if err != nil {
+		return 0, err
+	}
+	if len(v) != 8 {
+		return 0, fmt.Errorf("%w: branch record %d holds a %d-byte child pointer", ErrNodeCorrupt, i-1, len(v))
+	}
+	return page.ID(binary.LittleEndian.Uint64(v)), nil
 }
 
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("truncated at offset %d", r.pos)
+// sepFence returns the fence separator i denotes, with sep[-1] = low and
+// sep[count] = high.
+func (n *node) sepFence(i int) (fence, error) {
+	switch {
+	case i < 0:
+		return n.low, nil
+	case i >= n.Count():
+		return n.high, nil
 	}
+	k, _, _, err := n.Record(i)
+	return finite(k), err
 }
 
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.pos+1 > len(r.b) {
-		r.fail()
-		return 0
+// childFor returns the page ID of the child covering key, plus the
+// expected fences of that child derived from the separators — the
+// redundancy every descent verifies (§4.2). Branch nodes only.
+func (n *node) childFor(key []byte) (childID page.ID, expLow, expHigh fence, err error) {
+	// The child right of separator i covers keys >= sep[i]: route to the
+	// child after the last separator <= key.
+	i, found, err := n.Find(key)
+	if err != nil {
+		return 0, fence{}, fence{}, err
 	}
-	v := r.b[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *reader) u16() uint16 {
-	if r.err != nil || r.pos+2 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.b[r.pos:])
-	r.pos += 2
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.pos+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.pos:])
-	r.pos += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.pos+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.pos:])
-	r.pos += 8
-	return v
-}
-
-// take returns the next n bytes ZERO-COPY: the result aliases the source
-// buffer. For page payloads this makes decodeNode allocation-light (no
-// per-entry byte copies — the dominant cost of every descent), but decoded
-// structures are valid only while the page latch protects the payload; any
-// field retained past the latch, or past an applyOp that rewrites the same
-// page, must be copied by the caller. For op payloads the source is a
-// stable wal.Record body.
-func (r *reader) take(n int) []byte {
-	if r.err != nil || n < 0 || r.pos+n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	v := r.b[r.pos : r.pos+n : r.pos+n]
-	r.pos += n
-	return v
-}
-
-func (r *reader) bytes16() []byte {
-	n := r.u16()
-	return r.take(int(n))
-}
-
-// findLeaf returns the index of key in a leaf's entries and whether it is
-// present (ghosts count as present; callers check the ghost flag).
-func (n *node) findLeaf(key []byte) (int, bool) {
-	lo, hi := 0, len(n.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(n.entries[mid].key, key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(n.entries) && bytes.Equal(n.entries[lo].key, key) {
-		return lo, true
-	}
-	return lo, false
-}
-
-// childFor returns the index of the child covering key, plus the expected
-// fences of that child derived from the parent's separators — the
-// redundancy that every descent verifies (§4.2).
-func (n *node) childFor(key []byte) (idx int, expLow, expHigh fence) {
-	lo, hi := 0, len(n.seps)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(n.seps[mid], key) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	idx = lo
-	if idx == 0 {
-		expLow = n.low
-	} else {
-		expLow = finite(n.seps[idx-1])
-	}
-	if idx == len(n.seps) {
-		expHigh = n.high
-	} else {
-		expHigh = finite(n.seps[idx])
-	}
-	return idx, expLow, expHigh
-}
-
-// insertLeafEntry places e in sorted position. It fails if the key exists.
-func (n *node) insertLeafEntry(e leafEntry) error {
-	i, found := n.findLeaf(e.key)
 	if found {
-		return fmt.Errorf("%w: %q", ErrKeyExists, e.key)
+		i++
 	}
-	n.entries = append(n.entries, leafEntry{})
-	copy(n.entries[i+1:], n.entries[i:])
-	n.entries[i] = e
-	return nil
+	if childID, err = n.child(i); err != nil {
+		return 0, fence{}, fence{}, err
+	}
+	if expLow, err = n.sepFence(i - 1); err != nil {
+		return 0, fence{}, fence{}, err
+	}
+	if expHigh, err = n.sepFence(i); err != nil {
+		return 0, fence{}, fence{}, err
+	}
+	return childID, expLow, expHigh, nil
 }
 
-// removeLeafEntry deletes the entry for key physically.
-func (n *node) removeLeafEntry(key []byte) (leafEntry, error) {
-	i, found := n.findLeaf(key)
-	if !found {
-		return leafEntry{}, fmt.Errorf("%w: %q", ErrKeyNotFound, key)
-	}
-	e := n.entries[i]
-	n.entries = append(n.entries[:i], n.entries[i+1:]...)
-	return e, nil
-}
-
-// insertChild adds (sep, child) into a branch: child covers [sep, nextSep).
-func (n *node) insertChild(sep []byte, child page.ID) error {
-	lo, hi := 0, len(n.seps)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(n.seps[mid], sep) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
+// hasChild reports whether id is among the branch node's children.
+func (n *node) hasChild(id page.ID) (bool, error) {
+	for i := 0; i < n.fanout(); i++ {
+		c, err := n.child(i)
+		if err != nil {
+			return false, err
+		}
+		if c == id {
+			return true, nil
 		}
 	}
-	if lo < len(n.seps) && bytes.Equal(n.seps[lo], sep) {
-		return fmt.Errorf("%w: separator %q", ErrKeyExists, sep)
+	return false, nil
+}
+
+// splitOff builds the foster child that takes the upper half of the node on
+// pg: records [mid, count) move to the child. In a leaf the foster key is
+// the shortest separator between the halves; in a branch it is separator
+// mid-1 itself, which leaves the records — its child becomes the foster
+// child's leftmost — exactly as in a permanent-parent split. The child
+// starts as a copy of the node (same level, high and chain-high fences,
+// foster pointer) and drops the lower half, so the moved records are
+// spliced as one block, never rebuilt one by one.
+func splitOff(pg *page.Page, n *node) (child *page.Page, fosterKey []byte, err error) {
+	mid := n.fanout() / 2
+	last, _, _, err := n.Record(mid - 1)
+	if err != nil {
+		return nil, nil, err
 	}
-	n.seps = append(n.seps, nil)
-	copy(n.seps[lo+1:], n.seps[lo:])
-	n.seps[lo] = sep
-	n.children = append(n.children, 0)
-	copy(n.children[lo+2:], n.children[lo+1:])
-	n.children[lo+1] = child
-	return nil
+	child0 := page.InvalidID
+	if n.isLeaf() {
+		first, _, _, err := n.Record(mid)
+		if err != nil {
+			return nil, nil, err
+		}
+		fosterKey = shortestSeparator(last, first)
+	} else {
+		fosterKey = append([]byte(nil), last...)
+		if child0, err = n.child(mid); err != nil {
+			return nil, nil, err
+		}
+	}
+	child = pg.Clone()
+	if err := child.RemoveRecords(0, mid); err != nil {
+		return nil, nil, err
+	}
+	if err := child.SetReservedRecord(slotLow, fosterKey); err != nil {
+		return nil, nil, err
+	}
+	r, err := page.ParseRecords(child.Payload())
+	if err != nil {
+		return nil, nil, err
+	}
+	binary.LittleEndian.PutUint64(r.Ext()[11:], uint64(child0))
+	return child, fosterKey, nil
+}
+
+// PageRole classifies a B-tree page payload for tests and tooling: "leaf"
+// or "branch".
+func PageRole(payload []byte) (string, error) {
+	n, err := parseNode(payload)
+	if err != nil {
+		return "", err
+	}
+	if n.isLeaf() {
+		return "leaf", nil
+	}
+	return "branch", nil
 }
 
 // shortestSeparator returns the shortest byte string s with a < s <= b,

@@ -3,11 +3,11 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/page"
+	"repro/internal/pageop"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -60,134 +60,85 @@ const (
 )
 
 // ErrBadOp reports an unparseable or inapplicable op payload.
-var ErrBadOp = errors.New("btree: bad op payload")
+var ErrBadOp = pageop.ErrBadOp
 
-// opWriter builds op payloads.
-type opWriter struct{ buf bytes.Buffer }
-
-func (w *opWriter) op(code uint8) *opWriter {
-	w.buf.WriteByte(code)
-	return w
-}
-
-func (w *opWriter) b16(b []byte) *opWriter {
-	var t [2]byte
-	binary.LittleEndian.PutUint16(t[:], uint16(len(b)))
-	w.buf.Write(t[:])
-	w.buf.Write(b)
-	return w
-}
-
-func (w *opWriter) b32(b []byte) *opWriter {
-	var t [4]byte
-	binary.LittleEndian.PutUint32(t[:], uint32(len(b)))
-	w.buf.Write(t[:])
-	w.buf.Write(b)
-	return w
-}
-
-func (w *opWriter) u8(v uint8) *opWriter {
-	w.buf.WriteByte(v)
-	return w
-}
-
-func (w *opWriter) u64(v uint64) *opWriter {
-	var t [8]byte
-	binary.LittleEndian.PutUint64(t[:], v)
-	w.buf.Write(t[:])
-	return w
-}
-
-func (w *opWriter) fence(f fence) *opWriter {
-	if f.inf {
-		w.u8(1)
-	} else {
-		w.u8(0)
-		w.b16(f.k)
+// kindOf maps the opcodes whose payload and semantics the hash index shares
+// (the five entry ops and the whole-payload replaces) to their shared op.
+func kindOf(code uint8) pageop.Kind {
+	switch {
+	case code >= opLeafInsert && code <= opLeafReinsert:
+		return pageop.Insert + pageop.Kind(code-opLeafInsert)
+	case code == opReplaceNode || code == opRawSet:
+		return pageop.Replace
 	}
-	return w
+	return pageop.None
 }
 
-func (w *opWriter) bytes() []byte { return w.buf.Bytes() }
+// ops is the log-then-apply protocol bound to the B-tree's applier.
+var ops = pageop.Ops{Apply: applyOp, Inverse: inverseOp}
 
-// opReader parses op payloads using the bounds-checked reader from node.go.
-type opReader struct{ r reader }
-
-func (o *opReader) b32() []byte {
-	n := o.r.u32()
-	return o.r.take(int(n))
+func appendFence(b []byte, f fence) []byte {
+	if f.inf {
+		return append(b, 1)
+	}
+	return pageop.AppendBytes16(append(b, 0), f.k)
 }
 
-func (o *opReader) fence() fence {
-	if o.r.u8() == 1 {
+func readFence(c *pageop.Cursor) fence {
+	if c.U8() == 1 {
 		return infFence
 	}
-	return finite(o.r.bytes16())
+	return finite(c.Bytes16())
 }
 
 func encodeLeafInsert(root page.ID, key, val []byte) []byte {
-	return (&opWriter{}).op(opLeafInsert).u64(uint64(root)).b16(key).b32(val).bytes()
+	return pageop.EncodeInsert(opLeafInsert, root, key, val)
 }
 
 func encodeLeafGhost(root page.ID, key []byte, ghost, prior bool) []byte {
-	return (&opWriter{}).op(opLeafGhost).u64(uint64(root)).b16(key).
-		u8(boolByte(ghost)).u8(boolByte(prior)).bytes()
+	return pageop.EncodeGhost(opLeafGhost, root, key, ghost, prior)
 }
 
 func encodeLeafUpdate(root page.ID, key, newVal, oldVal []byte) []byte {
-	return (&opWriter{}).op(opLeafUpdate).u64(uint64(root)).b16(key).b32(newVal).b32(oldVal).bytes()
+	return pageop.EncodeUpdate(opLeafUpdate, root, key, newVal, oldVal)
 }
 
 func encodeLeafPurge(key, oldVal []byte, wasGhost bool) []byte {
-	return (&opWriter{}).op(opLeafPurge).b16(key).b32(oldVal).u8(boolByte(wasGhost)).bytes()
-}
-
-func encodeLeafReinsert(key, val []byte, ghost bool) []byte {
-	return (&opWriter{}).op(opLeafReinsert).b16(key).b32(val).u8(boolByte(ghost)).bytes()
+	return pageop.EncodePurge(opLeafPurge, key, oldVal, wasGhost)
 }
 
 func encodeSplitTruncate(fosterPID page.ID, fosterKey []byte, preImage []byte) []byte {
-	return (&opWriter{}).op(opSplitTruncate).u64(uint64(fosterPID)).b16(fosterKey).b32(preImage).bytes()
+	b := pageop.AppendU64([]byte{opSplitTruncate}, uint64(fosterPID))
+	return pageop.AppendBytes32(pageop.AppendBytes16(b, fosterKey), preImage)
 }
 
-func encodeClearFoster(fosterPID page.ID, oldChainHigh fence) []byte {
-	return (&opWriter{}).op(opClearFoster).u64(uint64(fosterPID)).fence(oldChainHigh).bytes()
+// encodeFosterOp builds opClearFoster (chainHigh = the old chain-high
+// fence) or opSetFoster (chainHigh = the fence to install).
+func encodeFosterOp(code uint8, fosterPID page.ID, chainHigh fence) []byte {
+	return appendFence(pageop.AppendU64([]byte{code}, uint64(fosterPID)), chainHigh)
 }
 
-func encodeSetFoster(fosterPID page.ID, chainHigh fence) []byte {
-	return (&opWriter{}).op(opSetFoster).u64(uint64(fosterPID)).fence(chainHigh).bytes()
-}
-
-func encodeAdopt(sep []byte, child page.ID) []byte {
-	return (&opWriter{}).op(opAdopt).b16(sep).u64(uint64(child)).bytes()
-}
-
-func encodeDeAdopt(sep []byte, child page.ID) []byte {
-	return (&opWriter{}).op(opDeAdopt).b16(sep).u64(uint64(child)).bytes()
+// encodeAdoptOp builds opAdopt or opDeAdopt.
+func encodeAdoptOp(code uint8, sep []byte, child page.ID) []byte {
+	return pageop.AppendU64(pageop.AppendBytes16([]byte{code}, sep), uint64(child))
 }
 
 func encodeReplaceNode(newPayload, oldPayload []byte) []byte {
-	return (&opWriter{}).op(opReplaceNode).b32(newPayload).b32(oldPayload).bytes()
+	return pageop.EncodeReplace(opReplaceNode, newPayload, oldPayload)
 }
 
 // EncodeMetaPut builds the op registering tree name -> root in the meta
 // page (root == InvalidID deletes the binding); oldRoot enables undo.
 func EncodeMetaPut(name string, root, oldRoot page.ID) []byte {
-	return (&opWriter{}).op(opMetaPut).b16([]byte(name)).u64(uint64(root)).u64(uint64(oldRoot)).bytes()
+	b := pageop.AppendBytes16([]byte{opMetaPut}, []byte(name))
+	return pageop.AppendU64(pageop.AppendU64(b, uint64(root)), uint64(oldRoot))
 }
 
 // EncodeRawSet builds an op payload replacing a TypeRaw page's contents;
 // used by tests, examples, and benchmarks that exercise recovery without a
 // B-tree.
 func EncodeRawSet(newPayload, oldPayload []byte) []byte {
-	return (&opWriter{}).op(opRawSet).b32(newPayload).b32(oldPayload).bytes()
-}
-
-func boolByte(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
+	return pageop.EncodeReplace(opRawSet, newPayload, oldPayload)
 }
 
 // Applier applies redo ops to pages; it implements core.RedoApplier for
@@ -201,29 +152,26 @@ func (Applier) ApplyRedo(rec *wal.Record, pg *page.Page) error {
 	return applyOp(rec.Payload, pg)
 }
 
+// applyOp applies one op to pg in place. The entry ops and replaces are the
+// shared implementation; the structural ops below edit the node header and
+// the branch records through the same record-page splices.
 func applyOp(payload []byte, pg *page.Page) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("%w: empty payload", ErrBadOp)
 	}
-	o := &opReader{r: reader{b: payload, pos: 1}}
 	code := payload[0]
-
-	switch code {
-	case opRawSet, opReplaceNode:
-		newP := o.b32()
-		o.b32() // old payload: undo information only
-		if o.r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
+	if k := kindOf(code); k != pageop.None {
+		return pageop.Apply(k, payload, pg)
+	}
+	c := pageop.NewCursor(payload, 1)
+	if code == opMetaPut {
+		name := string(c.Bytes16())
+		root := page.ID(c.U64())
+		c.U64() // old root: undo information only
+		if c.Err() != nil {
+			return fmt.Errorf("%w: %v", ErrBadOp, c.Err())
 		}
-		return pg.SetPayload(newP)
-	case opMetaPut:
-		name := string(o.r.bytes16())
-		root := page.ID(o.r.u64())
-		o.r.u64() // old root: undo information only
-		if o.r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		reg, err := decodeRegistry(pg.Payload())
+		reg, err := DecodeRegistry(pg.Payload())
 		if err != nil {
 			return err
 		}
@@ -236,164 +184,102 @@ func applyOp(payload []byte, pg *page.Page) error {
 	}
 
 	// All remaining ops operate on B-tree nodes.
-	n, err := decodeNode(pg.Payload())
+	n, err := parseNode(pg.Payload())
 	if err != nil {
 		return err
 	}
 	switch code {
-	case opLeafInsert:
-		o.r.u64() // tree root: undo routing only
-		key := o.r.bytes16()
-		val := o.b32()
-		if o.r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		if i, found := n.findLeaf(key); found {
-			if !n.entries[i].ghost {
-				return fmt.Errorf("%w: insert over live key %q", ErrBadOp, key)
-			}
-			n.entries[i].val = val
-			n.entries[i].ghost = false
-		} else if err := n.insertLeafEntry(leafEntry{key: key, val: val}); err != nil {
-			return err
-		}
-	case opLeafGhost:
-		o.r.u64()
-		key := o.r.bytes16()
-		ghost := o.r.u8() == 1
-		o.r.u8() // prior flag: undo information only
-		if o.r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		i, found := n.findLeaf(key)
-		if !found {
-			return fmt.Errorf("%w: ghost of absent key %q", ErrKeyNotFound, key)
-		}
-		n.entries[i].ghost = ghost
-	case opLeafUpdate:
-		o.r.u64()
-		key := o.r.bytes16()
-		newVal := o.b32()
-		o.b32() // old value: undo information only
-		if o.r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		i, found := n.findLeaf(key)
-		if !found {
-			return fmt.Errorf("%w: update of absent key %q", ErrKeyNotFound, key)
-		}
-		n.entries[i].val = newVal
-	case opLeafPurge:
-		key := o.r.bytes16()
-		o.b32()  // old value: undo information only
-		o.r.u8() // old ghost flag
-		if o.r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		if _, err := n.removeLeafEntry(key); err != nil {
-			return err
-		}
-	case opLeafReinsert:
-		key := o.r.bytes16()
-		val := o.b32()
-		ghost := o.r.u8() == 1
-		if o.r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		if err := n.insertLeafEntry(leafEntry{key: key, val: val, ghost: ghost}); err != nil {
-			return err
-		}
 	case opSplitTruncate:
-		fosterPID := page.ID(o.r.u64())
-		fosterKey := o.r.bytes16()
-		o.b32() // pre-image: undo information only
-		if o.r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
+		// The foster-parent half of a node split: everything at or above
+		// the foster key moves out (the foster child's format record holds
+		// it), the high fence drops to the foster key, and the foster
+		// pointer is installed. The chain high fence is unchanged: the
+		// foster parent "carries the high fence key of the entire chain"
+		// (§4.2).
+		fosterPID := page.ID(c.U64())
+		fosterKey := c.Bytes16()
+		c.Bytes32() // pre-image: undo information only
+		if c.Err() != nil {
+			return fmt.Errorf("%w: %v", ErrBadOp, c.Err())
 		}
-		applySplitTruncate(n, fosterPID, fosterKey)
+		cut, _, err := n.Find(fosterKey)
+		if err != nil {
+			return err
+		}
+		if err := pg.RemoveRecords(cut, n.Count()); err != nil {
+			return err
+		}
+		return setFoster(pg, fosterPID, slotHigh, finite(fosterKey))
 	case opClearFoster:
-		o.r.u64() // cleared foster pid: undo information only
-		o.fence() // old chain high: undo information only
-		if o.r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
+		c.U64()       // cleared foster pid: undo information only
+		readFence(&c) // old chain high: undo information only
+		if c.Err() != nil {
+			return fmt.Errorf("%w: %v", ErrBadOp, c.Err())
 		}
-		n.foster = page.InvalidID
-		n.chainHigh = n.high
+		// chain-high = high, copied: the fence aliases the page spliced.
+		return setFoster(pg, page.InvalidID, slotChain, n.high.clone())
 	case opSetFoster:
-		fosterPID := page.ID(o.r.u64())
-		chainHigh := o.fence()
-		if o.r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
+		fosterPID := page.ID(c.U64())
+		chainHigh := readFence(&c)
+		if c.Err() != nil {
+			return fmt.Errorf("%w: %v", ErrBadOp, c.Err())
 		}
-		n.foster = fosterPID
-		n.chainHigh = chainHigh
-	case opAdopt:
-		sep := o.r.bytes16()
-		child := page.ID(o.r.u64())
-		if o.r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
+		return setFoster(pg, fosterPID, slotChain, chainHigh)
+	case opAdopt, opDeAdopt:
+		// (sep, child) enters or leaves a branch: child covers
+		// [sep, nextSep).
+		sep := c.Bytes16()
+		child := c.Take(8)
+		if c.Err() != nil {
+			return fmt.Errorf("%w: %v", ErrBadOp, c.Err())
 		}
-		if err := n.insertChild(sep, child); err != nil {
+		i, found, err := n.Find(sep)
+		if err != nil {
 			return err
 		}
-	case opDeAdopt:
-		sep := o.r.bytes16()
-		child := page.ID(o.r.u64())
-		if o.r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
+		if code == opAdopt {
+			if found {
+				return fmt.Errorf("%w: separator %q", ErrKeyExists, sep)
+			}
+			return pg.InsertRecord(i, sep, child, false)
 		}
-		if err := removeChild(n, sep, child); err != nil {
-			return err
+		if !found {
+			return fmt.Errorf("%w: adopt undo separator %q not found", ErrBadOp, sep)
 		}
+		if _, cur, _, _ := n.Record(i); !bytes.Equal(cur, child) {
+			return fmt.Errorf("%w: adopt undo child mismatch", ErrBadOp)
+		}
+		return pg.RemoveRecords(i, i+1)
 	default:
 		return fmt.Errorf("%w: opcode %d", ErrBadOp, code)
 	}
-	return pg.SetPayload(n.encode())
 }
 
-// applySplitTruncate performs the foster-parent half of a node split:
-// everything at or above the foster key moves out (the foster child's
-// format record holds it), the high fence drops to the foster key, and the
-// foster pointer is installed. The chain high fence is unchanged: the
-// foster parent "carries the high fence key of the entire chain" (§4.2).
-func applySplitTruncate(n *node, fosterPID page.ID, fosterKey []byte) {
-	if n.isLeaf() {
-		cut := len(n.entries)
-		for i, e := range n.entries {
-			if bytes.Compare(e.key, fosterKey) >= 0 {
-				cut = i
-				break
-			}
-		}
-		n.entries = n.entries[:cut]
-	} else {
-		cut := len(n.seps)
-		for i, s := range n.seps {
-			if bytes.Compare(s, fosterKey) >= 0 {
-				cut = i
-				break
-			}
-		}
-		n.seps = n.seps[:cut]
-		n.children = n.children[:cut+1]
+// setFoster installs (or clears) the node's foster pointer and rewrites the
+// one fence that changes with it — slotHigh on a split, slotChain when a
+// foster child is adopted or re-attached. f must not alias the page.
+func setFoster(pg *page.Page, foster page.ID, slot int, f fence) error {
+	if err := pg.SetReservedRecord(slot, f.k); err != nil {
+		return err
 	}
-	n.high = finite(fosterKey)
-	n.foster = fosterPID
-}
-
-// removeChild undoes an adoption.
-func removeChild(n *node, sep []byte, child page.ID) error {
-	for i, s := range n.seps {
-		if bytes.Equal(s, sep) {
-			if n.children[i+1] != child {
-				return fmt.Errorf("%w: adopt undo child mismatch", ErrBadOp)
-			}
-			n.seps = append(n.seps[:i], n.seps[i+1:]...)
-			n.children = append(n.children[:i+1], n.children[i+2:]...)
-			return nil
-		}
+	r, err := page.ParseRecords(pg.Payload())
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("%w: adopt undo separator %q not found", ErrBadOp, sep)
+	ext := r.Ext()
+	infBit := uint8(flagHighInf)
+	if slot == slotChain {
+		infBit = flagChainInf
+	}
+	ext[2] &^= infBit | flagFoster
+	if f.inf {
+		ext[2] |= infBit
+	}
+	if foster != page.InvalidID {
+		ext[2] |= flagFoster
+	}
+	binary.LittleEndian.PutUint64(ext[3:], uint64(foster))
+	return nil
 }
 
 // IsUserLeafOp reports whether a record payload is a user-level leaf op
@@ -414,148 +300,64 @@ func IsUserLeafOp(payload []byte) bool {
 // undone logically through a fresh descent; structural ops are undone
 // physically on the page they touched.
 func Compensate(t *txn.Txn, pager Pager, rec *wal.Record) error {
-	if len(rec.Payload) == 0 {
-		return fmt.Errorf("%w: empty payload at LSN %d", ErrBadOp, rec.LSN)
+	if !IsUserLeafOp(rec.Payload) {
+		return ops.CompensatePhysical(t, pager.Fetch, rec)
 	}
-	o := &opReader{r: reader{b: rec.Payload, pos: 1}}
-	switch rec.Payload[0] {
-	case opLeafInsert:
-		root := page.ID(o.r.u64())
-		key := o.r.bytes16()
-		if o.r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		tr := Open("", root, pager)
-		return tr.undoInsert(t, key, rec.PrevLSN)
-	case opLeafGhost:
-		root := page.ID(o.r.u64())
-		key := o.r.bytes16()
-		ghost := o.r.u8() == 1
-		prior := o.r.u8() == 1
-		if o.r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		tr := Open("", root, pager)
-		return tr.undoGhost(t, key, prior, ghost, rec.PrevLSN)
-	case opLeafUpdate:
-		root := page.ID(o.r.u64())
-		key := o.r.bytes16()
-		o.b32() // new value
-		oldVal := o.b32()
-		if o.r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		tr := Open("", root, pager)
-		return tr.undoUpdate(t, key, oldVal, rec.PrevLSN)
+	k := kindOf(rec.Payload[0])
+	u, err := pageop.ParseUser(k, rec.Payload)
+	if err != nil {
+		return err
+	}
+	tr := Open("", u.Root, pager)
+	switch k {
+	case pageop.Insert:
+		return tr.undoInsert(t, u.Key, rec.PrevLSN)
+	case pageop.Ghost:
+		return tr.undoGhost(t, u.Key, u.Prior, u.Ghost, rec.PrevLSN)
 	default:
-		return compensatePhysical(t, pager, rec)
+		return tr.undoUpdate(t, u.Key, u.OldVal, rec.PrevLSN)
 	}
-}
-
-// compensatePhysical undoes a structural op in place.
-func compensatePhysical(t *txn.Txn, pager Pager, rec *wal.Record) error {
-	h, err := pager.Fetch(rec.PageID)
-	if err != nil {
-		return err
-	}
-	defer h.Release()
-	h.Lock()
-	defer h.Unlock()
-	inv, err := inverseOp(rec.Payload, h.Page())
-	if err != nil {
-		return err
-	}
-	return logApplyCLR(t, h, inv, rec.PrevLSN)
 }
 
 // inverseOp constructs the forward-applicable compensation op for a
 // structural op, given the page's current contents.
 func inverseOp(payload []byte, pg *page.Page) ([]byte, error) {
 	if len(payload) == 0 {
-		return nil, ErrBadOp
+		return nil, fmt.Errorf("%w: empty payload", ErrBadOp)
 	}
-	o := &opReader{r: reader{b: payload, pos: 1}}
+	if k := kindOf(payload[0]); k != pageop.None {
+		return pageop.Inverse(k, payload, pg)
+	}
+	c := pageop.NewCursor(payload, 1)
+	var inv []byte
 	switch payload[0] {
-	case opLeafPurge:
-		key := o.r.bytes16()
-		oldVal := o.b32()
-		wasGhost := o.r.u8() == 1
-		if o.r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		return encodeLeafReinsert(key, oldVal, wasGhost), nil
-	case opLeafReinsert:
-		key := o.r.bytes16()
-		val := o.b32()
-		ghost := o.r.u8() == 1
-		if o.r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		return encodeLeafPurge(key, val, ghost), nil
 	case opSplitTruncate:
-		o.r.u64()
-		o.r.bytes16()
-		preImage := o.b32()
-		if o.r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		return encodeReplaceNode(preImage, append([]byte(nil), pg.Payload()...)), nil
+		c.U64()
+		c.Bytes16()
+		inv = encodeReplaceNode(c.Bytes32(), pg.Payload())
 	case opClearFoster:
-		fosterPID := page.ID(o.r.u64())
-		oldChainHigh := o.fence()
-		if o.r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		return encodeSetFoster(fosterPID, oldChainHigh), nil
+		inv = encodeFosterOp(opSetFoster, page.ID(c.U64()), readFence(&c))
 	case opSetFoster:
-		fosterPID := page.ID(o.r.u64())
-		if o.r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		n, err := decodeNode(pg.Payload())
+		fosterPID := page.ID(c.U64())
+		n, err := parseNode(pg.Payload())
 		if err != nil {
 			return nil, err
 		}
-		return encodeClearFoster(fosterPID, n.chainHigh), nil
+		inv = encodeFosterOp(opClearFoster, fosterPID, n.chain)
 	case opAdopt:
-		sep := o.r.bytes16()
-		child := page.ID(o.r.u64())
-		if o.r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		return encodeDeAdopt(sep, child), nil
+		inv = encodeAdoptOp(opDeAdopt, c.Bytes16(), page.ID(c.U64()))
 	case opDeAdopt:
-		sep := o.r.bytes16()
-		child := page.ID(o.r.u64())
-		if o.r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		return encodeAdopt(sep, child), nil
-	case opReplaceNode:
-		o.b32()
-		oldP := o.b32()
-		if o.r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		return encodeReplaceNode(oldP, append([]byte(nil), pg.Payload()...)), nil
+		inv = encodeAdoptOp(opAdopt, c.Bytes16(), page.ID(c.U64()))
 	case opMetaPut:
-		name := string(o.r.bytes16())
-		root := page.ID(o.r.u64())
-		oldRoot := page.ID(o.r.u64())
-		if o.r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		return EncodeMetaPut(name, oldRoot, root), nil
-	case opRawSet:
-		newP := o.b32()
-		oldP := o.b32()
-		if o.r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOp, o.r.err)
-		}
-		return EncodeRawSet(oldP, newP), nil
+		name, root, oldRoot := string(c.Bytes16()), page.ID(c.U64()), page.ID(c.U64())
+		inv = EncodeMetaPut(name, oldRoot, root)
 	default:
 		return nil, fmt.Errorf("%w: no inverse for opcode %d", ErrBadOp, payload[0])
 	}
+	if c.Err() != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadOp, c.Err())
+	}
+	return inv, nil
 }
 
 // Meta-page registry: the named-tree directory stored in the engine's meta
@@ -566,34 +368,26 @@ func encodeRegistry(reg map[string]page.ID) []byte {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	w := &opWriter{}
-	var t [2]byte
-	binary.LittleEndian.PutUint16(t[:], uint16(len(names)))
-	w.buf.Write(t[:])
+	b := binary.LittleEndian.AppendUint16(nil, uint16(len(names)))
 	for _, name := range names {
-		w.b16([]byte(name)).u64(uint64(reg[name]))
+		b = pageop.AppendU64(pageop.AppendBytes16(b, []byte(name)), uint64(reg[name]))
 	}
-	return w.bytes()
+	return b
 }
 
 // DecodeRegistry parses a meta page payload into the tree directory.
 func DecodeRegistry(payload []byte) (map[string]page.ID, error) {
-	return decodeRegistry(payload)
-}
-
-func decodeRegistry(payload []byte) (map[string]page.ID, error) {
 	reg := make(map[string]page.ID)
 	if len(payload) == 0 {
 		return reg, nil
 	}
-	r := &reader{b: payload}
-	count := int(r.u16())
+	c := pageop.NewCursor(payload, 0)
+	count := int(c.U16())
 	for i := 0; i < count; i++ {
-		name := string(r.bytes16())
-		root := page.ID(r.u64())
-		reg[name] = root
+		name := string(c.Bytes16())
+		reg[name] = page.ID(c.U64())
 	}
-	if r.err != nil || r.pos != len(payload) {
+	if !c.Done() {
 		return nil, fmt.Errorf("%w: meta registry", ErrNodeCorrupt)
 	}
 	return reg, nil

@@ -54,33 +54,19 @@ func TestOptimisticReaderFallsBackDuringAdoption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	childN, err := decodeNode(func() []byte {
-		childH.RLock()
-		defer childH.RUnlock()
-		return append([]byte(nil), childH.Page().Payload()...)
-	}())
-	if err != nil {
-		t.Fatal(err)
-	}
+	childN := snapshotNode(t, childH)
 	fosterPID := childN.foster
-	fosterKey := append([]byte(nil), childN.high.k...)
-	oldChainHigh := childN.chainHigh
+	fosterKey := childN.high.k
+	oldChainHigh := childN.chain
 
 	// A key the foster child owns: its descent routes through parentID.
 	fosterH, err := p.Fetch(fosterPID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fosterN, err := decodeNode(func() []byte {
-		fosterH.RLock()
-		defer fosterH.RUnlock()
-		return append([]byte(nil), fosterH.Page().Payload()...)
-	}())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fosterN := snapshotNode(t, fosterH)
 	var fosterKeys [][]byte
-	collectLeafKeys(t, tr, fosterN, &fosterKeys)
+	collectLeafKeys(t, tr, &fosterN, &fosterKeys)
 	fosterH.Release()
 	if len(fosterKeys) == 0 {
 		t.Skip("foster child holds no keys")
@@ -125,10 +111,10 @@ func TestOptimisticReaderFallsBackDuringAdoption(t *testing.T) {
 	}
 
 	st := p.BeginSystem()
-	if err := logApply(st, parentH, encodeAdopt(fosterKey, fosterPID)); err != nil {
+	if err := ops.LogApply(st, parentH, encodeAdoptOp(opAdopt, fosterKey, fosterPID)); err != nil {
 		t.Fatal(err)
 	}
-	if err := logApply(st, childH, encodeClearFoster(fosterPID, oldChainHigh)); err != nil {
+	if err := ops.LogApply(st, childH, encodeFosterOp(opClearFoster, fosterPID, oldChainHigh)); err != nil {
 		t.Fatal(err)
 	}
 	childH.Unlock()

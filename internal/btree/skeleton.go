@@ -9,7 +9,7 @@ import (
 	"repro/internal/page"
 )
 
-// skeleton is a decoded, immutable routing summary of one branch node:
+// skeleton is an owned, immutable routing summary of one branch node:
 // its fences, foster pointer, child pointers, and separators, every byte
 // deep-copied out of the page payload. It is built once per stable frame
 // version (under a shared latch, so the copy is consistent) and cached on
@@ -37,48 +37,45 @@ type skeleton struct {
 
 func (sk *skeleton) hasFoster() bool { return sk.foster != page.InvalidID }
 
-// buildSkeleton decodes a branch payload into an owning skeleton. The
-// caller must hold at least the page's shared latch: the parse reads the
-// payload bytes directly, and only the latch guarantees a consistent
-// snapshot to copy from.
+// buildSkeleton copies a branch page's routing state, read through the
+// record layout, into an owning skeleton. The caller must hold at least the
+// page's shared latch: the parse reads the payload bytes directly, and only
+// the latch guarantees a consistent snapshot to copy from.
 func buildSkeleton(payload []byte) (*skeleton, error) {
-	v, err := parseView(payload)
+	n, err := parseNode(payload)
 	if err != nil {
 		return nil, err
 	}
-	if v.isLeaf() {
+	if n.isLeaf() {
 		return nil, fmt.Errorf("%w: skeleton of a leaf", ErrNodeCorrupt)
 	}
-	if v.count == 0 {
-		return nil, fmt.Errorf("%w: branch with no children", ErrNodeCorrupt)
-	}
 	sk := &skeleton{
-		level:    v.level,
-		low:      v.low.clone(),
-		high:     v.high.clone(),
-		chain:    v.chain.clone(),
-		foster:   v.foster,
-		children: make([]page.ID, v.count),
+		level:    n.level,
+		low:      n.low.clone(),
+		high:     n.high.clone(),
+		chain:    n.chain.clone(),
+		foster:   n.foster,
+		children: make([]page.ID, n.fanout()),
+		seps:     make([][]byte, n.Count()),
 	}
-	r := &reader{b: v.payload, pos: v.body}
 	for i := range sk.children {
-		sk.children[i] = page.ID(r.u64())
-	}
-	if v.count > 1 {
-		sk.seps = make([][]byte, v.count-1)
-		for i := range sk.seps {
-			sk.seps[i] = append([]byte(nil), r.bytes16()...)
+		if sk.children[i], err = n.child(i); err != nil {
+			return nil, err
 		}
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNodeCorrupt, r.err)
+	for i := range sk.seps {
+		sep, _, _, err := n.Record(i)
+		if err != nil {
+			return nil, err
+		}
+		sk.seps[i] = append([]byte(nil), sep...)
 	}
 	return sk, nil
 }
 
 // childFor routes key through the skeleton by binary search over the
 // separators, returning the child and the fences the child is expected
-// to carry — the same redundancy nodeView.childFor derives, against the
+// to carry — the same redundancy node.childFor derives, against the
 // same §4.2 verification. The returned fences alias the skeleton, which
 // is immutable, so they stay valid without any latch.
 func (sk *skeleton) childFor(key []byte) (childID page.ID, expLow, expHigh fence) {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/page"
 	"repro/internal/txn"
-	"repro/internal/wal"
 )
 
 // Pager abstracts what the tree needs from the engine: page allocation
@@ -31,7 +30,12 @@ type Pager interface {
 // CorruptionError reports a failed cross-page invariant check during a
 // descent — the continuous self-testing of §4.2.
 type CorruptionError struct {
-	Page   page.ID
+	// Page failed to carry what its predecessor predicted.
+	Page page.ID
+	// Via is that predecessor — the parent or foster parent whose routing
+	// led to Page (InvalidID at the root). A cross-page check implicates
+	// the pair: the damage may sit in either page.
+	Via    page.ID
 	Detail string
 }
 
@@ -118,8 +122,8 @@ type Stats struct {
 // The caller supplies the transaction under which the root's format record
 // is logged (typically a system transaction).
 func Create(t *txn.Txn, name string, pager Pager) (*Tree, error) {
-	rootNode := newLeaf(finite(nil), infFence)
-	h, err := pager.AllocateNode(t, page.TypeBTree, rootNode.encode())
+	h, err := pager.AllocateNode(t, page.TypeBTree,
+		newNodePayload(0, finite(nil), infFence, infFence, page.InvalidID, page.InvalidID))
 	if err != nil {
 		return nil, fmt.Errorf("btree: creating %q: %w", name, err)
 	}
@@ -138,42 +142,6 @@ func (tr *Tree) Name() string { return tr.name }
 
 // Root returns the root page ID (stable for the life of the tree).
 func (tr *Tree) Root() page.ID { return tr.root }
-
-// logApply logs an update op under t and applies it to the latched page,
-// maintaining both chains and the buffer-pool dirty state. Forward
-// processing and redo share applyOp, so replay is exact by construction.
-// The caller must hold the page's write latch.
-func logApply(t *txn.Txn, h *buffer.Handle, op []byte) error {
-	lsn, err := t.Log(&wal.Record{
-		Type:        wal.TypeUpdate,
-		PageID:      h.ID(),
-		PagePrevLSN: h.Page().LSN(),
-		Payload:     op,
-	})
-	if err != nil {
-		return err
-	}
-	if err := applyOp(op, h.Page()); err != nil {
-		return fmt.Errorf("btree: applying op at LSN %d to page %d: %w", lsn, h.ID(), err)
-	}
-	h.Page().SetLSN(lsn)
-	h.MarkDirty(lsn)
-	return nil
-}
-
-// logApplyCLR is logApply for compensation records during rollback.
-func logApplyCLR(t *txn.Txn, h *buffer.Handle, op []byte, undoNext page.LSN) error {
-	lsn, err := t.LogCLR(h.ID(), h.Page().LSN(), op, undoNext)
-	if err != nil {
-		return err
-	}
-	if err := applyOp(op, h.Page()); err != nil {
-		return fmt.Errorf("btree: applying CLR op at LSN %d to page %d: %w", lsn, h.ID(), err)
-	}
-	h.Page().SetLSN(lsn)
-	h.MarkDirty(lsn)
-	return nil
-}
 
 // adoptJob remembers one adoptable foster relationship a descent passed:
 // childID holds a foster pointer that its branch parent should absorb. The
@@ -207,7 +175,7 @@ type adoptJob struct {
 // finishAdoptions after its leaf work.
 //
 // The returned leaf handle is pinned and still LATCHED (shared for readers,
-// exclusive for writers), along with its decoded node; the caller releases
+// exclusive for writers), along with its parsed node header; the caller releases
 // both latch and pin.
 //
 // When the optimistic mode is enabled (the default) and the root is known
@@ -216,7 +184,7 @@ type adoptJob struct {
 // branch latches — and falls back here on any anomaly. The fallback is the
 // authority: it re-verifies every fence under real latches, so corruption
 // detection never depends on optimistic state.
-func (tr *Tree) descend(key []byte, adopt *txn.Txn, write bool, lt *latchTracker) (*buffer.Handle, nodeView, []adoptJob, error) {
+func (tr *Tree) descend(key []byte, adopt *txn.Txn, write bool, lt *latchTracker) (*buffer.Handle, node, []adoptJob, error) {
 	if !tr.optimisticOff.Load() && tr.rootIsBranch.Load() {
 		if h, v, pend, ok := tr.descendOptimistic(key, adopt != nil, write, lt); ok {
 			tr.optHits.Add(1)
@@ -225,7 +193,7 @@ func (tr *Tree) descend(key []byte, adopt *txn.Txn, write bool, lt *latchTracker
 		tr.optFallbacks.Add(1)
 	}
 	var pend []adoptJob
-	var none nodeView
+	var none node
 	curID := tr.root
 	excl := write && !tr.rootIsBranch.Load()
 	h, err := tr.pager.Fetch(curID)
@@ -233,12 +201,12 @@ func (tr *Tree) descend(key []byte, adopt *txn.Txn, write bool, lt *latchTracker
 		return nil, none, nil, err
 	}
 	lt.latchBranch(h, excl)
-	v, err := parseView(h.Page().Payload())
+	v, err := parseNode(h.Page().Payload())
 	if err != nil {
 		lt.unpin(h, excl)
 		return nil, none, nil, err
 	}
-	if viol := verifyFences(curID, &v, finite(nil), infFence); viol != nil {
+	if viol := verifyFences(curID, page.InvalidID, &v, finite(nil), infFence, -1); viol != nil {
 		lt.unpin(h, excl)
 		return nil, none, nil, viol
 	}
@@ -266,13 +234,13 @@ func (tr *Tree) descend(key []byte, adopt *txn.Txn, write bool, lt *latchTracker
 			} else {
 				lt.latchBranch(nh, excl)
 			}
-			nv, err := parseView(nh.Page().Payload())
+			nv, err := parseNode(nh.Page().Payload())
 			if err != nil {
 				lt.unpin(nh, excl)
 				lt.unpin(h, excl)
 				return nil, none, nil, err
 			}
-			if viol := verifyFences(nextID, &nv, v.high, v.chain); viol != nil {
+			if viol := verifyFences(nextID, curID, &nv, v.high, v.chain, int(v.level)); viol != nil {
 				lt.unpin(nh, excl)
 				lt.unpin(h, excl)
 				return nil, none, nil, viol
@@ -305,13 +273,13 @@ func (tr *Tree) descend(key []byte, adopt *txn.Txn, write bool, lt *latchTracker
 		} else {
 			lt.latchBranch(ch, chExcl)
 		}
-		cv, err := parseView(ch.Page().Payload())
+		cv, err := parseNode(ch.Page().Payload())
 		if err != nil {
 			lt.unpin(ch, chExcl)
 			lt.unpin(h, excl)
 			return nil, none, nil, err
 		}
-		if viol := verifyFences(childID, &cv, eLow, eHigh); viol != nil {
+		if viol := verifyFences(childID, curID, &cv, eLow, eHigh, int(v.level)-1); viol != nil {
 			lt.unpin(ch, chExcl)
 			lt.unpin(h, excl)
 			return nil, none, nil, viol
@@ -342,8 +310,8 @@ func (tr *Tree) descend(key []byte, adopt *txn.Txn, write bool, lt *latchTracker
 // routes past a fence check undetected: routing is only trusted when the
 // version it came from is proven unchanged, and the final leaf check runs
 // under a real latch with expectations from that proven snapshot.
-func (tr *Tree) descendOptimistic(key []byte, wantAdopt, write bool, lt *latchTracker) (*buffer.Handle, nodeView, []adoptJob, bool) {
-	var none nodeView
+func (tr *Tree) descendOptimistic(key []byte, wantAdopt, write bool, lt *latchTracker) (*buffer.Handle, node, []adoptJob, bool) {
+	var none node
 	curID := tr.root
 	h, err := tr.pager.Fetch(curID)
 	if err != nil {
@@ -355,13 +323,13 @@ func (tr *Tree) descendOptimistic(key []byte, wantAdopt, write bool, lt *latchTr
 		return nil, none, nil, false
 	}
 	sk := skeletonFor(h, ver)
-	expLow, expHigh := finite(nil), infFence
+	expLow, expHigh, expLevel := finite(nil), infFence, -1
 	for {
 		// The node must be a quiescent branch whose fences match what the
 		// parent predicted — the optimistic rendering of verifyFences for
 		// the no-foster branch case (foster on a branch level is rare and
 		// transient; the latched path handles it).
-		if sk == nil || sk.hasFoster() ||
+		if sk == nil || sk.hasFoster() || (expLevel >= 0 && int(sk.level) != expLevel) ||
 			!sk.low.equal(expLow) || !sk.chain.equal(expHigh) || !sk.high.equal(sk.chain) {
 			h.Release()
 			return nil, none, nil, false
@@ -387,8 +355,8 @@ func (tr *Tree) descendOptimistic(key []byte, wantAdopt, write bool, lt *latchTr
 				return nil, none, nil, false
 			}
 			h.Release()
-			cv, perr := parseView(ch.Page().Payload())
-			if perr != nil || !cv.isLeaf() || verifyFences(childID, &cv, eLow, eHigh) != nil {
+			cv, perr := parseNode(ch.Page().Payload())
+			if perr != nil || verifyFences(childID, curID, &cv, eLow, eHigh, 0) != nil {
 				lt.unpin(ch, chExcl)
 				return nil, none, nil, false
 			}
@@ -411,8 +379,8 @@ func (tr *Tree) descendOptimistic(key []byte, wantAdopt, write bool, lt *latchTr
 					return nil, none, nil, false
 				}
 				lt.latchLeaf(nh, chExcl)
-				nv, perr := parseView(nh.Page().Payload())
-				if perr != nil || !nv.isLeaf() || verifyFences(nextID, &nv, lv.high, lv.chain) != nil {
+				nv, perr := parseNode(nh.Page().Payload())
+				if perr != nil || verifyFences(nextID, lid, &nv, lv.high, lv.chain, 0) != nil {
 					lt.unpin(nh, chExcl)
 					lt.unpin(lh, chExcl)
 					return nil, none, nil, false
@@ -441,6 +409,7 @@ func (tr *Tree) descendOptimistic(key []byte, wantAdopt, write bool, lt *latchTr
 			return nil, none, nil, false
 		}
 		h.Release()
+		expLevel = int(sk.level) - 1
 		h, ver, sk, curID = ch, cver, csk, childID
 		expLow, expHigh = eLow, eHigh
 	}
@@ -457,29 +426,31 @@ func (tr *Tree) finishAdoptions(pend []adoptJob, lt *latchTracker) {
 	}
 }
 
-// verifyFences checks the fence keys a descent expects — the incremental,
-// instantaneous error detection of §4.2. The expectations were derived from
-// the still-latched predecessor (parent or foster parent), which is what
-// makes the check sound under concurrency.
-func verifyFences(id page.ID, v *nodeView, expLow, expHigh fence) error {
-	if !v.low.equal(expLow) {
-		return &CorruptionError{Page: id, Detail: fmt.Sprintf(
-			"low fence %v, parent separator %v", v.low, expLow)}
+// verifyFences checks what a descent expects of the node it just reached —
+// the incremental, instantaneous error detection of §4.2: the fence keys
+// the predecessor's separators predict, and the level its own level implies
+// (expLevel < 0: unknown, at the root). The expectations were derived from
+// the still-latched predecessor via (parent or foster parent), which is
+// what makes the check sound under concurrency.
+func verifyFences(id, via page.ID, v *node, expLow, expHigh fence, expLevel int) error {
+	detail := ""
+	switch {
+	case expLevel >= 0 && int(v.level) != expLevel:
+		detail = fmt.Sprintf("level %d, predecessor implies %d", v.level, expLevel)
+	case !v.low.equal(expLow):
+		detail = fmt.Sprintf("low fence %v, parent separator %v", v.low, expLow)
+	case !v.chain.equal(expHigh):
+		detail = fmt.Sprintf("chain high fence %v, parent separator %v", v.chain, expHigh)
+	case v.hasFoster() && v.chain.less(v.high):
+		detail = "high fence above chain high fence"
+	case !v.hasFoster() && !v.high.equal(v.chain):
+		detail = "no foster child but chain high differs from high"
+	case v.hasFoster() && !v.low.less(v.high):
+		detail = "foster parent with empty key range"
+	default:
+		return nil
 	}
-	if !v.chain.equal(expHigh) {
-		return &CorruptionError{Page: id, Detail: fmt.Sprintf(
-			"chain high fence %v, parent separator %v", v.chain, expHigh)}
-	}
-	if v.hasFoster() && v.chain.less(v.high) {
-		return &CorruptionError{Page: id, Detail: "high fence above chain high fence"}
-	}
-	if !v.hasFoster() && !v.high.equal(v.chain) {
-		return &CorruptionError{Page: id, Detail: "no foster child but chain high differs from high"}
-	}
-	if v.hasFoster() && !v.low.less(v.high) {
-		return &CorruptionError{Page: id, Detail: "foster parent with empty key range"}
-	}
-	return nil
+	return &CorruptionError{Page: id, Via: via, Detail: detail}
 }
 
 // tryAdopt moves child's foster child (if any) under the branch parent: the
@@ -500,7 +471,7 @@ func (tr *Tree) tryAdopt(parentID, childID page.ID, lt *latchTracker) (bool, err
 	if !lt.tryLatch(parentH) {
 		return false, nil
 	}
-	parent, err := parseView(parentH.Page().Payload())
+	parent, err := parseNode(parentH.Page().Payload())
 	if err != nil {
 		lt.unlatch(parentH, true)
 		return false, err
@@ -509,7 +480,7 @@ func (tr *Tree) tryAdopt(parentID, childID page.ID, lt *latchTracker) (bool, err
 	// revalidate that the parent is still a branch holding this child.
 	childStillOurs := false
 	if !parent.isLeaf() {
-		ok, err := parent.childIndexOf(childID)
+		ok, err := parent.hasChild(childID)
 		if err != nil {
 			lt.unlatch(parentH, true)
 			return false, err
@@ -530,7 +501,7 @@ func (tr *Tree) tryAdopt(parentID, childID page.ID, lt *latchTracker) (bool, err
 		lt.unlatch(parentH, true)
 		return false, nil
 	}
-	child, err := parseView(childH.Page().Payload())
+	child, err := parseNode(childH.Page().Payload())
 	if err != nil {
 		lt.unlatch(childH, true)
 		lt.unlatch(parentH, true)
@@ -544,8 +515,8 @@ func (tr *Tree) tryAdopt(parentID, childID page.ID, lt *latchTracker) (bool, err
 	fosterPID := child.foster
 	fosterKey := append([]byte(nil), child.high.k...)
 	oldChainHigh := child.chain
-	need := 2 + len(fosterKey) + 8
-	if parent.size()+need > parentH.Page().Capacity() {
+	need := page.RecordSize(len(fosterKey), 8)
+	if parent.Size()+need > parentH.Page().Capacity() {
 		// A full parent is itself split (or the root grown) so that
 		// adoptions keep draining foster chains; without this, interior
 		// nodes would never split and chains would grow without bound.
@@ -558,13 +529,13 @@ func (tr *Tree) tryAdopt(parentID, childID page.ID, lt *latchTracker) (bool, err
 	}
 
 	st := tr.pager.BeginSystem()
-	if err := logApply(st, parentH, encodeAdopt(fosterKey, fosterPID)); err != nil {
+	if err := ops.LogApply(st, parentH, encodeAdoptOp(opAdopt, fosterKey, fosterPID)); err != nil {
 		lt.unlatch(childH, true)
 		lt.unlatch(parentH, true)
 		_ = st.Abort()
 		return false, err
 	}
-	err = logApply(st, childH, encodeClearFoster(fosterPID, oldChainHigh))
+	err = ops.LogApply(st, childH, encodeFosterOp(opClearFoster, fosterPID, oldChainHigh))
 	lt.unlatch(childH, true)
 	lt.unlatch(parentH, true)
 	if err != nil {
@@ -603,7 +574,7 @@ func (tr *Tree) GetTo(dst, key []byte) ([]byte, error) {
 		return dst, err
 	}
 	defer lt.unpin(h, false)
-	val, ghost, found, err := v.findLeaf(key)
+	val, ghost, found, err := v.Get(key)
 	if err != nil {
 		return dst, err
 	}
@@ -636,12 +607,12 @@ func (tr *Tree) Insert(tx *txn.Txn, key, val []byte) error {
 		if err != nil {
 			return err
 		}
-		entrySize := 2 + len(key) + 4 + len(val)
+		entrySize := page.RecordSize(len(key), len(val))
 		if entrySize > maxEntrySize(h.Page().Capacity()) {
 			lt.unpin(h, true)
 			return fmt.Errorf("%w: %d bytes", ErrValueTooLarge, entrySize)
 		}
-		_, ghost, found, ferr := v.findLeaf(key)
+		_, ghost, found, ferr := v.Get(key)
 		if ferr != nil {
 			lt.unpin(h, true)
 			return ferr
@@ -651,8 +622,8 @@ func (tr *Tree) Insert(tx *txn.Txn, key, val []byte) error {
 			tr.finishAdoptions(pend, lt)
 			return fmt.Errorf("%w: %q", ErrKeyExists, key)
 		}
-		if v.size()+entrySize <= h.Page().Capacity() {
-			err := logApply(tx, h, encodeLeafInsert(tr.root, key, val))
+		if v.Size()+entrySize <= h.Page().Capacity() {
+			err := ops.LogApply(tx, h, encodeLeafInsert(tr.root, key, val))
 			lt.unpin(h, true)
 			tr.finishAdoptions(pend, lt)
 			return err
@@ -680,11 +651,11 @@ func (tr *Tree) Update(tx *txn.Txn, key, val []byte) error {
 		if err != nil {
 			return err
 		}
-		if 2+len(key)+4+len(val) > maxEntrySize(h.Page().Capacity()) {
+		if es := page.RecordSize(len(key), len(val)); es > maxEntrySize(h.Page().Capacity()) {
 			lt.unpin(h, true)
-			return fmt.Errorf("%w: %d bytes", ErrValueTooLarge, 2+len(key)+4+len(val))
+			return fmt.Errorf("%w: %d bytes", ErrValueTooLarge, es)
 		}
-		curVal, ghost, found, ferr := v.findLeaf(key)
+		curVal, ghost, found, ferr := v.Get(key)
 		if ferr != nil {
 			lt.unpin(h, true)
 			return ferr
@@ -695,8 +666,8 @@ func (tr *Tree) Update(tx *txn.Txn, key, val []byte) error {
 			return fmt.Errorf("%w: %q", ErrKeyNotFound, key)
 		}
 		old := append([]byte(nil), curVal...)
-		if v.size()-len(old)+len(val) <= h.Page().Capacity() {
-			err := logApply(tx, h, encodeLeafUpdate(tr.root, key, val, old))
+		if v.Size()-len(old)+len(val) <= h.Page().Capacity() {
+			err := ops.LogApply(tx, h, encodeLeafUpdate(tr.root, key, val, old))
 			lt.unpin(h, true)
 			tr.finishAdoptions(pend, lt)
 			return err
@@ -721,7 +692,7 @@ func (tr *Tree) Delete(tx *txn.Txn, key []byte) error {
 	if err != nil {
 		return err
 	}
-	_, ghost, found, ferr := v.findLeaf(key)
+	_, ghost, found, ferr := v.Get(key)
 	if ferr != nil {
 		lt.unpin(h, true)
 		return ferr
@@ -731,7 +702,7 @@ func (tr *Tree) Delete(tx *txn.Txn, key []byte) error {
 		tr.finishAdoptions(pend, lt)
 		return fmt.Errorf("%w: %q", ErrKeyNotFound, key)
 	}
-	err = logApply(tx, h, encodeLeafGhost(tr.root, key, true, false))
+	err = ops.LogApply(tx, h, encodeLeafGhost(tr.root, key, true, false))
 	lt.unpin(h, true)
 	tr.finishAdoptions(pend, lt)
 	return err
@@ -773,7 +744,7 @@ func (tr *Tree) compensate(t *txn.Txn, key []byte, undoNext page.LSN,
 		return err
 	}
 	defer lt.unpin(h, true)
-	curVal, ghost, found, err := v.findLeaf(key)
+	curVal, ghost, found, err := v.Get(key)
 	if err != nil {
 		return err
 	}
@@ -784,7 +755,7 @@ func (tr *Tree) compensate(t *txn.Txn, key []byte, undoNext page.LSN,
 	if err != nil {
 		return err
 	}
-	return logApplyCLR(t, h, op, undoNext)
+	return ops.LogApplyCLR(t, h, op, undoNext)
 }
 
 // makeSpace reclaims ghosts in the node or splits it so that need more
@@ -798,45 +769,34 @@ func (tr *Tree) makeSpace(id page.ID, need int, lt *latchTracker) error {
 		return err
 	}
 	lt.latch(h, true)
-	v, err := parseView(h.Page().Payload())
+	v, err := parseNode(h.Page().Payload())
 	if err != nil {
 		lt.unpin(h, true)
 		return err
 	}
-	if v.size()+need <= h.Page().Capacity() {
+	if v.Size()+need <= h.Page().Capacity() {
 		// A concurrent split or purge already made room.
 		lt.unpin(h, true)
 		return nil
 	}
-	// First try reclaiming ghost records — cheaper than splitting. The
-	// ghosts are deep-copied: each purge rewrites the payload the viewed
-	// entries alias.
+	// First try reclaiming ghost records — cheaper than splitting.
 	if v.isLeaf() {
-		var ghosts []leafEntry
-		if err := v.eachEntry(func(k, val []byte, ghost bool) bool {
-			if ghost {
-				ghosts = append(ghosts, leafEntry{
-					key:   append([]byte(nil), k...),
-					val:   append([]byte(nil), val...),
-					ghost: true,
-				})
+		var st *txn.Txn
+		err := ops.PurgeGhosts(h, opLeafPurge, func() *txn.Txn {
+			if st == nil {
+				st = tr.pager.BeginSystem()
 			}
-			return true
-		}); err != nil {
+			return st
+		})
+		if st != nil || err != nil {
 			lt.unpin(h, true)
+			if err == nil {
+				return st.Commit()
+			}
+			if st != nil {
+				_ = st.Abort() // roll earlier purges back; latch released
+			}
 			return err
-		}
-		if len(ghosts) > 0 {
-			st := tr.pager.BeginSystem()
-			for _, g := range ghosts {
-				if err := logApply(st, h, encodeLeafPurge(g.key, g.val, true)); err != nil {
-					lt.unpin(h, true)
-					_ = st.Abort() // roll earlier purges back; latch released
-					return err
-				}
-			}
-			lt.unpin(h, true)
-			return st.Commit()
 		}
 	}
 	lt.unpin(h, true)
@@ -860,12 +820,12 @@ func (tr *Tree) fosterSplit(id page.ID, need int, lt *latchTracker) error {
 		return err
 	}
 	lt.latch(h, true)
-	n, err := decodeNode(h.Page().Payload())
+	n, err := parseNode(h.Page().Payload())
 	if err != nil {
 		lt.unpin(h, true)
 		return err
 	}
-	if n.encodedSize()+need <= h.Page().Capacity() {
+	if n.Size()+need <= h.Page().Capacity() {
 		// A concurrent split already made room; retry will succeed.
 		lt.unpin(h, true)
 		return nil
@@ -875,22 +835,14 @@ func (tr *Tree) fosterSplit(id page.ID, need int, lt *latchTracker) error {
 		return fmt.Errorf("%w: node %d cannot split with fanout %d", ErrValueTooLarge, id, n.fanout())
 	}
 
-	var fosterKey []byte
-	child := &node{level: n.level, high: n.high, chainHigh: n.chainHigh, foster: n.foster}
-	if n.isLeaf() {
-		mid := len(n.entries) / 2
-		fosterKey = shortestSeparator(n.entries[mid-1].key, n.entries[mid].key)
-		child.entries = append([]leafEntry(nil), n.entries[mid:]...)
-	} else {
-		mid := len(n.children) / 2
-		fosterKey = append([]byte(nil), n.seps[mid-1]...)
-		child.children = append([]page.ID(nil), n.children[mid:]...)
-		child.seps = append([][]byte(nil), n.seps[mid:]...)
+	child, fosterKey, err := splitOff(h.Page(), &n)
+	if err != nil {
+		lt.unpin(h, true)
+		return err
 	}
-	child.low = finite(fosterKey)
 
 	st := tr.pager.BeginSystem()
-	childH, err := tr.pager.AllocateNode(st, page.TypeBTree, child.encode())
+	childH, err := tr.pager.AllocateNode(st, page.TypeBTree, child.Payload())
 	if err != nil {
 		lt.unpin(h, true)
 		_ = st.Abort()
@@ -898,8 +850,8 @@ func (tr *Tree) fosterSplit(id page.ID, need int, lt *latchTracker) error {
 	}
 	childID := childH.ID()
 	childH.Release()
-	preImage := append([]byte(nil), h.Page().Payload()...)
-	err = logApply(st, h, encodeSplitTruncate(childID, fosterKey, preImage))
+	// The op encoder copies the pre-image out before the op applies.
+	err = ops.LogApply(st, h, encodeSplitTruncate(childID, fosterKey, h.Page().Payload()))
 	lt.unpin(h, true)
 	if err != nil {
 		// Reclaim the orphaned child allocation and close the system
@@ -925,12 +877,12 @@ func (tr *Tree) growRoot(need int, lt *latchTracker) error {
 		return err
 	}
 	lt.latch(h, true)
-	n, err := decodeNode(h.Page().Payload())
+	n, err := parseNode(h.Page().Payload())
 	if err != nil {
 		lt.unpin(h, true)
 		return err
 	}
-	if n.encodedSize()+need <= h.Page().Capacity() {
+	if n.Size()+need <= h.Page().Capacity() {
 		// A concurrent writer already grew the root.
 		lt.unpin(h, true)
 		return nil
@@ -946,9 +898,10 @@ func (tr *Tree) growRoot(need int, lt *latchTracker) error {
 	}
 	mID := mH.ID()
 	mH.Release()
-	newRoot := newBranch(n.level+1, n.low, n.high, []page.ID{mID}, nil)
-	newRoot.chainHigh = n.chainHigh
-	err = logApply(st, h, encodeReplaceNode(newRoot.encode(), oldPayload))
+	// n's fences alias the root page, which stays untouched until the op
+	// (whose encoder copies both payloads) applies.
+	newRoot := newNodePayload(n.level+1, n.low, n.high, n.chain, page.InvalidID, mID)
+	err = ops.LogApply(st, h, encodeReplaceNode(newRoot, oldPayload))
 	lt.unpin(h, true)
 	if err != nil {
 		_ = st.Abort() // reclaim M and close the system txn
@@ -991,24 +944,19 @@ func (tr *Tree) Scan(start, end []byte, fn func(Entry) bool) error {
 	}
 	for {
 		stop := false
-		err := v.eachEntry(func(k, val []byte, ghost bool) bool {
-			if bytes.Compare(k, cur) < 0 {
-				return true
-			}
-			if end != nil && bytes.Compare(k, end) >= 0 {
+		i, _, err := v.Find(cur)
+		for ; err == nil && !stop && i < v.Count(); i++ {
+			var k, val []byte
+			var ghost bool
+			k, val, ghost, err = v.Record(i)
+			switch {
+			case err != nil || ghost:
+			case end != nil && bytes.Compare(k, end) >= 0:
 				stop = true
-				return false
+			default:
+				stop = !fn(Entry{Key: append([]byte(nil), k...), Value: append([]byte(nil), val...)})
 			}
-			if ghost {
-				return true
-			}
-			ent := Entry{Key: append([]byte(nil), k...), Value: append([]byte(nil), val...)}
-			if !fn(ent) {
-				stop = true
-				return false
-			}
-			return true
-		})
+		}
 		if err != nil {
 			lt.unpin(h, false)
 			return err
@@ -1032,13 +980,13 @@ func (tr *Tree) Scan(start, end []byte, fn func(Entry) bool) error {
 				return err
 			}
 			lt.latch(nh, false)
-			nv, err := parseView(nh.Page().Payload())
+			nv, err := parseNode(nh.Page().Payload())
 			if err != nil {
 				lt.unpin(nh, false)
 				lt.unpin(h, false)
 				return err
 			}
-			if viol := verifyFences(nextID, &nv, v.high, v.chain); viol != nil {
+			if viol := verifyFences(nextID, h.ID(), &nv, v.high, v.chain, 0); viol != nil {
 				lt.unpin(nh, false)
 				lt.unpin(h, false)
 				return viol

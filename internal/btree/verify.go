@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/page"
@@ -58,47 +57,46 @@ func (tr *Tree) VerifyAll() ([]Violation, error) {
 			return viols, fmt.Errorf("btree: verify fetch of page %d: %w", j.id, err)
 		}
 		h.RLock()
-		n, derr := decodeNode(h.Page().Payload())
+		// The whole-page structural validation (offsets, entry shape, key
+		// order) first: the accessors below then walk a sound page.
+		derr := h.Page().Check()
+		var n node
+		if derr == nil {
+			n, derr = parseNode(h.Page().Payload())
+		}
 		if derr != nil {
 			viols = append(viols, Violation{j.id, derr.Error()})
 			h.RUnlock()
 			h.Release()
 			continue
 		}
-		viols = append(viols, verifyNodeShape(j.id, n)...)
+		viols = append(viols, verifyNodeShape(j.id, &n)...)
 		if !n.low.equal(j.expLow) {
 			viols = append(viols, Violation{j.id, fmt.Sprintf(
 				"low fence %v, expected %v", n.low, j.expLow)})
 		}
-		if !n.chainHigh.equal(j.expChainHigh) {
+		if !n.chain.equal(j.expChainHigh) {
 			viols = append(viols, Violation{j.id, fmt.Sprintf(
-				"chain high fence %v, expected %v", n.chainHigh, j.expChainHigh)})
+				"chain high fence %v, expected %v", n.chain, j.expChainHigh)})
 		}
 		if j.expLevel >= 0 && int(n.level) != j.expLevel {
 			viols = append(viols, Violation{j.id, fmt.Sprintf(
 				"level %d, expected %d", n.level, j.expLevel)})
 		}
-		// Queued expectations outlive this node's latch, and decoded
-		// fences alias the page payload: clone them.
+		// Queued expectations outlive this node's latch, and the fences
+		// alias the page payload: clone them.
 		if n.hasFoster() {
 			queue = append(queue, job{
-				id: n.foster, expLow: n.high.clone(), expChainHigh: n.chainHigh.clone(),
+				id: n.foster, expLow: n.high.clone(), expChainHigh: n.chain.clone(),
 				expLevel: int(n.level),
 			})
 		}
 		if !n.isLeaf() {
-			for i, c := range n.children {
-				var eLow, eHigh fence
-				if i == 0 {
-					eLow = n.low
-				} else {
-					eLow = finite(n.seps[i-1])
-				}
-				if i == len(n.seps) {
-					eHigh = n.high
-				} else {
-					eHigh = finite(n.seps[i])
-				}
+			for i := 0; i < n.fanout(); i++ {
+				// Check passed, so these accessors cannot fail.
+				c, _ := n.child(i)
+				eLow, _ := n.sepFence(i - 1)
+				eHigh, _ := n.sepFence(i)
 				queue = append(queue, job{id: c, expLow: eLow.clone(), expChainHigh: eHigh.clone(),
 					expLevel: int(n.level) - 1})
 			}
@@ -119,44 +117,31 @@ func verifyNodeShape(id page.ID, n *node) []Violation {
 	if n.high.inf && n.hasFoster() {
 		v = append(v, Violation{id, "foster child with infinite high fence"})
 	}
-	if n.hasFoster() && n.chainHigh.less(n.high) {
+	if n.hasFoster() && n.chain.less(n.high) {
 		v = append(v, Violation{id, "chain high below high fence"})
 	}
-	if !n.hasFoster() && !n.high.equal(n.chainHigh) {
+	if !n.hasFoster() && !n.high.equal(n.chain) {
 		v = append(v, Violation{id, "chain high differs from high without foster child"})
 	}
+	// Key order and non-empty keys were established by page.Check; what is
+	// left is fence containment, for entries and separators alike.
+	what := "separator"
 	if n.isLeaf() {
-		for i, e := range n.entries {
-			if len(e.key) == 0 {
-				v = append(v, Violation{id, fmt.Sprintf("empty key at slot %d", i)})
-			}
-			if i > 0 && bytes.Compare(n.entries[i-1].key, e.key) >= 0 {
-				v = append(v, Violation{id, fmt.Sprintf(
-					"keys out of order at slots %d-%d", i-1, i)})
-			}
-			if !coversKey(n.low, n.high, e.key) {
-				v = append(v, Violation{id, fmt.Sprintf(
-					"key %q outside fences [%v, %v)", e.key, n.low, n.high)})
-			}
+		what = "key"
+	}
+	for i := 0; i < n.Count(); i++ {
+		k, val, _, err := n.Record(i)
+		if err != nil {
+			v = append(v, Violation{id, err.Error()})
+			break
 		}
-		return v
-	}
-	if len(n.children) == 0 {
-		v = append(v, Violation{id, "branch with no children"})
-		return v
-	}
-	if len(n.seps) != len(n.children)-1 {
-		v = append(v, Violation{id, fmt.Sprintf(
-			"branch with %d children but %d separators", len(n.children), len(n.seps))})
-		return v
-	}
-	for i, s := range n.seps {
-		if i > 0 && bytes.Compare(n.seps[i-1], s) >= 0 {
-			v = append(v, Violation{id, fmt.Sprintf("separators out of order at %d", i)})
-		}
-		if !coversKey(n.low, n.high, s) {
+		if !coversKey(n.low, n.high, k) {
 			v = append(v, Violation{id, fmt.Sprintf(
-				"separator %q outside fences [%v, %v)", s, n.low, n.high)})
+				"%s %q outside fences [%v, %v)", what, k, n.low, n.high)})
+		}
+		if !n.isLeaf() && len(val) != 8 {
+			v = append(v, Violation{id, fmt.Sprintf(
+				"branch record %d holds a %d-byte child pointer", i, len(val))})
 		}
 	}
 	return v
@@ -174,7 +159,7 @@ func (tr *Tree) WalkStats() (Stats, error) {
 			return err
 		}
 		h.RLock()
-		n, err := decodeNode(h.Page().Payload())
+		n, err := parseNode(h.Page().Payload())
 		if err != nil {
 			h.RUnlock()
 			h.Release()
@@ -190,15 +175,24 @@ func (tr *Tree) WalkStats() (Stats, error) {
 		var children []page.ID
 		if n.isLeaf() {
 			st.Leaves++
-			for _, e := range n.entries {
-				if e.ghost {
+			for i := 0; err == nil && i < n.Count(); i++ {
+				var ghost bool
+				if _, _, ghost, err = n.Record(i); ghost {
 					st.Ghosts++
 				} else {
 					st.Entries++
 				}
 			}
 		} else {
-			children = append(children, n.children...)
+			children = make([]page.ID, n.fanout())
+			for i := 0; err == nil && i < len(children); i++ {
+				children[i], err = n.child(i)
+			}
+		}
+		if err != nil {
+			h.RUnlock()
+			h.Release()
+			return err
 		}
 		foster := n.foster
 		h.RUnlock()

@@ -734,6 +734,12 @@ func (p *Pool) readAndValidate(id page.ID, phys storage.PhysID, hooks *Hooks, re
 		return nil, fmt.Errorf("device read of page %d (slot %d): %w", id, phys, err)
 	}
 	pg, err := page.DecodeFor(id, *buf)
+	if err == nil {
+		// The structured-payload plausibility check (§4.2): offsets, entry
+		// shape and key order are validated once, here, so the engines'
+		// in-place binary searches never run over an unchecked image.
+		err = pg.Check()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("in-page checks of page %d (slot %d): %w", id, phys, err)
 	}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/btree"
 	"repro/internal/iosim"
-	"repro/internal/mirror"
 	"repro/internal/report"
 	"repro/spf"
 )
@@ -315,7 +313,7 @@ func E15MirrorBaseline(backgroundTraffic int) (*E15Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := mirror.New(db.LogManager(), btree.Applier{}, 4096)
+	m := newMirror(db.LogManager(), 4096)
 	if err := db.FlushAll(); err != nil {
 		return nil, err
 	}
@@ -349,7 +347,7 @@ func E15MirrorBaseline(backgroundTraffic int) (*E15Result, error) {
 	db.LogManager().FlushAll()
 
 	// Mirror repair: processes the whole stream.
-	mpg, mirrorBytes, err := m.RepairPage(victim)
+	mpg, mirrorBytes, err := m.repairPage(victim)
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +372,7 @@ func E15MirrorBaseline(backgroundTraffic int) (*E15Result, error) {
 	sprBytes := int64(rep.LogReads) * 200 // ~record size upper bound
 	t := report.NewTable("E15 / §2 — mirroring baseline vs single-page recovery",
 		"scheme", "log records processed", "log bytes (approx)", "extra state kept")
-	t.Row("SQL Server-style mirror repair", m.Stats().RecordsApplied, mirrorBytes, "entire mirror database")
+	t.Row("SQL Server-style mirror repair", m.recordsApplied, mirrorBytes, "entire mirror database")
 	t.Row("single-page recovery (per-page chain)", rep.LogReads, sprBytes, "page recovery index (~B/page)")
 	t.Caption = fmt.Sprintf("both repairs agree on page state: %v; mirror processed %dx more log bytes",
 		agree, safeDiv(mirrorBytes, sprBytes))

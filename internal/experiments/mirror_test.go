@@ -1,4 +1,4 @@
-package mirror
+package experiments
 
 import (
 	"errors"
@@ -37,20 +37,17 @@ func formatRaw(log *wal.Manager, id page.ID, pageSize int) *page.Page {
 
 func TestMirrorTracksPrimary(t *testing.T) {
 	log := wal.NewManager(iosim.Instant)
-	m := New(log, btree.Applier{}, 512)
+	m := newMirror(log, 512)
 	p1 := formatRaw(log, 1, 512)
 	p2 := formatRaw(log, 2, 512)
 	logRawUpdate(log, p1, []byte("one"))
 	logRawUpdate(log, p2, []byte("two"))
 	logRawUpdate(log, p1, []byte("one-b"))
 	log.FlushAll()
-	if _, err := m.CatchUp(); err != nil {
+	if _, err := m.catchUp(); err != nil {
 		t.Fatal(err)
 	}
-	if m.PageCount() != 2 {
-		t.Errorf("mirror holds %d pages, want 2", m.PageCount())
-	}
-	got, _, err := m.RepairPage(1)
+	got, _, err := m.repairPage(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +58,7 @@ func TestMirrorTracksPrimary(t *testing.T) {
 
 func TestRepairProcessesWholeStream(t *testing.T) {
 	log := wal.NewManager(iosim.Instant)
-	m := New(log, btree.Applier{}, 512)
+	m := newMirror(log, 512)
 	victim := formatRaw(log, 1, 512)
 	logRawUpdate(log, victim, []byte("v1"))
 	// Lots of unrelated traffic on other pages.
@@ -75,7 +72,7 @@ func TestRepairProcessesWholeStream(t *testing.T) {
 		}
 	}
 	log.FlushAll()
-	_, bytesApplied, err := m.RepairPage(1)
+	_, bytesApplied, err := m.repairPage(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,23 +81,24 @@ func TestRepairProcessesWholeStream(t *testing.T) {
 	if bytesApplied < int64(50*20*40) {
 		t.Errorf("repair processed only %d bytes; expected the whole stream", bytesApplied)
 	}
-	if m.Stats().Repairs != 1 {
-		t.Errorf("repairs = %d", m.Stats().Repairs)
+	// 1 + 50 format records, 1 + 50*20 updates: the counter E15 reports.
+	if m.recordsApplied != 1052 {
+		t.Errorf("records applied = %d, want 1052", m.recordsApplied)
 	}
 }
 
 func TestMirrorOnlySeesStablePrefix(t *testing.T) {
 	log := wal.NewManager(iosim.Instant)
-	m := New(log, btree.Applier{}, 512)
+	m := newMirror(log, 512)
 	pg := formatRaw(log, 1, 512)
 	logRawUpdate(log, pg, []byte("stable"))
 	log.FlushAll()
 	logRawUpdate(log, pg, []byte("volatile"))
 	// Volatile tail not flushed: mirror must not see it.
-	if _, err := m.CatchUp(); err != nil {
+	if _, err := m.catchUp(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := m.RepairPage(1)
+	got, _, err := m.repairPage(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +107,7 @@ func TestMirrorOnlySeesStablePrefix(t *testing.T) {
 	}
 	// After the tail flushes, the mirror catches up.
 	log.FlushAll()
-	got2, _, err := m.RepairPage(1)
+	got2, _, err := m.repairPage(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,24 +118,24 @@ func TestMirrorOnlySeesStablePrefix(t *testing.T) {
 
 func TestRepairUnknownPage(t *testing.T) {
 	log := wal.NewManager(iosim.Instant)
-	m := New(log, btree.Applier{}, 512)
-	if _, _, err := m.RepairPage(99); !errors.Is(err, ErrNotMirrored) {
+	m := newMirror(log, 512)
+	if _, _, err := m.repairPage(99); !errors.Is(err, errNotMirrored) {
 		t.Errorf("unknown page repair: %v", err)
 	}
 }
 
 func TestCatchUpIncremental(t *testing.T) {
 	log := wal.NewManager(iosim.Instant)
-	m := New(log, btree.Applier{}, 512)
+	m := newMirror(log, 512)
 	pg := formatRaw(log, 1, 512)
 	logRawUpdate(log, pg, []byte("a"))
 	log.FlushAll()
-	b1, err := m.CatchUp()
+	b1, err := m.catchUp()
 	if err != nil || b1 == 0 {
 		t.Fatalf("first catch-up: %d, %v", b1, err)
 	}
 	// No new records: second catch-up is free.
-	b2, err := m.CatchUp()
+	b2, err := m.catchUp()
 	if err != nil || b2 != 0 {
 		t.Fatalf("idle catch-up processed %d bytes, %v", b2, err)
 	}

@@ -494,7 +494,7 @@ func TestCrossCheckDetectsStaleBucket(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := d.bucketOf(hashKey([]byte("k")))
-	pid := d.buckets[b]
+	pid := d.At(b)
 	dh.RUnlock()
 	dh.Release()
 
@@ -503,14 +503,12 @@ func TestCrossCheckDetectsStaleBucket(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Lock()
-	n, err := decodeBucket(h.Page().Payload())
+	n, err := parseBucket(h.Page().Payload())
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.bucketNum ^= 1
-	if err := h.Page().SetPayload(n.encode()); err != nil {
-		t.Fatal(err)
-	}
+	// The extension aliases the buffered page: restamp it in place.
+	copy(n.Ext(), bucketExt(n.bucketNum^1, n.levelStamp, n.dir, n.next, n.chainPos))
 	h.MarkDirty(h.Page().LSN())
 	h.Unlock()
 	h.Release()

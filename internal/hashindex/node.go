@@ -23,7 +23,6 @@
 package hashindex
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -31,17 +30,11 @@ import (
 	"repro/internal/page"
 )
 
-// Payload kinds discriminate the two hash page layouts. The kind byte is
-// the first cross-check of every decode: a misdirected write of a foreign
-// page fails here even when its checksum is intact.
-const (
-	kindDirectory uint8 = 1
-	kindBucket    uint8 = 2
-)
-
-// Errors surfaced by the hash index.
+// Errors surfaced by the hash index. ErrCorrupt is the shared layout error,
+// so a violation reads the same whether the layout (internal/page) or the
+// hash header check found it.
 var (
-	ErrCorrupt     = errors.New("hashindex: page payload corrupt")
+	ErrCorrupt     = page.ErrCorrupt
 	ErrKeyNotFound = errors.New("hashindex: key not found")
 	ErrKeyExists   = errors.New("hashindex: key already exists")
 	// ErrValueTooLarge reports an entry that cannot fit a bucket page.
@@ -51,7 +44,12 @@ var (
 // CorruptionError reports a failed cross-page invariant check during a
 // descent — the continuous self-testing of §4.2, rendered for hash pages.
 type CorruptionError struct {
-	Page   page.ID
+	// Page failed to carry what its predecessor predicted.
+	Page page.ID
+	// Via is that predecessor — the directory, or the previous page of the
+	// overflow chain. A cross-page check implicates the pair: the damage
+	// may sit in either page.
+	Via    page.ID
 	Detail string
 }
 
@@ -65,126 +63,21 @@ func (e *CorruptionError) Error() string {
 // Unwrap makes errors.Is(err, ErrDetected) work.
 func (e *CorruptionError) Unwrap() error { return ErrDetected }
 
-// reader is a bounds-checked payload parser; the first failure sticks.
-type reader struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, r.pos)
-	}
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.pos+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *reader) u16() uint16 {
-	if r.err != nil || r.pos+2 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.b[r.pos:])
-	r.pos += 2
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.pos+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.pos:])
-	r.pos += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.pos+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.pos:])
-	r.pos += 8
-	return v
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil || n < 0 || r.pos+n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	v := r.b[r.pos : r.pos+n]
-	r.pos += n
-	return v
-}
-
-func (r *reader) bytes16() []byte { return r.take(int(r.u16())) }
-func (r *reader) bytes32() []byte { return r.take(int(r.u32())) }
-
-// writer builds payloads and op records.
-type writer struct{ buf bytes.Buffer }
-
-func (w *writer) u8(v uint8) *writer {
-	w.buf.WriteByte(v)
-	return w
-}
-
-func (w *writer) u16(v uint16) *writer {
-	var t [2]byte
-	binary.LittleEndian.PutUint16(t[:], v)
-	w.buf.Write(t[:])
-	return w
-}
-
-func (w *writer) u32(v uint32) *writer {
-	var t [4]byte
-	binary.LittleEndian.PutUint32(t[:], v)
-	w.buf.Write(t[:])
-	return w
-}
-
-func (w *writer) u64(v uint64) *writer {
-	var t [8]byte
-	binary.LittleEndian.PutUint64(t[:], v)
-	w.buf.Write(t[:])
-	return w
-}
-
-func (w *writer) b16(b []byte) *writer {
-	w.u16(uint16(len(b)))
-	w.buf.Write(b)
-	return w
-}
-
-func (w *writer) b32(b []byte) *writer {
-	w.u32(uint32(len(b)))
-	w.buf.Write(b)
-	return w
-}
-
-func (w *writer) bytes() []byte { return w.buf.Bytes() }
-
-// directory is the decoded directory page: the linear-hashing state (round
-// level L, next bucket N to split) plus the bucket-number → primary-page
-// table. Bucket b of a key with hash h is h mod 2^L, rehashed mod 2^(L+1)
-// when that bucket was already split this round (b < N).
+// directory is the parsed header of the latched directory page, an array
+// page (internal/page IDArray) of kind KindDirectory read in place: the
+// linear-hashing state (round level L, next bucket N to split) in the
+// extension, and the bucket-number → primary-page table as the array.
+// Bucket b of a key with hash h is h mod 2^L, rehashed mod 2^(L+1) when
+// that bucket was already split this round (b < N).
 //
-// Layout: kind u8, level u32, next u32, count u32, count × pid u64.
+// Extension: level u32, next u32.
 type directory struct {
-	level   uint32
-	next    uint32
-	buckets []page.ID
+	page.IDArray
+	level uint32
+	next  uint32
 }
+
+const dirExtSize = 4 + 4
 
 func (d *directory) bucketOf(h uint64) int {
 	b := int(h & (1<<d.level - 1))
@@ -194,237 +87,131 @@ func (d *directory) bucketOf(h uint64) int {
 	return b
 }
 
-func (d *directory) encode() []byte {
-	w := &writer{}
-	w.u8(kindDirectory).u32(d.level).u32(d.next).u32(uint32(len(d.buckets)))
-	for _, pid := range d.buckets {
-		w.u64(uint64(pid))
-	}
-	return w.bytes()
+// newDirectoryPayload builds a directory page payload.
+func newDirectoryPayload(level, next uint32, buckets []page.ID) []byte {
+	ext := make([]byte, dirExtSize)
+	binary.LittleEndian.PutUint32(ext, level)
+	binary.LittleEndian.PutUint32(ext[4:], next)
+	return page.NewIDArray(page.KindDirectory, ext, buckets)
 }
 
-func decodeDirectory(payload []byte) (*directory, error) {
-	r := &reader{b: payload}
-	if r.u8() != kindDirectory {
-		return nil, fmt.Errorf("%w: not a directory page", ErrCorrupt)
+// parseDirectory reads the directory page's header and runs every check a
+// directory admits — all O(1): layout kind, extension shape, round state
+// in range, and the slot count the round state implies.
+func parseDirectory(payload []byte) (directory, error) {
+	a, err := page.ParseIDArray(payload)
+	if err != nil {
+		return directory{}, err
 	}
-	d := &directory{level: r.u32(), next: r.u32()}
-	count := int(r.u32())
-	if r.err == nil && count > (len(payload)-13)/8 {
-		return nil, fmt.Errorf("%w: directory count %d exceeds payload", ErrCorrupt, count)
+	ext := a.Ext()
+	if a.Kind() != page.KindDirectory || len(ext) != dirExtSize {
+		return directory{}, fmt.Errorf("%w: not a directory page", ErrCorrupt)
 	}
-	for i := 0; i < count; i++ {
-		d.buckets = append(d.buckets, page.ID(r.u64()))
-	}
-	if r.err != nil || r.pos != len(payload) {
-		return nil, fmt.Errorf("%w: directory payload", ErrCorrupt)
-	}
+	d := directory{IDArray: a, level: binary.LittleEndian.Uint32(ext), next: binary.LittleEndian.Uint32(ext[4:])}
 	if d.level == 0 || d.level > 32 {
-		return nil, fmt.Errorf("%w: directory level %d", ErrCorrupt, d.level)
+		return directory{}, fmt.Errorf("%w: directory level %d", ErrCorrupt, d.level)
 	}
 	if uint64(d.next) >= 1<<d.level {
-		return nil, fmt.Errorf("%w: directory next %d at level %d", ErrCorrupt, d.next, d.level)
+		return directory{}, fmt.Errorf("%w: directory next %d at level %d", ErrCorrupt, d.next, d.level)
 	}
-	if len(d.buckets) != int(uint64(1)<<d.level)+int(d.next) {
-		return nil, fmt.Errorf("%w: directory holds %d buckets, level %d next %d implies %d",
-			ErrCorrupt, len(d.buckets), d.level, d.next, int(uint64(1)<<d.level)+int(d.next))
+	if want := uint64(1)<<d.level + uint64(d.next); uint64(d.Len()) != want {
+		return directory{}, fmt.Errorf("%w: directory holds %d buckets, level %d next %d implies %d",
+			ErrCorrupt, d.Len(), d.level, d.next, want)
 	}
 	return d, nil
 }
 
-// entry is one key/value pair in a bucket page. Deleted entries linger as
-// ghosts (§5.1.5) so logical undo can find them; system transactions
-// reclaim the space when a page fills.
-type entry struct {
-	key, val []byte
-	ghost    bool
+// buckets copies the bucket table out, for walks that outlive the latch.
+func (d *directory) buckets() []page.ID {
+	ids := make([]page.ID, d.Len())
+	for i := range ids {
+		ids[i] = d.At(i)
+	}
+	return ids
 }
 
-// bucketNode is the decoded bucket or overflow page. The first five fields
-// are the cross-check stamps (the hash rendering of the B-tree's fences):
-// which bucket this page belongs to, the hashing round it was last
-// rewritten under, which directory owns it, and its position in the
-// overflow chain.
+// bucket is the parsed header of a latched bucket or overflow page, a
+// record page (internal/page Records) of kind KindBucket operated on in
+// place; deleted entries linger as ghost records (§5.1.5) so logical undo
+// can find them, and system transactions reclaim the space when a page
+// fills. The extension carries the cross-check stamps (the hash rendering
+// of the B-tree's fences): which bucket this page belongs to, the hashing
+// round it was last rewritten under, which directory owns it, the next
+// chain page, and its position in the overflow chain. Like the B-tree's
+// node it is valid only under the page latch and stale after any op on the
+// page.
 //
-// Layout: kind u8, bucketNum u32, levelStamp u32, dir u64, next u64,
-// chainPos u32, count u16, count × (u16 key, u32 val, u8 ghost), entries
-// sorted by key.
-type bucketNode struct {
+// Extension: bucketNum u32, levelStamp u32, dir u64, next u64, chainPos u32.
+type bucket struct {
+	page.Records
 	bucketNum  uint32
 	levelStamp uint32
 	dir        page.ID
 	next       page.ID
 	chainPos   uint32
-	entries    []entry
 }
 
-// bucketHeaderSize is the encoded size of a bucketNode with no entries.
-const bucketHeaderSize = 1 + 4 + 4 + 8 + 8 + 4 + 2
+const bucketExtSize = 4 + 4 + 8 + 8 + 4
 
-// entrySize is the encoded footprint of one entry.
-func entrySize(key, val []byte) int { return 2 + len(key) + 4 + len(val) + 1 }
+// bucketExt encodes the stamps.
+func bucketExt(bucketNum, levelStamp uint32, dir, next page.ID, chainPos uint32) []byte {
+	ext := make([]byte, bucketExtSize)
+	binary.LittleEndian.PutUint32(ext, bucketNum)
+	binary.LittleEndian.PutUint32(ext[4:], levelStamp)
+	binary.LittleEndian.PutUint64(ext[8:], uint64(dir))
+	binary.LittleEndian.PutUint64(ext[16:], uint64(next))
+	binary.LittleEndian.PutUint32(ext[24:], chainPos)
+	return ext
+}
+
+// emptyBucketSize is the payload size of a bucket page with no entries.
+const emptyBucketSize = page.LayoutHeaderSize + bucketExtSize
 
 // maxEntrySize bounds one entry so chain packing always makes progress.
 func maxEntrySize(capacity int) int { return capacity / 4 }
 
-func (n *bucketNode) size() int {
-	s := bucketHeaderSize
-	for _, e := range n.entries {
-		s += entrySize(e.key, e.val)
+// parseBucket reads a bucket page's header: layout kind and extension
+// shape, the first cross-check of every read — a misdirected write of a
+// foreign page fails here even when its checksum is intact. Record offsets
+// are bounds-checked as they are dereferenced; the whole-page structure was
+// validated by page.Check when the image entered the pool.
+func parseBucket(payload []byte) (bucket, error) {
+	r, err := page.ParseRecords(payload)
+	if err != nil {
+		return bucket{}, err
 	}
-	return s
-}
-
-func (n *bucketNode) encode() []byte {
-	w := &writer{}
-	w.u8(kindBucket).u32(n.bucketNum).u32(n.levelStamp).u64(uint64(n.dir)).
-		u64(uint64(n.next)).u32(n.chainPos).u16(uint16(len(n.entries)))
-	for _, e := range n.entries {
-		w.b16(e.key).b32(e.val)
-		if e.ghost {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
+	ext := r.Ext()
+	if r.Kind() != page.KindBucket || len(ext) != bucketExtSize || r.Reserved() != 0 {
+		return bucket{}, fmt.Errorf("%w: not a bucket page", ErrCorrupt)
 	}
-	return w.bytes()
-}
-
-func decodeBucket(payload []byte) (*bucketNode, error) {
-	r := &reader{b: payload}
-	if r.u8() != kindBucket {
-		return nil, fmt.Errorf("%w: not a bucket page", ErrCorrupt)
-	}
-	n := &bucketNode{
-		bucketNum:  r.u32(),
-		levelStamp: r.u32(),
-		dir:        page.ID(r.u64()),
-		next:       page.ID(r.u64()),
-		chainPos:   r.u32(),
-	}
-	count := int(r.u16())
-	var prev []byte
-	for i := 0; i < count; i++ {
-		e := entry{key: r.bytes16(), val: r.bytes32(), ghost: r.u8() == 1}
-		if r.err != nil {
-			break
-		}
-		if len(e.key) == 0 {
-			return nil, fmt.Errorf("%w: empty key in bucket", ErrCorrupt)
-		}
-		if prev != nil && bytes.Compare(prev, e.key) >= 0 {
-			return nil, fmt.Errorf("%w: bucket entries out of order", ErrCorrupt)
-		}
-		prev = e.key
-		n.entries = append(n.entries, e)
-	}
-	if r.err != nil || r.pos != len(payload) {
-		return nil, fmt.Errorf("%w: bucket payload", ErrCorrupt)
-	}
-	return n, nil
-}
-
-// find returns the index of key in the sorted entry slice, or -1.
-func (n *bucketNode) find(key []byte) int {
-	lo, hi := 0, len(n.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(n.entries[mid].key, key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(n.entries) && bytes.Equal(n.entries[lo].key, key) {
-		return lo
-	}
-	return -1
-}
-
-// insertEntry adds e keeping the slice sorted; the key must be absent.
-func (n *bucketNode) insertEntry(e entry) error {
-	lo, hi := 0, len(n.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(n.entries[mid].key, e.key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(n.entries) && bytes.Equal(n.entries[lo].key, e.key) {
-		return fmt.Errorf("%w: %q", ErrKeyExists, e.key)
-	}
-	n.entries = append(n.entries, entry{})
-	copy(n.entries[lo+1:], n.entries[lo:])
-	n.entries[lo] = e
-	return nil
-}
-
-// removeEntry deletes key from the slice; the key must be present.
-func (n *bucketNode) removeEntry(key []byte) (entry, error) {
-	i := n.find(key)
-	if i < 0 {
-		return entry{}, fmt.Errorf("%w: purge of absent key %q", ErrKeyNotFound, key)
-	}
-	e := n.entries[i]
-	n.entries = append(n.entries[:i], n.entries[i+1:]...)
-	return e, nil
+	return bucket{
+		Records:    r,
+		bucketNum:  binary.LittleEndian.Uint32(ext),
+		levelStamp: binary.LittleEndian.Uint32(ext[4:]),
+		dir:        page.ID(binary.LittleEndian.Uint64(ext[8:])),
+		next:       page.ID(binary.LittleEndian.Uint64(ext[16:])),
+		chainPos:   binary.LittleEndian.Uint32(ext[24:]),
+	}, nil
 }
 
 // PageRole classifies a hash page payload for tests and tooling:
 // "directory", "bucket" (a chain head), or "overflow" (chain position
 // beyond the head).
 func PageRole(payload []byte) (string, error) {
-	if len(payload) == 0 {
-		return "", fmt.Errorf("%w: empty payload", ErrCorrupt)
-	}
-	switch payload[0] {
-	case kindDirectory:
-		return "directory", nil
-	case kindBucket:
-		n, err := decodeBucket(payload)
-		if err != nil {
+	if len(payload) > 0 && payload[0] == page.KindDirectory {
+		if _, err := parseDirectory(payload); err != nil {
 			return "", err
 		}
-		if n.chainPos > 0 {
-			return "overflow", nil
-		}
-		return "bucket", nil
-	default:
-		return "", fmt.Errorf("%w: unknown payload kind %d", ErrCorrupt, payload[0])
+		return "directory", nil
 	}
-}
-
-// CheckPayload decodes a hash page payload of either kind, verifying every
-// in-payload invariant (kind byte, bounds, entry ordering, directory
-// shape). It is the scrub-style self-test the fuzz harness drives: no
-// input may panic, and any accepted payload must re-encode to itself.
-func CheckPayload(payload []byte) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("%w: empty payload", ErrCorrupt)
+	n, err := parseBucket(payload)
+	if err != nil {
+		return "", err
 	}
-	switch payload[0] {
-	case kindDirectory:
-		d, err := decodeDirectory(payload)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(d.encode(), payload) {
-			return fmt.Errorf("%w: directory payload does not round-trip", ErrCorrupt)
-		}
-	case kindBucket:
-		n, err := decodeBucket(payload)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(n.encode(), payload) {
-			return fmt.Errorf("%w: bucket payload does not round-trip", ErrCorrupt)
-		}
-	default:
-		return fmt.Errorf("%w: unknown payload kind %d", ErrCorrupt, payload[0])
+	if n.chainPos > 0 {
+		return "overflow", nil
 	}
-	return nil
+	return "bucket", nil
 }
 
 // hashKey is the bucket hash: FNV-1a over the key bytes.

@@ -1,11 +1,10 @@
 package hashindex
 
 import (
-	"errors"
 	"fmt"
 
-	"repro/internal/buffer"
 	"repro/internal/page"
+	"repro/internal/pageop"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -43,7 +42,7 @@ const (
 )
 
 // ErrBadOp reports an unparseable or inapplicable op payload.
-var ErrBadOp = errors.New("hashindex: bad op payload")
+var ErrBadOp = pageop.ErrBadOp
 
 // IsHashOp reports whether a record payload belongs to the hash index's
 // opcode namespace; the engine's combined applier and undoer dispatch on
@@ -52,36 +51,43 @@ func IsHashOp(payload []byte) bool {
 	return len(payload) > 0 && payload[0] >= opHashInsert && payload[0] <= opHashPageSet
 }
 
-func boolByte(b bool) uint8 {
-	if b {
-		return 1
+// kindOf maps a hash opcode to the shared op it denotes: every hash op is
+// one, so the index has no applier of its own.
+func kindOf(code uint8) pageop.Kind {
+	switch {
+	case code >= opHashInsert && code <= opHashReinsert:
+		return pageop.Insert + pageop.Kind(code-opHashInsert)
+	case code == opHashPageSet:
+		return pageop.Replace
 	}
-	return 0
+	return pageop.None
 }
 
+// ops is the log-then-apply protocol bound to the hash index's opcodes.
+var ops = pageop.Ops{Apply: applyOp, Inverse: inverseOp}
+
 func encodeInsert(dir page.ID, key, val []byte) []byte {
-	return (&writer{}).u8(opHashInsert).u64(uint64(dir)).b16(key).b32(val).bytes()
+	return pageop.EncodeInsert(opHashInsert, dir, key, val)
 }
 
 func encodeGhost(dir page.ID, key []byte, ghost, prior bool) []byte {
-	return (&writer{}).u8(opHashGhost).u64(uint64(dir)).b16(key).
-		u8(boolByte(ghost)).u8(boolByte(prior)).bytes()
+	return pageop.EncodeGhost(opHashGhost, dir, key, ghost, prior)
 }
 
 func encodeUpdate(dir page.ID, key, newVal, oldVal []byte) []byte {
-	return (&writer{}).u8(opHashUpdate).u64(uint64(dir)).b16(key).b32(newVal).b32(oldVal).bytes()
+	return pageop.EncodeUpdate(opHashUpdate, dir, key, newVal, oldVal)
 }
 
 func encodePurge(key, oldVal []byte, wasGhost bool) []byte {
-	return (&writer{}).u8(opHashPurge).b16(key).b32(oldVal).u8(boolByte(wasGhost)).bytes()
+	return pageop.EncodePurge(opHashPurge, key, oldVal, wasGhost)
 }
 
 func encodeReinsert(key, val []byte, ghost bool) []byte {
-	return (&writer{}).u8(opHashReinsert).b16(key).b32(val).u8(boolByte(ghost)).bytes()
+	return pageop.EncodeReinsert(opHashReinsert, key, val, ghost)
 }
 
 func encodePageSet(newPayload, oldPayload []byte) []byte {
-	return (&writer{}).u8(opHashPageSet).b32(newPayload).b32(oldPayload).bytes()
+	return pageop.EncodeReplace(opHashPageSet, newPayload, oldPayload)
 }
 
 // Applier applies hash-index redo ops to pages; it implements
@@ -95,129 +101,17 @@ func (Applier) ApplyRedo(rec *wal.Record, pg *page.Page) error {
 }
 
 func applyOp(payload []byte, pg *page.Page) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("%w: empty payload", ErrBadOp)
+	if !IsHashOp(payload) {
+		return fmt.Errorf("%w: not a hash op", ErrBadOp)
 	}
-	r := &reader{b: payload, pos: 1}
-	code := payload[0]
-
-	if code == opHashPageSet {
-		newP := r.bytes32()
-		r.bytes32() // old payload: undo information only
-		if r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, r.err)
-		}
-		return pg.SetPayload(newP)
-	}
-
-	// All remaining ops operate on bucket pages.
-	n, err := decodeBucket(pg.Payload())
-	if err != nil {
-		return err
-	}
-	switch code {
-	case opHashInsert:
-		r.u64() // directory pid: undo routing only
-		key := r.bytes16()
-		val := r.bytes32()
-		if r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, r.err)
-		}
-		if i := n.find(key); i >= 0 {
-			if !n.entries[i].ghost {
-				return fmt.Errorf("%w: insert over live key %q", ErrBadOp, key)
-			}
-			n.entries[i].val = val
-			n.entries[i].ghost = false
-		} else if err := n.insertEntry(entry{key: key, val: val}); err != nil {
-			return err
-		}
-	case opHashGhost:
-		r.u64()
-		key := r.bytes16()
-		ghost := r.u8() == 1
-		r.u8() // prior flag: undo information only
-		if r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, r.err)
-		}
-		i := n.find(key)
-		if i < 0 {
-			return fmt.Errorf("%w: ghost of absent key %q", ErrKeyNotFound, key)
-		}
-		n.entries[i].ghost = ghost
-	case opHashUpdate:
-		r.u64()
-		key := r.bytes16()
-		newVal := r.bytes32()
-		r.bytes32() // old value: undo information only
-		if r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, r.err)
-		}
-		i := n.find(key)
-		if i < 0 {
-			return fmt.Errorf("%w: update of absent key %q", ErrKeyNotFound, key)
-		}
-		n.entries[i].val = newVal
-	case opHashPurge:
-		key := r.bytes16()
-		r.bytes32() // old value: undo information only
-		r.u8()      // old ghost flag
-		if r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, r.err)
-		}
-		if _, err := n.removeEntry(key); err != nil {
-			return err
-		}
-	case opHashReinsert:
-		key := r.bytes16()
-		val := r.bytes32()
-		ghost := r.u8() == 1
-		if r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, r.err)
-		}
-		if err := n.insertEntry(entry{key: key, val: val, ghost: ghost}); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("%w: opcode %d", ErrBadOp, code)
-	}
-	return pg.SetPayload(n.encode())
+	return pageop.Apply(kindOf(payload[0]), payload, pg)
 }
 
-// logApply logs an update op under t and applies it to the latched page,
-// maintaining both chains and the buffer-pool dirty state. Forward
-// processing and redo share applyOp, so replay is exact by construction.
-// The caller must hold the page's write latch.
-func logApply(t *txn.Txn, h *buffer.Handle, op []byte) error {
-	lsn, err := t.Log(&wal.Record{
-		Type:        wal.TypeUpdate,
-		PageID:      h.ID(),
-		PagePrevLSN: h.Page().LSN(),
-		Payload:     op,
-	})
-	if err != nil {
-		return err
+func inverseOp(payload []byte, pg *page.Page) ([]byte, error) {
+	if !IsHashOp(payload) {
+		return nil, fmt.Errorf("%w: not a hash op", ErrBadOp)
 	}
-	if err := applyOp(op, h.Page()); err != nil {
-		return fmt.Errorf("hashindex: applying op at LSN %d to page %d: %w", lsn, h.ID(), err)
-	}
-	h.Page().SetLSN(lsn)
-	h.MarkDirty(lsn)
-	return nil
-}
-
-// logApplyCLR is logApply for compensation records during rollback.
-func logApplyCLR(t *txn.Txn, h *buffer.Handle, op []byte, undoNext page.LSN) error {
-	lsn, err := t.LogCLR(h.ID(), h.Page().LSN(), op, undoNext)
-	if err != nil {
-		return err
-	}
-	if err := applyOp(op, h.Page()); err != nil {
-		return fmt.Errorf("hashindex: applying CLR op at LSN %d to page %d: %w", lsn, h.ID(), err)
-	}
-	h.Page().SetLSN(lsn)
-	h.MarkDirty(lsn)
-	return nil
+	return pageop.Inverse(kindOf(payload[0]), payload, pg)
 }
 
 // Compensate undoes one update record during rollback, logging a CLR whose
@@ -225,89 +119,24 @@ func logApplyCLR(t *txn.Txn, h *buffer.Handle, op []byte, undoNext page.LSN) err
 // logically through a fresh descent; structural ops are undone physically
 // on the page they touched.
 func Compensate(t *txn.Txn, pager Pager, rec *wal.Record) error {
-	if len(rec.Payload) == 0 {
-		return fmt.Errorf("%w: empty payload at LSN %d", ErrBadOp, rec.LSN)
+	if !IsHashOp(rec.Payload) {
+		return fmt.Errorf("%w: not a hash op at LSN %d", ErrBadOp, rec.LSN)
 	}
-	r := &reader{b: rec.Payload, pos: 1}
-	switch rec.Payload[0] {
-	case opHashInsert:
-		dir := page.ID(r.u64())
-		key := r.bytes16()
-		if r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, r.err)
-		}
-		return Open("", dir, pager).undoInsert(t, key, rec.PrevLSN)
-	case opHashGhost:
-		dir := page.ID(r.u64())
-		key := r.bytes16()
-		ghost := r.u8() == 1
-		prior := r.u8() == 1
-		if r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, r.err)
-		}
-		return Open("", dir, pager).undoGhost(t, key, prior, ghost, rec.PrevLSN)
-	case opHashUpdate:
-		dir := page.ID(r.u64())
-		key := r.bytes16()
-		r.bytes32() // new value
-		oldVal := r.bytes32()
-		if r.err != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, r.err)
-		}
-		return Open("", dir, pager).undoUpdate(t, key, oldVal, rec.PrevLSN)
-	default:
-		return compensatePhysical(t, pager, rec)
+	k := kindOf(rec.Payload[0])
+	if k != pageop.Insert && k != pageop.Ghost && k != pageop.Update {
+		return ops.CompensatePhysical(t, pager.Fetch, rec)
 	}
-}
-
-// compensatePhysical undoes a structural op in place.
-func compensatePhysical(t *txn.Txn, pager Pager, rec *wal.Record) error {
-	h, err := pager.Fetch(rec.PageID)
+	u, err := pageop.ParseUser(k, rec.Payload)
 	if err != nil {
 		return err
 	}
-	defer h.Release()
-	h.Lock()
-	defer h.Unlock()
-	inv, err := inverseOp(rec.Payload, h.Page())
-	if err != nil {
-		return err
-	}
-	return logApplyCLR(t, h, inv, rec.PrevLSN)
-}
-
-// inverseOp constructs the forward-applicable compensation op for a
-// structural op, given the page's current contents.
-func inverseOp(payload []byte, pg *page.Page) ([]byte, error) {
-	if len(payload) == 0 {
-		return nil, ErrBadOp
-	}
-	r := &reader{b: payload, pos: 1}
-	switch payload[0] {
-	case opHashPurge:
-		key := r.bytes16()
-		oldVal := r.bytes32()
-		wasGhost := r.u8() == 1
-		if r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOp, r.err)
-		}
-		return encodeReinsert(key, oldVal, wasGhost), nil
-	case opHashReinsert:
-		key := r.bytes16()
-		val := r.bytes32()
-		ghost := r.u8() == 1
-		if r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOp, r.err)
-		}
-		return encodePurge(key, val, ghost), nil
-	case opHashPageSet:
-		r.bytes32()
-		oldP := r.bytes32()
-		if r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOp, r.err)
-		}
-		return encodePageSet(oldP, append([]byte(nil), pg.Payload()...)), nil
+	tb := Open("", u.Root, pager)
+	switch k {
+	case pageop.Insert:
+		return tb.undoInsert(t, u.Key, rec.PrevLSN)
+	case pageop.Ghost:
+		return tb.undoGhost(t, u.Key, u.Prior, u.Ghost, rec.PrevLSN)
 	default:
-		return nil, fmt.Errorf("%w: no inverse for opcode %d", ErrBadOp, payload[0])
+		return tb.undoUpdate(t, u.Key, u.OldVal, rec.PrevLSN)
 	}
 }

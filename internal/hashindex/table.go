@@ -55,25 +55,25 @@ func Create(t *txn.Txn, name string, pager Pager) (*Table, error) {
 	// The directory is allocated first so the bucket pages can carry its
 	// ID as their back-pointer; its final payload (naming the buckets) is
 	// then installed with a logged page rewrite.
-	bootstrap := (&directory{level: 1}).encode()
+	bootstrap := newDirectoryPayload(1, 0, nil)
 	dh, err := pager.AllocateNode(t, page.TypeHash, bootstrap)
 	if err != nil {
 		return nil, fmt.Errorf("hashindex: creating %q: %w", name, err)
 	}
 	dirID := dh.ID()
-	d := &directory{level: 1}
+	var buckets []page.ID
 	for b := uint32(0); b < 2; b++ {
-		bn := &bucketNode{bucketNum: b, levelStamp: 1, dir: dirID}
-		bh, err := pager.AllocateNode(t, page.TypeHash, bn.encode())
+		bh, err := pager.AllocateNode(t, page.TypeHash,
+			page.NewRecords(page.KindBucket, bucketExt(b, 1, dirID, page.InvalidID, 0)))
 		if err != nil {
 			dh.Release()
 			return nil, fmt.Errorf("hashindex: creating %q: %w", name, err)
 		}
-		d.buckets = append(d.buckets, bh.ID())
+		buckets = append(buckets, bh.ID())
 		bh.Release()
 	}
 	dh.Lock()
-	err = logApply(t, dh, encodePageSet(d.encode(), bootstrap))
+	err = ops.LogApply(t, dh, encodePageSet(newDirectoryPayload(1, 0, buckets), bootstrap))
 	dh.Unlock()
 	dh.Release()
 	if err != nil {
@@ -107,81 +107,73 @@ type dirView struct {
 	next  uint32
 }
 
-// fetchDir pins the directory page, latches it shared, and decodes it.
-// The caller releases latch and pin.
-func (tb *Table) fetchDir() (*buffer.Handle, *directory, error) {
+// fetchDir pins the directory page, latches it shared, and parses its
+// header. The caller releases latch and pin; the returned view is valid
+// only until then.
+func (tb *Table) fetchDir() (*buffer.Handle, directory, error) {
 	dh, err := tb.pager.Fetch(tb.dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, directory{}, err
 	}
 	dh.RLock()
-	d, err := decodeDirectory(dh.Page().Payload())
+	d, err := parseDirectory(dh.Page().Payload())
 	if err != nil {
 		dh.RUnlock()
 		dh.Release()
-		return nil, nil, err
+		return nil, directory{}, err
 	}
 	return dh, d, nil
 }
 
-// checkBucket runs the cross-checks on one decoded chain page against the
+// checkBucket runs the cross-checks on one parsed chain page against the
 // expectations its predecessors predict: the directory slot that routed
 // here (bucket number, level stamps, back-pointer) and the previous chain
 // page (position). These are the hash rendering of the B-tree's §4.2
 // fence checks, and like them they compare in-page redundancy against a
 // still-latched predecessor.
-func checkBucket(id page.ID, n *bucketNode, b int, pos uint32, dv dirView) error {
-	if n.bucketNum != uint32(b) {
-		return &CorruptionError{Page: id, Detail: fmt.Sprintf(
-			"bucket number stamp %d, directory slot %d", n.bucketNum, b)}
-	}
-	if n.dir != dv.id {
-		return &CorruptionError{Page: id, Detail: fmt.Sprintf(
-			"directory back-pointer %d, expected %d", n.dir, dv.id)}
-	}
-	if n.chainPos != pos {
-		return &CorruptionError{Page: id, Detail: fmt.Sprintf(
-			"overflow chain position %d, expected %d", n.chainPos, pos)}
-	}
-	if n.next == id {
-		return &CorruptionError{Page: id, Detail: "overflow pointer to self"}
-	}
+func checkBucket(id, via page.ID, n *bucket, b int, pos uint32, dv dirView) error {
 	s := n.levelStamp
-	if s == 0 || s > dv.level+1 {
-		return &CorruptionError{Page: id, Detail: fmt.Sprintf(
-			"level stamp %d outside round level %d", s, dv.level)}
-	}
-	if uint64(b) >= uint64(1)<<s {
-		return &CorruptionError{Page: id, Detail: fmt.Sprintf(
-			"bucket number %d not addressable at level stamp %d", b, s)}
-	}
 	// Round-position consistency: a bucket already split this round (or
 	// created by this round's splits) must be stamped level+1; a bucket
 	// still awaiting its split must not be.
-	if uint32(b) < dv.next || uint64(b) >= uint64(1)<<dv.level {
-		if s != dv.level+1 {
-			return &CorruptionError{Page: id, Detail: fmt.Sprintf(
-				"split bucket stamped level %d in round %d", s, dv.level)}
-		}
-	} else if s > dv.level {
-		return &CorruptionError{Page: id, Detail: fmt.Sprintf(
-			"unsplit bucket stamped level %d in round %d", s, dv.level)}
+	split := uint32(b) < dv.next || uint64(b) >= uint64(1)<<dv.level
+	detail := ""
+	switch {
+	case n.bucketNum != uint32(b):
+		detail = fmt.Sprintf("bucket number stamp %d, directory slot %d", n.bucketNum, b)
+	case n.dir != dv.id:
+		detail = fmt.Sprintf("directory back-pointer %d, expected %d", n.dir, dv.id)
+	case n.chainPos != pos:
+		detail = fmt.Sprintf("overflow chain position %d, expected %d", n.chainPos, pos)
+	case n.next == id:
+		detail = "overflow pointer to self"
+	case s == 0 || s > dv.level+1:
+		detail = fmt.Sprintf("level stamp %d outside round level %d", s, dv.level)
+	case uint64(b) >= uint64(1)<<s:
+		detail = fmt.Sprintf("bucket number %d not addressable at level stamp %d", b, s)
+	case split && s != dv.level+1:
+		detail = fmt.Sprintf("split bucket stamped level %d in round %d", s, dv.level)
+	case !split && s > dv.level:
+		detail = fmt.Sprintf("unsplit bucket stamped level %d in round %d", s, dv.level)
+	default:
+		return nil
 	}
-	return nil
+	return &CorruptionError{Page: id, Via: via, Detail: detail}
 }
 
-// checkedBucket decodes and cross-checks the latched chain page behind h.
-func checkedBucket(h *buffer.Handle, b int, pos uint32, dv dirView) (*bucketNode, error) {
+// checkedBucket parses and cross-checks the latched chain page behind h,
+// reached through via (the directory, or the previous chain page).
+func checkedBucket(h *buffer.Handle, via page.ID, b int, pos uint32, dv dirView) (bucket, error) {
 	if typ := h.Page().Type(); typ != page.TypeHash {
-		return nil, &CorruptionError{Page: h.ID(), Detail: fmt.Sprintf(
+		return bucket{}, &CorruptionError{Page: h.ID(), Via: via, Detail: fmt.Sprintf(
 			"page type %v, expected hash", typ)}
 	}
-	n, err := decodeBucket(h.Page().Payload())
+	n, err := parseBucket(h.Page().Payload())
 	if err != nil {
-		return nil, err
+		return bucket{}, err
 	}
-	if err := checkBucket(h.ID(), n, b, pos, dv); err != nil {
-		return nil, err
+	if err := checkBucket(h.ID(), via, &n, b, pos, dv); err != nil {
+		return bucket{}, err
 	}
 	return n, nil
 }
@@ -197,9 +189,8 @@ func (tb *Table) GetTo(dst, key []byte) ([]byte, error) {
 		return dst, err
 	}
 	b := d.bucketOf(hashKey(key))
-	pid := d.buckets[b]
 	dv := dirView{id: dh.ID(), level: d.level, next: d.next}
-	h, err := tb.pager.Fetch(pid)
+	h, err := tb.pager.Fetch(d.At(b))
 	if err != nil {
 		dh.RUnlock()
 		dh.Release()
@@ -210,29 +201,26 @@ func (tb *Table) GetTo(dst, key []byte) ([]byte, error) {
 	h.RLock()
 	dh.RUnlock()
 	dh.Release()
-	for pos := uint32(0); ; pos++ {
-		n, err := checkedBucket(h, b, pos, dv)
+	for pos, via := uint32(0), dv.id; ; pos++ {
+		n, err := checkedBucket(h, via, b, pos, dv)
 		if err != nil {
 			h.RUnlock()
 			h.Release()
 			return dst, err
 		}
-		if i := n.find(key); i >= 0 {
-			if n.entries[i].ghost {
-				h.RUnlock()
-				h.Release()
-				return dst, fmt.Errorf("%w: %q", ErrKeyNotFound, key)
-			}
-			dst = append(dst, n.entries[i].val...)
-			h.RUnlock()
-			h.Release()
-			return dst, nil
-		}
+		val, ghost, found, err := n.Get(key)
 		nextID := n.next
-		if nextID == page.InvalidID {
+		if err == nil && (ghost || (!found && nextID == page.InvalidID)) {
+			err = fmt.Errorf("%w: %q", ErrKeyNotFound, key)
+		}
+		if found || err != nil {
+			if err == nil {
+				// Copied out under the latch: val aliases the page.
+				dst = append(dst, val...)
+			}
 			h.RUnlock()
 			h.Release()
-			return dst, fmt.Errorf("%w: %q", ErrKeyNotFound, key)
+			return dst, err
 		}
 		nh, err := tb.pager.Fetch(nextID)
 		if err != nil {
@@ -243,7 +231,7 @@ func (tb *Table) GetTo(dst, key []byte) ([]byte, error) {
 		nh.RLock()
 		h.RUnlock()
 		h.Release()
-		h = nh
+		via, h = h.ID(), nh
 	}
 }
 
@@ -257,7 +245,7 @@ type chainRef struct {
 	bucket  int
 	dv      dirView
 	handles []*buffer.Handle
-	nodes   []*bucketNode
+	nodes   []bucket
 }
 
 // release drops every latch and pin, tail first.
@@ -270,15 +258,28 @@ func (c *chainRef) release() {
 	c.nodes = nil
 }
 
-// find locates key anywhere in the chain: page index and entry index, or
-// (-1, -1).
-func (c *chainRef) find(key []byte) (int, int) {
+// find locates key anywhere in the chain, returning the index of the page
+// holding it (-1 when absent) and the entry's value (aliasing that page)
+// and ghost flag.
+func (c *chainRef) find(key []byte) (pi int, val []byte, ghost bool, err error) {
 	for pi, n := range c.nodes {
-		if ei := n.find(key); ei >= 0 {
-			return pi, ei
+		val, ghost, found, err := n.Get(key)
+		if found || err != nil {
+			return pi, val, ghost, err
 		}
 	}
-	return -1, -1
+	return -1, nil, false, nil
+}
+
+// roomFor returns the first chain page other than skip with need free
+// bytes, or -1.
+func (c *chainRef) roomFor(need, skip int) int {
+	for i, n := range c.nodes {
+		if i != skip && n.Size()+need <= c.handles[i].Page().Capacity() {
+			return i
+		}
+	}
+	return -1
 }
 
 // descendX routes to key's bucket and exclusively latches its whole chain,
@@ -292,7 +293,7 @@ func (tb *Table) descendX(key []byte) (*chainRef, error) {
 	}
 	b := d.bucketOf(hashKey(key))
 	c := &chainRef{bucket: b, dv: dirView{id: dh.ID(), level: d.level, next: d.next}}
-	h, err := tb.pager.Fetch(d.buckets[b])
+	h, err := tb.pager.Fetch(d.At(b))
 	if err != nil {
 		dh.RUnlock()
 		dh.Release()
@@ -301,8 +302,8 @@ func (tb *Table) descendX(key []byte) (*chainRef, error) {
 	h.Lock()
 	dh.RUnlock()
 	dh.Release()
-	for pos := uint32(0); ; pos++ {
-		n, err := checkedBucket(h, b, pos, c.dv)
+	for pos, via := uint32(0), c.dv.id; ; pos++ {
+		n, err := checkedBucket(h, via, b, pos, c.dv)
 		if err != nil {
 			h.Unlock()
 			h.Release()
@@ -320,7 +321,7 @@ func (tb *Table) descendX(key []byte) (*chainRef, error) {
 			return nil, err
 		}
 		nh.Lock()
-		h = nh
+		via, h = h.ID(), nh
 	}
 }
 
@@ -340,32 +341,26 @@ func (tb *Table) Insert(tx *txn.Txn, key, val []byte) error {
 			return err
 		}
 		capacity := c.handles[0].Page().Capacity()
-		es := entrySize(key, val)
+		es := page.RecordSize(len(key), len(val))
 		if es > maxEntrySize(capacity) {
 			c.release()
 			return fmt.Errorf("%w: %d bytes", ErrValueTooLarge, es)
 		}
-		pi, ei := c.find(key)
-		if pi >= 0 {
-			e := c.nodes[pi].entries[ei]
-			if !e.ghost {
-				c.release()
-				return fmt.Errorf("%w: %q", ErrKeyExists, key)
-			}
-			if c.nodes[pi].size()-entrySize(e.key, e.val)+es <= capacity {
-				err := logApply(tx, c.handles[pi], encodeInsert(tb.dir, key, val))
-				c.release()
-				if err == nil && grew {
-					tb.trySplit()
-				}
-				return err
-			}
+		pi, old, ghost, err := c.find(key)
+		if err != nil {
+			c.release()
+			return err
+		}
+		if pi >= 0 && !ghost {
+			c.release()
+			return fmt.Errorf("%w: %q", ErrKeyExists, key)
+		}
+		if pi >= 0 && c.nodes[pi].Size()-len(old)+len(val) > capacity {
 			// The revival value does not fit over the ghost: physically
 			// purge the ghost under a system transaction and retry as a
 			// plain insert.
-			old := append([]byte(nil), e.val...)
 			st := tb.pager.BeginSystem()
-			err := logApply(st, c.handles[pi], encodePurge(key, old, true))
+			err := ops.LogApply(st, c.handles[pi], encodePurge(key, old, true))
 			c.release()
 			if err != nil {
 				_ = st.Abort()
@@ -376,16 +371,17 @@ func (tb *Table) Insert(tx *txn.Txn, key, val []byte) error {
 			}
 			continue
 		}
-		// Absent: the first chain page with room takes it.
-		for i, n := range c.nodes {
-			if n.size()+es <= c.handles[i].Page().Capacity() {
-				err := logApply(tx, c.handles[i], encodeInsert(tb.dir, key, val))
-				c.release()
-				if err == nil && grew {
-					tb.trySplit()
-				}
-				return err
+		if pi < 0 {
+			// Absent: the first chain page with room takes it.
+			pi = c.roomFor(es, -1)
+		}
+		if pi >= 0 {
+			err := ops.LogApply(tx, c.handles[pi], encodeInsert(tb.dir, key, val))
+			c.release()
+			if err == nil && grew {
+				tb.trySplit()
 			}
+			return err
 		}
 		extended, err := tb.makeRoom(c, es)
 		if err != nil {
@@ -410,19 +406,24 @@ func (tb *Table) Update(tx *txn.Txn, key, val []byte) error {
 			return err
 		}
 		capacity := c.handles[0].Page().Capacity()
-		es := entrySize(key, val)
+		es := page.RecordSize(len(key), len(val))
 		if es > maxEntrySize(capacity) {
 			c.release()
 			return fmt.Errorf("%w: %d bytes", ErrValueTooLarge, es)
 		}
-		pi, ei := c.find(key)
-		if pi < 0 || c.nodes[pi].entries[ei].ghost {
+		pi, old, ghost, err := c.find(key)
+		if err != nil {
+			c.release()
+			return err
+		}
+		if pi < 0 || ghost {
 			c.release()
 			return fmt.Errorf("%w: %q", ErrKeyNotFound, key)
 		}
-		old := append([]byte(nil), c.nodes[pi].entries[ei].val...)
-		if c.nodes[pi].size()-len(old)+len(val) <= capacity {
-			err := logApply(tx, c.handles[pi], encodeUpdate(tb.dir, key, val, old))
+		// old aliases the page; every op encoder below copies it out before
+		// its op applies.
+		if c.nodes[pi].Size()-len(old)+len(val) <= capacity {
+			err := ops.LogApply(tx, c.handles[pi], encodeUpdate(tb.dir, key, val, old))
 			c.release()
 			if err == nil && grew {
 				tb.trySplit()
@@ -432,13 +433,7 @@ func (tb *Table) Update(tx *txn.Txn, key, val []byte) error {
 		// The grown value does not fit in place: relocate the entry (with
 		// its OLD value — no logical change, so a system transaction) to a
 		// page with room for the new size, then retry there.
-		target := -1
-		for i, n := range c.nodes {
-			if i != pi && n.size()+es <= c.handles[i].Page().Capacity() {
-				target = i
-				break
-			}
-		}
+		target := c.roomFor(es, pi)
 		if target < 0 {
 			extended, err := tb.makeRoom(c, es)
 			if err != nil {
@@ -447,13 +442,15 @@ func (tb *Table) Update(tx *txn.Txn, key, val []byte) error {
 			grew = grew || extended
 			continue
 		}
+		// The purge splices old's bytes away: build the reinsert first.
+		reinsert := encodeReinsert(key, old, false)
 		st := tb.pager.BeginSystem()
-		if err := logApply(st, c.handles[pi], encodePurge(key, old, false)); err != nil {
+		if err := ops.LogApply(st, c.handles[pi], encodePurge(key, old, false)); err != nil {
 			c.release()
 			_ = st.Abort()
 			return err
 		}
-		err = logApply(st, c.handles[target], encodeReinsert(key, old, false))
+		err = ops.LogApply(st, c.handles[target], reinsert)
 		c.release()
 		if err != nil {
 			_ = st.Abort()
@@ -475,12 +472,16 @@ func (tb *Table) Delete(tx *txn.Txn, key []byte) error {
 	if err != nil {
 		return err
 	}
-	pi, ei := c.find(key)
-	if pi < 0 || c.nodes[pi].entries[ei].ghost {
+	pi, _, ghost, err := c.find(key)
+	if err != nil {
+		c.release()
+		return err
+	}
+	if pi < 0 || ghost {
 		c.release()
 		return fmt.Errorf("%w: %q", ErrKeyNotFound, key)
 	}
-	err = logApply(tx, c.handles[pi], encodeGhost(tb.dir, key, true, false))
+	err = ops.LogApply(tx, c.handles[pi], encodeGhost(tb.dir, key, true, false))
 	c.release()
 	return err
 }
@@ -491,35 +492,23 @@ func (tb *Table) Delete(tx *txn.Txn, key []byte) error {
 // transaction commits); the caller re-descends. Reports whether the chain
 // was extended — the split trigger.
 func (tb *Table) makeRoom(c *chainRef, need int) (bool, error) {
-	var ghostPages []int
-	for i, n := range c.nodes {
-		for _, e := range n.entries {
-			if e.ghost {
-				ghostPages = append(ghostPages, i)
-				break
+	var st *txn.Txn
+	sys := func() *txn.Txn {
+		if st == nil {
+			st = tb.pager.BeginSystem()
+		}
+		return st
+	}
+	for _, h := range c.handles {
+		if err := ops.PurgeGhosts(h, opHashPurge, sys); err != nil {
+			c.release()
+			if st != nil {
+				_ = st.Abort()
 			}
+			return false, err
 		}
 	}
-	if len(ghostPages) > 0 {
-		st := tb.pager.BeginSystem()
-		for _, i := range ghostPages {
-			var ghosts []entry
-			for _, e := range c.nodes[i].entries {
-				if e.ghost {
-					ghosts = append(ghosts, entry{
-						key: append([]byte(nil), e.key...),
-						val: append([]byte(nil), e.val...),
-					})
-				}
-			}
-			for _, g := range ghosts {
-				if err := logApply(st, c.handles[i], encodePurge(g.key, g.val, true)); err != nil {
-					c.release()
-					_ = st.Abort()
-					return false, err
-				}
-			}
-		}
+	if st != nil {
 		c.release()
 		return false, st.Commit()
 	}
@@ -529,14 +518,9 @@ func (tb *Table) makeRoom(c *chainRef, need int) (bool, error) {
 	// aborted user insert then merely leaves an empty page behind.
 	last := len(c.nodes) - 1
 	tail := c.nodes[last]
-	fresh := &bucketNode{
-		bucketNum:  tail.bucketNum,
-		levelStamp: tail.levelStamp,
-		dir:        c.dv.id,
-		chainPos:   tail.chainPos + 1,
-	}
-	st := tb.pager.BeginSystem()
-	nh, err := tb.pager.AllocateNode(st, page.TypeHash, fresh.encode())
+	st = tb.pager.BeginSystem()
+	nh, err := tb.pager.AllocateNode(st, page.TypeHash, page.NewRecords(page.KindBucket,
+		bucketExt(tail.bucketNum, tail.levelStamp, c.dv.id, page.InvalidID, tail.chainPos+1)))
 	if err != nil {
 		c.release()
 		_ = st.Abort()
@@ -544,10 +528,11 @@ func (tb *Table) makeRoom(c *chainRef, need int) (bool, error) {
 	}
 	newID := nh.ID()
 	nh.Release()
-	linked := *tail
-	linked.next = newID
-	oldPayload := append([]byte(nil), c.handles[last].Page().Payload()...)
-	err = logApply(st, c.handles[last], encodePageSet(linked.encode(), oldPayload))
+	// The tail's new image differs only in its next stamp.
+	oldPayload := c.handles[last].Page().Payload()
+	linked := append([]byte(nil), oldPayload...)
+	copy(linked[page.LayoutHeaderSize:], bucketExt(tail.bucketNum, tail.levelStamp, tail.dir, newID, tail.chainPos))
+	err = ops.LogApply(st, c.handles[last], encodePageSet(linked, oldPayload))
 	c.release()
 	if err != nil {
 		_ = st.Abort()
@@ -588,13 +573,15 @@ func (tb *Table) compensate(t *txn.Txn, key []byte, undoNext page.LSN,
 		return err
 	}
 	defer c.release()
-	pi, ei := c.find(key)
+	pi, curVal, ghost, err := c.find(key)
+	if err != nil {
+		return err
+	}
 	if pi < 0 {
 		return fmt.Errorf("hashindex: compensation target %q vanished: %w", key, ErrKeyNotFound)
 	}
-	e := c.nodes[pi].entries[ei]
-	op := makeOp(append([]byte(nil), e.val...), e.ghost)
-	return logApplyCLR(t, c.handles[pi], op, undoNext)
+	// curVal aliases the page; the op encoder copies it before it applies.
+	return ops.LogApplyCLR(t, c.handles[pi], makeOp(curVal, ghost), undoNext)
 }
 
 // Scan visits all live entries with start <= key < end (nil end =
@@ -608,13 +595,13 @@ func (tb *Table) Scan(start, end []byte, fn func(key, val []byte) bool) error {
 		if err != nil {
 			return err
 		}
-		if b >= len(d.buckets) {
+		if b >= d.Len() {
 			dh.RUnlock()
 			dh.Release()
 			return nil
 		}
 		dv := dirView{id: dh.ID(), level: d.level, next: d.next}
-		h, err := tb.pager.Fetch(d.buckets[b])
+		h, err := tb.pager.Fetch(d.At(b))
 		if err != nil {
 			dh.RUnlock()
 			dh.Release()
@@ -625,27 +612,17 @@ func (tb *Table) Scan(start, end []byte, fn func(key, val []byte) bool) error {
 		dh.Release()
 
 		var ents []entry
-		for pos := uint32(0); ; pos++ {
-			n, err := checkedBucket(h, b, pos, dv)
+		for pos, via := uint32(0), dv.id; ; pos++ {
+			n, err := checkedBucket(h, via, b, pos, dv)
 			if err != nil {
 				h.RUnlock()
 				h.Release()
 				return err
 			}
-			for _, e := range n.entries {
-				if e.ghost {
-					continue
-				}
-				if len(start) > 0 && bytes.Compare(e.key, start) < 0 {
-					continue
-				}
-				if end != nil && bytes.Compare(e.key, end) >= 0 {
-					continue
-				}
-				ents = append(ents, entry{
-					key: append([]byte(nil), e.key...),
-					val: append([]byte(nil), e.val...),
-				})
+			if err := collectEntries(&n, start, end, false, &ents); err != nil {
+				h.RUnlock()
+				h.Release()
+				return err
 			}
 			nextID := n.next
 			if nextID == page.InvalidID {
@@ -662,7 +639,7 @@ func (tb *Table) Scan(start, end []byte, fn func(key, val []byte) bool) error {
 			nh.RLock()
 			h.RUnlock()
 			h.Release()
-			h = nh
+			via, h = h.ID(), nh
 		}
 		sort.Slice(ents, func(i, j int) bool { return bytes.Compare(ents[i].key, ents[j].key) < 0 })
 		for _, e := range ents {
@@ -697,30 +674,27 @@ func (tb *Table) splitOnce() error {
 	if !dh.TryLock() {
 		return nil
 	}
-	d, err := decodeDirectory(dh.Page().Payload())
+	d, err := parseDirectory(dh.Page().Payload())
 	if err != nil {
 		dh.Unlock()
 		return err
 	}
 	// Directory growth bound: once the grown table no longer fits the
 	// directory page, chains absorb all further growth.
-	if len(d.encode())+8 > dh.Page().Capacity() {
+	if len(dh.Page().Payload())+8 > dh.Page().Capacity() || d.Len() == page.MaxIDArrayLen {
 		dh.Unlock()
 		return nil
 	}
+	// parseDirectory established that slot 2^level + next is the next free.
 	oldB := int(d.next)
-	newB := int(uint64(1)<<d.level) + oldB
-	if newB != len(d.buckets) {
-		dh.Unlock()
-		return fmt.Errorf("hashindex: directory slot count %d, expected %d", len(d.buckets), newB)
-	}
+	newB := d.Len()
 	dv := dirView{id: dh.ID(), level: d.level, next: d.next}
 	newStamp := d.level + 1
 
 	// Latch the split bucket's whole chain in position order under the
 	// directory latch.
 	c := &chainRef{bucket: oldB, dv: dv}
-	h, err := tb.pager.Fetch(d.buckets[oldB])
+	h, err := tb.pager.Fetch(d.At(oldB))
 	if err != nil {
 		dh.Unlock()
 		return err
@@ -731,8 +705,8 @@ func (tb *Table) splitOnce() error {
 		dh.Unlock()
 		return err
 	}
-	for pos := uint32(0); ; pos++ {
-		n, err := checkedBucket(h, oldB, pos, dv)
+	for pos, via := uint32(0), dv.id; ; pos++ {
+		n, err := checkedBucket(h, via, oldB, pos, dv)
 		if err != nil {
 			h.Unlock()
 			h.Release()
@@ -748,29 +722,27 @@ func (tb *Table) splitOnce() error {
 			return fail(err)
 		}
 		nh.Lock()
-		h = nh
+		via, h = h.ID(), nh
 	}
 
 	// Partition every entry (ghosts included) under the next round's
 	// hash: bit L decides stay vs move.
-	var stay, move []entry
+	var all, stay, move []entry
+	for i := range c.nodes {
+		if err := collectEntries(&c.nodes[i], nil, nil, true, &all); err != nil {
+			return fail(err)
+		}
+	}
 	mask := uint64(1)<<(d.level+1) - 1
-	for _, n := range c.nodes {
-		for _, e := range n.entries {
-			cp := entry{
-				key:   append([]byte(nil), e.key...),
-				val:   append([]byte(nil), e.val...),
-				ghost: e.ghost,
-			}
-			switch int(hashKey(e.key) & mask) {
-			case oldB:
-				stay = append(stay, cp)
-			case newB:
-				move = append(move, cp)
-			default:
-				return fail(&CorruptionError{Page: c.handles[0].ID(), Detail: fmt.Sprintf(
-					"entry %q does not hash to bucket %d", e.key, oldB)})
-			}
+	for _, e := range all {
+		switch int(hashKey(e.key) & mask) {
+		case oldB:
+			stay = append(stay, e)
+		case newB:
+			move = append(move, e)
+		default:
+			return fail(&CorruptionError{Page: c.handles[0].ID(), Detail: fmt.Sprintf(
+				"entry %q does not hash to bucket %d", e.key, oldB)})
 		}
 	}
 	capacity := c.handles[0].Page().Capacity()
@@ -791,7 +763,7 @@ func (tb *Table) splitOnce() error {
 	}
 	// The new bucket's chain, allocated tail-first so each page's next
 	// pointer is known at format time.
-	newChain, err := tb.allocChain(st, movePages, uint32(newB), newStamp, dv.id)
+	newChain, err := tb.allocChain(st, capacity, movePages, uint32(newB), newStamp, dv.id)
 	if err != nil {
 		return abort(err)
 	}
@@ -800,7 +772,7 @@ func (tb *Table) splitOnce() error {
 	// across chain pages, so repacking can shift the split).
 	var extraFirst page.ID
 	if len(stayPages) > len(c.nodes) {
-		extra, err := tb.allocChainAt(st, stayPages[len(c.nodes):], uint32(oldB), newStamp,
+		extra, err := tb.allocChainAt(st, capacity, stayPages[len(c.nodes):], uint32(oldB), newStamp,
 			dv.id, uint32(len(c.nodes)))
 		if err != nil {
 			return abort(err)
@@ -816,32 +788,22 @@ func (tb *Table) splitOnce() error {
 		} else if extraFirst != page.InvalidID {
 			next = extraFirst
 		}
-		nn := &bucketNode{
-			bucketNum:  uint32(oldB),
-			levelStamp: newStamp,
-			dir:        dv.id,
-			next:       next,
-			chainPos:   uint32(i),
-			entries:    stayPages[i],
+		nn, err := bucketPayload(capacity, bucketExt(uint32(oldB), newStamp, dv.id, next, uint32(i)), stayPages[i])
+		if err != nil {
+			return abort(err)
 		}
-		oldPayload := append([]byte(nil), c.handles[i].Page().Payload()...)
-		if err := logApply(st, c.handles[i], encodePageSet(nn.encode(), oldPayload)); err != nil {
+		if err := ops.LogApply(st, c.handles[i], encodePageSet(nn, c.handles[i].Page().Payload())); err != nil {
 			return abort(err)
 		}
 	}
 	// Advance the directory: install the new bucket and move the round
 	// pointer (rolling the level over when the round completes).
-	nd := &directory{
-		level:   d.level,
-		next:    d.next + 1,
-		buckets: append(append([]page.ID(nil), d.buckets...), newChain),
+	level, next := d.level, d.next+1
+	if uint64(next) == uint64(1)<<level {
+		level, next = level+1, 0
 	}
-	if uint64(nd.next) == uint64(1)<<nd.level {
-		nd.level++
-		nd.next = 0
-	}
-	oldDir := append([]byte(nil), dh.Page().Payload()...)
-	if err := logApply(st, dh, encodePageSet(nd.encode(), oldDir)); err != nil {
+	nd := newDirectoryPayload(level, next, append(d.buckets(), newChain))
+	if err := ops.LogApply(st, dh, encodePageSet(nd, dh.Page().Payload())); err != nil {
 		return abort(err)
 	}
 	c.release()
@@ -853,6 +815,31 @@ func (tb *Table) splitOnce() error {
 	return nil
 }
 
+// entry is one key/value pair copied out of a bucket page: what a split
+// redistributes and what Scan hands to its callback after the latches drop.
+type entry struct {
+	key, val []byte
+	ghost    bool
+}
+
+// collectEntries appends copies of n's entries with start <= key < end (nil
+// end = unbounded) to out, ghosts included only on request.
+func collectEntries(n *bucket, start, end []byte, ghosts bool, out *[]entry) error {
+	i, _, err := n.Find(start)
+	for ; err == nil && i < n.Count(); i++ {
+		var k, v []byte
+		var ghost bool
+		k, v, ghost, err = n.Record(i)
+		if err != nil || (end != nil && bytes.Compare(k, end) >= 0) {
+			break
+		}
+		if !ghost || ghosts {
+			*out = append(*out, entry{key: append([]byte(nil), k...), val: append([]byte(nil), v...), ghost: ghost})
+		}
+	}
+	return err
+}
+
 // packEntries distributes entries (sorted by key) greedily into page-sized
 // groups. Every entry is bounded by maxEntrySize, so each group holds at
 // least a few entries and packing always terminates.
@@ -860,12 +847,12 @@ func packEntries(ents []entry, capacity int) [][]entry {
 	sort.Slice(ents, func(i, j int) bool { return bytes.Compare(ents[i].key, ents[j].key) < 0 })
 	var pages [][]entry
 	var cur []entry
-	size := bucketHeaderSize
+	size := emptyBucketSize
 	for _, e := range ents {
-		es := entrySize(e.key, e.val)
+		es := page.RecordSize(len(e.key), len(e.val))
 		if size+es > capacity && len(cur) > 0 {
 			pages = append(pages, cur)
-			cur, size = nil, bucketHeaderSize
+			cur, size = nil, emptyBucketSize
 		}
 		cur = append(cur, e)
 		size += es
@@ -876,30 +863,41 @@ func packEntries(ents []entry, capacity int) [][]entry {
 	return pages
 }
 
+// bucketPayload builds a bucket page payload holding ents (sorted by key)
+// on a scratch page of the given capacity.
+func bucketPayload(capacity int, ext []byte, ents []entry) ([]byte, error) {
+	pg := page.New(page.InvalidID, page.TypeHash, capacity+page.HeaderSize)
+	if err := pg.SetPayload(page.NewRecords(page.KindBucket, ext)); err != nil {
+		return nil, err
+	}
+	for i, e := range ents {
+		if err := pg.InsertRecord(i, e.key, e.val, e.ghost); err != nil {
+			return nil, err
+		}
+	}
+	return pg.Payload(), nil
+}
+
 // allocChain allocates a complete bucket chain for pageEnts (tail first so
 // links are known at format time) and returns the primary page ID. An
 // empty pageEnts still yields one empty primary page.
-func (tb *Table) allocChain(st *txn.Txn, pageEnts [][]entry, bucketNum, stamp uint32, dir page.ID) (page.ID, error) {
+func (tb *Table) allocChain(st *txn.Txn, capacity int, pageEnts [][]entry, bucketNum, stamp uint32, dir page.ID) (page.ID, error) {
 	if len(pageEnts) == 0 {
 		pageEnts = [][]entry{nil}
 	}
-	return tb.allocChainAt(st, pageEnts, bucketNum, stamp, dir, 0)
+	return tb.allocChainAt(st, capacity, pageEnts, bucketNum, stamp, dir, 0)
 }
 
 // allocChainAt is allocChain starting at chain position basePos.
-func (tb *Table) allocChainAt(st *txn.Txn, pageEnts [][]entry, bucketNum, stamp uint32,
+func (tb *Table) allocChainAt(st *txn.Txn, capacity int, pageEnts [][]entry, bucketNum, stamp uint32,
 	dir page.ID, basePos uint32) (page.ID, error) {
 	next := page.InvalidID
 	for i := len(pageEnts) - 1; i >= 0; i-- {
-		n := &bucketNode{
-			bucketNum:  bucketNum,
-			levelStamp: stamp,
-			dir:        dir,
-			next:       next,
-			chainPos:   basePos + uint32(i),
-			entries:    pageEnts[i],
+		payload, err := bucketPayload(capacity, bucketExt(bucketNum, stamp, dir, next, basePos+uint32(i)), pageEnts[i])
+		if err != nil {
+			return page.InvalidID, err
 		}
-		h, err := tb.pager.AllocateNode(st, page.TypeHash, n.encode())
+		h, err := tb.pager.AllocateNode(st, page.TypeHash, payload)
 		if err != nil {
 			return page.InvalidID, err
 		}

@@ -47,43 +47,47 @@ func (tb *Table) VerifyAll() ([]Violation, error) {
 		return nil, err
 	}
 	dv := dirView{id: dh.ID(), level: d.level, next: d.next}
+	// fetchDir's parse already established that the slot count matches the
+	// round state; the table is copied out because the walk outlives the
+	// directory latch.
+	buckets := d.buckets()
 	dh.RUnlock()
 	dh.Release()
-	want := (uint64(1) << d.level) + uint64(d.next)
-	if uint64(len(d.buckets)) != want {
-		viols = append(viols, Violation{tb.dir, fmt.Sprintf(
-			"directory holds %d buckets, round state (level %d, next %d) demands %d",
-			len(d.buckets), d.level, d.next, want)})
-		return viols, nil
-	}
-	for b, pid := range d.buckets {
+	for b, pid := range buckets {
 		keys := make(map[string]bool)
 		id := pid
-		for pos := uint32(0); id != page.InvalidID; pos++ {
+		for pos, via := uint32(0), dv.id; id != page.InvalidID; pos++ {
 			h, err := tb.pager.Fetch(id)
 			if err != nil {
 				return viols, fmt.Errorf("hashindex: verify fetch of page %d: %w", id, err)
 			}
 			h.RLock()
-			n, err := checkedBucket(h, b, pos, dv)
+			// The whole-page structural validation (offsets, entry shape,
+			// key order) first, then the cross-checks every descent runs.
+			var n bucket
+			err = h.Page().Check()
+			if err == nil {
+				n, err = checkedBucket(h, via, b, pos, dv)
+			}
 			if err != nil {
 				viols = append(viols, Violation{id, err.Error()})
 				h.RUnlock()
 				h.Release()
 				break
 			}
-			for _, e := range n.entries {
-				if got := d.bucketOf(hashKey(e.key)); got != b {
+			for i := 0; i < n.Count(); i++ {
+				k, _, _, _ := n.Record(i) // Check passed: cannot fail
+				if got := d.bucketOf(hashKey(k)); got != b {
 					viols = append(viols, Violation{id, fmt.Sprintf(
-						"entry %q hashes to bucket %d but lives in bucket %d", e.key, got, b)})
+						"entry %q hashes to bucket %d but lives in bucket %d", k, got, b)})
 				}
-				if keys[string(e.key)] {
+				if keys[string(k)] {
 					viols = append(viols, Violation{id, fmt.Sprintf(
-						"key %q appears more than once in bucket %d", e.key, b)})
+						"key %q appears more than once in bucket %d", k, b)})
 				}
-				keys[string(e.key)] = true
+				keys[string(k)] = true
 			}
-			id = n.next
+			via, id = id, n.next
 			h.RUnlock()
 			h.Release()
 		}
@@ -100,12 +104,13 @@ func (tb *Table) WalkStats() (Stats, error) {
 	if err != nil {
 		return st, err
 	}
+	buckets := d.buckets()
 	dh.RUnlock()
 	dh.Release()
-	st.Buckets = len(d.buckets)
+	st.Buckets = len(buckets)
 	st.Level = int(d.level)
 	st.NextSplit = int(d.next)
-	for _, pid := range d.buckets {
+	for _, pid := range buckets {
 		chain := 0
 		id := pid
 		for id != page.InvalidID {
@@ -114,7 +119,15 @@ func (tb *Table) WalkStats() (Stats, error) {
 				return st, err
 			}
 			h.RLock()
-			n, err := decodeBucket(h.Page().Payload())
+			n, err := parseBucket(h.Page().Payload())
+			for i := 0; err == nil && i < n.Count(); i++ {
+				var ghost bool
+				if _, _, ghost, err = n.Record(i); ghost {
+					st.Ghosts++
+				} else {
+					st.Entries++
+				}
+			}
 			if err != nil {
 				h.RUnlock()
 				h.Release()
@@ -122,13 +135,6 @@ func (tb *Table) WalkStats() (Stats, error) {
 			}
 			st.Pages++
 			chain++
-			for _, e := range n.entries {
-				if e.ghost {
-					st.Ghosts++
-				} else {
-					st.Entries++
-				}
-			}
 			id = n.next
 			h.RUnlock()
 			h.Release()

@@ -39,7 +39,7 @@ const MinSize = 512
 const HeaderSize = 32
 
 // magic marks a formatted page; it doubles as a format-version field.
-const magic uint32 = 0x53504601 // "SPF" + version 1
+const magic uint32 = 0x53504602 // "SPF" + version 2 (in-place structured payloads, records.go)
 
 // Type identifies what storage structure owns a page.
 type Type uint16

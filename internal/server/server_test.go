@@ -503,7 +503,7 @@ func TestGracefulShutdown(t *testing.T) {
 // socket: fail the device, RecoverMedia, and serve reads (and a write)
 // through the wire while the background restore backlog is still draining.
 func TestServeDuringRestoreDrain(t *testing.T) {
-	const keys = 2000
+	const keys = 12000
 	db := newTestDB(t, spf.Options{
 		PageSize:   1024,
 		DataSlots:  1 << 15,
@@ -528,15 +528,20 @@ func TestServeDuringRestoreDrain(t *testing.T) {
 	if _, err := db.BackupDatabase(); err != nil {
 		t.Fatal(err)
 	}
-	// A post-backup update round gives every page a chain to replay.
-	tx = db.Begin()
-	for i := 0; i < keys; i++ {
-		if err := ix.Update(tx, key(i), val(i+keys)); err != nil {
+	// Post-backup update rounds give every page a chain to replay — several
+	// rounds deep, so the single restore worker cannot drain the backlog in
+	// the instant between RecoverMedia returning and the first wire read.
+	// The last round leaves val(i+keys).
+	for round := 3; round >= 1; round-- {
+		tx = db.Begin()
+		for i := 0; i < keys; i++ {
+			if err := ix.Update(tx, key(i), val(i+round*keys)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Commit(tx); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := db.Commit(tx); err != nil {
-		t.Fatal(err)
 	}
 
 	db.FailDevice()

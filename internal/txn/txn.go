@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/page"
 	"repro/internal/wal"
@@ -108,11 +109,14 @@ func (m *Manager) Stats() Stats {
 // multiple goroutines (as in real engines, a transaction is a thread of
 // control); the manager itself is.
 type Txn struct {
-	mgr     *Manager
-	id      wal.TxnID
-	system  bool
-	state   State
-	lastLSN page.LSN
+	mgr    *Manager
+	id     wal.TxnID
+	system bool
+	state  State
+	// lastLSN is the head of the per-transaction chain. The owning
+	// goroutine writes it on every record it logs while a concurrent
+	// checkpoint reads it through Manager.Active, hence atomic.
+	lastLSN atomic.Uint64
 	// epoch is the log's crash epoch at Begin: if a simulated crash
 	// intervenes before the commit force completes, records of this
 	// transaction may have vanished from the volatile tail, and Commit
@@ -166,7 +170,7 @@ func (t *Txn) State() State { return t.state }
 
 // LastLSN returns the most recent log record of this transaction (the head
 // of its per-transaction chain).
-func (t *Txn) LastLSN() page.LSN { return t.lastLSN }
+func (t *Txn) LastLSN() page.LSN { return page.LSN(t.lastLSN.Load()) }
 
 // Log appends a record on behalf of the transaction, linking it into the
 // per-transaction chain. The caller fills PageID, PagePrevLSN, Type, and
@@ -176,12 +180,12 @@ func (t *Txn) Log(rec *wal.Record) (page.LSN, error) {
 		return 0, fmt.Errorf("%w: %v", ErrNotActive, t.state)
 	}
 	rec.Txn = t.id
-	rec.PrevLSN = t.lastLSN
+	rec.PrevLSN = t.LastLSN()
 	lsn, err := t.mgr.log.AppendSince(rec, t.epoch)
 	if err != nil {
 		return 0, fmt.Errorf("txn %d: %w", t.id, err)
 	}
-	t.lastLSN = lsn
+	t.lastLSN.Store(uint64(lsn))
 	if rec.Type == wal.TypeUpdate {
 		t.mgr.mu.Lock()
 		t.mgr.stats.UpdatesLogged++
@@ -216,12 +220,12 @@ func (t *Txn) LogCLR(pageID page.ID, pagePrevLSN page.LSN, payload []byte, undoN
 		Payload:     payload,
 	}
 	rec.Txn = t.id
-	rec.PrevLSN = t.lastLSN
+	rec.PrevLSN = t.LastLSN()
 	lsn, err := t.mgr.log.AppendSince(rec, t.epoch)
 	if err != nil {
 		return 0, fmt.Errorf("txn %d: %w", t.id, err)
 	}
-	t.lastLSN = lsn
+	t.lastLSN.Store(uint64(lsn))
 	t.mgr.mu.Lock()
 	t.mgr.stats.CLRsLogged++
 	t.mgr.mu.Unlock()
@@ -240,12 +244,12 @@ func (t *Txn) Commit() error {
 	if t.system {
 		typ = wal.TypeSysCommit
 	}
-	rec := &wal.Record{Type: typ, Txn: t.id, PrevLSN: t.lastLSN}
+	rec := &wal.Record{Type: typ, Txn: t.id, PrevLSN: t.LastLSN()}
 	lsn, err := t.mgr.log.AppendSince(rec, t.epoch)
 	if err != nil {
 		return fmt.Errorf("txn %d commit not durable: %w", t.id, err)
 	}
-	t.lastLSN = lsn
+	t.lastLSN.Store(uint64(lsn))
 	if !t.system {
 		// The force coalesces with concurrent commits when the log runs
 		// group commit. A crash that leaves the commit unprovable
@@ -282,12 +286,12 @@ func (t *Txn) Abort() error {
 	if err := t.rollbackTo(page.ZeroLSN); err != nil {
 		return err
 	}
-	rec := &wal.Record{Type: wal.TypeAbort, Txn: t.id, PrevLSN: t.lastLSN}
+	rec := &wal.Record{Type: wal.TypeAbort, Txn: t.id, PrevLSN: t.LastLSN()}
 	lsn, err := t.mgr.log.AppendSince(rec, t.epoch)
 	if err != nil {
 		return fmt.Errorf("txn %d abort: %w", t.id, err)
 	}
-	t.lastLSN = lsn
+	t.lastLSN.Store(uint64(lsn))
 	t.state = Aborted
 	t.mgr.mu.Lock()
 	delete(t.mgr.active, t.id)
@@ -306,7 +310,7 @@ func (t *Txn) rollbackTo(stopAt page.LSN) error {
 	t.mgr.mu.Lock()
 	undoer := t.mgr.undoer
 	t.mgr.mu.Unlock()
-	lsn := t.lastLSN
+	lsn := t.LastLSN()
 	for lsn != page.ZeroLSN && lsn > stopAt {
 		rec, err := t.mgr.log.Read(lsn)
 		if err != nil {
@@ -348,7 +352,7 @@ func (m *Manager) Active() []ActiveEntry {
 	defer m.mu.Unlock()
 	out := make([]ActiveEntry, 0, len(m.active))
 	for _, t := range m.active {
-		out = append(out, ActiveEntry{ID: t.id, LastLSN: t.lastLSN, System: t.system})
+		out = append(out, ActiveEntry{ID: t.id, LastLSN: t.LastLSN(), System: t.system})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -360,7 +364,8 @@ func (m *Manager) Active() []ActiveEntry {
 func (m *Manager) AdoptLoser(id wal.TxnID, lastLSN page.LSN) *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := &Txn{mgr: m, id: id, system: IsSystemID(id), state: Active, lastLSN: lastLSN, epoch: m.log.Epoch()}
+	t := &Txn{mgr: m, id: id, system: IsSystemID(id), state: Active, epoch: m.log.Epoch()}
+	t.lastLSN.Store(uint64(lastLSN))
 	m.active[id] = t
 	if id&^systemBit >= m.nextID {
 		m.nextID = (id &^ systemBit) + 1

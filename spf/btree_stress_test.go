@@ -2,7 +2,6 @@ package spf
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -162,20 +161,16 @@ func TestConcurrentTreeOpsWithInjectedPageFaults(t *testing.T) {
 					continue // an earlier injection being repaired right now
 				}
 				h.RLock()
-				typ := h.Page().Type()
-				payload := h.Page().Payload()
-				var level uint16
-				if typ == page.TypeBTree && len(payload) >= 2 {
-					level = binary.LittleEndian.Uint16(payload)
+				role := ""
+				if h.Page().Type() == page.TypeBTree {
+					role, _ = btree.PageRole(h.Page().Payload())
 				}
 				h.RUnlock()
 				h.Release()
-				if typ != page.TypeBTree {
-					continue
-				}
-				if level == 0 {
+				switch role {
+				case "leaf":
 					leaves = append(leaves, id)
-				} else {
+				case "branch":
 					interior = append(interior, id)
 				}
 			}

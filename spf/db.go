@@ -113,6 +113,11 @@ type DB struct {
 	redoMarked atomic.Int64
 	redoFast   atomic.Int64
 	redoFull   atomic.Int64
+
+	// suspects are pages a descent's cross-page check implicated although
+	// their images are sound in isolation; validatePage refuses them so the
+	// repair that healDetected requests rebuilds them from backup and log.
+	suspects sync.Map // page.ID -> struct{}
 }
 
 // RestartRedoStats counts on-demand restart-redo activity on this DB.
@@ -375,10 +380,8 @@ func (db *DB) hooks() buffer.Hooks {
 			}
 		},
 	}
-	if !db.opts.DisablePageLSNCheck && !db.opts.DisableSinglePageRecovery {
-		h.Validate = db.validatePage
-	}
 	if !db.opts.DisableSinglePageRecovery {
+		h.Validate = db.validatePage
 		h.Recover = db.recoverPage
 		if !db.opts.Restore.Disabled {
 			h.RepairPage = db.repairPageUrgent
@@ -402,14 +405,28 @@ func (db *DB) repairPageUrgent(id page.ID) error {
 	return sched.Enqueue(id, restore.Urgent).Wait()
 }
 
-// validatePage is the PageLSN cross-check of §5.2.2: a page read from the
-// database must carry at least the LSN the page recovery index recorded at
-// its last completed write. An OLDER page is a lost write — the only
-// failure mode checksums cannot catch. A NEWER page is not a page failure
-// at all: it means the PRI update was lost in a crash (the page write
-// completed, its log record did not), exactly the condition restart redo
-// repairs per Fig. 12.
+// validatePage is the engine's half of the read path's plausibility tests
+// (Fig. 8), run on every image the pool loads after the page layer's own
+// (checksum, header, structured-payload Check); a failure sends the page
+// through single-page recovery like any other. Three tests:
+//
+//   - The owning engine's header checks — layout kind, extension shape,
+//     flag/pointer agreement, directory round state — so damage they can
+//     see is repaired at the door instead of surfacing from a descent.
+//   - Suspicion: a descent's cross-page check (fence vs separator, stamp vs
+//     directory slot) failed on this page although its image is sound in
+//     isolation, so the image is refused and rebuilt (see healDetected).
+//   - The PageLSN cross-check of §5.2.2: a page read from the database must
+//     carry at least the LSN the page recovery index recorded at its last
+//     completed write. An OLDER page is a lost write — the only failure
+//     mode checksums cannot catch. A NEWER page is not a page failure at
+//     all: it means the PRI update was lost in a crash (the page write
+//     completed, its log record did not), exactly the condition restart
+//     redo repairs per Fig. 12.
 func (db *DB) validatePage(pg *page.Page) error {
+	if err := db.plausibleImage(pg); err != nil || db.opts.DisablePageLSNCheck {
+		return err
+	}
 	entry, err := db.pri.Get(pg.ID())
 	if err != nil {
 		return nil // no expectation recorded
@@ -419,6 +436,66 @@ func (db *DB) validatePage(pg *page.Page) error {
 			pg.LSN(), entry.LastLSN)
 	}
 	return nil
+}
+
+// plausibleImage is validatePage's first two tests — everything but the
+// PageLSN expectation — which restart redo also applies to the on-disk
+// image it replays onto (that image is expected to be stale).
+func (db *DB) plausibleImage(pg *page.Page) error {
+	var err error
+	switch pg.Type() {
+	case page.TypeBTree:
+		_, err = btree.PageRole(pg.Payload())
+	case page.TypeHash:
+		_, err = hashindex.PageRole(pg.Payload())
+	}
+	if err != nil {
+		return err
+	}
+	if _, suspect := db.suspects.Load(pg.ID()); suspect {
+		return fmt.Errorf("page %d failed a descent's cross-page check", pg.ID())
+	}
+	return nil
+}
+
+// healDetected responds to a descent reporting ErrDetected: a cross-page
+// check failed although both pages passed every in-page test, so only the
+// pair is implicated — the page that failed to carry what was predicted,
+// and the predecessor that predicted it. Both are marked suspect and sent
+// through single-page recovery (urgent: a foreground operation is
+// waiting), which rebuilds each from its backup and log chain; rebuilding
+// the healthy one of the two is merely redundant. Reports whether the
+// caller should run its operation again.
+func (db *DB) healDetected(err error) bool {
+	if !errors.Is(err, ErrDetected) || db.opts.DisableSinglePageRecovery {
+		return false
+	}
+	var pair [2]page.ID
+	var be *btree.CorruptionError
+	var he *hashindex.CorruptionError
+	switch {
+	case errors.As(err, &be):
+		pair = [2]page.ID{be.Page, be.Via}
+	case errors.As(err, &he):
+		pair = [2]page.ID{he.Page, he.Via}
+	}
+	for _, id := range pair {
+		if id == page.InvalidID {
+			continue
+		}
+		db.suspects.Store(id, struct{}{})
+		var rerr error
+		if sched := db.sched; sched != nil {
+			rerr = sched.Enqueue(id, restore.Urgent).Wait()
+		} else {
+			rerr = db.repairLatent(id)
+		}
+		db.suspects.Delete(id)
+		if rerr != nil {
+			return false
+		}
+	}
+	return pair[0] != page.InvalidID
 }
 
 // recoverPage adapts the single-page recoverer to the buffer pool hook.
@@ -462,6 +539,12 @@ func (db *DB) redoFromImage(id page.ID, head page.LSN) (*page.Page, error) {
 		return nil, err
 	}
 	pg, err := page.DecodeFor(id, buf)
+	if err == nil {
+		err = pg.Check()
+	}
+	if err == nil {
+		err = db.plausibleImage(pg)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -814,13 +897,35 @@ type Index struct {
 func (ix *Index) Kind() IndexKind { return ix.eng.Kind() }
 
 // Insert adds key=val under t.
-func (ix *Index) Insert(t *Txn, key, val []byte) error { return ix.eng.Insert(t, key, val) }
+//
+// Like every operation below, a descent that reports ErrDetected has the
+// implicated pages repaired online and runs once more (healDetected); the
+// failed descent logged nothing, so the retry is exact.
+func (ix *Index) Insert(t *Txn, key, val []byte) error {
+	err := ix.eng.Insert(t, key, val)
+	if err != nil && ix.db.healDetected(err) {
+		err = ix.eng.Insert(t, key, val)
+	}
+	return err
+}
 
 // Update replaces the value of key under t.
-func (ix *Index) Update(t *Txn, key, val []byte) error { return ix.eng.Update(t, key, val) }
+func (ix *Index) Update(t *Txn, key, val []byte) error {
+	err := ix.eng.Update(t, key, val)
+	if err != nil && ix.db.healDetected(err) {
+		err = ix.eng.Update(t, key, val)
+	}
+	return err
+}
 
 // Delete removes key under t (logically, via a ghost record).
-func (ix *Index) Delete(t *Txn, key []byte) error { return ix.eng.Delete(t, key) }
+func (ix *Index) Delete(t *Txn, key []byte) error {
+	err := ix.eng.Delete(t, key)
+	if err != nil && ix.db.healDetected(err) {
+		err = ix.eng.Delete(t, key)
+	}
+	return err
+}
 
 // Get returns the value for key (ErrNotFound when absent).
 func (ix *Index) Get(key []byte) ([]byte, error) { return ix.GetTo(nil, key) }
@@ -828,12 +933,26 @@ func (ix *Index) Get(key []byte) ([]byte, error) { return ix.GetTo(nil, key) }
 // GetTo is Get appending the value to dst and returning the extended
 // slice, so a caller reusing its buffer across lookups (the server's hot
 // read path) pays zero allocations on a resident hit. dst may be nil.
-func (ix *Index) GetTo(dst, key []byte) ([]byte, error) { return ix.eng.GetTo(dst, key) }
+func (ix *Index) GetTo(dst, key []byte) ([]byte, error) {
+	out, err := ix.eng.GetTo(dst, key)
+	if err != nil && ix.db.healDetected(err) {
+		out, err = ix.eng.GetTo(dst, key)
+	}
+	return out, err
+}
 
 // Scan visits live entries in [start, end). B-tree indexes emit key
 // order; hash indexes emit bucket order (sorted within each bucket).
+//
+// A scan that reports ErrDetected has the implicated pages repaired too,
+// but is not resumed — fn has already seen a prefix of the range; the
+// caller's next scan finds the index healed.
 func (ix *Index) Scan(start, end []byte, fn func(Entry) bool) error {
-	return ix.eng.Scan(start, end, fn)
+	err := ix.eng.Scan(start, end, fn)
+	if err != nil {
+		ix.db.healDetected(err)
+	}
+	return err
 }
 
 // Verify exhaustively checks the index's structural invariants and returns

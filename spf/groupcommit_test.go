@@ -181,3 +181,63 @@ func TestCommitAcrossCrashReportsLost(t *testing.T) {
 		t.Errorf("uncommitted insert visible after restart: %v", err)
 	}
 }
+
+// TestCheckpointBesideTransactions is the -race regression for the active
+// transaction table: a checkpoint snapshots every in-flight transaction's
+// chain head (txn.Manager.Active) while the owning goroutines advance it
+// with each record they log, abort and commit — the shape wire-mixed-cold
+// and spfserver -lifecycle run all day.
+func TestCheckpointBesideTransactions(t *testing.T) {
+	opts := testOptions()
+	opts.PoolFrames = 512
+	db := openTestDB(t, opts)
+	defer db.Close()
+
+	const workers = 4
+	const perWorker = 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		ix, err := db.CreateIndex(fmt.Sprintf("ckpt-%d", w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(w int, ix *Index) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				tx := db.Begin()
+				if err := ix.Insert(tx, k(i), v(i)); err != nil {
+					t.Errorf("worker %d insert %d: %v", w, i, err)
+					return
+				}
+				if i%5 == 4 {
+					// Rollback logs CLRs: the chain head moves there too.
+					if err := tx.Abort(); err != nil {
+						t.Errorf("worker %d abort %d: %v", w, i, err)
+						return
+					}
+					continue
+				}
+				if err := db.Commit(tx); err != nil {
+					t.Errorf("worker %d commit %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w, ix)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for checkpoints := 0; ; checkpoints++ {
+		if _, err := db.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d: %v", checkpoints, err)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
+	}
+}
