@@ -24,7 +24,11 @@ type Config struct {
 	// RetryAttempts bounds archive-write retries per step before the
 	// archiver declares the device unavailable and pauses recycling
 	// (default 5). RetryBackoff is the initial backoff, doubling per
-	// attempt (default 200µs).
+	// attempt (default 200µs — nominally: a sleep shorter than a
+	// millisecond lasts about a millisecond when the P is otherwise idle,
+	// because the runtime's netpoller rounds the wait up, so the default
+	// really is ≥1ms and smaller values change nothing). The archiver is a
+	// background goroutine; no caller waits on this.
 	RetryAttempts int
 	RetryBackoff  time.Duration
 	// ReleaseFloor, when set, further clamps archive garbage collection:
@@ -286,7 +290,11 @@ type Reader struct {
 }
 
 // NewReader returns a retrying reader over s. attempts <= 0 defaults to
-// 5; backoff <= 0 defaults to 100µs (doubling per retry).
+// 5; backoff <= 0 defaults to 100µs (doubling per retry). The wait is
+// taken only after an archive device fault, and like every sleep below a
+// millisecond it lasts ≥1ms on an otherwise idle P (the runtime's
+// netpoller rounds up): do not tune it below that expecting a faster
+// retry. A healthy archive read never waits.
 func (s *Store) NewReader(attempts int, backoff time.Duration) *Reader {
 	if attempts <= 0 {
 		attempts = 5

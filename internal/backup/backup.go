@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -110,7 +111,24 @@ func (s *Store) PutPage(pg *page.Page) (core.BackupRef, error) {
 func (s *Store) FreeSlot(loc uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.free = append(s.free, storage.PhysID(loc))
+	s.freeLocked(storage.PhysID(loc))
+}
+
+// freeLocked returns a slot nothing references any more to the free list
+// and discards its image: a free slot holds no space while it waits for
+// reuse. Caller holds s.mu.
+func (s *Store) freeLocked(slot storage.PhysID) {
+	s.dev.Discard(slot)
+	s.free = append(s.free, slot)
+}
+
+// unrefLocked drops one set's reference to slot, freeing it when that was
+// the last. Caller holds s.mu.
+func (s *Store) unrefLocked(slot storage.PhysID) {
+	if s.slotRef[slot]--; s.slotRef[slot] <= 0 {
+		delete(s.slotRef, slot)
+		s.freeLocked(slot)
+	}
 }
 
 // FullSetWriter accumulates a full database backup.
@@ -143,7 +161,7 @@ func (w *FullSetWriter) SetID() uint64 { return w.setID }
 // Add copies one page into the set.
 func (w *FullSetWriter) Add(pg *page.Page) error {
 	if w.done {
-		return errors.New("backup: set already committed")
+		return errors.New("backup: set already committed or aborted")
 	}
 	w.store.mu.Lock()
 	slot, err := w.store.allocLocked()
@@ -153,7 +171,7 @@ func (w *FullSetWriter) Add(pg *page.Page) error {
 	}
 	if err := w.store.dev.Write(slot, pg.Encode()); err != nil {
 		w.store.mu.Lock()
-		w.store.free = append(w.store.free, slot)
+		w.store.freeLocked(slot)
 		w.store.mu.Unlock()
 		return fmt.Errorf("backup: writing set page: %w", err)
 	}
@@ -174,7 +192,7 @@ func (w *FullSetWriter) Add(pg *page.Page) error {
 // The caller asserts the page is unchanged since fromSet captured it.
 func (w *FullSetWriter) AddShared(id page.ID, fromSet uint64) error {
 	if w.done {
-		return errors.New("backup: set already committed")
+		return errors.New("backup: set already committed or aborted")
 	}
 	w.store.mu.Lock()
 	defer w.store.mu.Unlock()
@@ -202,6 +220,22 @@ func (w *FullSetWriter) Commit() {
 	w.done = true
 }
 
+// Abort abandons an uncommitted set: its references are dropped, so the
+// images it wrote are freed and the ones it shared stay with their set.
+// No-op after Commit.
+func (w *FullSetWriter) Abort() {
+	if w.done {
+		return
+	}
+	w.store.mu.Lock()
+	defer w.store.mu.Unlock()
+	for _, slot := range w.pages {
+		w.store.unrefLocked(slot)
+	}
+	delete(w.store.setLSN, w.setID)
+	w.done = true
+}
+
 // SetPageInfo reports the LSN the committed set setID captured page id at.
 // ok is false when the set is unknown or does not contain the page.
 func (s *Store) SetPageInfo(setID uint64, id page.ID) (page.LSN, bool) {
@@ -215,8 +249,9 @@ func (s *Store) SetPageInfo(setID uint64, id page.ID) (page.LSN, bool) {
 	return lsn, in
 }
 
-// DropSet releases an obsolete backup set. Each of its slots is freed for
-// reuse only when no other (incremental) set still shares it.
+// DropSet releases an obsolete backup set. Each of its slots is freed (and
+// its image discarded) only when no other (incremental) set still shares
+// it.
 func (s *Store) DropSet(setID uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -225,10 +260,7 @@ func (s *Store) DropSet(setID uint64) error {
 		return fmt.Errorf("%w: %d", ErrUnknownSet, setID)
 	}
 	for _, slot := range set {
-		if s.slotRef[slot]--; s.slotRef[slot] <= 0 {
-			delete(s.slotRef, slot)
-			s.free = append(s.free, slot)
-		}
+		s.unrefLocked(slot)
 	}
 	delete(s.sets, setID)
 	delete(s.setLSN, setID)
@@ -249,7 +281,7 @@ func (s *Store) SetPages(setID uint64) ([]page.ID, error) {
 	for id := range set {
 		out = append(out, id)
 	}
-	sortIDs(out)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
 }
 
@@ -264,17 +296,25 @@ func (s *Store) SetLSN(setID uint64) (page.LSN, error) {
 	return lsn, nil
 }
 
-// LatestSet returns the most recent committed full backup set ID, or zero.
-func (s *Store) LatestSet() uint64 {
+// Sets lists the committed full backup sets, oldest first.
+func (s *Store) Sets() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var latest uint64
+	out := make([]uint64, 0, len(s.sets))
 	for id := range s.sets {
-		if id > latest {
-			latest = id
-		}
+		out = append(out, id)
 	}
-	return latest
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// LatestSet returns the most recent committed full backup set ID, or zero.
+func (s *Store) LatestSet() uint64 {
+	sets := s.Sets()
+	if len(sets) == 0 {
+		return 0
+	}
+	return sets[len(sets)-1]
 }
 
 // fetchSlot reads and validates one backup image.
@@ -288,14 +328,6 @@ func (s *Store) fetchSlot(slot storage.PhysID, pageID page.ID) (*page.Page, erro
 		return nil, fmt.Errorf("%w: decoding slot %d: %v", ErrBadSlot, slot, err)
 	}
 	return pg, nil
-}
-
-func sortIDs(ids []page.ID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // FormatPayload encodes the information logged in a TypeFormat record: the

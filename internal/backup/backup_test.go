@@ -75,6 +75,10 @@ func TestFreeSlotReuse(t *testing.T) {
 		t.Fatal("overfull store accepted page")
 	}
 	s.FreeSlot(ref1.Loc)
+	// A free slot holds no image while it waits for reuse.
+	if n := s.Device().WrittenSlots(); n != 1 {
+		t.Errorf("%d slots hold an image after FreeSlot, want 1", n)
+	}
 	if _, err := s.PutPage(testPage(t, 3, 1, "c")); err != nil {
 		t.Errorf("free slot not reused: %v", err)
 	}
@@ -151,11 +155,97 @@ func TestDropSetFreesSlots(t *testing.T) {
 	if err := s.DropSet(w.SetID()); err != nil {
 		t.Fatal(err)
 	}
+	if n := s.Device().WrittenSlots(); n != 0 {
+		t.Errorf("%d slots hold an image after DropSet, want 0", n)
+	}
 	if _, err := s.PutPage(testPage(t, 9, 1, "y")); err != nil {
 		t.Errorf("slots not freed: %v", err)
 	}
 	if err := s.DropSet(w.SetID()); !errors.Is(err, ErrUnknownSet) {
 		t.Errorf("double drop: %v", err)
+	}
+}
+
+// TestDropSetKeepsSharedSlots: an incremental set shares the unchanged
+// images of its predecessor, and dropping the predecessor frees and
+// discards only what the newer set does not name.
+func TestDropSetKeepsSharedSlots(t *testing.T) {
+	s := newStore(t, 8)
+	r := &Resolver{Store: s, Log: wal.NewManager(iosim.Instant), PageSize: 512}
+	w1 := s.BeginFullSet(1)
+	for i := 1; i <= 3; i++ {
+		if err := w1.Add(testPage(t, page.ID(i), 1, "old")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w1.Commit()
+	w2 := s.BeginFullSet(2)
+	if err := w2.Add(testPage(t, 1, 2, "new")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i <= 3; i++ {
+		if err := w2.AddShared(page.ID(i), w1.SetID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w2.Commit()
+	if got := s.Sets(); len(got) != 2 || got[0] != w1.SetID() || got[1] != w2.SetID() {
+		t.Fatalf("Sets = %v", got)
+	}
+	if err := s.DropSet(w1.SetID()); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Sets(); len(got) != 1 || got[0] != w2.SetID() {
+		t.Fatalf("Sets after drop = %v", got)
+	}
+	// Page 1's old image is gone; the two shared ones and the new one stay.
+	if n := s.Device().WrittenSlots(); n != 3 {
+		t.Errorf("%d slots hold an image, want 3", n)
+	}
+	ref := core.BackupRef{Kind: core.BackupFull, Loc: w2.SetID()}
+	for i, want := range []string{"new", "old", "old"} {
+		got, err := r.FetchBackup(ref, page.ID(i+1))
+		if err != nil || string(got.Payload()) != want {
+			t.Errorf("page %d from set %d: %v, %v", i+1, w2.SetID(), got, err)
+		}
+	}
+}
+
+// TestAbortFreesAnUncommittedSet: a backup that fails part-way gives back
+// the images it wrote and leaves the ones it shared with their set.
+func TestAbortFreesAnUncommittedSet(t *testing.T) {
+	s := newStore(t, 8)
+	w1 := s.BeginFullSet(1)
+	if err := w1.Add(testPage(t, 1, 1, "keep")); err != nil {
+		t.Fatal(err)
+	}
+	w1.Commit()
+	w2 := s.BeginFullSet(2)
+	if err := w2.Add(testPage(t, 2, 2, "drop")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.AddShared(1, w1.SetID()); err != nil {
+		t.Fatal(err)
+	}
+	w2.Abort()
+	if got := s.Sets(); len(got) != 1 || got[0] != w1.SetID() {
+		t.Fatalf("Sets after abort = %v", got)
+	}
+	if _, err := s.SetLSN(w2.SetID()); !errors.Is(err, ErrUnknownSet) {
+		t.Errorf("aborted set still has an LSN: %v", err)
+	}
+	if n := s.Device().WrittenSlots(); n != 1 {
+		t.Errorf("%d slots hold an image after abort, want 1", n)
+	}
+	if err := w2.Add(testPage(t, 3, 2, "late")); err == nil {
+		t.Error("Add after Abort succeeded")
+	}
+	w1.Abort() // committed: no-op
+	if err := s.DropSet(w1.SetID()); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Device().WrittenSlots(); n != 0 {
+		t.Errorf("%d slots hold an image at the end, want 0", n)
 	}
 }
 

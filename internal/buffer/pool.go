@@ -36,12 +36,10 @@ package buffer
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/page"
@@ -122,10 +120,9 @@ type Hooks struct {
 	// backup-every-N-updates policy (§6). Must be cheap and must not
 	// call back into the pool.
 	OnMarkDirty func(id page.ID)
-	// OnReadRetry runs each time the repair read path (FetchRepair and
-	// inline-recovery fetches) absorbs a device read fault with a bounded
-	// in-place retry instead of escalating straight to a chain replay.
-	// The engine counts these in its restore statistics.
+	// OnReadRetry runs before each immediate re-read of a failed device
+	// read on the repair read path (FetchRepair and inline-recovery
+	// fetches). The engine counts these in its restore statistics.
 	OnReadRetry func(id page.ID)
 }
 
@@ -284,8 +281,7 @@ type Pool struct {
 	stats    counters
 	scratch  sync.Pool // *[]byte of dev.PageSize() bytes
 
-	readRetries      int
-	readRetryBackoff time.Duration
+	readRetries int
 }
 
 // Config configures a pool.
@@ -299,17 +295,17 @@ type Config struct {
 	Map    *pagemap.Map
 	Log    *wal.Manager
 	Hooks  Hooks
-	// ReadRetries bounds the in-place retries of a failed device read on
-	// the repair path (FetchRepair and inline-recovery fetches) before
-	// the failure is treated as a real single-page failure. A transient
-	// fault — a device hiccup that a re-read clears — then costs one
-	// short, jittered backoff instead of a full backup-plus-chain replay
-	// and a slot relocation. Default 2; negative disables retrying.
+	// ReadRetries bounds the immediate re-reads of a failed device read
+	// on the repair path (FetchRepair and inline-recovery fetches) before
+	// the failure is treated as a real single-page failure. A one-shot
+	// fault — a device hiccup that a re-read clears — then costs a second
+	// read instead of a backup-plus-chain replay and a slot relocation.
+	// There is no wait between attempts: whatever outlives an immediate
+	// re-read is, by the paper's definition, a failure "despite all
+	// correction attempts in lower system levels" (§3.2), and repairing it
+	// costs less than any wait worth choosing. Default 2; negative
+	// disables re-reading.
 	ReadRetries int
-	// ReadRetryBackoff is the base delay before the first such retry; it
-	// doubles per attempt and each wait is jittered ±50% so concurrent
-	// repair workers never retry in lockstep (default 100µs).
-	ReadRetryBackoff time.Duration
 }
 
 // NewPool creates a buffer pool.
@@ -334,22 +330,18 @@ func NewPool(cfg Config) *Pool {
 		shift--
 	}
 	p := &Pool{
-		shards:           shards,
-		shift:            shift,
-		capacity:         cfg.Capacity,
-		dev:              cfg.Device,
-		pmap:             cfg.Map,
-		log:              cfg.Log,
-		readRetries:      cfg.ReadRetries,
-		readRetryBackoff: cfg.ReadRetryBackoff,
+		shards:      shards,
+		shift:       shift,
+		capacity:    cfg.Capacity,
+		dev:         cfg.Device,
+		pmap:        cfg.Map,
+		log:         cfg.Log,
+		readRetries: cfg.ReadRetries,
 	}
 	if p.readRetries == 0 {
 		p.readRetries = 2
 	} else if p.readRetries < 0 {
 		p.readRetries = 0
-	}
-	if p.readRetryBackoff <= 0 {
-		p.readRetryBackoff = 100 * time.Microsecond
 	}
 	hooks := cfg.Hooks
 	p.hooks.Store(&hooks)
@@ -714,10 +706,11 @@ func (p *Pool) fetch(id page.ID, inline bool) (*Handle, error) {
 // verification, and the engine's PageLSN cross-check. The device image
 // lands in a pooled scratch buffer, so a miss costs no per-read buffer
 // allocation. On the repair path (retryReads) a failed device read is
-// retried a bounded number of times with jittered exponential backoff
-// before it counts as a single-page failure: a transient fault during a
-// repair then degrades to a re-read instead of recursing into another
-// full recovery.
+// re-read at once, at most readRetries times, before it counts as a
+// single-page failure: a one-shot fault during a repair then degrades to a
+// second read instead of recursing into another full recovery. Nothing
+// here sleeps, arms a timer or yields — a caller is waiting on this read,
+// and on an idle P even a 100µs sleep costs a millisecond.
 func (p *Pool) readAndValidate(id page.ID, phys storage.PhysID, hooks *Hooks, retryReads bool) (*page.Page, error) {
 	buf := p.getScratch()
 	defer p.putScratch(buf)
@@ -726,8 +719,6 @@ func (p *Pool) readAndValidate(id page.ID, phys storage.PhysID, hooks *Hooks, re
 		if hooks.OnReadRetry != nil {
 			hooks.OnReadRetry(id)
 		}
-		d := p.readRetryBackoff << uint(r)
-		time.Sleep(d/2 + time.Duration(rand.Int63n(int64(d)+1)))
 		err = p.dev.ReadInto(phys, *buf)
 	}
 	if err != nil {
@@ -940,7 +931,21 @@ func (p *Pool) writeBack(f *frame) ([]*wal.Record, bool, error) {
 	buf := p.getScratch()
 	f.pg.EncodeInto(*buf)
 	lsn := f.pg.LSN()
-	if err := p.dev.Write(dst, *buf); err != nil {
+	// Crash point: the write target is chosen but not yet written.
+	chaos.At("buffer.writetarget")
+	err = p.dev.Write(dst, *buf)
+	if errors.Is(err, storage.ErrBadSlot) && p.pmap.Mode() == pagemap.InPlace {
+		// A reader that faulted on this page before the frame was installed
+		// finished its recovery between the lookup above and the write: the
+		// page moved and dst was retired. The map names its slot now. Only
+		// in place, where WriteTarget is a pure lookup: a copy-on-write
+		// target was allocated by the call above, and asking again would
+		// strand the previous slot it reported.
+		if dst, _, _, err = p.pmap.WriteTarget(f.id); err == nil {
+			err = p.dev.Write(dst, *buf)
+		}
+	}
+	if err != nil {
 		p.putScratch(buf)
 		f.latch.RUnlock()
 		return nil, false, fmt.Errorf("buffer: flush of page %d to slot %d: %w", f.id, dst, err)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/iosim"
 	"repro/internal/page"
 	"repro/internal/pagemap"
@@ -23,11 +24,18 @@ type env struct {
 
 func newEnv(t *testing.T, capacity int, hooks Hooks) *env {
 	t.Helper()
+	return newEnvConfig(t, Config{Capacity: capacity}, hooks)
+}
+
+// newEnvConfig is newEnv for tests that set pool options; it supplies the
+// device, the map, the log and the hooks.
+func newEnvConfig(t *testing.T, cfg Config, hooks Hooks) *env {
+	t.Helper()
 	dev := storage.NewDevice(storage.Config{PageSize: 512, Slots: 256, Profile: iosim.Instant})
 	pm := pagemap.New(pagemap.InPlace, 256)
 	log := wal.NewManager(iosim.Instant)
-	pool := NewPool(Config{Capacity: capacity, Device: dev, Map: pm, Log: log, Hooks: hooks})
-	return &env{dev: dev, pmap: pm, log: log, pool: pool}
+	cfg.Device, cfg.Map, cfg.Log, cfg.Hooks = dev, pm, log, hooks
+	return &env{dev: dev, pmap: pm, log: log, pool: NewPool(cfg)}
 }
 
 // newPage allocates, creates, fills, and unpins a page, returning its ID.
@@ -643,51 +651,207 @@ func TestPerPageFlushAppendsImmediately(t *testing.T) {
 	}
 }
 
-// TestTransientReadFaultRetriedOnRepairPath proves the bounded-retry
-// satellite: a non-sticky read fault on the repair path is absorbed by a
-// re-read (no single-page recovery runs) and counted via OnReadRetry.
-func TestTransientReadFaultRetriedOnRepairPath(t *testing.T) {
-	var retries atomic.Int64
-	e := newEnv(t, 4, Hooks{
-		OnReadRetry: func(page.ID) { retries.Add(1) },
+// readFaultEnv wires the hooks the read-error tests observe: every re-read
+// and every recovery is counted, and a recovery rebuilds the page with the
+// payload "recovered" at the LSN the original carried.
+type readFaultEnv struct {
+	*env
+	retries, recoveries atomic.Int64
+	id                  page.ID
+	phys                storage.PhysID
+}
+
+func newReadFaultEnv(t *testing.T, cfg Config) *readFaultEnv {
+	t.Helper()
+	r := &readFaultEnv{}
+	var lsn page.LSN
+	r.env = newEnvConfig(t, cfg, Hooks{
+		OnReadRetry: func(page.ID) { r.retries.Add(1) },
+		Recover: func(id page.ID) (*page.Page, error) {
+			r.recoveries.Add(1)
+			pg := page.New(id, page.TypeRaw, 512)
+			if err := pg.SetPayload([]byte("recovered")); err != nil {
+				return nil, err
+			}
+			pg.SetLSN(lsn)
+			return pg, nil
+		},
 	})
-	id := e.newPage(t, "flaky")
-	if err := e.pool.Evict(id); err != nil {
+	r.id = r.newPage(t, "original")
+	h, err := r.pool.Fetch(r.id)
+	if err != nil {
 		t.Fatal(err)
 	}
-	phys, _ := e.pmap.Lookup(id)
-	e.dev.InjectFault(phys, storage.FaultReadError, false) // one-shot
-	// No Recover hook is wired: success proves the retry served the read.
-	h, err := e.pool.FetchRepair(id)
+	lsn = h.Page().LSN()
+	h.Release()
+	if err := r.pool.Evict(r.id); err != nil {
+		t.Fatal(err)
+	}
+	r.phys, _ = r.pmap.Lookup(r.id)
+	return r
+}
+
+// TestOneShotReadFaultAbsorbedByReRead: on the repair path a read fault
+// that fires once is absorbed by the immediate re-read — no recovery runs,
+// the slot stays in service, and exactly one retry is counted.
+func TestOneShotReadFaultAbsorbedByReRead(t *testing.T) {
+	r := newReadFaultEnv(t, Config{Capacity: 4})
+	r.dev.InjectFault(r.phys, storage.FaultReadError, false)
+	reads := r.dev.Stats().Reads
+	h, err := r.pool.FetchRepair(r.id)
 	if err != nil {
-		t.Fatalf("repair-path fetch with transient fault: %v", err)
+		t.Fatalf("repair-path fetch with a one-shot fault: %v", err)
 	}
 	defer h.Release()
-	if string(h.Page().Payload()) != "flaky" {
-		t.Errorf("payload = %q", h.Page().Payload())
+	if got := string(h.Page().Payload()); got != "original" {
+		t.Errorf("payload = %q, want the device image", got)
 	}
-	if retries.Load() == 0 {
-		t.Error("OnReadRetry never fired")
+	if got := r.retries.Load(); got != 1 {
+		t.Errorf("retries = %d, want 1", got)
+	}
+	if got := r.dev.Stats().Reads - reads; got != 2 {
+		t.Errorf("device reads = %d, want the failed read and one re-read", got)
+	}
+	if r.recoveries.Load() != 0 || r.dev.RetiredCount() != 0 || r.pool.Stats().Recoveries != 0 {
+		t.Errorf("one-shot fault ran %d recoveries and retired %d slots",
+			r.recoveries.Load(), r.dev.RetiredCount())
+	}
+	if now, _ := r.pmap.Lookup(r.id); now != r.phys {
+		t.Errorf("page moved from slot %d to %d", r.phys, now)
 	}
 }
 
-// TestPersistentReadFaultExhaustsRetries proves retries are bounded: a
-// sticky read fault still surfaces as a failure after the budget.
-func TestPersistentReadFaultExhaustsRetries(t *testing.T) {
-	var retries atomic.Int64
-	e := newEnv(t, 4, Hooks{
-		OnReadRetry: func(page.ID) { retries.Add(1) },
-	})
-	id := e.newPage(t, "gone")
-	if err := e.pool.Evict(id); err != nil {
+// TestStickyReadFaultRepairedAfterReadRetries: a read fault that outlives
+// the re-reads is a single-page failure. It is repaired after exactly
+// ReadRetries re-reads, the page moves, and the failed slot is retired
+// with its image discarded.
+func TestStickyReadFaultRepairedAfterReadRetries(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		cfgRetries, want int
+	}{
+		{"default", 0, 2},
+		{"five", 5, 5},
+		{"disabled", -1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newReadFaultEnv(t, Config{Capacity: 4, ReadRetries: tc.cfgRetries})
+			r.dev.InjectFault(r.phys, storage.FaultReadError, true)
+			reads := r.dev.Stats().Reads
+			h, err := r.pool.FetchRepair(r.id)
+			if err != nil {
+				t.Fatalf("repair-path fetch with a sticky fault: %v", err)
+			}
+			defer h.Release()
+			if got := string(h.Page().Payload()); got != "recovered" {
+				t.Errorf("payload = %q, want the recovered page", got)
+			}
+			if got := r.retries.Load(); got != int64(tc.want) {
+				t.Errorf("retries = %d, want %d", got, tc.want)
+			}
+			if got := r.dev.Stats().Reads - reads; got != int64(tc.want)+1 {
+				t.Errorf("device reads = %d, want %d", got, tc.want+1)
+			}
+			if r.recoveries.Load() != 1 || r.pool.Stats().Recoveries != 1 {
+				t.Errorf("recoveries = %d (pool %d), want 1", r.recoveries.Load(), r.pool.Stats().Recoveries)
+			}
+			if !r.dev.Retired(r.phys) || r.dev.RetiredCount() != 1 {
+				t.Errorf("failed slot %d not retired (%d retired)", r.phys, r.dev.RetiredCount())
+			}
+			if r.dev.RawImage(r.phys) != nil {
+				t.Error("retired slot keeps its image")
+			}
+			if now, _ := r.pmap.Lookup(r.id); now == r.phys {
+				t.Error("recovered page still mapped to the failed slot")
+			}
+		})
+	}
+}
+
+// TestForegroundFetchDoesNotReRead: re-reads belong to the repair path. A
+// foreground fetch with a RepairPage hook hands a failed read straight to
+// the scheduler, whose worker (FetchRepair) does the re-reading.
+func TestForegroundFetchDoesNotReRead(t *testing.T) {
+	r := newReadFaultEnv(t, Config{Capacity: 4})
+	hooks := *r.pool.getHooks()
+	var scheduled atomic.Int64
+	hooks.RepairPage = func(id page.ID) error {
+		scheduled.Add(1)
+		if scheduled.Load() == 1 && r.retries.Load() != 0 {
+			t.Errorf("%d re-reads before the hand-off", r.retries.Load())
+		}
+		h, err := r.pool.FetchRepair(id)
+		if err != nil {
+			return err
+		}
+		h.Release()
+		return nil
+	}
+	r.pool.SetHooks(hooks)
+	r.dev.InjectFault(r.phys, storage.FaultReadError, true)
+	h, err := r.pool.Fetch(r.id)
+	if err != nil {
 		t.Fatal(err)
 	}
-	phys, _ := e.pmap.Lookup(id)
-	e.dev.InjectFault(phys, storage.FaultReadError, true) // sticky
-	if _, err := e.pool.FetchRepair(id); err == nil {
-		t.Fatal("sticky read fault did not fail the repair-path fetch")
+	h.Release()
+	if scheduled.Load() != 1 || r.retries.Load() != 2 || r.recoveries.Load() != 1 {
+		t.Errorf("scheduled %d, retries %d, recoveries %d; want 1, 2, 1",
+			scheduled.Load(), r.retries.Load(), r.recoveries.Load())
 	}
-	if got := retries.Load(); got != 2 {
-		t.Errorf("retries = %d, want the default budget of 2", got)
+}
+
+// TestWriteBackFollowsARelocationUnderIt: a reader that faulted on a page
+// before its frame was installed can finish recovering it — page moved, old
+// slot retired — between a flush's target lookup and its device write. In
+// place the flush follows the page to its new slot; copy-on-write, whose
+// target was allocated by the flush itself, reports the retired slot.
+func TestWriteBackFollowsARelocationUnderIt(t *testing.T) {
+	for _, mode := range []pagemap.Mode{pagemap.InPlace, pagemap.CopyOnWrite} {
+		t.Run(mode.String(), func(t *testing.T) {
+			defer chaos.Reset()
+			dev := storage.NewDevice(storage.Config{PageSize: 512, Slots: 256, Profile: iosim.Instant})
+			pm := pagemap.New(mode, 256)
+			log := wal.NewManager(iosim.Instant)
+			e := &env{dev: dev, pmap: pm, log: log,
+				pool: NewPool(Config{Capacity: 4, Device: dev, Map: pm, Log: log})}
+			id := e.newPage(t, "flushed-after-the-move")
+			var retired storage.PhysID
+			chaos.Arm("buffer.writetarget", 1, func(chaos.Hit) {
+				_, prev, _, err := pm.Relocate(id)
+				if err != nil {
+					t.Error(err)
+				}
+				retired = prev
+				dev.RetireSlot(prev)
+			})
+			err := e.pool.FlushPage(id)
+			if mode == pagemap.CopyOnWrite {
+				if !errors.Is(err, storage.ErrBadSlot) {
+					t.Fatalf("copy-on-write flush = %v, want ErrBadSlot", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			phys, ok := pm.Lookup(id)
+			if !ok || phys == retired {
+				t.Fatalf("page on slot %d (mapped %v), retired %d", phys, ok, retired)
+			}
+			img, err := dev.Read(phys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pg, err := page.Decode(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(pg.Payload()) != "flushed-after-the-move" {
+				t.Errorf("payload on the new slot = %q", pg.Payload())
+			}
+			if e.pool.IsDirty(id) {
+				t.Error("page still dirty after the flush")
+			}
+		})
 	}
 }

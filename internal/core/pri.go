@@ -150,16 +150,49 @@ func (p *PRI) SetRange(lo, hi page.ID, e Entry) {
 	p.setRangeLocked(lo, hi, e)
 }
 
+// Superseded is a backup reference an index update replaced, with the page
+// it was the backup of.
+type Superseded struct {
+	Page page.ID
+	Ref  BackupRef
+}
+
+// ReplaceRange is SetRange reporting what it replaced: one Superseded per
+// overlapped range, Page being the first page of the overlap. The report
+// is atomic with the update, so a caller that frees the per-page backup
+// copies a full backup supersedes (§5.2.2) cannot miss one installed just
+// before the range.
+func (p *PRI) ReplaceRange(lo, hi page.ID, e Entry) []Superseded {
+	if hi < lo {
+		panic(fmt.Sprintf("pri: ReplaceRange %d > %d", lo, hi))
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	i, j := p.overlap(lo, hi)
+	old := make([]Superseded, 0, j-i)
+	for _, r := range p.ranges[i:j] {
+		old = append(old, Superseded{Page: max(r.lo, lo), Ref: r.e.Backup})
+	}
+	p.setRangeLocked(lo, hi, e)
+	return old
+}
+
+// overlap returns the half-open span of ranges that intersect [lo, hi]: i
+// is the first range overlapping or after lo, j the first fully after hi.
+func (p *PRI) overlap(lo, hi page.ID) (i, j int) {
+	i = sort.Search(len(p.ranges), func(k int) bool { return p.ranges[k].hi >= lo })
+	j = sort.Search(len(p.ranges), func(k int) bool { return p.ranges[k].lo > hi })
+	return i, j
+}
+
 // setRangeLocked replaces the span [lo, hi] with a single new range,
 // keeping fragments of partially overlapped neighbors and re-merging
 // ("coalescing") at the seams. It splices in place with binary search, so
 // a singleton update costs O(log n) plus the tail move — the operation is
 // on the write-back path of every page and must not scan the whole index.
 func (p *PRI) setRangeLocked(lo, hi page.ID, e Entry) {
-	// i = first range overlapping or after lo; j = first range fully
-	// after hi. Ranges [i, j) are (partially) replaced.
-	i := sort.Search(len(p.ranges), func(k int) bool { return p.ranges[k].hi >= lo })
-	j := sort.Search(len(p.ranges), func(k int) bool { return p.ranges[k].lo > hi })
+	// Ranges [i, j) are (partially) replaced.
+	i, j := p.overlap(lo, hi)
 	repl := make([]rng, 0, 3)
 	if i < j && p.ranges[i].lo < lo {
 		repl = append(repl, rng{p.ranges[i].lo, lo - 1, p.ranges[i].e})

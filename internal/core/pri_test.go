@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -92,6 +93,39 @@ func TestSetRangeReplacesOverlaps(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReplaceRangeReportsWhatItReplaced: every overlapped range is reported
+// once, at the first page of the overlap, and the index ends as SetRange
+// would have left it.
+func TestReplaceRangeReportsWhatItReplaced(t *testing.T) {
+	p := NewPRI()
+	p.SetRange(1, 100, fullEntry(1, 10))
+	pageCopy := BackupRef{Kind: BackupPage, Loc: 999, AsOf: 20}
+	p.Set(50, Entry{Backup: pageCopy, LastLSN: 30})
+	got := p.ReplaceRange(40, 200, fullEntry(2, 0))
+	want := []Superseded{
+		{Page: 40, Ref: fullEntry(1, 10).Backup},
+		{Page: 50, Ref: pageCopy},
+		{Page: 51, Ref: fullEntry(1, 10).Backup},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ReplaceRange reported %+v, want %+v", got, want)
+	}
+	for id, set := range map[page.ID]uint64{39: 1, 40: 2, 50: 2, 200: 2} {
+		if e, err := p.Get(id); err != nil || e.Backup.Kind != BackupFull || e.Backup.Loc != set {
+			t.Errorf("Get(%d) = %+v, %v; want set %d", id, e, err, set)
+		}
+	}
+	if p.RangeCount() != 2 {
+		t.Errorf("RangeCount = %d, want 2", p.RangeCount())
+	}
+	if err := p.Validate(); err != nil {
+		t.Error(err)
+	}
+	if got := p.ReplaceRange(300, 310, fullEntry(3, 0)); len(got) != 0 {
+		t.Errorf("ReplaceRange over unmapped pages reported %+v", got)
 	}
 }
 

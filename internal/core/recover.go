@@ -120,8 +120,18 @@ func (r *Recoverer) RecoverPage(pageID page.ID) (*page.Page, Report, error) {
 	}
 
 	base, err := r.backups.FetchBackup(entry.Backup, pageID)
-	if err != nil {
-		return nil, Report{}, r.escalate("fetching backup for page %d: %v", pageID, err)
+	for err != nil {
+		// A newer backup may have superseded — and freed — this one between
+		// the index lookup and the fetch ("the old backup page may be
+		// freed", §5.2.2). That is not a failed backup: the index already
+		// names the replacement, so resolve again. Each pass needs a backup
+		// taken meanwhile; an unchanged reference is a real failure.
+		cur, gerr := r.pri.Get(pageID)
+		if gerr != nil || cur.Backup == entry.Backup {
+			return nil, Report{}, r.escalate("fetching backup for page %d: %v", pageID, err)
+		}
+		entry = cur
+		base, err = r.backups.FetchBackup(entry.Backup, pageID)
 	}
 	// For singleton entries the index knows the exact backup LSN; verify
 	// it. Range-compressed entries (full backups) leave AsOf zero because

@@ -141,6 +141,50 @@ func TestRecoverPageEscalatesOnMissingBackupImage(t *testing.T) {
 	}
 }
 
+// supersedingBackups fails the first fetch the way a freed backup does,
+// after doing what the backup that freed it did: taking a newer copy and
+// pointing the index at it.
+type supersedingBackups struct {
+	mapBackups
+	pri     *PRI
+	pid     page.ID
+	newer   *page.Page
+	fetches int
+}
+
+func (b *supersedingBackups) FetchBackup(ref BackupRef, pageID page.ID) (*page.Page, error) {
+	if b.fetches++; b.fetches == 1 {
+		delete(b.images, ref.Loc)
+		b.images[200] = b.newer
+		if _, err := b.pri.SetBackup(b.pid, BackupRef{Kind: BackupPage, Loc: 200, AsOf: b.newer.LSN()}); err != nil {
+			return nil, err
+		}
+	}
+	return b.mapBackups.FetchBackup(ref, pageID)
+}
+
+// TestRecoverPageResolvesAgainWhenBackupSuperseded: a backup freed between
+// the index lookup and the fetch is not a failed backup — the index
+// already names its replacement, and recovery resolves against that.
+func TestRecoverPageResolvesAgainWhenBackupSuperseded(t *testing.T) {
+	log := wal.NewManager(iosim.Instant)
+	pri, backups, want := buildHistory(t, log, 7, 2, 3)
+	b := &supersedingBackups{mapBackups: *backups, pri: pri, pid: 7, newer: want.Clone()}
+	r := NewRecoverer(log, pri, b, rawApplier{})
+	got, rep, err := r.RecoverPage(7)
+	if err != nil {
+		t.Fatalf("recovery across a superseded backup: %v", err)
+	}
+	if string(got.Payload()) != string(want.Payload()) || got.LSN() != want.LSN() {
+		t.Errorf("recovered %q@%d, want %q@%d", got.Payload(), got.LSN(), want.Payload(), want.LSN())
+	}
+	// The newer copy is current: nothing to replay on top of it.
+	if b.fetches != 2 || rep.RecordsApplied != 0 || r.Stats().Escalations != 0 {
+		t.Errorf("fetches %d, records applied %d, escalations %d; want 2, 0, 0",
+			b.fetches, rep.RecordsApplied, r.Stats().Escalations)
+	}
+}
+
 func TestRecoverPageEscalatesOnStaleBackupLSN(t *testing.T) {
 	log := wal.NewManager(iosim.Instant)
 	pg := page.New(5, page.TypeRaw, 512)

@@ -83,7 +83,11 @@ type Config struct {
 	// Workers is the number of repair worker goroutines (default 2).
 	Workers int
 	// RetryBackoff is the initial delay before a busy (pinned) repair is
-	// retried; it doubles per attempt (default 1ms).
+	// retried; it doubles per attempt (default 1ms). It is a timer, and a
+	// timer shorter than a millisecond does not fire sooner than one when
+	// the P is otherwise idle — the runtime's netpoller rounds the wait up
+	// to 1ms — so values below that buy nothing. This is a background
+	// wait for a pin to clear; the repair read path itself never waits.
 	RetryBackoff time.Duration
 	// MaxRetryBackoff caps the per-attempt delay (default 50ms).
 	MaxRetryBackoff time.Duration
@@ -131,9 +135,10 @@ type Stats struct {
 	Repaired int64
 	Failed   int64
 	Requeues int64
-	// ReadRetries counts transient device read faults absorbed by the
-	// bounded in-place retry on the repair read path (buffer pool hook)
-	// instead of escalating to a full chain replay.
+	// ReadRetries counts the immediate re-reads of failed device reads on
+	// the repair read path (buffer pool hook): one for a one-shot fault
+	// the re-read absorbs, the pool's ReadRetries for a sticky one that is
+	// then repaired.
 	ReadRetries int64
 	// Pending and InFlight are gauges: tickets waiting in the queue (or
 	// backing off) and repairs currently executing.
@@ -363,9 +368,9 @@ func (s *Scheduler) EnqueueCost(id page.ID, pri Priority, cost int64) *Future {
 	return t.fut
 }
 
-// NoteReadRetry counts one transient device read fault absorbed by the
-// repair read path's bounded retry (wired to the buffer pool's
-// OnReadRetry hook by the engine).
+// NoteReadRetry counts one immediate re-read of a failed device read on
+// the repair read path (wired to the buffer pool's OnReadRetry hook by the
+// engine).
 func (s *Scheduler) NoteReadRetry() {
 	s.stats.readRetries.Add(1)
 }

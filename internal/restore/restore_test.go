@@ -399,15 +399,33 @@ func TestCoalesceKeepsCheaperCost(t *testing.T) {
 	}
 }
 
-// TestNoteReadRetryCounted proves retry accounting reaches Stats.
+// TestNoteReadRetryCounted proves retry accounting reaches Stats the way
+// the engine drives it: the buffer pool's OnReadRetry hook fires on the
+// worker's goroutine, inside Repair, once per immediate re-read — one for
+// a one-shot read fault the re-read absorbs, the pool's ReadRetries (two)
+// for a sticky one that is then repaired — and the total is visible as
+// soon as the repairs' futures complete.
 func TestNoteReadRetryCounted(t *testing.T) {
-	s := New(Config{Workers: 1}, Deps{Repair: func(page.ID) error { return nil }})
+	reReads := map[page.ID]int{1: 1, 2: 2}
+	var s *Scheduler
+	s = New(Config{Workers: 1}, Deps{Repair: func(id page.ID) error {
+		for i := 0; i < reReads[id]; i++ {
+			s.NoteReadRetry()
+		}
+		return nil
+	}})
 	s.Start()
 	defer s.Stop()
-	for i := 0; i < 3; i++ {
-		s.NoteReadRetry()
+	for id := range reReads {
+		if err := s.Repair(id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := s.Stats().ReadRetries; got != 3 {
-		t.Fatalf("ReadRetries = %d, want 3", got)
+	st := s.Stats()
+	if st.ReadRetries != 3 {
+		t.Fatalf("ReadRetries = %d, want 3", st.ReadRetries)
+	}
+	if st.Repaired != 2 || st.Requeues != 0 {
+		t.Fatalf("re-reads must not requeue or fail a ticket: %+v", st)
 	}
 }

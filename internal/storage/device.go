@@ -392,12 +392,44 @@ func (d *Device) FaultOn(id PhysID) FaultKind {
 
 // RetireSlot adds a slot to the bad-block list; all further accesses fail.
 // The paper's recovery procedure retires the failed location after moving
-// the recovered page elsewhere (§5.2.3).
+// the recovered page elsewhere (§5.2.3). Nothing can read a retired slot
+// again, so its image is discarded with it.
 func (d *Device) RetireSlot(id PhysID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.bad[id] = true
 	d.faults.Delete(id)
+	d.discardLocked(id)
+}
+
+// Discard drops the image stored in slot id (the device's TRIM): the slot
+// reads as never written until its next Write. Owners call it when they
+// free a slot whose image no recovery can resolve against any more — a
+// superseded backup copy, a dropped backup set — so a freed slot costs no
+// space while it waits for reuse.
+func (d *Device) Discard(id PhysID) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.discardLocked(id)
+}
+
+func (d *Device) discardLocked(id PhysID) {
+	if int(id) < len(d.slots) {
+		d.slots[id] = nil
+	}
+}
+
+// WrittenSlots counts the slots currently holding an image.
+func (d *Device) WrittenSlots() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	n := 0
+	for _, img := range d.slots {
+		if img != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Retired reports whether a slot is on the bad-block list.

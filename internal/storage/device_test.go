@@ -221,6 +221,43 @@ func TestRetireSlot(t *testing.T) {
 	if d.RetiredCount() != 1 {
 		t.Errorf("RetiredCount = %d, want 1", d.RetiredCount())
 	}
+	// Nothing can read the slot again, so its image went with it.
+	if d.RawImage(2) != nil || d.WrittenSlots() != 0 {
+		t.Errorf("retired slot keeps its image (%d slots written)", d.WrittenSlots())
+	}
+}
+
+func TestDiscard(t *testing.T) {
+	d := testDevice(4)
+	for _, slot := range []PhysID{1, 3} {
+		if err := d.Write(slot, encodedPage(t, page.ID(slot), 7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Discard(1)
+	d.Discard(2)  // never written: no-op
+	d.Discard(99) // out of range: no-op
+	if d.RawImage(1) != nil || d.RawImage(3) == nil || d.WrittenSlots() != 1 {
+		t.Fatalf("after Discard(1): slot 1 present=%v, slot 3 present=%v, %d written",
+			d.RawImage(1) != nil, d.RawImage(3) != nil, d.WrittenSlots())
+	}
+	// A discarded slot reads like a never-written one and takes a new write.
+	got, err := d.Read(1)
+	if err != nil || !bytes.Equal(got, make([]byte, d.PageSize())) {
+		t.Fatalf("read of discarded slot: %v, zero=%v", err, bytes.Equal(got, make([]byte, d.PageSize())))
+	}
+	img := encodedPage(t, 1, 9)
+	if err := d.Write(1, img); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := d.Read(1); !bytes.Equal(got, img) {
+		t.Fatal("write after discard did not round-trip")
+	}
+	// The scrubber skips it, as it skips any unwritten slot.
+	d.Discard(1)
+	if res := d.Scrub(nil); res.Scanned != 1 {
+		t.Errorf("scrub scanned %d slots, want 1", res.Scanned)
+	}
 }
 
 func TestFailDeviceAndRevive(t *testing.T) {

@@ -31,9 +31,11 @@ func (db *DB) Checkpoint() (LSN, error) {
 	if err := db.runDueBackups(); err != nil {
 		return 0, err
 	}
+	db.ckptMu.Lock()
 	res, err := recovery.Checkpoint(recovery.CheckpointDeps{
 		Log: db.log, Pool: db.pool, Txns: db.txns, PRI: db.pri, Map: db.pmap,
 	})
+	db.ckptMu.Unlock()
 	if err != nil {
 		return 0, err
 	}
@@ -41,6 +43,9 @@ func (db *DB) Checkpoint() (LSN, error) {
 		db.archiver.SetCheckpointHorizon(res.RedoHorizon)
 		db.archiver.Kick()
 	}
+	// The checkpoint forced the log: every backup copy superseded before it
+	// can go.
+	db.releaseDurable()
 	return res.End, nil
 }
 
@@ -74,11 +79,23 @@ type BackupReport struct {
 // LSN the previous set captured. An unchanged page has LastLSN at or
 // below it — including the zero a previous full backup's SetRange
 // installed — and a page mutated after the flush is caught by IsDirty.
+//
+// Retention: once the new set's index ranges are logged and the log is
+// flushed, every older set is dropped. Nothing can resolve against one any
+// more — the index names the new set for every page, media recovery takes
+// the newest set, and the archive has been told it may release the history
+// an older set would need — so the backup device holds the live set plus,
+// while a backup runs, the one being written. Backups run one at a time.
 func (db *DB) BackupNow() (uint64, BackupReport, error) {
 	var rep BackupReport
+	// A crash from here on may cut this backup's index records out of the
+	// log; the epoch tells (pointIndexAt).
+	epoch := db.log.Epoch()
 	if err := db.opErr(); err != nil {
 		return 0, rep, err
 	}
+	db.backupMu.Lock()
+	defer db.backupMu.Unlock()
 	// Flush everything so the backup captures a write-consistent state.
 	if err := db.pool.FlushAll(); err != nil {
 		return 0, rep, err
@@ -92,6 +109,7 @@ func (db *DB) BackupNow() (uint64, BackupReport, error) {
 	}
 	setEnd := db.log.EndLSN()
 	w := db.store.BeginFullSet(setEnd)
+	defer w.Abort() // frees a failed backup's images; no-op once committed
 	ids := db.pmap.Pages()
 	rep.Pages = len(ids)
 	for _, id := range ids {
@@ -129,26 +147,63 @@ func (db *DB) BackupNow() (uint64, BackupReport, error) {
 		db.archiver.SetBackupHorizon(setEnd)
 		db.archiver.Kick()
 	}
-	if db.opts.DisableSinglePageRecovery {
-		return w.SetID(), rep, nil
+	if !db.opts.DisableSinglePageRecovery {
+		if err := db.pointIndexAt(w.SetID(), ids, epoch); err != nil {
+			return w.SetID(), rep, err
+		}
 	}
-	// One range-compressed PRI entry per contiguous run of page IDs.
+	for _, old := range db.store.Sets() {
+		if old < w.SetID() {
+			if err := db.store.DropSet(old); err != nil {
+				return w.SetID(), rep, err
+			}
+		}
+	}
+	return w.SetID(), rep, nil
+}
+
+// pointIndexAt installs the committed full set as the backup of every page
+// in ids — one range-compressed PRI entry per contiguous run of page IDs
+// (§5.2.2) — and returns once the log records describing that are durable,
+// which is what makes the sets the index named before safe to drop: a
+// restart rebuilds the index from the log and must find the new set there.
+// A crash since epoch was read — the caller reads it before it checks the
+// DB is open — may have cut the records out of the volatile tail, or laid
+// them into the log a restarted DB already owns; it is reported as
+// ErrCrashed. The per-page backup copies the ranges supersede are released
+// behind the same records.
+func (db *DB) pointIndexAt(set uint64, ids []page.ID, epoch uint64) error {
+	// Not beside a checkpoint: a snapshot of the index taken before a range
+	// is installed, logged in an end record that follows the range's own
+	// record, would lose the range at restart.
+	db.ckptMu.Lock()
+	defer db.ckptMu.Unlock()
+	e := core.Entry{Backup: core.BackupRef{Kind: core.BackupFull, Loc: set}}
 	for run := 0; run < len(ids); {
 		end := run
 		for end+1 < len(ids) && ids[end+1] == ids[end]+1 {
 			end++
 		}
-		e := core.Entry{Backup: core.BackupRef{Kind: core.BackupFull, Loc: w.SetID()}}
-		db.pri.SetRange(ids[run], ids[end], e)
-		db.log.Append(&wal.Record{
+		replaced := db.pri.ReplaceRange(ids[run], ids[end], e)
+		lsn, err := db.log.AppendSince(&wal.Record{
 			Type:    wal.TypePRIUpdate,
 			PageID:  ids[run],
 			Payload: core.EncodeSetRange(ids[run], ids[end], e),
-		})
+		}, epoch)
+		if err != nil {
+			return ErrCrashed
+		}
+		for _, r := range replaced {
+			db.supersedeBackup(r.Page, r.Ref, lsn)
+		}
 		run = end + 1
 	}
 	db.log.FlushAll()
-	return w.SetID(), rep, nil
+	if db.log.Epoch() != epoch {
+		return ErrCrashed
+	}
+	db.releaseDurable()
+	return nil
 }
 
 // BackupPage takes an explicit backup copy of one page ("a conservative
@@ -179,13 +234,14 @@ func (db *DB) BackupPage(id PageID) error {
 	old, err := db.pri.SetBackup(id, ref)
 	if err != nil {
 		db.pri.Set(id, core.Entry{Backup: ref, LastLSN: pg.LSN()})
-	} else {
-		db.releaseBackup(old)
 	}
-	db.log.Append(&wal.Record{
+	lsn := db.log.Append(&wal.Record{
 		Type: wal.TypePRIUpdate, PageID: id,
 		Payload: core.EncodeSetBackup(ref),
 	})
+	// The superseded copy goes only behind that record: a restart that
+	// lost the record resolves the page against the old copy again.
+	db.supersedeBackup(id, old, lsn)
 	return nil
 }
 
@@ -392,6 +448,7 @@ func (db *DB) Restart() (*DB, *RestartReport, error) {
 	}
 	ndb.pmap = analysis.Map
 	ndb.pri = analysis.PRI
+	ndb.inheritParked(db, true)
 	ndb.res = &backup.Resolver{Store: ndb.store, Log: ndb.log, PageSize: db.opts.PageSize, Data: ndb.dev}
 	ndb.rec = core.NewRecoverer(ndb.log, ndb.pri, ndb.res, applier{})
 
@@ -579,6 +636,7 @@ func (db *DB) RecoverMedia() (*DB, *MediaRecoveryReport, error) {
 	}
 	ndb.pmap = pm
 	ndb.pri = pri
+	ndb.inheritParked(db, false)
 	ndb.rec = core.NewRecoverer(ndb.log, ndb.pri, ndb.res, applier{})
 	ndb.pool = buffer.NewPool(buffer.Config{
 		Capacity: db.opts.PoolFrames, Shards: db.opts.PoolShards,

@@ -2,8 +2,11 @@ package spf
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
+	"repro/internal/backup"
 	"repro/internal/core"
 )
 
@@ -60,10 +63,17 @@ func TestBackupNowSkipsUnchangedPages(t *testing.T) {
 			delta, rep2.Written)
 	}
 
-	// Reference counting: dropping the superseded set must not free the
-	// slots the incremental set shares. Every page of set2 still resolves.
-	if err := db.store.DropSet(set1); err != nil {
-		t.Fatal(err)
+	// Retention: BackupNow dropped the superseded set itself. Reference
+	// counting kept the slots the incremental set shares — every page of
+	// set2 still resolves — and freed only the images set2 rewrote.
+	if _, err := db.store.SetPages(set1); !errors.Is(err, backup.ErrUnknownSet) {
+		t.Fatalf("set %d still listed after BackupNow committed set %d: %v", set1, set2, err)
+	}
+	if got := db.store.Sets(); len(got) != 1 || got[0] != set2 {
+		t.Fatalf("backup store lists sets %v, want [%d]", got, set2)
+	}
+	if got := db.store.Device().WrittenSlots(); got != rep2.Pages {
+		t.Fatalf("backup device holds %d images for a live set of %d pages", got, rep2.Pages)
 	}
 	ids, err := db.store.SetPages(set2)
 	if err != nil {
@@ -75,7 +85,7 @@ func TestBackupNowSkipsUnchangedPages(t *testing.T) {
 	ref := core.BackupRef{Kind: core.BackupFull, Loc: set2}
 	for _, id := range ids {
 		if _, err := db.res.FetchBackup(ref, id); err != nil {
-			t.Fatalf("page %d unreadable from set %d after dropping set %d: %v",
+			t.Fatalf("page %d unreadable from set %d after set %d was dropped: %v",
 				id, set2, set1, err)
 		}
 	}
@@ -100,5 +110,105 @@ func TestBackupNowSkipsUnchangedPages(t *testing.T) {
 	}
 	if viols, err := ix.Verify(); err != nil || len(viols) != 0 {
 		t.Fatalf("verify after recovery from incremental set: %v %v", viols, err)
+	}
+}
+
+// TestBackupNowBoundsBackupDevice: however many backups are taken, the
+// backup device holds the live set plus, while one is being written, the
+// set in progress — and the last set alone restores the database. With a
+// per-page backup policy on it also holds at most one copy per page between
+// full backups, and a full backup releases every one of them.
+func TestBackupNowBoundsBackupDevice(t *testing.T) {
+	t.Run("full backups only", func(t *testing.T) { backupDeviceBound(t, 0) })
+	t.Run("page backup policy", func(t *testing.T) { backupDeviceBound(t, 8) })
+}
+
+func backupDeviceBound(t *testing.T, backupEvery int) {
+	const n = 400
+	// The load is deterministic, so a dry run tells how many pages it
+	// makes; the real run gets a backup device of exactly two sets (plus
+	// one copy per page under the policy). A backup that left anything
+	// behind would then find the store full.
+	dry := openTestDB(t, testOptions())
+	loadIndex(t, dry, "t", n)
+	pages := dry.PageMapLen()
+	dry.Close()
+
+	opts := testOptions()
+	opts.BackupSlots = 2 * pages
+	if backupEvery > 0 {
+		opts.BackupEveryNUpdates = backupEvery
+		opts.BackupSlots += pages
+	}
+	db := openTestDB(t, opts)
+	ix := loadIndex(t, db, "t", n)
+	if db.PageMapLen() != pages {
+		t.Fatalf("load made %d pages, dry run made %d", db.PageMapLen(), pages)
+	}
+	val := func(round, i int) []byte { return []byte(fmt.Sprintf("r%02d-%06d", round, i)) }
+	const rounds = 20
+	pageBackups := 0
+	for round := 0; round < rounds; round++ {
+		tx := db.Begin()
+		for i := 0; i < n; i++ {
+			if err := ix.Update(tx, k(i), val(round, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+		if backupEvery > 0 {
+			// The policy's page backups are taken at the checkpoint.
+			if _, err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if round > 0 { // before the first full set there are only copies
+				held := db.store.Device().WrittenSlots()
+				if held <= pages || held > 2*pages {
+					t.Fatalf("round %d: %d images before the backup; want one set (%d) plus at most a copy per page",
+						round, held, pages)
+				}
+				pageBackups += held - pages
+			}
+		}
+		set, rep, err := db.BackupNow()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := db.store.Sets(); len(got) != 1 || got[0] != set {
+			t.Fatalf("round %d: backup store lists sets %v, want [%d]", round, got, set)
+		}
+		if rep.Pages != pages {
+			t.Fatalf("round %d: backup captured %d pages, database has %d", round, rep.Pages, pages)
+		}
+		// While the set was being written its predecessor was still live —
+		// two sets at the peak — and one once the backup has returned: the
+		// older set and every per-page copy it superseded are gone.
+		if got := db.store.Device().WrittenSlots(); got != pages {
+			t.Fatalf("round %d: backup device holds %d images for %d pages", round, got, pages)
+		}
+	}
+	if backupEvery > 0 && pageBackups == 0 {
+		t.Fatal("the policy took no page backup; the bound was not exercised")
+	}
+
+	db.FailDevice()
+	ndb, _, err := db.RecoverMedia()
+	if err != nil {
+		t.Fatalf("media recovery from the last set: %v", err)
+	}
+	defer ndb.Close()
+	ix2, err := ndb.Index("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if got, err := ix2.Get(k(i)); err != nil || !bytes.Equal(got, val(rounds-1, i)) {
+			t.Fatalf("key %d after media recovery: %q, %v", i, got, err)
+		}
+	}
+	if viols, err := ix2.Verify(); err != nil || len(viols) != 0 {
+		t.Fatalf("verify after media recovery: %v %v", viols, err)
 	}
 }

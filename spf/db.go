@@ -95,6 +95,16 @@ type DB struct {
 	arch     *archive.Store
 	archiver *archive.Archiver
 
+	// backupMu admits one BackupNow at a time; ckptMu keeps a checkpoint's
+	// index snapshot and a backup's re-pointing of the index apart.
+	backupMu sync.Mutex
+	ckptMu   sync.Mutex
+
+	// parked holds superseded backup copies until the record that replaced
+	// each is durable (supersedeBackup).
+	parkMu sync.Mutex
+	parked []parkedBackup
+
 	mu           sync.Mutex
 	metaID       page.ID
 	engines      map[string]Engine
@@ -616,15 +626,9 @@ func (db *DB) completeWrite(info buffer.WriteInfo) []*wal.Record {
 	if db.opts.DisableSinglePageRecovery {
 		return nil
 	}
-	return db.completedWrite(info, nil)
-}
-
-// completedWrite applies one completed write to the in-memory page
-// recovery index and appends the log records describing it to recs
-// (SetBackup first for a copy-on-write supersession, then the completed
-// write itself).
-func (db *DB) completedWrite(info buffer.WriteInfo, recs []*wal.Record) []*wal.Record {
-	// Copy-on-write: the superseded slot is a ready-made page backup.
+	// Copy-on-write: the superseded slot is a ready-made page backup. Its
+	// record is appended here, ahead of the completed write's own, because
+	// the backup it replaces may be released only behind that record.
 	if info.HadPrev && db.opts.WriteMode == pagemap.CopyOnWrite {
 		prevEntry, err := db.pri.Get(info.Page)
 		if err == nil {
@@ -635,30 +639,91 @@ func (db *DB) completedWrite(info buffer.WriteInfo, recs []*wal.Record) []*wal.R
 			}
 			old, err := db.pri.SetBackup(info.Page, ref)
 			if err == nil {
-				recs = append(recs, &wal.Record{
+				lsn := db.log.Append(&wal.Record{
 					Type: wal.TypePRIUpdate, PageID: info.Page,
 					Payload: core.EncodeSetBackup(ref),
 				})
-				db.releaseBackup(old)
+				db.supersedeBackup(info.Page, old, lsn)
 			}
 		}
 	}
 	if _, err := db.pri.SetLastLSN(info.Page, info.PageLSN); err != nil {
 		db.pri.Set(info.Page, core.Entry{LastLSN: info.PageLSN})
 	}
-	return append(recs, &wal.Record{
+	return []*wal.Record{{
 		Type: wal.TypePRIUpdate, PageID: info.Page,
 		Payload: core.EncodeWriteComplete(core.WriteCompletePayload{
 			PageLSN: info.PageLSN, Dest: info.Dest,
 			Prev: info.Prev, HadPrev: info.HadPrev,
 		}),
-	})
+	}}
 }
 
-// releaseBackup frees the resource behind a superseded backup reference
-// ("when a new backup page is taken ... the old backup page may be freed
-// and the page recovery index gives fast access to its identifier",
-// §5.2.2).
+// parkedBackup is a superseded backup copy whose release waits for the log
+// record that replaced its reference: until that record is durable, a
+// restart rebuilds an index that still names the copy.
+type parkedBackup struct {
+	page  page.ID
+	ref   core.BackupRef
+	after page.LSN // the replacing PRIUpdate record
+}
+
+// supersedeBackup parks the backup copy that the index update logged at
+// after replaced ("when a new backup page is taken ... the old backup page
+// may be freed and the page recovery index gives fast access to its
+// identifier", §5.2.2), then releases whatever has become releasable.
+func (db *DB) supersedeBackup(id page.ID, old core.BackupRef, after page.LSN) {
+	if old.Kind != core.BackupPage && old.Kind != core.BackupDataSlot {
+		return // a set, a log record: nothing of its own to free
+	}
+	db.parkMu.Lock()
+	db.parked = append(db.parked, parkedBackup{page: id, ref: old, after: after})
+	db.parkMu.Unlock()
+	db.releaseDurable()
+}
+
+// releaseDurable frees the parked backup copies whose replacing record the
+// log has made durable. Appends reach the queue nearly in LSN order, so
+// only its head is examined; a straggler waits for the next call.
+func (db *DB) releaseDurable() {
+	flushed := db.log.FlushedLSN()
+	db.parkMu.Lock()
+	n := 0
+	for n < len(db.parked) && db.parked[n].after < flushed {
+		n++
+	}
+	ripe := db.parked[:n:n]
+	db.parked = db.parked[n:]
+	db.parkMu.Unlock()
+	for _, b := range ripe {
+		db.releaseBackup(b.ref)
+	}
+}
+
+// inheritParked settles the backup copies prev still had parked when it
+// failed against the index rebuilt from the surviving log: a copy the
+// index names again (its replacement was cut from the log) is live; every
+// other is released. Pre-move data slots only count when the data device
+// survived (dataSlots).
+func (db *DB) inheritParked(prev *DB, dataSlots bool) {
+	prev.parkMu.Lock()
+	parked := prev.parked
+	prev.parked = nil
+	prev.parkMu.Unlock()
+	for _, b := range parked {
+		if cur, err := db.pri.Get(b.page); err == nil &&
+			cur.Backup.Kind == b.ref.Kind && cur.Backup.Loc == b.ref.Loc {
+			continue
+		}
+		if b.ref.Kind == core.BackupDataSlot && !dataSlots {
+			continue
+		}
+		db.releaseBackup(b.ref)
+	}
+}
+
+// releaseBackup frees the storage behind a backup reference nothing names
+// any more.
 func (db *DB) releaseBackup(old core.BackupRef) {
 	switch old.Kind {
 	case core.BackupPage:

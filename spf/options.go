@@ -160,7 +160,9 @@ type LifecycleOptions struct {
 	// a write fault pauses recycling until the device recovers, a read
 	// fault fails the page repair that needed the record (default 5).
 	// RetryBackoff is the initial backoff, doubling per attempt (default
-	// 200µs for writes, 100µs for reads).
+	// 200µs for writes, 100µs for reads; either lasts ≥1ms in practice —
+	// the Go runtime rounds a shorter sleep up on an idle P — so smaller
+	// values change nothing).
 	RetryAttempts int
 	RetryBackoff  time.Duration
 	// Logf receives the graceful-degradation log lines (archive
@@ -209,8 +211,10 @@ type RestoreOptions struct {
 	Workers int
 	// RetryBackoff is the initial backoff before retrying a repair that
 	// found its page pinned by concurrent readers; it doubles per attempt
-	// up to a 50ms cap (default 1ms). The page is requeued, never
-	// dropped.
+	// up to a 50ms cap (default 1ms, which is also the floor: a shorter
+	// timer fires no sooner on an idle P). The page is requeued, never
+	// dropped. A failed device read is never waited on — it is re-read at
+	// once and then repaired.
 	RetryBackoff time.Duration
 }
 
