@@ -1,14 +1,11 @@
-// Package maintbench holds the shared drivers for the maintenance
-// subsystem benchmarks (E21 async write-back, E22 scrub campaign
-// overhead). Both the root bench_test.go (go test -bench) and cmd/spfbench
-// -benchjson run these same functions, so the numbers in BENCH_*.json
-// always measure exactly what CI smoke-tests.
-package maintbench
+package bench
+
+// Drivers for E21 async write-back and E22 scrub campaign overhead, on a
+// standalone pool below the spf facade.
 
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,22 +18,6 @@ import (
 	"repro/internal/wal"
 )
 
-// WriteBackResult quantifies one write-back run.
-type WriteBackResult struct {
-	// Updates is the number of foreground page updates performed (b.N).
-	Updates int64
-	// DeviceWrites is how many page images reached the device for them.
-	// DeviceWrites/Updates is the write amplification of the flush policy:
-	// synchronous write-through pays ~1.0; batched background write-back
-	// coalesces re-dirtied hot pages and pays a fraction.
-	DeviceWrites int64
-	// PRIAppends counts completed-write log records; BatchAppends counts
-	// the grouped reserve-fill appends that carried them (0 in the
-	// synchronous mode, which appends one record per page write).
-	PRIAppends   int64
-	BatchAppends int64
-}
-
 // writeBackEnv is the standalone engine slice the driver runs against: a
 // buffer pool over a simulated device, with hooks that mimic the engine's
 // completed-write logging (one PRI update record per page write, grouped
@@ -46,7 +27,6 @@ type writeBackEnv struct {
 	pmap *pagemap.Map
 	log  *wal.Manager
 	pool *buffer.Pool
-	pri  atomic.Int64 // PRI update records logged
 }
 
 func newWriteBackEnv(b *testing.B, capacity, slots int) *writeBackEnv {
@@ -64,7 +44,6 @@ func newWriteBackEnv(b *testing.B, capacity, slots int) *writeBackEnv {
 			// record per page write, appended by the pool (singly on the
 			// synchronous path, grouped per batch on the async path).
 			CompleteWrite: func(info buffer.WriteInfo) []*wal.Record {
-				e.pri.Add(1)
 				return []*wal.Record{{
 					Type: wal.TypePRIUpdate, PageID: info.Page, Payload: priPayload,
 				}}
@@ -77,7 +56,7 @@ func newWriteBackEnv(b *testing.B, capacity, slots int) *writeBackEnv {
 func (e *writeBackEnv) seedPages(b *testing.B, n int) []page.ID {
 	b.Helper()
 	ids := make([]page.ID, n)
-	payload := []byte("maintbench-seed-payload")
+	payload := []byte("bench-seed-payload")
 	for i := range ids {
 		id := e.pmap.AllocateLogical()
 		h, err := e.pool.Create(id, page.TypeRaw)
@@ -101,21 +80,22 @@ func (e *writeBackEnv) seedPages(b *testing.B, n int) []page.ID {
 	return ids
 }
 
-// WriteBack drives b.N page updates over a hot set of pages and makes them
-// all durable, comparing the flush policies the maintenance subsystem
-// replaces and provides:
+// writeBack drives b.N page updates over a hot set of pages and makes them
+// all durable, under one of the two flush policies:
 //
 //   - async=false — the old foreground discipline: every update pays a
 //     synchronous write-back (write + PRI log append) before the next
 //     update proceeds, the latency evictions and checkpoints used to pay.
 //   - async=true — updates only mark pages dirty and prod the maintenance
-//     service; flusher workers drain batches concurrently (watermark- and
-//     age-triggered), each batch logging its PRI updates as one grouped
-//     append. Re-dirtied hot pages coalesce into one write per drain.
+//     service; one flusher worker drains batches concurrently (watermark-
+//     and age-triggered), each batch logging its PRI updates as one
+//     grouped append. Re-dirtied hot pages coalesce into one write per
+//     drain.
 //
 // Both modes end fully flushed (the async run stops the service and drains
-// the remainder), so the durability work is equivalent.
-func WriteBack(b *testing.B, async bool, workers int) WriteBackResult {
+// the remainder), so the durability work is equivalent. It returns the
+// write amplification, device writes per update.
+func writeBack(b *testing.B, async bool) float64 {
 	const (
 		hotPages = 64
 		capacity = 1024
@@ -125,13 +105,12 @@ func WriteBack(b *testing.B, async bool, workers int) WriteBackResult {
 	// Everything below reports deltas: seeding itself flushed (and
 	// group-appended) once.
 	writesBefore := e.dev.Stats().Writes
-	priBefore := e.pri.Load()
 	batchesBefore := e.log.Stats().BatchAppends
 
 	var svc *maintenance.Service
 	if async {
 		svc = maintenance.New(maintenance.Config{
-			FlushWorkers:       workers,
+			FlushWorkers:       1,
 			FlushBatchPages:    hotPages,
 			FlushInterval:      2 * time.Millisecond,
 			DirtyHighWatermark: 0.25,
@@ -142,7 +121,6 @@ func WriteBack(b *testing.B, async bool, workers int) WriteBackResult {
 	}
 
 	payload := make([]byte, 100)
-	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		id := ids[n%hotPages]
@@ -175,33 +153,36 @@ func WriteBack(b *testing.B, async bool, workers int) WriteBackResult {
 	if d := e.pool.DirtyCount(); d != 0 {
 		b.Fatalf("%d pages left dirty", d)
 	}
-	return WriteBackResult{
-		Updates:      int64(b.N),
-		DeviceWrites: e.dev.Stats().Writes - writesBefore,
-		PRIAppends:   e.pri.Load() - priBefore,
-		BatchAppends: e.log.Stats().BatchAppends - batchesBefore,
+	updates := int64(b.N)
+	writes := e.dev.Stats().Writes - writesBefore
+	batches := e.log.Stats().BatchAppends - batchesBefore
+	switch {
+	case !async && writes < updates:
+		// Write-through pays one device write and one PRI append per
+		// update, and nothing is grouped.
+		b.Fatalf("sync mode wrote %d pages for %d updates", writes, updates)
+	case !async && batches != 0:
+		b.Fatalf("sync mode used %d grouped appends", batches)
+	case async && writes > updates:
+		b.Fatalf("async mode wrote %d pages for %d updates", writes, updates)
+	case async && b.N >= 4096 && batches == 0:
+		// Only meaningful once the workload dwarfs the hot set: batching
+		// must group PRI appends and coalesce re-dirtied pages to well
+		// under half the synchronous write count.
+		b.Fatal("async mode never grouped a PRI append")
+	case async && b.N >= 4096 && 2*writes >= updates:
+		b.Fatalf("async coalescing too weak: %d writes for %d updates", writes, updates)
 	}
+	return float64(writes) / float64(updates)
 }
 
-// ScrubResult quantifies one scrub-overhead run.
-type ScrubResult struct {
-	// Reads is the number of foreground page fetches performed (b.N).
-	Reads int64
-	// PagesScrubbed and Sweeps report campaign progress during the run;
-	// Repaired counts latent errors it fixed along the way.
-	PagesScrubbed int64
-	Sweeps        int64
-	Repaired      int64
-}
-
-// ScrubOverhead drives b.N foreground fetches (buffer hits — the engine's
+// scrubOverhead drives b.N foreground fetches (buffer hits — the engine's
 // hot path) while a scrub campaign runs at the given page rate underneath
-// (rate <= 0 disables the campaign: the baseline). A slice of cold pages
+// (rate 0 disables the campaign: the baseline). A slice of cold pages
 // carries persistent corruption, so an enabled campaign does real repair
-// work, not just clean scans. The interesting number is the foreground
-// ns/op delta between rate=0 and rate>0: the campaign's overhead on
-// foreground traffic.
-func ScrubOverhead(b *testing.B, rate int) ScrubResult {
+// work, not just clean scans. It returns the pages the campaign scrubbed,
+// and fails when an enabled campaign made no progress.
+func scrubOverhead(b *testing.B, rate int) float64 {
 	const (
 		nPages    = 256
 		capacity  = 1024
@@ -266,7 +247,6 @@ func ScrubOverhead(b *testing.B, rate int) ScrubResult {
 	}
 
 	hot := nPages - corrupted
-	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		h, err := e.pool.Fetch(ids[n%hot])
@@ -276,21 +256,21 @@ func ScrubOverhead(b *testing.B, rate int) ScrubResult {
 		h.Release()
 	}
 	b.StopTimer()
-	res := ScrubResult{Reads: int64(b.N)}
-	if svc != nil {
-		// Outside the timed region, give the campaign a moment to show
-		// life: on a single-core runner the foreground loop starves the
-		// scrub goroutine, and asserting progress without this grace
-		// window would be a scheduler lottery.
-		deadline := time.Now().Add(2 * time.Second)
-		for svc.Stats().PagesScrubbed == 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		svc.Stop()
-		s := svc.Stats()
-		res.PagesScrubbed = s.PagesScrubbed
-		res.Sweeps = s.Sweeps
-		res.Repaired = s.Repaired
+	if svc == nil {
+		return 0
 	}
-	return res
+	// Outside the timed region, give the campaign a moment to show life: on
+	// a single-core runner the foreground loop starves the scrub goroutine,
+	// and asserting progress without this grace window would be a scheduler
+	// lottery.
+	deadline := time.Now().Add(2 * time.Second)
+	for svc.Stats().PagesScrubbed == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	svc.Stop()
+	scrubbed := svc.Stats().PagesScrubbed
+	if scrubbed == 0 {
+		b.Fatal("campaign made no progress during the run")
+	}
+	return float64(scrubbed)
 }

@@ -1,9 +1,7 @@
-// Package restartbench holds the shared drivers for the instant-restart
-// benchmarks (E26 restart first-read latency, E27 parallel redo drain).
-// Both the root bench_test.go (go test -bench) and cmd/spfbench
-// -benchjson run these same functions, so the numbers in
-// BENCH_restart.json always measure exactly what CI smoke-tests.
-package restartbench
+package bench
+
+// Drivers for the restore scheduler and instant restart: E24 on-demand
+// restore latency, E26 restart first-read latency, E27 parallel redo drain.
 
 import (
 	"bytes"
@@ -16,39 +14,84 @@ import (
 	"repro/spf"
 )
 
-// FirstReadResult quantifies one restart first-read latency run.
-type FirstReadResult struct {
-	// Keys and Pages size the database that crashed.
-	Keys  int
-	Pages int
-	// Iters is the number of crash→restart cycles measured (b.N).
-	Iters int
-	// MeanNs and MaxNs aggregate the Crash→(Restart returns and the
-	// first read completes) latency across iterations — the time until
-	// the first transaction observes its acked data again.
-	MeanNs int64
-	MaxNs  int64
-	// Marked is how many pages the last restart preparation flagged
-	// needs-redo (zero on the synchronous-redo baseline).
-	Marked int64
+// repairCost is the simulated per-page repair cost of the scheduler-level
+// benchmarks (E24, E27): roughly one image read plus a short chain replay
+// on fast storage. It is paid with a sleep so the workers yield the CPU
+// exactly like a repair blocked on I/O — the simulated-I/O clock only
+// accumulates time and never sleeps, so wall-clock queueing and worker
+// scaling must be modeled at the scheduler level.
+const repairCost = 300 * time.Microsecond
+
+// onDemandLatency measures the urgent-path repair-wait latency under a
+// saturated background queue — the disjoint-fault shape: every fault hits
+// a distinct page, so per-page coalescing cannot help and only *ordering*
+// separates the two policies.
+//
+// Each iteration tops the queue back up to a 64-deep backlog of
+// background repairs (a scrub campaign or bulk media restore that keeps
+// finding work), then issues one urgent repair for a fresh page and waits
+// for it. With fifo=false the request is enqueued Urgent and reorders
+// ahead of the backlog (the instant-restore ordering); with fifo=true the
+// identical machinery runs with priorities disabled — the request joins
+// the queue at Background, which is exactly a FIFO queue — and the wait
+// degenerates to draining the backlog. It returns the p99 of the wait.
+func onDemandLatency(b *testing.B, fifo bool) float64 {
+	const (
+		workers = 2
+		backlog = 64
+	)
+	sched := restore.New(restore.Config{Workers: workers}, restore.Deps{
+		Repair: func(page.ID) error {
+			time.Sleep(repairCost)
+			return nil
+		},
+	})
+	sched.Start()
+	defer sched.Stop()
+
+	// Background pages count up from 1; urgent pages live in a disjoint
+	// high range so every urgent request is a fresh fault.
+	var nextBg page.ID
+	urgentBase := page.ID(1 << 30)
+	lat := make([]time.Duration, 0, b.N)
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for sched.Pending() < backlog {
+			nextBg++
+			sched.Enqueue(nextBg, restore.Background)
+		}
+		pri := restore.Urgent
+		if fifo {
+			pri = restore.Background
+		}
+		start := time.Now()
+		if err := sched.Enqueue(urgentBase+page.ID(i), pri).Wait(); err != nil {
+			b.Fatal(err)
+		}
+		lat = append(lat, time.Since(start))
+	}
+	b.StopTimer()
+
+	return p99(lat)
 }
 
-// FirstReadLatency measures how long the first post-crash read waits:
+// firstReadLatency measures how long the first post-crash read waits:
 // crash a database with a large dirty working set, restart it, and read
 // one key. With full=false the instant-restart path runs — preparation is
 // O(active pages), Restart returns before redo completes, and the read
 // pays only its own page's chain replay. With full=true the synchronous
 // forward-scan redo runs to completion (Options.Restore.Disabled — the
 // pre-instant baseline) before any read can start. One iteration is one
-// full crash-and-restart cycle; the ≥5x separation criterion lives in
-// BenchmarkE26RestartFirstReadLatency.
-func FirstReadLatency(b *testing.B, full bool) FirstReadResult {
+// full crash-and-restart cycle. It returns the mean Crash→(Restart returns
+// and the first read completes) latency — the time until the first
+// transaction observes its acked data again.
+func firstReadLatency(b *testing.B, full bool) float64 {
 	const (
 		keys   = 3000
 		rounds = 4
 	)
-	res := FirstReadResult{Keys: keys, Iters: b.N}
-	var total, max int64
+	var total int64
 	for iter := 0; iter < b.N; iter++ {
 		b.StopTimer()
 		opts := spf.Options{
@@ -92,7 +135,6 @@ func FirstReadLatency(b *testing.B, full bool) FirstReadResult {
 				b.Fatal(err)
 			}
 		}
-		res.Pages = db.PageMapLen()
 		db.Crash()
 
 		b.StartTimer()
@@ -112,10 +154,9 @@ func FirstReadLatency(b *testing.B, full bool) FirstReadResult {
 			b.Fatalf("first read after restart: %q, %v", got, err)
 		}
 		total += lat
-		if lat > max {
-			max = lat
+		if !full && rep.Prep.PagesMarked == 0 {
+			b.Fatal("instant restart marked no pages needs-redo")
 		}
-		res.Marked = int64(rep.Prep.PagesMarked)
 		ndb.DrainRestore()
 		if err := ndb.Close(); err != nil {
 			b.Fatal(err)
@@ -123,46 +164,23 @@ func FirstReadLatency(b *testing.B, full bool) FirstReadResult {
 		b.StartTimer()
 	}
 	b.StopTimer()
-	if b.N > 0 {
-		res.MeanNs = total / int64(b.N)
-	}
-	res.MaxNs = max
-	return res
+	return float64(total) / float64(b.N)
 }
 
-// DrainResult quantifies one parallel redo drain run.
-type DrainResult struct {
-	// Pages is the redo backlog size per iteration.
-	Pages int
-	// Workers is the scheduler worker count.
-	Workers int
-	// MeanNs is the mean time to drain the whole backlog.
-	MeanNs int64
-}
-
-// redoCost is the simulated per-page redo cost: one device image read
-// plus a short chain replay. It is paid with a sleep so the workers yield
-// the CPU exactly like a redo blocked on I/O — the simulated-I/O clock
-// only accumulates time and never sleeps, so wall-clock worker scaling
-// must be modeled at the scheduler level (the E24 approach).
-const redoCost = 300 * time.Microsecond
-
-// ParallelRedoDrain measures the bulk redo drain after an instant
+// parallelRedoDrain measures the bulk redo drain after an instant
 // restart at the scheduler level: a backlog of per-page redo tickets —
 // cost-ordered by chain length, exactly how Restart enqueues its
 // needs-redo marks — is drained by the configured worker count, each
-// repair paying redoCost. Redo is partitioned by page, so workers never
-// contend on a ticket; the ≥2x scaling criterion at 4 workers lives in
-// BenchmarkE27ParallelRedoDrain.
-func ParallelRedoDrain(b *testing.B, workers int) DrainResult {
+// repair paying repairCost. Redo is partitioned by page, so workers never
+// contend on a ticket. It returns the mean time to drain the backlog.
+func parallelRedoDrain(b *testing.B, workers int) float64 {
 	const backlog = 256
-	res := DrainResult{Pages: backlog, Workers: workers}
 	var total int64
 	for iter := 0; iter < b.N; iter++ {
 		b.StopTimer()
 		sched := restore.New(restore.Config{Workers: workers}, restore.Deps{
 			Repair: func(page.ID) error {
-				time.Sleep(redoCost)
+				time.Sleep(repairCost)
 				return nil
 			},
 		})
@@ -181,10 +199,7 @@ func ParallelRedoDrain(b *testing.B, workers int) DrainResult {
 		b.StartTimer()
 	}
 	b.StopTimer()
-	if b.N > 0 {
-		res.MeanNs = total / int64(b.N)
-	}
-	return res
+	return float64(total) / float64(b.N)
 }
 
 func bkey(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }

@@ -1,20 +1,14 @@
-// Package btreebench holds the shared driver for the concurrent B-tree
-// benchmark (E23 parallel tree ops). Both the root bench_test.go (go test
-// -bench) and cmd/spfbench -benchjson run these same functions, so the
-// numbers in BENCH_btree.json always measure exactly what CI smoke-tests.
-//
-// The driver compares the latch-coupled tree against a tree-global-mutex
-// baseline shim — the seed's serialization discipline (all writers behind
-// one writer lock, readers behind its read side) reproduced on top of the
-// identical tree — under a mixed Get/Insert/Update/Delete workload in two
-// shapes: disjoint (each worker owns its key range, the scalable case) and
-// contended (every worker hammers one shared range).
-package btreebench
+package bench
+
+// Drivers for E23 parallel tree ops, E28 resident reads and E29 mixed
+// fallback, on a minimal engine below the spf facade.
 
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,6 +60,21 @@ func newPager(pageSize, slots, frames int) *pager {
 	})
 	p.txns.SetUndoer(p)
 	return p
+}
+
+// newTree creates an empty tree on a fresh pager with the given pool size.
+func newTree(b *testing.B, frames int) (*pager, *btree.Tree) {
+	b.Helper()
+	p := newPager(1024, 1<<18, frames)
+	st := p.txns.BeginSystem()
+	tr, err := btree.Create(st, "bench", p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	return p, tr
 }
 
 func (p *pager) Undo(t *txn.Txn, rec *wal.Record) error {
@@ -122,8 +131,7 @@ type treeOps interface {
 // mutexTree is the tree-global-mutex baseline shim: the identical tree with
 // the seed's serialization reproduced on top — writers fully serialized by
 // one RWMutex, readers sharing its read side and stalling behind any
-// in-flight writer. It exists purely as the before-side of E23 so the
-// latch-coupling speedup stays measurable after the old code is gone.
+// in-flight writer: the before-side of E23.
 type mutexTree struct {
 	mu sync.RWMutex
 	tr *btree.Tree
@@ -174,26 +182,13 @@ func benchKey(shard, i int) []byte {
 	return []byte(fmt.Sprintf("r%02d-%06d", shard, i))
 }
 
-// ParallelOps returns a benchmark function running the mixed workload: 30%
-// Get, 50% Update, 10% Insert, 10% Delete per worker, against either the
-// latch-coupled tree (globalMutex=false) or the baseline shim. contended
-// selects whether workers share one key range or own disjoint ranges. The
-// tree runs in its default configuration (optimistic descent on).
-func ParallelOps(contended, globalMutex bool) func(b *testing.B) {
-	return parallelOps(contended, globalMutex, true)
-}
-
-func parallelOps(contended, globalMutex, optimistic bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		p := newPager(1024, 1<<18, poolFrames)
-		st := p.txns.BeginSystem()
-		tr, err := btree.Create(st, "bench", p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := st.Commit(); err != nil {
-			b.Fatal(err)
-		}
+// parallelOps returns the E23/E29 body: 30% Get, 50% Update, 10% Insert,
+// 10% Delete per worker, against either the latch-coupled tree or the
+// global-mutex shim, with the optimistic descent on or off. contended
+// selects whether workers share one key range or own disjoint ranges.
+func parallelOps(contended, globalMutex, optimistic bool) func(b *testing.B) float64 {
+	return func(b *testing.B) float64 {
+		p, tr := newTree(b, poolFrames)
 		tr.SetOptimistic(optimistic)
 		shards := maxWorkers
 		if contended {
@@ -215,18 +210,10 @@ func parallelOps(contended, globalMutex, optimistic bool) func(b *testing.B) {
 		if globalMutex {
 			ops = &mutexTree{tr: tr}
 		}
-		var widGen int32
-		var widMu sync.Mutex
-		nextWid := func() int {
-			widMu.Lock()
-			defer widMu.Unlock()
-			widGen++
-			return int(widGen)
-		}
-		b.ReportAllocs()
+		var widGen atomic.Int64
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
-			wid := nextWid()
+			wid := int(widGen.Add(1))
 			shard := 0
 			if !contended {
 				shard = wid % maxWorkers
@@ -279,6 +266,90 @@ func parallelOps(contended, globalMutex, optimistic bool) func(b *testing.B) {
 				b.Error(err)
 			}
 		})
-		b.StopTimer()
+		return 0
 	}
+}
+
+const (
+	// residentShards sizes the E28 key space: residentShards*baseKeys keys
+	// build a three-level tree (root, interior branches, leaves) so the
+	// optimistic descent routes through more than one cached skeleton.
+	residentShards = 32
+	// residentFrames keeps the whole tree resident: E28 measures the pure
+	// in-memory read path, no buffer misses, no charged I/O latency.
+	residentFrames = 4096
+)
+
+// residentReads is the E28 body: point reads (GetTo into a reused buffer)
+// against a fully resident, static tree. zipfian selects the key
+// distribution (a Zipf(1.2) skew concentrates traffic on few hot leaves,
+// the shape where root/branch latch traffic hurts most; uniform spreads
+// it). It returns the fraction of descents that completed optimistically.
+func residentReads(b *testing.B, zipfian, optimistic bool) float64 {
+	p, tr := newTree(b, residentFrames)
+	keys := make([][]byte, residentShards*baseKeys)
+	load := p.txns.Begin()
+	for s := 0; s < residentShards; s++ {
+		for i := 0; i < baseKeys; i++ {
+			k := benchKey(s, i)
+			keys[s*baseKeys+i] = k
+			if err := tr.Insert(load, k, []byte("value-00000000")); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := load.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	tr.SetOptimistic(optimistic)
+	// Warm pass: faults every page in and (when optimistic) builds the
+	// branch skeleton caches, so the timed region measures steady state.
+	for _, k := range keys {
+		if _, err := tr.Get(k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	n := uint64(len(keys))
+	var widGen atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		wid := uint64(widGen.Add(1))
+		var zipf *rand.Zipf
+		if zipfian {
+			zipf = rand.NewZipf(rand.New(rand.NewSource(int64(wid))), 1.2, 1, n-1)
+		}
+		rng := wid*0x9E3779B97F4A7C15 + 1
+		buf := make([]byte, 0, 64)
+		for pb.Next() {
+			var i uint64
+			if zipfian {
+				i = zipf.Uint64()
+			} else {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				i = rng % n
+			}
+			var err error
+			buf, err = tr.GetTo(buf[:0], keys[i])
+			if err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	hits, fallbacks := tr.OptimisticStats()
+	if optimistic && b.N > 1000 {
+		if hits == 0 {
+			b.Fatal("optimistic descent never completed on a static tree")
+		}
+		if fallbacks*100 > hits {
+			b.Fatalf("fallbacks %d vs hits %d: >1%% on a static resident tree", fallbacks, hits)
+		}
+	}
+	if hits+fallbacks == 0 {
+		return 0
+	}
+	return float64(hits) / float64(hits+fallbacks)
 }

@@ -1,13 +1,51 @@
-package walbench
+package bench
+
+// Drivers for E20 group commit and the log-lifecycle replays E32/E33.
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/archive"
 	"repro/internal/iosim"
 	"repro/internal/page"
 	"repro/internal/wal"
 )
+
+// groupCommit drives b.N commits from 32 concurrent goroutines, each
+// appending a commit record and forcing it through ForceForCommit with the
+// given window, and returns the coalescing factor, commits per flush.
+func groupCommit(b *testing.B, window time.Duration) float64 {
+	const committers = 32
+	m := wal.NewManagerOpts(wal.Options{Profile: iosim.Instant, GroupCommitWindow: window})
+	defer m.Close()
+	var ops atomic.Int64
+	ops.Store(int64(b.N))
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for c := 0; c < committers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for ops.Add(-1) >= 0 {
+				lsn := m.Append(&wal.Record{Type: wal.TypeCommit, Txn: wal.TxnID(c)})
+				if err := m.ForceForCommit(lsn); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	b.StopTimer()
+	flushes := m.Stats().Flushes
+	if flushes == 0 {
+		return 0
+	}
+	return float64(b.N) / float64(flushes)
+}
 
 // Shape of the lifecycle replay benchmarks (E32/E33): many per-page
 // chains written round-robin, so consecutive records of one page sit a
@@ -16,29 +54,28 @@ import (
 // replay of the same chain reads one sorted, page-partitioned run span
 // sequentially.
 const (
-	// ChainPages is the number of interleaved per-page chains.
-	ChainPages = 128
-	// ChainDepth is the history depth of every chain — the number of
+	// chainPages is the number of interleaved per-page chains.
+	chainPages = 128
+	// chainDepth is the history depth of every chain — the number of
 	// records a single-page replay applies.
-	ChainDepth = 256
+	chainDepth = 256
 
 	chainPayload = 120
 )
 
-// buildChainLog writes ChainPages interleaved chains of ChainDepth
+// buildChainLog writes chainPages interleaved chains of chainDepth
 // records each and flushes, returning the manager and the target page for
 // single-chain replays (with its chain head).
-func buildChainLog(b *testing.B) (*wal.Manager, page.ID, page.LSN) {
-	b.Helper()
+func buildChainLog() (*wal.Manager, page.ID, page.LSN) {
 	m := wal.NewManager(iosim.Instant)
 	payload := make([]byte, chainPayload)
-	prev := make([]page.LSN, ChainPages)
-	for d := 0; d < ChainDepth; d++ {
+	prev := make([]page.LSN, chainPages)
+	for d := 0; d < chainDepth; d++ {
 		typ := wal.TypeUpdate
 		if d == 0 {
 			typ = wal.TypeFormat
 		}
-		for p := 0; p < ChainPages; p++ {
+		for p := 0; p < chainPages; p++ {
 			prev[p] = m.Append(&wal.Record{
 				Type: typ, Txn: 1,
 				PageID:      page.ID(p + 1),
@@ -48,7 +85,7 @@ func buildChainLog(b *testing.B) (*wal.Manager, page.ID, page.LSN) {
 		}
 	}
 	m.FlushAll()
-	target := ChainPages / 2
+	target := chainPages / 2
 	return m, page.ID(target + 1), prev[target]
 }
 
@@ -70,37 +107,33 @@ func archiveAndRecycle(b *testing.B, m *wal.Manager) {
 	}
 }
 
-// ChainReplay measures one page's full-chain replay (WalkPageChain, the
-// single-page-recovery read path) at equal history depth: archived=false
-// chases prev pointers through the live log, archived=true reads the
-// page's span of the sorted archive runs after every live segment has
-// been recycled.
-func ChainReplay(b *testing.B, archived bool) {
-	m, target, head := buildChainLog(b)
+// chainReplay measures one page's full-chain replay (WalkPageChain, the
+// single-page-recovery read path): archived=false chases prev pointers
+// through the live log, archived=true reads the page's span of the sorted
+// archive runs after every live segment has been recycled.
+func chainReplay(b *testing.B, archived bool) float64 {
+	m, target, head := buildChainLog()
 	defer m.Close()
 	if archived {
 		archiveAndRecycle(b, m)
 	}
-	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		recs, err := m.WalkPageChain(head, 0, target)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(recs) != ChainDepth {
-			b.Fatalf("chain replayed %d records, want %d", len(recs), ChainDepth)
+		if len(recs) != chainDepth {
+			b.Fatalf("chain replayed %d records, want %d", len(recs), chainDepth)
 		}
 	}
+	return 0
 }
 
-// MediaRestoreReplay measures media-restore preparation at equal history
-// depth: replaying every page's chain, the work a device-failure restore
-// does for its whole page set. The archived variant reads each page's
-// history as one sequential run span; the live variant re-seeks the
-// interleaved log once per page.
-func MediaRestoreReplay(b *testing.B, archived bool) {
-	m, _, _ := buildChainLog(b)
+// mediaRestoreReplay measures replaying every page's chain, the work a
+// device-failure restore does for its whole page set.
+func mediaRestoreReplay(b *testing.B, archived bool) float64 {
+	m, _, _ := buildChainLog()
 	defer m.Close()
 	if archived {
 		archiveAndRecycle(b, m)
@@ -114,10 +147,9 @@ func MediaRestoreReplay(b *testing.B, archived bool) {
 		chains = append(chains, chain{id, ci.Head})
 		return true
 	})
-	if len(chains) != ChainPages {
-		b.Fatalf("chain index covers %d pages, want %d", len(chains), ChainPages)
+	if len(chains) != chainPages {
+		b.Fatalf("chain index covers %d pages, want %d", len(chains), chainPages)
 	}
-	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		total := 0
@@ -128,8 +160,9 @@ func MediaRestoreReplay(b *testing.B, archived bool) {
 			}
 			total += len(recs)
 		}
-		if total != ChainPages*ChainDepth {
-			b.Fatalf("restore replayed %d records, want %d", total, ChainPages*ChainDepth)
+		if total != chainPages*chainDepth {
+			b.Fatalf("restore replayed %d records, want %d", total, chainPages*chainDepth)
 		}
 	}
+	return 0
 }

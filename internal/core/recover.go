@@ -102,6 +102,46 @@ func (r *Recoverer) escalate(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrEscalate, fmt.Sprintf(format, args...))
 }
 
+// ReplayChain brings base, any true historical image of its page, up to
+// head by replaying the page's per-page log chain onto it: a backup "as of
+// its own PageLSN" (§5.2.1) is a registered backup image for single-page
+// recovery and the page's current on-disk image for restart redo. It walks
+// the chain newest→oldest down to base's PageLSN (the LIFO stack of
+// §5.2.3), then pops it, applying redo oldest-first under the defensive
+// §5.1.4 sequence check, and requires the result to reach head. It returns
+// the number of records applied; on any error base is left part-replayed
+// and must be discarded.
+//
+// A zero head means the page has not been updated since the backup
+// (Fig. 7: the LSN field is "valid only if the page ... has been updated
+// since the last backup"): the image is current and nothing is read.
+func ReplayChain(log *wal.Manager, applier RedoApplier, base *page.Page, head page.LSN) (int, error) {
+	if head == page.ZeroLSN {
+		return 0, nil
+	}
+	id := base.ID()
+	stack, err := log.WalkPageChain(head, base.LSN(), id)
+	if err != nil {
+		return 0, fmt.Errorf("walking per-page chain of page %d: %w", id, err)
+	}
+	for i := len(stack) - 1; i >= 0; i-- {
+		rec := stack[i]
+		if rec.PagePrevLSN != base.LSN() {
+			return 0, fmt.Errorf(
+				"per-page chain of page %d out of sequence at LSN %d: record expects PageLSN %d, page has %d",
+				id, rec.LSN, rec.PagePrevLSN, base.LSN())
+		}
+		if err := applier.ApplyRedo(rec, base); err != nil {
+			return 0, fmt.Errorf("redo of LSN %d on page %d: %w", rec.LSN, id, err)
+		}
+		base.SetLSN(rec.LSN)
+	}
+	if base.LSN() != head {
+		return 0, fmt.Errorf("replayed page %d reaches LSN %d, chain head is %d", id, base.LSN(), head)
+	}
+	return len(stack), nil
+}
+
 // RecoverPage rebuilds the current contents of pageID from its most recent
 // backup plus the per-page log chain. On success the returned page is
 // up to date as of the PRI's LastLSN for the page. Any failure along the
@@ -142,47 +182,16 @@ func (r *Recoverer) RecoverPage(pageID page.ID) (*page.Page, Report, error) {
 			pageID, base.LSN(), entry.Backup.AsOf)
 	}
 
-	// A zero LastLSN means the page has not been updated since the
-	// backup (Fig. 7: the LSN field is "valid only if the page ... has
-	// been updated since the last backup"): the backup image is current.
-	var stack []*wal.Record
-	if entry.LastLSN != page.ZeroLSN {
-		// Walk the per-page chain newest→oldest; the returned slice
-		// is the LIFO stack of §5.2.3.
-		stack, err = r.log.WalkPageChain(entry.LastLSN, base.LSN(), pageID)
-		if err != nil {
-			return nil, Report{}, r.escalate("walking per-page chain of page %d: %v", pageID, err)
-		}
-	}
-
-	// Pop the stack: apply redo oldest-first with the defensive §5.1.4
-	// sequence check.
-	applied := 0
-	for i := len(stack) - 1; i >= 0; i-- {
-		rec := stack[i]
-		if rec.PagePrevLSN != base.LSN() {
-			return nil, Report{}, r.escalate(
-				"per-page chain of page %d out of sequence at LSN %d: record expects PageLSN %d, page has %d",
-				pageID, rec.LSN, rec.PagePrevLSN, base.LSN())
-		}
-		if err := r.applier.ApplyRedo(rec, base); err != nil {
-			return nil, Report{}, r.escalate("redo of LSN %d on page %d: %v", rec.LSN, pageID, err)
-		}
-		base.SetLSN(rec.LSN)
-		applied++
-	}
-
-	if entry.LastLSN != page.ZeroLSN && base.LSN() != entry.LastLSN {
-		return nil, Report{}, r.escalate(
-			"recovered page %d reaches LSN %d, index expected %d",
-			pageID, base.LSN(), entry.LastLSN)
+	applied, err := ReplayChain(r.log, r.applier, base, entry.LastLSN)
+	if err != nil {
+		return nil, Report{}, r.escalate("%v", err)
 	}
 
 	rep := Report{
 		Page:           pageID,
 		BackupKind:     entry.Backup.Kind,
 		RecordsApplied: applied,
-		LogReads:       len(stack),
+		LogReads:       applied,
 		SimulatedIO:    r.log.Clock().Elapsed() - logClockBefore,
 		WallTime:       time.Since(start),
 	}

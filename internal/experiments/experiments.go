@@ -1,7 +1,9 @@
 // Package experiments implements the reproduction harness: one function
-// per figure/table of the paper (experiment index in DESIGN.md). Each
-// returns a rendered table plus structured results that bench_test.go
-// asserts shape properties on (who wins, by roughly what factor).
+// per figure/table of the paper, each returning a rendered table plus
+// structured results. Table (table.go) is the experiment index: it fixes
+// each experiment's parameters and asserts the shape of its result (who
+// wins, by roughly what factor), and is what bench_test.go and
+// cmd/spfbench iterate.
 package experiments
 
 import (

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -286,17 +287,24 @@ func zero(b []byte) {
 	}
 }
 
-// corrupt flips a handful of random bits, modeling media decay that slipped
-// past the device ECC. The RNG has its own lock so corrupting reads can run
-// under the shared device lock.
+// corrupt flips 1-8 distinct random bits, modeling media decay that slipped
+// past the device ECC. The positions are distinct because two flips of one
+// bit cancel: the injected fault would then be no change at all, which no
+// detector can or should see. The RNG has its own lock so corrupting reads
+// can run under the shared device lock.
 func (d *Device) corrupt(img []byte) {
 	d.rngMu.Lock()
 	defer d.rngMu.Unlock()
-	nbits := 1 + d.rng.Intn(8)
-	for i := 0; i < nbits; i++ {
-		pos := d.rng.Intn(len(img))
-		bit := uint(d.rng.Intn(8))
-		img[pos] ^= 1 << bit
+	var flipped [8]int
+	nbits := 1 + d.rng.Intn(len(flipped))
+	for i := 0; i < nbits; {
+		at := d.rng.Intn(len(img))*8 + d.rng.Intn(8)
+		if slices.Contains(flipped[:i], at) {
+			continue // drawn before: draw again
+		}
+		flipped[i] = at
+		img[at/8] ^= 1 << uint(at%8)
+		i++
 	}
 }
 

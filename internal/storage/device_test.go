@@ -311,6 +311,27 @@ func TestCorruptStored(t *testing.T) {
 	}
 }
 
+// Two flips of one bit cancel, so positions drawn independently make some
+// injected faults no change at all (about three in 100 000 on a 512-byte
+// page). Every call must leave an image that differs from the one before.
+func TestCorruptStoredAlwaysChangesTheImage(t *testing.T) {
+	d := testDevice(1)
+	if err := d.Write(0, encodedPage(t, 1, 0x3C)); err != nil {
+		t.Fatal(err)
+	}
+	before := d.RawImage(0)
+	for i := 0; i < 100000; i++ {
+		if err := d.CorruptStored(0); err != nil {
+			t.Fatal(err)
+		}
+		after := d.RawImage(0)
+		if bytes.Equal(before, after) {
+			t.Fatalf("call %d left the stored image unchanged", i)
+		}
+		before = after
+	}
+}
+
 func TestStatsCounting(t *testing.T) {
 	d := testDevice(8)
 	img := encodedPage(t, 1, 1)

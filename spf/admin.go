@@ -472,8 +472,7 @@ func (db *DB) Restart() (*DB, *RestartReport, error) {
 	}
 
 	ndb.pool = buffer.NewPool(buffer.Config{
-		Capacity: db.opts.PoolFrames, Shards: db.opts.PoolShards,
-		Device: ndb.dev, Map: ndb.pmap, Log: ndb.log,
+		Capacity: db.opts.PoolFrames, Device: ndb.dev, Map: ndb.pmap, Log: ndb.log,
 		Hooks: ndb.hooks(),
 	})
 	ndb.startRestore()
@@ -639,8 +638,7 @@ func (db *DB) RecoverMedia() (*DB, *MediaRecoveryReport, error) {
 	ndb.inheritParked(db, false)
 	ndb.rec = core.NewRecoverer(ndb.log, ndb.pri, ndb.res, applier{})
 	ndb.pool = buffer.NewPool(buffer.Config{
-		Capacity: db.opts.PoolFrames, Shards: db.opts.PoolShards,
-		Device: ndb.dev, Map: ndb.pmap, Log: ndb.log,
+		Capacity: db.opts.PoolFrames, Device: ndb.dev, Map: ndb.pmap, Log: ndb.log,
 		Hooks: ndb.hooks(),
 	})
 	ndb.startRestore()

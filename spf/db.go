@@ -219,8 +219,7 @@ func Open(opts Options) (*DB, error) {
 	db.res = &backup.Resolver{Store: db.store, Log: db.log, PageSize: opts.PageSize, Data: db.dev}
 	db.rec = core.NewRecoverer(db.log, db.pri, db.res, applier{})
 	db.pool = buffer.NewPool(buffer.Config{
-		Capacity: opts.PoolFrames, Shards: opts.PoolShards,
-		Device: db.dev, Map: db.pmap, Log: db.log,
+		Capacity: opts.PoolFrames, Device: db.dev, Map: db.pmap, Log: db.log,
 		Hooks: db.hooks(),
 	})
 	db.startRestore()
@@ -256,8 +255,7 @@ func (db *DB) startRestore() {
 		return
 	}
 	db.sched = restore.New(restore.Config{
-		Workers:      db.opts.Restore.Workers,
-		RetryBackoff: db.opts.Restore.RetryBackoff,
+		Workers: db.opts.Restore.Workers,
 	}, restore.Deps{
 		Repair: db.performRepair,
 		Busy:   func(err error) bool { return errors.Is(err, buffer.ErrPinned) },
@@ -536,9 +534,10 @@ func (db *DB) recoverPage(id page.ID) (*page.Page, error) {
 
 // redoFromImage replays the missing tail of a page's per-page chain onto
 // its current on-disk image, bringing it from its PageLSN up to head (the
-// newest surviving log record for the page). Every step runs the §5.1.4
-// defensive sequence check; any mismatch means the image is not a true
-// historical version and the caller must recover from a real backup.
+// newest surviving log record for the page) with the same replay loop
+// single-page recovery runs on a backup image. Any sequence mismatch means
+// the image is not a true historical version and the caller must recover
+// from a real backup.
 func (db *DB) redoFromImage(id page.ID, head page.LSN) (*page.Page, error) {
 	phys, ok := db.pmap.Lookup(id)
 	if !ok {
@@ -562,24 +561,8 @@ func (db *DB) redoFromImage(id page.ID, head page.LSN) (*page.Page, error) {
 		return nil, fmt.Errorf("spf: restart redo of page %d: image at LSN %d beyond chain head %d",
 			id, pg.LSN(), head)
 	}
-	stack, err := db.log.WalkPageChain(head, pg.LSN(), id)
-	if err != nil {
-		return nil, err
-	}
-	for i := len(stack) - 1; i >= 0; i-- {
-		rec := stack[i]
-		if rec.PagePrevLSN != pg.LSN() {
-			return nil, fmt.Errorf("spf: restart redo of page %d out of sequence at LSN %d: record expects PageLSN %d, image has %d",
-				id, rec.LSN, rec.PagePrevLSN, pg.LSN())
-		}
-		if err := (applier{}).ApplyRedo(rec, pg); err != nil {
-			return nil, err
-		}
-		pg.SetLSN(rec.LSN)
-	}
-	if pg.LSN() != head {
-		return nil, fmt.Errorf("spf: restart redo of page %d reached LSN %d, chain head is %d",
-			id, pg.LSN(), head)
+	if _, err := core.ReplayChain(db.log, applier{}, pg, head); err != nil {
+		return nil, fmt.Errorf("spf: restart redo: %w", err)
 	}
 	return pg, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/core"
+	"repro/internal/iosim"
 	"repro/internal/page"
 	"repro/internal/wal"
 )
@@ -25,9 +26,9 @@ func (db *DB) initLifecycle(prev *DB) {
 	if prev != nil && prev.arch != nil {
 		db.arch = prev.arch
 	} else {
-		db.arch = archive.NewStore(lo.ArchiveProfile, wal.FirstLSN())
+		db.arch = archive.NewStore(iosim.Instant, wal.FirstLSN())
 	}
-	db.log.SetArchive(db.arch.NewReader(lo.RetryAttempts, lo.RetryBackoff))
+	db.log.SetArchive(db.arch.NewReader(lo.RetryAttempts, 0))
 	interval := lo.Interval
 	if interval == 0 {
 		interval = 25 * time.Millisecond
@@ -36,7 +37,6 @@ func (db *DB) initLifecycle(prev *DB) {
 		SegmentBytes:  lo.SegmentBytes,
 		Interval:      interval,
 		RetryAttempts: lo.RetryAttempts,
-		RetryBackoff:  lo.RetryBackoff,
 		ReleaseFloor:  db.archiveReleaseFloor,
 		Logf:          lo.Logf,
 	})

@@ -28,8 +28,8 @@
 // the hash table), single-page repair, instant restart, media restore,
 // scrubbing, and the restore scheduler treat both engines' pages
 // identically, and both kinds can coexist in one database inside one
-// transaction. internal/enginebench (BenchmarkE34/E35 at the repo root)
-// measures the two side by side on identical seeded workloads.
+// transaction. E34/E35 in internal/bench measure the two side by side on
+// identical seeded workloads.
 //
 // Restart after a system failure is instant (after Sauer et al.): instead
 // of replaying the log forward before opening for business, Restart marks
@@ -62,10 +62,6 @@ type Options struct {
 	BackupSlots int
 	// PoolFrames is the buffer pool size in frames (default 1024).
 	PoolFrames int
-	// PoolShards is the number of buffer-pool shards, rounded up to a
-	// power of two. Zero selects max(8, GOMAXPROCS). More shards reduce
-	// contention between concurrent page fetches.
-	PoolShards int
 	// WriteMode selects in-place or copy-on-write page writes. Copy-on-
 	// write retains each page's pre-move image as an implicit backup
 	// (paper §5.2.1).
@@ -152,19 +148,11 @@ type LifecycleOptions struct {
 	// kicks that checkpoints and backups deliver — which are no-ops
 	// without a loop to wake.
 	Interval time.Duration
-	// ArchiveProfile is the simulated I/O cost model for the archive
-	// device. Zero charges nothing.
-	ArchiveProfile iosim.Profile
 	// RetryAttempts bounds archive I/O retries (writes per archiver step,
 	// reads per chain-replay access) before the fault is surfaced:
 	// a write fault pauses recycling until the device recovers, a read
 	// fault fails the page repair that needed the record (default 5).
-	// RetryBackoff is the initial backoff, doubling per attempt (default
-	// 200µs for writes, 100µs for reads; either lasts ≥1ms in practice —
-	// the Go runtime rounds a shorter sleep up on an idle P — so smaller
-	// values change nothing).
 	RetryAttempts int
-	RetryBackoff  time.Duration
 	// Logf receives the graceful-degradation log lines (archive
 	// unavailable / recovered). Nil is silent.
 	Logf func(format string, args ...any)
@@ -209,13 +197,6 @@ type RestoreOptions struct {
 	Disabled bool
 	// Workers is the number of repair worker goroutines (default 2).
 	Workers int
-	// RetryBackoff is the initial backoff before retrying a repair that
-	// found its page pinned by concurrent readers; it doubles per attempt
-	// up to a 50ms cap (default 1ms, which is also the floor: a shorter
-	// timer fires no sooner on an idle P). The page is requeued, never
-	// dropped. A failed device read is never waited on — it is re-read at
-	// once and then repaired.
-	RetryBackoff time.Duration
 }
 
 func (o Options) withDefaults() Options {
