@@ -66,12 +66,12 @@ func main() {
 		log.Fatal(err)
 	}
 	offline := time.Since(start)
-	found := len(viols) + scrub.BadSlots + int(db.Stats().Recovery.Recoveries)
+	found := len(viols) + scrub.BadSlots + int(db.Metrics().Recovery.Recoveries)
 	t.Row("offline full scan (DBCC-style) + scrub", offline, found, "no (read-only mode)")
 
 	// Continuous: ordinary query traffic detects the rest on the fly.
 	start = time.Now()
-	detectedBefore := db.Stats().Recovery.Recoveries
+	detectedBefore := db.Metrics().Recovery.Recoveries
 	for i := 0; i < *keys; i += 97 {
 		if _, err := ix.Get([]byte(fmt.Sprintf("k%08d", i))); err != nil {
 			log.Fatalf("query failed: %v", err)
@@ -79,7 +79,7 @@ func main() {
 	}
 	online := time.Since(start)
 	t.Row("continuous (side effect of queries)", online,
-		db.Stats().Recovery.Recoveries-detectedBefore, "yes")
+		db.Metrics().Recovery.Recoveries-detectedBefore, "yes")
 	t.Caption = "every failure either scheme found was repaired by single-page recovery"
 	fmt.Print(t.String())
 

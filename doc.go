@@ -21,7 +21,7 @@
 //     the two index engines.
 //   - internal/{recovery,restore,backup,archive,maintenance} are recovery
 //     and its upkeep: ARIES restart and media recovery in their instant
-//     (on-demand) form, the prioritized repair scheduler, backup sets, the
+//     (on-demand) form, the background repair scheduler, backup sets, the
 //     bounded log lifecycle, background write-back and scrubbing.
 //   - internal/{server,metrics} and cmd/{spfserver,spfload,spfverify} are
 //     the wire front end, its load harness and the metrics endpoint.

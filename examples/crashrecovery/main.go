@@ -2,8 +2,8 @@
 // with instant restart the database answers its first query before bulk
 // redo finishes. Restart prepares in O(active pages): every page dirty at
 // the crash is marked needs-redo with its log-chain head and queued for
-// background replay; a foreground read of a marked page promotes just
-// that page and pays only its own chain. The output counts reads served
+// background replay; a foreground read of a marked page replays just
+// that page itself and pays only its own chain. The output counts reads served
 // while the redo backlog is still draining and fails if none were.
 //
 //	go run ./examples/crashrecovery
@@ -24,7 +24,7 @@ func main() {
 		DataSlots:  1 << 15,
 		PoolFrames: 2048,
 		// One background worker keeps the redo queue visibly busy so the
-		// on-demand promotions have something to overtake.
+		// on-demand reads have something to overtake.
 		Restore: spf.RestoreOptions{Workers: 1},
 	})
 	if err != nil {
@@ -109,8 +109,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// First reads run ahead of the background drain: each one promotes
-	// its own page's redo and waits only for that page's chain replay.
+	// First reads run ahead of the background drain: each one redoes the
+	// pages it touches and waits only for those pages' chain replays.
 	served := 0
 	drainStart := time.Now()
 	for i := 0; i < n; i += 199 {
@@ -126,7 +126,7 @@ func main() {
 		if !bytes.Equal(got, want) {
 			log.Fatalf("key %d after restart: got %q, want %q", i, got, want)
 		}
-		pending := ndb.RestoreStats().Pending
+		pending := ndb.Metrics().Restore.Pending
 		if pending > 0 {
 			served++
 		}
@@ -139,7 +139,7 @@ func main() {
 	ndb.DrainRestore()
 	fmt.Printf("bulk redo drained in %v; %d reads had completed before it did\n",
 		time.Since(drainStart).Round(time.Millisecond), served)
-	rs := ndb.RestartRedoStats()
+	rs := ndb.Metrics().RestartRedo
 	fmt.Printf("redo: %d pages marked, %d replayed from their disk image, %d fell back to single-page recovery\n",
 		rs.Marked, rs.FastRedos, rs.Fallbacks)
 

@@ -6,9 +6,10 @@
 // shape (after Sauer, Graefe & Härder): RecoverMedia prepares the page
 // map and page recovery index in O(pages) and returns immediately; every
 // page is queued for background repair, and a foreground read of a page
-// that is not back yet PROMOTES that one page's repair and waits only for
-// its own chain replay. The output shows reads completing while the bulk
-// restore still has most of the device pending.
+// that is not back yet restores that one page ITSELF, waiting only for its
+// own chain replay, and retires the page's queue entry. The output shows
+// reads completing while the bulk restore still has most of the device
+// pending.
 //
 //	go run ./examples/instantrestore
 package main
@@ -28,7 +29,7 @@ func main() {
 		DataSlots:  1 << 15,
 		PoolFrames: 2048,
 		// One background worker keeps the restore queue visibly busy so
-		// the on-demand promotions have something to overtake.
+		// the on-demand reads have something to overtake.
 		Restore: spf.RestoreOptions{Workers: 1},
 	})
 	if err != nil {
@@ -100,7 +101,7 @@ func main() {
 		if !bytes.Equal(got, val(i, 3)) {
 			log.Fatalf("key %d: got %q, want round-3 value", i, got)
 		}
-		pending := ndb.RestoreStats().Pending
+		pending := ndb.Metrics().Restore.Pending
 		if pending > 0 {
 			served++
 		}
@@ -114,9 +115,9 @@ func main() {
 	fmt.Printf("bulk restore finished in %v; %d reads had completed before it did\n",
 		time.Since(restoreStart).Round(time.Millisecond), served)
 
-	st := ndb.RestoreStats()
-	fmt.Printf("scheduler: %d repairs, %d urgent requests, %d promotions, %d coalesced waits\n",
-		st.Repaired, st.UrgentRequests, st.Promotions, st.Coalesced)
+	st := ndb.Metrics().Restore
+	fmt.Printf("scheduler: %d pages restored, %d of them by the read that needed them first\n",
+		st.Repaired, st.Promotions)
 
 	// Everything is back and verifiably intact.
 	for i := 0; i < n; i++ {

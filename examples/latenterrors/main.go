@@ -64,7 +64,7 @@ func main() {
 			misreads++
 		}
 	}
-	st := db.Stats()
+	st := db.Metrics()
 	fmt.Printf("foreground reads: 0 aborted, %d wrong answers, %d pages repaired on access\n",
 		misreads, st.Recovery.Recoveries)
 
@@ -87,7 +87,7 @@ func main() {
 	if viols, err := items.Verify(); err != nil || len(viols) > 0 {
 		log.Fatalf("verification: %v %v", viols, err)
 	}
-	final := db.Stats()
+	final := db.Metrics()
 	fmt.Printf("final: %d single-page recoveries, %d retired slots, all %d keys verified intact\n",
-		final.Recovery.Recoveries, final.Retired, n)
+		final.Recovery.Recoveries, final.RetiredSlots, n)
 }

@@ -92,10 +92,10 @@ func main() {
 	}
 	fmt.Printf("read through single-page recovery: user0500 = %s\n", v2)
 
-	st := db.Stats()
+	st := db.Metrics()
 	fmt.Printf("recoveries=%d escalations=%d retired-slots=%d pri-ranges=%d (%d bytes for %d pages)\n",
-		st.Recovery.Recoveries, st.Recovery.Escalations, st.Retired,
-		st.PRIRanges, st.PRIBytes, st.DBPages)
+		st.Recovery.Recoveries, st.Recovery.Escalations, st.RetiredSlots,
+		st.PRI.Ranges, st.PRI.Bytes, st.Pages)
 
 	if viols, err := users.Verify(); err != nil || len(viols) > 0 {
 		log.Fatalf("verification failed: %v %v", viols, err)

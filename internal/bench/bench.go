@@ -210,28 +210,6 @@ var Table = []Group{
 		},
 	},
 	{
-		// What a foreground fault waits for its repair under a saturated
-		// 64-deep background queue. Every fault is a distinct page, so
-		// coalescing cannot help and only queue ordering matters: priority
-		// enqueues the fault Urgent (Sauer et al.'s instant-restore
-		// ordering); fifo-baseline runs the identical scheduler with the
-		// promotion disabled, so the fault drains the backlog first.
-		Name: "E24OnDemandRestoreLatency", Metric: "p99-ns",
-		Claim: "urgent promotion p99 >=2x better than the FIFO baseline",
-		Rows: []Row{
-			{Name: "priority", Procs: 1, Run: func(b *testing.B) float64 { return onDemandLatency(b, false) }},
-			{Name: "fifo-baseline", Procs: 1, Run: func(b *testing.B) float64 { return onDemandLatency(b, true) }},
-		},
-		Check: func(rows map[string]Result) error {
-			// Only meaningful once both variants measured real tails.
-			p, f, ok := both(rows, "priority", "fifo-baseline", 32)
-			if ok && f.Metric < 2*p.Metric {
-				return fmt.Errorf("urgent promotion p99 %.0f ns not >=2x better than FIFO baseline p99 %.0f ns", p.Metric, f.Metric)
-			}
-			return nil
-		},
-	},
-	{
 		// Time from a system failure until the first read observes its
 		// acked data again. instant prepares redo in O(active pages),
 		// returns from Restart before redo completes and pays only the read

@@ -107,7 +107,7 @@ func pointOps(b *testing.B, kind spf.IndexKind, mixed bool) float64 {
 // cost the whole index. Each iteration evicts the page (so the corruption
 // lands on the image the next fetch reads), corrupts the stored image,
 // then times one point read that must succeed via the shared online-repair
-// path (detection on fetch, urgent ticket, chain replay). Every fault must
+// path (detection on fetch, chain replay by the faulting read). Every fault must
 // be repaired: the run fails on any escalation. It returns the read p99.
 func faultRepair(b *testing.B, kind spf.IndexKind) float64 {
 	db, ix := engineSetup(b, kind)

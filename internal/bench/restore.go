@@ -1,7 +1,7 @@
 package bench
 
-// Drivers for the restore scheduler and instant restart: E24 on-demand
-// restore latency, E26 restart first-read latency, E27 parallel redo drain.
+// Drivers for the restore scheduler and instant restart: E26 restart
+// first-read latency, E27 parallel redo drain.
 
 import (
 	"bytes"
@@ -15,66 +15,12 @@ import (
 )
 
 // repairCost is the simulated per-page repair cost of the scheduler-level
-// benchmarks (E24, E27): roughly one image read plus a short chain replay
+// benchmark (E27): roughly one image read plus a short chain replay
 // on fast storage. It is paid with a sleep so the workers yield the CPU
 // exactly like a repair blocked on I/O — the simulated-I/O clock only
 // accumulates time and never sleeps, so wall-clock queueing and worker
 // scaling must be modeled at the scheduler level.
 const repairCost = 300 * time.Microsecond
-
-// onDemandLatency measures the urgent-path repair-wait latency under a
-// saturated background queue — the disjoint-fault shape: every fault hits
-// a distinct page, so per-page coalescing cannot help and only *ordering*
-// separates the two policies.
-//
-// Each iteration tops the queue back up to a 64-deep backlog of
-// background repairs (a scrub campaign or bulk media restore that keeps
-// finding work), then issues one urgent repair for a fresh page and waits
-// for it. With fifo=false the request is enqueued Urgent and reorders
-// ahead of the backlog (the instant-restore ordering); with fifo=true the
-// identical machinery runs with priorities disabled — the request joins
-// the queue at Background, which is exactly a FIFO queue — and the wait
-// degenerates to draining the backlog. It returns the p99 of the wait.
-func onDemandLatency(b *testing.B, fifo bool) float64 {
-	const (
-		workers = 2
-		backlog = 64
-	)
-	sched := restore.New(restore.Config{Workers: workers}, restore.Deps{
-		Repair: func(page.ID) error {
-			time.Sleep(repairCost)
-			return nil
-		},
-	})
-	sched.Start()
-	defer sched.Stop()
-
-	// Background pages count up from 1; urgent pages live in a disjoint
-	// high range so every urgent request is a fresh fault.
-	var nextBg page.ID
-	urgentBase := page.ID(1 << 30)
-	lat := make([]time.Duration, 0, b.N)
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for sched.Pending() < backlog {
-			nextBg++
-			sched.Enqueue(nextBg, restore.Background)
-		}
-		pri := restore.Urgent
-		if fifo {
-			pri = restore.Background
-		}
-		start := time.Now()
-		if err := sched.Enqueue(urgentBase+page.ID(i), pri).Wait(); err != nil {
-			b.Fatal(err)
-		}
-		lat = append(lat, time.Since(start))
-	}
-	b.StopTimer()
-
-	return p99(lat)
-}
 
 // firstReadLatency measures how long the first post-crash read waits:
 // crash a database with a large dirty working set, restart it, and read
@@ -189,8 +135,8 @@ func parallelRedoDrain(b *testing.B, workers int) float64 {
 		start := time.Now()
 		for i := 1; i <= backlog; i++ {
 			// Chain lengths vary page to page; the scheduler pops the
-			// short chains first within the background band.
-			sched.EnqueueCost(page.ID(i), restore.Background, int64(i%17+1))
+			// short chains first.
+			sched.Enqueue(page.ID(i), int64(i%17+1))
 		}
 		sched.Drain()
 		total += time.Since(start).Nanoseconds()

@@ -20,18 +20,24 @@ import (
 	"fmt"
 
 	"repro/internal/page"
+	"repro/internal/pageop"
 )
 
 // Errors from node parsing and structural checks. ErrNodeCorrupt is the
 // shared layout error, so a violation reads the same whether the layout
-// (internal/page) or the B-tree header check found it.
+// (internal/page) or the B-tree header check found it; the operation
+// outcomes are the ones both engines share (internal/pageop).
 var (
 	ErrNodeCorrupt   = page.ErrCorrupt
 	ErrNodeFull      = errors.New("btree: node full")
-	ErrKeyNotFound   = errors.New("btree: key not found")
-	ErrKeyExists     = errors.New("btree: key already exists")
+	ErrKeyNotFound   = pageop.ErrKeyNotFound
+	ErrKeyExists     = pageop.ErrKeyExists
+	ErrDetected      = pageop.ErrDetected
 	ErrKeyOutOfFence = errors.New("btree: key outside node fences")
 )
+
+// CorruptionError is the shared cross-page check failure.
+type CorruptionError = pageop.CorruptionError
 
 // fence is a fence key: a byte string or +infinity (the upper bound of the
 // rightmost nodes). The empty byte string serves as -infinity since keys

@@ -27,28 +27,6 @@ type Pager interface {
 	BeginSystem() *txn.Txn
 }
 
-// CorruptionError reports a failed cross-page invariant check during a
-// descent — the continuous self-testing of §4.2.
-type CorruptionError struct {
-	// Page failed to carry what its predecessor predicted.
-	Page page.ID
-	// Via is that predecessor — the parent or foster parent whose routing
-	// led to Page (InvalidID at the root). A cross-page check implicates
-	// the pair: the damage may sit in either page.
-	Via    page.ID
-	Detail string
-}
-
-// ErrDetected is wrapped by every CorruptionError.
-var ErrDetected = errors.New("btree: cross-page invariant violation detected")
-
-func (e *CorruptionError) Error() string {
-	return fmt.Sprintf("%v: page %d: %s", ErrDetected, e.Page, e.Detail)
-}
-
-// Unwrap makes errors.Is(err, ErrDetected) work.
-func (e *CorruptionError) Unwrap() error { return ErrDetected }
-
 // ErrValueTooLarge reports an entry that cannot fit a node even after a
 // split.
 var ErrValueTooLarge = errors.New("btree: key/value too large for page")

@@ -29,8 +29,12 @@
 //     so a flush or a device read allocates nothing.
 //
 // Total residency is still bounded by one global capacity, maintained as an
-// atomic reservation counter: a loader reserves a slot before reading and
-// either fills it or runs the clock over the shards to free one.
+// atomic reservation counter: a loader reserves a slot for the page it has
+// read, running the clock over the shards to free one if need be.
+//
+// A page is loaded by one fetch at a time (shard.loads): the fetch that
+// finds a page bad repairs it, and every other fetch of that page waits for
+// that one load instead of starting its own.
 package buffer
 
 import (
@@ -56,11 +60,6 @@ var (
 	ErrUnknownPage  = errors.New("buffer: unknown logical page")
 	ErrPageFailed   = errors.New("buffer: single-page failure")
 	ErrNeverWritten = errors.New("buffer: page never written and not resident")
-	// ErrRepairUnavailable is returned by a RepairPage hook whose repair
-	// scheduler is not running (engine startup, restore disabled); the
-	// pool then falls back to inline single-page recovery via the Recover
-	// hook, exactly as if no RepairPage hook were configured.
-	ErrRepairUnavailable = errors.New("buffer: scheduled repair unavailable")
 )
 
 // WriteInfo describes one completed page write, handed to the
@@ -84,19 +83,11 @@ type Hooks struct {
 	// single-page failure.
 	Validate func(pg *page.Page) error
 	// Recover performs single-page recovery and returns the up-to-date
-	// page contents. If it fails, the read escalates: the pool returns
-	// the recovery error wrapped in ErrPageFailed.
+	// page contents. It runs on the goroutine of the fetch that loads the
+	// page, at most once per load, and must not fetch that page. If it
+	// fails, the read escalates: the pool returns the recovery error
+	// wrapped in ErrPageFailed.
 	Recover func(id page.ID) (*page.Page, error)
-	// RepairPage, when non-nil, routes a failed validating read through
-	// the engine's repair scheduler instead of recovering inline: the
-	// call blocks until the page's (deduplicated, prioritized) repair
-	// completes, so concurrent faulters of one page coalesce onto a
-	// single replay, and Fetch then retries the read. Returning
-	// ErrRepairUnavailable falls back to the inline Recover path. The
-	// scheduler's own workers repair through FetchRepair, which bypasses
-	// this hook — routing their fetches back through the scheduler would
-	// deadlock on their own ticket.
-	RepairPage func(id page.ID) error
 	// CompleteWrite runs after a dirty page has been written to the
 	// device, while the write is still serialized against other flushes
 	// of the same page (inside the frame's flush mutex, after the page
@@ -112,17 +103,13 @@ type Hooks struct {
 	// window leaves exactly the "page written, PRI record lost" state
 	// restart redo repairs (Fig. 12).
 	CompleteWrite func(info WriteInfo) []*wal.Record
-	// OnRecovered runs after a successful single-page recovery with the
-	// relocation details (new slot, retired slot).
-	OnRecovered func(info WriteInfo)
 	// OnMarkDirty runs on every MarkDirty call — once per logged page
 	// update. The engine uses it to count updates per page for the
 	// backup-every-N-updates policy (§6). Must be cheap and must not
 	// call back into the pool.
 	OnMarkDirty func(id page.ID)
 	// OnReadRetry runs before each immediate re-read of a failed device
-	// read on the repair read path (FetchRepair and inline-recovery
-	// fetches). The engine counts these in its restore statistics.
+	// read. The engine counts these in its restore statistics.
 	OnReadRetry func(id page.ID)
 }
 
@@ -234,13 +221,28 @@ func (p *Pool) setClean(f *frame) {
 }
 
 // shard is one partition of the pool: a lock-free frame index for the hit
-// path plus a mutex-guarded clock ring for installs and eviction.
+// path plus a mutex-guarded clock ring for installs and eviction, and the
+// table of loads in flight.
 type shard struct {
 	mu     sync.Mutex
-	frames sync.Map // page.ID -> *frame
-	ring   []*frame // clock ring; positions tracked in frame.ringIdx
+	frames sync.Map          // page.ID -> *frame
+	loads  map[page.ID]*load // pages being loaded; guarded by mu
+	ring   []*frame          // clock ring; positions tracked in frame.ringIdx
 	hand   int
 	count  atomic.Int64
+}
+
+// load is one page on its way into the pool. The fetch that created the
+// entry — the page's loader — reads, validates and, if need be, repairs
+// the page; every fetch that finds the entry waits for done and takes the
+// loader's outcome. A page has at most one loader at a time, so a recovery
+// relocates a page only while no frame of it exists: no flush can be
+// writing to the slot being retired.
+type load struct {
+	done    chan struct{}
+	waiters int32  // fetches parked on done; guarded by the shard mutex
+	f       *frame // written, with err, before done closes
+	err     error
 }
 
 // installLocked adds a frame to the shard. Caller holds s.mu.
@@ -296,10 +298,9 @@ type Config struct {
 	Log    *wal.Manager
 	Hooks  Hooks
 	// ReadRetries bounds the immediate re-reads of a failed device read
-	// on the repair path (FetchRepair and inline-recovery fetches) before
-	// the failure is treated as a real single-page failure. A one-shot
-	// fault — a device hiccup that a re-read clears — then costs a second
-	// read instead of a backup-plus-chain replay and a slot relocation.
+	// before the failure is treated as a real single-page failure. A
+	// one-shot fault — a device hiccup that a re-read clears — then costs a
+	// second read instead of a backup-plus-chain replay and a relocation.
 	// There is no wait between attempts: whatever outlives an immediate
 	// re-read is, by the paper's definition, a failure "despite all
 	// correction attempts in lower system levels" (§3.2), and repairing it
@@ -323,7 +324,7 @@ func NewPool(cfg Config) *Pool {
 	n = nextPow2(n)
 	shards := make([]*shard, n)
 	for i := range shards {
-		shards[i] = &shard{}
+		shards[i] = &shard{loads: make(map[page.ID]*load)}
 	}
 	shift := uint(64)
 	for m := n; m > 1; m >>= 1 {
@@ -586,136 +587,118 @@ func (p *Pool) Create(id page.ID, typ page.Type) (*Handle, error) {
 	return &f.h, nil
 }
 
-// Fetch pins page id, reading and validating it if not resident. A read
-// that fails any check triggers single-page recovery: through the engine's
-// repair scheduler when a RepairPage hook is wired (the fetch blocks on
-// the page's shared repair future — concurrent faulters coalesce into one
-// replay — then retries), otherwise inline via the Recover hook. Only if
-// repair fails does Fetch return an error (wrapping ErrPageFailed) — the
-// caller may then escalate to media recovery.
+// Fetch pins page id, loading it if it is not resident. A page has one
+// loader at a time: the first fetch to miss claims the load, and every
+// fetch that misses while it runs waits for it and shares its outcome —
+// the one frame, or the one error. The loader runs the whole Fig. 8 read
+// path on its own goroutine: device read, validation and, when a check
+// fails, single-page recovery through the Recover hook; "the affected data
+// access is merely delayed" (§5.2.3). Only if recovery fails does Fetch
+// return an error (wrapping ErrPageFailed) — the caller may then escalate
+// to media recovery.
 func (p *Pool) Fetch(id page.ID) (*Handle, error) {
-	return p.fetch(id, false)
+	s := p.shardOf(id)
+	if v, ok := s.frames.Load(id); ok {
+		if f := v.(*frame); f.tryPin() {
+			f.ref.Store(true)
+			p.stats.hits.Add(1)
+			return &f.h, nil
+		}
+		// Claimed for eviction between Load and tryPin: treat as a miss.
+	}
+	p.stats.misses.Add(1)
+	s.mu.Lock()
+	if v, ok := s.frames.Load(id); ok {
+		// Installed since the look above. A mapped frame cannot be claimed
+		// while we hold the shard mutex, so tryPin only retries against
+		// concurrent pinners.
+		if f := v.(*frame); f.tryPin() {
+			s.mu.Unlock()
+			f.ref.Store(true)
+			return &f.h, nil
+		}
+	}
+	if l, ok := s.loads[id]; ok {
+		l.waiters++
+		s.mu.Unlock()
+		<-l.done
+		if l.err != nil {
+			return nil, l.err
+		}
+		return &l.f.h, nil // the loader pinned it for us
+	}
+	l := &load{done: make(chan struct{})}
+	s.loads[id] = l
+	s.mu.Unlock()
+
+	l.f, l.err = p.loadPage(id)
+	s.mu.Lock()
+	delete(s.loads, id)
+	if l.err == nil {
+		// One pin for this fetch and one for each waiter, taken before the
+		// frame is visible: no eviction can slip in between the install and
+		// a waiter's wake-up.
+		l.f.pins.Store(1 + l.waiters)
+		s.installLocked(l.f)
+	}
+	s.mu.Unlock()
+	close(l.done)
+	if l.err != nil {
+		return nil, l.err
+	}
+	return &l.f.h, nil
 }
 
-// FetchRepair is Fetch with the RepairPage hook bypassed: a validation
-// failure is always recovered inline via the Recover hook. The repair
-// scheduler's workers use it as the back half of a scheduled repair;
-// routing their own reads through RepairPage would enqueue (and then wait
-// on) the very ticket they are executing.
-func (p *Pool) FetchRepair(id page.ID) (*Handle, error) {
-	return p.fetch(id, true)
-}
-
-func (p *Pool) fetch(id page.ID, inline bool) (*Handle, error) {
-	for attempt := 0; ; attempt++ {
-		s := p.shardOf(id)
-		if v, ok := s.frames.Load(id); ok {
-			f := v.(*frame)
-			if f.tryPin() {
-				f.ref.Store(true)
-				if attempt == 0 {
-					// Retry iterations settle the original miss; pinning
-					// the freshly repaired frame is not a new hit.
-					p.stats.hits.Add(1)
-				}
-				return &f.h, nil
-			}
-			// Claimed for eviction between Load and tryPin: treat as a miss.
-		}
-		if attempt == 0 {
-			// One logical fetch counts at most one miss, however many
-			// scheduled-repair retries it takes to settle.
-			p.stats.misses.Add(1)
-		}
-		if !p.pmap.Known(id) {
-			return nil, fmt.Errorf("%w: %d", ErrUnknownPage, id)
-		}
-		phys, written := p.pmap.Lookup(id)
-		if !written {
-			return nil, fmt.Errorf("%w: %d", ErrNeverWritten, id)
-		}
-		if err := p.reserveFrame(); err != nil {
+// loadPage brings page id in from the device and returns its frame, not yet
+// installed: read, validate, and on a failed check recover, relocate away
+// from the failed slot and retire it (§5.2.3). The frame's capacity is
+// reserved last, so a loader busy with a recovery holds nothing another
+// fetch's reserveFrame would have to wait out.
+func (p *Pool) loadPage(id page.ID) (*frame, error) {
+	if !p.pmap.Known(id) {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownPage, id)
+	}
+	phys, written := p.pmap.Lookup(id)
+	if !written {
+		return nil, fmt.Errorf("%w: %d", ErrNeverWritten, id)
+	}
+	hooks := p.getHooks()
+	pg, failure := p.readAndValidate(id, phys, hooks)
+	if failure != nil {
+		p.stats.validationFailures.Add(1)
+		var err error
+		if pg, err = p.recoverFailedPage(id, phys, hooks, failure); err != nil {
 			return nil, err
 		}
-		hooks := p.getHooks()
-
-		// Read and validate outside all locks (Fig. 8).
-		pg, failure := p.readAndValidate(id, phys, hooks, inline)
-		if failure != nil {
-			p.stats.validationFailures.Add(1)
-			if !inline && hooks.RepairPage != nil && attempt < 2 {
-				// Scheduled repair: release the frame reservation (the
-				// repair worker needs one for the recovered page), park on
-				// the page's repair future, and retry the read — usually a
-				// hit on the freshly repaired frame. Bounded attempts: if
-				// the page keeps failing validation after two completed
-				// repairs, fall through to the inline path, which
-				// escalates decisively.
-				p.unreserve()
-				err := hooks.RepairPage(id)
-				if err == nil {
-					continue
-				}
-				if errors.Is(err, ErrRepairUnavailable) {
-					inline = true
-					continue
-				}
-				return nil, fmt.Errorf("%w: %v; scheduled repair: %v", ErrPageFailed, failure, err)
-			}
-			recovered, err := p.recoverFailedPage(id, phys, hooks, failure)
-			if err != nil {
-				p.unreserve()
-				return nil, err
-			}
-			pg = recovered
-		}
-
-		f := p.newFrame(id, pg)
-		f.pins.Store(1)
-		f.ref.Store(true)
-		if failure != nil {
-			// The recovered page lives at a new location but has not been
-			// written there yet: keep it dirty so write-back persists it.
-			f.dirty = true
-			f.recLSN = pg.LSN()
-			p.dirty.Add(1)
-		}
-		s.mu.Lock()
-		if v, ok := s.frames.Load(id); ok {
-			// Someone else loaded it while we read; use theirs. A mapped
-			// frame cannot be claimed while we hold the shard mutex, so
-			// tryPin only retries against concurrent pinners.
-			other := v.(*frame)
-			if other.tryPin() {
-				other.ref.Store(true)
-				s.mu.Unlock()
-				p.unreserve()
-				if failure != nil {
-					p.dirty.Add(-1)
-				}
-				return &other.h, nil
-			}
-		}
-		s.installLocked(f)
-		s.mu.Unlock()
-		return &f.h, nil
 	}
+	if err := p.reserveFrame(); err != nil {
+		return nil, err
+	}
+	f := p.newFrame(id, pg)
+	f.ref.Store(true)
+	if failure != nil {
+		// The recovered page lives at a new location but has not been
+		// written there yet: keep it dirty so write-back persists it.
+		f.dirty = true
+		f.recLSN = pg.LSN()
+		p.dirty.Add(1)
+	}
+	return f, nil
 }
 
 // readAndValidate performs the Fig. 8 read path: device read, in-page
 // verification, and the engine's PageLSN cross-check. The device image
 // lands in a pooled scratch buffer, so a miss costs no per-read buffer
-// allocation. On the repair path (retryReads) a failed device read is
-// re-read at once, at most readRetries times, before it counts as a
-// single-page failure: a one-shot fault during a repair then degrades to a
-// second read instead of recursing into another full recovery. Nothing
-// here sleeps, arms a timer or yields — a caller is waiting on this read,
-// and on an idle P even a 100µs sleep costs a millisecond.
-func (p *Pool) readAndValidate(id page.ID, phys storage.PhysID, hooks *Hooks, retryReads bool) (*page.Page, error) {
+// allocation. A failed device read is re-read at once, at most readRetries
+// times, before it counts as a single-page failure: a one-shot fault then
+// costs a second read instead of a full recovery. Nothing here sleeps, arms
+// a timer or yields — a caller is waiting on this read, and on an idle P
+// even a 100µs sleep costs a millisecond.
+func (p *Pool) readAndValidate(id page.ID, phys storage.PhysID, hooks *Hooks) (*page.Page, error) {
 	buf := p.getScratch()
 	defer p.putScratch(buf)
 	err := p.dev.ReadInto(phys, *buf)
-	for r := 0; err != nil && retryReads && r < p.readRetries; r++ {
+	for r := 0; err != nil && r < p.readRetries; r++ {
 		if hooks.OnReadRetry != nil {
 			hooks.OnReadRetry(id)
 		}
@@ -757,21 +740,11 @@ func (p *Pool) recoverFailedPage(id page.ID, failedSlot storage.PhysID, hooks *H
 	}
 	// Move the page to a fresh slot; never reuse the failed location, and
 	// never record it as a backup.
-	dst, prev, hadPrev, err := p.pmap.Relocate(id)
-	if err != nil {
+	if _, _, _, err := p.pmap.Relocate(id); err != nil {
 		return nil, fmt.Errorf("%w: relocating recovered page %d: %v", ErrPageFailed, id, err)
-	}
-	if hadPrev && prev != failedSlot {
-		// The map moved underneath us; retire what it reported.
-		failedSlot = prev
 	}
 	p.dev.RetireSlot(failedSlot)
 	p.stats.recoveries.Add(1)
-	if hooks.OnRecovered != nil {
-		hooks.OnRecovered(WriteInfo{
-			Page: id, PageLSN: pg.LSN(), Dest: dst, Prev: failedSlot, HadPrev: true,
-		})
-	}
 	return pg, nil
 }
 
@@ -781,11 +754,11 @@ func (p *Pool) recoverFailedPage(id page.ID, failedSlot storage.PhysID, hooks *H
 // call unreserve.
 //
 // A failed eviction sweep is not immediately ErrPoolFull: capacity may be
-// held by in-flight loads that have reserved but not yet installed (their
-// frames are not evictable because they do not exist yet). Those resolve
-// within a few scheduler quanta — they install or unreserve — so spin
-// briefly before declaring the pool full, which is then the durable
-// everything-pinned condition.
+// held by loads that have reserved but not yet installed (their frames are
+// not evictable because they do not exist yet). A load reserves only once
+// its page is read and repaired, so those resolve within a few scheduler
+// quanta; spin briefly before declaring the pool full, which is then the
+// durable everything-pinned condition.
 func (p *Pool) reserveFrame() error {
 	const sweeps = 64
 	for attempt := 0; ; attempt++ {
@@ -931,26 +904,12 @@ func (p *Pool) writeBack(f *frame) ([]*wal.Record, bool, error) {
 	buf := p.getScratch()
 	f.pg.EncodeInto(*buf)
 	lsn := f.pg.LSN()
-	// Crash point: the write target is chosen but not yet written.
-	chaos.At("buffer.writetarget")
 	err = p.dev.Write(dst, *buf)
-	if errors.Is(err, storage.ErrBadSlot) && p.pmap.Mode() == pagemap.InPlace {
-		// A reader that faulted on this page before the frame was installed
-		// finished its recovery between the lookup above and the write: the
-		// page moved and dst was retired. The map names its slot now. Only
-		// in place, where WriteTarget is a pure lookup: a copy-on-write
-		// target was allocated by the call above, and asking again would
-		// strand the previous slot it reported.
-		if dst, _, _, err = p.pmap.WriteTarget(f.id); err == nil {
-			err = p.dev.Write(dst, *buf)
-		}
-	}
+	p.putScratch(buf)
 	if err != nil {
-		p.putScratch(buf)
 		f.latch.RUnlock()
 		return nil, false, fmt.Errorf("buffer: flush of page %d to slot %d: %w", f.id, dst, err)
 	}
-	p.putScratch(buf)
 	p.setClean(f)
 	f.latch.RUnlock()
 	p.stats.writes.Add(1)

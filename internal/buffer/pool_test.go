@@ -3,11 +3,11 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/iosim"
 	"repro/internal/page"
 	"repro/internal/pagemap"
@@ -421,33 +421,6 @@ func TestValidateHookRuns(t *testing.T) {
 	}
 }
 
-func TestOnRecoveredHook(t *testing.T) {
-	var info WriteInfo
-	hooks := Hooks{
-		Recover: func(id page.ID) (*page.Page, error) {
-			return page.New(id, page.TypeRaw, 512), nil
-		},
-		OnRecovered: func(i WriteInfo) { info = i },
-	}
-	e := newEnv(t, 4, hooks)
-	id := e.newPage(t, "x")
-	if err := e.pool.Evict(id); err != nil {
-		t.Fatal(err)
-	}
-	phys, _ := e.pmap.Lookup(id)
-	if err := e.dev.CorruptStored(phys); err != nil {
-		t.Fatal(err)
-	}
-	h, err := e.pool.Fetch(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Release()
-	if info.Page != id || !info.HadPrev || info.Prev != phys {
-		t.Errorf("OnRecovered info = %+v", info)
-	}
-}
-
 func TestConcurrentFetches(t *testing.T) {
 	e := newEnv(t, 32, Hooks{})
 	var ids []page.ID
@@ -691,16 +664,16 @@ func newReadFaultEnv(t *testing.T, cfg Config) *readFaultEnv {
 	return r
 }
 
-// TestOneShotReadFaultAbsorbedByReRead: on the repair path a read fault
-// that fires once is absorbed by the immediate re-read — no recovery runs,
-// the slot stays in service, and exactly one retry is counted.
+// TestOneShotReadFaultAbsorbedByReRead: a read fault that fires once is
+// absorbed by the immediate re-read — no recovery runs, the slot stays in
+// service, and exactly one retry is counted.
 func TestOneShotReadFaultAbsorbedByReRead(t *testing.T) {
 	r := newReadFaultEnv(t, Config{Capacity: 4})
 	r.dev.InjectFault(r.phys, storage.FaultReadError, false)
 	reads := r.dev.Stats().Reads
-	h, err := r.pool.FetchRepair(r.id)
+	h, err := r.pool.Fetch(r.id)
 	if err != nil {
-		t.Fatalf("repair-path fetch with a one-shot fault: %v", err)
+		t.Fatalf("fetch with a one-shot fault: %v", err)
 	}
 	defer h.Release()
 	if got := string(h.Page().Payload()); got != "original" {
@@ -738,9 +711,9 @@ func TestStickyReadFaultRepairedAfterReadRetries(t *testing.T) {
 			r := newReadFaultEnv(t, Config{Capacity: 4, ReadRetries: tc.cfgRetries})
 			r.dev.InjectFault(r.phys, storage.FaultReadError, true)
 			reads := r.dev.Stats().Reads
-			h, err := r.pool.FetchRepair(r.id)
+			h, err := r.pool.Fetch(r.id)
 			if err != nil {
-				t.Fatalf("repair-path fetch with a sticky fault: %v", err)
+				t.Fatalf("fetch with a sticky fault: %v", err)
 			}
 			defer h.Release()
 			if got := string(h.Page().Payload()); got != "recovered" {
@@ -768,89 +741,101 @@ func TestStickyReadFaultRepairedAfterReadRetries(t *testing.T) {
 	}
 }
 
-// TestForegroundFetchDoesNotReRead: re-reads belong to the repair path. A
-// foreground fetch with a RepairPage hook hands a failed read straight to
-// the scheduler, whose worker (FetchRepair) does the re-reading.
-func TestForegroundFetchDoesNotReRead(t *testing.T) {
-	r := newReadFaultEnv(t, Config{Capacity: 4})
-	hooks := *r.pool.getHooks()
-	var scheduled atomic.Int64
-	hooks.RepairPage = func(id page.ID) error {
-		scheduled.Add(1)
-		if scheduled.Load() == 1 && r.retries.Load() != 0 {
-			t.Errorf("%d re-reads before the hand-off", r.retries.Load())
-		}
-		h, err := r.pool.FetchRepair(id)
-		if err != nil {
-			return err
-		}
-		h.Release()
-		return nil
-	}
-	r.pool.SetHooks(hooks)
-	r.dev.InjectFault(r.phys, storage.FaultReadError, true)
-	h, err := r.pool.Fetch(r.id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Release()
-	if scheduled.Load() != 1 || r.retries.Load() != 2 || r.recoveries.Load() != 1 {
-		t.Errorf("scheduled %d, retries %d, recoveries %d; want 1, 2, 1",
-			scheduled.Load(), r.retries.Load(), r.recoveries.Load())
-	}
-}
-
-// TestWriteBackFollowsARelocationUnderIt: a reader that faulted on a page
-// before its frame was installed can finish recovering it — page moved, old
-// slot retired — between a flush's target lookup and its device write. In
-// place the flush follows the page to its new slot; copy-on-write, whose
-// target was allocated by the flush itself, reports the retired slot.
-func TestWriteBackFollowsARelocationUnderIt(t *testing.T) {
-	for _, mode := range []pagemap.Mode{pagemap.InPlace, pagemap.CopyOnWrite} {
-		t.Run(mode.String(), func(t *testing.T) {
-			defer chaos.Reset()
-			dev := storage.NewDevice(storage.Config{PageSize: 512, Slots: 256, Profile: iosim.Instant})
-			pm := pagemap.New(mode, 256)
-			log := wal.NewManager(iosim.Instant)
-			e := &env{dev: dev, pmap: pm, log: log,
-				pool: NewPool(Config{Capacity: 4, Device: dev, Map: pm, Log: log})}
-			id := e.newPage(t, "flushed-after-the-move")
-			var retired storage.PhysID
-			chaos.Arm("buffer.writetarget", 1, func(chaos.Hit) {
-				_, prev, _, err := pm.Relocate(id)
-				if err != nil {
-					t.Error(err)
+// TestConcurrentFaultersShareOneLoad: a page has one loader. N fetches of
+// one page with a sticky read fault, the first held inside the Recover
+// hook until the other N-1 are parked on its load: the page is read once
+// plus ReadRetries re-reads and recovered once, and either all N get a
+// handle to the one frame, or — when recovery fails — all N get the one
+// ErrPageFailed of a single escalation.
+func TestConcurrentFaultersShareOneLoad(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		name    string
+		recover error
+	}{
+		{"repaired", nil},
+		{"escalated", errors.New("no backup")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newReadFaultEnv(t, Config{Capacity: 4})
+			hooks := *r.pool.getHooks()
+			rebuild := hooks.Recover
+			entered, gate := make(chan struct{}), make(chan struct{})
+			hooks.Recover = func(id page.ID) (*page.Page, error) {
+				close(entered) // a second call panics: one recovery per load
+				<-gate
+				pg, err := rebuild(id)
+				if tc.recover != nil {
+					return nil, tc.recover
 				}
-				retired = prev
-				dev.RetireSlot(prev)
-			})
-			err := e.pool.FlushPage(id)
-			if mode == pagemap.CopyOnWrite {
-				if !errors.Is(err, storage.ErrBadSlot) {
-					t.Fatalf("copy-on-write flush = %v, want ErrBadSlot", err)
+				return pg, err
+			}
+			r.pool.SetHooks(hooks)
+			r.dev.InjectFault(r.phys, storage.FaultReadError, true)
+			reads := r.dev.Stats().Reads
+
+			type result struct {
+				h   *Handle
+				err error
+			}
+			results := make(chan result, n)
+			for i := 0; i < n; i++ {
+				go func() {
+					h, err := r.pool.Fetch(r.id)
+					results <- result{h, err}
+				}()
+			}
+			<-entered
+			s := r.pool.shardOf(r.id)
+			for parked := int32(0); parked < n-1; runtime.Gosched() {
+				s.mu.Lock()
+				parked = s.loads[r.id].waiters
+				s.mu.Unlock()
+			}
+			close(gate)
+
+			first := <-results
+			for i := 1; i < n; i++ {
+				if got := <-results; got != first {
+					t.Fatalf("fetch %d got (%p, %v), the first (%p, %v)", i, got.h, got.err, first.h, first.err)
+				}
+			}
+			if got := r.dev.Stats().Reads - reads; got != 3 {
+				t.Errorf("device reads = %d, want the failed read and two re-reads", got)
+			}
+			if r.retries.Load() != 2 || r.recoveries.Load() != 1 {
+				t.Errorf("retries %d, recoveries %d; want 2, 1", r.retries.Load(), r.recoveries.Load())
+			}
+			st := r.pool.Stats()
+			if st.Misses != n || st.ValidationFailures != 1 {
+				t.Errorf("misses %d, validation failures %d; want %d, 1", st.Misses, st.ValidationFailures, n)
+			}
+			if len(s.loads) != 0 {
+				t.Errorf("%d loads left in flight", len(s.loads))
+			}
+			if tc.recover != nil {
+				if !errors.Is(first.err, ErrPageFailed) || st.Escalations != 1 || st.Recoveries != 0 {
+					t.Errorf("err = %v, escalations %d, recoveries %d", first.err, st.Escalations, st.Recoveries)
+				}
+				if r.pool.IsResident(r.id) || r.pool.used.Load() != 0 {
+					t.Errorf("failed load left a frame or a reservation (used %d)", r.pool.used.Load())
 				}
 				return
 			}
-			if err != nil {
-				t.Fatal(err)
+			if first.err != nil {
+				t.Fatal(first.err)
 			}
-			phys, ok := pm.Lookup(id)
-			if !ok || phys == retired {
-				t.Fatalf("page on slot %d (mapped %v), retired %d", phys, ok, retired)
+			if st.Recoveries != 1 || st.Escalations != 0 || !r.dev.Retired(r.phys) {
+				t.Errorf("recoveries %d, escalations %d, slot retired %v", st.Recoveries, st.Escalations, r.dev.Retired(r.phys))
 			}
-			img, err := dev.Read(phys)
-			if err != nil {
-				t.Fatal(err)
+			if pins := first.h.f.pins.Load(); pins != n {
+				t.Errorf("pins = %d, want one per fetch", pins)
 			}
-			pg, err := page.Decode(img)
-			if err != nil {
-				t.Fatal(err)
+			for i := 0; i < n; i++ {
+				first.h.Release()
 			}
-			if string(pg.Payload()) != "flushed-after-the-move" {
-				t.Errorf("payload on the new slot = %q", pg.Payload())
-			}
-			if e.pool.IsDirty(id) {
-				t.Error("page still dirty after the flush")
+			if err := r.pool.Evict(r.id); err != nil {
+				t.Errorf("evict after every release: %v", err)
 			}
 		})
 	}

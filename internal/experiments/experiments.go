@@ -306,19 +306,19 @@ func E03FosterVerification(keys int) (*E03Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	splits, adoptions, rootGrows := ix.Counters()
+	im := ix.Metrics()
 	t := report.NewTable("E3 / Figure 3 — Foster B-tree foster relationships",
 		"metric", "value")
 	t.Row("keys inserted (sequential, split-heavy)", keys)
 	t.Row("nodes", st.Nodes)
-	t.Row("foster children created (splits)", splits)
-	t.Row("foster children adopted by permanent parents", adoptions)
-	t.Row("root growths", rootGrows)
+	t.Row("foster children created (splits)", im.Splits)
+	t.Row("foster children adopted by permanent parents", im.Adoptions)
+	t.Row("root growths", im.RootGrows)
 	t.Row("peak unadopted fosters observed between inserts", peak)
 	t.Row("foster relationships left after load", st.Fosters)
 	t.Row("structural violations (full verify)", len(viols))
 	t.Caption = "every split creates a foster relationship; descents verify and adopt them away"
-	return &E03Result{Table: t, FostersPeak: int(splits), FostersFinal: st.Fosters, Violations: len(viols)}, nil
+	return &E03Result{Table: t, FostersPeak: int(im.Splits), FostersFinal: st.Fosters, Violations: len(viols)}, nil
 }
 
 // E04Result quantifies Figure 4: redo page reads with and without logged
@@ -415,7 +415,7 @@ func E05SystemTxnOverhead(userTxns, updatesPer int) (*E05Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	before := db.Stats()
+	before := db.Metrics()
 	for u := 0; u < userTxns; u++ {
 		tx := db.Begin()
 		for i := 0; i < updatesPer; i++ {
@@ -427,7 +427,7 @@ func E05SystemTxnOverhead(userTxns, updatesPer int) (*E05Result, error) {
 			return nil, err
 		}
 	}
-	after := db.Stats()
+	after := db.Metrics()
 	userCommits := after.Txns.UserCommitted - before.Txns.UserCommitted
 	sysCommits := after.Txns.SysCommitted - before.Txns.SysCommitted
 	forces := after.Log.ForcedCommits - before.Log.ForcedCommits

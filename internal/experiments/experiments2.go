@@ -189,7 +189,7 @@ func E08ReadPathDetection() (*E08Result, error) {
 			return nil, err
 		}
 		got, gerr := ix.Get(key(300))
-		recovered := gerr == nil && db.Stats().Recovery.Recoveries > 0
+		recovered := gerr == nil && db.Metrics().Recovery.Recoveries > 0
 		intact := gerr == nil && string(got) == string(val(300))
 		t.Row(c.name, outcome(gerr), recovered, intact)
 		res.DetectedAndRecovered[c.name] = recovered && intact

@@ -255,7 +255,7 @@ func E14BackupPolicySweep(intervals []int, totalUpdates int) (*E14Result, error)
 		if err := db.BackupPage(victim); err != nil {
 			return nil, err
 		}
-		backupsBefore := db.Stats().Log.Appends
+		backupsBefore := db.Metrics().Log.Appends
 		for i := 0; i < totalUpdates; i++ {
 			tx := db.Begin()
 			if err := ix.Update(tx, key(4), []byte(fmt.Sprintf("u%06d", i))); err != nil {
@@ -461,7 +461,7 @@ func E16SilentCorruption(campaignPages int) (*E16Result, error) {
 			misreads++
 		}
 	}
-	recoveredByReads := db.Stats().Recovery.Recoveries
+	recoveredByReads := db.Metrics().Recovery.Recoveries
 
 	// Cold damage (pages no query visited) is found by scrubbing.
 	scrub, err := db.Scrub()

@@ -28,40 +28,24 @@ import (
 	"fmt"
 
 	"repro/internal/page"
+	"repro/internal/pageop"
 )
 
 // Errors surfaced by the hash index. ErrCorrupt is the shared layout error,
 // so a violation reads the same whether the layout (internal/page) or the
-// hash header check found it.
+// hash header check found it; the operation outcomes are the ones both
+// engines share (internal/pageop).
 var (
 	ErrCorrupt     = page.ErrCorrupt
-	ErrKeyNotFound = errors.New("hashindex: key not found")
-	ErrKeyExists   = errors.New("hashindex: key already exists")
+	ErrKeyNotFound = pageop.ErrKeyNotFound
+	ErrKeyExists   = pageop.ErrKeyExists
+	ErrDetected    = pageop.ErrDetected
 	// ErrValueTooLarge reports an entry that cannot fit a bucket page.
 	ErrValueTooLarge = errors.New("hashindex: key/value too large for page")
 )
 
-// CorruptionError reports a failed cross-page invariant check during a
-// descent — the continuous self-testing of §4.2, rendered for hash pages.
-type CorruptionError struct {
-	// Page failed to carry what its predecessor predicted.
-	Page page.ID
-	// Via is that predecessor — the directory, or the previous page of the
-	// overflow chain. A cross-page check implicates the pair: the damage
-	// may sit in either page.
-	Via    page.ID
-	Detail string
-}
-
-// ErrDetected is wrapped by every CorruptionError.
-var ErrDetected = errors.New("hashindex: cross-check violation detected")
-
-func (e *CorruptionError) Error() string {
-	return fmt.Sprintf("%v: page %d: %s", ErrDetected, e.Page, e.Detail)
-}
-
-// Unwrap makes errors.Is(err, ErrDetected) work.
-func (e *CorruptionError) Unwrap() error { return ErrDetected }
+// CorruptionError is the shared cross-page check failure.
+type CorruptionError = pageop.CorruptionError
 
 // directory is the parsed header of the latched directory page, an array
 // page (internal/page IDArray) of kind KindDirectory read in place: the

@@ -61,8 +61,8 @@ type MediaReport struct {
 //     restore by scheduling exactly those repairs.
 //
 // The returned map and index are the caller's to wire into a fresh engine;
-// enqueueing the actual repairs (and their priority) is the caller's
-// business — see spf.DB.RecoverMedia.
+// enqueueing the actual repairs is the caller's business — see
+// spf.DB.RecoverMedia.
 func RecoverMedia(d MediaDeps, setID uint64) (*pagemap.Map, *core.PRI, *MediaReport, error) {
 	rep := &MediaReport{}
 	if _, err := d.Store.SetLSN(setID); err != nil {

@@ -183,8 +183,8 @@ type PrepReport struct {
 // checks) and given their format record as backup.
 //
 // The caller owns scheduling: it marks each returned page needs-redo and
-// enqueues its repair at background priority; a foreground fetch
-// promotes the page and pays only its own chain replay (spf.DB.Restart).
+// enqueues its repair with the background scheduler; a foreground fetch
+// replays the page itself and pays only its own chain (spf.DB.Restart).
 func PrepareRedo(log *wal.Manager, pm *pagemap.Map, pri *core.PRI, a *AnalysisResult) ([]RedoPage, *PrepReport, error) {
 	rep := &PrepReport{}
 	marks := make([]RedoPage, 0, len(a.DPT))

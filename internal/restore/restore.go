@@ -1,37 +1,29 @@
-// Package restore implements the prioritized single-page repair scheduler.
+// Package restore implements the queue of background single-page repairs.
 //
-// The paper treats every single-page recovery as an isolated, synchronous
-// event: the reading transaction waits while the page is rebuilt from its
-// backup plus the per-page log chain (§5.2.3). Once detection becomes
-// continuous — an online scrub campaign surfacing latent failures in bulk,
-// a media recovery registering every page of a device at once — repair
-// *ordering* becomes the performance problem: a foreground transaction
-// faulting on a broken page must not queue behind thousands of background
-// repairs. That is the problem Sauer, Graefe and Härder's instant-restore
-// work solves with on-demand, prioritized restore ordering, and this
-// package applies the same shape to single-page repair:
+// A read that finds a bad page repairs it on its own goroutine (the buffer
+// pool's one-loader-per-page miss path, paper Fig. 8 and §5.2.3) and never
+// comes here. What comes here is repair work nobody is waiting to read:
+// the latent failures an online scrub campaign surfaces, the needs-redo
+// backlog of an instant restart, every page of a replaced device after a
+// media failure. Sauer, Graefe and Härder's instant restore needs only
+// that a reader never queues behind such bulk work; since a reader does
+// not queue at all, the queue has one class of entry:
 //
-//   - a priority queue of pending repairs: scrub findings and bulk media
-//     restore enqueue at Background priority, foreground fetch faults at
-//     Urgent priority;
-//   - deduplication with promotion: one ticket per page; an Urgent request
-//     for a page already queued at Background reorders the existing ticket
-//     ahead of every Background entry instead of adding a second repair;
-//   - per-page repair futures: every requester of a page shares the
-//     ticket's future, so N concurrent faulters of the same page coalesce
-//     into exactly one chain replay and all observe its outcome;
-//   - cost-aware ordering within a priority class: callers that know how
-//     expensive a repair will be (the WAL chain index tracks every page's
-//     chain length) enqueue with that cost, and the scheduler pops
-//     shorter chains first — shortest-job-first shrinks the vulnerability
-//     window, since more pages leave the unrecovered state per unit of
-//     repair work; equal costs fall back to FIFO;
-//   - worker goroutines drain the queue in priority order (Urgent strictly
-//     first, cheapest-then-FIFO within a class) and are quiesced
-//     deterministically:
-//     Stop joins every worker, letting an in-flight repair finish, so the
-//     engine can stop the scheduler before truncating the log exactly as
-//     it quiesces the maintenance service;
+//   - one ticket per page: a second request for a queued page joins the
+//     ticket (it coalesces) and shares its future, so every requester
+//     observes the one repair's outcome;
+//   - cost order: callers that know how expensive a repair will be (the
+//     WAL chain index tracks every page's chain length) enqueue with that
+//     cost, and workers pop shorter chains first — shortest-job-first
+//     shrinks the vulnerability window, since more pages leave the
+//     unrecovered state per unit of repair work; equal costs are FIFO;
+//   - a reader can get there first: when a read repairs a page whose ticket
+//     is still queued, NoteForegroundRepair retires the ticket, so no
+//     worker evicts and re-reads a page that is already healthy;
+//   - worker goroutines drain the queue and are quiesced
+//     deterministically: Stop joins every worker, letting an in-flight
+//     repair finish, so the engine can stop the scheduler before
+//     truncating the log exactly as it quiesces the maintenance service;
 //   - congestion is retried, not dropped: a repair that fails because the
 //     page is momentarily pinned (Deps.Busy classifies such errors) is
 //     requeued with exponential backoff instead of being abandoned after
@@ -55,55 +47,23 @@ import (
 	"repro/internal/page"
 )
 
-// Priority orders pending repairs. Higher values run first.
-type Priority int
-
-const (
-	// Background is the priority of scrub findings and bulk media-restore
-	// registrations: important, but never ahead of a waiting transaction.
-	Background Priority = iota
-	// Urgent is the priority of foreground fetch faults: a transaction is
-	// blocked on the future right now.
-	Urgent
-)
-
-func (p Priority) String() string {
-	if p == Urgent {
-		return "urgent"
-	}
-	return "background"
-}
-
 // ErrStopped reports that the scheduler was stopped (crash or shutdown)
 // before the repair ran; the page remains unrepaired.
 var ErrStopped = errors.New("restore: scheduler stopped before repair ran")
 
-// Config tunes a Scheduler. Zero values select the documented defaults.
+// A busy (pinned) repair is retried after retryBackoff, doubling per
+// attempt up to maxRetryBackoff. A timer shorter than a millisecond does
+// not fire sooner than one when the P is otherwise idle — the runtime's
+// netpoller rounds the wait up — so a smaller first step would buy nothing.
+const (
+	retryBackoff    = time.Millisecond
+	maxRetryBackoff = 50 * time.Millisecond
+)
+
+// Config tunes a Scheduler.
 type Config struct {
 	// Workers is the number of repair worker goroutines (default 2).
 	Workers int
-	// RetryBackoff is the initial delay before a busy (pinned) repair is
-	// retried; it doubles per attempt (default 1ms). It is a timer, and a
-	// timer shorter than a millisecond does not fire sooner than one when
-	// the P is otherwise idle — the runtime's netpoller rounds the wait up
-	// to 1ms — so values below that buy nothing. This is a background
-	// wait for a pin to clear; the repair read path itself never waits.
-	RetryBackoff time.Duration
-	// MaxRetryBackoff caps the per-attempt delay (default 50ms).
-	MaxRetryBackoff time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = time.Millisecond
-	}
-	if c.MaxRetryBackoff <= 0 {
-		c.MaxRetryBackoff = 50 * time.Millisecond
-	}
-	return c
 }
 
 // Deps wires the scheduler to the engine.
@@ -118,31 +78,32 @@ type Deps struct {
 	Busy func(error) bool
 }
 
-// Stats counts scheduler activity. Cumulative except where noted.
+// Stats counts scheduler activity. Cumulative except the two gauges.
 type Stats struct {
-	// Enqueued counts tickets created; Coalesced counts requests that
-	// joined an existing ticket instead of creating one — the per-page
-	// future coalescing factor is Coalesced/Enqueued.
-	Enqueued  int64
+	// Enqueued counts tickets created.
+	Enqueued int64
+	// Coalesced counts requests that joined an existing ticket instead of
+	// creating one (the coalescing factor is Coalesced/Enqueued).
 	Coalesced int64
-	// UrgentRequests counts requests made at Urgent priority (whether
-	// they created, joined, or promoted a ticket); Promotions counts
-	// Background tickets reordered to Urgent by such a request.
+	// UrgentRequests counts recoveries run by the read that found the page
+	// bad — once per faulting fetch, never for a worker's own fetch.
 	UrgentRequests int64
-	Promotions     int64
-	// Repaired and Failed split completed tickets by outcome; Requeues
-	// counts busy (pinned) retries.
+	// Promotions counts queued tickets retired because such a read had
+	// repaired their page before a worker reached it.
+	Promotions int64
+	// Repaired counts tickets completed with their page healthy.
 	Repaired int64
-	Failed   int64
+	// Failed counts tickets completed with an error, ErrStopped included.
+	Failed int64
+	// Requeues counts busy (pinned) retries of a ticket.
 	Requeues int64
-	// ReadRetries counts the immediate re-reads of failed device reads on
-	// the repair read path (buffer pool hook): one for a one-shot fault
-	// the re-read absorbs, the pool's ReadRetries for a sticky one that is
-	// then repaired.
+	// ReadRetries counts immediate re-reads of failed device reads (buffer
+	// pool hook): one for a fault a re-read absorbs, the pool's
+	// ReadRetries for a sticky one that is then repaired.
 	ReadRetries int64
-	// Pending and InFlight are gauges: tickets waiting in the queue (or
-	// backing off) and repairs currently executing.
-	Pending  int64
+	// Pending is a gauge: tickets waiting in the queue or backing off.
+	Pending int64
+	// InFlight is a gauge: repairs a worker is executing.
 	InFlight int64
 }
 
@@ -187,26 +148,21 @@ const (
 // ticket is one page's pending repair.
 type ticket struct {
 	id       page.ID
-	pri      Priority
 	cost     int64  // estimated repair cost (chain length); 0 = unknown
-	seq      uint64 // FIFO tiebreak within a priority class
+	seq      uint64 // FIFO tiebreak among equal costs
 	state    int
 	idx      int // position in the ready heap (state == qReady)
 	attempts int
 	fut      *Future
 }
 
-// readyHeap orders runnable tickets by (priority desc, cost asc, seq asc):
-// strict priority first, then shortest estimated repair, then FIFO. A
-// zero cost means "unknown" and sorts with the cheapest — an unknown is
-// almost always a foreground fault on a single page, not a bulk batch.
+// readyHeap orders runnable tickets by (cost asc, seq asc): shortest
+// estimated repair first, then FIFO. A zero cost means "unknown" and sorts
+// with the cheapest.
 type readyHeap []*ticket
 
 func (h readyHeap) Len() int { return len(h) }
 func (h readyHeap) Less(i, j int) bool {
-	if h[i].pri != h[j].pri {
-		return h[i].pri > h[j].pri
-	}
 	if h[i].cost != h[j].cost {
 		return h[i].cost < h[j].cost
 	}
@@ -232,10 +188,10 @@ func (h *readyHeap) Pop() any {
 	return t
 }
 
-// Scheduler is the prioritized repair queue. Safe for concurrent use.
+// Scheduler is the cost-ordered repair queue. Safe for concurrent use.
 type Scheduler struct {
-	cfg  Config
-	deps Deps
+	workers int
+	deps    Deps
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -252,9 +208,12 @@ type Scheduler struct {
 // New builds a scheduler. Call Start to launch the workers.
 func New(cfg Config, deps Deps) *Scheduler {
 	s := &Scheduler{
-		cfg:     cfg.withDefaults(),
+		workers: cfg.Workers,
 		deps:    deps,
 		tickets: make(map[page.ID]*ticket),
+	}
+	if s.workers <= 0 {
+		s.workers = 2
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -268,7 +227,7 @@ func (s *Scheduler) Start() {
 		return
 	}
 	s.started = true
-	for i := 0; i < s.cfg.Workers; i++ {
+	for i := 0; i < s.workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
@@ -288,43 +247,43 @@ func (s *Scheduler) Stop() {
 		return
 	}
 	s.stopped = true
-	for id, t := range s.tickets {
-		if t.state == qRunning {
-			continue // its worker completes it
+	for _, t := range s.tickets {
+		if t.state != qRunning { // a running ticket's worker completes it
+			s.completeLocked(t, ErrStopped)
 		}
-		delete(s.tickets, id)
-		s.stats.failed.Add(1)
-		t.fut.err = ErrStopped
-		close(t.fut.done)
 	}
 	s.ready = nil
-	s.cond.Broadcast()
+	s.cond.Broadcast() // idle workers see stopped
 	s.mu.Unlock()
 	s.wg.Wait()
 }
 
-// Enqueue schedules a repair of page id at the given priority and returns
-// the page's repair future. If the page is already scheduled the existing
-// ticket is shared (the request coalesces); a higher-priority request
-// promotes a queued or backing-off ticket so it reorders ahead of every
-// lower-priority entry. On a stopped scheduler the returned future is
-// already failed with ErrStopped.
-func (s *Scheduler) Enqueue(id page.ID, pri Priority) *Future {
-	return s.EnqueueCost(id, pri, 0)
+// completeLocked ends a ticket with its outcome and wakes everyone who may
+// be waiting on it: its future's waiters, Drain, idle workers. Caller
+// holds s.mu.
+func (s *Scheduler) completeLocked(t *ticket, err error) {
+	delete(s.tickets, t.id)
+	if err != nil {
+		s.stats.failed.Add(1)
+	} else {
+		s.stats.repaired.Add(1)
+	}
+	t.fut.err = err
+	close(t.fut.done)
+	s.cond.Broadcast()
 }
 
-// EnqueueCost is Enqueue with an estimated repair cost — typically the
-// page's WAL chain length. Within a priority class the scheduler pops
-// cheaper tickets first (shortest-job-first: the unrecovered-page count
-// falls as fast as possible). Cost zero means unknown. A coalescing
-// request never raises an existing ticket's cost; a lower nonzero
-// estimate replaces an unknown or higher one.
-func (s *Scheduler) EnqueueCost(id page.ID, pri Priority, cost int64) *Future {
+// Enqueue schedules a repair of page id and returns the page's repair
+// future. cost estimates the repair — typically the page's WAL chain
+// length, zero when unknown — and workers pop cheaper tickets first
+// (shortest-job-first: the unrecovered-page count falls as fast as
+// possible). If the page is already scheduled the existing ticket is
+// shared (the request coalesces); it never raises the ticket's cost, and
+// a lower nonzero estimate replaces an unknown or higher one. On a stopped
+// scheduler the returned future is already failed with ErrStopped.
+func (s *Scheduler) Enqueue(id page.ID, cost int64) *Future {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if pri == Urgent {
-		s.stats.urgent.Add(1)
-	}
 	if s.stopped {
 		f := newFuture()
 		f.err = ErrStopped
@@ -333,33 +292,15 @@ func (s *Scheduler) EnqueueCost(id page.ID, pri Priority, cost int64) *Future {
 	}
 	if t, ok := s.tickets[id]; ok {
 		s.stats.coalesced.Add(1)
-		promoted := pri > t.pri
-		if promoted {
-			t.pri = pri
-			s.stats.promotions.Add(1)
-		}
-		cheaper := cost > 0 && (t.cost == 0 || cost < t.cost)
-		if cheaper {
+		if cost > 0 && (t.cost == 0 || cost < t.cost) {
 			t.cost = cost
-		}
-		if promoted || cheaper {
-			switch t.state {
-			case qReady:
+			if t.state == qReady {
 				heap.Fix(&s.ready, t.idx)
-			case qDelayed:
-				if promoted {
-					// Promotion cancels the backoff: the page has a
-					// waiting transaction now. The pending backoff timer
-					// finds the ticket no longer delayed and does nothing.
-					t.state = qReady
-					heap.Push(&s.ready, t)
-					s.cond.Broadcast()
-				}
 			}
 		}
 		return t.fut
 	}
-	t := &ticket{id: id, pri: pri, cost: cost, seq: s.seq, state: qReady, fut: newFuture()}
+	t := &ticket{id: id, cost: cost, seq: s.seq, state: qReady, fut: newFuture()}
 	s.seq++
 	s.tickets[id] = t
 	heap.Push(&s.ready, t)
@@ -368,17 +309,35 @@ func (s *Scheduler) EnqueueCost(id page.ID, pri Priority, cost int64) *Future {
 	return t.fut
 }
 
-// NoteReadRetry counts one immediate re-read of a failed device read on
-// the repair read path (wired to the buffer pool's OnReadRetry hook by the
-// engine).
+// NoteReadRetry counts one immediate re-read of a failed device read
+// (wired to the buffer pool's OnReadRetry hook by the engine).
 func (s *Scheduler) NoteReadRetry() {
 	s.stats.readRetries.Add(1)
 }
 
-// Repair is Enqueue(id, Urgent) + Wait: the synchronous foreground entry
-// point.
-func (s *Scheduler) Repair(id page.ID) error {
-	return s.Enqueue(id, Urgent).Wait()
+// NoteForegroundRepair records that single-page recovery of page id just
+// ran on the goroutine of the fetch that loads the page (wired into the
+// buffer pool's Recover hook by the engine). While a worker executes the
+// page's ticket that fetch is the worker's own, or one the worker's fetch
+// shares the load of, and the ticket accounts for it. Otherwise a read
+// found the page bad and repaired it: an urgent request, and a ticket
+// still queued for the page has nothing left to do and is retired.
+func (s *Scheduler) NoteForegroundRepair(id page.ID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.tickets[id]
+	if ok && t.state == qRunning {
+		return
+	}
+	s.stats.urgent.Add(1)
+	if !ok {
+		return
+	}
+	if t.state == qReady {
+		heap.Remove(&s.ready, t.idx)
+	} // else backing off: its timer finds the ticket gone
+	s.stats.promotions.Add(1)
+	s.completeLocked(t, nil)
 }
 
 // Pending returns the number of live tickets (queued, backing off, or in
@@ -420,18 +379,15 @@ func (s *Scheduler) Stats() Stats {
 }
 
 // backoff returns the delay before retry number attempts (1-based).
-func (s *Scheduler) backoff(attempts int) time.Duration {
-	d := s.cfg.RetryBackoff
-	for i := 1; i < attempts && d < s.cfg.MaxRetryBackoff; i++ {
+func backoff(attempts int) time.Duration {
+	d := retryBackoff
+	for i := 1; i < attempts && d < maxRetryBackoff; i++ {
 		d *= 2
 	}
-	if d > s.cfg.MaxRetryBackoff {
-		d = s.cfg.MaxRetryBackoff
-	}
-	return d
+	return min(d, maxRetryBackoff)
 }
 
-// worker executes repairs in priority order until the scheduler stops.
+// worker executes repairs in queue order until the scheduler stops.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	s.mu.Lock()
@@ -458,39 +414,21 @@ func (s *Scheduler) worker() {
 		s.inflight--
 		if err != nil && !s.stopped && s.deps.Busy != nil && s.deps.Busy(err) {
 			// Congestion, not failure: back off and requeue. The ticket
-			// (and its waiters' future) stays live; a timer returns it
-			// to the ready heap unless a promotion got there first. A
-			// ticket promoted to Urgent while it ran has a transaction
-			// parked on it — retry at the minimal backoff instead of the
-			// exponential one, matching the promotion path's
-			// backoff-cancel contract (a flat delay still lets the
-			// pin-holder run; an immediate requeue could hot-loop the
-			// worker against it).
+			// (and its waiters' future) stays live; a timer returns it to
+			// the ready heap.
 			t.state = qDelayed
 			t.attempts++
 			s.stats.requeues.Add(1)
-			delay := s.backoff(t.attempts)
-			if t.pri == Urgent {
-				delay = s.cfg.RetryBackoff
-			}
-			time.AfterFunc(delay, func() { s.requeue(t) })
+			time.AfterFunc(backoff(t.attempts), func() { s.requeue(t) })
 			continue
 		}
-		delete(s.tickets, t.id)
-		if err != nil {
-			s.stats.failed.Add(1)
-		} else {
-			s.stats.repaired.Add(1)
-		}
-		t.fut.err = err
-		close(t.fut.done)
-		s.cond.Broadcast() // wake Drain waiters (and idle workers)
+		s.completeLocked(t, err)
 		// Yield between repairs: on scarce cores a CPU-bound worker
-		// draining a deep queue back-to-back can keep the waiter it just
-		// woke off the CPU for a whole preemption quantum (tens of
+		// draining a deep queue back-to-back can keep a reader's goroutine
+		// off the CPU for a whole preemption quantum (tens of
 		// milliseconds) — the same convoy the WAL's publication path had
-		// to dodge. One Gosched per completion bounds a foreground
-		// faulter's post-repair wake-up to roughly one repair.
+		// to dodge. One Gosched per completion bounds that wait to roughly
+		// one repair.
 		s.mu.Unlock()
 		runtime.Gosched()
 		s.mu.Lock()
@@ -499,8 +437,8 @@ func (s *Scheduler) worker() {
 }
 
 // requeue returns a backing-off ticket to the ready heap (the timer
-// callback). A promotion or Stop may have moved the ticket already; then
-// this is a no-op.
+// callback). A foreground repair or Stop may have completed the ticket
+// already; then this is a no-op.
 func (s *Scheduler) requeue(t *ticket) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

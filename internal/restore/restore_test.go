@@ -54,10 +54,11 @@ func (g *gateRepair) orderSnapshot() []page.ID {
 	return append([]page.ID(nil), g.order...)
 }
 
-// TestPromotionReordersAheadOfOlderBackground proves the promotion
-// semantics: an urgent request for a queued background page, and a fresh
-// urgent request, both run before background entries enqueued earlier.
-func TestPromotionReordersAheadOfOlderBackground(t *testing.T) {
+// TestForegroundRepairRetiresQueuedTicket: a read that repaired a page
+// itself retires the page's queued ticket — its future completes at once
+// and no worker ever runs it — and counts as an urgent request; the note
+// from a fetch made under a running ticket counts nothing.
+func TestForegroundRepairRetiresQueuedTicket(t *testing.T) {
 	g := newGateRepair()
 	g.blockOn = 1
 	s := New(Config{Workers: 1}, Deps{Repair: g.repair})
@@ -65,45 +66,39 @@ func TestPromotionReordersAheadOfOlderBackground(t *testing.T) {
 	defer s.Stop()
 
 	// Occupy the single worker so the queue builds up deterministically.
-	blocked := s.Enqueue(1, Background)
+	blocked := s.Enqueue(1, 0)
 	<-g.entered
+	retired := s.Enqueue(10, 0)
+	kept := s.Enqueue(11, 0)
 
-	bg := []page.ID{10, 11, 12, 13}
-	var futs []*Future
-	for _, id := range bg {
-		futs = append(futs, s.Enqueue(id, Background))
+	s.NoteForegroundRepair(1)  // the worker's own fetch
+	s.NoteForegroundRepair(10) // a reader got there first
+	s.NoteForegroundRepair(99) // a reader's fault nobody had queued
+	select {
+	case <-retired.Done():
+		if err := retired.Err(); err != nil {
+			t.Fatalf("retired ticket's outcome = %v", err)
+		}
+	default:
+		t.Fatal("retired ticket still pending while the worker is blocked")
 	}
-	// Promote 13 (enqueued last at background) and add a brand-new urgent
-	// page 20.
-	promoted := s.Enqueue(13, Urgent)
-	fresh := s.Enqueue(20, Urgent)
+	if st := s.Stats(); st.UrgentRequests != 2 || st.Promotions != 1 || st.Pending != 1 || st.Repaired != 1 {
+		t.Fatalf("urgent %d, promotions %d, pending %d, repaired %d; want 2, 1, 1, 1",
+			st.UrgentRequests, st.Promotions, st.Pending, st.Repaired)
+	}
 
-	close(g.gate) // release the worker
-	for _, f := range append(futs, blocked, promoted, fresh) {
+	close(g.gate)
+	for _, f := range []*Future{blocked, kept} {
 		if err := f.Wait(); err != nil {
-			t.Fatalf("repair failed: %v", err)
+			t.Fatal(err)
 		}
 	}
-
-	order := g.orderSnapshot()
-	pos := make(map[page.ID]int)
-	for i, id := range order {
-		pos[id] = i
+	s.Drain()
+	if got := g.orderSnapshot(); len(got) != 2 || got[0] != 1 || got[1] != 11 {
+		t.Fatalf("workers ran %v, want [1 11]", got)
 	}
-	for _, older := range []page.ID{10, 11, 12} {
-		if pos[13] > pos[older] {
-			t.Fatalf("promoted page 13 ran after older background %d: order %v", older, order)
-		}
-		if pos[20] > pos[older] {
-			t.Fatalf("urgent page 20 ran after older background %d: order %v", older, order)
-		}
-	}
-	st := s.Stats()
-	if st.Promotions != 1 {
-		t.Fatalf("promotions = %d, want 1", st.Promotions)
-	}
-	if st.Coalesced != 1 {
-		t.Fatalf("coalesced = %d, want 1 (the promoted request)", st.Coalesced)
+	if st := s.Stats(); st.Enqueued != 3 || st.Repaired != 3 || st.Failed != 0 {
+		t.Fatalf("enqueued %d, repaired %d, failed %d; want 3, 3, 0", st.Enqueued, st.Repaired, st.Failed)
 	}
 }
 
@@ -118,7 +113,7 @@ func TestCoalescingOneReplayForConcurrentFaulters(t *testing.T) {
 	s.Start()
 	defer s.Stop()
 
-	first := s.Enqueue(5, Urgent)
+	first := s.Enqueue(5, 0)
 	<-g.entered // repair of page 5 is in flight and blocked
 
 	var wg sync.WaitGroup
@@ -127,7 +122,7 @@ func TestCoalescingOneReplayForConcurrentFaulters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = s.Enqueue(5, Urgent).Wait()
+			errs[i] = s.Enqueue(5, 0).Wait()
 		}(i)
 	}
 	// Give the requesters a moment to coalesce onto the running ticket.
@@ -166,14 +161,14 @@ func TestBusyBackoffRequeue(t *testing.T) {
 		}
 		return nil
 	}
-	s := New(Config{Workers: 1, RetryBackoff: time.Microsecond}, Deps{
+	s := New(Config{Workers: 1}, Deps{
 		Repair: g.repair,
 		Busy:   func(err error) bool { return errors.Is(err, busy) },
 	})
 	s.Start()
 	defer s.Stop()
 
-	if err := s.Enqueue(7, Background).Wait(); err != nil {
+	if err := s.Enqueue(7, 0).Wait(); err != nil {
 		t.Fatalf("repair after retries: %v", err)
 	}
 	g.mu.Lock()
@@ -200,7 +195,7 @@ func TestNonBusyErrorCompletesTicket(t *testing.T) {
 	s := New(Config{Workers: 1}, Deps{Repair: g.repair})
 	s.Start()
 	defer s.Stop()
-	if err := s.Enqueue(3, Urgent).Wait(); !errors.Is(err, boom) {
+	if err := s.Enqueue(3, 0).Wait(); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	if st := s.Stats(); st.Failed != 1 || st.Requeues != 0 {
@@ -218,9 +213,9 @@ func TestStopQuiesceOrdering(t *testing.T) {
 	s := New(Config{Workers: 1}, Deps{Repair: g.repair})
 	s.Start()
 
-	inflight := s.Enqueue(1, Background)
+	inflight := s.Enqueue(1, 0)
 	<-g.entered
-	queued := s.Enqueue(2, Background)
+	queued := s.Enqueue(2, 0)
 
 	var inflightDone atomic.Bool
 	stopReturned := make(chan struct{})
@@ -249,7 +244,7 @@ func TestStopQuiesceOrdering(t *testing.T) {
 		t.Fatalf("in-flight repair outcome: %v", err)
 	}
 	// Post-stop requests fail immediately.
-	if err := s.Enqueue(9, Urgent).Wait(); !errors.Is(err, ErrStopped) {
+	if err := s.Enqueue(9, 0).Wait(); !errors.Is(err, ErrStopped) {
 		t.Fatalf("post-stop enqueue err = %v, want ErrStopped", err)
 	}
 	s.Stop() // idempotent
@@ -263,7 +258,7 @@ func TestDrainWaitsForQueue(t *testing.T) {
 	defer s.Stop()
 	var futs []*Future
 	for i := 1; i <= 50; i++ {
-		futs = append(futs, s.Enqueue(page.ID(i), Background))
+		futs = append(futs, s.Enqueue(page.ID(i), 0))
 	}
 	s.Drain()
 	if n := s.Pending(); n != 0 {
@@ -282,11 +277,11 @@ func TestDrainWaitsForQueue(t *testing.T) {
 }
 
 // TestConcurrentEnqueueStress exercises the scheduler under -race: mixed
-// priorities, coalescing, busy retries, and a concurrent Stop.
+// costs, coalescing, foreground retirements, busy retries, and a Stop.
 func TestConcurrentEnqueueStress(t *testing.T) {
 	busy := errors.New("pinned")
 	var attempts atomic.Int64
-	s := New(Config{Workers: 4, RetryBackoff: time.Microsecond}, Deps{
+	s := New(Config{Workers: 4}, Deps{
 		Repair: func(id page.ID) error {
 			if attempts.Add(1)%17 == 0 {
 				return busy
@@ -302,11 +297,11 @@ func TestConcurrentEnqueueStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				pri := Background
+				id := page.ID(i%37 + 1)
+				f := s.Enqueue(id, int64(i%5))
 				if i%3 == 0 {
-					pri = Urgent
+					s.NoteForegroundRepair(id)
 				}
-				f := s.Enqueue(page.ID(i%37+1), pri)
 				if w%2 == 0 {
 					if err := f.Wait(); err != nil {
 						t.Errorf("repair: %v", err)
@@ -325,10 +320,9 @@ func TestConcurrentEnqueueStress(t *testing.T) {
 	s.Stop()
 }
 
-// TestCostOrdersWithinPriorityBand proves cost-aware ordering: within one
-// priority band the scheduler pops shorter (cheaper) chains first, while
-// priority still dominates cost across bands.
-func TestCostOrdersWithinPriorityBand(t *testing.T) {
+// TestCostOrdersTheQueue proves cost-aware ordering: workers pop shorter
+// (cheaper) chains first, whatever order they were enqueued in.
+func TestCostOrdersTheQueue(t *testing.T) {
 	g := newGateRepair()
 	g.blockOn = 1
 	s := New(Config{Workers: 1}, Deps{Repair: g.repair})
@@ -336,15 +330,13 @@ func TestCostOrdersWithinPriorityBand(t *testing.T) {
 	defer s.Stop()
 
 	// Occupy the single worker so the queue builds up deterministically.
-	blocked := s.Enqueue(1, Background)
+	blocked := s.Enqueue(1, 0)
 	<-g.entered
 
 	var futs []*Future
-	futs = append(futs, s.EnqueueCost(10, Background, 5))
-	futs = append(futs, s.EnqueueCost(11, Background, 1))
-	futs = append(futs, s.EnqueueCost(12, Background, 3))
-	// An expensive urgent ticket still beats every cheap background one.
-	futs = append(futs, s.EnqueueCost(20, Urgent, 100))
+	futs = append(futs, s.Enqueue(10, 5))
+	futs = append(futs, s.Enqueue(11, 1))
+	futs = append(futs, s.Enqueue(12, 3))
 
 	close(g.gate)
 	if err := blocked.Wait(); err != nil {
@@ -356,7 +348,7 @@ func TestCostOrdersWithinPriorityBand(t *testing.T) {
 		}
 	}
 	got := g.orderSnapshot()
-	want := []page.ID{1, 20, 11, 12, 10}
+	want := []page.ID{1, 11, 12, 10}
 	if len(got) != len(want) {
 		t.Fatalf("order = %v, want %v", got, want)
 	}
@@ -368,7 +360,7 @@ func TestCostOrdersWithinPriorityBand(t *testing.T) {
 }
 
 // TestCoalesceKeepsCheaperCost proves a re-enqueue with a lower cost
-// estimate reorders the queued ticket ahead of its band.
+// estimate reorders the queued ticket.
 func TestCoalesceKeepsCheaperCost(t *testing.T) {
 	g := newGateRepair()
 	g.blockOn = 1
@@ -376,13 +368,13 @@ func TestCoalesceKeepsCheaperCost(t *testing.T) {
 	s.Start()
 	defer s.Stop()
 
-	blocked := s.Enqueue(1, Background)
+	blocked := s.Enqueue(1, 0)
 	<-g.entered
 
-	a := s.EnqueueCost(10, Background, 2)
-	b := s.EnqueueCost(11, Background, 9)
+	a := s.Enqueue(10, 2)
+	b := s.Enqueue(11, 9)
 	// Refine 11's estimate below 10's: it must now run first.
-	b2 := s.EnqueueCost(11, Background, 1)
+	b2 := s.Enqueue(11, 1)
 
 	close(g.gate)
 	for _, f := range []*Future{blocked, a, b, b2} {
@@ -417,7 +409,7 @@ func TestNoteReadRetryCounted(t *testing.T) {
 	s.Start()
 	defer s.Stop()
 	for id := range reReads {
-		if err := s.Repair(id); err != nil {
+		if err := s.Enqueue(id, 0).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}

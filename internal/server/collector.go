@@ -79,8 +79,8 @@ func RegisterEngineCollector(reg *metrics.Registry, db *spf.DB) {
 
 		e.Counter("spf_restore_enqueued_total", "Restore tickets created.", float64(m.Restore.Enqueued))
 		e.Counter("spf_restore_coalesced_total", "Restore requests coalesced onto tickets.", float64(m.Restore.Coalesced))
-		e.Counter("spf_restore_urgent_total", "Urgent-priority restore requests.", float64(m.Restore.UrgentRequests))
-		e.Counter("spf_restore_promotions_total", "Background tickets promoted to urgent.", float64(m.Restore.Promotions))
+		e.Counter("spf_restore_urgent_total", "Single-page recoveries run by the read that found the page bad.", float64(m.Restore.UrgentRequests))
+		e.Counter("spf_restore_promotions_total", "Queued repair tickets retired because a read repaired the page first.", float64(m.Restore.Promotions))
 		e.Counter("spf_restore_repaired_total", "Restore tickets repaired.", float64(m.Restore.Repaired))
 		e.Counter("spf_restore_failed_total", "Restore tickets failed.", float64(m.Restore.Failed))
 		e.Gauge("spf_restore_pending", "Restore tickets waiting in the queue.", float64(m.Restore.Pending))

@@ -436,7 +436,7 @@ type ChainInfo struct {
 	// a backup when no newer one exists (§5.2.1).
 	Tail page.LSN
 	// Length is the number of records the index observed on the chain —
-	// the repair-cost estimate prioritized restore uses. It is exact
+	// the repair-cost estimate the restore scheduler orders by. It is exact
 	// while the chain grows contiguously and a lower bound otherwise.
 	Length int64
 }

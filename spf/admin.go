@@ -10,11 +10,8 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/maintenance"
 	"repro/internal/page"
-	"repro/internal/pagemap"
 	"repro/internal/recovery"
-	"repro/internal/restore"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -305,10 +302,10 @@ type ScrubReport struct {
 }
 
 // Scrub re-reads every mapped slot verifying checksums (the paper's "disk
-// scrubbing", §1) and repairs every failure it finds through the repair
-// scheduler at background priority (inline when the scheduler is
-// disabled) — a concurrent foreground fault on the same page coalesces
-// onto the scrub's repair instead of replaying the chain twice.
+// scrubbing", §1) and repairs every failure it finds through the
+// background repair queue (itself, when the scheduler is disabled). A read
+// that reaches such a page first repairs it and retires the scrub's ticket:
+// the chain is replayed once either way.
 func (db *DB) Scrub() (ScrubReport, error) {
 	if err := db.opErr(); err != nil {
 		return ScrubReport{}, err
@@ -417,12 +414,12 @@ type RestartReport struct {
 // (recovery.PrepareRedo raises each dirty page's recovery-index
 // expectation to its chain head, taken from the log's per-page chain
 // index), every such page is marked needs-redo and enqueued with the
-// repair scheduler at background priority — cost-ordered by chain length
-// — and Restart returns before redo completes. The first fetch of a
-// needs-redo page fails the PageLSN cross-check, promotes its ticket to
-// urgent, and pays only its own chain replay (usually just the missing
-// tail on top of the on-disk image); background workers drain the rest,
-// partitioned by page. DrainRestore is the "bulk redo finished" barrier.
+// repair scheduler — cost-ordered by chain length — and Restart returns
+// before redo completes. The first fetch of a needs-redo page fails the
+// PageLSN cross-check and replays the page's chain itself, there and then
+// (usually just the missing tail on top of the on-disk image), retiring
+// the page's ticket; background workers drain the rest, partitioned by
+// page. DrainRestore is the "bulk redo finished" barrier.
 //
 // The synchronous forward-scan redo still runs when the repair scheduler
 // is unavailable (Options.Restore.Disabled, single-page recovery or the
@@ -453,9 +450,9 @@ func (db *DB) Restart() (*DB, *RestartReport, error) {
 	ndb.rec = core.NewRecoverer(ndb.log, ndb.pri, ndb.res, applier{})
 
 	rep := &RestartReport{Analysis: *analysis}
-	// On-demand redo needs the validating read path end to end: the
+	// On-demand redo needs the validating read path end to end — the
 	// PageLSN cross-check to detect a stale image, the Recover hook to
-	// replay it, and the scheduler to order and drain the backlog.
+	// replay it — and the scheduler to order and drain the backlog.
 	instant := !db.opts.Restore.Disabled && !db.opts.DisableSinglePageRecovery &&
 		!db.opts.DisablePageLSNCheck
 	var marks []recovery.RedoPage
@@ -491,7 +488,7 @@ func (db *DB) Restart() (*DB, *RestartReport, error) {
 		ndb.installRedoMarks(marks)
 		chaos.At("restart.prep")
 		for _, m := range marks {
-			ndb.sched.EnqueueCost(m.ID, restore.Background, m.ChainLen)
+			ndb.sched.Enqueue(m.ID, m.ChainLen)
 		}
 	} else {
 		redoRep, err := recovery.Redo(recovery.RedoDeps{
@@ -511,9 +508,8 @@ func (db *DB) Restart() (*DB, *RestartReport, error) {
 	}
 
 	// Undo runs while background redo drains: each page a rollback
-	// touches is fetched through the validating pool read, so its redo is
-	// promoted and completes right there — per page, redo still strictly
-	// precedes undo.
+	// touches is fetched through the validating pool read, so its redo
+	// completes right there — per page, redo still strictly precedes undo.
 	undoRep, err := recovery.Undo(recovery.UndoDeps{Txns: ndb.txns}, analysis)
 	if err != nil {
 		return fail(fmt.Errorf("spf: restart undo: %w", err))
@@ -601,11 +597,11 @@ type MediaRecoveryReport struct {
 // replaying the whole log before the first read can be served, it
 // prepares the page map and page recovery index (recovery.RecoverMedia,
 // O(pages) — per-page chain heads come from the log's chain index, no
-// forward scan), enqueues every page with the repair scheduler at
-// background priority, and returns a usable DB immediately. Foreground
-// reads of a not-yet-restored page promote its ticket to urgent and are
-// served as soon as that one page's chain replays; background workers
-// drain the rest. DrainRestore blocks until bulk restore completes.
+// forward scan), enqueues every page with the repair scheduler, and
+// returns a usable DB immediately. A read of a not-yet-restored page
+// restores that one page itself — it never queues behind the bulk work —
+// and retires the page's ticket; background workers drain the rest.
+// DrainRestore blocks until bulk restore completes.
 // All transactions that were active at the failure are rolled back.
 func (db *DB) RecoverMedia() (*DB, *MediaRecoveryReport, error) {
 	start := time.Now()
@@ -650,12 +646,12 @@ func (db *DB) RecoverMedia() (*DB, *MediaRecoveryReport, error) {
 	}
 
 	// The instant-restore shape: every page is queued for background
-	// restore; on-demand faults are served first via promotion. Without
-	// the scheduler the restore is synchronous (the pre-instant-restore
-	// behavior): every page is repaired before the DB is returned.
+	// restore while reads restore what they touch. Without the scheduler
+	// the restore is synchronous (the pre-instant-restore behavior): every
+	// page is repaired before the DB is returned.
 	if ndb.sched != nil {
 		for _, id := range pm.Pages() {
-			ndb.sched.EnqueueCost(id, restore.Background, ndb.chainCost(id))
+			ndb.sched.Enqueue(id, ndb.chainCost(id))
 		}
 	} else {
 		for _, id := range pm.Pages() {
@@ -688,49 +684,6 @@ func (db *DB) RecoverMedia() (*DB, *MediaRecoveryReport, error) {
 	return ndb, rep, nil
 }
 
-// Stats aggregates engine counters for experiments and monitoring.
-type Stats struct {
-	Pool        buffer.Stats
-	Device      storage.Stats
-	Log         wal.Stats
-	Txns        txn.Stats
-	Recovery    core.Stats
-	Maintenance maintenance.Stats
-	Restore     restore.Stats
-	PRIRanges   int
-	PRIBytes    int
-	PRIPages    int
-	DBPages     int
-	Retired     int
-}
-
-// Stats returns a snapshot of all engine counters. It is the historical
-// flat view of the unified Metrics snapshot and delegates to it.
-func (db *DB) Stats() Stats {
-	m := db.Metrics()
-	return Stats{
-		Pool:        m.Pool,
-		Device:      m.Device,
-		Log:         m.Log,
-		Txns:        m.Txns,
-		Recovery:    m.Recovery,
-		Maintenance: m.Maintenance,
-		Restore:     m.Restore,
-		PRIRanges:   m.PRI.Ranges,
-		PRIBytes:    m.PRI.Bytes,
-		PRIPages:    m.PRI.Pages,
-		DBPages:     m.Pages,
-		Retired:     m.RetiredSlots,
-	}
-}
-
-// RestoreStats reports the repair scheduler's counters: tickets enqueued,
-// requests coalesced onto shared per-page futures, urgent promotions,
-// repairs completed/failed, busy requeues, and the pending/in-flight
-// gauges. Zero when the scheduler is disabled.
-// Delegates to Metrics.
-func (db *DB) RestoreStats() restore.Stats { return db.Metrics().Restore }
-
 // DrainRestore blocks until the repair scheduler's queue is empty (every
 // scheduled repair completed) or the scheduler stops. After RecoverMedia
 // it is the "bulk restore finished" barrier; reads need not wait for it —
@@ -738,25 +691,6 @@ func (db *DB) RestoreStats() restore.Stats { return db.Metrics().Restore }
 func (db *DB) DrainRestore() {
 	if db.sched != nil {
 		db.sched.Drain()
-	}
-}
-
-// MaintenanceStats reports the background maintenance counters: flush
-// batches and pages written back asynchronously, and the scrub campaign's
-// running ScrubReport-style tallies (pages scrubbed, sweeps completed,
-// latent failures found, repaired online, escalated, plus the current
-// effective scrub rate — halved automatically while foreground write
-// pressure keeps the pool above the flushers' dirty watermark). Zero when
-// the service is disabled.
-// Delegates to Metrics.
-func (db *DB) MaintenanceStats() maintenance.Stats { return db.Metrics().Maintenance }
-
-// KickMaintenance wakes the background flushers immediately (useful in
-// tests and before measuring a quiesced state). No-op when maintenance is
-// disabled.
-func (db *DB) KickMaintenance() {
-	if db.maint != nil {
-		db.maint.Kick()
 	}
 }
 
@@ -790,6 +724,3 @@ func (db *DB) Pages() []PageID { return db.pmap.Pages() }
 
 // PhysicalSlot resolves a logical page to its current device slot.
 func (db *DB) PhysicalSlot(id PageID) (storage.PhysID, bool) { return db.pmap.Lookup(id) }
-
-// WriteMode reports the configured page-write policy.
-func (db *DB) WriteMode() pagemap.Mode { return db.opts.WriteMode }

@@ -124,19 +124,9 @@ func TestMetricsSnapshot(t *testing.T) {
 		t.Fatalf("resident reads produced no optimistic hits: %+v", im)
 	}
 
-	// The historical accessors are views of the same source.
-	s := db.Stats()
-	if s.DBPages != db.Metrics().Pages || s.PRIPages != db.Metrics().PRI.Pages {
-		t.Fatalf("Stats disagrees with Metrics: %+v", s)
-	}
-	splits, adoptions, rootGrows := ix.Counters()
-	pm := ix.Metrics()
-	if splits != pm.Splits || adoptions != pm.Adoptions || rootGrows != pm.RootGrows {
-		t.Fatal("Index.Counters disagrees with Index.Metrics")
-	}
-	if got := db.MaintenanceStats(); got != db.Metrics().Maintenance &&
-		got.FlushBatches < db.Metrics().Maintenance.FlushBatches {
-		t.Fatalf("MaintenanceStats went backwards: %+v", got)
+	// An index's own view is its slice of the DB snapshot.
+	if pm := ix.Metrics(); pm.Splits != im.Splits || pm.Root != im.Root || pm.Kind != im.Kind {
+		t.Fatalf("Index.Metrics %+v disagrees with DB.Metrics %+v", pm, im)
 	}
 
 	// Lifecycle flags surface in the snapshot after Close.

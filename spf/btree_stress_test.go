@@ -245,7 +245,7 @@ func TestConcurrentTreeOpsWithInjectedPageFaults(t *testing.T) {
 		h.Release()
 	}
 
-	stats := db.Stats()
+	stats := db.Metrics()
 	if stats.Pool.ValidationFailures == 0 {
 		t.Error("no fault was ever detected on the read path")
 	}

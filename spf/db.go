@@ -17,6 +17,7 @@ import (
 	"repro/internal/maintenance"
 	"repro/internal/page"
 	"repro/internal/pagemap"
+	"repro/internal/pageop"
 	"repro/internal/recovery"
 	"repro/internal/restore"
 	"repro/internal/storage"
@@ -50,12 +51,13 @@ const (
 )
 
 // Errors surfaced by the engine. ErrPageFailed wraps unrecoverable
-// single-page failures (escalation to media recovery required).
+// single-page failures (escalation to media recovery required); the index
+// outcomes are the ones both engines report (internal/pageop).
 var (
 	ErrPageFailed  = buffer.ErrPageFailed
-	ErrKeyNotFound = btree.ErrKeyNotFound
-	ErrKeyExists   = btree.ErrKeyExists
-	ErrDetected    = btree.ErrDetected
+	ErrKeyNotFound = pageop.ErrKeyNotFound
+	ErrKeyExists   = pageop.ErrKeyExists
+	ErrDetected    = pageop.ErrDetected
 	// ErrCommitLost reports a commit that cannot be proven durable
 	// because a simulated crash intervened: its log records were wiped
 	// with the volatile tail (restart rolls the transaction back) or, in
@@ -69,7 +71,7 @@ var (
 	// benign miss every caller must distinguish from detection errors
 	// (ErrDetected) and failed repairs (ErrPageFailed). It aliases
 	// ErrKeyNotFound; both names satisfy errors.Is against either.
-	ErrNotFound = btree.ErrKeyNotFound
+	ErrNotFound = pageop.ErrKeyNotFound
 )
 
 // DB is a single-device transactional storage engine with single-page
@@ -130,7 +132,8 @@ type DB struct {
 	suspects sync.Map // page.ID -> struct{}
 }
 
-// RestartRedoStats counts on-demand restart-redo activity on this DB.
+// RestartRedoStats counts on-demand restart-redo activity on this DB
+// (Metrics.RestartRedo); all zero for a DB no instant Restart produced.
 type RestartRedoStats struct {
 	// Marked is how many pages the last restart preparation flagged as
 	// needs-redo.
@@ -146,11 +149,6 @@ type RestartRedoStats struct {
 	// Pending is how many marks have not been redone yet.
 	Pending int64
 }
-
-// RestartRedoStats returns a snapshot of the on-demand restart-redo
-// counters. All-zero for a DB that was not produced by an instant Restart.
-// Delegates to Metrics.
-func (db *DB) RestartRedoStats() RestartRedoStats { return db.Metrics().RestartRedo }
 
 // installRedoMarks records the needs-redo set produced by restart
 // preparation. Called before the first fetch can observe the new DB.
@@ -247,9 +245,9 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// startRestore launches the prioritized repair scheduler. Called once per
-// DB, right after the buffer pool exists, from the single goroutine
-// constructing the DB — so it is running before any fetch can fault.
+// startRestore launches the background repair queue. Called once per DB,
+// right after the buffer pool exists, from the single goroutine
+// constructing the DB — so it is running before any backlog is enqueued.
 func (db *DB) startRestore() {
 	if db.opts.DisableSinglePageRecovery || db.opts.Restore.Disabled {
 		return
@@ -277,23 +275,22 @@ func (db *DB) stopRestore() {
 	}
 }
 
-// performRepair is the scheduler workers' repair routine: it makes the
-// page healthy end to end, whatever path detected the failure.
+// performRepair makes a page healthy from outside the read path — the
+// scheduler workers' repair routine, and what healDetected and a scrub
+// without a scheduler run themselves.
 //
 //   - A scrub finding has a (possibly clean) buffered copy of a damaged
-//     device slot: evict it so the validating re-read sees the device. A
-//     page pinned by concurrent readers cannot be evicted this instant —
-//     that is congestion, not failure, so the error reports busy and the
-//     scheduler requeues the ticket with backoff instead of dropping it.
-//   - A foreground fetch fault (or an on-demand media restore) has no
-//     resident copy; eviction is a no-op.
+//     device slot: evict it so the read below sees the device. A page
+//     pinned by concurrent readers cannot be evicted this instant — that
+//     is congestion, not failure, so the error reports busy and the caller
+//     retries instead of dropping the page.
+//   - A backlog page (restart redo, media restore) has no resident copy;
+//     eviction is a no-op.
 //
-// The re-read runs through FetchRepair — the inline-recovery fetch — so
-// the worker's own read cannot re-enter the scheduler and deadlock on the
-// ticket it is executing. Detection plus recovery then happen exactly as
-// on the pre-scheduler read path (Fig. 8: validate, Recover hook,
-// relocate, retire), and the recovered page is installed dirty for
-// write-back to persist.
+// The rest is the read path itself (Fig. 8): the fetch loads the page,
+// or joins whichever fetch is loading it already, and the one loader
+// validates, recovers, relocates and retires; the recovered page is
+// installed dirty for write-back to persist.
 func (db *DB) performRepair(id page.ID) error {
 	if db.isCrashed() {
 		return ErrCrashed
@@ -301,7 +298,7 @@ func (db *DB) performRepair(id page.ID) error {
 	if err := db.pool.Evict(id); err != nil && !errors.Is(err, buffer.ErrNotResident) {
 		return err
 	}
-	h, err := db.pool.FetchRepair(id)
+	h, err := db.pool.Fetch(id)
 	if err != nil {
 		return err
 	}
@@ -312,6 +309,19 @@ func (db *DB) performRepair(id page.ID) error {
 	// not only inside recoverPage.
 	db.clearRedoMark(id)
 	return nil
+}
+
+// repairNow is performRepair on the caller's goroutine, waiting out
+// readers that have the page pinned.
+func (db *DB) repairNow(id page.ID) error {
+	for attempt := 0; ; attempt++ {
+		if err := db.performRepair(id); err == nil {
+			return nil
+		} else if !errors.Is(err, buffer.ErrPinned) || attempt >= 500 {
+			return err
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // startMaintenance launches the background maintenance service when the
@@ -347,33 +357,21 @@ func (db *DB) stopMaintenance() {
 	}
 }
 
-// repairLatent routes a latent failure the scrub campaign found through
-// the repair scheduler at background priority: the campaign's finding
-// never jumps ahead of a foreground fault, a foreground fault on the same
-// page promotes this very ticket (one replay serves both), and a page
-// momentarily pinned by readers is requeued with backoff inside the
-// scheduler instead of being dropped after a retry budget. The call waits
-// for the repair's outcome so the campaign's repaired/escalated tallies
-// stay accurate.
-//
-// With the scheduler disabled the repair runs inline: drop any buffered
-// copy, then a validating re-read detects the damage and recovers the
-// page, exactly as a foreground read would (Fig. 8).
+// repairLatent repairs a latent failure the scrub campaign found: nobody
+// is waiting to read the page, so it joins the background queue (behind
+// cheaper repairs, sharing the ticket of a backlog entry for the same
+// page) and the call waits for the outcome, which keeps the campaign's
+// repaired/escalated tallies accurate. A page momentarily pinned by
+// readers is requeued with backoff inside the scheduler instead of being
+// dropped. Without a scheduler the campaign's goroutine repairs it.
 func (db *DB) repairLatent(id page.ID) error {
 	if db.isCrashed() {
 		return ErrCrashed
 	}
 	if sched := db.sched; sched != nil {
-		return sched.EnqueueCost(id, restore.Background, db.chainCost(id)).Wait()
+		return sched.Enqueue(id, db.chainCost(id)).Wait()
 	}
-	for attempt := 0; ; attempt++ {
-		if err := db.performRepair(id); err == nil {
-			return nil
-		} else if !errors.Is(err, buffer.ErrPinned) || attempt >= 500 {
-			return err
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return db.repairNow(id)
 }
 
 // hooks wires the buffer pool to detection, recovery, and PRI maintenance.
@@ -391,26 +389,8 @@ func (db *DB) hooks() buffer.Hooks {
 	if !db.opts.DisableSinglePageRecovery {
 		h.Validate = db.validatePage
 		h.Recover = db.recoverPage
-		if !db.opts.Restore.Disabled {
-			h.RepairPage = db.repairPageUrgent
-		}
 	}
 	return h
-}
-
-// repairPageUrgent is the RepairPage pool hook: a foreground fetch hit a
-// validation failure, so the page's repair is (enqueued if needed and)
-// promoted to urgent priority, and the fetch parks on the shared per-page
-// future — N concurrent faulters of one page trigger exactly one chain
-// replay. Before the scheduler starts (engine bootstrap, restart redo's
-// first moments) the hook reports unavailable and the pool recovers
-// inline.
-func (db *DB) repairPageUrgent(id page.ID) error {
-	sched := db.sched
-	if sched == nil {
-		return buffer.ErrRepairUnavailable
-	}
-	return sched.Enqueue(id, restore.Urgent).Wait()
 }
 
 // validatePage is the engine's half of the read path's plausibility tests
@@ -470,40 +450,27 @@ func (db *DB) plausibleImage(pg *page.Page) error {
 // check failed although both pages passed every in-page test, so only the
 // pair is implicated — the page that failed to carry what was predicted,
 // and the predecessor that predicted it. Both are marked suspect and sent
-// through single-page recovery (urgent: a foreground operation is
-// waiting), which rebuilds each from its backup and log chain; rebuilding
-// the healthy one of the two is merely redundant. Reports whether the
-// caller should run its operation again.
+// through single-page recovery here, on the goroutine of the operation
+// that is waiting, which rebuilds each from its backup and log chain;
+// rebuilding the healthy one of the two is merely redundant. Reports
+// whether the caller should run its operation again.
 func (db *DB) healDetected(err error) bool {
-	if !errors.Is(err, ErrDetected) || db.opts.DisableSinglePageRecovery {
+	var ce *pageop.CorruptionError
+	if db.opts.DisableSinglePageRecovery || !errors.As(err, &ce) {
 		return false
 	}
-	var pair [2]page.ID
-	var be *btree.CorruptionError
-	var he *hashindex.CorruptionError
-	switch {
-	case errors.As(err, &be):
-		pair = [2]page.ID{be.Page, be.Via}
-	case errors.As(err, &he):
-		pair = [2]page.ID{he.Page, he.Via}
-	}
-	for _, id := range pair {
+	for _, id := range [2]page.ID{ce.Page, ce.Via} {
 		if id == page.InvalidID {
 			continue
 		}
 		db.suspects.Store(id, struct{}{})
-		var rerr error
-		if sched := db.sched; sched != nil {
-			rerr = sched.Enqueue(id, restore.Urgent).Wait()
-		} else {
-			rerr = db.repairLatent(id)
-		}
+		rerr := db.repairNow(id)
 		db.suspects.Delete(id)
 		if rerr != nil {
 			return false
 		}
 	}
-	return pair[0] != page.InvalidID
+	return ce.Page != page.InvalidID
 }
 
 // recoverPage adapts the single-page recoverer to the buffer pool hook.
@@ -520,16 +487,26 @@ func (db *DB) recoverPage(id page.ID) (*page.Page, error) {
 	if head, ok := db.redoMark(id); ok {
 		if pg, err := db.redoFromImage(id, head); err == nil {
 			db.redoFast.Add(1)
-			db.clearRedoMark(id)
+			db.noteRecovered(id)
 			return pg, nil
 		}
 		db.redoFull.Add(1)
 	}
 	pg, _, err := db.rec.RecoverPage(id)
 	if err == nil {
-		db.clearRedoMark(id)
+		db.noteRecovered(id)
 	}
 	return pg, err
+}
+
+// noteRecovered settles the bookkeeping of a page the read path just
+// rebuilt: its needs-redo mark is void, and so is a ticket still queued
+// for it (the scheduler also tells a reader's recovery from a worker's).
+func (db *DB) noteRecovered(id page.ID) {
+	db.clearRedoMark(id)
+	if s := db.sched; s != nil {
+		s.NoteForegroundRepair(id)
+	}
 }
 
 // redoFromImage replays the missing tail of a page's per-page chain onto
@@ -568,8 +545,8 @@ func (db *DB) redoFromImage(id page.ID, head page.LSN) (*page.Page, error) {
 }
 
 // chainCost estimates a page's repair cost as its per-page chain length;
-// within one priority band the scheduler pops shorter chains first. Zero
-// (unknown) when the page has no chain entry.
+// the scheduler pops shorter chains first. Zero (unknown) when the page has
+// no chain entry.
 func (db *DB) chainCost(id page.ID) int64 {
 	if ci, ok := db.log.ChainHead(id); ok {
 		return ci.Length
@@ -1031,11 +1008,3 @@ func (ix *Index) HashStats() (hashindex.Stats, error) {
 // Root exposes the root page ID (stable): the B-tree root or the hash
 // directory page.
 func (ix *Index) Root() PageID { return ix.eng.Root() }
-
-// Counters reports cumulative structural changes (foster splits,
-// adoptions, root growths).
-// Delegates to Metrics.
-func (ix *Index) Counters() (splits, adoptions, rootGrows int64) {
-	m := ix.Metrics()
-	return m.Splits, m.Adoptions, m.RootGrows
-}

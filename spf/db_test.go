@@ -146,12 +146,12 @@ func TestSinglePageRecoveryFromSilentCorruption(t *testing.T) {
 	if !bytes.Equal(got, v(400)) {
 		t.Errorf("recovered value = %q", got)
 	}
-	st := db.Stats()
+	st := db.Metrics()
 	if st.Recovery.Recoveries != 1 {
 		t.Errorf("recoveries = %d, want 1", st.Recovery.Recoveries)
 	}
-	if st.Retired != 1 {
-		t.Errorf("retired slots = %d, want 1", st.Retired)
+	if st.RetiredSlots != 1 {
+		t.Errorf("retired slots = %d, want 1", st.RetiredSlots)
 	}
 	// Everything else intact; invariants hold.
 	expectValues(t, ix, 800)
@@ -239,7 +239,7 @@ func TestLostWriteDetectedByPageLSNCrossCheck(t *testing.T) {
 	if string(got) != "new-value" {
 		t.Errorf("lost write not recovered: %q", got)
 	}
-	if db.Stats().Recovery.Recoveries == 0 {
+	if db.Metrics().Recovery.Recoveries == 0 {
 		t.Error("no recovery performed; lost write slipped through")
 	}
 }
@@ -656,11 +656,11 @@ func TestCopyOnWriteModePreMoveImagesServeRecovery(t *testing.T) {
 func TestStatsAndSimulatedIO(t *testing.T) {
 	db := openTestDB(t, testOptions())
 	_ = loadIndex(t, db, "t", 100)
-	st := db.Stats()
-	if st.DBPages == 0 || st.Log.Appends == 0 || st.Txns.UserCommitted != 1 {
+	st := db.Metrics()
+	if st.Pages == 0 || st.Log.Appends == 0 || st.Txns.UserCommitted != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.PRIPages == 0 || st.PRIBytes == 0 {
+	if st.PRI.Pages == 0 || st.PRI.Bytes == 0 {
 		t.Errorf("PRI stats empty: %+v", st)
 	}
 	d, l, b := db.SimulatedIO()

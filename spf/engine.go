@@ -1,7 +1,6 @@
 package spf
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/btree"
@@ -123,42 +122,26 @@ func (e btreeEngine) Counters() EngineCounters {
 	return c
 }
 
-// hashEngine adapts *hashindex.Table to Engine, mapping the hash package's
-// sentinels onto the spf vocabulary (so errors.Is against ErrNotFound,
-// ErrKeyExists, and ErrDetected works identically for both engines).
+// hashEngine adapts *hashindex.Table to Engine.
 type hashEngine struct{ table *hashindex.Table }
 
-func (e hashEngine) Name() string    { return e.table.Name() }
-func (e hashEngine) Root() PageID    { return e.table.Root() }
-func (e hashEngine) Kind() IndexKind { return KindHash }
-
-func (e hashEngine) Insert(t *Txn, key, val []byte) error {
-	return mapHashErr(e.table.Insert(t, key, val))
-}
-
-func (e hashEngine) Update(t *Txn, key, val []byte) error {
-	return mapHashErr(e.table.Update(t, key, val))
-}
-
-func (e hashEngine) Delete(t *Txn, key []byte) error {
-	return mapHashErr(e.table.Delete(t, key))
-}
-
-func (e hashEngine) GetTo(dst, key []byte) ([]byte, error) {
-	out, err := e.table.GetTo(dst, key)
-	return out, mapHashErr(err)
-}
-
+func (e hashEngine) Name() string                          { return e.table.Name() }
+func (e hashEngine) Root() PageID                          { return e.table.Root() }
+func (e hashEngine) Kind() IndexKind                       { return KindHash }
+func (e hashEngine) Insert(t *Txn, key, val []byte) error  { return e.table.Insert(t, key, val) }
+func (e hashEngine) Update(t *Txn, key, val []byte) error  { return e.table.Update(t, key, val) }
+func (e hashEngine) Delete(t *Txn, key []byte) error       { return e.table.Delete(t, key) }
+func (e hashEngine) GetTo(dst, key []byte) ([]byte, error) { return e.table.GetTo(dst, key) }
 func (e hashEngine) Scan(start, end []byte, fn func(Entry) bool) error {
-	return mapHashErr(e.table.Scan(start, end, func(k, v []byte) bool {
+	return e.table.Scan(start, end, func(k, v []byte) bool {
 		return fn(Entry{Key: k, Value: v})
-	}))
+	})
 }
 
 func (e hashEngine) Verify() ([]string, error) {
 	viols, err := e.table.VerifyAll()
 	if err != nil {
-		return nil, mapHashErr(err)
+		return nil, err
 	}
 	out := make([]string, len(viols))
 	for i, v := range viols {
@@ -171,34 +154,6 @@ func (e hashEngine) Counters() EngineCounters {
 	var c EngineCounters
 	c.BucketSplits, c.OverflowPages = e.table.Counters()
 	return c
-}
-
-// engineError carries a hash-engine error together with the spf sentinel
-// it corresponds to; errors.Is matches either chain.
-type engineError struct {
-	sentinel error
-	err      error
-}
-
-func (e *engineError) Error() string   { return e.err.Error() }
-func (e *engineError) Unwrap() []error { return []error{e.sentinel, e.err} }
-
-// mapHashErr overlays the spf sentinel vocabulary onto a hash-engine
-// error without disturbing its own chain. Errors from the shared layers
-// below the engine (ErrPageFailed, ErrCrashed, ...) pass through.
-func mapHashErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, hashindex.ErrKeyNotFound):
-		return &engineError{sentinel: ErrNotFound, err: err}
-	case errors.Is(err, hashindex.ErrKeyExists):
-		return &engineError{sentinel: ErrKeyExists, err: err}
-	case errors.Is(err, hashindex.ErrDetected):
-		return &engineError{sentinel: ErrDetected, err: err}
-	default:
-		return err
-	}
 }
 
 // applier is the combined redo applier: log records carry their engine in

@@ -44,7 +44,7 @@ func TestGroupCommitBasic(t *testing.T) {
 	}
 	wg.Wait()
 
-	s := db.Stats()
+	s := db.Metrics()
 	if s.Log.GroupCommitWaiters == 0 {
 		t.Error("no commits went through the group path")
 	}

@@ -58,13 +58,13 @@ func TestAsyncWriteBackDrainsAndGroupsPRIAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, 10*time.Second, "background drain", func() bool {
-		return db.MaintenanceStats().PagesFlushed > 0 && db.pool.DirtyCount() == 0
+		return db.Metrics().Maintenance.PagesFlushed > 0 && db.pool.DirtyCount() == 0
 	})
-	ms := db.MaintenanceStats()
+	ms := db.Metrics().Maintenance
 	if ms.FlushBatches == 0 {
 		t.Fatal("no flush batches recorded")
 	}
-	ls := db.Stats().Log
+	ls := db.Metrics().Log
 	if ls.BatchAppends == 0 {
 		t.Fatal("write-back logged no grouped PRI appends")
 	}
@@ -189,10 +189,10 @@ func TestMaintenanceUnderFaultInjectionStress(t *testing.T) {
 	// The campaign must find and repair every one of them while the
 	// foreground keeps running.
 	waitUntil(t, 20*time.Second, "campaign repairs", func() bool {
-		ms := db.MaintenanceStats()
+		ms := db.Metrics().Maintenance
 		return ms.Repaired >= int64(nInject)
 	})
-	ms := db.MaintenanceStats()
+	ms := db.Metrics().Maintenance
 	if ms.Escalated != 0 {
 		t.Fatalf("campaign escalated %d repairs", ms.Escalated)
 	}
@@ -258,7 +258,7 @@ func TestMaintenanceUnderFaultInjectionStress(t *testing.T) {
 	}
 	// Maintenance restarted with the recovered database.
 	waitUntil(t, 10*time.Second, "maintenance active after restart", func() bool {
-		ms := ndb.MaintenanceStats()
+		ms := ndb.Metrics().Maintenance
 		return ms.ScrubTicks > 0
 	})
 }
@@ -307,7 +307,7 @@ func TestCloseStopsMaintenanceGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, 10*time.Second, "some background activity", func() bool {
-		return db.MaintenanceStats().ScrubTicks > 0
+		return db.Metrics().Maintenance.ScrubTicks > 0
 	})
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -340,9 +340,9 @@ func TestCrashQuiescesMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Crash()
-	frozen := db.MaintenanceStats()
+	frozen := db.Metrics().Maintenance
 	time.Sleep(20 * time.Millisecond)
-	if got := db.MaintenanceStats(); got != frozen {
+	if got := db.Metrics().Maintenance; got != frozen {
 		t.Fatalf("maintenance still running after Crash: %+v vs %+v", got, frozen)
 	}
 	ndb, _, err := db.Restart()
@@ -351,7 +351,7 @@ func TestCrashQuiescesMaintenance(t *testing.T) {
 	}
 	defer ndb.Close()
 	waitUntil(t, 10*time.Second, "maintenance on restarted db", func() bool {
-		return ndb.MaintenanceStats().ScrubTicks > 0
+		return ndb.Metrics().Maintenance.ScrubTicks > 0
 	})
 	nix, err := ndb.Index("quiesce")
 	if err != nil {

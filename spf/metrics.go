@@ -17,9 +17,8 @@ import (
 // gathered atomically enough for monitoring (each subsystem snapshot is
 // internally consistent; the struct as a whole is a point-in-time gather,
 // not a transaction). It is the single source behind the /metrics
-// Prometheus exporter and the wire protocol's STATS op; the historical
-// per-subsystem accessors (Stats, RestoreStats, MaintenanceStats,
-// RestartRedoStats, Index.Counters) all delegate to it.
+// Prometheus exporter and the wire protocol's STATS op, and the one way to
+// read engine state: Index.Metrics is one index's slice of it.
 type Metrics struct {
 	// Pool, Device, Log, Txns, Recovery are the foreground engine layers.
 	Pool     buffer.Stats

@@ -101,15 +101,16 @@ type Options struct {
 	// recovered database) and is quiesced deterministically by Close,
 	// Crash, and FailDevice.
 	Maintenance MaintenanceOptions
-	// Restore configures the prioritized repair scheduler that all
-	// single-page repairs route through: foreground fetch faults enqueue
-	// at urgent priority (promoting an already-queued page), scrub
-	// findings and bulk media restore at background priority, and
-	// concurrent faulters of one page coalesce onto a single replay. On
-	// by default whenever single-page recovery is enabled; survives
-	// Restart and RecoverMedia and is quiesced deterministically by
-	// Close, Crash, and FailDevice (workers joined before the log
-	// truncates).
+	// Restore configures the background repair scheduler, which drains
+	// the repair work nobody is waiting to read: scrub findings, the
+	// needs-redo backlog of an instant restart, the pages of a replaced
+	// device. It only selects how such backlogs drain — by its workers
+	// while the database serves, or (Disabled) synchronously before
+	// Restart/RecoverMedia return. The read path is the same either way:
+	// the read that finds a page bad repairs it. On by default whenever
+	// single-page recovery is enabled; survives Restart and RecoverMedia
+	// and is quiesced deterministically by Close, Crash, and FailDevice
+	// (workers joined before the log truncates).
 	Restore RestoreOptions
 	// Lifecycle configures the bounded log lifecycle: a background
 	// archiver drains flushed history into a sorted, page-partitioned log

@@ -63,7 +63,7 @@ func TestInstantRestartServesAckedCommitsOnDemand(t *testing.T) {
 	if rep.Redo.PagesRead != 0 || rep.Redo.RecordsApplied != 0 {
 		t.Fatalf("synchronous redo ran on the on-demand path: %+v", rep.Redo)
 	}
-	pendingAtReturn := ndb.RestoreStats().Pending
+	pendingAtReturn := ndb.Metrics().Restore.Pending
 
 	// First reads — before the drain barrier — must observe every acked
 	// commit (on tiny test databases the backlog can drain before we
@@ -82,7 +82,7 @@ func TestInstantRestartServesAckedCommitsOnDemand(t *testing.T) {
 	if viols, err := ix.Verify(); err != nil || len(viols) != 0 {
 		t.Fatalf("verify after restart: %v %v", viols, err)
 	}
-	rs := ndb.RestartRedoStats()
+	rs := ndb.Metrics().RestartRedo
 	if rs.Marked == 0 || rs.Pending != 0 {
 		t.Fatalf("redo stats after drain: %+v", rs)
 	}
@@ -170,11 +170,11 @@ func TestNestedPageFailureDuringRestartRedo(t *testing.T) {
 	if viols, err := ix2.Verify(); err != nil || len(viols) != 0 {
 		t.Fatalf("verify: %v %v", viols, err)
 	}
-	rs := ndb.RestartRedoStats()
+	rs := ndb.Metrics().RestartRedo
 	if rs.Fallbacks == 0 {
 		t.Fatalf("no nested single-page recovery ran: %+v", rs)
 	}
-	if st := ndb.Stats(); st.Recovery.Recoveries == 0 {
+	if st := ndb.Metrics(); st.Recovery.Recoveries == 0 {
 		t.Fatalf("recoverer idle despite corrupted images: %+v", st.Recovery)
 	}
 	t.Logf("redo stats with corrupted device: %+v", rs)
@@ -207,7 +207,7 @@ func TestCrashDuringMediaRestoreThenRestart(t *testing.T) {
 		t.Fatalf("media recovery: %v", err)
 	}
 	// Crash while the restore backlog is (very likely still) draining.
-	t.Logf("pending at crash: %d", ndb.RestoreStats().Pending)
+	t.Logf("pending at crash: %d", ndb.Metrics().Restore.Pending)
 	ndb.Crash()
 
 	ndb2, rep, err := ndb.Restart()
@@ -258,7 +258,7 @@ func TestCrashDuringRestartDrainThenRestartAgain(t *testing.T) {
 		t.Fatalf("first restart: %v", err)
 	}
 	// Crash again immediately — background redo is mid-drain.
-	t.Logf("pending at second crash: %d", ndb.RestoreStats().Pending)
+	t.Logf("pending at second crash: %d", ndb.Metrics().Restore.Pending)
 	ndb.Crash()
 
 	ndb2, _, err := ndb.Restart()

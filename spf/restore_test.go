@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/restore"
 )
 
@@ -26,8 +27,8 @@ func corruptColdPage(t *testing.T, db *DB, id PageID) {
 }
 
 // TestForegroundFaultRepairsThroughScheduler: a damaged page read by a
-// foreground Get routes through the urgent path of the repair scheduler,
-// is repaired exactly once, and the read succeeds.
+// foreground Get is repaired by that read, exactly once, without a ticket;
+// the scheduler only counts it.
 func TestForegroundFaultRepairsThroughScheduler(t *testing.T) {
 	db := openTestDB(t, testOptions())
 	defer db.Close()
@@ -49,21 +50,24 @@ func TestForegroundFaultRepairsThroughScheduler(t *testing.T) {
 			t.Fatalf("key %d: %q, %v", i, got, err)
 		}
 	}
-	st := db.Stats()
+	st := db.Metrics()
 	if st.Recovery.Recoveries != 1 {
 		t.Fatalf("recoveries = %d, want 1", st.Recovery.Recoveries)
 	}
-	if st.Restore.UrgentRequests == 0 || st.Restore.Repaired != 1 {
-		t.Fatalf("restore stats = %+v, want one urgent repair", st.Restore)
+	if st.Restore.UrgentRequests != 1 || st.Restore.Enqueued != 0 {
+		t.Fatalf("restore stats = %+v, want one urgent request and no ticket", st.Restore)
 	}
 	if st.Restore.Pending != 0 || st.Restore.InFlight != 0 {
 		t.Fatalf("scheduler not idle: %+v", st.Restore)
 	}
+	if st.RetiredSlots != 1 {
+		t.Fatalf("retired slots = %d, want 1", st.RetiredSlots)
+	}
 }
 
 // TestConcurrentFaultersCoalesce: many goroutines faulting on the same
-// damaged page must trigger exactly one chain replay (shared per-page
-// future), not one replay per faulter.
+// damaged page must trigger exactly one chain replay (the page has one
+// loader; the others wait for its load), not one replay per faulter.
 func TestConcurrentFaultersCoalesce(t *testing.T) {
 	const faulters = 12
 	db := openTestDB(t, testOptions())
@@ -115,10 +119,9 @@ func TestConcurrentFaultersCoalesce(t *testing.T) {
 	if failures.Load() > 0 {
 		t.FailNow()
 	}
-	st := db.Stats()
-	// One ticket per damaged page; the dozen faulters coalesced onto it.
-	// (The exact coalesced count is timing-dependent — late faulters hit
-	// the repaired frame — but replays must not multiply.)
+	st := db.Metrics()
+	// How many faulters waited on the load is timing-dependent — late ones
+	// hit the repaired frame — but replays must not multiply.
 	if st.Recovery.Recoveries != 1 {
 		t.Fatalf("recoveries = %d, want 1 (coalescing failed): restore %+v",
 			st.Recovery.Recoveries, st.Restore)
@@ -126,8 +129,8 @@ func TestConcurrentFaultersCoalesce(t *testing.T) {
 }
 
 // TestMediaRecoveryServesReadsOnDemand: after FailDevice+RecoverMedia the
-// database answers reads immediately — each fault promotes that page's
-// restore — while the bulk of the device is still queued behind them.
+// database answers reads immediately — each read restores the pages it
+// touches — while the bulk of the device is still queued.
 func TestMediaRecoveryServesReadsOnDemand(t *testing.T) {
 	opts := testOptions()
 	opts.Restore.Workers = 1 // keep the background queue busy
@@ -156,7 +159,7 @@ func TestMediaRecoveryServesReadsOnDemand(t *testing.T) {
 	if rep.Media.PagesRestored == 0 {
 		t.Fatal("no pages registered for restore")
 	}
-	pendingAtReturn := ndb.RestoreStats().Pending
+	pendingAtReturn := ndb.Metrics().Restore.Pending
 	ix2, err := ndb.Index("t")
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +172,7 @@ func TestMediaRecoveryServesReadsOnDemand(t *testing.T) {
 			t.Fatalf("key %d during restore: %q, %v", i, got, err)
 		}
 	}
-	midPending := ndb.RestoreStats().Pending
+	midPending := ndb.Metrics().Restore.Pending
 	ndb.DrainRestore()
 	for i := 0; i < 650; i++ {
 		if got, err := ix2.Get(k(i)); err != nil || !bytes.Equal(got, v(i)) {
@@ -179,16 +182,16 @@ func TestMediaRecoveryServesReadsOnDemand(t *testing.T) {
 	if viols, err := ix2.Verify(); err != nil || len(viols) != 0 {
 		t.Fatalf("verify after media recovery: %v %v", viols, err)
 	}
-	if st := ndb.RestoreStats(); st.Pending != 0 {
+	if st := ndb.Metrics().Restore; st.Pending != 0 {
 		t.Fatalf("pending after drain: %+v", st)
 	}
 	t.Logf("pending at return=%d, after sampled reads=%d, restore stats=%+v",
-		pendingAtReturn, midPending, ndb.RestoreStats())
+		pendingAtReturn, midPending, ndb.Metrics().Restore)
 }
 
 // TestScrubCampaignRepairsThroughScheduler: maintenance scrub findings
-// flow through the scheduler at background priority and every injected
-// latent failure is repaired online.
+// flow through the scheduler's queue and every injected latent failure is
+// repaired online.
 func TestScrubCampaignRepairsThroughScheduler(t *testing.T) {
 	opts := maintenanceOptions()
 	db := openTestDB(t, opts)
@@ -207,9 +210,9 @@ func TestScrubCampaignRepairsThroughScheduler(t *testing.T) {
 		corruptColdPage(t, db, id)
 	}
 	waitUntil(t, 20*time.Second, "campaign repairs", func() bool {
-		return db.MaintenanceStats().Repaired >= int64(len(victims))
+		return db.Metrics().Maintenance.Repaired >= int64(len(victims))
 	})
-	st := db.Stats()
+	st := db.Metrics()
 	if st.Restore.Enqueued == 0 {
 		t.Fatalf("campaign repaired without the scheduler: %+v", st.Restore)
 	}
@@ -254,9 +257,9 @@ func TestCloseStopsRestoreGoroutines(t *testing.T) {
 	}
 }
 
-// TestRestoreDisabledFallback: with the scheduler off the engine behaves
-// like the pre-scheduler code — inline recovery on the read path, a
-// synchronous bulk media restore — and still passes the same checks.
+// TestRestoreDisabledFallback: the option only selects how backlogs drain.
+// With the scheduler off the read path is the same — the read that finds
+// the damage repairs it — and a media restore is synchronous.
 func TestRestoreDisabledFallback(t *testing.T) {
 	opts := testOptions()
 	opts.Restore.Disabled = true
@@ -277,7 +280,7 @@ func TestRestoreDisabledFallback(t *testing.T) {
 			t.Fatalf("key %d: %q, %v", i, got, err)
 		}
 	}
-	if st := db.Stats(); st.Recovery.Recoveries < 1 || st.Restore.Enqueued != 0 {
+	if st := db.Metrics(); st.Recovery.Recoveries < 1 || st.Restore.Enqueued != 0 {
 		t.Fatalf("inline fallback stats wrong: recovery=%+v restore=%+v", st.Recovery, st.Restore)
 	}
 	if _, err := db.BackupDatabase(); err != nil {
@@ -302,8 +305,8 @@ func TestRestoreDisabledFallback(t *testing.T) {
 
 // TestRestoreStressForegroundFaultsVsSaturatedScrub is the -race stress of
 // the PR: a saturated scrub queue (many latent failures found at once) and
-// foreground readers faulting on a slice of the same pages, racing
-// promotions, coalescing, busy requeues (pinned evictions), and finally a
+// foreground readers faulting on a slice of the same pages, racing ticket
+// retirements, coalescing, busy requeues (pinned evictions), and finally a
 // Crash mid-flight. Every committed key must survive into the restarted
 // database and no fault may escape repair or escalate.
 func TestRestoreStressForegroundFaultsVsSaturatedScrub(t *testing.T) {
@@ -368,12 +371,12 @@ func TestRestoreStressForegroundFaultsVsSaturatedScrub(t *testing.T) {
 		}(w)
 	}
 
-	// Every victim must be repaired online — through the campaign's
-	// background tickets or a foreground fault's promoted one, whichever
-	// finds it first (a foreground repair relocates the page, so the
-	// campaign then skips the retired slot; the union covers all).
+	// Every victim must be repaired online — by a worker running the
+	// campaign's ticket or by the read that faults on it, whichever gets
+	// there first (a foreground repair relocates the page, so the campaign
+	// then skips the retired slot; the union covers all).
 	waitUntil(t, 30*time.Second, "all latent failures repaired online", func() bool {
-		return db.Stats().Recovery.Recoveries >= int64(len(victims))
+		return db.Metrics().Recovery.Recoveries >= int64(len(victims))
 	})
 	// Crash mid-campaign: the scheduler must quiesce (workers joined,
 	// queued tickets failed) before the log truncates.
@@ -398,7 +401,7 @@ func TestRestoreStressForegroundFaultsVsSaturatedScrub(t *testing.T) {
 			t.Fatalf("key %d after restart: %q, %v", i, got, err)
 		}
 	}
-	if st := ndb.Stats(); st.Recovery.Escalations != 0 {
+	if st := ndb.Metrics(); st.Recovery.Escalations != 0 {
 		t.Fatalf("escalations after restart: %+v", st.Recovery)
 	}
 	if viols, err := ix2.Verify(); err != nil || len(viols) != 0 {
@@ -408,11 +411,11 @@ func TestRestoreStressForegroundFaultsVsSaturatedScrub(t *testing.T) {
 
 // TestOnDemandReadDoesNotWaitForBulkRestore: during a media recovery with
 // a deep background queue, a foreground read of an unrestored page must
-// complete long before the bulk restore drains — the promoted ticket runs
-// next, and the worker's per-completion yield keeps the woken faulter
-// from convoying behind a CPU-bound drain on scarce cores (the regression
-// this test pins down: pre-yield, a promoted read stalled a whole
-// preemption quantum, ~the full drain on one core).
+// complete long before the bulk restore drains — the read restores its
+// pages itself, and the worker's per-completion yield keeps it from
+// convoying behind a CPU-bound drain on scarce cores (the regression this
+// test pins down: pre-yield, such a read stalled a whole preemption
+// quantum, ~the full drain on one core).
 func TestOnDemandReadDoesNotWaitForBulkRestore(t *testing.T) {
 	opts := testOptions()
 	opts.DataSlots = 1 << 15
@@ -440,8 +443,8 @@ func TestOnDemandReadDoesNotWaitForBulkRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ndb.Close()
-	if ndb.RestoreStats().Pending < 50 {
-		t.Skipf("queue drained before the read could race it: %+v", ndb.RestoreStats())
+	if ndb.Metrics().Restore.Pending < 50 {
+		t.Skipf("queue drained before the read could race it: %+v", ndb.Metrics().Restore)
 	}
 	ix2, err := ndb.Index("t")
 	if err != nil {
@@ -453,16 +456,19 @@ func TestOnDemandReadDoesNotWaitForBulkRestore(t *testing.T) {
 		t.Fatalf("on-demand read: %q, %v", got, err)
 	}
 	// The read must have overtaken the bulk restore, not waited for it.
-	if pending := ndb.RestoreStats().Pending; pending == 0 {
+	if pending := ndb.Metrics().Restore.Pending; pending == 0 {
 		t.Fatal("read completed only after the whole bulk restore drained")
 	}
 	ndb.DrainRestore()
 }
 
-// TestPromotionPullsScrubTicketForward: with a single worker pinned down
-// by a long background queue, a foreground fault on a queued page must be
-// served ahead of older background entries (promotion), quickly.
+// TestPromotionPullsScrubTicketForward: with the single worker held at the
+// end of its first repair and every other damaged page queued behind it,
+// foreground reads repair the pages they fault on themselves and retire
+// those pages' tickets: every page is recovered exactly once, and the queue
+// is empty without the worker having run another ticket.
 func TestPromotionPullsScrubTicketForward(t *testing.T) {
+	defer chaos.Reset()
 	opts := testOptions()
 	opts.Restore.Workers = 1
 	db := openTestDB(t, opts)
@@ -481,25 +487,37 @@ func TestPromotionPullsScrubTicketForward(t *testing.T) {
 	for _, id := range victims {
 		corruptColdPage(t, db, id)
 	}
-	// Flood the single worker with background repairs via Scrub's repair
-	// loop — but Scrub waits per page, so enqueue directly instead.
+	held, gate := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close joins the worker, also on a failure
+	chaos.Arm("restore.complete", 1, func(chaos.Hit) {
+		close(held)
+		<-gate
+	})
+	// Scrub waits per page, so enqueue directly instead.
 	for _, id := range victims {
-		db.sched.Enqueue(id, restore.Background)
+		db.sched.Enqueue(id, 0)
 	}
-	// Foreground read: whatever page it faults on must be promoted past
-	// the queue. The whole scan completing proves promotions work; the
-	// stat proves they actually fired.
-	for i := 0; i < 600; i += 11 {
+	<-held
+	for i := 0; i < 600; i++ {
 		if got, err := ix.Get(k(i)); err != nil || !bytes.Equal(got, v(i)) {
 			t.Fatalf("key %d: %q, %v", i, got, err)
 		}
 	}
-	db.DrainRestore()
-	st := db.RestoreStats()
-	if st.Promotions == 0 {
-		t.Fatalf("no promotions recorded: %+v", st)
+	byReads := int64(len(victims) - 1)
+	st := db.Metrics()
+	if st.Restore.Promotions != byReads || st.Restore.UrgentRequests != byReads || st.Restore.Pending != 0 {
+		t.Fatalf("promotions %d, urgent %d, pending %d; want %d, %d, 0: %+v", st.Restore.Promotions,
+			st.Restore.UrgentRequests, st.Restore.Pending, byReads, byReads, st.Restore)
 	}
-	if st.Failed != 0 {
-		t.Fatalf("failed repairs: %+v", st)
+	release()
+	db.DrainRestore()
+	st = db.Metrics()
+	if n := int64(len(victims)); st.Recovery.Recoveries != n || st.Restore.Repaired != n || st.RetiredSlots != len(victims) {
+		t.Fatalf("%d damaged pages: %d recoveries, %d tickets repaired, %d slots retired",
+			n, st.Recovery.Recoveries, st.Restore.Repaired, st.RetiredSlots)
+	}
+	if st.Restore.Failed != 0 || st.Recovery.Escalations != 0 {
+		t.Fatalf("failed repairs: %+v %+v", st.Restore, st.Recovery)
 	}
 }

@@ -322,7 +322,7 @@ func runTorture(t *testing.T, seed int64) {
 		t.Error("restart.prep never fired despite an instant restart")
 	}
 	t.Logf("seed=%d point=%s#%d fired=%v acked-checked=%d poisoned=%d redo=%+v",
-		seed, chosen, fireAt, chaos.Fired(chosen), checked, len(poisoned), ndb.RestartRedoStats())
+		seed, chosen, fireAt, chaos.Fired(chosen), checked, len(poisoned), ndb.Metrics().RestartRedo)
 
 	// Invariant 3: clean shutdown leaks no goroutines.
 	if err := ndb.Close(); err != nil {
