@@ -43,7 +43,6 @@ func main() {
 		dataSlots  = flag.Int("data-slots", 1<<16, "data device capacity in pages")
 		poolFrames = flag.Int("pool-frames", 4096, "buffer pool frames")
 		maint      = flag.Bool("maintenance", true, "enable background write-back and scrubbing")
-		groupWin   = flag.Duration("group-commit", 200*time.Microsecond, "group-commit window (0 = flush per commit)")
 		backupN    = flag.Int("backup-every", 0, "per-page backup after N updates (0 disables)")
 
 		workers  = flag.Int("workers", 128, "request worker pool size")
@@ -61,7 +60,6 @@ func main() {
 		PageSize:            *pageSize,
 		DataSlots:           *dataSlots,
 		PoolFrames:          *poolFrames,
-		GroupCommitWindow:   *groupWin,
 		BackupEveryNUpdates: *backupN,
 		Maintenance:         spf.MaintenanceOptions{Enabled: *maint},
 	}

@@ -171,8 +171,10 @@ const (
 	maxWorkers = 64
 	// poolFrames is sized well below the disjoint working set so reads
 	// miss regularly and pay missLatency — the realistic regime where
-	// serializing I/O stalls behind one tree lock hurts most.
-	poolFrames = 256
+	// serializing I/O stalls behind one tree lock hurts most. The
+	// ascending preload leaves full leaves (~150 pages, growing as the
+	// updates lengthen the values), half of what midpoint splits left.
+	poolFrames = 128
 	// missLatency is the charged device latency per buffer miss (an SSD
 	// read is tens of microseconds).
 	missLatency = 40 * time.Microsecond

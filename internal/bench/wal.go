@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/archive"
 	"repro/internal/iosim"
@@ -14,13 +13,11 @@ import (
 	"repro/internal/wal"
 )
 
-// groupCommit drives b.N commits from 32 concurrent goroutines, each
-// appending a commit record and forcing it through ForceForCommit with the
-// given window, and returns the coalescing factor, commits per flush.
-func groupCommit(b *testing.B, window time.Duration) float64 {
-	const committers = 32
-	m := wal.NewManagerOpts(wal.Options{Profile: iosim.Instant, GroupCommitWindow: window})
-	defer m.Close()
+// groupCommit drives b.N commits from the given number of concurrent
+// goroutines, each appending a commit record and forcing it through
+// ForceForCommit, and returns the coalescing factor, commits per flush.
+func groupCommit(b *testing.B, committers int) float64 {
+	m := wal.NewManager(iosim.Instant)
 	var ops atomic.Int64
 	ops.Store(int64(b.N))
 	var wg sync.WaitGroup
@@ -113,7 +110,6 @@ func archiveAndRecycle(b *testing.B, m *wal.Manager) {
 // archive runs after every live segment has been recycled.
 func chainReplay(b *testing.B, archived bool) float64 {
 	m, target, head := buildChainLog()
-	defer m.Close()
 	if archived {
 		archiveAndRecycle(b, m)
 	}
@@ -134,7 +130,6 @@ func chainReplay(b *testing.B, archived bool) float64 {
 // device-failure restore does for its whole page set.
 func mediaRestoreReplay(b *testing.B, archived bool) float64 {
 	m, _, _ := buildChainLog()
-	defer m.Close()
 	if archived {
 		archiveAndRecycle(b, m)
 	}

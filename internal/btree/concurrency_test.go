@@ -227,7 +227,7 @@ func TestSplitRacingReaderSeesWholeLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	child, fosterKey, err := splitOff(h.Page(), &nd)
+	child, fosterKey, err := splitOff(h.Page(), &nd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,16 +274,18 @@ func TestAdoptionRacingReaderSeesConsistentPair(t *testing.T) {
 	mustCommit(t, tx)
 
 	// Post-operation adoption has drained every foster chain by now, so
-	// create one deterministically: split the leaf covering a mid-range
-	// key (a need of one full page guarantees the split happens).
+	// create one deterministically: split the rightmost leaf (a need of one
+	// full page guarantees the split happens). The ascending load left
+	// every branch but the rightmost full, and the adoption below needs
+	// room for one separator in the parent.
 	lt := &latchTracker{}
-	lh, _, _, err := tr.descend(key(n/2), nil, false, lt)
+	lh, _, _, err := tr.descend(key(n-1), nil, false, lt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	leafID := lh.ID()
 	lt.unpin(lh, false)
-	if err := tr.fosterSplit(leafID, 1<<20, &latchTracker{}); err != nil {
+	if err := tr.fosterSplit(leafID, 1<<20, nil, &latchTracker{}); err != nil {
 		t.Fatal(err)
 	}
 	var parentID, childID page.ID
@@ -561,4 +563,61 @@ func TestDescentErrorsSurfaceUnderConcurrency(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
+}
+
+// TestConcurrentValueGrowthOverDenseLeaves: an ascending load leaves every
+// leaf full, so afterwards every update that grows a value splits its leaf —
+// here from several writers at once, each in its own range, while their
+// reads roam all ranges. Small records are the hard case: one moved record
+// frees less than the foster parent needs to be adopted later.
+func TestConcurrentValueGrowthOverDenseLeaves(t *testing.T) {
+	const (
+		writers = 4
+		keys    = 128 // per range
+		ranges  = 16
+		ops     = 4000
+	)
+	tr, p := newTestTree(t)
+	rkey := func(r, i int) []byte { return []byte(fmt.Sprintf("r%02d-%06d", r, i)) }
+	tx := p.txns.Begin()
+	for r := 0; r < ranges; r++ {
+		for i := 0; i < keys; i++ {
+			if err := tr.Insert(tx, rkey(r, i), []byte("v0")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mustCommit(t, tx)
+	verifyClean(t, tr)
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			tx := p.txns.Begin()
+			grown := []byte("value-00000000")
+			for n := 0; n < ops; n++ {
+				if n%3 == 0 {
+					k := rkey(rng.Intn(ranges), rng.Intn(keys))
+					if _, err := tr.Get(k); err != nil {
+						t.Errorf("writer %d get %s: %v", w, k, err)
+						return
+					}
+					continue
+				}
+				k := rkey(w, rng.Intn(keys))
+				if err := tr.Update(tx, k, grown); err != nil {
+					t.Errorf("writer %d update %s: %v", w, k, err)
+					return
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Errorf("writer %d commit: %v", w, err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	verifyClean(t, tr)
 }

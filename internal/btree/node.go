@@ -285,16 +285,63 @@ func (n *node) hasChild(id page.ID) (bool, error) {
 	return false, nil
 }
 
-// splitOff builds the foster child that takes the upper half of the node on
-// pg: records [mid, count) move to the child. In a leaf the foster key is
-// the shortest separator between the halves; in a branch it is separator
-// mid-1 itself, which leaves the records — its child becomes the foster
-// child's leftmost — exactly as in a permanent-parent split. The child
-// starts as a copy of the node (same level, high and chain-high fences,
-// foster pointer) and drops the lower half, so the moved records are
-// spliced as one block, never rebuilt one by one.
-func splitOff(pg *page.Page, n *node) (child *page.Page, fosterKey []byte, err error) {
-	mid := n.fanout() / 2
+// splitPoint chooses the first entry (leaf) or child (branch) a split moves
+// to the foster child. The split point follows where the pending insert
+// lands: when key — the leaf key or branch separator the caller is making
+// room for; nil when it has none — sorts after the node's last record, the
+// node keeps all it can and the foster child starts nearly empty, so an
+// ascending load leaves full pages behind it instead of half-empty ones.
+// All it can is everything but the last record, less whatever else must go
+// to keep room for the adoption that follows: clearing the foster pointer
+// copies the new high fence into the chain-high slot, and a foster parent
+// too full for that could never hand its child over. Anywhere else the node
+// splits in half.
+func (n *node) splitPoint(key []byte, capacity int) (int, error) {
+	half := n.fanout() / 2
+	if key == nil {
+		return half, nil
+	}
+	end, _, _, err := n.Record(n.Count() - 1)
+	if err != nil {
+		return 0, err
+	}
+	if bytes.Compare(key, end) <= 0 {
+		return half, nil
+	}
+	// size is what the node keeps, without its high fence. cut is the first
+	// record to leave: entry mid of a leaf, separator mid-1 of a branch (it
+	// becomes the foster key) — the node's last record either way.
+	size := n.Size() - len(n.high.k)
+	cut := n.Count() - 1
+	for mid := n.fanout() - 1; mid > half; mid, cut = mid-1, cut-1 {
+		k, v, _, err := n.Record(cut)
+		if err != nil {
+			return 0, err
+		}
+		size -= page.RecordSize(len(k), len(v))
+		// The foster key is this separator in a branch and no longer than
+		// this key in a leaf; it lands in the high fence now and in the
+		// chain-high fence at adoption.
+		if size+2*len(k)-len(n.chain.k) <= capacity {
+			return mid, nil
+		}
+	}
+	return half, nil
+}
+
+// splitOff builds the foster child that takes the upper part of the node on
+// pg, from splitPoint on: records [mid, count) move to the child. In a leaf
+// the foster key is the shortest separator between the parts; in a branch it
+// is separator mid-1 itself, which leaves the records — its child becomes
+// the foster child's leftmost — exactly as in a permanent-parent split. The
+// child starts as a copy of the node (same level, high and chain-high
+// fences, foster pointer) and drops the lower part, so the moved records
+// are spliced as one block, never rebuilt one by one.
+func splitOff(pg *page.Page, n *node, key []byte) (child *page.Page, fosterKey []byte, err error) {
+	mid, err := n.splitPoint(key, pg.Capacity())
+	if err != nil {
+		return nil, nil, err
+	}
 	last, _, _, err := n.Record(mid - 1)
 	if err != nil {
 		return nil, nil, err

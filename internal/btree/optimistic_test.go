@@ -30,15 +30,16 @@ func TestOptimisticReaderFallsBackDuringAdoption(t *testing.T) {
 	mustCommit(t, tx)
 
 	// Manufacture a foster relationship to adopt (post-operation adoption
-	// has drained the organic ones).
+	// has drained the organic ones) under the rightmost branch, the one the
+	// ascending load left room in.
 	lt := &latchTracker{}
-	lh, _, _, err := tr.descend(key(n/2), nil, false, lt)
+	lh, _, _, err := tr.descend(key(n-1), nil, false, lt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	leafID := lh.ID()
 	lt.unpin(lh, false)
-	if err := tr.fosterSplit(leafID, 1<<20, &latchTracker{}); err != nil {
+	if err := tr.fosterSplit(leafID, 1<<20, nil, &latchTracker{}); err != nil {
 		t.Fatal(err)
 	}
 	var parentID, childID page.ID

@@ -493,17 +493,22 @@ func (tr *Tree) tryAdopt(parentID, childID page.ID, lt *latchTracker) (bool, err
 	fosterPID := child.foster
 	fosterKey := append([]byte(nil), child.high.k...)
 	oldChainHigh := child.chain
+	// Both halves must fit before either applies. A full parent is itself
+	// split (or the root grown) so that adoptions keep draining foster
+	// chains; without this, interior nodes would never split and chains
+	// would grow without bound. A child that inserts filled since its split
+	// is too full to take its high fence into the chain-high slot as well,
+	// and makes room the same way.
 	need := page.RecordSize(len(fosterKey), 8)
-	if parent.Size()+need > parentH.Page().Capacity() {
-		// A full parent is itself split (or the root grown) so that
-		// adoptions keep draining foster chains; without this, interior
-		// nodes would never split and chains would grow without bound.
+	grow := len(fosterKey) - len(oldChainHigh.k)
+	parentFull := parent.Size()+need > parentH.Page().Capacity()
+	if parentFull || child.Size()+grow > childH.Page().Capacity() {
 		lt.unlatch(childH, true)
 		lt.unlatch(parentH, true)
-		if err := tr.makeSpace(parentID, need, lt); err != nil {
-			return false, err
+		if parentFull {
+			return false, tr.makeSpace(parentID, need, fosterKey, lt)
 		}
-		return false, nil
+		return false, tr.makeSpace(childID, grow, nil, lt)
 	}
 
 	st := tr.pager.BeginSystem()
@@ -609,7 +614,7 @@ func (tr *Tree) Insert(tx *txn.Txn, key, val []byte) error {
 		leafID := h.ID()
 		lt.unpin(h, true)
 		tr.finishAdoptions(pend, lt)
-		if err := tr.makeSpace(leafID, entrySize, lt); err != nil {
+		if err := tr.makeSpace(leafID, entrySize, key, lt); err != nil {
 			return err
 		}
 	}
@@ -653,7 +658,7 @@ func (tr *Tree) Update(tx *txn.Txn, key, val []byte) error {
 		leafID := h.ID()
 		lt.unpin(h, true)
 		tr.finishAdoptions(pend, lt)
-		if err := tr.makeSpace(leafID, len(val)-len(old), lt); err != nil {
+		if err := tr.makeSpace(leafID, len(val)-len(old), nil, lt); err != nil {
 			return err
 		}
 	}
@@ -740,8 +745,10 @@ func (tr *Tree) compensate(t *txn.Txn, key []byte, undoNext page.LSN,
 // bytes fit, under a system transaction. Called without any latch held; the
 // caller re-descends afterwards. A concurrent writer may have made (or
 // taken) the space in the meantime — makeSpace rechecks under the latch and
-// the caller's retry loop absorbs either outcome.
-func (tr *Tree) makeSpace(id page.ID, need int, lt *latchTracker) error {
+// the caller's retry loop absorbs either outcome. key is what the caller is
+// making room for (nil for a value that grows in place); a split places its
+// split point by it (see splitOff).
+func (tr *Tree) makeSpace(id page.ID, need int, key []byte, lt *latchTracker) error {
 	h, err := tr.pager.Fetch(id)
 	if err != nil {
 		return err
@@ -783,16 +790,16 @@ func (tr *Tree) makeSpace(id page.ID, need int, lt *latchTracker) error {
 		// descent will split that child.
 		return tr.growRoot(need, lt)
 	}
-	return tr.fosterSplit(id, need, lt)
+	return tr.fosterSplit(id, need, key, lt)
 }
 
-// fosterSplit splits one non-root node: the upper half moves to a newly
+// fosterSplit splits one non-root node: the upper part moves to a newly
 // allocated foster child; the node keeps a foster pointer until a later
 // descent adopts the child into the permanent parent (Fig. 3). The node's
 // exclusive latch is held across the allocation and the truncating apply,
 // so concurrent descents see the pre-split or post-split state, never the
 // freshly allocated child without its incoming pointer.
-func (tr *Tree) fosterSplit(id page.ID, need int, lt *latchTracker) error {
+func (tr *Tree) fosterSplit(id page.ID, need int, key []byte, lt *latchTracker) error {
 	h, err := tr.pager.Fetch(id)
 	if err != nil {
 		return err
@@ -813,7 +820,7 @@ func (tr *Tree) fosterSplit(id page.ID, need int, lt *latchTracker) error {
 		return fmt.Errorf("%w: node %d cannot split with fanout %d", ErrValueTooLarge, id, n.fanout())
 	}
 
-	child, fosterKey, err := splitOff(h.Page(), &n)
+	child, fosterKey, err := splitOff(h.Page(), &n, key)
 	if err != nil {
 		lt.unpin(h, true)
 		return err

@@ -247,12 +247,15 @@ func (t *Txn) Commit() error {
 	rec := &wal.Record{Type: typ, Txn: t.id, PrevLSN: t.LastLSN()}
 	lsn, err := t.mgr.log.AppendSince(rec, t.epoch)
 	if err != nil {
-		return fmt.Errorf("txn %d commit not durable: %w", t.id, err)
+		// A crash since Begin: the commit record was never laid, so the
+		// transaction's fate is decided — lost — and the caller must be
+		// able to match that, not only the append's epoch error.
+		return fmt.Errorf("txn %d commit not durable: %w: %w", t.id, wal.ErrCommitLost, err)
 	}
 	t.lastLSN.Store(uint64(lsn))
 	if !t.system {
-		// The force coalesces with concurrent commits when the log runs
-		// group commit. A crash that leaves the commit unprovable
+		// The force coalesces with concurrent commits behind the log flush
+		// in progress. A crash that leaves the commit unprovable
 		// surfaces here; the transaction stays active, and restart
 		// decides its fate — usually rolled back as a loser, but a
 		// commit record that reached stable storage before the crash is

@@ -339,3 +339,29 @@ func TestAdoptLoserAdvancesNextID(t *testing.T) {
 		t.Errorf("new txn id %d collides with adopted id space", tx.ID())
 	}
 }
+
+// TestCommitRecordAppendAcrossCrashIsCommitLost: a crash between a
+// transaction's last update and its commit record neutralizes the commit
+// record's append. Nothing was laid, so the commit is definitively lost and
+// the error must say so to a caller matching wal.ErrCommitLost.
+func TestCommitRecordAppendAcrossCrashIsCommitLost(t *testing.T) {
+	log, m, _ := newManagers()
+	tx := m.Begin()
+	if _, err := tx.LogUpdate(1, 0, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	log.Crash()
+	err := tx.Commit()
+	if !errors.Is(err, wal.ErrCommitLost) {
+		t.Fatalf("commit across a crash = %v, want wal.ErrCommitLost", err)
+	}
+	if !errors.Is(err, wal.ErrEpochChanged) {
+		t.Errorf("commit across a crash = %v, lost the append's epoch error", err)
+	}
+	if tx.State() != Active {
+		t.Errorf("state = %v, want the loser left active for restart", tx.State())
+	}
+	if got := log.Stats().ForcedCommits; got != 0 {
+		t.Errorf("forced commits = %d for a commit record that was never laid", got)
+	}
+}

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -151,12 +152,16 @@ func TestReadViewAliasesLog(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalesces checks that concurrent commit forces are served
-// by fewer flushes than commits.
+// TestGroupCommitCoalesces pins the leader protocol: committers that queue
+// on flushMu while a flush is in progress (here: while the test holds the
+// mutex) are all served by the one flush the first of them leads.
 func TestGroupCommitCoalesces(t *testing.T) {
-	m := NewManagerOpts(Options{Profile: iosim.Instant, GroupCommitWindow: 20 * time.Millisecond})
-	defer m.Close()
+	m := newTestLog()
 	const committers = 8
+	commitSize := page.LSN(RecordSize(&Record{Type: TypeCommit}))
+	published := m.EndLSN() + committers*commitSize
+
+	m.flushMu.Lock()
 	var wg sync.WaitGroup
 	errs := make([]error, committers)
 	for i := 0; i < committers; i++ {
@@ -167,72 +172,55 @@ func TestGroupCommitCoalesces(t *testing.T) {
 			errs[i] = m.ForceForCommit(lsn)
 		}(i)
 	}
+	for m.EndLSN() != published {
+		runtime.Gosched()
+	}
+	m.flushMu.Unlock()
 	wg.Wait()
+
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("committer %d: %v", i, err)
 		}
 	}
 	s := m.Stats()
+	if s.Flushes != 1 || s.ForcedCommits != 1 || s.GroupCommitBatches != 1 {
+		t.Errorf("flushes/forced/batches = %d/%d/%d, want 1/1/1", s.Flushes, s.ForcedCommits, s.GroupCommitBatches)
+	}
 	if s.GroupCommitWaiters != committers {
 		t.Errorf("waiters = %d, want %d", s.GroupCommitWaiters, committers)
-	}
-	if s.GroupCommitBatches == 0 || s.GroupCommitBatches >= committers {
-		t.Errorf("batches = %d, want coalescing (1..%d)", s.GroupCommitBatches, committers-1)
 	}
 	if m.TailSize() != 0 {
 		t.Errorf("tail = %d after all commits forced", m.TailSize())
 	}
 }
 
-// TestGroupCommitCloseDrainsWaiters parks commits behind a very long
-// window and verifies Close serves them instead of stranding them.
-func TestGroupCommitCloseDrainsWaiters(t *testing.T) {
-	m := NewManagerOpts(Options{Profile: iosim.Instant, GroupCommitWindow: time.Hour})
-	const committers = 3
-	var wg sync.WaitGroup
-	errs := make([]error, committers)
-	for i := 0; i < committers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			lsn := m.Append(&Record{Type: TypeCommit, Txn: TxnID(i)})
-			errs[i] = m.ForceForCommit(lsn)
-		}(i)
-	}
-	time.Sleep(50 * time.Millisecond) // let the committers park
-	start := time.Now()
-	m.Close()
-	wg.Wait()
-	if d := time.Since(start); d > 10*time.Second {
-		t.Fatalf("Close took %v; waiters were stranded behind the window", d)
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("committer %d lost by shutdown: %v", i, err)
-		}
-	}
-}
-
-// TestGroupCommitReArmsAfterClose: a grouped commit after Close re-arms
-// the flusher (Restart reuses the manager, so the window must survive a
-// Crash+Close cycle).
-func TestGroupCommitReArmsAfterClose(t *testing.T) {
-	m := NewManagerOpts(Options{Profile: iosim.Instant, GroupCommitWindow: time.Millisecond})
-	lsn := m.Append(&Record{Type: TypeCommit, Txn: 1})
-	if err := m.ForceForCommit(lsn); err != nil {
-		t.Fatal(err)
-	}
+// TestCommitAfterCloseStartsNoGoroutine: Close stops nothing because the log
+// runs nothing — a commit after Close and Crash (Restart reuses the manager)
+// is durable, and a thousand lone commits each lead their own flush without
+// a goroutine being started for them.
+func TestCommitAfterCloseStartsNoGoroutine(t *testing.T) {
+	m := newTestLog()
 	m.Close()
 	m.Crash() // nothing unflushed; epoch bump only
-	lsn2 := m.Append(&Record{Type: TypeCommit, Txn: 2})
-	if err := m.ForceForCommit(lsn2); err != nil {
-		t.Fatalf("post-Close grouped commit: %v", err)
+	before := runtime.NumGoroutine()
+	const commits = 1000
+	for i := 0; i < commits; i++ {
+		lsn := m.Append(&Record{Type: TypeCommit, Txn: TxnID(i)})
+		if err := m.ForceForCommit(lsn); err != nil {
+			t.Fatalf("commit %d after Close: %v", i, err)
+		}
+		if m.FlushedLSN() <= lsn {
+			t.Fatalf("commit %d acknowledged at flushed=%d, record at %d", i, m.FlushedLSN(), lsn)
+		}
 	}
-	if s := m.Stats(); s.GroupCommitWaiters != 2 {
-		t.Errorf("waiters = %d, want 2 (both commits grouped)", s.GroupCommitWaiters)
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines %d -> %d across %d commits", before, after, commits)
 	}
-	m.Close()
+	if s := m.Stats(); s.GroupCommitBatches != commits || s.GroupCommitWaiters != commits {
+		t.Errorf("batches/waiters = %d/%d, want %d/%d (a lone commit leads its own flush)",
+			s.GroupCommitBatches, s.GroupCommitWaiters, commits, commits)
+	}
 }
 
 // TestCommitLostInCrash: a commit whose record vanished with the volatile

@@ -34,10 +34,11 @@
 //   - the segment buffer grows by appending fixed-size chunks, so already
 //     written bytes never move and fillers never block behind a growth
 //     copy;
-//   - commits coalesce: with a nonzero GroupCommitWindow, ForceForCommit
-//     parks the caller on a waiter list served by a single flusher
-//     goroutine that folds every pending commit into one sequential log
-//     flush (§5.1.5 counts these forces; a batch counts once);
+//   - commits coalesce without a clock: flushMu is the commit queue. The
+//     committer that takes it and finds its record not yet stable is the
+//     leader and flushes everything published; committers that queued on
+//     the mutex meanwhile find their record already stable and return
+//     without a flush (§5.1.5 counts these forces; a batch counts once);
 //   - Crash quiesces in-flight appends, truncates the volatile tail at the
 //     flushed record boundary, and bumps the crash epoch; commits that
 //     cannot prove their records reached stable storage before a crash
@@ -237,9 +238,10 @@ type Stats struct {
 	Flushes       int64 // explicit flush calls that did work
 	ForcedCommits int64 // commit-triggered forces (a group batch counts once)
 	RecordsRead   int64
-	// GroupCommitBatches and GroupCommitWaiters quantify coalescing:
-	// waiters/batches is the average number of commits served by one
-	// sequential flush.
+	// GroupCommitBatches counts leader flushes — every commit-triggered
+	// force is one, so it equals ForcedCommits — and GroupCommitWaiters
+	// the commit forces served: waiters/batches is the average number of
+	// commits one sequential flush made durable.
 	GroupCommitBatches int64
 	GroupCommitWaiters int64
 	// BatchAppends counts AppendBatch calls; Appends counts every record
@@ -271,8 +273,7 @@ type counters struct {
 	flushes       atomic.Int64
 	forcedCommits atomic.Int64
 	recordsRead   atomic.Int64
-	groupBatches  atomic.Int64
-	groupWaiters  atomic.Int64
+	commitsServed atomic.Int64
 	batchAppends  atomic.Int64
 	recycled      atomic.Int64
 	pruned        atomic.Int64
@@ -283,31 +284,10 @@ type counters struct {
 type Options struct {
 	// Profile selects the simulated I/O cost model for the log device.
 	Profile iosim.Profile
-	// GroupCommitWindow is how long a commit force waits for other
-	// commits to coalesce into the same flush. Zero flushes synchronously
-	// per commit — deterministic, one force per user commit, the §5.1.5
-	// accounting the experiments assert.
+	// GroupCommitWindow is ignored; kept for source compatibility. Commits
+	// batch behind the flush in progress (see ForceForCommitSince), not
+	// behind a clock.
 	GroupCommitWindow time.Duration
-}
-
-// gcWaiter is one transaction parked in ForceForCommit awaiting the group
-// flush that covers its commit record.
-type gcWaiter struct {
-	lsn   page.LSN
-	epoch uint64
-	done  chan error
-}
-
-// groupCommit is the flush-group state: a waiter list plus a lazily
-// started flusher goroutine that serves it.
-type groupCommit struct {
-	window  time.Duration
-	mu      sync.Mutex
-	queue   []gcWaiter
-	wake    chan struct{}
-	quit    chan struct{}
-	started bool
-	closed  bool
 }
 
 // Manager is the log manager. It is safe for concurrent use.
@@ -362,9 +342,10 @@ type Manager struct {
 	// observe (or clobber) the gate flags of one already in progress.
 	crashMu sync.Mutex
 
-	// flushMu serializes flushed advances and makes the epoch check in
-	// commit forces atomic with respect to Crash (which truncates while
-	// holding it). prevCrashEpoch/prevCrashFlushed record, for the most
+	// flushMu serializes flushed advances, queues commit forces behind the
+	// flush in progress (see ForceForCommitSince), and makes their epoch
+	// check atomic with respect to Crash (which truncates while holding
+	// it). prevCrashEpoch/prevCrashFlushed record, for the most
 	// recent crash, the epoch it closed and the flushed boundary that
 	// survived it — commit forces use them to prove durability of commits
 	// that were flushed before the crash (flushed never rolls back). Both
@@ -388,7 +369,6 @@ type Manager struct {
 	master atomic.Int64
 	clock  *iosim.Clock
 	stats  counters
-	gc     groupCommit
 }
 
 // chainEntry is one immutable per-page chain-index value.
@@ -421,9 +401,11 @@ func (t *chunkTable) at(pos int64) []byte { return t.chunks[(pos>>chunkShift)-t.
 // end returns the exclusive byte offset the table covers up to.
 func (t *chunkTable) end() int64 { return (t.first + int64(len(t.chunks))) << chunkShift }
 
-// freePoolCap bounds the recycle pool: a steady-state log cycles a few
-// chunks; anything beyond that is released to the garbage collector.
-const freePoolCap = 8
+// freePoolCap bounds the recycle pool: a log at rest holds its tail, not
+// spare megabytes. One chunk is ~2 500 PUTs of log and re-making one costs
+// a memclr, so two spares cover a recycle that lands mid-burst; anything
+// beyond that is released to the garbage collector.
+const freePoolCap = 2
 
 // ChainInfo is the exported view of one per-page log-chain index entry.
 type ChainInfo struct {
@@ -456,9 +438,6 @@ func NewManagerOpts(opts Options) *Manager {
 	m.ready.Store(int64(firstLSN))
 	m.flushed.Store(int64(firstLSN))
 	m.chunks.Store(&chunkTable{})
-	m.gc.window = opts.GroupCommitWindow
-	m.gc.wake = make(chan struct{}, 1)
-	m.gc.quit = make(chan struct{})
 	return m
 }
 
@@ -473,8 +452,8 @@ func (m *Manager) Stats() Stats {
 		Flushes:            m.stats.flushes.Load(),
 		ForcedCommits:      m.stats.forcedCommits.Load(),
 		RecordsRead:        m.stats.recordsRead.Load(),
-		GroupCommitBatches: m.stats.groupBatches.Load(),
-		GroupCommitWaiters: m.stats.groupWaiters.Load(),
+		GroupCommitBatches: m.stats.forcedCommits.Load(),
+		GroupCommitWaiters: m.stats.commitsServed.Load(),
 		BatchAppends:       m.stats.batchAppends.Load(),
 		ChainPages:         m.chainPages.Load(),
 		LiveSegments:       int64(len(m.table().chunks)),
@@ -1040,11 +1019,10 @@ func (m *Manager) FlushAll() {
 	m.flushTo(page.LSN(m.ready.Load()))
 }
 
-// ForceForCommit flushes up to lsn and counts the force against commit
-// statistics — the cost that system transactions avoid (§5.1.5, Fig. 5).
-// With a group-commit window configured, the caller is parked on the flush
-// group and served by the shared flusher. A non-nil error (ErrCommitLost)
-// means a crash intervened and the commit record cannot be proven durable.
+// ForceForCommit makes the commit record at lsn durable and counts the
+// force against commit statistics — the cost that system transactions
+// avoid (§5.1.5, Fig. 5). A non-nil error (ErrCommitLost) means a crash
+// intervened and the commit record cannot be proven durable.
 func (m *Manager) ForceForCommit(lsn page.LSN) error {
 	return m.ForceForCommitSince(lsn, m.epoch.Load())
 }
@@ -1053,23 +1031,25 @@ func (m *Manager) ForceForCommit(lsn page.LSN) error {
 // crash epoch when their transaction began: if any Crash happened since,
 // earlier records of the transaction may have vanished from the volatile
 // tail, so the commit is reported lost rather than durable.
+//
+// flushMu is the commit queue, and batching comes from flush duration:
+//
+//  1. every committer queues on flushMu;
+//  2. the one that gets it and finds its record not yet stable is the
+//     leader: it flushes everything published — its own record and the
+//     commit record of every committer queued behind it — and counts one
+//     force;
+//  3. a committer that gets the mutex after such a flush finds its record
+//     already stable and flushes nothing;
+//  4. either way the verdict is taken under the same mutex, so it is
+//     atomic with respect to Crash, which truncates while holding it.
 func (m *Manager) ForceForCommitSince(lsn page.LSN, epoch uint64) error {
-	if m.gc.window > 0 {
-		return m.groupWait(lsn, epoch)
-	}
 	m.flushMu.Lock()
 	defer m.flushMu.Unlock()
-	return m.forceLocked(lsn, epoch)
-}
-
-// forceLocked performs one synchronous commit force under flushMu.
-func (m *Manager) forceLocked(lsn page.LSN, epoch uint64) error {
-	if m.epoch.Load() == epoch {
-		before := m.flushed.Load()
-		m.flushTo(lsn)
-		if m.flushed.Load() > before {
-			m.stats.forcedCommits.Add(1)
-		}
+	m.stats.commitsServed.Add(1)
+	if m.epoch.Load() == epoch && m.flushed.Load() <= int64(lsn) {
+		m.flushTo(page.LSN(m.ready.Load()))
+		m.stats.forcedCommits.Add(1)
 	}
 	return m.commitVerdictLocked(lsn, epoch)
 }
@@ -1113,120 +1093,10 @@ func (m *Manager) commitVerdictLocked(lsn page.LSN, epoch uint64) error {
 	return ErrCommitLost
 }
 
-// groupWait parks the caller on the flush group and returns the verdict of
-// the batch flush that served it.
-func (m *Manager) groupWait(lsn page.LSN, epoch uint64) error {
-	g := &m.gc
-	g.mu.Lock()
-	if g.closed {
-		// Re-arm after Close: Restart reuses the log manager across a
-		// Crash+Close, and the configured window must survive it.
-		g.closed = false
-		g.started = false
-		g.quit = make(chan struct{})
-	}
-	if !g.started {
-		g.started = true
-		go m.flusherLoop(g.quit)
-	}
-	done := make(chan error, 1)
-	g.queue = append(g.queue, gcWaiter{lsn: lsn, epoch: epoch, done: done})
-	g.mu.Unlock()
-	select {
-	case g.wake <- struct{}{}:
-	default:
-	}
-	return <-done
-}
-
-// takeBatch atomically claims the pending waiter list.
-func (m *Manager) takeBatch() []gcWaiter {
-	g := &m.gc
-	g.mu.Lock()
-	batch := g.queue
-	g.queue = nil
-	g.mu.Unlock()
-	return batch
-}
-
-// flusherLoop is the dedicated group-commit flusher: it waits for the
-// first commit of a group, lets the window elapse so concurrent commits
-// pile on, then serves the whole batch with one sequential flush. quit is
-// captured at spawn time because Close+re-arm replaces the channel.
-func (m *Manager) flusherLoop(quit chan struct{}) {
-	g := &m.gc
-	for {
-		select {
-		case <-quit:
-			m.serveBatch(m.takeBatch())
-			return
-		case <-g.wake:
-		}
-		if g.window > 0 {
-			// The coalescing wait; Close interrupts it so shutdown never
-			// strands a waiter behind a long window.
-			t := time.NewTimer(g.window)
-			select {
-			case <-t.C:
-			case <-quit:
-				t.Stop()
-			}
-		}
-		m.serveBatch(m.takeBatch())
-	}
-}
-
-// serveBatch flushes through the highest commit LSN of the batch and
-// reports durability to every waiter.
-func (m *Manager) serveBatch(batch []gcWaiter) {
-	if len(batch) == 0 {
-		return
-	}
-	maxLSN := batch[0].lsn
-	for _, w := range batch[1:] {
-		if w.lsn > maxLSN {
-			maxLSN = w.lsn
-		}
-	}
-	m.flushMu.Lock()
-	before := m.flushed.Load()
-	m.flushTo(maxLSN)
-	if m.flushed.Load() > before {
-		m.stats.forcedCommits.Add(1)
-	}
-	m.stats.groupBatches.Add(1)
-	m.stats.groupWaiters.Add(int64(len(batch)))
-	verdicts := make([]error, len(batch))
-	for i, w := range batch {
-		verdicts[i] = m.commitVerdictLocked(w.lsn, w.epoch)
-	}
-	m.flushMu.Unlock()
-	for i, w := range batch {
-		w.done <- verdicts[i]
-	}
-}
-
-// Close shuts the group-commit flusher down after serving every pending
-// waiter. Close is idempotent and safe on managers that never started a
-// flusher; a later grouped commit re-arms the flusher (Restart reuses the
-// manager across a Crash+Close, and the configured window survives it).
-func (m *Manager) Close() {
-	g := &m.gc
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return
-	}
-	g.closed = true
-	started := g.started
-	quit := g.quit
-	g.mu.Unlock()
-	if started {
-		close(quit)
-	} else {
-		m.serveBatch(m.takeBatch())
-	}
-}
+// Close is a no-op kept for callers that pair it with NewManager: the log
+// owns no goroutine and parks no committer, so there is nothing to stop or
+// drain.
+func (m *Manager) Close() {}
 
 // Crash simulates a system failure: the volatile tail vanishes at the
 // flushed record boundary; the stable prefix and the master LSN survive.
@@ -1517,7 +1387,7 @@ func (m *Manager) decodeAt(lsn page.LSN, rec *Record, copyPayload bool) (int, er
 // log's read gate, so a concurrent Crash cannot invalidate the view
 // mid-callback; the gate is reentrant, so callbacks may perform nested log
 // reads (restart redo does, via single-page recovery), but must not call
-// Crash or Close. Callbacks that retain the record or its payload beyond
+// Crash. Callbacks that retain the record or its payload beyond
 // their own return must copy them (every in-tree consumer — analysis,
 // redo, the mirror — already copies what it keeps).
 func (m *Manager) Scan(from page.LSN, fn func(*Record) bool) error {

@@ -342,11 +342,11 @@ func (db *DB) RecoverPageNow(id PageID) (core.Report, error) {
 // Close shuts the database down cleanly: the repair scheduler and the
 // maintenance service stop (deterministically — every background
 // goroutine is joined; the scheduler first, since the scrub campaign may
-// be parked on one of its repair futures), every dirty page and the whole
-// log are flushed, and the group-commit flusher (if running) drains its
-// pending waiters and stops. A crashed database only stops the background
-// goroutines — its state is already frozen for Restart. Close is
-// idempotent. After Close, operations fail with ErrClosed.
+// be parked on one of its repair futures), then every dirty page and the
+// whole log are flushed (the log itself owns no goroutine to stop). A
+// crashed database only stops the background goroutines — its state is
+// already frozen for Restart. Close is idempotent. After Close, operations
+// fail with ErrClosed.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	db.closed = true
@@ -355,15 +355,12 @@ func (db *DB) Close() error {
 	db.stopMaintenance()
 	db.stopLifecycle()
 	if db.isCrashed() {
-		db.log.Close()
 		return nil
 	}
 	if err := db.pool.FlushAll(); err != nil {
-		db.log.Close()
 		return err
 	}
 	db.log.FlushAll()
-	db.log.Close()
 	return nil
 }
 

@@ -198,10 +198,7 @@ func Open(opts Options) (*DB, error) {
 			PageSize: opts.PageSize, Slots: opts.DataSlots,
 			Profile: opts.DataProfile, Seed: opts.Seed,
 		}),
-		log: wal.NewManagerOpts(wal.Options{
-			Profile:           opts.LogProfile,
-			GroupCommitWindow: opts.GroupCommitWindow,
-		}),
+		log:          wal.NewManager(opts.LogProfile),
 		pmap:         pagemap.New(opts.WriteMode, opts.DataSlots),
 		pri:          core.NewPRI(),
 		engines:      make(map[string]Engine),

@@ -312,7 +312,7 @@ func TestCloseStopsMaintenanceGoroutines(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// All maintenance and group-commit goroutines must be gone; allow the
+	// All maintenance goroutines must be gone (the log owns none); allow the
 	// runtime a moment to reap exited goroutines.
 	waitUntil(t, 10*time.Second, "goroutines to exit", func() bool {
 		runtime.GC()

@@ -71,14 +71,11 @@ type Options struct {
 	DataProfile   iosim.Profile
 	LogProfile    iosim.Profile
 	BackupProfile iosim.Profile
-	// GroupCommitWindow is how long a committing transaction waits for
-	// concurrent commits to coalesce into one log flush. Zero (the
-	// default) flushes synchronously per commit: deterministic, exactly
-	// one force per user commit (the §5.1.5 accounting). Nonzero trades
-	// a bounded commit latency for far fewer log flushes under highly
-	// concurrent commit load; commits interrupted by a simulated Crash
-	// report wal.ErrCommitLost instead of claiming durability. The window
-	// survives Restart (the log manager carries it across crashes).
+	// GroupCommitWindow is ignored; kept for source compatibility.
+	// Concurrent commits coalesce behind the log flush in progress, not
+	// behind a timer, and a lone commit flushes at once; commits
+	// interrupted by a simulated Crash report wal.ErrCommitLost instead
+	// of claiming durability.
 	GroupCommitWindow time.Duration
 	// SinglePageRecovery enables the page recovery index and the
 	// recovery path (default on via Open; set DisableSinglePageRecovery

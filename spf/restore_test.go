@@ -310,7 +310,7 @@ func TestRestoreDisabledFallback(t *testing.T) {
 // Crash mid-flight. Every committed key must survive into the restarted
 // database and no fault may escape repair or escalate.
 func TestRestoreStressForegroundFaultsVsSaturatedScrub(t *testing.T) {
-	const keys = 800
+	const keys = 1600
 	opts := maintenanceOptions()
 	opts.PoolFrames = 256
 	opts.Restore.Workers = 3
