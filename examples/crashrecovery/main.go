@@ -97,9 +97,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Restart returned in %v: %d records analyzed, %d pages marked needs-redo (≤%d chain records queued), %d losers rolled back\n",
+	fmt.Printf("Restart returned in %v: %d records analyzed, %d pages marked needs-redo, %d losers rolled back\n",
 		time.Since(prepStart).Round(time.Microsecond), rep.Analysis.RecordsScanned,
-		rep.Prep.PagesMarked, rep.Prep.ChainRecords, rep.Undo.LosersRolledBack)
+		rep.Prep.PagesMarked, rep.Undo.LosersRolledBack)
 	if !rep.OnDemand {
 		log.Fatal("restart did not take the on-demand path")
 	}

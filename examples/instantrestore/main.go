@@ -80,9 +80,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("RecoverMedia returned in %v: %d pages registered (%d born after the backup, ≤%d chain records to replay)\n",
+	fmt.Printf("RecoverMedia returned in %v: %d pages registered (%d born after the backup)\n",
 		time.Since(prepStart).Round(time.Microsecond),
-		rep.Media.PagesRestored, rep.Media.LateBornPages, rep.Media.ChainRecords)
+		rep.Media.PagesRestored, rep.Media.LateBornPages)
 
 	accounts, err = ndb.Index("accounts")
 	if err != nil {

@@ -7,10 +7,7 @@
 // records physically partitioned and sorted by (pageID, LSN), and carries
 // an index block of per-page spans — so a per-page chain replay reads one
 // sequential span instead of paying a seek per record, which is the whole
-// point of archiving for single-page recovery and media restore. A
-// per-page summary (head, tail, length) is folded in as runs append, so
-// the wal chain index can prune entries whose history left the live log
-// and still answer ChainHead/Chains for them.
+// point of archiving for single-page recovery and media restore.
 //
 // The Store is the device model: writes and reads charge the simulated
 // I/O clock and honor injected faults (FailWrites/FailReads), mirroring
@@ -97,14 +94,8 @@ type Run struct {
 	lsnIdx []int32    // indices into byPage, ascending LSN
 }
 
-// pageChain is the per-page archived-chain summary.
-type pageChain struct {
-	head, tail page.LSN
-	n          int64
-}
-
-// Store is the archive device: a set of contiguous sorted runs plus the
-// per-page summary index. Safe for concurrent use.
+// Store is the archive device: a set of contiguous sorted runs. Safe for
+// concurrent use.
 type Store struct {
 	clock *iosim.Clock
 
@@ -112,7 +103,6 @@ type Store struct {
 	runs     []*Run
 	upTo     page.LSN // next LSN to archive (== runs[last].hi)
 	released page.LSN // exclusive bound of dropped history
-	heads    map[page.ID]pageChain
 	records  int64
 	bytes    int64
 
@@ -140,7 +130,6 @@ func NewStore(profile iosim.Profile, start page.LSN) *Store {
 		clock:    iosim.NewClock(profile),
 		upTo:     start,
 		released: start,
-		heads:    make(map[page.ID]pageChain),
 	}
 }
 
@@ -264,31 +253,7 @@ func (s *Store) AppendRun(recs []*wal.Record) error {
 	s.runsWritten.Add(1)
 	s.recsArchived.Add(int64(len(recs)))
 	s.bytesArchived.Add(int64(len(run.data)))
-	s.foldHeadsLocked(recs)
 	return nil
-}
-
-// foldHeadsLocked folds chain records into the per-page summary, with the
-// same reset-on-format rule the live chain index uses.
-func (s *Store) foldHeadsLocked(recs []*wal.Record) {
-	for _, rec := range recs {
-		switch rec.Type {
-		case wal.TypeUpdate, wal.TypeCLR, wal.TypeFormat:
-		default:
-			continue
-		}
-		if rec.PageID == page.InvalidID {
-			continue
-		}
-		pc, ok := s.heads[rec.PageID]
-		if !ok || rec.PagePrevLSN == page.ZeroLSN {
-			s.heads[rec.PageID] = pageChain{head: rec.LSN, tail: rec.LSN, n: 1}
-			continue
-		}
-		pc.head = rec.LSN
-		pc.n++
-		s.heads[rec.PageID] = pc
-	}
 }
 
 // runFor returns the run containing lsn, or nil. Caller holds mu.
@@ -461,27 +426,6 @@ func (s *Store) ScanLSN(lo, hi page.LSN, fn func(*wal.Record) bool) error {
 	return nil
 }
 
-// PageHead reports the archived per-page chain summary: the newest and
-// oldest archived chain record and the archived chain length. The summary
-// index lives in memory, so no device fault or I/O charge applies.
-func (s *Store) PageHead(id page.ID) (head, tail page.LSN, length int64, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	pc, ok := s.heads[id]
-	return pc.head, pc.tail, pc.n, ok
-}
-
-// PageHeads visits every archived per-page summary until fn returns false.
-func (s *Store) PageHeads(fn func(id page.ID, head, tail page.LSN, length int64) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for id, pc := range s.heads {
-		if !fn(id, pc.head, pc.tail, pc.n) {
-			return
-		}
-	}
-}
-
 // ReleaseBelow drops whole runs whose history lies entirely below lsn —
 // archive garbage collection, driven by the archiver once the backup
 // horizon (and the active-transaction / backup-reference floors) passed
@@ -505,21 +449,6 @@ func (s *Store) ReleaseBelow(lsn page.LSN) int {
 		return 0
 	}
 	s.runs = append([]*Run(nil), s.runs[cut:]...)
-	// Rebuild the per-page summaries from the surviving runs: pages whose
-	// whole history was released disappear; partially released chains keep
-	// their archived suffix.
-	s.heads = make(map[page.ID]pageChain)
-	for _, run := range s.runs {
-		for _, e := range run.byPage {
-			// Entries are (page, LSN)-sorted per run and runs ascend, so
-			// folding in slice order preserves per-page LSN order.
-			rec, err := run.decode(e)
-			if err != nil {
-				continue
-			}
-			s.foldHeadsLocked([]*wal.Record{rec})
-		}
-	}
 	return cut
 }
 

@@ -53,6 +53,19 @@ func collect(t *testing.T, m *wal.Manager, lo, hi page.LSN) []*wal.Record {
 	return recs
 }
 
+// headOf returns the newest record of pg among recs (ascending LSN): the
+// chain head a caller of the log would hold in its page recovery index.
+func headOf(t *testing.T, recs []*wal.Record, pg page.ID) page.LSN {
+	t.Helper()
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].PageID == pg {
+			return recs[i].LSN
+		}
+	}
+	t.Fatalf("page %d has no records", pg)
+	return page.ZeroLSN
+}
+
 func sameRecord(a, b *wal.Record) bool {
 	if a.LSN != b.LSN || a.Type != b.Type || a.Txn != b.Txn ||
 		a.PrevLSN != b.PrevLSN || a.PageID != b.PageID ||
@@ -136,15 +149,12 @@ func TestWalkChainMatchesLiveWalk(t *testing.T) {
 		}
 	}
 	for _, pg := range []page.ID{4, 5, 6} {
-		ci, ok := m.ChainHead(pg)
-		if !ok {
-			t.Fatalf("page %d has no live chain", pg)
-		}
-		want, err := m.WalkPageChain(ci.Head, page.ZeroLSN, pg)
+		head := headOf(t, recs, pg)
+		want, err := m.WalkPageChain(head, page.ZeroLSN, pg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.WalkChain(ci.Head, page.ZeroLSN, pg)
+		got, err := s.WalkChain(head, page.ZeroLSN, pg)
 		if err != nil {
 			t.Fatalf("archive walk of page %d: %v", pg, err)
 		}
@@ -156,33 +166,6 @@ func TestWalkChainMatchesLiveWalk(t *testing.T) {
 				t.Fatalf("page %d chain[%d]: got %+v want %+v", pg, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestPageHeadsMatchLiveIndex(t *testing.T) {
-	m, recs := buildLog(t, []page.ID{10, 11}, 7)
-	s := NewStore(iosim.Instant, wal.FirstLSN())
-	if err := s.AppendRun(recs); err != nil {
-		t.Fatal(err)
-	}
-	for _, pg := range []page.ID{10, 11} {
-		ci, ok := m.ChainHead(pg)
-		if !ok {
-			t.Fatalf("no live chain for %d", pg)
-		}
-		head, tail, n, ok := s.PageHead(pg)
-		if !ok {
-			t.Fatalf("no archived summary for %d", pg)
-		}
-		if head != ci.Head || tail != ci.Tail || n != ci.Length {
-			t.Errorf("page %d summary = (%d,%d,%d), live = (%d,%d,%d)",
-				pg, head, tail, n, ci.Head, ci.Tail, ci.Length)
-		}
-	}
-	seen := 0
-	s.PageHeads(func(page.ID, page.LSN, page.LSN, int64) bool { seen++; return true })
-	if seen != 2 {
-		t.Errorf("PageHeads visited %d pages, want 2", seen)
 	}
 }
 
@@ -238,26 +221,23 @@ func TestReleaseBelowDropsRunsAndRebuildsHeads(t *testing.T) {
 	if _, err := s.ReadRecord(recs[0].LSN); !errors.Is(err, ErrReleased) {
 		t.Fatalf("read of released record: err = %v, want ErrReleased", err)
 	}
-	// Surviving summary covers exactly the retained suffix.
-	head, tail, n, ok := s.PageHead(1)
-	if !ok {
-		t.Fatal("page 1 summary vanished")
+	// The retained suffix of a chain still walks; below the cut it is gone.
+	head := headOf(t, recs, 1)
+	suffix, err := s.WalkChain(head, cutLSN-1, 1)
+	if err != nil {
+		t.Fatalf("walk of the retained suffix: %v", err)
 	}
-	var wantHead, wantTail page.LSN
-	var wantN int64
+	want := 0
 	for _, r := range recs[half:] {
-		if r.PageID != 1 {
-			continue
+		if r.PageID == 1 {
+			want++
 		}
-		if wantTail == page.ZeroLSN {
-			wantTail = r.LSN
-		}
-		wantHead = r.LSN
-		wantN++
 	}
-	if head != wantHead || tail != wantTail || n != wantN {
-		t.Errorf("post-release summary = (%d,%d,%d), want (%d,%d,%d)",
-			head, tail, n, wantHead, wantTail, wantN)
+	if len(suffix) != want {
+		t.Errorf("retained suffix walked %d records, want %d", len(suffix), want)
+	}
+	if _, err := s.WalkChain(head, page.ZeroLSN, 1); !errors.Is(err, ErrReleased) {
+		t.Errorf("walk below the release horizon: err = %v, want ErrReleased", err)
 	}
 	if st := s.Stats(); st.ReleasedRuns != 1 || st.ReleasedLSN != cutLSN {
 		t.Errorf("release stats = %+v", st)
@@ -409,11 +389,8 @@ func TestScanAcrossRecycleBoundary(t *testing.T) {
 
 func TestWalkPageChainAcrossRecycleBoundary(t *testing.T) {
 	m, recs := buildLog(t, []page.ID{41, 42}, 12)
-	ci, ok := m.ChainHead(41)
-	if !ok {
-		t.Fatal("no chain for page 41")
-	}
-	want, err := m.WalkPageChain(ci.Head, page.ZeroLSN, 41)
+	head := headOf(t, recs, 41)
+	want, err := m.WalkPageChain(head, page.ZeroLSN, 41)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +401,7 @@ func TestWalkPageChainAcrossRecycleBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Recycle(recs[half].LSN)
-	got, err := m.WalkPageChain(ci.Head, page.ZeroLSN, 41)
+	got, err := m.WalkPageChain(head, page.ZeroLSN, 41)
 	if err != nil {
 		t.Fatalf("boundary chain walk: %v", err)
 	}
@@ -438,62 +415,8 @@ func TestWalkPageChainAcrossRecycleBoundary(t *testing.T) {
 	}
 	// A transient archive fault mid-replay is absorbed by the reader.
 	s.FailReads(1)
-	if _, err := m.WalkPageChain(ci.Head, page.ZeroLSN, 41); err != nil {
+	if _, err := m.WalkPageChain(head, page.ZeroLSN, 41); err != nil {
 		t.Fatalf("chain walk with transient archive fault: %v", err)
-	}
-}
-
-func TestChainHeadMergesPrunedHistory(t *testing.T) {
-	m, recs := buildLog(t, []page.ID{51, 52}, 8)
-	before := make(map[page.ID]wal.ChainInfo)
-	for _, pg := range []page.ID{51, 52} {
-		ci, ok := m.ChainHead(pg)
-		if !ok {
-			t.Fatalf("no chain for %d", pg)
-		}
-		before[pg] = ci
-	}
-	s := NewStore(iosim.Instant, wal.FirstLSN())
-	m.SetArchive(s.NewReader(3, time.Microsecond))
-	if err := s.AppendRun(recs); err != nil {
-		t.Fatal(err)
-	}
-	m.Recycle(m.FlushedLSN())
-	if m.Stats().ChainEntriesPruned == 0 {
-		t.Fatal("recycle pruned no chain entries despite full coverage")
-	}
-	for pg, want := range before {
-		got, ok := m.ChainHead(pg)
-		if !ok {
-			t.Fatalf("page %d lost its chain info after pruning", pg)
-		}
-		if got != want {
-			t.Errorf("page %d merged info = %+v, want %+v", pg, got, want)
-		}
-	}
-	seen := make(map[page.ID]wal.ChainInfo)
-	m.Chains(func(id page.ID, ci wal.ChainInfo) bool {
-		seen[id] = ci
-		return true
-	})
-	for pg, want := range before {
-		if seen[pg] != want {
-			t.Errorf("Chains reported %+v for page %d, want %+v", seen[pg], pg, want)
-		}
-	}
-
-	// New live updates re-root the entry partially: the merged info must
-	// splice the live suffix onto the archived prefix.
-	next := m.Append(&wal.Record{Type: wal.TypeUpdate, Txn: 3, PageID: 51,
-		PagePrevLSN: before[51].Head, Payload: []byte{1}})
-	m.FlushAll()
-	got, ok := m.ChainHead(51)
-	if !ok {
-		t.Fatal("page 51 chain missing after new live update")
-	}
-	if got.Head != next || got.Tail != before[51].Tail || got.Length != before[51].Length+1 {
-		t.Errorf("spliced info = %+v, want head %d tail %d length %d",
-			got, next, before[51].Tail, before[51].Length+1)
 	}
 }
 
@@ -525,15 +448,11 @@ func TestRecycleReusesFreedChunks(t *testing.T) {
 		t.Errorf("recycled %d chunks over 4 rounds, want ≥4", got)
 	}
 	// The full history is still replayable across all those boundaries.
-	ci, ok := m.ChainHead(5)
-	if !ok {
-		t.Fatal("chain summary lost")
-	}
-	chain, err := m.WalkPageChain(ci.Head, page.ZeroLSN, 5)
+	chain, err := m.WalkPageChain(prev, page.ZeroLSN, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(chain)) != ci.Length || len(chain) != 160 {
-		t.Errorf("replayed %d records, summary says %d, wrote 160", len(chain), ci.Length)
+	if len(chain) != 160 {
+		t.Errorf("replayed %d records, wrote 160", len(chain))
 	}
 }

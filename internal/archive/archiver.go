@@ -348,13 +348,3 @@ func (r *Reader) WalkChain(start, stopAfter page.LSN, pageID page.ID) ([]*wal.Re
 func (r *Reader) ScanLSN(lo, hi page.LSN, fn func(*wal.Record) bool) error {
 	return r.retry(func() error { return r.s.ScanLSN(lo, hi, fn) })
 }
-
-// PageHead implements wal.ArchiveReader.
-func (r *Reader) PageHead(id page.ID) (head, tail page.LSN, length int64, ok bool) {
-	return r.s.PageHead(id)
-}
-
-// PageHeads implements wal.ArchiveReader.
-func (r *Reader) PageHeads(fn func(id page.ID, head, tail page.LSN, length int64) bool) {
-	r.s.PageHeads(fn)
-}

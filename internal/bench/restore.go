@@ -115,7 +115,7 @@ func firstReadLatency(b *testing.B, full bool) float64 {
 
 // parallelRedoDrain measures the bulk redo drain after an instant
 // restart at the scheduler level: a backlog of per-page redo tickets —
-// cost-ordered by chain length, exactly how Restart enqueues its
+// cost-ordered by replay span, exactly how Restart enqueues its
 // needs-redo marks — is drained by the configured worker count, each
 // repair paying repairCost. Redo is partitioned by page, so workers never
 // contend on a ticket. It returns the mean time to drain the backlog.
@@ -134,8 +134,8 @@ func parallelRedoDrain(b *testing.B, workers int) float64 {
 		b.StartTimer()
 		start := time.Now()
 		for i := 1; i <= backlog; i++ {
-			// Chain lengths vary page to page; the scheduler pops the
-			// short chains first.
+			// Replay spans vary page to page; the scheduler pops the
+			// short ones first.
 			sched.Enqueue(page.ID(i), int64(i%17+1))
 		}
 		sched.Drain()

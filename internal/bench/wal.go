@@ -61,9 +61,9 @@ const (
 )
 
 // buildChainLog writes chainPages interleaved chains of chainDepth
-// records each and flushes, returning the manager and the target page for
-// single-chain replays (with its chain head).
-func buildChainLog() (*wal.Manager, page.ID, page.LSN) {
+// records each and flushes, returning the manager and every chain's head:
+// heads[p] is the newest record of page p+1.
+func buildChainLog() (*wal.Manager, []page.LSN) {
 	m := wal.NewManager(iosim.Instant)
 	payload := make([]byte, chainPayload)
 	prev := make([]page.LSN, chainPages)
@@ -82,8 +82,7 @@ func buildChainLog() (*wal.Manager, page.ID, page.LSN) {
 		}
 	}
 	m.FlushAll()
-	target := chainPages / 2
-	return m, page.ID(target + 1), prev[target]
+	return m, prev
 }
 
 // archiveAndRecycle drains the whole flushed log through the real
@@ -109,13 +108,14 @@ func archiveAndRecycle(b *testing.B, m *wal.Manager) {
 // through the live log, archived=true reads the page's span of the sorted
 // archive runs after every live segment has been recycled.
 func chainReplay(b *testing.B, archived bool) float64 {
-	m, target, head := buildChainLog()
+	m, heads := buildChainLog()
 	if archived {
 		archiveAndRecycle(b, m)
 	}
+	target := chainPages / 2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		recs, err := m.WalkPageChain(head, 0, target)
+		recs, err := m.WalkPageChain(heads[target], 0, page.ID(target+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,27 +129,15 @@ func chainReplay(b *testing.B, archived bool) float64 {
 // mediaRestoreReplay measures replaying every page's chain, the work a
 // device-failure restore does for its whole page set.
 func mediaRestoreReplay(b *testing.B, archived bool) float64 {
-	m, _, _ := buildChainLog()
+	m, heads := buildChainLog()
 	if archived {
 		archiveAndRecycle(b, m)
-	}
-	type chain struct {
-		id   page.ID
-		head page.LSN
-	}
-	var chains []chain
-	m.Chains(func(id page.ID, ci wal.ChainInfo) bool {
-		chains = append(chains, chain{id, ci.Head})
-		return true
-	})
-	if len(chains) != chainPages {
-		b.Fatalf("chain index covers %d pages, want %d", len(chains), chainPages)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		total := 0
-		for _, c := range chains {
-			recs, err := m.WalkPageChain(c.head, 0, c.id)
+		for p, head := range heads {
+			recs, err := m.WalkPageChain(head, 0, page.ID(p+1))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -876,8 +876,8 @@ func (p *Pool) flushFrame(f *frame) error {
 }
 
 // writeBack is the core of a frame flush: WAL force, write target
-// resolution, encode, device write, clean transition, and the
-// completed-write notification — all serialized per frame by flushMu, so
+// resolution, encode, device write, the completed-write notification, and
+// the clean transition — all serialized per frame by flushMu, so
 // the engine sees each page's writes in order. It returns the log records
 // the engine wants appended for this write (the caller appends them,
 // singly or batched) and whether a write actually happened.
@@ -910,19 +910,22 @@ func (p *Pool) writeBack(f *frame) ([]*wal.Record, bool, error) {
 		f.latch.RUnlock()
 		return nil, false, fmt.Errorf("buffer: flush of page %d to slot %d: %w", f.id, dst, err)
 	}
-	p.setClean(f)
-	f.latch.RUnlock()
 	p.stats.writes.Add(1)
 	// Crash point: the page image is on the device but its completed-write
 	// record is not yet logged — the Fig. 12 "page written, PRI update
 	// lost" window.
 	chaos.At("buffer.writeback")
+	// The engine's index learns of the write before the frame turns clean:
+	// a checkpoint that finds the page out of the dirty page table then
+	// snapshots an index that already names this image.
 	var recs []*wal.Record
 	if hooks := p.getHooks(); hooks.CompleteWrite != nil {
 		recs = hooks.CompleteWrite(WriteInfo{
 			Page: f.id, PageLSN: lsn, Dest: dst, Prev: prev, HadPrev: hadPrev,
 		})
 	}
+	p.setClean(f)
+	f.latch.RUnlock()
 	return recs, true, nil
 }
 
@@ -1087,19 +1090,29 @@ func (p *Pool) Evict(id page.ID) error {
 type DirtyPageEntry struct {
 	Page   page.ID
 	RecLSN page.LSN
+	// PageLSN is the frame's page LSN when the row was read: the newest
+	// chain record applied to the page, i.e. its chain head at that moment.
+	PageLSN page.LSN
 }
 
-// DirtyPages returns the current dirty page table, sorted by page ID.
+// DirtyPages returns the current dirty page table, sorted by page ID. Each
+// frame is read under its shared latch (latch, then metaMu — the order
+// MarkDirty and writeBack use): an updater logs its record, applies it and
+// marks the frame dirty under the write latch, so a row can neither miss a
+// page whose record is already in the log nor carry a page LSN from the
+// middle of an update.
 func (p *Pool) DirtyPages() []DirtyPageEntry {
 	var out []DirtyPageEntry
 	for _, s := range p.shards {
 		s.frames.Range(func(_, v any) bool {
 			f := v.(*frame)
+			f.latch.RLock()
 			f.metaMu.Lock()
 			if f.dirty {
-				out = append(out, DirtyPageEntry{Page: f.id, RecLSN: f.recLSN})
+				out = append(out, DirtyPageEntry{Page: f.id, RecLSN: f.recLSN, PageLSN: f.pg.LSN()})
 			}
 			f.metaMu.Unlock()
+			f.latch.RUnlock()
 			return true
 		})
 	}
@@ -1141,8 +1154,16 @@ func (p *Pool) IsResident(id page.ID) bool {
 
 // IsDirty reports whether page id is resident with unwritten changes.
 // Non-resident pages report false: eviction flushes before dropping the
-// frame, so absence implies the device holds the page's latest image.
+// frame, so absence implies the device holds the page's latest image. The
+// frame is read under its shared latch, like a DirtyPages row: an update
+// whose record is logged but whose frame is not yet marked counts.
 func (p *Pool) IsDirty(id page.ID) bool {
 	v, ok := p.shardOf(id).frames.Load(id)
-	return ok && v.(*frame).isDirty()
+	if !ok {
+		return false
+	}
+	f := v.(*frame)
+	f.latch.RLock()
+	defer f.latch.RUnlock()
+	return f.isDirty()
 }

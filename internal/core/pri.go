@@ -157,12 +157,21 @@ type Superseded struct {
 	Ref  BackupRef
 }
 
-// ReplaceRange is SetRange reporting what it replaced: one Superseded per
-// overlapped range, Page being the first page of the overlap. The report
-// is atomic with the update, so a caller that frees the per-page backup
-// copies a full backup supersedes (§5.2.2) cannot miss one installed just
-// before the range.
-func (p *PRI) ReplaceRange(lo, hi page.ID, e Entry) []Superseded {
+// ReplaceRange points every page in [lo, hi] at the backup e names — a full
+// set taken at log position takenAt — and reports what it replaced: one
+// Superseded per overlapped range, Page being the first page of the
+// overlap. The report is atomic with the update, so a caller that frees the
+// per-page backup copies a full backup supersedes (§5.2.2) cannot miss one
+// installed just before the range.
+//
+// A page whose LastLSN is at or above takenAt — the next record's LSN when
+// the backup began — keeps it: that write carries an update logged after
+// the backup began, so the set's image of the page may be older, and
+// resetting the LSN would declare the image current — the page's next
+// recovery would silently stop short. Every other page takes e.LastLSN
+// (zero: not updated since the backup), which is what lets one range cover
+// the database.
+func (p *PRI) ReplaceRange(lo, hi page.ID, e Entry, takenAt page.LSN) []Superseded {
 	if hi < lo {
 		panic(fmt.Sprintf("pri: ReplaceRange %d > %d", lo, hi))
 	}
@@ -170,10 +179,17 @@ func (p *PRI) ReplaceRange(lo, hi page.ID, e Entry) []Superseded {
 	defer p.mu.Unlock()
 	i, j := p.overlap(lo, hi)
 	old := make([]Superseded, 0, j-i)
+	var kept []rng
 	for _, r := range p.ranges[i:j] {
 		old = append(old, Superseded{Page: max(r.lo, lo), Ref: r.e.Backup})
+		if r.e.LastLSN >= takenAt {
+			kept = append(kept, rng{max(r.lo, lo), min(r.hi, hi), Entry{Backup: e.Backup, LastLSN: r.e.LastLSN}})
+		}
 	}
 	p.setRangeLocked(lo, hi, e)
+	for _, k := range kept {
+		p.setRangeLocked(k.lo, k.hi, k.e)
+	}
 	return old
 }
 

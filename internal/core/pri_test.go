@@ -104,7 +104,7 @@ func TestReplaceRangeReportsWhatItReplaced(t *testing.T) {
 	p.SetRange(1, 100, fullEntry(1, 10))
 	pageCopy := BackupRef{Kind: BackupPage, Loc: 999, AsOf: 20}
 	p.Set(50, Entry{Backup: pageCopy, LastLSN: 30})
-	got := p.ReplaceRange(40, 200, fullEntry(2, 0))
+	got := p.ReplaceRange(40, 200, fullEntry(2, 0), 31)
 	want := []Superseded{
 		{Page: 40, Ref: fullEntry(1, 10).Backup},
 		{Page: 50, Ref: pageCopy},
@@ -124,8 +124,35 @@ func TestReplaceRangeReportsWhatItReplaced(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Error(err)
 	}
-	if got := p.ReplaceRange(300, 310, fullEntry(3, 0)); len(got) != 0 {
+	if got := p.ReplaceRange(300, 310, fullEntry(3, 0), 31); len(got) != 0 {
 		t.Errorf("ReplaceRange over unmapped pages reported %+v", got)
+	}
+}
+
+// TestReplaceRangeKeepsWritesNewerThanTheBackup: a page written after the
+// backup began keeps its LastLSN under the new reference — its image in the
+// set may predate that write — and every other page is reset, so the range
+// still compresses.
+func TestReplaceRangeKeepsWritesNewerThanTheBackup(t *testing.T) {
+	p := NewPRI()
+	p.SetRange(1, 100, fullEntry(1, 0))
+	for id, lsn := range map[page.ID]page.LSN{10: 400, 20: 499, 30: 500, 31: 900} {
+		if _, err := p.SetLastLSN(id, lsn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.ReplaceRange(1, 100, fullEntry(2, 0), 500)
+	for id, want := range map[page.ID]page.LSN{5: 0, 10: 0, 20: 0, 30: 500, 31: 900, 100: 0} {
+		e, err := p.Get(id)
+		if err != nil || e.Backup.Loc != 2 || e.LastLSN != want {
+			t.Errorf("Get(%d) = %+v, %v; want set 2, LastLSN %d", id, e, err, want)
+		}
+	}
+	if p.RangeCount() != 4 { // [1,29] 30 31 [32,100]
+		t.Errorf("RangeCount = %d, want 4", p.RangeCount())
+	}
+	if err := p.Validate(); err != nil {
+		t.Error(err)
 	}
 }
 

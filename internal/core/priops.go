@@ -81,9 +81,10 @@ func EncodeSetBackup(ref BackupRef) []byte {
 	return buf
 }
 
-// EncodeSetRange builds a PRIOpSetRange payload covering [lo, hi].
-func EncodeSetRange(lo, hi page.ID, e Entry) []byte {
-	buf := make([]byte, 1+8+8+1+8+8+8)
+// EncodeSetRange builds a PRIOpSetRange payload covering [lo, hi]: the
+// arguments of the PRI.ReplaceRange call it describes.
+func EncodeSetRange(lo, hi page.ID, e Entry, takenAt page.LSN) []byte {
+	buf := make([]byte, setRangeBytes)
 	buf[0] = byte(PRIOpSetRange)
 	binary.LittleEndian.PutUint64(buf[1:], uint64(lo))
 	binary.LittleEndian.PutUint64(buf[9:], uint64(hi))
@@ -91,8 +92,11 @@ func EncodeSetRange(lo, hi page.ID, e Entry) []byte {
 	binary.LittleEndian.PutUint64(buf[18:], e.Backup.Loc)
 	binary.LittleEndian.PutUint64(buf[26:], uint64(e.Backup.AsOf))
 	binary.LittleEndian.PutUint64(buf[34:], uint64(e.LastLSN))
+	binary.LittleEndian.PutUint64(buf[42:], uint64(takenAt))
 	return buf
 }
+
+const setRangeBytes = 1 + 8 + 8 + 1 + 8 + 8 + 8 + 8
 
 // EncodeDrop builds a PRIOpDrop payload.
 func EncodeDrop() []byte {
@@ -137,11 +141,16 @@ func ApplyPRIRecord(pri *PRI, pmap PageMapper, rec *wal.Record) error {
 		if err != nil {
 			return err
 		}
-		if _, err := pri.SetLastLSN(rec.PageID, wc.PageLSN); err != nil {
+		if e, err := pri.SetLastLSN(rec.PageID, wc.PageLSN); err != nil {
 			// A page can be written before any backup exists for it
 			// (e.g. PRI disabled at allocation time); track it with
 			// an empty backup so at least the LSN cross-check works.
 			pri.Set(rec.PageID, Entry{LastLSN: wc.PageLSN})
+		} else if e.LastLSN > wc.PageLSN {
+			// The index already knows a newer write of the page — this
+			// record is replayed over a snapshot taken after it, or was
+			// delivered late — so the slot it names is the page's no more.
+			return nil
 		}
 		if pmap != nil {
 			if err := pmap.EnsureMapping(rec.PageID, wc.Dest); err != nil {
@@ -163,11 +172,14 @@ func ApplyPRIRecord(pri *PRI, pmap PageMapper, rec *wal.Record) error {
 		}
 		return nil
 	case PRIOpSetRange:
-		if len(payload) != 42 {
+		if len(payload) != setRangeBytes {
 			return fmt.Errorf("%w: set-range, %d bytes", ErrBadPRIRecord, len(payload))
 		}
 		lo := page.ID(binary.LittleEndian.Uint64(payload[1:]))
 		hi := page.ID(binary.LittleEndian.Uint64(payload[9:]))
+		if hi < lo {
+			return fmt.Errorf("%w: set-range [%d,%d]", ErrBadPRIRecord, lo, hi)
+		}
 		e := Entry{
 			Backup: BackupRef{
 				Kind: BackupKind(payload[17]),
@@ -176,7 +188,7 @@ func ApplyPRIRecord(pri *PRI, pmap PageMapper, rec *wal.Record) error {
 			},
 			LastLSN: page.LSN(binary.LittleEndian.Uint64(payload[34:])),
 		}
-		pri.SetRange(lo, hi, e)
+		pri.ReplaceRange(lo, hi, e, page.LSN(binary.LittleEndian.Uint64(payload[42:])))
 		return nil
 	case PRIOpDrop:
 		pri.Drop(rec.PageID)

@@ -182,9 +182,15 @@ func (r *Recoverer) RecoverPage(pageID page.ID) (*page.Page, Report, error) {
 			pageID, base.LSN(), entry.Backup.AsOf)
 	}
 
-	applied, err := ReplayChain(r.log, r.applier, base, entry.LastLSN)
-	if err != nil {
-		return nil, Report{}, r.escalate("%v", err)
+	// An index LSN below the backup's own means "not updated since the
+	// backup" just as zero does (Fig. 7): a full backup resets the LSN of
+	// every page it captured, and a completed-write record delivered late
+	// may be replayed over the reset, naming a write the image already holds.
+	applied := 0
+	if entry.LastLSN > base.LSN() {
+		if applied, err = ReplayChain(r.log, r.applier, base, entry.LastLSN); err != nil {
+			return nil, Report{}, r.escalate("%v", err)
+		}
 	}
 
 	rep := Report{

@@ -288,6 +288,24 @@ func (m *Map) AdoptFresh(id page.ID) {
 	}
 }
 
+// ForgetSlots takes every page off its slot and hands all slots back to
+// the allocator: the device was replaced by an empty one, so no image
+// exists anywhere on it. Pages stay known; WriteTarget binds each anew.
+func (m *Map) ForgetSlots() {
+	for i := range m.stripes {
+		st := &m.stripes[i]
+		st.mu.Lock()
+		for id := range st.m {
+			st.m[id] = noSlot
+		}
+		st.mu.Unlock()
+	}
+	m.allocMu.Lock()
+	m.free = nil
+	m.nextPhys = 0
+	m.allocMu.Unlock()
+}
+
 // FreeSlot returns a physical slot to the free pool (e.g. an old backup
 // copy that a newer backup supersedes, §5.2.2).
 func (m *Map) FreeSlot(s storage.PhysID) error {

@@ -36,12 +36,28 @@ type CheckpointDeps struct {
 	Map  *pagemap.Map
 }
 
-// Checkpoint takes a fuzzy checkpoint: it flushes the pages that were
-// dirty when the checkpoint started (per §5.2.6, deliberately NOT chasing
-// the tail of PRI updates caused by those very flushes), then logs a
-// checkpoint-end record carrying the ATT, the remaining DPT, and snapshots
-// of the page recovery index and page map, forces the log, and updates the
-// master record.
+// Checkpoint takes a fuzzy checkpoint: it logs a begin record, flushes the
+// pages that were dirty when the checkpoint started (per §5.2.6,
+// deliberately NOT chasing the tail of PRI updates caused by those very
+// flushes), then logs a checkpoint-end record carrying the begin LSN, the
+// ATT, the remaining DPT, and snapshots of the page recovery index and page
+// map, forces the log, and updates the master record.
+//
+// The checkpoint is consistent as of its BEGIN record, and analysis scans
+// from there: the snapshots are taken one after another while transactions
+// commit and pages are written, so each describes some moment after the
+// begin record, and every log record from the begin record on is replayed
+// over them (replay is idempotent: index LSNs only rise, a re-registered
+// format record is followed by its own completed write). What the
+// snapshots must guarantee is everything the scan cannot see:
+//
+//   - every chain record below the begin LSN that is not on the device
+//     belongs to a page in the DPT (buffer.Pool.DirtyPages reads each frame
+//     under its latch, so a logged update is never missed), and a page
+//     absent from the DPT has its newest image named by the index snapshot
+//     (write-back tells the index before the frame turns clean);
+//   - no transaction with an end record below the begin LSN is in the ATT
+//     (txn.Manager lays the end record and drops the ATT row in one step).
 //
 // The flush rides the buffer pool's batched write-back path: one log force
 // and one grouped PRI append cover the whole dirty page table, and the
@@ -50,14 +66,23 @@ type CheckpointDeps struct {
 // serialization guarantees no page is written twice for one image), and a
 // page evicted meanwhile was flushed by the eviction.
 //
+// epoch is the log's crash epoch as the caller read it before it checked
+// that its database was open. Both records are appended against it and the
+// master moves only if it still holds: a checkpoint overtaken by a crash
+// must not describe the dead incarnation's pool in the survivor's log. Such
+// a checkpoint returns wal.ErrEpochChanged.
+//
 // The returned CheckpointResult carries, besides the end-record LSN, the
-// checkpoint's redo horizon: the minimum RecLSN over the logged dirty page
-// table, or the end record itself when the DPT drained empty. Restart redo
-// after this checkpoint never reads records below the horizon, which is
-// what lets the log lifecycle recycle live segments beneath it (archived
-// history still serves per-page chain replays).
-func Checkpoint(d CheckpointDeps) (CheckpointResult, error) {
-	d.Log.Append(&wal.Record{Type: wal.TypeCheckpointBegin})
+// checkpoint's redo horizon: the lowest LSN a restart from this checkpoint
+// reads from the live log — the begin record, or the minimum RecLSN over
+// the logged dirty page table when that is lower. That is what lets the
+// log lifecycle recycle live segments beneath it (archived history still
+// serves per-page chain replays).
+func Checkpoint(d CheckpointDeps, epoch uint64) (CheckpointResult, error) {
+	begin, err := d.Log.AppendSince(&wal.Record{Type: wal.TypeCheckpointBegin}, epoch)
+	if err != nil {
+		return CheckpointResult{}, err
+	}
 	dirtyAtStart := d.Pool.DirtyPages()
 	ids := make([]page.ID, len(dirtyAtStart))
 	for i, e := range dirtyAtStart {
@@ -71,17 +96,29 @@ func Checkpoint(d CheckpointDeps) (CheckpointResult, error) {
 	// PREVIOUS master record, replaying across this half-taken checkpoint.
 	chaos.At("recovery.checkpoint")
 	data := checkpointData{
-		att:  d.Txns.Active(),
-		dpt:  d.Pool.DirtyPages(),
-		pri:  d.PRI.Snapshot(),
-		pmap: d.Map.Snapshot(),
+		begin: begin,
+		att:   d.Txns.Active(),
+		dpt:   d.Pool.DirtyPages(),
+		pri:   d.PRI.Snapshot(),
+		pmap:  d.Map.Snapshot(),
 	}
-	end := d.Log.Append(&wal.Record{Type: wal.TypeCheckpointEnd, Payload: encodeCheckpoint(data)})
+	// Crash point: the snapshots are taken, the end record is not laid.
+	// Whatever commits or dirties a page here is in no snapshot and below
+	// the end record — only the scan from the begin record finds it.
+	chaos.At("recovery.checkpoint.snapshot")
+	end, err := d.Log.AppendSince(&wal.Record{Type: wal.TypeCheckpointEnd, Payload: encodeCheckpoint(data)}, epoch)
+	if err != nil {
+		return CheckpointResult{}, err
+	}
 	d.Log.FlushAll()
+	if d.Log.Epoch() != epoch {
+		// The end record may have gone with the volatile tail.
+		return CheckpointResult{}, wal.ErrEpochChanged
+	}
 	d.Log.SetMaster(end)
-	horizon := end
+	horizon := begin
 	for _, e := range data.dpt {
-		if e.RecLSN < horizon {
+		if e.RecLSN != page.ZeroLSN && e.RecLSN < horizon {
 			horizon = e.RecLSN
 		}
 	}
@@ -92,18 +129,19 @@ func Checkpoint(d CheckpointDeps) (CheckpointResult, error) {
 type CheckpointResult struct {
 	// End is the LSN of the checkpoint-end record (the new master).
 	End page.LSN
-	// RedoHorizon is the lowest LSN restart redo can read after restarting
-	// from this checkpoint: min RecLSN over the logged DPT, or End when no
-	// page was dirty.
+	// RedoHorizon is the lowest LSN restart recovery reads from the live
+	// log after restarting from this checkpoint: min RecLSN over the logged
+	// DPT, or the begin record when no dirty page reaches below it.
 	RedoHorizon page.LSN
 }
 
 // checkpointData is the checkpoint-end record contents.
 type checkpointData struct {
-	att  []txn.ActiveEntry
-	dpt  []buffer.DirtyPageEntry
-	pri  []byte
-	pmap []byte
+	begin page.LSN // the checkpoint's begin record: where analysis starts
+	att   []txn.ActiveEntry
+	dpt   []buffer.DirtyPageEntry
+	pri   []byte
+	pmap  []byte
 }
 
 func encodeCheckpoint(c checkpointData) []byte {
@@ -113,6 +151,7 @@ func encodeCheckpoint(c checkpointData) []byte {
 		binary.LittleEndian.PutUint64(t[:], v)
 		buf = append(buf, t[:]...)
 	}
+	put(uint64(c.begin))
 	put(uint64(len(c.att)))
 	for _, e := range c.att {
 		put(uint64(e.ID))
@@ -122,6 +161,7 @@ func encodeCheckpoint(c checkpointData) []byte {
 	for _, e := range c.dpt {
 		put(uint64(e.Page))
 		put(uint64(e.RecLSN))
+		put(uint64(e.PageLSN))
 	}
 	put(uint64(len(c.pri)))
 	buf = append(buf, c.pri...)
@@ -134,55 +174,42 @@ var errBadCheckpoint = errors.New("recovery: corrupt checkpoint record")
 
 func decodeCheckpoint(payload []byte) (checkpointData, error) {
 	var c checkpointData
-	pos := 0
-	get := func() (uint64, bool) {
-		if pos+8 > len(payload) {
-			return 0, false
+	ok := true
+	get := func() uint64 {
+		if len(payload) < 8 {
+			ok = false
+			return 0
 		}
-		v := binary.LittleEndian.Uint64(payload[pos:])
-		pos += 8
-		return v, true
+		v := binary.LittleEndian.Uint64(payload)
+		payload = payload[8:]
+		return v
 	}
-	n, ok := get()
-	if !ok {
-		return c, errBadCheckpoint
-	}
-	for i := uint64(0); i < n; i++ {
-		id, ok1 := get()
-		lsn, ok2 := get()
-		if !ok1 || !ok2 {
-			return c, errBadCheckpoint
+	blob := func() []byte {
+		n := get()
+		if !ok || n > uint64(len(payload)) {
+			ok = false
+			return nil
 		}
-		c.att = append(c.att, txn.ActiveEntry{
-			ID: wal.TxnID(id), LastLSN: page.LSN(lsn), System: txn.IsSystemID(wal.TxnID(id)),
+		b := append([]byte(nil), payload[:n]...)
+		payload = payload[n:]
+		return b
+	}
+	c.begin = page.LSN(get())
+	// A count the payload cannot hold runs out of payload, not of memory:
+	// every row consumes bytes.
+	for n := get(); ok && n > 0; n-- {
+		id, lsn := wal.TxnID(get()), page.LSN(get())
+		c.att = append(c.att, txn.ActiveEntry{ID: id, LastLSN: lsn, System: txn.IsSystemID(id)})
+	}
+	for n := get(); ok && n > 0; n-- {
+		c.dpt = append(c.dpt, buffer.DirtyPageEntry{
+			Page: page.ID(get()), RecLSN: page.LSN(get()), PageLSN: page.LSN(get()),
 		})
 	}
-	n, ok = get()
-	if !ok {
-		return c, errBadCheckpoint
-	}
-	for i := uint64(0); i < n; i++ {
-		id, ok1 := get()
-		lsn, ok2 := get()
-		if !ok1 || !ok2 {
-			return c, errBadCheckpoint
-		}
-		c.dpt = append(c.dpt, buffer.DirtyPageEntry{Page: page.ID(id), RecLSN: page.LSN(lsn)})
-	}
-	n, ok = get()
-	if !ok || pos+int(n) > len(payload) {
-		return c, errBadCheckpoint
-	}
-	c.pri = append([]byte(nil), payload[pos:pos+int(n)]...)
-	pos += int(n)
-	n, ok = get()
-	if !ok || pos+int(n) > len(payload) {
-		return c, errBadCheckpoint
-	}
-	c.pmap = append([]byte(nil), payload[pos:pos+int(n)]...)
-	pos += int(n)
-	if pos != len(payload) {
-		return c, errBadCheckpoint
+	c.pri = blob()
+	c.pmap = blob()
+	if !ok || len(payload) != 0 {
+		return checkpointData{}, errBadCheckpoint
 	}
 	return c, nil
 }

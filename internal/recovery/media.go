@@ -6,23 +6,19 @@ import (
 	"repro/internal/backup"
 	"repro/internal/core"
 	"repro/internal/page"
-	"repro/internal/pagemap"
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
-// MediaDeps is what media recovery needs. Unlike the paper's bulk offline
-// process ("due to the effort of restoring a backup copy, active
-// transactions touching the failed media are aborted", §5.1.3), recovery
-// here only *prepares* the replacement device for instant restore: it
-// rebuilds the page map and a page recovery index that points every page
-// at its backup source and chain head, so each page can be rebuilt
-// on demand — or in the background — by ordinary single-page recovery.
+// MediaDeps is what media recovery needs besides the log analysis. Unlike
+// the paper's bulk offline process ("due to the effort of restoring a
+// backup copy, active transactions touching the failed media are aborted",
+// §5.1.3), recovery here only *prepares* the replacement device for instant
+// restore: every page keeps the backup source and recovery target analysis
+// found for it, so each can be rebuilt on demand — or in the background —
+// by ordinary single-page recovery.
 type MediaDeps struct {
 	Log   *wal.Manager
-	Dev   *storage.Device
 	Store *backup.Store
-	Mode  pagemap.Mode
 }
 
 // MediaReport quantifies one media-recovery preparation.
@@ -36,92 +32,90 @@ type MediaReport struct {
 	// taken; they restore purely from their per-page log chains (the
 	// format record is the backup, §5.2.1).
 	LateBornPages int
-	// ChainRecords is the summed per-page chain length from the log's
-	// chain index — an upper bound on the log records on-demand restore
-	// will replay across all pages.
-	ChainRecords int64
 }
 
-// RecoverMedia prepares a revived (empty) device for instant restore from
-// the full backup set plus the log (§5.1.3, reshaped per Sauer et al.'s
-// instant restore). Where the old bulk procedure restored every image and
-// replayed the whole log forward — O(device) + O(log) before the first
-// read could be served — this preparation is O(pages):
+// PrepareMedia prepares a revived (empty) device for instant restore from
+// the log analysis, the backups that outlived the device, and the log
+// (§5.1.3, reshaped per Sauer et al.'s instant restore). Where the old bulk
+// procedure restored every image and replayed the whole log forward —
+// O(device) + O(log) before the first read could be served — this is the
+// analysis pass plus O(pages) of bookkeeping on what it rebuilt:
 //
-//   - every page in the backup set gets a page-recovery-index entry
-//     pointing at the set (range-compressed) with LastLSN taken from the
-//     log's per-page chain index, so a chain walk seeks straight to the
-//     page's newest record instead of scanning the log tail;
-//   - pages born after the backup (present in the chain index, absent
-//     from the set) get a format-record backup entry;
-//   - every page is bound to a fresh, unwritten device slot. The first
-//     validating read of such a slot fails its in-page checks and routes
-//     into ordinary single-page recovery, which rebuilds the page from
-//     the index entry prepared here — the caller serves reads *during*
-//     restore by scheduling exactly those repairs.
+//   - the analysed index already names each page's backup — a page backup
+//     newer than the set, the set itself, the format record of a page born
+//     after it — and, for a page whose last write completed, its chain
+//     head. Only an entry whose backup went down with the device (a
+//     pre-move data slot) or that never had one is pointed at setID, the
+//     newest full set — or, for a page the set does not hold, at the
+//     format record its chain starts with;
+//   - a page still in the recovery requirements has its expectation raised
+//     to the analysed chain head, as restart preparation does;
+//   - every page is bound to a fresh, unwritten slot ("restoring to
+//     alternative media requires remapping page identifiers", §5.1.3 — the
+//     logical page map does exactly that). The first validating read of
+//     such a slot fails its in-page checks and routes into ordinary
+//     single-page recovery against the entry prepared here — the caller
+//     serves reads *during* restore by scheduling exactly those repairs.
 //
-// The returned map and index are the caller's to wire into a fresh engine;
-// enqueueing the actual repairs is the caller's business — see
+// The analysed map and index, now describing the new device, are the
+// caller's to wire into a fresh engine; the returned pages, each with the
+// log span its replay covers as cost, are its restore backlog — see
 // spf.DB.RecoverMedia.
-func RecoverMedia(d MediaDeps, setID uint64) (*pagemap.Map, *core.PRI, *MediaReport, error) {
+func PrepareMedia(d MediaDeps, a *AnalysisResult, setID uint64) ([]RedoPage, *MediaReport, error) {
 	rep := &MediaReport{}
 	if _, err := d.Store.SetLSN(setID); err != nil {
-		return nil, nil, rep, err
+		return nil, rep, err
 	}
-	ids, err := d.Store.SetPages(setID)
-	if err != nil {
-		return nil, nil, rep, err
-	}
-	pm := pagemap.New(d.Mode, d.Dev.Slots())
-	pri := core.NewPRI()
-
-	// "Restoring to alternative media requires remapping page identifiers"
-	// (§5.1.3) — the logical page map does exactly that.
-	inSet := make(map[page.ID]bool, len(ids))
-	for _, id := range ids {
-		inSet[id] = true
-		pm.AdoptFresh(id)
-	}
-	if len(ids) > 0 {
-		// One range-compressed entry covers the whole set (§5.2.2).
-		pri.SetRange(ids[0], ids[len(ids)-1], core.Entry{
-			Backup: core.BackupRef{Kind: core.BackupFull, Loc: setID},
-		})
-	}
-
-	// The per-page chain index replaces the forward log scan: it already
-	// knows, for every page, the newest logged record (the recovery
-	// target) and — for pages born after the backup — the format record
-	// that substitutes for a backup copy.
-	d.Log.Chains(func(id page.ID, ci wal.ChainInfo) bool {
-		rep.ChainRecords += ci.Length
-		if inSet[id] {
-			if _, err := pri.SetLastLSN(id, ci.Head); err != nil {
-				pri.Set(id, core.Entry{
-					Backup:  core.BackupRef{Kind: core.BackupFull, Loc: setID},
-					LastLSN: ci.Head,
-				})
+	a.Map.ForgetSlots()
+	var backlog []RedoPage
+	for _, id := range a.Map.Pages() {
+		e, err := a.PRI.Get(id)
+		if err != nil {
+			// Allocated, but its format record never reached the log: no
+			// surviving structure refers to the page.
+			continue
+		}
+		if head, ok := a.Heads[id]; ok {
+			e, _ = a.PRI.SetLastLSN(id, head)
+		}
+		setLSN, inSet := d.Store.SetPageInfo(setID, id)
+		if e.Backup.Kind == core.BackupDataSlot || e.Backup.Kind == core.BackupNone {
+			ref := core.BackupRef{Kind: core.BackupFull, Loc: setID}
+			if !inSet {
+				if ref, err = formatBackup(d.Log, id, e.LastLSN); err != nil {
+					return nil, rep, err
+				}
 			}
-			return true
+			a.PRI.SetBackup(id, ref)
+			e.Backup = ref
 		}
-		pm.AdoptFresh(id)
-		pri.Set(id, core.Entry{
-			Backup:  core.BackupRef{Kind: core.BackupFormat, Loc: uint64(ci.Tail), AsOf: ci.Tail},
-			LastLSN: ci.Head,
-		})
-		rep.LateBornPages++
-		return true
-	})
-
-	// Bind every page to a fresh slot so the validating read path has a
-	// location to fault on: the slot is unwritten, the read returns a
-	// zero image that fails the in-page checks, and the failure routes
-	// into single-page recovery against the entries prepared above.
-	for _, id := range pm.Pages() {
-		if _, _, _, err := pm.WriteTarget(id); err != nil {
-			return nil, nil, rep, fmt.Errorf("recovery: binding slot for page %d: %w", id, err)
+		if !inSet {
+			rep.LateBornPages++
 		}
-		rep.PagesRestored++
+		if _, _, _, err := a.Map.WriteTarget(id); err != nil {
+			return nil, rep, fmt.Errorf("recovery: binding slot for page %d: %w", id, err)
+		}
+		base := e.Backup.AsOf
+		if e.Backup.Kind == core.BackupFull {
+			base = setLSN
+		}
+		backlog = append(backlog, RedoPage{ID: id, Head: e.LastLSN, Cost: max(0, int64(e.LastLSN)-int64(base))})
 	}
-	return pm, pri, rep, nil
+	rep.PagesRestored = len(backlog)
+	return backlog, rep, nil
+}
+
+// formatBackup finds the format record at the root of page id's chain by
+// walking it back from head. Only a page born after the newest full set
+// whose index entry named a pre-move slot of the lost device needs it.
+func formatBackup(log *wal.Manager, id page.ID, head page.LSN) (core.BackupRef, error) {
+	chain, err := log.WalkPageChain(head, page.ZeroLSN, id)
+	if err != nil {
+		return core.BackupRef{}, fmt.Errorf("recovery: seeking format record of page %d: %w", id, err)
+	}
+	if n := len(chain); n == 0 || chain[n-1].Type != wal.TypeFormat {
+		return core.BackupRef{}, fmt.Errorf("recovery: page %d has no backup and its chain from %d does not start with a format record", id, head)
+	}
+	root := chain[len(chain)-1].LSN
+	return core.BackupRef{Kind: core.BackupFormat, Loc: uint64(root), AsOf: root}, nil
 }

@@ -25,7 +25,7 @@ type rig struct {
 	pri  *core.PRI
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	r := &rig{
 		dev:  storage.NewDevice(storage.Config{PageSize: 512, Slots: 1024, Profile: iosim.Instant}),
@@ -54,7 +54,7 @@ func (r *rig) completeWrite(info buffer.WriteInfo) []*wal.Record {
 }
 
 // newRawPage formats a raw page under a committed transaction.
-func (r *rig) newRawPage(t *testing.T) page.ID {
+func (r *rig) newRawPage(t testing.TB) page.ID {
 	t.Helper()
 	tx := r.txns.Begin()
 	id := r.pmap.AllocateLogical()
@@ -83,7 +83,7 @@ func (r *rig) newRawPage(t *testing.T) page.ID {
 }
 
 // update applies a committed raw-set to the page.
-func (r *rig) update(t *testing.T, id page.ID, payload string) {
+func (r *rig) update(t testing.TB, id page.ID, payload string) {
 	t.Helper()
 	tx := r.txns.Begin()
 	h, err := r.pool.Fetch(id)
@@ -110,11 +110,11 @@ func (r *rig) update(t *testing.T, id page.ID, payload string) {
 	}
 }
 
-func (r *rig) checkpoint(t *testing.T) {
+func (r *rig) checkpoint(t testing.TB) {
 	t.Helper()
 	if _, err := Checkpoint(CheckpointDeps{
 		Log: r.log, Pool: r.pool, Txns: r.txns, PRI: r.pri, Map: r.pmap,
-	}); err != nil {
+	}, r.log.Epoch()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -467,7 +467,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	open := r.txns.Begin() // active at checkpoint
 	res, err := Checkpoint(CheckpointDeps{
 		Log: r.log, Pool: r.pool, Txns: r.txns, PRI: r.pri, Map: r.pmap,
-	})
+	}, r.log.Epoch())
 	if err != nil {
 		t.Fatal(err)
 	}

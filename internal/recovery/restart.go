@@ -3,6 +3,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/backup"
@@ -16,34 +17,49 @@ import (
 
 // AnalysisResult is the outcome of the log-analysis pass (Fig. 12, first
 // two rows): the loser transactions, the recovery requirements (dirty page
-// table), and the reconstructed page recovery index and page map.
+// table), and the reconstructed page recovery index and page map. It is
+// the one source of a page's recovery target: a page whose last write
+// completed has it in PRI (LastLSN), a page still in the recovery
+// requirements has it in Heads.
 type AnalysisResult struct {
-	// CheckpointLSN is the checkpoint the analysis started from
-	// (ZeroLSN when the log has no completed checkpoint).
+	// CheckpointLSN is the end record of the checkpoint the analysis
+	// started from (ZeroLSN when the log has no completed checkpoint).
 	CheckpointLSN page.LSN
 	// Losers maps in-flight transactions to the head of their chains.
 	Losers map[wal.TxnID]page.LSN
 	// DPT maps pages that may need redo to their earliest required LSN.
 	DPT map[page.ID]page.LSN
+	// Heads maps every DPT page to its chain head: the newest update, CLR
+	// or format record the log holds for it — the LSN the page must reach.
+	Heads map[page.ID]page.LSN
 	// PRI and Map are rebuilt from the checkpoint snapshots plus the
 	// PRI update records that followed.
 	PRI *core.PRI
 	Map *pagemap.Map
-	// PagesScanned counts log records visited (analysis reads only the
+	// RecordsScanned counts log records visited (analysis reads only the
 	// log, no data pages — §5.1.2).
 	RecordsScanned int
 }
 
-// Analyze runs the log-analysis pass from the most recent checkpoint. It
-// reads only the log. slotCount sizes the reconstructed page map.
+// Analyze runs the log-analysis pass from the most recent checkpoint's
+// begin record (see Checkpoint for why the begin record, and what the
+// snapshots guarantee below it). It reads only the log. slotCount sizes the
+// reconstructed page map.
 func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 	res := &AnalysisResult{
 		Losers: make(map[wal.TxnID]page.LSN),
 		DPT:    make(map[page.ID]page.LSN),
+		Heads:  make(map[page.ID]page.LSN),
 	}
 	start := wal.FirstLSN()
 	res.PRI = core.NewPRI()
 	res.Map = pagemap.New(pagemap.InPlace, slotCount)
+
+	// pending tracks, per page, the LSNs of updates not yet confirmed
+	// written; a write-complete record confirms everything at or below
+	// its recorded PageLSN. heads tracks each page's newest chain record.
+	pending := make(map[page.ID][]page.LSN)
+	heads := make(map[page.ID]page.LSN)
 
 	if master := log.Master(); master != page.ZeroLSN {
 		rec, err := log.Read(master)
@@ -61,7 +77,13 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 			res.Losers[e.ID] = e.LastLSN
 		}
 		for _, e := range ck.dpt {
-			res.DPT[e.Page] = e.RecLSN
+			// A frame born dirty whose format record was not logged yet
+			// has no RecLSN: the record, if it was ever laid, lies above
+			// the begin LSN and the scan meets it.
+			if e.RecLSN != page.ZeroLSN {
+				pending[e.Page] = []page.LSN{e.RecLSN}
+				heads[e.Page] = e.PageLSN
+			}
 		}
 		pri, err := core.RestorePRI(ck.pri)
 		if err != nil {
@@ -74,15 +96,7 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 		}
 		res.Map = pm
 		res.CheckpointLSN = master
-		start = master
-	}
-
-	// pending tracks, per page, the LSNs of updates not yet confirmed
-	// written; a write-complete record confirms everything at or below
-	// its recorded PageLSN.
-	pending := make(map[page.ID][]page.LSN)
-	for p, rec := range res.DPT {
-		pending[p] = []page.LSN{rec}
+		start = ck.begin
 	}
 
 	err := log.Scan(start, func(rec *wal.Record) bool {
@@ -92,11 +106,13 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 			res.Losers[rec.Txn] = rec.LSN
 			if rec.PageID != page.InvalidID {
 				pending[rec.PageID] = append(pending[rec.PageID], rec.LSN)
+				heads[rec.PageID] = rec.LSN
 			}
 		case wal.TypeFormat:
 			res.Losers[rec.Txn] = rec.LSN
 			res.Map.AdoptFresh(rec.PageID)
 			pending[rec.PageID] = append(pending[rec.PageID], rec.LSN)
+			heads[rec.PageID] = rec.LSN
 			// A format record is self-registering: it is the page's
 			// backup until something better comes along (§5.2.1).
 			res.PRI.Set(rec.PageID, core.Entry{
@@ -134,10 +150,10 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 		return nil, err
 	}
 
-	res.DPT = make(map[page.ID]page.LSN)
 	for p, lsns := range pending {
 		if len(lsns) > 0 {
-			res.DPT[p] = lsns[0]
+			res.DPT[p] = slices.Min(lsns)
+			res.Heads[p] = heads[p]
 		}
 	}
 	return res, nil
@@ -151,9 +167,9 @@ type RedoPage struct {
 	// Head is the page's newest surviving log record — the LSN the page
 	// must reach before it may serve reads.
 	Head page.LSN
-	// ChainLen is the page's full chain length from the log's chain
-	// index — the scheduler's cost estimate (shorter chains first).
-	ChainLen int64
+	// Cost is the log span the replay covers, Head minus the page's first
+	// unwritten record: the scheduler's estimate (shorter spans first).
+	Cost int64
 }
 
 // PrepReport quantifies an instant-restart preparation.
@@ -165,61 +181,44 @@ type PrepReport struct {
 	// NeverWritten counts marked pages that never reached the device
 	// before the crash; they rebuild purely from their log chains.
 	NeverWritten int
-	// ChainRecords is the summed chain length over all marked pages —
-	// an upper bound on the records on-demand redo will replay.
-	ChainRecords int64
 }
 
-// PrepareRedo reshapes the redo pass the way RecoverMedia reshaped media
+// PrepareRedo reshapes the redo pass the way PrepareMedia reshapes media
 // recovery (instant restore, Sauer et al.): instead of a forward log scan
 // that reads and replays every dirty page before the first transaction
 // can run, preparation is O(active pages). For every page in the
-// recovery requirements it raises the page recovery index expectation to
-// the page's chain head — taken from the log's per-page chain index,
-// which survives Crash — so the first validating read of a stale on-disk
-// image fails the PageLSN cross-check and routes into per-page redo,
-// exactly as a lost write would. Pages that never reached the device are
-// bound to fresh unwritten slots (the zero image fails the in-page
-// checks) and given their format record as backup.
+// recovery requirements it raises the analysed page recovery index's
+// expectation to the page's analysed chain head, so the first validating
+// read of a stale on-disk image fails the PageLSN cross-check and routes
+// into per-page redo, exactly as a lost write would. Pages that never
+// reached the device are bound to fresh unwritten slots (the zero image
+// fails the in-page checks); their format record, which analysis or the
+// checkpoint's index snapshot registered, is their backup.
 //
 // The caller owns scheduling: it marks each returned page needs-redo and
 // enqueues its repair with the background scheduler; a foreground fetch
 // replays the page itself and pays only its own chain (spf.DB.Restart).
-func PrepareRedo(log *wal.Manager, pm *pagemap.Map, pri *core.PRI, a *AnalysisResult) ([]RedoPage, *PrepReport, error) {
+func PrepareRedo(a *AnalysisResult) ([]RedoPage, *PrepReport, error) {
 	rep := &PrepReport{}
 	marks := make([]RedoPage, 0, len(a.DPT))
-	for id := range a.DPT {
-		ci, ok := log.ChainHead(id)
-		if !ok {
-			// Every recovery requirement stems from a surviving chain
-			// record (updates, CLRs, and formats are all indexed at
-			// append and the index is rolled back in lockstep with the
-			// log's crash truncation), so a missing chain is corruption
-			// of the preparation inputs, not a recoverable state.
-			return nil, nil, fmt.Errorf("recovery: page %d needs redo but has no chain-index entry", id)
+	for id, recLSN := range a.DPT {
+		head := a.Heads[id]
+		if _, err := a.PRI.SetLastLSN(id, head); err != nil {
+			// No backup is known for the page; the expectation alone still
+			// makes a stale image fail its read instead of serving it.
+			a.PRI.Set(id, core.Entry{LastLSN: head})
 		}
-		if _, err := pri.SetLastLSN(id, ci.Head); err != nil {
-			// No index entry: the page was born after the last backup
-			// and checkpoint. Its format record — the chain tail — is
-			// its backup (§5.2.1), matching what analysis registers when
-			// it sees the format itself.
-			pri.Set(id, core.Entry{
-				Backup:  core.BackupRef{Kind: core.BackupFormat, Loc: uint64(ci.Tail), AsOf: ci.Tail},
-				LastLSN: ci.Head,
-			})
-		}
-		if _, written := pm.Lookup(id); !written {
+		if _, written := a.Map.Lookup(id); !written {
 			// Bind a fresh slot so the validating read path has a
 			// location to fault on (the unwritten slot reads as a zero
 			// image and fails the in-page checks).
-			pm.AdoptFresh(id)
-			if _, _, _, err := pm.WriteTarget(id); err != nil {
+			a.Map.AdoptFresh(id)
+			if _, _, _, err := a.Map.WriteTarget(id); err != nil {
 				return nil, nil, fmt.Errorf("recovery: binding slot for never-written page %d: %w", id, err)
 			}
 			rep.NeverWritten++
 		}
-		marks = append(marks, RedoPage{ID: id, Head: ci.Head, ChainLen: ci.Length})
-		rep.ChainRecords += ci.Length
+		marks = append(marks, RedoPage{ID: id, Head: head, Cost: int64(head - recLSN)})
 	}
 	rep.PagesMarked = len(marks)
 	return marks, rep, nil

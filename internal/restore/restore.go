@@ -12,9 +12,9 @@
 //   - one ticket per page: a second request for a queued page joins the
 //     ticket (it coalesces) and shares its future, so every requester
 //     observes the one repair's outcome;
-//   - cost order: callers that know how expensive a repair will be (the
-//     WAL chain index tracks every page's chain length) enqueue with that
-//     cost, and workers pop shorter chains first — shortest-job-first
+//   - cost order: callers that know how expensive a repair will be (a
+//     recovery knows the log span each page's replay covers) enqueue with
+//     that cost, and workers pop shorter replays first — shortest-job-first
 //     shrinks the vulnerability window, since more pages leave the
 //     unrecovered state per unit of repair work; equal costs are FIFO;
 //   - a reader can get there first: when a read repairs a page whose ticket
@@ -148,7 +148,7 @@ const (
 // ticket is one page's pending repair.
 type ticket struct {
 	id       page.ID
-	cost     int64  // estimated repair cost (chain length); 0 = unknown
+	cost     int64  // estimated repair cost (log span of the replay); 0 = unknown
 	seq      uint64 // FIFO tiebreak among equal costs
 	state    int
 	idx      int // position in the ready heap (state == qReady)
@@ -274,8 +274,8 @@ func (s *Scheduler) completeLocked(t *ticket, err error) {
 }
 
 // Enqueue schedules a repair of page id and returns the page's repair
-// future. cost estimates the repair — typically the page's WAL chain
-// length, zero when unknown — and workers pop cheaper tickets first
+// future. cost estimates the repair — typically the log span the page's
+// replay covers, zero when unknown — and workers pop cheaper tickets first
 // (shortest-job-first: the unrecovered-page count falls as fast as
 // possible). If the page is already scheduled the existing ticket is
 // shared (the request coalesces); it never raises the ticket's cost, and

@@ -38,11 +38,9 @@ func RegisterEngineCollector(reg *metrics.Registry, db *spf.DB) {
 		e.Counter("spf_wal_forced_commits_total", "Commit-triggered log forces.", float64(m.Log.ForcedCommits))
 		e.Counter("spf_wal_group_commit_batches_total", "Group-commit flush batches.", float64(m.Log.GroupCommitBatches))
 		e.Counter("spf_wal_group_commit_waiters_total", "Commits served by group-commit batches.", float64(m.Log.GroupCommitWaiters))
-		e.Gauge("spf_wal_chain_pages", "Pages tracked by the per-page log-chain index.", float64(m.Log.ChainPages))
 		e.Gauge("spf_wal_live_segments", "Chunks currently backing the live log buffer.", float64(m.Log.LiveSegments))
 		e.Counter("spf_wal_recycled_segments_total", "Live log chunks recycled behind the truncation horizon.", float64(m.Log.RecycledSegments))
 		e.Gauge("spf_wal_truncated_lsn", "Recycling boundary: records below it are served from the archive.", float64(m.Log.TruncatedLSN))
-		e.Counter("spf_wal_chain_pruned_total", "Chain-index entries pruned to archived-run summaries.", float64(m.Log.ChainEntriesPruned))
 		e.Counter("spf_wal_archive_reads_total", "Log reads served by the archive fallback.", float64(m.Log.ArchiveReads))
 
 		e.Gauge("spf_archive_runs", "Archived runs currently retained.", float64(m.Archive.Runs))

@@ -128,6 +128,12 @@ type Txn struct {
 	// Adopted losers carry ZeroLSN (their first record is unknown), which
 	// conservatively blocks archive release while they roll back.
 	beginLSN page.LSN
+	// ended is set, under the manager's mutex, in the step that lays the
+	// transaction's end record: from then on it is no row of the ATT. A
+	// user commit stays in the table until its force returns, because until
+	// then a crash can still make it a loser whose undo the archive release
+	// floor (OldestActiveBeginLSN) must keep readable.
+	ended bool
 }
 
 // Begin starts a user transaction.
@@ -244,23 +250,20 @@ func (t *Txn) Commit() error {
 	if t.system {
 		typ = wal.TypeSysCommit
 	}
-	rec := &wal.Record{Type: typ, Txn: t.id, PrevLSN: t.LastLSN()}
-	lsn, err := t.mgr.log.AppendSince(rec, t.epoch)
+	lsn, err := t.end(typ)
 	if err != nil {
 		// A crash since Begin: the commit record was never laid, so the
 		// transaction's fate is decided — lost — and the caller must be
 		// able to match that, not only the append's epoch error.
 		return fmt.Errorf("txn %d commit not durable: %w: %w", t.id, wal.ErrCommitLost, err)
 	}
-	t.lastLSN.Store(uint64(lsn))
 	if !t.system {
 		// The force coalesces with concurrent commits behind the log flush
-		// in progress. A crash that leaves the commit unprovable
-		// surfaces here; the transaction stays active, and restart
-		// decides its fate — usually rolled back as a loser, but a
-		// commit record that reached stable storage before the crash is
-		// replayed, so callers must consult post-restart state before
-		// retrying.
+		// in progress. A crash that leaves the commit unprovable surfaces
+		// here, and restart decides the transaction's fate — usually rolled
+		// back as a loser, but a commit record that reached stable storage
+		// before the crash is replayed, so callers must consult
+		// post-restart state before retrying.
 		if err := t.mgr.log.ForceForCommitSince(lsn, t.epoch); err != nil {
 			return fmt.Errorf("txn %d commit not durable: %w", t.id, err)
 		}
@@ -277,6 +280,27 @@ func (t *Txn) Commit() error {
 	return nil
 }
 
+// end lays the transaction's end record (commit, sys-commit or abort) and
+// takes the transaction out of the ATT in one step under the manager's
+// mutex. A checkpoint's Active() therefore never lists a transaction whose
+// end record is already in the log: analysis starts at the checkpoint's
+// begin record and would not meet that end record again, so it would roll
+// an acknowledged commit back. The order is record first, mark second,
+// inside one critical section — a mark set ahead of the append would hide a
+// real loser if the crash fell between the two.
+func (t *Txn) end(typ wal.RecType) (page.LSN, error) {
+	t.mgr.mu.Lock()
+	defer t.mgr.mu.Unlock()
+	rec := &wal.Record{Type: typ, Txn: t.id, PrevLSN: t.LastLSN()}
+	lsn, err := t.mgr.log.AppendSince(rec, t.epoch)
+	if err != nil {
+		return 0, err
+	}
+	t.lastLSN.Store(uint64(lsn))
+	t.ended = true
+	return lsn, nil
+}
+
 // Abort rolls the transaction back: it walks the per-transaction chain
 // backwards, invoking the registered Undoer for every update record (which
 // performs the logical compensation and logs a CLR), skipping over
@@ -289,12 +313,9 @@ func (t *Txn) Abort() error {
 	if err := t.rollbackTo(page.ZeroLSN); err != nil {
 		return err
 	}
-	rec := &wal.Record{Type: wal.TypeAbort, Txn: t.id, PrevLSN: t.LastLSN()}
-	lsn, err := t.mgr.log.AppendSince(rec, t.epoch)
-	if err != nil {
+	if _, err := t.end(wal.TypeAbort); err != nil {
 		return fmt.Errorf("txn %d abort: %w", t.id, err)
 	}
-	t.lastLSN.Store(uint64(lsn))
 	t.state = Aborted
 	t.mgr.mu.Lock()
 	delete(t.mgr.active, t.id)
@@ -349,12 +370,16 @@ type ActiveEntry struct {
 	System  bool
 }
 
-// Active returns the current active transaction table sorted by ID.
+// Active returns the current active transaction table sorted by ID: every
+// transaction that has not laid its end record yet.
 func (m *Manager) Active() []ActiveEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]ActiveEntry, 0, len(m.active))
 	for _, t := range m.active {
+		if t.ended {
+			continue
+		}
 		out = append(out, ActiveEntry{ID: t.id, LastLSN: t.LastLSN(), System: t.system})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

@@ -2,7 +2,10 @@ package txn
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/iosim"
 	"repro/internal/page"
@@ -363,5 +366,67 @@ func TestCommitRecordAppendAcrossCrashIsCommitLost(t *testing.T) {
 	}
 	if got := log.Stats().ForcedCommits; got != 0 {
 		t.Errorf("forced commits = %d for a commit record that was never laid", got)
+	}
+}
+
+// TestActiveExcludesTransactionsWithAnEndRecord: a checkpoint's ATT must
+// never list a transaction whose commit or abort record is already in the
+// log — analysis starts at the checkpoint's begin record, would not meet
+// that record again, and would undo an acknowledged commit. Committers and
+// aborters run beside a reader of Active(); the last record of every row it
+// returns must not be an end record.
+func TestActiveExcludesTransactionsWithAnEndRecord(t *testing.T) {
+	log, m, _ := newManagers()
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				begin := m.Begin
+				if w == 3 && i%2 == 0 {
+					begin = m.BeginSystem
+				}
+				tx := begin()
+				if _, err := tx.LogUpdate(page.ID(w+1), 0, []byte("x")); err != nil {
+					t.Error(err)
+					return
+				}
+				end := tx.Commit
+				if w == 2 {
+					end = tx.Abort
+				}
+				if err := end(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	rows := 0
+	for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline); {
+		for _, e := range m.Active() {
+			if e.LastLSN == page.ZeroLSN {
+				continue
+			}
+			rec, err := log.Read(e.LastLSN)
+			if err != nil {
+				t.Fatalf("txn %d: reading its last record %d: %v", e.ID, e.LastLSN, err)
+			}
+			switch rec.Type {
+			case wal.TypeCommit, wal.TypeSysCommit, wal.TypeAbort:
+				t.Fatalf("txn %d is in the ATT with its %v record already laid at %d", e.ID, rec.Type, e.LastLSN)
+			}
+			rows++
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if rows == 0 {
+		t.Fatal("the reader never saw an active transaction with a record")
+	}
+	if n := m.ActiveCount(); n != 0 {
+		t.Errorf("%d transactions left in the table after all ended", n)
 	}
 }

@@ -42,24 +42,20 @@
 //   - Crash quiesces in-flight appends, truncates the volatile tail at the
 //     flushed record boundary, and bumps the crash epoch; commits that
 //     cannot prove their records reached stable storage before a crash
-//     report ErrCommitLost instead of lying about durability;
-//   - a per-page log-chain index (ChainHead/Chains) tracks, for every
-//     page, the newest chain record, the format record that started the
-//     chain, and the chain length. It is maintained on every append of a
-//     chain record and rolled back to the truncation boundary inside
-//     Crash, so readers — media recovery seeking each page's chain
-//     without a forward log scan, the restore scheduler estimating
-//     repair cost — never observe an entry dangling above surviving
-//     history.
+//     report ErrCommitLost instead of lying about durability.
+//
+// The manager keeps no per-page state: where a page's chain currently ends
+// is the page recovery index's business, rebuilt after a failure by log
+// analysis (internal/recovery). Nothing here outlives a crash except the
+// flushed bytes and the master pointer.
 //
 // # Log lifecycle
 //
 // The live log is bounded: Recycle truncates the segment buffer below a
 // horizon chosen by the archiver (history must be checkpoint-covered AND
-// durably archived first), returning whole chunks to a free pool and
-// pruning chain-index entries whose history now lives only in the
-// archive. Reads below the truncation boundary — Read, Scan,
-// WalkPageChain, Chains — transparently fall back to the ArchiveReader
+// durably archived first), returning whole chunks to a free pool. Reads
+// below the truncation boundary — Read, Scan, WalkPageChain —
+// transparently fall back to the ArchiveReader
 // installed with SetArchive, where archived history is served from
 // sorted, page-partitioned runs as sequential scans instead of the
 // seek-per-record live path. The manager itself never decides when to
@@ -225,10 +221,6 @@ type ArchiveReader interface {
 	WalkChain(start, stopAfter page.LSN, pageID page.ID) ([]*Record, error)
 	// ScanLSN replays archived records with lo ≤ LSN < hi in LSN order.
 	ScanLSN(lo, hi page.LSN, fn func(*Record) bool) error
-	// PageHead reports the archived chain summary for one page.
-	PageHead(id page.ID) (head, tail page.LSN, length int64, ok bool)
-	// PageHeads visits every archived per-page summary until fn returns false.
-	PageHeads(fn func(id page.ID, head, tail page.LSN, length int64) bool)
 }
 
 // Stats counts log manager activity.
@@ -248,9 +240,6 @@ type Stats struct {
 	// either way, so Appends/BatchAppends is the grouping factor of the
 	// batched write-complete logging.
 	BatchAppends int64
-	// ChainPages is the number of pages currently tracked by the per-page
-	// log-chain index (a gauge, not a cumulative counter).
-	ChainPages int64
 	// LiveSegments is the number of chunks currently backing the live log
 	// (a gauge); RecycledSegments counts chunks recycled over the manager's
 	// lifetime. Their sum times the chunk size is total bytes ever logged,
@@ -260,9 +249,6 @@ type Stats struct {
 	// TruncatedLSN is the recycling boundary: records below it are served
 	// from the archive, not the live buffer.
 	TruncatedLSN page.LSN
-	// ChainEntriesPruned counts chain-index entries dropped by Recycle
-	// because their whole history moved to the archive.
-	ChainEntriesPruned int64
 	// ArchiveReads counts records served by the ArchiveReader fallback.
 	ArchiveReads int64
 }
@@ -276,7 +262,6 @@ type counters struct {
 	commitsServed atomic.Int64
 	batchAppends  atomic.Int64
 	recycled      atomic.Int64
-	pruned        atomic.Int64
 	archiveReads  atomic.Int64
 }
 
@@ -355,32 +340,9 @@ type Manager struct {
 	prevCrashEpoch   uint64
 	prevCrashFlushed int64
 
-	// chains is the per-page log-chain index: page.ID -> *chainEntry,
-	// maintained incrementally on every append of a chain record (update,
-	// CLR, format). Entries are immutable values swapped by CAS; Crash
-	// rolls them back to the truncation boundary (see fixupChains), so the
-	// index is always snapshot-consistent with the surviving log. Media
-	// recovery reads it to seek each page's chain head directly instead of
-	// scanning the whole log forward, and the restore scheduler reads
-	// chain lengths as repair-cost estimates.
-	chains     sync.Map // page.ID -> *chainEntry
-	chainPages atomic.Int64
-
 	master atomic.Int64
 	clock  *iosim.Clock
 	stats  counters
-}
-
-// chainEntry is one immutable per-page chain-index value.
-type chainEntry struct {
-	head   page.LSN // newest chain record for the page
-	tail   page.LSN // oldest (the format record that restarted the chain)
-	length int64    // records on the contiguously observed chain suffix
-	// rooted is true when tail really is the chain's format record. An
-	// entry recreated above a pruned prefix (the prefix lives in the
-	// archive) is not rooted: its true tail and full length come from
-	// merging the archive's per-page summary (see mergedInfo).
-	rooted bool
 }
 
 // archiveHolder wraps the ArchiveReader so it fits an atomic.Pointer.
@@ -406,22 +368,6 @@ func (t *chunkTable) end() int64 { return (t.first + int64(len(t.chunks))) << ch
 // a memclr, so two spares cover a recycle that lands mid-burst; anything
 // beyond that is released to the garbage collector.
 const freePoolCap = 2
-
-// ChainInfo is the exported view of one per-page log-chain index entry.
-type ChainInfo struct {
-	// Head is the LSN of the newest update/CLR/format record naming the
-	// page — the starting point for a per-page chain walk that replays
-	// the page to its latest logged state.
-	Head page.LSN
-	// Tail is the LSN of the oldest record of the current chain, normally
-	// the TypeFormat record that (re)created the page; it substitutes for
-	// a backup when no newer one exists (§5.2.1).
-	Tail page.LSN
-	// Length is the number of records the index observed on the chain —
-	// the repair-cost estimate the restore scheduler orders by. It is exact
-	// while the chain grows contiguously and a lower bound otherwise.
-	Length int64
-}
 
 // NewManager creates an empty log charging I/O against the given profile,
 // with synchronous (non-grouped) commit forces.
@@ -455,11 +401,9 @@ func (m *Manager) Stats() Stats {
 		GroupCommitBatches: m.stats.forcedCommits.Load(),
 		GroupCommitWaiters: m.stats.commitsServed.Load(),
 		BatchAppends:       m.stats.batchAppends.Load(),
-		ChainPages:         m.chainPages.Load(),
 		LiveSegments:       int64(len(m.table().chunks)),
 		RecycledSegments:   m.stats.recycled.Load(),
 		TruncatedLSN:       page.LSN(m.base.Load()),
-		ChainEntriesPruned: m.stats.pruned.Load(),
 		ArchiveReads:       m.stats.archiveReads.Load(),
 	}
 }
@@ -625,10 +569,6 @@ func (m *Manager) append(rec *Record, epoch uint64, check bool) (page.LSN, error
 	} else {
 		rec.LSN = lsn
 		encodeAt(t, start, rec)
-		// Index before publishing: once the quiesce in Crash observes
-		// every reserved range published, every chain record is indexed,
-		// so fixupChains sees a complete picture of the pre-crash tail.
-		m.indexRecord(rec)
 	}
 
 	m.publish(start, end)
@@ -696,7 +636,6 @@ func (m *Manager) AppendBatch(recs []*Record) page.LSN {
 	for _, rec := range recs {
 		rec.LSN = page.LSN(pos)
 		pos += encodeAt(t, pos, rec)
-		m.indexRecord(rec)
 	}
 	m.publish(start, end)
 	m.stats.appends.Add(int64(len(recs)))
@@ -818,158 +757,6 @@ func DecodeRecord(lsn page.LSN, b []byte) (*Record, int, error) {
 		UndoNext:    page.LSN(binary.LittleEndian.Uint64(b[37:])),
 		Payload:     b[headerSize : total-trailerSize],
 	}, total, nil
-}
-
-// indexRecord folds one appended record into the per-page chain index.
-// Only records that live on a per-page chain participate: updates, CLRs,
-// and formats. Appends to the same page are serialized externally (the
-// appender holds the page exclusively), so per-page LSN order is given;
-// the CAS loop only resolves interleaving with Crash fixup and with
-// defensive same-entry races.
-func (m *Manager) indexRecord(rec *Record) {
-	switch rec.Type {
-	case TypeUpdate, TypeCLR, TypeFormat:
-	default:
-		return
-	}
-	if rec.PageID == page.InvalidID {
-		return
-	}
-	for {
-		v, ok := m.chains.Load(rec.PageID)
-		if !ok {
-			// A mid-chain record without its predecessors (PagePrevLSN set
-			// but no entry) is legitimate after Recycle pruned the page's
-			// entry: the prefix lives in the archive, the entry is not
-			// rooted, and mergedInfo completes tail/length from the
-			// archive's per-page summary.
-			ne := &chainEntry{head: rec.LSN, tail: rec.LSN, length: 1,
-				rooted: rec.PagePrevLSN == page.ZeroLSN}
-			if _, loaded := m.chains.LoadOrStore(rec.PageID, ne); !loaded {
-				m.chainPages.Add(1)
-				return
-			}
-			continue
-		}
-		old := v.(*chainEntry)
-		if old.head >= rec.LSN {
-			return // stale delivery; the index already moved past it
-		}
-		var ne *chainEntry
-		if rec.PagePrevLSN == page.ZeroLSN {
-			// A format record restarts the chain: older history is no
-			// longer reachable by a backwards walk from the new head.
-			ne = &chainEntry{head: rec.LSN, tail: rec.LSN, length: 1, rooted: true}
-		} else {
-			ne = &chainEntry{head: rec.LSN, tail: old.tail, length: old.length + 1, rooted: old.rooted}
-		}
-		if m.chains.CompareAndSwap(rec.PageID, v, ne) {
-			return
-		}
-	}
-}
-
-// ChainHead returns the per-page chain-index entry for pageID, merged with
-// the archive's per-page summary when the live entry does not reach the
-// chain's root (or was pruned entirely). ok is false when the page has no
-// chain records in the surviving log or the archive.
-func (m *Manager) ChainHead(pageID page.ID) (ChainInfo, bool) {
-	if v, ok := m.chains.Load(pageID); ok {
-		return m.mergedInfo(pageID, v.(*chainEntry)), true
-	}
-	if ar := m.archiveReader(); ar != nil {
-		if h, t, n, ok := ar.PageHead(pageID); ok {
-			return ChainInfo{Head: h, Tail: t, Length: n}, true
-		}
-	}
-	return ChainInfo{}, false
-}
-
-// mergedInfo completes a live chain entry with the archived prefix the
-// index pruned: an unrooted entry's true tail (the format record) and full
-// length come from the archive's per-page summary.
-func (m *Manager) mergedInfo(id page.ID, e *chainEntry) ChainInfo {
-	ci := ChainInfo{Head: e.head, Tail: e.tail, Length: e.length}
-	if !e.rooted {
-		if ar := m.archiveReader(); ar != nil {
-			if _, t, n, ok := ar.PageHead(id); ok && t < ci.Tail {
-				ci.Tail = t
-				ci.Length = e.length + n
-			}
-		}
-	}
-	return ci
-}
-
-// Chains visits every per-page chain entry until fn returns false: live
-// index entries first (merged with archived prefixes), then archived
-// summaries for pages Recycle pruned out of the live index — so media
-// recovery sees every page with logged history, wherever it lives. The
-// iteration order is unspecified; concurrent appends may or may not be
-// visible, exactly like sync.Map.Range.
-func (m *Manager) Chains(fn func(page.ID, ChainInfo) bool) {
-	live := make(map[page.ID]bool)
-	cont := true
-	m.chains.Range(func(k, v any) bool {
-		id := k.(page.ID)
-		live[id] = true
-		cont = fn(id, m.mergedInfo(id, v.(*chainEntry)))
-		return cont
-	})
-	if !cont {
-		return
-	}
-	if ar := m.archiveReader(); ar != nil {
-		ar.PageHeads(func(id page.ID, h, t page.LSN, n int64) bool {
-			if live[id] {
-				return true
-			}
-			return fn(id, ChainInfo{Head: h, Tail: t, Length: n})
-		})
-	}
-}
-
-// fixupChains rolls the chain index back to the truncation boundary f:
-// every entry whose head lies in the doomed volatile tail is walked
-// backwards (the bytes are still intact — the caller runs this inside
-// Crash after quiescing appenders and readers, before the watermark reset)
-// until the newest surviving record, which becomes the new head. A chain
-// that is entirely volatile loses its entry — the page has no logged
-// history anymore, which matches what any post-crash log scan would find.
-// Idempotent: the Crash CAS loop may run it again after a late publisher
-// extends the pre-crash tail.
-func (m *Manager) fixupChains(f int64) {
-	var rec Record
-	m.chains.Range(func(k, v any) bool {
-		e := v.(*chainEntry)
-		if int64(e.head) < f {
-			return true
-		}
-		id := k.(page.ID)
-		lsn, n := e.head, e.length
-		intact := true
-		for lsn != page.ZeroLSN && int64(lsn) >= f {
-			if _, err := m.decodeAt(lsn, &rec, false); err != nil || rec.PageID != id {
-				intact = false
-				break
-			}
-			lsn = rec.PagePrevLSN
-			if n > 0 {
-				n--
-			}
-		}
-		if !intact || lsn == page.ZeroLSN {
-			if m.chains.CompareAndDelete(k, v) {
-				m.chainPages.Add(-1)
-			}
-			return true
-		}
-		if n < 1 {
-			n = 1
-		}
-		m.chains.CompareAndSwap(k, v, &chainEntry{head: lsn, tail: e.tail, length: n, rooted: e.rooted})
-		return true
-	})
 }
 
 // Flush forces the log up to and including the record at upTo onto stable
@@ -1132,8 +919,7 @@ func (m *Manager) Crash() {
 		runtime.Gosched()
 	}
 	m.flushMu.Lock()
-	// Crash point: the volatile tail is about to be discarded and the
-	// chain index rolled back to the flushed boundary.
+	// Crash point: the volatile tail is about to be discarded.
 	chaos.At("wal.truncate")
 	f := m.flushed.Load()
 	// Record the boundary this crash preserves: commits of the epoch just
@@ -1159,16 +945,8 @@ func (m *Manager) Crash() {
 			// them alone.
 			break
 		}
-		// Roll the chain index back to the truncation boundary while the
-		// doomed bytes are still readable. All reserved ranges are
-		// published (checked above) and every published chain record is
-		// indexed before publication, so the walk sees a complete tail.
-		// If the reserved CAS below loses to a late gate-evading
-		// reservation, the loop retries and fixes up again — fixupChains
-		// is idempotent.
-		m.fixupChains(f)
 		if !m.reserved.CompareAndSwap(r, f) {
-			// A late reservation extended the pre-crash chain between
+			// A late reservation extended the pre-crash tail between
 			// the check and the swap; wait for it to publish and retry.
 			// The truncating gate admits no new appenders, so this
 			// terminates.
@@ -1212,11 +990,9 @@ func (m *Manager) archiveReader() ArchiveReader {
 func (m *Manager) TruncatedLSN() page.LSN { return page.LSN(m.base.Load()) }
 
 // Recycle truncates the live log below upTo: whole chunks that fall under
-// the boundary return to the free pool, and chain-index entries whose
-// entire history lies below it are pruned (the archive's per-page
-// summaries take over for them). upTo must be a record boundary no higher
-// than the durably archived horizon — the caller (the archiver) owns that
-// invariant, combining it with the checkpoint horizon; Recycle itself only
+// the boundary return to the free pool. upTo must be a record boundary no
+// higher than the durably archived horizon — the caller (the archiver) owns
+// that invariant, combining it with the checkpoint horizon; Recycle itself only
 // clamps the boundary to the flushed watermark, so no volatile byte is
 // ever "recycled" (a crash would then need it back). Returns the number of
 // chunks freed.
@@ -1265,28 +1041,21 @@ func (m *Manager) Recycle(upTo page.LSN) int {
 	m.allocMu.Unlock()
 	m.base.Store(newBase)
 	m.stats.recycled.Add(int64(freed))
-	// Prune entries wholly below the boundary before readmitting readers:
-	// a ChainHead between base advance and prune would still be correct
-	// (the live walk falls back to the archive at the boundary), but doing
-	// it inside the gate keeps the index and boundary in one snapshot.
-	m.chains.Range(func(k, v any) bool {
-		if e := v.(*chainEntry); int64(e.head) < newBase {
-			if m.chains.CompareAndDelete(k, v) {
-				m.chainPages.Add(-1)
-				m.stats.pruned.Add(1)
-			}
-		}
-		return true
-	})
 	m.truncating.Store(false)
 	return freed
 }
 
 // SetMaster records the LSN of the most recent checkpoint-end record in the
 // (stable) master location. Callers must flush the checkpoint records first.
+// The master only moves forward: a checkpoint of a dead incarnation that
+// finishes late cannot take it back below its successor's.
 func (m *Manager) SetMaster(lsn page.LSN) {
-	m.master.Store(int64(lsn))
-	m.clock.Random(8) // master record write
+	for cur := m.master.Load(); int64(lsn) > cur; cur = m.master.Load() {
+		if m.master.CompareAndSwap(cur, int64(lsn)) {
+			m.clock.Random(8) // master record write
+			return
+		}
+	}
 }
 
 // Master returns the LSN of the last completed checkpoint's end record, or

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/backup"
 	"repro/internal/btree"
 	"repro/internal/buffer"
 	"repro/internal/chaos"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/page"
 	"repro/internal/recovery"
 	"repro/internal/storage"
-	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -22,6 +20,9 @@ import (
 // checkpoint's redo horizon is pushed to the archiver — the trigger that
 // lets live log segments beneath it recycle once they are archived.
 func (db *DB) Checkpoint() (LSN, error) {
+	// A crash from here on may cut the checkpoint's records out of the log
+	// or lay them into a restarted DB's; the epoch tells (recovery.Checkpoint).
+	epoch := db.log.Epoch()
 	if err := db.opErr(); err != nil {
 		return 0, err
 	}
@@ -31,8 +32,11 @@ func (db *DB) Checkpoint() (LSN, error) {
 	db.ckptMu.Lock()
 	res, err := recovery.Checkpoint(recovery.CheckpointDeps{
 		Log: db.log, Pool: db.pool, Txns: db.txns, PRI: db.pri, Map: db.pmap,
-	})
+	}, epoch)
 	db.ckptMu.Unlock()
+	if errors.Is(err, wal.ErrEpochChanged) {
+		return 0, ErrCrashed
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -111,9 +115,11 @@ func (db *DB) BackupNow() (uint64, BackupReport, error) {
 	rep.Pages = len(ids)
 	for _, id := range ids {
 		if prev != 0 {
-			if prevLSN, ok := db.store.SetPageInfo(prev, id); ok {
-				if e, err := db.pri.Get(id); err == nil &&
-					e.LastLSN <= prevLSN && !db.pool.IsDirty(id) {
+			// Clean first, index second: write-back tells the index before
+			// the frame turns clean, so the LSN read after a clean frame
+			// covers every write the page has had.
+			if prevLSN, ok := db.store.SetPageInfo(prev, id); ok && !db.pool.IsDirty(id) {
+				if e, err := db.pri.Get(id); err == nil && e.LastLSN <= prevLSN {
 					if err := w.AddShared(id, prev); err != nil {
 						return 0, rep, err
 					}
@@ -145,7 +151,7 @@ func (db *DB) BackupNow() (uint64, BackupReport, error) {
 		db.archiver.Kick()
 	}
 	if !db.opts.DisableSinglePageRecovery {
-		if err := db.pointIndexAt(w.SetID(), ids, epoch); err != nil {
+		if err := db.pointIndexAt(w.SetID(), setEnd, ids, epoch); err != nil {
 			return w.SetID(), rep, err
 		}
 	}
@@ -168,8 +174,10 @@ func (db *DB) BackupNow() (uint64, BackupReport, error) {
 // DB is open — may have cut the records out of the volatile tail, or laid
 // them into the log a restarted DB already owns; it is reported as
 // ErrCrashed. The per-page backup copies the ranges supersede are released
-// behind the same records.
-func (db *DB) pointIndexAt(set uint64, ids []page.ID, epoch uint64) error {
+// behind the same records. takenAt is the log position the set was taken at:
+// a page written since keeps its index LSN, for the set's image of it may
+// be older than that write (core.PRI.ReplaceRange).
+func (db *DB) pointIndexAt(set uint64, takenAt page.LSN, ids []page.ID, epoch uint64) error {
 	// Not beside a checkpoint: a snapshot of the index taken before a range
 	// is installed, logged in an end record that follows the range's own
 	// record, would lose the range at restart.
@@ -181,11 +189,11 @@ func (db *DB) pointIndexAt(set uint64, ids []page.ID, epoch uint64) error {
 		for end+1 < len(ids) && ids[end+1] == ids[end]+1 {
 			end++
 		}
-		replaced := db.pri.ReplaceRange(ids[run], ids[end], e)
+		replaced := db.pri.ReplaceRange(ids[run], ids[end], e, takenAt)
 		lsn, err := db.log.AppendSince(&wal.Record{
 			Type:    wal.TypePRIUpdate,
 			PageID:  ids[run],
-			Payload: core.EncodeSetRange(ids[run], ids[end], e),
+			Payload: core.EncodeSetRange(ids[run], ids[end], e, takenAt),
 		}, epoch)
 		if err != nil {
 			return ErrCrashed
@@ -405,89 +413,48 @@ type RestartReport struct {
 // DB. The page recovery index is reconstructed during analysis and
 // repaired during redo exactly per Fig. 12.
 //
-// Redo is reshaped the way RecoverMedia reshaped media recovery: instead
-// of a forward log scan that reads and replays every dirty page before
-// the first transaction can run, preparation is O(active pages)
-// (recovery.PrepareRedo raises each dirty page's recovery-index
-// expectation to its chain head, taken from the log's per-page chain
-// index), every such page is marked needs-redo and enqueued with the
-// repair scheduler — cost-ordered by chain length — and Restart returns
-// before redo completes. The first fetch of a needs-redo page fails the
-// PageLSN cross-check and replays the page's chain itself, there and then
-// (usually just the missing tail on top of the on-disk image), retiring
-// the page's ticket; background workers drain the rest, partitioned by
-// page. DrainRestore is the "bulk redo finished" barrier.
+// Redo is on demand (ARCHITECTURE.md, recovery): recovery.PrepareRedo
+// raises each dirty page's recovery-index expectation to the chain head
+// analysis found for it — O(active pages) — every such page is marked
+// needs-redo and enqueued with the repair scheduler, shortest log span
+// first, and Restart returns before redo completes. The first fetch of a
+// marked page fails the PageLSN cross-check and replays the page's chain
+// itself (usually just the missing tail on top of the on-disk image),
+// retiring its ticket. DrainRestore is the "bulk redo finished" barrier.
 //
-// The synchronous forward-scan redo still runs when the repair scheduler
-// is unavailable (Options.Restore.Disabled, single-page recovery or the
-// PageLSN check disabled) — the on-demand path depends on validating
-// reads to trigger per-page replay.
+// The synchronous forward-scan redo still runs when the on-demand path
+// cannot: it needs validating reads to trigger per-page replay and the
+// scheduler to drain the rest (Options.Restore.Disabled, single-page
+// recovery or the PageLSN check disabled).
 func (db *DB) Restart() (*DB, *RestartReport, error) {
 	start := time.Now()
-	ndb := &DB{
-		opts:         db.opts,
-		dev:          db.dev,
-		store:        db.store,
-		log:          db.log,
-		engines:      make(map[string]Engine),
-		updateCounts: make(map[page.ID]int),
-		backupsDue:   make(map[page.ID]bool),
-	}
-	ndb.txns = txn.NewManager(ndb.log)
-	ndb.txns.SetUndoer(undoer{ndb})
-
-	analysis, err := recovery.Analyze(ndb.log, db.opts.DataSlots)
+	analysis, err := recovery.Analyze(db.log, db.opts.DataSlots)
 	if err != nil {
 		return nil, nil, fmt.Errorf("spf: restart analysis: %w", err)
 	}
-	ndb.pmap = analysis.Map
-	ndb.pri = analysis.PRI
-	ndb.inheritParked(db, true)
-	ndb.res = &backup.Resolver{Store: ndb.store, Log: ndb.log, PageSize: db.opts.PageSize, Data: ndb.dev}
-	ndb.rec = core.NewRecoverer(ndb.log, ndb.pri, ndb.res, applier{})
-
 	rep := &RestartReport{Analysis: *analysis}
-	// On-demand redo needs the validating read path end to end — the
-	// PageLSN cross-check to detect a stale image, the Recover hook to
-	// replay it — and the scheduler to order and drain the backlog.
-	instant := !db.opts.Restore.Disabled && !db.opts.DisableSinglePageRecovery &&
+	rep.OnDemand = !db.opts.Restore.Disabled && !db.opts.DisableSinglePageRecovery &&
 		!db.opts.DisablePageLSNCheck
 	var marks []recovery.RedoPage
-	if instant {
+	if rep.OnDemand {
 		// Preparation mutates the page map and recovery index, so it runs
 		// before the pool exists and any read can fault.
 		var prepRep *recovery.PrepReport
-		marks, prepRep, err = recovery.PrepareRedo(ndb.log, ndb.pmap, ndb.pri, analysis)
+		marks, prepRep, err = recovery.PrepareRedo(analysis)
 		if err != nil {
 			return nil, nil, fmt.Errorf("spf: restart redo prep: %w", err)
 		}
 		rep.Prep = *prepRep
-		rep.OnDemand = true
 	}
-
-	ndb.pool = buffer.NewPool(buffer.Config{
-		Capacity: db.opts.PoolFrames, Device: ndb.dev, Map: ndb.pmap, Log: ndb.log,
-		Hooks: ndb.hooks(),
-	})
-	ndb.startRestore()
-	// The archive survives a crash (it is a durable device): the recovered
-	// DB inherits the store, so pre-crash history stays readable, and
-	// re-archiving after a crash between archive-write and recycle is
-	// idempotent — the store skips records below its durable cursor.
-	ndb.initLifecycle(db)
-	fail := func(err error) (*DB, *RestartReport, error) {
-		ndb.stopRestore()
-		ndb.stopLifecycle()
-		return nil, nil, err
-	}
-
-	if instant {
-		ndb.installRedoMarks(marks)
-		chaos.At("restart.prep")
-		for _, m := range marks {
-			ndb.sched.Enqueue(m.ID, m.ChainLen)
+	ndb := newDB(db.opts, db.dev, db.store, db.log, analysis.Map, analysis.PRI, db)
+	ndb.inheritParked(db, true)
+	rep.Undo, err = ndb.finishRecovery(analysis, func() error {
+		if rep.OnDemand {
+			ndb.installRedoMarks(marks)
+			chaos.At("restart.prep")
+			ndb.enqueueBacklog(marks)
+			return nil
 		}
-	} else {
 		redoRep, err := recovery.Redo(recovery.RedoDeps{
 			Log: ndb.log, Pool: ndb.pool, Map: ndb.pmap, PRI: ndb.pri,
 			Applier: applier{}, PageSize: db.opts.PageSize,
@@ -498,34 +465,58 @@ func (db *DB) Restart() (*DB, *RestartReport, error) {
 				})
 			},
 		}, analysis)
-		if err != nil {
-			return fail(fmt.Errorf("spf: restart redo: %w", err))
-		}
 		rep.Redo = *redoRep
+		return err
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("spf: restart: %w", err)
 	}
+	rep.Duration = time.Since(start)
+	return ndb, rep, nil
+}
 
+// finishRecovery is the tail Restart and RecoverMedia share, run on the DB
+// newDB just built over the analysed map and index. The two differ only in
+// redo — how the pages to bring back are marked and worked off, on demand
+// or before returning. What follows is the same: roll back the losers,
+// reload the catalog, checkpoint, start the background services. On any
+// error the new DB's goroutines are stopped and it is dropped.
+func (db *DB) finishRecovery(a *recovery.AnalysisResult, redo func() error) (recovery.UndoReport, error) {
+	fail := func(err error) (recovery.UndoReport, error) {
+		db.stopRestore()
+		db.stopLifecycle()
+		return recovery.UndoReport{}, err
+	}
+	if err := redo(); err != nil {
+		return fail(fmt.Errorf("redo: %w", err))
+	}
 	// Undo runs while background redo drains: each page a rollback
 	// touches is fetched through the validating pool read, so its redo
 	// completes right there — per page, redo still strictly precedes undo.
-	undoRep, err := recovery.Undo(recovery.UndoDeps{Txns: ndb.txns}, analysis)
+	undoRep, err := recovery.Undo(recovery.UndoDeps{Txns: db.txns}, a)
 	if err != nil {
-		return fail(fmt.Errorf("spf: restart undo: %w", err))
+		return fail(fmt.Errorf("undo: %w", err))
 	}
-	rep.Undo = *undoRep
-
-	if err := ndb.reopenCatalog(); err != nil {
+	if err := db.reopenCatalog(); err != nil {
 		return fail(err)
 	}
 	// The checkpoint snapshots the raised recovery-index expectations, so
 	// a second crash before the drain completes still detects every stale
 	// page on read — the redo then runs from the page's real backup.
-	if _, err := ndb.Checkpoint(); err != nil {
+	if _, err := db.Checkpoint(); err != nil {
 		return fail(err)
 	}
-	ndb.startMaintenance()
-	ndb.startLifecycle()
-	rep.Duration = time.Since(start)
-	return ndb, rep, nil
+	db.startMaintenance()
+	db.startLifecycle()
+	return *undoRep, nil
+}
+
+// enqueueBacklog hands a recovery's pages to the repair scheduler, each
+// with the log span its replay covers as cost.
+func (db *DB) enqueueBacklog(pages []recovery.RedoPage) {
+	for _, p := range pages {
+		db.sched.Enqueue(p.ID, p.Cost)
+	}
 }
 
 // reopenCatalog finds the meta page (the lowest TypeMeta page) and reloads
@@ -589,17 +580,14 @@ type MediaRecoveryReport struct {
 }
 
 // RecoverMedia replaces the failed device and brings the database back
-// from the most recent full backup plus the log (§5.1.3), reshaped as
-// instant restore (Sauer et al.): instead of restoring every image and
-// replaying the whole log before the first read can be served, it
-// prepares the page map and page recovery index (recovery.RecoverMedia,
-// O(pages) — per-page chain heads come from the log's chain index, no
-// forward scan), enqueues every page with the repair scheduler, and
-// returns a usable DB immediately. A read of a not-yet-restored page
-// restores that one page itself — it never queues behind the bulk work —
-// and retires the page's ticket; background workers drain the rest.
-// DrainRestore blocks until bulk restore completes.
-// All transactions that were active at the failure are rolled back.
+// from the backups that outlived it plus the log (§5.1.3), reshaped as
+// instant restore (Sauer et al.): it runs the log analysis a restart runs,
+// points the analysed page map and page recovery index at the new device
+// (recovery.PrepareMedia, O(pages)), enqueues every page with the repair
+// scheduler, and returns a usable DB. A read of a not-yet-restored page
+// restores that one page itself and retires its ticket; background workers
+// drain the rest, and DrainRestore blocks until they have. Transactions
+// active at the failure are rolled back.
 func (db *DB) RecoverMedia() (*DB, *MediaRecoveryReport, error) {
 	start := time.Now()
 	setID := db.store.LatestSet()
@@ -607,77 +595,34 @@ func (db *DB) RecoverMedia() (*DB, *MediaRecoveryReport, error) {
 		return nil, nil, errors.New("spf: no full backup available for media recovery")
 	}
 	db.dev.Revive()
-	ndb := &DB{
-		opts:         db.opts,
-		dev:          db.dev,
-		store:        db.store,
-		log:          db.log,
-		engines:      make(map[string]Engine),
-		updateCounts: make(map[page.ID]int),
-		backupsDue:   make(map[page.ID]bool),
+	analysis, err := recovery.Analyze(db.log, db.opts.DataSlots)
+	if err != nil {
+		return nil, nil, fmt.Errorf("spf: media recovery analysis: %w", err)
 	}
-	ndb.txns = txn.NewManager(ndb.log)
-	ndb.txns.SetUndoer(undoer{ndb})
-	ndb.res = &backup.Resolver{Store: ndb.store, Log: ndb.log, PageSize: db.opts.PageSize, Data: ndb.dev}
-
-	pm, pri, mediaRep, err := recovery.RecoverMedia(recovery.MediaDeps{
-		Log: ndb.log, Dev: ndb.dev, Store: ndb.store, Mode: db.opts.WriteMode,
-	}, setID)
+	backlog, mediaRep, err := recovery.PrepareMedia(recovery.MediaDeps{Log: db.log, Store: db.store}, analysis, setID)
 	if err != nil {
 		return nil, nil, fmt.Errorf("spf: media recovery: %w", err)
 	}
-	ndb.pmap = pm
-	ndb.pri = pri
+	ndb := newDB(db.opts, db.dev, db.store, db.log, analysis.Map, analysis.PRI, db)
 	ndb.inheritParked(db, false)
-	ndb.rec = core.NewRecoverer(ndb.log, ndb.pri, ndb.res, applier{})
-	ndb.pool = buffer.NewPool(buffer.Config{
-		Capacity: db.opts.PoolFrames, Device: ndb.dev, Map: ndb.pmap, Log: ndb.log,
-		Hooks: ndb.hooks(),
-	})
-	ndb.startRestore()
-	ndb.initLifecycle(db)
-	fail := func(err error) (*DB, *MediaRecoveryReport, error) {
-		ndb.stopRestore()
-		ndb.stopLifecycle()
-		return nil, nil, err
-	}
-
-	// The instant-restore shape: every page is queued for background
-	// restore while reads restore what they touch. Without the scheduler
-	// the restore is synchronous (the pre-instant-restore behavior): every
-	// page is repaired before the DB is returned.
-	if ndb.sched != nil {
-		for _, id := range pm.Pages() {
-			ndb.sched.Enqueue(id, ndb.chainCost(id))
+	undoRep, err := ndb.finishRecovery(analysis, func() error {
+		// Without the scheduler every page is repaired before the DB is
+		// returned (the pre-instant-restore behavior).
+		if ndb.sched != nil {
+			ndb.enqueueBacklog(backlog)
+			return nil
 		}
-	} else {
-		for _, id := range pm.Pages() {
-			if err := ndb.performRepair(id); err != nil {
-				return fail(fmt.Errorf("spf: media recovery of page %d: %w", id, err))
+		for _, p := range backlog {
+			if err := ndb.performRepair(p.ID); err != nil {
+				return fmt.Errorf("page %d: %w", p.ID, err)
 			}
 		}
-	}
-
-	// Roll back transactions that were in flight at the failure. Undo
-	// fetches its pages through the validating pool read, so each one it
-	// touches is restored on demand right here.
-	analysis, err := recovery.Analyze(ndb.log, db.opts.DataSlots)
+		return nil
+	})
 	if err != nil {
-		return fail(err)
+		return nil, nil, fmt.Errorf("spf: media recovery: %w", err)
 	}
-	undoRep, err := recovery.Undo(recovery.UndoDeps{Txns: ndb.txns}, analysis)
-	if err != nil {
-		return fail(err)
-	}
-	if err := ndb.reopenCatalog(); err != nil {
-		return fail(err)
-	}
-	if _, err := ndb.Checkpoint(); err != nil {
-		return fail(err)
-	}
-	ndb.startMaintenance()
-	ndb.startLifecycle()
-	rep := &MediaRecoveryReport{Media: *mediaRep, Undo: *undoRep, Duration: time.Since(start)}
+	rep := &MediaRecoveryReport{Media: *mediaRep, Undo: undoRep, Duration: time.Since(start)}
 	return ndb, rep, nil
 }
 

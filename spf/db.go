@@ -192,33 +192,17 @@ func (db *DB) clearRedoMark(id page.ID) {
 // Open creates a fresh database.
 func Open(opts Options) (*DB, error) {
 	opts = opts.withDefaults()
-	db := &DB{
-		opts: opts,
-		dev: storage.NewDevice(storage.Config{
+	db := newDB(opts,
+		storage.NewDevice(storage.Config{
 			PageSize: opts.PageSize, Slots: opts.DataSlots,
 			Profile: opts.DataProfile, Seed: opts.Seed,
 		}),
-		log:          wal.NewManager(opts.LogProfile),
-		pmap:         pagemap.New(opts.WriteMode, opts.DataSlots),
-		pri:          core.NewPRI(),
-		engines:      make(map[string]Engine),
-		updateCounts: make(map[page.ID]int),
-		backupsDue:   make(map[page.ID]bool),
-	}
-	db.store = backup.NewStore(storage.NewDevice(storage.Config{
-		PageSize: opts.PageSize, Slots: opts.BackupSlots,
-		Profile: opts.BackupProfile, Seed: opts.Seed + 1,
-	}))
-	db.txns = txn.NewManager(db.log)
-	db.txns.SetUndoer(undoer{db})
-	db.res = &backup.Resolver{Store: db.store, Log: db.log, PageSize: opts.PageSize, Data: db.dev}
-	db.rec = core.NewRecoverer(db.log, db.pri, db.res, applier{})
-	db.pool = buffer.NewPool(buffer.Config{
-		Capacity: opts.PoolFrames, Device: db.dev, Map: db.pmap, Log: db.log,
-		Hooks: db.hooks(),
-	})
-	db.startRestore()
-	db.initLifecycle(nil)
+		backup.NewStore(storage.NewDevice(storage.Config{
+			PageSize: opts.PageSize, Slots: opts.BackupSlots,
+			Profile: opts.BackupProfile, Seed: opts.Seed + 1,
+		})),
+		wal.NewManager(opts.LogProfile),
+		pagemap.New(opts.WriteMode, opts.DataSlots), core.NewPRI(), nil)
 
 	// Bootstrap: the meta page holding the index registry.
 	st := db.txns.BeginSystem()
@@ -240,6 +224,33 @@ func Open(opts Options) (*DB, error) {
 	db.startMaintenance()
 	db.startLifecycle()
 	return db, nil
+}
+
+// newDB wires a DB over its devices, log, page map and recovery index, up
+// to a running repair queue and a built (not started) log lifecycle: the
+// one constructor behind Open, Restart and RecoverMedia. prev is the failed
+// incarnation a recovery takes over from — it hands on the log archive, a
+// durable device like the other three — and nil for Open. Maintenance and
+// the lifecycle loop start later, once bootstrap or recovery has settled.
+func newDB(opts Options, dev *storage.Device, store *backup.Store, log *wal.Manager,
+	pmap *pagemap.Map, pri *core.PRI, prev *DB) *DB {
+	db := &DB{
+		opts: opts, dev: dev, store: store, log: log, pmap: pmap, pri: pri,
+		engines:      make(map[string]Engine),
+		updateCounts: make(map[page.ID]int),
+		backupsDue:   make(map[page.ID]bool),
+	}
+	db.txns = txn.NewManager(log)
+	db.txns.SetUndoer(undoer{db})
+	db.res = &backup.Resolver{Store: store, Log: log, PageSize: opts.PageSize, Data: dev}
+	db.rec = core.NewRecoverer(log, pri, db.res, applier{})
+	db.pool = buffer.NewPool(buffer.Config{
+		Capacity: opts.PoolFrames, Device: dev, Map: pmap, Log: log,
+		Hooks: db.hooks(),
+	})
+	db.startRestore()
+	db.initLifecycle(prev)
+	return db
 }
 
 // startRestore launches the background repair queue. Called once per DB,
@@ -366,7 +377,7 @@ func (db *DB) repairLatent(id page.ID) error {
 		return ErrCrashed
 	}
 	if sched := db.sched; sched != nil {
-		return sched.Enqueue(id, db.chainCost(id)).Wait()
+		return sched.Enqueue(id, 0).Wait() // a scrub finding: replay span unknown
 	}
 	return db.repairNow(id)
 }
@@ -539,16 +550,6 @@ func (db *DB) redoFromImage(id page.ID, head page.LSN) (*page.Page, error) {
 		return nil, fmt.Errorf("spf: restart redo: %w", err)
 	}
 	return pg, nil
-}
-
-// chainCost estimates a page's repair cost as its per-page chain length;
-// the scheduler pops shorter chains first. Zero (unknown) when the page has
-// no chain entry.
-func (db *DB) chainCost(id page.ID) int64 {
-	if ci, ok := db.log.ChainHead(id); ok {
-		return ci.Length
-	}
-	return 0
 }
 
 // onMarkDirty counts page updates for the backup-every-N policy ("the

@@ -3,6 +3,8 @@ package spf
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/wal"
 )
 
 // lifecycleOptions returns engine options with the log lifecycle on in
@@ -38,15 +40,31 @@ func churn(t *testing.T, db *DB, ix *Index, n, rounds int) {
 	}
 }
 
-// longestChainPage picks the data page with the longest per-page chain —
-// the page whose repair replays the most history.
+// longestChainPage picks the data page with the most chain records in the
+// retained log (archive and live) — the page whose repair replays the most
+// history.
 func longestChainPage(t *testing.T, db *DB) PageID {
 	t.Helper()
+	from := wal.FirstLSN()
+	if a := db.Archive(); a != nil {
+		from = a.Released()
+	}
+	length := make(map[PageID]int)
+	err := db.LogManager().Scan(from, func(r *wal.Record) bool {
+		switch r.Type {
+		case wal.TypeUpdate, wal.TypeCLR, wal.TypeFormat:
+			length[r.PageID]++
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var victim PageID
-	var best int64
+	best := 0
 	for _, id := range db.Pages() {
-		if ci, ok := db.LogManager().ChainHead(id); ok && ci.Length > best {
-			victim, best = id, ci.Length
+		if length[id] > best {
+			victim, best = id, length[id]
 		}
 	}
 	if best == 0 {

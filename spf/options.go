@@ -33,9 +33,9 @@
 //
 // Restart after a system failure is instant (after Sauer et al.): instead
 // of replaying the log forward before opening for business, Restart marks
-// every page that was dirty at the crash "needs-redo" with its per-page
-// chain head — an O(active pages) preparation — queues the backlog for
-// background replay ordered by chain length, and returns. The first read
+// every page that was dirty at the crash "needs-redo" with the chain head
+// log analysis found for it — an O(active pages) preparation — queues the
+// backlog for background replay, shortest log span first, and returns. The first read
 // of a marked page pays only that page's chain replay, served through the
 // same single-page-recovery machinery that handles lost writes: the
 // current disk image acts as a free backup as of its own PageLSN, and a

@@ -42,7 +42,10 @@ func tortureSeeds(t *testing.T) []int64 {
 // in every run for nested fault injection (see runTorture).
 // recovery.checkpoint models a crash in the half-taken-checkpoint window
 // (dirty pages flushed, checkpoint-end not yet durable), forcing restart
-// to replay from the previous master record.
+// to replay from the previous master record; recovery.checkpoint.snapshot
+// lands it after the checkpoint's snapshots and before its end record, the
+// window whose commits and page updates only a scan from the checkpoint's
+// begin record can find.
 // wal.archive.seal, wal.archive.write, and wal.recycle land the crash
 // inside the log lifecycle: between choosing a run boundary and writing
 // it, between assembling the run and committing it to the archive, and
@@ -52,6 +55,7 @@ func tortureSeeds(t *testing.T) []int64 {
 var crashPoints = []string{
 	"wal.publish", "buffer.writeback", "restore.complete", "recovery.checkpoint",
 	"wal.archive.seal", "wal.archive.write", "wal.recycle",
+	"recovery.checkpoint.snapshot",
 }
 
 // TestChaosTortureCrashRestartVerify loops crash → restart → verify over
@@ -140,7 +144,7 @@ func runTorture(t *testing.T, seed int64) {
 		fireAt = 1 + rng.Int63n(12)
 	case "restore.complete":
 		fireAt = 1 + rng.Int63n(8)
-	case "recovery.checkpoint":
+	case "recovery.checkpoint", "recovery.checkpoint.snapshot":
 		// At most two checkpoints run after arming (the mid-workload one
 		// and the end-of-restart one); a trip point the schedule never
 		// reaches is covered by the manual-crash fallback below.
