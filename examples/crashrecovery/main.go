@@ -1,10 +1,12 @@
 // Crash recovery walkthrough: commits survive, losers roll back — and
 // with instant restart the database answers its first query before bulk
-// redo finishes. Restart prepares in O(active pages): every page dirty at
-// the crash is marked needs-redo with its log-chain head and queued for
-// background replay; a foreground read of a marked page replays just
-// that page itself and pays only its own chain. The output counts reads served
-// while the redo backlog is still draining and fails if none were.
+// redo finishes. Restart prepares in O(active pages): for every page dirty
+// at the crash the page recovery index is told the log-chain head the page
+// must reach, and the page is queued for background repair; a foreground
+// read that finds such a page stale recovers just that page itself, on the
+// stale image, and pays only the missing tail of its chain. The output
+// counts reads served while the redo backlog is still draining and fails if
+// none were.
 //
 //	go run ./examples/crashrecovery
 package main
@@ -97,7 +99,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Restart returned in %v: %d records analyzed, %d pages marked needs-redo, %d losers rolled back\n",
+	fmt.Printf("Restart returned in %v: %d records analyzed, %d pages queued for redo, %d losers rolled back\n",
 		time.Since(prepStart).Round(time.Microsecond), rep.Analysis.RecordsScanned,
 		rep.Prep.PagesMarked, rep.Undo.LosersRolledBack)
 	if !rep.OnDemand {
@@ -140,7 +142,7 @@ func main() {
 	fmt.Printf("bulk redo drained in %v; %d reads had completed before it did\n",
 		time.Since(drainStart).Round(time.Millisecond), served)
 	rs := ndb.Metrics().RestartRedo
-	fmt.Printf("redo: %d pages marked, %d replayed from their disk image, %d fell back to single-page recovery\n",
+	fmt.Printf("redo: %d pages queued, %d recovered on their stale disk image, %d images turned down for the page's backup\n",
 		rs.Marked, rs.FastRedos, rs.Fallbacks)
 
 	// Durability + atomicity, same checks as ever.

@@ -84,8 +84,8 @@ func main() {
 	fmt.Printf("silently corrupted the stored image of page %d\n", victim)
 
 	// The next read detects the failure, walks the per-page log chain
-	// from the page's format record, rebuilds the page, relocates it,
-	// and serves the correct answer — no transaction aborted.
+	// from the page's format record, rebuilds the page, retires the bad
+	// slot, and serves the correct answer — no transaction aborted.
 	v2, err := users.Get([]byte("user0500"))
 	if err != nil {
 		log.Fatal(err)

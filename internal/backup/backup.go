@@ -384,6 +384,16 @@ type Resolver struct {
 
 var _ core.BackupSource = (*Resolver)(nil)
 
+// BackupLSN returns the PageLSN of the image ref names for pageID; only a
+// full set has to be asked, every other reference carries it.
+func (r *Resolver) BackupLSN(ref core.BackupRef, pageID page.ID) page.LSN {
+	if ref.Kind == core.BackupFull {
+		lsn, _ := r.Store.SetPageInfo(ref.Loc, pageID)
+		return lsn
+	}
+	return ref.AsOf
+}
+
 // FetchBackup returns the backup image ref names for pageID.
 func (r *Resolver) FetchBackup(ref core.BackupRef, pageID page.ID) (*page.Page, error) {
 	switch ref.Kind {

@@ -193,12 +193,12 @@ func scrubOverhead(b *testing.B, rate int) float64 {
 	e := newWriteBackEnv(b, capacity, 2048)
 	// The pool needs a recovery hook for repairs.
 	hooks := buffer.Hooks{
-		Recover: func(id page.ID) (*page.Page, error) {
+		Recover: func(id page.ID, _ *page.Page) (*page.Page, bool, error) {
 			pg := page.New(id, page.TypeRaw, 4096)
 			if err := pg.SetPayload([]byte(fmt.Sprintf("recovered-%d", id))); err != nil {
-				return nil, err
+				return nil, false, err
 			}
-			return pg, nil
+			return pg, false, nil
 		},
 	}
 	e.pool.SetHooks(hooks)

@@ -18,7 +18,7 @@ import (
 // TestConcurrentMixedOpsWithFaults hammers one sharded pool from many
 // goroutines running the full operation mix — Fetch, MarkDirty, Release,
 // FlushPage, Evict — while device faults are injected underneath, and then
-// checks that every single-page failure was recovered by relocation: the
+// checks that every single-page failure was recovered off its slot: the
 // recovered pages live on fresh slots and every failed slot is on the
 // bad-block list. Run with -race.
 func TestConcurrentMixedOpsWithFaults(t *testing.T) {
@@ -32,13 +32,13 @@ func TestConcurrentMixedOpsWithFaults(t *testing.T) {
 	recoverPayload := []byte("rebuilt-by-single-page-recovery")
 	var recoverCalls atomic.Int64
 	hooks := Hooks{
-		Recover: func(id page.ID) (*page.Page, error) {
+		Recover: func(id page.ID, _ *page.Page) (*page.Page, bool, error) {
 			recoverCalls.Add(1)
 			pg := page.New(id, page.TypeRaw, 512)
 			if err := pg.SetPayload(recoverPayload); err != nil {
-				return nil, err
+				return nil, false, err
 			}
-			return pg, nil
+			return pg, false, nil
 		},
 	}
 	dev := storage.NewDevice(storage.Config{PageSize: 512, Slots: slots, Profile: iosim.Instant})
@@ -144,7 +144,7 @@ func TestConcurrentMixedOpsWithFaults(t *testing.T) {
 	if stats.Escalations != 0 {
 		t.Fatalf("unexpected escalations: %+v", stats)
 	}
-	// Every recovery must have relocated: the failed slots are retired,
+	// Every recovery must have left its slot: the failed slots are retired,
 	// and no live mapping points at a retired slot.
 	if dev.RetiredCount() == 0 {
 		t.Fatal("recoveries happened but no slot was retired")

@@ -69,10 +69,12 @@ type WriteInfo struct {
 	Page    page.ID
 	PageLSN page.LSN
 	Dest    storage.PhysID
-	// Prev is the slot the page occupied before a copy-on-write or
-	// relocation write; HadPrev reports whether one existed.
+	// Prev is the slot the page occupied before a copy-on-write write and
+	// HadPrev reports whether one existed; PrevLSN is the PageLSN of the
+	// image Prev holds — what the pool loaded from it or last wrote to it.
 	Prev    storage.PhysID
 	HadPrev bool
+	PrevLSN page.LSN
 }
 
 // Hooks connect the pool to the engine. All hooks may be nil.
@@ -83,11 +85,17 @@ type Hooks struct {
 	// single-page failure.
 	Validate func(pg *page.Page) error
 	// Recover performs single-page recovery and returns the up-to-date
-	// page contents. It runs on the goroutine of the fetch that loads the
-	// page, at most once per load, and must not fetch that page. If it
+	// page contents. have is what the load read from the page's slot when
+	// that passed the in-page checks and only Validate refused it, else
+	// nil; Recover may rebuild the page on it, in place, and reports
+	// whether it did — the slot then holds a true version of its page and
+	// stays in service. It runs on the goroutine of the fetch that loads
+	// the page, at most once per load, and must not fetch that page. If it
 	// fails, the read escalates: the pool returns the recovery error
-	// wrapped in ErrPageFailed.
-	Recover func(id page.ID) (*page.Page, error)
+	// wrapped in ErrPageFailed. For a page that has no slot, an error
+	// wrapping ErrNeverWritten says the engine knows nothing of the page
+	// either; the pool returns it as is.
+	Recover func(id page.ID, have *page.Page) (pg *page.Page, fromHave bool, err error)
 	// CompleteWrite runs after a dirty page has been written to the
 	// device, while the write is still serialized against other flushes
 	// of the same page (inside the frame's flush mutex, after the page
@@ -173,6 +181,10 @@ type frame struct {
 	skel atomic.Pointer[versionedBlob]
 
 	flushMu sync.Mutex
+	// slotLSN is the PageLSN of the image the page's slot holds: what the
+	// load read from it, then what each write-back wrote. Guarded by
+	// flushMu once the frame is installed.
+	slotLSN page.LSN
 
 	metaMu sync.Mutex
 	dirty  bool
@@ -236,8 +248,8 @@ type shard struct {
 // entry — the page's loader — reads, validates and, if need be, repairs
 // the page; every fetch that finds the entry waits for done and takes the
 // loader's outcome. A page has at most one loader at a time, so a recovery
-// relocates a page only while no frame of it exists: no flush can be
-// writing to the slot being retired.
+// takes a page off its slot only while no frame of it exists: no flush can
+// be writing to the slot being retired.
 type load struct {
 	done    chan struct{}
 	waiters int32  // fetches parked on done; guarded by the shard mutex
@@ -300,7 +312,7 @@ type Config struct {
 	// ReadRetries bounds the immediate re-reads of a failed device read
 	// before the failure is treated as a real single-page failure. A
 	// one-shot fault — a device hiccup that a re-read clears — then costs a
-	// second read instead of a backup-plus-chain replay and a relocation.
+	// second read instead of a backup-plus-chain replay and a retired slot.
 	// There is no wait between attempts: whatever outlives an immediate
 	// re-read is, by the paper's definition, a failure "despite all
 	// correction attempts in lower system levels" (§3.2), and repairing it
@@ -649,25 +661,48 @@ func (p *Pool) Fetch(id page.ID) (*Handle, error) {
 	return &l.f.h, nil
 }
 
-// loadPage brings page id in from the device and returns its frame, not yet
-// installed: read, validate, and on a failed check recover, relocate away
-// from the failed slot and retire it (§5.2.3). The frame's capacity is
-// reserved last, so a loader busy with a recovery holds nothing another
-// fetch's reserveFrame would have to wait out.
+// loadPage brings page id in and returns its frame, not yet installed. The
+// page's slot decides what happens to the slot (§5.2.3):
+//
+//   - the image passes every check: it is the page;
+//   - the image is sound but stale, and recovery rebuilt the page on it:
+//     the slot returned a true version of its page, so it works — the
+//     binding stays and write-back overwrites it in place;
+//   - the slot gave nothing recovery could build on (unreadable, damaged,
+//     refused by the engine, or not a version of the page after all): the
+//     page is taken off it and the slot retired; write-back allocates;
+//   - the page has no slot (never written, or its device was replaced):
+//     nothing is read and nothing retired; recovery rebuilds it from its
+//     backup alone.
+//
+// A recovered page is installed dirty. The frame's capacity is reserved
+// last, so a loader busy with a recovery holds nothing another fetch's
+// reserveFrame would have to wait out.
 func (p *Pool) loadPage(id page.ID) (*frame, error) {
 	if !p.pmap.Known(id) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownPage, id)
 	}
-	phys, written := p.pmap.Lookup(id)
-	if !written {
-		return nil, fmt.Errorf("%w: %d", ErrNeverWritten, id)
-	}
 	hooks := p.getHooks()
-	pg, failure := p.readAndValidate(id, phys, hooks)
+	phys, bound := p.pmap.Lookup(id)
+	var pg *page.Page
+	var slotLSN page.LSN
+	var failure error
+	if bound {
+		if pg, failure = p.readAndValidate(id, phys, hooks); failure != nil {
+			p.stats.validationFailures.Add(1)
+		}
+		if pg != nil {
+			slotLSN = pg.LSN()
+		}
+	} else {
+		failure = fmt.Errorf("%w: %d", ErrNeverWritten, id)
+		if hooks.Recover == nil {
+			return nil, failure
+		}
+	}
 	if failure != nil {
-		p.stats.validationFailures.Add(1)
 		var err error
-		if pg, err = p.recoverFailedPage(id, phys, hooks, failure); err != nil {
+		if pg, err = p.recoverFailedPage(id, phys, bound, pg, hooks, failure); err != nil {
 			return nil, err
 		}
 	}
@@ -676,9 +711,10 @@ func (p *Pool) loadPage(id page.ID) (*frame, error) {
 	}
 	f := p.newFrame(id, pg)
 	f.ref.Store(true)
+	f.slotLSN = slotLSN
 	if failure != nil {
-		// The recovered page lives at a new location but has not been
-		// written there yet: keep it dirty so write-back persists it.
+		// The device does not hold the recovered page yet: keep it dirty so
+		// write-back persists it.
 		f.dirty = true
 		f.recLSN = pg.LSN()
 		p.dirty.Add(1)
@@ -693,7 +729,9 @@ func (p *Pool) loadPage(id page.ID) (*frame, error) {
 // times, before it counts as a single-page failure: a one-shot fault then
 // costs a second read instead of a full recovery. Nothing here sleeps, arms
 // a timer or yields — a caller is waiting on this read, and on an idle P
-// even a 100µs sleep costs a millisecond.
+// even a 100µs sleep costs a millisecond. An image only the engine's
+// cross-check refused is returned beside the error: it is sound, and
+// recovery may build on it.
 func (p *Pool) readAndValidate(id page.ID, phys storage.PhysID, hooks *Hooks) (*page.Page, error) {
 	buf := p.getScratch()
 	defer p.putScratch(buf)
@@ -719,31 +757,35 @@ func (p *Pool) readAndValidate(id page.ID, phys storage.PhysID, hooks *Hooks) (*
 	}
 	if hooks.Validate != nil {
 		if err := hooks.Validate(pg); err != nil {
-			return nil, fmt.Errorf("cross-check of page %d: %w", id, err)
+			return pg, fmt.Errorf("cross-check of page %d: %w", id, err)
 		}
 	}
 	return pg, nil
 }
 
-// recoverFailedPage runs the single-page recovery path: the Recover hook
-// rebuilds the contents, the page is relocated away from the failed slot,
-// and the old slot is retired (§5.2.3).
-func (p *Pool) recoverFailedPage(id page.ID, failedSlot storage.PhysID, hooks *Hooks, cause error) (*page.Page, error) {
+// recoverFailedPage runs the single-page recovery path for a page whose
+// load failed with cause: the Recover hook rebuilds the contents — on have,
+// the sound image its slot returned, if recovery can use it — and a slot
+// (phys, when bound) that gave recovery nothing to build on loses the page
+// and is retired (§5.2.3).
+func (p *Pool) recoverFailedPage(id page.ID, phys storage.PhysID, bound bool, have *page.Page, hooks *Hooks, cause error) (*page.Page, error) {
 	if hooks.Recover == nil {
 		p.stats.escalations.Add(1)
 		return nil, fmt.Errorf("%w: %v (no recovery configured)", ErrPageFailed, cause)
 	}
-	pg, err := hooks.Recover(id)
+	pg, fromHave, err := hooks.Recover(id, have)
 	if err != nil {
+		if !bound && errors.Is(err, ErrNeverWritten) {
+			return nil, err
+		}
 		p.stats.escalations.Add(1)
 		return nil, fmt.Errorf("%w: %v; recovery failed: %v", ErrPageFailed, cause, err)
 	}
-	// Move the page to a fresh slot; never reuse the failed location, and
-	// never record it as a backup.
-	if _, _, _, err := p.pmap.Relocate(id); err != nil {
-		return nil, fmt.Errorf("%w: relocating recovered page %d: %v", ErrPageFailed, id, err)
+	if bound && !fromHave {
+		// Never reuse the failed location, and never record it as a backup.
+		p.pmap.Unbind(id)
+		p.dev.RetireSlot(phys)
 	}
-	p.dev.RetireSlot(failedSlot)
 	p.stats.recoveries.Add(1)
 	return pg, nil
 }
@@ -921,9 +963,10 @@ func (p *Pool) writeBack(f *frame) ([]*wal.Record, bool, error) {
 	var recs []*wal.Record
 	if hooks := p.getHooks(); hooks.CompleteWrite != nil {
 		recs = hooks.CompleteWrite(WriteInfo{
-			Page: f.id, PageLSN: lsn, Dest: dst, Prev: prev, HadPrev: hadPrev,
+			Page: f.id, PageLSN: lsn, Dest: dst, Prev: prev, HadPrev: hadPrev, PrevLSN: f.slotLSN,
 		})
 	}
+	f.slotLSN = lsn
 	p.setClean(f)
 	f.latch.RUnlock()
 	return recs, true, nil

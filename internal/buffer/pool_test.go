@@ -280,14 +280,17 @@ func TestReadPathDetectsCorruptionAndRecovers(t *testing.T) {
 	recovered := page.New(0, page.TypeRaw, 512) // placeholder, replaced below
 	var recoverCalls int
 	hooks := Hooks{
-		Recover: func(id page.ID) (*page.Page, error) {
+		Recover: func(id page.ID, have *page.Page) (*page.Page, bool, error) {
 			recoverCalls++
+			if have != nil {
+				t.Error("a damaged image was offered as recovery's base")
+			}
 			pg := page.New(id, page.TypeRaw, 512)
 			if err := pg.SetPayload([]byte("recovered")); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			pg.SetLSN(recovered.LSN())
-			return pg, nil
+			return pg, false, nil
 		},
 	}
 	e := newEnv(t, 4, hooks)
@@ -314,12 +317,12 @@ func TestReadPathDetectsCorruptionAndRecovers(t *testing.T) {
 	if recoverCalls != 1 {
 		t.Errorf("recover calls = %d", recoverCalls)
 	}
-	// The failed slot is retired and the page relocated.
+	// The failed slot is retired and the page taken off it.
 	if !e.dev.Retired(phys) {
 		t.Error("failed slot not retired")
 	}
-	if newPhys, _ := e.pmap.Lookup(id); newPhys == phys {
-		t.Error("page not relocated")
+	if _, bound := e.pmap.Lookup(id); bound {
+		t.Error("page still bound after its slot failed")
 	}
 	// The recovered page is dirty and its next flush persists it.
 	if !h.Dirty() {
@@ -333,9 +336,8 @@ func TestReadPathDetectsCorruptionAndRecovers(t *testing.T) {
 
 func TestReadPathDetectsDeviceError(t *testing.T) {
 	hooks := Hooks{
-		Recover: func(id page.ID) (*page.Page, error) {
-			pg := page.New(id, page.TypeRaw, 512)
-			return pg, nil
+		Recover: func(id page.ID, _ *page.Page) (*page.Page, bool, error) {
+			return page.New(id, page.TypeRaw, 512), false, nil
 		},
 	}
 	e := newEnv(t, 4, hooks)
@@ -372,8 +374,8 @@ func TestReadPathEscalatesWithoutRecoverHook(t *testing.T) {
 
 func TestReadPathEscalatesWhenRecoveryFails(t *testing.T) {
 	hooks := Hooks{
-		Recover: func(id page.ID) (*page.Page, error) {
-			return nil, errors.New("no backup")
+		Recover: func(page.ID, *page.Page) (*page.Page, bool, error) {
+			return nil, false, errors.New("no backup")
 		},
 	}
 	e := newEnv(t, 4, hooks)
@@ -640,14 +642,14 @@ func newReadFaultEnv(t *testing.T, cfg Config) *readFaultEnv {
 	var lsn page.LSN
 	r.env = newEnvConfig(t, cfg, Hooks{
 		OnReadRetry: func(page.ID) { r.retries.Add(1) },
-		Recover: func(id page.ID) (*page.Page, error) {
+		Recover: func(id page.ID, _ *page.Page) (*page.Page, bool, error) {
 			r.recoveries.Add(1)
 			pg := page.New(id, page.TypeRaw, 512)
 			if err := pg.SetPayload([]byte("recovered")); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			pg.SetLSN(lsn)
-			return pg, nil
+			return pg, false, nil
 		},
 	})
 	r.id = r.newPage(t, "original")
@@ -696,8 +698,8 @@ func TestOneShotReadFaultAbsorbedByReRead(t *testing.T) {
 
 // TestStickyReadFaultRepairedAfterReadRetries: a read fault that outlives
 // the re-reads is a single-page failure. It is repaired after exactly
-// ReadRetries re-reads, the page moves, and the failed slot is retired
-// with its image discarded.
+// ReadRetries re-reads, the page is taken off the failed slot, and the slot
+// is retired with its image discarded.
 func TestStickyReadFaultRepairedAfterReadRetries(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
@@ -734,8 +736,8 @@ func TestStickyReadFaultRepairedAfterReadRetries(t *testing.T) {
 			if r.dev.RawImage(r.phys) != nil {
 				t.Error("retired slot keeps its image")
 			}
-			if now, _ := r.pmap.Lookup(r.id); now == r.phys {
-				t.Error("recovered page still mapped to the failed slot")
+			if _, bound := r.pmap.Lookup(r.id); bound {
+				t.Error("recovered page still bound after its slot failed")
 			}
 		})
 	}
@@ -761,14 +763,14 @@ func TestConcurrentFaultersShareOneLoad(t *testing.T) {
 			hooks := *r.pool.getHooks()
 			rebuild := hooks.Recover
 			entered, gate := make(chan struct{}), make(chan struct{})
-			hooks.Recover = func(id page.ID) (*page.Page, error) {
+			hooks.Recover = func(id page.ID, have *page.Page) (*page.Page, bool, error) {
 				close(entered) // a second call panics: one recovery per load
 				<-gate
-				pg, err := rebuild(id)
+				pg, fromHave, err := rebuild(id, have)
 				if tc.recover != nil {
-					return nil, tc.recover
+					return nil, false, tc.recover
 				}
-				return pg, err
+				return pg, fromHave, err
 			}
 			r.pool.SetHooks(hooks)
 			r.dev.InjectFault(r.phys, storage.FaultReadError, true)
@@ -838,5 +840,230 @@ func TestConcurrentFaultersShareOneLoad(t *testing.T) {
 				t.Errorf("evict after every release: %v", err)
 			}
 		})
+	}
+}
+
+// loadOutcomeEnv is a pool over a page with two flushed versions' worth of
+// history, a Validate hook that refuses an image below the expected LSN,
+// and a fake Recover hook whose verdict on the offered image the test sets.
+type loadOutcomeEnv struct {
+	*env
+	id         page.ID
+	expect     page.LSN   // Validate refuses images below it
+	useHave    bool       // the fake recovery builds on the offered image
+	offered    *page.Page // what the last recovery was offered
+	calls      int
+	writes     []WriteInfo
+	recoverErr error // returned by Recover when set
+}
+
+func newLoadOutcomeEnv(t *testing.T, mode pagemap.Mode) *loadOutcomeEnv {
+	t.Helper()
+	o := &loadOutcomeEnv{}
+	dev := storage.NewDevice(storage.Config{PageSize: 512, Slots: 256, Profile: iosim.Instant})
+	pm := pagemap.New(mode, 256)
+	log := wal.NewManager(iosim.Instant)
+	o.env = &env{dev: dev, pmap: pm, log: log, pool: NewPool(Config{Capacity: 4, Device: dev, Map: pm, Log: log, Hooks: Hooks{
+		Validate: func(pg *page.Page) error {
+			if pg.LSN() < o.expect {
+				return fmt.Errorf("PageLSN %d below %d", pg.LSN(), o.expect)
+			}
+			return nil
+		},
+		Recover: func(id page.ID, have *page.Page) (*page.Page, bool, error) {
+			o.calls++
+			o.offered = have
+			if o.recoverErr != nil {
+				return nil, false, o.recoverErr
+			}
+			pg := have
+			if !o.useHave || have == nil {
+				pg = page.New(id, page.TypeRaw, 512)
+			}
+			if err := pg.SetPayload([]byte("recovered")); err != nil {
+				return nil, false, err
+			}
+			pg.SetLSN(o.expect)
+			return pg, pg == have, nil
+		},
+		CompleteWrite: func(info WriteInfo) []*wal.Record {
+			o.writes = append(o.writes, info)
+			return nil
+		},
+	}})}
+	o.id = o.newPage(t, "original")
+	if err := o.pool.Evict(o.id); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// TestLoadOutcomes: what a load does to the page's slot is decided by what
+// the slot returned (loadPage).
+func TestLoadOutcomes(t *testing.T) {
+	// Stale but sound, and recovery built on it: the slot works. It keeps
+	// the page, nothing is retired, and write-back overwrites it in place.
+	t.Run("stale image used as base", func(t *testing.T) {
+		o := newLoadOutcomeEnv(t, pagemap.InPlace)
+		phys, _ := o.pmap.Lookup(o.id)
+		stale := o.writes[0].PageLSN
+		o.expect, o.useHave = stale+10, true
+		reads := o.dev.Stats().Reads
+		h, err := o.pool.Fetch(o.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Release()
+		if o.calls != 1 || o.offered == nil || h.Page() != o.offered {
+			t.Fatalf("recover calls %d, offered %v, installed the offered image: %v", o.calls, o.offered, h.Page() == o.offered)
+		}
+		if got := o.dev.Stats().Reads - reads; got != 1 {
+			t.Errorf("device reads = %d, want the one that loaded the base", got)
+		}
+		if now, bound := o.pmap.Lookup(o.id); !bound || now != phys || o.dev.RetiredCount() != 0 {
+			t.Errorf("slot %d → %d (bound %v), %d retired; want the binding kept", phys, now, bound, o.dev.RetiredCount())
+		}
+		if !h.Dirty() {
+			t.Error("recovered page not dirty")
+		}
+		if err := o.pool.FlushPage(o.id); err != nil {
+			t.Fatal(err)
+		}
+		if w := o.writes[len(o.writes)-1]; w.Dest != phys || w.PageLSN != o.expect {
+			t.Errorf("write-back %+v, want slot %d at LSN %d", w, phys, o.expect)
+		}
+		if st := o.pool.Stats(); st.ValidationFailures != 1 || st.Recoveries != 1 || st.Escalations != 0 {
+			t.Errorf("stats %+v", st)
+		}
+	})
+	// Sound, offered, turned down (older than the backup, off the chain, or
+	// refused by the engine): the slot does not hold a usable version.
+	t.Run("stale image rejected", func(t *testing.T) {
+		o := newLoadOutcomeEnv(t, pagemap.InPlace)
+		phys, _ := o.pmap.Lookup(o.id)
+		o.expect = o.writes[0].PageLSN + 10
+		h, err := o.pool.Fetch(o.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Release()
+		if o.offered == nil || h.Page() == o.offered {
+			t.Fatalf("offered %v, installed it: %v", o.offered, h.Page() == o.offered)
+		}
+		if _, bound := o.pmap.Lookup(o.id); bound || !o.dev.Retired(phys) {
+			t.Errorf("bound %v, slot retired %v; want the page off a retired slot", bound, o.dev.Retired(phys))
+		}
+		if err := o.pool.FlushPage(o.id); err != nil {
+			t.Fatal(err)
+		}
+		if w := o.writes[len(o.writes)-1]; w.Dest == phys || w.HadPrev {
+			t.Errorf("write-back %+v, want a fresh slot and no previous one", w)
+		}
+	})
+	// Damaged: nothing is offered.
+	t.Run("damaged image", func(t *testing.T) {
+		o := newLoadOutcomeEnv(t, pagemap.CopyOnWrite)
+		phys, _ := o.pmap.Lookup(o.id)
+		if err := o.dev.CorruptStored(phys); err != nil {
+			t.Fatal(err)
+		}
+		o.useHave = true
+		h, err := o.pool.Fetch(o.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Release()
+		if o.calls != 1 || o.offered != nil {
+			t.Fatalf("recover calls %d, offered %v; want one call with nothing", o.calls, o.offered)
+		}
+		if _, bound := o.pmap.Lookup(o.id); bound || !o.dev.Retired(phys) {
+			t.Errorf("bound %v, slot retired %v", bound, o.dev.Retired(phys))
+		}
+		// Copy-on-write too finds no previous slot to keep as a backup.
+		if err := o.pool.FlushPage(o.id); err != nil {
+			t.Fatal(err)
+		}
+		if w := o.writes[len(o.writes)-1]; w.HadPrev {
+			t.Errorf("write-back %+v names the failed slot as the page's previous one", w)
+		}
+	})
+	// No slot: no device read, nothing to retire, recovery from nothing.
+	t.Run("no slot", func(t *testing.T) {
+		o := newLoadOutcomeEnv(t, pagemap.InPlace)
+		phys, _ := o.pmap.Lookup(o.id)
+		o.pmap.Unbind(o.id)
+		reads := o.dev.Stats().Reads
+		h, err := o.pool.Fetch(o.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.calls != 1 || o.offered != nil || string(h.Page().Payload()) != "recovered" || !h.Dirty() {
+			t.Errorf("recover calls %d, offered %v, payload %q, dirty %v", o.calls, o.offered, h.Page().Payload(), h.Dirty())
+		}
+		h.Release()
+		if o.dev.Stats().Reads != reads || o.dev.Retired(phys) {
+			t.Errorf("%d device reads, slot retired %v; want neither", o.dev.Stats().Reads-reads, o.dev.Retired(phys))
+		}
+		if st := o.pool.Stats(); st.ValidationFailures != 0 || st.Recoveries != 1 {
+			t.Errorf("stats %+v", st)
+		}
+	})
+	// No slot and the engine knows nothing of the page either: not a
+	// failure. Any other recovery error is one.
+	t.Run("no slot, nothing known", func(t *testing.T) {
+		o := newLoadOutcomeEnv(t, pagemap.InPlace)
+		o.pmap.Unbind(o.id)
+		o.recoverErr = fmt.Errorf("%w: no index entry", ErrNeverWritten)
+		if _, err := o.pool.Fetch(o.id); !errors.Is(err, ErrNeverWritten) || errors.Is(err, ErrPageFailed) {
+			t.Errorf("fetch: %v, want ErrNeverWritten alone", err)
+		}
+		if st := o.pool.Stats(); st.Escalations != 0 {
+			t.Errorf("%d escalations", st.Escalations)
+		}
+		o.recoverErr = errors.New("backup unreadable")
+		if _, err := o.pool.Fetch(o.id); !errors.Is(err, ErrPageFailed) {
+			t.Errorf("fetch: %v, want ErrPageFailed", err)
+		}
+		if st := o.pool.Stats(); st.Escalations != 1 {
+			t.Errorf("%d escalations, want 1", st.Escalations)
+		}
+	})
+}
+
+// TestWriteInfoCarriesPreviousSlotsLSN: in copy-on-write mode the slot a
+// write leaves behind is offered as a backup as of what the pool knows it
+// holds — the image it loaded from it or last wrote to it, which after a
+// repair on a stale image is the stale LSN, not the page's previous LSN.
+func TestWriteInfoCarriesPreviousSlotsLSN(t *testing.T) {
+	o := newLoadOutcomeEnv(t, pagemap.CopyOnWrite)
+	first := o.writes[0]
+	if first.HadPrev {
+		t.Fatalf("first write %+v has a previous slot", first)
+	}
+	// Loaded stale, repaired on the image: the slot still holds first.PageLSN.
+	o.expect, o.useHave = first.PageLSN+10, true
+	h, err := o.pool.Fetch(o.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.pool.FlushPage(o.id); err != nil {
+		t.Fatal(err)
+	}
+	second := o.writes[len(o.writes)-1]
+	if !second.HadPrev || second.Prev != first.Dest || second.PrevLSN != first.PageLSN || second.PageLSN != o.expect {
+		t.Errorf("write after the repair %+v, want previous slot %d as of LSN %d", second, first.Dest, first.PageLSN)
+	}
+	// Written, updated, written again: the previous slot holds what was written.
+	h.Lock()
+	lsn := o.log.Append(&wal.Record{Type: wal.TypeUpdate, Txn: 1, PageID: o.id, PagePrevLSN: h.Page().LSN()})
+	h.Page().SetLSN(lsn)
+	h.Unlock()
+	h.MarkDirty(lsn)
+	h.Release()
+	if err := o.pool.FlushPage(o.id); err != nil {
+		t.Fatal(err)
+	}
+	if third := o.writes[len(o.writes)-1]; third.Prev != second.Dest || third.PrevLSN != second.PageLSN {
+		t.Errorf("third write %+v, want previous slot %d as of LSN %d", third, second.Dest, second.PageLSN)
 	}
 }

@@ -17,6 +17,10 @@ type BackupSource interface {
 	// FetchBackup returns the backup image for pageID named by ref. The
 	// returned page's LSN must equal ref.AsOf.
 	FetchBackup(ref BackupRef, pageID page.ID) (*page.Page, error)
+	// BackupLSN returns the PageLSN of the image ref names for pageID
+	// without reading it: ref.AsOf, or what a full set recorded for the
+	// page (zero if nothing is recorded).
+	BackupLSN(ref BackupRef, pageID page.ID) page.LSN
 }
 
 // RedoApplier applies the redo action of a log record to a page image.
@@ -41,7 +45,10 @@ var (
 // expectation ("dozens of I/Os ... the total time ... should be a second or
 // less").
 type Report struct {
-	Page           page.ID
+	Page page.ID
+	// OwnImage reports that the replay started from the image the caller
+	// had read from the page's own slot; BackupKind is then BackupNone.
+	OwnImage       bool
 	BackupKind     BackupKind
 	RecordsApplied int
 	LogReads       int
@@ -57,13 +64,20 @@ type Stats struct {
 	Recoveries     int64
 	RecordsApplied int64
 	Escalations    int64
+	// OwnImage counts recoveries replayed onto the image the caller had
+	// read from the page's slot; OwnImageRejected counts such images
+	// recovery could not build on (older than the page's backup, or off its
+	// chain) — those recoveries ran from the registered backup instead.
+	OwnImage         int64
+	OwnImageRejected int64
 }
 
 // Recoverer performs single-page recovery (Fig. 10):
 //
 //  1. obtain backup location and most recent LSN from the page recovery
 //     index;
-//  2. fetch the backup image;
+//  2. choose the image to start from — what the failed read loaded, if it
+//     will do, else the backup image, which is then fetched;
 //  3. walk the per-page log chain backwards, pushing records onto a LIFO
 //     stack;
 //  4. pop and apply the redo actions oldest-first;
@@ -103,20 +117,21 @@ func (r *Recoverer) escalate(format string, args ...any) error {
 }
 
 // ReplayChain brings base, any true historical image of its page, up to
-// head by replaying the page's per-page log chain onto it: a backup "as of
-// its own PageLSN" (§5.2.1) is a registered backup image for single-page
-// recovery and the page's current on-disk image for restart redo. It walks
-// the chain newest→oldest down to base's PageLSN (the LIFO stack of
-// §5.2.3), then pops it, applying redo oldest-first under the defensive
-// §5.1.4 sequence check, and requires the result to reach head. It returns
-// the number of records applied; on any error base is left part-replayed
-// and must be discarded.
+// head by replaying the page's per-page log chain onto it ("as of its own
+// PageLSN", §5.2.1). It walks the chain newest→oldest down to base's
+// PageLSN (the LIFO stack of §5.2.3), then pops it, applying redo
+// oldest-first under the defensive §5.1.4 sequence check, and requires the
+// result to reach head. It returns the number of records applied; on any
+// error base is left part-replayed and must be discarded.
 //
-// A zero head means the page has not been updated since the backup
-// (Fig. 7: the LSN field is "valid only if the page ... has been updated
-// since the last backup"): the image is current and nothing is read.
+// A head at or below base's PageLSN means the page has not been updated
+// since the image was taken — zero (Fig. 7: the LSN field is "valid only if
+// the page ... has been updated since the last backup"), or the LSN of a
+// write the image already holds: a full backup resets the LSN of every page
+// it captured, and a completed-write record delivered late may be replayed
+// over the reset. The image is current and nothing is read.
 func ReplayChain(log *wal.Manager, applier RedoApplier, base *page.Page, head page.LSN) (int, error) {
-	if head == page.ZeroLSN {
+	if head <= base.LSN() {
 		return 0, nil
 	}
 	id := base.ID()
@@ -142,12 +157,23 @@ func ReplayChain(log *wal.Manager, applier RedoApplier, base *page.Page, head pa
 	return len(stack), nil
 }
 
-// RecoverPage rebuilds the current contents of pageID from its most recent
-// backup plus the per-page log chain. On success the returned page is
-// up to date as of the PRI's LastLSN for the page. Any failure along the
-// way returns an error wrapping ErrEscalate so the caller can fall back to
-// media recovery.
-func (r *Recoverer) RecoverPage(pageID page.ID) (*page.Page, Report, error) {
+// RecoverPage rebuilds the current contents of pageID by replaying its
+// per-page log chain, up to the index's LastLSN, onto an older image of it.
+// This is the one place that image is chosen (§5.2.1: any true older
+// version will do):
+//
+//   - have, the image the failed read loaded from the page's own slot (nil
+//     if it loaded nothing sound), when it is older than LastLSN and at
+//     least as new as the registered backup — history below the backup may
+//     be gone — or when the entry names no backup at all;
+//   - else the registered backup; also when have's replay fails the
+//     sequence check, which means it was no version of the page after all.
+//     That is a rejected image, not a failed recovery.
+//
+// have is replayed in place and returned. Any failure of the backup's own
+// replay returns an error wrapping ErrEscalate so the caller can fall back
+// to media recovery.
+func (r *Recoverer) RecoverPage(pageID page.ID, have *page.Page) (*page.Page, Report, error) {
 	start := time.Now()
 	logClockBefore := r.log.Clock().Elapsed()
 
@@ -155,10 +181,46 @@ func (r *Recoverer) RecoverPage(pageID page.ID) (*page.Page, Report, error) {
 	if err != nil {
 		return nil, Report{}, r.escalate("no page recovery index entry for page %d: %v", pageID, err)
 	}
-	if entry.Backup.Kind == BackupNone {
-		return nil, Report{}, r.escalate("page %d has no backup", pageID)
+	rep := Report{Page: pageID}
+	var base *page.Page
+	if have != nil && have.LSN() < entry.LastLSN &&
+		have.LSN() >= r.backups.BackupLSN(entry.Backup, pageID) {
+		if rep.RecordsApplied, err = ReplayChain(r.log, r.applier, have, entry.LastLSN); err == nil {
+			base, rep.OwnImage = have, true
+		}
+	}
+	if base == nil {
+		if base, entry, err = r.fetchBackup(pageID, entry); err != nil {
+			return nil, Report{}, err
+		}
+		rep.BackupKind = entry.Backup.Kind
+		if rep.RecordsApplied, err = ReplayChain(r.log, r.applier, base, entry.LastLSN); err != nil {
+			return nil, Report{}, r.escalate("%v", err)
+		}
 	}
 
+	rep.LogReads = rep.RecordsApplied
+	rep.SimulatedIO = r.log.Clock().Elapsed() - logClockBefore
+	rep.WallTime = time.Since(start)
+	r.mu.Lock()
+	r.stats.Recoveries++
+	r.stats.RecordsApplied += int64(rep.RecordsApplied)
+	if rep.OwnImage {
+		r.stats.OwnImage++
+	} else if have != nil {
+		r.stats.OwnImageRejected++
+	}
+	r.mu.Unlock()
+	return base, rep, nil
+}
+
+// fetchBackup reads the backup image entry names for pageID. It returns the
+// entry the image was resolved against, which a concurrent backup may have
+// replaced since the caller's lookup.
+func (r *Recoverer) fetchBackup(pageID page.ID, entry Entry) (*page.Page, Entry, error) {
+	if entry.Backup.Kind == BackupNone {
+		return nil, entry, r.escalate("page %d has no backup", pageID)
+	}
 	base, err := r.backups.FetchBackup(entry.Backup, pageID)
 	for err != nil {
 		// A newer backup may have superseded — and freed — this one between
@@ -168,7 +230,7 @@ func (r *Recoverer) RecoverPage(pageID page.ID) (*page.Page, Report, error) {
 		// taken meanwhile; an unchanged reference is a real failure.
 		cur, gerr := r.pri.Get(pageID)
 		if gerr != nil || cur.Backup == entry.Backup {
-			return nil, Report{}, r.escalate("fetching backup for page %d: %v", pageID, err)
+			return nil, entry, r.escalate("fetching backup for page %d: %v", pageID, err)
 		}
 		entry = cur
 		base, err = r.backups.FetchBackup(entry.Backup, pageID)
@@ -177,33 +239,9 @@ func (r *Recoverer) RecoverPage(pageID page.ID) (*page.Page, Report, error) {
 	// it. Range-compressed entries (full backups) leave AsOf zero because
 	// each covered page has its own LSN inside the backup set.
 	if entry.Backup.AsOf != page.ZeroLSN && base.LSN() != entry.Backup.AsOf {
-		return nil, Report{}, r.escalate(
+		return nil, entry, r.escalate(
 			"backup of page %d is as of LSN %d, index expected %d",
 			pageID, base.LSN(), entry.Backup.AsOf)
 	}
-
-	// An index LSN below the backup's own means "not updated since the
-	// backup" just as zero does (Fig. 7): a full backup resets the LSN of
-	// every page it captured, and a completed-write record delivered late
-	// may be replayed over the reset, naming a write the image already holds.
-	applied := 0
-	if entry.LastLSN > base.LSN() {
-		if applied, err = ReplayChain(r.log, r.applier, base, entry.LastLSN); err != nil {
-			return nil, Report{}, r.escalate("%v", err)
-		}
-	}
-
-	rep := Report{
-		Page:           pageID,
-		BackupKind:     entry.Backup.Kind,
-		RecordsApplied: applied,
-		LogReads:       applied,
-		SimulatedIO:    r.log.Clock().Elapsed() - logClockBefore,
-		WallTime:       time.Since(start),
-	}
-	r.mu.Lock()
-	r.stats.Recoveries++
-	r.stats.RecordsApplied += int64(applied)
-	r.mu.Unlock()
-	return base, rep, nil
+	return base, entry, nil
 }

@@ -34,6 +34,9 @@ func (b *mapBackups) FetchBackup(ref BackupRef, pageID page.ID) (*page.Page, err
 	return img.Clone(), nil
 }
 
+// BackupLSN: a map image is as of the LSN it carries; its references say so.
+func (b *mapBackups) BackupLSN(ref BackupRef, _ page.ID) page.LSN { return ref.AsOf }
+
 // buildHistory creates a page, a backup of its state after backupAfter
 // updates, and then further updates, returning everything a recoverer
 // needs. Total updates = backupAfter + tailUpdates.
@@ -68,7 +71,7 @@ func TestRecoverPageReplaysChain(t *testing.T) {
 	log := wal.NewManager(iosim.Instant)
 	pri, backups, want := buildHistory(t, log, 7, 3, 10)
 	r := NewRecoverer(log, pri, backups, rawApplier{})
-	got, rep, err := r.RecoverPage(7)
+	got, rep, err := r.RecoverPage(7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func TestRecoverPageNoUpdatesSinceBackup(t *testing.T) {
 	log := wal.NewManager(iosim.Instant)
 	pri, backups, want := buildHistory(t, log, 7, 5, 0)
 	r := NewRecoverer(log, pri, backups, rawApplier{})
-	got, rep, err := r.RecoverPage(7)
+	got, rep, err := r.RecoverPage(7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestRecoverPageNoUpdatesSinceBackup(t *testing.T) {
 func TestRecoverPageEscalatesWithoutEntry(t *testing.T) {
 	log := wal.NewManager(iosim.Instant)
 	r := NewRecoverer(log, NewPRI(), &mapBackups{}, rawApplier{})
-	_, _, err := r.RecoverPage(42)
+	_, _, err := r.RecoverPage(42, nil)
 	if !errors.Is(err, ErrEscalate) {
 		t.Fatalf("want ErrEscalate, got %v", err)
 	}
@@ -126,7 +129,7 @@ func TestRecoverPageEscalatesWithoutBackup(t *testing.T) {
 	pri := NewPRI()
 	pri.Set(5, Entry{Backup: BackupRef{Kind: BackupNone}, LastLSN: 10})
 	r := NewRecoverer(log, pri, &mapBackups{}, rawApplier{})
-	if _, _, err := r.RecoverPage(5); !errors.Is(err, ErrEscalate) {
+	if _, _, err := r.RecoverPage(5, nil); !errors.Is(err, ErrEscalate) {
 		t.Fatalf("want ErrEscalate, got %v", err)
 	}
 }
@@ -136,7 +139,7 @@ func TestRecoverPageEscalatesOnMissingBackupImage(t *testing.T) {
 	pri := NewPRI()
 	pri.Set(5, Entry{Backup: BackupRef{Kind: BackupPage, Loc: 1, AsOf: 10}, LastLSN: 10})
 	r := NewRecoverer(log, pri, &mapBackups{images: map[uint64]*page.Page{}}, rawApplier{})
-	if _, _, err := r.RecoverPage(5); !errors.Is(err, ErrEscalate) {
+	if _, _, err := r.RecoverPage(5, nil); !errors.Is(err, ErrEscalate) {
 		t.Fatalf("want ErrEscalate, got %v", err)
 	}
 }
@@ -171,7 +174,7 @@ func TestRecoverPageResolvesAgainWhenBackupSuperseded(t *testing.T) {
 	pri, backups, want := buildHistory(t, log, 7, 2, 3)
 	b := &supersedingBackups{mapBackups: *backups, pri: pri, pid: 7, newer: want.Clone()}
 	r := NewRecoverer(log, pri, b, rawApplier{})
-	got, rep, err := r.RecoverPage(7)
+	got, rep, err := r.RecoverPage(7, nil)
 	if err != nil {
 		t.Fatalf("recovery across a superseded backup: %v", err)
 	}
@@ -192,7 +195,7 @@ func TestRecoverPageEscalatesOnStaleBackupLSN(t *testing.T) {
 	pri := NewPRI()
 	pri.Set(5, Entry{Backup: BackupRef{Kind: BackupPage, Loc: 1, AsOf: 10}, LastLSN: 99})
 	r := NewRecoverer(log, pri, &mapBackups{images: map[uint64]*page.Page{1: pg}}, rawApplier{})
-	if _, _, err := r.RecoverPage(5); !errors.Is(err, ErrEscalate) {
+	if _, _, err := r.RecoverPage(5, nil); !errors.Is(err, ErrEscalate) {
 		t.Fatalf("want ErrEscalate, got %v", err)
 	}
 }
@@ -206,7 +209,7 @@ func TestRecoverPageEscalatesOnBrokenChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRecoverer(log, pri, backups, rawApplier{})
-	if _, _, err := r.RecoverPage(7); !errors.Is(err, ErrEscalate) {
+	if _, _, err := r.RecoverPage(7, nil); !errors.Is(err, ErrEscalate) {
 		t.Fatalf("want ErrEscalate, got %v", err)
 	}
 }
@@ -226,7 +229,7 @@ func TestRecoverPageDefensiveSequenceCheck(t *testing.T) {
 	pri := NewPRI()
 	pri.Set(pid, Entry{Backup: ref, LastLSN: l2})
 	r := NewRecoverer(log, pri, backups, rawApplier{})
-	_, _, err := r.RecoverPage(pid)
+	_, _, err := r.RecoverPage(pid, nil)
 	if !errors.Is(err, ErrEscalate) {
 		t.Fatalf("out-of-sequence chain not detected: %v", err)
 	}
@@ -236,7 +239,7 @@ func TestRecoverPageSimulatedIOCharged(t *testing.T) {
 	log := wal.NewManager(iosim.HDD)
 	pri, backups, _ := buildHistory(t, log, 7, 1, 24)
 	r := NewRecoverer(log, pri, backups, rawApplier{})
-	_, rep, err := r.RecoverPage(7)
+	_, rep, err := r.RecoverPage(7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +257,7 @@ func TestRecoverLongChain(t *testing.T) {
 	log := wal.NewManager(iosim.Instant)
 	pri, backups, want := buildHistory(t, log, 7, 0, 500)
 	r := NewRecoverer(log, pri, backups, rawApplier{})
-	got, rep, err := r.RecoverPage(7)
+	got, rep, err := r.RecoverPage(7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,5 +266,145 @@ func TestRecoverLongChain(t *testing.T) {
 	}
 	if string(got.Payload()) != string(want.Payload()) {
 		t.Error("long-chain recovery produced wrong contents")
+	}
+}
+
+// haveAt rebuilds the page of buildHistory's chain as it stood after n
+// updates: a true older version, what a stale slot would hand to recovery.
+func haveAt(t *testing.T, log *wal.Manager, pid page.ID, n int) *page.Page {
+	t.Helper()
+	pg := page.New(pid, page.TypeRaw, 512)
+	err := log.Scan(wal.FirstLSN(), func(rec *wal.Record) bool {
+		if rec.PageID != pid || n == 0 {
+			return n > 0
+		}
+		if err := pg.SetPayload(rec.Payload); err != nil {
+			t.Fatal(err)
+		}
+		pg.SetLSN(rec.LSN)
+		n--
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pg
+}
+
+// countingBackups counts the fetches of the backup image.
+type countingBackups struct {
+	*mapBackups
+	fetches int
+}
+
+func (b *countingBackups) FetchBackup(ref BackupRef, pageID page.ID) (*page.Page, error) {
+	b.fetches++
+	return b.mapBackups.FetchBackup(ref, pageID)
+}
+
+// TestRecoverPageBaseImageRule: which image a replay starts from. The
+// history is 4 updates, a backup, 6 more updates; have is the page as of
+// some update, or something that only looks like it.
+func TestRecoverPageBaseImageRule(t *testing.T) {
+	const pid page.ID = 7
+	for _, tc := range []struct {
+		name string
+		// have builds the offered image; the backup is as of update 4.
+		have     func(t *testing.T, log *wal.Manager) *page.Page
+		noBackup bool
+		// want: whether have is the base, the records the replay applies,
+		// the log records read on top of those, whether the backup image
+		// is read, whether a rejection is counted.
+		own        bool
+		applied    int
+		extraReads int64
+		fetches    int
+		rejected   int64
+	}{
+		{name: "newer than the backup and on the chain: used, only the missing records replayed",
+			have: func(t *testing.T, log *wal.Manager) *page.Page { return haveAt(t, log, pid, 7) },
+			own:  true, applied: 3},
+		{name: "as old as the backup: used",
+			have: func(t *testing.T, log *wal.Manager) *page.Page { return haveAt(t, log, pid, 4) },
+			own:  true, applied: 6},
+		{name: "older than the backup: backup used, nothing walked below it",
+			have:    func(t *testing.T, log *wal.Manager) *page.Page { return haveAt(t, log, pid, 2) },
+			applied: 6, fetches: 1, rejected: 1},
+		{name: "off the chain: rejected, backup used, no escalation",
+			have: func(t *testing.T, log *wal.Manager) *page.Page {
+				pg := haveAt(t, log, pid, 7)
+				pg.SetLSN(pg.LSN() + 1) // between two records: no version of the page
+				return pg
+			},
+			applied: 6, extraReads: 3, fetches: 1, rejected: 1},
+		{name: "current already: not stale, backup used",
+			have:    func(t *testing.T, log *wal.Manager) *page.Page { return haveAt(t, log, pid, 10) },
+			applied: 6, fetches: 1, rejected: 1},
+		{name: "entry without a backup: used",
+			have:     func(t *testing.T, log *wal.Manager) *page.Page { return haveAt(t, log, pid, 2) },
+			noBackup: true, own: true, applied: 8},
+		{name: "nothing offered: backup used",
+			have:    func(*testing.T, *wal.Manager) *page.Page { return nil },
+			applied: 6, fetches: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := wal.NewManager(iosim.Instant)
+			pri, mb, want := buildHistory(t, log, pid, 4, 6)
+			if tc.noBackup {
+				pri.Set(pid, Entry{LastLSN: want.LSN()})
+			}
+			backups := &countingBackups{mapBackups: mb}
+			r := NewRecoverer(log, pri, backups, rawApplier{})
+			have := tc.have(t, log)
+			readsBefore := log.Stats().RecordsRead
+			got, rep, err := r.RecoverPage(pid, have)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.LSN() != want.LSN() || string(got.Payload()) != string(want.Payload()) {
+				t.Errorf("recovered %q@%d, want %q@%d", got.Payload(), got.LSN(), want.Payload(), want.LSN())
+			}
+			if rep.OwnImage != tc.own || (got == have) != tc.own {
+				t.Errorf("own image used: report %v, page identity %v, want %v", rep.OwnImage, got == have, tc.own)
+			}
+			if tc.own && rep.BackupKind != BackupNone || !tc.own && rep.BackupKind != BackupPage {
+				t.Errorf("backup kind %v with own image %v", rep.BackupKind, tc.own)
+			}
+			if rep.RecordsApplied != tc.applied || backups.fetches != tc.fetches {
+				t.Errorf("applied %d records over %d backup fetches, want %d over %d",
+					rep.RecordsApplied, backups.fetches, tc.applied, tc.fetches)
+			}
+			// Only an off-chain image costs log reads of its own: the walk
+			// from the head down to it. One older than the backup is turned
+			// down on its LSN, before anything below the backup is read.
+			if reads := log.Stats().RecordsRead - readsBefore; reads != int64(tc.applied)+tc.extraReads {
+				t.Errorf("%d log records read for a %d-record replay, want %d more", reads, tc.applied, tc.extraReads)
+			}
+			s := r.Stats()
+			want1 := int64(0)
+			if tc.own {
+				want1 = 1
+			}
+			if s.Recoveries != 1 || s.Escalations != 0 || s.OwnImage != want1 || s.OwnImageRejected != tc.rejected {
+				t.Errorf("stats = %+v, want one recovery, no escalation, own image %d, rejected %d", s, want1, tc.rejected)
+			}
+		})
+	}
+}
+
+// TestRecoverPageOwnImageRejectedThenBackupFails: rejecting the offered
+// image is not an escalation, failing from the backup afterwards is — one.
+func TestRecoverPageOwnImageRejectedThenBackupFails(t *testing.T) {
+	log := wal.NewManager(iosim.Instant)
+	pri, backups, _ := buildHistory(t, log, 7, 4, 6)
+	have := haveAt(t, log, 7, 7)
+	have.SetLSN(have.LSN() + 1)
+	delete(backups.images, 100)
+	r := NewRecoverer(log, pri, backups, rawApplier{})
+	if _, _, err := r.RecoverPage(7, have); !errors.Is(err, ErrEscalate) {
+		t.Fatalf("want ErrEscalate, got %v", err)
+	}
+	if s := r.Stats(); s.Escalations != 1 || s.Recoveries != 0 {
+		t.Errorf("stats = %+v", s)
 	}
 }

@@ -18,8 +18,8 @@
 // page), exactly the discipline that makes the B-tree's fence checks sound
 // under concurrency. All mutations log through the existing WAL record set
 // (TypeFormat, TypeUpdate, CLRs) in a disjoint opcode namespace, so chain
-// replay, redoFromImage, instant restart, media restore, and scrubbing work
-// on hash pages without modification.
+// replay, instant restart, media restore, and scrubbing work on hash pages
+// without modification.
 package hashindex
 
 import (

@@ -32,12 +32,12 @@ func newEnv(t *testing.T, capacity, slots int) *env {
 	e.pool = buffer.NewPool(buffer.Config{
 		Capacity: capacity, Device: e.dev, Map: e.pmap, Log: e.log,
 		Hooks: buffer.Hooks{
-			Recover: func(id page.ID) (*page.Page, error) {
+			Recover: func(id page.ID, _ *page.Page) (*page.Page, bool, error) {
 				pg := page.New(id, page.TypeRaw, 512)
 				if err := pg.SetPayload([]byte(fmt.Sprintf("recovered-%d", id))); err != nil {
-					return nil, err
+					return nil, false, err
 				}
-				return pg, nil
+				return pg, false, nil
 			},
 		},
 	})

@@ -224,26 +224,18 @@ func (m *Map) WriteTarget(id page.ID) (dst storage.PhysID, prev storage.PhysID, 
 	}
 }
 
-// Relocate moves logical page id to a fresh physical slot and returns the
-// new slot plus the previous one. Used after single-page recovery to avoid
-// re-using the failed location, and by defragmentation/wear-leveling.
-func (m *Map) Relocate(id page.ID) (dst storage.PhysID, prev storage.PhysID, hadPrev bool, err error) {
+// Unbind takes logical page id off its physical slot: the slot does not
+// hold the page (it failed, §5.2.3 — the caller retires it). The page stays
+// known and unbound, like one never written, and its next WriteTarget
+// allocates; the slot is not handed back to the allocator. A page is thus
+// always either bound to a slot that holds a version of it, or unbound.
+func (m *Map) Unbind(id page.ID) {
 	st := m.stripeFor(id)
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	cur, ok := st.m[id]
-	if !ok {
-		return 0, 0, false, fmt.Errorf("%w: %d", ErrUnknownPage, id)
+	if _, ok := st.m[id]; ok {
+		st.m[id] = noSlot
 	}
-	s, err := m.allocSlot()
-	if err != nil {
-		return 0, 0, false, err
-	}
-	st.m[id] = s
-	if cur == noSlot {
-		return s, 0, false, nil
-	}
-	return s, cur, true, nil
+	st.mu.Unlock()
 }
 
 // Remap binds logical page id to the given slot, e.g. when replaying page

@@ -91,31 +91,45 @@ func TestDeviceFull(t *testing.T) {
 	}
 }
 
-func TestRelocateAndFreeSlot(t *testing.T) {
-	m := New(InPlace, 10)
-	id := m.AllocateLogical()
-	orig, _, _, err := m.WriteTarget(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, prev, had, err := m.Relocate(id)
-	if err != nil || !had || prev != orig || dst == orig {
-		t.Fatalf("relocate: dst=%d prev=%d had=%v err=%v", dst, prev, had, err)
-	}
-	// Old slot can now be freed and is reused.
-	if err := m.FreeSlot(prev); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.FreeSlot(prev); !errors.Is(err, ErrDoubleFree) {
-		t.Errorf("double free: %v", err)
-	}
-	id2 := m.AllocateLogical()
-	s2, _, _, err := m.WriteTarget(id2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2 != prev {
-		t.Errorf("freed slot not reused: got %d want %d", s2, prev)
+// TestUnbind: a page taken off its slot is known and unbound — in either
+// write mode its next write allocates with no previous slot to keep as a
+// backup — and the slot it left is out of the allocator's reach until it
+// is explicitly freed.
+func TestUnbind(t *testing.T) {
+	for _, mode := range []Mode{InPlace, CopyOnWrite} {
+		m := New(mode, 10)
+		id := m.AllocateLogical()
+		orig, _, _, err := m.WriteTarget(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Unbind(id)
+		if _, bound := m.Lookup(id); bound || !m.Known(id) {
+			t.Fatalf("%v: after Unbind bound=%v known=%v, want unbound and known", mode, bound, m.Known(id))
+		}
+		if _, mapped := m.MappedSlots()[orig]; mapped {
+			t.Errorf("%v: slot %d still mapped", mode, orig)
+		}
+		dst, _, had, err := m.WriteTarget(id)
+		if err != nil || had || dst == orig {
+			t.Fatalf("%v: write after Unbind: dst=%d (was %d) hadPrev=%v err=%v", mode, dst, orig, had, err)
+		}
+		// The slot left behind can be freed, once, and is then reused.
+		if err := m.FreeSlot(orig); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.FreeSlot(orig); !errors.Is(err, ErrDoubleFree) {
+			t.Errorf("%v: double free: %v", mode, err)
+		}
+		id2 := m.AllocateLogical()
+		if s2, _, _, err := m.WriteTarget(id2); err != nil || s2 != orig {
+			t.Errorf("%v: freed slot not reused: got %d want %d (%v)", mode, s2, orig, err)
+		}
+		// Unbinding an unbound or unknown page changes nothing.
+		m.Unbind(id2 + 100)
+		if m.Known(id2 + 100) {
+			t.Errorf("%v: Unbind created a page", mode)
+		}
 	}
 }
 
@@ -215,8 +229,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Generate some churn: relocate and free.
-	_, prev, _, err := m.Relocate(ids[3])
+	// Generate some churn: move a page and free the slot it left.
+	_, prev, _, err := m.WriteTarget(ids[3])
 	if err != nil {
 		t.Fatal(err)
 	}

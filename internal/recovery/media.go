@@ -50,12 +50,14 @@ type MediaReport struct {
 //     format record its chain starts with;
 //   - a page still in the recovery requirements has its expectation raised
 //     to the analysed chain head, as restart preparation does;
-//   - every page is bound to a fresh, unwritten slot ("restoring to
-//     alternative media requires remapping page identifiers", §5.1.3 — the
-//     logical page map does exactly that). The first validating read of
-//     such a slot fails its in-page checks and routes into ordinary
-//     single-page recovery against the entry prepared here — the caller
-//     serves reads *during* restore by scheduling exactly those repairs.
+//   - every page is taken off its slot: the new device holds no image of
+//     anything. The first read of a page therefore goes straight to
+//     ordinary single-page recovery against the entry prepared here, and
+//     its first write-back binds it to a slot of the new device
+//     ("restoring to alternative media requires remapping page
+//     identifiers", §5.1.3 — the logical page map does exactly that). The
+//     caller serves reads *during* restore by scheduling exactly those
+//     repairs.
 //
 // The analysed map and index, now describing the new device, are the
 // caller's to wire into a fresh engine; the returned pages, each with the
@@ -92,14 +94,11 @@ func PrepareMedia(d MediaDeps, a *AnalysisResult, setID uint64) ([]RedoPage, *Me
 		if !inSet {
 			rep.LateBornPages++
 		}
-		if _, _, _, err := a.Map.WriteTarget(id); err != nil {
-			return nil, rep, fmt.Errorf("recovery: binding slot for page %d: %w", id, err)
-		}
 		base := e.Backup.AsOf
 		if e.Backup.Kind == core.BackupFull {
 			base = setLSN
 		}
-		backlog = append(backlog, RedoPage{ID: id, Head: e.LastLSN, Cost: max(0, int64(e.LastLSN)-int64(base))})
+		backlog = append(backlog, RedoPage{ID: id, Cost: max(0, int64(e.LastLSN)-int64(base))})
 	}
 	rep.PagesRestored = len(backlog)
 	return backlog, rep, nil

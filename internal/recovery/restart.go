@@ -159,22 +159,19 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 	return res, nil
 }
 
-// RedoPage is one page the instant-restart preparation marked as
-// needing redo: its on-disk image may be missing the tail of its
-// per-page chain up to Head.
+// RedoPage is one page of a recovery's backlog: its image on the device,
+// if it has one, may be missing the tail of its per-page chain.
 type RedoPage struct {
 	ID page.ID
-	// Head is the page's newest surviving log record — the LSN the page
-	// must reach before it may serve reads.
-	Head page.LSN
-	// Cost is the log span the replay covers, Head minus the page's first
-	// unwritten record: the scheduler's estimate (shorter spans first).
+	// Cost is the log span the replay covers, from the page's first
+	// unwritten record to the LSN it must reach: the scheduler's estimate
+	// (shorter spans first).
 	Cost int64
 }
 
 // PrepReport quantifies an instant-restart preparation.
 type PrepReport struct {
-	// PagesMarked counts pages registered as needs-redo. No page image
+	// PagesMarked counts pages in the recovery requirements. No page image
 	// is touched here; each page's missing chain tail is replayed on
 	// demand (foreground faults first) and in the background.
 	PagesMarked int
@@ -190,38 +187,32 @@ type PrepReport struct {
 // recovery requirements it raises the analysed page recovery index's
 // expectation to the page's analysed chain head, so the first validating
 // read of a stale on-disk image fails the PageLSN cross-check and routes
-// into per-page redo, exactly as a lost write would. Pages that never
-// reached the device are bound to fresh unwritten slots (the zero image
-// fails the in-page checks); their format record, which analysis or the
-// checkpoint's index snapshot registered, is their backup.
+// into single-page recovery, exactly as a lost write would — and, as for a
+// lost write, the stale image is that recovery's base. A page that never
+// reached the device stays without a slot: its read goes straight to
+// recovery from the format record that analysis or the checkpoint's index
+// snapshot registered as its backup.
 //
-// The caller owns scheduling: it marks each returned page needs-redo and
-// enqueues its repair with the background scheduler; a foreground fetch
-// replays the page itself and pays only its own chain (spf.DB.Restart).
-func PrepareRedo(a *AnalysisResult) ([]RedoPage, *PrepReport, error) {
-	rep := &PrepReport{}
-	marks := make([]RedoPage, 0, len(a.DPT))
+// The caller owns scheduling: it enqueues each returned page's repair with
+// the background scheduler; a foreground fetch replays the page itself and
+// pays only its own chain (spf.DB.Restart).
+func PrepareRedo(a *AnalysisResult) ([]RedoPage, *PrepReport) {
+	rep := &PrepReport{PagesMarked: len(a.DPT)}
+	backlog := make([]RedoPage, 0, len(a.DPT))
 	for id, recLSN := range a.DPT {
 		head := a.Heads[id]
 		if _, err := a.PRI.SetLastLSN(id, head); err != nil {
 			// No backup is known for the page; the expectation alone still
-			// makes a stale image fail its read instead of serving it.
+			// makes a stale image fail its read instead of serving it, and
+			// that image is then all recovery has to build on.
 			a.PRI.Set(id, core.Entry{LastLSN: head})
 		}
 		if _, written := a.Map.Lookup(id); !written {
-			// Bind a fresh slot so the validating read path has a
-			// location to fault on (the unwritten slot reads as a zero
-			// image and fails the in-page checks).
-			a.Map.AdoptFresh(id)
-			if _, _, _, err := a.Map.WriteTarget(id); err != nil {
-				return nil, nil, fmt.Errorf("recovery: binding slot for never-written page %d: %w", id, err)
-			}
 			rep.NeverWritten++
 		}
-		marks = append(marks, RedoPage{ID: id, Head: head, Cost: int64(head - recLSN)})
+		backlog = append(backlog, RedoPage{ID: id, Cost: int64(head - recLSN)})
 	}
-	rep.PagesMarked = len(marks)
-	return marks, rep, nil
+	return backlog, rep
 }
 
 // RedoDeps is what the redo pass needs.

@@ -3,7 +3,7 @@
 // A read that finds a bad page repairs it on its own goroutine (the buffer
 // pool's one-loader-per-page miss path, paper Fig. 8 and §5.2.3) and never
 // comes here. What comes here is repair work nobody is waiting to read:
-// the latent failures an online scrub campaign surfaces, the needs-redo
+// the latent failures an online scrub campaign surfaces, the redo
 // backlog of an instant restart, every page of a replaced device after a
 // media failure. Sauer, Graefe and Härder's instant restore needs only
 // that a reader never queues behind such bulk work; since a reader does
@@ -31,7 +31,7 @@
 //     fails for real, or the scheduler stops.
 //
 // The scheduler owns only ordering and goroutines; what a repair *is*
-// (evict, validating re-read, recovery, relocation) stays in the engine's
+// (evict, validating re-read, recovery, retiring a failed slot) stays in the engine's
 // Deps.Repair callback.
 package restore
 

@@ -84,10 +84,10 @@ func RegisterEngineCollector(reg *metrics.Registry, db *spf.DB) {
 		e.Gauge("spf_restore_pending", "Restore tickets waiting in the queue.", float64(m.Restore.Pending))
 		e.Gauge("spf_restore_in_flight", "Repairs currently executing.", float64(m.Restore.InFlight))
 
-		e.Gauge("spf_restart_redo_marked", "Pages flagged needs-redo by the last restart.", float64(m.RestartRedo.Marked))
-		e.Counter("spf_restart_redo_fast_total", "Marked pages redone from their on-disk image.", float64(m.RestartRedo.FastRedos))
-		e.Counter("spf_restart_redo_fallbacks_total", "Marked pages redone via full single-page recovery.", float64(m.RestartRedo.Fallbacks))
-		e.Gauge("spf_restart_redo_pending", "Needs-redo marks not yet redone.", float64(m.RestartRedo.Pending))
+		e.Gauge("spf_restart_redo_marked", "Pages the last restart or media recovery queued for background repair.", float64(m.RestartRedo.Marked))
+		e.Counter("spf_restart_redo_fast_total", "Recoveries replayed onto the stale image the failed read had loaded.", float64(m.RestartRedo.FastRedos))
+		e.Counter("spf_restart_redo_fallbacks_total", "Sound images recovery turned down for the registered backup.", float64(m.RestartRedo.Fallbacks))
+		e.Gauge("spf_restart_redo_pending", "Background repairs still queued or running.", float64(m.RestartRedo.Pending))
 
 		e.Gauge("spf_pri_ranges", "Page recovery index entries (range-compressed).", float64(m.PRI.Ranges))
 		e.Gauge("spf_pri_bytes", "Page recovery index footprint in bytes.", float64(m.PRI.Bytes))

@@ -272,7 +272,7 @@ func (db *DB) runDueBackups() error {
 func (db *DB) InjectPageFault(id PageID, kind FaultKind, sticky bool) error {
 	phys, ok := db.pmap.Lookup(id)
 	if !ok {
-		return fmt.Errorf("spf: page %d has no physical slot yet", id)
+		return fmt.Errorf("%w: page %d", ErrNoSlot, id)
 	}
 	db.dev.InjectFault(phys, kind, sticky)
 	return nil
@@ -283,7 +283,7 @@ func (db *DB) InjectPageFault(id PageID, kind FaultKind, sticky bool) error {
 func (db *DB) CorruptPage(id PageID) error {
 	phys, ok := db.pmap.Lookup(id)
 	if !ok {
-		return fmt.Errorf("spf: page %d has no physical slot yet", id)
+		return fmt.Errorf("%w: page %d", ErrNoSlot, id)
 	}
 	return db.dev.CorruptStored(phys)
 }
@@ -338,12 +338,12 @@ func (db *DB) Scrub() (ScrubReport, error) {
 	return rep, nil
 }
 
-// RecoverPageNow runs single-page recovery for one page explicitly and
-// returns the recovery report (normally recovery happens transparently on
-// the read path).
+// RecoverPageNow runs single-page recovery for one page explicitly, from
+// its registered backup, and returns the recovery report (normally recovery
+// happens transparently on the read path).
 func (db *DB) RecoverPageNow(id PageID) (core.Report, error) {
 	_ = db.EvictPage(id)
-	_, rep, err := db.rec.RecoverPage(id)
+	_, rep, err := db.rec.RecoverPage(id, nil)
 	return rep, err
 }
 
@@ -415,12 +415,13 @@ type RestartReport struct {
 //
 // Redo is on demand (ARCHITECTURE.md, recovery): recovery.PrepareRedo
 // raises each dirty page's recovery-index expectation to the chain head
-// analysis found for it — O(active pages) — every such page is marked
-// needs-redo and enqueued with the repair scheduler, shortest log span
-// first, and Restart returns before redo completes. The first fetch of a
-// marked page fails the PageLSN cross-check and replays the page's chain
-// itself (usually just the missing tail on top of the on-disk image),
-// retiring its ticket. DrainRestore is the "bulk redo finished" barrier.
+// analysis found for it — O(active pages) — every such page is enqueued
+// with the repair scheduler, shortest log span first, and Restart returns
+// before redo completes. The first fetch of such a page fails the PageLSN
+// cross-check and recovers the page itself — single-page recovery with the
+// stale on-disk image as its base, so only the missing chain tail is
+// replayed — retiring its ticket. DrainRestore is the "bulk redo finished"
+// barrier.
 //
 // The synchronous forward-scan redo still runs when the on-demand path
 // cannot: it needs validating reads to trigger per-page replay and the
@@ -435,25 +436,20 @@ func (db *DB) Restart() (*DB, *RestartReport, error) {
 	rep := &RestartReport{Analysis: *analysis}
 	rep.OnDemand = !db.opts.Restore.Disabled && !db.opts.DisableSinglePageRecovery &&
 		!db.opts.DisablePageLSNCheck
-	var marks []recovery.RedoPage
+	var backlog []recovery.RedoPage
 	if rep.OnDemand {
-		// Preparation mutates the page map and recovery index, so it runs
-		// before the pool exists and any read can fault.
+		// Preparation mutates the recovery index, so it runs before the
+		// pool exists and any read can fault.
 		var prepRep *recovery.PrepReport
-		marks, prepRep, err = recovery.PrepareRedo(analysis)
-		if err != nil {
-			return nil, nil, fmt.Errorf("spf: restart redo prep: %w", err)
-		}
+		backlog, prepRep = recovery.PrepareRedo(analysis)
 		rep.Prep = *prepRep
 	}
 	ndb := newDB(db.opts, db.dev, db.store, db.log, analysis.Map, analysis.PRI, db)
 	ndb.inheritParked(db, true)
 	rep.Undo, err = ndb.finishRecovery(analysis, func() error {
 		if rep.OnDemand {
-			ndb.installRedoMarks(marks)
 			chaos.At("restart.prep")
-			ndb.enqueueBacklog(marks)
-			return nil
+			return ndb.workOff(backlog)
 		}
 		redoRep, err := recovery.Redo(recovery.RedoDeps{
 			Log: ndb.log, Pool: ndb.pool, Map: ndb.pmap, PRI: ndb.pri,
@@ -502,7 +498,7 @@ func (db *DB) finishRecovery(a *recovery.AnalysisResult, redo func() error) (rec
 	}
 	// The checkpoint snapshots the raised recovery-index expectations, so
 	// a second crash before the drain completes still detects every stale
-	// page on read — the redo then runs from the page's real backup.
+	// page on read, and recovers it from its stale image as this one would.
 	if _, err := db.Checkpoint(); err != nil {
 		return fail(err)
 	}
@@ -511,12 +507,19 @@ func (db *DB) finishRecovery(a *recovery.AnalysisResult, redo func() error) (rec
 	return *undoRep, nil
 }
 
-// enqueueBacklog hands a recovery's pages to the repair scheduler, each
-// with the log span its replay covers as cost.
-func (db *DB) enqueueBacklog(pages []recovery.RedoPage) {
+// workOff hands a recovery's pages to the repair scheduler, each with the
+// log span its replay covers as cost. Without the scheduler every page is
+// repaired before the DB is returned (the pre-instant-restore behavior).
+func (db *DB) workOff(pages []recovery.RedoPage) error {
+	db.backlog = len(pages)
 	for _, p := range pages {
-		db.sched.Enqueue(p.ID, p.Cost)
+		if db.sched != nil {
+			db.sched.Enqueue(p.ID, p.Cost)
+		} else if err := db.performRepair(p.ID); err != nil {
+			return fmt.Errorf("page %d: %w", p.ID, err)
+		}
 	}
+	return nil
 }
 
 // reopenCatalog finds the meta page (the lowest TypeMeta page) and reloads
@@ -605,20 +608,7 @@ func (db *DB) RecoverMedia() (*DB, *MediaRecoveryReport, error) {
 	}
 	ndb := newDB(db.opts, db.dev, db.store, db.log, analysis.Map, analysis.PRI, db)
 	ndb.inheritParked(db, false)
-	undoRep, err := ndb.finishRecovery(analysis, func() error {
-		// Without the scheduler every page is repaired before the DB is
-		// returned (the pre-instant-restore behavior).
-		if ndb.sched != nil {
-			ndb.enqueueBacklog(backlog)
-			return nil
-		}
-		for _, p := range backlog {
-			if err := ndb.performRepair(p.ID); err != nil {
-				return fmt.Errorf("page %d: %w", p.ID, err)
-			}
-		}
-		return nil
-	})
+	undoRep, err := ndb.finishRecovery(analysis, func() error { return ndb.workOff(backlog) })
 	if err != nil {
 		return nil, nil, fmt.Errorf("spf: media recovery: %w", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/archive"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/page"
 	"repro/internal/pagemap"
 	"repro/internal/pageop"
-	"repro/internal/recovery"
 	"repro/internal/restore"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -67,6 +65,10 @@ var (
 	ErrCrashed      = errors.New("spf: database is crashed; call Restart")
 	ErrClosed       = errors.New("spf: database is closed")
 	ErrUnknownIndex = errors.New("spf: unknown index")
+	// ErrNoSlot reports that a page has no image on the device to inject a
+	// fault into: it was never written back, or a read just rebuilt it off
+	// a failed slot and its write-back is still due.
+	ErrNoSlot = errors.New("spf: page has no physical slot yet")
 	// ErrNotFound is the canonical "key does not exist" sentinel — the
 	// benign miss every caller must distinguish from detection errors
 	// (ErrDetected) and failed repairs (ErrPageFailed). It aliases
@@ -115,16 +117,9 @@ type DB struct {
 	crashed      bool
 	closed       bool
 
-	// Instant-restart needs-redo marks: pages whose on-disk image may be
-	// missing the tail of its per-page chain after a system failure, keyed
-	// to the chain head the image must reach. redoCount mirrors
-	// len(redoMarks) so paths outside restart pay one atomic load.
-	redoMu     sync.Mutex
-	redoMarks  map[page.ID]page.LSN
-	redoCount  atomic.Int64
-	redoMarked atomic.Int64
-	redoFast   atomic.Int64
-	redoFull   atomic.Int64
+	// backlog is how many pages the recovery that produced this DB queued
+	// for background repair; set before the DB is handed out.
+	backlog int
 
 	// suspects are pages a descent's cross-page check implicated although
 	// their images are sound in isolation; validatePage refuses them so the
@@ -132,61 +127,26 @@ type DB struct {
 	suspects sync.Map // page.ID -> struct{}
 }
 
-// RestartRedoStats counts on-demand restart-redo activity on this DB
-// (Metrics.RestartRedo); all zero for a DB no instant Restart produced.
+// RestartRedoStats summarises how recoveries on this DB found their replay
+// base, and what is left of the backlog of the recovery that produced it
+// (Metrics.RestartRedo). Despite the name, which benchmark/ and dashboards
+// read, a lost write counts like a page left stale by a crash.
 type RestartRedoStats struct {
-	// Marked is how many pages the last restart preparation flagged as
-	// needs-redo.
+	// Marked is how many pages the recovery that produced this DB — an
+	// instant Restart or RecoverMedia — queued for background repair.
 	Marked int64
-	// FastRedos counts marked pages redone from their on-disk image —
-	// only the missing chain tail was replayed, no backup was touched.
+	// FastRedos counts recoveries that replayed only the missing chain tail
+	// onto the image the failed read had loaded from the page's own slot
+	// (core.Stats.OwnImage): stale after a crash, or a lost write. No backup
+	// was touched and the slot stayed in service.
 	FastRedos int64
-	// Fallbacks counts marked pages whose image could not serve as the
-	// replay base (unreadable, corrupt, or off-chain) — a single-page
-	// failure inside system recovery, repaired by full single-page
-	// recovery from the page's registered backup.
+	// Fallbacks counts sound images recovery could not build on — older
+	// than the page's backup, or off its chain — so that the page was
+	// recovered from its registered backup instead
+	// (core.Stats.OwnImageRejected).
 	Fallbacks int64
-	// Pending is how many marks have not been redone yet.
+	// Pending is how many background repairs are still queued or running.
 	Pending int64
-}
-
-// installRedoMarks records the needs-redo set produced by restart
-// preparation. Called before the first fetch can observe the new DB.
-func (db *DB) installRedoMarks(marks []recovery.RedoPage) {
-	db.redoMu.Lock()
-	db.redoMarks = make(map[page.ID]page.LSN, len(marks))
-	for _, m := range marks {
-		db.redoMarks[m.ID] = m.Head
-	}
-	db.redoCount.Store(int64(len(db.redoMarks)))
-	db.redoMu.Unlock()
-	db.redoMarked.Store(int64(len(marks)))
-}
-
-// redoMark reports whether id is marked needs-redo and the chain head its
-// image must reach.
-func (db *DB) redoMark(id page.ID) (page.LSN, bool) {
-	if db.redoCount.Load() == 0 {
-		return page.ZeroLSN, false
-	}
-	db.redoMu.Lock()
-	defer db.redoMu.Unlock()
-	head, ok := db.redoMarks[id]
-	return head, ok
-}
-
-// clearRedoMark drops id's needs-redo mark once the page is known healthy
-// (its repair completed, whichever path ran it).
-func (db *DB) clearRedoMark(id page.ID) {
-	if db.redoCount.Load() == 0 {
-		return
-	}
-	db.redoMu.Lock()
-	if _, ok := db.redoMarks[id]; ok {
-		delete(db.redoMarks, id)
-		db.redoCount.Add(-1)
-	}
-	db.redoMu.Unlock()
 }
 
 // Open creates a fresh database.
@@ -297,8 +257,8 @@ func (db *DB) stopRestore() {
 //
 // The rest is the read path itself (Fig. 8): the fetch loads the page,
 // or joins whichever fetch is loading it already, and the one loader
-// validates, recovers, relocates and retires; the recovered page is
-// installed dirty for write-back to persist.
+// validates, recovers and retires a slot that failed; the recovered page
+// is installed dirty for write-back to persist.
 func (db *DB) performRepair(id page.ID) error {
 	if db.isCrashed() {
 		return ErrCrashed
@@ -311,11 +271,6 @@ func (db *DB) performRepair(id page.ID) error {
 		return err
 	}
 	h.Release()
-	// The page is healthy now whichever branch the validating read took —
-	// a page fully written before a crash passes validation without ever
-	// invoking the Recover hook, so the needs-redo mark is retired here,
-	// not only inside recoverPage.
-	db.clearRedoMark(id)
 	return nil
 }
 
@@ -435,8 +390,8 @@ func (db *DB) validatePage(pg *page.Page) error {
 }
 
 // plausibleImage is validatePage's first two tests — everything but the
-// PageLSN expectation — which restart redo also applies to the on-disk
-// image it replays onto (that image is expected to be stale).
+// PageLSN expectation — which recoverPage also applies to an image before
+// recovery may replay onto it (that image is expected to be stale).
 func (db *DB) plausibleImage(pg *page.Page) error {
 	var err error
 	switch pg.Type() {
@@ -482,74 +437,30 @@ func (db *DB) healDetected(err error) bool {
 }
 
 // recoverPage adapts the single-page recoverer to the buffer pool hook.
-//
-// A page marked needs-redo by instant restart gets the fast path first:
-// its current on-disk image is a free backup as of its own PageLSN
-// (§5.2.1 — any older version plus the log chain suffices), so only the
-// missing chain tail between the image and the crash-time chain head is
-// replayed. If the image cannot serve as the replay base — unreadable,
-// corrupt, or off-chain — that is a single-page failure inside system
-// recovery, and the page falls through to full single-page recovery from
-// its registered backup, exactly as any other failed page would.
-func (db *DB) recoverPage(id page.ID) (*page.Page, error) {
-	if head, ok := db.redoMark(id); ok {
-		if pg, err := db.redoFromImage(id, head); err == nil {
-			db.redoFast.Add(1)
-			db.noteRecovered(id)
-			return pg, nil
+// have is the sound image the failed read loaded from the page's slot, if
+// any; one the engine's own checks refuse is dropped here, and the
+// recoverer decides whether the rest can be the replay's base
+// (core.Recoverer.RecoverPage) — it is for a page left stale by a crash and
+// for a lost write. A page with no image and no index entry was allocated
+// and never logged: nothing refers to it, and nothing failed.
+func (db *DB) recoverPage(id page.ID, have *page.Page) (*page.Page, bool, error) {
+	if have == nil {
+		if _, err := db.pri.Get(id); err != nil {
+			return nil, false, fmt.Errorf("%w: %v", buffer.ErrNeverWritten, err)
 		}
-		db.redoFull.Add(1)
+	} else if db.plausibleImage(have) != nil {
+		have = nil
 	}
-	pg, _, err := db.rec.RecoverPage(id)
-	if err == nil {
-		db.noteRecovered(id)
+	pg, rep, err := db.rec.RecoverPage(id, have)
+	if err != nil {
+		return nil, false, err
 	}
-	return pg, err
-}
-
-// noteRecovered settles the bookkeeping of a page the read path just
-// rebuilt: its needs-redo mark is void, and so is a ticket still queued
-// for it (the scheduler also tells a reader's recovery from a worker's).
-func (db *DB) noteRecovered(id page.ID) {
-	db.clearRedoMark(id)
+	// A ticket still queued for the page is void (the scheduler also tells
+	// a reader's recovery from a worker's).
 	if s := db.sched; s != nil {
 		s.NoteForegroundRepair(id)
 	}
-}
-
-// redoFromImage replays the missing tail of a page's per-page chain onto
-// its current on-disk image, bringing it from its PageLSN up to head (the
-// newest surviving log record for the page) with the same replay loop
-// single-page recovery runs on a backup image. Any sequence mismatch means
-// the image is not a true historical version and the caller must recover
-// from a real backup.
-func (db *DB) redoFromImage(id page.ID, head page.LSN) (*page.Page, error) {
-	phys, ok := db.pmap.Lookup(id)
-	if !ok {
-		return nil, fmt.Errorf("spf: restart redo of page %d: no device slot", id)
-	}
-	buf := make([]byte, db.opts.PageSize)
-	if err := db.dev.ReadInto(phys, buf); err != nil {
-		return nil, err
-	}
-	pg, err := page.DecodeFor(id, buf)
-	if err == nil {
-		err = pg.Check()
-	}
-	if err == nil {
-		err = db.plausibleImage(pg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if pg.LSN() > head {
-		return nil, fmt.Errorf("spf: restart redo of page %d: image at LSN %d beyond chain head %d",
-			id, pg.LSN(), head)
-	}
-	if _, err := core.ReplayChain(db.log, applier{}, pg, head); err != nil {
-		return nil, fmt.Errorf("spf: restart redo: %w", err)
-	}
-	return pg, nil
+	return pg, rep.OwnImage, nil
 }
 
 // onMarkDirty counts page updates for the backup-every-N policy ("the
@@ -588,21 +499,13 @@ func (db *DB) completeWrite(info buffer.WriteInfo) []*wal.Record {
 	// record is appended here, ahead of the completed write's own, because
 	// the backup it replaces may be released only behind that record.
 	if info.HadPrev && db.opts.WriteMode == pagemap.CopyOnWrite {
-		prevEntry, err := db.pri.Get(info.Page)
-		if err == nil {
-			ref := core.BackupRef{
-				Kind: core.BackupDataSlot,
-				Loc:  uint64(info.Prev),
-				AsOf: prevEntry.LastLSN,
-			}
-			old, err := db.pri.SetBackup(info.Page, ref)
-			if err == nil {
-				lsn := db.log.Append(&wal.Record{
-					Type: wal.TypePRIUpdate, PageID: info.Page,
-					Payload: core.EncodeSetBackup(ref),
-				})
-				db.supersedeBackup(info.Page, old, lsn)
-			}
+		ref := core.BackupRef{Kind: core.BackupDataSlot, Loc: uint64(info.Prev), AsOf: info.PrevLSN}
+		if old, err := db.pri.SetBackup(info.Page, ref); err == nil {
+			lsn := db.log.Append(&wal.Record{
+				Type: wal.TypePRIUpdate, PageID: info.Page,
+				Payload: core.EncodeSetBackup(ref),
+			})
+			db.supersedeBackup(info.Page, old, lsn)
 		}
 	}
 	if _, err := db.pri.SetLastLSN(info.Page, info.PageLSN); err != nil {

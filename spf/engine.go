@@ -158,8 +158,8 @@ func (e hashEngine) Counters() EngineCounters {
 
 // applier is the combined redo applier: log records carry their engine in
 // the leading payload byte (the hash index's opcodes occupy a disjoint
-// namespace), so one dispatch serves chain replay, redoFromImage, restart
-// redo, and media restore for every page type either engine stores.
+// namespace), so one dispatch serves chain replay, restart redo, and media
+// restore for every page type either engine stores.
 type applier struct{}
 
 func (applier) ApplyRedo(rec *wal.Record, pg *page.Page) error {

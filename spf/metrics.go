@@ -27,8 +27,8 @@ type Metrics struct {
 	Txns     txn.Stats
 	Recovery core.Stats
 	// Maintenance and Restore are the background services (zero when
-	// disabled); RestartRedo is the instant-restart needs-redo ledger
-	// (zero for a DB not produced by Restart); Archive is the log
+	// disabled); RestartRedo says how recoveries found their replay base
+	// and how much of the last recovery's backlog remains; Archive is the log
 	// lifecycle's archive store plus the archiver's pause gauge (zero
 	// unless Options.Lifecycle.Enabled).
 	Maintenance maintenance.Stats
@@ -99,12 +99,6 @@ func (db *DB) Metrics() Metrics {
 		Log:      db.log.Stats(),
 		Txns:     db.txns.Stats(),
 		Recovery: db.rec.Stats(),
-		RestartRedo: RestartRedoStats{
-			Marked:    db.redoMarked.Load(),
-			FastRedos: db.redoFast.Load(),
-			Fallbacks: db.redoFull.Load(),
-			Pending:   db.redoCount.Load(),
-		},
 		PRI: PRIMetrics{
 			Ranges: db.pri.RangeCount(),
 			Bytes:  db.pri.SizeBytes(),
@@ -118,6 +112,12 @@ func (db *DB) Metrics() Metrics {
 	}
 	if db.sched != nil {
 		m.Restore = db.sched.Stats()
+	}
+	m.RestartRedo = RestartRedoStats{
+		Marked:    int64(db.backlog),
+		FastRedos: m.Recovery.OwnImage,
+		Fallbacks: m.Recovery.OwnImageRejected,
+		Pending:   m.Restore.Pending + m.Restore.InFlight,
 	}
 	if db.archiver != nil {
 		m.Archive = db.archiver.Stats()

@@ -32,16 +32,20 @@
 // identical seeded workloads.
 //
 // Restart after a system failure is instant (after Sauer et al.): instead
-// of replaying the log forward before opening for business, Restart marks
-// every page that was dirty at the crash "needs-redo" with the chain head
-// log analysis found for it — an O(active pages) preparation — queues the
-// backlog for background replay, shortest log span first, and returns. The first read
-// of a marked page pays only that page's chain replay, served through the
-// same single-page-recovery machinery that handles lost writes: the
-// current disk image acts as a free backup as of its own PageLSN, and a
-// damaged image falls back to full recovery from a real backup — a nested
-// single-page failure repaired inside system recovery. The synchronous
-// forward-scan redo remains available behind Options.Restore.Disabled.
+// of replaying the log forward before opening for business, Restart tells
+// the page recovery index, for every page that was dirty at the crash, the
+// chain head log analysis found for it — an O(active pages) preparation —
+// queues those pages for background repair, shortest log span first, and
+// returns. The first read of such a page finds its disk image stale, as it
+// would after a lost write, and repairs it the same way: single-page
+// recovery takes what the read loaded as its first backup — the current
+// disk image is a free backup as of its own PageLSN — and replays only the
+// missing tail of the page's chain onto it; a damaged image offers nothing
+// and the page is rebuilt from its registered backup, a nested single-page
+// failure repaired inside system recovery. Nothing but the index remembers
+// which pages are stale, so a second crash mid-drain changes nothing. The
+// synchronous forward-scan redo remains available behind
+// Options.Restore.Disabled.
 package spf
 
 import (
@@ -100,7 +104,7 @@ type Options struct {
 	Maintenance MaintenanceOptions
 	// Restore configures the background repair scheduler, which drains
 	// the repair work nobody is waiting to read: scrub findings, the
-	// needs-redo backlog of an instant restart, the pages of a replaced
+	// redo backlog of an instant restart, the pages of a replaced
 	// device. It only selects how such backlogs drain — by its workers
 	// while the database serves, or (Disabled) synchronously before
 	// Restart/RecoverMedia return. The read path is the same either way:

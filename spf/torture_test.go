@@ -66,6 +66,8 @@ var crashPoints = []string{
 //   - every injected persistent page fault — including one injected
 //     mid-crash and one injected mid-restart, so single-page recovery
 //     runs inside system recovery — is repaired transparently;
+//   - no healthy slot is retired: a crash, a restart and a drain cost no
+//     slots, only an injected fault does;
 //   - the tree verifies clean and the engine shuts down without leaking
 //     goroutines.
 func TestChaosTortureCrashRestartVerify(t *testing.T) {
@@ -128,8 +130,16 @@ func runTorture(t *testing.T, seed int64) {
 	pages := db.Pages()
 	victimCrash := pages[rng.Intn(len(pages))]
 	victimPrep := pages[rng.Intn(len(pages))]
-	chaos.Arm("wal.truncate", 1, func(chaos.Hit) { _ = db.CorruptPage(victimCrash) })
-	chaos.Arm("restart.prep", 1, func(chaos.Hit) { _ = db.CorruptPage(victimPrep) })
+	var faults atomic.Int32 // device faults injected: the only reason to retire a slot
+	inject := func(id PageID) func(chaos.Hit) {
+		return func(chaos.Hit) {
+			if db.CorruptPage(id) == nil {
+				faults.Add(1)
+			}
+		}
+	}
+	chaos.Arm("wal.truncate", 1, inject(victimCrash))
+	chaos.Arm("restart.prep", 1, inject(victimPrep))
 
 	// The crash point for this run. The action must not block and must
 	// not crash synchronously (a crash quiesces the very code path the
@@ -316,6 +326,11 @@ func runTorture(t *testing.T, seed int64) {
 	}
 	if viols, err := hx2.Verify(); err != nil || len(viols) != 0 {
 		t.Fatalf("hash verify after torture: %v %v", viols, err)
+	}
+	// Invariant: slots are retired for injected faults only — none in a run
+	// that injected none.
+	if retired := ndb.Metrics().RetiredSlots; retired > int(faults.Load()) {
+		t.Errorf("%d slots retired for %d injected device faults", retired, faults.Load())
 	}
 	// The always-armed nested-fault points must have fired: wal.truncate
 	// on the first Crash, restart.prep on the first instant Restart.
