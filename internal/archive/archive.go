@@ -9,6 +9,13 @@
 // sequential span instead of paying a seek per record, which is the whole
 // point of archiving for single-page recovery and media restore.
 //
+// The archive is a redo store: a run keeps only what recovery reads from
+// old history — per-page chain records and in-log page images — and an
+// update whose transaction committed within the same collected batch is
+// kept redo-only (its undo information stripped by an engine hook). Commit,
+// abort, PRI and checkpoint records are dropped: analysis, their only
+// reader, starts at the master checkpoint, which recycling never passes.
+//
 // The Store is the device model: writes and reads charge the simulated
 // I/O clock and honor injected faults (FailWrites/FailReads), mirroring
 // internal/storage's fault style. Reader wraps the store with bounded
@@ -17,8 +24,10 @@
 package archive
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,12 +61,17 @@ type Stats struct {
 	RunsWritten     int64
 	RecordsArchived int64
 	BytesArchived   int64
-	ReleasedRuns    int64
-	ReleasedBytes   int64
-	Reads           int64 // records served to readers
-	WriteFaults     int64
-	ReadFaults      int64
-	Retries         int64 // faulted operations retried by readers/archiver
+	// RecordsDropped counts collected records no recovery reads from the
+	// archive (commit, abort, PRI, checkpoint), left out of every run;
+	// UndoBytesStripped the undo information cut from committed updates.
+	RecordsDropped    int64
+	UndoBytesStripped int64
+	ReleasedRuns      int64
+	ReleasedBytes     int64
+	Reads             int64 // records served to readers
+	WriteFaults       int64
+	ReadFaults        int64
+	Retries           int64 // faulted operations retried by readers/archiver
 	// ArchivedLSN is the exclusive upper bound of archived history;
 	// ReleasedLSN the exclusive bound of dropped history.
 	ArchivedLSN page.LSN
@@ -83,9 +97,9 @@ type pageSpan struct {
 	start, count int32
 }
 
-// Run is one immutable archived segment: records for LSNs [lo, hi),
-// physically laid out in (pageID, LSN) order with a per-page index block,
-// plus an LSN-order permutation for sequential replays.
+// Run is one immutable archived segment: the chain records of LSNs
+// [lo, hi), physically laid out in (pageID, LSN) order with a per-page
+// index block, plus an LSN-order permutation for point lookups.
 type Run struct {
 	lo, hi page.LSN
 	data   []byte
@@ -105,6 +119,9 @@ type Store struct {
 	released page.LSN // exclusive bound of dropped history
 	records  int64
 	bytes    int64
+	// committed is AppendRun's scratch: per transaction, whether its newest
+	// end record seen so far (walking the batch backwards) is a commit.
+	committed map[wal.TxnID]bool
 
 	// Fault injection: counts of upcoming operations to fail (-1 = every
 	// operation until cleared), in internal/storage's injected style.
@@ -114,6 +131,8 @@ type Store struct {
 	runsWritten   atomic.Int64
 	recsArchived  atomic.Int64
 	bytesArchived atomic.Int64
+	recsDropped   atomic.Int64
+	undoStripped  atomic.Int64
 	releasedRuns  atomic.Int64
 	releasedBytes atomic.Int64
 	reads         atomic.Int64
@@ -127,9 +146,10 @@ type Store struct {
 // profile.
 func NewStore(profile iosim.Profile, start page.LSN) *Store {
 	return &Store{
-		clock:    iosim.NewClock(profile),
-		upTo:     start,
-		released: start,
+		clock:     iosim.NewClock(profile),
+		upTo:      start,
+		released:  start,
+		committed: make(map[wal.TxnID]bool),
 	}
 }
 
@@ -175,14 +195,38 @@ func consume(f *atomic.Int32) bool {
 	}
 }
 
+// chainRecord reports whether recovery can read a record of type t from
+// the archive: the per-page chain (updates, CLRs and format records —
+// WalkChain, and a rollback's wal.Read of its own updates) and in-log page
+// images (a log-backed backup reference).
+func chainRecord(t wal.RecType) bool {
+	switch t {
+	case wal.TypeUpdate, wal.TypeCLR, wal.TypeFormat, wal.TypeFullImage:
+		return true
+	}
+	return false
+}
+
+// kept is one record AppendRun stores, with the payload it stores.
+type kept struct {
+	rec     *wal.Record
+	payload []byte
+}
+
 // AppendRun archives recs — records in ascending LSN order continuing
-// exactly at ArchivedUpTo — as one sorted, page-partitioned run. Records
-// below the archived horizon are skipped, which makes re-archiving after
-// a crash between archive-write and recycle idempotent: the caller simply
-// re-reads from its (stale) cursor and the overlap is dropped here. The
-// commit of the run is atomic under the store lock: a crash can only ever
-// observe the horizon before or after the whole run.
-func (s *Store) AppendRun(recs []*wal.Record) error {
+// exactly at ArchivedUpTo — as one sorted, page-partitioned run covering
+// their whole LSN range. Only chain records are stored; a batch without
+// one still advances ArchivedUpTo. An update whose transaction's commit or
+// sys-commit follows it in recs — flushed, since the archiver collects
+// only flushed history — is stored as redoOnly(payload): no rollback can
+// reach it any more. nil keeps every payload whole.
+//
+// Records below the archived horizon are skipped, which makes re-archiving
+// after a crash between archive-write and recycle idempotent: the caller
+// simply re-reads from its (stale) cursor and the overlap is dropped here.
+// The commit of the run is atomic under the store lock: a crash can only
+// ever observe the horizon before or after the whole run.
+func (s *Store) AppendRun(recs []*wal.Record, redoOnly func(op []byte) []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(recs) > 0 && recs[0].LSN < s.upTo {
@@ -199,59 +243,89 @@ func (s *Store) AppendRun(recs []*wal.Record) error {
 		s.writeFaults.Add(1)
 		return ErrArchiveIO
 	}
+	last := recs[len(recs)-1]
+	hi := last.LSN + page.LSN(wal.RecordSize(last))
 
-	// Partition: stable-sort record indices by (page, LSN), lay the data
-	// out in that order so one page's history is physically contiguous,
-	// and keep the LSN-order permutation for sequential replays.
-	order := make([]int, len(recs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := recs[order[a]], recs[order[b]]
-		if ra.PageID != rb.PageID {
-			return ra.PageID < rb.PageID
+	// Walk the batch backwards so each update meets the newest end record
+	// of its transaction that follows it. A transaction id is reused only
+	// after its previous holder ended (a restart's losers keep theirs until
+	// their abort), so that end record is this transaction's.
+	keep := make([]kept, 0, len(recs))
+	var size int
+	var stripped int64
+	clear(s.committed)
+	for i := len(recs) - 1; i >= 0; i-- {
+		rec := recs[i]
+		switch {
+		case rec.Type == wal.TypeCommit || rec.Type == wal.TypeSysCommit:
+			s.committed[rec.Txn] = true
+		case rec.Type == wal.TypeAbort:
+			s.committed[rec.Txn] = false
+		case chainRecord(rec.Type):
+			k := kept{rec: rec, payload: rec.Payload}
+			if rec.Type == wal.TypeUpdate && redoOnly != nil && s.committed[rec.Txn] {
+				k.payload = redoOnly(rec.Payload)
+				stripped += int64(len(rec.Payload) - len(k.payload))
+			}
+			keep = append(keep, k)
+			size += wal.RecordSize(rec) - len(rec.Payload) + len(k.payload)
 		}
-		return ra.LSN < rb.LSN
+	}
+	s.recsDropped.Add(int64(len(recs) - len(keep)))
+	s.undoStripped.Add(stripped)
+	if len(keep) == 0 {
+		s.upTo = hi
+		return nil
+	}
+	slices.Reverse(keep)
+
+	// Partition: sort by (page, LSN), lay the data out in that order so one
+	// page's history is physically contiguous, and keep the LSN-order
+	// permutation for point lookups.
+	order := make([]int32, len(keep))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		ra, rb := keep[a].rec, keep[b].rec
+		if ra.PageID != rb.PageID {
+			return cmp.Compare(ra.PageID, rb.PageID)
+		}
+		return cmp.Compare(ra.LSN, rb.LSN)
 	})
 	run := &Run{
 		lo:     recs[0].LSN,
-		byPage: make([]entry, 0, len(recs)),
-		lsnIdx: make([]int32, len(recs)),
+		hi:     hi,
+		data:   make([]byte, 0, size),
+		byPage: make([]entry, 0, len(keep)),
+		lsnIdx: make([]int32, len(keep)),
 	}
-	last := recs[len(recs)-1]
-	run.hi = last.LSN + page.LSN(wal.RecordSize(last))
-	for _, i := range order {
-		rec := recs[i]
-		blob := wal.EncodeRecord(rec)
-		e := entry{
+	for bi, i := range order {
+		rec := *keep[i].rec
+		rec.Payload = keep[i].payload
+		off := len(run.data)
+		run.data = wal.AppendRecord(run.data, &rec)
+		if n := len(run.pages); n == 0 || run.pages[n-1].pg != rec.PageID {
+			run.pages = append(run.pages, pageSpan{pg: rec.PageID, start: int32(bi)})
+		}
+		run.pages[len(run.pages)-1].count++
+		run.byPage = append(run.byPage, entry{
 			lsn:  rec.LSN,
 			pg:   rec.PageID,
 			prev: rec.PagePrevLSN,
-			off:  int32(len(run.data)),
-			size: int32(len(blob)),
-		}
-		run.data = append(run.data, blob...)
-		if n := len(run.pages); n == 0 || run.pages[n-1].pg != rec.PageID {
-			run.pages = append(run.pages, pageSpan{pg: rec.PageID, start: int32(len(run.byPage))})
-		}
-		run.pages[len(run.pages)-1].count++
-		run.byPage = append(run.byPage, e)
+			off:  int32(off),
+			size: int32(len(run.data) - off),
+		})
+		run.lsnIdx[i] = int32(bi)
 	}
-	// byPage index of each record, in original (LSN) order.
-	pos := make([]int32, len(recs))
-	for bi, i := range order {
-		pos[i] = int32(bi)
-	}
-	copy(run.lsnIdx, pos)
 	s.clock.Sequential(int64(len(run.data)))
 
 	s.runs = append(s.runs, run)
-	s.upTo = run.hi
-	s.records += int64(len(recs))
+	s.upTo = hi
+	s.records += int64(len(keep))
 	s.bytes += int64(len(run.data))
 	s.runsWritten.Add(1)
-	s.recsArchived.Add(int64(len(recs)))
+	s.recsArchived.Add(int64(len(keep)))
 	s.bytesArchived.Add(int64(len(run.data)))
 	return nil
 }
@@ -291,7 +365,8 @@ func (r *Run) decode(e entry) (*wal.Record, error) {
 }
 
 // ReadRecord returns an independent copy of the archived record at lsn,
-// charging one random archive I/O (a point lookup, not a run scan).
+// charging one random archive I/O (a point lookup, not a run scan). A
+// record AppendRun did not keep is ErrNotArchived.
 func (s *Store) ReadRecord(lsn page.LSN) (*wal.Record, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -383,49 +458,6 @@ func (s *Store) WalkChain(start, stopAfter page.LSN, pageID page.ID) ([]*wal.Rec
 	return chain, nil
 }
 
-// ScanLSN replays archived records with lo ≤ LSN < hi in ascending LSN
-// order, charged as sequential I/O. The callback's record payload aliases
-// run data and must be copied if retained (the same contract as
-// wal.Manager.Scan).
-func (s *Store) ScanLSN(lo, hi page.LSN, fn func(*wal.Record) bool) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if lo < s.released {
-		return fmt.Errorf("%w: scan from %d", ErrReleased, lo)
-	}
-	if consume(&s.failR) {
-		s.readFaults.Add(1)
-		return ErrArchiveIO
-	}
-	for _, run := range s.runs {
-		if run.hi <= lo {
-			continue
-		}
-		if run.lo >= hi {
-			break
-		}
-		for _, bi := range run.lsnIdx {
-			e := run.byPage[bi]
-			if e.lsn < lo {
-				continue
-			}
-			if e.lsn >= hi {
-				return nil
-			}
-			rec, err := run.decode(e)
-			if err != nil {
-				return err
-			}
-			s.clock.Sequential(int64(e.size))
-			s.reads.Add(1)
-			if !fn(rec) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
 // ReleaseBelow drops whole runs whose history lies entirely below lsn —
 // archive garbage collection, driven by the archiver once the backup
 // horizon (and the active-transaction / backup-reference floors) passed
@@ -457,19 +489,21 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return Stats{
-		Runs:            int64(len(s.runs)),
-		Records:         s.records,
-		Bytes:           s.bytes,
-		RunsWritten:     s.runsWritten.Load(),
-		RecordsArchived: s.recsArchived.Load(),
-		BytesArchived:   s.bytesArchived.Load(),
-		ReleasedRuns:    s.releasedRuns.Load(),
-		ReleasedBytes:   s.releasedBytes.Load(),
-		Reads:           s.reads.Load(),
-		WriteFaults:     s.writeFaults.Load(),
-		ReadFaults:      s.readFaults.Load(),
-		Retries:         s.retries.Load(),
-		ArchivedLSN:     s.upTo,
-		ReleasedLSN:     s.released,
+		Runs:              int64(len(s.runs)),
+		Records:           s.records,
+		Bytes:             s.bytes,
+		RunsWritten:       s.runsWritten.Load(),
+		RecordsArchived:   s.recsArchived.Load(),
+		BytesArchived:     s.bytesArchived.Load(),
+		RecordsDropped:    s.recsDropped.Load(),
+		UndoBytesStripped: s.undoStripped.Load(),
+		ReleasedRuns:      s.releasedRuns.Load(),
+		ReleasedBytes:     s.releasedBytes.Load(),
+		Reads:             s.reads.Load(),
+		WriteFaults:       s.writeFaults.Load(),
+		ReadFaults:        s.readFaults.Load(),
+		Retries:           s.retries.Load(),
+		ArchivedLSN:       s.upTo,
+		ReleasedLSN:       s.released,
 	}
 }

@@ -84,7 +84,7 @@ func sameRecord(a, b *wal.Record) bool {
 func TestAppendRunAndReadRecord(t *testing.T) {
 	_, recs := buildLog(t, []page.ID{3, 7, 9}, 5)
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	if err := s.AppendRun(recs); err != nil {
+	if err := s.AppendRun(recs, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range recs {
@@ -109,20 +109,20 @@ func TestAppendRunIdempotentOverlap(t *testing.T) {
 	_, recs := buildLog(t, []page.ID{1, 2}, 6)
 	s := NewStore(iosim.Instant, wal.FirstLSN())
 	half := len(recs) / 2
-	if err := s.AppendRun(recs[:half]); err != nil {
+	if err := s.AppendRun(recs[:half], nil); err != nil {
 		t.Fatal(err)
 	}
 	// Re-archiving the full range (the crash-between-archive-and-recycle
 	// shape: the cursor is stale, the records overlap) must silently skip
 	// the archived prefix and append only the rest.
-	if err := s.AppendRun(recs); err != nil {
+	if err := s.AppendRun(recs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().Records; got != int64(len(recs)) {
 		t.Fatalf("after overlapping append: %d records archived, want %d", got, len(recs))
 	}
 	// A full replay of already-archived history is a no-op, not an error.
-	if err := s.AppendRun(recs); err != nil {
+	if err := s.AppendRun(recs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().Runs; got != 2 {
@@ -133,7 +133,7 @@ func TestAppendRunIdempotentOverlap(t *testing.T) {
 func TestAppendRunRejectsGap(t *testing.T) {
 	_, recs := buildLog(t, []page.ID{1}, 4)
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	if err := s.AppendRun(recs[1:]); !errors.Is(err, ErrNotContiguous) {
+	if err := s.AppendRun(recs[1:], nil); !errors.Is(err, ErrNotContiguous) {
 		t.Fatalf("gapped run: err = %v, want ErrNotContiguous", err)
 	}
 }
@@ -144,7 +144,7 @@ func TestWalkChainMatchesLiveWalk(t *testing.T) {
 	// Split across several runs so the walk crosses run boundaries.
 	third := len(recs) / 3
 	for _, part := range [][]*wal.Record{recs[:third], recs[third : 2*third], recs[2*third:]} {
-		if err := s.AppendRun(part); err != nil {
+		if err := s.AppendRun(part, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,49 +169,14 @@ func TestWalkChainMatchesLiveWalk(t *testing.T) {
 	}
 }
 
-func TestScanLSNBounds(t *testing.T) {
-	_, recs := buildLog(t, []page.ID{1, 2, 3}, 5)
-	s := NewStore(iosim.Instant, wal.FirstLSN())
-	half := len(recs) / 2
-	if err := s.AppendRun(recs[:half]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendRun(recs[half:]); err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := recs[2].LSN, recs[len(recs)-2].LSN
-	var got []page.LSN
-	err := s.ScanLSN(lo, hi, func(r *wal.Record) bool {
-		got = append(got, r.LSN)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []page.LSN
-	for _, r := range recs {
-		if r.LSN >= lo && r.LSN < hi {
-			want = append(want, r.LSN)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("scan returned %d records, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("scan[%d] = %d, want %d (must ascend in LSN order)", i, got[i], want[i])
-		}
-	}
-}
-
 func TestReleaseBelowDropsRunsAndRebuildsHeads(t *testing.T) {
 	_, recs := buildLog(t, []page.ID{1, 2}, 10)
 	s := NewStore(iosim.Instant, wal.FirstLSN())
 	half := len(recs) / 2
-	if err := s.AppendRun(recs[:half]); err != nil {
+	if err := s.AppendRun(recs[:half], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendRun(recs[half:]); err != nil {
+	if err := s.AppendRun(recs[half:], nil); err != nil {
 		t.Fatal(err)
 	}
 	cutLSN := recs[half].LSN
@@ -247,7 +212,7 @@ func TestReleaseBelowDropsRunsAndRebuildsHeads(t *testing.T) {
 func TestReaderRetriesTransientFault(t *testing.T) {
 	_, recs := buildLog(t, []page.ID{1}, 4)
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	if err := s.AppendRun(recs); err != nil {
+	if err := s.AppendRun(recs, nil); err != nil {
 		t.Fatal(err)
 	}
 	r := s.NewReader(5, time.Microsecond)
@@ -336,7 +301,7 @@ func TestRecycledReadsFallBackToArchive(t *testing.T) {
 	m, recs := buildLog(t, []page.ID{21, 22}, 9)
 	s := NewStore(iosim.Instant, wal.FirstLSN())
 	m.SetArchive(s.NewReader(3, time.Microsecond))
-	if err := s.AppendRun(recs); err != nil {
+	if err := s.AppendRun(recs, nil); err != nil {
 		t.Fatal(err)
 	}
 	m.Recycle(m.FlushedLSN())
@@ -365,22 +330,30 @@ func TestScanAcrossRecycleBoundary(t *testing.T) {
 	s := NewStore(iosim.Instant, wal.FirstLSN())
 	m.SetArchive(s.NewReader(3, time.Microsecond))
 	half := len(recs) / 2
-	if err := s.AppendRun(recs[:half]); err != nil {
+	if err := s.AppendRun(recs[:half], nil); err != nil {
 		t.Fatal(err)
 	}
 	m.Recycle(recs[half].LSN)
+	// The archive holds chain records, not the LSN-ordered stream: a scan
+	// that starts below the boundary fails before it visits anything, even
+	// with the archive attached.
+	visited := 0
+	err := m.Scan(wal.FirstLSN(), func(*wal.Record) bool { visited++; return true })
+	if !errors.Is(err, wal.ErrTruncated) || visited != 0 {
+		t.Fatalf("scan below the boundary: err = %v after %d records, want ErrTruncated before any", err, visited)
+	}
+	// From the boundary on, the scan is the live log.
 	var got []page.LSN
-	err := m.Scan(wal.FirstLSN(), func(r *wal.Record) bool {
+	if err := m.Scan(m.TruncatedLSN(), func(r *wal.Record) bool {
 		got = append(got, r.LSN)
 		return true
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(recs) {
-		t.Fatalf("boundary scan saw %d records, want %d", len(got), len(recs))
+	if len(got) != len(recs)-half {
+		t.Fatalf("live scan saw %d records, want %d", len(got), len(recs)-half)
 	}
-	for i, r := range recs {
+	for i, r := range recs[half:] {
 		if got[i] != r.LSN {
 			t.Fatalf("scan[%d] = %d, want %d", i, got[i], r.LSN)
 		}
@@ -397,7 +370,7 @@ func TestWalkPageChainAcrossRecycleBoundary(t *testing.T) {
 	s := NewStore(iosim.Instant, wal.FirstLSN())
 	m.SetArchive(s.NewReader(3, time.Microsecond))
 	half := len(recs) / 2
-	if err := s.AppendRun(recs[:half]); err != nil {
+	if err := s.AppendRun(recs[:half], nil); err != nil {
 		t.Fatal(err)
 	}
 	m.Recycle(recs[half].LSN)
@@ -439,7 +412,7 @@ func TestRecycleReusesFreedChunks(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		writeChunk()
 		recs := collect(t, m, s.ArchivedUpTo(), m.FlushedLSN())
-		if err := s.AppendRun(recs); err != nil {
+		if err := s.AppendRun(recs, nil); err != nil {
 			t.Fatal(err)
 		}
 		m.Recycle(m.FlushedLSN())
@@ -454,5 +427,216 @@ func TestRecycleReusesFreedChunks(t *testing.T) {
 	}
 	if len(chain) != 160 {
 		t.Errorf("replayed %d records, wrote 160", len(chain))
+	}
+}
+
+// firstByte is a stand-in for an engine's RedoOnly: it keeps an op's code
+// byte only, so a stripped record is unmistakable.
+func firstByte(op []byte) []byte { return op[:1] }
+
+// TestArchiveKeepsOnlyChainRecords drives the archiver over a log holding
+// every record type, recycling as it goes: the runs hold per-page chain
+// records and in-log images only, every other LSN reads ErrNotArchived —
+// from the store and through the log's fallback — and the drop is counted.
+func TestArchiveKeepsOnlyChainRecords(t *testing.T) {
+	m := wal.NewManager(iosim.Instant)
+	s := NewStore(iosim.Instant, wal.FirstLSN())
+	m.SetArchive(s.NewReader(1, 0))
+	a := New(m, s, Config{SegmentBytes: 512, RedoOnly: firstByte})
+	chain := make(map[page.LSN]wal.RecType)
+	var dropped []page.LSN
+	last := make(map[page.ID]page.LSN)
+	appendRec := func(r *wal.Record) {
+		linked := r.Type == wal.TypeUpdate || r.Type == wal.TypeCLR || r.Type == wal.TypeFormat
+		if linked {
+			r.PagePrevLSN = last[r.PageID]
+		}
+		lsn := m.Append(r)
+		if linked {
+			last[r.PageID] = lsn
+		}
+		if chainRecord(r.Type) {
+			chain[lsn] = r.Type
+		} else {
+			dropped = append(dropped, lsn)
+		}
+	}
+	recycles := 0
+	for round := 0; round < 30; round++ {
+		txn := wal.TxnID(round + 1)
+		pg := page.ID(round%4 + 1)
+		if round < 4 {
+			appendRec(&wal.Record{Type: wal.TypeFormat, Txn: txn, PageID: pg, Payload: []byte{1}})
+		}
+		appendRec(&wal.Record{Type: wal.TypeUpdate, Txn: txn, PageID: pg, Payload: []byte{2, byte(round), 9, 9}})
+		switch round % 3 {
+		case 0:
+			appendRec(&wal.Record{Type: wal.TypeCommit, Txn: txn})
+		case 1:
+			appendRec(&wal.Record{Type: wal.TypeCLR, Txn: txn, PageID: pg, Payload: []byte{3}})
+			appendRec(&wal.Record{Type: wal.TypeAbort, Txn: txn})
+		default:
+			appendRec(&wal.Record{Type: wal.TypeSysCommit, Txn: txn})
+		}
+		appendRec(&wal.Record{Type: wal.TypeFullImage, Txn: txn, PageID: pg, Payload: []byte{4, 4}})
+		appendRec(&wal.Record{Type: wal.TypePRIUpdate, PageID: pg, Payload: []byte{5}})
+		appendRec(&wal.Record{Type: wal.TypeCheckpointBegin})
+		appendRec(&wal.Record{Type: wal.TypeCheckpointEnd, Payload: make([]byte, 64)})
+		m.FlushAll()
+		a.SetCheckpointHorizon(m.FlushedLSN())
+		before := m.TruncatedLSN()
+		if err := a.Step(true); err != nil {
+			t.Fatal(err)
+		}
+		if m.TruncatedLSN() > before {
+			recycles++
+		}
+	}
+	if recycles < 20 || m.TruncatedLSN() != m.FlushedLSN() {
+		t.Fatalf("%d recycles, base %d of flushed %d", recycles, m.TruncatedLSN(), m.FlushedLSN())
+	}
+	stored := 0
+	for _, run := range s.runs {
+		for _, e := range run.byPage {
+			rec, err := run.decode(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !chainRecord(rec.Type) || chain[rec.LSN] != rec.Type {
+				t.Fatalf("run [%d,%d) holds a %v record at %d", run.lo, run.hi, rec.Type, rec.LSN)
+			}
+			stored++
+		}
+	}
+	if stored != len(chain) {
+		t.Fatalf("runs hold %d records, the log had %d chain records", stored, len(chain))
+	}
+	for _, lsn := range dropped {
+		if _, err := s.ReadRecord(lsn); !errors.Is(err, ErrNotArchived) {
+			t.Fatalf("ReadRecord(%d) of a dropped record: err = %v, want ErrNotArchived", lsn, err)
+		}
+		if _, err := m.Read(lsn); !errors.Is(err, ErrNotArchived) {
+			t.Fatalf("log Read(%d) of a dropped record: err = %v, want ErrNotArchived", lsn, err)
+		}
+	}
+	for lsn, typ := range chain {
+		rec, err := m.Read(lsn)
+		if err != nil || rec.Type != typ {
+			t.Fatalf("log Read(%d): %v %v, want the archived %v", lsn, rec, err, typ)
+		}
+	}
+	if st := s.Stats(); st.RecordsDropped != int64(len(dropped)) || st.Records != int64(len(chain)) {
+		t.Errorf("stats: %d dropped / %d retained, want %d / %d", st.RecordsDropped, st.Records, len(dropped), len(chain))
+	}
+}
+
+// TestCommittedUpdatesStoredRedoOnly: an update is stored redo-only exactly
+// when its own transaction's commit or sys-commit follows it in the same
+// batch. Updates whose commit lands in a later run, of aborted
+// transactions, of a transaction id's aborted earlier holder, and CLRs stay
+// whole.
+func TestCommittedUpdatesStoredRedoOnly(t *testing.T) {
+	m := wal.NewManager(iosim.Instant)
+	last := page.ZeroLSN
+	update := func(txn wal.TxnID, typ wal.RecType) page.LSN {
+		last = m.Append(&wal.Record{Type: typ, Txn: txn, PageID: 1, PagePrevLSN: last, Payload: []byte{7, 1, 2, 3, 4, 5}})
+		return last
+	}
+	end := func(txn wal.TxnID, typ wal.RecType) { m.Append(&wal.Record{Type: typ, Txn: txn}) }
+
+	committed := update(1, wal.TypeUpdate)
+	end(1, wal.TypeCommit)
+	sys := update(2|1<<63, wal.TypeUpdate)
+	end(2|1<<63, wal.TypeSysCommit)
+	aborted := update(3, wal.TypeUpdate)
+	clr := update(3, wal.TypeCLR)
+	end(3, wal.TypeAbort)
+	loser := update(4, wal.TypeUpdate) // id 4's first holder rolls back ...
+	end(4, wal.TypeAbort)
+	reused := update(4, wal.TypeUpdate) // ... its second commits
+	end(4, wal.TypeCommit)
+	later := update(5, wal.TypeUpdate) // commits in the next batch
+	cut := m.EndLSN()
+	end(5, wal.TypeCommit)
+	m.FlushAll()
+	recs := collect(t, m, wal.FirstLSN(), m.FlushedLSN())
+
+	s := NewStore(iosim.Instant, wal.FirstLSN())
+	n := 0
+	for n < len(recs) && recs[n].LSN < cut {
+		n++
+	}
+	if err := s.AppendRun(recs[:n], firstByte); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendRun(recs[n:], firstByte); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		lsn   page.LSN
+		whole bool
+	}{
+		{"committed in the batch", committed, false},
+		{"sys-committed in the batch", sys, false},
+		{"aborted", aborted, true},
+		{"CLR", clr, true},
+		{"aborted earlier holder of a reused id", loser, true},
+		{"committed later holder of a reused id", reused, false},
+		{"committed in a later run", later, true},
+	} {
+		rec, err := s.ReadRecord(c.lsn)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := len(rec.Payload) == 6; got != c.whole {
+			t.Errorf("%s: stored payload %x, whole = %v, want %v", c.name, rec.Payload, got, c.whole)
+		}
+	}
+	if st := s.Stats(); st.UndoBytesStripped != 3*5 {
+		t.Errorf("UndoBytesStripped = %d, want 15", st.UndoBytesStripped)
+	}
+}
+
+// TestBatchWithoutChainRecordsAdvancesCursor: a collected batch that holds
+// no chain record writes no run, yet moves ArchivedUpTo to its end, so the
+// live log recycles past it and the next run continues exactly there.
+func TestBatchWithoutChainRecordsAdvancesCursor(t *testing.T) {
+	m := wal.NewManager(iosim.Instant)
+	n := 0
+	for i := 0; i < 40; i++ {
+		m.Append(&wal.Record{Type: wal.TypeCommit, Txn: wal.TxnID(i + 1)})
+		m.Append(&wal.Record{Type: wal.TypePRIUpdate, PageID: 3, Payload: make([]byte, 24)})
+		n += 2
+	}
+	m.FlushAll()
+	s := NewStore(iosim.Instant, wal.FirstLSN())
+	m.SetArchive(s.NewReader(1, 0))
+	a := New(m, s, Config{SegmentBytes: 256})
+	a.SetCheckpointHorizon(m.FlushedLSN())
+	if err := a.Step(true); err != nil {
+		t.Fatal(err)
+	}
+	flushed := m.FlushedLSN()
+	if got := s.ArchivedUpTo(); got != flushed {
+		t.Fatalf("archived up to %d, want the flushed end %d", got, flushed)
+	}
+	if m.TruncatedLSN() != flushed {
+		t.Fatalf("live log recycled to %d, want %d", m.TruncatedLSN(), flushed)
+	}
+	if st := s.Stats(); st.Runs != 0 || st.RunsWritten != 0 || st.RecordsDropped != int64(n) {
+		t.Fatalf("stats %+v: want no run and %d records dropped", st, n)
+	}
+	lsn := m.Append(&wal.Record{Type: wal.TypeFormat, Txn: 99, PageID: 3, Payload: []byte{1}})
+	m.FlushAll()
+	a.SetCheckpointHorizon(m.FlushedLSN())
+	if err := a.Step(true); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := m.Read(lsn); err != nil || rec.Type != wal.TypeFormat {
+		t.Fatalf("chain record after the empty batches: %v %v", rec, err)
+	}
+	if run := s.runs[0]; run.lo != flushed {
+		t.Fatalf("next run starts at %d, want %d", run.lo, flushed)
 	}
 }

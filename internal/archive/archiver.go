@@ -36,6 +36,10 @@ type Config struct {
 	// log-backed backup reference), so undo chains and in-log page
 	// backups survive in the archive as long as anything can need them.
 	ReleaseFloor func() page.LSN
+	// RedoOnly strips an update's undo information (the engine's op codec:
+	// the archive names no opcode). Runs store a committed transaction's
+	// updates through it; nil keeps every update whole.
+	RedoOnly func(op []byte) []byte
 	// Logf receives the graceful-degradation log lines (archive
 	// unavailable / recovered). Nil is silent.
 	Logf func(format string, args ...any)
@@ -254,7 +258,7 @@ func (a *Archiver) appendWithRetry(recs []*wal.Record) error {
 	delay := a.cfg.RetryBackoff
 	var err error
 	for i := 0; i < a.cfg.RetryAttempts; i++ {
-		if err = a.store.AppendRun(recs); !errors.Is(err, ErrArchiveIO) {
+		if err = a.store.AppendRun(recs, a.cfg.RedoOnly); !errors.Is(err, ErrArchiveIO) {
 			return err
 		}
 		if i < a.cfg.RetryAttempts-1 {
@@ -339,12 +343,4 @@ func (r *Reader) WalkChain(start, stopAfter page.LSN, pageID page.ID) ([]*wal.Re
 		return e
 	})
 	return chain, err
-}
-
-// ScanLSN implements wal.ArchiveReader. The callback may run again after
-// a mid-scan fault retry; in-tree consumers (wal.Scan's archive fallback)
-// only ever see a fault before the first record, because the store checks
-// the fault budget up front.
-func (r *Reader) ScanLSN(lo, hi page.LSN, fn func(*wal.Record) bool) error {
-	return r.retry(func() error { return r.s.ScanLSN(lo, hi, fn) })
 }

@@ -282,6 +282,27 @@ func setFoster(pg *page.Page, foster page.ID, slot int, f fence) error {
 	return nil
 }
 
+// RedoOnly returns op without its undo information, which is what the log
+// archive keeps of an update whose transaction has committed: the old
+// value of a leaf update or purge, the old payload of a node or raw
+// replace, the pre-image of a split truncate. applyOp leaves the same page
+// either way; any other op comes back as op itself.
+func RedoOnly(op []byte) []byte {
+	if len(op) == 0 {
+		return op
+	}
+	if k := kindOf(op[0]); k != pageop.None {
+		return pageop.RedoOnly(k, op)
+	}
+	if op[0] != opSplitTruncate {
+		return op
+	}
+	c := pageop.NewCursor(op, 1)
+	c.U64()     // foster pid
+	c.Bytes16() // foster key
+	return c.WithoutBytes32()
+}
+
 // IsUserLeafOp reports whether a record payload is a user-level leaf op
 // requiring logical undo (vs a structural op undone physically).
 func IsUserLeafOp(payload []byte) bool {

@@ -127,3 +127,76 @@ func TestOpPayloadsMatchParentFormat(t *testing.T) {
 		t.Errorf("leaf after replay: %v", err)
 	}
 }
+
+// TestRedoOnlyAppliesAlike walks a page of every kind through every B-tree
+// opcode twice, once with the whole ops and once with their RedoOnly
+// forms: the pages stay byte-identical; RedoOnly cuts exactly the undo
+// field (the old value of an update or purge, the old payload of a replace,
+// the split pre-image), is its own fixed point, never grows an op nor
+// writes to it, and hands every other op back unchanged. Every truncation of
+// each op fails alike in both forms, or applies alike.
+func TestRedoOnlyAppliesAlike(t *testing.T) {
+	kb, kc := []byte("kb"), []byte("kc")
+	pages := func() []*page.Page {
+		leaf := page.New(1, page.TypeBTree, 512)
+		branch := page.New(2, page.TypeBTree, 512)
+		if err := leaf.SetPayload(newNodePayload(0, finite(nil), infFence, infFence, page.InvalidID, page.InvalidID)); err != nil {
+			t.Fatal(err)
+		}
+		if err := branch.SetPayload(newNodePayload(1, finite(nil), infFence, infFence, page.InvalidID, 3)); err != nil {
+			t.Fatal(err)
+		}
+		return []*page.Page{leaf, branch, page.New(3, page.TypeMeta, 512), page.New(4, page.TypeRaw, 512)}
+	}
+	whole, stripped := pages(), pages()
+	const leaf, branch, meta, raw = 0, 1, 2, 3
+	steps := []struct {
+		name string
+		op   []byte
+		pg   int
+		cut  int // undo bytes RedoOnly removes
+	}{
+		{"opLeafInsert", encodeLeafInsert(7, kb, []byte("val")), leaf, 0},
+		{"opLeafGhost", encodeLeafGhost(7, kb, true, false), leaf, 0},
+		{"opLeafUpdate", encodeLeafUpdate(7, kb, []byte("new"), []byte("val")), leaf, 3},
+		{"opLeafPurge", encodeLeafPurge(kb, []byte("new"), true), leaf, 3},
+		{"opLeafReinsert", pageop.EncodeReinsert(opLeafReinsert, kb, []byte("new"), true), leaf, 0},
+		{"opSplitTruncate", encodeSplitTruncate(9, kc, []byte("PRE")), leaf, 3},
+		{"opClearFoster", encodeFosterOp(opClearFoster, 9, finite([]byte("kz"))), leaf, 0},
+		{"opSetFoster", encodeFosterOp(opSetFoster, 9, infFence), leaf, 0},
+		{"opAdopt", encodeAdoptOp(opAdopt, []byte("m"), 12), branch, 0},
+		{"opDeAdopt", encodeAdoptOp(opDeAdopt, []byte("m"), 12), branch, 0},
+		{"opReplaceNode", encodeReplaceNode([]byte("NEW"), []byte("OLD")), branch, 3},
+		{"opMetaPut", EncodeMetaPut("idx", 5, 0), meta, 0},
+		{"opRawSet", EncodeRawSet([]byte("raw2"), []byte("raw1")), raw, 4},
+	}
+	for _, s := range steps {
+		orig := bytes.Clone(s.op)
+		ro := RedoOnly(s.op)
+		if !bytes.Equal(s.op, orig) {
+			t.Fatalf("%s: RedoOnly wrote to its argument", s.name)
+		}
+		if len(s.op)-len(ro) != s.cut || (s.cut == 0 && !bytes.Equal(ro, s.op)) {
+			t.Fatalf("%s: RedoOnly %x -> %x, want %d undo bytes cut and nothing else", s.name, s.op, ro, s.cut)
+		}
+		if again := RedoOnly(ro); !bytes.Equal(again, ro) {
+			t.Fatalf("%s: RedoOnly not idempotent: %x -> %x", s.name, ro, again)
+		}
+		for n := 0; n < len(s.op); n++ {
+			a, b := whole[s.pg].Clone(), whole[s.pg].Clone()
+			ea, eb := applyOp(s.op[:n], a), applyOp(RedoOnly(s.op[:n]), b)
+			if (ea == nil) != (eb == nil) || !bytes.Equal(a.Encode(), b.Encode()) {
+				t.Fatalf("%s truncated to %d bytes: whole %v, redo-only %v", s.name, n, ea, eb)
+			}
+		}
+		if err := applyOp(s.op, whole[s.pg]); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if err := applyOp(ro, stripped[s.pg]); err != nil {
+			t.Fatalf("%s redo-only: %v", s.name, err)
+		}
+		if !bytes.Equal(whole[s.pg].Encode(), stripped[s.pg].Encode()) {
+			t.Fatalf("%s: redo-only replay left a different page", s.name)
+		}
+	}
+}

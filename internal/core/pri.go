@@ -108,7 +108,11 @@ type rng struct {
 type PRI struct {
 	mu     sync.RWMutex
 	ranges []rng // sorted by lo, non-overlapping
+	pages  int   // pages the ranges cover, kept by splice
 }
+
+// size returns the number of pages r covers.
+func (r rng) size() int { return int(r.hi - r.lo + 1) }
 
 // ErrNoEntry reports that the PRI holds no information for a page; per
 // §5.2.3 the caller must then escalate to a media failure.
@@ -248,6 +252,12 @@ func (p *PRI) splice(i, j int, repl []rng) {
 			j++
 		}
 	}
+	for _, r := range p.ranges[i:j] {
+		p.pages -= r.size()
+	}
+	for _, r := range merged {
+		p.pages += r.size()
+	}
 	switch {
 	case len(merged) == j-i:
 		copy(p.ranges[i:j], merged)
@@ -347,11 +357,7 @@ func (p *PRI) RangeCount() int {
 func (p *PRI) PageCount() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	n := 0
-	for _, r := range p.ranges {
-		n += int(r.hi - r.lo + 1)
-	}
-	return n
+	return p.pages
 }
 
 // SizeBytes estimates the serialized index size — the quantity §5.2.2
@@ -433,6 +439,7 @@ func RestorePRI(snap []byte) (*PRI, error) {
 			return nil, fmt.Errorf("%w: overlapping ranges", ErrBadSnapshot)
 		}
 		p.ranges = append(p.ranges, r)
+		p.pages += r.size()
 		pos += entryBytes
 	}
 	return p, nil

@@ -442,3 +442,44 @@ func TestSetLastLSNIsMonotone(t *testing.T) {
 		t.Errorf("LastLSN = %d, want raised to 90", e.LastLSN)
 	}
 }
+
+// TestQuickPageCountMatchesWalk: the page count splice keeps equals a walk
+// over every range after any sequence of index mutations, and after a
+// snapshot round trip.
+func TestQuickPageCountMatchesWalk(t *testing.T) {
+	walk := func(p *PRI) int {
+		n := 0
+		p.ForEachRange(func(lo, hi page.ID, _ Entry) bool { n += int(hi - lo + 1); return true })
+		return n
+	}
+	f := func(ops []uint32) bool {
+		p := NewPRI()
+		for _, op := range ops {
+			lo := page.ID(op>>8%64 + 1)
+			hi := lo + page.ID(op>>16%8)
+			e := fullEntry(uint64(op>>24%3), page.LSN(op%5))
+			switch op % 6 {
+			case 0:
+				p.SetRange(lo, hi, e)
+			case 1:
+				p.Set(lo, e)
+			case 2:
+				p.ReplaceRange(lo, hi, e, page.LSN(op%7))
+			case 3:
+				_, _ = p.SetLastLSN(lo, page.LSN(op>>4%9))
+			case 4:
+				_, _ = p.SetBackup(lo, BackupRef{Kind: BackupPage, Loc: uint64(op >> 20), AsOf: page.LSN(op % 3)})
+			default:
+				p.Drop(lo)
+			}
+			if p.PageCount() != walk(p) {
+				return false
+			}
+		}
+		q, err := RestorePRI(p.Snapshot())
+		return err == nil && q.PageCount() == walk(p)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

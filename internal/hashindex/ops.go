@@ -107,6 +107,17 @@ func applyOp(payload []byte, pg *page.Page) error {
 	return pageop.Apply(kindOf(payload[0]), payload, pg)
 }
 
+// RedoOnly returns op without its undo information, which is what the log
+// archive keeps of an update whose transaction has committed: the old
+// value of an update or purge, the old payload of a page set. applyOp
+// leaves the same page either way; any other op comes back as op itself.
+func RedoOnly(op []byte) []byte {
+	if !IsHashOp(op) {
+		return op
+	}
+	return pageop.RedoOnly(kindOf(op[0]), op)
+}
+
 func inverseOp(payload []byte, pg *page.Page) ([]byte, error) {
 	if !IsHashOp(payload) {
 		return nil, fmt.Errorf("%w: not a hash op", ErrBadOp)

@@ -83,3 +83,58 @@ func TestOpPayloadsMatchParentFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestRedoOnlyAppliesAlike walks a bucket page through every hash opcode
+// twice, once with the whole ops and once with their RedoOnly forms: the
+// pages stay byte-identical; RedoOnly cuts exactly the undo field (the old
+// value of an update or purge, the old payload of a page set), is its own
+// fixed point, never grows an op, and hands every other op back unchanged.
+// Every truncation of each op fails alike in both forms, or applies alike.
+func TestRedoOnlyAppliesAlike(t *testing.T) {
+	kb := []byte("kb")
+	bucket := func() *page.Page {
+		pg := page.New(1, page.TypeHash, 512)
+		if err := pg.SetPayload(page.NewRecords(page.KindBucket, bucketExt(0, 1, 7, page.InvalidID, 0))); err != nil {
+			t.Fatal(err)
+		}
+		return pg
+	}
+	whole, stripped := bucket(), bucket()
+	steps := []struct {
+		name string
+		op   []byte
+		cut  int
+	}{
+		{"opHashInsert", encodeInsert(7, kb, []byte("val")), 0},
+		{"opHashGhost", encodeGhost(7, kb, true, false), 0},
+		{"opHashUpdate", encodeUpdate(7, kb, []byte("new"), []byte("val")), 3},
+		{"opHashPurge", encodePurge(kb, []byte("new"), true), 3},
+		{"opHashReinsert", encodeReinsert(kb, []byte("new"), true), 0},
+		{"opHashPageSet", encodePageSet([]byte("NEW"), []byte("OLD")), 3},
+	}
+	for _, s := range steps {
+		ro := RedoOnly(s.op)
+		if len(s.op)-len(ro) != s.cut || (s.cut == 0 && !bytes.Equal(ro, s.op)) {
+			t.Fatalf("%s: RedoOnly %x -> %x, want %d undo bytes cut and nothing else", s.name, s.op, ro, s.cut)
+		}
+		if again := RedoOnly(ro); !bytes.Equal(again, ro) {
+			t.Fatalf("%s: RedoOnly not idempotent: %x -> %x", s.name, ro, again)
+		}
+		for n := 0; n < len(s.op); n++ {
+			a, b := whole.Clone(), whole.Clone()
+			ea, eb := applyOp(s.op[:n], a), applyOp(RedoOnly(s.op[:n]), b)
+			if (ea == nil) != (eb == nil) || !bytes.Equal(a.Encode(), b.Encode()) {
+				t.Fatalf("%s truncated to %d bytes: whole %v, redo-only %v", s.name, n, ea, eb)
+			}
+		}
+		if err := applyOp(s.op, whole); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if err := applyOp(ro, stripped); err != nil {
+			t.Fatalf("%s redo-only: %v", s.name, err)
+		}
+		if !bytes.Equal(whole.Encode(), stripped.Encode()) {
+			t.Fatalf("%s: redo-only replay left a different page", s.name)
+		}
+	}
+}

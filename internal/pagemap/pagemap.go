@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/page"
 	"repro/internal/storage"
@@ -78,6 +79,7 @@ type Map struct {
 	mode      Mode
 	slotCount int
 	stripes   [stripeCount]stripe
+	known     atomic.Int64 // logical pages in the stripes, kept by add and DropLogical
 
 	allocMu  sync.Mutex
 	free     []storage.PhysID
@@ -102,6 +104,15 @@ func (m *Map) stripeFor(id page.ID) *stripe {
 	return &m.stripes[uint64(id)&(stripeCount-1)]
 }
 
+// add binds id to phys in st, whose lock the caller holds, counting the
+// page if it is new.
+func (m *Map) add(st *stripe, id page.ID, phys storage.PhysID) {
+	if _, ok := st.m[id]; !ok {
+		m.known.Add(1)
+	}
+	st.m[id] = phys
+}
+
 // Mode returns the write policy.
 func (m *Map) Mode() Mode { return m.mode }
 
@@ -114,7 +125,7 @@ func (m *Map) AllocateLogical() page.ID {
 	m.allocMu.Unlock()
 	st := m.stripeFor(id)
 	st.mu.Lock()
-	st.m[id] = noSlot
+	m.add(st, id, noSlot)
 	st.mu.Unlock()
 	return id
 }
@@ -143,7 +154,7 @@ func (m *Map) Adopt(id page.ID, phys storage.PhysID) error {
 		st.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrAlreadyKnown, id)
 	}
-	st.m[id] = phys
+	m.add(st, id, phys)
 	st.mu.Unlock()
 	m.raiseWatermarks(id, phys)
 	return nil
@@ -259,7 +270,7 @@ func (m *Map) Remap(id page.ID, phys storage.PhysID) error {
 func (m *Map) EnsureMapping(id page.ID, phys storage.PhysID) error {
 	st := m.stripeFor(id)
 	st.mu.Lock()
-	st.m[id] = phys
+	m.add(st, id, phys)
 	st.mu.Unlock()
 	m.raiseWatermarks(id, phys)
 	return nil
@@ -272,7 +283,7 @@ func (m *Map) AdoptFresh(id page.ID) {
 	st.mu.Lock()
 	_, known := st.m[id]
 	if !known {
-		st.m[id] = noSlot
+		m.add(st, id, noSlot)
 	}
 	st.mu.Unlock()
 	if !known {
@@ -336,6 +347,7 @@ func (m *Map) DropLogical(id page.ID) error {
 		return fmt.Errorf("%w: %d", ErrUnknownPage, id)
 	}
 	delete(st.m, id)
+	m.known.Add(-1)
 	st.mu.Unlock()
 	if cur != noSlot {
 		m.allocMu.Lock()
@@ -361,16 +373,7 @@ func (m *Map) Pages() []page.ID {
 }
 
 // Len returns the number of known logical pages.
-func (m *Map) Len() int {
-	n := 0
-	for i := range m.stripes {
-		st := &m.stripes[i]
-		st.mu.RLock()
-		n += len(st.m)
-		st.mu.RUnlock()
-	}
-	return n
-}
+func (m *Map) Len() int { return int(m.known.Load()) }
 
 // MappedSlots returns the set of physical slots currently bound to a
 // logical page; used by the scrubber to skip free slots.
@@ -461,7 +464,7 @@ func Restore(snap []byte, slotCount int) (*Map, error) {
 	}
 	for i := 0; i < n; i++ {
 		id := page.ID(get())
-		m.stripeFor(id).m[id] = storage.PhysID(get())
+		m.add(m.stripeFor(id), id, storage.PhysID(get()))
 	}
 	if pos+8 > len(snap) {
 		return nil, ErrBadSnapshot

@@ -357,3 +357,51 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQuickLenMatchesWalk: the count of known pages the map keeps equals a
+// walk over its stripes after any sequence of mutations, and after a
+// snapshot round trip.
+func TestQuickLenMatchesWalk(t *testing.T) {
+	f := func(ops []uint16, cow bool) bool {
+		mode := InPlace
+		if cow {
+			mode = CopyOnWrite
+		}
+		m := New(mode, 4096)
+		for _, op := range ops {
+			id := page.ID(op>>4%40 + 1)
+			switch op % 10 {
+			case 0:
+				m.AllocateLogical()
+			case 1:
+				_ = m.Adopt(id, storage.PhysID(op>>4))
+			case 2:
+				_ = m.EnsureMapping(id, storage.PhysID(op>>6))
+			case 3:
+				m.AdoptFresh(id)
+			case 4:
+				_ = m.DropLogical(id)
+			case 5:
+				m.Unbind(id)
+			case 6:
+				_ = m.Remap(id, storage.PhysID(op>>5))
+			case 7:
+				_, _, _, _ = m.WriteTarget(id)
+			case 8:
+				if op%3 == 0 {
+					m.ForgetSlots()
+				}
+			default:
+				_ = m.FreeSlot(storage.PhysID(op >> 8))
+			}
+			if m.Len() != len(m.Pages()) {
+				return false
+			}
+		}
+		r, err := Restore(m.Snapshot(), 4096)
+		return err == nil && r.Len() == m.Len()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

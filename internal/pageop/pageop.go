@@ -125,6 +125,21 @@ func (c *Cursor) Bytes16() []byte { return c.Take(int(c.U16())) }
 // Bytes32 reads a u32 length and that many bytes.
 func (c *Cursor) Bytes32() []byte { return c.Take(int(c.U32())) }
 
+// WithoutBytes32 returns the cursor's source with the u32-length field at
+// the cursor emptied — its length zeroed, its bytes cut, everything after
+// it kept as it was — or the source itself when that field is already
+// empty or cannot be read.
+func (c *Cursor) WithoutBytes32() []byte {
+	start := c.pos
+	v := c.Bytes32()
+	if c.err != nil || len(v) == 0 {
+		return c.b
+	}
+	out := make([]byte, 0, len(c.b)-len(v))
+	out = binary.LittleEndian.AppendUint32(append(out, c.b[:start]...), 0)
+	return append(out, c.b[c.pos:]...)
+}
+
 // AppendBytes16 appends v with a u16 length prefix.
 func AppendBytes16(b, v []byte) []byte {
 	return append(binary.LittleEndian.AppendUint16(b, uint16(len(v))), v...)
@@ -252,6 +267,28 @@ func Apply(k Kind, op []byte, pg *page.Page) error {
 	default: // Purge
 		return pg.RemoveRecords(i, i+1)
 	}
+}
+
+// RedoOnly returns shared op k without its undo information — the fields
+// Apply skips: the old value of an Update or a Purge, the old payload of a
+// Replace. Apply leaves the same page either way. Any other op, and one too
+// malformed to reach that field (Apply rejects both forms alike), comes
+// back as op itself.
+func RedoOnly(k Kind, op []byte) []byte {
+	c := NewCursor(op, 1)
+	switch k {
+	case Update:
+		c.U64()
+		c.Bytes16()
+		c.Bytes32()
+	case Purge:
+		c.Bytes16()
+	case Replace:
+		c.Bytes32()
+	default:
+		return op
+	}
+	return c.WithoutBytes32()
 }
 
 // Inverse constructs the forward-applicable compensation of a physical

@@ -49,6 +49,8 @@ func RegisterEngineCollector(reg *metrics.Registry, db *spf.DB) {
 		e.Counter("spf_archive_runs_written_total", "Archive runs written.", float64(m.Archive.RunsWritten))
 		e.Counter("spf_archive_records_total", "Records archived.", float64(m.Archive.RecordsArchived))
 		e.Counter("spf_archive_bytes_total", "Bytes archived.", float64(m.Archive.BytesArchived))
+		e.Counter("spf_archive_records_dropped_total", "Collected log records no recovery reads from the archive (commit, abort, PRI, checkpoint), left out of runs.", float64(m.Archive.RecordsDropped))
+		e.Counter("spf_archive_undo_bytes_stripped_total", "Undo bytes cut from committed updates before archiving.", float64(m.Archive.UndoBytesStripped))
 		e.Counter("spf_archive_released_runs_total", "Archived runs garbage-collected past the backup horizon.", float64(m.Archive.ReleasedRuns))
 		e.Counter("spf_archive_reads_total", "Records served by the archive to readers.", float64(m.Archive.Reads))
 		e.Counter("spf_archive_retries_total", "Faulted archive operations retried.", float64(m.Archive.Retries))

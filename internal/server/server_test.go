@@ -125,6 +125,8 @@ func TestServerBasicOps(t *testing.T) {
 		"spf_pages",
 		`spf_index_splits_total{index="users"}`,
 		"spf_txn_user_committed_total",
+		"spf_archive_records_dropped_total",
+		"spf_archive_undo_bytes_stripped_total",
 	} {
 		if !strings.Contains(string(stats), want) {
 			t.Fatalf("stats missing %q", want)

@@ -53,14 +53,16 @@
 //
 // The live log is bounded: Recycle truncates the segment buffer below a
 // horizon chosen by the archiver (history must be checkpoint-covered AND
-// durably archived first), returning whole chunks to a free pool. Reads
-// below the truncation boundary — Read, Scan, WalkPageChain —
-// transparently fall back to the ArchiveReader
-// installed with SetArchive, where archived history is served from
-// sorted, page-partitioned runs as sequential scans instead of the
-// seek-per-record live path. The manager itself never decides when to
-// recycle; it only enforces that the boundary lies at or below the
-// flushed watermark. See internal/archive for the policy side.
+// durably archived first), returning whole chunks to a free pool. Below
+// the truncation boundary Read and WalkPageChain transparently fall back
+// to the ArchiveReader installed with SetArchive, where the per-page chain
+// records are served from sorted, page-partitioned runs as sequential
+// scans instead of the seek-per-record live path. Scan does not: the
+// archive keeps only what recovery replays, so the LSN-ordered stream
+// below the boundary no longer exists and a scan there is ErrTruncated.
+// The manager itself never decides when to recycle; it only enforces that
+// the boundary lies at or below the flushed watermark. See
+// internal/archive for the policy side.
 package wal
 
 import (
@@ -203,13 +205,14 @@ var (
 	// post-crash log. The reserved space is filled with an inert record.
 	ErrEpochChanged = errors.New("wal: append from a transaction that predates a crash")
 	// ErrTruncated reports a read below the recycling boundary: the record
-	// left the live log and, if an archive is attached, now lives there.
-	// Read paths translate it into an archive lookup before surfacing it.
+	// left the live log and, if it is a per-page chain record and an
+	// archive is attached, now lives there. Read and WalkPageChain translate
+	// it into an archive lookup; Scan surfaces it.
 	ErrTruncated = errors.New("wal: record recycled out of the live log")
 )
 
-// ArchiveReader serves log history that Recycle removed from the live
-// segment buffer. internal/archive implements it over sorted,
+// ArchiveReader serves the per-page chain records that Recycle removed
+// from the live segment buffer. internal/archive implements it over sorted,
 // page-partitioned runs; the interface lives here so the wal package can
 // fall back to it without importing its implementor.
 type ArchiveReader interface {
@@ -219,8 +222,6 @@ type ArchiveReader interface {
 	// excluding) records at or below stopAfter, newest first — the archived
 	// continuation of WalkPageChain, served as a sequential run scan.
 	WalkChain(start, stopAfter page.LSN, pageID page.ID) ([]*Record, error)
-	// ScanLSN replays archived records with lo ≤ LSN < hi in LSN order.
-	ScanLSN(lo, hi page.LSN, fn func(*Record) bool) error
 }
 
 // Stats counts log manager activity.
@@ -586,13 +587,7 @@ func (m *Manager) append(rec *Record, epoch uint64, check bool) (page.LSN, error
 func encodeAt(t *chunkTable, pos int64, rec *Record) int64 {
 	total := int64(headerSize + len(rec.Payload) + trailerSize)
 	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(total))
-	hdr[4] = byte(rec.Type)
-	binary.LittleEndian.PutUint64(hdr[5:], uint64(rec.Txn))
-	binary.LittleEndian.PutUint64(hdr[13:], uint64(rec.PrevLSN))
-	binary.LittleEndian.PutUint64(hdr[21:], uint64(rec.PageID))
-	binary.LittleEndian.PutUint64(hdr[29:], uint64(rec.PagePrevLSN))
-	binary.LittleEndian.PutUint64(hdr[37:], uint64(rec.UndoNext))
+	putHeader(&hdr, rec, total)
 	crc := crc32.Update(0, crcTable, hdr[:])
 	crc = crc32.Update(crc, crcTable, rec.Payload)
 	var tail [trailerSize]byte
@@ -711,27 +706,30 @@ func (m *Manager) sweepLocked() {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// EncodeRecord returns rec's log encoding — the exact header layout and
-// checksum the live buffer uses — as one contiguous slice. The archive
-// stores records in this form so a record reads back identically from
-// either side of the truncation boundary.
-func EncodeRecord(rec *Record) []byte {
-	total := headerSize + len(rec.Payload) + trailerSize
-	buf := make([]byte, total)
-	binary.LittleEndian.PutUint32(buf[0:], uint32(total))
-	buf[4] = byte(rec.Type)
-	binary.LittleEndian.PutUint64(buf[5:], uint64(rec.Txn))
-	binary.LittleEndian.PutUint64(buf[13:], uint64(rec.PrevLSN))
-	binary.LittleEndian.PutUint64(buf[21:], uint64(rec.PageID))
-	binary.LittleEndian.PutUint64(buf[29:], uint64(rec.PagePrevLSN))
-	binary.LittleEndian.PutUint64(buf[37:], uint64(rec.UndoNext))
-	copy(buf[headerSize:], rec.Payload)
-	crc := crc32.Checksum(buf[:total-trailerSize], crcTable)
-	binary.LittleEndian.PutUint32(buf[total-trailerSize:], crc)
-	return buf
+// putHeader lays out rec's header for an encoding of total bytes.
+func putHeader(hdr *[headerSize]byte, rec *Record, total int64) {
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(total))
+	hdr[4] = byte(rec.Type)
+	binary.LittleEndian.PutUint64(hdr[5:], uint64(rec.Txn))
+	binary.LittleEndian.PutUint64(hdr[13:], uint64(rec.PrevLSN))
+	binary.LittleEndian.PutUint64(hdr[21:], uint64(rec.PageID))
+	binary.LittleEndian.PutUint64(hdr[29:], uint64(rec.PagePrevLSN))
+	binary.LittleEndian.PutUint64(hdr[37:], uint64(rec.UndoNext))
 }
 
-// DecodeRecord parses one EncodeRecord-encoded record from the front of b,
+// AppendRecord appends rec's log encoding — the exact header layout and
+// checksum the live buffer uses — to dst. The archive stores records in
+// this form so a record reads back identically from either side of the
+// truncation boundary.
+func AppendRecord(dst []byte, rec *Record) []byte {
+	start := len(dst)
+	var hdr [headerSize]byte
+	putHeader(&hdr, rec, int64(RecordSize(rec)))
+	dst = append(append(dst, hdr[:]...), rec.Payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
+}
+
+// DecodeRecord parses one AppendRecord-encoded record from the front of b,
 // verifying the checksum, and returns it together with its encoded size.
 // The LSN is not part of the encoding (a live record's LSN is its offset)
 // and must be supplied. The payload aliases b.
@@ -1159,6 +1157,12 @@ func (m *Manager) decodeAt(lsn page.LSN, rec *Record, copyPayload bool) (int, er
 // Crash. Callbacks that retain the record or its payload beyond
 // their own return must copy them (every in-tree consumer — analysis,
 // redo, the mirror — already copies what it keeps).
+//
+// Scan reads the live log only: a scan that starts below the recycling
+// boundary, or that a Recycle overtakes between two records, returns
+// ErrTruncated. Every in-tree scan starts at or above it — analysis and
+// redo at the master checkpoint, which recycling never passes; the
+// archiver at its own cursor, with recycling serialized behind it.
 func (m *Manager) Scan(from page.LSN, fn func(*Record) bool) error {
 	if from < firstLSN {
 		from = firstLSN
@@ -1174,31 +1178,6 @@ func (m *Manager) Scan(from page.LSN, fn func(*Record) bool) error {
 		size, err := m.decodeAt(page.LSN(pos), &rec, false)
 		if err != nil {
 			m.runlock()
-			if errors.Is(err, ErrTruncated) {
-				// [pos, base) was recycled out of the live buffer: replay
-				// it from the archive (sequential run reads), then resume
-				// the live scan at the truncation boundary.
-				ar := m.archiveReader()
-				if ar == nil {
-					return err
-				}
-				base := page.LSN(m.base.Load())
-				stopped := false
-				aerr := ar.ScanLSN(page.LSN(pos), base, func(r *Record) bool {
-					m.stats.archiveReads.Add(1)
-					m.stats.recordsRead.Add(1)
-					stopped = !fn(r)
-					return !stopped
-				})
-				if aerr != nil {
-					return fmt.Errorf("wal: archived scan at %d: %w", pos, aerr)
-				}
-				if stopped {
-					return nil
-				}
-				pos = int64(base)
-				continue
-			}
 			return err
 		}
 		m.clock.Sequential(int64(size))

@@ -190,6 +190,42 @@ func TestScanFromMidLogAndEarlyStop(t *testing.T) {
 	}
 }
 
+// TestScanBelowTruncationReturnsErrTruncated: the archive keeps chain
+// records only, so Scan never reaches into it — a scan that starts below
+// the recycling boundary fails before visiting a record, one that starts
+// at the boundary reads the live rest, and an AppendRecord encoding reads
+// back through DecodeRecord unchanged.
+func TestScanBelowTruncationReturnsErrTruncated(t *testing.T) {
+	m := newTestLog()
+	var lsns []page.LSN
+	for i := 0; i < 8; i++ {
+		lsns = append(lsns, m.Append(&Record{Type: TypeUpdate, Txn: 1, PageID: 2, Payload: []byte{byte(i)}}))
+	}
+	m.FlushAll()
+	m.Recycle(lsns[4])
+	visited := 0
+	err := m.Scan(FirstLSN(), func(*Record) bool { visited++; return true })
+	if !errors.Is(err, ErrTruncated) || visited != 0 {
+		t.Fatalf("scan below the boundary: err = %v after %d records, want ErrTruncated before any", err, visited)
+	}
+	if err := m.Scan(lsns[4], func(*Record) bool { visited++; return true }); err != nil || visited != 4 {
+		t.Fatalf("scan from the boundary: %d records, %v; want the 4 live ones", visited, err)
+	}
+	if _, err := m.Read(lsns[0]); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("read below the boundary with no archive: err = %v, want ErrTruncated", err)
+	}
+
+	rec, err := m.Read(lsns[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := AppendRecord([]byte("prefix"), rec)
+	got, n, err := DecodeRecord(rec.LSN, enc[len("prefix"):])
+	if err != nil || n != RecordSize(rec) || got.Type != rec.Type || !bytes.Equal(got.Payload, rec.Payload) {
+		t.Fatalf("AppendRecord round trip: %+v (%d bytes, %v), want %+v", got, n, err, rec)
+	}
+}
+
 func TestWalkPageChain(t *testing.T) {
 	m := newTestLog()
 	const pid page.ID = 9

@@ -169,6 +169,15 @@ func (applier) ApplyRedo(rec *wal.Record, pg *page.Page) error {
 	return btree.Applier{}.ApplyRedo(rec, pg)
 }
 
+// RedoOnly strips op's undo information under the same dispatch: the log
+// archive's hook for updates whose transaction has committed.
+func (applier) RedoOnly(op []byte) []byte {
+	if hashindex.IsHashOp(op) {
+		return hashindex.RedoOnly(op)
+	}
+	return btree.RedoOnly(op)
+}
+
 // openEngine attaches the right engine to an already-created index whose
 // root page is rootType — the catalog-reopen dispatch. The root page type
 // is the engine tag: hash directories are TypeHash, B-tree roots TypeBTree.

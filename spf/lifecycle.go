@@ -14,7 +14,8 @@ import (
 // is enabled: the archive store (inherited from prev across Restart and
 // RecoverMedia — the archive is a durable device and survives crashes),
 // the retrying archive reader wired into the WAL's truncated-read
-// fallback, and the archiver that owns the truncation invariant. The
+// fallback, and the archiver that owns the truncation invariant and stores
+// committed updates redo-only through the engines' op codecs. The
 // background loop is NOT started here — call startLifecycle once the DB
 // is fully constructed — but the archiver exists immediately so the
 // bootstrap (or post-restart) checkpoint can push its redo horizon.
@@ -38,6 +39,7 @@ func (db *DB) initLifecycle(prev *DB) {
 		Interval:      interval,
 		RetryAttempts: lo.RetryAttempts,
 		ReleaseFloor:  db.archiveReleaseFloor,
+		RedoOnly:      applier{}.RedoOnly,
 		Logf:          lo.Logf,
 	})
 	// A pre-existing full backup set re-establishes the release horizon

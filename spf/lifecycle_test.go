@@ -3,8 +3,6 @@ package spf
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/wal"
 )
 
 // lifecycleOptions returns engine options with the log lifecycle on in
@@ -40,31 +38,32 @@ func churn(t *testing.T, db *DB, ix *Index, n, rounds int) {
 	}
 }
 
-// longestChainPage picks the data page with the most chain records in the
-// retained log (archive and live) — the page whose repair replays the most
-// history.
+// longestChainPage picks the page whose repair replays the most history:
+// the longest per-page chain from the page's current LSN down to its
+// backup, walked through the live log and the archive alike.
 func longestChainPage(t *testing.T, db *DB) PageID {
 	t.Helper()
-	from := wal.FirstLSN()
-	if a := db.Archive(); a != nil {
-		from = a.Released()
-	}
-	length := make(map[PageID]int)
-	err := db.LogManager().Scan(from, func(r *wal.Record) bool {
-		switch r.Type {
-		case wal.TypeUpdate, wal.TypeCLR, wal.TypeFormat:
-			length[r.PageID]++
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var victim PageID
 	best := 0
 	for _, id := range db.Pages() {
-		if length[id] > best {
-			victim, best = id, length[id]
+		h, err := db.pool.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.RLock()
+		head := h.Page().LSN()
+		h.RUnlock()
+		h.Release()
+		e, err := db.pri.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain, err := db.log.WalkPageChain(head, db.res.BackupLSN(e.Backup, id), id)
+		if err != nil {
+			t.Fatalf("page %d: %v", id, err)
+		}
+		if len(chain) > best {
+			victim, best = id, len(chain)
 		}
 	}
 	if best == 0 {
