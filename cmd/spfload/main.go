@@ -17,8 +17,10 @@
 // nonzero if the bounded log lifecycle fails to hold: the live WAL
 // segment count must stay under -max-live-segments after warmup, and the
 // post-GC heap floor must stop growing (last-quarter floor within
-// -max-heap-growth of the steady-state floor). Point it at an spfserver
-// started with -lifecycle.
+// -max-heap-growth of the steady-state floor). The server's log recycles
+// behind its periodic checkpoints with -lifecycle and behind its periodic
+// full backups without it; point the soak at either, with a backup
+// interval short against the run.
 //
 // Usage:
 //

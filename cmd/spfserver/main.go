@@ -48,11 +48,11 @@ func main() {
 		workers  = flag.Int("workers", 128, "request worker pool size")
 		reqTimeo = flag.Duration("request-timeout", 5*time.Second, "per-request deadline")
 
-		lifecycle = flag.Bool("lifecycle", false, "enable the bounded log lifecycle (archive + segment recycling)")
+		lifecycle = flag.Bool("lifecycle", false, "keep a log archive (the live log recycles behind checkpoints; without it, behind full backups)")
 		archSeg   = flag.Int64("archive-segment", 256<<10, "archive run granularity in bytes")
 		archInt   = flag.Duration("archive-interval", 25*time.Millisecond, "background archiver cadence")
-		ckptInt   = flag.Duration("checkpoint-interval", 2*time.Second, "periodic checkpoint cadence with -lifecycle (0 disables)")
-		backupInt = flag.Duration("backup-interval", 15*time.Second, "periodic full-backup cadence with -lifecycle (0 disables)")
+		ckptInt   = flag.Duration("checkpoint-interval", 2*time.Second, "periodic checkpoint cadence (0 disables)")
+		backupInt = flag.Duration("backup-interval", 15*time.Second, "periodic full-backup cadence (0 disables)")
 	)
 	flag.Parse()
 
@@ -120,12 +120,12 @@ func main() {
 		log.Printf("preloaded %d keys into %q", *preload, names[0])
 	}
 
-	// The lifecycle needs horizons to advance or nothing ever recycles:
-	// periodic checkpoints move the redo horizon, periodic full backups
-	// move the archive-release horizon.
+	// The log recycles only behind horizons that move: periodic
+	// checkpoints move the redo horizon, periodic full backups the release
+	// horizon — with or without the archive.
 	stopDrivers := make(chan struct{})
 	driversDone := make(chan struct{})
-	if *lifecycle && (*ckptInt > 0 || *backupInt > 0) {
+	if *ckptInt > 0 || *backupInt > 0 {
 		go func() {
 			defer close(driversDone)
 			var ck, bk <-chan time.Time

@@ -22,7 +22,9 @@
 //   - internal/{recovery,restore,backup,archive,maintenance} are recovery
 //     and its upkeep: ARIES restart and media recovery in their instant
 //     (on-demand) form, the background repair scheduler, backup sets, the
-//     bounded log lifecycle, background write-back and scrubbing.
+//     bounded log lifecycle (the live log is truncated behind every full
+//     backup, and the optional archive keeps chain history past the
+//     checkpoint), background write-back and scrubbing.
 //   - internal/{server,metrics} and cmd/{spfserver,spfload,spfverify} are
 //     the wire front end, its load harness and the metrics endpoint.
 //   - internal/chaos is the deterministic crash-point injection the torture

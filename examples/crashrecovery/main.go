@@ -8,6 +8,11 @@
 // counts reads served while the redo backlog is still draining and fails if
 // none were.
 //
+// The one background worker is held after its first repair until the first
+// read has been served (a chaos point, inert unless armed): whether a read
+// beats the drain then no longer depends on how the scheduler happens to
+// interleave the worker and the reader.
+//
 //	go run ./examples/crashrecovery
 package main
 
@@ -17,6 +22,7 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/spf"
 )
 
@@ -94,6 +100,9 @@ func main() {
 	fmt.Println("committed transfer + 100-update loser in flight; pulling the plug")
 
 	db.Crash()
+	firstRead := make(chan struct{})
+	chaos.Arm("restore.complete", 1, func(chaos.Hit) { <-firstRead })
+	defer chaos.Reset()
 	prepStart := time.Now()
 	ndb, rep, err := db.Restart()
 	if err != nil {
@@ -131,6 +140,9 @@ func main() {
 		pending := ndb.Metrics().Restore.Pending
 		if pending > 0 {
 			served++
+		}
+		if i == 0 {
+			close(firstRead) // let the worker drain the rest
 		}
 		if i%796 == 0 {
 			fmt.Printf("  read key %4d in %8v — %3d pages still pending redo\n",

@@ -20,7 +20,8 @@
 // I/O clock and honor injected faults (FailWrites/FailReads), mirroring
 // internal/storage's fault style. Reader wraps the store with bounded
 // retry + backoff and implements wal.ArchiveReader; the Archiver
-// (archiver.go) owns the write-side policy.
+// (archiver.go) owns the write-side policy and all log truncation, with a
+// store or without one.
 package archive
 
 import (

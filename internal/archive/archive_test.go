@@ -297,6 +297,40 @@ func TestArchiverStepRecyclesAndPausesOnFault(t *testing.T) {
 	}
 }
 
+// TestArchiverWithoutStoreRecyclesBelowBothHorizons: with no archive the
+// live log is the only copy of history, so a step recycles only below the
+// checkpoint horizon AND the release horizon — the backup horizon clamped
+// by the engine's floor — and a checkpoint alone frees nothing.
+func TestArchiverWithoutStoreRecyclesBelowBothHorizons(t *testing.T) {
+	m, recs := buildLog(t, []page.ID{1, 2, 3}, 12)
+	for i := 0; i < 40; i++ {
+		m.Append(&wal.Record{Type: wal.TypeUpdate, Txn: 7, PageID: 30, Payload: make([]byte, 32<<10)})
+	}
+	m.FlushAll()
+	base, end, mid := m.TruncatedLSN(), m.FlushedLSN(), recs[len(recs)/2].LSN
+	floor := mid
+	a := New(m, nil, Config{ReleaseFloor: func() page.LSN { return floor }})
+
+	a.SetCheckpointHorizon(end)
+	if err := a.Step(true); err != nil || m.TruncatedLSN() != base {
+		t.Fatalf("checkpoint alone: base %d → %d (%v), want no recycle", base, m.TruncatedLSN(), err)
+	}
+	a.SetBackupHorizon(end)
+	if err := a.Step(false); err != nil || m.TruncatedLSN() != mid {
+		t.Fatalf("base = %d (%v), want the floor %d", m.TruncatedLSN(), err, mid)
+	}
+	floor = end
+	if err := a.Step(false); err != nil || m.TruncatedLSN() != end {
+		t.Fatalf("base = %d (%v) once the floor lifted, want %d", m.TruncatedLSN(), err, end)
+	}
+	if m.Stats().RecycledSegments == 0 {
+		t.Error("no chunks recycled despite a truncation past a chunk")
+	}
+	if st := a.Stats(); a.Paused() || st != (Stats{}) {
+		t.Errorf("archiver without a store reports %+v, paused %v", st, a.Paused())
+	}
+}
+
 func TestRecycledReadsFallBackToArchive(t *testing.T) {
 	m, recs := buildLog(t, []page.ID{21, 22}, 9)
 	s := NewStore(iosim.Instant, wal.FirstLSN())

@@ -31,10 +31,11 @@ type Config struct {
 	// background goroutine; no caller waits on this.
 	RetryAttempts int
 	RetryBackoff  time.Duration
-	// ReleaseFloor, when set, further clamps archive garbage collection:
-	// the engine supplies min(oldest active transaction begin LSN, oldest
+	// ReleaseFloor, when set, further clamps the release horizon: the
+	// engine supplies min(oldest active transaction begin LSN, oldest
 	// log-backed backup reference), so undo chains and in-log page
-	// backups survive in the archive as long as anything can need them.
+	// backups stay readable — in the archive, or in the live log when
+	// there is no archive — as long as anything can need them.
 	ReleaseFloor func() page.LSN
 	// RedoOnly strips an update's undo information (the engine's op codec:
 	// the archive names no opcode). Runs store a committed transaction's
@@ -45,20 +46,25 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Archiver drives the log lifecycle: it drains flushed history into
-// archive runs, recycles live segments the checkpoint horizon AND the
-// archive both cover, and releases archived history no recovery path can
-// reach anymore. The truncation invariant it owns:
+// Archiver is the one owner of log truncation. Recovery reads old history
+// from three starting points only — restart from the checkpoint redo
+// horizon, single-page and media recovery from each page's backup, rollback
+// from an active transaction's begin — so history below all three is never
+// read again. The rule it owns:
 //
-//	recycle  < min(checkpoint horizon, archived horizon, flushed)
-//	release  < min(backup horizon, release floor)
+//	release  = min(backup horizon, release floor)
+//	recycle  < min(checkpoint horizon, archived horizon, flushed)   with a store
+//	recycle  < min(checkpoint horizon, release, flushed)            without one
 //
-// so unarchived history is never truncated, un-checkpointed history stays
-// live, and archived history survives until the backup horizon (plus the
-// engine's undo/backup-reference floors) passes it.
+// With a store, the archiver drains flushed history into archive runs,
+// recycles live segments the checkpoint horizon AND the archive both
+// cover, and releases archived runs below the release horizon; unarchived
+// history is never truncated. Without one, the history between the two
+// horizons has nowhere to go, so the live log keeps it and recycles only
+// what no recovery can reach.
 type Archiver struct {
 	log   *wal.Manager
-	store *Store
+	store *Store // nil: no archive
 	cfg   Config
 
 	ckptH   atomic.Int64
@@ -73,8 +79,9 @@ type Archiver struct {
 	stopped sync.Once
 }
 
-// New creates an Archiver over log and store. Call Start to run the
-// background loop (when cfg.Interval > 0) and Stop to join it.
+// New creates an Archiver over log and store; store may be nil, for a log
+// with no archive. Call Start to run the background loop (when
+// cfg.Interval > 0) and Stop to join it.
 func New(log *wal.Manager, store *Store, cfg Config) *Archiver {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = 256 << 10
@@ -97,12 +104,13 @@ func New(log *wal.Manager, store *Store, cfg Config) *Archiver {
 
 // SetCheckpointHorizon records the newest checkpoint redo horizon: every
 // page's redo history at the last complete checkpoint starts at or above
-// it, so live history below it needs only the archive. Monotone.
+// it, so no restart reads live history below it. Monotone.
 func (a *Archiver) SetCheckpointHorizon(lsn page.LSN) { storeMax(&a.ckptH, lsn) }
 
-// SetBackupHorizon records the log position captured by the newest
-// complete backup set: archived history below it (and below the release
-// floor) can be garbage-collected. Monotone.
+// SetBackupHorizon records the log position the newest complete backup set
+// is as of, once the page recovery index durably names it: no chain replay
+// that starts from it (or from a newer backup) reads below it, so history
+// below it and below the release floor can be dropped. Monotone.
 func (a *Archiver) SetBackupHorizon(lsn page.LSN) { storeMax(&a.backupH, lsn) }
 
 func storeMax(p *atomic.Int64, lsn page.LSN) {
@@ -115,13 +123,17 @@ func storeMax(p *atomic.Int64, lsn page.LSN) {
 }
 
 // Paused reports whether the archive device is unavailable and recycling
-// is therefore suspended (the live log grows until it recovers).
+// is therefore suspended (the live log grows until it recovers). Never
+// without a store.
 func (a *Archiver) Paused() bool { return a.paused.Load() }
 
-// Stats returns the store's counters with the archiver's pause gauge
-// folded in.
+// Stats returns the store's counters (zero without a store) with the
+// archiver's pause gauge folded in.
 func (a *Archiver) Stats() Stats {
-	st := a.store.Stats()
+	var st Stats
+	if a.store != nil {
+		st = a.store.Stats()
+	}
 	st.Paused = a.paused.Load()
 	return st
 }
@@ -175,9 +187,54 @@ func (a *Archiver) loop() {
 // ErrArchiveIO; the next step retries from the same cursor — the archive
 // commit is atomic and the cursor only advances on success, which is what
 // makes a crash or fault between archive-write and recycle harmless.
+// Without a store a step only recycles.
 func (a *Archiver) Step(force bool) error {
 	a.stepMu.Lock()
 	defer a.stepMu.Unlock()
+	if a.store == nil {
+		// No archive to fall back to: the live log is the only copy, so it
+		// keeps everything above either horizon.
+		upTo := min(page.LSN(a.ckptH.Load()), page.LSN(a.backupH.Load()))
+		if h := a.release(upTo, a.log.TruncatedLSN()); h > a.log.TruncatedLSN() {
+			a.log.Recycle(h)
+		}
+		return nil
+	}
+	if err := a.drain(force); err != nil {
+		return err
+	}
+	if a.paused.Load() {
+		return nil
+	}
+	// Recycle: live history must be BOTH checkpoint-covered (no restart
+	// pass reads below the checkpoint redo horizon from the live log) AND
+	// durably archived (chain replays below it fall back to the archive).
+	horizon := min(page.LSN(a.ckptH.Load()), a.store.ArchivedUpTo())
+	if horizon > a.log.TruncatedLSN() {
+		a.log.Recycle(horizon)
+	}
+	// Release: archived history below the backup horizon is reachable by
+	// no chain replay (every page's replay floor is at or above its
+	// newest backup image), except through the engine-supplied floors —
+	// active-transaction undo and log-backed backup references.
+	if rel := a.release(page.LSN(a.backupH.Load()), a.store.Released()); rel > a.store.Released() {
+		a.store.ReleaseBelow(rel)
+	}
+	return nil
+}
+
+// release clamps upTo by the release floor. The floor walks engine state,
+// so it is consulted only when upTo would move the boundary past done.
+func (a *Archiver) release(upTo, done page.LSN) page.LSN {
+	if upTo <= done || a.cfg.ReleaseFloor == nil {
+		return upTo
+	}
+	return min(upTo, a.cfg.ReleaseFloor())
+}
+
+// drain archives flushed history into runs: every full segment, and with
+// force any flushed remainder.
+func (a *Archiver) drain(force bool) error {
 	for {
 		cursor := a.store.ArchivedUpTo()
 		flushed := a.log.FlushedLSN()
@@ -202,32 +259,6 @@ func (a *Archiver) Step(force bool) error {
 			return err
 		}
 		a.recovered()
-	}
-	if a.paused.Load() {
-		return nil
-	}
-	// Recycle: live history must be BOTH checkpoint-covered (no restart
-	// pass reads below the checkpoint redo horizon from the live log) AND
-	// durably archived (chain replays below it fall back to the archive).
-	horizon := page.LSN(a.ckptH.Load())
-	if u := a.store.ArchivedUpTo(); u < horizon {
-		horizon = u
-	}
-	if horizon > a.log.TruncatedLSN() {
-		a.log.Recycle(horizon)
-	}
-	// Release: archived history below the backup horizon is reachable by
-	// no chain replay (every page's replay floor is at or above its
-	// newest backup image), except through the engine-supplied floors —
-	// active-transaction undo and log-backed backup references.
-	rel := page.LSN(a.backupH.Load())
-	if a.cfg.ReleaseFloor != nil {
-		if f := a.cfg.ReleaseFloor(); f < rel {
-			rel = f
-		}
-	}
-	if rel > a.store.Released() {
-		a.store.ReleaseBelow(rel)
 	}
 	return nil
 }

@@ -141,7 +141,8 @@ type FullSetWriter struct {
 }
 
 // BeginFullSet starts a new full backup set. asOf records the log position
-// at which the backup began (all pages flushed before this point).
+// at which the backup began: every image the set takes holds its page's
+// history below it.
 func (s *Store) BeginFullSet(asOf page.LSN) *FullSetWriter {
 	s.mu.Lock()
 	defer s.mu.Unlock()

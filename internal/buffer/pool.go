@@ -947,6 +947,16 @@ func (p *Pool) writeBack(f *frame) ([]*wal.Record, bool, error) {
 	f.pg.EncodeInto(*buf)
 	lsn := f.pg.LSN()
 	err = p.dev.Write(dst, *buf)
+	for errors.Is(err, storage.ErrBadSlot) {
+		// The slot was retired before a crash: the retirement is the
+		// device's and is not logged, so the map restart rebuilt can hand
+		// it out again. It is never the page's; take another — a retired
+		// slot never returns to the allocator, so this ends.
+		p.pmap.Unbind(f.id)
+		if dst, _, _, err = p.pmap.WriteTarget(f.id); err == nil {
+			err = p.dev.Write(dst, *buf)
+		}
+	}
 	p.putScratch(buf)
 	if err != nil {
 		f.latch.RUnlock()

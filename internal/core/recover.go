@@ -189,13 +189,20 @@ func (r *Recoverer) RecoverPage(pageID page.ID, have *page.Page) (*page.Page, Re
 			base, rep.OwnImage = have, true
 		}
 	}
-	if base == nil {
+	for base == nil {
 		if base, entry, err = r.fetchBackup(pageID, entry); err != nil {
 			return nil, Report{}, err
 		}
 		rep.BackupKind = entry.Backup.Kind
 		if rep.RecordsApplied, err = ReplayChain(r.log, r.applier, base, entry.LastLSN); err != nil {
-			return nil, Report{}, r.escalate("%v", err)
+			// A full backup taken meanwhile may have superseded this backup
+			// and let the log below it be recycled mid-replay. Like a freed
+			// backup (fetchBackup), that is resolved again, not escalated.
+			cur, gerr := r.pri.Get(pageID)
+			if gerr != nil || cur.Backup == entry.Backup {
+				return nil, Report{}, r.escalate("%v", err)
+			}
+			base, entry = nil, cur
 		}
 	}
 

@@ -188,6 +188,53 @@ func TestRecoverPageResolvesAgainWhenBackupSuperseded(t *testing.T) {
 	}
 }
 
+// overtakingBackups serves the first fetch and is then overtaken the way a
+// full backup overtakes a slow repair: the index names a newer image, and
+// the log below that image is recycled before the replay walks it.
+type overtakingBackups struct {
+	mapBackups
+	pri     *PRI
+	log     *wal.Manager
+	pid     page.ID
+	newer   *page.Page
+	fetches int
+}
+
+func (b *overtakingBackups) FetchBackup(ref BackupRef, pageID page.ID) (*page.Page, error) {
+	img, err := b.mapBackups.FetchBackup(ref, pageID)
+	if b.fetches++; b.fetches == 1 {
+		b.images[200] = b.newer
+		if _, serr := b.pri.SetBackup(b.pid, BackupRef{Kind: BackupPage, Loc: 200, AsOf: b.newer.LSN()}); serr != nil {
+			return nil, serr
+		}
+		b.log.FlushAll()
+		b.log.Recycle(b.newer.LSN())
+	}
+	return img, err
+}
+
+// TestRecoverPageResolvesAgainWhenHistoryRecycled: a replay whose chain was
+// recycled under it because a newer backup superseded its base is not a
+// failed recovery — the index names the newer backup, and recovery
+// resolves against that.
+func TestRecoverPageResolvesAgainWhenHistoryRecycled(t *testing.T) {
+	log := wal.NewManager(iosim.Instant)
+	pri, backups, want := buildHistory(t, log, 7, 2, 5)
+	b := &overtakingBackups{mapBackups: *backups, pri: pri, log: log, pid: 7, newer: want.Clone()}
+	r := NewRecoverer(log, pri, b, rawApplier{})
+	got, rep, err := r.RecoverPage(7, nil)
+	if err != nil {
+		t.Fatalf("recovery across a recycled chain: %v", err)
+	}
+	if string(got.Payload()) != string(want.Payload()) || got.LSN() != want.LSN() {
+		t.Errorf("recovered %q@%d, want %q@%d", got.Payload(), got.LSN(), want.Payload(), want.LSN())
+	}
+	if b.fetches != 2 || rep.RecordsApplied != 0 || r.Stats().Escalations != 0 {
+		t.Errorf("fetches %d, records applied %d, escalations %d; want 2, 0, 0",
+			b.fetches, rep.RecordsApplied, r.Stats().Escalations)
+	}
+}
+
 func TestRecoverPageEscalatesOnStaleBackupLSN(t *testing.T) {
 	log := wal.NewManager(iosim.Instant)
 	pg := page.New(5, page.TypeRaw, 512)

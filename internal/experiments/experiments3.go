@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/iosim"
 	"repro/internal/report"
+	"repro/internal/wal"
 	"repro/spf"
 )
 
@@ -324,8 +325,24 @@ func E15MirrorBaseline(backgroundTraffic int) (*E15Result, error) {
 	if err := db.BackupPage(victim); err != nil {
 		return nil, err
 	}
-	// Touch the victim a little, then drown the log in traffic on keys
-	// far from the victim's leaf.
+	// The background traffic goes to keys on other leaves: full leaves put
+	// a hundred keys beside key 5, so no key range is far from it by
+	// construction.
+	var background []int
+	for i := 0; i < 200; i++ {
+		id, err := victimPage(db, ix, key(i))
+		if err != nil {
+			return nil, err
+		}
+		if id != victim {
+			background = append(background, i)
+		}
+	}
+	if len(background) == 0 {
+		return nil, fmt.Errorf("every key is on the victim's page %d", victim)
+	}
+	// Touch the victim a little, then drown the log in traffic on the
+	// other leaves.
 	tx := db.Begin()
 	for i := 0; i < 10; i++ {
 		if err := ix.Update(tx, key(5), []byte(fmt.Sprintf("v%02d", i))); err != nil {
@@ -337,7 +354,7 @@ func E15MirrorBaseline(backgroundTraffic int) (*E15Result, error) {
 	}
 	tx2 := db.Begin()
 	for i := 0; i < backgroundTraffic; i++ {
-		if err := ix.Update(tx2, key(100+i%100), val(i)); err != nil {
+		if err := ix.Update(tx2, key(background[i%len(background)]), val(i)); err != nil {
 			return nil, err
 		}
 	}
@@ -369,9 +386,25 @@ func E15MirrorBaseline(backgroundTraffic int) (*E15Result, error) {
 	}
 	agree := h.Page().LSN() == mpg.LSN()
 	h.Release()
-	sprBytes := int64(rep.LogReads) * 200 // ~record size upper bound
+	// The replay read the victim's chain from the index's LastLSN down to
+	// its page backup; walk it again to size those records.
+	e, err := db.PRI().Get(victim)
+	if err != nil {
+		return nil, err
+	}
+	chain, err := db.LogManager().WalkPageChain(e.LastLSN, e.Backup.AsOf, victim)
+	if err != nil {
+		return nil, err
+	}
+	if len(chain) != rep.LogReads {
+		return nil, fmt.Errorf("victim chain holds %d records, the replay read %d", len(chain), rep.LogReads)
+	}
+	var sprBytes int64
+	for _, rec := range chain {
+		sprBytes += int64(wal.RecordSize(rec))
+	}
 	t := report.NewTable("E15 / §2 — mirroring baseline vs single-page recovery",
-		"scheme", "log records processed", "log bytes (approx)", "extra state kept")
+		"scheme", "log records processed", "log bytes", "extra state kept")
 	t.Row("SQL Server-style mirror repair", m.recordsApplied, mirrorBytes, "entire mirror database")
 	t.Row("single-page recovery (per-page chain)", rep.LogReads, sprBytes, "page recovery index (~B/page)")
 	t.Caption = fmt.Sprintf("both repairs agree on page state: %v; mirror processed %dx more log bytes",

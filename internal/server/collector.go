@@ -40,7 +40,7 @@ func RegisterEngineCollector(reg *metrics.Registry, db *spf.DB) {
 		e.Counter("spf_wal_group_commit_waiters_total", "Commits served by group-commit batches.", float64(m.Log.GroupCommitWaiters))
 		e.Gauge("spf_wal_live_segments", "Chunks currently backing the live log buffer.", float64(m.Log.LiveSegments))
 		e.Counter("spf_wal_recycled_segments_total", "Live log chunks recycled behind the truncation horizon.", float64(m.Log.RecycledSegments))
-		e.Gauge("spf_wal_truncated_lsn", "Recycling boundary: records below it are served from the archive.", float64(m.Log.TruncatedLSN))
+		e.Gauge("spf_wal_truncated_lsn", "Recycling boundary: records below it left the live log (the archive, if on, serves them).", float64(m.Log.TruncatedLSN))
 		e.Counter("spf_wal_archive_reads_total", "Log reads served by the archive fallback.", float64(m.Log.ArchiveReads))
 
 		e.Gauge("spf_archive_runs", "Archived runs currently retained.", float64(m.Archive.Runs))

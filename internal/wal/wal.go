@@ -984,16 +984,16 @@ func (m *Manager) archiveReader() ArchiveReader {
 }
 
 // TruncatedLSN returns the recycling boundary: records below it left the
-// live buffer and are served from the archive.
+// live buffer; the archive serves them, if one is installed.
 func (m *Manager) TruncatedLSN() page.LSN { return page.LSN(m.base.Load()) }
 
 // Recycle truncates the live log below upTo: whole chunks that fall under
-// the boundary return to the free pool. upTo must be a record boundary no
-// higher than the durably archived horizon — the caller (the archiver) owns
-// that invariant, combining it with the checkpoint horizon; Recycle itself only
-// clamps the boundary to the flushed watermark, so no volatile byte is
-// ever "recycled" (a crash would then need it back). Returns the number of
-// chunks freed.
+// the boundary return to the free pool. upTo must be a record boundary
+// below which no reader will need the live log again — durably archived,
+// or needed by no recovery at all. The caller (the archiver) owns that
+// invariant; Recycle itself only clamps the boundary to the flushed
+// watermark, so no volatile byte is ever "recycled" (a crash would then
+// need it back). Returns the number of chunks freed.
 //
 // Recycle uses the same exclusive gate as Crash: it flips truncating only
 // in an instant with zero readers, so a reader never observes chunks being
@@ -1009,8 +1009,9 @@ func (m *Manager) Recycle(upTo page.LSN) int {
 		return 0
 	}
 	// Crash point: the horizon is chosen — covered records are durably
-	// archived — but nothing is freed yet. A crash here must find every
-	// record either still live or re-archivable idempotently.
+	// archived, or needed by no recovery — but nothing is freed yet. A crash
+	// here must find every record either still live or re-archivable
+	// idempotently.
 	chaos.At("wal.recycle")
 	for {
 		if m.readers.Load() == 0 {

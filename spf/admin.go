@@ -16,9 +16,9 @@ import (
 )
 
 // Checkpoint takes a fuzzy checkpoint (§5.2.6) and returns the LSN of the
-// checkpoint-end record. When the log lifecycle is enabled, the
-// checkpoint's redo horizon is pushed to the archiver — the trigger that
-// lets live log segments beneath it recycle once they are archived.
+// checkpoint-end record. The checkpoint's redo horizon is pushed to the
+// archiver — the trigger that lets live log segments beneath it recycle
+// once the archive, or a full backup, covers them too.
 func (db *DB) Checkpoint() (LSN, error) {
 	// A crash from here on may cut the checkpoint's records out of the log
 	// or lay them into a restarted DB's; the epoch tells (recovery.Checkpoint).
@@ -40,10 +40,8 @@ func (db *DB) Checkpoint() (LSN, error) {
 	if err != nil {
 		return 0, err
 	}
-	if db.archiver != nil {
-		db.archiver.SetCheckpointHorizon(res.RedoHorizon)
-		db.archiver.Kick()
-	}
+	db.archiver.SetCheckpointHorizon(res.RedoHorizon)
+	db.archiver.Kick()
 	// The checkpoint forced the log: every backup copy superseded before it
 	// can go.
 	db.releaseDurable()
@@ -83,10 +81,16 @@ type BackupReport struct {
 //
 // Retention: once the new set's index ranges are logged and the log is
 // flushed, every older set is dropped. Nothing can resolve against one any
-// more — the index names the new set for every page, media recovery takes
-// the newest set, and the archive has been told it may release the history
-// an older set would need — so the backup device holds the live set plus,
+// more — the index names the new set for every page and media recovery
+// takes the newest set — so the backup device holds the live set plus,
 // while a backup runs, the one being written. Backups run one at a time.
+//
+// Truncation: from then on no chain replay reads below the log position
+// the set is as of, which becomes the archiver's backup horizon (its floor
+// still holds active-transaction undo and log-backed backup references).
+// The backup ends with a checkpoint — its flush finds the pool clean — and
+// one synchronous archiver step, so without the archive the log below both
+// horizons is already recycled when BackupNow returns.
 func (db *DB) BackupNow() (uint64, BackupReport, error) {
 	var rep BackupReport
 	// A crash from here on may cut this backup's index records out of the
@@ -97,6 +101,11 @@ func (db *DB) BackupNow() (uint64, BackupReport, error) {
 	}
 	db.backupMu.Lock()
 	defer db.backupMu.Unlock()
+	// The set is as of the log end before the flush: every image it takes
+	// holds its page's history below asOf, and so does every page backup
+	// installed after the index names the set — a copy-on-write slot
+	// superseded by a write after the flush, or a page copy taken then.
+	asOf := db.log.EndLSN()
 	// Flush everything so the backup captures a write-consistent state.
 	if err := db.pool.FlushAll(); err != nil {
 		return 0, rep, err
@@ -108,8 +117,7 @@ func (db *DB) BackupNow() (uint64, BackupReport, error) {
 	if !db.opts.DisableSinglePageRecovery {
 		prev = db.store.LatestSet()
 	}
-	setEnd := db.log.EndLSN()
-	w := db.store.BeginFullSet(setEnd)
+	w := db.store.BeginFullSet(asOf)
 	defer w.Abort() // frees a failed backup's images; no-op once committed
 	ids := db.pmap.Pages()
 	rep.Pages = len(ids)
@@ -142,16 +150,8 @@ func (db *DB) BackupNow() (uint64, BackupReport, error) {
 		rep.Written++
 	}
 	w.Commit()
-	// The completed set raises the archive-release horizon: history below
-	// setEnd is unreachable by any chain replay that resolves against this
-	// (or a newer) set, so the archiver may garbage-collect it — subject to
-	// its release floor (active-transaction undo, log-backed backup refs).
-	if db.archiver != nil {
-		db.archiver.SetBackupHorizon(setEnd)
-		db.archiver.Kick()
-	}
 	if !db.opts.DisableSinglePageRecovery {
-		if err := db.pointIndexAt(w.SetID(), setEnd, ids, epoch); err != nil {
+		if err := db.pointIndexAt(w.SetID(), asOf, ids, epoch); err != nil {
 			return w.SetID(), rep, err
 		}
 	}
@@ -162,6 +162,13 @@ func (db *DB) BackupNow() (uint64, BackupReport, error) {
 			}
 		}
 	}
+	db.archiver.SetBackupHorizon(asOf)
+	if _, err := db.Checkpoint(); err != nil {
+		return w.SetID(), rep, err
+	}
+	// An archive fault pauses the lifecycle, which ArchivePaused reports;
+	// the backup stands either way.
+	_ = db.archiver.Step(false)
 	return w.SetID(), rep, nil
 }
 

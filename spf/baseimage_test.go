@@ -169,6 +169,55 @@ func TestMediaRestoreUsesOnlyTheSlotsItWrites(t *testing.T) {
 	}
 }
 
+// TestRestartNeverWritesARetiredSlot: a slot retired before a crash is free
+// again in the page map restart rebuilds from the log — the records of the
+// writes that used it were in the lost tail, and a retirement is the
+// device's, not logged — so write-back must refuse it and take another.
+func TestRestartNeverWritesARetiredSlot(t *testing.T) {
+	const n = 400
+	for _, mode := range []pagemap.Mode{pagemap.InPlace, pagemap.CopyOnWrite} {
+		t.Run(mode.String(), func(t *testing.T) {
+			opts := testOptions()
+			opts.WriteMode = mode
+			opts.Restore.Disabled = true // redo, and its write-back, run inside Restart
+			db := openTestDB(t, opts)
+			ix := loadIndex(t, db, "t", n)
+			// No commit follows: the completed-write records stay volatile.
+			if err := db.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			victim := findLeafOf(t, db, ix, k(0))
+			if err := db.EvictPage(victim); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CorruptPage(victim); err != nil {
+				t.Fatal(err)
+			}
+			expectValues(t, ix, n) // repairs the leaf, retiring its slot
+			if got := db.Metrics().RetiredSlots; got != 1 {
+				t.Fatalf("%d slots retired, want the victim's", got)
+			}
+			db.Crash()
+			ndb, _, err := db.Restart()
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			defer ndb.Close()
+			if err := ndb.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			ix2, err := ndb.Index("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			expectValues(t, ix2, n)
+			if viols, err := ix2.Verify(); err != nil || len(viols) != 0 {
+				t.Fatalf("verify: %v %v", viols, err)
+			}
+		})
+	}
+}
+
 // TestCopyOnWriteRepairedPageStaysRecoverable: in copy-on-write mode the
 // write-back that follows a repair has no previous slot — the page was
 // taken off the slot that failed — so it registers nothing, and the page's

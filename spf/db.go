@@ -93,9 +93,9 @@ type DB struct {
 	sched *restore.Scheduler   // nil when Options.Restore.Disabled (or SPR off)
 	maint *maintenance.Service // nil unless Options.Maintenance.Enabled
 
-	// Log lifecycle (nil unless Options.Lifecycle.Enabled): arch is the
-	// durable log archive (shared across Restart/RecoverMedia), archiver
-	// the per-DB driver that archives, recycles, and releases.
+	// Log lifecycle: archiver is the per-DB owner of log truncation, arch
+	// the durable log archive it fills (nil unless Options.Lifecycle.Enabled;
+	// shared across Restart/RecoverMedia).
 	arch     *archive.Store
 	archiver *archive.Archiver
 

@@ -186,7 +186,7 @@ func TestCommitAcrossCrashReportsLost(t *testing.T) {
 // transaction table: a checkpoint snapshots every in-flight transaction's
 // chain head (txn.Manager.Active) while the owning goroutines advance it
 // with each record they log, abort and commit — the shape wire-mixed-cold
-// and spfserver -lifecycle run all day.
+// and spfserver's periodic checkpoints run all day.
 func TestCheckpointBesideTransactions(t *testing.T) {
 	opts := testOptions()
 	opts.PoolFrames = 512

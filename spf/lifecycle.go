@@ -10,26 +10,25 @@ import (
 	"repro/internal/wal"
 )
 
-// initLifecycle builds the log-lifecycle machinery when Options.Lifecycle
-// is enabled: the archive store (inherited from prev across Restart and
-// RecoverMedia — the archive is a durable device and survives crashes),
-// the retrying archive reader wired into the WAL's truncated-read
-// fallback, and the archiver that owns the truncation invariant and stores
-// committed updates redo-only through the engines' op codecs. The
-// background loop is NOT started here — call startLifecycle once the DB
-// is fully constructed — but the archiver exists immediately so the
-// bootstrap (or post-restart) checkpoint can push its redo horizon.
+// initLifecycle builds the archiver, the one owner of log truncation, and
+// with Options.Lifecycle.Enabled its archive: the store (inherited from
+// prev across Restart and RecoverMedia — the archive is a durable device
+// and survives crashes), the retrying archive reader wired into the WAL's
+// truncated-read fallback, and the engines' op codecs through which the
+// archiver stores committed updates redo-only. The background loop is NOT
+// started here — call startLifecycle once the DB is fully constructed —
+// but the archiver exists immediately so the bootstrap (or post-restart)
+// checkpoint can push its redo horizon.
 func (db *DB) initLifecycle(prev *DB) {
 	lo := db.opts.Lifecycle
-	if !lo.Enabled {
-		return
+	if lo.Enabled {
+		if prev != nil && prev.arch != nil {
+			db.arch = prev.arch
+		} else {
+			db.arch = archive.NewStore(iosim.Instant, wal.FirstLSN())
+		}
+		db.log.SetArchive(db.arch.NewReader(lo.RetryAttempts, 0))
 	}
-	if prev != nil && prev.arch != nil {
-		db.arch = prev.arch
-	} else {
-		db.arch = archive.NewStore(iosim.Instant, wal.FirstLSN())
-	}
-	db.log.SetArchive(db.arch.NewReader(lo.RetryAttempts, 0))
 	interval := lo.Interval
 	if interval == 0 {
 		interval = 25 * time.Millisecond
@@ -42,37 +41,32 @@ func (db *DB) initLifecycle(prev *DB) {
 		RedoOnly:      applier{}.RedoOnly,
 		Logf:          lo.Logf,
 	})
-	// A pre-existing full backup set re-establishes the release horizon
-	// after a restart: everything the newest set covers stays releasable.
-	if set := db.store.LatestSet(); set != 0 {
-		if lsn, err := db.store.SetLSN(set); err == nil {
+	// The surviving backup sets re-establish the backup horizon after a
+	// restart. The oldest counts: a crash between a backup's commit and the
+	// drop of its predecessors leaves both, and the index the restart
+	// rebuilt may still name the older one for pages whose range records
+	// the crash cut from the log.
+	if sets := db.store.Sets(); len(sets) > 0 {
+		if lsn, err := db.store.SetLSN(sets[0]); err == nil {
 			db.archiver.SetBackupHorizon(lsn)
 		}
 	}
 }
 
-// startLifecycle launches the archiver's background loop (no-op when the
-// lifecycle is disabled or Interval is negative).
-func (db *DB) startLifecycle() {
-	if db.archiver != nil {
-		db.archiver.Start()
-	}
-}
+// startLifecycle launches the archiver's background loop (no-op when
+// Lifecycle.Interval is negative).
+func (db *DB) startLifecycle() { db.archiver.Start() }
 
 // stopLifecycle joins the archiver loop. Close, Crash, and FailDevice
 // call it BEFORE the log crashes or closes: an archiver step reads the
 // live log and calls Recycle, so no lifecycle work may race the log's
 // tail truncation — the same WAL-safety ordering stopRestore and
 // stopMaintenance observe. Idempotent.
-func (db *DB) stopLifecycle() {
-	if db.archiver != nil {
-		db.archiver.Stop()
-	}
-}
+func (db *DB) stopLifecycle() { db.archiver.Stop() }
 
-// archiveReleaseFloor is the engine-side clamp on archive garbage
-// collection: archived history is retained while anything can still need
-// it, namely
+// archiveReleaseFloor is the engine-side clamp on the release horizon:
+// history is retained — in the archive, or in the live log without one —
+// while anything can still need it, namely
 //
 //   - undo of an active transaction (its chain of log records starts at
 //     its begin LSN; a loser adopted by restart carries a conservative
@@ -100,22 +94,15 @@ func (db *DB) archiveReleaseFloor() page.LSN {
 // ArchiveNow runs one synchronous lifecycle pass: any flushed-but-
 // unarchived history is archived (segment-full or not), then segments
 // recycle and archived history releases up to the current horizons.
-// Deterministic alternative to waiting on the background loop; no-op
-// without the lifecycle.
-func (db *DB) ArchiveNow() error {
-	if db.archiver == nil {
-		return nil
-	}
-	return db.archiver.Step(true)
-}
+// Deterministic alternative to waiting on the background loop; without
+// the archive it only recycles.
+func (db *DB) ArchiveNow() error { return db.archiver.Step(true) }
 
 // ArchivePaused reports whether the archive device is unavailable and
 // segment recycling is therefore suspended (the live log grows until the
-// device recovers). Always false without the lifecycle.
-func (db *DB) ArchivePaused() bool {
-	return db.archiver != nil && db.archiver.Paused()
-}
+// device recovers). Always false without the archive.
+func (db *DB) ArchivePaused() bool { return db.archiver.Paused() }
 
 // Archive exposes the archive store for fault campaigns and inspection
-// by experiments. Nil without the lifecycle.
+// by experiments. Nil without Lifecycle.Enabled.
 func (db *DB) Archive() *archive.Store { return db.arch }

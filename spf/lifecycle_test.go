@@ -1,8 +1,12 @@
 package spf
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/pagemap"
 )
 
 // lifecycleOptions returns engine options with the log lifecycle on in
@@ -291,5 +295,238 @@ func TestLifecyclePausesOnArchiveFault(t *testing.T) {
 	}
 	if db.LogManager().TruncatedLSN() == base {
 		t.Error("recycling did not resume after recovery")
+	}
+}
+
+// The rule without the archive: a full backup frees the live log below the
+// position its set is as of — clamped by the checkpoint redo horizon, the
+// oldest active transaction's begin and log-backed backup references —
+// because no recovery reads below it again. Each scenario recovers across
+// that truncation, on both write modes and both engines.
+
+// noArchiveIndexes opens a database without the log archive and loads n
+// keys into a B-tree and a hash index.
+func noArchiveIndexes(t *testing.T, mode pagemap.Mode, n int) (*DB, []*Index) {
+	t.Helper()
+	opts := testOptions()
+	opts.WriteMode = mode
+	db := openTestDB(t, opts)
+	return db, []*Index{loadIndexKind(t, db, "b", KindBTree, n), loadIndexKind(t, db, "h", KindHash, n)}
+}
+
+// backupPassing takes a full backup and checks that it recycled the live
+// log up to at least lsn before returning.
+func backupPassing(t *testing.T, db *DB, lsn LSN) {
+	t.Helper()
+	if _, _, err := db.BackupNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.log.TruncatedLSN(); got < lsn {
+		t.Fatalf("the backup left the log truncated at %d, below %d", got, lsn)
+	}
+}
+
+// backedUpWithoutArchive loads n keys without the log archive, backs them
+// up, and moves every key on twice: to generation 1, then past a checkpoint
+// and a lifecycle step — so only the backup horizon holds the log — to
+// generation 2, which the pool still holds dirty.
+func backedUpWithoutArchive(t *testing.T, mode pagemap.Mode, n int) (*DB, []*Index) {
+	t.Helper()
+	db, ixs := noArchiveIndexes(t, mode, n)
+	backupPassing(t, db, db.log.EndLSN())
+	for _, ix := range ixs {
+		rewriteAll(t, db, ix, n, 1)
+	}
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ArchiveNow(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range ixs {
+		rewriteAll(t, db, ix, n, 2)
+	}
+	return db, ixs
+}
+
+// expectIndexes reads every key of every index back at generation gen (the
+// loaded value when gen < 0) and verifies each index.
+func expectIndexes(t *testing.T, ixs []*Index, n, gen int) {
+	t.Helper()
+	for _, ix := range ixs {
+		if gen < 0 {
+			expectValues(t, ix, n)
+		} else {
+			expectGeneration(t, ix, n, gen)
+		}
+		if viols, err := ix.Verify(); err != nil || len(viols) != 0 {
+			t.Fatalf("%v index: verify: %v %v", ix.Kind(), viols, err)
+		}
+	}
+}
+
+// reopened returns ixs' counterparts in a recovered database.
+func reopened(t *testing.T, db *DB, ixs []*Index) []*Index {
+	t.Helper()
+	out := make([]*Index, len(ixs))
+	for i, ix := range ixs {
+		nix, err := db.Index(ix.eng.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = nix
+	}
+	return out
+}
+
+func TestBackupTruncatesWithoutArchive(t *testing.T) {
+	const n = 300
+	for _, mode := range []pagemap.Mode{pagemap.InPlace, pagemap.CopyOnWrite} {
+		t.Run(fmt.Sprintf("%v/recover-every-page", mode), func(t *testing.T) {
+			db, ixs := backedUpWithoutArchive(t, mode, n)
+			defer db.Close()
+			applied := 0
+			for _, id := range db.Pages() {
+				rep, err := db.RecoverPageNow(id)
+				if err != nil {
+					t.Fatalf("page %d: %v", id, err)
+				}
+				applied += rep.RecordsApplied
+			}
+			if applied == 0 {
+				t.Fatal("no page replayed any history since the backup")
+			}
+			expectIndexes(t, ixs, n, 2)
+		})
+
+		t.Run(fmt.Sprintf("%v/crash-restart", mode), func(t *testing.T) {
+			db, ixs := backedUpWithoutArchive(t, mode, n)
+			db.Crash()
+			ndb, _, err := db.Restart()
+			if err != nil {
+				t.Fatalf("restart over the truncated log: %v", err)
+			}
+			defer ndb.Close()
+			ndb.DrainRestore()
+			expectIndexes(t, reopened(t, ndb, ixs), n, 2)
+		})
+
+		t.Run(fmt.Sprintf("%v/media-recovery", mode), func(t *testing.T) {
+			db, ixs := backedUpWithoutArchive(t, mode, n)
+			db.FailDevice()
+			ndb, _, err := db.RecoverMedia()
+			if err != nil {
+				t.Fatalf("media recovery over the truncated log: %v", err)
+			}
+			defer ndb.Close()
+			ndb.DrainRestore()
+			expectIndexes(t, reopened(t, ndb, ixs), n, 2)
+		})
+
+		// The floor: a transaction that began before the backup keeps its
+		// records live, so it can still roll back after it.
+		t.Run(fmt.Sprintf("%v/abort-across-backup", mode), func(t *testing.T) {
+			db, ixs := noArchiveIndexes(t, mode, n)
+			defer db.Close()
+			began := db.log.EndLSN()
+			tx := db.Begin()
+			for _, ix := range ixs {
+				for i := 0; i < n; i += 3 {
+					if err := ix.Update(tx, k(i), genValue(1, i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			loaded := db.log.EndLSN()
+			if _, _, err := db.BackupNow(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.ArchiveNow(); err != nil {
+				t.Fatal(err)
+			}
+			if got := db.log.TruncatedLSN(); got > began {
+				t.Fatalf("log truncated at %d, past the active transaction's begin %d", got, began)
+			}
+			if err := tx.Abort(); err != nil {
+				t.Fatalf("rollback after the backup: %v", err)
+			}
+			expectIndexes(t, ixs, n, -1)
+			// Its end lifts the floor: the next step recycles the backup's span.
+			if err := db.ArchiveNow(); err != nil {
+				t.Fatal(err)
+			}
+			if got := db.log.TruncatedLSN(); got < loaded {
+				t.Fatalf("log truncated at %d after the rollback, below %d", got, loaded)
+			}
+			for _, id := range db.Pages() {
+				if _, err := db.RecoverPageNow(id); err != nil {
+					t.Fatalf("page %d: %v", id, err)
+				}
+			}
+			expectIndexes(t, ixs, n, -1)
+		})
+
+		// A page born after the set has its format record as its backup; the
+		// truncation must leave that record and its chain readable.
+		t.Run(fmt.Sprintf("%v/born-after-set", mode), func(t *testing.T) {
+			db, ixs := noArchiveIndexes(t, mode, n)
+			backupPassing(t, db, db.log.EndLSN())
+			inSet := make(map[PageID]bool)
+			for _, id := range db.Pages() {
+				inSet[id] = true
+			}
+			const more = 600
+			tx := db.Begin()
+			for _, ix := range ixs {
+				for i := n; i < n+more; i++ {
+					if err := ix.Insert(tx, k(i), v(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := db.Commit(tx); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.ArchiveNow(); err != nil {
+				t.Fatal(err)
+			}
+			born := 0
+			for _, id := range db.Pages() {
+				if inSet[id] {
+					continue
+				}
+				born++
+				e, err := db.pri.Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mode == pagemap.InPlace && e.Backup.Kind != core.BackupFormat {
+					t.Fatalf("page %d born after the set is backed by %v, want its format record", id, e.Backup.Kind)
+				}
+				if _, err := db.RecoverPageNow(id); err != nil {
+					t.Fatalf("page %d born after the set: %v", id, err)
+				}
+			}
+			if born == 0 {
+				t.Fatal("no page was born after the set")
+			}
+			db.FailDevice()
+			ndb, rep, err := db.RecoverMedia()
+			if err != nil {
+				t.Fatalf("media recovery: %v", err)
+			}
+			defer ndb.Close()
+			if rep.Media.LateBornPages != born {
+				t.Fatalf("media recovery restored %d pages from format records, want %d", rep.Media.LateBornPages, born)
+			}
+			ndb.DrainRestore()
+			expectIndexes(t, reopened(t, ndb, ixs), n+more, -1)
+		})
 	}
 }

@@ -29,8 +29,8 @@ type Metrics struct {
 	// Maintenance and Restore are the background services (zero when
 	// disabled); RestartRedo says how recoveries found their replay base
 	// and how much of the last recovery's backlog remains; Archive is the log
-	// lifecycle's archive store plus the archiver's pause gauge (zero
-	// unless Options.Lifecycle.Enabled).
+	// archive's store plus the archiver's pause gauge (zero unless
+	// Options.Lifecycle.Enabled).
 	Maintenance maintenance.Stats
 	Restore     restore.Stats
 	RestartRedo RestartRedoStats
@@ -119,9 +119,7 @@ func (db *DB) Metrics() Metrics {
 		Fallbacks: m.Recovery.OwnImageRejected,
 		Pending:   m.Restore.Pending + m.Restore.InFlight,
 	}
-	if db.archiver != nil {
-		m.Archive = db.archiver.Stats()
-	}
+	m.Archive = db.archiver.Stats()
 	db.mu.Lock()
 	m.Crashed = db.crashed
 	m.Closed = db.closed

@@ -113,14 +113,18 @@ type Options struct {
 	// and is quiesced deterministically by Close, Crash, and FailDevice
 	// (workers joined before the log truncates).
 	Restore RestoreOptions
-	// Lifecycle configures the bounded log lifecycle: a background
-	// archiver drains flushed history into a sorted, page-partitioned log
-	// archive, live segments recycle once the checkpoint redo horizon and
-	// the archive both cover them, and archived history is garbage-
-	// collected once a newer full backup set (plus the engine's undo and
-	// log-backed-backup floors) passes it. Disabled unless
-	// Lifecycle.Enabled is set — the live log then grows without bound,
-	// the pre-lifecycle behavior.
+	// Lifecycle configures the bounded log lifecycle. The live log is
+	// always truncated: history below both the checkpoint redo horizon and
+	// the release horizon — the newest full backup set, clamped by the
+	// oldest active transaction's begin and by log-backed backup
+	// references — is needed by no recovery, and every BackupNow recycles
+	// it before returning. Lifecycle.Enabled adds the log archive, which
+	// keeps the history between the two horizons: a background archiver
+	// drains flushed history into a sorted, page-partitioned archive, live
+	// segments recycle once the checkpoint redo horizon and the archive
+	// both cover them, and archived history is garbage-collected below the
+	// release horizon. Without the archive that history stays in the live
+	// log until a newer full backup passes it.
 	Lifecycle LifecycleOptions
 	// IndexKind is the engine CreateIndex builds: KindBTree (the zero
 	// value — ordered keys, range scans) or KindHash (linear hashing,
@@ -134,10 +138,11 @@ type Options struct {
 // LifecycleOptions tunes the log lifecycle (internal/archive). The zero
 // value of every field but Enabled selects the defaults noted per field.
 type LifecycleOptions struct {
-	// Enabled turns the lifecycle on: the archiver runs, live WAL
-	// segments recycle behind the checkpoint horizon, and per-page chain
-	// replays transparently fall back to the archive for recycled
-	// history.
+	// Enabled adds the log archive: the archiver drains history into it,
+	// live WAL segments recycle behind the checkpoint horizon, and
+	// per-page chain replays transparently fall back to the archive for
+	// recycled history. Without it the live log is truncated only below
+	// the release horizon a full backup sets.
 	Enabled bool
 	// SegmentBytes is the archive run granularity: a run is sealed once
 	// this many flushed-but-unarchived log bytes accumulate (default
@@ -146,9 +151,9 @@ type LifecycleOptions struct {
 	SegmentBytes int64
 	// Interval is the background archiver cadence (default 25ms).
 	// Negative disables the loop entirely: the lifecycle then advances
-	// only on explicit ArchiveNow calls (deterministic tests) and on the
-	// kicks that checkpoints and backups deliver — which are no-ops
-	// without a loop to wake.
+	// only on explicit ArchiveNow and BackupNow calls (deterministic tests)
+	// and on the kicks that checkpoints deliver — which are no-ops without
+	// a loop to wake.
 	Interval time.Duration
 	// RetryAttempts bounds archive I/O retries (writes per archiver step,
 	// reads per chain-replay access) before the fault is surfaced:

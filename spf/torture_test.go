@@ -74,12 +74,27 @@ func TestChaosTortureCrashRestartVerify(t *testing.T) {
 	for _, seed := range tortureSeeds(t) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runTorture(t, seed)
+			runTorture(t, seed, true)
 		})
 	}
 }
 
-func runTorture(t *testing.T, seed int64) {
+// TestChaosTortureWithoutArchive runs the torture loop on a database with
+// no log archive and no lifecycle loop, crashing at wal.recycle: the only
+// recycle is then the one the mid-run full backup makes, so the crash lands
+// between that backup's checkpoint and its truncation of the live log.
+func TestChaosTortureWithoutArchive(t *testing.T) {
+	for _, seed := range tortureSeeds(t) {
+		if crashPoints[int(seed)%len(crashPoints)] != "wal.recycle" {
+			continue
+		}
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			runTorture(t, seed, false)
+		})
+	}
+}
+
+func runTorture(t *testing.T, seed int64, archive bool) {
 	defer chaos.Reset()
 	g0 := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(seed))
@@ -93,9 +108,12 @@ func runTorture(t *testing.T, seed int64) {
 	// land between archive-write and recycle and acked history must
 	// survive chain replays that cross into the archive.
 	opts.Lifecycle = LifecycleOptions{
-		Enabled:      true,
+		Enabled:      archive,
 		SegmentBytes: 4 << 10,
 		Interval:     2 * time.Millisecond,
+	}
+	if !archive {
+		opts.Lifecycle.Interval = -1
 	}
 	db := openTestDB(t, opts)
 
@@ -164,6 +182,9 @@ func runTorture(t *testing.T, seed int64) {
 		// a handful of passes over the run, and the fallback covers seeds
 		// whose workload outruns the archiver.
 		fireAt = 1 + rng.Int63n(3)
+		if !archive {
+			fireAt = 1 // the mid-run backup's recycle
+		}
 	}
 	crashC := make(chan struct{}, 1)
 	// Set once the manual-crash fallback closes crashC: a point whose trip
