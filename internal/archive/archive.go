@@ -10,7 +10,7 @@
 // point of archiving for single-page recovery and media restore.
 //
 // The archive is a redo store: a run keeps only what recovery reads from
-// old history — per-page chain records and in-log page images — and an
+// old history — per-page chain records — and an
 // update whose transaction committed within the same collected batch is
 // kept redo-only (its undo information stripped by an engine hook). Commit,
 // abort, PRI and checkpoint records are dropped: analysis, their only
@@ -198,11 +198,11 @@ func consume(f *atomic.Int32) bool {
 
 // chainRecord reports whether recovery can read a record of type t from
 // the archive: the per-page chain (updates, CLRs and format records —
-// WalkChain, and a rollback's wal.Read of its own updates) and in-log page
-// images (a log-backed backup reference).
+// WalkChain, a rollback's wal.Read of its own updates, and a format record
+// serving as a page's backup).
 func chainRecord(t wal.RecType) bool {
 	switch t {
-	case wal.TypeUpdate, wal.TypeCLR, wal.TypeFormat, wal.TypeFullImage:
+	case wal.TypeUpdate, wal.TypeCLR, wal.TypeFormat:
 		return true
 	}
 	return false

@@ -470,7 +470,7 @@ func firstByte(op []byte) []byte { return op[:1] }
 
 // TestArchiveKeepsOnlyChainRecords drives the archiver over a log holding
 // every record type, recycling as it goes: the runs hold per-page chain
-// records and in-log images only, every other LSN reads ErrNotArchived —
+// records only, every other LSN reads ErrNotArchived —
 // from the store and through the log's fallback — and the drop is counted.
 func TestArchiveKeepsOnlyChainRecords(t *testing.T) {
 	m := wal.NewManager(iosim.Instant)
@@ -512,7 +512,6 @@ func TestArchiveKeepsOnlyChainRecords(t *testing.T) {
 		default:
 			appendRec(&wal.Record{Type: wal.TypeSysCommit, Txn: txn})
 		}
-		appendRec(&wal.Record{Type: wal.TypeFullImage, Txn: txn, PageID: pg, Payload: []byte{4, 4}})
 		appendRec(&wal.Record{Type: wal.TypePRIUpdate, PageID: pg, Payload: []byte{5}})
 		appendRec(&wal.Record{Type: wal.TypeCheckpointBegin})
 		appendRec(&wal.Record{Type: wal.TypeCheckpointEnd, Payload: make([]byte, 64)})

@@ -33,8 +33,8 @@ type Config struct {
 	RetryBackoff  time.Duration
 	// ReleaseFloor, when set, further clamps the release horizon: the
 	// engine supplies min(oldest active transaction begin LSN, oldest
-	// log-backed backup reference), so undo chains and in-log page
-	// backups stay readable — in the archive, or in the live log when
+	// format record serving as a page's backup), so undo chains and those
+	// records stay readable — in the archive, or in the live log when
 	// there is no archive — as long as anything can need them.
 	ReleaseFloor func() page.LSN
 	// RedoOnly strips an update's undo information (the engine's op codec:

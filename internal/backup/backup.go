@@ -1,18 +1,17 @@
 // Package backup manages the sources of backup pages enumerated in paper
-// §5.2.1:
+// §5.2.1 that this engine produces:
 //
 //   - full database backups ("the same type of archive copy as required
 //     after a media failure"), held on direct-access media so single pages
 //     can be fetched individually;
 //   - explicit per-page backup copies, e.g. taken "after every 100 updates
 //     of a data page";
-//   - pre-move images retained by page migration (copy-on-write writes,
-//     defragmentation, wear leveling);
-//   - in-log page images (TypeFullImage records);
 //   - the format log record written when a page is allocated (TypeFormat),
 //     which "may substitute for an explicit backup copy".
 //
-// The Resolver implements core.BackupSource over all five.
+// The Resolver implements core.BackupSource over all three. Pages are
+// written in place, so §5.2.1's pre-move image — what a log-structured
+// store keeps by deferring space reclamation — is not among them.
 package backup
 
 import (
@@ -378,9 +377,6 @@ type Resolver struct {
 	Store    *Store
 	Log      *wal.Manager
 	PageSize int
-	// Data is the data device, needed for BackupDataSlot references
-	// (pre-move images retained by copy-on-write page migration).
-	Data *storage.Device
 }
 
 var _ core.BackupSource = (*Resolver)(nil)
@@ -400,19 +396,6 @@ func (r *Resolver) FetchBackup(ref core.BackupRef, pageID page.ID) (*page.Page, 
 	switch ref.Kind {
 	case core.BackupPage:
 		return r.Store.fetchSlot(storage.PhysID(ref.Loc), pageID)
-	case core.BackupDataSlot:
-		if r.Data == nil {
-			return nil, fmt.Errorf("%w: no data device for pre-move image", ErrWrongKind)
-		}
-		img, err := r.Data.Read(storage.PhysID(ref.Loc))
-		if err != nil {
-			return nil, fmt.Errorf("%w: reading pre-move image at slot %d: %v", ErrBadSlot, ref.Loc, err)
-		}
-		pg, err := page.DecodeFor(pageID, img)
-		if err != nil {
-			return nil, fmt.Errorf("%w: decoding pre-move image at slot %d: %v", ErrBadSlot, ref.Loc, err)
-		}
-		return pg, nil
 	case core.BackupFull:
 		r.Store.mu.Lock()
 		set, ok := r.Store.sets[ref.Loc]
@@ -429,20 +412,6 @@ func (r *Resolver) FetchBackup(ref core.BackupRef, pageID page.ID) (*page.Page, 
 			return nil, fmt.Errorf("%w: page %d in set %d", ErrNotInSet, pageID, ref.Loc)
 		}
 		return r.Store.fetchSlot(slot, pageID)
-	case core.BackupLogImage:
-		rec, err := r.Log.Read(page.LSN(ref.Loc))
-		if err != nil {
-			return nil, fmt.Errorf("backup: reading in-log image at %d: %w", ref.Loc, err)
-		}
-		if rec.Type != wal.TypeFullImage || rec.PageID != pageID {
-			return nil, fmt.Errorf("backup: record at %d is %v for page %d, want full image of %d",
-				ref.Loc, rec.Type, rec.PageID, pageID)
-		}
-		pg, err := page.DecodeFor(pageID, rec.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("backup: decoding in-log image: %w", err)
-		}
-		return pg, nil
 	case core.BackupFormat:
 		rec, err := r.Log.Read(page.LSN(ref.Loc))
 		if err != nil {

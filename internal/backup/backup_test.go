@@ -258,30 +258,6 @@ func TestAddAfterCommitFails(t *testing.T) {
 	}
 }
 
-func TestInLogImageBackup(t *testing.T) {
-	s := newStore(t, 8)
-	log := wal.NewManager(iosim.Instant)
-	r := &Resolver{Store: s, Log: log, PageSize: 512}
-	pg := testPage(t, 5, 77, "in-log copy")
-	lsn := log.Append(&wal.Record{Type: wal.TypeFullImage, Txn: 1, PageID: 5, Payload: pg.Encode()})
-	ref := core.BackupRef{Kind: core.BackupLogImage, Loc: uint64(lsn), AsOf: 77}
-	got, err := r.FetchBackup(ref, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got.Payload()) != "in-log copy" || got.LSN() != 77 {
-		t.Errorf("got %q lsn=%d", got.Payload(), got.LSN())
-	}
-	// Wrong page / wrong record type rejected.
-	if _, err := r.FetchBackup(ref, 6); err == nil {
-		t.Error("wrong page accepted")
-	}
-	other := log.Append(&wal.Record{Type: wal.TypeCommit, Txn: 1})
-	if _, err := r.FetchBackup(core.BackupRef{Kind: core.BackupLogImage, Loc: uint64(other)}, 5); err == nil {
-		t.Error("non-image record accepted")
-	}
-}
-
 func TestFormatRecordBackup(t *testing.T) {
 	s := newStore(t, 8)
 	log := wal.NewManager(iosim.Instant)
@@ -332,6 +308,9 @@ func TestResolverRejectsUnknownKind(t *testing.T) {
 	r := &Resolver{Store: s, Log: wal.NewManager(iosim.Instant), PageSize: 512}
 	if _, err := r.FetchBackup(core.BackupRef{Kind: core.BackupNone}, 1); !errors.Is(err, ErrWrongKind) {
 		t.Errorf("BackupNone: %v", err)
+	}
+	if _, err := r.FetchBackup(core.BackupRef{Kind: core.BackupFormat + 1, Loc: 1}, 1); !errors.Is(err, ErrWrongKind) {
+		t.Errorf("kind %d: %v", core.BackupFormat+1, err)
 	}
 }
 

@@ -33,7 +33,7 @@ func newWriteBackEnv(b *testing.B, capacity, slots int) *writeBackEnv {
 	b.Helper()
 	e := &writeBackEnv{
 		dev:  storage.NewDevice(storage.Config{PageSize: 4096, Slots: slots, Profile: iosim.Instant}),
-		pmap: pagemap.New(pagemap.InPlace, slots),
+		pmap: pagemap.New(slots),
 		log:  wal.NewManager(iosim.Instant),
 	}
 	priPayload := make([]byte, 32)

@@ -44,7 +44,7 @@ type pager struct {
 func newPager(pageSize, slots, frames int) *pager {
 	p := &pager{
 		dev:  storage.NewDevice(storage.Config{PageSize: pageSize, Slots: slots, Profile: iosim.Instant}),
-		pmap: pagemap.New(pagemap.InPlace, slots),
+		pmap: pagemap.New(slots),
 		log:  wal.NewManager(iosim.Instant),
 		pri:  core.NewPRI(),
 	}

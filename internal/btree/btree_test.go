@@ -37,7 +37,7 @@ func newTestPager(t *testing.T, pageSize, slots, frames int) *testPager {
 	p := &testPager{
 		t:    t,
 		dev:  storage.NewDevice(storage.Config{PageSize: pageSize, Slots: slots, Profile: iosim.Instant}),
-		pmap: pagemap.New(pagemap.InPlace, slots),
+		pmap: pagemap.New(slots),
 		log:  wal.NewManager(iosim.Instant),
 		pri:  core.NewPRI(),
 	}

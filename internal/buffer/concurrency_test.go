@@ -42,7 +42,7 @@ func TestConcurrentMixedOpsWithFaults(t *testing.T) {
 		},
 	}
 	dev := storage.NewDevice(storage.Config{PageSize: 512, Slots: slots, Profile: iosim.Instant})
-	pm := pagemap.New(pagemap.InPlace, slots)
+	pm := pagemap.New(slots)
 	log := wal.NewManager(iosim.Instant)
 	pool := NewPool(Config{Capacity: capacity, Device: dev, Map: pm, Log: log, Hooks: hooks})
 

@@ -63,18 +63,18 @@ var (
 )
 
 // WriteInfo describes one completed page write, handed to the
-// OnWriteComplete hook. It carries everything the engine needs to maintain
+// CompleteWrite hook. It carries everything the engine needs to maintain
 // the page recovery index and the physical page map.
 type WriteInfo struct {
 	Page    page.ID
 	PageLSN page.LSN
 	Dest    storage.PhysID
-	// Prev is the slot the page occupied before a copy-on-write write and
-	// HadPrev reports whether one existed; PrevLSN is the PageLSN of the
-	// image Prev holds — what the pool loaded from it or last wrote to it.
-	Prev    storage.PhysID
-	HadPrev bool
-	PrevLSN page.LSN
+	// Image is the page as written: the frame's own page, valid only until
+	// the hook returns.
+	Image *page.Page
+	// Updates counts the MarkDirty calls — the page's logged updates —
+	// since the frame's previous write-back, or since it was installed.
+	Updates int
 }
 
 // Hooks connect the pool to the engine. All hooks may be nil.
@@ -98,12 +98,12 @@ type Hooks struct {
 	Recover func(id page.ID, have *page.Page) (pg *page.Page, fromHave bool, err error)
 	// CompleteWrite runs after a dirty page has been written to the
 	// device, while the write is still serialized against other flushes
-	// of the same page (inside the frame's flush mutex, after the page
-	// latch is released). The engine updates its page recovery index here
+	// of the same page (inside the frame's flush mutex, with the page latch
+	// held shared, so WriteInfo.Image cannot change under it). The engine
+	// may copy that image, and updates its page recovery index here
 	// — the serialization guarantees per-page notifications arrive in
-	// write order, so index state like the copy-on-write backup chain is
-	// captured consistently — and returns the log records describing the
-	// update. The pool appends them: immediately for a per-page flush
+	// write order — and returns the log records describing the update. The
+	// pool appends them: immediately for a per-page flush
 	// (eviction, FlushPage — the Fig. 11 "record written before the page
 	// is truly evicted" sequence), or as one grouped reserve-fill append
 	// per batch for FlushBatch/FlushPages/FlushAll. A batch's records may
@@ -112,9 +112,10 @@ type Hooks struct {
 	// restart redo repairs (Fig. 12).
 	CompleteWrite func(info WriteInfo) []*wal.Record
 	// OnMarkDirty runs on every MarkDirty call — once per logged page
-	// update. The engine uses it to count updates per page for the
-	// backup-every-N-updates policy (§6). Must be cheap and must not
-	// call back into the pool.
+	// update. The engine uses it to wake its background write-back when the
+	// dirty count crosses a watermark; the updates themselves are counted
+	// on the frame and reported in WriteInfo.Updates. Must be cheap and
+	// must not call back into the pool.
 	OnMarkDirty func(id page.ID)
 	// OnReadRetry runs before each immediate re-read of a failed device
 	// read. The engine counts these in its restore statistics.
@@ -149,12 +150,12 @@ type counters struct {
 const pinsDead int32 = -1 << 30
 
 // frame is one buffer slot. pins and ref are atomics so the hit path never
-// locks; dirty and recLSN are guarded by metaMu so that MarkDirty can be
-// called while holding the page latch without touching any pool lock
-// (avoiding a lock cycle with the flush path, which acquires the latch).
-// flushMu serializes write-back of this frame so two flushers cannot both
-// consume a copy-on-write slot for the same image. ringIdx is the frame's
-// position in its shard's clock ring, guarded by the shard mutex.
+// locks; dirty, recLSN and updates are guarded by metaMu so that MarkDirty
+// can be called while holding the page latch without touching any pool
+// lock (avoiding a lock cycle with the flush path, which acquires the
+// latch). flushMu serializes write-back of this frame, so the engine sees
+// each page's writes in order. ringIdx is the frame's position in its
+// shard's clock ring, guarded by the shard mutex.
 type frame struct {
 	id    page.ID
 	latch sync.RWMutex
@@ -181,14 +182,11 @@ type frame struct {
 	skel atomic.Pointer[versionedBlob]
 
 	flushMu sync.Mutex
-	// slotLSN is the PageLSN of the image the page's slot holds: what the
-	// load read from it, then what each write-back wrote. Guarded by
-	// flushMu once the frame is installed.
-	slotLSN page.LSN
 
-	metaMu sync.Mutex
-	dirty  bool
-	recLSN page.LSN // LSN that first dirtied the page since last clean
+	metaMu  sync.Mutex
+	dirty   bool
+	recLSN  page.LSN // LSN that first dirtied the page since last clean
+	updates int      // MarkDirty calls since the last write-back took them
 
 	ringIdx int
 }
@@ -218,6 +216,16 @@ func (f *frame) isDirty() bool {
 	f.metaMu.Lock()
 	defer f.metaMu.Unlock()
 	return f.dirty
+}
+
+// takeUpdates returns the updates counted since the last call and restarts
+// the count.
+func (f *frame) takeUpdates() int {
+	f.metaMu.Lock()
+	defer f.metaMu.Unlock()
+	n := f.updates
+	f.updates = 0
+	return n
 }
 
 // setClean clears a frame's dirty state and maintains the pool's dirty
@@ -526,13 +534,15 @@ func (h *Handle) StoreSkeleton(v uint64, data any) {
 
 // MarkDirty records that the page was modified under a log record with the
 // given LSN. The first dirtying LSN since the page was last clean is kept
-// as the recovery LSN for checkpointing (the ARIES dirty page table).
+// as the recovery LSN for checkpointing (the ARIES dirty page table), and
+// the update is counted for the next write-back to report.
 func (h *Handle) MarkDirty(lsn page.LSN) {
 	if fn := h.pool.getHooks().OnMarkDirty; fn != nil {
 		fn(h.id)
 	}
 	h.f.metaMu.Lock()
 	defer h.f.metaMu.Unlock()
+	h.f.updates++
 	if !h.f.dirty {
 		h.f.dirty = true
 		h.f.recLSN = lsn
@@ -685,14 +695,10 @@ func (p *Pool) loadPage(id page.ID) (*frame, error) {
 	hooks := p.getHooks()
 	phys, bound := p.pmap.Lookup(id)
 	var pg *page.Page
-	var slotLSN page.LSN
 	var failure error
 	if bound {
 		if pg, failure = p.readAndValidate(id, phys, hooks); failure != nil {
 			p.stats.validationFailures.Add(1)
-		}
-		if pg != nil {
-			slotLSN = pg.LSN()
 		}
 	} else {
 		failure = fmt.Errorf("%w: %d", ErrNeverWritten, id)
@@ -711,7 +717,6 @@ func (p *Pool) loadPage(id page.ID) (*frame, error) {
 	}
 	f := p.newFrame(id, pg)
 	f.ref.Store(true)
-	f.slotLSN = slotLSN
 	if failure != nil {
 		// The device does not hold the recovered page yet: keep it dirty so
 		// write-back persists it.
@@ -904,8 +909,7 @@ func (p *Pool) evictFromShard(s *shard) (bool, error) {
 // write-ahead-log protocol (force the log up to the PageLSN first) and the
 // Fig. 11 sequence (completed-write records appended before the frame can
 // be evicted). It takes no shard lock; per-frame flushMu serializes
-// concurrent flushers of the same page so a copy-on-write slot is consumed
-// at most once per image.
+// concurrent flushers of the same page.
 func (p *Pool) flushFrame(f *frame) error {
 	recs, _, err := p.writeBack(f)
 	if err != nil {
@@ -938,7 +942,7 @@ func (p *Pool) writeBack(f *frame) ([]*wal.Record, bool, error) {
 	}
 	// WAL protocol: no dirty page reaches the database before its log.
 	p.log.Flush(f.pg.LSN())
-	dst, prev, hadPrev, err := p.pmap.WriteTarget(f.id)
+	dst, err := p.pmap.WriteTarget(f.id)
 	if err != nil {
 		f.latch.RUnlock()
 		return nil, false, fmt.Errorf("buffer: flush of page %d: %w", f.id, err)
@@ -953,7 +957,7 @@ func (p *Pool) writeBack(f *frame) ([]*wal.Record, bool, error) {
 		// it out again. It is never the page's; take another — a retired
 		// slot never returns to the allocator, so this ends.
 		p.pmap.Unbind(f.id)
-		if dst, _, _, err = p.pmap.WriteTarget(f.id); err == nil {
+		if dst, err = p.pmap.WriteTarget(f.id); err == nil {
 			err = p.dev.Write(dst, *buf)
 		}
 	}
@@ -973,10 +977,9 @@ func (p *Pool) writeBack(f *frame) ([]*wal.Record, bool, error) {
 	var recs []*wal.Record
 	if hooks := p.getHooks(); hooks.CompleteWrite != nil {
 		recs = hooks.CompleteWrite(WriteInfo{
-			Page: f.id, PageLSN: lsn, Dest: dst, Prev: prev, HadPrev: hadPrev, PrevLSN: f.slotLSN,
+			Page: f.id, PageLSN: lsn, Dest: dst, Image: f.pg, Updates: f.takeUpdates(),
 		})
 	}
-	f.slotLSN = lsn
 	p.setClean(f)
 	f.latch.RUnlock()
 	return recs, true, nil

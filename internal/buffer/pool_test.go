@@ -32,7 +32,7 @@ func newEnv(t *testing.T, capacity int, hooks Hooks) *env {
 func newEnvConfig(t *testing.T, cfg Config, hooks Hooks) *env {
 	t.Helper()
 	dev := storage.NewDevice(storage.Config{PageSize: 512, Slots: 256, Profile: iosim.Instant})
-	pm := pagemap.New(pagemap.InPlace, 256)
+	pm := pagemap.New(256)
 	log := wal.NewManager(iosim.Instant)
 	cfg.Device, cfg.Map, cfg.Log, cfg.Hooks = dev, pm, log, hooks
 	return &env{dev: dev, pmap: pm, log: log, pool: NewPool(cfg)}
@@ -857,11 +857,11 @@ type loadOutcomeEnv struct {
 	recoverErr error // returned by Recover when set
 }
 
-func newLoadOutcomeEnv(t *testing.T, mode pagemap.Mode) *loadOutcomeEnv {
+func newLoadOutcomeEnv(t *testing.T) *loadOutcomeEnv {
 	t.Helper()
 	o := &loadOutcomeEnv{}
 	dev := storage.NewDevice(storage.Config{PageSize: 512, Slots: 256, Profile: iosim.Instant})
-	pm := pagemap.New(mode, 256)
+	pm := pagemap.New(256)
 	log := wal.NewManager(iosim.Instant)
 	o.env = &env{dev: dev, pmap: pm, log: log, pool: NewPool(Config{Capacity: 4, Device: dev, Map: pm, Log: log, Hooks: Hooks{
 		Validate: func(pg *page.Page) error {
@@ -904,7 +904,7 @@ func TestLoadOutcomes(t *testing.T) {
 	// Stale but sound, and recovery built on it: the slot works. It keeps
 	// the page, nothing is retired, and write-back overwrites it in place.
 	t.Run("stale image used as base", func(t *testing.T) {
-		o := newLoadOutcomeEnv(t, pagemap.InPlace)
+		o := newLoadOutcomeEnv(t)
 		phys, _ := o.pmap.Lookup(o.id)
 		stale := o.writes[0].PageLSN
 		o.expect, o.useHave = stale+10, true
@@ -939,7 +939,7 @@ func TestLoadOutcomes(t *testing.T) {
 	// Sound, offered, turned down (older than the backup, off the chain, or
 	// refused by the engine): the slot does not hold a usable version.
 	t.Run("stale image rejected", func(t *testing.T) {
-		o := newLoadOutcomeEnv(t, pagemap.InPlace)
+		o := newLoadOutcomeEnv(t)
 		phys, _ := o.pmap.Lookup(o.id)
 		o.expect = o.writes[0].PageLSN + 10
 		h, err := o.pool.Fetch(o.id)
@@ -956,13 +956,13 @@ func TestLoadOutcomes(t *testing.T) {
 		if err := o.pool.FlushPage(o.id); err != nil {
 			t.Fatal(err)
 		}
-		if w := o.writes[len(o.writes)-1]; w.Dest == phys || w.HadPrev {
-			t.Errorf("write-back %+v, want a fresh slot and no previous one", w)
+		if w := o.writes[len(o.writes)-1]; w.Dest == phys {
+			t.Errorf("write-back %+v, want a fresh slot", w)
 		}
 	})
 	// Damaged: nothing is offered.
 	t.Run("damaged image", func(t *testing.T) {
-		o := newLoadOutcomeEnv(t, pagemap.CopyOnWrite)
+		o := newLoadOutcomeEnv(t)
 		phys, _ := o.pmap.Lookup(o.id)
 		if err := o.dev.CorruptStored(phys); err != nil {
 			t.Fatal(err)
@@ -979,17 +979,10 @@ func TestLoadOutcomes(t *testing.T) {
 		if _, bound := o.pmap.Lookup(o.id); bound || !o.dev.Retired(phys) {
 			t.Errorf("bound %v, slot retired %v", bound, o.dev.Retired(phys))
 		}
-		// Copy-on-write too finds no previous slot to keep as a backup.
-		if err := o.pool.FlushPage(o.id); err != nil {
-			t.Fatal(err)
-		}
-		if w := o.writes[len(o.writes)-1]; w.HadPrev {
-			t.Errorf("write-back %+v names the failed slot as the page's previous one", w)
-		}
 	})
 	// No slot: no device read, nothing to retire, recovery from nothing.
 	t.Run("no slot", func(t *testing.T) {
-		o := newLoadOutcomeEnv(t, pagemap.InPlace)
+		o := newLoadOutcomeEnv(t)
 		phys, _ := o.pmap.Lookup(o.id)
 		o.pmap.Unbind(o.id)
 		reads := o.dev.Stats().Reads
@@ -1011,7 +1004,7 @@ func TestLoadOutcomes(t *testing.T) {
 	// No slot and the engine knows nothing of the page either: not a
 	// failure. Any other recovery error is one.
 	t.Run("no slot, nothing known", func(t *testing.T) {
-		o := newLoadOutcomeEnv(t, pagemap.InPlace)
+		o := newLoadOutcomeEnv(t)
 		o.pmap.Unbind(o.id)
 		o.recoverErr = fmt.Errorf("%w: no index entry", ErrNeverWritten)
 		if _, err := o.pool.Fetch(o.id); !errors.Is(err, ErrNeverWritten) || errors.Is(err, ErrPageFailed) {
@@ -1030,40 +1023,52 @@ func TestLoadOutcomes(t *testing.T) {
 	})
 }
 
-// TestWriteInfoCarriesPreviousSlotsLSN: in copy-on-write mode the slot a
-// write leaves behind is offered as a backup as of what the pool knows it
-// holds — the image it loaded from it or last wrote to it, which after a
-// repair on a stale image is the stale LSN, not the page's previous LSN.
-func TestWriteInfoCarriesPreviousSlotsLSN(t *testing.T) {
-	o := newLoadOutcomeEnv(t, pagemap.CopyOnWrite)
-	first := o.writes[0]
-	if first.HadPrev {
-		t.Fatalf("first write %+v has a previous slot", first)
+// TestWriteInfoCountsUpdatesSinceTheLastWriteBack: each write-back reports
+// the MarkDirty calls since the frame's previous one, and the image it
+// wrote; the count goes with the write-back that takes it, so an eviction
+// loses none and a re-loaded frame starts from zero.
+func TestWriteInfoCountsUpdatesSinceTheLastWriteBack(t *testing.T) {
+	var writes []WriteInfo
+	e := newEnv(t, 4, Hooks{CompleteWrite: func(info WriteInfo) []*wal.Record {
+		if info.Image == nil || info.Image.LSN() != info.PageLSN {
+			t.Errorf("write of page %d at LSN %d handed image %v", info.Page, info.PageLSN, info.Image)
+		}
+		writes = append(writes, info)
+		return nil
+	}})
+	id := e.newPage(t, "counted") // its format record: one update
+	update := func(times int) {
+		t.Helper()
+		h, err := e.pool.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < times; i++ {
+			h.Lock()
+			lsn := e.log.Append(&wal.Record{Type: wal.TypeUpdate, Txn: 1, PageID: id, PagePrevLSN: h.Page().LSN()})
+			h.Page().SetLSN(lsn)
+			h.MarkDirty(lsn)
+			h.Unlock()
+		}
+		h.Release()
 	}
-	// Loaded stale, repaired on the image: the slot still holds first.PageLSN.
-	o.expect, o.useHave = first.PageLSN+10, true
-	h, err := o.pool.Fetch(o.id)
-	if err != nil {
+	update(2)
+	if err := e.pool.FlushPage(id); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.pool.FlushPage(o.id); err != nil {
+	update(3)
+	if err := e.pool.Evict(id); err != nil {
 		t.Fatal(err)
 	}
-	second := o.writes[len(o.writes)-1]
-	if !second.HadPrev || second.Prev != first.Dest || second.PrevLSN != first.PageLSN || second.PageLSN != o.expect {
-		t.Errorf("write after the repair %+v, want previous slot %d as of LSN %d", second, first.Dest, first.PageLSN)
-	}
-	// Written, updated, written again: the previous slot holds what was written.
-	h.Lock()
-	lsn := o.log.Append(&wal.Record{Type: wal.TypeUpdate, Txn: 1, PageID: o.id, PagePrevLSN: h.Page().LSN()})
-	h.Page().SetLSN(lsn)
-	h.Unlock()
-	h.MarkDirty(lsn)
-	h.Release()
-	if err := o.pool.FlushPage(o.id); err != nil {
+	update(1) // a fresh frame, loaded clean
+	if err := e.pool.FlushPage(id); err != nil {
 		t.Fatal(err)
 	}
-	if third := o.writes[len(o.writes)-1]; third.Prev != second.Dest || third.PrevLSN != second.PageLSN {
-		t.Errorf("third write %+v, want previous slot %d as of LSN %d", third, second.Dest, second.PageLSN)
+	var got []int
+	for _, w := range writes {
+		got = append(got, w.Updates)
+	}
+	if fmt.Sprint(got) != "[3 3 1]" {
+		t.Fatalf("write-backs reported %v updates, want [3 3 1]", got)
 	}
 }

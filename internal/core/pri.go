@@ -12,7 +12,11 @@ import (
 
 // BackupKind identifies which of the §5.2.1 backup sources an entry points
 // at (cf. Fig. 7: "page identifier or log sequence number of last page
-// formatting or of in-log copy").
+// formatting or of in-log copy"): a full backup set, an individual page
+// copy, or the page's format record. Two more sources of §5.2.1 have no
+// producer here: an in-log page image, and the pre-move image a
+// log-structured store, which writes every page to a new location, keeps
+// by deferring space reclamation — the kind such a store would add back.
 type BackupKind uint8
 
 const (
@@ -26,21 +30,13 @@ const (
 	// ... e.g., a backup of the entire database", §5.2.2).
 	BackupFull
 	// BackupPage: an individual page backup copy; Loc is the backup
-	// store slot holding the image (explicit copy after N updates, or a
-	// pre-move image retained by page migration).
+	// store slot holding the image (an explicit DB.BackupPage, or the
+	// copy write-back takes after every N updates, §6).
 	BackupPage
-	// BackupLogImage: Loc is the LSN of a TypeFullImage log record
-	// holding a complete page image.
-	BackupLogImage
 	// BackupFormat: Loc is the LSN of the TypeFormat record written when
 	// the page was allocated and formatted; redo of that single record
 	// recreates the initial page (§5.2.1).
 	BackupFormat
-	// BackupDataSlot: Loc is a physical slot on the data device holding
-	// the page's pre-move image — the implicit backup left behind by
-	// copy-on-write page migration ("this means merely deferring space
-	// reclamation", §5.2.1).
-	BackupDataSlot
 )
 
 func (k BackupKind) String() string {
@@ -51,12 +47,8 @@ func (k BackupKind) String() string {
 		return "full-backup"
 	case BackupPage:
 		return "page-backup"
-	case BackupLogImage:
-		return "log-image"
 	case BackupFormat:
 		return "format-record"
-	case BackupDataSlot:
-		return "pre-move-image"
 	default:
 		return fmt.Sprintf("backup-kind(%d)", uint8(k))
 	}
@@ -81,6 +73,12 @@ type Entry struct {
 	// in the buffer pool; while the page is dirty in the pool the entry
 	// deliberately falls behind (Fig. 6's dashed line).
 	LastLSN page.LSN
+	// Updates counts the page's updates written back since its backup was
+	// registered — "counted within the page, incremented whenever the
+	// PageLSN changes" (§6), summed per write-back (RecordWrite). It lives
+	// in memory only: snapshots and log records do not carry it, so a
+	// restart starts every count at zero.
+	Updates int
 }
 
 // entryBytes is the serialized size of one PRI record. The paper's §5.2.2
@@ -291,6 +289,13 @@ func (p *PRI) Set(id page.ID, e Entry) {
 // regressed LastLSN would make a later single-page recovery stop its
 // chain walk early and silently lose committed updates).
 func (p *PRI) SetLastLSN(id page.ID, lsn page.LSN) (Entry, error) {
+	return p.RecordWrite(id, lsn, 0)
+}
+
+// RecordWrite is SetLastLSN for a write-back whose image carries updates
+// page updates the previous write-back did not: they are added to the
+// entry's Updates.
+func (p *PRI) RecordWrite(id page.ID, lsn page.LSN, updates int) (Entry, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	i := p.find(id)
@@ -298,8 +303,9 @@ func (p *PRI) SetLastLSN(id page.ID, lsn page.LSN) (Entry, error) {
 		return Entry{}, fmt.Errorf("%w: %d", ErrNoEntry, id)
 	}
 	e := p.ranges[i].e
-	if lsn > e.LastLSN {
-		e.LastLSN = lsn
+	if lsn > e.LastLSN || updates != 0 {
+		e.LastLSN = max(e.LastLSN, lsn)
+		e.Updates += updates
 		p.setRangeLocked(id, id, e)
 	}
 	return e, nil
@@ -309,7 +315,8 @@ func (p *PRI) SetLastLSN(id page.ID, lsn page.LSN) (Entry, error) {
 // backup reference so the caller can free the superseded copy ("the page
 // recovery index gives fast access to its identifier", §5.2.2). If the new
 // backup is at least as recent as every update (ref.AsOf >= LastLSN), the
-// LastLSN resets to the backup point: nothing needs replay.
+// LastLSN resets to the backup point: nothing needs replay. The page's
+// update count restarts at zero.
 func (p *PRI) SetBackup(id page.ID, ref BackupRef) (prev BackupRef, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -320,6 +327,7 @@ func (p *PRI) SetBackup(id page.ID, ref BackupRef) (prev BackupRef, err error) {
 	e := p.ranges[i].e
 	prev = e.Backup
 	e.Backup = ref
+	e.Updates = 0
 	if ref.AsOf >= e.LastLSN {
 		e.LastLSN = ref.AsOf
 	}

@@ -235,7 +235,7 @@ func TestDrop(t *testing.T) {
 func TestSnapshotRestore(t *testing.T) {
 	p := NewPRI()
 	p.SetRange(1, 1000, fullEntry(1, 10))
-	p.Set(10, Entry{Backup: BackupRef{Kind: BackupLogImage, Loc: 555, AsOf: 30}, LastLSN: 40})
+	p.Set(10, Entry{Backup: BackupRef{Kind: BackupPage, Loc: 555, AsOf: 30}, LastLSN: 40})
 	p.Set(20, Entry{Backup: BackupRef{Kind: BackupFormat, Loc: 666, AsOf: 35}, LastLSN: 35})
 	snap := p.Snapshot()
 	r, err := RestorePRI(snap)
@@ -440,6 +440,41 @@ func TestSetLastLSNIsMonotone(t *testing.T) {
 	p.mustSetLastLSN(t, 5, 90)
 	if e, _ := p.Get(5); e.LastLSN != 90 {
 		t.Errorf("LastLSN = %d, want raised to 90", e.LastLSN)
+	}
+}
+
+// TestUpdatesCountedPerWriteUntilABackup: a page's update count is the sum
+// its write-backs report — a late one that raises no LSN still counts — a
+// new backup restarts it, and it is kept in memory only.
+func TestUpdatesCountedPerWriteUntilABackup(t *testing.T) {
+	p := NewPRI()
+	p.SetRange(1, 10, fullEntry(1, 10))
+	for _, w := range []struct {
+		lsn     page.LSN
+		updates int
+	}{{40, 3}, {80, 4}, {60, 2}} {
+		if _, err := p.RecordWrite(5, w.lsn, w.updates); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e, _ := p.Get(5); e.Updates != 9 || e.LastLSN != 80 {
+		t.Fatalf("entry %+v, want 9 updates up to LSN 80", e)
+	}
+	if e, _ := p.Get(6); e.Updates != 0 {
+		t.Fatalf("neighbor counted %d updates", e.Updates)
+	}
+	r, err := RestorePRI(p.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := r.Get(5); e.Updates != 0 || e.LastLSN != 80 {
+		t.Fatalf("restored entry %+v, want the LSN without the count", e)
+	}
+	if _, err := p.SetBackup(5, BackupRef{Kind: BackupPage, Loc: 3, AsOf: 80}); err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := p.Get(5); e.Updates != 0 {
+		t.Fatalf("%d updates counted past the new backup", e.Updates)
 	}
 }
 

@@ -19,9 +19,8 @@ type PRIOp uint8
 
 const (
 	// PRIOpWriteComplete: a dirty page reached the database; payload
-	// carries the written PageLSN and the physical destination slot
-	// (plus the superseded slot for copy-on-write). Doubles as a logged
-	// completed write for fast restart redo.
+	// carries the written PageLSN and the physical destination slot.
+	// Doubles as a logged completed write for fast restart redo.
 	PRIOpWriteComplete PRIOp = iota + 1
 	// PRIOpSetBackup: a new individual page backup was taken.
 	PRIOpSetBackup
@@ -54,20 +53,16 @@ var ErrBadPRIRecord = errors.New("core: bad page recovery index record")
 type WriteCompletePayload struct {
 	PageLSN page.LSN
 	Dest    storage.PhysID
-	Prev    storage.PhysID
-	HadPrev bool
 }
+
+const writeCompleteBytes = 1 + 8 + 8
 
 // EncodeWriteComplete builds a PRIOpWriteComplete payload.
 func EncodeWriteComplete(p WriteCompletePayload) []byte {
-	buf := make([]byte, 1+8+8+1+8)
+	buf := make([]byte, writeCompleteBytes)
 	buf[0] = byte(PRIOpWriteComplete)
 	binary.LittleEndian.PutUint64(buf[1:], uint64(p.PageLSN))
 	binary.LittleEndian.PutUint64(buf[9:], uint64(p.Dest))
-	if p.HadPrev {
-		buf[17] = 1
-	}
-	binary.LittleEndian.PutUint64(buf[18:], uint64(p.Prev))
 	return buf
 }
 
@@ -113,14 +108,12 @@ func DecodePRIOp(payload []byte) (PRIOp, error) {
 
 // DecodeWriteComplete parses a PRIOpWriteComplete payload.
 func DecodeWriteComplete(payload []byte) (WriteCompletePayload, error) {
-	if len(payload) != 26 || PRIOp(payload[0]) != PRIOpWriteComplete {
+	if len(payload) != writeCompleteBytes || PRIOp(payload[0]) != PRIOpWriteComplete {
 		return WriteCompletePayload{}, fmt.Errorf("%w: write-complete, %d bytes", ErrBadPRIRecord, len(payload))
 	}
 	return WriteCompletePayload{
 		PageLSN: page.LSN(binary.LittleEndian.Uint64(payload[1:])),
 		Dest:    storage.PhysID(binary.LittleEndian.Uint64(payload[9:])),
-		HadPrev: payload[17] == 1,
-		Prev:    storage.PhysID(binary.LittleEndian.Uint64(payload[18:])),
 	}, nil
 }
 

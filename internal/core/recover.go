@@ -11,8 +11,8 @@ import (
 )
 
 // BackupSource resolves a BackupRef into an earlier page image (§5.2.1).
-// The backup manager implements it for explicit copies and full backups;
-// the log manager backs the in-log variants.
+// The backup manager implements it for explicit copies and full backups,
+// and reads format records from the log.
 type BackupSource interface {
 	// FetchBackup returns the backup image for pageID named by ref. The
 	// returned page's LSN must equal ref.AsOf.

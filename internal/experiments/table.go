@@ -186,21 +186,23 @@ var Table = []Experiment{
 		return res.Table, nil
 	}},
 	{"E14", "§6 — backup policy sweep", func() (*report.Table, error) {
+		// No interval divides the update count, so every row replays a
+		// nonzero remainder: the updates since the policy's last backup
+		// (7, 17, 17), or the whole history without the policy.
+		const updates = 317
 		intervals := []int{10, 25, 100, 0}
-		res, err := E14BackupPolicySweep(intervals, 300)
+		res, err := E14BackupPolicySweep(intervals, updates)
 		if err != nil {
 			return nil, err
 		}
-		// Records replayed are bounded by the interval (with slack for the
-		// updates between a backup falling due and being taken); without
-		// the policy the whole history is replayed.
 		for _, n := range intervals {
-			if n > 0 && res.Applied[n] > n+15 {
-				return res.Table, fmt.Errorf("policy not bounding chains: %v", res.Applied)
+			want := updates
+			if n > 0 {
+				want = updates % n
 			}
-		}
-		if res.Applied[0] < 250 {
-			return res.Table, fmt.Errorf("no-policy chain should be ~300, got %d", res.Applied[0])
+			if res.Applied[n] != want {
+				return res.Table, fmt.Errorf("backup every %d: replayed %d records, want %d (all: %v)", n, res.Applied[n], want, res.Applied)
+			}
 		}
 		return res.Table, nil
 	}},

@@ -26,7 +26,7 @@ func newEnv(t *testing.T, capacity, slots int) *env {
 	t.Helper()
 	e := &env{
 		dev:  storage.NewDevice(storage.Config{PageSize: 512, Slots: slots, Profile: iosim.Instant}),
-		pmap: pagemap.New(pagemap.InPlace, slots),
+		pmap: pagemap.New(slots),
 		log:  wal.NewManager(iosim.Instant),
 	}
 	e.pool = buffer.NewPool(buffer.Config{

@@ -4,14 +4,12 @@
 // The paper relies on pages being movable: after single-page recovery "the
 // page can be moved to a new location. The old, failed location can be
 // deallocated ... or registered in an appropriate data structure to prevent
-// future use" (§5.2.3), and §5.2.1 observes that in a log-structured file
-// system or a write-optimized B-tree — which allocate a new location for
-// each write — the pre-move image can serve as a page backup by merely
-// deferring space reclamation. This package provides both write policies:
-//
-//   - in-place: a logical page keeps its physical slot across writes;
-//   - copy-on-write: every write goes to a fresh slot and the previous slot
-//     becomes an implicit page backup.
+// future use" (§5.2.3). Pages are written in place: a logical page keeps its
+// physical slot across writes, and moves only when its slot fails (Unbind)
+// or its device is replaced (ForgetSlots). §5.2.1's pre-move image — the
+// page backup a log-structured store, which writes every page to a new
+// location, gets by deferring space reclamation — is the backup source such
+// a store would add back.
 //
 // The translation table is lock-striped by page ID so the buffer pool's
 // fetch path (Known/Lookup) does not contend with concurrent write-target
@@ -33,30 +31,10 @@ import (
 	"repro/internal/storage"
 )
 
-// Mode selects the write policy.
-type Mode int
-
-const (
-	// InPlace overwrites the existing physical slot on every write.
-	InPlace Mode = iota
-	// CopyOnWrite writes every page image to a fresh physical slot,
-	// retaining the previous slot as an implicit backup copy.
-	CopyOnWrite
-)
-
-func (m Mode) String() string {
-	if m == CopyOnWrite {
-		return "copy-on-write"
-	}
-	return "in-place"
-}
-
 // Errors returned by the map.
 var (
 	ErrUnknownPage  = errors.New("pagemap: unknown logical page")
 	ErrNoFreeSlots  = errors.New("pagemap: device full")
-	ErrDoubleFree   = errors.New("pagemap: slot already free")
-	ErrSlotBusy     = errors.New("pagemap: slot still mapped")
 	ErrBadSnapshot  = errors.New("pagemap: corrupt snapshot")
 	ErrAlreadyKnown = errors.New("pagemap: logical page already mapped")
 )
@@ -76,7 +54,6 @@ type stripe struct {
 
 // Map is the logical→physical translation table. Safe for concurrent use.
 type Map struct {
-	mode      Mode
 	slotCount int
 	stripes   [stripeCount]stripe
 	known     atomic.Int64 // logical pages in the stripes, kept by add and DropLogical
@@ -88,9 +65,8 @@ type Map struct {
 }
 
 // New creates a map for a device with slotCount physical slots.
-func New(mode Mode, slotCount int) *Map {
+func New(slotCount int) *Map {
 	m := &Map{
-		mode:      mode,
 		slotCount: slotCount,
 		nextID:    1, // page.InvalidID == 0 stays unused
 	}
@@ -112,9 +88,6 @@ func (m *Map) add(st *stripe, id page.ID, phys storage.PhysID) {
 	}
 	st.m[id] = phys
 }
-
-// Mode returns the write policy.
-func (m *Map) Mode() Mode { return m.mode }
 
 // AllocateLogical mints a fresh logical page ID. No physical slot is bound
 // until the first write.
@@ -200,39 +173,26 @@ func (m *Map) Known(id page.ID) bool {
 	return ok
 }
 
-// WriteTarget returns the physical slot a write of logical page id must go
-// to, honoring the write policy. In copy-on-write mode it allocates a fresh
-// slot, remaps the page, and returns the previous slot (or false) so the
-// caller can retain it as a page backup or free it.
-func (m *Map) WriteTarget(id page.ID) (dst storage.PhysID, prev storage.PhysID, hadPrev bool, err error) {
+// WriteTarget returns the physical slot a write of logical page id goes to:
+// the slot the page is bound to, or, for a page without one, a freshly
+// allocated slot it is bound to from now on.
+func (m *Map) WriteTarget(id page.ID) (storage.PhysID, error) {
 	st := m.stripeFor(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	cur, ok := st.m[id]
 	if !ok {
-		return 0, 0, false, fmt.Errorf("%w: %d", ErrUnknownPage, id)
+		return 0, fmt.Errorf("%w: %d", ErrUnknownPage, id)
 	}
-	switch {
-	case m.mode == InPlace && cur != noSlot:
-		return cur, 0, false, nil
-	case m.mode == InPlace:
-		s, err := m.allocSlot()
-		if err != nil {
-			return 0, 0, false, err
-		}
-		st.m[id] = s
-		return s, 0, false, nil
-	default: // CopyOnWrite
-		s, err := m.allocSlot()
-		if err != nil {
-			return 0, 0, false, err
-		}
-		st.m[id] = s
-		if cur == noSlot {
-			return s, 0, false, nil
-		}
-		return s, cur, true, nil
+	if cur != noSlot {
+		return cur, nil
 	}
+	s, err := m.allocSlot()
+	if err != nil {
+		return 0, err
+	}
+	st.m[id] = s
+	return s, nil
 }
 
 // Unbind takes logical page id off its physical slot: the slot does not
@@ -307,34 +267,6 @@ func (m *Map) ForgetSlots() {
 	m.free = nil
 	m.nextPhys = 0
 	m.allocMu.Unlock()
-}
-
-// FreeSlot returns a physical slot to the free pool (e.g. an old backup
-// copy that a newer backup supersedes, §5.2.2).
-func (m *Map) FreeSlot(s storage.PhysID) error {
-	// Slot-busy scan across every stripe. A slot below the high-water mark
-	// that is neither mapped nor free is unreachable by allocation, so the
-	// scan does not race with a concurrent WriteTarget mapping it.
-	for i := range m.stripes {
-		st := &m.stripes[i]
-		st.mu.RLock()
-		for id, cur := range st.m {
-			if cur == s {
-				st.mu.RUnlock()
-				return fmt.Errorf("%w: slot %d still holds page %d", ErrSlotBusy, s, id)
-			}
-		}
-		st.mu.RUnlock()
-	}
-	m.allocMu.Lock()
-	defer m.allocMu.Unlock()
-	for _, f := range m.free {
-		if f == s {
-			return fmt.Errorf("%w: %d", ErrDoubleFree, s)
-		}
-	}
-	m.free = append(m.free, s)
-	return nil
 }
 
 // DropLogical removes a logical page entirely, freeing its slot.
@@ -423,13 +355,12 @@ func (m *Map) Snapshot() []byte {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf := make([]byte, 0, 8*4+len(ids)*16+len(m.free)*8)
+	buf := make([]byte, 0, 8*3+len(ids)*16+len(m.free)*8)
 	var tmp [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(tmp[:], v)
 		buf = append(buf, tmp[:]...)
 	}
-	put(uint64(m.mode))
 	put(uint64(m.nextID))
 	put(uint64(m.nextPhys))
 	put(uint64(len(ids)))
@@ -446,7 +377,7 @@ func (m *Map) Snapshot() []byte {
 
 // Restore rebuilds a map from a Snapshot for a device with slotCount slots.
 func Restore(snap []byte, slotCount int) (*Map, error) {
-	if len(snap) < 32 || len(snap)%8 != 0 {
+	if len(snap) < 24 || len(snap)%8 != 0 {
 		return nil, ErrBadSnapshot
 	}
 	pos := 0
@@ -455,7 +386,7 @@ func Restore(snap []byte, slotCount int) (*Map, error) {
 		pos += 8
 		return v
 	}
-	m := New(Mode(get()), slotCount)
+	m := New(slotCount)
 	m.nextID = page.ID(get())
 	m.nextPhys = storage.PhysID(get())
 	n := int(get())

@@ -10,7 +10,7 @@ import (
 )
 
 func TestAllocateLogicalSequence(t *testing.T) {
-	m := New(InPlace, 100)
+	m := New(100)
 	a := m.AllocateLogical()
 	b := m.AllocateLogical()
 	if a == page.InvalidID || b == page.InvalidID {
@@ -28,7 +28,7 @@ func TestAllocateLogicalSequence(t *testing.T) {
 }
 
 func TestLookupBeforeFirstWrite(t *testing.T) {
-	m := New(InPlace, 100)
+	m := New(100)
 	id := m.AllocateLogical()
 	if _, ok := m.Lookup(id); ok {
 		t.Error("never-written page has a physical slot")
@@ -36,119 +36,83 @@ func TestLookupBeforeFirstWrite(t *testing.T) {
 }
 
 func TestInPlaceWriteTargetStable(t *testing.T) {
-	m := New(InPlace, 100)
+	m := New(100)
 	id := m.AllocateLogical()
-	s1, _, had, err := m.WriteTarget(id)
-	if err != nil || had {
-		t.Fatalf("first write: %v had=%v", err, had)
+	s1, err := m.WriteTarget(id)
+	if err != nil {
+		t.Fatalf("first write: %v", err)
 	}
-	s2, _, had2, err := m.WriteTarget(id)
+	s2, err := m.WriteTarget(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2 != s1 || had2 {
+	if s2 != s1 {
 		t.Errorf("in-place write moved page: %d -> %d", s1, s2)
 	}
-}
-
-func TestCopyOnWriteMovesEveryWrite(t *testing.T) {
-	m := New(CopyOnWrite, 100)
-	id := m.AllocateLogical()
-	s1, _, had, err := m.WriteTarget(id)
-	if err != nil || had {
-		t.Fatalf("first write: %v had=%v", err, had)
-	}
-	s2, prev, had2, err := m.WriteTarget(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !had2 || prev != s1 || s2 == s1 {
-		t.Errorf("COW write: dst=%d prev=%d had=%v, want fresh slot and prev=%d", s2, prev, had2, s1)
-	}
-	if got, ok := m.Lookup(id); !ok || got != s2 {
-		t.Errorf("lookup = %d/%v, want %d", got, ok, s2)
+	if got, ok := m.Lookup(id); !ok || got != s1 {
+		t.Errorf("lookup = %d/%v, want %d", got, ok, s1)
 	}
 }
 
 func TestWriteTargetUnknownPage(t *testing.T) {
-	m := New(InPlace, 10)
-	if _, _, _, err := m.WriteTarget(55); !errors.Is(err, ErrUnknownPage) {
+	m := New(10)
+	if _, err := m.WriteTarget(55); !errors.Is(err, ErrUnknownPage) {
 		t.Errorf("unknown page: %v", err)
 	}
 }
 
 func TestDeviceFull(t *testing.T) {
-	m := New(InPlace, 2)
+	m := New(2)
 	for i := 0; i < 2; i++ {
 		id := m.AllocateLogical()
-		if _, _, _, err := m.WriteTarget(id); err != nil {
+		if _, err := m.WriteTarget(id); err != nil {
 			t.Fatal(err)
 		}
 	}
 	id := m.AllocateLogical()
-	if _, _, _, err := m.WriteTarget(id); !errors.Is(err, ErrNoFreeSlots) {
+	if _, err := m.WriteTarget(id); !errors.Is(err, ErrNoFreeSlots) {
 		t.Errorf("full device: %v", err)
 	}
 }
 
-// TestUnbind: a page taken off its slot is known and unbound — in either
-// write mode its next write allocates with no previous slot to keep as a
-// backup — and the slot it left is out of the allocator's reach until it
-// is explicitly freed.
+// TestUnbind: a page taken off its slot is known and unbound — its next
+// write allocates — and the slot it left is never handed out again.
 func TestUnbind(t *testing.T) {
-	for _, mode := range []Mode{InPlace, CopyOnWrite} {
-		m := New(mode, 10)
-		id := m.AllocateLogical()
-		orig, _, _, err := m.WriteTarget(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Unbind(id)
-		if _, bound := m.Lookup(id); bound || !m.Known(id) {
-			t.Fatalf("%v: after Unbind bound=%v known=%v, want unbound and known", mode, bound, m.Known(id))
-		}
-		if _, mapped := m.MappedSlots()[orig]; mapped {
-			t.Errorf("%v: slot %d still mapped", mode, orig)
-		}
-		dst, _, had, err := m.WriteTarget(id)
-		if err != nil || had || dst == orig {
-			t.Fatalf("%v: write after Unbind: dst=%d (was %d) hadPrev=%v err=%v", mode, dst, orig, had, err)
-		}
-		// The slot left behind can be freed, once, and is then reused.
-		if err := m.FreeSlot(orig); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.FreeSlot(orig); !errors.Is(err, ErrDoubleFree) {
-			t.Errorf("%v: double free: %v", mode, err)
-		}
-		id2 := m.AllocateLogical()
-		if s2, _, _, err := m.WriteTarget(id2); err != nil || s2 != orig {
-			t.Errorf("%v: freed slot not reused: got %d want %d (%v)", mode, s2, orig, err)
-		}
-		// Unbinding an unbound or unknown page changes nothing.
-		m.Unbind(id2 + 100)
-		if m.Known(id2 + 100) {
-			t.Errorf("%v: Unbind created a page", mode)
-		}
-	}
-}
-
-func TestFreeSlotStillMapped(t *testing.T) {
-	m := New(InPlace, 10)
+	m := New(3)
 	id := m.AllocateLogical()
-	s, _, _, err := m.WriteTarget(id)
+	orig, err := m.WriteTarget(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.FreeSlot(s); !errors.Is(err, ErrSlotBusy) {
-		t.Errorf("freeing mapped slot: %v", err)
+	m.Unbind(id)
+	if _, bound := m.Lookup(id); bound || !m.Known(id) {
+		t.Fatalf("after Unbind bound=%v known=%v, want unbound and known", bound, m.Known(id))
+	}
+	if _, mapped := m.MappedSlots()[orig]; mapped {
+		t.Errorf("slot %d still mapped", orig)
+	}
+	dst, err := m.WriteTarget(id)
+	if err != nil || dst == orig {
+		t.Fatalf("write after Unbind: dst=%d (was %d) err=%v", dst, orig, err)
+	}
+	id2 := m.AllocateLogical()
+	if s2, err := m.WriteTarget(id2); err != nil || s2 == orig {
+		t.Errorf("the slot left behind was handed out again: got %d (%v)", s2, err)
+	}
+	if _, err := m.WriteTarget(m.AllocateLogical()); !errors.Is(err, ErrNoFreeSlots) {
+		t.Errorf("a third slot beside the one left behind: %v", err)
+	}
+	// Unbinding an unbound or unknown page changes nothing.
+	m.Unbind(id2 + 100)
+	if m.Known(id2 + 100) {
+		t.Error("Unbind created a page")
 	}
 }
 
 func TestDropLogical(t *testing.T) {
-	m := New(InPlace, 10)
+	m := New(10)
 	id := m.AllocateLogical()
-	if _, _, _, err := m.WriteTarget(id); err != nil {
+	if _, err := m.WriteTarget(id); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.DropLogical(id); err != nil {
@@ -163,7 +127,7 @@ func TestDropLogical(t *testing.T) {
 }
 
 func TestRemapAndAdopt(t *testing.T) {
-	m := New(InPlace, 100)
+	m := New(100)
 	id := m.AllocateLogical()
 	if err := m.Remap(id, 42); err != nil {
 		t.Fatal(err)
@@ -188,13 +152,13 @@ func TestRemapAndAdopt(t *testing.T) {
 }
 
 func TestPagesSortedAndMappedSlots(t *testing.T) {
-	m := New(InPlace, 100)
+	m := New(100)
 	var ids []page.ID
 	for i := 0; i < 5; i++ {
 		id := m.AllocateLogical()
 		ids = append(ids, id)
 		if i%2 == 0 {
-			if _, _, _, err := m.WriteTarget(id); err != nil {
+			if _, err := m.WriteTarget(id); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -220,30 +184,23 @@ func TestPagesSortedAndMappedSlots(t *testing.T) {
 }
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	m := New(CopyOnWrite, 64)
+	m := New(64)
 	var ids []page.ID
 	for i := 0; i < 10; i++ {
 		id := m.AllocateLogical()
 		ids = append(ids, id)
-		if _, _, _, err := m.WriteTarget(id); err != nil {
+		if _, err := m.WriteTarget(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Generate some churn: move a page and free the slot it left.
-	_, prev, _, err := m.WriteTarget(ids[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.FreeSlot(prev); err != nil {
+	// Generate some churn: drop a page, freeing its slot.
+	if err := m.DropLogical(ids[3]); err != nil {
 		t.Fatal(err)
 	}
 	snap := m.Snapshot()
 	r, err := Restore(snap, 64)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.Mode() != CopyOnWrite {
-		t.Error("mode lost")
 	}
 	if r.Len() != m.Len() {
 		t.Errorf("restored %d pages, want %d", r.Len(), m.Len())
@@ -265,74 +222,28 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	if _, err := Restore([]byte{1, 2, 3}, 10); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("short snapshot: %v", err)
 	}
-	if _, err := Restore(make([]byte, 40), 10); err != nil {
-		// 40 zero bytes decode as an empty map — acceptable.
+	if _, err := Restore(make([]byte, 32), 10); err != nil {
+		// 32 zero bytes decode as an empty map — acceptable.
 		_ = err
 	}
 	// Claimed huge entry count with no data must fail, not panic.
-	bad := make([]byte, 32)
-	bad[24] = 0xFF
+	bad := make([]byte, 24)
+	bad[16] = 0xFF
 	if _, err := Restore(bad, 10); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("truncated snapshot: %v", err)
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if InPlace.String() != "in-place" || CopyOnWrite.String() != "copy-on-write" {
-		t.Error("mode strings wrong")
-	}
-}
-
-// Property: in COW mode, no two live pages ever share a physical slot, and
-// freed slots never alias a live mapping.
-func TestQuickCOWNoAliasing(t *testing.T) {
-	f := func(ops []uint8) bool {
-		m := New(CopyOnWrite, 4096)
-		var ids []page.ID
-		for _, op := range ops {
-			switch {
-			case op%3 == 0 || len(ids) == 0:
-				ids = append(ids, m.AllocateLogical())
-			default:
-				id := ids[int(op)%len(ids)]
-				_, prev, had, err := m.WriteTarget(id)
-				if errors.Is(err, ErrNoFreeSlots) {
-					return true
-				}
-				if err != nil {
-					return false
-				}
-				if had {
-					if err := m.FreeSlot(prev); err != nil {
-						return false
-					}
-				}
-			}
-		}
-		seen := map[storage.PhysID]bool{}
-		for s := range m.MappedSlots() {
-			if seen[s] {
-				return false
-			}
-			seen[s] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
 // Property: snapshot/restore is lossless for arbitrary operation sequences.
 func TestQuickSnapshotRoundTrip(t *testing.T) {
 	f := func(ops []uint8) bool {
-		m := New(InPlace, 4096)
+		m := New(4096)
 		var ids []page.ID
 		for _, op := range ops {
 			if op%2 == 0 || len(ids) == 0 {
 				ids = append(ids, m.AllocateLogical())
 			} else {
-				if _, _, _, err := m.WriteTarget(ids[int(op)%len(ids)]); err != nil {
+				if _, err := m.WriteTarget(ids[int(op)%len(ids)]); err != nil {
 					return false
 				}
 			}
@@ -362,15 +273,11 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 // walk over its stripes after any sequence of mutations, and after a
 // snapshot round trip.
 func TestQuickLenMatchesWalk(t *testing.T) {
-	f := func(ops []uint16, cow bool) bool {
-		mode := InPlace
-		if cow {
-			mode = CopyOnWrite
-		}
-		m := New(mode, 4096)
+	f := func(ops []uint16) bool {
+		m := New(4096)
 		for _, op := range ops {
 			id := page.ID(op>>4%40 + 1)
-			switch op % 10 {
+			switch op % 9 {
 			case 0:
 				m.AllocateLogical()
 			case 1:
@@ -386,13 +293,11 @@ func TestQuickLenMatchesWalk(t *testing.T) {
 			case 6:
 				_ = m.Remap(id, storage.PhysID(op>>5))
 			case 7:
-				_, _, _, _ = m.WriteTarget(id)
-			case 8:
+				_, _ = m.WriteTarget(id)
+			default:
 				if op%3 == 0 {
 					m.ForgetSlots()
 				}
-			default:
-				_ = m.FreeSlot(storage.PhysID(op >> 8))
 			}
 			if m.Len() != len(m.Pages()) {
 				return false

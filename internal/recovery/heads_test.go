@@ -187,7 +187,7 @@ func runHeadsOracle(t *testing.T, seed int64) {
 	// check recovers every page against pri and compares with the oracle.
 	check := func(phase string, pri *core.PRI) {
 		t.Helper()
-		rec := core.NewRecoverer(r.log, pri, &backup.Resolver{Store: store, Log: r.log, PageSize: 512, Data: r.dev}, btree.Applier{})
+		rec := core.NewRecoverer(r.log, pri, &backup.Resolver{Store: store, Log: r.log, PageSize: 512}, btree.Applier{})
 		for _, id := range pages {
 			pg, _, err := rec.RecoverPage(id, nil)
 			if err != nil {
@@ -227,7 +227,7 @@ func runHeadsOracle(t *testing.T, seed int64) {
 	}
 	r.dev.FailDevice()
 	r.dev.Revive()
-	backlog, rep, err := PrepareMedia(MediaDeps{Log: r.log, Store: store}, m, set)
+	backlog, rep, err := PrepareMedia(store, m, set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,25 +1,9 @@
 package recovery
 
 import (
-	"fmt"
-
 	"repro/internal/backup"
 	"repro/internal/core"
-	"repro/internal/page"
-	"repro/internal/wal"
 )
-
-// MediaDeps is what media recovery needs besides the log analysis. Unlike
-// the paper's bulk offline process ("due to the effort of restoring a
-// backup copy, active transactions touching the failed media are aborted",
-// §5.1.3), recovery here only *prepares* the replacement device for instant
-// restore: every page keeps the backup source and recovery target analysis
-// found for it, so each can be rebuilt on demand — or in the background —
-// by ordinary single-page recovery.
-type MediaDeps struct {
-	Log   *wal.Manager
-	Store *backup.Store
-}
 
 // MediaReport quantifies one media-recovery preparation.
 type MediaReport struct {
@@ -35,19 +19,26 @@ type MediaReport struct {
 }
 
 // PrepareMedia prepares a revived (empty) device for instant restore from
-// the log analysis, the backups that outlived the device, and the log
-// (§5.1.3, reshaped per Sauer et al.'s instant restore). Where the old bulk
-// procedure restored every image and replayed the whole log forward —
-// O(device) + O(log) before the first read could be served — this is the
-// analysis pass plus O(pages) of bookkeeping on what it rebuilt:
+// the log analysis, the backups in store that outlived the device, and the
+// log (§5.1.3, reshaped per Sauer et al.'s instant restore). Unlike the
+// paper's bulk offline process ("due to the effort of restoring a backup
+// copy, active transactions touching the failed media are aborted",
+// §5.1.3), it only *prepares* the replacement device: every page keeps the
+// backup source and recovery target analysis found for it, so each can be
+// rebuilt on demand — or in the background — by ordinary single-page
+// recovery. Where the old bulk procedure restored every image and replayed
+// the whole log forward — O(device) + O(log) before the first read could
+// be served — this is the analysis pass plus O(pages) of bookkeeping on
+// what it rebuilt:
 //
 //   - the analysed index already names each page's backup — a page backup
 //     newer than the set, the set itself, the format record of a page born
 //     after it — and, for a page whose last write completed, its chain
-//     head. Only an entry whose backup went down with the device (a
-//     pre-move data slot) or that never had one is pointed at setID, the
-//     newest full set — or, for a page the set does not hold, at the
-//     format record its chain starts with;
+//     head. An entry that never had a backup is pointed at setID, the
+//     newest full set, when the set holds the page. A page born after the
+//     set always has its format record registered — by its allocation, a
+//     checkpoint's index snapshot or the analysis scan — so no chain walk
+//     is needed to find one;
 //   - a page still in the recovery requirements has its expectation raised
 //     to the analysed chain head, as restart preparation does;
 //   - every page is taken off its slot: the new device holds no image of
@@ -63,9 +54,9 @@ type MediaReport struct {
 // caller's to wire into a fresh engine; the returned pages, each with the
 // log span its replay covers as cost, are its restore backlog — see
 // spf.DB.RecoverMedia.
-func PrepareMedia(d MediaDeps, a *AnalysisResult, setID uint64) ([]RedoPage, *MediaReport, error) {
+func PrepareMedia(store *backup.Store, a *AnalysisResult, setID uint64) ([]RedoPage, *MediaReport, error) {
 	rep := &MediaReport{}
-	if _, err := d.Store.SetLSN(setID); err != nil {
+	if _, err := store.SetLSN(setID); err != nil {
 		return nil, rep, err
 	}
 	a.Map.ForgetSlots()
@@ -80,16 +71,10 @@ func PrepareMedia(d MediaDeps, a *AnalysisResult, setID uint64) ([]RedoPage, *Me
 		if head, ok := a.Heads[id]; ok {
 			e, _ = a.PRI.SetLastLSN(id, head)
 		}
-		setLSN, inSet := d.Store.SetPageInfo(setID, id)
-		if e.Backup.Kind == core.BackupDataSlot || e.Backup.Kind == core.BackupNone {
-			ref := core.BackupRef{Kind: core.BackupFull, Loc: setID}
-			if !inSet {
-				if ref, err = formatBackup(d.Log, id, e.LastLSN); err != nil {
-					return nil, rep, err
-				}
-			}
-			a.PRI.SetBackup(id, ref)
-			e.Backup = ref
+		setLSN, inSet := store.SetPageInfo(setID, id)
+		if e.Backup.Kind == core.BackupNone && inSet {
+			e.Backup = core.BackupRef{Kind: core.BackupFull, Loc: setID}
+			a.PRI.SetBackup(id, e.Backup)
 		}
 		if !inSet {
 			rep.LateBornPages++
@@ -102,19 +87,4 @@ func PrepareMedia(d MediaDeps, a *AnalysisResult, setID uint64) ([]RedoPage, *Me
 	}
 	rep.PagesRestored = len(backlog)
 	return backlog, rep, nil
-}
-
-// formatBackup finds the format record at the root of page id's chain by
-// walking it back from head. Only a page born after the newest full set
-// whose index entry named a pre-move slot of the lost device needs it.
-func formatBackup(log *wal.Manager, id page.ID, head page.LSN) (core.BackupRef, error) {
-	chain, err := log.WalkPageChain(head, page.ZeroLSN, id)
-	if err != nil {
-		return core.BackupRef{}, fmt.Errorf("recovery: seeking format record of page %d: %w", id, err)
-	}
-	if n := len(chain); n == 0 || chain[n-1].Type != wal.TypeFormat {
-		return core.BackupRef{}, fmt.Errorf("recovery: page %d has no backup and its chain from %d does not start with a format record", id, head)
-	}
-	root := chain[len(chain)-1].LSN
-	return core.BackupRef{Kind: core.BackupFormat, Loc: uint64(root), AsOf: root}, nil
 }

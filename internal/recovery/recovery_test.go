@@ -29,7 +29,7 @@ func newRig(t testing.TB) *rig {
 	t.Helper()
 	r := &rig{
 		dev:  storage.NewDevice(storage.Config{PageSize: 512, Slots: 1024, Profile: iosim.Instant}),
-		pmap: pagemap.New(pagemap.InPlace, 1024),
+		pmap: pagemap.New(1024),
 		log:  wal.NewManager(iosim.Instant),
 		pri:  core.NewPRI(),
 	}
@@ -48,7 +48,7 @@ func (r *rig) completeWrite(info buffer.WriteInfo) []*wal.Record {
 	return []*wal.Record{{
 		Type: wal.TypePRIUpdate, PageID: info.Page,
 		Payload: core.EncodeWriteComplete(core.WriteCompletePayload{
-			PageLSN: info.PageLSN, Dest: info.Dest, Prev: info.Prev, HadPrev: info.HadPrev,
+			PageLSN: info.PageLSN, Dest: info.Dest,
 		}),
 	}}
 }
@@ -506,5 +506,88 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 	bad[0] = 0xFF
 	if _, err := decodeCheckpoint(bad); err == nil {
 		t.Error("truncated payload accepted")
+	}
+}
+
+// TestLateBornPagesReachMediaPreparationWithTheirFormatRecords: media
+// preparation finds the backup of a page born after the newest full set in
+// the analysed index — the page's format record, registered by a
+// checkpoint's index snapshot or by the analysis scan — and needs no chain
+// walk to find one. That holds even for the one way such a page's entry
+// starts out without a backup: its born-dirty frame written back before
+// its format record was logged (a flush between buffer.Pool.Create and the
+// record). The scan registers the format record that follows.
+func TestLateBornPagesReachMediaPreparationWithTheirFormatRecords(t *testing.T) {
+	r := newRig(t)
+	store := backup.NewStore(storage.NewDevice(storage.Config{PageSize: 512, Slots: 64, Profile: iosim.Instant}))
+	old := r.newRawPage(t)
+	if err := r.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	w := store.BeginFullSet(r.log.EndLSN())
+	h, err := r.pool.Fetch(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Add(h.Page().Clone()); err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	w.Commit()
+
+	snapshotted := r.newRawPage(t)
+	r.checkpoint(t)
+	scanned := r.newRawPage(t)
+	tx := r.txns.Begin()
+	early := r.pmap.AllocateLogical()
+	h, err = r.pool.Create(early, page.TypeRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.pool.FlushPage(early); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := r.pri.Get(early); err != nil || e.Backup.Kind != core.BackupNone {
+		t.Fatalf("entry of the page written before its format record: %+v, %v", e, err)
+	}
+	lsn, err := tx.Log(&wal.Record{Type: wal.TypeFormat, PageID: early, Payload: backup.FormatPayload(page.TypeRaw, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Lock()
+	h.Page().SetLSN(lsn)
+	h.MarkDirty(lsn)
+	h.Unlock()
+	h.Release()
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	late := []page.ID{snapshotted, scanned, early}
+	for _, id := range late {
+		r.update(t, id, "born after the set")
+	}
+	r.log.FlushAll()
+	r.log.Crash()
+	r.pool.Crash()
+
+	a, err := Analyze(r.log, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backlog, rep, err := PrepareMedia(store, a, w.SetID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(backlog) != 1+len(late) || rep.LateBornPages != len(late) {
+		t.Fatalf("backlog of %d pages, %d late-born; want %d, %d", len(backlog), rep.LateBornPages, 1+len(late), len(late))
+	}
+	rec := core.NewRecoverer(r.log, a.PRI, &backup.Resolver{Store: store, Log: r.log, PageSize: 512}, btree.Applier{})
+	for _, id := range late {
+		if e, err := a.PRI.Get(id); err != nil || e.Backup.Kind != core.BackupFormat {
+			t.Fatalf("page %d born after the set reaches media preparation with %+v, %v", id, e, err)
+		}
+		if pg, _, err := rec.RecoverPage(id, nil); err != nil || string(pg.Payload()) != "born after the set" {
+			t.Fatalf("page %d: recovered %v, %v", id, pg, err)
+		}
 	}
 }

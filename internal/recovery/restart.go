@@ -53,7 +53,7 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 	}
 	start := wal.FirstLSN()
 	res.PRI = core.NewPRI()
-	res.Map = pagemap.New(pagemap.InPlace, slotCount)
+	res.Map = pagemap.New(slotCount)
 
 	// pending tracks, per page, the LSNs of updates not yet confirmed
 	// written; a write-complete record confirms everything at or below
@@ -119,8 +119,6 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 				Backup:  core.BackupRef{Kind: core.BackupFormat, Loc: uint64(rec.LSN), AsOf: rec.LSN},
 				LastLSN: rec.LSN,
 			})
-		case wal.TypeFullImage:
-			res.Losers[rec.Txn] = rec.LSN
 		case wal.TypeCommit, wal.TypeSysCommit, wal.TypeAbort:
 			delete(res.Losers, rec.Txn)
 		case wal.TypePRIUpdate:

@@ -74,7 +74,7 @@ func TestChunkSpanningRecords(t *testing.T) {
 		for j := range big {
 			big[j] = byte(i + j)
 		}
-		lsns = append(lsns, m.Append(&Record{Type: TypeFullImage, Txn: TxnID(i), Payload: big}))
+		lsns = append(lsns, m.Append(&Record{Type: TypeUpdate, Txn: TxnID(i), Payload: big}))
 	}
 	for i, lsn := range lsns {
 		rec, err := m.Read(lsn)

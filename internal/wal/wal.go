@@ -103,9 +103,6 @@ const (
 	// the free-space pool. Redo recreates the page from nothing, so the
 	// record substitutes for a backup copy (§5.2.1).
 	TypeFormat
-	// TypeFullImage stores a complete page image in the log — an in-log
-	// page backup (§5.2.1).
-	TypeFullImage
 	// TypePRIUpdate records an update to the page recovery index after a
 	// completed page write. It doubles as the "logging completed writes"
 	// optimization of §5.1.2 (see Fig. 12).
@@ -131,8 +128,6 @@ func (t RecType) String() string {
 		return "abort"
 	case TypeFormat:
 		return "format"
-	case TypeFullImage:
-		return "full-image"
 	case TypePRIUpdate:
 		return "pri-update"
 	case TypeCheckpointBegin:

@@ -26,9 +26,6 @@ func (db *DB) Checkpoint() (LSN, error) {
 	if err := db.opErr(); err != nil {
 		return 0, err
 	}
-	if err := db.runDueBackups(); err != nil {
-		return 0, err
-	}
 	db.ckptMu.Lock()
 	res, err := recovery.Checkpoint(recovery.CheckpointDeps{
 		Log: db.log, Pool: db.pool, Txns: db.txns, PRI: db.pri, Map: db.pmap,
@@ -103,8 +100,8 @@ func (db *DB) BackupNow() (uint64, BackupReport, error) {
 	defer db.backupMu.Unlock()
 	// The set is as of the log end before the flush: every image it takes
 	// holds its page's history below asOf, and so does every page backup
-	// installed after the index names the set — a copy-on-write slot
-	// superseded by a write after the flush, or a page copy taken then.
+	// installed after the index names the set — a write-back's policy copy
+	// (see completeWrite) or a BackupPage, which waits for backupMu.
 	asOf := db.log.EndLSN()
 	// Flush everything so the backup captures a write-consistent state.
 	if err := db.pool.FlushAll(); err != nil {
@@ -220,11 +217,17 @@ func (db *DB) pointIndexAt(set uint64, takenAt page.LSN, ids []page.ID, epoch ui
 
 // BackupPage takes an explicit backup copy of one page ("a conservative
 // policy might take such a copy after every 100 updates", §5.2.1) and
-// frees the superseded backup.
+// frees the superseded backup. It runs under backupMu, apart from
+// BackupNow: a copy taken before a full backup but registered after it
+// would be taken as current — the full backup reset the page's index LSN —
+// and the updates between the copy and the set, whose log the backup
+// recycles, would be lost.
 func (db *DB) BackupPage(id PageID) error {
 	if err := db.opErr(); err != nil {
 		return err
 	}
+	db.backupMu.Lock()
+	defer db.backupMu.Unlock()
 	// The backup must capture the durable state: flush first if dirty.
 	if db.pool.IsResident(id) {
 		if err := db.pool.FlushPage(id); err != nil && !errors.Is(err, buffer.ErrNotResident) {
@@ -243,34 +246,10 @@ func (db *DB) BackupPage(id PageID) error {
 	if err != nil {
 		return err
 	}
-	old, err := db.pri.SetBackup(id, ref)
-	if err != nil {
-		db.pri.Set(id, core.Entry{Backup: ref, LastLSN: pg.LSN()})
-	}
-	lsn := db.log.Append(&wal.Record{
-		Type: wal.TypePRIUpdate, PageID: id,
-		Payload: core.EncodeSetBackup(ref),
-	})
-	// The superseded copy goes only behind that record: a restart that
-	// lost the record resolves the page against the old copy again.
-	db.supersedeBackup(id, old, lsn)
-	return nil
-}
-
-// runDueBackups services the backup-every-N-updates policy.
-func (db *DB) runDueBackups() error {
-	db.mu.Lock()
-	due := make([]page.ID, 0, len(db.backupsDue))
-	for id := range db.backupsDue {
-		due = append(due, id)
-	}
-	db.backupsDue = make(map[page.ID]bool)
-	db.mu.Unlock()
-	for _, id := range due {
-		if err := db.BackupPage(id); err != nil {
-			return fmt.Errorf("spf: policy backup of page %d: %w", id, err)
-		}
-	}
+	// Chaos point: the copy is on the backup device, the index does not
+	// name it yet.
+	chaos.At("spf.backuppage")
+	db.installBackup(id, ref)
 	return nil
 }
 
@@ -452,7 +431,7 @@ func (db *DB) Restart() (*DB, *RestartReport, error) {
 		rep.Prep = *prepRep
 	}
 	ndb := newDB(db.opts, db.dev, db.store, db.log, analysis.Map, analysis.PRI, db)
-	ndb.inheritParked(db, true)
+	ndb.inheritParked(db)
 	rep.Undo, err = ndb.finishRecovery(analysis, func() error {
 		if rep.OnDemand {
 			chaos.At("restart.prep")
@@ -609,12 +588,12 @@ func (db *DB) RecoverMedia() (*DB, *MediaRecoveryReport, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("spf: media recovery analysis: %w", err)
 	}
-	backlog, mediaRep, err := recovery.PrepareMedia(recovery.MediaDeps{Log: db.log, Store: db.store}, analysis, setID)
+	backlog, mediaRep, err := recovery.PrepareMedia(db.store, analysis, setID)
 	if err != nil {
 		return nil, nil, fmt.Errorf("spf: media recovery: %w", err)
 	}
 	ndb := newDB(db.opts, db.dev, db.store, db.log, analysis.Map, analysis.PRI, db)
-	ndb.inheritParked(db, false)
+	ndb.inheritParked(db)
 	undoRep, err := ndb.finishRecovery(analysis, func() error { return ndb.workOff(backlog) })
 	if err != nil {
 		return nil, nil, fmt.Errorf("spf: media recovery: %w", err)

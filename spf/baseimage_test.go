@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/pagemap"
 	"repro/internal/storage"
 )
 
@@ -175,184 +174,44 @@ func TestMediaRestoreUsesOnlyTheSlotsItWrites(t *testing.T) {
 // device's, not logged — so write-back must refuse it and take another.
 func TestRestartNeverWritesARetiredSlot(t *testing.T) {
 	const n = 400
-	for _, mode := range []pagemap.Mode{pagemap.InPlace, pagemap.CopyOnWrite} {
-		t.Run(mode.String(), func(t *testing.T) {
-			opts := testOptions()
-			opts.WriteMode = mode
-			opts.Restore.Disabled = true // redo, and its write-back, run inside Restart
-			db := openTestDB(t, opts)
-			ix := loadIndex(t, db, "t", n)
-			// No commit follows: the completed-write records stay volatile.
-			if err := db.FlushAll(); err != nil {
-				t.Fatal(err)
-			}
-			victim := findLeafOf(t, db, ix, k(0))
-			if err := db.EvictPage(victim); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.CorruptPage(victim); err != nil {
-				t.Fatal(err)
-			}
-			expectValues(t, ix, n) // repairs the leaf, retiring its slot
-			if got := db.Metrics().RetiredSlots; got != 1 {
-				t.Fatalf("%d slots retired, want the victim's", got)
-			}
-			db.Crash()
-			ndb, _, err := db.Restart()
-			if err != nil {
-				t.Fatalf("restart: %v", err)
-			}
-			defer ndb.Close()
-			if err := ndb.FlushAll(); err != nil {
-				t.Fatal(err)
-			}
-			ix2, err := ndb.Index("t")
-			if err != nil {
-				t.Fatal(err)
-			}
-			expectValues(t, ix2, n)
-			if viols, err := ix2.Verify(); err != nil || len(viols) != 0 {
-				t.Fatalf("verify: %v %v", viols, err)
-			}
-		})
-	}
-}
-
-// TestCopyOnWriteRepairedPageStaysRecoverable: in copy-on-write mode the
-// write-back that follows a repair has no previous slot — the page was
-// taken off the slot that failed — so it registers nothing, and the page's
-// good backup is still its backup when the page fails again.
-func TestCopyOnWriteRepairedPageStaysRecoverable(t *testing.T) {
-	opts := testOptions()
-	opts.WriteMode = pagemap.CopyOnWrite
-	db := openTestDB(t, opts)
-	defer db.Close()
-	ix := loadIndex(t, db, "t", 300)
-	if err := db.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	victim := findLeafOf(t, db, ix, k(150))
-	want := v(150)
-	for round := 1; round <= 3; round++ {
+	t.Run("in-place", func(t *testing.T) {
+		opts := testOptions()
+		opts.Restore.Disabled = true // redo, and its write-back, run inside Restart
+		db := openTestDB(t, opts)
+		ix := loadIndex(t, db, "t", n)
+		// No commit follows: the completed-write records stay volatile.
+		if err := db.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		victim := findLeafOf(t, db, ix, k(0))
 		if err := db.EvictPage(victim); err != nil {
 			t.Fatal(err)
 		}
-		before, err := db.pri.Get(victim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		failed, _ := db.PhysicalSlot(victim)
 		if err := db.CorruptPage(victim); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := ix.Get(k(150)); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("round %d: read of the corrupted page: %q, %v", round, got, err)
+		expectValues(t, ix, n) // repairs the leaf, retiring its slot
+		if got := db.Metrics().RetiredSlots; got != 1 {
+			t.Fatalf("%d slots retired, want the victim's", got)
 		}
-		want = genValue(round, 150)
-		tx := db.Begin()
-		if err := ix.Update(tx, k(150), want); err != nil {
+		db.Crash()
+		ndb, _, err := db.Restart()
+		if err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		defer ndb.Close()
+		if err := ndb.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.Commit(tx); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.EvictPage(victim); err != nil { // writes the repaired page back
-			t.Fatal(err)
-		}
-		after, err := db.pri.Get(victim)
+		ix2, err := ndb.Index("t")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if after.Backup != before.Backup {
-			t.Fatalf("round %d: the write-back after a repair replaced backup %+v by %+v (failed slot %d)",
-				round, before.Backup, after.Backup, failed)
+		expectValues(t, ix2, n)
+		if viols, err := ix2.Verify(); err != nil || len(viols) != 0 {
+			t.Fatalf("verify: %v %v", viols, err)
 		}
-		m := db.Metrics()
-		if m.Recovery.Recoveries != int64(round) || m.RetiredSlots != round ||
-			m.Recovery.Escalations+m.Pool.Escalations != 0 {
-			t.Fatalf("round %d: %+v, %d retired, %d pool escalations", round, m.Recovery, m.RetiredSlots, m.Pool.Escalations)
-		}
-	}
-	if got, err := ix.Get(k(150)); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("final read: %q, %v", got, err)
-	}
-}
-
-// TestCopyOnWritePreMoveBackupIsAsOfTheSlotsImage: a slot that stays bound
-// after a repair on its stale image becomes, at the next write-back, the
-// page's pre-move backup — as of the stale LSN it holds, not of the LSN the
-// index last recorded for the page.
-func TestCopyOnWritePreMoveBackupIsAsOfTheSlotsImage(t *testing.T) {
-	opts := testOptions()
-	opts.WriteMode = pagemap.CopyOnWrite
-	db := openTestDB(t, opts)
-	defer db.Close()
-	ix := loadIndex(t, db, "t", 300)
-	if err := db.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	victim := findLeafOf(t, db, ix, k(150))
-	update := func(gen int) {
-		t.Helper()
-		tx := db.Begin()
-		if err := ix.Update(tx, k(150), genValue(gen, 150)); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Commit(tx); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.EvictPage(victim); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.EvictPage(victim); err != nil {
-		t.Fatal(err)
-	}
-	old, _ := db.PhysicalSlot(victim)
-	stale := db.dev.RawImage(old)
-	staleEntry, _ := db.pri.Get(victim)
-
-	// A lost write, copy-on-write style: the device acknowledges the write
-	// to the page's new slot, which ends up holding the previous version.
-	update(1)
-	lost, _ := db.PhysicalSlot(victim)
-	if lost == old {
-		t.Fatal("copy-on-write wrote in place")
-	}
-	if err := db.dev.Write(lost, stale); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ix.Get(k(150)); err != nil || !bytes.Equal(got, genValue(1, 150)) {
-		t.Fatalf("read over the lost write: %q, %v", got, err)
-	}
-	m := db.Metrics()
-	if now, _ := db.PhysicalSlot(victim); m.RestartRedo.FastRedos != 1 || m.RetiredSlots != 0 || now != lost {
-		t.Fatalf("redo %+v, %d retired, slot %d → %d; want a repair on the stale image, in place", m.RestartRedo, m.RetiredSlots, lost, now)
-	}
-
-	// The next write leaves that slot behind as the page's backup.
-	update(2)
-	e, err := db.pri.Get(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := core.BackupRef{Kind: core.BackupDataSlot, Loc: uint64(lost), AsOf: staleEntry.LastLSN}
-	if e.Backup != want {
-		t.Fatalf("backup %+v, want %+v", e.Backup, want)
-	}
-	if err := db.CorruptPage(victim); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := db.RecoverPageNow(victim)
-	if err != nil || rep.BackupKind != core.BackupDataSlot || rep.OwnImage {
-		t.Fatalf("recovery from the pre-move image: %+v, %v", rep, err)
-	}
-	if got, err := ix.Get(k(150)); err != nil || !bytes.Equal(got, genValue(2, 150)) {
-		t.Fatalf("read after the second failure: %q, %v", got, err)
-	}
-	if m := db.Metrics(); m.Recovery.Escalations+m.Pool.Escalations != 0 {
-		t.Fatalf("escalations: %+v, pool %d", m.Recovery, m.Pool.Escalations)
-	}
+	})
 }
 
 // TestSecondCrashMidDrainRedoesFromImages: what makes a stale page

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/pagemap"
 )
 
 // recoveryRows are the three ways a restart redoes: on demand behind the
@@ -206,9 +205,7 @@ func TestCheckpointAcrossCrashReportsErrCrashed(t *testing.T) {
 
 // TestMediaRecoveryKeepsNewerPageBackups: media recovery starts from the
 // index analysis rebuilt, not from the full set alone. A page whose
-// individual backup is newer than the set restores from that copy; a page
-// whose only registered backup was a pre-move slot of the lost device falls
-// back to the set.
+// individual backup is newer than the set restores from that copy.
 func TestMediaRecoveryKeepsNewerPageBackups(t *testing.T) {
 	t.Run("page-backup", func(t *testing.T) {
 		opts := testOptions()
@@ -253,52 +250,6 @@ func TestMediaRecoveryKeepsNewerPageBackups(t *testing.T) {
 		if got, err := ix2.Get(k(300)); err != nil || string(got) != "after the page backup" {
 			t.Fatalf("key 300 after media recovery: %q, %v", got, err)
 		}
-		if m := ndb.Metrics(); m.Restore.Failed != 0 || m.Recovery.Escalations != 0 {
-			t.Fatalf("restore failed %d, escalations %d", m.Restore.Failed, m.Recovery.Escalations)
-		}
-	})
-	t.Run("pre-move-slot", func(t *testing.T) {
-		opts := testOptions()
-		opts.PoolFrames = 512
-		opts.WriteMode = pagemap.CopyOnWrite
-		db := openTestDB(t, opts)
-		ix := loadIndex(t, db, "t", 600)
-		if _, err := db.BackupDatabase(); err != nil {
-			t.Fatal(err)
-		}
-		// Two rounds of update + write-back: the second moves every touched
-		// page off its slot and registers the old one as its backup.
-		for round := 0; round < 2; round++ {
-			tx := db.Begin()
-			for i := 0; i < 600; i += 7 {
-				if err := ix.Update(tx, k(i), v(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := db.Commit(tx); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.FlushAll(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		leaf := findLeafOf(t, db, ix, k(7))
-		if e, err := db.PRI().Get(leaf); err != nil || e.Backup.Kind != core.BackupDataSlot {
-			t.Fatalf("leaf %d resolves against %+v (%v) before the failure, want a pre-move slot", leaf, e.Backup, err)
-		}
-
-		db.FailDevice()
-		ndb, _, err := db.RecoverMedia()
-		if err != nil {
-			t.Fatalf("media recovery: %v", err)
-		}
-		defer ndb.Close()
-		ndb.DrainRestore()
-		ix2, err := ndb.Index("t")
-		if err != nil {
-			t.Fatal(err)
-		}
-		expectValues(t, ix2, 600)
 		if m := ndb.Metrics(); m.Restore.Failed != 0 || m.Recovery.Escalations != 0 {
 			t.Fatalf("restore failed %d, escalations %d", m.Restore.Failed, m.Recovery.Escalations)
 		}

@@ -109,13 +109,11 @@ type DB struct {
 	parkMu sync.Mutex
 	parked []parkedBackup
 
-	mu           sync.Mutex
-	metaID       page.ID
-	engines      map[string]Engine
-	updateCounts map[page.ID]int
-	backupsDue   map[page.ID]bool
-	crashed      bool
-	closed       bool
+	mu      sync.Mutex
+	metaID  page.ID
+	engines map[string]Engine
+	crashed bool
+	closed  bool
 
 	// backlog is how many pages the recovery that produced this DB queued
 	// for background repair; set before the DB is handed out.
@@ -162,7 +160,7 @@ func Open(opts Options) (*DB, error) {
 			Profile: opts.BackupProfile, Seed: opts.Seed + 1,
 		})),
 		wal.NewManager(opts.LogProfile),
-		pagemap.New(opts.WriteMode, opts.DataSlots), core.NewPRI(), nil)
+		pagemap.New(opts.DataSlots), core.NewPRI(), nil)
 
 	// Bootstrap: the meta page holding the index registry.
 	st := db.txns.BeginSystem()
@@ -196,13 +194,11 @@ func newDB(opts Options, dev *storage.Device, store *backup.Store, log *wal.Mana
 	pmap *pagemap.Map, pri *core.PRI, prev *DB) *DB {
 	db := &DB{
 		opts: opts, dev: dev, store: store, log: log, pmap: pmap, pri: pri,
-		engines:      make(map[string]Engine),
-		updateCounts: make(map[page.ID]int),
-		backupsDue:   make(map[page.ID]bool),
+		engines: make(map[string]Engine),
 	}
 	db.txns = txn.NewManager(log)
 	db.txns.SetUndoer(undoer{db})
-	db.res = &backup.Resolver{Store: store, Log: log, PageSize: opts.PageSize, Data: dev}
+	db.res = &backup.Resolver{Store: store, Log: log, PageSize: opts.PageSize}
 	db.rec = core.NewRecoverer(log, pri, db.res, applier{})
 	db.pool = buffer.NewPool(buffer.Config{
 		Capacity: opts.PoolFrames, Device: dev, Map: pmap, Log: log,
@@ -463,24 +459,12 @@ func (db *DB) recoverPage(id page.ID, have *page.Page) (*page.Page, bool, error)
 	return pg, rep.OwnImage, nil
 }
 
-// onMarkDirty counts page updates for the backup-every-N policy ("the
-// number of updates can be counted within the page, incremented whenever
-// the PageLSN changes", §6) and prods the maintenance flushers when the
-// pool's dirty count crosses their watermark.
-func (db *DB) onMarkDirty(id page.ID) {
+// onMarkDirty prods the maintenance flushers when the pool's dirty count
+// crosses their watermark.
+func (db *DB) onMarkDirty(page.ID) {
 	if m := db.maint; m != nil {
 		m.NotifyDirty()
 	}
-	if db.opts.BackupEveryNUpdates <= 0 {
-		return
-	}
-	db.mu.Lock()
-	db.updateCounts[id]++
-	if db.updateCounts[id] >= db.opts.BackupEveryNUpdates {
-		db.backupsDue[id] = true
-		db.updateCounts[id] = 0
-	}
-	db.mu.Unlock()
 }
 
 // completeWrite is the Fig. 11 sequence: after a dirty page reached the
@@ -491,33 +475,50 @@ func (db *DB) onMarkDirty(id page.ID) {
 // need no log force (§5.2.4) and double as logged completed writes
 // (§5.1.2); the pool invokes this hook under per-frame flush
 // serialization, so each page's index updates happen in write order.
+//
+// It is also where §6's backup policy runs: the index entry adds the
+// write's updates to the page's count, and once that reaches
+// Options.BackupEveryNUpdates the image being written — in hand, and
+// consistent — is copied to the backup store as the page's backup. A copy
+// the backup device refuses is skipped; the count stays due, so the next
+// write-back tries again. The copy needs no backupMu: it is taken under the
+// frame's flush mutex, so a BackupNow's FlushAll write of this frame waits
+// until it is installed, and a write-back that starts after that one holds
+// every update the page had below the set's asOf — its chain never reaches
+// below the log the backup recycles.
 func (db *DB) completeWrite(info buffer.WriteInfo) []*wal.Record {
 	if db.opts.DisableSinglePageRecovery {
 		return nil
 	}
-	// Copy-on-write: the superseded slot is a ready-made page backup. Its
-	// record is appended here, ahead of the completed write's own, because
-	// the backup it replaces may be released only behind that record.
-	if info.HadPrev && db.opts.WriteMode == pagemap.CopyOnWrite {
-		ref := core.BackupRef{Kind: core.BackupDataSlot, Loc: uint64(info.Prev), AsOf: info.PrevLSN}
-		if old, err := db.pri.SetBackup(info.Page, ref); err == nil {
-			lsn := db.log.Append(&wal.Record{
-				Type: wal.TypePRIUpdate, PageID: info.Page,
-				Payload: core.EncodeSetBackup(ref),
-			})
-			db.supersedeBackup(info.Page, old, lsn)
-		}
-	}
-	if _, err := db.pri.SetLastLSN(info.Page, info.PageLSN); err != nil {
+	e, err := db.pri.RecordWrite(info.Page, info.PageLSN, info.Updates)
+	if err != nil {
 		db.pri.Set(info.Page, core.Entry{LastLSN: info.PageLSN})
+	} else if n := db.opts.BackupEveryNUpdates; n > 0 && e.Updates >= n {
+		if ref, err := db.store.PutPage(info.Image); err == nil {
+			db.installBackup(info.Page, ref)
+		}
 	}
 	return []*wal.Record{{
 		Type: wal.TypePRIUpdate, PageID: info.Page,
 		Payload: core.EncodeWriteComplete(core.WriteCompletePayload{
 			PageLSN: info.PageLSN, Dest: info.Dest,
-			Prev: info.Prev, HadPrev: info.HadPrev,
 		}),
 	}}
+}
+
+// installBackup registers ref as page id's backup and logs it; the copy it
+// supersedes is released only behind that record — a restart that lost the
+// record resolves the page against the old copy again.
+func (db *DB) installBackup(id page.ID, ref core.BackupRef) {
+	old, err := db.pri.SetBackup(id, ref)
+	if err != nil {
+		db.pri.Set(id, core.Entry{Backup: ref, LastLSN: ref.AsOf})
+	}
+	lsn := db.log.Append(&wal.Record{
+		Type: wal.TypePRIUpdate, PageID: id,
+		Payload: core.EncodeSetBackup(ref),
+	})
+	db.supersedeBackup(id, old, lsn)
 }
 
 // parkedBackup is a superseded backup copy whose release waits for the log
@@ -534,7 +535,7 @@ type parkedBackup struct {
 // may be freed and the page recovery index gives fast access to its
 // identifier", §5.2.2), then releases whatever has become releasable.
 func (db *DB) supersedeBackup(id page.ID, old core.BackupRef, after page.LSN) {
-	if old.Kind != core.BackupPage && old.Kind != core.BackupDataSlot {
+	if old.Kind != core.BackupPage {
 		return // a set, a log record: nothing of its own to free
 	}
 	db.parkMu.Lock()
@@ -557,16 +558,15 @@ func (db *DB) releaseDurable() {
 	db.parked = db.parked[n:]
 	db.parkMu.Unlock()
 	for _, b := range ripe {
-		db.releaseBackup(b.ref)
+		db.store.FreeSlot(b.ref.Loc)
 	}
 }
 
 // inheritParked settles the backup copies prev still had parked when it
 // failed against the index rebuilt from the surviving log: a copy the
 // index names again (its replacement was cut from the log) is live; every
-// other is released. Pre-move data slots only count when the data device
-// survived (dataSlots).
-func (db *DB) inheritParked(prev *DB, dataSlots bool) {
+// other is released.
+func (db *DB) inheritParked(prev *DB) {
 	prev.parkMu.Lock()
 	parked := prev.parked
 	prev.parked = nil
@@ -576,22 +576,7 @@ func (db *DB) inheritParked(prev *DB, dataSlots bool) {
 			cur.Backup.Kind == b.ref.Kind && cur.Backup.Loc == b.ref.Loc {
 			continue
 		}
-		if b.ref.Kind == core.BackupDataSlot && !dataSlots {
-			continue
-		}
-		db.releaseBackup(b.ref)
-	}
-}
-
-// releaseBackup frees the storage behind a backup reference nothing names
-// any more.
-func (db *DB) releaseBackup(old core.BackupRef) {
-	switch old.Kind {
-	case core.BackupPage:
-		db.store.FreeSlot(old.Loc)
-	case core.BackupDataSlot:
-		// Best effort: the slot may have been retired after a failure.
-		_ = db.pmap.FreeSlot(storage.PhysID(old.Loc))
+		db.store.FreeSlot(b.ref.Loc)
 	}
 }
 
@@ -658,14 +643,10 @@ func (db *DB) BeginSystem() *txn.Txn { return db.txns.BeginSystem() }
 // Begin starts a user transaction.
 func (db *DB) Begin() *Txn { return db.txns.Begin() }
 
-// Commit commits a transaction and runs any page backups the
-// backup-every-N-updates policy scheduled.
-func (db *DB) Commit(t *Txn) error {
-	if err := t.Commit(); err != nil {
-		return err
-	}
-	return db.runDueBackups()
-}
+// Commit commits a transaction: Txn.Commit, under the database's name.
+// The page backups of Options.BackupEveryNUpdates are taken at write-back,
+// not here.
+func (db *DB) Commit(t *Txn) error { return t.Commit() }
 
 func (db *DB) isCrashed() bool {
 	db.mu.Lock()

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func testOptions() Options {
@@ -620,7 +622,8 @@ func TestScrubFindsAndRepairsLatentErrors(t *testing.T) {
 }
 
 func TestAbortAfterPolicyBackups(t *testing.T) {
-	// Rollback across pages that have explicit backups must still work.
+	// Rollback across pages whose policy backups hold the transaction's own
+	// uncommitted updates must still work, and so must recovery afterwards.
 	opts := testOptions()
 	opts.BackupEveryNUpdates = 5
 	db := openTestDB(t, opts)
@@ -631,52 +634,19 @@ func TestAbortAfterPolicyBackups(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The write-back takes the backups before the abort.
+	if err := db.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	leaf := findLeafOf(t, db, ix, k(25))
+	if e, err := db.pri.Get(leaf); err != nil || e.Backup.Kind != core.BackupPage {
+		t.Fatalf("leaf %d backed by %+v (%v) after the flush, want a page backup", leaf, e.Backup, err)
+	}
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	expectValues(t, ix, 50)
-}
-
-func TestCopyOnWriteModePreMoveImagesServeRecovery(t *testing.T) {
-	opts := testOptions()
-	opts.WriteMode = 1 // pagemap.CopyOnWrite
-	opts.DataSlots = 16384
-	db := openTestDB(t, opts)
-	ix := loadIndex(t, db, "t", 300)
-	if err := db.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	// Update and flush again: the pre-move image becomes the backup.
-	tx := db.Begin()
-	for i := 0; i < 300; i += 3 {
-		if err := ix.Update(tx, k(i), []byte(fmt.Sprintf("cow-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Commit(tx); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	victim := findLeafOf(t, db, ix, k(150))
-	if err := db.EvictPage(victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CorruptPage(victim); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := db.RecoverPageNow(victim)
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	if rep.BackupKind.String() != "pre-move-image" {
-		t.Errorf("backup kind = %v, want pre-move-image", rep.BackupKind)
-	}
-	got, err := ix.Get(k(150))
-	if err != nil || string(got) != "cow-150" {
-		t.Errorf("recovered = %q, %v", got, err)
-	}
+	corruptAndVerify(t, db, ix, leaf, 50)
 }
 
 func TestStatsAndSimulatedIO(t *testing.T) {

@@ -72,16 +72,15 @@ func (db *DB) stopLifecycle() { db.archiver.Stop() }
 //     its begin LSN; a loser adopted by restart carries a conservative
 //     zero, blocking release until it resolves), and
 //   - log-backed backup references in the page recovery index — a page
-//     whose registered "backup" is a TypeFormat or TypeFullImage log
-//     record must keep that record readable for full single-page
-//     recovery.
+//     whose registered "backup" is its TypeFormat log record must keep
+//     that record readable for full single-page recovery.
 func (db *DB) archiveReleaseFloor() page.LSN {
 	floor := db.log.EndLSN()
 	if lsn, ok := db.txns.OldestActiveBeginLSN(); ok && lsn < floor {
 		floor = lsn
 	}
 	db.pri.ForEachRange(func(lo, hi page.ID, e core.Entry) bool {
-		if e.Backup.Kind == core.BackupFormat || e.Backup.Kind == core.BackupLogImage {
+		if e.Backup.Kind == core.BackupFormat {
 			if l := page.LSN(e.Backup.Loc); l < floor {
 				floor = l
 			}

@@ -1,12 +1,10 @@
 package spf
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/pagemap"
 )
 
 // lifecycleOptions returns engine options with the log lifecycle on in
@@ -302,14 +300,16 @@ func TestLifecyclePausesOnArchiveFault(t *testing.T) {
 // position its set is as of — clamped by the checkpoint redo horizon, the
 // oldest active transaction's begin and log-backed backup references —
 // because no recovery reads below it again. Each scenario recovers across
-// that truncation, on both write modes and both engines.
+// that truncation on both engines, with the full set as the only backup
+// and with §6's page backups taken at write-back beside it.
 
-// noArchiveIndexes opens a database without the log archive and loads n
-// keys into a B-tree and a hash index.
-func noArchiveIndexes(t *testing.T, mode pagemap.Mode, n int) (*DB, []*Index) {
+// noArchiveIndexes opens a database without the log archive, taking a page
+// backup every backupEvery updates (none when zero), and loads n keys into
+// a B-tree and a hash index.
+func noArchiveIndexes(t *testing.T, backupEvery, n int) (*DB, []*Index) {
 	t.Helper()
 	opts := testOptions()
-	opts.WriteMode = mode
+	opts.BackupEveryNUpdates = backupEvery
 	db := openTestDB(t, opts)
 	return db, []*Index{loadIndexKind(t, db, "b", KindBTree, n), loadIndexKind(t, db, "h", KindHash, n)}
 }
@@ -330,9 +330,9 @@ func backupPassing(t *testing.T, db *DB, lsn LSN) {
 // up, and moves every key on twice: to generation 1, then past a checkpoint
 // and a lifecycle step — so only the backup horizon holds the log — to
 // generation 2, which the pool still holds dirty.
-func backedUpWithoutArchive(t *testing.T, mode pagemap.Mode, n int) (*DB, []*Index) {
+func backedUpWithoutArchive(t *testing.T, backupEvery, n int) (*DB, []*Index) {
 	t.Helper()
-	db, ixs := noArchiveIndexes(t, mode, n)
+	db, ixs := noArchiveIndexes(t, backupEvery, n)
 	backupPassing(t, db, db.log.EndLSN())
 	for _, ix := range ixs {
 		rewriteAll(t, db, ix, n, 1)
@@ -381,26 +381,36 @@ func reopened(t *testing.T, db *DB, ixs []*Index) []*Index {
 
 func TestBackupTruncatesWithoutArchive(t *testing.T) {
 	const n = 300
-	for _, mode := range []pagemap.Mode{pagemap.InPlace, pagemap.CopyOnWrite} {
-		t.Run(fmt.Sprintf("%v/recover-every-page", mode), func(t *testing.T) {
-			db, ixs := backedUpWithoutArchive(t, mode, n)
+	for _, leg := range []struct {
+		name        string
+		backupEvery int
+	}{{"in-place", 0}, {"in-place+page-backups", 20}} {
+		name, backupEvery := leg.name, leg.backupEvery
+		t.Run(name+"/recover-every-page", func(t *testing.T) {
+			db, ixs := backedUpWithoutArchive(t, backupEvery, n)
 			defer db.Close()
-			applied := 0
+			applied, pageBackups := 0, 0
 			for _, id := range db.Pages() {
 				rep, err := db.RecoverPageNow(id)
 				if err != nil {
 					t.Fatalf("page %d: %v", id, err)
 				}
 				applied += rep.RecordsApplied
+				if rep.BackupKind == core.BackupPage {
+					pageBackups++
+				}
 			}
-			if applied == 0 {
+			if backupEvery == 0 && applied == 0 {
 				t.Fatal("no page replayed any history since the backup")
+			}
+			if backupEvery > 0 && pageBackups == 0 {
+				t.Fatal("no page recovered from a page backup")
 			}
 			expectIndexes(t, ixs, n, 2)
 		})
 
-		t.Run(fmt.Sprintf("%v/crash-restart", mode), func(t *testing.T) {
-			db, ixs := backedUpWithoutArchive(t, mode, n)
+		t.Run(name+"/crash-restart", func(t *testing.T) {
+			db, ixs := backedUpWithoutArchive(t, backupEvery, n)
 			db.Crash()
 			ndb, _, err := db.Restart()
 			if err != nil {
@@ -411,8 +421,8 @@ func TestBackupTruncatesWithoutArchive(t *testing.T) {
 			expectIndexes(t, reopened(t, ndb, ixs), n, 2)
 		})
 
-		t.Run(fmt.Sprintf("%v/media-recovery", mode), func(t *testing.T) {
-			db, ixs := backedUpWithoutArchive(t, mode, n)
+		t.Run(name+"/media-recovery", func(t *testing.T) {
+			db, ixs := backedUpWithoutArchive(t, backupEvery, n)
 			db.FailDevice()
 			ndb, _, err := db.RecoverMedia()
 			if err != nil {
@@ -425,8 +435,8 @@ func TestBackupTruncatesWithoutArchive(t *testing.T) {
 
 		// The floor: a transaction that began before the backup keeps its
 		// records live, so it can still roll back after it.
-		t.Run(fmt.Sprintf("%v/abort-across-backup", mode), func(t *testing.T) {
-			db, ixs := noArchiveIndexes(t, mode, n)
+		t.Run(name+"/abort-across-backup", func(t *testing.T) {
+			db, ixs := noArchiveIndexes(t, backupEvery, n)
 			defer db.Close()
 			began := db.log.EndLSN()
 			tx := db.Begin()
@@ -469,10 +479,11 @@ func TestBackupTruncatesWithoutArchive(t *testing.T) {
 			expectIndexes(t, ixs, n, -1)
 		})
 
-		// A page born after the set has its format record as its backup; the
-		// truncation must leave that record and its chain readable.
-		t.Run(fmt.Sprintf("%v/born-after-set", mode), func(t *testing.T) {
-			db, ixs := noArchiveIndexes(t, mode, n)
+		// A page born after the set has its format record as its backup
+		// until a page backup replaces it; the truncation must leave that
+		// record and its chain readable.
+		t.Run(name+"/born-after-set", func(t *testing.T) {
+			db, ixs := noArchiveIndexes(t, backupEvery, n)
 			backupPassing(t, db, db.log.EndLSN())
 			inSet := make(map[PageID]bool)
 			for _, id := range db.Pages() {
@@ -506,7 +517,7 @@ func TestBackupTruncatesWithoutArchive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if mode == pagemap.InPlace && e.Backup.Kind != core.BackupFormat {
+				if e.Backup.Kind != core.BackupFormat && (backupEvery == 0 || e.Backup.Kind != core.BackupPage) {
 					t.Fatalf("page %d born after the set is backed by %v, want its format record", id, e.Backup.Kind)
 				}
 				if _, err := db.RecoverPageNow(id); err != nil {

@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"repro/internal/iosim"
-	"repro/internal/pagemap"
 )
 
 // Options configures a database.
@@ -66,10 +65,6 @@ type Options struct {
 	BackupSlots int
 	// PoolFrames is the buffer pool size in frames (default 1024).
 	PoolFrames int
-	// WriteMode selects in-place or copy-on-write page writes. Copy-on-
-	// write retains each page's pre-move image as an implicit backup
-	// (paper §5.2.1).
-	WriteMode pagemap.Mode
 	// DataProfile, LogProfile, BackupProfile select the simulated I/O
 	// cost models. Zero value charges nothing (unit-test speed).
 	DataProfile   iosim.Profile
@@ -90,9 +85,14 @@ type Options struct {
 	// page recovery index on every buffer-pool read (ablation A2). Lost
 	// writes then go undetected until a fence check or checksum fails.
 	DisablePageLSNCheck bool
-	// BackupEveryNUpdates takes an explicit per-page backup after a page
-	// has accumulated N updates (0 disables the policy). Bounds the
-	// per-page log chain and hence single-page recovery time (§6).
+	// BackupEveryNUpdates takes a per-page backup once a page has
+	// accumulated N updates since its last backup (0 disables the policy),
+	// which bounds the per-page log chain and hence single-page recovery
+	// time (§6). The updates are counted in the page's recovery index
+	// entry as its write-backs report them; the write-back that brings the
+	// count to N copies the image it writes to the backup store, so a page
+	// still in the pool is backed up when it is next written. Counts live
+	// in memory only: a restart starts every page at zero.
 	BackupEveryNUpdates int
 	// Maintenance configures the background maintenance service: async
 	// dirty-page write-back with grouped PRI logging, plus the continuous

@@ -132,7 +132,7 @@ func TestArchiveHoldsOnlyChainRecords(t *testing.T) {
 				seen[rec.Type]++
 				got, err := db.arch.ReadRecord(lsn)
 				switch rec.Type {
-				case wal.TypeUpdate, wal.TypeCLR, wal.TypeFormat, wal.TypeFullImage:
+				case wal.TypeUpdate, wal.TypeCLR, wal.TypeFormat:
 					if err != nil || got.Type != rec.Type {
 						t.Fatalf("%v record at %d: %v, %v", rec.Type, lsn, got, err)
 					}

@@ -3,7 +3,6 @@ package spf
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/pagemap"
 	"repro/internal/storage"
 )
 
@@ -403,54 +401,5 @@ func TestBackupNowNoticesACrashUnderIt(t *testing.T) {
 	corruptAndVerify(t, ndb, ix2, victim, n)
 	if m := ndb.Metrics(); m.Recovery.Escalations != 0 || m.Restore.Failed != 0 {
 		t.Fatalf("recovery against set %d after the crash: %+v %+v", set1, m.Recovery, m.Restore)
-	}
-}
-
-// TestCopyOnWriteReleasesPreMoveSlotsBehindTheLog: the same rule for the
-// pre-move images copy-on-write leaves behind. Each write-back supersedes
-// the image two writes back; it returns to the free pool once the record
-// that replaced it is durable, so rewriting one page any number of times
-// keeps the data device at its size.
-func TestCopyOnWriteReleasesPreMoveSlotsBehindTheLog(t *testing.T) {
-	opts := testOptions()
-	opts.WriteMode = pagemap.CopyOnWrite
-	db := openTestDB(t, opts)
-	defer db.Close()
-	ix := loadIndex(t, db, "t", 200)
-	rewrite := func(round int) {
-		t.Helper()
-		tx := db.Begin()
-		if err := ix.Update(tx, k(100), []byte(fmt.Sprintf("round-%03d", round))); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Commit(tx); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.FlushAll(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for round := 0; round < 3; round++ {
-		rewrite(round) // current image, its backup, and one parked behind the log
-	}
-	settled := db.dev.WrittenSlots()
-	for round := 3; round < 40; round++ {
-		rewrite(round)
-	}
-	if got := db.dev.WrittenSlots(); got > settled+1 {
-		t.Fatalf("data device grew from %d to %d written slots over 37 rewrites of one page", settled, got)
-	}
-	victim := findLeafOf(t, db, ix, k(100))
-	if err := db.EvictPage(victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CorruptPage(victim); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ix.Get(k(100)); err != nil || string(got) != "round-039" {
-		t.Fatalf("read through recovery from the pre-move image: %q, %v", got, err)
-	}
-	if m := db.Metrics(); m.Recovery.Recoveries != 1 || m.Recovery.Escalations != 0 {
-		t.Fatalf("recovery: %+v", m.Recovery)
 	}
 }
