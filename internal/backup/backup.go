@@ -317,7 +317,8 @@ func (s *Store) LatestSet() uint64 {
 	return sets[len(sets)-1]
 }
 
-// fetchSlot reads and validates one backup image.
+// fetchSlot reads and validates one backup image. The decoded page owns
+// the buffer the device read returned.
 func (s *Store) fetchSlot(slot storage.PhysID, pageID page.ID) (*page.Page, error) {
 	img, err := s.dev.Read(slot)
 	if err != nil {

@@ -25,8 +25,9 @@
 //     to a negative "dead" sentinel, which cannot race with concurrent
 //     pinners;
 //   - statistics are atomic counters, read-modify-written without locks;
-//   - page images move through a sync.Pool of page-sized scratch buffers,
-//     so a flush or a device read allocates nothing.
+//   - a flush encodes through a sync.Pool of page-sized scratch buffers,
+//     so it allocates nothing; a device read lands in the one page-sized
+//     buffer the loaded page then owns, so it is copied once.
 //
 // Total residency is still bounded by one global capacity, maintained as an
 // atomic reservation counter: a loader reserves a slot for the page it has
@@ -729,28 +730,27 @@ func (p *Pool) loadPage(id page.ID) (*frame, error) {
 
 // readAndValidate performs the Fig. 8 read path: device read, in-page
 // verification, and the engine's PageLSN cross-check. The device image
-// lands in a pooled scratch buffer, so a miss costs no per-read buffer
-// allocation. A failed device read is re-read at once, at most readRetries
-// times, before it counts as a single-page failure: a one-shot fault then
+// lands in a page-sized buffer the decoded page takes over, so a miss
+// allocates once and copies the image once. A failed device read is
+// re-read at once, at most readRetries times, before it counts as a single-page failure: a one-shot fault then
 // costs a second read instead of a full recovery. Nothing here sleeps, arms
 // a timer or yields — a caller is waiting on this read, and on an idle P
 // even a 100µs sleep costs a millisecond. An image only the engine's
 // cross-check refused is returned beside the error: it is sound, and
 // recovery may build on it.
 func (p *Pool) readAndValidate(id page.ID, phys storage.PhysID, hooks *Hooks) (*page.Page, error) {
-	buf := p.getScratch()
-	defer p.putScratch(buf)
-	err := p.dev.ReadInto(phys, *buf)
+	buf := make([]byte, p.dev.PageSize())
+	err := p.dev.ReadInto(phys, buf)
 	for r := 0; err != nil && r < p.readRetries; r++ {
 		if hooks.OnReadRetry != nil {
 			hooks.OnReadRetry(id)
 		}
-		err = p.dev.ReadInto(phys, *buf)
+		err = p.dev.ReadInto(phys, buf)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("device read of page %d (slot %d): %w", id, phys, err)
 	}
-	pg, err := page.DecodeFor(id, *buf)
+	pg, err := page.DecodeFor(id, buf)
 	if err == nil {
 		// The structured-payload plausibility check (§4.2): offsets, entry
 		// shape and key order are validated once, here, so the engines'

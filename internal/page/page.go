@@ -240,6 +240,9 @@ func Verify(buf []byte) error {
 
 // Decode parses a raw page image. It performs the full set of in-page
 // plausibility tests from paper §4.2: checksum, magic, and header bounds.
+// The page takes ownership of buf: its payload aliases buf[HeaderSize:],
+// so a read lands in one page-sized buffer and is never copied again. The
+// caller must not reuse buf while the page lives.
 func Decode(buf []byte) (*Page, error) {
 	if err := Verify(buf); err != nil {
 		return nil, err
@@ -251,15 +254,15 @@ func Decode(buf []byte) (*Page, error) {
 		typ:     Type(binary.LittleEndian.Uint16(buf[20:])),
 		flags:   binary.LittleEndian.Uint16(buf[22:]),
 		size:    len(buf),
-		payload: make([]byte, plen, len(buf)-HeaderSize),
+		payload: buf[HeaderSize : HeaderSize+int(plen) : len(buf)],
 	}
-	copy(p.payload, buf[HeaderSize:HeaderSize+int(plen)])
 	return p, nil
 }
 
 // DecodeFor parses a raw page image and additionally checks that it carries
 // the expected page ID; a mismatch indicates a misdirected write or a stale
-// mapping, both of which the paper's failure class covers.
+// mapping, both of which the paper's failure class covers. Like Decode, it
+// takes ownership of buf.
 func DecodeFor(id ID, buf []byte) (*Page, error) {
 	p, err := Decode(buf)
 	if err != nil {

@@ -159,6 +159,12 @@ func (r Records) Record(i int) (key, val []byte, ghost bool, err error) {
 	if err != nil {
 		return nil, nil, false, err
 	}
+	return splitRecord(i, rec)
+}
+
+// splitRecord splits the bytes of keyed record i into key, value and ghost
+// flag.
+func splitRecord(i int, rec []byte) (key, val []byte, ghost bool, err error) {
 	if len(rec) < 2 {
 		return nil, nil, false, fmt.Errorf("%w: record %d is %d bytes", ErrCorrupt, i, len(rec))
 	}
@@ -206,16 +212,23 @@ func (r Records) Get(key []byte) (val []byte, ghost, found bool, err error) {
 
 // check is the O(N) structural validation of a record page: offsets
 // monotone and in bounds, every keyed record well formed with a non-empty
-// key, keys strictly ascending.
+// key, keys strictly ascending. It is one pass over the offset array: each
+// slot starts where the previous one ended.
 func (r Records) check() error {
-	for s := 0; s < r.res; s++ {
-		if _, err := r.slot(s); err != nil {
-			return err
-		}
-	}
 	var prev []byte
-	for i := 0; i < r.Count(); i++ {
-		k, _, _, err := r.Record(i)
+	lo := 0
+	for s := 0; s < r.n; s++ {
+		hi := r.end(s)
+		if lo > hi || r.area+hi > len(r.b) {
+			return fmt.Errorf("%w: record slot %d spans [%d,%d) of a %d-byte payload", ErrCorrupt, s, r.area+lo, r.area+hi, len(r.b))
+		}
+		rec := r.b[r.area+lo : r.area+hi : r.area+hi]
+		lo = hi
+		if s < r.res {
+			continue
+		}
+		i := s - r.res
+		k, _, _, err := splitRecord(i, rec)
 		if err != nil {
 			return err
 		}

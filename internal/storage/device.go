@@ -130,12 +130,18 @@ type statsCounters struct {
 // the shared side of an RWMutex and mutates no shared state: statistics
 // are atomic counters and the fault table is a sync.Map whose lookup
 // misses cost one lock-free load. The exclusive lock is reserved for
-// mutations of the slot array and device-wide state (writes, retirement,
+// mutations of the slot table and device-wide state (writes, retirement,
 // media failure, revival).
+//
+// Memory follows what is stored, not the capacity: the slot table grows
+// when a slot past its end is first written, and a slot beyond it reads
+// as never written. A large device that holds a few pages costs a few
+// pages.
 type Device struct {
 	mu       sync.RWMutex
 	pageSize int
-	slots    [][]byte        // nil = never written
+	capacity int             // slots addressable; immutable
+	slots    [][]byte        // grows on first write; nil entry or beyond = never written
 	faults   sync.Map        // PhysID -> *fault
 	bad      map[PhysID]bool // bad-block list: retired slots; written under mu
 	failed   bool            // whole-device (media) failure; written under mu
@@ -167,7 +173,7 @@ func NewDevice(cfg Config) *Device {
 	}
 	return &Device{
 		pageSize: cfg.PageSize,
-		slots:    make([][]byte, cfg.Slots),
+		capacity: cfg.Slots,
 		bad:      make(map[PhysID]bool),
 		clock:    iosim.NewClock(cfg.Profile),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
@@ -178,11 +184,7 @@ func NewDevice(cfg Config) *Device {
 func (d *Device) PageSize() int { return d.pageSize }
 
 // Slots returns the device capacity in pages.
-func (d *Device) Slots() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.slots)
-}
+func (d *Device) Slots() int { return d.capacity }
 
 // Clock returns the device's simulated-time clock.
 func (d *Device) Clock() *iosim.Clock { return d.clock }
@@ -222,8 +224,8 @@ func (d *Device) ReadInto(id PhysID, buf []byte) error {
 	if d.failed {
 		return ErrDeviceFailed
 	}
-	if int(id) >= len(d.slots) {
-		return fmt.Errorf("%w: %d >= %d", ErrOutOfRange, id, len(d.slots))
+	if int(id) >= d.capacity {
+		return fmt.Errorf("%w: %d >= %d", ErrOutOfRange, id, d.capacity)
 	}
 	if d.bad[id] {
 		return fmt.Errorf("%w: %d", ErrBadSlot, id)
@@ -234,8 +236,7 @@ func (d *Device) ReadInto(id PhysID, buf []byte) error {
 	d.stats.reads.Add(1)
 	d.clock.Access(int64(id)*int64(d.pageSize), int64(d.pageSize))
 
-	img := d.slots[id]
-	if img != nil {
+	if img := d.stored(id); img != nil {
 		copy(buf, img)
 	} else {
 		zero(buf)
@@ -316,8 +317,8 @@ func (d *Device) Write(id PhysID, img []byte) error {
 	if d.failed {
 		return ErrDeviceFailed
 	}
-	if int(id) >= len(d.slots) {
-		return fmt.Errorf("%w: %d >= %d", ErrOutOfRange, id, len(d.slots))
+	if int(id) >= d.capacity {
+		return fmt.Errorf("%w: %d >= %d", ErrOutOfRange, id, d.capacity)
 	}
 	if d.bad[id] {
 		return fmt.Errorf("%w: %d", ErrBadSlot, id)
@@ -355,10 +356,23 @@ func (d *Device) Write(id PhysID, img []byte) error {
 	return nil
 }
 
-// storedBuf returns the slot's backing buffer, allocating it on first
-// write. Reusing the buffer across overwrites keeps the steady-state write
-// path allocation-free.
+// stored returns the image held in slot id, nil if it was never written.
+// Callers hold mu (either side) and have checked id against the capacity.
+func (d *Device) stored(id PhysID) []byte {
+	if int(id) < len(d.slots) {
+		return d.slots[id]
+	}
+	return nil
+}
+
+// storedBuf returns the slot's backing buffer, growing the slot table and
+// allocating the buffer on first write. Reusing the buffer across
+// overwrites keeps the steady-state write path allocation-free. Callers
+// hold mu exclusively and have checked id against the capacity.
 func (d *Device) storedBuf(id PhysID) []byte {
+	if n := int(id) + 1; n > len(d.slots) {
+		d.slots = append(d.slots, make([][]byte, n-len(d.slots))...)
+	}
 	if d.slots[id] == nil {
 		d.slots[id] = make([]byte, d.pageSize)
 	}
@@ -471,12 +485,13 @@ func (d *Device) Failed() bool {
 }
 
 // Revive replaces a failed device with a fresh, empty one of the same
-// geometry (hardware replacement before media recovery).
+// geometry (hardware replacement before media recovery). The new device
+// holds nothing, so it costs nothing until media recovery writes to it.
 func (d *Device) Revive() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.failed = false
-	d.slots = make([][]byte, len(d.slots))
+	d.slots = nil
 	d.bad = make(map[PhysID]bool)
 	d.faults.Clear()
 }
@@ -487,11 +502,12 @@ func (d *Device) Revive() {
 func (d *Device) RawImage(id PhysID) []byte {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if int(id) >= len(d.slots) || d.slots[id] == nil {
+	img := d.stored(id)
+	if img == nil {
 		return nil
 	}
 	out := make([]byte, d.pageSize)
-	copy(out, d.slots[id])
+	copy(out, img)
 	return out
 }
 
@@ -501,12 +517,9 @@ func (d *Device) RawImage(id PhysID) []byte {
 func (d *Device) CorruptStored(id PhysID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if int(id) >= len(d.slots) {
+	if int(id) >= d.capacity {
 		return fmt.Errorf("%w: %d", ErrOutOfRange, id)
 	}
-	if d.slots[id] == nil {
-		d.slots[id] = make([]byte, d.pageSize)
-	}
-	d.corrupt(d.slots[id])
+	d.corrupt(d.storedBuf(id))
 	return nil
 }

@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/iosim"
@@ -545,5 +547,121 @@ func TestScrubRangeClampsAndCounts(t *testing.T) {
 	res, next, wrapped = d.ScrubRange(2, 0, nil)
 	if res.Scanned != 0 || next != 2 || wrapped {
 		t.Fatalf("zero budget: scanned=%d next=%d wrapped=%v", res.Scanned, next, wrapped)
+	}
+}
+
+// TestSlotTableFollowsWrites: a device costs what it stores, not what it
+// can address. A million-slot device holding three pages must not carry a
+// million-entry slot table (24 MiB of slice headers).
+func TestSlotTableFollowsWrites(t *testing.T) {
+	img := encodedPage(t, 1, 0x5A)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d := NewDevice(Config{PageSize: 512, Slots: 1 << 20, Profile: iosim.Instant, Seed: 1})
+	for i := 0; i < 3; i++ {
+		if err := d.Write(PhysID(i), img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(d)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 64<<10 {
+		t.Fatalf("a 1Mi-slot device holding 3 pages raised the heap by %d bytes, want < 64 KiB", grew)
+	}
+	if d.Slots() != 1<<20 {
+		t.Fatalf("Slots() = %d, want the capacity %d", d.Slots(), 1<<20)
+	}
+}
+
+// TestSlotsPastTheTable: a slot within capacity but beyond the grown slot
+// table behaves as a slot that was never written, whatever touches it.
+func TestSlotsPastTheTable(t *testing.T) {
+	const capacity, written = 64, 3
+	beyond := PhysID(40)
+	cases := []struct {
+		name string
+		run  func(t *testing.T, d *Device)
+	}{
+		{"read returns zeros", func(t *testing.T, d *Device) {
+			buf := bytes.Repeat([]byte{0xFF}, 512)
+			if err := d.ReadInto(beyond, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, make([]byte, 512)) {
+				t.Fatal("a slot past the table read back nonzero bytes")
+			}
+		}},
+		{"raw image is nil", func(t *testing.T, d *Device) {
+			if img := d.RawImage(beyond); img != nil {
+				t.Fatalf("RawImage past the table = %d bytes, want nil", len(img))
+			}
+		}},
+		{"discard and retire", func(t *testing.T, d *Device) {
+			d.Discard(beyond)
+			d.RetireSlot(beyond + 1)
+			if !d.Retired(beyond+1) || d.WrittenSlots() != written || len(d.slots) != written {
+				t.Fatalf("retired=%v written=%d table=%d", d.Retired(beyond+1), d.WrittenSlots(), len(d.slots))
+			}
+		}},
+		{"corrupt stored grows the table", func(t *testing.T, d *Device) {
+			if err := d.CorruptStored(beyond); err != nil {
+				t.Fatal(err)
+			}
+			if len(d.slots) != int(beyond)+1 || d.RawImage(beyond) == nil {
+				t.Fatalf("table %d entries after corrupting slot %d", len(d.slots), beyond)
+			}
+			if err := d.CorruptStored(capacity); !errors.Is(err, ErrOutOfRange) {
+				t.Fatalf("CorruptStored past capacity: %v", err)
+			}
+		}},
+		{"revive empties the table", func(t *testing.T, d *Device) {
+			d.FailDevice()
+			d.Revive()
+			if d.slots != nil || d.WrittenSlots() != 0 || d.Slots() != capacity {
+				t.Fatalf("after Revive: table %d entries, %d written, capacity %d", len(d.slots), d.WrittenSlots(), d.Slots())
+			}
+		}},
+		{"scrub sweeps to capacity", func(t *testing.T, d *Device) {
+			full := testDevice(capacity)
+			full.slots = make([][]byte, capacity)
+			for i := 0; i < written; i++ {
+				full.slots[i] = d.RawImage(PhysID(i))
+			}
+			type step struct {
+				scanned int
+				next    PhysID
+				wrapped bool
+			}
+			sweep := func(d *Device) []step {
+				var out []step
+				cur := PhysID(0)
+				for range 2 * capacity / 5 {
+					res, next, wrapped := d.ScrubRange(cur, 5, nil)
+					out = append(out, step{res.Scanned, next, wrapped})
+					cur = next
+				}
+				return out
+			}
+			got, want := sweep(d), sweep(full)
+			if !slices.Equal(got, want) {
+				t.Fatalf("scrub over a grown table: %v\nover a full one: %v", got, want)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := testDevice(capacity)
+			for i := 0; i < written; i++ {
+				if err := d.Write(PhysID(i), encodedPage(t, page.ID(i+1), byte(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(d.slots) != written {
+				t.Fatalf("table has %d entries after writing slots 0..%d", len(d.slots), written-1)
+			}
+			c.run(t, d)
+		})
 	}
 }

@@ -60,7 +60,7 @@ func (d *Device) ScrubRange(start PhysID, max int, skip func(PhysID) bool) (Scru
 			continue
 		}
 		d.mu.RLock()
-		written := d.slots[i] != nil
+		written := d.stored(id) != nil
 		d.mu.RUnlock()
 		if !written {
 			continue

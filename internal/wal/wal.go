@@ -53,11 +53,13 @@
 //
 // The live log is bounded: Recycle truncates the segment buffer below a
 // horizon chosen by the archiver (history must be checkpoint-covered AND
-// durably archived first), returning whole chunks to a free pool. Below
-// the truncation boundary Read and WalkPageChain transparently fall back
-// to the ArchiveReader installed with SetArchive, where the per-page chain
-// records are served from sorted, page-partitioned runs as sequential
-// scans instead of the seek-per-record live path. Scan does not: the
+// durably archived first), releasing the whole chunks it cuts to the
+// garbage collector; growth makes fresh ones, so a log at rest holds its
+// tail and no spare chunks. Below the truncation boundary Read and
+// WalkPageChain transparently fall back to the ArchiveReader installed
+// with SetArchive, where the per-page chain records are served from
+// sorted, page-partitioned runs as sequential scans instead of the
+// seek-per-record live path. Scan does not: the
 // archive keeps only what recovery replays, so the LSN-ordered stream
 // below the boundary no longer exists and a scan there is ErrTruncated.
 // The manager itself never decides when to recycle; it only enforces that
@@ -287,11 +289,7 @@ type Manager struct {
 	flushed  atomic.Int64
 
 	chunks  atomic.Pointer[chunkTable]
-	allocMu sync.Mutex // extends the chunk table; guards freeChunks
-	// freeChunks is the recycle pool: chunks Recycle cuts off the front of
-	// the buffer, reused by ensure instead of fresh allocations, so a
-	// steady-state log cycles a bounded working set instead of growing.
-	freeChunks [][]byte
+	allocMu sync.Mutex // serializes swaps of the chunk table
 	// base is the recycling boundary (always a record boundary ≤ flushed):
 	// LSNs below it address the archive, not the live buffer. Monotone.
 	base atomic.Int64
@@ -358,12 +356,6 @@ func (t *chunkTable) at(pos int64) []byte { return t.chunks[(pos>>chunkShift)-t.
 
 // end returns the exclusive byte offset the table covers up to.
 func (t *chunkTable) end() int64 { return (t.first + int64(len(t.chunks))) << chunkShift }
-
-// freePoolCap bounds the recycle pool: a log at rest holds its tail, not
-// spare megabytes. One chunk is ~2 500 PUTs of log and re-making one costs
-// a memclr, so two spares cover a recycle that lands mid-burst; anything
-// beyond that is released to the garbage collector.
-const freePoolCap = 2
 
 // NewManager creates an empty log charging I/O against the given profile,
 // with synchronous (non-grouped) commit forces.
@@ -442,8 +434,11 @@ func (m *Manager) runlock() { m.readers.Add(-1) }
 func (m *Manager) table() *chunkTable { return m.chunks.Load() }
 
 // ensure grows the chunk table until it covers end bytes and returns it.
-// Existing chunks never move, so concurrent fillers are unaffected; new
-// chunks come from the recycle pool when it has any.
+// Existing chunks never move, so concurrent fillers are unaffected. New
+// chunks are always fresh: a log at rest holds its tail, not spare
+// megabytes, and making one costs a memclr (one chunk is ~2 500 PUTs of
+// log). A recycled chunk is never handed out again, so a reader still
+// holding an old table can never see it overwritten.
 func (m *Manager) ensure(end int64) *chunkTable {
 	t := m.table()
 	if t.end() >= end {
@@ -457,13 +452,7 @@ func (m *Manager) ensure(end int64) *chunkTable {
 		nt := &chunkTable{first: t.first, chunks: make([][]byte, need)}
 		copy(nt.chunks, t.chunks)
 		for i := len(t.chunks); i < need; i++ {
-			if n := len(m.freeChunks); n > 0 {
-				nt.chunks[i] = m.freeChunks[n-1]
-				m.freeChunks[n-1] = nil
-				m.freeChunks = m.freeChunks[:n-1]
-			} else {
-				nt.chunks[i] = make([]byte, chunkSize)
-			}
+			nt.chunks[i] = make([]byte, chunkSize)
 		}
 		m.chunks.Store(nt)
 		t = nt
@@ -983,9 +972,9 @@ func (m *Manager) archiveReader() ArchiveReader {
 func (m *Manager) TruncatedLSN() page.LSN { return page.LSN(m.base.Load()) }
 
 // Recycle truncates the live log below upTo: whole chunks that fall under
-// the boundary return to the free pool. upTo must be a record boundary
-// below which no reader will need the live log again — durably archived,
-// or needed by no recovery at all. The caller (the archiver) owns that
+// the boundary are released to the garbage collector. upTo must be a
+// record boundary below which no reader will need the live log again —
+// durably archived, or needed by no recovery at all. The caller (the archiver) owns that
 // invariant; Recycle itself only clamps the boundary to the flushed
 // watermark, so no volatile byte is ever "recycled" (a crash would then
 // need it back). Returns the number of chunks freed.
@@ -1024,12 +1013,7 @@ func (m *Manager) Recycle(upTo page.LSN) int {
 	t := m.table()
 	if nf := newBase >> chunkShift; nf > t.first {
 		cut := int(nf - t.first)
-		for _, c := range t.chunks[:cut] {
-			if len(m.freeChunks) < freePoolCap {
-				m.freeChunks = append(m.freeChunks, c)
-			}
-			freed++
-		}
+		freed = cut
 		m.chunks.Store(&chunkTable{first: nf, chunks: append([][]byte(nil), t.chunks[cut:]...)})
 	}
 	m.allocMu.Unlock()

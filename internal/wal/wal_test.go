@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -471,5 +472,29 @@ func TestAppendBatchScanOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("scan order diverges at %d: got %d want %d", i, got[i], want[i])
 		}
+	}
+}
+
+// TestRecycleReleasesChunks: the chunks Recycle cuts go back to the
+// garbage collector, so a log at rest holds its tail, not spare megabytes.
+func TestRecycleReleasesChunks(t *testing.T) {
+	m := newTestLog()
+	payload := make([]byte, 32<<10)
+	for i := 0; i < 200; i++ { // ~6.3 MiB of log
+		m.Append(&Record{Type: TypeUpdate, Txn: 1, PageID: 2, Payload: payload})
+	}
+	m.FlushAll()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	k := m.Recycle(m.FlushedLSN())
+	if k < 4 {
+		t.Fatalf("Recycle cut %d chunks, want ≥ 4", k)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	if dropped := int64(before.HeapAlloc) - int64(after.HeapAlloc); dropped < int64(k)*chunkSize {
+		t.Fatalf("recycling %d chunks released %d bytes, want ≥ %d", k, dropped, int64(k)*chunkSize)
 	}
 }

@@ -59,9 +59,11 @@ type Options struct {
 	// PageSize is the page size in bytes (default 8192).
 	PageSize int
 	// DataSlots is the data device capacity in pages (default 65536).
+	// It is a bound, not an allocation: the device's memory is the slots
+	// written so far, so a large capacity costs nothing until it is used.
 	DataSlots int
 	// BackupSlots is the backup device capacity in pages (default
-	// 2*DataSlots).
+	// 2*DataSlots). Like DataSlots, it costs nothing until written.
 	BackupSlots int
 	// PoolFrames is the buffer pool size in frames (default 1024).
 	PoolFrames int
