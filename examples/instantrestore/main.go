@@ -52,7 +52,7 @@ func main() {
 
 	// A full backup, then more committed work: the post-backup updates
 	// exist only in the log and must be replayed per page at restore.
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		log.Fatal(err)
 	}
 	for round := 1; round <= 3; round++ {

@@ -215,7 +215,7 @@ var Table = []Group{
 		// Time from a system failure until the first read observes its
 		// acked data again. instant prepares redo in O(active pages),
 		// returns from Restart before redo completes and pays only the read
-		// page's own chain replay; the baseline (Options.Restore.Disabled)
+		// page's own chain replay; the baseline (Options.DisablePageLSNCheck)
 		// scans the log forward and replays every dirty page first. One
 		// iteration is one crash-and-restart cycle, so one is enough to
 		// judge. The factor was 5 while replaying this database took 48 ms

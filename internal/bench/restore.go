@@ -27,11 +27,12 @@ const repairCost = 300 * time.Microsecond
 // one key. With full=false the instant-restart path runs — preparation is
 // O(active pages), Restart returns before redo completes, and the read
 // pays only its own page's chain replay. With full=true the synchronous
-// forward-scan redo runs to completion (Options.Restore.Disabled — the
-// pre-instant baseline) before any read can start. One iteration is one
-// full crash-and-restart cycle. It returns the mean Crash→(Restart returns
-// and the first read completes) latency — the time until the first
-// transaction observes its acked data again.
+// forward-scan redo runs to completion before any read can start: the
+// restart of a database whose reads cannot detect a stale page
+// (Options.DisablePageLSNCheck), the pre-instant baseline. One iteration
+// is one full crash-and-restart cycle. It returns the mean Crash→(Restart
+// returns and the first read completes) latency — the time until the
+// first transaction observes its acked data again.
 func firstReadLatency(b *testing.B, full bool) float64 {
 	const (
 		keys   = 3000
@@ -41,10 +42,11 @@ func firstReadLatency(b *testing.B, full bool) float64 {
 	for iter := 0; iter < b.N; iter++ {
 		b.StopTimer()
 		opts := spf.Options{
-			PageSize:   1024,
-			DataSlots:  1 << 15,
-			PoolFrames: 2048,
-			Restore:    spf.RestoreOptions{Workers: 1, Disabled: full},
+			PageSize:            1024,
+			DataSlots:           1 << 15,
+			PoolFrames:          2048,
+			Restore:             spf.RestoreOptions{Workers: 1},
+			DisablePageLSNCheck: full,
 		}
 		db, err := spf.Open(opts)
 		if err != nil {

@@ -335,25 +335,6 @@ func (p *PRI) SetBackup(id page.ID, ref BackupRef) (prev BackupRef, err error) {
 	return prev, nil
 }
 
-// Drop removes any mapping for page id (page deallocated).
-func (p *PRI) Drop(id page.ID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	i := p.find(id)
-	if i < 0 {
-		return
-	}
-	r := p.ranges[i]
-	repl := make([]rng, 0, 2)
-	if r.lo < id {
-		repl = append(repl, rng{r.lo, id - 1, r.e})
-	}
-	if r.hi > id {
-		repl = append(repl, rng{id + 1, r.hi, r.e})
-	}
-	p.splice(i, i+1, repl)
-}
-
 // RangeCount returns the number of range-compressed records.
 func (p *PRI) RangeCount() int {
 	p.mu.RLock()

@@ -214,24 +214,6 @@ func (p *PRI) mustSetLastLSN(t *testing.T, id page.ID, lsn page.LSN) {
 	}
 }
 
-func TestDrop(t *testing.T) {
-	p := NewPRI()
-	p.SetRange(1, 10, fullEntry(1, 5))
-	p.Drop(5)
-	if _, err := p.Get(5); !errors.Is(err, ErrNoEntry) {
-		t.Error("dropped page still mapped")
-	}
-	for _, id := range []page.ID{4, 6} {
-		if _, err := p.Get(id); err != nil {
-			t.Errorf("neighbor %d lost: %v", id, err)
-		}
-	}
-	p.Drop(999) // no-op
-	if err := p.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSnapshotRestore(t *testing.T) {
 	p := NewPRI()
 	p.SetRange(1, 1000, fullEntry(1, 10))
@@ -318,7 +300,7 @@ func TestBackupKindStrings(t *testing.T) {
 }
 
 // Property: the PRI agrees with a naive per-page map under arbitrary
-// interleavings of range sets, singleton sets, drops, and LSN updates, and
+// interleavings of range sets, singleton sets, and LSN updates, and
 // its structural invariants always hold.
 func TestQuickPRIMatchesNaiveModel(t *testing.T) {
 	f := func(ops []uint64) bool {
@@ -335,7 +317,7 @@ func TestQuickPRIMatchesNaiveModel(t *testing.T) {
 				Backup:  BackupRef{Kind: BackupFull, Loc: uint64(lsn % 7), AsOf: page.LSN(lsn)},
 				LastLSN: page.LSN(lsn),
 			}
-			switch kind % 4 {
+			switch kind % 3 {
 			case 0:
 				p.SetRange(lo, hi, e)
 				for id := lo; id <= hi; id++ {
@@ -345,9 +327,6 @@ func TestQuickPRIMatchesNaiveModel(t *testing.T) {
 				p.Set(lo, e)
 				naive[lo] = e
 			case 2:
-				p.Drop(lo)
-				delete(naive, lo)
-			case 3:
 				if _, ok := naive[lo]; ok {
 					if _, err := p.SetLastLSN(lo, page.LSN(lsn)); err != nil {
 						return false
@@ -493,7 +472,7 @@ func TestQuickPageCountMatchesWalk(t *testing.T) {
 			lo := page.ID(op>>8%64 + 1)
 			hi := lo + page.ID(op>>16%8)
 			e := fullEntry(uint64(op>>24%3), page.LSN(op%5))
-			switch op % 6 {
+			switch op % 5 {
 			case 0:
 				p.SetRange(lo, hi, e)
 			case 1:
@@ -502,10 +481,8 @@ func TestQuickPageCountMatchesWalk(t *testing.T) {
 				p.ReplaceRange(lo, hi, e, page.LSN(op%7))
 			case 3:
 				_, _ = p.SetLastLSN(lo, page.LSN(op>>4%9))
-			case 4:
-				_, _ = p.SetBackup(lo, BackupRef{Kind: BackupPage, Loc: uint64(op >> 20), AsOf: page.LSN(op % 3)})
 			default:
-				p.Drop(lo)
+				_, _ = p.SetBackup(lo, BackupRef{Kind: BackupPage, Loc: uint64(op >> 20), AsOf: page.LSN(op % 3)})
 			}
 			if p.PageCount() != walk(p) {
 				return false

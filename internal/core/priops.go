@@ -27,8 +27,6 @@ const (
 	// PRIOpSetRange: a backup reference now covers a page range
 	// (typically the whole database after a full backup).
 	PRIOpSetRange
-	// PRIOpDrop: the page was deallocated.
-	PRIOpDrop
 )
 
 func (op PRIOp) String() string {
@@ -39,8 +37,6 @@ func (op PRIOp) String() string {
 		return "set-backup"
 	case PRIOpSetRange:
 		return "set-range"
-	case PRIOpDrop:
-		return "drop"
 	default:
 		return fmt.Sprintf("pri-op(%d)", uint8(op))
 	}
@@ -92,11 +88,6 @@ func EncodeSetRange(lo, hi page.ID, e Entry, takenAt page.LSN) []byte {
 }
 
 const setRangeBytes = 1 + 8 + 8 + 1 + 8 + 8 + 8 + 8
-
-// EncodeDrop builds a PRIOpDrop payload.
-func EncodeDrop() []byte {
-	return []byte{byte(PRIOpDrop)}
-}
 
 // DecodePRIOp returns the sub-opcode of a TypePRIUpdate payload.
 func DecodePRIOp(payload []byte) (PRIOp, error) {
@@ -182,9 +173,6 @@ func ApplyPRIRecord(pri *PRI, pmap PageMapper, rec *wal.Record) error {
 			LastLSN: page.LSN(binary.LittleEndian.Uint64(payload[34:])),
 		}
 		pri.ReplaceRange(lo, hi, e, page.LSN(binary.LittleEndian.Uint64(payload[42:])))
-		return nil
-	case PRIOpDrop:
-		pri.Drop(rec.PageID)
 		return nil
 	default:
 		return fmt.Errorf("%w: op %d", ErrBadPRIRecord, payload[0])

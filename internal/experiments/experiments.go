@@ -129,7 +129,7 @@ func E01FailureEscalation(dbPages int) (*E01Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		return nil, err
 	}
 	// Post-backup updates so recovery has work to do.
@@ -334,10 +334,11 @@ func E04RedoOptimization(pages int) (*E04Result, error) {
 	run := func(disableSPF bool) (int, error) {
 		opts := baseOptions()
 		opts.DisableSinglePageRecovery = disableSPF
-		// Figure 4 counts the page reads of the synchronous redo scan, so
-		// pin the pre-instant-restart path (on-demand redo reads no pages
-		// during Restart at all; E26 measures that).
-		opts.Restore = spf.RestoreOptions{Disabled: true}
+		// Figure 4 counts the page reads of the synchronous redo scan,
+		// which a restart runs when its reads cannot detect a stale page
+		// (on-demand redo reads no pages during Restart at all; E26
+		// measures that). The baseline has no PageLSN check either way.
+		opts.DisablePageLSNCheck = true
 		db, err := open(opts)
 		if err != nil {
 			return 0, err

@@ -114,7 +114,7 @@ func E13RecoveryTimeByClass(scalePages int) (*E13Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		return nil, err
 	}
 

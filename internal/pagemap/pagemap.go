@@ -13,10 +13,10 @@
 //
 // The translation table is lock-striped by page ID so the buffer pool's
 // fetch path (Known/Lookup) does not contend with concurrent write-target
-// allocation for unrelated pages. Slot allocation state (free list,
-// high-water mark, next logical ID) lives behind a separate allocMu. Lock
-// order: stripe mutexes (ascending index, when more than one is needed)
-// before allocMu; allocMu is never held while acquiring a stripe.
+// allocation for unrelated pages. Slot allocation state (slot high-water
+// mark, next logical ID) lives behind a separate allocMu. Lock order:
+// stripe mutexes (ascending index, when more than one is needed) before
+// allocMu; allocMu is never held while acquiring a stripe.
 package pagemap
 
 import (
@@ -33,10 +33,9 @@ import (
 
 // Errors returned by the map.
 var (
-	ErrUnknownPage  = errors.New("pagemap: unknown logical page")
-	ErrNoFreeSlots  = errors.New("pagemap: device full")
-	ErrBadSnapshot  = errors.New("pagemap: corrupt snapshot")
-	ErrAlreadyKnown = errors.New("pagemap: logical page already mapped")
+	ErrUnknownPage = errors.New("pagemap: unknown logical page")
+	ErrNoFreeSlots = errors.New("pagemap: device full")
+	ErrBadSnapshot = errors.New("pagemap: corrupt snapshot")
 )
 
 // noSlot marks a logical page that exists but has no physical location yet
@@ -56,10 +55,9 @@ type stripe struct {
 type Map struct {
 	slotCount int
 	stripes   [stripeCount]stripe
-	known     atomic.Int64 // logical pages in the stripes, kept by add and DropLogical
+	known     atomic.Int64 // logical pages in the stripes, kept by add
 
 	allocMu  sync.Mutex
-	free     []storage.PhysID
 	nextPhys storage.PhysID
 	nextID   page.ID
 }
@@ -103,10 +101,9 @@ func (m *Map) AllocateLogical() page.ID {
 	return id
 }
 
-// raiseWatermarks advances nextID past id and nextPhys past phys. Callers
-// raise only after a successful insert, so a rejected Adopt/Remap does not
-// consume ID or slot address space. (Rebuild-time adopters are not
-// concurrent with AllocateLogical, so the insert→raise window is safe.)
+// raiseWatermarks advances nextID past id and nextPhys past phys, after
+// the insert. (Rebuild-time adopters are not concurrent with
+// AllocateLogical, so the insert→raise window is safe.)
 func (m *Map) raiseWatermarks(id page.ID, phys storage.PhysID) {
 	m.allocMu.Lock()
 	if id >= m.nextID {
@@ -118,31 +115,11 @@ func (m *Map) raiseWatermarks(id page.ID, phys storage.PhysID) {
 	m.allocMu.Unlock()
 }
 
-// Adopt registers an existing logical→physical binding, e.g. while
-// rebuilding the map from a checkpoint snapshot or log records.
-func (m *Map) Adopt(id page.ID, phys storage.PhysID) error {
-	st := m.stripeFor(id)
-	st.mu.Lock()
-	if _, ok := st.m[id]; ok {
-		st.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrAlreadyKnown, id)
-	}
-	m.add(st, id, phys)
-	st.mu.Unlock()
-	m.raiseWatermarks(id, phys)
-	return nil
-}
-
-// allocSlot hands out a free physical slot. May be called with a stripe
-// mutex held (stripe→alloc is the sanctioned lock order).
+// allocSlot hands out the next never-used physical slot. May be called
+// with a stripe mutex held (stripe→alloc is the sanctioned lock order).
 func (m *Map) allocSlot() (storage.PhysID, error) {
 	m.allocMu.Lock()
 	defer m.allocMu.Unlock()
-	if n := len(m.free); n > 0 {
-		s := m.free[n-1]
-		m.free = m.free[:n-1]
-		return s, nil
-	}
 	if int(m.nextPhys) >= m.slotCount {
 		return 0, ErrNoFreeSlots
 	}
@@ -209,21 +186,6 @@ func (m *Map) Unbind(id page.ID) {
 	st.mu.Unlock()
 }
 
-// Remap binds logical page id to the given slot, e.g. when replaying page
-// moves from the log during recovery.
-func (m *Map) Remap(id page.ID, phys storage.PhysID) error {
-	st := m.stripeFor(id)
-	st.mu.Lock()
-	if _, ok := st.m[id]; !ok {
-		st.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrUnknownPage, id)
-	}
-	st.m[id] = phys
-	st.mu.Unlock()
-	m.raiseWatermarks(0, phys)
-	return nil
-}
-
 // EnsureMapping binds logical page id to phys, creating the logical page
 // if it was never seen. Restart analysis uses it to replay completed-write
 // records into a map reconstructed from a checkpoint snapshot.
@@ -264,29 +226,8 @@ func (m *Map) ForgetSlots() {
 		st.mu.Unlock()
 	}
 	m.allocMu.Lock()
-	m.free = nil
 	m.nextPhys = 0
 	m.allocMu.Unlock()
-}
-
-// DropLogical removes a logical page entirely, freeing its slot.
-func (m *Map) DropLogical(id page.ID) error {
-	st := m.stripeFor(id)
-	st.mu.Lock()
-	cur, ok := st.m[id]
-	if !ok {
-		st.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrUnknownPage, id)
-	}
-	delete(st.m, id)
-	m.known.Add(-1)
-	st.mu.Unlock()
-	if cur != noSlot {
-		m.allocMu.Lock()
-		m.free = append(m.free, cur)
-		m.allocMu.Unlock()
-	}
-	return nil
 }
 
 // Pages returns all known logical pages in ascending order.
@@ -355,7 +296,7 @@ func (m *Map) Snapshot() []byte {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf := make([]byte, 0, 8*3+len(ids)*16+len(m.free)*8)
+	buf := make([]byte, 0, 8*3+len(ids)*16)
 	var tmp [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(tmp[:], v)
@@ -367,10 +308,6 @@ func (m *Map) Snapshot() []byte {
 	for _, id := range ids {
 		put(uint64(id))
 		put(uint64(mapping[id]))
-	}
-	put(uint64(len(m.free)))
-	for _, s := range m.free {
-		put(uint64(s))
 	}
 	return buf
 }
@@ -390,22 +327,12 @@ func Restore(snap []byte, slotCount int) (*Map, error) {
 	m.nextID = page.ID(get())
 	m.nextPhys = storage.PhysID(get())
 	n := int(get())
-	if pos+n*16 > len(snap) {
+	if pos+n*16 != len(snap) {
 		return nil, ErrBadSnapshot
 	}
 	for i := 0; i < n; i++ {
 		id := page.ID(get())
 		m.add(m.stripeFor(id), id, storage.PhysID(get()))
-	}
-	if pos+8 > len(snap) {
-		return nil, ErrBadSnapshot
-	}
-	nf := int(get())
-	if pos+nf*8 > len(snap) {
-		return nil, ErrBadSnapshot
-	}
-	for i := 0; i < nf; i++ {
-		m.free = append(m.free, storage.PhysID(get()))
 	}
 	return m, nil
 }

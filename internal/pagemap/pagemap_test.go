@@ -109,48 +109,6 @@ func TestUnbind(t *testing.T) {
 	}
 }
 
-func TestDropLogical(t *testing.T) {
-	m := New(10)
-	id := m.AllocateLogical()
-	if _, err := m.WriteTarget(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.DropLogical(id); err != nil {
-		t.Fatal(err)
-	}
-	if m.Known(id) {
-		t.Error("dropped page still known")
-	}
-	if err := m.DropLogical(id); !errors.Is(err, ErrUnknownPage) {
-		t.Errorf("double drop: %v", err)
-	}
-}
-
-func TestRemapAndAdopt(t *testing.T) {
-	m := New(100)
-	id := m.AllocateLogical()
-	if err := m.Remap(id, 42); err != nil {
-		t.Fatal(err)
-	}
-	if s, ok := m.Lookup(id); !ok || s != 42 {
-		t.Errorf("lookup after remap = %d/%v", s, ok)
-	}
-	if err := m.Remap(999, 1); !errors.Is(err, ErrUnknownPage) {
-		t.Errorf("remap unknown: %v", err)
-	}
-	if err := m.Adopt(50, 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Adopt(50, 8); !errors.Is(err, ErrAlreadyKnown) {
-		t.Errorf("double adopt: %v", err)
-	}
-	// nextID advanced past adopted page.
-	next := m.AllocateLogical()
-	if next <= 50 {
-		t.Errorf("AllocateLogical after Adopt(50) = %d, want > 50", next)
-	}
-}
-
 func TestPagesSortedAndMappedSlots(t *testing.T) {
 	m := New(100)
 	var ids []page.ID
@@ -193,10 +151,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Generate some churn: drop a page, freeing its slot.
-	if err := m.DropLogical(ids[3]); err != nil {
-		t.Fatal(err)
-	}
+	// Generate some churn: take a page off its slot.
+	m.Unbind(ids[3])
 	snap := m.Snapshot()
 	r, err := Restore(snap, 64)
 	if err != nil {
@@ -277,22 +233,16 @@ func TestQuickLenMatchesWalk(t *testing.T) {
 		m := New(4096)
 		for _, op := range ops {
 			id := page.ID(op>>4%40 + 1)
-			switch op % 9 {
+			switch op % 6 {
 			case 0:
 				m.AllocateLogical()
 			case 1:
-				_ = m.Adopt(id, storage.PhysID(op>>4))
-			case 2:
 				_ = m.EnsureMapping(id, storage.PhysID(op>>6))
-			case 3:
+			case 2:
 				m.AdoptFresh(id)
-			case 4:
-				_ = m.DropLogical(id)
-			case 5:
+			case 3:
 				m.Unbind(id)
-			case 6:
-				_ = m.Remap(id, storage.PhysID(op>>5))
-			case 7:
+			case 4:
 				_, _ = m.WriteTarget(id)
 			default:
 				if op%3 == 0 {

@@ -58,7 +58,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Server serves the wire protocol over one spf.DB. Create with New, start
-// with Serve (or ListenAndServe), stop with Shutdown. A Server is bound
+// with Serve, stop with Shutdown. A Server is bound
 // to its DB instance: after a Crash/Restart cycle produces a new *spf.DB,
 // build a new Server around it.
 type Server struct {
@@ -126,15 +126,6 @@ func New(db *spf.DB, cfg Config) *Server {
 
 // Registry returns the metrics registry backing /metrics and STATS.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
 
 // Serve accepts connections on ln until Shutdown (which returns nil here)
 // or a non-temporary accept error.

@@ -527,7 +527,7 @@ func TestServeDuringRestoreDrain(t *testing.T) {
 	if err := db.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	// Post-backup update rounds give every page a chain to replay — several

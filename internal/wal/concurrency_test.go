@@ -123,32 +123,22 @@ func TestScanIsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestReadViewAliasesLog verifies ReadView returns the log's own bytes
-// while Read returns an independent copy.
-func TestReadViewAliasesLog(t *testing.T) {
+// TestReadCopiesPayload verifies Read returns an independent copy:
+// mutating it leaves the log's record, and its checksum, intact.
+func TestReadCopiesPayload(t *testing.T) {
 	m := newTestLog()
 	lsn := m.Append(&Record{Type: TypeUpdate, Txn: 1, Payload: []byte("shared bytes")})
-	var view Record
-	if err := m.ReadView(lsn, &view); err != nil {
-		t.Fatal(err)
-	}
 	copied, err := m.Read(lsn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(view.Payload, copied.Payload) {
-		t.Fatal("view and copy disagree")
+	copied.Payload[0] ^= 0xFF
+	again, err := m.Read(lsn)
+	if err != nil {
+		t.Fatalf("mutating a Read copy broke the log's record: %v", err)
 	}
-	// Mutating the view mutates the log (it is a view); the copy is
-	// unaffected. Restore the byte so the CRC stays valid.
-	view.Payload[0] ^= 0xFF
-	var again Record
-	if err := m.ReadView(lsn, &again); err == nil {
-		t.Error("corrupting the view should break the record checksum")
-	}
-	view.Payload[0] ^= 0xFF
-	if copied.Payload[0] != 's' {
-		t.Error("Read copy aliases the log; it must be independent")
+	if !bytes.Equal(again.Payload, []byte("shared bytes")) {
+		t.Errorf("Read copy aliases the log: %q", again.Payload)
 	}
 }
 

@@ -1047,25 +1047,17 @@ func (m *Manager) Master() page.LSN { return page.LSN(m.master.Load()) }
 // records", §6).
 func (m *Manager) Read(lsn page.LSN) (*Record, error) {
 	rec := new(Record)
-	if err := m.readRecord(lsn, rec, true); err != nil {
+	if err := m.readRecord(lsn, rec); err != nil {
 		return nil, err
 	}
 	return rec, nil
 }
 
-// ReadView decodes the record at lsn into rec without copying the payload:
-// rec.Payload aliases the log's internal buffer. The view stays valid
-// until the next Crash or Recycle truncates the log (truncated bytes are
-// reused by later appends); callers that retain records across either, or
-// mutate payloads, must use Read. A record served from the archive
-// fallback is always an independent copy. I/O accounting matches Read.
-func (m *Manager) ReadView(lsn page.LSN, rec *Record) error {
-	return m.readRecord(lsn, rec, false)
-}
-
-func (m *Manager) readRecord(lsn page.LSN, rec *Record, copyPayload bool) error {
+// readRecord is Read into rec: from the live log, or from the archive for
+// a record recycled out of it.
+func (m *Manager) readRecord(lsn page.LSN, rec *Record) error {
 	m.rlock()
-	size, err := m.decodeAt(lsn, rec, copyPayload)
+	size, err := m.decodeAt(lsn, rec, true)
 	if err == nil {
 		m.clock.Random(int64(size))
 		m.stats.recordsRead.Add(1)
@@ -1213,7 +1205,7 @@ func (m *Manager) WalkPageChain(start page.LSN, stopAfter page.LSN, pageID page.
 			return append(chain, rest...), nil
 		}
 		rec := new(Record)
-		if err := m.readRecord(lsn, rec, true); err != nil {
+		if err := m.readRecord(lsn, rec); err != nil {
 			return nil, fmt.Errorf("walking chain for page %d: %w", pageID, err)
 		}
 		if rec.PageID != pageID {

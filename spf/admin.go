@@ -45,14 +45,6 @@ func (db *DB) Checkpoint() (LSN, error) {
 	return res.End, nil
 }
 
-// BackupDatabase takes a full database backup into the backup store and
-// installs it as the backup source for every page (range-compressed PRI
-// entries, §5.2.2). Returns the backup set ID.
-func (db *DB) BackupDatabase() (uint64, error) {
-	id, _, err := db.BackupNow()
-	return id, err
-}
-
 // BackupReport quantifies one BackupNow run.
 type BackupReport struct {
 	Pages   int // logical pages captured in the set
@@ -60,7 +52,11 @@ type BackupReport struct {
 	Skipped int // unchanged images shared with the previous set
 }
 
-// BackupNow takes a full-coverage backup set incrementally: a page whose
+// BackupNow takes a full database backup into the backup store and
+// installs it as the backup source for every page (range-compressed PRI
+// entries, §5.2.2), returning the set's ID and what it copied.
+//
+// The set is taken incrementally: a page whose
 // recovery-index LastLSN shows no durable write since the previous set
 // captured it (and which is not dirty in the pool) is shared with that set
 // via slot reference counting instead of being rewritten. The resulting
@@ -297,9 +293,9 @@ type ScrubReport struct {
 
 // Scrub re-reads every mapped slot verifying checksums (the paper's "disk
 // scrubbing", §1) and repairs every failure it finds through the
-// background repair queue (itself, when the scheduler is disabled). A read
-// that reaches such a page first repairs it and retires the scrub's ticket:
-// the chain is replayed once either way.
+// background repair queue, waiting for each outcome. A read that reaches
+// such a page first repairs it and retires the scrub's ticket: the chain
+// is replayed once either way.
 func (db *DB) Scrub() (ScrubReport, error) {
 	if err := db.opErr(); err != nil {
 		return ScrubReport{}, err
@@ -409,10 +405,11 @@ type RestartReport struct {
 // replayed — retiring its ticket. DrainRestore is the "bulk redo finished"
 // barrier.
 //
-// The synchronous forward-scan redo still runs when the on-demand path
-// cannot: it needs validating reads to trigger per-page replay and the
-// scheduler to drain the rest (Options.Restore.Disabled, single-page
-// recovery or the PageLSN check disabled).
+// Redo follows what the read path can detect: on demand needs a read to
+// find a stale page, which takes single-page recovery and the PageLSN
+// check both. Without either, redo is the synchronous forward log scan
+// (recovery.Redo, Fig. 12's index repair included) — the restart of the
+// traditional baseline and of the no-PageLSN-check ablation.
 func (db *DB) Restart() (*DB, *RestartReport, error) {
 	start := time.Now()
 	analysis, err := recovery.Analyze(db.log, db.opts.DataSlots)
@@ -420,8 +417,7 @@ func (db *DB) Restart() (*DB, *RestartReport, error) {
 		return nil, nil, fmt.Errorf("spf: restart analysis: %w", err)
 	}
 	rep := &RestartReport{Analysis: *analysis}
-	rep.OnDemand = !db.opts.Restore.Disabled && !db.opts.DisableSinglePageRecovery &&
-		!db.opts.DisablePageLSNCheck
+	rep.OnDemand = !db.opts.DisableSinglePageRecovery && !db.opts.DisablePageLSNCheck
 	var backlog []recovery.RedoPage
 	if rep.OnDemand {
 		// Preparation mutates the recovery index, so it runs before the
@@ -435,7 +431,8 @@ func (db *DB) Restart() (*DB, *RestartReport, error) {
 	rep.Undo, err = ndb.finishRecovery(analysis, func() error {
 		if rep.OnDemand {
 			chaos.At("restart.prep")
-			return ndb.workOff(backlog)
+			ndb.workOff(backlog)
+			return nil
 		}
 		redoRep, err := recovery.Redo(recovery.RedoDeps{
 			Log: ndb.log, Pool: ndb.pool, Map: ndb.pmap, PRI: ndb.pri,
@@ -494,18 +491,12 @@ func (db *DB) finishRecovery(a *recovery.AnalysisResult, redo func() error) (rec
 }
 
 // workOff hands a recovery's pages to the repair scheduler, each with the
-// log span its replay covers as cost. Without the scheduler every page is
-// repaired before the DB is returned (the pre-instant-restore behavior).
-func (db *DB) workOff(pages []recovery.RedoPage) error {
+// log span its replay covers as cost; the DB is returned before they drain.
+func (db *DB) workOff(pages []recovery.RedoPage) {
 	db.backlog = len(pages)
 	for _, p := range pages {
-		if db.sched != nil {
-			db.sched.Enqueue(p.ID, p.Cost)
-		} else if err := db.performRepair(p.ID); err != nil {
-			return fmt.Errorf("page %d: %w", p.ID, err)
-		}
+		db.sched.Enqueue(p.ID, p.Cost)
 	}
-	return nil
 }
 
 // reopenCatalog finds the meta page (the lowest TypeMeta page) and reloads
@@ -577,8 +568,14 @@ type MediaRecoveryReport struct {
 // restores that one page itself and retires its ticket; background workers
 // drain the rest, and DrainRestore blocks until they have. Transactions
 // active at the failure are rolled back.
+//
+// Instant restore is single-page recovery of every page, so a database
+// with DisableSinglePageRecovery set cannot be restored and is refused.
 func (db *DB) RecoverMedia() (*DB, *MediaRecoveryReport, error) {
 	start := time.Now()
+	if db.opts.DisableSinglePageRecovery {
+		return nil, nil, errors.New("spf: media recovery restores every page by single-page recovery, which DisableSinglePageRecovery turns off")
+	}
 	setID := db.store.LatestSet()
 	if setID == 0 {
 		return nil, nil, errors.New("spf: no full backup available for media recovery")
@@ -594,7 +591,10 @@ func (db *DB) RecoverMedia() (*DB, *MediaRecoveryReport, error) {
 	}
 	ndb := newDB(db.opts, db.dev, db.store, db.log, analysis.Map, analysis.PRI, db)
 	ndb.inheritParked(db)
-	undoRep, err := ndb.finishRecovery(analysis, func() error { return ndb.workOff(backlog) })
+	undoRep, err := ndb.finishRecovery(analysis, func() error {
+		ndb.workOff(backlog)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("spf: media recovery: %w", err)
 	}
@@ -606,11 +606,7 @@ func (db *DB) RecoverMedia() (*DB, *MediaRecoveryReport, error) {
 // scheduled repair completed) or the scheduler stops. After RecoverMedia
 // it is the "bulk restore finished" barrier; reads need not wait for it —
 // they are served on demand throughout.
-func (db *DB) DrainRestore() {
-	if db.sched != nil {
-		db.sched.Drain()
-	}
-}
+func (db *DB) DrainRestore() { db.sched.Drain() }
 
 // SimulatedIO returns the accumulated simulated I/O time of the data
 // device, the log, and the backup store.

@@ -129,7 +129,7 @@ func TestMediaRestoreUsesOnlyTheSlotsItWrites(t *testing.T) {
 	const n = 3000
 	db := openTestDB(t, testOptions())
 	ix := loadIndex(t, db, "t", n)
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	rewriteAll(t, db, ix, n, 1)
@@ -176,7 +176,7 @@ func TestRestartNeverWritesARetiredSlot(t *testing.T) {
 	const n = 400
 	t.Run("in-place", func(t *testing.T) {
 		opts := testOptions()
-		opts.Restore.Disabled = true // redo, and its write-back, run inside Restart
+		opts.DisablePageLSNCheck = true // redo, and its write-back, run inside Restart
 		db := openTestDB(t, opts)
 		ix := loadIndex(t, db, "t", n)
 		// No commit follows: the completed-write records stay volatile.
@@ -223,7 +223,7 @@ func TestSecondCrashMidDrainRedoesFromImages(t *testing.T) {
 	const n = 1200
 	db := openTestDB(t, restartOptions())
 	ix := loadIndex(t, db, "t", n)
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Checkpoint(); err != nil {
@@ -293,7 +293,7 @@ func TestBenchmarkCountersKeepCounting(t *testing.T) {
 	const n = 1200
 	db := openTestDB(t, restartOptions())
 	ix := loadIndex(t, db, "t", n)
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	victims := []PageID{findLeafOf(t, db, ix, k(100)), findLeafOf(t, db, ix, k(600)), findLeafOf(t, db, ix, k(1100))}

@@ -14,14 +14,15 @@ import (
 )
 
 // recoveryRows are the three ways a restart redoes: on demand behind the
-// scheduler, by the forward scan with single-page recovery still armed, and
-// by the forward scan of the paper's traditional baseline.
+// scheduler, by the forward scan with single-page recovery still armed but
+// no PageLSN check to find a stale page, and by the forward scan of the
+// paper's traditional baseline.
 var recoveryRows = []struct {
 	name string
 	set  func(*Options)
 }{
 	{"instant", func(*Options) {}},
-	{"restore-disabled", func(o *Options) { o.Restore.Disabled = true }},
+	{"no-pagelsn-check", func(o *Options) { o.DisablePageLSNCheck = true }},
 	{"no-single-page-recovery", func(o *Options) { o.DisableSinglePageRecovery = true }},
 }
 
@@ -212,7 +213,7 @@ func TestMediaRecoveryKeepsNewerPageBackups(t *testing.T) {
 		opts.PoolFrames = 512
 		db := openTestDB(t, opts)
 		ix := loadIndex(t, db, "t", 600)
-		set, err := db.BackupDatabase()
+		set, _, err := db.BackupNow()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +272,7 @@ func TestBackupRacingWritesThenMediaRecovery(t *testing.T) {
 		opts.Maintenance = MaintenanceOptions{Enabled: true, FlushInterval: time.Millisecond, FlushBatchPages: 8}
 		db := openTestDB(t, opts)
 		ix := loadIndex(t, db, "t", keys)
-		if _, err := db.BackupDatabase(); err != nil {
+		if _, _, err := db.BackupNow(); err != nil {
 			t.Fatal(err)
 		}
 

@@ -90,7 +90,7 @@ type DB struct {
 	pri   *core.PRI
 	rec   *core.Recoverer
 	res   *backup.Resolver
-	sched *restore.Scheduler   // nil when Options.Restore.Disabled (or SPR off)
+	sched *restore.Scheduler   // the repair queue; every DB has one
 	maint *maintenance.Service // nil unless Options.Maintenance.Enabled
 
 	// Log lifecycle: archiver is the per-DB owner of log truncation, arch
@@ -213,9 +213,6 @@ func newDB(opts Options, dev *storage.Device, store *backup.Store, log *wal.Mana
 // right after the buffer pool exists, from the single goroutine
 // constructing the DB — so it is running before any backlog is enqueued.
 func (db *DB) startRestore() {
-	if db.opts.DisableSinglePageRecovery || db.opts.Restore.Disabled {
-		return
-	}
 	db.sched = restore.New(restore.Config{
 		Workers: db.opts.Restore.Workers,
 	}, restore.Deps{
@@ -233,15 +230,10 @@ func (db *DB) startRestore() {
 // goroutine reach its own quit check) and before any log truncation — a
 // worker mid-repair reads the log and appends recovery records, so the
 // same WAL-safety ordering the maintenance service observes applies here.
-func (db *DB) stopRestore() {
-	if db.sched != nil {
-		db.sched.Stop()
-	}
-}
+func (db *DB) stopRestore() { db.sched.Stop() }
 
 // performRepair makes a page healthy from outside the read path — the
-// scheduler workers' repair routine, and what healDetected and a scrub
-// without a scheduler run themselves.
+// scheduler workers' repair routine, and what healDetected runs itself.
 //
 //   - A scrub finding has a (possibly clean) buffered copy of a damaged
 //     device slot: evict it so the read below sees the device. A page
@@ -271,7 +263,8 @@ func (db *DB) performRepair(id page.ID) error {
 }
 
 // repairNow is performRepair on the caller's goroutine, waiting out
-// readers that have the page pinned.
+// readers that have the page pinned. Only healDetected uses it: its caller
+// is an operation waiting on the page, and a reader never queues.
 func (db *DB) repairNow(id page.ID) error {
 	for attempt := 0; ; attempt++ {
 		if err := db.performRepair(id); err == nil {
@@ -322,15 +315,12 @@ func (db *DB) stopMaintenance() {
 // page) and the call waits for the outcome, which keeps the campaign's
 // repaired/escalated tallies accurate. A page momentarily pinned by
 // readers is requeued with backoff inside the scheduler instead of being
-// dropped. Without a scheduler the campaign's goroutine repairs it.
+// dropped.
 func (db *DB) repairLatent(id page.ID) error {
 	if db.isCrashed() {
 		return ErrCrashed
 	}
-	if sched := db.sched; sched != nil {
-		return sched.Enqueue(id, 0).Wait() // a scrub finding: replay span unknown
-	}
-	return db.repairNow(id)
+	return db.sched.Enqueue(id, 0).Wait() // a scrub finding: replay span unknown
 }
 
 // hooks wires the buffer pool to detection, recovery, and PRI maintenance.
@@ -339,11 +329,7 @@ func (db *DB) hooks() buffer.Hooks {
 		CompleteWrite: db.completeWrite,
 		OnMarkDirty:   db.onMarkDirty,
 		// The scheduler is created after the pool, so resolve it per call.
-		OnReadRetry: func(page.ID) {
-			if s := db.sched; s != nil {
-				s.NoteReadRetry()
-			}
-		},
+		OnReadRetry: func(page.ID) { db.sched.NoteReadRetry() },
 	}
 	if !db.opts.DisableSinglePageRecovery {
 		h.Validate = db.validatePage
@@ -453,9 +439,7 @@ func (db *DB) recoverPage(id page.ID, have *page.Page) (*page.Page, bool, error)
 	}
 	// A ticket still queued for the page is void (the scheduler also tells
 	// a reader's recovery from a worker's).
-	if s := db.sched; s != nil {
-		s.NoteForegroundRepair(id)
-	}
+	db.sched.NoteForegroundRepair(id)
 	return pg, rep.OwnImage, nil
 }
 

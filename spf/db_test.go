@@ -384,43 +384,52 @@ func TestCrashRecoveryCommittedSurvivesLoserRolledBack(t *testing.T) {
 	}
 }
 
+// TestCrashRecoveryUnflushedCommitsRedone runs both redo paths: on demand,
+// and the forward scan a restart takes when its reads have no PageLSN
+// check to find a stale page.
 func TestCrashRecoveryUnflushedCommitsRedone(t *testing.T) {
-	db := openTestDB(t, testOptions())
-	ix := loadIndex(t, db, "t", 200)
-	if _, err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Committed but never flushed to the data device: redo must replay.
-	tx := db.Begin()
-	for i := 200; i < 260; i++ {
-		if err := ix.Insert(tx, k(i), v(i)); err != nil {
+	for _, onDemand := range []bool{true, false} {
+		opts := testOptions()
+		opts.DisablePageLSNCheck = !onDemand
+		db := openTestDB(t, opts)
+		ix := loadIndex(t, db, "t", 200)
+		if _, err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := db.Commit(tx); err != nil {
-		t.Fatal(err)
-	}
-	db.Crash()
-	ndb, rep, err := db.Restart()
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	if rep.OnDemand {
-		if rep.Prep.PagesMarked == 0 {
+		// Committed but never flushed to the data device: redo must replay.
+		tx := db.Begin()
+		for i := 200; i < 260; i++ {
+			if err := ix.Insert(tx, k(i), v(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+		db.Crash()
+		ndb, rep, err := db.Restart()
+		if err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		switch {
+		case rep.OnDemand != onDemand:
+			t.Fatalf("OnDemand = %v with the PageLSN check %v", rep.OnDemand, onDemand)
+		case onDemand && rep.Prep.PagesMarked == 0:
 			t.Error("instant restart marked nothing needs-redo despite unflushed commits")
+		case !onDemand && rep.Redo.RecordsApplied == 0:
+			t.Error("redo applied nothing despite unflushed commits")
 		}
-	} else if rep.Redo.RecordsApplied == 0 {
-		t.Error("redo applied nothing despite unflushed commits")
-	}
-	ix2, err := ndb.Index("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 260; i++ {
-		got, err := ix2.Get(k(i))
-		if err != nil || !bytes.Equal(got, v(i)) {
-			t.Fatalf("key %d after restart: %q, %v", i, got, err)
+		ix2, err := ndb.Index("t")
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := 0; i < 260; i++ {
+			got, err := ix2.Get(k(i))
+			if err != nil || !bytes.Equal(got, v(i)) {
+				t.Fatalf("key %d after restart: %q, %v", i, got, err)
+			}
+		}
+		ndb.Close()
 	}
 }
 
@@ -463,7 +472,7 @@ func TestOperationsFailWhileCrashed(t *testing.T) {
 func TestMediaRecoveryFromFullBackup(t *testing.T) {
 	db := openTestDB(t, testOptions())
 	ix := loadIndex(t, db, "t", 300)
-	setID, err := db.BackupDatabase()
+	setID, _, err := db.BackupNow()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +515,7 @@ func TestMediaRecoveryFromFullBackup(t *testing.T) {
 func TestFullBackupServesSinglePageRecovery(t *testing.T) {
 	db := openTestDB(t, testOptions())
 	ix := loadIndex(t, db, "t", 300)
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	// Update some keys after the backup so the per-page chain matters.

@@ -212,7 +212,7 @@ func runDifferential(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	mutate(20)
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	mutate(20)

@@ -96,7 +96,7 @@ func TestLifecycleRepairAcrossTruncationBoundary(t *testing.T) {
 	db := openTestDB(t, lifecycleOptions())
 	defer db.Close()
 	ix := loadIndex(t, db, "t", n)
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	churn(t, db, ix, n, 6)
@@ -140,7 +140,7 @@ func TestLifecycleSurvivesCrashRestart(t *testing.T) {
 	const n = 200
 	db := openTestDB(t, lifecycleOptions())
 	ix := loadIndex(t, db, "t", n)
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	churn(t, db, ix, n, 4)
@@ -203,7 +203,7 @@ func TestLifecycleReleasesArchivedHistory(t *testing.T) {
 	db := openTestDB(t, lifecycleOptions())
 	defer db.Close()
 	ix := loadIndex(t, db, "t", n)
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	churn(t, db, ix, n, 4)
@@ -215,7 +215,7 @@ func TestLifecycleReleasesArchivedHistory(t *testing.T) {
 	}
 	// A fresh full backup set supersedes the archived chains below it; the
 	// next step garbage-collects them.
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Checkpoint(); err != nil {

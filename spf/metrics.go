@@ -110,9 +110,7 @@ func (db *DB) Metrics() Metrics {
 	if db.maint != nil {
 		m.Maintenance = db.maint.Stats()
 	}
-	if db.sched != nil {
-		m.Restore = db.sched.Stats()
-	}
+	m.Restore = db.sched.Stats()
 	m.RestartRedo = RestartRedoStats{
 		Marked:    int64(db.backlog),
 		FastRedos: m.Recovery.OwnImage,

@@ -43,9 +43,10 @@
 // missing tail of the page's chain onto it; a damaged image offers nothing
 // and the page is rebuilt from its registered backup, a nested single-page
 // failure repaired inside system recovery. Nothing but the index remembers
-// which pages are stale, so a second crash mid-drain changes nothing. The
-// synchronous forward-scan redo remains available behind
-// Options.Restore.Disabled.
+// which pages are stale, so a second crash mid-drain changes nothing. A
+// database whose reads cannot find a stale page — DisableSinglePageRecovery
+// or DisablePageLSNCheck set — restarts with the synchronous forward-scan
+// redo instead.
 package spf
 
 import (
@@ -107,13 +108,11 @@ type Options struct {
 	// Restore configures the background repair scheduler, which drains
 	// the repair work nobody is waiting to read: scrub findings, the
 	// redo backlog of an instant restart, the pages of a replaced
-	// device. It only selects how such backlogs drain — by its workers
-	// while the database serves, or (Disabled) synchronously before
-	// Restart/RecoverMedia return. The read path is the same either way:
-	// the read that finds a page bad repairs it. On by default whenever
-	// single-page recovery is enabled; survives Restart and RecoverMedia
-	// and is quiesced deterministically by Close, Crash, and FailDevice
-	// (workers joined before the log truncates).
+	// device. Every database has one; it never serves a reader, for the
+	// read that finds a page bad repairs it. A fresh one starts with the
+	// database Restart and RecoverMedia return, and Close, Crash, and
+	// FailDevice quiesce it deterministically (workers joined before the
+	// log truncates).
 	Restore RestoreOptions
 	// Lifecycle configures the bounded log lifecycle. The live log is
 	// always truncated: history below both the checkpoint redo horizon and
@@ -199,11 +198,6 @@ type MaintenanceOptions struct {
 // RestoreOptions tunes the repair scheduler (internal/restore). The zero
 // value selects the defaults noted on each field.
 type RestoreOptions struct {
-	// Disabled turns the scheduler off; every repair then runs inline on
-	// the path that detected the failure (the pre-scheduler behavior:
-	// concurrent faulters of one page each replay its chain, and a bulk
-	// media restore is synchronous).
-	Disabled bool
 	// Workers is the number of repair worker goroutines (default 2).
 	Workers int
 }

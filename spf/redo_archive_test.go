@@ -91,7 +91,7 @@ func TestArchiveHoldsOnlyChainRecords(t *testing.T) {
 			db := openTestDB(t, lifecycleOptions())
 			defer db.Close()
 			ix := loadIndexKind(t, db, "t", kind, n)
-			if _, err := db.BackupDatabase(); err != nil {
+			if _, _, err := db.BackupNow(); err != nil {
 				t.Fatal(err)
 			}
 			logged := make(map[page.LSN]*wal.Record)
@@ -211,7 +211,7 @@ func TestRecoveriesAfterManyRecycles(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			db := openTestDB(t, lifecycleOptions())
 			ix := loadIndexKind(t, db, "t", kind, n)
-			if _, err := db.BackupDatabase(); err != nil {
+			if _, _, err := db.BackupNow(); err != nil {
 				t.Fatal(err)
 			}
 			want := make([][]byte, n)
@@ -230,7 +230,7 @@ func TestRecoveriesAfterManyRecycles(t *testing.T) {
 				}
 				putEach(t, db, ix, keys, want)
 				if round == 12 {
-					if _, err := db.BackupDatabase(); err != nil {
+					if _, _, err := db.BackupNow(); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -307,7 +307,7 @@ func TestRedoOnlyChainRepairsAndRestores(t *testing.T) {
 			opts.Lifecycle.SegmentBytes = 4 << 20 // each ArchiveNow collects one batch
 			db := openTestDB(t, opts)
 			ix := loadIndexKind(t, db, "t", kind, n)
-			if _, err := db.BackupDatabase(); err != nil {
+			if _, _, err := db.BackupNow(); err != nil {
 				t.Fatal(err)
 			}
 			want := make([][]byte, n)

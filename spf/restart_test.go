@@ -92,12 +92,12 @@ func TestInstantRestartServesAckedCommitsOnDemand(t *testing.T) {
 	t.Logf("prep=%+v pendingAtReturn=%d redo=%+v", rep.Prep, pendingAtReturn, rs)
 }
 
-// TestRestartSynchronousPathStillWorks pins the pre-instant behavior
-// behind Options.Restore.Disabled: redo is a forward log scan completing
-// before Restart returns.
+// TestRestartSynchronousPathStillWorks pins the restart of a database
+// whose reads cannot find a stale page (Options.DisablePageLSNCheck): redo
+// is a forward log scan completing before Restart returns.
 func TestRestartSynchronousPathStillWorks(t *testing.T) {
 	opts := testOptions()
-	opts.Restore.Disabled = true
+	opts.DisablePageLSNCheck = true
 	db := openTestDB(t, opts)
 	total := dirtyCrash(t, db, 800, 200)
 
@@ -107,7 +107,7 @@ func TestRestartSynchronousPathStillWorks(t *testing.T) {
 	}
 	defer ndb.Close()
 	if rep.OnDemand {
-		t.Fatal("disabled restore still took the on-demand path")
+		t.Fatal("restart without the PageLSN check took the on-demand path")
 	}
 	if rep.Redo.RecordsApplied == 0 {
 		t.Fatal("synchronous redo applied nothing")
@@ -128,7 +128,7 @@ func TestNestedPageFailureDuringRestartRedo(t *testing.T) {
 	db := openTestDB(t, opts)
 	ix := loadIndex(t, db, "t", 1200)
 	// A full backup gives every page a registered fallback source.
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Checkpoint(); err != nil {
@@ -188,7 +188,7 @@ func TestCrashDuringMediaRestoreThenRestart(t *testing.T) {
 	opts := restartOptions()
 	db := openTestDB(t, opts)
 	ix := loadIndex(t, db, "t", 1000)
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	tx := db.Begin()
@@ -235,7 +235,7 @@ func TestCrashDuringMediaRestoreThenRestart(t *testing.T) {
 func TestCrashDuringRestartDrainThenRestartAgain(t *testing.T) {
 	db := openTestDB(t, restartOptions())
 	ix := loadIndex(t, db, "t", 1200)
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	total := 1200

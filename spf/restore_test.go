@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -136,7 +137,7 @@ func TestMediaRecoveryServesReadsOnDemand(t *testing.T) {
 	opts.Restore.Workers = 1 // keep the background queue busy
 	db := openTestDB(t, opts)
 	ix := loadIndex(t, db, "t", 600)
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	// Committed work after the backup — must be replayed from the chain.
@@ -257,49 +258,25 @@ func TestCloseStopsRestoreGoroutines(t *testing.T) {
 	}
 }
 
-// TestRestoreDisabledFallback: the option only selects how backlogs drain.
-// With the scheduler off the read path is the same — the read that finds
-// the damage repairs it — and a media restore is synchronous.
-func TestRestoreDisabledFallback(t *testing.T) {
+// TestRecoverMediaNeedsSinglePageRecovery: instant restore is single-page
+// recovery of every page, so a database without it is refused up front,
+// with an error naming the cause, not part way through the restore.
+func TestRecoverMediaNeedsSinglePageRecovery(t *testing.T) {
 	opts := testOptions()
-	opts.Restore.Disabled = true
+	opts.DisableSinglePageRecovery = true
 	db := openTestDB(t, opts)
-	ix := loadIndex(t, db, "t", 200)
-	if err := db.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	var leaf PageID
-	for _, id := range db.Pages() {
-		if id > ix.Root() {
-			leaf = id
-		}
-	}
-	corruptColdPage(t, db, leaf)
-	for i := 0; i < 200; i++ {
-		if got, err := ix.Get(k(i)); err != nil || !bytes.Equal(got, v(i)) {
-			t.Fatalf("key %d: %q, %v", i, got, err)
-		}
-	}
-	if st := db.Metrics(); st.Recovery.Recoveries < 1 || st.Restore.Enqueued != 0 {
-		t.Fatalf("inline fallback stats wrong: recovery=%+v restore=%+v", st.Recovery, st.Restore)
-	}
-	if _, err := db.BackupDatabase(); err != nil {
+	loadIndex(t, db, "t", 200)
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	db.FailDevice()
 	ndb, _, err := db.RecoverMedia()
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		ndb.Close()
+		t.Fatal("media recovery succeeded without single-page recovery")
 	}
-	defer ndb.Close()
-	ix2, err := ndb.Index("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if got, err := ix2.Get(k(i)); err != nil || !bytes.Equal(got, v(i)) {
-			t.Fatalf("key %d after sync media recovery: %q, %v", i, got, err)
-		}
+	if !strings.Contains(err.Error(), "DisableSinglePageRecovery") {
+		t.Fatalf("error does not name the cause: %v", err)
 	}
 }
 
@@ -423,7 +400,7 @@ func TestOnDemandReadDoesNotWaitForBulkRestore(t *testing.T) {
 	opts.Restore.Workers = 1
 	db := openTestDB(t, opts)
 	ix := loadIndex(t, db, "t", 5000)
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	for r := 1; r <= 3; r++ {

@@ -23,7 +23,7 @@ func TestReadErrorCostsItsReReads(t *testing.T) {
 	db := openTestDB(t, testOptions())
 	defer db.Close()
 	ix := loadIndex(t, db, "t", 400)
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	victim := findLeafOf(t, db, ix, k(100))
@@ -148,7 +148,7 @@ func TestBackupNowBesideRepairs(t *testing.T) {
 	db := openTestDB(t, testOptions())
 	defer db.Close()
 	ix := loadIndex(t, db, "t", n)
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	var leaves []PageID

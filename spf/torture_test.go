@@ -125,7 +125,7 @@ func runTorture(t *testing.T, seed int64, archive bool) {
 	hx := loadIndexKind(t, db, "h", KindHash, base)
 	// Every page gets a registered backup so any corruption victim is
 	// recoverable.
-	if _, err := db.BackupDatabase(); err != nil {
+	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Checkpoint(); err != nil {
