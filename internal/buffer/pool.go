@@ -940,8 +940,12 @@ func (p *Pool) writeBack(f *frame) ([]*wal.Record, bool, error) {
 		f.latch.RUnlock()
 		return nil, false, nil
 	}
-	// WAL protocol: no dirty page reaches the database before its log.
-	p.log.Flush(f.pg.LSN())
+	// WAL protocol: no dirty page reaches the database before its log — nor
+	// ever, once a crash sealed the log below the page's records.
+	if err := p.log.Flush(f.pg.LSN()); err != nil {
+		f.latch.RUnlock()
+		return nil, false, fmt.Errorf("buffer: flush of page %d: %w", f.id, err)
+	}
 	dst, err := p.pmap.WriteTarget(f.id)
 	if err != nil {
 		f.latch.RUnlock()

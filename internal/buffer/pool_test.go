@@ -1072,3 +1072,29 @@ func TestWriteInfoCountsUpdatesSinceTheLastWriteBack(t *testing.T) {
 		t.Fatalf("write-backs reported %v updates, want [3 3 1]", got)
 	}
 }
+
+// TestWriteBackRefusedOnceTheLogIsSealed: the write-ahead rule holds across
+// a crash. A page whose record the crash left above the sealed log's stable
+// prefix is never written — the device is untouched and the page stays
+// dirty — and the write-back reports wal.ErrSealed; a page whose log
+// survived is written as before.
+func TestWriteBackRefusedOnceTheLogIsSealed(t *testing.T) {
+	e := newEnv(t, 4, Hooks{})
+	durable := e.newPage(t, "logged")
+	e.log.FlushAll()
+	lost := e.newPage(t, "unlogged")
+	e.log.Crash()
+	writes := e.dev.Stats().Writes
+	if err := e.pool.FlushPage(lost); !errors.Is(err, wal.ErrSealed) {
+		t.Fatalf("write-back of a page whose log the crash cut = %v, want wal.ErrSealed", err)
+	}
+	if got := e.dev.Stats().Writes; got != writes || !e.pool.IsDirty(lost) {
+		t.Fatalf("refused write-back reached the device (%d -> %d writes) or cleaned the frame", writes, got)
+	}
+	if err := e.pool.FlushPage(durable); err != nil {
+		t.Fatalf("write-back of a page whose log survived: %v", err)
+	}
+	if got := e.dev.Stats().Writes; got != writes+1 {
+		t.Fatalf("device writes %d -> %d, want one", writes, got)
+	}
+}

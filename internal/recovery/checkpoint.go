@@ -66,11 +66,10 @@ type CheckpointDeps struct {
 // serialization guarantees no page is written twice for one image), and a
 // page evicted meanwhile was flushed by the eviction.
 //
-// epoch is the log's crash epoch as the caller read it before it checked
-// that its database was open. Both records are appended against it and the
-// master moves only if it still holds: a checkpoint overtaken by a crash
-// must not describe the dead incarnation's pool in the survivor's log. Such
-// a checkpoint returns wal.ErrEpochChanged.
+// Both records go to the log of the checkpoint's own incarnation. A crash
+// seals that log: the end record then never becomes stable, the master
+// stays where it was, and the checkpoint returns wal.ErrSealed — the
+// restarted database, on the log wal.TakeOver built, never sees it.
 //
 // The returned CheckpointResult carries, besides the end-record LSN, the
 // checkpoint's redo horizon: the lowest LSN a restart from this checkpoint
@@ -78,11 +77,8 @@ type CheckpointDeps struct {
 // the logged dirty page table when that is lower. That is what lets the
 // log lifecycle recycle live segments beneath it (archived history still
 // serves per-page chain replays).
-func Checkpoint(d CheckpointDeps, epoch uint64) (CheckpointResult, error) {
-	begin, err := d.Log.AppendSince(&wal.Record{Type: wal.TypeCheckpointBegin}, epoch)
-	if err != nil {
-		return CheckpointResult{}, err
-	}
+func Checkpoint(d CheckpointDeps) (CheckpointResult, error) {
+	begin := d.Log.Append(&wal.Record{Type: wal.TypeCheckpointBegin})
 	dirtyAtStart := d.Pool.DirtyPages()
 	ids := make([]page.ID, len(dirtyAtStart))
 	for i, e := range dirtyAtStart {
@@ -106,14 +102,9 @@ func Checkpoint(d CheckpointDeps, epoch uint64) (CheckpointResult, error) {
 	// Whatever commits or dirties a page here is in no snapshot and below
 	// the end record — only the scan from the begin record finds it.
 	chaos.At("recovery.checkpoint.snapshot")
-	end, err := d.Log.AppendSince(&wal.Record{Type: wal.TypeCheckpointEnd, Payload: encodeCheckpoint(data)}, epoch)
-	if err != nil {
+	end := d.Log.Append(&wal.Record{Type: wal.TypeCheckpointEnd, Payload: encodeCheckpoint(data)})
+	if err := d.Log.Flush(end); err != nil {
 		return CheckpointResult{}, err
-	}
-	d.Log.FlushAll()
-	if d.Log.Epoch() != epoch {
-		// The end record may have gone with the volatile tail.
-		return CheckpointResult{}, wal.ErrEpochChanged
 	}
 	d.Log.SetMaster(end)
 	horizon := begin

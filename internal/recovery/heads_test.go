@@ -143,7 +143,7 @@ func runHeadsOracle(t *testing.T, seed int64) {
 			})
 			res, err := Checkpoint(CheckpointDeps{
 				Log: r.log, Pool: r.pool, Txns: r.txns, PRI: r.pri, Map: r.pmap,
-			}, r.log.Epoch())
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func runHeadsOracle(t *testing.T, seed int64) {
 	h.Release()
 	r.update(t, pages[1], "last commit: forces the loser's record")
 	_ = r.pool.FlushPage(pages[2]) // its completed-write record dies in the tail
-	r.log.Crash()
+	r.crash()
 	r.pool.Crash()
 
 	observe(r.log.EndLSN())
@@ -253,7 +253,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	r.txns.Begin()
 	res, err := Checkpoint(CheckpointDeps{
 		Log: r.log, Pool: r.pool, Txns: r.txns, PRI: r.pri, Map: r.pmap,
-	}, r.log.Epoch())
+	})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -110,11 +110,18 @@ func (r *rig) update(t testing.TB, id page.ID, payload string) {
 	}
 }
 
+// crash seals the rig's log and hands what survived to its next
+// incarnation, as a restart does.
+func (r *rig) crash() {
+	r.log.Crash()
+	r.log = wal.TakeOver(r.log)
+}
+
 func (r *rig) checkpoint(t testing.TB) {
 	t.Helper()
 	if _, err := Checkpoint(CheckpointDeps{
 		Log: r.log, Pool: r.pool, Txns: r.txns, PRI: r.pri, Map: r.pmap,
-	}, r.log.Epoch()); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -151,7 +158,7 @@ func TestAnalyzeFindsLosersAndDPT(t *testing.T) {
 	h.Unlock()
 	h.Release()
 	r.log.FlushAll()
-	r.log.Crash()
+	r.crash()
 
 	res, err := Analyze(r.log, 1024)
 	if err != nil {
@@ -331,7 +338,7 @@ func TestRedoRepairsLostPRIUpdate(t *testing.T) {
 	if err := r.pool.FlushPage(id); err != nil {
 		t.Fatal(err)
 	}
-	r.log.Crash() // v2's PRI update record (unflushed) vanishes; page write survived
+	r.crash() // v2's PRI update record (unflushed) vanishes; page write survived
 	r.pool.Crash()
 
 	res, err := Analyze(r.log, 1024)
@@ -467,7 +474,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	open := r.txns.Begin() // active at checkpoint
 	res, err := Checkpoint(CheckpointDeps{
 		Log: r.log, Pool: r.pool, Txns: r.txns, PRI: r.pri, Map: r.pmap,
-	}, r.log.Epoch())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +574,7 @@ func TestLateBornPagesReachMediaPreparationWithTheirFormatRecords(t *testing.T) 
 		r.update(t, id, "born after the set")
 	}
 	r.log.FlushAll()
-	r.log.Crash()
+	r.crash()
 	r.pool.Crash()
 
 	a, err := Analyze(r.log, 1024)

@@ -117,11 +117,6 @@ type Txn struct {
 	// goroutine writes it on every record it logs while a concurrent
 	// checkpoint reads it through Manager.Active, hence atomic.
 	lastLSN atomic.Uint64
-	// epoch is the log's crash epoch at Begin: if a simulated crash
-	// intervenes before the commit force completes, records of this
-	// transaction may have vanished from the volatile tail, and Commit
-	// reports wal.ErrCommitLost instead of claiming durability.
-	epoch uint64
 	// beginLSN is the log end when the transaction began: every record it
 	// ever writes is at or above it. The archive release floor uses the
 	// minimum over active transactions so undo chains stay readable.
@@ -140,7 +135,7 @@ type Txn struct {
 func (m *Manager) Begin() *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := &Txn{mgr: m, id: m.nextID, state: Active, epoch: m.log.Epoch(), beginLSN: m.log.EndLSN()}
+	t := &Txn{mgr: m, id: m.nextID, state: Active, beginLSN: m.log.EndLSN()}
 	m.nextID++
 	m.active[t.id] = t
 	m.stats.UserBegun++
@@ -154,7 +149,7 @@ func (m *Manager) Begin() *Txn {
 func (m *Manager) BeginSystem() *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := &Txn{mgr: m, id: m.nextID | systemBit, system: true, state: Active, epoch: m.log.Epoch(), beginLSN: m.log.EndLSN()}
+	t := &Txn{mgr: m, id: m.nextID | systemBit, system: true, state: Active, beginLSN: m.log.EndLSN()}
 	m.nextID++
 	m.active[t.id] = t
 	m.stats.SysBegun++
@@ -187,10 +182,7 @@ func (t *Txn) Log(rec *wal.Record) (page.LSN, error) {
 	}
 	rec.Txn = t.id
 	rec.PrevLSN = t.LastLSN()
-	lsn, err := t.mgr.log.AppendSince(rec, t.epoch)
-	if err != nil {
-		return 0, fmt.Errorf("txn %d: %w", t.id, err)
-	}
+	lsn := t.mgr.log.Append(rec)
 	t.lastLSN.Store(uint64(lsn))
 	if rec.Type == wal.TypeUpdate {
 		t.mgr.mu.Lock()
@@ -227,10 +219,7 @@ func (t *Txn) LogCLR(pageID page.ID, pagePrevLSN page.LSN, payload []byte, undoN
 	}
 	rec.Txn = t.id
 	rec.PrevLSN = t.LastLSN()
-	lsn, err := t.mgr.log.AppendSince(rec, t.epoch)
-	if err != nil {
-		return 0, fmt.Errorf("txn %d: %w", t.id, err)
-	}
+	lsn := t.mgr.log.Append(rec)
 	t.lastLSN.Store(uint64(lsn))
 	t.mgr.mu.Lock()
 	t.mgr.stats.CLRsLogged++
@@ -250,21 +239,13 @@ func (t *Txn) Commit() error {
 	if t.system {
 		typ = wal.TypeSysCommit
 	}
-	lsn, err := t.end(typ)
-	if err != nil {
-		// A crash since Begin: the commit record was never laid, so the
-		// transaction's fate is decided — lost — and the caller must be
-		// able to match that, not only the append's epoch error.
-		return fmt.Errorf("txn %d commit not durable: %w: %w", t.id, wal.ErrCommitLost, err)
-	}
+	lsn := t.end(typ)
 	if !t.system {
 		// The force coalesces with concurrent commits behind the log flush
-		// in progress. A crash that leaves the commit unprovable surfaces
-		// here, and restart decides the transaction's fate — usually rolled
-		// back as a loser, but a commit record that reached stable storage
-		// before the crash is replayed, so callers must consult
-		// post-restart state before retrying.
-		if err := t.mgr.log.ForceForCommitSince(lsn, t.epoch); err != nil {
+		// in progress. A crash that sealed the log before the commit record
+		// was stable surfaces here as wal.ErrCommitLost: the record is not in
+		// the log restart takes over, so restart rolls the transaction back.
+		if err := t.mgr.log.ForceForCommit(lsn); err != nil {
 			return fmt.Errorf("txn %d commit not durable: %w", t.id, err)
 		}
 	}
@@ -288,17 +269,13 @@ func (t *Txn) Commit() error {
 // an acknowledged commit back. The order is record first, mark second,
 // inside one critical section — a mark set ahead of the append would hide a
 // real loser if the crash fell between the two.
-func (t *Txn) end(typ wal.RecType) (page.LSN, error) {
+func (t *Txn) end(typ wal.RecType) page.LSN {
 	t.mgr.mu.Lock()
 	defer t.mgr.mu.Unlock()
-	rec := &wal.Record{Type: typ, Txn: t.id, PrevLSN: t.LastLSN()}
-	lsn, err := t.mgr.log.AppendSince(rec, t.epoch)
-	if err != nil {
-		return 0, err
-	}
+	lsn := t.mgr.log.Append(&wal.Record{Type: typ, Txn: t.id, PrevLSN: t.LastLSN()})
 	t.lastLSN.Store(uint64(lsn))
 	t.ended = true
-	return lsn, nil
+	return lsn
 }
 
 // Abort rolls the transaction back: it walks the per-transaction chain
@@ -313,9 +290,7 @@ func (t *Txn) Abort() error {
 	if err := t.rollbackTo(page.ZeroLSN); err != nil {
 		return err
 	}
-	if _, err := t.end(wal.TypeAbort); err != nil {
-		return fmt.Errorf("txn %d abort: %w", t.id, err)
-	}
+	t.end(wal.TypeAbort)
 	t.state = Aborted
 	t.mgr.mu.Lock()
 	delete(t.mgr.active, t.id)
@@ -392,7 +367,7 @@ func (m *Manager) Active() []ActiveEntry {
 func (m *Manager) AdoptLoser(id wal.TxnID, lastLSN page.LSN) *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := &Txn{mgr: m, id: id, system: IsSystemID(id), state: Active, epoch: m.log.Epoch()}
+	t := &Txn{mgr: m, id: id, system: IsSystemID(id), state: Active}
 	t.lastLSN.Store(uint64(lastLSN))
 	m.active[id] = t
 	if id&^systemBit >= m.nextID {

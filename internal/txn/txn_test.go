@@ -98,7 +98,7 @@ func TestSystemCommitDurableViaLaterUserCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	log.Crash()
-	if _, err := log.Read(sysLSN); err != nil {
+	if _, err := wal.TakeOver(log).Read(sysLSN); err != nil {
 		t.Errorf("system txn record lost despite later user commit: %v", err)
 	}
 }
@@ -344,9 +344,10 @@ func TestAdoptLoserAdvancesNextID(t *testing.T) {
 }
 
 // TestCommitRecordAppendAcrossCrashIsCommitLost: a crash between a
-// transaction's last update and its commit record neutralizes the commit
-// record's append. Nothing was laid, so the commit is definitively lost and
-// the error must say so to a caller matching wal.ErrCommitLost.
+// transaction's last update and its commit record seals the log. The
+// commit record is appended to the failed incarnation's log, which nothing
+// makes stable any more, so the commit is definitively lost, no force is
+// spent on it, and the error says so to a caller matching wal.ErrCommitLost.
 func TestCommitRecordAppendAcrossCrashIsCommitLost(t *testing.T) {
 	log, m, _ := newManagers()
 	tx := m.Begin()
@@ -357,9 +358,6 @@ func TestCommitRecordAppendAcrossCrashIsCommitLost(t *testing.T) {
 	err := tx.Commit()
 	if !errors.Is(err, wal.ErrCommitLost) {
 		t.Fatalf("commit across a crash = %v, want wal.ErrCommitLost", err)
-	}
-	if !errors.Is(err, wal.ErrEpochChanged) {
-		t.Errorf("commit across a crash = %v, lost the append's epoch error", err)
 	}
 	if tx.State() != Active {
 		t.Errorf("state = %v, want the loser left active for restart", tx.State())

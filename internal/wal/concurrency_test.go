@@ -92,7 +92,7 @@ func TestChunkSpanningRecords(t *testing.T) {
 	}
 	m.FlushAll()
 	m.Crash()
-	if _, err := m.Read(lsns[len(lsns)-1]); err != nil {
+	if _, err := TakeOver(m).Read(lsns[len(lsns)-1]); err != nil {
 		t.Fatalf("flushed spanning record lost in crash: %v", err)
 	}
 }
@@ -186,13 +186,14 @@ func TestGroupCommitCoalesces(t *testing.T) {
 }
 
 // TestCommitAfterCloseStartsNoGoroutine: Close stops nothing because the log
-// runs nothing — a commit after Close and Crash (Restart reuses the manager)
-// is durable, and a thousand lone commits each lead their own flush without
-// a goroutine being started for them.
+// runs nothing — a commit after Close, on the incarnation that takes the log
+// over after a crash, is durable, and a thousand lone commits each lead their
+// own flush without a goroutine being started for them.
 func TestCommitAfterCloseStartsNoGoroutine(t *testing.T) {
 	m := newTestLog()
 	m.Close()
-	m.Crash() // nothing unflushed; epoch bump only
+	m.Crash() // nothing unflushed
+	m = TakeOver(m)
 	before := runtime.NumGoroutine()
 	const commits = 1000
 	for i := 0; i < commits; i++ {
@@ -213,74 +214,127 @@ func TestCommitAfterCloseStartsNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestCommitLostInCrash: a commit whose record vanished with the volatile
-// tail must report ErrCommitLost, never pretend durability.
+// TestCommitLostInCrash: a commit whose record the crash left above the
+// sealed stable prefix must report ErrCommitLost, never pretend durability;
+// the next incarnation commits at the sealed boundary.
 func TestCommitLostInCrash(t *testing.T) {
 	m := newTestLog()
-	epoch := m.Epoch()
 	lsn := m.Append(&Record{Type: TypeCommit, Txn: 1})
-	m.Crash() // unflushed: the record vanishes
-	if err := m.ForceForCommitSince(lsn, epoch); !errors.Is(err, ErrCommitLost) {
+	m.Crash() // unflushed: the record does not survive
+	if err := m.ForceForCommit(lsn); !errors.Is(err, ErrCommitLost) {
 		t.Errorf("force after crash = %v, want ErrCommitLost", err)
 	}
-	// A commit of a fresh post-crash transaction works.
-	lsn2 := m.Append(&Record{Type: TypeCommit, Txn: 2})
-	if err := m.ForceForCommit(lsn2); err != nil {
+	s := TakeOver(m)
+	lsn2 := s.Append(&Record{Type: TypeCommit, Txn: 2})
+	if lsn2 != lsn {
+		t.Errorf("next incarnation's first record at %d, want the sealed boundary %d", lsn2, lsn)
+	}
+	if err := s.ForceForCommit(lsn2); err != nil {
 		t.Errorf("post-crash commit: %v", err)
 	}
 }
 
 // TestCommitFlushedBeforeCrashIsDurable: a commit record that reached
-// stable storage before the crash (e.g. via another commit's flush) must
-// report durable even though the epoch changed — restart will replay it,
-// and telling the caller "lost" would invite a double-apply.
+// stable storage before the crash (e.g. via another commit's flush) reports
+// durable although its own force comes after the seal — restart replays it,
+// and telling the caller "lost" would invite a double-apply. A commit
+// record appended after the seal is lost, whatever is flushed after it.
 func TestCommitFlushedBeforeCrashIsDurable(t *testing.T) {
 	m := newTestLog()
-	epoch := m.Epoch()
 	lsn := m.Append(&Record{Type: TypeCommit, Txn: 1})
 	m.FlushAll() // another path made it stable before the crash
 	m.Crash()
-	if err := m.ForceForCommitSince(lsn, epoch); err != nil {
+	if err := m.ForceForCommit(lsn); err != nil {
 		t.Errorf("force of pre-crash-flushed commit = %v, want nil", err)
 	}
-	// Two crashes ago: conservatively lost.
-	lsn2 := m.Append(&Record{Type: TypeCommit, Txn: 2})
+	late := m.Append(&Record{Type: TypeCommit, Txn: 2})
 	m.FlushAll()
-	m.Crash()
-	m.Crash()
-	if err := m.ForceForCommitSince(lsn2, epoch+1); !errors.Is(err, ErrCommitLost) {
-		t.Errorf("two-crashes-ago commit = %v, want conservative ErrCommitLost", err)
+	if err := m.ForceForCommit(late); !errors.Is(err, ErrCommitLost) {
+		t.Errorf("commit appended after the seal = %v, want ErrCommitLost", err)
+	}
+	if rec, err := TakeOver(m).Read(lsn); err != nil || rec.Txn != 1 {
+		t.Errorf("durable commit record in the next incarnation: %+v, %v", rec, err)
 	}
 }
 
-// TestAppendSinceNeutralizesStaleRecords: appends from a pre-crash epoch
-// must not land as live records, and the hole they fill must be inert for
-// every scan.
-func TestAppendSinceNeutralizesStaleRecords(t *testing.T) {
+// TestAppendAfterSealNeverReachesSuccessor: a transaction of the failed
+// incarnation keeps appending to the log it began on. Its records publish
+// there — its own rollback could read them — but never become stable, and
+// the next incarnation, which hands out the same LSNs, holds none of them.
+func TestAppendAfterSealNeverReachesSuccessor(t *testing.T) {
 	m := newTestLog()
-	epoch := m.Epoch()
-	m.Append(&Record{Type: TypeUpdate, Txn: 1, PageID: 5, Payload: []byte("pre")})
+	pre := m.Append(&Record{Type: TypeUpdate, Txn: 1, PageID: 5, Payload: []byte("pre")})
+	m.FlushAll()
 	m.Crash()
-	if _, err := m.AppendSince(&Record{Type: TypeUpdate, Txn: 1, PageID: 5, Payload: []byte("zombie")},
-		epoch); !errors.Is(err, ErrEpochChanged) {
-		t.Fatalf("stale append = %v, want ErrEpochChanged", err)
+	s := TakeOver(m)
+	zombie := m.Append(&Record{Type: TypeUpdate, Txn: 1, PageID: 5, PagePrevLSN: pre, Payload: []byte("zombie")})
+	if err := m.Flush(zombie); !errors.Is(err, ErrSealed) {
+		t.Fatalf("flush of a record appended after the seal = %v, want ErrSealed", err)
 	}
-	live := m.Append(&Record{Type: TypeUpdate, Txn: 2, PageID: 6, Payload: []byte("post")})
-	types := []RecType{}
-	err := m.Scan(FirstLSN(), func(r *Record) bool {
-		types = append(types, r.Type)
+	live := s.Append(&Record{Type: TypeUpdate, Txn: 2, PageID: 6, Payload: []byte("post")})
+	if live != zombie {
+		t.Fatalf("next incarnation appends at %d, want the sealed boundary %d", live, zombie)
+	}
+	if rec, err := m.Read(zombie); err != nil || string(rec.Payload) != "zombie" {
+		t.Fatalf("the failed incarnation lost its own record: %+v, %v", rec, err)
+	}
+	var got []string
+	if err := s.Scan(FirstLSN(), func(r *Record) bool {
+		got = append(got, string(r.Payload))
 		return true
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	// The neutralized hole scans as TypeInvalid with no page linkage.
-	if len(types) != 2 || types[0] != TypeInvalid || types[1] != TypeUpdate {
-		t.Fatalf("post-crash log types = %v, want [invalid update]", types)
+	if len(got) != 2 || got[0] != "pre" || got[1] != "post" {
+		t.Fatalf("next incarnation holds %q, want [pre post]", got)
 	}
-	rec, err := m.Read(live)
-	if err != nil || rec.PageID != 6 {
-		t.Fatalf("live record after hole: %+v, %v", rec, err)
+}
+
+// TestTakeOverOwnsTheSurvivingBytes: the next incarnation reads exactly the
+// stable prefix, the recycling boundary and the master the seal left, on
+// the failed one's device clock and counters; from then on the two write
+// nothing the other reads. The seal here falls mid-chunk past the first
+// seam: the chunk below it is shared, the one it falls in is copied.
+func TestTakeOverOwnsTheSurvivingBytes(t *testing.T) {
+	m := newTestLog()
+	big := func(tag byte) []byte { return bytes.Repeat([]byte{tag}, 300<<10) }
+	var lsns []page.LSN
+	for i := 0; i < 6; i++ {
+		lsns = append(lsns, m.Append(&Record{Type: TypeUpdate, Txn: 1, PageID: 2, Payload: big(byte(i))}))
+	}
+	m.Flush(lsns[4])
+	m.SetMaster(lsns[2])
+	m.Recycle(lsns[1])
+	m.Crash()
+	s := TakeOver(m)
+	if s.FlushedLSN() != lsns[5] || s.EndLSN() != lsns[5] || s.Master() != lsns[2] || s.TruncatedLSN() != lsns[1] {
+		t.Fatalf("next incarnation: flushed %d end %d master %d truncated %d; want %d %d %d %d",
+			s.FlushedLSN(), s.EndLSN(), s.Master(), s.TruncatedLSN(), lsns[5], lsns[5], lsns[2], lsns[1])
+	}
+	if s.Clock() != m.Clock() {
+		t.Fatal("the next incarnation runs on another log device clock")
+	}
+	// Both incarnations write past the seal at once.
+	zombie := m.Append(&Record{Type: TypeUpdate, Txn: 1, PageID: 2, Payload: big('z')})
+	mine := s.Append(&Record{Type: TypeUpdate, Txn: 2, PageID: 3, Payload: big('s')})
+	check := func(name string, l *Manager, lsn page.LSN, tag byte) {
+		t.Helper()
+		rec, err := l.Read(lsn)
+		if err != nil || !bytes.Equal(rec.Payload, big(tag)) {
+			t.Fatalf("%s record at %d: err %v, payload intact %v", name, lsn, err, err == nil && bytes.Equal(rec.Payload, big(tag)))
+		}
+	}
+	for i := 1; i < 5; i++ {
+		check("surviving", s, lsns[i], byte(i))
+	}
+	check("failed incarnation's unflushed", m, lsns[5], 5)
+	check("failed incarnation's late", m, zombie, 'z')
+	check("next incarnation's", s, mine, 's')
+	if _, err := s.Read(lsns[0]); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("read below the inherited boundary = %v, want ErrTruncated", err)
+	}
+	if got := s.Stats().Appends; got != 8 {
+		t.Fatalf("appends = %d across both incarnations, want 8", got)
 	}
 }
 
@@ -305,13 +359,18 @@ func TestFlushBoundaryIsO1(t *testing.T) {
 }
 
 // TestConcurrentAppendCommitCrashScan is the -race stress mix: appenders,
-// committers, a crasher, and scanners all running against one log. After
-// the dust settles the log must scan cleanly end to end.
+// committers, scanners and a crasher that seals the current incarnation and
+// takes it over, again and again. Workers move to the newest incarnation
+// between operations, so stragglers keep working on sealed ones. Every scan
+// of any incarnation is clean, every commit acknowledged on any incarnation
+// is in the last one, and the last one scans cleanly end to end.
 func TestConcurrentAppendCommitCrashScan(t *testing.T) {
-	m := NewManagerOpts(Options{Profile: iosim.Instant, GroupCommitWindow: 100 * time.Microsecond})
-	defer m.Close()
+	var cur atomic.Pointer[Manager]
+	cur.Store(NewManagerOpts(Options{Profile: iosim.Instant, GroupCommitWindow: 100 * time.Microsecond}))
 	var stop atomic.Bool
 	var wg sync.WaitGroup
+	var ackMu sync.Mutex
+	acked := make(map[page.LSN]TxnID)
 
 	// Appenders.
 	for w := 0; w < 3; w++ {
@@ -320,7 +379,7 @@ func TestConcurrentAppendCommitCrashScan(t *testing.T) {
 			defer wg.Done()
 			payload := make([]byte, 40)
 			for !stop.Load() {
-				m.Append(&Record{Type: TypeUpdate, Txn: TxnID(w), PageID: page.ID(w), Payload: payload})
+				cur.Load().Append(&Record{Type: TypeUpdate, Txn: TxnID(w), PageID: page.ID(w), Payload: payload})
 			}
 		}(w)
 	}
@@ -329,25 +388,30 @@ func TestConcurrentAppendCommitCrashScan(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for !stop.Load() {
-				epoch := m.Epoch()
-				lsn := m.Append(&Record{Type: TypeCommit, Txn: TxnID(100 + w)})
-				if err := m.ForceForCommitSince(lsn, epoch); err != nil && !errors.Is(err, ErrCommitLost) {
+			for i := 0; !stop.Load(); i++ {
+				m := cur.Load()
+				id := TxnID(100 + w + 3*i)
+				lsn := m.Append(&Record{Type: TypeCommit, Txn: id})
+				err := m.ForceForCommit(lsn)
+				if err != nil && !errors.Is(err, ErrCommitLost) {
 					t.Errorf("committer %d: %v", w, err)
 					return
+				}
+				if err == nil {
+					ackMu.Lock()
+					acked[lsn] = id
+					ackMu.Unlock()
 				}
 			}
 		}(w)
 	}
-	// Scanner: a scan that races a crash may land mid-record (detected via
-	// checksum); any such failure must be a detected decode error, never a
-	// torn read of published data.
+	// Scanner: nothing is ever rolled back or reused, so every scan of any
+	// incarnation is clean.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			err := m.Scan(FirstLSN(), func(r *Record) bool { return true })
-			if err != nil && !errors.Is(err, ErrCorruptRec) && !errors.Is(err, ErrTornRecord) && !errors.Is(err, ErrBadLSN) {
+			if err := cur.Load().Scan(FirstLSN(), func(r *Record) bool { return true }); err != nil {
 				t.Errorf("scan: %v", err)
 				return
 			}
@@ -359,10 +423,12 @@ func TestConcurrentAppendCommitCrashScan(t *testing.T) {
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
 			time.Sleep(2 * time.Millisecond)
+			m := cur.Load()
 			if i%2 == 0 {
 				m.FlushAll()
 			}
 			m.Crash()
+			cur.Store(TakeOver(m))
 		}
 	}()
 
@@ -370,16 +436,30 @@ func TestConcurrentAppendCommitCrashScan(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
-	// Quiesced: the log must be wholly intact.
+	// Quiesced: the last incarnation is wholly intact and holds every
+	// acknowledged commit.
+	final := cur.Load()
+	commits := make(map[page.LSN]TxnID)
 	var pos page.LSN = firstLSN
-	if err := m.Scan(FirstLSN(), func(r *Record) bool {
+	if err := final.Scan(FirstLSN(), func(r *Record) bool {
+		if r.Type == TypeCommit {
+			commits[r.LSN] = r.Txn
+		}
 		pos = r.LSN + page.LSN(RecordSize(r))
 		return true
 	}); err != nil {
 		t.Fatalf("final scan: %v", err)
 	}
-	if pos != m.EndLSN() {
-		t.Fatalf("final scan ended at %d, want %d", pos, m.EndLSN())
+	if pos != final.EndLSN() {
+		t.Fatalf("final scan ended at %d, want %d", pos, final.EndLSN())
+	}
+	if len(acked) == 0 {
+		t.Fatal("no commit was acknowledged")
+	}
+	for lsn, id := range acked {
+		if commits[lsn] != id {
+			t.Errorf("commit of txn %d acknowledged at %d; the last incarnation holds txn %d there", id, lsn, commits[lsn])
+		}
 	}
 }
 

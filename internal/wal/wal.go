@@ -34,20 +34,32 @@
 //   - the segment buffer grows by appending fixed-size chunks, so already
 //     written bytes never move and fillers never block behind a growth
 //     copy;
+//   - bytes below the ready watermark are never written again and a chunk
+//     is never handed out twice, so readers take no lock: a zero-copy view
+//     stays valid for as long as the reader holds it;
 //   - commits coalesce without a clock: flushMu is the commit queue. The
 //     committer that takes it and finds its record not yet stable is the
 //     leader and flushes everything published; committers that queued on
 //     the mutex meanwhile find their record already stable and return
-//     without a flush (§5.1.5 counts these forces; a batch counts once);
-//   - Crash quiesces in-flight appends, truncates the volatile tail at the
-//     flushed record boundary, and bumps the crash epoch; commits that
-//     cannot prove their records reached stable storage before a crash
-//     report ErrCommitLost instead of lying about durability.
+//     without a flush (§5.1.5 counts these forces; a batch counts once).
+//
+// # Incarnations
+//
+// A crash ends the manager's incarnation. Crash seals it: the flushed
+// watermark freezes, and nothing is truncated or rolled back, so the
+// failed incarnation's readers and in-flight appenders run on undisturbed —
+// their appends publish, but never become stable. A commit force then
+// reports ErrCommitLost for a record the seal left above the stable prefix,
+// and Flush reports ErrSealed, which keeps a page whose log did not survive
+// off the device. Recovery builds the next incarnation with TakeOver, which
+// owns exactly the surviving bytes — the stable prefix and the master
+// pointer — and continues the LSN sequence after them. A transaction is
+// tied to the manager it began on, so nothing of a failed incarnation can
+// reach its successor's log.
 //
 // The manager keeps no per-page state: where a page's chain currently ends
 // is the page recovery index's business, rebuilt after a failure by log
-// analysis (internal/recovery). Nothing here outlives a crash except the
-// flushed bytes and the master pointer.
+// analysis (internal/recovery).
 //
 // # Log lifecycle
 //
@@ -72,7 +84,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,15 +203,14 @@ var (
 	ErrCorruptRec  = errors.New("wal: record checksum mismatch")
 	ErrNotFlushed  = errors.New("wal: record not yet on stable storage")
 	ErrChainBroken = errors.New("wal: per-page chain inconsistent")
-	// ErrCommitLost reports that a simulated crash wiped a commit record
-	// before it provably reached stable storage: the transaction must be
-	// treated as a loser, not as durably committed.
+	// ErrCommitLost reports that a crash sealed the log before the commit
+	// record reached stable storage: the record is not among the bytes the
+	// next incarnation takes over, so restart rolls the transaction back.
 	ErrCommitLost = errors.New("wal: commit lost in crash before reaching stable storage")
-	// ErrEpochChanged reports an append on behalf of a transaction that
-	// began before a crash: earlier records of the transaction vanished
-	// with the volatile tail, so appending more of them would corrupt the
-	// post-crash log. The reserved space is filled with an inert record.
-	ErrEpochChanged = errors.New("wal: append from a transaction that predates a crash")
+	// ErrSealed reports that a crash sealed the log before the record asked
+	// for was stable, and that no flush will make it so any more. The
+	// failed incarnation's work ends there; TakeOver continues the log.
+	ErrSealed = errors.New("wal: log sealed by a crash; recovery takes it over")
 	// ErrTruncated reports a read below the recycling boundary: the record
 	// left the live log and, if it is a per-page chain record and an
 	// archive is attached, now lives there. Read and WalkPageChain translate
@@ -268,8 +278,8 @@ type Options struct {
 	// Profile selects the simulated I/O cost model for the log device.
 	Profile iosim.Profile
 	// GroupCommitWindow is ignored; kept for source compatibility. Commits
-	// batch behind the flush in progress (see ForceForCommitSince), not
-	// behind a clock.
+	// batch behind the flush in progress (see ForceForCommit), not behind a
+	// clock.
 	GroupCommitWindow time.Duration
 }
 
@@ -281,15 +291,17 @@ type Options struct {
 //
 // reserved is the next LSN to hand out; ready bounds the contiguous prefix
 // of fully encoded records (publication happens in LSN order); flushed
-// bounds the stable prefix that survives Crash. flushed and ready always
-// lie on record boundaries.
+// bounds the stable prefix, the part of the log a crash leaves. flushed and
+// ready always lie on record boundaries, and none of the three moves back.
 type Manager struct {
 	reserved atomic.Int64
 	ready    atomic.Int64
 	flushed  atomic.Int64
 
-	chunks  atomic.Pointer[chunkTable]
-	allocMu sync.Mutex // serializes swaps of the chunk table
+	chunks atomic.Pointer[chunkTable]
+	// allocMu serializes swaps of the chunk table — growth and recycling —
+	// and keeps the table and base a consistent pair for TakeOver.
+	allocMu sync.Mutex
 	// base is the recycling boundary (always a record boundary ≤ flushed):
 	// LSNs below it address the archive, not the live buffer. Monotone.
 	base atomic.Int64
@@ -305,38 +317,18 @@ type Manager struct {
 	parked      map[int64]*parkedRange // start -> completed, unpublished range
 	parkedCount atomic.Int64
 
-	// readers and truncating form a reentrant read gate (see rlock):
-	// readers count in-flight log reads, and Crash flips truncating only
-	// in a moment with zero readers, so bytes freed by truncation are
-	// never reused under a concurrent reader. Unlike an RWMutex, a
-	// waiting Crash never blocks new readers — a read nested inside a
-	// Scan callback can always proceed, so reader reentrancy cannot
-	// deadlock. truncating also gates new append reservations: because it
-	// implies zero readers, an appender invoked from inside the read gate
-	// (restart redo's eviction write-complete records) never waits on it
-	// while holding the gate, so it cannot livelock a concurrent Crash.
-	readers    atomic.Int64
-	truncating atomic.Bool
-	// crashMu serializes whole Crash calls: a second crasher must not
-	// observe (or clobber) the gate flags of one already in progress.
-	crashMu sync.Mutex
-
 	// flushMu serializes flushed advances, queues commit forces behind the
-	// flush in progress (see ForceForCommitSince), and makes their epoch
-	// check atomic with respect to Crash (which truncates while holding
-	// it). prevCrashEpoch/prevCrashFlushed record, for the most
-	// recent crash, the epoch it closed and the flushed boundary that
-	// survived it — commit forces use them to prove durability of commits
-	// that were flushed before the crash (flushed never rolls back). Both
-	// are guarded by flushMu.
-	flushMu          sync.Mutex
-	epoch            atomic.Uint64
-	prevCrashEpoch   uint64
-	prevCrashFlushed int64
+	// flush in progress (see ForceForCommit), and guards sealed: once Crash
+	// sets it, flushed never moves again, so every verdict taken under the
+	// mutex falls wholly before or wholly after the seal.
+	flushMu sync.Mutex
+	sealed  bool
 
 	master atomic.Int64
-	clock  *iosim.Clock
-	stats  counters
+	// clock and stats belong to the log device, not to one incarnation:
+	// TakeOver hands them on.
+	clock *iosim.Clock
+	stats *counters
 }
 
 // archiveHolder wraps the ArchiveReader so it fits an atomic.Pointer.
@@ -354,24 +346,32 @@ type chunkTable struct {
 // at returns the chunk containing byte offset pos.
 func (t *chunkTable) at(pos int64) []byte { return t.chunks[(pos>>chunkShift)-t.first] }
 
+// start returns the first byte offset the table covers.
+func (t *chunkTable) start() int64 { return t.first << chunkShift }
+
 // end returns the exclusive byte offset the table covers up to.
 func (t *chunkTable) end() int64 { return (t.first + int64(len(t.chunks))) << chunkShift }
 
-// NewManager creates an empty log charging I/O against the given profile,
-// with synchronous (non-grouped) commit forces.
+// NewManager creates an empty log charging I/O against the given profile.
 func NewManager(profile iosim.Profile) *Manager {
 	return NewManagerOpts(Options{Profile: profile})
 }
 
 // NewManagerOpts creates an empty log with full configuration.
 func NewManagerOpts(opts Options) *Manager {
-	m := &Manager{clock: iosim.NewClock(opts.Profile)}
-	m.parked = make(map[int64]*parkedRange)
-	m.pubCond = sync.NewCond(&m.pubMu)
-	m.reserved.Store(int64(firstLSN))
-	m.ready.Store(int64(firstLSN))
-	m.flushed.Store(int64(firstLSN))
+	m := newManager(iosim.NewClock(opts.Profile), new(counters), int64(firstLSN))
 	m.chunks.Store(&chunkTable{})
+	return m
+}
+
+// newManager creates a manager on a log device whose stable prefix ends at
+// end; the caller installs the chunk table.
+func newManager(clock *iosim.Clock, stats *counters, end int64) *Manager {
+	m := &Manager{clock: clock, stats: stats, parked: make(map[int64]*parkedRange)}
+	m.pubCond = sync.NewCond(&m.pubMu)
+	m.reserved.Store(end)
+	m.ready.Store(end)
+	m.flushed.Store(end)
 	return m
 }
 
@@ -402,33 +402,6 @@ func (m *Manager) EndLSN() page.LSN { return page.LSN(m.ready.Load()) }
 
 // FlushedLSN returns the exclusive upper bound of the stable prefix.
 func (m *Manager) FlushedLSN() page.LSN { return page.LSN(m.flushed.Load()) }
-
-// Epoch returns the crash epoch: it increments on every Crash. Commit
-// protocols capture it when a transaction begins and pass it to
-// ForceForCommitSince to detect commits whose records a crash wiped.
-func (m *Manager) Epoch() uint64 { return m.epoch.Load() }
-
-// rlock enters the read gate. The Dekker-style handshake with Crash (see
-// there) guarantees a reader proceeds only when no truncation is mutating
-// the buffer: either the reader's increment is seen by Crash's recheck
-// (Crash retries) or the reader sees truncating set (reader backs off).
-// The gate is reentrant — a reader that already holds it can always enter
-// again, because truncating can never be set while readers > 0.
-func (m *Manager) rlock() {
-	for {
-		m.readers.Add(1)
-		if !m.truncating.Load() {
-			return
-		}
-		m.readers.Add(-1)
-		for m.truncating.Load() {
-			runtime.Gosched()
-		}
-	}
-}
-
-// runlock leaves the read gate.
-func (m *Manager) runlock() { m.readers.Add(-1) }
 
 // table returns the current chunk table.
 func (m *Manager) table() *chunkTable { return m.chunks.Load() }
@@ -480,11 +453,11 @@ func readAt(t *chunkTable, pos int64, dst []byte) {
 	}
 }
 
-// bytesAt returns n bytes starting at pos. When the range lies inside one
-// chunk the returned slice aliases the log buffer (zero copy); otherwise it
-// is a freshly gathered copy. Records rarely span the 1 MiB chunk seam.
-func (m *Manager) bytesAt(pos, n int64) []byte {
-	t := m.table()
+// bytesAt returns n bytes of t starting at pos. When the range lies inside
+// one chunk the returned slice aliases the log buffer (zero copy);
+// otherwise it is a freshly gathered copy. Records rarely span the 1 MiB
+// chunk seam.
+func bytesAt(t *chunkTable, pos, n int64) []byte {
 	if pos>>chunkShift == (pos+n-1)>>chunkShift {
 		c := t.at(pos)
 		off := pos & chunkMask
@@ -495,74 +468,31 @@ func (m *Manager) bytesAt(pos, n int64) []byte {
 	return out
 }
 
-// lengthAt reads the 4-byte total-length field of the record at pos.
-func (m *Manager) lengthAt(pos int64) int64 {
+// lengthAt reads the 4-byte total-length field of the record at pos in t.
+func lengthAt(t *chunkTable, pos int64) int64 {
 	var b [4]byte
-	readAt(m.table(), pos, b[:])
+	readAt(t, pos, b[:])
 	return int64(binary.LittleEndian.Uint32(b[:]))
 }
 
 // Append encodes rec, assigns it the next LSN, and appends it to the
 // volatile tail. It returns the assigned LSN. The record is not stable
-// until a Flush covers it.
+// until a Flush covers it — on a sealed log, never.
 //
 // Append takes no locks: it reserves the record's LSN range with one
 // atomic add, encodes into the reserved range, and publishes by advancing
 // the ready watermark in LSN order.
 func (m *Manager) Append(rec *Record) page.LSN {
-	lsn, _ := m.append(rec, 0, false)
-	return lsn
-}
-
-// AppendSince appends on behalf of a transaction that captured the crash
-// epoch when it began. If a Crash happened since, the transaction's
-// earlier records vanished with the volatile tail; appending more of them
-// would leave dangling chains that corrupt restart redo. The check is
-// atomic with Crash: the reserved space is published as an inert
-// TypeInvalid record (every recovery pass ignores it) and ErrEpochChanged
-// is returned, so the log stays contiguous and the caller knows the
-// transaction is a loser.
-func (m *Manager) AppendSince(rec *Record, epoch uint64) (page.LSN, error) {
-	return m.append(rec, epoch, true)
-}
-
-func (m *Manager) append(rec *Record, epoch uint64, check bool) (page.LSN, error) {
 	total := int64(headerSize + len(rec.Payload) + trailerSize)
-	// Crash gate: no new reservations while a truncation is in progress.
-	// Reservations made after this point are either fully published
-	// before the truncation point is chosen, or land in the fresh
-	// post-crash tail.
-	for m.truncating.Load() {
-		runtime.Gosched()
-	}
 	start := m.reserved.Add(total) - total
 	end := start + total
 	t := m.ensure(end)
-
-	// Once the range is reserved, Crash cannot complete before this
-	// record publishes — so if the epoch still matches here, the record
-	// lands in the pre-crash tail and ordinary truncation semantics
-	// apply; if it does not, neutralize the record in place.
-	stale := check && m.epoch.Load() != epoch
-
-	lsn := page.LSN(start)
-	if stale {
-		// Neutralize in place: a zero Record (TypeInvalid, no chain
-		// pointers) with the same payload size keeps the log seamless
-		// while every recovery pass ignores it.
-		encodeAt(t, start, &Record{Payload: rec.Payload})
-	} else {
-		rec.LSN = lsn
-		encodeAt(t, start, rec)
-	}
-
+	rec.LSN = page.LSN(start)
+	encodeAt(t, start, rec)
 	m.publish(start, end)
 	m.stats.appends.Add(1)
 	m.stats.bytesAppended.Add(total)
-	if stale {
-		return page.ZeroLSN, ErrEpochChanged
-	}
-	return lsn, nil
+	return rec.LSN
 }
 
 // encodeAt writes rec's full encoding (header, payload, checksum) into the
@@ -605,9 +535,6 @@ func (m *Manager) AppendBatch(recs []*Record) page.LSN {
 	for _, rec := range recs {
 		total += int64(headerSize + len(rec.Payload) + trailerSize)
 	}
-	for m.truncating.Load() {
-		runtime.Gosched()
-	}
 	start := m.reserved.Add(total) - total
 	end := start + total
 	t := m.ensure(end)
@@ -625,9 +552,7 @@ func (m *Manager) AppendBatch(recs []*Record) page.LSN {
 
 // parkedRange is one completed-but-unpublished range awaiting the sweep.
 // The pointer doubles as the owner's wait token: the owner sleeps until
-// its exact entry disappears from the table, which is a monotone condition
-// — a Crash that later rolls the ready watermark back cannot re-arm it
-// (the watermark itself would not be monotone for this purpose).
+// its exact entry disappears from the table.
 type parkedRange struct {
 	end int64
 }
@@ -744,27 +669,35 @@ func DecodeRecord(lsn page.LSN, b []byte) (*Record, int, error) {
 // Flush forces the log up to and including the record at upTo onto stable
 // storage. upTo should be a record's LSN (any value at or beyond the
 // published end flushes everything). Flushing an already-stable LSN is a
-// no-op.
-func (m *Manager) Flush(upTo page.LSN) {
+// no-op. On a sealed log nothing becomes stable any more: Flush reports
+// ErrSealed unless the record at upTo already was — which keeps the
+// write-ahead rule across a crash, for a page write-back forces its page's
+// log first (buffer.Pool).
+func (m *Manager) Flush(upTo page.LSN) error {
 	m.flushMu.Lock()
 	defer m.flushMu.Unlock()
 	m.flushTo(upTo)
+	if m.sealed && int64(upTo) >= m.flushed.Load() {
+		return ErrSealed
+	}
+	return nil
 }
 
-// flushTo advances the stable prefix past the record at upTo. The caller
-// holds flushMu. Cost is O(1) in record count: the target boundary comes
-// from the record's own length header (validated by checksum), not from a
-// forward walk of every unflushed record.
+// flushTo advances the stable prefix past the record at upTo, unless the
+// log is sealed. The caller holds flushMu. Cost is O(1) in record count:
+// the target boundary comes from the record's own length header (validated
+// by checksum), not from a forward walk of every unflushed record.
 func (m *Manager) flushTo(upTo page.LSN) {
 	f := m.flushed.Load()
-	if int64(upTo) < f {
+	if m.sealed || int64(upTo) < f {
 		return
 	}
 	ready := m.ready.Load()
 	target := ready
 	if p := int64(upTo); p < ready && p+headerSize+trailerSize <= ready {
-		if total := m.lengthAt(p); total >= headerSize+trailerSize && p+total <= ready {
-			raw := m.bytesAt(p, total)
+		t := m.table()
+		if total := lengthAt(t, p); total >= headerSize+trailerSize && p+total <= ready {
+			raw := bytesAt(t, p, total)
 			stored := binary.LittleEndian.Uint32(raw[total-trailerSize:])
 			if crc32.Checksum(raw[:total-trailerSize], crcTable) == stored {
 				target = p + total
@@ -781,7 +714,7 @@ func (m *Manager) flushTo(upTo page.LSN) {
 	}
 }
 
-// FlushAll forces the entire published log.
+// FlushAll forces the entire published log (nothing, once sealed).
 func (m *Manager) FlushAll() {
 	m.flushMu.Lock()
 	defer m.flushMu.Unlock()
@@ -791,15 +724,8 @@ func (m *Manager) FlushAll() {
 // ForceForCommit makes the commit record at lsn durable and counts the
 // force against commit statistics — the cost that system transactions
 // avoid (§5.1.5, Fig. 5). A non-nil error (ErrCommitLost) means a crash
-// intervened and the commit record cannot be proven durable.
-func (m *Manager) ForceForCommit(lsn page.LSN) error {
-	return m.ForceForCommitSince(lsn, m.epoch.Load())
-}
-
-// ForceForCommitSince is ForceForCommit for callers that captured the
-// crash epoch when their transaction began: if any Crash happened since,
-// earlier records of the transaction may have vanished from the volatile
-// tail, so the commit is reported lost rather than durable.
+// sealed the log before the record was stable: it is not in the log the
+// next incarnation takes over, and restart rolls the transaction back.
 //
 // flushMu is the commit queue, and batching comes from flush duration:
 //
@@ -810,56 +736,20 @@ func (m *Manager) ForceForCommit(lsn page.LSN) error {
 //     force;
 //  3. a committer that gets the mutex after such a flush finds its record
 //     already stable and flushes nothing;
-//  4. either way the verdict is taken under the same mutex, so it is
-//     atomic with respect to Crash, which truncates while holding it.
-func (m *Manager) ForceForCommitSince(lsn page.LSN, epoch uint64) error {
+//  4. either way the verdict is taken under the same mutex as the seal,
+//     so it is exact: durable means the record survives the crash.
+func (m *Manager) ForceForCommit(lsn page.LSN) error {
 	m.flushMu.Lock()
 	defer m.flushMu.Unlock()
 	m.stats.commitsServed.Add(1)
-	if m.epoch.Load() == epoch && m.flushed.Load() <= int64(lsn) {
+	if !m.sealed && m.flushed.Load() <= int64(lsn) {
 		m.flushTo(page.LSN(m.ready.Load()))
 		m.stats.forcedCommits.Add(1)
 	}
-	return m.commitVerdictLocked(lsn, epoch)
-}
-
-// commitVerdictLocked decides whether the commit record at lsn, appended
-// by a transaction that began in the given epoch, is provably durable.
-// The caller holds flushMu. flushed always sits on a record boundary, so
-// covering a record's start covers all of it.
-func (m *Manager) commitVerdictLocked(lsn page.LSN, epoch uint64) error {
-	cur := m.epoch.Load()
-	if epoch == cur {
-		// No crash since the transaction began: the record is intact and
-		// durable exactly when the flushed boundary passed it.
-		if m.flushed.Load() > int64(lsn) {
-			return nil
-		}
+	if m.flushed.Load() <= int64(lsn) {
 		return ErrCommitLost
 	}
-	if epoch == cur-1 {
-		if m.prevCrashEpoch == epoch {
-			// The crash that closed the transaction's epoch already
-			// truncated; the record survived only if the flushed
-			// boundary recorded at that crash covered it (flushed never
-			// rolls back, so that coverage is proof forever).
-			if int64(lsn) < m.prevCrashFlushed {
-				return nil
-			}
-			return ErrCommitLost
-		}
-		// The crash bumped the epoch but has not yet truncated — it is
-		// still draining readers or waiting for flushMu, which we hold.
-		// flushed is untouched state from the transaction's own epoch,
-		// so coverage now is proof the record is stable and will survive
-		// the pending truncation.
-		if m.flushed.Load() > int64(lsn) {
-			return nil
-		}
-		return ErrCommitLost
-	}
-	// Several crashes ago: conservatively lost.
-	return ErrCommitLost
+	return nil
 }
 
 // Close is a no-op kept for callers that pair it with NewManager: the log
@@ -867,94 +757,55 @@ func (m *Manager) commitVerdictLocked(lsn page.LSN, epoch uint64) error {
 // drain.
 func (m *Manager) Close() {}
 
-// Crash simulates a system failure: the volatile tail vanishes at the
-// flushed record boundary; the stable prefix and the master LSN survive.
-// In-flight appends are quiesced first, concurrent commit forces observe
-// the epoch bump, and the read gate ensures no reader still holds a view
-// of bytes the truncation frees for reuse.
+// Crash simulates a system failure by sealing the log: the stable prefix
+// and the master pointer are what survives, and TakeOver hands them to the
+// next incarnation. Nothing is truncated or rolled back, so the failed
+// incarnation's readers and in-flight appenders run on undisturbed; only
+// nothing they do becomes stable any more (see Flush and ForceForCommit).
+// Idempotent.
 func (m *Manager) Crash() {
-	m.crashMu.Lock()
-	defer m.crashMu.Unlock()
-	// Bump the epoch before truncating: an appender that slipped past the
-	// truncating gate and reserves after the truncation CAS below is then
-	// guaranteed to observe the new epoch (its reservation orders after
-	// the CAS, which orders after this bump), so an epoch-checked append
-	// can never lay a live record with dangling chain pointers into the
-	// post-crash tail. Appenders that reserved before the CAS land in the
-	// pre-crash tail and are quiesced below, whatever epoch they saw.
-	m.epoch.Add(1)
-	// Drain readers before touching flushMu: a Scan callback holds the
-	// read gate and may itself flush the log (restart redo evicts dirty
-	// pages), so Crash must take the gate first and flushMu second — the
-	// same order every reader-then-flusher path uses. The truncating flip
-	// happens only in an instant with zero readers (the rlock handshake
-	// makes the two checks race-free), and holds new readers out for the
-	// rest of the truncation.
-	for {
-		if m.readers.Load() == 0 {
-			m.truncating.Store(true)
-			if m.readers.Load() == 0 {
-				break
-			}
-			m.truncating.Store(false)
-		}
-		runtime.Gosched()
-	}
 	m.flushMu.Lock()
-	// Crash point: the volatile tail is about to be discarded.
-	chaos.At("wal.truncate")
-	f := m.flushed.Load()
-	// Record the boundary this crash preserves: commits of the epoch just
-	// closed whose records sit below it are durable no matter what.
-	m.prevCrashEpoch = m.epoch.Load() - 1
-	m.prevCrashFlushed = f
-	for {
-		r := m.reserved.Load()
-		if m.ready.Load() != r {
-			// A parked publisher cannot advance the watermark by
-			// itself; sweep on its behalf or this quiesce never
-			// completes.
-			m.pubMu.Lock()
-			m.sweepLocked()
-			m.pubMu.Unlock()
-			runtime.Gosched()
-			continue
-		}
-		if r == f {
-			// Nothing volatile to discard. Touching the watermarks here
-			// could roll back a gate-evading appender that published a
-			// legitimate post-crash record in this very window — leave
-			// them alone.
-			break
-		}
-		if !m.reserved.CompareAndSwap(r, f) {
-			// A late reservation extended the pre-crash tail between
-			// the check and the swap; wait for it to publish and retry.
-			// The truncating gate admits no new appenders, so this
-			// terminates.
-			continue
-		}
-		if m.ready.CompareAndSwap(r, f) {
-			break
-		}
-		// Unreachable for r > f: pre-crash ranges are all published (the
-		// quiesce above), post-reset ranges start at f and so cannot CAS
-		// ready off r, and sweeps cannot advance past r either. Retry
-		// defensively.
-	}
-	// A gate-evader may instead have parked its completed range while
-	// ready still sat at the pre-crash watermark; sweep (and wake) it now
-	// or it sleeps forever.
-	m.pubMu.Lock()
-	m.sweepLocked()
-	m.pubMu.Unlock()
+	defer m.flushMu.Unlock()
+	// Crash point: the volatile tail is about to be cut off.
+	chaos.At("wal.crash")
+	m.sealed = true
+}
+
+// TakeOver returns the next incarnation of the log m: a manager that owns
+// what a crash of m leaves — the stable prefix, the recycling boundary, the
+// master pointer — and continues the LSN sequence after it, on the same
+// log device (clock, counters) and archive. m is sealed first if no Crash
+// sealed it, and stays the failed incarnation's log. The two never write a
+// byte the other reads: the chunks wholly below the seal are shared, since
+// nobody writes them again, and the chunk the seal falls in is copied up
+// to it.
+func TakeOver(m *Manager) *Manager {
+	m.flushMu.Lock()
+	m.sealed = true
+	end := m.flushed.Load()
 	m.flushMu.Unlock()
-	m.truncating.Store(false)
+	m.allocMu.Lock()
+	t, base := m.table(), m.base.Load()
+	m.allocMu.Unlock()
+
+	n := int(end>>chunkShift - t.first)
+	chunks := append([][]byte(nil), t.chunks[:n]...)
+	if off := end & chunkMask; off != 0 && n < len(t.chunks) {
+		tail := make([]byte, chunkSize)
+		copy(tail, t.chunks[n][:off])
+		chunks = append(chunks, tail)
+	}
+	s := newManager(m.clock, m.stats, end)
+	s.chunks.Store(&chunkTable{first: t.first, chunks: chunks})
+	s.base.Store(base)
+	s.master.Store(m.master.Load())
+	s.arch.Store(m.arch.Load())
+	return s
 }
 
 // SetArchive installs the reader that serves log history below the
-// recycling boundary. It must be installed before the first Recycle; the
-// same reader survives Crash (the archive is durable by definition).
+// recycling boundary. It must be installed before the first Recycle;
+// TakeOver hands it on (the archive is durable by definition).
 func (m *Manager) SetArchive(ar ArchiveReader) {
 	m.arch.Store(&archiveHolder{r: ar})
 }
@@ -979,13 +830,10 @@ func (m *Manager) TruncatedLSN() page.LSN { return page.LSN(m.base.Load()) }
 // watermark, so no volatile byte is ever "recycled" (a crash would then
 // need it back). Returns the number of chunks freed.
 //
-// Recycle uses the same exclusive gate as Crash: it flips truncating only
-// in an instant with zero readers, so a reader never observes chunks being
-// cut from under its view, and in-flight appenders (which write only at or
-// above the flushed watermark) are unaffected.
+// Recycle swaps in a table without the cut chunks: a reader that loaded the
+// old one keeps reading intact bytes, and one that loads the new one finds
+// its position below the table and reports ErrTruncated.
 func (m *Manager) Recycle(upTo page.LSN) int {
-	m.crashMu.Lock()
-	defer m.crashMu.Unlock()
 	if f := m.flushed.Load(); int64(upTo) > f {
 		upTo = page.LSN(f)
 	}
@@ -997,36 +845,26 @@ func (m *Manager) Recycle(upTo page.LSN) int {
 	// here must find every record either still live or re-archivable
 	// idempotently.
 	chaos.At("wal.recycle")
-	for {
-		if m.readers.Load() == 0 {
-			m.truncating.Store(true)
-			if m.readers.Load() == 0 {
-				break
-			}
-			m.truncating.Store(false)
-		}
-		runtime.Gosched()
-	}
-	newBase := int64(upTo)
-	freed := 0
 	m.allocMu.Lock()
+	defer m.allocMu.Unlock()
+	newBase := int64(upTo)
+	if newBase <= m.base.Load() {
+		return 0
+	}
+	freed := 0
 	t := m.table()
 	if nf := newBase >> chunkShift; nf > t.first {
-		cut := int(nf - t.first)
-		freed = cut
-		m.chunks.Store(&chunkTable{first: nf, chunks: append([][]byte(nil), t.chunks[cut:]...)})
+		freed = int(nf - t.first)
+		m.chunks.Store(&chunkTable{first: nf, chunks: append([][]byte(nil), t.chunks[freed:]...)})
 	}
-	m.allocMu.Unlock()
 	m.base.Store(newBase)
 	m.stats.recycled.Add(int64(freed))
-	m.truncating.Store(false)
 	return freed
 }
 
 // SetMaster records the LSN of the most recent checkpoint-end record in the
 // (stable) master location. Callers must flush the checkpoint records first.
-// The master only moves forward: a checkpoint of a dead incarnation that
-// finishes late cannot take it back below its successor's.
+// The master only moves forward.
 func (m *Manager) SetMaster(lsn page.LSN) {
 	for cur := m.master.Load(); int64(lsn) > cur; cur = m.master.Load() {
 		if m.master.CompareAndSwap(cur, int64(lsn)) {
@@ -1056,15 +894,12 @@ func (m *Manager) Read(lsn page.LSN) (*Record, error) {
 // readRecord is Read into rec: from the live log, or from the archive for
 // a record recycled out of it.
 func (m *Manager) readRecord(lsn page.LSN, rec *Record) error {
-	m.rlock()
 	size, err := m.decodeAt(lsn, rec, true)
 	if err == nil {
 		m.clock.Random(int64(size))
 		m.stats.recordsRead.Add(1)
-		m.runlock()
 		return nil
 	}
-	m.runlock()
 	if errors.Is(err, ErrTruncated) {
 		if ar := m.archiveReader(); ar != nil {
 			arec, aerr := ar.ReadRecord(lsn)
@@ -1081,21 +916,23 @@ func (m *Manager) readRecord(lsn page.LSN, rec *Record) error {
 }
 
 // decodeAt decodes the record at lsn into rec and returns its encoded
-// size. The caller holds the read gate.
+// size. It loads the chunk table once: a Recycle that swaps it meanwhile
+// leaves this view's chunks intact.
 func (m *Manager) decodeAt(lsn page.LSN, rec *Record, copyPayload bool) (int, error) {
 	ready := m.ready.Load()
 	p := int64(lsn)
 	if lsn < firstLSN || p+headerSize+trailerSize > ready {
 		return 0, fmt.Errorf("%w: %d", ErrBadLSN, lsn)
 	}
-	if p < m.base.Load() {
+	t := m.table()
+	if p < m.base.Load() || p < t.start() {
 		return 0, fmt.Errorf("%w: %d", ErrTruncated, lsn)
 	}
-	total := m.lengthAt(p)
+	total := lengthAt(t, p)
 	if total < headerSize+trailerSize || p+total > ready {
 		return 0, fmt.Errorf("%w: at %d", ErrTornRecord, lsn)
 	}
-	raw := m.bytesAt(p, total)
+	raw := bytesAt(t, p, total)
 	stored := binary.LittleEndian.Uint32(raw[total-trailerSize:])
 	if crc := crc32.Checksum(raw[:total-trailerSize], crcTable); crc != stored {
 		return 0, fmt.Errorf("%w: at %d", ErrCorruptRec, lsn)
@@ -1122,13 +959,11 @@ func (m *Manager) decodeAt(lsn page.LSN, rec *Record, copyPayload bool) (int, er
 // analysis pass of §5.1.2.
 //
 // Scan is zero-copy: one Record is reused across invocations and its
-// Payload aliases the log's internal buffer. The callback runs inside the
-// log's read gate, so a concurrent Crash cannot invalidate the view
-// mid-callback; the gate is reentrant, so callbacks may perform nested log
-// reads (restart redo does, via single-page recovery), but must not call
-// Crash. Callbacks that retain the record or its payload beyond
-// their own return must copy them (every in-tree consumer — analysis,
-// redo, the mirror — already copies what it keeps).
+// Payload aliases the log's internal buffer, whose bytes are never written
+// again. Callbacks may read and append to the log; those that retain the
+// record or its payload beyond their own return must copy them (every
+// in-tree consumer — analysis, redo, the mirror — already copies what it
+// keeps).
 //
 // Scan reads the live log only: a scan that starts below the recycling
 // boundary, or that a Recycle overtakes between two records, returns
@@ -1141,26 +976,19 @@ func (m *Manager) Scan(from page.LSN, fn func(*Record) bool) error {
 	}
 	pos := int64(from)
 	var rec Record
-	for {
-		m.rlock()
-		if pos >= m.ready.Load() {
-			m.runlock()
-			return nil
-		}
+	for pos < m.ready.Load() {
 		size, err := m.decodeAt(page.LSN(pos), &rec, false)
 		if err != nil {
-			m.runlock()
 			return err
 		}
 		m.clock.Sequential(int64(size))
 		m.stats.recordsRead.Add(1)
-		cont := fn(&rec)
-		m.runlock()
-		if !cont {
+		if !fn(&rec) {
 			return nil
 		}
 		pos += int64(size)
 	}
+	return nil
 }
 
 // FirstLSN returns the LSN of the first record position in any log.
@@ -1181,9 +1009,7 @@ func RecordSize(rec *Record) int {
 // This is the heart of single-page recovery (§5.2.3): the caller pushes the
 // returned records onto a LIFO stack (the returned order already is that
 // stack) and then applies redo from oldest to newest. The returned records
-// own their payloads: the chain is retained and applied after the walk,
-// possibly racing a concurrent Crash whose truncation would invalidate
-// zero-copy views (retaining callers use the copying decode by design).
+// own their payloads: the chain is retained and applied after the walk.
 func (m *Manager) WalkPageChain(start page.LSN, stopAfter page.LSN, pageID page.ID) ([]*Record, error) {
 	var chain []*Record
 	lsn := start

@@ -91,18 +91,26 @@ func TestFlushAndCrashSemantics(t *testing.T) {
 		t.Fatalf("flushed %d, must not cover record at %d", m.FlushedLSN(), l3)
 	}
 	m.Crash()
-	// l1, l2 survive; l3 is gone.
-	if _, err := m.Read(l1); err != nil {
+	// The sealed log makes nothing stable any more.
+	if err := m.Flush(l3); !errors.Is(err, ErrSealed) {
+		t.Errorf("flush above the seal = %v, want ErrSealed", err)
+	}
+	if err := m.Flush(l2); err != nil {
+		t.Errorf("flush of a record the seal found stable = %v", err)
+	}
+	// l1, l2 survive into the next incarnation; l3 is gone.
+	s := TakeOver(m)
+	if _, err := s.Read(l1); err != nil {
 		t.Errorf("flushed record lost in crash: %v", err)
 	}
-	if _, err := m.Read(l2); err != nil {
+	if _, err := s.Read(l2); err != nil {
 		t.Errorf("flushed record lost in crash: %v", err)
 	}
-	if _, err := m.Read(l3); err == nil {
+	if _, err := s.Read(l3); err == nil {
 		t.Error("unflushed record survived crash")
 	}
-	// Appends continue at the truncated position.
-	l4 := m.Append(&Record{Type: TypeUpdate, Txn: 2, Payload: []byte("d")})
+	// Appends continue at the sealed position.
+	l4 := s.Append(&Record{Type: TypeUpdate, Txn: 2, Payload: []byte("d")})
 	if l4 != l3 {
 		t.Errorf("post-crash append at %d, want %d", l4, l3)
 	}
@@ -119,7 +127,7 @@ func TestFlushAllAndTailSize(t *testing.T) {
 		t.Errorf("tail = %d after FlushAll", m.TailSize())
 	}
 	m.Crash()
-	if m.Size() == 0 {
+	if TakeOver(m).Size() == 0 {
 		t.Error("flushed log vanished in crash")
 	}
 }
@@ -289,7 +297,7 @@ func TestMasterRecord(t *testing.T) {
 		t.Errorf("master = %d, want %d", m.Master(), lsn)
 	}
 	m.Crash()
-	if m.Master() != lsn {
+	if TakeOver(m).Master() != lsn {
 		t.Error("master lost in crash despite flushed checkpoint")
 	}
 }

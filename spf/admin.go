@@ -18,22 +18,17 @@ import (
 // Checkpoint takes a fuzzy checkpoint (§5.2.6) and returns the LSN of the
 // checkpoint-end record. The checkpoint's redo horizon is pushed to the
 // archiver — the trigger that lets live log segments beneath it recycle
-// once the archive, or a full backup, covers them too.
+// once the archive, or a full backup, covers them too. A checkpoint a
+// crash overtakes leaves the master alone and reports ErrCrashed.
 func (db *DB) Checkpoint() (LSN, error) {
-	// A crash from here on may cut the checkpoint's records out of the log
-	// or lay them into a restarted DB's; the epoch tells (recovery.Checkpoint).
-	epoch := db.log.Epoch()
 	if err := db.opErr(); err != nil {
 		return 0, err
 	}
 	db.ckptMu.Lock()
 	res, err := recovery.Checkpoint(recovery.CheckpointDeps{
 		Log: db.log, Pool: db.pool, Txns: db.txns, PRI: db.pri, Map: db.pmap,
-	}, epoch)
+	})
 	db.ckptMu.Unlock()
-	if errors.Is(err, wal.ErrEpochChanged) {
-		return 0, ErrCrashed
-	}
 	if err != nil {
 		return 0, err
 	}
@@ -86,9 +81,6 @@ type BackupReport struct {
 // horizons is already recycled when BackupNow returns.
 func (db *DB) BackupNow() (uint64, BackupReport, error) {
 	var rep BackupReport
-	// A crash from here on may cut this backup's index records out of the
-	// log; the epoch tells (pointIndexAt).
-	epoch := db.log.Epoch()
 	if err := db.opErr(); err != nil {
 		return 0, rep, err
 	}
@@ -144,7 +136,7 @@ func (db *DB) BackupNow() (uint64, BackupReport, error) {
 	}
 	w.Commit()
 	if !db.opts.DisableSinglePageRecovery {
-		if err := db.pointIndexAt(w.SetID(), asOf, ids, epoch); err != nil {
+		if err := db.pointIndexAt(w.SetID(), asOf, ids); err != nil {
 			return w.SetID(), rep, err
 		}
 	}
@@ -170,42 +162,38 @@ func (db *DB) BackupNow() (uint64, BackupReport, error) {
 // (§5.2.2) — and returns once the log records describing that are durable,
 // which is what makes the sets the index named before safe to drop: a
 // restart rebuilds the index from the log and must find the new set there.
-// A crash since epoch was read — the caller reads it before it checks the
-// DB is open — may have cut the records out of the volatile tail, or laid
-// them into the log a restarted DB already owns; it is reported as
-// ErrCrashed. The per-page backup copies the ranges supersede are released
-// behind the same records. takenAt is the log position the set was taken at:
+// A crash that seals the log before the records are stable leaves them out
+// of the index restart rebuilds, and is reported as ErrCrashed. The
+// per-page backup copies the ranges supersede are released behind the same
+// records. takenAt is the log position the set was taken at:
 // a page written since keeps its index LSN, for the set's image of it may
 // be older than that write (core.PRI.ReplaceRange).
-func (db *DB) pointIndexAt(set uint64, takenAt page.LSN, ids []page.ID, epoch uint64) error {
+func (db *DB) pointIndexAt(set uint64, takenAt page.LSN, ids []page.ID) error {
 	// Not beside a checkpoint: a snapshot of the index taken before a range
 	// is installed, logged in an end record that follows the range's own
 	// record, would lose the range at restart.
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
 	e := core.Entry{Backup: core.BackupRef{Kind: core.BackupFull, Loc: set}}
+	var last page.LSN
 	for run := 0; run < len(ids); {
 		end := run
 		for end+1 < len(ids) && ids[end+1] == ids[end]+1 {
 			end++
 		}
 		replaced := db.pri.ReplaceRange(ids[run], ids[end], e, takenAt)
-		lsn, err := db.log.AppendSince(&wal.Record{
+		last = db.log.Append(&wal.Record{
 			Type:    wal.TypePRIUpdate,
 			PageID:  ids[run],
 			Payload: core.EncodeSetRange(ids[run], ids[end], e, takenAt),
-		}, epoch)
-		if err != nil {
-			return ErrCrashed
-		}
+		})
 		for _, r := range replaced {
-			db.supersedeBackup(r.Page, r.Ref, lsn)
+			db.supersedeBackup(r.Page, r.Ref, last)
 		}
 		run = end + 1
 	}
-	db.log.FlushAll()
-	if db.log.Epoch() != epoch {
-		return ErrCrashed
+	if err := db.log.Flush(last); err != nil {
+		return err
 	}
 	db.releaseDurable()
 	return nil
@@ -356,15 +344,15 @@ func (db *DB) Close() error {
 
 // Crash simulates a system failure: the buffer pool and the unflushed log
 // tail vanish; the devices and the stable log survive. The repair
-// scheduler and the maintenance service are quiesced first, the same way
-// the log quiesces in-flight appenders: an in-flight repair or flush
-// batch completes (its writes and appends then predate the crash), queued
-// repairs fail with restore.ErrStopped (unparking their waiters — the
-// scrub campaign among them, which is why the scheduler stops before the
-// service that feeds it), and no background work runs while the log
-// truncates its volatile tail — a worker racing the truncation could
-// otherwise read freed log bytes or write a page whose log just vanished,
-// breaking the WAL rule.
+// scheduler and the maintenance service are quiesced first: an in-flight
+// repair or flush batch completes, queued repairs fail with
+// restore.ErrStopped (unparking their waiters — the scrub campaign among
+// them, which is why the scheduler stops before the service that feeds
+// it), and every background goroutine is joined. Then the log is sealed
+// (wal.Manager.Crash): a foreground operation still running on this
+// incarnation appends to a log nothing makes stable any more, so its
+// commit reports ErrCommitLost and its write-backs are refused, and
+// Restart continues on the log wal.TakeOver builds from what survived.
 func (db *DB) Crash() {
 	db.mu.Lock()
 	db.crashed = true
@@ -392,8 +380,10 @@ type RestartReport struct {
 
 // Restart performs ARIES-style restart recovery (analysis, redo, undo —
 // §5.1.2) over the surviving log and device and returns a fresh, usable
-// DB. The page recovery index is reconstructed during analysis and
-// repaired during redo exactly per Fig. 12.
+// DB. The new DB takes over the crashed log's stable bytes (wal.TakeOver);
+// the failed incarnation keeps the sealed log, so nothing it still does
+// can reach the new one. The page recovery index is reconstructed during
+// analysis and repaired during redo exactly per Fig. 12.
 //
 // Redo is on demand (ARCHITECTURE.md, recovery): recovery.PrepareRedo
 // raises each dirty page's recovery-index expectation to the chain head
@@ -412,7 +402,8 @@ type RestartReport struct {
 // traditional baseline and of the no-PageLSN-check ablation.
 func (db *DB) Restart() (*DB, *RestartReport, error) {
 	start := time.Now()
-	analysis, err := recovery.Analyze(db.log, db.opts.DataSlots)
+	log := wal.TakeOver(db.log)
+	analysis, err := recovery.Analyze(log, db.opts.DataSlots)
 	if err != nil {
 		return nil, nil, fmt.Errorf("spf: restart analysis: %w", err)
 	}
@@ -426,7 +417,7 @@ func (db *DB) Restart() (*DB, *RestartReport, error) {
 		backlog, prepRep = recovery.PrepareRedo(analysis)
 		rep.Prep = *prepRep
 	}
-	ndb := newDB(db.opts, db.dev, db.store, db.log, analysis.Map, analysis.PRI, db)
+	ndb := newDB(db.opts, db.dev, db.store, log, analysis.Map, analysis.PRI, db)
 	ndb.inheritParked(db)
 	rep.Undo, err = ndb.finishRecovery(analysis, func() error {
 		if rep.OnDemand {
@@ -540,7 +531,10 @@ func (db *DB) reopenCatalog() error {
 // FailDevice simulates a whole-device media failure. The repair scheduler
 // and maintenance stop first: repairs against a failed device can only
 // escalate, and a scrub campaign sweeping it would report every slot as
-// one.
+// one. The log device did not fail, so everything published reaches it;
+// then the log is sealed like a crash seals it, and RecoverMedia takes it
+// over: a transaction still running on this incarnation cannot commit into
+// the log of the database that rolled it back.
 func (db *DB) FailDevice() {
 	db.mu.Lock()
 	db.crashed = true
@@ -548,6 +542,8 @@ func (db *DB) FailDevice() {
 	db.stopRestore()
 	db.stopMaintenance()
 	db.stopLifecycle()
+	db.log.FlushAll()
+	db.log.Crash()
 	db.dev.FailDevice()
 	db.pool.Crash()
 }
@@ -581,7 +577,8 @@ func (db *DB) RecoverMedia() (*DB, *MediaRecoveryReport, error) {
 		return nil, nil, errors.New("spf: no full backup available for media recovery")
 	}
 	db.dev.Revive()
-	analysis, err := recovery.Analyze(db.log, db.opts.DataSlots)
+	log := wal.TakeOver(db.log)
+	analysis, err := recovery.Analyze(log, db.opts.DataSlots)
 	if err != nil {
 		return nil, nil, fmt.Errorf("spf: media recovery analysis: %w", err)
 	}
@@ -589,7 +586,7 @@ func (db *DB) RecoverMedia() (*DB, *MediaRecoveryReport, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("spf: media recovery: %w", err)
 	}
-	ndb := newDB(db.opts, db.dev, db.store, db.log, analysis.Map, analysis.PRI, db)
+	ndb := newDB(db.opts, db.dev, db.store, log, analysis.Map, analysis.PRI, db)
 	ndb.inheritParked(db)
 	undoRep, err := ndb.finishRecovery(analysis, func() error {
 		ndb.workOff(backlog)

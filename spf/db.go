@@ -56,13 +56,14 @@ var (
 	ErrKeyNotFound = pageop.ErrKeyNotFound
 	ErrKeyExists   = pageop.ErrKeyExists
 	ErrDetected    = pageop.ErrDetected
-	// ErrCommitLost reports a commit that cannot be proven durable
-	// because a simulated crash intervened: its log records were wiped
-	// with the volatile tail (restart rolls the transaction back) or, in
-	// rare multi-crash races, durability simply cannot be established.
-	// Callers must consult post-restart state before retrying.
-	ErrCommitLost   = wal.ErrCommitLost
-	ErrCrashed      = errors.New("spf: database is crashed; call Restart")
+	// ErrCommitLost reports a commit a crash overtook: its commit record
+	// was not stable when the log was sealed, so restart rolls the
+	// transaction back.
+	ErrCommitLost = wal.ErrCommitLost
+	// ErrCrashed reports an operation on a database a crash or a device
+	// failure ended, or one such a failure overtook: the database's log is
+	// sealed (wal.ErrSealed). Restart or RecoverMedia continues.
+	ErrCrashed      = wal.ErrSealed
 	ErrClosed       = errors.New("spf: database is closed")
 	ErrUnknownIndex = errors.New("spf: unknown index")
 	// ErrNoSlot reports that a page has no image on the device to inject a

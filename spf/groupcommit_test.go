@@ -182,6 +182,48 @@ func TestCommitAcrossCrashReportsLost(t *testing.T) {
 	}
 }
 
+// TestCommitAcrossMediaFailureReportsLost: media recovery rolls back a
+// transaction that spans the device failure, so its commit must not report
+// durable. The commit record goes to the failed incarnation's sealed log,
+// never to the log RecoverMedia took over, and neither the recovered
+// database nor a restart of it shows the update.
+func TestCommitAcrossMediaFailureReportsLost(t *testing.T) {
+	db := openTestDB(t, testOptions())
+	ix := loadIndex(t, db, "t", 100)
+	if _, _, err := db.BackupNow(); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	if err := ix.Update(tx, k(1), []byte("spans the failure")); err != nil {
+		t.Fatal(err)
+	}
+	db.FailDevice()
+	ndb, rep, err := db.RecoverMedia()
+	if err != nil {
+		t.Fatalf("media recovery: %v", err)
+	}
+	if rep.Undo.LosersRolledBack != 1 {
+		t.Fatalf("media recovery rolled back %d transactions, want the one in flight", rep.Undo.LosersRolledBack)
+	}
+	if err := db.Commit(tx); !errors.Is(err, ErrCommitLost) {
+		t.Fatalf("commit across a media failure = %v, want ErrCommitLost", err)
+	}
+	ndb.DrainRestore()
+	ndb.Crash()
+	rdb, _, err := ndb.Restart()
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer rdb.Close()
+	ix2, err := rdb.Index("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ix2.Get(k(1)); err != nil || string(got) != string(v(1)) {
+		t.Fatalf("key 1 after the failure = %q, %v; want the committed %q", got, err, v(1))
+	}
+}
+
 // TestCheckpointBesideTransactions is the -race regression for the active
 // transaction table: a checkpoint snapshots every in-flight transaction's
 // chain head (txn.Manager.Active) while the owning goroutines advance it

@@ -112,7 +112,7 @@ type Options struct {
 	// read that finds a page bad repairs it. A fresh one starts with the
 	// database Restart and RecoverMedia return, and Close, Crash, and
 	// FailDevice quiesce it deterministically (workers joined before the
-	// log truncates).
+	// log is sealed).
 	Restore RestoreOptions
 	// Lifecycle configures the bounded log lifecycle. The live log is
 	// always truncated: history below both the checkpoint redo horizon and

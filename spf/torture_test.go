@@ -38,7 +38,7 @@ func tortureSeeds(t *testing.T) []int64 {
 
 // crashPoints are the chaos sites that model an asynchronous system
 // failure: the seed rotation picks one per run, and its k-th execution
-// signals the crash controller. wal.truncate and restart.prep are armed
+// signals the crash controller. wal.crash and restart.prep are armed
 // in every run for nested fault injection (see runTorture).
 // recovery.checkpoint models a crash in the half-taken-checkpoint window
 // (dirty pages flushed, checkpoint-end not yet durable), forcing restart
@@ -142,7 +142,7 @@ func runTorture(t *testing.T, seed int64, archive bool) {
 	}
 
 	// Nested-failure arms, active in every run: the first Crash corrupts
-	// a stored image from inside the log's truncation window, and the
+	// a stored image from inside the log's seal, and the
 	// first Restart corrupts another right after redo preparation — so a
 	// persistent single-page fault is present while system recovery runs.
 	pages := db.Pages()
@@ -156,7 +156,7 @@ func runTorture(t *testing.T, seed int64, archive bool) {
 			}
 		}
 	}
-	chaos.Arm("wal.truncate", 1, inject(victimCrash))
+	chaos.Arm("wal.crash", 1, inject(victimCrash))
 	chaos.Arm("restart.prep", 1, inject(victimPrep))
 
 	// The crash point for this run. The action must not block and must
@@ -353,10 +353,10 @@ func runTorture(t *testing.T, seed int64, archive bool) {
 	if retired := ndb.Metrics().RetiredSlots; retired > int(faults.Load()) {
 		t.Errorf("%d slots retired for %d injected device faults", retired, faults.Load())
 	}
-	// The always-armed nested-fault points must have fired: wal.truncate
+	// The always-armed nested-fault points must have fired: wal.crash
 	// on the first Crash, restart.prep on the first instant Restart.
-	if !chaos.Fired("wal.truncate") {
-		t.Error("wal.truncate never fired despite a crash")
+	if !chaos.Fired("wal.crash") {
+		t.Error("wal.crash never fired despite a crash")
 	}
 	if rep.OnDemand && !chaos.Fired("restart.prep") {
 		t.Error("restart.prep never fired despite an instant restart")
