@@ -228,7 +228,7 @@ func (db *DB) startRestore() {
 // among them), the in-flight repair completes, and every worker is joined.
 // Crash, Close, and FailDevice call it BEFORE stopMaintenance (the scrub
 // campaign parks on repair futures; failing them first lets the campaign
-// goroutine reach its own quit check) and before any log truncation — a
+// goroutine reach its own quit check) and before the log is sealed — a
 // worker mid-repair reads the log and appends recovery records, so the
 // same WAL-safety ordering the maintenance service observes applies here.
 func (db *DB) stopRestore() { db.sched.Stop() }

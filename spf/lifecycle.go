@@ -60,8 +60,8 @@ func (db *DB) startLifecycle() { db.archiver.Start() }
 // stopLifecycle joins the archiver loop. Close, Crash, and FailDevice
 // call it BEFORE the log crashes or closes: an archiver step reads the
 // live log and calls Recycle, so no lifecycle work may race the log's
-// tail truncation — the same WAL-safety ordering stopRestore and
-// stopMaintenance observe. Idempotent.
+// seal — the same WAL-safety ordering stopRestore and stopMaintenance
+// observe. Idempotent.
 func (db *DB) stopLifecycle() { db.archiver.Stop() }
 
 // archiveReleaseFloor is the engine-side clamp on the release horizon:

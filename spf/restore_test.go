@@ -356,7 +356,7 @@ func TestRestoreStressForegroundFaultsVsSaturatedScrub(t *testing.T) {
 		return db.Metrics().Recovery.Recoveries >= int64(len(victims))
 	})
 	// Crash mid-campaign: the scheduler must quiesce (workers joined,
-	// queued tickets failed) before the log truncates.
+	// queued tickets failed) before the log is sealed.
 	db.Crash()
 	close(stop)
 	wg.Wait()
