@@ -359,10 +359,13 @@ func (r *Run) find(sp pageSpan, lsn page.LSN) (int, bool) {
 	return 0, false
 }
 
-// decode parses the record at e. The payload aliases the run's data.
-func (r *Run) decode(e entry) (*wal.Record, error) {
-	rec, _, err := wal.DecodeRecord(e.lsn, r.data[e.off:e.off+e.size])
-	return rec, err
+// decode parses the record at e into rec, verifying its checksum. The
+// payload aliases the run's data, which nothing writes once AppendRun has
+// returned: ReleaseBelow drops the run from the store, not its bytes from a
+// reader still holding them.
+func (r *Run) decode(e entry, rec *wal.Record) error {
+	_, err := wal.DecodeRecordInto(e.lsn, r.data[e.off:e.off+e.size], rec)
+	return err
 }
 
 // ReadRecord returns an independent copy of the archived record at lsn,
@@ -389,8 +392,8 @@ func (s *Store) ReadRecord(lsn page.LSN) (*wal.Record, error) {
 		return nil, fmt.Errorf("%w: %d", ErrNotArchived, lsn)
 	}
 	e := run.byPage[idx[i]]
-	rec, err := run.decode(e)
-	if err != nil {
+	rec := new(wal.Record)
+	if err := run.decode(e, rec); err != nil {
 		return nil, err
 	}
 	rec.Payload = append([]byte(nil), rec.Payload...)
@@ -403,7 +406,9 @@ func (s *Store) ReadRecord(lsn page.LSN) (*wal.Record, error) {
 // excluding) records at or below stopAfter, newest first. Because each
 // run stores a page's records contiguously, the walk is charged as
 // sequential I/O — the archived replay is a run scan, not a seek chain.
-// Returned records own their payloads.
+// Each record is decoded in place, its checksum verified: the records of
+// one run span share one allocation, and their payloads alias the run's
+// immutable data, so a caller must not write through them.
 func (s *Store) WalkChain(start, stopAfter page.LSN, pageID page.ID) ([]*wal.Record, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -434,27 +439,25 @@ func (s *Store) WalkChain(start, stopAfter page.LSN, pageID page.ID) ([]*wal.Rec
 		// The span holds the page's complete chain slice for this run's LSN
 		// range, sorted by LSN — so the walk descends the span in place,
 		// paying the index descent once per run rather than once per record.
+		// The index's prev links say how far it descends before a record is
+		// decoded; a prev that is not the entry below lives in an older run,
+		// where the outer loop re-locates it.
 		ents := run.byPage[sp.start : sp.start+sp.count]
-		for {
-			e := ents[i]
-			rec, err := run.decode(e)
-			if err != nil {
+		n := 1
+		for j := i; j > 0 && ents[j].prev > stopAfter && ents[j-1].lsn == ents[j].prev; j-- {
+			n++
+		}
+		slab := make([]wal.Record, n)
+		for k := range slab {
+			e := ents[i-k]
+			if err := run.decode(e, &slab[k]); err != nil {
 				return nil, err
 			}
-			rec.Payload = append([]byte(nil), rec.Payload...)
 			s.clock.Sequential(int64(e.size))
-			s.reads.Add(1)
-			chain = append(chain, rec)
-			lsn = e.prev
-			if lsn == page.ZeroLSN || lsn <= stopAfter {
-				break
-			}
-			if i > 0 && ents[i-1].lsn == lsn {
-				i--
-				continue
-			}
-			break // prev lives in an older run; the outer loop re-locates it
+			chain = append(chain, &slab[k])
 		}
+		s.reads.Add(int64(n))
+		lsn = ents[i-n+1].prev
 	}
 	return chain, nil
 }

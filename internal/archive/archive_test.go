@@ -1,7 +1,13 @@
 package archive
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -531,8 +537,8 @@ func TestArchiveKeepsOnlyChainRecords(t *testing.T) {
 	stored := 0
 	for _, run := range s.runs {
 		for _, e := range run.byPage {
-			rec, err := run.decode(e)
-			if err != nil {
+			var rec wal.Record
+			if err := run.decode(e, &rec); err != nil {
 				t.Fatal(err)
 			}
 			if !chainRecord(rec.Type) || chain[rec.LSN] != rec.Type {
@@ -671,5 +677,178 @@ func TestBatchWithoutChainRecordsAdvancesCursor(t *testing.T) {
 	}
 	if run := s.runs[0]; run.lo != flushed {
 		t.Fatalf("next run starts at %d, want %d", run.lo, flushed)
+	}
+}
+
+// TestWalkChainAliasesRacingReleaseAndAppend: WalkChain's records alias the
+// runs they were decoded from. Replays racing AppendRun and ReleaseBelow
+// return a page's whole chain down to the base they ask for — every record
+// the page's, newest first, with the payload written for it — or
+// ErrReleased, never a wrong page; and a chain kept after its runs were
+// released still reads what was written.
+func TestWalkChainAliasesRacingReleaseAndAppend(t *testing.T) {
+	const pages, rounds, lag, readers = 8, 300, 20, 4
+	payload := func(pg page.ID, lsn page.LSN) []byte {
+		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, uint64(pg)), uint64(lsn))
+	}
+	// check holds chain to the page's records want, oldest first.
+	check := func(chain []*wal.Record, want []page.LSN, pg page.ID) error {
+		if len(chain) != len(want) {
+			return fmt.Errorf("page %d: chain of %d records, want %d", pg, len(chain), len(want))
+		}
+		for k, rec := range chain {
+			lsn := want[len(want)-1-k]
+			if rec.LSN != lsn || rec.PageID != pg || !bytes.Equal(rec.Payload, payload(pg, lsn)) {
+				return fmt.Errorf("page %d chain[%d]: LSN %d of page %d, payload %x; want LSN %d",
+					pg, k, rec.LSN, rec.PageID, rec.Payload, lsn)
+			}
+			if cap(rec.Payload) != len(rec.Payload) {
+				return fmt.Errorf("page %d chain[%d]: payload can be appended into the run", pg, k)
+			}
+		}
+		return nil
+	}
+
+	s := NewStore(iosim.Instant, wal.FirstLSN())
+	var mu sync.Mutex
+	hist := make([][]page.LSN, pages+1) // hist[pg]: its archived chain, oldest first
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer done.Store(true)
+		next := wal.FirstLSN()
+		var starts []page.LSN
+		for r := 0; r < rounds; r++ {
+			starts = append(starts, next)
+			recs := make([]*wal.Record, 0, pages)
+			for pg := page.ID(1); pg <= pages; pg++ {
+				prev := page.ZeroLSN
+				if h := hist[pg]; len(h) > 0 { // only this goroutine writes hist
+					prev = h[len(h)-1]
+				}
+				rec := &wal.Record{LSN: next, Type: wal.TypeUpdate, Txn: 1,
+					PageID: pg, PagePrevLSN: prev, Payload: payload(pg, next)}
+				next += page.LSN(wal.RecordSize(rec))
+				recs = append(recs, rec)
+			}
+			if err := s.AppendRun(recs, nil); err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			for _, rec := range recs {
+				hist[rec.PageID] = append(hist[rec.PageID], rec.LSN)
+			}
+			mu.Unlock()
+			if r >= lag {
+				s.ReleaseBelow(starts[r-lag])
+			}
+		}
+	}()
+
+	type keptChain struct {
+		chain []*wal.Record
+		want  []page.LSN
+		pg    page.ID
+	}
+	var whole, released atomic.Int64
+	kept := make([][]keptChain, readers)
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			// Each reader walks while the writer runs and 64 times more
+			// once it is done, so both outcomes are reached however the
+			// goroutines are scheduled.
+			for i, after := 0, 0; after < 64; i++ {
+				if done.Load() {
+					after++
+				}
+				pg := page.ID(1 + rng.Intn(pages))
+				mu.Lock()
+				h := hist[pg]
+				mu.Unlock()
+				if len(h) == 0 {
+					continue
+				}
+				// Half the walks reach far back, half stay near the head.
+				b := rng.Intn(len(h))
+				if i%2 == 0 {
+					b = len(h) - 1 - rng.Intn(min(len(h), lag))
+				}
+				stopAfter := page.ZeroLSN
+				if b > 0 {
+					stopAfter = h[b-1]
+				}
+				chain, err := s.WalkChain(h[len(h)-1], stopAfter, pg)
+				if errors.Is(err, ErrReleased) {
+					released.Add(1)
+					continue
+				}
+				if err == nil {
+					err = check(chain, h[b:], pg)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				whole.Add(1)
+				if i%16 == 0 {
+					kept[w] = append(kept[w], keptChain{chain, h[b:], pg})
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if whole.Load() == 0 || released.Load() == 0 {
+		t.Fatalf("%d whole chains, %d released walks: want both outcomes", whole.Load(), released.Load())
+	}
+	if st := s.Stats(); st.ReleasedRuns == 0 {
+		t.Fatalf("no run was released: %+v", st)
+	}
+	for _, ks := range kept {
+		for _, k := range ks {
+			if err := check(k.chain, k.want, k.pg); err != nil {
+				t.Fatalf("kept chain after release: %v", err)
+			}
+		}
+	}
+}
+
+// TestWalkChainAliasesStillVerifyChecksums: decoding in place still checks
+// every record. A byte flipped anywhere in a run's record past its length
+// word fails the chain walk and the point read over it with
+// wal.ErrCorruptRec; restored, both read clean again.
+func TestWalkChainAliasesStillVerifyChecksums(t *testing.T) {
+	_, recs := buildLog(t, []page.ID{2, 3}, 4)
+	s := NewStore(iosim.Instant, wal.FirstLSN())
+	if err := s.AppendRun(recs, nil); err != nil {
+		t.Fatal(err)
+	}
+	run := s.runs[0]
+	walk := func(e entry) error {
+		_, err := s.WalkChain(headOf(t, recs, e.pg), page.ZeroLSN, e.pg)
+		return err
+	}
+	for _, e := range run.byPage {
+		for i := e.off + 4; i < e.off+e.size; i++ {
+			run.data[i] ^= 0x10
+			werr := walk(e)
+			_, rerr := s.ReadRecord(e.lsn)
+			run.data[i] ^= 0x10
+			if !errors.Is(werr, wal.ErrCorruptRec) || !errors.Is(rerr, wal.ErrCorruptRec) {
+				t.Fatalf("byte %d of the record at %d flipped: walk %v, read %v; want ErrCorruptRec",
+					i-e.off, e.lsn, werr, rerr)
+			}
+		}
+		if err := walk(e); err != nil {
+			t.Fatalf("page %d after restoring its bytes: %v", e.pg, err)
+		}
 	}
 }

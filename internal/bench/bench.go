@@ -327,10 +327,12 @@ var Table = []Group{
 		Name:  "E33MediaRestoreReplay",
 		Claim: "archived all-chains replay no slower than live",
 		Rows: []Row{
-			// ~66 800 allocs per op: not held exactly, the runtime's own
-			// occasional allocation moves the quotient by one (66 816 and
-			// 66 817 were both recorded for the same code).
-			{Name: "archived-runs", Procs: 1, Run: func(b *testing.B) float64 { return mediaRestoreReplay(b, true) }},
+			// Each page's chain decodes in place, one record slab per run
+			// span: 4 096 allocs per op, the same in every run, so the count
+			// is held. The live baseline still allocates per record (~66 700)
+			// and the runtime's own occasional allocation moves that
+			// quotient by one, so it is not.
+			{Name: "archived-runs", Procs: 1, ExactAllocs: true, Run: func(b *testing.B) float64 { return mediaRestoreReplay(b, true) }},
 			{Name: "live-seek-baseline", Procs: 1, Run: func(b *testing.B) float64 { return mediaRestoreReplay(b, false) }},
 		},
 		Check: func(rows map[string]Result) error {

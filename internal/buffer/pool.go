@@ -875,7 +875,7 @@ func (p *Pool) evictFromShard(s *shard) (bool, error) {
 			// hook (which appends log records and updates the page
 			// recovery index) runs without pool locks.
 			s.mu.Unlock()
-			err := p.flushFrame(f)
+			err := p.flushFrame(f, false)
 			s.mu.Lock()
 			if err != nil {
 				s.mu.Unlock()
@@ -910,8 +910,8 @@ func (p *Pool) evictFromShard(s *shard) (bool, error) {
 // Fig. 11 sequence (completed-write records appended before the frame can
 // be evicted). It takes no shard lock; per-frame flushMu serializes
 // concurrent flushers of the same page.
-func (p *Pool) flushFrame(f *frame) error {
-	recs, _, err := p.writeBack(f)
+func (p *Pool) flushFrame(f *frame, wait bool) error {
+	recs, _, err := p.writeBack(f, wait)
 	if err != nil {
 		return err
 	}
@@ -927,15 +927,29 @@ func (p *Pool) flushFrame(f *frame) error {
 // the engine sees each page's writes in order. It returns the log records
 // the engine wants appended for this write (the caller appends them,
 // singly or batched) and whether a write actually happened.
-func (p *Pool) writeBack(f *frame) ([]*wal.Record, bool, error) {
-	f.flushMu.Lock()
+//
+// An eviction passes wait false: it writes nothing rather than wait for the
+// frame's flush lock or latch, and leaves the frame dirty. Its victim was
+// unpinned when chosen, but a thread may have pinned and latched it since
+// and be waiting, latch held, for the very load the eviction makes room
+// for.
+func (p *Pool) writeBack(f *frame, wait bool) ([]*wal.Record, bool, error) {
+	if wait {
+		f.flushMu.Lock()
+	} else if !f.flushMu.TryLock() {
+		return nil, false, nil
+	}
 	defer f.flushMu.Unlock()
 	// Exclude concurrent page mutators while encoding: updaters mutate
 	// content (including SetLSN) only under the write latch. MarkDirty may
 	// trail the latch release; the worst case is encoding a fully-updated
 	// image and then seeing the trailing dirty mark, which re-flushes the
 	// same image — never a lost update.
-	f.latch.RLock()
+	if wait {
+		f.latch.RLock()
+	} else if !f.latch.TryRLock() {
+		return nil, false, nil
+	}
 	if !f.isDirty() {
 		f.latch.RUnlock()
 		return nil, false, nil
@@ -1029,7 +1043,7 @@ func (p *Pool) FlushBatch(max int) (int, error) {
 	wrote := 0
 	var firstErr error
 	for _, f := range victims {
-		r, did, err := p.writeBack(f)
+		r, did, err := p.writeBack(f, true)
 		if err != nil {
 			firstErr = err
 			break
@@ -1063,7 +1077,7 @@ func (p *Pool) FlushPages(ids []page.ID) error {
 		if !ok {
 			continue
 		}
-		r, _, err := p.writeBack(v.(*frame))
+		r, _, err := p.writeBack(v.(*frame), true)
 		if err != nil {
 			firstErr = err
 			break
@@ -1082,7 +1096,7 @@ func (p *Pool) FlushPage(id page.ID) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNotResident, id)
 	}
-	return p.flushFrame(v.(*frame))
+	return p.flushFrame(v.(*frame), true)
 }
 
 // FlushAll writes every dirty page back (checkpoint support). Pages pinned
@@ -1118,7 +1132,7 @@ func (p *Pool) Evict(id page.ID) error {
 		return fmt.Errorf("%w: %d (%d pins)", ErrPinned, id, n)
 	}
 	for attempt := 0; attempt < 8; attempt++ {
-		if err := p.flushFrame(f); err != nil {
+		if err := p.flushFrame(f, true); err != nil {
 			return err
 		}
 		s.mu.Lock()

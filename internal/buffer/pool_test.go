@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/iosim"
 	"repro/internal/page"
@@ -149,6 +150,44 @@ func TestPoolFullWhenAllPinned(t *testing.T) {
 		t.Errorf("create after release: %v", err)
 	}
 	h2.Release()
+}
+
+// TestEvictionSkipsALatchedVictim: an eviction never waits for its
+// victim's latch. A frame can be unpinned when the clock reaches it and
+// latched by the time its write-back starts — by a thread that then waits,
+// latch held, for the very load the eviction makes room for — so a
+// write-back that waited would deadlock. Here the only frame is dirty,
+// unpinned and write-latched: a load gives up with ErrPoolFull instead of
+// blocking, and succeeds once the latch is released.
+func TestEvictionSkipsALatchedVictim(t *testing.T) {
+	e := newEnv(t, 1, Hooks{})
+	evicted := e.newPage(t, "a")
+	held := e.newPage(t, "b") // the one frame; "a" was written back
+	v, _ := e.pool.shardOf(held).frames.Load(held)
+	f := v.(*frame)
+	f.latch.Lock()
+	done := make(chan error, 1)
+	go func() {
+		h, err := e.pool.Fetch(evicted)
+		if err == nil {
+			h.Release()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrPoolFull) {
+			t.Fatalf("fetch beside a latched victim: %v, want ErrPoolFull", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the eviction waited for its victim's latch")
+	}
+	f.latch.Unlock()
+	h, err := e.pool.Fetch(evicted)
+	if err != nil {
+		t.Fatalf("fetch once the latch is free: %v", err)
+	}
+	h.Release()
 }
 
 func TestEvictPinnedFails(t *testing.T) {

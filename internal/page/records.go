@@ -362,8 +362,8 @@ func (p *Page) RemoveRecords(i, j int) error {
 	return err
 }
 
-// SetRecordValue resizes keyed record i in place to hold val. val must not
-// alias the page.
+// SetRecordValue resizes keyed record i to hold val, by a splice whatever
+// val's length. val must not alias the page.
 func (p *Page) SetRecordValue(i int, val []byte) error {
 	r, err := ParseRecords(p.payload)
 	if err != nil {
@@ -389,6 +389,26 @@ func (p *Page) SetRecordGhost(i int, ghost bool) error {
 	if err != nil {
 		return err
 	}
+	return r.SetGhost(i, ghost)
+}
+
+// OverwriteValue writes val over keyed record i's value in place when the
+// two have the same length, and reports whether it did; a value of another
+// length needs SetRecordValue's splice. Like Ext, it writes through the
+// view into the page: the caller holds the exclusive latch, and val must
+// not alias the page.
+func (r Records) OverwriteValue(i int, val []byte) (bool, error) {
+	_, old, _, err := r.Record(i)
+	if err != nil || len(old) != len(val) {
+		return false, err
+	}
+	copy(old, val)
+	return true, nil
+}
+
+// SetGhost sets or clears keyed record i's ghost flag in place, writing
+// through the view into the page like OverwriteValue.
+func (r Records) SetGhost(i int, ghost bool) error {
 	key, _, _, err := r.Record(i)
 	if err != nil {
 		return err

@@ -256,17 +256,27 @@ func Apply(k Kind, op []byte, pg *page.Page) error {
 		if _, _, ghost, _ := r.Record(i); !ghost {
 			return fmt.Errorf("%w: insert over live key %q", ErrBadOp, key)
 		}
-		if err := pg.SetRecordValue(i, val); err != nil {
+		if err := setValue(pg, r, i, val); err != nil {
 			return err
 		}
 		return pg.SetRecordGhost(i, false)
 	case Ghost:
-		return pg.SetRecordGhost(i, flag)
+		return r.SetGhost(i, flag)
 	case Update:
-		return pg.SetRecordValue(i, val)
+		return setValue(pg, r, i, val)
 	default: // Purge
 		return pg.RemoveRecords(i, i+1)
 	}
+}
+
+// setValue sets keyed record i of pg, whose current view is r, to val: in
+// place when val has the old value's length — the common update, and the
+// whole of a replayed one — else by SetRecordValue's splice.
+func setValue(pg *page.Page, r page.Records, i int, val []byte) error {
+	if done, err := r.OverwriteValue(i, val); done || err != nil {
+		return err
+	}
+	return pg.SetRecordValue(i, val)
 }
 
 // RedoOnly returns shared op k without its undo information — the fields

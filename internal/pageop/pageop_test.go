@@ -105,3 +105,133 @@ func TestInverseRestoresPage(t *testing.T) {
 		t.Errorf("user op has no physical inverse: %v", err)
 	}
 }
+
+// fuzzRecordPage renders src as a record page of one engine's layout: a
+// Foster B-tree node (TypeBTree, three reserved fence records) or a hash
+// bucket (TypeHash, none), with each engine's extension size. src is read as
+// a stream of (key, value, ghost) entries; duplicate keys and entries past
+// the page's capacity are dropped.
+func fuzzRecordPage(t *testing.T, node bool, src []byte) *page.Page {
+	t.Helper()
+	c := NewCursor(src, 0)
+	take := func(n uint8) []byte { return append([]byte(nil), c.Take(int(n))...) }
+	var pg *page.Page
+	var payload []byte
+	if node {
+		pg = page.New(1, page.TypeBTree, 1024)
+		payload = page.NewRecords(page.KindNode, make([]byte, 2+1+8+8), take(c.U8()%6), take(c.U8()%6), take(c.U8()%6))
+	} else {
+		pg = page.New(1, page.TypeHash, 1024)
+		payload = page.NewRecords(page.KindBucket, make([]byte, 4+4+8+8+4))
+	}
+	if err := pg.SetPayload(payload); err != nil {
+		t.Fatal(err)
+	}
+	for c.Err() == nil {
+		key, val, ghost := take(1+c.U8()%8), take(c.U8()%24), c.U8()&1 == 1
+		if c.Err() != nil {
+			break
+		}
+		r, err := page.ParseRecords(pg.Payload())
+		if err != nil {
+			t.Fatal(err)
+		}
+		i, found, err := r.Find(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if found {
+			continue
+		}
+		if err := pg.InsertRecord(i, key, val, ghost); err != nil {
+			break // full
+		}
+	}
+	return pg
+}
+
+// FuzzApplyUpdate: Apply of an Update overwrites an equal-length value in
+// place and splices any other, and either way leaves the page byte for byte
+// as SetRecordValue's splice does — on record pages of both engines, ghosts
+// included. Reviving a ghost with Insert matches SetRecordValue followed by
+// SetRecordGhost the same way.
+func FuzzApplyUpdate(f *testing.F) {
+	// Entries are klen-1, key, vlen, value, ghost; a node's three fences
+	// come first, each length-prefixed.
+	f.Add(false, []byte("\x00a\x02vv\x01\x00b\x01w\x00"), uint16(0), int8(0))
+	f.Add(false, []byte("\x00a\x02vv\x01\x00b\x01w\x00"), uint16(1), int8(-1))
+	f.Add(true, []byte("\x02lo\x02hi\x00\x01k1\x03abc\x00\x01k2\x00\x01"), uint16(1), int8(3))
+	f.Add(true, []byte("\x02lo\x02hi\x00\x01k1\x03abc\x00\x01k2\x00\x01"), uint16(0), int8(-2))
+	f.Fuzz(func(t *testing.T, node bool, src []byte, pick uint16, grow int8) {
+		pg := fuzzRecordPage(t, node, src)
+		r, err := page.ParseRecords(pg.Payload())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Count() == 0 {
+			return
+		}
+		i := int(pick) % r.Count()
+		k, v, ghost, err := r.Record(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, old := append([]byte(nil), k...), append([]byte(nil), v...)
+		same := make([]byte, len(old))
+		for j := range same {
+			same[j] = old[j] ^ byte(j+1)
+		}
+		if grow == 0 {
+			grow = 1
+		}
+		other := bytes.Repeat([]byte{byte(grow)}, max(0, len(old)+int(grow)))
+		for _, val := range [][]byte{same, other} {
+			applied, spliced := pg.Clone(), pg.Clone()
+			aerr := Apply(Update, EncodeUpdate(66, 9, key, val, old), applied)
+			serr := spliced.SetRecordValue(i, val)
+			agree(t, "update", applied, spliced, aerr, serr)
+			if aerr == nil {
+				if got, g, _, _ := mustParse(t, applied).Get(key); !bytes.Equal(got, val) || g != ghost {
+					t.Fatalf("update of %q left value %q ghost %v, want %q ghost %v", key, got, g, val, ghost)
+				}
+			}
+			if !ghost {
+				continue
+			}
+			applied, spliced = pg.Clone(), pg.Clone()
+			aerr = Apply(Insert, EncodeInsert(64, 9, key, val), applied)
+			serr = spliced.SetRecordValue(i, val)
+			if serr == nil {
+				serr = spliced.SetRecordGhost(i, false)
+			}
+			agree(t, "revival", applied, spliced, aerr, serr)
+		}
+	})
+}
+
+// agree fails t unless Apply and the page mutators both failed or both left
+// the same valid payload.
+func agree(t *testing.T, what string, applied, spliced *page.Page, aerr, serr error) {
+	t.Helper()
+	if (aerr == nil) != (serr == nil) {
+		t.Fatalf("%s: Apply returned %v, the splice %v", what, aerr, serr)
+	}
+	if aerr != nil {
+		return
+	}
+	if !bytes.Equal(applied.Payload(), spliced.Payload()) {
+		t.Fatalf("%s: Apply left\n%x\nthe splice\n%x", what, applied.Payload(), spliced.Payload())
+	}
+	if err := applied.Check(); err != nil {
+		t.Fatalf("%s: Apply left a page that fails Check: %v", what, err)
+	}
+}
+
+func mustParse(t *testing.T, pg *page.Page) page.Records {
+	t.Helper()
+	r, err := page.ParseRecords(pg.Payload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}

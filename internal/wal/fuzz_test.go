@@ -8,8 +8,8 @@ import (
 	"repro/internal/page"
 )
 
-// FuzzDecodeRecord feeds arbitrary bytes to DecodeRecord, the decoder the
-// archive reads every stored record with. It must never panic; what it
+// FuzzDecodeRecord feeds arbitrary bytes to DecodeRecordInto, the decoder
+// the live log and the archive read every record with. It must never panic; what it
 // accepts must re-encode to exactly the bytes it consumed; and a record
 // built from the input must survive an AppendRecord round trip.
 func FuzzDecodeRecord(f *testing.F) {
@@ -19,11 +19,12 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, headerSize+trailerSize))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if rec, n, err := DecodeRecord(page.LSN(64), b); err == nil {
-			if n < headerSize+trailerSize || n > len(b) || n != RecordSize(rec) {
-				t.Fatalf("decoded %d bytes of %d (record size %d)", n, len(b), RecordSize(rec))
+		var rec Record
+		if n, err := DecodeRecordInto(page.LSN(64), b, &rec); err == nil {
+			if n < headerSize+trailerSize || n > len(b) || n != RecordSize(&rec) {
+				t.Fatalf("decoded %d bytes of %d (record size %d)", n, len(b), RecordSize(&rec))
 			}
-			if re := AppendRecord(nil, rec); !bytes.Equal(re, b[:n]) {
+			if re := AppendRecord(nil, &rec); !bytes.Equal(re, b[:n]) {
 				t.Fatalf("re-encoding differs from the decoded bytes:\n%x\n%x", re, b[:n])
 			}
 		}
@@ -40,7 +41,8 @@ func FuzzDecodeRecord(f *testing.F) {
 			Payload:     b,
 		}
 		enc := AppendRecord(nil, want)
-		got, n, err := DecodeRecord(want.LSN, enc)
+		var got Record
+		n, err := DecodeRecordInto(want.LSN, enc, &got)
 		if err != nil || n != len(enc) {
 			t.Fatalf("round trip: %d of %d bytes, %v", n, len(enc), err)
 		}

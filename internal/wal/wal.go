@@ -227,7 +227,8 @@ type ArchiveReader interface {
 	ReadRecord(lsn page.LSN) (*Record, error)
 	// WalkChain follows the per-page chain backwards from start until (and
 	// excluding) records at or below stopAfter, newest first — the archived
-	// continuation of WalkPageChain, served as a sequential run scan.
+	// continuation of WalkPageChain, served as a sequential run scan. The
+	// payloads may alias the archive's immutable storage: read-only.
 	WalkChain(start, stopAfter page.LSN, pageID page.ID) ([]*Record, error)
 }
 
@@ -638,32 +639,34 @@ func AppendRecord(dst []byte, rec *Record) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
 }
 
-// DecodeRecord parses one AppendRecord-encoded record from the front of b,
-// verifying the checksum, and returns it together with its encoded size.
-// The LSN is not part of the encoding (a live record's LSN is its offset)
-// and must be supplied. The payload aliases b.
-func DecodeRecord(lsn page.LSN, b []byte) (*Record, int, error) {
+// DecodeRecordInto parses one AppendRecord-encoded record from the front
+// of b into rec, verifying the checksum, and returns its encoded size. It
+// is the one decoder of the record header — the live log's and the
+// archive's — and allocates nothing: rec's payload aliases b, capped at its
+// end so an append cannot reach the checksum. The LSN is not part of the
+// encoding (a live record's LSN is its offset) and must be supplied. On
+// error rec is left as it was.
+func DecodeRecordInto(lsn page.LSN, b []byte, rec *Record) (int, error) {
 	if len(b) < headerSize+trailerSize {
-		return nil, 0, fmt.Errorf("%w: at %d", ErrTornRecord, lsn)
+		return 0, fmt.Errorf("%w: at %d", ErrTornRecord, lsn)
 	}
 	total := int(binary.LittleEndian.Uint32(b[0:]))
 	if total < headerSize+trailerSize || total > len(b) {
-		return nil, 0, fmt.Errorf("%w: at %d", ErrTornRecord, lsn)
+		return 0, fmt.Errorf("%w: at %d", ErrTornRecord, lsn)
 	}
 	stored := binary.LittleEndian.Uint32(b[total-trailerSize:])
 	if crc := crc32.Checksum(b[:total-trailerSize], crcTable); crc != stored {
-		return nil, 0, fmt.Errorf("%w: at %d", ErrCorruptRec, lsn)
+		return 0, fmt.Errorf("%w: at %d", ErrCorruptRec, lsn)
 	}
-	return &Record{
-		LSN:         lsn,
-		Type:        RecType(b[4]),
-		Txn:         TxnID(binary.LittleEndian.Uint64(b[5:])),
-		PrevLSN:     page.LSN(binary.LittleEndian.Uint64(b[13:])),
-		PageID:      page.ID(binary.LittleEndian.Uint64(b[21:])),
-		PagePrevLSN: page.LSN(binary.LittleEndian.Uint64(b[29:])),
-		UndoNext:    page.LSN(binary.LittleEndian.Uint64(b[37:])),
-		Payload:     b[headerSize : total-trailerSize],
-	}, total, nil
+	rec.LSN = lsn
+	rec.Type = RecType(b[4])
+	rec.Txn = TxnID(binary.LittleEndian.Uint64(b[5:]))
+	rec.PrevLSN = page.LSN(binary.LittleEndian.Uint64(b[13:]))
+	rec.PageID = page.ID(binary.LittleEndian.Uint64(b[21:]))
+	rec.PagePrevLSN = page.LSN(binary.LittleEndian.Uint64(b[29:]))
+	rec.UndoNext = page.LSN(binary.LittleEndian.Uint64(b[37:]))
+	rec.Payload = b[headerSize : total-trailerSize : total-trailerSize]
+	return total, nil
 }
 
 // Flush forces the log up to and including the record at upTo onto stable
@@ -932,25 +935,11 @@ func (m *Manager) decodeAt(lsn page.LSN, rec *Record, copyPayload bool) (int, er
 	if total < headerSize+trailerSize || p+total > ready {
 		return 0, fmt.Errorf("%w: at %d", ErrTornRecord, lsn)
 	}
-	raw := bytesAt(t, p, total)
-	stored := binary.LittleEndian.Uint32(raw[total-trailerSize:])
-	if crc := crc32.Checksum(raw[:total-trailerSize], crcTable); crc != stored {
-		return 0, fmt.Errorf("%w: at %d", ErrCorruptRec, lsn)
+	size, err := DecodeRecordInto(lsn, bytesAt(t, p, total), rec)
+	if err == nil && copyPayload {
+		rec.Payload = append([]byte(nil), rec.Payload...)
 	}
-	rec.LSN = lsn
-	rec.Type = RecType(raw[4])
-	rec.Txn = TxnID(binary.LittleEndian.Uint64(raw[5:]))
-	rec.PrevLSN = page.LSN(binary.LittleEndian.Uint64(raw[13:]))
-	rec.PageID = page.ID(binary.LittleEndian.Uint64(raw[21:]))
-	rec.PagePrevLSN = page.LSN(binary.LittleEndian.Uint64(raw[29:]))
-	rec.UndoNext = page.LSN(binary.LittleEndian.Uint64(raw[37:]))
-	payload := raw[headerSize : total-trailerSize]
-	if copyPayload {
-		rec.Payload = append([]byte(nil), payload...)
-	} else {
-		rec.Payload = payload
-	}
-	return int(total), nil
+	return size, err
 }
 
 // Scan iterates records in LSN order starting at from (use FirstLSN for the
@@ -1008,8 +997,10 @@ func RecordSize(rec *Record) int {
 //
 // This is the heart of single-page recovery (§5.2.3): the caller pushes the
 // returned records onto a LIFO stack (the returned order already is that
-// stack) and then applies redo from oldest to newest. The returned records
-// own their payloads: the chain is retained and applied after the walk.
+// stack) and then applies redo from oldest to newest. The chain may be
+// retained and applied after the walk, read-only: a live record owns a copy
+// of its payload, and an archived one aliases its run, which nothing writes
+// again.
 func (m *Manager) WalkPageChain(start page.LSN, stopAfter page.LSN, pageID page.ID) ([]*Record, error) {
 	var chain []*Record
 	lsn := start

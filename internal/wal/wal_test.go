@@ -203,7 +203,7 @@ func TestScanFromMidLogAndEarlyStop(t *testing.T) {
 // records only, so Scan never reaches into it — a scan that starts below
 // the recycling boundary fails before visiting a record, one that starts
 // at the boundary reads the live rest, and an AppendRecord encoding reads
-// back through DecodeRecord unchanged.
+// back through DecodeRecordInto unchanged.
 func TestScanBelowTruncationReturnsErrTruncated(t *testing.T) {
 	m := newTestLog()
 	var lsns []page.LSN
@@ -229,9 +229,10 @@ func TestScanBelowTruncationReturnsErrTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := AppendRecord([]byte("prefix"), rec)
-	got, n, err := DecodeRecord(rec.LSN, enc[len("prefix"):])
+	var got Record
+	n, err := DecodeRecordInto(rec.LSN, enc[len("prefix"):], &got)
 	if err != nil || n != RecordSize(rec) || got.Type != rec.Type || !bytes.Equal(got.Payload, rec.Payload) {
-		t.Fatalf("AppendRecord round trip: %+v (%d bytes, %v), want %+v", got, n, err, rec)
+		t.Fatalf("AppendRecord round trip: %+v (%d bytes, %v), want %+v", &got, n, err, rec)
 	}
 }
 
