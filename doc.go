@@ -27,8 +27,8 @@
 //     checkpoint), background write-back and scrubbing.
 //   - internal/{server,metrics} and cmd/{spfserver,spfload,spfverify} are
 //     the wire front end, its load harness and the metrics endpoint.
-//   - internal/chaos is the deterministic crash-point injection the torture
-//     tests in spf drive.
+//   - internal/chaos is the deterministic crash-point injection the
+//     model-based checker in spf (checker_test.go) drives.
 //
 // Measurement is declared once per kind. internal/experiments.Table is the
 // paper's figures E1–E16; internal/bench.Table is the engine

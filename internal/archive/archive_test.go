@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/iosim"
 	"repro/internal/page"
@@ -221,7 +220,7 @@ func TestReaderRetriesTransientFault(t *testing.T) {
 	if err := s.AppendRun(recs, nil); err != nil {
 		t.Fatal(err)
 	}
-	r := s.NewReader(5, time.Microsecond)
+	r := s.NewReader(5)
 	s.FailReads(2)
 	rec, err := r.ReadRecord(recs[1].LSN)
 	if err != nil {
@@ -255,7 +254,7 @@ func TestArchiverStepRecyclesAndPausesOnFault(t *testing.T) {
 	}
 	m.FlushAll()
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	a := New(m, s, Config{SegmentBytes: 256, RetryAttempts: 2, RetryBackoff: time.Microsecond})
+	a := New(m, s, Config{SegmentBytes: 256, RetryAttempts: 2})
 	a.SetCheckpointHorizon(m.FlushedLSN())
 	if err := a.Step(true); err != nil {
 		t.Fatal(err)
@@ -340,7 +339,7 @@ func TestArchiverWithoutStoreRecyclesBelowBothHorizons(t *testing.T) {
 func TestRecycledReadsFallBackToArchive(t *testing.T) {
 	m, recs := buildLog(t, []page.ID{21, 22}, 9)
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	m.SetArchive(s.NewReader(3, time.Microsecond))
+	m.SetArchive(s.NewReader(3))
 	if err := s.AppendRun(recs, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +367,7 @@ func TestRecycledReadsFallBackToArchive(t *testing.T) {
 func TestScanAcrossRecycleBoundary(t *testing.T) {
 	m, recs := buildLog(t, []page.ID{1, 2}, 10)
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	m.SetArchive(s.NewReader(3, time.Microsecond))
+	m.SetArchive(s.NewReader(3))
 	half := len(recs) / 2
 	if err := s.AppendRun(recs[:half], nil); err != nil {
 		t.Fatal(err)
@@ -408,7 +407,7 @@ func TestWalkPageChainAcrossRecycleBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	m.SetArchive(s.NewReader(3, time.Microsecond))
+	m.SetArchive(s.NewReader(3))
 	half := len(recs) / 2
 	if err := s.AppendRun(recs[:half], nil); err != nil {
 		t.Fatal(err)
@@ -436,7 +435,7 @@ func TestWalkPageChainAcrossRecycleBoundary(t *testing.T) {
 func TestRecycleReusesFreedChunks(t *testing.T) {
 	m := wal.NewManager(iosim.Instant)
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	m.SetArchive(s.NewReader(3, time.Microsecond))
+	m.SetArchive(s.NewReader(3))
 	prev := page.ZeroLSN
 	writeChunk := func() {
 		for i := 0; i < 40; i++ {
@@ -481,7 +480,7 @@ func firstByte(op []byte) []byte { return op[:1] }
 func TestArchiveKeepsOnlyChainRecords(t *testing.T) {
 	m := wal.NewManager(iosim.Instant)
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	m.SetArchive(s.NewReader(1, 0))
+	m.SetArchive(s.NewReader(1))
 	a := New(m, s, Config{SegmentBytes: 512, RedoOnly: firstByte})
 	chain := make(map[page.LSN]wal.RecType)
 	var dropped []page.LSN
@@ -650,7 +649,7 @@ func TestBatchWithoutChainRecordsAdvancesCursor(t *testing.T) {
 	}
 	m.FlushAll()
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	m.SetArchive(s.NewReader(1, 0))
+	m.SetArchive(s.NewReader(1))
 	a := New(m, s, Config{SegmentBytes: 256})
 	a.SetCheckpointHorizon(m.FlushedLSN())
 	if err := a.Step(true); err != nil {

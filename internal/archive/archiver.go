@@ -23,14 +23,9 @@ type Config struct {
 	Interval time.Duration
 	// RetryAttempts bounds archive-write retries per step before the
 	// archiver declares the device unavailable and pauses recycling
-	// (default 5). RetryBackoff is the initial backoff, doubling per
-	// attempt (default 200µs — nominally: a sleep shorter than a
-	// millisecond lasts about a millisecond when the P is otherwise idle,
-	// because the runtime's netpoller rounds the wait up, so the default
-	// really is ≥1ms and smaller values change nothing). The archiver is a
-	// background goroutine; no caller waits on this.
+	// (default 5). The backoff between them is writeBackoff, doubling per
+	// attempt.
 	RetryAttempts int
-	RetryBackoff  time.Duration
 	// ReleaseFloor, when set, further clamps the release horizon: the
 	// engine supplies min(oldest active transaction begin LSN, oldest
 	// format record serving as a page's backup), so undo chains and those
@@ -88,9 +83,6 @@ func New(log *wal.Manager, store *Store, cfg Config) *Archiver {
 	}
 	if cfg.RetryAttempts <= 0 {
 		cfg.RetryAttempts = 5
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 200 * time.Microsecond
 	}
 	return &Archiver{
 		log:   log,
@@ -284,9 +276,21 @@ func (a *Archiver) collect(cursor, flushed page.LSN) ([]*wal.Record, error) {
 	return recs, nil
 }
 
+// writeBackoff and readBackoff are the first waits after an archive device
+// fault, doubling per retry. Nominally: a sleep shorter than a millisecond
+// lasts about a millisecond when the P is otherwise idle, because the
+// runtime's netpoller rounds the wait up, so both really are ≥1ms and
+// smaller values would change nothing. The archiver is a background
+// goroutine, and no caller waits on its writes; a healthy archive read
+// never waits.
+const (
+	writeBackoff = 200 * time.Microsecond
+	readBackoff  = 100 * time.Microsecond
+)
+
 // appendWithRetry writes one run with bounded retry + exponential backoff.
 func (a *Archiver) appendWithRetry(recs []*wal.Record) error {
-	delay := a.cfg.RetryBackoff
+	delay := writeBackoff
 	var err error
 	for i := 0; i < a.cfg.RetryAttempts; i++ {
 		if err = a.store.AppendRun(recs, a.cfg.RedoOnly); !errors.Is(err, ErrArchiveIO) {
@@ -321,27 +325,19 @@ func (a *Archiver) recovered() {
 type Reader struct {
 	s        *Store
 	attempts int
-	backoff  time.Duration
 }
 
 // NewReader returns a retrying reader over s. attempts <= 0 defaults to
-// 5; backoff <= 0 defaults to 100µs (doubling per retry). The wait is
-// taken only after an archive device fault, and like every sleep below a
-// millisecond it lasts ≥1ms on an otherwise idle P (the runtime's
-// netpoller rounds up): do not tune it below that expecting a faster
-// retry. A healthy archive read never waits.
-func (s *Store) NewReader(attempts int, backoff time.Duration) *Reader {
+// 5; the wait after a fault is readBackoff, doubling per retry.
+func (s *Store) NewReader(attempts int) *Reader {
 	if attempts <= 0 {
 		attempts = 5
 	}
-	if backoff <= 0 {
-		backoff = 100 * time.Microsecond
-	}
-	return &Reader{s: s, attempts: attempts, backoff: backoff}
+	return &Reader{s: s, attempts: attempts}
 }
 
 func (r *Reader) retry(op func() error) error {
-	delay := r.backoff
+	delay := readBackoff
 	var err error
 	for i := 0; i < r.attempts; i++ {
 		if err = op(); !errors.Is(err, ErrArchiveIO) {

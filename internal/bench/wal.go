@@ -97,7 +97,7 @@ func archiveAndRecycle(b *testing.B, m *wal.Manager) {
 	if err := ar.Step(true); err != nil {
 		b.Fatal(err)
 	}
-	m.SetArchive(st.NewReader(1, 0))
+	m.SetArchive(st.NewReader(1))
 	if m.TruncatedLSN() != m.FlushedLSN() {
 		b.Fatalf("recycle stopped at %d, flushed %d", m.TruncatedLSN(), m.FlushedLSN())
 	}

@@ -506,9 +506,9 @@ func (tr *Tree) tryAdopt(parentID, childID page.ID, lt *latchTracker) (bool, err
 		lt.unlatch(childH, true)
 		lt.unlatch(parentH, true)
 		if parentFull {
-			return false, tr.makeSpace(parentID, need, fosterKey, lt)
+			return false, tr.makeSpace(parentID, need, fosterKey, true, lt)
 		}
-		return false, tr.makeSpace(childID, grow, nil, lt)
+		return false, tr.makeSpace(childID, grow, nil, true, lt)
 	}
 
 	st := tr.pager.BeginSystem()
@@ -518,7 +518,9 @@ func (tr *Tree) tryAdopt(parentID, childID page.ID, lt *latchTracker) (bool, err
 		_ = st.Abort()
 		return false, err
 	}
-	err = ops.LogApply(st, childH, encodeFosterOp(opClearFoster, fosterPID, oldChainHigh))
+	if err = ops.LogApply(st, childH, encodeFosterOp(opClearFoster, fosterPID, oldChainHigh)); err == nil {
+		err = st.Commit() // before the latches go: its undo is physical (ops.go)
+	}
 	lt.unlatch(childH, true)
 	lt.unlatch(parentH, true)
 	if err != nil {
@@ -527,9 +529,6 @@ func (tr *Tree) tryAdopt(parentID, childID page.ID, lt *latchTracker) (bool, err
 		// leaking a half-applied adoption and an open system txn. The
 		// latches are released, so the abort can re-latch freely.
 		_ = st.Abort()
-		return false, err
-	}
-	if err := st.Commit(); err != nil {
 		return false, err
 	}
 	tr.adoptions.Add(1)
@@ -614,7 +613,7 @@ func (tr *Tree) Insert(tx *txn.Txn, key, val []byte) error {
 		leafID := h.ID()
 		lt.unpin(h, true)
 		tr.finishAdoptions(pend, lt)
-		if err := tr.makeSpace(leafID, entrySize, key, lt); err != nil {
+		if err := tr.makeSpace(leafID, entrySize, key, true, lt); err != nil {
 			return err
 		}
 	}
@@ -658,7 +657,7 @@ func (tr *Tree) Update(tx *txn.Txn, key, val []byte) error {
 		leafID := h.ID()
 		lt.unpin(h, true)
 		tr.finishAdoptions(pend, lt)
-		if err := tr.makeSpace(leafID, len(val)-len(old), nil, lt); err != nil {
+		if err := tr.makeSpace(leafID, len(val)-len(old), nil, true, lt); err != nil {
 			return err
 		}
 	}
@@ -695,50 +694,66 @@ func (tr *Tree) Delete(tx *txn.Txn, key []byte) error {
 // user operations during rollback: a fresh descent finds the key wherever
 // splits may have moved it, and a CLR records the compensation.
 func (tr *Tree) undoInsert(t *txn.Txn, key []byte, undoNext page.LSN) error {
-	return tr.compensate(t, key, undoNext, func(curVal []byte, ghost bool) ([]byte, error) {
+	return tr.compensate(t, key, undoNext, func(curVal []byte, ghost bool) ([]byte, int) {
 		// Inverse of insert: remove the record. Ghosting suffices
 		// logically, but physical purge reclaims the space directly
 		// and keeps rollback idempotent.
-		return encodeLeafPurge(key, curVal, ghost), nil
+		return encodeLeafPurge(key, curVal, ghost), 0
 	})
 }
 
 // undoGhost restores the ghost flag a user delete (or its inverse)
 // changed: the compensation sets the flag back to prior.
 func (tr *Tree) undoGhost(t *txn.Txn, key []byte, prior, was bool, undoNext page.LSN) error {
-	return tr.compensate(t, key, undoNext, func([]byte, bool) ([]byte, error) {
-		return encodeLeafGhost(tr.root, key, prior, was), nil
+	return tr.compensate(t, key, undoNext, func([]byte, bool) ([]byte, int) {
+		return encodeLeafGhost(tr.root, key, prior, was), 0
 	})
 }
 
 func (tr *Tree) undoUpdate(t *txn.Txn, key, oldVal []byte, undoNext page.LSN) error {
-	return tr.compensate(t, key, undoNext, func(curVal []byte, ghost bool) ([]byte, error) {
-		return encodeLeafUpdate(tr.root, key, oldVal, curVal), nil
+	return tr.compensate(t, key, undoNext, func(curVal []byte, ghost bool) ([]byte, int) {
+		return encodeLeafUpdate(tr.root, key, oldVal, curVal), len(oldVal) - len(curVal)
 	})
 }
 
 // compensate descends like a writer (exclusive leaf latch, no adoptions —
 // rollback performs no optional maintenance) and logs the compensation CLR.
+// makeOp also says how many bytes the compensation adds to the leaf: the
+// old value an update undo restores may no longer fit where other
+// transactions filled the room its shrinking freed, and rollback must not
+// fail, so it splits the leaf the way a growing update would and retries.
 func (tr *Tree) compensate(t *txn.Txn, key []byte, undoNext page.LSN,
-	makeOp func(curVal []byte, ghost bool) ([]byte, error)) error {
+	makeOp func(curVal []byte, ghost bool) (op []byte, grow int)) error {
 	lt := &latchTracker{}
-	h, v, _, err := tr.descend(key, nil, true, lt)
-	if err != nil {
-		return err
+	for attempt := 0; ; attempt++ {
+		if attempt > maxAttempts {
+			return errors.New("btree: compensation did not converge after splits")
+		}
+		h, v, _, err := tr.descend(key, nil, true, lt)
+		if err != nil {
+			return err
+		}
+		curVal, ghost, found, err := v.Get(key)
+		if err != nil {
+			lt.unpin(h, true)
+			return err
+		}
+		if !found {
+			lt.unpin(h, true)
+			return fmt.Errorf("btree: compensation target %q vanished: %w", key, ErrKeyNotFound)
+		}
+		op, grow := makeOp(curVal, ghost)
+		if v.Size()+grow <= h.Page().Capacity() {
+			err := ops.LogApplyCLR(t, h, op, undoNext)
+			lt.unpin(h, true)
+			return err
+		}
+		leafID := h.ID()
+		lt.unpin(h, true)
+		if err := tr.makeSpace(leafID, grow, nil, false, lt); err != nil {
+			return err
+		}
 	}
-	defer lt.unpin(h, true)
-	curVal, ghost, found, err := v.Get(key)
-	if err != nil {
-		return err
-	}
-	if !found {
-		return fmt.Errorf("btree: compensation target %q vanished: %w", key, ErrKeyNotFound)
-	}
-	op, err := makeOp(curVal, ghost)
-	if err != nil {
-		return err
-	}
-	return ops.LogApplyCLR(t, h, op, undoNext)
 }
 
 // makeSpace reclaims ghosts in the node or splits it so that need more
@@ -747,8 +762,10 @@ func (tr *Tree) compensate(t *txn.Txn, key []byte, undoNext page.LSN,
 // taken) the space in the meantime — makeSpace rechecks under the latch and
 // the caller's retry loop absorbs either outcome. key is what the caller is
 // making room for (nil for a value that grows in place); a split places its
-// split point by it (see splitOff).
-func (tr *Tree) makeSpace(id page.ID, need int, key []byte, lt *latchTracker) error {
+// split point by it (see splitOff). Without purge it only splits: a
+// compensation must not reclaim ghosts its own rollback may have yet to
+// revive.
+func (tr *Tree) makeSpace(id page.ID, need int, key []byte, purge bool, lt *latchTracker) error {
 	h, err := tr.pager.Fetch(id)
 	if err != nil {
 		return err
@@ -765,7 +782,7 @@ func (tr *Tree) makeSpace(id page.ID, need int, key []byte, lt *latchTracker) er
 		return nil
 	}
 	// First try reclaiming ghost records — cheaper than splitting.
-	if v.isLeaf() {
+	if purge && v.isLeaf() {
 		var st *txn.Txn
 		err := ops.PurgeGhosts(h, opLeafPurge, func() *txn.Txn {
 			if st == nil {
@@ -773,11 +790,13 @@ func (tr *Tree) makeSpace(id page.ID, need int, key []byte, lt *latchTracker) er
 			}
 			return st
 		})
-		if st != nil || err != nil {
+		if st != nil && err == nil {
+			err = st.Commit()
 			lt.unpin(h, true)
-			if err == nil {
-				return st.Commit()
-			}
+			return err
+		}
+		if err != nil {
+			lt.unpin(h, true)
 			if st != nil {
 				_ = st.Abort() // roll earlier purges back; latch released
 			}
@@ -836,15 +855,14 @@ func (tr *Tree) fosterSplit(id page.ID, need int, key []byte, lt *latchTracker) 
 	childID := childH.ID()
 	childH.Release()
 	// The op encoder copies the pre-image out before the op applies.
-	err = ops.LogApply(st, h, encodeSplitTruncate(childID, fosterKey, h.Page().Payload()))
+	if err = ops.LogApply(st, h, encodeSplitTruncate(childID, fosterKey, h.Page().Payload())); err == nil {
+		err = st.Commit()
+	}
 	lt.unpin(h, true)
 	if err != nil {
 		// Reclaim the orphaned child allocation and close the system
 		// txn; the latch is released, so the abort can re-latch freely.
 		_ = st.Abort()
-		return err
-	}
-	if err := st.Commit(); err != nil {
 		return err
 	}
 	tr.splits.Add(1)
@@ -886,13 +904,12 @@ func (tr *Tree) growRoot(need int, lt *latchTracker) error {
 	// n's fences alias the root page, which stays untouched until the op
 	// (whose encoder copies both payloads) applies.
 	newRoot := newNodePayload(n.level+1, n.low, n.high, n.chain, page.InvalidID, mID)
-	err = ops.LogApply(st, h, encodeReplaceNode(newRoot, oldPayload))
+	if err = ops.LogApply(st, h, encodeReplaceNode(newRoot, oldPayload)); err == nil {
+		err = st.Commit()
+	}
 	lt.unpin(h, true)
 	if err != nil {
 		_ = st.Abort() // reclaim M and close the system txn
-		return err
-	}
-	if err := st.Commit(); err != nil {
 		return err
 	}
 	tr.rootIsBranch.Store(true)

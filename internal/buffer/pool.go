@@ -309,15 +309,13 @@ type Pool struct {
 
 // Config configures a pool.
 type Config struct {
-	// Capacity is the total number of frames across all shards.
+	// Capacity is the total number of frames across all shards; the pool
+	// has max(8, GOMAXPROCS) shards, rounded up to a power of two.
 	Capacity int
-	// Shards is the number of shards, rounded up to a power of two.
-	// Zero selects max(8, GOMAXPROCS).
-	Shards int
-	Device *storage.Device
-	Map    *pagemap.Map
-	Log    *wal.Manager
-	Hooks  Hooks
+	Device   *storage.Device
+	Map      *pagemap.Map
+	Log      *wal.Manager
+	Hooks    Hooks
 	// ReadRetries bounds the immediate re-reads of a failed device read
 	// before the failure is treated as a real single-page failure. A
 	// one-shot fault — a device hiccup that a re-read clears — then costs a
@@ -335,14 +333,7 @@ func NewPool(cfg Config) *Pool {
 	if cfg.Capacity <= 0 {
 		panic("buffer: capacity must be positive")
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n < 8 {
-			n = 8
-		}
-	}
-	n = nextPow2(n)
+	n := nextPow2(max(8, runtime.GOMAXPROCS(0)))
 	shards := make([]*shard, n)
 	for i := range shards {
 		shards[i] = &shard{loads: make(map[page.ID]*load)}

@@ -13,13 +13,13 @@
 // state on every run, so a schedule derived from a seed replays the same
 // crash window every time. Actions must not block on engine shutdown
 // paths (a point inside a WAL append cannot wait for Crash, which
-// quiesces appenders); the torture driver's actions therefore signal a
-// controller goroutine and return, which models a real crash anyway —
-// the failure lands asynchronously to the in-flight operation.
+// quiesces appenders); the actions of spf's model-based checker therefore
+// signal a controller goroutine and return, which models a real crash
+// anyway — the failure lands asynchronously to the in-flight operation.
 //
 // Observe mode records hit counts without firing anything, so a driver
 // can run a workload once to learn how often each site executes, then
-// derive in-range trip points from a seed (see spf's chaos torture test).
+// derive in-range trip points from a seed.
 package chaos
 
 import (

@@ -361,12 +361,12 @@ func (tb *Table) Insert(tx *txn.Txn, key, val []byte) error {
 			// plain insert.
 			st := tb.pager.BeginSystem()
 			err := ops.LogApply(st, c.handles[pi], encodePurge(key, old, true))
+			if err == nil {
+				err = st.Commit() // before the latches go: its undo is physical (ops.go)
+			}
 			c.release()
 			if err != nil {
 				_ = st.Abort()
-				return err
-			}
-			if err := st.Commit(); err != nil {
 				return err
 			}
 			continue
@@ -383,7 +383,7 @@ func (tb *Table) Insert(tx *txn.Txn, key, val []byte) error {
 			}
 			return err
 		}
-		extended, err := tb.makeRoom(c, es)
+		extended, err := tb.makeRoom(c, es, true)
 		if err != nil {
 			return err
 		}
@@ -433,33 +433,43 @@ func (tb *Table) Update(tx *txn.Txn, key, val []byte) error {
 		// The grown value does not fit in place: relocate the entry (with
 		// its OLD value — no logical change, so a system transaction) to a
 		// page with room for the new size, then retry there.
-		target := c.roomFor(es, pi)
-		if target < 0 {
-			extended, err := tb.makeRoom(c, es)
-			if err != nil {
-				return err
-			}
-			grew = grew || extended
-			continue
-		}
-		// The purge splices old's bytes away: build the reinsert first.
-		reinsert := encodeReinsert(key, old, false)
-		st := tb.pager.BeginSystem()
-		if err := ops.LogApply(st, c.handles[pi], encodePurge(key, old, false)); err != nil {
-			c.release()
-			_ = st.Abort()
-			return err
-		}
-		err = ops.LogApply(st, c.handles[target], reinsert)
-		c.release()
+		extended, err := tb.relocate(c, pi, key, old, false, es, true)
 		if err != nil {
-			_ = st.Abort()
 			return err
 		}
-		if err := st.Commit(); err != nil {
-			return err
-		}
+		grew = grew || extended
 	}
+}
+
+// relocate makes room for key's entry, now holding val, to grow to es
+// bytes: it moves the entry unchanged — no logical change, so under a
+// system transaction — to a page of its chain with room for es, or, with
+// no such page, makes room in the chain (makeRoom, which reclaims ghosts
+// only with purge). Consumes c; the caller re-descends. Reports whether the
+// chain was extended.
+func (tb *Table) relocate(c *chainRef, pi int, key, val []byte, ghost bool, es int, purge bool) (bool, error) {
+	target := c.roomFor(es, pi)
+	if target < 0 {
+		return tb.makeRoom(c, es, purge)
+	}
+	// The purge splices val's bytes away: build the reinsert first.
+	reinsert := encodeReinsert(key, val, ghost)
+	st := tb.pager.BeginSystem()
+	if err := ops.LogApply(st, c.handles[pi], encodePurge(key, val, ghost)); err != nil {
+		c.release()
+		_ = st.Abort()
+		return false, err
+	}
+	err := ops.LogApply(st, c.handles[target], reinsert)
+	if err == nil {
+		err = st.Commit()
+	}
+	c.release()
+	if err != nil {
+		_ = st.Abort()
+		return false, err
+	}
+	return false, nil
 }
 
 // Delete logically deletes key under tx by turning its record into a ghost
@@ -487,11 +497,11 @@ func (tb *Table) Delete(tx *txn.Txn, key []byte) error {
 }
 
 // makeRoom makes space in a chain none of whose pages can take need more
-// bytes: ghosts are reclaimed first (cheaper), otherwise the chain grows
-// by one empty overflow page. Consumes c (released before the system
-// transaction commits); the caller re-descends. Reports whether the chain
-// was extended — the split trigger.
-func (tb *Table) makeRoom(c *chainRef, need int) (bool, error) {
+// bytes: with purge, ghosts are reclaimed first (cheaper); otherwise the
+// chain grows by one empty overflow page. Consumes c (released once the
+// system transaction has committed); the caller re-descends. Reports
+// whether the chain was extended — the split trigger.
+func (tb *Table) makeRoom(c *chainRef, need int, purge bool) (bool, error) {
 	var st *txn.Txn
 	sys := func() *txn.Txn {
 		if st == nil {
@@ -499,8 +509,8 @@ func (tb *Table) makeRoom(c *chainRef, need int) (bool, error) {
 		}
 		return st
 	}
-	for _, h := range c.handles {
-		if err := ops.PurgeGhosts(h, opHashPurge, sys); err != nil {
+	for i := 0; purge && i < len(c.handles); i++ {
+		if err := ops.PurgeGhosts(c.handles[i], opHashPurge, sys); err != nil {
 			c.release()
 			if st != nil {
 				_ = st.Abort()
@@ -509,8 +519,9 @@ func (tb *Table) makeRoom(c *chainRef, need int) (bool, error) {
 		}
 	}
 	if st != nil {
+		err := st.Commit()
 		c.release()
-		return false, st.Commit()
+		return false, err
 	}
 	// No ghosts to reclaim: link one empty overflow page to the tail. The
 	// allocation and the link commit independently of the caller's
@@ -532,13 +543,12 @@ func (tb *Table) makeRoom(c *chainRef, need int) (bool, error) {
 	oldPayload := c.handles[last].Page().Payload()
 	linked := append([]byte(nil), oldPayload...)
 	copy(linked[page.LayoutHeaderSize:], bucketExt(tail.bucketNum, tail.levelStamp, tail.dir, newID, tail.chainPos))
-	err = ops.LogApply(st, c.handles[last], encodePageSet(linked, oldPayload))
+	if err = ops.LogApply(st, c.handles[last], encodePageSet(linked, oldPayload)); err == nil {
+		err = st.Commit()
+	}
 	c.release()
 	if err != nil {
 		_ = st.Abort()
-		return false, err
-	}
-	if err := st.Commit(); err != nil {
 		return false, err
 	}
 	tb.overflows.Add(1)
@@ -549,39 +559,59 @@ func (tb *Table) makeRoom(c *chainRef, need int) (bool, error) {
 // user operations during rollback: a fresh descent finds the key wherever
 // splits or relocations moved it, and a CLR records the compensation.
 func (tb *Table) undoInsert(t *txn.Txn, key []byte, undoNext page.LSN) error {
-	return tb.compensate(t, key, undoNext, func(curVal []byte, ghost bool) []byte {
-		return encodePurge(key, curVal, ghost)
+	return tb.compensate(t, key, undoNext, func(curVal []byte, ghost bool) ([]byte, int) {
+		return encodePurge(key, curVal, ghost), 0
 	})
 }
 
 func (tb *Table) undoGhost(t *txn.Txn, key []byte, prior, was bool, undoNext page.LSN) error {
-	return tb.compensate(t, key, undoNext, func([]byte, bool) []byte {
-		return encodeGhost(tb.dir, key, prior, was)
+	return tb.compensate(t, key, undoNext, func([]byte, bool) ([]byte, int) {
+		return encodeGhost(tb.dir, key, prior, was), 0
 	})
 }
 
 func (tb *Table) undoUpdate(t *txn.Txn, key, oldVal []byte, undoNext page.LSN) error {
-	return tb.compensate(t, key, undoNext, func(curVal []byte, ghost bool) []byte {
-		return encodeUpdate(tb.dir, key, oldVal, curVal)
+	return tb.compensate(t, key, undoNext, func(curVal []byte, ghost bool) ([]byte, int) {
+		return encodeUpdate(tb.dir, key, oldVal, curVal), len(oldVal) - len(curVal)
 	})
 }
 
+// compensate logs the compensation makeOp builds as a CLR. makeOp also
+// says how many bytes it adds to the entry: the old value an update undo
+// restores may no longer fit where other transactions filled the room its
+// shrinking freed, and rollback must not fail, so the entry is relocated
+// the way a growing update relocates it — reclaiming no ghost, which its
+// own rollback may have yet to revive — and the compensation retried.
 func (tb *Table) compensate(t *txn.Txn, key []byte, undoNext page.LSN,
-	makeOp func(curVal []byte, ghost bool) []byte) error {
-	c, err := tb.descendX(key)
-	if err != nil {
-		return err
+	makeOp func(curVal []byte, ghost bool) (op []byte, grow int)) error {
+	for attempt := 0; ; attempt++ {
+		if attempt > maxAttempts {
+			return errors.New("hashindex: compensation did not converge")
+		}
+		c, err := tb.descendX(key)
+		if err != nil {
+			return err
+		}
+		pi, curVal, ghost, err := c.find(key)
+		if err != nil {
+			c.release()
+			return err
+		}
+		if pi < 0 {
+			c.release()
+			return fmt.Errorf("hashindex: compensation target %q vanished: %w", key, ErrKeyNotFound)
+		}
+		// curVal aliases the page; the op encoder copies it before it applies.
+		op, grow := makeOp(curVal, ghost)
+		if c.nodes[pi].Size()+grow <= c.handles[pi].Page().Capacity() {
+			err := ops.LogApplyCLR(t, c.handles[pi], op, undoNext)
+			c.release()
+			return err
+		}
+		if _, err := tb.relocate(c, pi, key, curVal, ghost, page.RecordSize(len(key), len(curVal)+grow), false); err != nil {
+			return err
+		}
 	}
-	defer c.release()
-	pi, curVal, ghost, err := c.find(key)
-	if err != nil {
-		return err
-	}
-	if pi < 0 {
-		return fmt.Errorf("hashindex: compensation target %q vanished: %w", key, ErrKeyNotFound)
-	}
-	// curVal aliases the page; the op encoder copies it before it applies.
-	return ops.LogApplyCLR(t, c.handles[pi], makeOp(curVal, ghost), undoNext)
 }
 
 // Scan visits all live entries with start <= key < end (nil end =
@@ -806,11 +836,11 @@ func (tb *Table) splitOnce() error {
 	if err := ops.LogApply(st, dh, encodePageSet(nd, dh.Page().Payload())); err != nil {
 		return abort(err)
 	}
+	if err := st.Commit(); err != nil {
+		return abort(err)
+	}
 	c.release()
 	dh.Unlock()
-	if err := st.Commit(); err != nil {
-		return err
-	}
 	tb.splits.Add(1)
 	return nil
 }

@@ -39,7 +39,7 @@ func runHeadsOracle(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	r := newRig(t)
 	arch := archive.NewStore(iosim.Instant, wal.FirstLSN())
-	r.log.SetArchive(arch.NewReader(1, 0))
+	r.log.SetArchive(arch.NewReader(1))
 	archiver := archive.New(r.log, arch, archive.Config{SegmentBytes: 2 << 10})
 	store := backup.NewStore(storage.NewDevice(storage.Config{PageSize: 512, Slots: 4096, Profile: iosim.Instant}))
 

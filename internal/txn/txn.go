@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/chaos"
 	"repro/internal/page"
 	"repro/internal/wal"
 )
@@ -238,6 +239,11 @@ func (t *Txn) Commit() error {
 	typ := wal.TypeCommit
 	if t.system {
 		typ = wal.TypeSysCommit
+		// Chaos point: a system transaction's changes are applied and its
+		// commit record is not yet logged. A crash here rolls it back
+		// physically, which is sound only while it still holds the
+		// latches of every page it changed.
+		chaos.At("txn.syscommit")
 	}
 	lsn := t.end(typ)
 	if !t.system {

@@ -185,6 +185,20 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
+// logGoroutines counts the goroutines running this package's code, tests
+// aside: the only ones a commit could have started. A goroutine an earlier
+// test left behind may exit mid-count.
+func logGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+		if bytes.Contains(g, []byte("repro/internal/wal.")) && !bytes.Contains(g, []byte("repro/internal/wal.Test")) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestCommitAfterCloseStartsNoGoroutine: Close stops nothing because the log
 // runs nothing — a commit after Close, on the incarnation that takes the log
 // over after a crash, is durable, and a thousand lone commits each lead their
@@ -194,7 +208,7 @@ func TestCommitAfterCloseStartsNoGoroutine(t *testing.T) {
 	m.Close()
 	m.Crash() // nothing unflushed
 	m = TakeOver(m)
-	before := runtime.NumGoroutine()
+	before := logGoroutines()
 	const commits = 1000
 	for i := 0; i < commits; i++ {
 		lsn := m.Append(&Record{Type: TypeCommit, Txn: TxnID(i)})
@@ -205,7 +219,7 @@ func TestCommitAfterCloseStartsNoGoroutine(t *testing.T) {
 			t.Fatalf("commit %d acknowledged at flushed=%d, record at %d", i, m.FlushedLSN(), lsn)
 		}
 	}
-	if after := runtime.NumGoroutine(); after != before {
+	if after := logGoroutines(); after != before {
 		t.Errorf("goroutines %d -> %d across %d commits", before, after, commits)
 	}
 	if s := m.Stats(); s.GroupCommitBatches != commits || s.GroupCommitWaiters != commits {

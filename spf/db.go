@@ -356,7 +356,10 @@ func (db *DB) hooks() buffer.Hooks {
 //     mode checksums cannot catch. A NEWER page is not a page failure at
 //     all: it means the PRI update was lost in a crash (the page write
 //     completed, its log record did not), exactly the condition restart
-//     redo repairs per Fig. 12.
+//     redo repairs per Fig. 12. A full backup resets that LSN for every
+//     page not written since it began (core.PRI.ReplaceRange); the LSN of
+//     the set's image of the page, copied from the pool after a flush, is
+//     then the expectation, so a write lost before the backup still shows.
 func (db *DB) validatePage(pg *page.Page) error {
 	if err := db.plausibleImage(pg); err != nil || db.opts.DisablePageLSNCheck {
 		return err
@@ -365,9 +368,13 @@ func (db *DB) validatePage(pg *page.Page) error {
 	if err != nil {
 		return nil // no expectation recorded
 	}
-	if entry.LastLSN != page.ZeroLSN && pg.LSN() < entry.LastLSN {
+	want := entry.LastLSN
+	if want == page.ZeroLSN && entry.Backup.Kind == core.BackupFull {
+		want, _ = db.store.SetPageInfo(entry.Backup.Loc, pg.ID())
+	}
+	if want != page.ZeroLSN && pg.LSN() < want {
 		return fmt.Errorf("PageLSN %d below page recovery index expectation %d (lost write)",
-			pg.LSN(), entry.LastLSN)
+			pg.LSN(), want)
 	}
 	return nil
 }
@@ -711,12 +718,12 @@ func (db *DB) CreateIndexKind(name string, kind IndexKind) (*Index, error) {
 	}
 	h.Lock()
 	err = db.logMetaPut(st, h, name, eng.Root(), page.InvalidID)
+	if err == nil {
+		err = st.Commit() // before the latch goes: its undo is physical
+	}
 	h.Unlock()
 	h.Release()
 	if err != nil {
-		return fail(err)
-	}
-	if err := st.Commit(); err != nil {
 		return fail(err)
 	}
 	db.mu.Lock()

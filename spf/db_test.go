@@ -272,6 +272,36 @@ func TestLostWriteDetectedByPageLSNCrossCheck(t *testing.T) {
 	}
 }
 
+// TestLostWriteBeforeFullBackupStillDetected: a full backup resets the
+// recovery index LSN of every page not written since it began. A write the
+// device dropped before the backup must still be caught on the next read:
+// the set's image of the page, taken from the pool, is the expectation.
+func TestLostWriteBeforeFullBackupStillDetected(t *testing.T) {
+	db := openTestDB(t, testOptions())
+	defer db.Close()
+	ix := loadIndex(t, db, "t", 300)
+	if err := db.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	victim := findLeafOf(t, db, ix, k(150))
+	if err := db.InjectPageFault(victim, FaultLostWrite, true); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	if err := ix.Update(tx, k(150), []byte("new-value")); err != nil || db.Commit(tx) != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.BackupNow(); err != nil { // its flush is the write the slot drops
+		t.Fatal(err)
+	}
+	if err := db.EvictPage(victim); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ix.Get(k(150)); err != nil || string(got) != "new-value" {
+		t.Fatalf("get after a lost write and a full backup: %q, %v", got, err)
+	}
+}
+
 func TestLostWriteUndetectedWithoutCrossCheck(t *testing.T) {
 	// Ablation A2: with the PageLSN check disabled, the stale page is
 	// served silently — the paper's nightmare scenario.
@@ -656,6 +686,51 @@ func TestAbortAfterPolicyBackups(t *testing.T) {
 	}
 	expectValues(t, ix, 50)
 	corruptAndVerify(t, db, ix, leaf, 50)
+}
+
+// TestRollbackMakesRoomForTheOldValue: a transaction shrinks every value,
+// a second one fills the room that frees and commits, and then the first
+// rolls back, by Abort or by restart after a crash. Undoing an update must
+// make room for the longer old value instead of failing, on both engines.
+func TestRollbackMakesRoomForTheOldValue(t *testing.T) {
+	const n = 200
+	for _, kind := range bothEngines {
+		for _, crash := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/crash=%v", kind, crash), func(t *testing.T) {
+				db := openTestDB(t, testOptions())
+				ix := loadIndexKind(t, db, "t", kind, n)
+				shrink, fill := db.Begin(), db.Begin()
+				for i := 0; i < n; i++ {
+					if err := ix.Update(shrink, k(i), []byte{'s'}); err != nil {
+						t.Fatal(err)
+					}
+					if err := ix.Insert(fill, append(k(i), 'f'), v(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := db.Commit(fill); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if !crash {
+					err = shrink.Abort()
+				} else if err = db.FlushAll(); err == nil { // the shrinking updates are stable
+					db.Crash()
+					if db, _, err = db.Restart(); err == nil {
+						ix, err = db.Index("t")
+					}
+				}
+				if err != nil {
+					t.Fatalf("rollback: %v", err)
+				}
+				defer db.Close()
+				expectValues(t, ix, n)
+				if viols, err := ix.Verify(); err != nil || len(viols) != 0 {
+					t.Fatalf("verify: %v %v", viols, err)
+				}
+			})
+		}
+	}
 }
 
 func TestStatsAndSimulatedIO(t *testing.T) {

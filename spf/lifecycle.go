@@ -27,7 +27,7 @@ func (db *DB) initLifecycle(prev *DB) {
 		} else {
 			db.arch = archive.NewStore(iosim.Instant, wal.FirstLSN())
 		}
-		db.log.SetArchive(db.arch.NewReader(lo.RetryAttempts, 0))
+		db.log.SetArchive(db.arch.NewReader(lo.RetryAttempts))
 	}
 	interval := lo.Interval
 	if interval == 0 {

@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"maps"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/archive"
 	"repro/internal/backup"
+	"repro/internal/hashindex"
 	"repro/internal/page"
 	"repro/internal/wal"
 )
@@ -402,56 +401,25 @@ func TestRedoOnlyChainRepairsAndRestores(t *testing.T) {
 	}
 }
 
-// randomHistory runs a seeded mix of inserts, updates and deletes on a
-// fresh index of the given kind, some transactions rolled back, with values
-// of varied lengths so both engines split and restructure pages. Only
-// transactions that deleted nothing roll back: a later insert's ghost purge
-// can reclaim an uncommitted delete's ghost, and its rollback then fails on
-// both engines (open, and not this history's subject; see ROADMAP).
-func randomHistory(tb testing.TB, db *DB, kind IndexKind, seed int64, ops int) {
+// redoOnlyReplay runs the checker's sequential generator for nops ops on a
+// fresh database — inserts, updates and deletes on both engines, some
+// transactions rolled back, values of 1 to 100 bytes so that both engines
+// split and restructure pages. It then replays the log from its format
+// records twice, every update and CLR once as logged and once in its
+// RedoOnly form, failing as soon as an op leaves the two images of its
+// page different, and returns the logged ops and the final images.
+func redoOnlyReplay(tb testing.TB, seed int64, nops int) (ops [][]byte, pages []*page.Page) {
 	tb.Helper()
-	ix, err := db.CreateIndexKind("h", kind)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	present := make(map[int]bool)
-	for done := 0; done < ops; {
-		tx := db.Begin()
-		cur := maps.Clone(present)
-		deleted := false
-		for j := rng.Intn(4) + 1; j > 0; j, done = j-1, done+1 {
-			i := rng.Intn(300)
-			val := bytes.Repeat([]byte{byte('a' + rng.Intn(26))}, rng.Intn(90)+1)
-			switch {
-			case !cur[i]:
-				err, cur[i] = ix.Insert(tx, k(i), val), true
-			case rng.Intn(4) == 0:
-				err, cur[i], deleted = ix.Delete(tx, k(i)), false, true
-			default:
-				err = ix.Update(tx, k(i), val)
-			}
-			if err != nil {
-				tb.Fatalf("op %d on key %d: %v", done, i, err)
-			}
+	var db *DB
+	checked(tb, func() {
+		c := newChecker(tb, seeded(seed), &coverage{}, false, -1)
+		for done := 0; done < nops; {
+			applied, _ := c.transaction(c.s, func() int { return c.s.intn(checkKeys) }, nil)
+			done += applied
 		}
-		if rng.Intn(6) == 0 && !deleted {
-			err = tx.Abort()
-		} else {
-			err, present = db.Commit(tx), cur
-		}
-		if err != nil {
-			tb.Fatal(err)
-		}
-	}
-}
-
-// redoOnlyReplay replays db's log from its format records twice, every
-// update and CLR once as logged and once in its RedoOnly form, failing as
-// soon as an op leaves the two images of its page different. It returns the
-// logged ops, the final images and the undo bytes RedoOnly cut.
-func redoOnlyReplay(tb testing.TB, db *DB) (ops [][]byte, pages []*page.Page, cut int) {
-	tb.Helper()
+		db = c.db
+	})
+	defer db.Close()
 	whole := make(map[page.ID]*page.Page)
 	stripped := make(map[page.ID]*page.Page)
 	var failure error
@@ -478,7 +446,6 @@ func redoOnlyReplay(tb testing.TB, db *DB) (ops [][]byte, pages []*page.Page, cu
 				return false
 			}
 			ops = append(ops, bytes.Clone(rec.Payload))
-			cut += len(rec.Payload) - len(ro)
 		}
 		return true
 	})
@@ -491,28 +458,32 @@ func redoOnlyReplay(tb testing.TB, db *DB) (ops [][]byte, pages []*page.Page, cu
 	for _, pg := range whole {
 		pages = append(pages, pg)
 	}
-	return ops, pages, cut
+	return ops, pages
 }
 
 // TestRedoOnlyReplayMatchesWholeReplay is the property over real histories:
-// for seeded random workloads on both engines, replaying every logged op in
-// its RedoOnly form leaves every page byte-identical to replaying it whole,
-// op by op — over every opcode the engines log, splits, merges of foster
-// chains and compensations included.
+// for seeded histories over both engines, replaying every logged op in its
+// RedoOnly form leaves every page byte-identical to replaying it whole, op
+// by op — over every opcode the engines log, splits, merges of foster
+// chains and compensations included. Each engine's share of a history must
+// span five opcodes and have undo bytes to cut.
 func TestRedoOnlyReplayMatchesWholeReplay(t *testing.T) {
-	for _, kind := range bothEngines {
-		for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 4; seed++ {
+		ops, _ := redoOnlyReplay(t, seed, 500)
+		for _, kind := range bothEngines {
 			t.Run(fmt.Sprintf("%v/seed=%d", kind, seed), func(t *testing.T) {
-				db := openTestDB(t, testOptions())
-				defer db.Close()
-				randomHistory(t, db, kind, seed, 500)
-				ops, _, cut := redoOnlyReplay(t, db)
 				codes := make(map[byte]bool)
+				n, cut := 0, 0
 				for _, op := range ops {
+					if hashindex.IsHashOp(op) != (kind == KindHash) {
+						continue
+					}
 					codes[op[0]] = true
+					n++
+					cut += len(op) - len(applier{}.RedoOnly(op))
 				}
 				if cut == 0 || len(codes) < 5 {
-					t.Fatalf("%d ops of %d opcodes, %d undo bytes cut: the history is too thin", len(ops), len(codes), cut)
+					t.Fatalf("%d ops of %d opcodes, %d undo bytes cut: the history is too thin", n, len(codes), cut)
 				}
 			})
 		}
@@ -522,25 +493,12 @@ func TestRedoOnlyReplayMatchesWholeReplay(t *testing.T) {
 // FuzzRedoOnly: for any op bytes, RedoOnly never writes to or grows its
 // argument and is its own fixed point, and applying the op whole or
 // redo-only to any page a real history of either engine left behind fails
-// alike or leaves the same page.
+// alike or leaves the same page. The corpus is 81 logged ops spread over
+// one history.
 func FuzzRedoOnly(f *testing.F) {
-	var pages []*page.Page
-	for i, kind := range bothEngines {
-		db, err := Open(testOptions())
-		if err != nil {
-			f.Fatal(err)
-		}
-		randomHistory(f, db, kind, int64(i+1), 200)
-		ops, pgs, _ := redoOnlyReplay(f, db)
-		pages = append(pages, pgs...)
-		for j, op := range ops {
-			if j%7 == 0 {
-				f.Add(op)
-			}
-		}
-		if err := db.Close(); err != nil {
-			f.Fatal(err)
-		}
+	ops, pages := redoOnlyReplay(f, 1, 400)
+	for j := 0; j < 81; j++ {
+		f.Add(ops[j*len(ops)/81])
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 1, 2})

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
+
+	"repro/internal/chaos"
 )
 
 // restartOptions slows the background drain (one worker) so on-demand
@@ -321,6 +324,63 @@ func TestRestartLosersRolledBackOnDemand(t *testing.T) {
 		if _, err := ix2.Get(k(i)); !errors.Is(err, ErrKeyNotFound) {
 			t.Fatalf("loser insert %d visible after restart: %v", i, err)
 		}
+	}
+	if viols, err := ix2.Verify(); err != nil || len(viols) != 0 {
+		t.Fatalf("verify: %v %v", viols, err)
+	}
+}
+
+// TestSystemTransactionHoldsItsPagesUntilCommit: an insert purges a ghost
+// under a system transaction, and a crash seals the log before that
+// transaction's commit record. Restart undoes the purge physically, which
+// is sound only if nothing changed the page before the commit: a second
+// transaction re-inserting the purged key must wait for the latch, and
+// what its commit reports must be what restart shows.
+func TestSystemTransactionHoldsItsPagesUntilCommit(t *testing.T) {
+	defer chaos.Reset()
+	db := openTestDB(t, testOptions())
+	ix, _ := db.CreateIndexKind("t", KindBTree)
+	big := bytes.Repeat([]byte{'.'}, 80)
+	tx := db.Begin()
+	for i := 0; i < 10; i++ { // one leaf, too full for an eleventh
+		if err := ix.Insert(tx, k(i), big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	del := db.Begin()
+	if db.Commit(tx) != nil || ix.Delete(del, k(5)) != nil || db.Commit(del) != nil {
+		t.Fatal("load")
+	}
+	again := make(chan error, 1)
+	chaos.Arm("txn.syscommit", 1, func(chaos.Hit) {
+		go func() {
+			tx := db.Begin()
+			err := ix.Insert(tx, k(5), []byte("again"))
+			if err == nil {
+				err = db.Commit(tx)
+			}
+			again <- err
+		}()
+		time.Sleep(100 * time.Millisecond) // long enough to commit, if the latch is free
+		db.LogManager().Crash()
+	})
+	tx = db.Begin()
+	if err := ix.Insert(tx, k(100), big); err != nil || !chaos.Fired("txn.syscommit") {
+		t.Fatalf("insert: %v; a system transaction committed: %v", err, chaos.Fired("txn.syscommit"))
+	}
+	if err := db.Commit(tx); !errors.Is(err, ErrCommitLost) {
+		t.Fatalf("commit across the crash = %v, want ErrCommitLost", err)
+	}
+	acked := <-again == nil
+	db.Crash()
+	ndb, _, err := db.Restart()
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer ndb.Close()
+	ix2, _ := ndb.Index("t")
+	if got, err := ix2.Get(k(5)); acked != (err == nil) || acked && string(got) != "again" {
+		t.Fatalf("re-insert acknowledged %v, restart shows %q, %v", acked, got, err)
 	}
 	if viols, err := ix2.Verify(); err != nil || len(viols) != 0 {
 		t.Fatalf("verify: %v %v", viols, err)
