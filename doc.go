@@ -32,10 +32,10 @@
 //
 // Measurement is declared once per kind. internal/experiments.Table is the
 // paper's figures E1–E16; internal/bench.Table is the engine
-// micro-benchmarks with their GOMAXPROCS, allocation exactness and shape
-// criteria. bench_test.go at this root loops over both for `go test
-// -bench`, cmd/spfbench runs them as a CLI and as the CI gate against the
-// committed BENCH.json. The repo benchmark — five wire and recovery
-// workloads measured from outside the process — is the program under
-// benchmark/, declared by BENCHMARK.json.
+// micro-benchmarks with their GOMAXPROCS, declared allocation counts and
+// shape criteria. bench_test.go at this root loops over both for `go test
+// -bench`, cmd/spfbench runs them as a CLI and, with -bench, as the CI
+// gate, which compares rows of one run only. The repo benchmark — five
+// wire and recovery workloads measured from outside the process — is the
+// program under benchmark/, declared by BENCHMARK.json.
 package repro

@@ -220,7 +220,7 @@ func TestReaderRetriesTransientFault(t *testing.T) {
 	if err := s.AppendRun(recs, nil); err != nil {
 		t.Fatal(err)
 	}
-	r := s.NewReader(5)
+	r := s.NewReader()
 	s.FailReads(2)
 	rec, err := r.ReadRecord(recs[1].LSN)
 	if err != nil {
@@ -254,7 +254,7 @@ func TestArchiverStepRecyclesAndPausesOnFault(t *testing.T) {
 	}
 	m.FlushAll()
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	a := New(m, s, Config{SegmentBytes: 256, RetryAttempts: 2})
+	a := New(m, s, Config{SegmentBytes: 256})
 	a.SetCheckpointHorizon(m.FlushedLSN())
 	if err := a.Step(true); err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestArchiverWithoutStoreRecyclesBelowBothHorizons(t *testing.T) {
 func TestRecycledReadsFallBackToArchive(t *testing.T) {
 	m, recs := buildLog(t, []page.ID{21, 22}, 9)
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	m.SetArchive(s.NewReader(3))
+	m.SetArchive(s.NewReader())
 	if err := s.AppendRun(recs, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestRecycledReadsFallBackToArchive(t *testing.T) {
 func TestScanAcrossRecycleBoundary(t *testing.T) {
 	m, recs := buildLog(t, []page.ID{1, 2}, 10)
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	m.SetArchive(s.NewReader(3))
+	m.SetArchive(s.NewReader())
 	half := len(recs) / 2
 	if err := s.AppendRun(recs[:half], nil); err != nil {
 		t.Fatal(err)
@@ -407,7 +407,7 @@ func TestWalkPageChainAcrossRecycleBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	m.SetArchive(s.NewReader(3))
+	m.SetArchive(s.NewReader())
 	half := len(recs) / 2
 	if err := s.AppendRun(recs[:half], nil); err != nil {
 		t.Fatal(err)
@@ -435,7 +435,7 @@ func TestWalkPageChainAcrossRecycleBoundary(t *testing.T) {
 func TestRecycleReusesFreedChunks(t *testing.T) {
 	m := wal.NewManager(iosim.Instant)
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	m.SetArchive(s.NewReader(3))
+	m.SetArchive(s.NewReader())
 	prev := page.ZeroLSN
 	writeChunk := func() {
 		for i := 0; i < 40; i++ {
@@ -480,7 +480,7 @@ func firstByte(op []byte) []byte { return op[:1] }
 func TestArchiveKeepsOnlyChainRecords(t *testing.T) {
 	m := wal.NewManager(iosim.Instant)
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	m.SetArchive(s.NewReader(1))
+	m.SetArchive(s.NewReader())
 	a := New(m, s, Config{SegmentBytes: 512, RedoOnly: firstByte})
 	chain := make(map[page.LSN]wal.RecType)
 	var dropped []page.LSN
@@ -649,7 +649,7 @@ func TestBatchWithoutChainRecordsAdvancesCursor(t *testing.T) {
 	}
 	m.FlushAll()
 	s := NewStore(iosim.Instant, wal.FirstLSN())
-	m.SetArchive(s.NewReader(1))
+	m.SetArchive(s.NewReader())
 	a := New(m, s, Config{SegmentBytes: 256})
 	a.SetCheckpointHorizon(m.FlushedLSN())
 	if err := a.Step(true); err != nil {

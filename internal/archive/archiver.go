@@ -21,11 +21,6 @@ type Config struct {
 	// Interval is the background poll cadence; <= 0 disables the loop and
 	// leaves stepping to explicit Step calls (deterministic tests).
 	Interval time.Duration
-	// RetryAttempts bounds archive-write retries per step before the
-	// archiver declares the device unavailable and pauses recycling
-	// (default 5). The backoff between them is writeBackoff, doubling per
-	// attempt.
-	RetryAttempts int
 	// ReleaseFloor, when set, further clamps the release horizon: the
 	// engine supplies min(oldest active transaction begin LSN, oldest
 	// format record serving as a page's backup), so undo chains and those
@@ -80,9 +75,6 @@ type Archiver struct {
 func New(log *wal.Manager, store *Store, cfg Config) *Archiver {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = 256 << 10
-	}
-	if cfg.RetryAttempts <= 0 {
-		cfg.RetryAttempts = 5
 	}
 	return &Archiver{
 		log:   log,
@@ -282,21 +274,24 @@ func (a *Archiver) collect(cursor, flushed page.LSN) ([]*wal.Record, error) {
 // runtime's netpoller rounds the wait up, so both really are ≥1ms and
 // smaller values would change nothing. The archiver is a background
 // goroutine, and no caller waits on its writes; a healthy archive read
-// never waits.
+// never waits. retryAttempts bounds the tries of one write or read: after
+// it, a write fault pauses recycling until the device recovers, and a read
+// fault fails the page repair that needed the record.
 const (
-	writeBackoff = 200 * time.Microsecond
-	readBackoff  = 100 * time.Microsecond
+	retryAttempts = 5
+	writeBackoff  = 200 * time.Microsecond
+	readBackoff   = 100 * time.Microsecond
 )
 
 // appendWithRetry writes one run with bounded retry + exponential backoff.
 func (a *Archiver) appendWithRetry(recs []*wal.Record) error {
 	delay := writeBackoff
 	var err error
-	for i := 0; i < a.cfg.RetryAttempts; i++ {
+	for i := 0; i < retryAttempts; i++ {
 		if err = a.store.AppendRun(recs, a.cfg.RedoOnly); !errors.Is(err, ErrArchiveIO) {
 			return err
 		}
-		if i < a.cfg.RetryAttempts-1 {
+		if i < retryAttempts-1 {
 			a.store.retries.Add(1)
 			time.Sleep(delay)
 			delay *= 2
@@ -323,27 +318,21 @@ func (a *Archiver) recovered() {
 // wal.ArchiveReader — the read-side graceful degradation: a transient
 // archive fault costs a retry, not a failed page repair.
 type Reader struct {
-	s        *Store
-	attempts int
+	s *Store
 }
 
-// NewReader returns a retrying reader over s. attempts <= 0 defaults to
-// 5; the wait after a fault is readBackoff, doubling per retry.
-func (s *Store) NewReader(attempts int) *Reader {
-	if attempts <= 0 {
-		attempts = 5
-	}
-	return &Reader{s: s, attempts: attempts}
-}
+// NewReader returns a retrying reader over s: retryAttempts tries, the
+// wait after a fault readBackoff, doubling per retry.
+func (s *Store) NewReader() *Reader { return &Reader{s: s} }
 
 func (r *Reader) retry(op func() error) error {
 	delay := readBackoff
 	var err error
-	for i := 0; i < r.attempts; i++ {
+	for i := 0; i < retryAttempts; i++ {
 		if err = op(); !errors.Is(err, ErrArchiveIO) {
 			return err
 		}
-		if i < r.attempts-1 {
+		if i < retryAttempts-1 {
 			r.s.retries.Add(1)
 			time.Sleep(delay)
 			delay *= 2

@@ -1,27 +1,24 @@
 // Package bench is the single declaration of the engine micro-benchmarks:
 // Table lists every tracked benchmark once, with the GOMAXPROCS it runs
-// at, whether its allocs/op is deterministic, and the shape criterion of
-// its group. `go test -bench Micro .` (bench_test.go), `spfbench
-// -benchjson` and the CI gate all iterate Table, so a number in BENCH.json
-// measures exactly what CI smoke-tests; a tier-1 test holds Table and
-// BENCH.json to the same set of names.
+// at, its allocs/op where that count is deterministic, and the shape
+// criterion of its group. `go test -bench Micro .` (bench_test.go) and
+// `spfbench -bench`, the CI gate, both iterate Table. The gate holds only
+// what holds on any host: the declared allocation counts, exactly, and
+// each group's criterion, which relates rows of the same run. No row is
+// compared against a number recorded on another machine.
 //
 // What is measured here is what the repo benchmark (benchmark/,
 // BENCHMARK.json) cannot see from outside the process: a before/after pair
-// whose "before" exists only as a shim (global-mutex tree, FIFO queue,
-// write-through flush, full redo), a scaling claim that needs more than
-// the one CPU the repo benchmark is pinned to, or an exact allocation
-// count. A claim that a BENCHMARK.json metric carries is not repeated here.
+// whose "before" exists only as a shim (global-mutex tree, write-through
+// flush, full redo), a scaling claim that needs more than the one CPU the
+// repo benchmark is pinned to, or an exact allocation count. A claim that
+// a BENCHMARK.json metric carries is not repeated here.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
-	"sort"
 	"testing"
-	"time"
 
 	"repro/spf"
 )
@@ -32,17 +29,38 @@ type Row struct {
 	Name string
 	// Procs is the GOMAXPROCS the row is measured at, set by Measure
 	// whatever the machine or -cpu says: a parallel claim (Procs 8) needs
-	// its workers however few cores the runner has, and a baseline is only
-	// comparable with a run at the same value.
+	// its workers however few cores the runner has.
 	Procs int
-	// ExactAllocs marks a row whose allocs/op is deterministic — one
-	// goroutine's steady-state loop, no background work inside the timed
-	// region — so the gate holds it to its baseline exactly.
-	ExactAllocs bool
+	// Allocs is the row's allocs/op where that count is deterministic —
+	// one goroutine's steady-state loop, or readers of a static structure,
+	// with no background work inside the timed region. The gate fails on
+	// any other count, above or below, so a change that adds or removes an
+	// allocation edits this declaration. Nil when the count varies from
+	// run to run; the row then carries only its group's criterion.
+	Allocs *int64
 	// Run is the benchmark body. It fails b on a setup error or when the
 	// row's own shape is wrong, and returns the group's extra metric (0
 	// when the group has none).
 	Run func(b *testing.B) float64
+}
+
+// allocs declares a row's allocs/op; zero is a count like any other.
+func allocs(n int64) *int64 { return &n }
+
+// minAllocsN is how many iterations a run needs before its allocs/op is
+// judged: below it, the few allocations a body makes once after
+// ResetTimer (a worker's buffer, a lazily grown slice) can still move the
+// quotient.
+const minAllocsN = 100
+
+// CheckAllocs holds one run of the row, n iterations at allocsPerOp, to
+// the row's declared count. A row without one, or a run too short to
+// judge, passes.
+func (r Row) CheckAllocs(n int, allocsPerOp int64) error {
+	if r.Allocs == nil || n < minAllocsN || allocsPerOp == *r.Allocs {
+		return nil
+	}
+	return fmt.Errorf("%d allocs/op, declared %d", allocsPerOp, *r.Allocs)
 }
 
 // Group is the rows of one experiment and the criterion that relates them.
@@ -78,41 +96,10 @@ func (r Row) Measure(b *testing.B) Result {
 	return Result{N: b.N, NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N), Metric: m}
 }
 
-// Entry is one BENCH.json record.
-type Entry struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	Ops         int     `json:"ops"`
-	GoMaxProcs  int     `json:"gomaxprocs"`
-	Metric      float64 `json:"metric,omitempty"`
-	MetricName  string  `json:"metric_name,omitempty"`
-}
-
-// LoadEntries reads a BENCH.json file.
-func LoadEntries(path string) ([]Entry, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var entries []Entry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return entries, nil
-}
-
 // both returns the two named rows when each ran at least minN iterations.
 func both(rows map[string]Result, a, b string, minN int) (Result, Result, bool) {
 	ra, rb := rows[a], rows[b]
 	return ra, rb, ra.N >= minN && rb.N >= minN
-}
-
-// p99 returns the 99th-percentile latency (the maximum for fewer than 100
-// samples), in nanoseconds.
-func p99(lat []time.Duration) float64 {
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return float64(lat[len(lat)*99/100].Nanoseconds())
 }
 
 // noSlowerThan is the shape of the before/after pairs whose claim is "the
@@ -128,27 +115,30 @@ func noSlowerThan(rows map[string]Result, after, before string) error {
 
 // Table is every tracked micro-benchmark. E1–E16 are the paper's figures
 // (internal/experiments.Table); the numbers missing from E17–E35 were
-// retired when a BENCHMARK.json metric took over their claim (CHANGES.md,
-// PR 16, lists each beside the metric).
+// retired when a BENCHMARK.json metric, another row or the model-based
+// checker (spf/checker_test.go) took over their claim. ARCHITECTURE.md
+// lists each beside what holds it now.
 var Table = []Group{
 	{
-		// The cost of one commit force. A committer leads its own log flush
-		// and takes every commit record published so far with it, so a lone
-		// committer pays exactly one flush per commit — its ns/op is the
-		// row that catches a timer or a goroutine hand-off coming back onto
-		// the commit path (either costs >=1 ms on an idle P) — and 32 of
-		// them share flushes as their forces overlap. commits/flush is the
-		// coalescing factor; how it arises is pinned deterministically by
-		// wal.TestGroupCommitCoalesces.
+		// The cost of one commit force. A lone committer leads its own log
+		// flush, so it pays exactly one flush per commit, and its ns/op
+		// (170–240 on a 2-vCPU host) is what catches a timer or a goroutine
+		// hand-off coming back onto the commit path: either costs >=1 ms on
+		// an idle P. loneCommitBound sits far from both, so the check needs
+		// no number from another run. How concurrent committers share
+		// flushes is pinned deterministically by wal.TestGroupCommitCoalesces.
 		Name: "E20GroupCommitThroughput", Metric: "commits/flush",
-		Claim: "a lone committer forces exactly once per commit",
+		Claim: "a lone committer forces exactly once per commit, in under 20 µs",
 		Rows: []Row{
-			{Name: "committers=1", Procs: 1, Run: func(b *testing.B) float64 { return groupCommit(b, 1) }},
-			{Name: "committers=32", Procs: 1, Run: func(b *testing.B) float64 { return groupCommit(b, 32) }},
+			{Name: "committers=1", Procs: 1, Run: loneCommit},
 		},
 		Check: func(rows map[string]Result) error {
-			if g := rows["committers=1"]; g.N >= 1 && g.Metric != 1 {
+			g := rows["committers=1"]
+			if g.N >= 1 && g.Metric != 1 {
 				return fmt.Errorf("a lone committer made %.2f commits/flush, want exactly 1", g.Metric)
+			}
+			if g.N >= 100 && g.NsPerOp > float64(loneCommitBound) {
+				return fmt.Errorf("a lone commit took %.0f ns, bound %v: something waits on the commit path", g.NsPerOp, loneCommitBound)
 			}
 			return nil
 		},
@@ -163,7 +153,7 @@ var Table = []Group{
 		Name: "E21AsyncWriteBack", Metric: "writes/update",
 		Claim: "async write-back >=2x the write-through throughput, at under half its device writes",
 		Rows: []Row{
-			{Name: "sync", Procs: 1, ExactAllocs: true, Run: func(b *testing.B) float64 { return writeBack(b, false) }},
+			{Name: "sync", Procs: 1, Allocs: allocs(4), Run: func(b *testing.B) float64 { return writeBack(b, false) }},
 			{Name: "async", Procs: 1, Run: func(b *testing.B) float64 { return writeBack(b, true) }},
 		},
 		Check: func(rows map[string]Result) error {
@@ -182,33 +172,43 @@ var Table = []Group{
 		Name: "E22ScrubCampaignOverhead", Metric: "pages-scrubbed",
 		Claim: "the campaign makes progress under foreground load; the hit path allocates nothing",
 		Rows: []Row{
-			{Name: "off", Procs: 1, ExactAllocs: true, Run: func(b *testing.B) float64 { return scrubOverhead(b, 0) }},
+			{Name: "off", Procs: 1, Allocs: allocs(0), Run: func(b *testing.B) float64 { return scrubOverhead(b, 0) }},
 			{Name: "on", Procs: 1, Run: func(b *testing.B) float64 { return scrubOverhead(b, 50000) }},
 		},
 	},
 	{
 		// Concurrent B-tree throughput under a mixed Get/Insert/Update/
-		// Delete workload: the latch-coupled tree against a tree-global-
-		// mutex shim reproducing the seed's serialization. In the disjoint
-		// shape each worker owns its write range and reads roam a working
-		// set larger than the pool, so descents stall on a real buffer-miss
-		// latency: under the global mutex every stall serializes all
-		// workers, latch-coupled descents overlap them. The contended shape
-		// hammers one small resident range — pure CPU, parity on few cores.
+		// Delete workload, three ways: the latch-coupled tree with the
+		// optimistic descent (no latch above the leaf, frame versions
+		// validated after every step), the same tree with the shared-latch
+		// crab on every level, and a tree-global-mutex shim reproducing the
+		// seed's serialization. In the disjoint shape each worker owns its
+		// write range and reads roam a working set larger than the pool, so
+		// descents stall on a real buffer-miss latency: under the global
+		// mutex every stall serializes all workers, latch-coupled descents
+		// overlap them. The contended shape hammers one small resident
+		// range, where writers bump frame versions constantly: the
+		// adversarial shape for optimistic readers, whose failed version
+		// check wastes two atomic loads and re-runs the crab, never spins
+		// and never blocks a writer.
 		Name:  "E23ParallelTreeOps",
-		Claim: "disjoint: latch-coupled >=2x the global-mutex baseline",
+		Claim: "disjoint: latch-coupled >=2x the global-mutex baseline; under writers the optimistic descent costs no more than the latched one",
 		Rows: []Row{
-			{Name: "disjoint/latch-coupled", Procs: 8, Run: parallelOps(false, false, true)},
+			{Name: "disjoint/optimistic", Procs: 8, Run: parallelOps(false, false, true)},
+			{Name: "disjoint/latched", Procs: 8, Run: parallelOps(false, false, false)},
 			{Name: "disjoint/global-mutex", Procs: 8, Run: parallelOps(false, true, true)},
-			{Name: "contended/latch-coupled", Procs: 8, Run: parallelOps(true, false, true)},
-			{Name: "contended/global-mutex", Procs: 8, Run: parallelOps(true, true, true)},
+			{Name: "contended/optimistic", Procs: 8, Run: parallelOps(true, false, true)},
+			{Name: "contended/latched", Procs: 8, Run: parallelOps(true, false, false)},
 		},
 		Check: func(rows map[string]Result) error {
-			l, m, ok := both(rows, "disjoint/latch-coupled", "disjoint/global-mutex", 1000)
+			l, m, ok := both(rows, "disjoint/optimistic", "disjoint/global-mutex", 1000)
 			if ok && m.NsPerOp < 2*l.NsPerOp {
 				return fmt.Errorf("latch-coupled %.0f ns/op not >=2x better than global mutex %.0f ns/op", l.NsPerOp, m.NsPerOp)
 			}
-			return nil
+			if err := noSlowerThan(rows, "contended/optimistic", "contended/latched"); err != nil {
+				return err
+			}
+			return noSlowerThan(rows, "disjoint/optimistic", "disjoint/latched")
 		},
 	},
 	{
@@ -267,38 +267,16 @@ var Table = []Group{
 		Name: "E28ResidentReadThroughput", Metric: "optimistic-hit-fraction",
 		Claim: "optimistic no slower than latched, 0 allocs/op, fallbacks <1% of hits on a static tree",
 		Rows: []Row{
-			{Name: "zipfian/optimistic", Procs: 8, ExactAllocs: true, Run: func(b *testing.B) float64 { return residentReads(b, true, true) }},
-			{Name: "zipfian/latched", Procs: 8, ExactAllocs: true, Run: func(b *testing.B) float64 { return residentReads(b, true, false) }},
-			{Name: "uniform/optimistic", Procs: 8, ExactAllocs: true, Run: func(b *testing.B) float64 { return residentReads(b, false, true) }},
-			{Name: "uniform/latched", Procs: 8, ExactAllocs: true, Run: func(b *testing.B) float64 { return residentReads(b, false, false) }},
+			{Name: "zipfian/optimistic", Procs: 8, Allocs: allocs(0), Run: func(b *testing.B) float64 { return residentReads(b, true, true) }},
+			{Name: "zipfian/latched", Procs: 8, Allocs: allocs(0), Run: func(b *testing.B) float64 { return residentReads(b, true, false) }},
+			{Name: "uniform/optimistic", Procs: 8, Allocs: allocs(0), Run: func(b *testing.B) float64 { return residentReads(b, false, true) }},
+			{Name: "uniform/latched", Procs: 8, Allocs: allocs(0), Run: func(b *testing.B) float64 { return residentReads(b, false, false) }},
 		},
 		Check: func(rows map[string]Result) error {
 			if err := noSlowerThan(rows, "zipfian/optimistic", "zipfian/latched"); err != nil {
 				return err
 			}
 			return noSlowerThan(rows, "uniform/optimistic", "uniform/latched")
-		},
-	},
-	{
-		// The E23 mixed workload on the latch-coupled tree with the
-		// optimistic descent on vs off. Concurrent writers bump frame
-		// versions constantly, so this is the adversarial shape for
-		// optimistic readers: a failed version check wastes two atomic
-		// loads and re-runs the crab, it never spins and never blocks a
-		// writer.
-		Name:  "E29MixedFallback",
-		Claim: "under writers the optimistic descent costs no more than the latched one",
-		Rows: []Row{
-			{Name: "contended/optimistic", Procs: 8, Run: parallelOps(true, false, true)},
-			{Name: "contended/latched", Procs: 8, Run: parallelOps(true, false, false)},
-			{Name: "disjoint/optimistic", Procs: 8, Run: parallelOps(false, false, true)},
-			{Name: "disjoint/latched", Procs: 8, Run: parallelOps(false, false, false)},
-		},
-		Check: func(rows map[string]Result) error {
-			if err := noSlowerThan(rows, "contended/optimistic", "contended/latched"); err != nil {
-				return err
-			}
-			return noSlowerThan(rows, "disjoint/optimistic", "disjoint/latched")
 		},
 	},
 	{
@@ -312,8 +290,8 @@ var Table = []Group{
 		Name:  "E32ArchivedChainReplay",
 		Claim: "archived replay no slower than the live seek path",
 		Rows: []Row{
-			{Name: "archived-runs", Procs: 1, ExactAllocs: true, Run: func(b *testing.B) float64 { return chainReplay(b, true) }},
-			{Name: "live-seek-baseline", Procs: 1, ExactAllocs: true, Run: func(b *testing.B) float64 { return chainReplay(b, false) }},
+			{Name: "archived-runs", Procs: 1, Allocs: allocs(32), Run: func(b *testing.B) float64 { return chainReplay(b, true) }},
+			{Name: "live-seek-baseline", Procs: 1, Allocs: allocs(521), Run: func(b *testing.B) float64 { return chainReplay(b, false) }},
 		},
 		Check: func(rows map[string]Result) error {
 			return noSlowerThan(rows, "archived-runs", "live-seek-baseline")
@@ -332,7 +310,7 @@ var Table = []Group{
 			// is held. The live baseline still allocates per record (~66 700)
 			// and the runtime's own occasional allocation moves that
 			// quotient by one, so it is not.
-			{Name: "archived-runs", Procs: 1, ExactAllocs: true, Run: func(b *testing.B) float64 { return mediaRestoreReplay(b, true) }},
+			{Name: "archived-runs", Procs: 1, Allocs: allocs(4096), Run: func(b *testing.B) float64 { return mediaRestoreReplay(b, true) }},
 			{Name: "live-seek-baseline", Procs: 1, Run: func(b *testing.B) float64 { return mediaRestoreReplay(b, false) }},
 		},
 		Check: func(rows map[string]Result) error {
@@ -347,27 +325,12 @@ var Table = []Group{
 		// stack (checksummed pages, WAL, buffer pool), differing only in
 		// how they organize keys; the exact allocs/op are the criterion.
 		Name:  "E34EnginePointOps",
-		Claim: "allocs/op per engine and shape never above baseline",
+		Claim: "allocs/op per engine and shape exactly as declared",
 		Rows: []Row{
-			{Name: "btree/read", Procs: 1, ExactAllocs: true, Run: func(b *testing.B) float64 { return pointOps(b, spf.KindBTree, false) }},
-			{Name: "btree/mixed", Procs: 1, ExactAllocs: true, Run: func(b *testing.B) float64 { return pointOps(b, spf.KindBTree, true) }},
-			{Name: "hash/read", Procs: 1, ExactAllocs: true, Run: func(b *testing.B) float64 { return pointOps(b, spf.KindHash, false) }},
-			{Name: "hash/mixed", Procs: 1, ExactAllocs: true, Run: func(b *testing.B) float64 { return pointOps(b, spf.KindHash, true) }},
-		},
-	},
-	{
-		// Repair-inclusive read latency after persistent corruption of each
-		// engine's entry page — B-tree root or hash directory. Every
-		// iteration evicts and corrupts the page, then times one read that
-		// must succeed through the shared online-repair path. The row fails
-		// if any fault escalates past single-page recovery, so a passing
-		// run is the parity proof: the unmodified repair machinery serves
-		// both engines.
-		Name: "E35EngineFaultRepair", Metric: "p99-ns",
-		Claim: "every injected fault repaired online on both engines, zero escalations",
-		Rows: []Row{
-			{Name: "btree", Procs: 1, Run: func(b *testing.B) float64 { return faultRepair(b, spf.KindBTree) }},
-			{Name: "hash", Procs: 1, Run: func(b *testing.B) float64 { return faultRepair(b, spf.KindHash) }},
+			{Name: "btree/read", Procs: 1, Allocs: allocs(2), Run: func(b *testing.B) float64 { return pointOps(b, spf.KindBTree, false) }},
+			{Name: "btree/mixed", Procs: 1, Allocs: allocs(3), Run: func(b *testing.B) float64 { return pointOps(b, spf.KindBTree, true) }},
+			{Name: "hash/read", Procs: 1, Allocs: allocs(2), Run: func(b *testing.B) float64 { return pointOps(b, spf.KindHash, false) }},
+			{Name: "hash/mixed", Procs: 1, Allocs: allocs(4), Run: func(b *testing.B) float64 { return pointOps(b, spf.KindHash, true) }},
 		},
 	},
 }

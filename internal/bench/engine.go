@@ -1,16 +1,14 @@
 package bench
 
-// Drivers for E34 engine point ops and E35 engine fault repair, each run
-// for every spf.IndexKind over the identical seeded workload. The point of
-// the comparison is the seam, not the race: the two engines organize keys
-// differently (ordered Foster B-tree vs linear hashing), but everything
-// below the Engine interface — checksums, the page recovery index,
-// per-page log chains, the restore scheduler — is shared.
+// The driver for E34 engine point ops, run for every spf.IndexKind over
+// the identical seeded workload. The point of the comparison is the seam,
+// not the race: the two engines organize keys differently (ordered Foster
+// B-tree vs linear hashing), but everything below the Engine interface —
+// checksums, the page recovery index, per-page log chains — is shared.
 
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/workload"
 	"repro/spf"
@@ -98,52 +96,4 @@ func pointOps(b *testing.B, kind spf.IndexKind, mixed bool) float64 {
 	}
 	b.StopTimer()
 	return 0
-}
-
-// faultRepair measures the repair-inclusive read latency after a
-// persistent corruption of the engine's entry page — the B-tree root or
-// the hash directory, which is the symmetric worst case: every operation
-// descends through it, and losing it without single-page recovery would
-// cost the whole index. Each iteration evicts the page (so the corruption
-// lands on the image the next fetch reads), corrupts the stored image,
-// then times one point read that must succeed via the shared online-repair
-// path (detection on fetch, chain replay by the faulting read). Every fault must
-// be repaired: the run fails on any escalation. It returns the read p99.
-func faultRepair(b *testing.B, kind spf.IndexKind) float64 {
-	db, ix := engineSetup(b, kind)
-	defer db.Close()
-
-	root := ix.Root()
-	key := workload.Key(engineKeys / 2)
-	buf := make([]byte, 0, engineValueLen)
-	lat := make([]time.Duration, 0, b.N)
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := db.EvictPage(root); err != nil {
-			b.Fatal(err)
-		}
-		if err := db.CorruptPage(root); err != nil {
-			b.Fatal(err)
-		}
-		start := time.Now()
-		out, err := ix.GetTo(buf, key)
-		if err != nil {
-			b.Fatalf("read after corruption: %v", err)
-		}
-		lat = append(lat, time.Since(start))
-		if len(out) != engineValueLen {
-			b.Fatalf("got %d-byte value, want %d", len(out), engineValueLen)
-		}
-	}
-	b.StopTimer()
-
-	m := db.Metrics()
-	if esc := m.Recovery.Escalations + m.Pool.Escalations; esc != 0 {
-		b.Fatalf("%d faults escalated past online repair", esc)
-	}
-	if m.Recovery.Recoveries < int64(b.N) {
-		b.Fatalf("only %d recoveries for %d injected faults", m.Recovery.Recoveries, b.N)
-	}
-	return p99(lat)
 }

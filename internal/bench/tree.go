@@ -1,7 +1,7 @@
 package bench
 
-// Drivers for E23 parallel tree ops, E28 resident reads and E29 mixed
-// fallback, on a minimal engine below the spf facade.
+// Drivers for E23 parallel tree ops and E28 resident reads, on a minimal
+// engine below the spf facade.
 
 import (
 	"errors"
@@ -184,7 +184,7 @@ func benchKey(shard, i int) []byte {
 	return []byte(fmt.Sprintf("r%02d-%06d", shard, i))
 }
 
-// parallelOps returns the E23/E29 body: 30% Get, 50% Update, 10% Insert,
+// parallelOps returns the E23 body: 30% Get, 50% Update, 10% Insert,
 // 10% Delete per worker, against either the latch-coupled tree or the
 // global-mutex shim, with the optimistic descent on or off. contended
 // selects whether workers share one key range or own disjoint ranges.

@@ -1,11 +1,10 @@
 package bench
 
-// Drivers for E20 group commit and the log-lifecycle replays E32/E33.
+// Drivers for E20 lone commit and the log-lifecycle replays E32/E33.
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/archive"
 	"repro/internal/iosim"
@@ -13,35 +12,25 @@ import (
 	"repro/internal/wal"
 )
 
-// groupCommit drives b.N commits from the given number of concurrent
-// goroutines, each appending a commit record and forcing it through
-// ForceForCommit, and returns the coalescing factor, commits per flush.
-func groupCommit(b *testing.B, committers int) float64 {
+// loneCommitBound is E20's ceiling on one lone commit: about 100x the
+// 170–240 ns a commit force costs, and 1/50 of the >=1 ms that a timer or a
+// goroutine hand-off on the commit path would add.
+const loneCommitBound = 20 * time.Microsecond
+
+// loneCommit drives b.N commits from one goroutine, each appending a
+// commit record and forcing it through ForceForCommit, and returns the
+// commits per flush.
+func loneCommit(b *testing.B) float64 {
 	m := wal.NewManager(iosim.Instant)
-	var ops atomic.Int64
-	ops.Store(int64(b.N))
-	var wg sync.WaitGroup
 	b.ResetTimer()
-	for c := 0; c < committers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for ops.Add(-1) >= 0 {
-				lsn := m.Append(&wal.Record{Type: wal.TypeCommit, Txn: wal.TxnID(c)})
-				if err := m.ForceForCommit(lsn); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(c)
+	for i := 0; i < b.N; i++ {
+		lsn := m.Append(&wal.Record{Type: wal.TypeCommit})
+		if err := m.ForceForCommit(lsn); err != nil {
+			b.Fatal(err)
+		}
 	}
-	wg.Wait()
 	b.StopTimer()
-	flushes := m.Stats().Flushes
-	if flushes == 0 {
-		return 0
-	}
-	return float64(b.N) / float64(flushes)
+	return float64(b.N) / float64(m.Stats().Flushes)
 }
 
 // Shape of the lifecycle replay benchmarks (E32/E33): many per-page
@@ -97,7 +86,7 @@ func archiveAndRecycle(b *testing.B, m *wal.Manager) {
 	if err := ar.Step(true); err != nil {
 		b.Fatal(err)
 	}
-	m.SetArchive(st.NewReader(1))
+	m.SetArchive(st.NewReader())
 	if m.TruncatedLSN() != m.FlushedLSN() {
 		b.Fatalf("recycle stopped at %d, flushed %d", m.TruncatedLSN(), m.FlushedLSN())
 	}

@@ -71,7 +71,7 @@ type Tree struct {
 
 // SetOptimistic toggles the optimistic descent (enabled by default).
 // Disabling forces the latched crab on every operation — the baseline the
-// E28/E29 benchmarks compare against.
+// E23 and E28 benchmarks compare against.
 func (tr *Tree) SetOptimistic(on bool) { tr.optimisticOff.Store(!on) }
 
 // OptimisticStats reports how many descents completed optimistically and

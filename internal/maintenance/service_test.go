@@ -104,13 +104,17 @@ func TestWatermarkKickDrainsDirtyPages(t *testing.T) {
 		DirtyHighWatermark: 0.125,     // 8 frames
 		FlushBatchPages:    4,
 	}, e.deps())
-	svc.Start()
-	defer svc.Stop()
-
+	// All 16 pages are dirty before the flushers start, so the one kick
+	// finds the pool above the watermark and drain runs until no page is
+	// dirty. Dirtying them under running flushers raced: a drain that
+	// overtook the dirtying left the later pages below the watermark, to
+	// wait for the hour-long age tick.
 	for i := 0; i < 16; i++ {
 		e.newPage(t, fmt.Sprintf("page-%d", i))
-		svc.NotifyDirty()
 	}
+	svc.Start()
+	defer svc.Stop()
+	svc.NotifyDirty()
 	waitFor(t, 5*time.Second, "watermark drain", func() bool {
 		return e.pool.DirtyCount() == 0
 	})

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -157,6 +159,18 @@ type checker struct {
 	// deleters is held shared by a transaction from its first delete to
 	// its end, and exclusively by a crash: see hole (a) in transaction.
 	deleters sync.RWMutex
+
+	// sequential marks a schedule run on one goroutine. Its checks after a
+	// recovery also hold that the drained restore queue left none of its
+	// pages for a read to repair.
+	sequential bool
+	// sticky lists the pages given a sticky device fault since the device
+	// was last replaced. A sticky lost write drops every write-back to the
+	// page's slot, so each cold read of the page repairs it again.
+	sticky map[PageID]bool
+	// repaired lists the pages single-page recovery rebuilt, in order.
+	repairedMu sync.Mutex
+	repaired   []PageID
 }
 
 // pendingCrash is an armed crash point and its controller goroutine.
@@ -176,7 +190,7 @@ func newChecker(tb testing.TB, s *schedule, cov *coverage, archive bool, interva
 	opts.PoolFrames = 48 // evictions, and so write-backs, mid-transaction
 	opts.Restore.Workers = 2
 	opts.Lifecycle = LifecycleOptions{Enabled: archive, SegmentBytes: 4 << 10, Interval: interval}
-	c := &checker{tb: tb, s: s, cov: cov, archive: archive, model: make(map[string][]byte)}
+	c := &checker{tb: tb, s: s, cov: cov, archive: archive, model: make(map[string][]byte), sticky: make(map[PageID]bool)}
 	db, err := Open(opts)
 	c.expect(err)
 	if _, err = db.CreateIndexKind("bt", KindBTree); err == nil {
@@ -401,6 +415,9 @@ func (c *checker) fault() {
 		c.fatalf("inject: %v", err)
 	}
 	c.faults.Add(1)
+	if sticky {
+		c.sticky[id] = true
+	}
 	if write {
 		c.expect(c.db.pool.FlushPage(id))
 		if kind == FaultTornWrite && page.Verify(c.db.dev.RawImage(phys)) == nil {
@@ -498,7 +515,8 @@ func (c *checker) landed() bool {
 	return true
 }
 
-// use adopts a database and its indexes.
+// use adopts a database and its indexes, and has its pool note every page
+// single-page recovery rebuilds.
 func (c *checker) use(db *DB) {
 	c.db = db
 	var err error
@@ -506,6 +524,15 @@ func (c *checker) use(db *DB) {
 		c.hx, err = db.Index("hx")
 	}
 	c.expect(err)
+	h := db.hooks()
+	recoverPage := h.Recover
+	h.Recover = func(id PageID, have *page.Page) (*page.Page, bool, error) {
+		c.repairedMu.Lock()
+		c.repaired = append(c.repaired, id)
+		c.repairedMu.Unlock()
+		return recoverPage(id, have)
+	}
+	db.pool.SetHooks(h)
 }
 
 // restart recovers from the pending crash and checks the result. For
@@ -522,6 +549,7 @@ func (c *checker) restart() {
 	if err != nil {
 		c.fatalf("restart after a crash at %s#%d: %v", cr.point, cr.fireAt, err)
 	}
+	last := rep // the restart whose queue the check drains
 	if cr.point == "restore.complete" {
 		for deadline := time.Now().Add(5 * time.Second); !chaos.Fired(cr.point) && time.Now().Before(deadline); {
 			if m := ndb.Metrics().Restore; m.Pending+m.InFlight == 0 {
@@ -531,7 +559,7 @@ func (c *checker) restart() {
 		}
 		if chaos.Fired(cr.point) {
 			ndb.Crash()
-			if ndb, _, err = ndb.Restart(); err != nil {
+			if ndb, last, err = ndb.Restart(); err != nil {
 				c.fatalf("restart after a crash mid-drain: %v", err)
 			}
 		}
@@ -553,7 +581,7 @@ func (c *checker) restart() {
 	if cr.inflight && rep.Undo.LosersRolledBack > rep.Undo.SystemLosers {
 		c.cov.add("crash that cut a user transaction with updates on both engines")
 	}
-	c.check(fmt.Sprintf("after a crash at %s#%d (fired %v)", cr.point, cr.fireAt, fired))
+	c.check(fmt.Sprintf("after a crash at %s#%d (fired %v)", cr.point, cr.fireAt, fired), slices.Collect(maps.Keys(last.Analysis.DPT)))
 	chaos.Reset()
 }
 
@@ -573,9 +601,10 @@ func (c *checker) media() {
 		c.fatalf("media recovery: %v, %+v", err, rep)
 	}
 	c.faults.Store(0) // a new device: nothing retired, nothing injected
+	clear(c.sticky)
 	c.crashing.Store(false)
 	c.use(ndb)
-	c.check("after media recovery")
+	c.check("after media recovery", ndb.Pages())
 	if ndb.Metrics().Recovery.RecordsApplied > 0 {
 		c.cov.add("media recovery that replayed log written after the backup")
 	}
@@ -585,12 +614,22 @@ func (c *checker) media() {
 // of the key space by Get and by a full Scan, the B-tree scans in key
 // order, both verify clean, nothing escalated, no slot was retired beyond
 // the device faults injected, and no B-tree operation held more than two
-// latches.
-func (c *checker) check(phase string) {
+// latches. In a sequential run it also asserts that those reads repaired
+// no page in queued — the pages the recovery just run handed to the
+// restore queue — except one with a sticky fault: the drained queue has
+// repaired them all, so a repair worker that completes a ticket without
+// its repair shows here, and not only as a slower read. A page the
+// recovery did not queue may still need a read to find it: one the
+// schedule damaged, or one whose write-back's record the crash cut.
+func (c *checker) check(phase string, queued []PageID) {
 	c.tb.Helper()
 	c.db.DrainRestore()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.repairedMu.Lock()
+	c.repaired = c.repaired[:0]
+	c.repairedMu.Unlock()
+	recoveries := c.db.Metrics().Pool.Recoveries
 	for _, ix := range []*Index{c.bt, c.hx} {
 		for i := 0; i < checkKeys; i++ {
 			want, ok := c.model[string(k(i))]
@@ -614,6 +653,20 @@ func (c *checker) check(phase string) {
 		}
 	}
 	m := c.db.Metrics()
+	if n := m.Pool.Recoveries - recoveries; c.sequential && n > 0 {
+		c.repairedMu.Lock()
+		var stale []PageID
+		for _, id := range c.repaired {
+			if slices.Contains(queued, id) && !c.sticky[id] {
+				stale = append(stale, id)
+			}
+		}
+		c.repairedMu.Unlock()
+		if len(stale) > 0 {
+			c.fatalf("%s: after the restore queue drained, reading every key repaired pages %v it held (%d recoveries in all); only a page with a sticky fault %v may need it",
+				phase, stale, n, c.sticky)
+		}
+	}
 	if m.Pool.Escalations != 0 || m.Recovery.Escalations != 0 {
 		c.fatalf("%s: escalations: pool %d, recovery %d", phase, m.Pool.Escalations, m.Recovery.Escalations)
 	}
@@ -650,7 +703,7 @@ func scanInOrder(ix *Index, visit func(Entry) error) error {
 // started since g0 outlive it.
 func (c *checker) closeAndCount(g0 int) {
 	c.tb.Helper()
-	c.check("at the end")
+	c.check("at the end", nil)
 	if err := c.db.Close(); err != nil {
 		c.fatalf("close: %v", err)
 	}
@@ -680,6 +733,7 @@ func runSequential(t *testing.T, s *schedule, cov *coverage, run sequentialRun) 
 	g0 := runtime.NumGoroutine()
 	archive := s.intn(4) != 0 && !run.noArchive
 	c := newChecker(t, s, cov, archive, -1)
+	c.sequential = true
 	c.load()
 	key := func() int { return s.intn(checkKeys) }
 	// Between two ops of a transaction, now and then, a fault or an admin

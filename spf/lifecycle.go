@@ -27,19 +27,18 @@ func (db *DB) initLifecycle(prev *DB) {
 		} else {
 			db.arch = archive.NewStore(iosim.Instant, wal.FirstLSN())
 		}
-		db.log.SetArchive(db.arch.NewReader(lo.RetryAttempts))
+		db.log.SetArchive(db.arch.NewReader())
 	}
 	interval := lo.Interval
 	if interval == 0 {
 		interval = 25 * time.Millisecond
 	}
 	db.archiver = archive.New(db.log, db.arch, archive.Config{
-		SegmentBytes:  lo.SegmentBytes,
-		Interval:      interval,
-		RetryAttempts: lo.RetryAttempts,
-		ReleaseFloor:  db.archiveReleaseFloor,
-		RedoOnly:      applier{}.RedoOnly,
-		Logf:          lo.Logf,
+		SegmentBytes: lo.SegmentBytes,
+		Interval:     interval,
+		ReleaseFloor: db.archiveReleaseFloor,
+		RedoOnly:     applier{}.RedoOnly,
+		Logf:         lo.Logf,
 	})
 	// The surviving backup sets re-establish the backup horizon after a
 	// restart. The oldest counts: a crash between a backup's commit and the

@@ -246,7 +246,6 @@ func TestLifecyclePausesOnArchiveFault(t *testing.T) {
 	const n = 150
 	opts := lifecycleOptions()
 	var degraded, recovered bool
-	opts.Lifecycle.RetryAttempts = 2
 	opts.Lifecycle.Logf = func(format string, args ...any) {
 		if strings.Contains(format, "unavailable") {
 			degraded = true

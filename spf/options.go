@@ -28,8 +28,9 @@
 // the hash table), single-page repair, instant restart, media restore,
 // scrubbing, and the restore scheduler treat both engines' pages
 // identically, and both kinds can coexist in one database inside one
-// transaction. E34/E35 in internal/bench measure the two side by side on
-// identical seeded workloads.
+// transaction. E34 in internal/bench measures the two side by side on an
+// identical seeded workload, and the model-based checker
+// (checker_test.go) faults, detects and repairs every page class of both.
 //
 // Restart after a system failure is instant (after Sauer et al.): instead
 // of replaying the log forward before opening for business, Restart tells
@@ -156,11 +157,6 @@ type LifecycleOptions struct {
 	// and on the kicks that checkpoints deliver — which are no-ops without
 	// a loop to wake.
 	Interval time.Duration
-	// RetryAttempts bounds archive I/O retries (writes per archiver step,
-	// reads per chain-replay access) before the fault is surfaced:
-	// a write fault pauses recycling until the device recovers, a read
-	// fault fails the page repair that needed the record (default 5).
-	RetryAttempts int
 	// Logf receives the graceful-degradation log lines (archive
 	// unavailable / recovered). Nil is silent.
 	Logf func(format string, args ...any)
