@@ -324,13 +324,17 @@ var Table = []Group{
 		// transaction per five ops. Both engines run over the same shared
 		// stack (checksummed pages, WAL, buffer pool), differing only in
 		// how they organize keys; the exact allocs/op are the criterion.
+		// hash/insert inserts a fresh key and rolls it back: its 11 allocs
+		// are the key, the transaction, the two ops and their log records
+		// and the undo's read of the log, none in the two chain descents.
 		Name:  "E34EnginePointOps",
 		Claim: "allocs/op per engine and shape exactly as declared",
 		Rows: []Row{
 			{Name: "btree/read", Procs: 1, Allocs: allocs(2), Run: func(b *testing.B) float64 { return pointOps(b, spf.KindBTree, false) }},
 			{Name: "btree/mixed", Procs: 1, Allocs: allocs(3), Run: func(b *testing.B) float64 { return pointOps(b, spf.KindBTree, true) }},
 			{Name: "hash/read", Procs: 1, Allocs: allocs(2), Run: func(b *testing.B) float64 { return pointOps(b, spf.KindHash, false) }},
-			{Name: "hash/mixed", Procs: 1, Allocs: allocs(4), Run: func(b *testing.B) float64 { return pointOps(b, spf.KindHash, true) }},
+			{Name: "hash/mixed", Procs: 1, Allocs: allocs(3), Run: func(b *testing.B) float64 { return pointOps(b, spf.KindHash, true) }},
+			{Name: "hash/insert", Procs: 1, Allocs: allocs(11), Run: func(b *testing.B) float64 { return insertOps(b, spf.KindHash) }},
 		},
 	},
 }

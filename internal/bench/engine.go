@@ -97,3 +97,28 @@ func pointOps(b *testing.B, kind spf.IndexKind, mixed bool) float64 {
 	b.StopTimer()
 	return 0
 }
+
+// insertOps measures one insert of a key the index does not hold, rolled
+// back: on the hash index, the insert's descent and its compensation's
+// each latch the key's whole bucket chain. The rollback keeps the index at
+// its preloaded shape, so no op splits or links a page and the allocs/op
+// stay exact.
+func insertOps(b *testing.B, kind spf.IndexKind) float64 {
+	db, ix := engineSetup(b, kind)
+	defer db.Close()
+
+	rng := rand.New(rand.NewSource(42))
+	val := make([]byte, engineValueLen)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx := db.Begin()
+		if err := ix.Insert(tx, workload.Key(engineKeys+rng.Intn(engineKeys)), val); err != nil {
+			b.Fatal(err)
+		}
+		if err := tx.Abort(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	return 0
+}

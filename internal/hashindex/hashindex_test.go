@@ -223,6 +223,78 @@ func TestInsertManySplitsAndFinds(t *testing.T) {
 	verifyClean(t, tb)
 }
 
+// TestDirectoryBoundChainsAbsorbGrowth: the directory is one page, so
+// splitting stops once the page has no room for another slot, and from
+// then on overflow chains absorb all growth. On 512-byte pages that bound
+// is 58 buckets; 8000 keys then make chains longer than a chainRef holds
+// inline. Every key reads back, a rolled-back batch leaves no trace, and
+// the table verifies clean.
+func TestDirectoryBoundChainsAbsorbGrowth(t *testing.T) {
+	p := newTestPager(t, 512, 1<<14, 4096)
+	st := p.txns.BeginSystem()
+	tb, err := Create(st, "bound", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, st)
+	load := func(tx *txn.Txn, lo, hi int) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			if err := tb.Insert(tx, key(i), val(i)); err != nil {
+				t.Fatalf("insert %d: %v", i, err)
+			}
+		}
+	}
+	const atBound, n = 2000, 8000
+	capacity := 512 - page.HeaderSize
+	bound := (capacity - page.LayoutHeaderSize - dirExtSize) / 8
+
+	tx := p.txns.Begin()
+	load(tx, 0, atBound)
+	mustCommit(t, tx)
+	splits1, overflows1 := tb.Counters()
+	if st, err := tb.WalkStats(); err != nil || st.Buckets != bound {
+		t.Fatalf("%d buckets after %d keys (err %v), want the directory's bound %d", st.Buckets, atBound, err, bound)
+	}
+	tx = p.txns.Begin()
+	load(tx, atBound, n)
+	mustCommit(t, tx)
+	splits2, overflows2 := tb.Counters()
+	if splits2 != splits1 {
+		t.Errorf("%d splits past the directory bound", splits2-splits1)
+	}
+	if overflows2 <= overflows1 {
+		t.Errorf("overflow pages %d -> %d: chains did not absorb the growth", overflows1, overflows2)
+	}
+	stats, err := tb.WalkStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Buckets != bound || stats.Entries != n {
+		t.Errorf("%d buckets holding %d entries, want %d holding %d", stats.Buckets, stats.Entries, bound, n)
+	}
+	if stats.MaxChain <= chainInline {
+		t.Errorf("longest chain %d pages, want more than the %d a chainRef holds inline", stats.MaxChain, chainInline)
+	}
+
+	// A rolled-back batch compensates across the long chains.
+	tx = p.txns.Begin()
+	load(tx, n, n+500)
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n+500; i++ {
+		got, err := tb.Get(key(i))
+		switch {
+		case i >= n && !errors.Is(err, ErrKeyNotFound):
+			t.Fatalf("get %d after rollback: %q, %v", i, got, err)
+		case i < n && (err != nil || !bytes.Equal(got, val(i))):
+			t.Fatalf("get %d = %q, %v", i, got, err)
+		}
+	}
+	verifyClean(t, tb)
+}
+
 func TestDeleteAndReinsert(t *testing.T) {
 	tb, p := newTestTable(t)
 	const n = 400

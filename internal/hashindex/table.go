@@ -30,7 +30,8 @@ type Pager interface {
 // the directory exclusively and then the whole chain it rewrites — can
 // never slip between address computation and bucket access. Readers walk
 // overflow chains hand-over-hand with shared latches; writers accumulate
-// exclusive latches down the chain (chains are kept short by splitting).
+// exclusive latches down the chain (kept short by splitting until the
+// one-page directory is full, see descendX).
 // The latch order is directory < chain position 0 < 1 < ... everywhere, so
 // the protocol is deadlock-free.
 type Table struct {
@@ -238,32 +239,70 @@ func (tb *Table) GetTo(dst, key []byte) ([]byte, error) {
 // Get returns the value for key, or ErrKeyNotFound.
 func (tb *Table) Get(key []byte) ([]byte, error) { return tb.GetTo(nil, key) }
 
+// chainInline is how many chain pages a chainRef holds without allocating.
+// The directory's one-page bound lets chains grow past it (see splitOnce),
+// so the rest go to overflow slices.
+const chainInline = 8
+
 // chainRef is a writer's exclusively latched bucket chain: every page from
 // the primary bucket to the chain tail, pinned and X-latched in position
-// order, plus the directory view it was routed under.
+// order, plus the directory view it was routed under. The first
+// chainInline pages live in fixed arrays, not in slices pointing into the
+// struct (which would make it escape), so a chainRef declared on the
+// caller's stack costs no allocation per descent.
 type chainRef struct {
-	bucket  int
-	dv      dirView
-	handles []*buffer.Handle
-	nodes   []bucket
+	bucket int
+	dv     dirView
+	n      int
+	hs     [chainInline]*buffer.Handle
+	ns     [chainInline]bucket
+	moreH  []*buffer.Handle // pages chainInline and beyond
+	moreN  []bucket
+}
+
+// push appends the next chain page.
+func (c *chainRef) push(h *buffer.Handle, n bucket) {
+	if c.n < chainInline {
+		c.hs[c.n], c.ns[c.n] = h, n
+	} else {
+		c.moreH = append(c.moreH, h)
+		c.moreN = append(c.moreN, n)
+	}
+	c.n++
+}
+
+// handle returns chain page i's handle.
+func (c *chainRef) handle(i int) *buffer.Handle {
+	if i < chainInline {
+		return c.hs[i]
+	}
+	return c.moreH[i-chainInline]
+}
+
+// node returns chain page i's parsed header.
+func (c *chainRef) node(i int) *bucket {
+	if i < chainInline {
+		return &c.ns[i]
+	}
+	return &c.moreN[i-chainInline]
 }
 
 // release drops every latch and pin, tail first.
 func (c *chainRef) release() {
-	for i := len(c.handles) - 1; i >= 0; i-- {
-		c.handles[i].Unlock()
-		c.handles[i].Release()
+	for i := c.n - 1; i >= 0; i-- {
+		h := c.handle(i)
+		h.Unlock()
+		h.Release()
 	}
-	c.handles = nil
-	c.nodes = nil
+	*c = chainRef{}
 }
 
 // find locates key anywhere in the chain, returning the index of the page
 // holding it (-1 when absent) and the entry's value (aliasing that page)
 // and ghost flag.
 func (c *chainRef) find(key []byte) (pi int, val []byte, ghost bool, err error) {
-	for pi, n := range c.nodes {
-		val, ghost, found, err := n.Get(key)
+	for pi := 0; pi < c.n; pi++ {
+		val, ghost, found, err := c.node(pi).Get(key)
 		if found || err != nil {
 			return pi, val, ghost, err
 		}
@@ -274,55 +313,63 @@ func (c *chainRef) find(key []byte) (pi int, val []byte, ghost bool, err error) 
 // roomFor returns the first chain page other than skip with need free
 // bytes, or -1.
 func (c *chainRef) roomFor(need, skip int) int {
-	for i, n := range c.nodes {
-		if i != skip && n.Size()+need <= c.handles[i].Page().Capacity() {
+	for i := 0; i < c.n; i++ {
+		if i != skip && c.node(i).Size()+need <= c.handle(i).Page().Capacity() {
 			return i
 		}
 	}
 	return -1
 }
 
-// descendX routes to key's bucket and exclusively latches its whole chain,
-// cross-checking every page. Writers hold the full chain because an
-// insert may land on any page with room and a relocation touches two
-// pages; chains stay short because growth triggers a split.
-func (tb *Table) descendX(key []byte) (*chainRef, error) {
-	dh, d, err := tb.fetchDir()
-	if err != nil {
-		return nil, err
-	}
-	b := d.bucketOf(hashKey(key))
-	c := &chainRef{bucket: b, dv: dirView{id: dh.ID(), level: d.level, next: d.next}}
-	h, err := tb.pager.Fetch(d.At(b))
-	if err != nil {
-		dh.RUnlock()
-		dh.Release()
-		return nil, err
-	}
-	h.Lock()
-	dh.RUnlock()
-	dh.Release()
+// latchChain X-latches into c the chain whose primary page h the caller
+// has pinned and X-latched, cross-checking every page against c's
+// directory view. On failure every latch and pin is dropped.
+func (tb *Table) latchChain(c *chainRef, h *buffer.Handle) error {
 	for pos, via := uint32(0), c.dv.id; ; pos++ {
-		n, err := checkedBucket(h, via, b, pos, c.dv)
+		n, err := checkedBucket(h, via, c.bucket, pos, c.dv)
 		if err != nil {
 			h.Unlock()
 			h.Release()
 			c.release()
-			return nil, err
+			return err
 		}
-		c.handles = append(c.handles, h)
-		c.nodes = append(c.nodes, n)
+		c.push(h, n)
 		if n.next == page.InvalidID {
-			return c, nil
+			return nil
 		}
 		nh, err := tb.pager.Fetch(n.next)
 		if err != nil {
 			c.release()
-			return nil, err
+			return err
 		}
 		nh.Lock()
 		via, h = h.ID(), nh
 	}
+}
+
+// descendX routes to key's bucket and exclusively latches its whole chain
+// into c, cross-checking every page. Writers hold the full chain because
+// an insert may land on any page with room and a relocation touches two
+// pages. Growth splits buckets only while the directory page has room for
+// another slot; past that bound (506 buckets on a 4 KiB page) chains
+// absorb all growth and lengthen with the table.
+func (tb *Table) descendX(key []byte, c *chainRef) error {
+	dh, d, err := tb.fetchDir()
+	if err != nil {
+		return err
+	}
+	b := d.bucketOf(hashKey(key))
+	*c = chainRef{bucket: b, dv: dirView{id: dh.ID(), level: d.level, next: d.next}}
+	h, err := tb.pager.Fetch(d.At(b))
+	if err != nil {
+		dh.RUnlock()
+		dh.Release()
+		return err
+	}
+	h.Lock()
+	dh.RUnlock()
+	dh.Release()
+	return tb.latchChain(c, h)
 }
 
 // Insert adds key=val under tx. Inserting an existing live key fails with
@@ -332,15 +379,15 @@ func (tb *Table) Insert(tx *txn.Txn, key, val []byte) error {
 		return errors.New("hashindex: empty key")
 	}
 	grew := false
+	var c chainRef
 	for attempt := 0; ; attempt++ {
 		if attempt > maxAttempts {
 			return errors.New("hashindex: insert did not converge")
 		}
-		c, err := tb.descendX(key)
-		if err != nil {
+		if err := tb.descendX(key, &c); err != nil {
 			return err
 		}
-		capacity := c.handles[0].Page().Capacity()
+		capacity := c.handle(0).Page().Capacity()
 		es := page.RecordSize(len(key), len(val))
 		if es > maxEntrySize(capacity) {
 			c.release()
@@ -355,12 +402,12 @@ func (tb *Table) Insert(tx *txn.Txn, key, val []byte) error {
 			c.release()
 			return fmt.Errorf("%w: %q", ErrKeyExists, key)
 		}
-		if pi >= 0 && c.nodes[pi].Size()-len(old)+len(val) > capacity {
+		if pi >= 0 && c.node(pi).Size()-len(old)+len(val) > capacity {
 			// The revival value does not fit over the ghost: physically
 			// purge the ghost under a system transaction and retry as a
 			// plain insert.
 			st := tb.pager.BeginSystem()
-			err := ops.LogApply(st, c.handles[pi], encodePurge(key, old, true))
+			err := ops.LogApply(st, c.handle(pi), encodePurge(key, old, true))
 			if err == nil {
 				err = st.Commit() // before the latches go: its undo is physical (ops.go)
 			}
@@ -376,14 +423,14 @@ func (tb *Table) Insert(tx *txn.Txn, key, val []byte) error {
 			pi = c.roomFor(es, -1)
 		}
 		if pi >= 0 {
-			err := ops.LogApply(tx, c.handles[pi], encodeInsert(tb.dir, key, val))
+			err := ops.LogApply(tx, c.handle(pi), encodeInsert(tb.dir, key, val))
 			c.release()
 			if err == nil && grew {
 				tb.trySplit()
 			}
 			return err
 		}
-		extended, err := tb.makeRoom(c, es, true)
+		extended, err := tb.makeRoom(&c, es, true)
 		if err != nil {
 			return err
 		}
@@ -397,15 +444,15 @@ func (tb *Table) Update(tx *txn.Txn, key, val []byte) error {
 		return fmt.Errorf("%w: empty key", ErrKeyNotFound)
 	}
 	grew := false
+	var c chainRef
 	for attempt := 0; ; attempt++ {
 		if attempt > maxAttempts {
 			return errors.New("hashindex: update did not converge")
 		}
-		c, err := tb.descendX(key)
-		if err != nil {
+		if err := tb.descendX(key, &c); err != nil {
 			return err
 		}
-		capacity := c.handles[0].Page().Capacity()
+		capacity := c.handle(0).Page().Capacity()
 		es := page.RecordSize(len(key), len(val))
 		if es > maxEntrySize(capacity) {
 			c.release()
@@ -422,8 +469,8 @@ func (tb *Table) Update(tx *txn.Txn, key, val []byte) error {
 		}
 		// old aliases the page; every op encoder below copies it out before
 		// its op applies.
-		if c.nodes[pi].Size()-len(old)+len(val) <= capacity {
-			err := ops.LogApply(tx, c.handles[pi], encodeUpdate(tb.dir, key, val, old))
+		if c.node(pi).Size()-len(old)+len(val) <= capacity {
+			err := ops.LogApply(tx, c.handle(pi), encodeUpdate(tb.dir, key, val, old))
 			c.release()
 			if err == nil && grew {
 				tb.trySplit()
@@ -433,7 +480,7 @@ func (tb *Table) Update(tx *txn.Txn, key, val []byte) error {
 		// The grown value does not fit in place: relocate the entry (with
 		// its OLD value — no logical change, so a system transaction) to a
 		// page with room for the new size, then retry there.
-		extended, err := tb.relocate(c, pi, key, old, false, es, true)
+		extended, err := tb.relocate(&c, pi, key, old, false, es, true)
 		if err != nil {
 			return err
 		}
@@ -455,12 +502,12 @@ func (tb *Table) relocate(c *chainRef, pi int, key, val []byte, ghost bool, es i
 	// The purge splices val's bytes away: build the reinsert first.
 	reinsert := encodeReinsert(key, val, ghost)
 	st := tb.pager.BeginSystem()
-	if err := ops.LogApply(st, c.handles[pi], encodePurge(key, val, ghost)); err != nil {
+	if err := ops.LogApply(st, c.handle(pi), encodePurge(key, val, ghost)); err != nil {
 		c.release()
 		_ = st.Abort()
 		return false, err
 	}
-	err := ops.LogApply(st, c.handles[target], reinsert)
+	err := ops.LogApply(st, c.handle(target), reinsert)
 	if err == nil {
 		err = st.Commit()
 	}
@@ -478,8 +525,8 @@ func (tb *Table) Delete(tx *txn.Txn, key []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("%w: empty key", ErrKeyNotFound)
 	}
-	c, err := tb.descendX(key)
-	if err != nil {
+	var c chainRef
+	if err := tb.descendX(key, &c); err != nil {
 		return err
 	}
 	pi, _, ghost, err := c.find(key)
@@ -491,7 +538,7 @@ func (tb *Table) Delete(tx *txn.Txn, key []byte) error {
 		c.release()
 		return fmt.Errorf("%w: %q", ErrKeyNotFound, key)
 	}
-	err = ops.LogApply(tx, c.handles[pi], encodeGhost(tb.dir, key, true, false))
+	err = ops.LogApply(tx, c.handle(pi), encodeGhost(tb.dir, key, true, false))
 	c.release()
 	return err
 }
@@ -509,8 +556,8 @@ func (tb *Table) makeRoom(c *chainRef, need int, purge bool) (bool, error) {
 		}
 		return st
 	}
-	for i := 0; purge && i < len(c.handles); i++ {
-		if err := ops.PurgeGhosts(c.handles[i], opHashPurge, sys); err != nil {
+	for i := 0; purge && i < c.n; i++ {
+		if err := ops.PurgeGhosts(c.handle(i), opHashPurge, sys); err != nil {
 			c.release()
 			if st != nil {
 				_ = st.Abort()
@@ -527,8 +574,8 @@ func (tb *Table) makeRoom(c *chainRef, need int, purge bool) (bool, error) {
 	// allocation and the link commit independently of the caller's
 	// transaction (system txn), exactly like a B-tree foster split — an
 	// aborted user insert then merely leaves an empty page behind.
-	last := len(c.nodes) - 1
-	tail := c.nodes[last]
+	last := c.n - 1
+	tail := *c.node(last)
 	st = tb.pager.BeginSystem()
 	nh, err := tb.pager.AllocateNode(st, page.TypeHash, page.NewRecords(page.KindBucket,
 		bucketExt(tail.bucketNum, tail.levelStamp, c.dv.id, page.InvalidID, tail.chainPos+1)))
@@ -540,10 +587,10 @@ func (tb *Table) makeRoom(c *chainRef, need int, purge bool) (bool, error) {
 	newID := nh.ID()
 	nh.Release()
 	// The tail's new image differs only in its next stamp.
-	oldPayload := c.handles[last].Page().Payload()
+	oldPayload := c.handle(last).Page().Payload()
 	linked := append([]byte(nil), oldPayload...)
 	copy(linked[page.LayoutHeaderSize:], bucketExt(tail.bucketNum, tail.levelStamp, tail.dir, newID, tail.chainPos))
-	if err = ops.LogApply(st, c.handles[last], encodePageSet(linked, oldPayload)); err == nil {
+	if err = ops.LogApply(st, c.handle(last), encodePageSet(linked, oldPayload)); err == nil {
 		err = st.Commit()
 	}
 	c.release()
@@ -584,12 +631,12 @@ func (tb *Table) undoUpdate(t *txn.Txn, key, oldVal []byte, undoNext page.LSN) e
 // own rollback may have yet to revive — and the compensation retried.
 func (tb *Table) compensate(t *txn.Txn, key []byte, undoNext page.LSN,
 	makeOp func(curVal []byte, ghost bool) (op []byte, grow int)) error {
+	var c chainRef
 	for attempt := 0; ; attempt++ {
 		if attempt > maxAttempts {
 			return errors.New("hashindex: compensation did not converge")
 		}
-		c, err := tb.descendX(key)
-		if err != nil {
+		if err := tb.descendX(key, &c); err != nil {
 			return err
 		}
 		pi, curVal, ghost, err := c.find(key)
@@ -603,12 +650,12 @@ func (tb *Table) compensate(t *txn.Txn, key []byte, undoNext page.LSN,
 		}
 		// curVal aliases the page; the op encoder copies it before it applies.
 		op, grow := makeOp(curVal, ghost)
-		if c.nodes[pi].Size()+grow <= c.handles[pi].Page().Capacity() {
-			err := ops.LogApplyCLR(t, c.handles[pi], op, undoNext)
+		if c.node(pi).Size()+grow <= c.handle(pi).Page().Capacity() {
+			err := ops.LogApplyCLR(t, c.handle(pi), op, undoNext)
 			c.release()
 			return err
 		}
-		if _, err := tb.relocate(c, pi, key, curVal, ghost, page.RecordSize(len(key), len(curVal)+grow), false); err != nil {
+		if _, err := tb.relocate(&c, pi, key, curVal, ghost, page.RecordSize(len(key), len(curVal)+grow), false); err != nil {
 			return err
 		}
 	}
@@ -723,43 +770,28 @@ func (tb *Table) splitOnce() error {
 
 	// Latch the split bucket's whole chain in position order under the
 	// directory latch.
-	c := &chainRef{bucket: oldB, dv: dv}
+	c := chainRef{bucket: oldB, dv: dv}
 	h, err := tb.pager.Fetch(d.At(oldB))
 	if err != nil {
 		dh.Unlock()
 		return err
 	}
 	h.Lock()
+	if err := tb.latchChain(&c, h); err != nil {
+		dh.Unlock()
+		return err
+	}
 	fail := func(err error) error {
 		c.release()
 		dh.Unlock()
 		return err
 	}
-	for pos, via := uint32(0), dv.id; ; pos++ {
-		n, err := checkedBucket(h, via, oldB, pos, dv)
-		if err != nil {
-			h.Unlock()
-			h.Release()
-			return fail(err)
-		}
-		c.handles = append(c.handles, h)
-		c.nodes = append(c.nodes, n)
-		if n.next == page.InvalidID {
-			break
-		}
-		nh, err := tb.pager.Fetch(n.next)
-		if err != nil {
-			return fail(err)
-		}
-		nh.Lock()
-		via, h = h.ID(), nh
-	}
 
 	// Partition every entry (ghosts included) under the next round's
 	// hash: bit L decides stay vs move.
 	var all, stay, move []entry
-	for i := range c.nodes {
-		if err := collectEntries(&c.nodes[i], nil, nil, true, &all); err != nil {
+	for i := 0; i < c.n; i++ {
+		if err := collectEntries(c.node(i), nil, nil, true, &all); err != nil {
 			return fail(err)
 		}
 	}
@@ -771,14 +803,14 @@ func (tb *Table) splitOnce() error {
 		case newB:
 			move = append(move, e)
 		default:
-			return fail(&CorruptionError{Page: c.handles[0].ID(), Detail: fmt.Sprintf(
+			return fail(&CorruptionError{Page: c.handle(0).ID(), Detail: fmt.Sprintf(
 				"entry %q does not hash to bucket %d", e.key, oldB)})
 		}
 	}
-	capacity := c.handles[0].Page().Capacity()
+	capacity := c.handle(0).Page().Capacity()
 	stayPages := packEntries(stay, capacity)
 	movePages := packEntries(move, capacity)
-	for len(stayPages) < len(c.nodes) {
+	for len(stayPages) < c.n {
 		stayPages = append(stayPages, nil)
 	}
 
@@ -801,9 +833,9 @@ func (tb *Table) splitOnce() error {
 	// than the existing pages offer (entries are not order-preserving
 	// across chain pages, so repacking can shift the split).
 	var extraFirst page.ID
-	if len(stayPages) > len(c.nodes) {
-		extra, err := tb.allocChainAt(st, capacity, stayPages[len(c.nodes):], uint32(oldB), newStamp,
-			dv.id, uint32(len(c.nodes)))
+	if len(stayPages) > c.n {
+		extra, err := tb.allocChainAt(st, capacity, stayPages[c.n:], uint32(oldB), newStamp,
+			dv.id, uint32(c.n))
 		if err != nil {
 			return abort(err)
 		}
@@ -811,10 +843,10 @@ func (tb *Table) splitOnce() error {
 	}
 	// Rewrite the existing chain pages in place: new stamps, repacked
 	// entries, links preserved (tail links to the extras when present).
-	for i := range c.nodes {
+	for i := 0; i < c.n; i++ {
 		next := page.InvalidID
-		if i+1 < len(c.nodes) {
-			next = c.handles[i+1].ID()
+		if i+1 < c.n {
+			next = c.handle(i + 1).ID()
 		} else if extraFirst != page.InvalidID {
 			next = extraFirst
 		}
@@ -822,7 +854,7 @@ func (tb *Table) splitOnce() error {
 		if err != nil {
 			return abort(err)
 		}
-		if err := ops.LogApply(st, c.handles[i], encodePageSet(nn, c.handles[i].Page().Payload())); err != nil {
+		if err := ops.LogApply(st, c.handle(i), encodePageSet(nn, c.handle(i).Page().Payload())); err != nil {
 			return abort(err)
 		}
 	}

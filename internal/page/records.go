@@ -178,15 +178,29 @@ func splitRecord(i int, rec []byte) (key, val []byte, ghost bool, err error) {
 
 // Find binary-searches the keyed records for key, returning its index and
 // whether it is present (ghosts count as present); when absent the index
-// is where key would be inserted.
+// is where key would be inserted. Each probe reads its key straight off
+// the offset array under the bounds checks Record makes; a probe that
+// fails one asks Record for the error, so both report alike.
 func (r Records) Find(key []byte) (int, bool, error) {
-	lo, hi := 0, r.Count()
+	b, offs := r.b, r.offs+2*r.res
+	lo, hi := 0, r.n-r.res
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		k, _, _, err := r.Record(mid)
-		if err != nil {
+		at := offs + 2*mid
+		start := 0
+		if at > r.offs {
+			start = int(binary.LittleEndian.Uint16(b[at-2:]))
+		}
+		end := int(binary.LittleEndian.Uint16(b[at:]))
+		kl := -1
+		if start+2 <= end && r.area+end <= len(b) {
+			kl = int(binary.LittleEndian.Uint16(b[r.area+start:]) &^ ghostBit)
+		}
+		if kl < 0 || start+2+kl > end {
+			_, _, _, err := r.Record(mid)
 			return 0, false, err
 		}
+		k := b[r.area+start+2 : r.area+start+2+kl]
 		switch c := bytes.Compare(k, key); {
 		case c == 0:
 			return mid, true, nil

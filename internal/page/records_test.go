@@ -213,7 +213,16 @@ func FuzzCheck(f *testing.F) {
 			for i := 0; i <= r.Reserved(); i++ {
 				_, _ = r.ReservedRecord(i)
 			}
-			_, _, _ = r.Find([]byte("probe"))
+			// Find reads keys off the offset array itself; on any page it
+			// must answer exactly as a binary search through Record does,
+			// errors included.
+			for _, probe := range findProbes(r) {
+				i, found, err := r.Find(probe)
+				wi, wfound, werr := findViaRecord(r, probe)
+				if i != wi || found != wfound || fmt.Sprint(err) != fmt.Sprint(werr) {
+					t.Fatalf("Find(%q) = %d, %v, %v; through Record %d, %v, %v", probe, i, found, err, wi, wfound, werr)
+				}
+			}
 		}
 		if a, err := ParseIDArray(payload); err == nil {
 			_ = a.At(-1)
@@ -254,13 +263,28 @@ func FuzzCheck(f *testing.F) {
 		if err := rebuilt.SetPayload(NewRecords(r.Kind(), r.Ext(), reserved...)); err != nil {
 			t.Fatal(err)
 		}
+		// On a checked page Find agrees with a linear scan, for every key
+		// present and for keys between, before and after them.
+		for _, probe := range findProbes(r) {
+			want, wantFound := r.Count(), false
+			for i := 0; i < r.Count(); i++ {
+				k, _, _, err := r.Record(i)
+				if err != nil {
+					t.Fatalf("record %d of an accepted page: %v", i, err)
+				}
+				if c := bytes.Compare(k, probe); c >= 0 {
+					want, wantFound = i, c == 0
+					break
+				}
+			}
+			if at, found, err := r.Find(probe); err != nil || at != want || found != wantFound {
+				t.Fatalf("Find(%q) = %d, %v, %v; linear scan %d, %v", probe, at, found, err, want, wantFound)
+			}
+		}
 		for i := 0; i < r.Count(); i++ {
 			k, v, g, err := r.Record(i)
 			if err != nil {
 				t.Fatalf("record %d of an accepted page: %v", i, err)
-			}
-			if at, found, err := r.Find(k); err != nil || !found || at != i {
-				t.Fatalf("Find(record %d's key) = %d, %v, %v", i, at, found, err)
 			}
 			if err := rebuilt.InsertRecord(i, k, v, g); err != nil {
 				t.Fatalf("rebuilding record %d: %v", i, err)
@@ -285,6 +309,42 @@ func FuzzCheck(f *testing.F) {
 			t.Fatalf("mutated page no longer checks clean: %v", err)
 		}
 	})
+}
+
+// findProbes returns keys to search r for: "probe", the empty key, and
+// for each record whose key reads, that key, the key with a byte
+// appended and the key less its last byte.
+func findProbes(r Records) [][]byte {
+	probes := [][]byte{[]byte("probe"), {}}
+	for i := 0; i < r.Count(); i++ {
+		k, _, _, err := r.Record(i)
+		if err != nil {
+			continue
+		}
+		probes = append(probes, k, append(append([]byte(nil), k...), 0), k[:max(len(k)-1, 0)])
+	}
+	return probes
+}
+
+// findViaRecord is Find as a binary search through Record.
+func findViaRecord(r Records, key []byte) (int, bool, error) {
+	lo, hi := 0, r.Count()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		k, _, _, err := r.Record(mid)
+		if err != nil {
+			return 0, false, err
+		}
+		switch c := bytes.Compare(k, key); {
+		case c == 0:
+			return mid, true, nil
+		case c < 0:
+			lo = mid + 1
+		default:
+			hi = mid
+		}
+	}
+	return lo, false, nil
 }
 
 func TestCheckRejectsStructuralDamage(t *testing.T) {

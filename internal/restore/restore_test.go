@@ -2,6 +2,9 @@ package restore
 
 import (
 	"errors"
+	"io"
+	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -419,5 +422,67 @@ func TestNoteReadRetryCounted(t *testing.T) {
 	}
 	if st.Repaired != 2 || st.Requeues != 0 {
 		t.Fatalf("re-reads must not requeue or fail a ticket: %+v", st)
+	}
+}
+
+// TestReadDuringDrainIsNotStarved: on one P, a client waiting on its
+// socket while the workers drain a deep queue of CPU-bound repairs is
+// served during the drain, within a few ms, not when the drain ends. With
+// the workers yielding by Gosched alone the network was polled only from
+// sysmon, about every 10 ms, and one loopback echo — two socket wake-ups —
+// took 10-20 ms.
+func TestReadDuringDrainIsNotStarved(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		_, _ = io.Copy(c, c)
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var b [1]byte
+	echo := func() time.Duration {
+		start := time.Now()
+		if _, err := conn.Write(b[:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, b[:]); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	echo() // the server goroutine has accepted and is reading
+
+	// 400 repairs of 250 µs of CPU each: a 100 ms drain.
+	const repairs, spin = 400, 250 * time.Microsecond
+	s := New(Config{Workers: 2}, Deps{Repair: func(page.ID) error {
+		for start := time.Now(); time.Since(start) < spin; {
+		}
+		return nil
+	}})
+	s.Start()
+	defer s.Stop()
+	for i := 1; i <= repairs; i++ {
+		s.Enqueue(page.ID(i), 0)
+	}
+	took := echo()
+	pending := s.Pending()
+	if pending == 0 {
+		t.Fatalf("the echo took %v and returned after the whole drain", took)
+	}
+	if limit := 5 * time.Millisecond; took > limit {
+		t.Fatalf("the echo took %v during the drain (%d of %d repairs pending), want at most %v",
+			took, pending, repairs, limit)
 	}
 }

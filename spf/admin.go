@@ -328,6 +328,7 @@ func (db *DB) RecoverPageNow(id PageID) (core.Report, error) {
 func (db *DB) Close() error {
 	db.mu.Lock()
 	db.closed = true
+	db.down.Store(true)
 	db.mu.Unlock()
 	db.stopRestore()
 	db.stopMaintenance()
@@ -356,6 +357,7 @@ func (db *DB) Close() error {
 func (db *DB) Crash() {
 	db.mu.Lock()
 	db.crashed = true
+	db.down.Store(true)
 	db.mu.Unlock()
 	db.stopRestore()
 	db.stopMaintenance()
@@ -538,6 +540,7 @@ func (db *DB) reopenCatalog() error {
 func (db *DB) FailDevice() {
 	db.mu.Lock()
 	db.crashed = true
+	db.down.Store(true)
 	db.mu.Unlock()
 	db.stopRestore()
 	db.stopMaintenance()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/archive"
@@ -115,6 +116,9 @@ type DB struct {
 	engines map[string]Engine
 	crashed bool
 	closed  bool
+	// down is set, under mu, with crashed or closed: the per-fetch gate
+	// reads it without taking mu, and opErr names the state.
+	down atomic.Bool
 
 	// backlog is how many pages the recovery that produced this DB queued
 	// for background repair; set before the DB is handed out.
@@ -587,8 +591,8 @@ func (u undoer) Undo(t *txn.Txn, rec *wal.Record) error {
 // installs it dirty in the pool, logs its format record under t, and
 // registers that record as the page's backup in the page recovery index.
 func (db *DB) AllocateNode(t *txn.Txn, typ page.Type, initialPayload []byte) (*buffer.Handle, error) {
-	if err := db.opErr(); err != nil {
-		return nil, err
+	if db.down.Load() {
+		return nil, db.opErr()
 	}
 	id := db.pmap.AllocateLogical()
 	h, err := db.pool.Create(id, typ)
@@ -623,8 +627,8 @@ func (db *DB) AllocateNode(t *txn.Txn, typ page.Type, initialPayload []byte) (*b
 
 // Fetch implements btree.Pager via the validating buffer pool.
 func (db *DB) Fetch(id page.ID) (*buffer.Handle, error) {
-	if err := db.opErr(); err != nil {
-		return nil, err
+	if db.down.Load() {
+		return nil, db.opErr()
 	}
 	return db.pool.Fetch(id)
 }
