@@ -166,14 +166,15 @@ var Table = []Group{
 	},
 	{
 		// What the continuous scrub campaign costs foreground traffic: b.N
-		// buffer-hit fetches with the campaign off and scanning 50k pages/s
-		// with live repairs. The off/on ns/op delta is the overhead; off is
-		// also the pool's hit path alone, held to 0 allocs/op.
+		// buffer-hit fetches with the campaign off and sweeping at its
+		// fixed 2000 pages/s with live repairs. The off/on ns/op delta is
+		// the overhead; off is also the pool's hit path alone, held to 0
+		// allocs/op.
 		Name: "E22ScrubCampaignOverhead", Metric: "pages-scrubbed",
 		Claim: "the campaign makes progress under foreground load; the hit path allocates nothing",
 		Rows: []Row{
-			{Name: "off", Procs: 1, Allocs: allocs(0), Run: func(b *testing.B) float64 { return scrubOverhead(b, 0) }},
-			{Name: "on", Procs: 1, Run: func(b *testing.B) float64 { return scrubOverhead(b, 50000) }},
+			{Name: "off", Procs: 1, Allocs: allocs(0), Run: func(b *testing.B) float64 { return scrubOverhead(b, false) }},
+			{Name: "on", Procs: 1, Run: func(b *testing.B) float64 { return scrubOverhead(b, true) }},
 		},
 	},
 	{

@@ -87,9 +87,9 @@ func (e *writeBackEnv) seedPages(b *testing.B, n int) []page.ID {
 //     synchronous write-back (write + PRI log append) before the next
 //     update proceeds, the latency evictions and checkpoints used to pay.
 //   - async=true — updates only mark pages dirty and prod the maintenance
-//     service; one flusher worker drains batches concurrently (watermark-
-//     and age-triggered), each batch logging its PRI updates as one
-//     grouped append. Re-dirtied hot pages coalesce into one write per
+//     service; its flusher drains batches concurrently once the dirty
+//     count reaches its watermark, each batch logging its PRI updates as
+//     one grouped append. Re-dirtied hot pages coalesce into one write per
 //     drain.
 //
 // Both modes end fully flushed (the async run stops the service and drains
@@ -97,7 +97,11 @@ func (e *writeBackEnv) seedPages(b *testing.B, n int) []page.ID {
 // write amplification, device writes per update.
 func writeBack(b *testing.B, async bool) float64 {
 	const (
-		hotPages = 64
+		// The hot set is twice the flusher's watermark, a quarter of the
+		// pool: pool pressure is write-back's only trigger, so a hot set
+		// below it would leave the drain to the final flush, outside the
+		// claim.
+		hotPages = 512
 		capacity = 1024
 	)
 	e := newWriteBackEnv(b, capacity, 16384)
@@ -109,14 +113,8 @@ func writeBack(b *testing.B, async bool) float64 {
 
 	var svc *maintenance.Service
 	if async {
-		svc = maintenance.New(maintenance.Config{
-			FlushWorkers:       1,
-			FlushBatchPages:    hotPages,
-			FlushInterval:      2 * time.Millisecond,
-			DirtyHighWatermark: 0.25,
-			// Scrubbing off: E22 measures the campaign separately.
-			ScrubPagesPerSecond: -1,
-		}, maintenance.Deps{Pool: e.pool})
+		// Pool only, so no scrub campaign: E22 measures it separately.
+		svc = maintenance.New(maintenance.Deps{Pool: e.pool})
 		svc.Start()
 	}
 
@@ -143,7 +141,9 @@ func writeBack(b *testing.B, async bool) float64 {
 			b.Fatal(err)
 		}
 	}
+	var drained int64
 	if async {
+		drained = svc.Stats().FlushBatches
 		svc.Stop()
 		if err := e.pool.FlushAll(); err != nil {
 			b.Fatal(err)
@@ -172,24 +172,26 @@ func writeBack(b *testing.B, async bool) float64 {
 		b.Fatal("async mode never grouped a PRI append")
 	case async && b.N >= 4096 && 2*writes >= updates:
 		b.Fatalf("async coalescing too weak: %d writes for %d updates", writes, updates)
+	case async && b.N >= 1<<18 && drained == 0:
+		// A loop this long outlasts the scheduler's 10 ms time slice many
+		// times over, so even on one P the kicked flusher has run.
+		b.Fatalf("the flusher drained nothing inside %d updates", updates)
 	}
 	return float64(writes) / float64(updates)
 }
 
 // scrubOverhead drives b.N foreground fetches (buffer hits — the engine's
-// hot path) while a scrub campaign runs at the given page rate underneath
-// (rate 0 disables the campaign: the baseline). A slice of cold pages
-// carries persistent corruption, so an enabled campaign does real repair
-// work, not just clean scans. It returns the pages the campaign scrubbed,
-// and fails when an enabled campaign made no progress.
-func scrubOverhead(b *testing.B, rate int) float64 {
+// hot path) while the scrub campaign runs underneath at its fixed pace
+// (on=false leaves it off: the baseline). A slice of cold pages carries
+// persistent corruption, so an enabled campaign does real repair work, not
+// just clean scans. It returns the pages the campaign scrubbed, and fails
+// when an enabled campaign made no progress.
+func scrubOverhead(b *testing.B, on bool) float64 {
 	const (
 		nPages    = 256
 		capacity  = 1024
 		corrupted = 8
 	)
-	// A tight slot space keeps full sweeps short (a sweep is what finds
-	// the injected damage), which matters on starved single-core runners.
 	e := newWriteBackEnv(b, capacity, 2048)
 	// The pool needs a recovery hook for repairs.
 	hooks := buffer.Hooks{
@@ -220,12 +222,8 @@ func scrubOverhead(b *testing.B, rate int) float64 {
 	}
 
 	var svc *maintenance.Service
-	if rate > 0 {
-		svc = maintenance.New(maintenance.Config{
-			ScrubPagesPerSecond: rate,
-			ScrubBatchPages:     64,
-			FlushInterval:       5 * time.Millisecond,
-		}, maintenance.Deps{
+	if on {
+		svc = maintenance.New(maintenance.Deps{
 			Pool:        e.pool,
 			Dev:         e.dev,
 			MappedSlots: e.pmap.MappedSlots,

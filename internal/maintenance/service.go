@@ -2,21 +2,22 @@
 // healthy under load, turning the paper's recovery primitives into a
 // continuously self-repairing system:
 //
-//   - asynchronous write-back: a pool of flusher goroutines drains dirty
-//     pages from the buffer pool in batches, triggered either by a dirty
-//     watermark (the engine prods the service from its mark-dirty hook) or
-//     by age (a periodic tick bounds how long a page stays dirty). The
-//     foreground path — evictions, checkpoints, commits — stops paying
-//     synchronous write+log latency, and each batch logs its page recovery
-//     index updates as one grouped WAL append (wal.AppendBatch) instead of
-//     one append per page;
-//   - a continuous scrub campaign: an incremental, rate-limited cursor
-//     over the device (storage.Device.ScrubRange) re-reads and verifies
-//     mapped slots, so latent single-page failures are detected early —
-//     the paper cites scrubbing as the discoverer of most latent sector
-//     errors (§1) — and every failure found is immediately routed through
-//     the engine's single-page recovery path while foreground traffic
-//     continues.
+//   - asynchronous write-back: a flusher goroutine drains dirty pages from
+//     the buffer pool in batches once the dirty count reaches a quarter of
+//     the pool (the engine prods the service from its mark-dirty hook).
+//     Pool pressure is its only trigger: below the watermark a dirty page
+//     waits for eviction, the next checkpoint (which flushes the dirty
+//     page table and so bounds redo), BackupNow or Close. The foreground
+//     path stops paying synchronous write+log latency, and each batch
+//     logs its page recovery index updates as one grouped WAL append
+//     (wal.AppendBatch) instead of one append per page;
+//   - a continuous scrub campaign: an incremental cursor over the slots
+//     the device has written (storage.Device.ScrubRange), at a fixed pace,
+//     re-reads and verifies mapped slots, so latent single-page failures
+//     are detected early — the paper cites scrubbing as the discoverer of
+//     most latent sector errors (§1) — and every failure found is
+//     immediately routed through the engine's single-page recovery path
+//     while foreground traffic continues.
 //
 // The service owns only goroutines, never durability: all write ordering
 // (WAL before page, completed-write logging) lives in the buffer pool and
@@ -36,59 +37,23 @@ import (
 	"repro/internal/storage"
 )
 
-// Config tunes the service. Zero values select the defaults noted on each
-// field.
-type Config struct {
-	// FlushWorkers is the number of flusher goroutines (default 1; more
-	// help only when write-back is device-bound, since batches already
-	// amortize log work).
-	FlushWorkers int
-	// FlushBatchPages caps how many pages one flush batch writes — and
-	// therefore how many PRI updates one grouped WAL append carries
-	// (default 64).
-	FlushBatchPages int
-	// FlushInterval is the age trigger: every interval, the flushers
-	// drain all dirty pages regardless of the watermark, bounding the
-	// redo work a crash can accumulate (default 25ms).
-	FlushInterval time.Duration
-	// DirtyHighWatermark is the fraction of pool capacity that, once
-	// dirty, kicks the flushers immediately (default 0.25).
-	DirtyHighWatermark float64
-	// ScrubPagesPerSecond rate-limits the scrub campaign (default 2000).
-	// Negative disables scrubbing; zero selects the default.
-	ScrubPagesPerSecond int
-	// ScrubBatchPages is how many slots one scrub tick examines
-	// (default 64). The tick interval is derived from the rate.
-	ScrubBatchPages int
-}
-
-func (c Config) withDefaults() Config {
-	if c.FlushWorkers <= 0 {
-		c.FlushWorkers = 1
-	}
-	if c.FlushBatchPages <= 0 {
-		c.FlushBatchPages = 64
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 25 * time.Millisecond
-	}
-	if c.DirtyHighWatermark <= 0 || c.DirtyHighWatermark > 1 {
-		c.DirtyHighWatermark = 0.25
-	}
-	if c.ScrubPagesPerSecond == 0 {
-		c.ScrubPagesPerSecond = 2000
-	}
-	if c.ScrubBatchPages <= 0 {
-		c.ScrubBatchPages = 64
-	}
-	return c
-}
+const (
+	// flushBatchPages caps how many pages one flush batch writes, and
+	// therefore how many PRI updates one grouped WAL append carries.
+	flushBatchPages = 64
+	// watermarkDivisor sets the dirty watermark at a quarter of the pool's
+	// frames: the dirty count that wakes the flusher.
+	watermarkDivisor = 4
+	// scrubBatchPages slots are examined every scrubInterval: 2000 pages/s.
+	scrubBatchPages = 64
+	scrubInterval   = scrubBatchPages * time.Second / 2000
+)
 
 // Deps wires the service to the engine. Pool is required for write-back;
 // the scrub campaign runs only when Dev, MappedSlots, and Repair are all
-// non-nil (and the configured rate is positive).
+// non-nil.
 type Deps struct {
-	// Pool is the buffer pool whose dirty pages the flushers drain.
+	// Pool is the buffer pool whose dirty pages the flusher drains.
 	Pool *buffer.Pool
 	// Dev is the data device the scrub cursor walks.
 	Dev *storage.Device
@@ -114,15 +79,10 @@ type Stats struct {
 	PagesFlushed int64
 	FlushErrors  int64
 	// ScrubTicks, PagesScrubbed, and Sweeps quantify campaign progress;
-	// a Sweep is one complete pass over the device.
+	// a Sweep is one complete pass over the device's written slots.
 	ScrubTicks    int64
 	PagesScrubbed int64
 	Sweeps        int64
-	// EffectiveScrubRate is the campaign's current pages/second after
-	// adaptive backoff: the configured rate normally, half of it while
-	// the pool's dirty count sits above the flushers' high watermark
-	// (foreground write pressure), zero when scrubbing is disabled.
-	EffectiveScrubRate int64
 	// LatentFound counts bad slots detected; Repaired and Escalated split
 	// them by repair outcome.
 	LatentFound int64
@@ -147,7 +107,6 @@ type counters struct {
 // Service is single-use: after Stop it stays stopped; restart recovery
 // builds a fresh one.
 type Service struct {
-	cfg  Config
 	deps Deps
 	high int // dirty-frame watermark, in frames
 
@@ -165,43 +124,27 @@ type Service struct {
 	// remapped mid-sweep routes its repair to the old owner (a harmless
 	// validating re-read) and newly mapped slots wait for the next sweep —
 	// which is the standard scrubbing trade: coverage is per sweep, not
-	// per instant. skipTick implements the adaptive backoff: while the
-	// pool is above the flushers' dirty high watermark the campaign sits
-	// out alternate ticks, halving its effective rate.
-	cursor   storage.PhysID
-	mapped   map[storage.PhysID]page.ID
-	skipTick bool
-	effRate  atomic.Int64 // current pages/second after adaptive backoff
-	stats    counters
+	// per instant.
+	cursor storage.PhysID
+	mapped map[storage.PhysID]page.ID
+	stats  counters
 }
 
-// New builds a service. Defaults are applied to cfg here, so Config()
-// reports the effective values.
-func New(cfg Config, deps Deps) *Service {
-	cfg = cfg.withDefaults()
+// New builds a service.
+func New(deps Deps) *Service {
 	s := &Service{
-		cfg:  cfg,
 		deps: deps,
 		kick: make(chan struct{}, 1),
 		quit: make(chan struct{}),
 	}
 	if deps.Pool != nil {
-		s.high = int(cfg.DirtyHighWatermark * float64(deps.Pool.Capacity()))
-		if s.high < 1 {
-			s.high = 1
-		}
-	}
-	if s.scrubEnabled() {
-		s.effRate.Store(int64(s.cfg.ScrubPagesPerSecond))
+		s.high = max(1, deps.Pool.Capacity()/watermarkDivisor)
 	}
 	return s
 }
 
-// Config returns the effective configuration.
-func (s *Service) Config() Config { return s.cfg }
-
-// Start launches the flusher workers and, when fully wired, the scrub
-// campaign. Start is not idempotent; call it exactly once.
+// Start launches the flusher and, when fully wired, the scrub campaign.
+// Start is not idempotent; call it exactly once.
 func (s *Service) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -210,20 +153,13 @@ func (s *Service) Start() {
 	}
 	s.started = true
 	if s.deps.Pool != nil {
-		for i := 0; i < s.cfg.FlushWorkers; i++ {
-			s.wg.Add(1)
-			go s.flushLoop()
-		}
+		s.wg.Add(1)
+		go s.flushLoop()
 	}
-	if s.scrubEnabled() {
+	if s.deps.Dev != nil && s.deps.MappedSlots != nil && s.deps.Repair != nil {
 		s.wg.Add(1)
 		go s.scrubLoop()
 	}
-}
-
-func (s *Service) scrubEnabled() bool {
-	return s.cfg.ScrubPagesPerSecond > 0 &&
-		s.deps.Dev != nil && s.deps.MappedSlots != nil && s.deps.Repair != nil
 }
 
 // Stop quiesces the service: no new batches start, in-flight batch work
@@ -248,7 +184,7 @@ func (s *Service) Stop() {
 
 // NotifyDirty is the engine's watermark prod, called from the buffer
 // pool's mark-dirty hook. It is cheap (one atomic load, one non-blocking
-// channel send) and only wakes the flushers once the dirty count crosses
+// channel send) and only wakes the flusher once the dirty count crosses
 // the high watermark.
 func (s *Service) NotifyDirty() {
 	if s.deps.Pool == nil || s.deps.Pool.DirtyCount() < s.high {
@@ -260,51 +196,37 @@ func (s *Service) NotifyDirty() {
 	}
 }
 
-// Kick wakes the flushers unconditionally (tests, checkpoint preludes).
-func (s *Service) Kick() {
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
-}
-
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats {
 	return Stats{
-		FlushBatches:       s.stats.flushBatches.Load(),
-		PagesFlushed:       s.stats.pagesFlushed.Load(),
-		FlushErrors:        s.stats.flushErrors.Load(),
-		ScrubTicks:         s.stats.scrubTicks.Load(),
-		PagesScrubbed:      s.stats.pagesScrubbed.Load(),
-		Sweeps:             s.stats.sweeps.Load(),
-		EffectiveScrubRate: s.effRate.Load(),
-		LatentFound:        s.stats.latentFound.Load(),
-		Repaired:           s.stats.repaired.Load(),
-		Escalated:          s.stats.escalated.Load(),
+		FlushBatches:  s.stats.flushBatches.Load(),
+		PagesFlushed:  s.stats.pagesFlushed.Load(),
+		FlushErrors:   s.stats.flushErrors.Load(),
+		ScrubTicks:    s.stats.scrubTicks.Load(),
+		PagesScrubbed: s.stats.pagesScrubbed.Load(),
+		Sweeps:        s.stats.sweeps.Load(),
+		LatentFound:   s.stats.latentFound.Load(),
+		Repaired:      s.stats.repaired.Load(),
+		Escalated:     s.stats.escalated.Load(),
 	}
 }
 
-// flushLoop is one flusher worker: it sleeps until the watermark kick or
-// the age tick, then drains the pool in batches.
+// flushLoop is the flusher: it sleeps until the watermark kick, then
+// drains the pool in batches.
 func (s *Service) flushLoop() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.FlushInterval)
-	defer ticker.Stop()
 	for {
 		select {
 		case <-s.quit:
 			return
 		case <-s.kick:
-		case <-ticker.C:
 		}
 		s.drain()
 	}
 }
 
 // drain writes back batches until the pool reports no dirty pages or the
-// service is stopping. Concurrent workers cooperate naturally: FlushBatch
-// gathers from a rotating shard start, and a frame another worker already
-// cleaned is skipped.
+// service is stopping.
 func (s *Service) drain() {
 	for {
 		select {
@@ -312,7 +234,7 @@ func (s *Service) drain() {
 			return
 		default:
 		}
-		n, err := s.deps.Pool.FlushBatch(s.cfg.FlushBatchPages)
+		n, err := s.deps.Pool.FlushBatch(flushBatchPages)
 		if n > 0 {
 			s.stats.flushBatches.Add(1)
 			s.stats.pagesFlushed.Add(int64(n))
@@ -327,16 +249,10 @@ func (s *Service) drain() {
 	}
 }
 
-// scrubLoop runs the campaign: one ScrubBatchPages-sized tick per
-// interval, with the interval derived from the configured page rate.
+// scrubLoop runs the campaign: one scrubTick per scrubInterval.
 func (s *Service) scrubLoop() {
 	defer s.wg.Done()
-	interval := time.Duration(float64(s.cfg.ScrubBatchPages) /
-		float64(s.cfg.ScrubPagesPerSecond) * float64(time.Second))
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(scrubInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -349,47 +265,55 @@ func (s *Service) scrubLoop() {
 }
 
 // scrubTick advances the cursor one batch and routes every failure it
-// finds through the repair path. While the pool's dirty count sits above
-// the flushers' high watermark — foreground writes outpacing write-back —
-// the campaign backs off to half its configured rate by sitting out
-// alternate ticks, and restores the full rate the moment pressure clears
-// (the ROADMAP "adaptive scrub rate" lever).
+// finds through the repair path.
 func (s *Service) scrubTick() {
-	if s.deps.Pool != nil && s.deps.Pool.DirtyCount() >= s.high {
-		s.effRate.Store(int64(s.cfg.ScrubPagesPerSecond) / 2)
-		s.skipTick = !s.skipTick
-		if s.skipTick {
-			return
-		}
-	} else {
-		s.effRate.Store(int64(s.cfg.ScrubPagesPerSecond))
-		s.skipTick = false
-	}
 	if s.mapped == nil || s.cursor == 0 {
 		s.mapped = s.deps.MappedSlots() // refresh once per sweep
 	}
-	mapped := s.mapped
-	res, next, wrapped := s.deps.Dev.ScrubRange(s.cursor, s.cfg.ScrubBatchPages,
-		func(slot storage.PhysID) bool {
-			_, ok := mapped[slot]
-			return !ok
-		})
+	t, next, wrapped := Scrub(s.deps.Dev, s.mapped, s.cursor, scrubBatchPages, s.deps.Repair)
 	s.cursor = next
 	s.stats.scrubTicks.Add(1)
-	s.stats.pagesScrubbed.Add(int64(res.Scanned))
+	s.stats.pagesScrubbed.Add(int64(t.Scanned))
 	if wrapped {
 		s.stats.sweeps.Add(1)
 	}
+	s.stats.latentFound.Add(int64(t.Bad))
+	s.stats.repaired.Add(int64(t.Repaired))
+	s.stats.escalated.Add(int64(t.Escalated))
+}
+
+// Tally is what one Scrub call found and repaired.
+type Tally struct {
+	// Scanned counts the mapped slots read and verified.
+	Scanned int
+	// Bad counts the slots that failed; Repaired and Escalated split them
+	// by the outcome of their page's repair.
+	Bad       int
+	Repaired  int
+	Escalated int
+}
+
+// Scrub verifies up to n slot positions of dev from start, ending at the
+// device's written extent (storage.Device.ScrubRange), skipping slots
+// mapped does not name, and hands the page of every bad slot to repair,
+// waiting for each outcome. It returns the tally, the cursor for
+// the next call, and whether this call completed a sweep. The campaign's
+// tick and spf.DB.Scrub's whole-device pass are both one call, differing
+// only in their range.
+func Scrub(dev *storage.Device, mapped map[storage.PhysID]page.ID, start storage.PhysID, n int,
+	repair func(page.ID) error) (Tally, storage.PhysID, bool) {
+	res, next, wrapped := dev.ScrubRange(start, n, func(slot storage.PhysID) bool {
+		_, ok := mapped[slot]
+		return !ok
+	})
+	t := Tally{Scanned: res.Scanned}
 	for _, slot := range res.Failures() {
-		id, ok := mapped[slot]
-		if !ok {
-			continue
-		}
-		s.stats.latentFound.Add(1)
-		if err := s.deps.Repair(id); err != nil {
-			s.stats.escalated.Add(1)
+		t.Bad++
+		if err := repair(mapped[slot]); err != nil {
+			t.Escalated++
 		} else {
-			s.stats.repaired.Add(1)
+			t.Repaired++
 		}
 	}
+	return t, next, wrapped
 }

@@ -97,57 +97,48 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 	}
 }
 
+// TestWatermarkKickDrainsDirtyPages: the flusher's one trigger is the
+// dirty count reaching a quarter of the pool, and the drain it starts runs
+// until no page is dirty, 64 pages a batch.
 func TestWatermarkKickDrainsDirtyPages(t *testing.T) {
-	e := newEnv(t, 64, 256)
-	svc := New(Config{
-		FlushInterval:      time.Hour, // age trigger out of the picture
-		DirtyHighWatermark: 0.125,     // 8 frames
-		FlushBatchPages:    4,
-	}, e.deps())
-	// All 16 pages are dirty before the flushers start, so the one kick
-	// finds the pool above the watermark and drain runs until no page is
-	// dirty. Dirtying them under running flushers raced: a drain that
-	// overtook the dirtying left the later pages below the watermark, to
-	// wait for the hour-long age tick.
-	for i := 0; i < 16; i++ {
+	e := newEnv(t, 512, 256)
+	svc := New(e.deps())
+	if svc.high != 128 {
+		t.Fatalf("watermark = %d frames, want 128", svc.high)
+	}
+	// The pages are dirtied before the flusher starts, so its one drain
+	// finds every one of them.
+	for i := 0; i < svc.high-1; i++ {
 		e.newPage(t, fmt.Sprintf("page-%d", i))
+	}
+	svc.NotifyDirty()
+	if len(svc.kick) != 0 {
+		t.Fatalf("kicked at %d dirty pages, below the watermark", e.pool.DirtyCount())
+	}
+	for i := svc.high - 1; i < 160; i++ {
+		e.newPage(t, fmt.Sprintf("page-%d", i))
+	}
+	svc.NotifyDirty()
+	if len(svc.kick) != 1 {
+		t.Fatalf("no kick at %d dirty pages", e.pool.DirtyCount())
 	}
 	svc.Start()
 	defer svc.Stop()
-	svc.NotifyDirty()
 	waitFor(t, 5*time.Second, "watermark drain", func() bool {
 		return e.pool.DirtyCount() == 0
 	})
 	s := svc.Stats()
-	if s.PagesFlushed != 16 {
-		t.Errorf("PagesFlushed = %d, want 16", s.PagesFlushed)
+	if s.PagesFlushed != 160 {
+		t.Errorf("PagesFlushed = %d, want 160", s.PagesFlushed)
 	}
-	if s.FlushBatches < 4 {
-		t.Errorf("FlushBatches = %d, want >= 4 (batch cap 4)", s.FlushBatches)
+	if s.FlushBatches < 3 {
+		t.Errorf("FlushBatches = %d, want >= 3 (batch cap 64)", s.FlushBatches)
 	}
-	// Grouped appends: the wal must have seen batched PRI logging... at
-	// this layer no write-complete hook is installed, so just confirm the
-	// pages are durable.
-	for i := 1; i <= 16; i++ {
+	for i := 1; i <= 160; i++ {
 		if _, ok := e.pmap.Lookup(page.ID(i)); !ok {
 			t.Errorf("page %d never reached the device", i)
 		}
 	}
-}
-
-func TestAgeTriggerFlushesWithoutKick(t *testing.T) {
-	e := newEnv(t, 64, 256)
-	svc := New(Config{
-		FlushInterval:      5 * time.Millisecond,
-		DirtyHighWatermark: 1.0, // watermark unreachable
-	}, e.deps())
-	svc.Start()
-	defer svc.Stop()
-
-	e.newPage(t, "lonely-dirty-page")
-	waitFor(t, 5*time.Second, "age-triggered flush", func() bool {
-		return e.pool.DirtyCount() == 0
-	})
 }
 
 func TestScrubCampaignDetectsAndRepairsLatentErrors(t *testing.T) {
@@ -174,11 +165,7 @@ func TestScrubCampaignDetectsAndRepairsLatentErrors(t *testing.T) {
 		}
 	}
 
-	svc := New(Config{
-		ScrubPagesPerSecond: 100000,
-		ScrubBatchPages:     16,
-		FlushInterval:       5 * time.Millisecond,
-	}, e.deps())
+	svc := New(e.deps())
 	svc.Start()
 	defer svc.Stop()
 
@@ -192,15 +179,16 @@ func TestScrubCampaignDetectsAndRepairsLatentErrors(t *testing.T) {
 	if s.Escalated != 0 {
 		t.Errorf("Escalated = %d, want 0", s.Escalated)
 	}
-	// The cursor keeps cycling: a full sweep completes shortly after.
-	waitFor(t, 10*time.Second, "a complete sweep", func() bool {
-		return svc.Stats().Sweeps >= 1
-	})
-	// Wait for write-back of the recovered pages, then verify the device
-	// is clean end to end.
-	waitFor(t, 5*time.Second, "recovered pages flushed", func() bool {
-		return e.pool.DirtyCount() == 0
-	})
+	// The sweep covers the 24 written slots, not the 128-slot capacity: it
+	// completes within the tick that found the damage.
+	if s.Sweeps < 1 {
+		t.Errorf("Sweeps = %d after the repairs, want >= 1", s.Sweeps)
+	}
+	// Write the recovered pages back, then verify the device is clean end
+	// to end.
+	if err := e.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 	mapped := e.pmap.MappedSlots()
 	res := e.dev.Scrub(func(slot storage.PhysID) bool {
 		_, ok := mapped[slot]
@@ -222,7 +210,7 @@ func TestScrubCampaignDetectsAndRepairsLatentErrors(t *testing.T) {
 func TestStopIsDeterministicAndIdempotent(t *testing.T) {
 	e := newEnv(t, 32, 64)
 	before := runtime.NumGoroutine()
-	svc := New(Config{ScrubPagesPerSecond: 50000, FlushInterval: time.Millisecond}, e.deps())
+	svc := New(e.deps())
 	svc.Start()
 	for i := 0; i < 8; i++ {
 		e.newPage(t, fmt.Sprintf("p%d", i))
@@ -237,84 +225,12 @@ func TestStopIsDeterministicAndIdempotent(t *testing.T) {
 	})
 	// Kicks after Stop must not panic or leak.
 	svc.NotifyDirty()
-	svc.Kick()
 }
 
 func TestStopBeforeStart(t *testing.T) {
 	e := newEnv(t, 8, 16)
-	svc := New(Config{}, e.deps())
+	svc := New(e.deps())
 	svc.Stop()
 	svc.Start() // must not launch anything after Stop
 	svc.Stop()
-}
-
-// TestAdaptiveScrubRateBacksOffUnderPressure drives scrubTick directly (the
-// tick loop's only caller is the scrub goroutine, so a stopped service is
-// deterministic): while the pool's dirty count sits at or above the
-// flushers' high watermark the campaign halves its effective rate by
-// sitting out alternate ticks, and restores the full rate — and full tick
-// cadence — the moment pressure clears.
-func TestAdaptiveScrubRateBacksOffUnderPressure(t *testing.T) {
-	e := newEnv(t, 8, 64)
-	var ids []page.ID
-	for i := 0; i < 8; i++ {
-		ids = append(ids, e.newPage(t, fmt.Sprintf("adaptive-%d", i)))
-	}
-	if err := e.pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	svc := New(Config{
-		ScrubPagesPerSecond: 1000, ScrubBatchPages: 4, DirtyHighWatermark: 0.5,
-	}, e.deps())
-	if got := svc.Stats().EffectiveScrubRate; got != 1000 {
-		t.Fatalf("initial effective rate = %d, want 1000", got)
-	}
-
-	// Clean pool: every tick scans at the full rate.
-	svc.scrubTick()
-	base := svc.Stats()
-	if base.ScrubTicks != 1 || base.PagesScrubbed == 0 {
-		t.Fatalf("clean tick made no progress: %+v", base)
-	}
-	if base.EffectiveScrubRate != 1000 {
-		t.Fatalf("clean effective rate = %d, want 1000", base.EffectiveScrubRate)
-	}
-
-	// Dirty half the pool (the watermark is 0.5 * capacity 8 = 4 frames):
-	// the campaign must halve its rate, sitting out every other tick.
-	for _, id := range ids[:4] {
-		h, err := e.pool.Fetch(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Lock()
-		lsn := e.log.Append(&wal.Record{Type: wal.TypeUpdate, Txn: 1, PageID: id})
-		h.Page().SetLSN(lsn)
-		h.MarkDirty(lsn)
-		h.Unlock()
-		h.Release()
-	}
-	svc.scrubTick() // sat out
-	svc.scrubTick() // scans
-	s2 := svc.Stats()
-	if s2.EffectiveScrubRate != 500 {
-		t.Fatalf("pressured effective rate = %d, want 500", s2.EffectiveScrubRate)
-	}
-	if got := s2.ScrubTicks - base.ScrubTicks; got != 1 {
-		t.Fatalf("two pressured ticks scanned %d times, want 1", got)
-	}
-
-	// Pressure clears: full rate and cadence restored immediately.
-	if err := e.pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	svc.scrubTick()
-	svc.scrubTick()
-	s3 := svc.Stats()
-	if s3.EffectiveScrubRate != 1000 {
-		t.Fatalf("restored effective rate = %d, want 1000", s3.EffectiveScrubRate)
-	}
-	if got := s3.ScrubTicks - s2.ScrubTicks; got != 2 {
-		t.Fatalf("two clean ticks scanned %d times, want 2", got)
-	}
 }

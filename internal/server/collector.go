@@ -75,7 +75,6 @@ func RegisterEngineCollector(reg *metrics.Registry, db *spf.DB) {
 		e.Counter("spf_maintenance_latent_found_total", "Latent faults found by scrubbing.", float64(m.Maintenance.LatentFound))
 		e.Counter("spf_maintenance_repaired_total", "Latent faults repaired.", float64(m.Maintenance.Repaired))
 		e.Counter("spf_maintenance_escalated_total", "Latent faults escalated.", float64(m.Maintenance.Escalated))
-		e.Gauge("spf_maintenance_scrub_rate", "Current adaptive scrub rate (pages/s).", float64(m.Maintenance.EffectiveScrubRate))
 
 		e.Counter("spf_restore_enqueued_total", "Restore tickets created.", float64(m.Restore.Enqueued))
 		e.Counter("spf_restore_coalesced_total", "Restore requests coalesced onto tickets.", float64(m.Restore.Coalesced))

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
-	"slices"
 	"testing"
 
 	"repro/internal/iosim"
@@ -505,9 +504,10 @@ func TestScrubRangeIncrementalCursor(t *testing.T) {
 			t.Fatal("cursor never wrapped")
 		}
 	}
-	// 16 slots at 4 per call = 4 calls to finish one sweep.
-	if calls != 4 {
-		t.Fatalf("full sweep took %d calls, want 4", calls)
+	// 10 written slots at 4 per call = 3 calls to finish one sweep: the
+	// six never-written slots past them are not walked.
+	if calls != 3 {
+		t.Fatalf("full sweep took %d calls, want 3", calls)
 	}
 	if sweeps != 1 {
 		t.Fatalf("sweeps = %d", sweeps)
@@ -547,6 +547,34 @@ func TestScrubRangeClampsAndCounts(t *testing.T) {
 	res, next, wrapped = d.ScrubRange(2, 0, nil)
 	if res.Scanned != 0 || next != 2 || wrapped {
 		t.Fatalf("zero budget: scanned=%d next=%d wrapped=%v", res.Scanned, next, wrapped)
+	}
+}
+
+// TestScrubRangeSweepsOnlyTheWrittenExtent: the campaign's pace buys
+// written pages, not slot positions. A 65 536-slot device holding 100 pages
+// is swept in two 64-slot calls, not 1 024.
+func TestScrubRangeSweepsOnlyTheWrittenExtent(t *testing.T) {
+	const written = 100
+	d := testDevice(1 << 16)
+	for i := 0; i < written; i++ {
+		if err := d.Write(PhysID(i), encodedPage(t, page.ID(i+1), byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cursor, scanned := PhysID(0), 0
+	for calls := 1; ; calls++ {
+		res, next, wrapped := d.ScrubRange(cursor, 64, nil)
+		scanned += res.Scanned
+		cursor = next
+		if wrapped {
+			if calls != 2 || scanned != written {
+				t.Fatalf("sweep took %d calls and scanned %d slots, want 2 and %d", calls, scanned, written)
+			}
+			return
+		}
+		if calls == 2 {
+			t.Fatalf("no wrap after %d calls (cursor %d of %d written slots)", calls, cursor, written)
+		}
 	}
 }
 
@@ -623,30 +651,22 @@ func TestSlotsPastTheTable(t *testing.T) {
 				t.Fatalf("after Revive: table %d entries, %d written, capacity %d", len(d.slots), d.WrittenSlots(), d.Slots())
 			}
 		}},
-		{"scrub sweeps to capacity", func(t *testing.T, d *Device) {
-			full := testDevice(capacity)
-			full.slots = make([][]byte, capacity)
-			for i := 0; i < written; i++ {
-				full.slots[i] = d.RawImage(PhysID(i))
+		{"scrub stops at the table", func(t *testing.T, d *Device) {
+			res, next, wrapped := d.ScrubRange(0, 5, nil)
+			if res.Scanned != written || next != 0 || !wrapped {
+				t.Fatalf("sweep of %d written slots: scanned=%d next=%d wrapped=%v", written, res.Scanned, next, wrapped)
 			}
-			type step struct {
-				scanned int
-				next    PhysID
-				wrapped bool
+			// A write past the table extends the sweep to it.
+			if err := d.Write(beyond, encodedPage(t, page.ID(beyond), 1)); err != nil {
+				t.Fatal(err)
 			}
-			sweep := func(d *Device) []step {
-				var out []step
-				cur := PhysID(0)
-				for range 2 * capacity / 5 {
-					res, next, wrapped := d.ScrubRange(cur, 5, nil)
-					out = append(out, step{res.Scanned, next, wrapped})
-					cur = next
-				}
-				return out
+			res, next, wrapped = d.ScrubRange(0, int(beyond), nil)
+			if res.Scanned != written || next != beyond || wrapped {
+				t.Fatalf("first %d positions: scanned=%d next=%d wrapped=%v", beyond, res.Scanned, next, wrapped)
 			}
-			got, want := sweep(d), sweep(full)
-			if !slices.Equal(got, want) {
-				t.Fatalf("scrub over a grown table: %v\nover a full one: %v", got, want)
+			res, next, wrapped = d.ScrubRange(next, 5, nil)
+			if res.Scanned != 1 || next != 0 || !wrapped {
+				t.Fatalf("tail from slot %d: scanned=%d next=%d wrapped=%v", beyond, res.Scanned, next, wrapped)
 			}
 		}},
 	}

@@ -33,17 +33,22 @@ func (d *Device) Scrub(skip func(PhysID) bool) ScrubResult {
 
 // ScrubRange is the incremental form of Scrub: it examines up to max slot
 // positions starting at start (clamped into range) and stops at the end of
-// the device without wrapping. It returns the scrub result, the cursor for
-// the next call (0 when the pass reached the device end), and whether this
-// call completed a full sweep (reached the end). A background scrub
-// campaign calls it on a rate-limited tick, so latent errors surface
-// continuously instead of only when someone remembers to run a full pass.
+// the written extent — the slot table, which ends at the highest slot ever
+// written — without wrapping. No slot past it holds an image, so a sweep
+// costs what was written, not the capacity. It returns the scrub result,
+// the cursor for the next call (0 when the pass reached the extent's end),
+// and whether this call completed a full sweep (reached the end). A
+// background scrub campaign calls it on a paced tick, so latent errors
+// surface continuously instead of only when someone remembers to run a
+// full pass.
 func (d *Device) ScrubRange(start PhysID, max int, skip func(PhysID) bool) (ScrubResult, PhysID, bool) {
-	n := d.Slots()
 	var res ScrubResult
 	if max <= 0 {
 		return res, start, false
 	}
+	d.mu.RLock()
+	n := len(d.slots)
+	d.mu.RUnlock()
 	if int(start) >= n {
 		start = 0
 	}
@@ -51,6 +56,7 @@ func (d *Device) ScrubRange(start PhysID, max int, skip func(PhysID) bool) (Scru
 	if end > n {
 		end = n
 	}
+	img := make([]byte, d.pageSize) // one read buffer for the whole call
 	for i := int(start); i < end; i++ {
 		id := PhysID(i)
 		if d.Retired(id) {
@@ -67,8 +73,7 @@ func (d *Device) ScrubRange(start PhysID, max int, skip func(PhysID) bool) (Scru
 		}
 		res.Scanned++
 		d.stats.scrubs.Add(1)
-		img, err := d.Read(id)
-		if err != nil {
+		if err := d.ReadInto(id, img); err != nil {
 			res.ReadErrors = append(res.ReadErrors, id)
 			continue
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/maintenance"
 	"repro/internal/page"
 	"repro/internal/recovery"
 	"repro/internal/storage"
@@ -288,24 +289,8 @@ func (db *DB) Scrub() (ScrubReport, error) {
 	if err := db.opErr(); err != nil {
 		return ScrubReport{}, err
 	}
-	mapped := db.pmap.MappedSlots()
-	res := db.dev.Scrub(func(slot storage.PhysID) bool {
-		_, ok := mapped[slot]
-		return !ok
-	})
-	rep := ScrubReport{Scanned: res.Scanned, BadSlots: len(res.Failures())}
-	for _, slot := range res.Failures() {
-		id, ok := mapped[slot]
-		if !ok {
-			continue
-		}
-		if err := db.repairLatent(id); err != nil {
-			rep.Escalated++
-			continue
-		}
-		rep.Recovered++
-	}
-	return rep, nil
+	t, _, _ := maintenance.Scrub(db.dev, db.pmap.MappedSlots(), 0, db.dev.Slots(), db.repairLatent)
+	return ScrubReport{Scanned: t.Scanned, BadSlots: t.Bad, Recovered: t.Repaired, Escalated: t.Escalated}, nil
 }
 
 // RecoverPageNow runs single-page recovery for one page explicitly, from

@@ -268,8 +268,10 @@ func TestBackupRacingWritesThenMediaRecovery(t *testing.T) {
 	const keys = 2000
 	for iter := 0; iter < 4; iter++ {
 		opts := testOptions()
-		opts.PoolFrames = 512
-		opts.Maintenance = MaintenanceOptions{Enabled: true, FlushInterval: time.Millisecond, FlushBatchPages: 8}
+		// The flusher's watermark, a quarter of the pool, sits below the
+		// tree's 57 pages, so watermark drains race the backups.
+		opts.PoolFrames = 128
+		opts.Maintenance.Enabled = true
 		db := openTestDB(t, opts)
 		ix := loadIndex(t, db, "t", keys)
 		if _, _, err := db.BackupNow(); err != nil {

@@ -285,18 +285,10 @@ func (db *DB) repairNow(id page.ID) error {
 // options ask for it. Called once per DB, after bootstrap/recovery traffic
 // has settled, from the single goroutine constructing the DB.
 func (db *DB) startMaintenance() {
-	mo := db.opts.Maintenance
-	if !mo.Enabled {
+	if !db.opts.Maintenance.Enabled {
 		return
 	}
-	db.maint = maintenance.New(maintenance.Config{
-		FlushWorkers:        mo.FlushWorkers,
-		FlushBatchPages:     mo.FlushBatchPages,
-		FlushInterval:       mo.FlushInterval,
-		DirtyHighWatermark:  mo.DirtyHighWatermark,
-		ScrubPagesPerSecond: mo.ScrubPagesPerSecond,
-		ScrubBatchPages:     mo.ScrubBatchPages,
-	}, maintenance.Deps{
+	db.maint = maintenance.New(maintenance.Deps{
 		Pool:        db.pool,
 		Dev:         db.dev,
 		MappedSlots: db.pmap.MappedSlots,
@@ -455,8 +447,8 @@ func (db *DB) recoverPage(id page.ID, have *page.Page) (*page.Page, bool, error)
 	return pg, rep.OwnImage, nil
 }
 
-// onMarkDirty prods the maintenance flushers when the pool's dirty count
-// crosses their watermark.
+// onMarkDirty prods the maintenance flusher when the pool's dirty count
+// crosses its watermark.
 func (db *DB) onMarkDirty(page.ID) {
 	if m := db.maint; m != nil {
 		m.NotifyDirty()

@@ -14,18 +14,12 @@ import (
 	"repro/internal/storage"
 )
 
-// maintenanceOptions returns options with the background service tuned for
-// test speed: tight age trigger, aggressive scrub rate.
+// maintenanceOptions returns the test options with the background service
+// on: testOptions' 64-frame pool puts the flusher's watermark at 16 dirty
+// frames.
 func maintenanceOptions() Options {
 	opts := testOptions()
-	opts.Maintenance = MaintenanceOptions{
-		Enabled:             true,
-		FlushInterval:       2 * time.Millisecond,
-		FlushBatchPages:     16,
-		DirtyHighWatermark:  0.25,
-		ScrubPagesPerSecond: 200000,
-		ScrubBatchPages:     256,
-	}
+	opts.Maintenance.Enabled = true
 	return opts
 }
 
@@ -41,15 +35,17 @@ func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() boo
 }
 
 // TestAsyncWriteBackDrainsAndGroupsPRIAppends: with maintenance enabled,
-// dirty pages drain without any explicit flush call, and the resulting PRI
-// update records reach the log through grouped appends.
+// dirtying more pages than the flusher's watermark drains them without any
+// explicit flush call, and the resulting PRI update records reach the log
+// through grouped appends.
 func TestAsyncWriteBackDrainsAndGroupsPRIAppends(t *testing.T) {
 	db := openTestDB(t, maintenanceOptions())
 	defer db.Close()
-	ix := loadIndex(t, db, "wb", 400)
+	const keys = 1000 // 29 leaves: above the 16-frame watermark
+	ix := loadIndex(t, db, "wb", keys)
 
 	tx := db.Begin()
-	for i := 0; i < 400; i++ {
+	for i := 0; i < keys; i++ {
 		if err := ix.Update(tx, k(i), []byte(fmt.Sprintf("updated-%06d", i))); err != nil {
 			t.Fatal(err)
 		}
@@ -57,19 +53,97 @@ func TestAsyncWriteBackDrainsAndGroupsPRIAppends(t *testing.T) {
 	if err := db.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 10*time.Second, "background drain", func() bool {
-		return db.Metrics().Maintenance.PagesFlushed > 0 && db.pool.DirtyCount() == 0
+	waitUntil(t, 10*time.Second, "watermark drain", func() bool {
+		return db.Metrics().Maintenance.PagesFlushed >= 16 && db.Metrics().Log.BatchAppends > 0
 	})
 	ms := db.Metrics().Maintenance
 	if ms.FlushBatches == 0 {
 		t.Fatal("no flush batches recorded")
 	}
-	ls := db.Metrics().Log
-	if ls.BatchAppends == 0 {
-		t.Fatal("write-back logged no grouped PRI appends")
-	}
 	if ms.PagesFlushed < int64(ms.FlushBatches) {
 		t.Fatalf("stats inconsistent: %d pages in %d batches", ms.PagesFlushed, ms.FlushBatches)
+	}
+}
+
+// TestCheckpointWritesBackPagesBelowTheWatermark: no timer writes back a
+// dirty page while the pool is below the flusher's watermark; the next
+// Checkpoint, which flushes the dirty page table, puts it on the device.
+// That flush is what bounds redo.
+func TestCheckpointWritesBackPagesBelowTheWatermark(t *testing.T) {
+	db := openTestDB(t, maintenanceOptions())
+	defer db.Close()
+	ix := loadIndex(t, db, "ckpt", 200)
+	if err := db.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	for _, i := range []int{3, 150} {
+		if err := ix.Update(tx, k(i), v(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	dirty := db.pool.DirtyCount()
+	if dirty == 0 || dirty >= 16 {
+		t.Fatalf("%d dirty pages, want some below the 16-frame watermark", dirty)
+	}
+	writes := db.dev.Stats().Writes
+	time.Sleep(100 * time.Millisecond)
+	if got := db.pool.DirtyCount(); got != dirty || db.dev.Stats().Writes != writes {
+		t.Fatalf("below the watermark, %d of %d dirty pages were written back without a trigger", dirty-got, dirty)
+	}
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.pool.DirtyCount(); got != 0 {
+		t.Fatalf("%d pages still dirty after the checkpoint", got)
+	}
+	if got := db.dev.Stats().Writes - writes; got != int64(dirty) {
+		t.Fatalf("checkpoint wrote %d pages, want the %d dirty ones", got, dirty)
+	}
+}
+
+// TestHashLoadWritesEachPageAtMostTwice: write-back is triggered by pool
+// pressure, never by age, so a hash load into a pool that holds the table
+// (1.3k pages, below the 2048-frame watermark) leaves its pages for the
+// backup's flush instead of rewriting every dirty page on a timer.
+func TestHashLoadWritesEachPageAtMostTwice(t *testing.T) {
+	opts := Options{
+		PageSize:    4096,
+		DataSlots:   1 << 14,
+		PoolFrames:  8192,
+		IndexKind:   KindHash,
+		Maintenance: MaintenanceOptions{Enabled: true},
+	}
+	db := openTestDB(t, opts)
+	defer db.Close()
+	ix, err := db.CreateIndex("h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, batch = 40_000, 500
+	val := bytes.Repeat([]byte{'v'}, 64)
+	for i := 0; i < keys; i += batch {
+		tx := db.Begin()
+		for j := i; j < i+batch; j++ {
+			if err := ix.Insert(tx, k(j), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := db.BackupNow(); err != nil {
+		t.Fatal(err)
+	}
+	pages, writes := len(db.Pages()), db.dev.Stats().Writes
+	t.Logf("%d device writes for %d pages (%.2f each), %d flushed by the watermark",
+		writes, pages, float64(writes)/float64(pages), db.Metrics().Maintenance.PagesFlushed)
+	if writes > 2*int64(pages) {
+		t.Fatalf("%d device writes for %d pages, want at most 2 per page", writes, pages)
 	}
 }
 
@@ -97,9 +171,9 @@ func TestMaintenanceUnderFaultInjectionStress(t *testing.T) {
 	// A cold index whose pages, once written back, nobody touches: the
 	// injection target.
 	cold := loadIndex(t, db, "cold", 600)
-	waitUntil(t, 10*time.Second, "cold index write-back", func() bool {
-		return db.pool.DirtyCount() == 0
-	})
+	if err := db.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Hot foreground traffic on separate indexes.
 	const workers = 3
@@ -293,9 +367,7 @@ func treePages(t *testing.T, db *DB, ix *Index) []PageID {
 func TestCloseStopsMaintenanceGoroutines(t *testing.T) {
 	runtime.GC()
 	before := runtime.NumGoroutine()
-	opts := maintenanceOptions()
-	opts.Maintenance.FlushWorkers = 3
-	db := openTestDB(t, opts)
+	db := openTestDB(t, maintenanceOptions())
 	ix := loadIndex(t, db, "leakcheck", 200)
 	tx := db.Begin()
 	for i := 0; i < 200; i++ {

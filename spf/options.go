@@ -101,7 +101,12 @@ type Options struct {
 	// Maintenance configures the background maintenance service: async
 	// dirty-page write-back with grouped PRI logging, plus the continuous
 	// scrub campaign that detects and repairs latent single-page failures
-	// online. Disabled unless Maintenance.Enabled is set; the service
+	// online. Disabled unless Maintenance.Enabled is set. Write-back has
+	// one trigger, pool pressure: the flusher drains once a quarter of the
+	// pool is dirty, and a page below that waits for eviction, the next
+	// Checkpoint (which flushes the dirty page table and so bounds redo),
+	// BackupNow or Close — no timer rewrites it. The campaign sweeps the
+	// device's written slots at a fixed 2000 pages/s. The service
 	// survives Restart and RecoverMedia (a fresh one is started for the
 	// recovered database) and is quiesced deterministically by Close,
 	// Crash, and FailDevice.
@@ -162,33 +167,11 @@ type LifecycleOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// MaintenanceOptions tunes the background maintenance service. The zero
-// value of every field but Enabled selects a sensible default (see
-// maintenance.Config).
+// MaintenanceOptions switches the background maintenance service on. Its
+// pace is fixed: see Options.Maintenance.
 type MaintenanceOptions struct {
 	// Enabled starts the service when the database opens.
 	Enabled bool
-	// FlushWorkers is the number of background flusher goroutines
-	// (default 1).
-	FlushWorkers int
-	// FlushBatchPages caps pages per flush batch — and PRI update records
-	// per grouped WAL append (default 64).
-	FlushBatchPages int
-	// FlushInterval is the age trigger: all dirty pages are written back
-	// at least this often (default 25ms).
-	FlushInterval time.Duration
-	// DirtyHighWatermark is the dirty fraction of the pool that kicks the
-	// flushers immediately (default 0.25).
-	DirtyHighWatermark float64
-	// ScrubPagesPerSecond rate-limits the scrub campaign (default 2000;
-	// negative disables scrubbing while keeping write-back on). The
-	// effective rate adapts: it halves while the pool's dirty count is
-	// above the flushers' high watermark and restores when pressure
-	// clears (see maintenance.Stats.EffectiveScrubRate).
-	ScrubPagesPerSecond int
-	// ScrubBatchPages is how many device slots one scrub tick examines
-	// (default 64).
-	ScrubBatchPages int
 }
 
 // RestoreOptions tunes the repair scheduler (internal/restore). The zero

@@ -150,7 +150,7 @@ func TestPolicyCountSurvivesEviction(t *testing.T) {
 }
 
 // TestPolicyBackupFromFlushBatchSurvivesRestart: a backup taken by the
-// batched write-back the maintenance flushers run (buffer.Pool.FlushBatch,
+// batched write-back the maintenance flusher runs (buffer.Pool.FlushBatch,
 // which appends the batch's write-complete records after its writes) is
 // logged like any other, so the index a restart rebuilds names it and
 // recovery replays from it.
