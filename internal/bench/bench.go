@@ -165,10 +165,12 @@ var Table = []Group{
 		},
 	},
 	{
-		// What the continuous scrub campaign costs foreground traffic: b.N
-		// buffer-hit fetches with the campaign off and sweeping at its
-		// fixed 2000 pages/s with live repairs. The off/on ns/op delta is
-		// the overhead; off is also the pool's hit path alone, held to 0
+		// What the continuous scrub campaign costs foreground traffic
+		// while it sweeps: b.N buffer-hit fetches with the campaign's tick
+		// off and on. On, it sweeps the 256 written pages again and again
+		// at its fixed 2000 pages/s with live repairs (the service itself
+		// starts one sweep per 10 s). The off/on ns/op delta is the
+		// overhead; off is also the pool's hit path alone, held to 0
 		// allocs/op.
 		Name: "E22ScrubCampaignOverhead", Metric: "pages-scrubbed",
 		Claim: "the campaign makes progress under foreground load; the hit path allocates nothing",

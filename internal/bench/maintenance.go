@@ -6,6 +6,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -181,8 +182,8 @@ func writeBack(b *testing.B, async bool) float64 {
 }
 
 // scrubOverhead drives b.N foreground fetches (buffer hits — the engine's
-// hot path) while the scrub campaign runs underneath at its fixed pace
-// (on=false leaves it off: the baseline). A slice of cold pages carries
+// hot path) while the scrub campaign's tick runs underneath at its fixed
+// pace (on=false leaves it off: the baseline). A slice of cold pages carries
 // persistent corruption, so an enabled campaign does real repair work, not
 // just clean scans. It returns the pages the campaign scrubbed, and fails
 // when an enabled campaign made no progress.
@@ -221,27 +222,46 @@ func scrubOverhead(b *testing.B, on bool) float64 {
 		}
 	}
 
-	var svc *maintenance.Service
+	// On, a goroutine runs the campaign's tick — maintenance.Scrub over the
+	// next ScrubBatchPages slots every ScrubInterval — sweep after sweep:
+	// what a started campaign costs while it sweeps, without waiting out
+	// the service's 10 s until its first sweep.
+	var scrubbed atomic.Int64
+	quit, done := make(chan struct{}), make(chan struct{})
 	if on {
-		svc = maintenance.New(maintenance.Deps{
-			Pool:        e.pool,
-			Dev:         e.dev,
-			MappedSlots: e.pmap.MappedSlots,
-			Repair: func(id page.ID) error {
-				// Cold pages are unpinned; not-resident just means no
-				// cached copy to drop.
-				if err := e.pool.Evict(id); err != nil && !errors.Is(err, buffer.ErrNotResident) {
-					return err
+		repair := func(id page.ID) error {
+			// Cold pages are unpinned; not-resident just means no cached
+			// copy to drop.
+			if err := e.pool.Evict(id); err != nil && !errors.Is(err, buffer.ErrNotResident) {
+				return err
+			}
+			h, err := e.pool.Fetch(id)
+			if err != nil {
+				return err
+			}
+			h.Release()
+			return nil
+		}
+		go func() {
+			defer close(done)
+			ticker := time.NewTicker(maintenance.ScrubInterval)
+			defer ticker.Stop()
+			var cursor storage.PhysID
+			var mapped map[storage.PhysID]page.ID
+			for {
+				select {
+				case <-quit:
+					return
+				case <-ticker.C:
 				}
-				h, err := e.pool.Fetch(id)
-				if err != nil {
-					return err
+				if cursor == 0 {
+					mapped = e.pmap.MappedSlots() // once per sweep, as the campaign does
 				}
-				h.Release()
-				return nil
-			},
-		})
-		svc.Start()
+				t, next, _ := maintenance.Scrub(e.dev, mapped, cursor, maintenance.ScrubBatchPages, repair)
+				cursor = next
+				scrubbed.Add(int64(t.Scanned))
+			}
+		}()
 	}
 
 	hot := nPages - corrupted
@@ -254,7 +274,7 @@ func scrubOverhead(b *testing.B, on bool) float64 {
 		h.Release()
 	}
 	b.StopTimer()
-	if svc == nil {
+	if !on {
 		return 0
 	}
 	// Outside the timed region, give the campaign a moment to show life: on
@@ -262,13 +282,13 @@ func scrubOverhead(b *testing.B, on bool) float64 {
 	// and asserting progress without this grace window would be a scheduler
 	// lottery.
 	deadline := time.Now().Add(2 * time.Second)
-	for svc.Stats().PagesScrubbed == 0 && time.Now().Before(deadline) {
+	for scrubbed.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	svc.Stop()
-	scrubbed := svc.Stats().PagesScrubbed
-	if scrubbed == 0 {
+	close(quit)
+	<-done
+	if scrubbed.Load() == 0 {
 		b.Fatal("campaign made no progress during the run")
 	}
-	return float64(scrubbed)
+	return float64(scrubbed.Load())
 }

@@ -10,14 +10,20 @@
 //     page table and so bounds redo), BackupNow or Close. The foreground
 //     path stops paying synchronous write+log latency, and each batch
 //     logs its page recovery index updates as one grouped WAL append
-//     (wal.AppendBatch) instead of one append per page;
+//     (wal.AppendBatch) instead of one append per page. A batch that
+//     fails to write ends the drain; it is retried at the next mark-dirty
+//     at or above the watermark, and until then the pages wait for the
+//     same paths as pages below it;
 //   - a continuous scrub campaign: an incremental cursor over the slots
 //     the device has written (storage.Device.ScrubRange), at a fixed pace,
 //     re-reads and verifies mapped slots, so latent single-page failures
 //     are detected early — the paper cites scrubbing as the discoverer of
 //     most latent sector errors (§1) — and every failure found is
 //     immediately routed through the engine's single-page recovery path
-//     while foreground traffic continues.
+//     while foreground traffic continues. A sweep starts at most once per
+//     sweepPeriod, the first one a period after Start: a large database
+//     is swept back to back, a small one once a period instead of on
+//     every tick.
 //
 // The service owns only goroutines, never durability: all write ordering
 // (WAL before page, completed-write logging) lives in the buffer pool and
@@ -44,9 +50,19 @@ const (
 	// watermarkDivisor sets the dirty watermark at a quarter of the pool's
 	// frames: the dirty count that wakes the flusher.
 	watermarkDivisor = 4
-	// scrubBatchPages slots are examined every scrubInterval: 2000 pages/s.
-	scrubBatchPages = 64
-	scrubInterval   = scrubBatchPages * time.Second / 2000
+	// ScrubBatchPages slots are examined every ScrubInterval: 2000
+	// pages/s. They are exported for benchmarks that pace Scrub as the
+	// campaign does.
+	ScrubBatchPages = 64
+	ScrubInterval   = ScrubBatchPages * time.Second / 2000
+	// sweepPeriod is the least time between the starts of two sweeps, and
+	// the time from Start to the first. A database of more than the
+	// 20 000 slots the pace reads in a period is swept back to back;
+	// without the floor, one of a few dozen pages would be read whole on
+	// every tick. The first sweep waits a period too, so a database that
+	// is reopened often (restart, media recovery) is not read whole at
+	// every open.
+	sweepPeriod = 10 * time.Second
 )
 
 // Deps wires the service to the engine. Pool is required for write-back;
@@ -59,9 +75,9 @@ type Deps struct {
 	Dev *storage.Device
 	// MappedSlots snapshots the slot→logical-page mapping; the scrubber
 	// uses it to skip free slots and to route a bad slot to the logical
-	// page whose recovery repairs it. Called once per full device sweep —
-	// building the snapshot costs O(pages), so paying it per 64-slot tick
-	// would dwarf the scanning itself on large databases.
+	// page whose recovery repairs it. Called once per sweep — building the
+	// snapshot costs O(pages), so paying it per 64-slot tick would dwarf
+	// the scanning itself on large databases.
 	MappedSlots func() map[storage.PhysID]page.ID
 	// Repair routes one detected latent failure through single-page
 	// recovery (evict any stale copy, then a validating re-read). A nil
@@ -80,6 +96,8 @@ type Stats struct {
 	FlushErrors  int64
 	// ScrubTicks, PagesScrubbed, and Sweeps quantify campaign progress;
 	// a Sweep is one complete pass over the device's written slots.
+	// ScrubTicks counts every tick of the campaign, those that wait for
+	// the next sweep to start included.
 	ScrubTicks    int64
 	PagesScrubbed int64
 	Sweeps        int64
@@ -118,16 +136,17 @@ type Service struct {
 	started bool
 	stopped bool
 
-	// cursor and mapped are owned by the scrub goroutine: the incremental
-	// sweep position and the slot→page snapshot taken at the start of the
-	// current sweep. A snapshot can go stale within one sweep — a slot
-	// remapped mid-sweep routes its repair to the old owner (a harmless
-	// validating re-read) and newly mapped slots wait for the next sweep —
-	// which is the standard scrubbing trade: coverage is per sweep, not
-	// per instant.
-	cursor storage.PhysID
-	mapped map[storage.PhysID]page.ID
-	stats  counters
+	// cursor, mapped and nextSweep are owned by the scrub goroutine: the
+	// incremental sweep position, the slot→page snapshot taken at the
+	// start of the current sweep, and the earliest start of the next. A
+	// snapshot can go stale within one sweep — a slot remapped mid-sweep
+	// routes its repair to the old owner (a harmless validating re-read)
+	// and newly mapped slots wait for the next sweep — which is the
+	// standard scrubbing trade: coverage is per sweep, not per instant.
+	cursor    storage.PhysID
+	mapped    map[storage.PhysID]page.ID
+	nextSweep time.Time
+	stats     counters
 }
 
 // New builds a service.
@@ -249,36 +268,43 @@ func (s *Service) drain() {
 	}
 }
 
-// scrubLoop runs the campaign: one scrubTick per scrubInterval.
+// scrubLoop runs the campaign: one scrubTick per ScrubInterval, the first
+// sweep a sweepPeriod after it starts.
 func (s *Service) scrubLoop() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(scrubInterval)
+	s.nextSweep = time.Now().Add(sweepPeriod)
+	ticker := time.NewTicker(ScrubInterval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-s.quit:
 			return
-		case <-ticker.C:
-			s.scrubTick()
+		case now := <-ticker.C:
+			s.scrubTick(now)
 		}
 	}
 }
 
 // scrubTick advances the cursor one batch and routes every failure it
-// finds through the repair path.
-func (s *Service) scrubTick() {
-	if s.mapped == nil || s.cursor == 0 {
+// finds through the repair path. A tick that would start a sweep sooner
+// than sweepPeriod after the previous one started does nothing.
+func (s *Service) scrubTick(now time.Time) {
+	s.stats.scrubTicks.Add(1)
+	if s.cursor == 0 {
+		if now.Before(s.nextSweep) {
+			return
+		}
+		s.nextSweep = now.Add(sweepPeriod)
 		s.mapped = s.deps.MappedSlots() // refresh once per sweep
 	}
-	t, next, wrapped := Scrub(s.deps.Dev, s.mapped, s.cursor, scrubBatchPages, s.deps.Repair)
+	t, next, wrapped := Scrub(s.deps.Dev, s.mapped, s.cursor, ScrubBatchPages, s.deps.Repair)
 	s.cursor = next
-	s.stats.scrubTicks.Add(1)
 	s.stats.pagesScrubbed.Add(int64(t.Scanned))
 	if wrapped {
 		s.stats.sweeps.Add(1)
 	}
-	s.stats.latentFound.Add(int64(t.Bad))
-	s.stats.repaired.Add(int64(t.Repaired))
+	s.stats.latentFound.Add(int64(t.BadSlots))
+	s.stats.repaired.Add(int64(t.Recovered))
 	s.stats.escalated.Add(int64(t.Escalated))
 }
 
@@ -286,10 +312,10 @@ func (s *Service) scrubTick() {
 type Tally struct {
 	// Scanned counts the mapped slots read and verified.
 	Scanned int
-	// Bad counts the slots that failed; Repaired and Escalated split them
-	// by the outcome of their page's repair.
-	Bad       int
-	Repaired  int
+	// BadSlots counts the slots that failed; Recovered and Escalated split
+	// them by the outcome of their page's repair.
+	BadSlots  int
+	Recovered int
 	Escalated int
 }
 
@@ -308,11 +334,11 @@ func Scrub(dev *storage.Device, mapped map[storage.PhysID]page.ID, start storage
 	})
 	t := Tally{Scanned: res.Scanned}
 	for _, slot := range res.Failures() {
-		t.Bad++
+		t.BadSlots++
 		if err := repair(mapped[slot]); err != nil {
 			t.Escalated++
 		} else {
-			t.Repaired++
+			t.Recovered++
 		}
 	}
 	return t, next, wrapped

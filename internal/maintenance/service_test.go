@@ -165,24 +165,21 @@ func TestScrubCampaignDetectsAndRepairsLatentErrors(t *testing.T) {
 		}
 	}
 
+	// One tick of a sweep, driven by hand (a started campaign waits a
+	// sweep period first: TestSweepStartsAtMostOncePerPeriod).
 	svc := New(e.deps())
-	svc.Start()
-	defer svc.Stop()
-
-	waitFor(t, 10*time.Second, "campaign repairs", func() bool {
-		return svc.Stats().Repaired >= int64(len(damaged))
-	})
+	svc.scrubTick(time.Now())
 	s := svc.Stats()
-	if s.LatentFound < int64(len(damaged)) {
-		t.Errorf("LatentFound = %d, want >= %d", s.LatentFound, len(damaged))
+	if s.LatentFound != int64(len(damaged)) || s.Repaired != int64(len(damaged)) {
+		t.Errorf("LatentFound = %d, Repaired = %d, want %d", s.LatentFound, s.Repaired, len(damaged))
 	}
 	if s.Escalated != 0 {
 		t.Errorf("Escalated = %d, want 0", s.Escalated)
 	}
 	// The sweep covers the 24 written slots, not the 128-slot capacity: it
 	// completes within the tick that found the damage.
-	if s.Sweeps < 1 {
-		t.Errorf("Sweeps = %d after the repairs, want >= 1", s.Sweeps)
+	if s.Sweeps != 1 || s.PagesScrubbed != 24 {
+		t.Errorf("Sweeps = %d, PagesScrubbed = %d after one tick, want 1 and 24", s.Sweeps, s.PagesScrubbed)
 	}
 	// Write the recovered pages back, then verify the device is clean end
 	// to end.
@@ -204,6 +201,56 @@ func TestScrubCampaignDetectsAndRepairsLatentErrors(t *testing.T) {
 			continue
 		}
 		h.Release()
+	}
+}
+
+// TestSweepStartsAtMostOncePerPeriod: a started campaign ticks but reads
+// nothing in its first sweep period. Driven by hand, the first tick sweeps
+// a 24-page device whole, the ticks of the rest of the period read nothing,
+// and damage done meanwhile is found by the sweep that starts once the
+// period is over.
+func TestSweepStartsAtMostOncePerPeriod(t *testing.T) {
+	e := newEnv(t, 64, 128)
+	var ids []page.ID
+	for i := 0; i < 24; i++ {
+		ids = append(ids, e.newPage(t, fmt.Sprintf("cold-%d", i)))
+	}
+	if err := e.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	live := New(e.deps())
+	live.Start()
+	waitFor(t, 5*time.Second, "three campaign ticks", func() bool {
+		return live.Stats().ScrubTicks >= 3
+	})
+	live.Stop()
+	if s := live.Stats(); s.PagesScrubbed != 0 || s.Sweeps != 0 {
+		t.Fatalf("started campaign in its first period: %+v, want nothing scrubbed", s)
+	}
+
+	svc := New(e.deps()) // never started: the test is the ticker
+	t0 := time.Now()
+	svc.scrubTick(t0)
+	if s := svc.Stats(); s.Sweeps != 1 || s.PagesScrubbed != 24 {
+		t.Fatalf("first tick: %+v, want one sweep of 24 pages", s)
+	}
+	if err := e.pool.Evict(ids[5]); err != nil {
+		t.Fatal(err)
+	}
+	slot, _ := e.pmap.Lookup(ids[5])
+	if err := e.dev.CorruptStored(slot); err != nil {
+		t.Fatal(err)
+	}
+	end := t0.Add(sweepPeriod)
+	for now := t0.Add(ScrubInterval); now.Before(end); now = now.Add(ScrubInterval) {
+		svc.scrubTick(now)
+	}
+	if s := svc.Stats(); s.Sweeps != 1 || s.PagesScrubbed != 24 || s.LatentFound != 0 {
+		t.Fatalf("within the period: %+v, want nothing beyond the first tick", s)
+	}
+	svc.scrubTick(end)
+	if s := svc.Stats(); s.Sweeps != 2 || s.PagesScrubbed != 48 || s.Repaired != 1 {
+		t.Fatalf("at the period's end: %+v, want a second sweep repairing one page", s)
 	}
 }
 

@@ -527,13 +527,18 @@ func TestScrubRangeIncrementalCursor(t *testing.T) {
 
 func TestScrubRangeClampsAndCounts(t *testing.T) {
 	d := testDevice(8)
+	// Nothing written: nothing to scan, and no sweep to count.
+	res, next, wrapped := d.ScrubRange(0, 64, nil)
+	if res.Scanned != 0 || next != 0 || wrapped {
+		t.Fatalf("empty device: scanned=%d next=%d wrapped=%v", res.Scanned, next, wrapped)
+	}
 	for i := 0; i < 8; i++ {
 		if err := d.Write(PhysID(i), encodedPage(t, page.ID(i+1), byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Out-of-range cursor snaps to 0.
-	res, next, wrapped := d.ScrubRange(99, 3, nil)
+	res, next, wrapped = d.ScrubRange(99, 3, nil)
 	if res.Scanned != 3 || next != 3 || wrapped {
 		t.Fatalf("clamped call: scanned=%d next=%d wrapped=%v", res.Scanned, next, wrapped)
 	}

@@ -37,10 +37,11 @@ func (d *Device) Scrub(skip func(PhysID) bool) ScrubResult {
 // written — without wrapping. No slot past it holds an image, so a sweep
 // costs what was written, not the capacity. It returns the scrub result,
 // the cursor for the next call (0 when the pass reached the extent's end),
-// and whether this call completed a full sweep (reached the end). A
-// background scrub campaign calls it on a paced tick, so latent errors
-// surface continuously instead of only when someone remembers to run a
-// full pass.
+// and whether this call completed a full sweep (reached the end of a
+// non-empty extent: on a device nothing was written to, no sweep
+// completes). A background scrub campaign calls it on a paced tick, so
+// latent errors surface continuously instead of only when someone
+// remembers to run a full pass.
 func (d *Device) ScrubRange(start PhysID, max int, skip func(PhysID) bool) (ScrubResult, PhysID, bool) {
 	var res ScrubResult
 	if max <= 0 {
@@ -82,7 +83,7 @@ func (d *Device) ScrubRange(start PhysID, max int, skip func(PhysID) bool) (Scru
 		}
 	}
 	if end >= n {
-		return res, 0, true
+		return res, 0, n > 0
 	}
 	return res, PhysID(end), false
 }

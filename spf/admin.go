@@ -273,12 +273,7 @@ func (db *DB) EvictPage(id PageID) error {
 func (db *DB) FlushAll() error { return db.pool.FlushAll() }
 
 // ScrubReport summarizes one scrubbing pass plus the repairs it triggered.
-type ScrubReport struct {
-	Scanned   int
-	BadSlots  int
-	Recovered int
-	Escalated int
-}
+type ScrubReport = maintenance.Tally
 
 // Scrub re-reads every mapped slot verifying checksums (the paper's "disk
 // scrubbing", §1) and repairs every failure it finds through the
@@ -290,7 +285,7 @@ func (db *DB) Scrub() (ScrubReport, error) {
 		return ScrubReport{}, err
 	}
 	t, _, _ := maintenance.Scrub(db.dev, db.pmap.MappedSlots(), 0, db.dev.Slots(), db.repairLatent)
-	return ScrubReport{Scanned: t.Scanned, BadSlots: t.Bad, Recovered: t.Repaired, Escalated: t.Escalated}, nil
+	return t, nil
 }
 
 // RecoverPageNow runs single-page recovery for one page explicitly, from

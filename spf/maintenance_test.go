@@ -251,18 +251,15 @@ func TestMaintenanceUnderFaultInjectionStress(t *testing.T) {
 		nInject = len(coldPages)
 	}
 	injected := coldPages[:nInject]
-	for i, id := range injected {
+	for _, id := range injected {
 		if err := db.CorruptPage(id); err != nil {
 			t.Fatalf("corrupting page %d: %v", id, err)
-		}
-		if i%4 == 3 {
-			time.Sleep(2 * time.Millisecond) // spread across scrub ticks
 		}
 	}
 
 	// The campaign must find and repair every one of them while the
-	// foreground keeps running.
-	waitUntil(t, 20*time.Second, "campaign repairs", func() bool {
+	// foreground keeps running. Its first sweep starts 10 s after Open.
+	waitUntil(t, 30*time.Second, "campaign repairs", func() bool {
 		ms := db.Metrics().Maintenance
 		return ms.Repaired >= int64(nInject)
 	})

@@ -106,7 +106,8 @@ type Options struct {
 	// pool is dirty, and a page below that waits for eviction, the next
 	// Checkpoint (which flushes the dirty page table and so bounds redo),
 	// BackupNow or Close — no timer rewrites it. The campaign sweeps the
-	// device's written slots at a fixed 2000 pages/s. The service
+	// device's written slots at a fixed 2000 pages/s, starting a sweep at
+	// most once every 10 s, the first 10 s after the open. The service
 	// survives Restart and RecoverMedia (a fresh one is started for the
 	// recovered database) and is quiesced deterministically by Close,
 	// Crash, and FailDevice.

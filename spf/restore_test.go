@@ -210,7 +210,8 @@ func TestScrubCampaignRepairsThroughScheduler(t *testing.T) {
 	for _, id := range victims {
 		corruptColdPage(t, db, id)
 	}
-	waitUntil(t, 20*time.Second, "campaign repairs", func() bool {
+	// The campaign's first sweep starts 10 s after Open.
+	waitUntil(t, 30*time.Second, "campaign repairs", func() bool {
 		return db.Metrics().Maintenance.Repaired >= int64(len(victims))
 	})
 	st := db.Metrics()
@@ -297,8 +298,8 @@ func TestRestoreStressForegroundFaultsVsSaturatedScrub(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Saturate: corrupt a large batch of cold pages in one shot so the
-	// campaign floods the queue with background tickets.
+	// Saturate: corrupt a large batch of cold pages in one shot so a scrub
+	// pass floods the queue with background tickets.
 	root := ix.Root()
 	var victims []PageID
 	for _, id := range db.Pages() {
@@ -320,6 +321,13 @@ func TestRestoreStressForegroundFaultsVsSaturatedScrub(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	// The campaign's tick routine over the whole device, beside the
+	// readers (a started campaign waits 10 s for its first sweep).
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, _ = db.Scrub() // a crash mid-pass fails its tickets
+	}()
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -349,13 +357,13 @@ func TestRestoreStressForegroundFaultsVsSaturatedScrub(t *testing.T) {
 	}
 
 	// Every victim must be repaired online — by a worker running the
-	// campaign's ticket or by the read that faults on it, whichever gets
-	// there first (a foreground repair relocates the page, so the campaign
+	// scrub's ticket or by the read that faults on it, whichever gets
+	// there first (a foreground repair relocates the page, so the scrub
 	// then skips the retired slot; the union covers all).
 	waitUntil(t, 30*time.Second, "all latent failures repaired online", func() bool {
 		return db.Metrics().Recovery.Recoveries >= int64(len(victims))
 	})
-	// Crash mid-campaign: the scheduler must quiesce (workers joined,
+	// Crash mid-scrub: the scheduler must quiesce (workers joined,
 	// queued tickets failed) before the log is sealed.
 	db.Crash()
 	close(stop)
