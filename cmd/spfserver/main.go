@@ -11,6 +11,10 @@
 // carry an engine kind as "name=hash" or "name=btree"), serves
 // until SIGINT/SIGTERM, then drains gracefully: the listener closes,
 // in-flight requests finish, and the database closes cleanly.
+//
+// Checkpoints and full backups run on the -checkpoint-interval and
+// -backup-interval tickers. With -lifecycle the log archiver steps every
+// 25 ms, a fixed cadence, in the engine.
 package main
 
 import (
@@ -50,7 +54,6 @@ func main() {
 
 		lifecycle = flag.Bool("lifecycle", false, "keep a log archive (the live log recycles behind checkpoints; without it, behind full backups)")
 		archSeg   = flag.Int64("archive-segment", 256<<10, "archive run granularity in bytes")
-		archInt   = flag.Duration("archive-interval", 25*time.Millisecond, "background archiver cadence")
 		ckptInt   = flag.Duration("checkpoint-interval", 2*time.Second, "periodic checkpoint cadence (0 disables)")
 		backupInt = flag.Duration("backup-interval", 15*time.Second, "periodic full-backup cadence (0 disables)")
 	)
@@ -67,7 +70,6 @@ func main() {
 		opts.Lifecycle = spf.LifecycleOptions{
 			Enabled:      true,
 			SegmentBytes: *archSeg,
-			Interval:     *archInt,
 			Logf:         log.Printf,
 		}
 	}

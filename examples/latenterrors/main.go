@@ -1,7 +1,9 @@
 // Latent sector errors: reproduces the field conditions the paper cites
-// (Bairavasundaram et al.): a campaign of latent errors across the device,
-// discovered partly by normal reads and partly by background scrubbing,
-// every one repaired by single-page recovery without aborting anything.
+// (Bairavasundaram et al.): a campaign of latent errors across the written
+// part of the device, discovered partly by normal reads and partly by
+// background scrubbing, every one repaired by single-page recovery without
+// aborting anything. It exits non-zero unless reads and the scrub each
+// repaired at least one page and no read returned a wrong answer.
 //
 //	go run ./examples/latenterrors
 package main
@@ -24,7 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 	tx := db.Begin()
-	const n = 20000
+	const n = 200000
 	for i := 0; i < n; i++ {
 		k := []byte(fmt.Sprintf("item%08d", i))
 		v := []byte(fmt.Sprintf("payload-%d", i))
@@ -38,11 +40,17 @@ func main() {
 	if err := db.FlushAll(); err != nil {
 		log.Fatal(err)
 	}
+	// Evict everything, so that reads go to the device and meet the damage.
+	for _, id := range db.Pages() {
+		if err := db.EvictPage(id); err != nil {
+			log.Fatal(err)
+		}
+	}
 	fmt.Printf("database loaded: %d keys across %d pages\n", n, db.PageMapLen())
 
-	// The campaign: ~1% of slots develop latent errors with spatial
-	// clustering, mixing unreadable sectors and silent corruption — the
-	// distribution the SIGMETRICS study reports.
+	// The campaign: ~1% of the written slots develop latent errors with
+	// spatial clustering, mixing unreadable sectors and silent corruption —
+	// the distribution the SIGMETRICS study reports.
 	read := storage.Campaign{Rate: 0.005, ClusterSize: 4,
 		Kind: storage.FaultReadError, Sticky: true, Seed: 7}
 	silent := storage.Campaign{Rate: 0.005, ClusterSize: 4,
@@ -52,9 +60,10 @@ func main() {
 	fmt.Printf("campaign: %d slots with latent read errors, %d with silent corruption\n",
 		len(hit1), len(hit2))
 
-	// Foreground traffic discovers some of the damage organically.
+	// Foreground traffic on the hot quarter of the keys discovers the
+	// damage on the pages it reads.
 	misreads := 0
-	for i := 0; i < n; i += 3 {
+	for i := 0; i < n/4; i += 3 {
 		k := []byte(fmt.Sprintf("item%08d", i))
 		v, err := items.Get(k)
 		if err != nil {
@@ -64,11 +73,11 @@ func main() {
 			misreads++
 		}
 	}
-	st := db.Metrics()
+	byReads := db.Metrics().Recovery.Recoveries
 	fmt.Printf("foreground reads: 0 aborted, %d wrong answers, %d pages repaired on access\n",
-		misreads, st.Recovery.Recoveries)
+		misreads, byReads)
 
-	// Background scrubbing mops up the cold damage.
+	// Background scrubbing mops up the damage on the cold pages.
 	scrub, err := db.Scrub()
 	if err != nil {
 		log.Fatal(err)
@@ -90,4 +99,8 @@ func main() {
 	final := db.Metrics()
 	fmt.Printf("final: %d single-page recoveries, %d retired slots, all %d keys verified intact\n",
 		final.Recovery.Recoveries, final.RetiredSlots, n)
+	if byReads == 0 || scrub.Recovered == 0 || misreads != 0 {
+		log.Fatalf("want pages repaired by reads and by the scrub and no wrong answer: got %d, %d and %d wrong",
+			byReads, scrub.Recovered, misreads)
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/page"
 	"repro/internal/wal"
 )
@@ -18,9 +19,6 @@ type Config struct {
 	// once at least this many flushed-but-unarchived bytes accumulate
 	// (default 256 KiB).
 	SegmentBytes int64
-	// Interval is the background poll cadence; <= 0 disables the loop and
-	// leaves stepping to explicit Step calls (deterministic tests).
-	Interval time.Duration
 	// ReleaseFloor, when set, further clamps the release horizon: the
 	// engine supplies min(oldest active transaction begin LSN, oldest
 	// format record serving as a page's backup), so undo chains and those
@@ -34,7 +32,12 @@ type Config struct {
 	// Logf receives the graceful-degradation log lines (archive
 	// unavailable / recovered). Nil is silent.
 	Logf func(format string, args ...any)
+	// Clock paces the background loop; nil is the wall clock.
+	Clock *clock.Clock
 }
+
+// interval is the background loop's cadence: one Step(false) per tick.
+const interval = 25 * time.Millisecond
 
 // Archiver is the one owner of log truncation. Recovery reads old history
 // from three starting points only — restart from the checkpoint redo
@@ -62,16 +65,14 @@ type Archiver struct {
 	paused  atomic.Bool
 
 	stepMu  sync.Mutex // serializes steps (background loop + manual)
-	wake    chan struct{}
 	quit    chan struct{}
-	done    chan struct{}
-	started bool
+	loops   sync.WaitGroup
 	stopped sync.Once
 }
 
 // New creates an Archiver over log and store; store may be nil, for a log
-// with no archive. Call Start to run the background loop (when
-// cfg.Interval > 0) and Stop to join it.
+// with no archive. Call Start to run the background loop and Stop to join
+// it.
 func New(log *wal.Manager, store *Store, cfg Config) *Archiver {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = 256 << 10
@@ -80,9 +81,7 @@ func New(log *wal.Manager, store *Store, cfg Config) *Archiver {
 		log:   log,
 		store: store,
 		cfg:   cfg,
-		wake:  make(chan struct{}, 1),
 		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
 	}
 }
 
@@ -122,45 +121,32 @@ func (a *Archiver) Stats() Stats {
 	return st
 }
 
-// Kick nudges the background loop to step soon (after a checkpoint or
-// backup advanced a horizon). No-op without a running loop.
-func (a *Archiver) Kick() {
-	select {
-	case a.wake <- struct{}{}:
-	default:
-	}
-}
-
-// Start launches the background loop when the configured interval is
-// positive; otherwise stepping stays manual.
+// Start launches the background loop: one Step(false) every interval of
+// the configured clock. A horizon a checkpoint or backup advances is acted
+// on at the next tick.
 func (a *Archiver) Start() {
-	if a.cfg.Interval <= 0 {
-		return
-	}
-	a.started = true
-	go a.loop()
+	t := a.cfg.Clock.NewTicker(interval)
+	a.loops.Add(1)
+	go a.loop(t)
 }
 
-// Stop joins the background loop (if any). Idempotent.
+// Stop joins the background loop, if one was started. Idempotent.
 func (a *Archiver) Stop() {
 	a.stopped.Do(func() { close(a.quit) })
-	if a.started {
-		<-a.done
-	}
+	a.loops.Wait()
 }
 
-func (a *Archiver) loop() {
-	defer close(a.done)
-	t := time.NewTicker(a.cfg.Interval)
+func (a *Archiver) loop(t *clock.Ticker) {
+	defer a.loops.Done()
 	defer t.Stop()
 	for {
 		select {
 		case <-a.quit:
 			return
 		case <-t.C:
-		case <-a.wake:
+			_ = a.Step(false)
+			t.Done()
 		}
-		_ = a.Step(false)
 	}
 }
 
@@ -238,7 +224,8 @@ func (a *Archiver) drain(force bool) error {
 		// crash (or fault) here leaves the cursor behind the live log, and
 		// the records are simply re-collected and re-archived next time.
 		chaos.At("wal.archive.write")
-		if err := a.appendWithRetry(recs); err != nil {
+		err = a.store.retry(writeBackoff, func() error { return a.store.AppendRun(recs, a.cfg.RedoOnly) })
+		if err != nil {
 			a.degrade(err)
 			return err
 		}
@@ -283,16 +270,17 @@ const (
 	readBackoff   = 100 * time.Microsecond
 )
 
-// appendWithRetry writes one run with bounded retry + exponential backoff.
-func (a *Archiver) appendWithRetry(recs []*wal.Record) error {
-	delay := writeBackoff
+// retry runs op until it succeeds or fails other than with ErrArchiveIO,
+// at most retryAttempts times, waiting delay after the first fault and
+// doubling the wait per retry.
+func (s *Store) retry(delay time.Duration, op func() error) error {
 	var err error
 	for i := 0; i < retryAttempts; i++ {
-		if err = a.store.AppendRun(recs, a.cfg.RedoOnly); !errors.Is(err, ErrArchiveIO) {
+		if err = op(); !errors.Is(err, ErrArchiveIO) {
 			return err
 		}
 		if i < retryAttempts-1 {
-			a.store.retries.Add(1)
+			s.retries.Add(1)
 			time.Sleep(delay)
 			delay *= 2
 		}
@@ -325,38 +313,14 @@ type Reader struct {
 // wait after a fault readBackoff, doubling per retry.
 func (s *Store) NewReader() *Reader { return &Reader{s: s} }
 
-func (r *Reader) retry(op func() error) error {
-	delay := readBackoff
-	var err error
-	for i := 0; i < retryAttempts; i++ {
-		if err = op(); !errors.Is(err, ErrArchiveIO) {
-			return err
-		}
-		if i < retryAttempts-1 {
-			r.s.retries.Add(1)
-			time.Sleep(delay)
-			delay *= 2
-		}
-	}
-	return err
-}
-
 // ReadRecord implements wal.ArchiveReader.
-func (r *Reader) ReadRecord(lsn page.LSN) (*wal.Record, error) {
-	var rec *wal.Record
-	err := r.retry(func() (e error) {
-		rec, e = r.s.ReadRecord(lsn)
-		return e
-	})
+func (r *Reader) ReadRecord(lsn page.LSN) (rec *wal.Record, err error) {
+	err = r.s.retry(readBackoff, func() (e error) { rec, e = r.s.ReadRecord(lsn); return e })
 	return rec, err
 }
 
 // WalkChain implements wal.ArchiveReader.
-func (r *Reader) WalkChain(start, stopAfter page.LSN, pageID page.ID) ([]*wal.Record, error) {
-	var chain []*wal.Record
-	err := r.retry(func() (e error) {
-		chain, e = r.s.WalkChain(start, stopAfter, pageID)
-		return e
-	})
+func (r *Reader) WalkChain(start, stopAfter page.LSN, pageID page.ID) (chain []*wal.Record, err error) {
+	err = r.s.retry(readBackoff, func() (e error) { chain, e = r.s.WalkChain(start, stopAfter, pageID); return e })
 	return chain, err
 }

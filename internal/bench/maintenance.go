@@ -6,11 +6,11 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/buffer"
+	"repro/internal/clock"
 	"repro/internal/iosim"
 	"repro/internal/maintenance"
 	"repro/internal/page"
@@ -182,11 +182,11 @@ func writeBack(b *testing.B, async bool) float64 {
 }
 
 // scrubOverhead drives b.N foreground fetches (buffer hits — the engine's
-// hot path) while the scrub campaign's tick runs underneath at its fixed
+// hot path) while a started scrub campaign runs underneath at its fixed
 // pace (on=false leaves it off: the baseline). A slice of cold pages carries
 // persistent corruption, so an enabled campaign does real repair work, not
-// just clean scans. It returns the pages the campaign scrubbed, and fails
-// when an enabled campaign made no progress.
+// just clean scans. It returns the pages the campaign scrubbed, the first
+// tick's, taken before the timer starts, included.
 func scrubOverhead(b *testing.B, on bool) float64 {
 	const (
 		nPages    = 256
@@ -222,73 +222,59 @@ func scrubOverhead(b *testing.B, on bool) float64 {
 		}
 	}
 
-	// On, a goroutine runs the campaign's tick — maintenance.Scrub over the
-	// next ScrubBatchPages slots every ScrubInterval — sweep after sweep:
-	// what a started campaign costs while it sweeps, without waiting out
-	// the service's 10 s until its first sweep.
-	var scrubbed atomic.Int64
-	quit, done := make(chan struct{}), make(chan struct{})
+	// On, a started maintenance.Service runs the campaign on a manual
+	// clock. The clock is stepped to the first sweep (a service waits a
+	// sweep period before it), then advanced every 1024 fetches by the
+	// wall time the timed loop has taken: the service's own loop sweeps at
+	// its real pace beside the foreground, on the same P.
+	var svc *maintenance.Service
+	var clk *clock.Clock
 	if on {
-		repair := func(id page.ID) error {
-			// Cold pages are unpinned; not-resident just means no cached
-			// copy to drop.
-			if err := e.pool.Evict(id); err != nil && !errors.Is(err, buffer.ErrNotResident) {
-				return err
-			}
-			h, err := e.pool.Fetch(id)
-			if err != nil {
-				return err
-			}
-			h.Release()
-			return nil
+		clk = clock.NewManual()
+		svc = maintenance.New(maintenance.Deps{
+			Dev:         e.dev,
+			MappedSlots: e.pmap.MappedSlots,
+			Repair: func(id page.ID) error {
+				// Cold pages are unpinned; not-resident just means no
+				// cached copy to drop.
+				if err := e.pool.Evict(id); err != nil && !errors.Is(err, buffer.ErrNotResident) {
+					return err
+				}
+				h, err := e.pool.Fetch(id)
+				if err != nil {
+					return err
+				}
+				h.Release()
+				return nil
+			},
+			Clock: clk,
+		})
+		svc.Start()
+		defer svc.Stop()
+		for svc.Stats().PagesScrubbed == 0 {
+			clk.Advance(time.Millisecond)
 		}
-		go func() {
-			defer close(done)
-			ticker := time.NewTicker(maintenance.ScrubInterval)
-			defer ticker.Stop()
-			var cursor storage.PhysID
-			var mapped map[storage.PhysID]page.ID
-			for {
-				select {
-				case <-quit:
-					return
-				case <-ticker.C:
-				}
-				if cursor == 0 {
-					mapped = e.pmap.MappedSlots() // once per sweep, as the campaign does
-				}
-				t, next, _ := maintenance.Scrub(e.dev, mapped, cursor, maintenance.ScrubBatchPages, repair)
-				cursor = next
-				scrubbed.Add(int64(t.Scanned))
-			}
-		}()
 	}
 
 	hot := nPages - corrupted
 	b.ResetTimer()
+	start := time.Now()
+	var stepped time.Duration
 	for n := 0; n < b.N; n++ {
 		h, err := e.pool.Fetch(ids[n%hot])
 		if err != nil {
 			b.Fatal(err)
 		}
 		h.Release()
+		if on && n%1024 == 1023 {
+			elapsed := time.Since(start)
+			clk.Advance(elapsed - stepped)
+			stepped = elapsed
+		}
 	}
 	b.StopTimer()
 	if !on {
 		return 0
 	}
-	// Outside the timed region, give the campaign a moment to show life: on
-	// a single-core runner the foreground loop starves the scrub goroutine,
-	// and asserting progress without this grace window would be a scheduler
-	// lottery.
-	deadline := time.Now().Add(2 * time.Second)
-	for scrubbed.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	close(quit)
-	<-done
-	if scrubbed.Load() == 0 {
-		b.Fatal("campaign made no progress during the run")
-	}
-	return float64(scrubbed.Load())
+	return float64(svc.Stats().PagesScrubbed)
 }

@@ -23,7 +23,8 @@
 //     while foreground traffic continues. A sweep starts at most once per
 //     sweepPeriod, the first one a period after Start: a large database
 //     is swept back to back, a small one once a period instead of on
-//     every tick.
+//     every tick. Its ticks and the time come from Deps.Clock, the wall
+//     clock unless a test steps a manual one.
 //
 // The service owns only goroutines, never durability: all write ordering
 // (WAL before page, completed-write logging) lives in the buffer pool and
@@ -39,6 +40,7 @@ import (
 	"time"
 
 	"repro/internal/buffer"
+	"repro/internal/clock"
 	"repro/internal/page"
 	"repro/internal/storage"
 )
@@ -50,11 +52,10 @@ const (
 	// watermarkDivisor sets the dirty watermark at a quarter of the pool's
 	// frames: the dirty count that wakes the flusher.
 	watermarkDivisor = 4
-	// ScrubBatchPages slots are examined every ScrubInterval: 2000
-	// pages/s. They are exported for benchmarks that pace Scrub as the
-	// campaign does.
-	ScrubBatchPages = 64
-	ScrubInterval   = ScrubBatchPages * time.Second / 2000
+	// scrubBatchPages slots are examined every scrubInterval: 2000
+	// pages/s.
+	scrubBatchPages = 64
+	scrubInterval   = scrubBatchPages * time.Second / 2000
 	// sweepPeriod is the least time between the starts of two sweeps, and
 	// the time from Start to the first. A database of more than the
 	// 20 000 slots the pace reads in a period is swept back to back;
@@ -84,6 +85,8 @@ type Deps struct {
 	// error means the page was repaired (or the damage had already been
 	// overwritten); an error counts as an escalation.
 	Repair func(page.ID) error
+	// Clock paces the scrub campaign; nil is the wall clock.
+	Clock *clock.Clock
 }
 
 // Stats counts service activity. All fields are cumulative.
@@ -130,11 +133,8 @@ type Service struct {
 
 	kick chan struct{}
 	quit chan struct{}
+	stop sync.Once
 	wg   sync.WaitGroup
-
-	mu      sync.Mutex
-	started bool
-	stopped bool
 
 	// cursor, mapped and nextSweep are owned by the scrub goroutine: the
 	// incremental sweep position, the slot→page snapshot taken at the
@@ -163,21 +163,22 @@ func New(deps Deps) *Service {
 }
 
 // Start launches the flusher and, when fully wired, the scrub campaign.
-// Start is not idempotent; call it exactly once.
+// Call it at most once, and not beside Stop; after Stop it does nothing.
 func (s *Service) Start() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started || s.stopped {
+	select {
+	case <-s.quit:
 		return
+	default:
 	}
-	s.started = true
 	if s.deps.Pool != nil {
 		s.wg.Add(1)
 		go s.flushLoop()
 	}
 	if s.deps.Dev != nil && s.deps.MappedSlots != nil && s.deps.Repair != nil {
+		t := s.deps.Clock.NewTicker(scrubInterval)
+		s.nextSweep = s.deps.Clock.Now().Add(sweepPeriod)
 		s.wg.Add(1)
-		go s.scrubLoop()
+		go s.scrubLoop(t)
 	}
 }
 
@@ -186,19 +187,8 @@ func (s *Service) Start() {
 // goroutine is joined before Stop returns. Idempotent and safe to call
 // concurrently.
 func (s *Service) Stop() {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		s.wg.Wait() // a concurrent Stop may still be joining
-		return
-	}
-	s.stopped = true
-	started := s.started
-	s.mu.Unlock()
-	close(s.quit)
-	if started {
-		s.wg.Wait()
-	}
+	s.stop.Do(func() { close(s.quit) })
+	s.wg.Wait()
 }
 
 // NotifyDirty is the engine's watermark prod, called from the buffer
@@ -268,19 +258,18 @@ func (s *Service) drain() {
 	}
 }
 
-// scrubLoop runs the campaign: one scrubTick per ScrubInterval, the first
-// sweep a sweepPeriod after it starts.
-func (s *Service) scrubLoop() {
+// scrubLoop runs the campaign: one scrubTick per tick of t, the first
+// sweep a sweepPeriod after Start.
+func (s *Service) scrubLoop(t *clock.Ticker) {
 	defer s.wg.Done()
-	s.nextSweep = time.Now().Add(sweepPeriod)
-	ticker := time.NewTicker(ScrubInterval)
-	defer ticker.Stop()
+	defer t.Stop()
 	for {
 		select {
 		case <-s.quit:
 			return
-		case now := <-ticker.C:
+		case now := <-t.C:
 			s.scrubTick(now)
+			t.Done()
 		}
 	}
 }
@@ -297,7 +286,7 @@ func (s *Service) scrubTick(now time.Time) {
 		s.nextSweep = now.Add(sweepPeriod)
 		s.mapped = s.deps.MappedSlots() // refresh once per sweep
 	}
-	t, next, wrapped := Scrub(s.deps.Dev, s.mapped, s.cursor, ScrubBatchPages, s.deps.Repair)
+	t, next, wrapped := Scrub(s.deps.Dev, s.mapped, s.cursor, scrubBatchPages, s.deps.Repair)
 	s.cursor = next
 	s.stats.pagesScrubbed.Add(int64(t.Scanned))
 	if wrapped {

@@ -3,11 +3,14 @@ package maintenance
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/buffer"
+	"repro/internal/clock"
 	"repro/internal/iosim"
 	"repro/internal/page"
 	"repro/internal/pagemap"
@@ -205,10 +208,10 @@ func TestScrubCampaignDetectsAndRepairsLatentErrors(t *testing.T) {
 }
 
 // TestSweepStartsAtMostOncePerPeriod: a started campaign ticks but reads
-// nothing in its first sweep period. Driven by hand, the first tick sweeps
-// a 24-page device whole, the ticks of the rest of the period read nothing,
-// and damage done meanwhile is found by the sweep that starts once the
-// period is over.
+// nothing in its first sweep period; its first tick past the period sweeps
+// a 24-page device whole, the ticks of the rest of the next period read
+// nothing, and damage done meanwhile is found by the sweep that starts once
+// that period is over.
 func TestSweepStartsAtMostOncePerPeriod(t *testing.T) {
 	e := newEnv(t, 64, 128)
 	var ids []page.ID
@@ -218,21 +221,22 @@ func TestSweepStartsAtMostOncePerPeriod(t *testing.T) {
 	if err := e.pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	live := New(e.deps())
-	live.Start()
-	waitFor(t, 5*time.Second, "three campaign ticks", func() bool {
-		return live.Stats().ScrubTicks >= 3
-	})
-	live.Stop()
-	if s := live.Stats(); s.PagesScrubbed != 0 || s.Sweeps != 0 {
-		t.Fatalf("started campaign in its first period: %+v, want nothing scrubbed", s)
+	clk := clock.NewManual()
+	deps := e.deps()
+	deps.Clock = clk
+	svc := New(deps)
+	svc.Start()
+	defer svc.Stop()
+	// n ticks from the start of one period to the first tick at or past
+	// its end.
+	n := int64((sweepPeriod + scrubInterval - 1) / scrubInterval)
+	clk.Advance(time.Duration(n-1) * scrubInterval)
+	if s := svc.Stats(); s.ScrubTicks != n-1 || s.PagesScrubbed != 0 {
+		t.Fatalf("first period: %+v, want %d ticks and nothing scrubbed", s, n-1)
 	}
-
-	svc := New(e.deps()) // never started: the test is the ticker
-	t0 := time.Now()
-	svc.scrubTick(t0)
+	clk.Advance(scrubInterval)
 	if s := svc.Stats(); s.Sweeps != 1 || s.PagesScrubbed != 24 {
-		t.Fatalf("first tick: %+v, want one sweep of 24 pages", s)
+		t.Fatalf("first tick past the period: %+v, want one sweep of 24 pages", s)
 	}
 	if err := e.pool.Evict(ids[5]); err != nil {
 		t.Fatal(err)
@@ -241,16 +245,91 @@ func TestSweepStartsAtMostOncePerPeriod(t *testing.T) {
 	if err := e.dev.CorruptStored(slot); err != nil {
 		t.Fatal(err)
 	}
-	end := t0.Add(sweepPeriod)
-	for now := t0.Add(ScrubInterval); now.Before(end); now = now.Add(ScrubInterval) {
-		svc.scrubTick(now)
+	clk.Advance(time.Duration(n-1) * scrubInterval)
+	if s := svc.Stats(); s.ScrubTicks != 2*n-1 || s.Sweeps != 1 || s.PagesScrubbed != 24 || s.LatentFound != 0 {
+		t.Fatalf("within the second period: %+v, want nothing beyond the first sweep", s)
 	}
-	if s := svc.Stats(); s.Sweeps != 1 || s.PagesScrubbed != 24 || s.LatentFound != 0 {
-		t.Fatalf("within the period: %+v, want nothing beyond the first tick", s)
-	}
-	svc.scrubTick(end)
+	clk.Advance(scrubInterval)
 	if s := svc.Stats(); s.Sweeps != 2 || s.PagesScrubbed != 48 || s.Repaired != 1 {
-		t.Fatalf("at the period's end: %+v, want a second sweep repairing one page", s)
+		t.Fatalf("at the second period's end: %+v, want a second sweep repairing one page", s)
+	}
+}
+
+// TestLatentErrorFoundWithinTheBound: the campaign repairs a latent error
+// on a written slot within the bound ARCHITECTURE.md states, 10 s plus one
+// sweep of the written extent at 2000 pages/s (64 slots a 32 ms tick).
+// Faults land on random written slots at random clock times: before the
+// first sweep, during sweeps and between them.
+func TestLatentErrorFoundWithinTheBound(t *testing.T) {
+	e := newEnv(t, 64, 1024)
+	var ids []page.ID
+	for i := 0; i < 640; i++ {
+		ids = append(ids, e.newPage(t, fmt.Sprintf("cold-%d", i)))
+	}
+	if err := e.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	extent := 0
+	for slot := range e.pmap.MappedSlots() {
+		extent = max(extent, int(slot)+1)
+	}
+	bound := 10*time.Second + time.Duration((extent+63)/64)*32*time.Millisecond
+
+	clk := clock.NewManual()
+	t0 := clk.Now()
+	found := make(map[page.ID]time.Duration) // written by the campaign's goroutine
+	deps := e.deps()
+	deps.Clock = clk
+	deps.Repair = func(id page.ID) error {
+		found[id] = clk.Now().Sub(t0)
+		return e.repair(id)
+	}
+	svc := New(deps)
+	svc.Start()
+	defer svc.Stop()
+
+	rng := rand.New(rand.NewSource(1))
+	at := make([]time.Duration, 16)
+	for i := range at {
+		at[i] = time.Duration(rng.Int63n(int64(45 * time.Second)))
+	}
+	slices.Sort(at)
+	injected := make(map[page.ID]time.Duration)
+	for _, when := range at {
+		clk.Advance(when - clk.Now().Sub(t0))
+		// A page the campaign repaired has no slot until it is written
+		// back; one still damaged is not damaged twice.
+		var id page.ID
+		var slot storage.PhysID
+		for ok := false; !ok; {
+			id = ids[rng.Intn(len(ids))]
+			_, pending := injected[id]
+			slot, ok = e.pmap.Lookup(id)
+			ok = ok && !pending
+		}
+		if err := e.pool.Evict(id); err != nil && !errors.Is(err, buffer.ErrNotResident) {
+			t.Fatal(err)
+		}
+		if err := e.dev.CorruptStored(slot); err != nil {
+			t.Fatal(err)
+		}
+		injected[id] = when
+	}
+	clk.Advance(bound)
+	var longest time.Duration
+	for id, when := range injected {
+		got, ok := found[id]
+		longest = max(longest, got-when)
+		switch {
+		case !ok:
+			t.Errorf("page %d damaged at %v: never repaired", id, when)
+		case got-when > bound:
+			t.Errorf("page %d damaged at %v: repaired at %v, %v later, bound %v", id, when, got, got-when, bound)
+		}
+	}
+	t.Logf("%d faults over %d written slots, longest wait %v, bound %v", len(injected), extent, longest, bound)
+	if s := svc.Stats(); s.Repaired != int64(len(injected)) || s.Escalated != 0 {
+		t.Errorf("campaign stats %+v, want %d repaired and none escalated", s, len(injected))
 	}
 }
 

@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
 )
 
 // Campaign describes a latent-sector-error fault campaign modeled on the
@@ -10,7 +13,9 @@ import (
 // strong spatial locality, appearing in runs of neighboring sectors; and
 // most are discovered by reads or scrubbing, not writes.
 type Campaign struct {
-	// Rate is the fraction of slots to afflict (e.g. 0.001 for 1‰).
+	// Rate is the fraction of the written extent's slots to afflict (e.g.
+	// 0.001 for 1‰), rounded to the nearest count; a positive rate afflicts
+	// at least one slot, and a rate of 1 or more every slot.
 	Rate float64
 	// ClusterSize is the mean run length of neighboring bad slots;
 	// values <= 1 produce independent single-slot errors.
@@ -25,9 +30,16 @@ type Campaign struct {
 	Seed int64
 }
 
-// Apply injects the campaign's faults and returns the afflicted slots in
-// ascending order.
+// Apply injects the campaign's faults over the device's written extent —
+// the slot table, which ends at the highest slot ever written, as a scrub
+// sweep does — and returns the afflicted slots in ascending order. Slots
+// past it hold nothing a read could find damaged, so a device nothing was
+// written to is left alone.
 func (c Campaign) Apply(d *Device) []PhysID {
+	n := d.extent()
+	if n == 0 {
+		return nil
+	}
 	rng := rand.New(rand.NewSource(c.Seed))
 	kind := c.Kind
 	if kind == FaultNone {
@@ -37,8 +49,7 @@ func (c Campaign) Apply(d *Device) []PhysID {
 	if cluster < 1 {
 		cluster = 1
 	}
-	n := d.Slots()
-	target := int(float64(n) * c.Rate)
+	target := min(int(math.Round(float64(n)*c.Rate)), n)
 	if target < 1 && c.Rate > 0 {
 		target = 1
 	}
@@ -61,20 +72,5 @@ func (c Campaign) Apply(d *Device) []PhysID {
 			d.InjectFault(id, kind, c.Sticky)
 		}
 	}
-	out := make([]PhysID, 0, len(hit))
-	for id := range hit {
-		out = append(out, id)
-	}
-	sortPhysIDs(out)
-	return out
-}
-
-func sortPhysIDs(ids []PhysID) {
-	// Insertion sort suffices for campaign-sized lists and avoids an
-	// import; campaigns afflict ≤ a few thousand slots.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	return slices.Sorted(maps.Keys(hit))
 }

@@ -365,6 +365,14 @@ func (d *Device) stored(id PhysID) []byte {
 	return nil
 }
 
+// extent is the length of the slot table: one past the highest slot ever
+// written.
+func (d *Device) extent() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.slots)
+}
+
 // storedBuf returns the slot's backing buffer, growing the slot table and
 // allocating the buffer on first write. Reusing the buffer across
 // overwrites keeps the steady-state write path allocation-free. Callers

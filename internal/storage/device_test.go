@@ -424,14 +424,30 @@ func TestScrubSkipsRetiredAndSkipped(t *testing.T) {
 	}
 }
 
+// writtenDevice returns a device of capacity slots whose first written
+// slots hold an image: a campaign draws over those only.
+func writtenDevice(t *testing.T, capacity, written int) *Device {
+	t.Helper()
+	d := testDevice(capacity)
+	for i := 0; i < written; i++ {
+		if err := d.Write(PhysID(i), encodedPage(t, page.ID(i+1), byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
 func TestCampaignRateAndDeterminism(t *testing.T) {
-	d1 := testDevice(1000)
-	d2 := testDevice(1000)
+	d1 := writtenDevice(t, 4000, 1000)
+	d2 := writtenDevice(t, 4000, 1000)
 	c := Campaign{Rate: 0.01, Kind: FaultReadError, Sticky: true, Seed: 7}
 	hit1 := c.Apply(d1)
 	hit2 := c.Apply(d2)
 	if len(hit1) != 10 {
-		t.Errorf("campaign hit %d slots, want 10", len(hit1))
+		t.Errorf("campaign hit %d slots, want 10: 1%% of the 1000 written", len(hit1))
+	}
+	if last := hit1[len(hit1)-1]; last >= 1000 {
+		t.Errorf("campaign hit slot %d, past the 1000 written", last)
 	}
 	if len(hit1) != len(hit2) {
 		t.Fatalf("campaign not deterministic: %d vs %d", len(hit1), len(hit2))
@@ -449,7 +465,7 @@ func TestCampaignRateAndDeterminism(t *testing.T) {
 }
 
 func TestCampaignClustering(t *testing.T) {
-	d := testDevice(10000)
+	d := writtenDevice(t, 10000, 10000)
 	c := Campaign{Rate: 0.01, ClusterSize: 8, Kind: FaultSilentCorruption, Seed: 3}
 	hits := c.Apply(d)
 	if len(hits) != 100 {
@@ -469,9 +485,17 @@ func TestCampaignClustering(t *testing.T) {
 
 func TestCampaignMinimumOneSlot(t *testing.T) {
 	d := testDevice(100)
+	if hits := (Campaign{Rate: 0.0001, Seed: 1}).Apply(d); len(hits) != 0 {
+		t.Errorf("campaign on a device nothing was written to hit %d slots, want 0", len(hits))
+	}
+	d = writtenDevice(t, 100, 100)
 	hits := Campaign{Rate: 0.0001, Seed: 1}.Apply(d)
 	if len(hits) != 1 {
 		t.Errorf("tiny-rate campaign hit %d slots, want 1", len(hits))
+	}
+	d = writtenDevice(t, 100, 10)
+	if hits := (Campaign{Rate: 2, Seed: 1}).Apply(d); len(hits) != 10 {
+		t.Errorf("campaign at rate 2 over 10 written slots hit %d, want all 10", len(hits))
 	}
 }
 

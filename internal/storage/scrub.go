@@ -47,9 +47,7 @@ func (d *Device) ScrubRange(start PhysID, max int, skip func(PhysID) bool) (Scru
 	if max <= 0 {
 		return res, start, false
 	}
-	d.mu.RLock()
-	n := len(d.slots)
-	d.mu.RUnlock()
+	n := d.extent()
 	if int(start) >= n {
 		start = 0
 	}

@@ -18,9 +18,10 @@ import (
 
 // Checkpoint takes a fuzzy checkpoint (§5.2.6) and returns the LSN of the
 // checkpoint-end record. The checkpoint's redo horizon is pushed to the
-// archiver — the trigger that lets live log segments beneath it recycle
-// once the archive, or a full backup, covers them too. A checkpoint a
-// crash overtakes leaves the master alone and reports ErrCrashed.
+// archiver, whose next step (within 25 ms) lets live log segments beneath
+// it recycle once the archive, or a full backup, covers them too. A
+// checkpoint a crash overtakes leaves the master alone and reports
+// ErrCrashed.
 func (db *DB) Checkpoint() (LSN, error) {
 	if err := db.opErr(); err != nil {
 		return 0, err
@@ -34,7 +35,6 @@ func (db *DB) Checkpoint() (LSN, error) {
 		return 0, err
 	}
 	db.archiver.SetCheckpointHorizon(res.RedoHorizon)
-	db.archiver.Kick()
 	// The checkpoint forced the log: every backup copy superseded before it
 	// can go.
 	db.releaseDurable()

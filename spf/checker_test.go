@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/hashindex"
 	"repro/internal/page"
 )
@@ -184,12 +185,14 @@ type pendingCrash struct {
 }
 
 // newChecker opens a database with an empty B-tree "bt" and hash index
-// "hx". A negative interval leaves the archiver to explicit passes.
-func newChecker(tb testing.TB, s *schedule, cov *coverage, archive bool, interval time.Duration) *checker {
+// "hx". Its archiver runs on a manual clock: it steps on the checker's
+// explicit passes, and on Advance where a caller moves the clock.
+func newChecker(tb testing.TB, s *schedule, cov *coverage, archive bool) *checker {
 	opts := testOptions()
 	opts.PoolFrames = 48 // evictions, and so write-backs, mid-transaction
 	opts.Restore.Workers = 2
-	opts.Lifecycle = LifecycleOptions{Enabled: archive, SegmentBytes: 4 << 10, Interval: interval}
+	opts.Lifecycle = LifecycleOptions{Enabled: archive, SegmentBytes: 4 << 10}
+	opts.clock = clock.NewManual()
 	c := &checker{tb: tb, s: s, cov: cov, archive: archive, model: make(map[string][]byte), sticky: make(map[PageID]bool)}
 	db, err := Open(opts)
 	c.expect(err)
@@ -732,7 +735,7 @@ func runSequential(t *testing.T, s *schedule, cov *coverage, run sequentialRun) 
 	btree.ResetMaxLatchDepth()
 	g0 := runtime.NumGoroutine()
 	archive := s.intn(4) != 0 && !run.noArchive
-	c := newChecker(t, s, cov, archive, -1)
+	c := newChecker(t, s, cov, archive)
 	c.sequential = true
 	c.load()
 	key := func() int { return s.intn(checkKeys) }
@@ -800,7 +803,27 @@ func runConcurrent(t *testing.T, seed int64, cov *coverage, engine string) {
 	defer chaos.Reset()
 	btree.ResetMaxLatchDepth()
 	g0 := runtime.NumGoroutine()
-	c := newChecker(t, seeded(seed), cov, true, 2*time.Millisecond)
+	c := newChecker(t, seeded(seed), cov, true)
+	// The archiver races the clients: a goroutine moves its clock one
+	// archiver step (25 ms) every millisecond, through the crash and the
+	// restart (the clock is carried over to the recovered database).
+	clk := c.db.opts.clock
+	quit, advancing := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(advancing)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+				clk.Advance(25 * time.Millisecond)
+			}
+		}
+	}()
+	stopAdvancing := sync.OnceFunc(func() { close(quit); <-advancing })
+	defer stopAdvancing()
 	c.load()
 	const clients = 4
 	var classes []string // the page classes the injector aims at
@@ -899,6 +922,8 @@ func runConcurrent(t *testing.T, seed int64, cov *coverage, engine string) {
 	if len(injected) < len(classes) {
 		t.Errorf("the injector damaged %s pages of %v only", engine, injected)
 	}
+	stopAdvancing()
+	t.Logf("%d archive runs", c.db.Metrics().Archive.Runs)
 	c.closeAndCount(g0)
 	if d := btree.MaxLatchDepth(); d != 2 {
 		t.Errorf("B-tree latch depth high-water mark = %d, want 2: latch coupling never paired latches", d)

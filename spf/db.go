@@ -293,6 +293,7 @@ func (db *DB) startMaintenance() {
 		Dev:         db.dev,
 		MappedSlots: db.pmap.MappedSlots,
 		Repair:      db.repairLatent,
+		Clock:       db.opts.clock,
 	})
 	db.maint.Start()
 }

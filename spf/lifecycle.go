@@ -1,8 +1,6 @@
 package spf
 
 import (
-	"time"
-
 	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/iosim"
@@ -29,16 +27,12 @@ func (db *DB) initLifecycle(prev *DB) {
 		}
 		db.log.SetArchive(db.arch.NewReader())
 	}
-	interval := lo.Interval
-	if interval == 0 {
-		interval = 25 * time.Millisecond
-	}
 	db.archiver = archive.New(db.log, db.arch, archive.Config{
 		SegmentBytes: lo.SegmentBytes,
-		Interval:     interval,
 		ReleaseFloor: db.archiveReleaseFloor,
 		RedoOnly:     applier{}.RedoOnly,
 		Logf:         lo.Logf,
+		Clock:        db.opts.clock,
 	})
 	// The surviving backup sets re-establish the backup horizon after a
 	// restart. The oldest counts: a crash between a backup's commit and the
@@ -52,8 +46,8 @@ func (db *DB) initLifecycle(prev *DB) {
 	}
 }
 
-// startLifecycle launches the archiver's background loop (no-op when
-// Lifecycle.Interval is negative).
+// startLifecycle launches the archiver's background loop, one step every
+// 25 ms.
 func (db *DB) startLifecycle() { db.archiver.Start() }
 
 // stopLifecycle joins the archiver loop. Close, Crash, and FailDevice

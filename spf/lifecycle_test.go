@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 )
 
@@ -15,8 +16,8 @@ func lifecycleOptions() Options {
 	opts.Lifecycle = LifecycleOptions{
 		Enabled:      true,
 		SegmentBytes: 4 << 10,
-		Interval:     -1, // ArchiveNow only
 	}
+	opts.clock = clock.NewManual() // never advanced: ArchiveNow and BackupNow only
 	return opts
 }
 

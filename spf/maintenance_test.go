@@ -11,17 +11,25 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/storage"
 )
 
 // maintenanceOptions returns the test options with the background service
-// on: testOptions' 64-frame pool puts the flusher's watermark at 16 dirty
-// frames.
+// on, on a manual clock the test advances: testOptions' 64-frame pool puts
+// the flusher's watermark at 16 dirty frames.
 func maintenanceOptions() Options {
 	opts := testOptions()
 	opts.Maintenance.Enabled = true
+	opts.clock = clock.NewManual()
 	return opts
 }
+
+// pastFirstSweep is a clock step that carries a campaign started at the
+// step's beginning past its first sweep of a test database: the sweep
+// starts 10 s after Start and reads 64 slots every 32 ms, so 10 s more
+// sweeps 20 000 slots.
+const pastFirstSweep = 20 * time.Second
 
 func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -90,7 +98,7 @@ func TestCheckpointWritesBackPagesBelowTheWatermark(t *testing.T) {
 		t.Fatalf("%d dirty pages, want some below the 16-frame watermark", dirty)
 	}
 	writes := db.dev.Stats().Writes
-	time.Sleep(100 * time.Millisecond)
+	db.opts.clock.Advance(time.Second) // every timer-driven loop runs a second
 	if got := db.pool.DirtyCount(); got != dirty || db.dev.Stats().Writes != writes {
 		t.Fatalf("below the watermark, %d of %d dirty pages were written back without a trigger", dirty-got, dirty)
 	}
@@ -158,11 +166,9 @@ func TestMaintenanceUnderFaultInjectionStress(t *testing.T) {
 	// Ample frames: the cold index stays resident, so only the campaign
 	// (not a foreground read miss) can discover the injected damage; and
 	// no foreground eviction write-back races the simulated crash below.
-	// The hot workers below insert for as long as the campaign waits run,
-	// and the latch-coupled tree made them fast enough to outgrow the
-	// original 4096-frame pool before the first sweep completed (evicting
-	// cold pages and handing the repairs to the foreground read path), so
-	// the headroom is sized for the whole worst-case wait and the workers
+	// The hot workers below insert until the crash, and must not outgrow
+	// the pool (evicting cold pages and handing the repairs to the
+	// foreground read path), so the headroom is generous and the workers
 	// are lightly paced.
 	opts.PoolFrames = 1 << 16
 	opts.DataSlots = 1 << 17
@@ -258,12 +264,12 @@ func TestMaintenanceUnderFaultInjectionStress(t *testing.T) {
 	}
 
 	// The campaign must find and repair every one of them while the
-	// foreground keeps running. Its first sweep starts 10 s after Open.
-	waitUntil(t, 30*time.Second, "campaign repairs", func() bool {
-		ms := db.Metrics().Maintenance
-		return ms.Repaired >= int64(nInject)
-	})
+	// foreground keeps running.
+	db.opts.clock.Advance(pastFirstSweep)
 	ms := db.Metrics().Maintenance
+	if ms.Repaired < int64(nInject) {
+		t.Fatalf("campaign repaired %d of %d latent failures", ms.Repaired, nInject)
+	}
 	if ms.Escalated != 0 {
 		t.Fatalf("campaign escalated %d repairs", ms.Escalated)
 	}
@@ -327,11 +333,11 @@ func TestMaintenanceUnderFaultInjectionStress(t *testing.T) {
 	if viols, err := ncold.Verify(); err != nil || len(viols) != 0 {
 		t.Fatalf("cold index verify: %v %v", viols, err)
 	}
-	// Maintenance restarted with the recovered database.
-	waitUntil(t, 10*time.Second, "maintenance active after restart", func() bool {
-		ms := ndb.Metrics().Maintenance
-		return ms.ScrubTicks > 0
-	})
+	// Maintenance restarted with the recovered database, on the same clock.
+	ndb.opts.clock.Advance(100 * time.Millisecond)
+	if ms := ndb.Metrics().Maintenance; ms.ScrubTicks == 0 {
+		t.Fatal("no campaign tick after restart")
+	}
 }
 
 // treePages collects the page IDs reachable from an index root via Scan of
@@ -375,9 +381,10 @@ func TestCloseStopsMaintenanceGoroutines(t *testing.T) {
 	if err := db.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 10*time.Second, "some background activity", func() bool {
-		return db.Metrics().Maintenance.ScrubTicks > 0
-	})
+	db.opts.clock.Advance(100 * time.Millisecond)
+	if db.Metrics().Maintenance.ScrubTicks == 0 {
+		t.Fatal("no campaign tick")
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +417,7 @@ func TestCrashQuiescesMaintenance(t *testing.T) {
 	}
 	db.Crash()
 	frozen := db.Metrics().Maintenance
-	time.Sleep(20 * time.Millisecond)
+	db.opts.clock.Advance(100 * time.Millisecond)
 	if got := db.Metrics().Maintenance; got != frozen {
 		t.Fatalf("maintenance still running after Crash: %+v vs %+v", got, frozen)
 	}
@@ -419,9 +426,10 @@ func TestCrashQuiescesMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ndb.Close()
-	waitUntil(t, 10*time.Second, "maintenance on restarted db", func() bool {
-		return ndb.Metrics().Maintenance.ScrubTicks > 0
-	})
+	ndb.opts.clock.Advance(100 * time.Millisecond)
+	if ndb.Metrics().Maintenance.ScrubTicks == 0 {
+		t.Fatal("no campaign tick on the restarted database")
+	}
 	nix, err := ndb.Index("quiesce")
 	if err != nil {
 		t.Fatal(err)

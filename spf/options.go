@@ -53,6 +53,7 @@ package spf
 import (
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/iosim"
 )
 
@@ -141,10 +142,18 @@ type Options struct {
 	IndexKind IndexKind
 	// Seed makes fault injection reproducible.
 	Seed int64
+
+	// clock paces the scrub campaign and the archiver; nil is the wall
+	// clock. Tests in this package set a manual one and step it. Restart
+	// and RecoverMedia carry it over with the rest of the options.
+	clock *clock.Clock
 }
 
 // LifecycleOptions tunes the log lifecycle (internal/archive). The zero
 // value of every field but Enabled selects the defaults noted per field.
+// The background archiver's cadence is not among them: it steps every
+// 25 ms, acting within that time on the horizons each checkpoint and
+// backup advance, and BackupNow and ArchiveNow step at once.
 type LifecycleOptions struct {
 	// Enabled adds the log archive: the archiver drains history into it,
 	// live WAL segments recycle behind the checkpoint horizon, and
@@ -157,12 +166,6 @@ type LifecycleOptions struct {
 	// 256 KiB). Small values bound live-log memory tightly at the cost of
 	// more, smaller runs.
 	SegmentBytes int64
-	// Interval is the background archiver cadence (default 25ms).
-	// Negative disables the loop entirely: the lifecycle then advances
-	// only on explicit ArchiveNow and BackupNow calls (deterministic tests)
-	// and on the kicks that checkpoints deliver — which are no-ops without
-	// a loop to wake.
-	Interval time.Duration
 	// Logf receives the graceful-degradation log lines (archive
 	// unavailable / recovered). Nil is silent.
 	Logf func(format string, args ...any)

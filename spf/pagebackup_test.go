@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/core"
 )
 
@@ -102,7 +103,7 @@ func TestBackupPageRestartsThePolicyCount(t *testing.T) {
 // the commit path — the policy's backups are taken at write-back.
 func TestCommitAllocatesLikeTxnCommit(t *testing.T) {
 	opts := testOptions()
-	opts.Lifecycle.Interval = -1 // no background archiver allocating beside the runs
+	opts.clock = clock.NewManual() // never advanced: no background archiver allocating beside the runs
 	db := openTestDB(t, opts)
 	defer db.Close()
 	ix := loadIndex(t, db, "t", 10)

@@ -412,7 +412,7 @@ func redoOnlyReplay(tb testing.TB, seed int64, nops int) (ops [][]byte, pages []
 	tb.Helper()
 	var db *DB
 	checked(tb, func() {
-		c := newChecker(tb, seeded(seed), &coverage{}, false, -1)
+		c := newChecker(tb, seeded(seed), &coverage{}, false)
 		for done := 0; done < nops; {
 			applied, _ := c.transaction(c.s, func() int { return c.s.intn(checkKeys) }, nil)
 			done += applied
