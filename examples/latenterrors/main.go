@@ -17,7 +17,9 @@ import (
 )
 
 func main() {
-	db, err := spf.Open(spf.Options{Seed: 42})
+	// A pool of 16 frames, so that reads go to the device and meet the
+	// damage.
+	db, err := spf.Open(spf.Options{Seed: 42, PoolFrames: 16})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,12 +41,6 @@ func main() {
 	}
 	if err := db.FlushAll(); err != nil {
 		log.Fatal(err)
-	}
-	// Evict everything, so that reads go to the device and meet the damage.
-	for _, id := range db.Pages() {
-		if err := db.EvictPage(id); err != nil {
-			log.Fatal(err)
-		}
 	}
 	fmt.Printf("database loaded: %d keys across %d pages\n", n, db.PageMapLen())
 
