@@ -11,10 +11,8 @@
 // carry an engine kind as "name=hash" or "name=btree"), serves
 // until SIGINT/SIGTERM, then drains gracefully: the listener closes,
 // in-flight requests finish, and the database closes cleanly.
-//
-// Checkpoints and full backups run on the -checkpoint-interval and
-// -backup-interval tickers. With -lifecycle the log archiver steps every
-// 25 ms, a fixed cadence, in the engine.
+// With -lifecycle the engine's log archiver steps every 25 ms, a fixed
+// cadence.
 package main
 
 import (

@@ -125,29 +125,13 @@ func (a *Archiver) Stats() Stats {
 // the configured clock. A horizon a checkpoint or backup advances is acted
 // on at the next tick.
 func (a *Archiver) Start() {
-	t := a.cfg.Clock.NewTicker(interval)
-	a.loops.Add(1)
-	go a.loop(t)
+	a.cfg.Clock.Go(interval, a.quit, &a.loops, func(time.Time) { _ = a.Step(false) })
 }
 
 // Stop joins the background loop, if one was started. Idempotent.
 func (a *Archiver) Stop() {
 	a.stopped.Do(func() { close(a.quit) })
 	a.loops.Wait()
-}
-
-func (a *Archiver) loop(t *clock.Ticker) {
-	defer a.loops.Done()
-	defer t.Stop()
-	for {
-		select {
-		case <-a.quit:
-			return
-		case <-t.C:
-			_ = a.Step(false)
-			t.Done()
-		}
-	}
 }
 
 // Step runs one lifecycle pass: archive every full segment of flushed

@@ -182,20 +182,23 @@ func writeBack(b *testing.B, async bool) float64 {
 }
 
 // scrubOverhead drives b.N foreground fetches (buffer hits — the engine's
-// hot path) while a started scrub campaign runs underneath at its fixed
-// pace (on=false leaves it off: the baseline). A slice of cold pages carries
-// persistent corruption, so an enabled campaign does real repair work, not
-// just clean scans. It returns the pages the campaign scrubbed, the first
-// tick's, taken before the timer starts, included.
+// hot path) while a started scrub campaign sweeps underneath at its fixed
+// pace (on=false leaves it off: the baseline). Cold pages spread through
+// the extent carry persistent corruption, so an enabled campaign does real
+// repair work, not just clean scans. It returns the pages the campaign
+// scrubbed inside the timed loop, and fails when an enabled campaign
+// scrubbed none over a tick or more of the loop.
 func scrubOverhead(b *testing.B, on bool) float64 {
 	const (
-		nPages    = 256
+		hot       = 248
+		cold      = 4096 // a sweep of ~2.2 s at 2000 pages/s: longer than a run
 		capacity  = 1024
 		corrupted = 8
+		tick      = 32 * time.Millisecond // the campaign's tick
 	)
-	e := newWriteBackEnv(b, capacity, 2048)
+	e := newWriteBackEnv(b, capacity, 2*cold)
 	// The pool needs a recovery hook for repairs.
-	hooks := buffer.Hooks{
+	e.pool.SetHooks(buffer.Hooks{
 		Recover: func(id page.ID, _ *page.Page) (*page.Page, bool, error) {
 			pg := page.New(id, page.TypeRaw, 4096)
 			if err := pg.SetPayload([]byte(fmt.Sprintf("recovered-%d", id))); err != nil {
@@ -203,14 +206,14 @@ func scrubOverhead(b *testing.B, on bool) float64 {
 			}
 			return pg, false, nil
 		},
-	}
-	e.pool.SetHooks(hooks)
-	ids := e.seedPages(b, nPages)
+	})
+	coldIDs := e.seedPages(b, cold)
+	ids := e.seedPages(b, hot)
 	// Latent damage on cold (evicted) pages only: the resident hot set
 	// keeps serving the foreground; only the campaign goes to the device.
-	for i := 0; i < corrupted; i++ {
-		id := ids[nPages-1-i]
-		if err := e.pool.Evict(id); err != nil {
+	for i := 1; i <= corrupted; i++ {
+		id := coldIDs[i*cold/(corrupted+1)]
+		if err := e.pool.Evict(id); err != nil && !errors.Is(err, buffer.ErrNotResident) {
 			b.Fatal(err)
 		}
 		slot, ok := e.pmap.Lookup(id)
@@ -223,12 +226,13 @@ func scrubOverhead(b *testing.B, on bool) float64 {
 	}
 
 	// On, a started maintenance.Service runs the campaign on a manual
-	// clock. The clock is stepped to the first sweep (a service waits a
-	// sweep period before it), then advanced every 1024 fetches by the
-	// wall time the timed loop has taken: the service's own loop sweeps at
-	// its real pace beside the foreground, on the same P.
+	// clock, stepped to its first sweep (a service waits a sweep period
+	// before it) and then advanced every 1024 fetches by the wall time the
+	// timed loop has taken: the service's own loop sweeps at its real pace
+	// beside the foreground, on the same P, for the whole run.
 	var svc *maintenance.Service
 	var clk *clock.Clock
+	var before int64
 	if on {
 		clk = clock.NewManual()
 		svc = maintenance.New(maintenance.Deps{
@@ -251,12 +255,12 @@ func scrubOverhead(b *testing.B, on bool) float64 {
 		})
 		svc.Start()
 		defer svc.Stop()
-		for svc.Stats().PagesScrubbed == 0 {
-			clk.Advance(time.Millisecond)
+		for before == 0 {
+			clk.Advance(tick)
+			before = svc.Stats().PagesScrubbed
 		}
 	}
 
-	hot := nPages - corrupted
 	b.ResetTimer()
 	start := time.Now()
 	var stepped time.Duration
@@ -276,5 +280,9 @@ func scrubOverhead(b *testing.B, on bool) float64 {
 	if !on {
 		return 0
 	}
-	return float64(svc.Stats().PagesScrubbed)
+	scrubbed := svc.Stats().PagesScrubbed - before
+	if scrubbed == 0 && stepped >= tick {
+		b.Fatalf("campaign scrubbed nothing over %v of the timed loop", stepped)
+	}
+	return float64(scrubbed)
 }

@@ -12,12 +12,12 @@ import (
 	"time"
 )
 
-// Clock gives a loop the time and a ticker. The nil *Clock is the wall
+// Clock gives a loop the time and its ticks. The nil *Clock is the wall
 // clock.
 type Clock struct {
 	mu      sync.Mutex // guards now, tickers and each ticker's next
 	now     time.Time
-	tickers []*Ticker
+	tickers []*ticker
 }
 
 // NewManual returns a clock that stands still until Advance moves it.
@@ -33,51 +33,48 @@ func (c *Clock) Now() time.Time {
 	return c.now
 }
 
-// Ticker delivers a tick on C every period. The loop that receives one
-// calls Done once it has handled it, and Stop as it exits.
-type Ticker struct {
-	C       <-chan time.Time
-	stop    func()
-	handled chan struct{} // nil on the wall clock
-
-	// A manual clock's, guarded by its mu.
-	c       chan time.Time
-	period  time.Duration
-	next    time.Time
-	stopped chan struct{}
+// ticker is a manual clock's: Advance sends each tick on c and waits on
+// handled, or on stopped once the loop has exited.
+type ticker struct {
+	c                chan time.Time
+	handled, stopped chan struct{}
+	period           time.Duration
+	next             time.Time
 }
 
-// NewTicker returns a ticker whose first tick falls a period from now.
-func (c *Clock) NewTicker(period time.Duration) *Ticker {
+// Go starts a goroutine, counted in wg, that calls fn with each tick's
+// time until quit closes: a tick every period, the first a period from
+// now.
+func (c *Clock) Go(period time.Duration, quit <-chan struct{}, wg *sync.WaitGroup, fn func(now time.Time)) {
+	var ticks <-chan time.Time
+	var handled, stop func()
 	if c == nil {
 		w := time.NewTicker(period)
-		return &Ticker{C: w.C, stop: w.Stop}
-	}
-	t := &Ticker{c: make(chan time.Time), period: period,
-		handled: make(chan struct{}), stopped: make(chan struct{})}
-	t.C = t.c
-	t.stop = func() {
+		ticks, handled, stop = w.C, func() {}, w.Stop
+	} else {
+		t := &ticker{c: make(chan time.Time), handled: make(chan struct{}),
+			stopped: make(chan struct{}), period: period}
 		c.mu.Lock()
-		c.tickers = slices.DeleteFunc(c.tickers, func(o *Ticker) bool { return o == t })
+		t.next = c.now.Add(period)
+		c.tickers = append(c.tickers, t)
 		c.mu.Unlock()
-		close(t.stopped)
+		ticks, handled, stop = t.c, func() { t.handled <- struct{}{} }, func() { close(t.stopped) }
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t.next = c.now.Add(period)
-	c.tickers = append(c.tickers, t)
-	return t
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case now := <-ticks:
+				fn(now)
+				handled()
+			}
+		}
+	}()
 }
-
-// Done tells a manual clock that the tick the loop received is handled.
-func (t *Ticker) Done() {
-	if t.handled != nil {
-		t.handled <- struct{}{}
-	}
-}
-
-// Stop ends the ticks. Call it once, as the loop exits.
-func (t *Ticker) Stop() { t.stop() }
 
 // Advance moves a manual clock forward by d. It delivers the ticks that
 // fall due on the way in time order, Now reading each tick's time while it
@@ -88,7 +85,7 @@ func (c *Clock) Advance(d time.Duration) {
 	defer c.mu.Unlock()
 	end := c.now.Add(d)
 	for len(c.tickers) > 0 {
-		t := slices.MinFunc(c.tickers, func(a, b *Ticker) int { return a.next.Compare(b.next) })
+		t := slices.MinFunc(c.tickers, func(a, b *ticker) int { return a.next.Compare(b.next) })
 		at := t.next
 		if at.After(end) {
 			break
@@ -97,10 +94,12 @@ func (c *Clock) Advance(d time.Duration) {
 		c.mu.Unlock()
 		select {
 		case t.c <- at:
-			<-t.handled // the loop calls Done before it can stop
+			<-t.handled
+			c.mu.Lock()
 		case <-t.stopped:
+			c.mu.Lock()
+			c.tickers = slices.DeleteFunc(c.tickers, func(o *ticker) bool { return o == t })
 		}
-		c.mu.Lock()
 	}
 	c.now = end
 }

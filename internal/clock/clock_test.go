@@ -2,23 +2,16 @@ package clock
 
 import (
 	"slices"
+	"sync"
 	"testing"
 	"time"
 )
 
-// loop is the shape of the loops the clock drives: it handles each tick on
-// its own goroutine and records the tick's time and Now while handling it.
-func loop(c *Clock, t *Ticker, quit chan struct{}, done chan struct{}, seen *[][2]time.Duration) {
-	defer close(done)
-	defer t.Stop()
-	for {
-		select {
-		case <-quit:
-			return
-		case at := <-t.C:
-			*seen = append(*seen, [2]time.Duration{at.Sub(time.Time{}), c.Now().Sub(time.Time{})})
-			t.Done()
-		}
+// record returns a tick function that records each tick's time and Now
+// while it handles the tick.
+func record(c *Clock, seen *[][2]time.Duration) func(time.Time) {
+	return func(at time.Time) {
+		*seen = append(*seen, [2]time.Duration{at.Sub(time.Time{}), c.Now().Sub(time.Time{})})
 	}
 }
 
@@ -29,9 +22,9 @@ func TestAdvanceDeliversEachDueTickInOrder(t *testing.T) {
 	c := NewManual()
 	var fast, slow [][2]time.Duration
 	quit := make(chan struct{})
-	fastDone, slowDone := make(chan struct{}), make(chan struct{})
-	go loop(c, c.NewTicker(10*time.Millisecond), quit, fastDone, &fast)
-	go loop(c, c.NewTicker(25*time.Millisecond), quit, slowDone, &slow)
+	var wg sync.WaitGroup
+	c.Go(10*time.Millisecond, quit, &wg, record(c, &fast))
+	c.Go(25*time.Millisecond, quit, &wg, record(c, &slow))
 
 	c.Advance(9 * time.Millisecond)
 	if len(fast) != 0 || len(slow) != 0 {
@@ -50,8 +43,7 @@ func TestAdvanceDeliversEachDueTickInOrder(t *testing.T) {
 	}
 
 	close(quit)
-	<-fastDone
-	<-slowDone
+	wg.Wait()
 	c.Advance(time.Second) // no ticker left: returns at once
 	if len(fast) != 5 || len(slow) != 2 {
 		t.Errorf("ticks after Stop: %d fast, %d slow", len(fast), len(slow))

@@ -175,10 +175,8 @@ func (s *Service) Start() {
 		go s.flushLoop()
 	}
 	if s.deps.Dev != nil && s.deps.MappedSlots != nil && s.deps.Repair != nil {
-		t := s.deps.Clock.NewTicker(scrubInterval)
 		s.nextSweep = s.deps.Clock.Now().Add(sweepPeriod)
-		s.wg.Add(1)
-		go s.scrubLoop(t)
+		s.deps.Clock.Go(scrubInterval, s.quit, &s.wg, s.scrubTick)
 	}
 }
 
@@ -258,24 +256,8 @@ func (s *Service) drain() {
 	}
 }
 
-// scrubLoop runs the campaign: one scrubTick per tick of t, the first
-// sweep a sweepPeriod after Start.
-func (s *Service) scrubLoop(t *clock.Ticker) {
-	defer s.wg.Done()
-	defer t.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case now := <-t.C:
-			s.scrubTick(now)
-			t.Done()
-		}
-	}
-}
-
-// scrubTick advances the cursor one batch and routes every failure it
-// finds through the repair path. A tick that would start a sweep sooner
+// scrubTick is the campaign's tick: it advances the cursor one batch and
+// routes every failure it finds through the repair path. A tick that would start a sweep sooner
 // than sweepPeriod after the previous one started does nothing.
 func (s *Service) scrubTick(now time.Time) {
 	s.stats.scrubTicks.Add(1)

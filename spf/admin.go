@@ -297,22 +297,14 @@ func (db *DB) RecoverPageNow(id PageID) (core.Report, error) {
 	return rep, err
 }
 
-// Close shuts the database down cleanly: the repair scheduler and the
-// maintenance service stop (deterministically — every background
-// goroutine is joined; the scheduler first, since the scrub campaign may
-// be parked on one of its repair futures), then every dirty page and the
-// whole log are flushed (the log itself owns no goroutine to stop). A
-// crashed database only stops the background goroutines — its state is
-// already frozen for Restart. Close is idempotent. After Close, operations
-// fail with ErrClosed.
+// Close shuts the database down cleanly: every background goroutine is
+// joined (goDown), then every dirty page and the whole log are flushed
+// (the log itself owns no goroutine to stop). A crashed database only
+// stops the background goroutines — its state is already frozen for
+// Restart. Close is idempotent. After Close, operations fail with
+// ErrClosed.
 func (db *DB) Close() error {
-	db.mu.Lock()
-	db.closed = true
-	db.down.Store(true)
-	db.mu.Unlock()
-	db.stopRestore()
-	db.stopMaintenance()
-	db.stopLifecycle()
+	db.goDown(&db.closed)
 	if db.isCrashed() {
 		return nil
 	}
@@ -324,26 +316,37 @@ func (db *DB) Close() error {
 }
 
 // Crash simulates a system failure: the buffer pool and the unflushed log
-// tail vanish; the devices and the stable log survive. The repair
-// scheduler and the maintenance service are quiesced first: an in-flight
-// repair or flush batch completes, queued repairs fail with
-// restore.ErrStopped (unparking their waiters — the scrub campaign among
-// them, which is why the scheduler stops before the service that feeds
-// it), and every background goroutine is joined. Then the log is sealed
+// tail vanish; the devices and the stable log survive. The background
+// goroutines are quiesced first (goDown). Then the log is sealed
 // (wal.Manager.Crash): a foreground operation still running on this
 // incarnation appends to a log nothing makes stable any more, so its
 // commit reports ErrCommitLost and its write-backs are refused, and
 // Restart continues on the log wal.TakeOver builds from what survived.
 func (db *DB) Crash() {
-	db.mu.Lock()
-	db.crashed = true
-	db.down.Store(true)
-	db.mu.Unlock()
-	db.stopRestore()
-	db.stopMaintenance()
-	db.stopLifecycle()
+	db.goDown(&db.crashed)
 	db.log.Crash()
 	db.pool.Crash()
+}
+
+// goDown marks the database down, setting *state (closed or crashed), and
+// joins every background goroutine, before Close, Crash and FailDevice
+// touch the log or the pool: a repair reads the log and appends recovery
+// records, and write-back and archiver steps append and recycle, so none
+// may race the log's seal. The repair scheduler stops first: its queued
+// repairs fail with restore.ErrStopped, unparking their waiters, the scrub
+// campaign among them, and the repair in flight completes. Then the
+// maintenance service (an in-flight flush batch completes) and the
+// archiver stop. Idempotent.
+func (db *DB) goDown(state *bool) {
+	db.mu.Lock()
+	*state = true
+	db.down.Store(true)
+	db.mu.Unlock()
+	db.sched.Stop()
+	if db.maint != nil {
+		db.maint.Stop()
+	}
+	db.archiver.Stop()
 }
 
 // RestartReport quantifies a restart recovery.
@@ -435,8 +438,8 @@ func (db *DB) Restart() (*DB, *RestartReport, error) {
 // error the new DB's goroutines are stopped and it is dropped.
 func (db *DB) finishRecovery(a *recovery.AnalysisResult, redo func() error) (recovery.UndoReport, error) {
 	fail := func(err error) (recovery.UndoReport, error) {
-		db.stopRestore()
-		db.stopLifecycle()
+		db.sched.Stop()
+		db.archiver.Stop()
 		return recovery.UndoReport{}, err
 	}
 	if err := redo(); err != nil {
@@ -458,8 +461,7 @@ func (db *DB) finishRecovery(a *recovery.AnalysisResult, redo func() error) (rec
 	if _, err := db.Checkpoint(); err != nil {
 		return fail(err)
 	}
-	db.startMaintenance()
-	db.startLifecycle()
+	db.startBackground()
 	return *undoRep, nil
 }
 
@@ -518,13 +520,7 @@ func (db *DB) reopenCatalog() error {
 // over: a transaction still running on this incarnation cannot commit into
 // the log of the database that rolled it back.
 func (db *DB) FailDevice() {
-	db.mu.Lock()
-	db.crashed = true
-	db.down.Store(true)
-	db.mu.Unlock()
-	db.stopRestore()
-	db.stopMaintenance()
-	db.stopLifecycle()
+	db.goDown(&db.crashed)
 	db.log.FlushAll()
 	db.log.Crash()
 	db.dev.FailDevice()

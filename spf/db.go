@@ -171,21 +171,20 @@ func Open(opts Options) (*DB, error) {
 	st := db.txns.BeginSystem()
 	h, err := db.AllocateNode(st, page.TypeMeta, nil)
 	if err != nil {
-		db.stopRestore()
+		db.sched.Stop()
 		return nil, fmt.Errorf("spf: bootstrapping meta page: %w", err)
 	}
 	db.metaID = h.ID()
 	h.Release()
 	if err := st.Commit(); err != nil {
-		db.stopRestore()
+		db.sched.Stop()
 		return nil, err
 	}
 	if _, err := db.Checkpoint(); err != nil {
-		db.stopRestore()
+		db.sched.Stop()
 		return nil, err
 	}
-	db.startMaintenance()
-	db.startLifecycle()
+	db.startBackground()
 	return db, nil
 }
 
@@ -226,16 +225,6 @@ func (db *DB) startRestore() {
 	})
 	db.sched.Start()
 }
-
-// stopRestore quiesces the scheduler: queued repairs fail with
-// restore.ErrStopped (waking their waiters — the maintenance campaign
-// among them), the in-flight repair completes, and every worker is joined.
-// Crash, Close, and FailDevice call it BEFORE stopMaintenance (the scrub
-// campaign parks on repair futures; failing them first lets the campaign
-// goroutine reach its own quit check) and before the log is sealed — a
-// worker mid-repair reads the log and appends recovery records, so the
-// same WAL-safety ordering the maintenance service observes applies here.
-func (db *DB) stopRestore() { db.sched.Stop() }
 
 // performRepair makes a page healthy from outside the read path — the
 // scheduler workers' repair routine, and what healDetected runs itself.
@@ -281,10 +270,12 @@ func (db *DB) repairNow(id page.ID) error {
 	}
 }
 
-// startMaintenance launches the background maintenance service when the
-// options ask for it. Called once per DB, after bootstrap/recovery traffic
-// has settled, from the single goroutine constructing the DB.
-func (db *DB) startMaintenance() {
+// startBackground launches the archiver's loop and, when the options ask
+// for it, the maintenance service. Called once per DB, after
+// bootstrap/recovery traffic has settled, from the single goroutine
+// constructing the DB; goDown stops them.
+func (db *DB) startBackground() {
+	db.archiver.Start()
 	if !db.opts.Maintenance.Enabled {
 		return
 	}
@@ -296,15 +287,6 @@ func (db *DB) startMaintenance() {
 		Clock:       db.opts.clock,
 	})
 	db.maint.Start()
-}
-
-// stopMaintenance quiesces the service (idempotent; in-flight batches
-// complete). Crash and Close call it before touching the log or the pool,
-// so background write-back is quiesced exactly like foreground appenders.
-func (db *DB) stopMaintenance() {
-	if db.maint != nil {
-		db.maint.Stop()
-	}
 }
 
 // repairLatent repairs a latent failure the scrub campaign found: nobody

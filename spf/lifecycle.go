@@ -14,7 +14,7 @@ import (
 // and survives crashes), the retrying archive reader wired into the WAL's
 // truncated-read fallback, and the engines' op codecs through which the
 // archiver stores committed updates redo-only. The background loop is NOT
-// started here — call startLifecycle once the DB is fully constructed —
+// started here — startBackground starts it once the DB is fully constructed —
 // but the archiver exists immediately so the bootstrap (or post-restart)
 // checkpoint can push its redo horizon.
 func (db *DB) initLifecycle(prev *DB) {
@@ -45,17 +45,6 @@ func (db *DB) initLifecycle(prev *DB) {
 		}
 	}
 }
-
-// startLifecycle launches the archiver's background loop, one step every
-// 25 ms.
-func (db *DB) startLifecycle() { db.archiver.Start() }
-
-// stopLifecycle joins the archiver loop. Close, Crash, and FailDevice
-// call it BEFORE the log crashes or closes: an archiver step reads the
-// live log and calls Recycle, so no lifecycle work may race the log's
-// seal — the same WAL-safety ordering stopRestore and stopMaintenance
-// observe. Idempotent.
-func (db *DB) stopLifecycle() { db.archiver.Stop() }
 
 // archiveReleaseFloor is the engine-side clamp on the release horizon:
 // history is retained — in the archive, or in the live log without one —

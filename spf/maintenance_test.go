@@ -98,7 +98,10 @@ func TestCheckpointWritesBackPagesBelowTheWatermark(t *testing.T) {
 		t.Fatalf("%d dirty pages, want some below the 16-frame watermark", dirty)
 	}
 	writes := db.dev.Stats().Writes
-	db.opts.clock.Advance(time.Second) // every timer-driven loop runs a second
+	// Every loop on the injected clock runs a second, and a trigger on the
+	// wall clock gets 100 ms to show itself.
+	db.opts.clock.Advance(time.Second)
+	time.Sleep(100 * time.Millisecond)
 	if got := db.pool.DirtyCount(); got != dirty || db.dev.Stats().Writes != writes {
 		t.Fatalf("below the watermark, %d of %d dirty pages were written back without a trigger", dirty-got, dirty)
 	}

@@ -151,9 +151,8 @@ type Options struct {
 
 // LifecycleOptions tunes the log lifecycle (internal/archive). The zero
 // value of every field but Enabled selects the defaults noted per field.
-// The background archiver's cadence is not among them: it steps every
-// 25 ms, acting within that time on the horizons each checkpoint and
-// backup advance, and BackupNow and ArchiveNow step at once.
+// The archiver's cadence is fixed: it steps every 25 ms, and BackupNow and
+// ArchiveNow step at once.
 type LifecycleOptions struct {
 	// Enabled adds the log archive: the archiver drains history into it,
 	// live WAL segments recycle behind the checkpoint horizon, and
