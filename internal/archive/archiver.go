@@ -26,8 +26,9 @@ type Config struct {
 	// there is no archive — as long as anything can need them.
 	ReleaseFloor func() page.LSN
 	// RedoOnly strips an update's undo information (the engine's op codec:
-	// the archive names no opcode). Runs store a committed transaction's
-	// updates through it; nil keeps every update whole.
+	// the archive names no opcode) — a user update's old value, as system
+	// transactions log their redo alone. Runs store a committed
+	// transaction's updates through it; nil keeps every update whole.
 	RedoOnly func(op []byte) []byte
 	// Logf receives the graceful-degradation log lines (archive
 	// unavailable / recovered). Nil is silent.

@@ -607,7 +607,7 @@ func TestMetaRegistryOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a Applier
-	rec := &wal.Record{Payload: EncodeMetaPut("users", 42, 0)}
+	rec := &wal.Record{Payload: EncodeMetaPut("users", 42)}
 	if err := a.ApplyRedo(rec, pg); err != nil {
 		t.Fatal(err)
 	}
@@ -616,7 +616,7 @@ func TestMetaRegistryOps(t *testing.T) {
 		t.Fatalf("registry = %v, %v", got, err)
 	}
 	// Delete binding.
-	rec2 := &wal.Record{Payload: EncodeMetaPut("users", 0, 42)}
+	rec2 := &wal.Record{Payload: EncodeMetaPut("users", 0)}
 	if err := a.ApplyRedo(rec2, pg); err != nil {
 		t.Fatal(err)
 	}
@@ -680,7 +680,7 @@ func TestNodePayloadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sep := range []string{"m", "t"} {
-		if err := applyOp(encodeAdoptOp(opAdopt, []byte(sep), page.ID(i+2)), b); err != nil {
+		if err := applyOp(encodeAdopt([]byte(sep), page.ID(i+2)), b); err != nil {
 			t.Fatal(err)
 		}
 	}

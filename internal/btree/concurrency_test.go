@@ -222,7 +222,8 @@ func TestSplitRacingReaderSeesWholeLeaf(t *testing.T) {
 
 	// Perform the split under the held latch, mirroring fosterSplit: the
 	// foster child is fully allocated and written before the truncating
-	// apply installs its incoming pointer; the latch covers both steps.
+	// apply installs its incoming pointer; the latch covers both steps and
+	// the commit.
 	nd, err := parseNode(h.Page().Payload())
 	if err != nil {
 		t.Fatal(err)
@@ -238,15 +239,14 @@ func TestSplitRacingReaderSeesWholeLeaf(t *testing.T) {
 	}
 	childID := childH.ID()
 	childH.Release()
-	preImage := append([]byte(nil), h.Page().Payload()...)
-	if err := ops.LogApply(st, h, encodeSplitTruncate(childID, fosterKey, preImage)); err != nil {
+	if err := ops.LogApply(st, h, encodeSplitTruncate(childID, fosterKey)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	h.Unlock()
 	h.Release()
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
 
 	wg.Wait()
 	close(results)
@@ -305,7 +305,6 @@ func TestAdoptionRacingReaderSeesConsistentPair(t *testing.T) {
 	childN := snapshotNode(t, childH)
 	fosterPID := childN.foster
 	fosterKey := childN.high.k
-	oldChainHigh := childN.chain
 
 	// Keys owned by the foster child F — the ones whose routing flips from
 	// "via child's foster pointer" to "via parent's new separator".
@@ -338,19 +337,19 @@ func TestAdoptionRacingReaderSeesConsistentPair(t *testing.T) {
 	}
 
 	st := p.BeginSystem()
-	if err := ops.LogApply(st, parentH, encodeAdoptOp(opAdopt, fosterKey, fosterPID)); err != nil {
+	if err := ops.LogApply(st, parentH, encodeAdopt(fosterKey, fosterPID)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ops.LogApply(st, childH, encodeFosterOp(opClearFoster, fosterPID, oldChainHigh)); err != nil {
+	if err := ops.LogApply(st, childH, encodeClearFoster()); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	childH.Unlock()
 	parentH.Unlock()
 	childH.Release()
 	parentH.Release()
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
 
 	wg.Wait()
 	close(results)

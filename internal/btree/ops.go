@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -14,15 +13,16 @@ import (
 
 // Op codes for the redo payloads of B-tree log records. Redo is physical
 // ("applies to the same data pages", §5.1.2): every op is deterministic
-// given the page's prior state and always applied forward — compensation
-// during rollback logs a CLR whose payload is itself a forward op (the
-// inverse), so redo never distinguishes normal records from CLRs.
+// given the page's prior state and always applied forward — a compensation
+// logs a CLR whose payload is itself a forward op, so redo never
+// distinguishes normal records from CLRs.
 //
-// Undo of user-level leaf ops is logical (a fresh descent finds the key
-// wherever splits moved it, §5.1.2); undo of system-transaction structural
-// ops is physical inverse, which is safe because system transactions hold
-// their page latches until commit, so no other work can intervene on those
-// pages before a crash.
+// Only the user ops carry undo information, and their undo is logical (a
+// fresh descent finds the key wherever splits moved it, §5.1.2). A
+// structural op is its redo alone: system transactions are redo-only.
+// Restart drops one the crash cut (recovery.Analyze), and a runtime abort
+// puts back the copies taken before the first change to each page, logged
+// as opReplaceNode CLRs (txn.Txn.Abort). Retired codes stay reserved.
 const (
 	opInvalid uint8 = iota
 	// opLeafInsert: tree root, key, value. User op.
@@ -32,30 +32,26 @@ const (
 	opLeafGhost
 	// opLeafUpdate: tree root, key, new value, old value. User op.
 	opLeafUpdate
-	// opLeafPurge: key, old value, old ghost flag. Physical removal of an
-	// entry (ghost cleanup by system transactions; insert compensation).
+	// opLeafPurge: key. Physical removal of an entry (ghost cleanup by
+	// system transactions; insert compensation).
 	opLeafPurge
-	// opLeafReinsert: key, value, ghost flag. Physical reinsertion
-	// (compensation of opLeafPurge).
-	opLeafReinsert
-	// opSplitTruncate: foster pid, foster key, pre-image.
+	_ // 5, retired: the reinsert that compensated a purge
+	// opSplitTruncate: foster pid, foster key.
 	opSplitTruncate
-	// opClearFoster: foster pid, old chain-high fence.
+	// opClearFoster: no fields; the chain-high fence drops to the high
+	// fence and the foster pointer goes.
 	opClearFoster
-	// opSetFoster: foster pid, chain-high fence (compensation of
-	// opClearFoster).
-	opSetFoster
+	_ // 8, retired: the set-foster that compensated a foster clear
 	// opAdopt: separator, child pid.
 	opAdopt
-	// opDeAdopt: separator, child pid (compensation of opAdopt).
-	opDeAdopt
-	// opReplaceNode: new payload, old payload (root growth; also the
-	// compensation of opSplitTruncate and of itself).
+	_ // 10, retired: the de-adopt that compensated an adopt
+	// opReplaceNode: new payload (root growth; a system transaction's
+	// abort putting a copy back).
 	opReplaceNode
-	// opMetaPut: tree name, root pid, old root pid. Root == 0 deletes
-	// the binding.
+	// opMetaPut: tree name, root pid. Root == 0 deletes the binding.
 	opMetaPut
-	// opRawSet: new payload, old payload. For TypeRaw test pages.
+	// opRawSet: new payload, old payload. For TypeRaw test pages, whose
+	// tests undo it themselves.
 	opRawSet
 )
 
@@ -63,33 +59,19 @@ const (
 var ErrBadOp = pageop.ErrBadOp
 
 // kindOf maps the opcodes whose payload and semantics the hash index shares
-// (the five entry ops and the whole-payload replaces) to their shared op.
+// (the entry ops and the whole-payload replace) to their shared op.
 func kindOf(code uint8) pageop.Kind {
 	switch {
-	case code >= opLeafInsert && code <= opLeafReinsert:
+	case code >= opLeafInsert && code <= opLeafPurge:
 		return pageop.Insert + pageop.Kind(code-opLeafInsert)
-	case code == opReplaceNode || code == opRawSet:
+	case code == opReplaceNode:
 		return pageop.Replace
 	}
 	return pageop.None
 }
 
 // ops is the log-then-apply protocol bound to the B-tree's applier.
-var ops = pageop.Ops{Apply: applyOp, Inverse: inverseOp}
-
-func appendFence(b []byte, f fence) []byte {
-	if f.inf {
-		return append(b, 1)
-	}
-	return pageop.AppendBytes16(append(b, 0), f.k)
-}
-
-func readFence(c *pageop.Cursor) fence {
-	if c.U8() == 1 {
-		return infFence
-	}
-	return finite(c.Bytes16())
-}
+var ops = pageop.Ops{Apply: applyOp, Replace: opReplaceNode}
 
 func encodeLeafInsert(root page.ID, key, val []byte) []byte {
 	return pageop.EncodeInsert(opLeafInsert, root, key, val)
@@ -103,42 +85,36 @@ func encodeLeafUpdate(root page.ID, key, newVal, oldVal []byte) []byte {
 	return pageop.EncodeUpdate(opLeafUpdate, root, key, newVal, oldVal)
 }
 
-func encodeLeafPurge(key, oldVal []byte, wasGhost bool) []byte {
-	return pageop.EncodePurge(opLeafPurge, key, oldVal, wasGhost)
+func encodeLeafPurge(key []byte) []byte {
+	return pageop.EncodePurge(opLeafPurge, key)
 }
 
-func encodeSplitTruncate(fosterPID page.ID, fosterKey []byte, preImage []byte) []byte {
-	b := pageop.AppendU64([]byte{opSplitTruncate}, uint64(fosterPID))
-	return pageop.AppendBytes32(pageop.AppendBytes16(b, fosterKey), preImage)
+func encodeSplitTruncate(fosterPID page.ID, fosterKey []byte) []byte {
+	return pageop.AppendBytes16(pageop.AppendU64([]byte{opSplitTruncate}, uint64(fosterPID)), fosterKey)
 }
 
-// encodeFosterOp builds opClearFoster (chainHigh = the old chain-high
-// fence) or opSetFoster (chainHigh = the fence to install).
-func encodeFosterOp(code uint8, fosterPID page.ID, chainHigh fence) []byte {
-	return appendFence(pageop.AppendU64([]byte{code}, uint64(fosterPID)), chainHigh)
+func encodeClearFoster() []byte { return []byte{opClearFoster} }
+
+func encodeAdopt(sep []byte, child page.ID) []byte {
+	return pageop.AppendU64(pageop.AppendBytes16([]byte{opAdopt}, sep), uint64(child))
 }
 
-// encodeAdoptOp builds opAdopt or opDeAdopt.
-func encodeAdoptOp(code uint8, sep []byte, child page.ID) []byte {
-	return pageop.AppendU64(pageop.AppendBytes16([]byte{code}, sep), uint64(child))
-}
-
-func encodeReplaceNode(newPayload, oldPayload []byte) []byte {
-	return pageop.EncodeReplace(opReplaceNode, newPayload, oldPayload)
+func encodeReplaceNode(newPayload []byte) []byte {
+	return pageop.EncodeReplace(opReplaceNode, newPayload)
 }
 
 // EncodeMetaPut builds the op registering tree name -> root in the meta
-// page (root == InvalidID deletes the binding); oldRoot enables undo.
-func EncodeMetaPut(name string, root, oldRoot page.ID) []byte {
-	b := pageop.AppendBytes16([]byte{opMetaPut}, []byte(name))
-	return pageop.AppendU64(pageop.AppendU64(b, uint64(root)), uint64(oldRoot))
+// page (root == InvalidID deletes the binding).
+func EncodeMetaPut(name string, root page.ID) []byte {
+	return pageop.AppendU64(pageop.AppendBytes16([]byte{opMetaPut}, []byte(name)), uint64(root))
 }
 
 // EncodeRawSet builds an op payload replacing a TypeRaw page's contents;
 // used by tests, examples, and benchmarks that exercise recovery without a
-// B-tree.
+// B-tree. The old payload is for their own undoers.
 func EncodeRawSet(newPayload, oldPayload []byte) []byte {
-	return pageop.EncodeReplace(opRawSet, newPayload, oldPayload)
+	b := make([]byte, 0, 1+4+len(newPayload)+4+len(oldPayload))
+	return pageop.AppendBytes32(pageop.AppendBytes32(append(b, opRawSet), newPayload), oldPayload)
 }
 
 // Applier applies redo ops to pages; it implements core.RedoApplier for
@@ -164,10 +140,17 @@ func applyOp(payload []byte, pg *page.Page) error {
 		return pageop.Apply(k, payload, pg)
 	}
 	c := pageop.NewCursor(payload, 1)
-	if code == opMetaPut {
+	switch code {
+	case opRawSet:
+		newP := c.Bytes32()
+		c.Bytes32() // old payload: the tests' undo information only
+		if c.Err() != nil {
+			return fmt.Errorf("%w: %v", ErrBadOp, c.Err())
+		}
+		return pg.SetPayload(newP)
+	case opMetaPut:
 		name := string(c.Bytes16())
 		root := page.ID(c.U64())
-		c.U64() // old root: undo information only
 		if c.Err() != nil {
 			return fmt.Errorf("%w: %v", ErrBadOp, c.Err())
 		}
@@ -198,7 +181,6 @@ func applyOp(payload []byte, pg *page.Page) error {
 		// (§4.2).
 		fosterPID := page.ID(c.U64())
 		fosterKey := c.Bytes16()
-		c.Bytes32() // pre-image: undo information only
 		if c.Err() != nil {
 			return fmt.Errorf("%w: %v", ErrBadOp, c.Err())
 		}
@@ -211,23 +193,10 @@ func applyOp(payload []byte, pg *page.Page) error {
 		}
 		return setFoster(pg, fosterPID, slotHigh, finite(fosterKey))
 	case opClearFoster:
-		c.U64()       // cleared foster pid: undo information only
-		readFence(&c) // old chain high: undo information only
-		if c.Err() != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, c.Err())
-		}
 		// chain-high = high, copied: the fence aliases the page spliced.
 		return setFoster(pg, page.InvalidID, slotChain, n.high.clone())
-	case opSetFoster:
-		fosterPID := page.ID(c.U64())
-		chainHigh := readFence(&c)
-		if c.Err() != nil {
-			return fmt.Errorf("%w: %v", ErrBadOp, c.Err())
-		}
-		return setFoster(pg, fosterPID, slotChain, chainHigh)
-	case opAdopt, opDeAdopt:
-		// (sep, child) enters or leaves a branch: child covers
-		// [sep, nextSep).
+	case opAdopt:
+		// (sep, child) enters a branch: child covers [sep, nextSep).
 		sep := c.Bytes16()
 		child := c.Take(8)
 		if c.Err() != nil {
@@ -237,19 +206,10 @@ func applyOp(payload []byte, pg *page.Page) error {
 		if err != nil {
 			return err
 		}
-		if code == opAdopt {
-			if found {
-				return fmt.Errorf("%w: separator %q", ErrKeyExists, sep)
-			}
-			return pg.InsertRecord(i, sep, child, false)
+		if found {
+			return fmt.Errorf("%w: separator %q", ErrKeyExists, sep)
 		}
-		if !found {
-			return fmt.Errorf("%w: adopt undo separator %q not found", ErrBadOp, sep)
-		}
-		if _, cur, _, _ := n.Record(i); !bytes.Equal(cur, child) {
-			return fmt.Errorf("%w: adopt undo child mismatch", ErrBadOp)
-		}
-		return pg.RemoveRecords(i, i+1)
+		return pg.InsertRecord(i, sep, child, false)
 	default:
 		return fmt.Errorf("%w: opcode %d", ErrBadOp, code)
 	}
@@ -284,47 +244,28 @@ func setFoster(pg *page.Page, foster page.ID, slot int, f fence) error {
 
 // RedoOnly returns op without its undo information, which is what the log
 // archive keeps of an update whose transaction has committed: the old
-// value of a leaf update or purge, the old payload of a node or raw
-// replace, the pre-image of a split truncate. applyOp leaves the same page
-// either way; any other op comes back as op itself.
+// value of a leaf update, the only undo field a B-tree op logs but a raw
+// set's. applyOp leaves the same page either way; any other op comes back
+// as op itself.
 func RedoOnly(op []byte) []byte {
 	if len(op) == 0 {
 		return op
 	}
-	if k := kindOf(op[0]); k != pageop.None {
-		return pageop.RedoOnly(k, op)
-	}
-	if op[0] != opSplitTruncate {
-		return op
-	}
-	c := pageop.NewCursor(op, 1)
-	c.U64()     // foster pid
-	c.Bytes16() // foster key
-	return c.WithoutBytes32()
+	return pageop.RedoOnly(kindOf(op[0]), op)
 }
 
-// IsUserLeafOp reports whether a record payload is a user-level leaf op
-// requiring logical undo (vs a structural op undone physically).
-func IsUserLeafOp(payload []byte) bool {
-	if len(payload) == 0 {
-		return false
-	}
-	switch payload[0] {
-	case opLeafInsert, opLeafGhost, opLeafUpdate:
-		return true
-	}
-	return false
-}
-
-// Compensate undoes one update record during rollback, logging a CLR whose
-// payload is the forward-applicable inverse op. User-level leaf ops are
-// undone logically through a fresh descent; structural ops are undone
-// physically on the page they touched.
+// Compensate undoes one user update record during rollback through a fresh
+// descent, logging a CLR whose payload is the forward-applicable
+// compensation. Only user transactions roll back this way; a structural op
+// is never compensated (see the opcode table).
 func Compensate(t *txn.Txn, pager Pager, rec *wal.Record) error {
-	if !IsUserLeafOp(rec.Payload) {
-		return ops.CompensatePhysical(t, pager.Fetch, rec)
+	k := pageop.None
+	if len(rec.Payload) > 0 {
+		k = kindOf(rec.Payload[0])
 	}
-	k := kindOf(rec.Payload[0])
+	if k != pageop.Insert && k != pageop.Ghost && k != pageop.Update {
+		return fmt.Errorf("%w: no user op to compensate at LSN %d", ErrBadOp, rec.LSN)
+	}
 	u, err := pageop.ParseUser(k, rec.Payload)
 	if err != nil {
 		return err
@@ -338,47 +279,6 @@ func Compensate(t *txn.Txn, pager Pager, rec *wal.Record) error {
 	default:
 		return tr.undoUpdate(t, u.Key, u.OldVal, rec.PrevLSN)
 	}
-}
-
-// inverseOp constructs the forward-applicable compensation op for a
-// structural op, given the page's current contents.
-func inverseOp(payload []byte, pg *page.Page) ([]byte, error) {
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("%w: empty payload", ErrBadOp)
-	}
-	if k := kindOf(payload[0]); k != pageop.None {
-		return pageop.Inverse(k, payload, pg)
-	}
-	c := pageop.NewCursor(payload, 1)
-	var inv []byte
-	switch payload[0] {
-	case opSplitTruncate:
-		c.U64()
-		c.Bytes16()
-		inv = encodeReplaceNode(c.Bytes32(), pg.Payload())
-	case opClearFoster:
-		inv = encodeFosterOp(opSetFoster, page.ID(c.U64()), readFence(&c))
-	case opSetFoster:
-		fosterPID := page.ID(c.U64())
-		n, err := parseNode(pg.Payload())
-		if err != nil {
-			return nil, err
-		}
-		inv = encodeFosterOp(opClearFoster, fosterPID, n.chain)
-	case opAdopt:
-		inv = encodeAdoptOp(opDeAdopt, c.Bytes16(), page.ID(c.U64()))
-	case opDeAdopt:
-		inv = encodeAdoptOp(opAdopt, c.Bytes16(), page.ID(c.U64()))
-	case opMetaPut:
-		name, root, oldRoot := string(c.Bytes16()), page.ID(c.U64()), page.ID(c.U64())
-		inv = EncodeMetaPut(name, oldRoot, root)
-	default:
-		return nil, fmt.Errorf("%w: no inverse for opcode %d", ErrBadOp, payload[0])
-	}
-	if c.Err() != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadOp, c.Err())
-	}
-	return inv, nil
 }
 
 // Meta-page registry: the named-tree directory stored in the engine's meta

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/page"
-	"repro/internal/pageop"
 )
 
 // TestOpPayloadsMatchParentFormat pins the WAL contract across the page
@@ -14,7 +13,10 @@ import (
 // the bytes the decode→struct→encode implementation wrote (the hex strings
 // were captured from it), and replaying those bytes through applyOp moves a
 // page through the states the op describes. Log records, archive runs and
-// CLRs written before the change therefore stay replayable.
+// CLRs written before the change therefore stay replayable. The structural
+// ops lost their undo fields since (system transactions are redo-only):
+// their hex is the redo part of the old format, and the retired
+// compensation-only codes 5, 8 and 10 are skipped.
 func TestOpPayloadsMatchParentFormat(t *testing.T) {
 	kb, kc := []byte("kb"), []byte("kc")
 	leaf := page.New(1, page.TypeBTree, 512)
@@ -67,51 +69,46 @@ func TestOpPayloadsMatchParentFormat(t *testing.T) {
 		{"opLeafUpdate", "03070000000000000002006b62030000006e65770300000076616c",
 			encodeLeafUpdate(7, kb, []byte("new"), []byte("val")), leaf,
 			func() bool { _, v, g, ok := record(leaf); return ok && v == "new" && g }},
-		{"opLeafPurge", "0402006b62030000006e657701",
-			encodeLeafPurge(kb, []byte("new"), true), leaf,
+		{"opLeafPurge", "0402006b62",
+			encodeLeafPurge(kb), leaf,
 			func() bool { _, _, _, ok := record(leaf); return !ok }},
-		{"opLeafReinsert", "0502006b62030000006e657701",
-			pageop.EncodeReinsert(opLeafReinsert, kb, []byte("new"), true), leaf,
-			func() bool { k, v, g, ok := record(leaf); return ok && k == "kb" && v == "new" && g }},
-		{"opSplitTruncate", "06090000000000000002006b6303000000505245",
-			encodeSplitTruncate(9, kc, []byte("PRE")), leaf,
+		{"opSplitTruncate", "06090000000000000002006b63",
+			encodeSplitTruncate(9, kc), leaf,
 			func() bool {
 				n := node(leaf)
-				return n.foster == 9 && n.high.equal(finite(kc)) && n.chain.inf && n.Count() == 1
+				return n.foster == 9 && n.high.equal(finite(kc)) && n.chain.inf && n.Count() == 0
 			}},
-		{"opClearFoster", "0709000000000000000002006b7a",
-			encodeFosterOp(opClearFoster, 9, finite([]byte("kz"))), leaf,
+		{"opClearFoster", "07",
+			encodeClearFoster(), leaf,
 			func() bool { n := node(leaf); return !n.hasFoster() && n.chain.equal(finite(kc)) }},
-		{"opSetFoster", "08090000000000000001",
-			encodeFosterOp(opSetFoster, 9, infFence), leaf,
-			func() bool { n := node(leaf); return n.foster == 9 && n.chain.inf && n.high.equal(finite(kc)) }},
 		{"opAdopt", "0901006d0c00000000000000",
-			encodeAdoptOp(opAdopt, []byte("m"), 12), branch,
+			encodeAdopt([]byte("m"), 12), branch,
 			func() bool {
 				n := node(branch)
 				c, err := n.child(1)
 				return n.fanout() == 2 && err == nil && c == 12
 			}},
-		{"opDeAdopt", "0a01006d0c00000000000000",
-			encodeAdoptOp(opDeAdopt, []byte("m"), 12), branch,
-			func() bool { n := node(branch); return n.fanout() == 1 }},
-		{"opReplaceNode", "0b030000004e4557030000004f4c44",
-			encodeReplaceNode([]byte("NEW"), []byte("OLD")), branch,
+		{"opReplaceNode", "0b030000004e4557",
+			encodeReplaceNode([]byte("NEW")), branch,
 			func() bool { return string(branch.Payload()) == "NEW" }},
-		{"opMetaPut", "0c030069647805000000000000000000000000000000",
-			EncodeMetaPut("idx", 5, 0), meta,
+		{"opMetaPut", "0c03006964780500000000000000",
+			EncodeMetaPut("idx", 5), meta,
 			func() bool { reg, err := DecodeRegistry(meta.Payload()); return err == nil && reg["idx"] == 5 }},
 		{"opRawSet", "0d04000000726177320400000072617731",
 			EncodeRawSet([]byte("raw2"), []byte("raw1")), raw,
 			func() bool { return string(raw.Payload()) == "raw2" }},
 	}
-	for i, s := range steps {
+	code := uint8(0)
+	for _, s := range steps {
 		golden, err := hex.DecodeString(s.golden)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int(golden[0]) != i+1 {
-			t.Fatalf("%s: golden carries opcode %d, want %d", s.name, golden[0], i+1)
+		if code++; code == 5 || code == 8 || code == 10 {
+			code++ // a retired opcode
+		}
+		if golden[0] != code {
+			t.Fatalf("%s: golden carries opcode %d, want %d", s.name, golden[0], code)
 		}
 		if !bytes.Equal(s.enc, golden) {
 			t.Errorf("%s: encoder wrote %x, parent format is %x", s.name, s.enc, golden)
@@ -131,10 +128,9 @@ func TestOpPayloadsMatchParentFormat(t *testing.T) {
 // TestRedoOnlyAppliesAlike walks a page of every kind through every B-tree
 // opcode twice, once with the whole ops and once with their RedoOnly
 // forms: the pages stay byte-identical; RedoOnly cuts exactly the undo
-// field (the old value of an update or purge, the old payload of a replace,
-// the split pre-image), is its own fixed point, never grows an op nor
-// writes to it, and hands every other op back unchanged. Every truncation of
-// each op fails alike in both forms, or applies alike.
+// field of a user update (its old value), is its own fixed point, never
+// grows an op nor writes to it, and hands every other op back unchanged.
+// Every truncation of each op fails alike in both forms, or applies alike.
 func TestRedoOnlyAppliesAlike(t *testing.T) {
 	kb, kc := []byte("kb"), []byte("kc")
 	pages := func() []*page.Page {
@@ -159,16 +155,13 @@ func TestRedoOnlyAppliesAlike(t *testing.T) {
 		{"opLeafInsert", encodeLeafInsert(7, kb, []byte("val")), leaf, 0},
 		{"opLeafGhost", encodeLeafGhost(7, kb, true, false), leaf, 0},
 		{"opLeafUpdate", encodeLeafUpdate(7, kb, []byte("new"), []byte("val")), leaf, 3},
-		{"opLeafPurge", encodeLeafPurge(kb, []byte("new"), true), leaf, 3},
-		{"opLeafReinsert", pageop.EncodeReinsert(opLeafReinsert, kb, []byte("new"), true), leaf, 0},
-		{"opSplitTruncate", encodeSplitTruncate(9, kc, []byte("PRE")), leaf, 3},
-		{"opClearFoster", encodeFosterOp(opClearFoster, 9, finite([]byte("kz"))), leaf, 0},
-		{"opSetFoster", encodeFosterOp(opSetFoster, 9, infFence), leaf, 0},
-		{"opAdopt", encodeAdoptOp(opAdopt, []byte("m"), 12), branch, 0},
-		{"opDeAdopt", encodeAdoptOp(opDeAdopt, []byte("m"), 12), branch, 0},
-		{"opReplaceNode", encodeReplaceNode([]byte("NEW"), []byte("OLD")), branch, 3},
-		{"opMetaPut", EncodeMetaPut("idx", 5, 0), meta, 0},
-		{"opRawSet", EncodeRawSet([]byte("raw2"), []byte("raw1")), raw, 4},
+		{"opLeafPurge", encodeLeafPurge(kb), leaf, 0},
+		{"opSplitTruncate", encodeSplitTruncate(9, kc), leaf, 0},
+		{"opClearFoster", encodeClearFoster(), leaf, 0},
+		{"opAdopt", encodeAdopt([]byte("m"), 12), branch, 0},
+		{"opReplaceNode", encodeReplaceNode([]byte("NEW")), branch, 0},
+		{"opMetaPut", EncodeMetaPut("idx", 5), meta, 0},
+		{"opRawSet", EncodeRawSet([]byte("raw2"), []byte("raw1")), raw, 0},
 	}
 	for _, s := range steps {
 		orig := bytes.Clone(s.op)

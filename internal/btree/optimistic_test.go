@@ -58,7 +58,6 @@ func TestOptimisticReaderFallsBackDuringAdoption(t *testing.T) {
 	childN := snapshotNode(t, childH)
 	fosterPID := childN.foster
 	fosterKey := childN.high.k
-	oldChainHigh := childN.chain
 
 	// A key the foster child owns: its descent routes through parentID.
 	fosterH, err := p.Fetch(fosterPID)
@@ -112,19 +111,19 @@ func TestOptimisticReaderFallsBackDuringAdoption(t *testing.T) {
 	}
 
 	st := p.BeginSystem()
-	if err := ops.LogApply(st, parentH, encodeAdoptOp(opAdopt, fosterKey, fosterPID)); err != nil {
+	if err := ops.LogApply(st, parentH, encodeAdopt(fosterKey, fosterPID)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ops.LogApply(st, childH, encodeFosterOp(opClearFoster, fosterPID, oldChainHigh)); err != nil {
+	if err := ops.LogApply(st, childH, encodeClearFoster()); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	childH.Unlock()
 	parentH.Unlock()
 	childH.Release()
 	parentH.Release()
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
 	wg.Wait()
 	close(results)
 	for err := range results {

@@ -511,24 +511,18 @@ func (tr *Tree) tryAdopt(parentID, childID page.ID, lt *latchTracker) (bool, err
 		return false, tr.makeSpace(childID, grow, nil, true, lt)
 	}
 
+	// The system transaction ends before the latches go (see ops.go): an
+	// abort puts the parent back, so no half-applied adoption leaves a
+	// second incoming pointer.
 	st := tr.pager.BeginSystem()
-	if err := ops.LogApply(st, parentH, encodeAdoptOp(opAdopt, fosterKey, fosterPID)); err != nil {
-		lt.unlatch(childH, true)
-		lt.unlatch(parentH, true)
-		_ = st.Abort()
-		return false, err
+	err = ops.LogApply(st, parentH, encodeAdopt(fosterKey, fosterPID))
+	if err == nil {
+		err = ops.LogApply(st, childH, encodeClearFoster())
 	}
-	if err = ops.LogApply(st, childH, encodeFosterOp(opClearFoster, fosterPID, oldChainHigh)); err == nil {
-		err = st.Commit() // before the latches go: its undo is physical (ops.go)
-	}
+	err = st.End(err)
 	lt.unlatch(childH, true)
 	lt.unlatch(parentH, true)
 	if err != nil {
-		// The adopt half already applied to the parent: abort so its CLR
-		// (deAdopt) removes the second incoming pointer instead of
-		// leaking a half-applied adoption and an open system txn. The
-		// latches are released, so the abort can re-latch freely.
-		_ = st.Abort()
 		return false, err
 	}
 	tr.adoptions.Add(1)
@@ -694,11 +688,11 @@ func (tr *Tree) Delete(tx *txn.Txn, key []byte) error {
 // user operations during rollback: a fresh descent finds the key wherever
 // splits may have moved it, and a CLR records the compensation.
 func (tr *Tree) undoInsert(t *txn.Txn, key []byte, undoNext page.LSN) error {
-	return tr.compensate(t, key, undoNext, func(curVal []byte, ghost bool) ([]byte, int) {
+	return tr.compensate(t, key, undoNext, func([]byte, bool) ([]byte, int) {
 		// Inverse of insert: remove the record. Ghosting suffices
 		// logically, but physical purge reclaims the space directly
 		// and keeps rollback idempotent.
-		return encodeLeafPurge(key, curVal, ghost), 0
+		return encodeLeafPurge(key), 0
 	})
 }
 
@@ -790,16 +784,11 @@ func (tr *Tree) makeSpace(id page.ID, need int, key []byte, purge bool, lt *latc
 			}
 			return st
 		})
-		if st != nil && err == nil {
-			err = st.Commit()
-			lt.unpin(h, true)
-			return err
+		if st != nil {
+			err = st.End(err) // an abort puts the leaf back under its latch
 		}
-		if err != nil {
+		if st != nil || err != nil {
 			lt.unpin(h, true)
-			if st != nil {
-				_ = st.Abort() // roll earlier purges back; latch released
-			}
 			return err
 		}
 	}
@@ -845,24 +834,19 @@ func (tr *Tree) fosterSplit(id page.ID, need int, key []byte, lt *latchTracker) 
 		return err
 	}
 
+	// The system transaction ends before the latch goes. An abort puts the
+	// node back; a child already formatted is left an orphan no pointer
+	// reaches.
 	st := tr.pager.BeginSystem()
 	childH, err := tr.pager.AllocateNode(st, page.TypeBTree, child.Payload())
-	if err != nil {
-		lt.unpin(h, true)
-		_ = st.Abort()
-		return err
+	if err == nil {
+		childID := childH.ID()
+		childH.Release()
+		err = ops.LogApply(st, h, encodeSplitTruncate(childID, fosterKey))
 	}
-	childID := childH.ID()
-	childH.Release()
-	// The op encoder copies the pre-image out before the op applies.
-	if err = ops.LogApply(st, h, encodeSplitTruncate(childID, fosterKey, h.Page().Payload())); err == nil {
-		err = st.Commit()
-	}
+	err = st.End(err)
 	lt.unpin(h, true)
 	if err != nil {
-		// Reclaim the orphaned child allocation and close the system
-		// txn; the latch is released, so the abort can re-latch freely.
-		_ = st.Abort()
 		return err
 	}
 	tr.splits.Add(1)
@@ -890,26 +874,20 @@ func (tr *Tree) growRoot(need int, lt *latchTracker) error {
 		lt.unpin(h, true)
 		return nil
 	}
-	oldPayload := append([]byte(nil), h.Page().Payload()...)
 	st := tr.pager.BeginSystem()
 	// M: a verbatim copy of the root's contents and fences.
-	mH, err := tr.pager.AllocateNode(st, page.TypeBTree, oldPayload)
-	if err != nil {
-		lt.unpin(h, true)
-		_ = st.Abort()
-		return err
+	mH, err := tr.pager.AllocateNode(st, page.TypeBTree, h.Page().Payload())
+	if err == nil {
+		mID := mH.ID()
+		mH.Release()
+		// n's fences alias the root page, which stays untouched until the
+		// op (whose encoder copies the new payload) applies.
+		newRoot := newNodePayload(n.level+1, n.low, n.high, n.chain, page.InvalidID, mID)
+		err = ops.LogApply(st, h, encodeReplaceNode(newRoot))
 	}
-	mID := mH.ID()
-	mH.Release()
-	// n's fences alias the root page, which stays untouched until the op
-	// (whose encoder copies both payloads) applies.
-	newRoot := newNodePayload(n.level+1, n.low, n.high, n.chain, page.InvalidID, mID)
-	if err = ops.LogApply(st, h, encodeReplaceNode(newRoot, oldPayload)); err == nil {
-		err = st.Commit()
-	}
+	err = st.End(err) // before the latch goes, like a foster split
 	lt.unpin(h, true)
 	if err != nil {
-		_ = st.Abort() // reclaim M and close the system txn
 		return err
 	}
 	tr.rootIsBranch.Store(true)

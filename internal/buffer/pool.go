@@ -897,10 +897,10 @@ func (p *Pool) evictFromShard(s *shard) (bool, error) {
 }
 
 // flushFrame writes a dirty frame back to the device, observing the
-// write-ahead-log protocol (force the log up to the PageLSN first) and the
-// Fig. 11 sequence (completed-write records appended before the frame can
-// be evicted). It takes no shard lock; per-frame flushMu serializes
-// concurrent flushers of the same page.
+// write-ahead-log protocol (force the log through everything published
+// first) and the Fig. 11 sequence (completed-write records appended before
+// the frame can be evicted). It takes no shard lock; per-frame flushMu
+// serializes concurrent flushers of the same page.
 func (p *Pool) flushFrame(f *frame, wait bool) error {
 	recs, _, err := p.writeBack(f, wait)
 	if err != nil {
@@ -946,8 +946,14 @@ func (p *Pool) writeBack(f *frame, wait bool) ([]*wal.Record, bool, error) {
 		return nil, false, nil
 	}
 	// WAL protocol: no dirty page reaches the database before its log — nor
-	// ever, once a crash sealed the log below the page's records.
-	if err := p.log.Flush(f.pg.LSN()); err != nil {
+	// ever, once a crash sealed the log below the page's records. The force
+	// covers everything published, not only the page's own records: a system
+	// transaction holds the latches of the pages it changed until its commit
+	// is appended, so the commit of every change this image holds is already
+	// published, and the image leaves the pool only behind it. A crash can
+	// then never find on the device a change of a system transaction that
+	// restart drops (recovery.Analyze).
+	if err := p.log.FlushPublished(); err != nil {
 		f.latch.RUnlock()
 		return nil, false, fmt.Errorf("buffer: flush of page %d: %w", f.id, err)
 	}
@@ -1028,7 +1034,7 @@ func (p *Pool) FlushBatch(max int) (int, error) {
 	}
 	// One sequential force covers every victim's PageLSN (they are all
 	// already published); the per-frame force inside writeBack then only
-	// fires for pages updated after this point.
+	// fires for records published after this point.
 	p.log.FlushAll()
 	var recs []*wal.Record
 	wrote := 0

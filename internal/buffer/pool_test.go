@@ -1113,10 +1113,12 @@ func TestWriteInfoCountsUpdatesSinceTheLastWriteBack(t *testing.T) {
 }
 
 // TestWriteBackRefusedOnceTheLogIsSealed: the write-ahead rule holds across
-// a crash. A page whose record the crash left above the sealed log's stable
-// prefix is never written — the device is untouched and the page stays
-// dirty — and the write-back reports wal.ErrSealed; a page whose log
-// survived is written as before.
+// a crash. While a record the crash left above the sealed log's stable
+// prefix is published, no page is written — the device is untouched, the
+// page stays dirty, and the write-back reports wal.ErrSealed — not even a
+// page whose own records survived: its image may hold a system
+// transaction's change whose commit is that record. A page is written as
+// before once everything published is stable.
 func TestWriteBackRefusedOnceTheLogIsSealed(t *testing.T) {
 	e := newEnv(t, 4, Hooks{})
 	durable := e.newPage(t, "logged")
@@ -1124,12 +1126,20 @@ func TestWriteBackRefusedOnceTheLogIsSealed(t *testing.T) {
 	lost := e.newPage(t, "unlogged")
 	e.log.Crash()
 	writes := e.dev.Stats().Writes
-	if err := e.pool.FlushPage(lost); !errors.Is(err, wal.ErrSealed) {
-		t.Fatalf("write-back of a page whose log the crash cut = %v, want wal.ErrSealed", err)
+	for _, id := range []page.ID{lost, durable} {
+		if err := e.pool.FlushPage(id); !errors.Is(err, wal.ErrSealed) {
+			t.Fatalf("write-back of page %d with a record the crash cut published = %v, want wal.ErrSealed", id, err)
+		}
+		if got := e.dev.Stats().Writes; got != writes || !e.pool.IsDirty(id) {
+			t.Fatalf("refused write-back reached the device (%d -> %d writes) or cleaned the frame", writes, got)
+		}
 	}
-	if got := e.dev.Stats().Writes; got != writes || !e.pool.IsDirty(lost) {
-		t.Fatalf("refused write-back reached the device (%d -> %d writes) or cleaned the frame", writes, got)
-	}
+
+	e = newEnv(t, 4, Hooks{})
+	durable = e.newPage(t, "logged")
+	e.log.FlushAll()
+	e.log.Crash()
+	writes = e.dev.Stats().Writes
 	if err := e.pool.FlushPage(durable); err != nil {
 		t.Fatalf("write-back of a page whose log survived: %v", err)
 	}

@@ -437,7 +437,7 @@ func E05SystemTxnOverhead(userTxns, updatesPer int) (*E05Result, error) {
 	t.Row("committed", userCommits, sysCommits)
 	t.Row("log forces at commit", forces, 0)
 	t.Row("invoked by", "user request", "splits/adoptions/ghost cleanup")
-	t.Row("rollback", "logical (per-txn chain + CLRs)", "physical inverse")
+	t.Row("rollback", "logical (per-txn chain + CLRs)", "redo-only: copies put back; dropped at restart")
 	t.Caption = fmt.Sprintf("%d log forces for %d user commits; %d structural system txns forced nothing",
 		forces, userCommits, sysCommits)
 	return &E05Result{

@@ -17,9 +17,10 @@ import (
 // The discipline mirrors the B-tree's exactly (§5.1.2): redo is physical
 // and always forward (CLR payloads are themselves forward ops); undo of
 // user ops is logical through a fresh descent (a split may have moved the
-// key to another bucket); undo of structural/system ops is physical
-// inverse, safe because system transactions hold their page latches until
-// commit.
+// key to another bucket); a structural op is its redo alone, for system
+// transactions are redo-only — restart drops one the crash cut, and a
+// runtime abort puts back the copies taken before the first change to each
+// page, logged as opHashPageSet CLRs (txn.Txn.Abort).
 const (
 	// opHashInsert: directory pid, key, value. User op (insert or ghost
 	// revival).
@@ -29,15 +30,15 @@ const (
 	opHashGhost
 	// opHashUpdate: directory pid, key, new value, old value. User op.
 	opHashUpdate
-	// opHashPurge: key, old value, old ghost flag. Physical removal
-	// (ghost reclamation, entry relocation, insert compensation).
+	// opHashPurge: key. Physical removal (ghost reclamation, entry
+	// relocation, insert compensation).
 	opHashPurge
-	// opHashReinsert: key, value, ghost flag. Physical reinsertion
-	// (entry relocation; compensation of opHashPurge).
+	// opHashReinsert: key, value, ghost flag. Physical reinsertion (entry
+	// relocation).
 	opHashReinsert
-	// opHashPageSet: new payload, old payload. Full-page rewrite: bucket
-	// split rewrites, overflow linking, directory updates. Compensation
-	// of itself.
+	// opHashPageSet: new payload. Full-page rewrite: bucket split
+	// rewrites, overflow linking, directory updates, and a system
+	// transaction's abort putting a copy back.
 	opHashPageSet
 )
 
@@ -64,7 +65,7 @@ func kindOf(code uint8) pageop.Kind {
 }
 
 // ops is the log-then-apply protocol bound to the hash index's opcodes.
-var ops = pageop.Ops{Apply: applyOp, Inverse: inverseOp}
+var ops = pageop.Ops{Apply: applyOp, Replace: opHashPageSet}
 
 func encodeInsert(dir page.ID, key, val []byte) []byte {
 	return pageop.EncodeInsert(opHashInsert, dir, key, val)
@@ -78,16 +79,16 @@ func encodeUpdate(dir page.ID, key, newVal, oldVal []byte) []byte {
 	return pageop.EncodeUpdate(opHashUpdate, dir, key, newVal, oldVal)
 }
 
-func encodePurge(key, oldVal []byte, wasGhost bool) []byte {
-	return pageop.EncodePurge(opHashPurge, key, oldVal, wasGhost)
+func encodePurge(key []byte) []byte {
+	return pageop.EncodePurge(opHashPurge, key)
 }
 
 func encodeReinsert(key, val []byte, ghost bool) []byte {
 	return pageop.EncodeReinsert(opHashReinsert, key, val, ghost)
 }
 
-func encodePageSet(newPayload, oldPayload []byte) []byte {
-	return pageop.EncodeReplace(opHashPageSet, newPayload, oldPayload)
+func encodePageSet(newPayload []byte) []byte {
+	return pageop.EncodeReplace(opHashPageSet, newPayload)
 }
 
 // Applier applies hash-index redo ops to pages; it implements
@@ -109,8 +110,8 @@ func applyOp(payload []byte, pg *page.Page) error {
 
 // RedoOnly returns op without its undo information, which is what the log
 // archive keeps of an update whose transaction has committed: the old
-// value of an update or purge, the old payload of a page set. applyOp
-// leaves the same page either way; any other op comes back as op itself.
+// value of an update, the only undo field a hash op logs. applyOp leaves
+// the same page either way; any other op comes back as op itself.
 func RedoOnly(op []byte) []byte {
 	if !IsHashOp(op) {
 		return op
@@ -118,24 +119,17 @@ func RedoOnly(op []byte) []byte {
 	return pageop.RedoOnly(kindOf(op[0]), op)
 }
 
-func inverseOp(payload []byte, pg *page.Page) ([]byte, error) {
-	if !IsHashOp(payload) {
-		return nil, fmt.Errorf("%w: not a hash op", ErrBadOp)
-	}
-	return pageop.Inverse(kindOf(payload[0]), payload, pg)
-}
-
-// Compensate undoes one update record during rollback, logging a CLR whose
-// payload is the forward-applicable inverse op. User ops are undone
-// logically through a fresh descent; structural ops are undone physically
-// on the page they touched.
+// Compensate undoes one user update record during rollback through a fresh
+// descent, logging a CLR whose payload is the forward-applicable
+// compensation. Only user transactions roll back this way; a structural op
+// is never compensated (see the opcode table).
 func Compensate(t *txn.Txn, pager Pager, rec *wal.Record) error {
-	if !IsHashOp(rec.Payload) {
-		return fmt.Errorf("%w: not a hash op at LSN %d", ErrBadOp, rec.LSN)
+	k := pageop.None
+	if IsHashOp(rec.Payload) {
+		k = kindOf(rec.Payload[0])
 	}
-	k := kindOf(rec.Payload[0])
 	if k != pageop.Insert && k != pageop.Ghost && k != pageop.Update {
-		return ops.CompensatePhysical(t, pager.Fetch, rec)
+		return fmt.Errorf("%w: no user op to compensate at LSN %d", ErrBadOp, rec.LSN)
 	}
 	u, err := pageop.ParseUser(k, rec.Payload)
 	if err != nil {

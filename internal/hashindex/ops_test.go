@@ -12,7 +12,9 @@ import (
 // layout change: for every hash opcode, the encoder still emits exactly the
 // bytes the decode→struct→encode implementation wrote (the hex strings were
 // captured from it), and replaying those bytes through applyOp moves a
-// bucket page through the states the op describes.
+// bucket page through the states the op describes. The purge and the page
+// set lost their undo fields since (system transactions are redo-only):
+// their hex is the redo part of the old format.
 func TestOpPayloadsMatchParentFormat(t *testing.T) {
 	kb := []byte("kb")
 	pg := page.New(1, page.TypeHash, 512)
@@ -49,14 +51,14 @@ func TestOpPayloadsMatchParentFormat(t *testing.T) {
 		{"opHashUpdate", "42070000000000000002006b62030000006e65770300000076616c",
 			encodeUpdate(7, kb, []byte("new"), []byte("val")),
 			func() bool { _, v, g, ok := record(); return ok && v == "new" && g }},
-		{"opHashPurge", "4302006b62030000006e657701",
-			encodePurge(kb, []byte("new"), true),
+		{"opHashPurge", "4302006b62",
+			encodePurge(kb),
 			func() bool { _, _, _, ok := record(); return !ok }},
 		{"opHashReinsert", "4402006b62030000006e657701",
 			encodeReinsert(kb, []byte("new"), true),
 			func() bool { k, v, g, ok := record(); return ok && k == "kb" && v == "new" && g }},
-		{"opHashPageSet", "45030000004e4557030000004f4c44",
-			encodePageSet([]byte("NEW"), []byte("OLD")),
+		{"opHashPageSet", "45030000004e4557",
+			encodePageSet([]byte("NEW")),
 			func() bool { return string(pg.Payload()) == "NEW" }},
 	}
 	for i, s := range steps {
@@ -86,9 +88,9 @@ func TestOpPayloadsMatchParentFormat(t *testing.T) {
 
 // TestRedoOnlyAppliesAlike walks a bucket page through every hash opcode
 // twice, once with the whole ops and once with their RedoOnly forms: the
-// pages stay byte-identical; RedoOnly cuts exactly the undo field (the old
-// value of an update or purge, the old payload of a page set), is its own
-// fixed point, never grows an op, and hands every other op back unchanged.
+// pages stay byte-identical; RedoOnly cuts exactly the undo field of a user
+// update (its old value), is its own fixed point, never grows an op, and
+// hands every other op back unchanged.
 // Every truncation of each op fails alike in both forms, or applies alike.
 func TestRedoOnlyAppliesAlike(t *testing.T) {
 	kb := []byte("kb")
@@ -108,9 +110,9 @@ func TestRedoOnlyAppliesAlike(t *testing.T) {
 		{"opHashInsert", encodeInsert(7, kb, []byte("val")), 0},
 		{"opHashGhost", encodeGhost(7, kb, true, false), 0},
 		{"opHashUpdate", encodeUpdate(7, kb, []byte("new"), []byte("val")), 3},
-		{"opHashPurge", encodePurge(kb, []byte("new"), true), 3},
+		{"opHashPurge", encodePurge(kb), 0},
 		{"opHashReinsert", encodeReinsert(kb, []byte("new"), true), 0},
-		{"opHashPageSet", encodePageSet([]byte("NEW"), []byte("OLD")), 3},
+		{"opHashPageSet", encodePageSet([]byte("NEW")), 0},
 	}
 	for _, s := range steps {
 		ro := RedoOnly(s.op)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync/atomic"
 
@@ -42,6 +43,10 @@ type Table struct {
 	// Cumulative structural-change counters.
 	splits    atomic.Int64 // bucket split rounds completed
 	overflows atomic.Int64 // overflow pages linked into chains
+
+	// owed counts the split rounds chain extensions made due that have not
+	// run yet (see trySplit).
+	owed atomic.Int64
 }
 
 // maxAttempts bounds the retry loops of the write operations. Each retry
@@ -51,7 +56,8 @@ const maxAttempts = 64
 
 // Create builds a new empty table: a directory page at round level 1 over
 // two empty buckets. The caller supplies the transaction under which the
-// format records are logged (typically a system transaction).
+// format records are logged (typically a system transaction); the
+// directory stays latched until it ends.
 func Create(t *txn.Txn, name string, pager Pager) (*Table, error) {
 	// The directory is allocated first so the bucket pages can carry its
 	// ID as their back-pointer; its final payload (naming the buckets) is
@@ -73,11 +79,15 @@ func Create(t *txn.Txn, name string, pager Pager) (*Table, error) {
 		buckets = append(buckets, bh.ID())
 		bh.Release()
 	}
+	// The directory stays latched until t ends: a page a system transaction
+	// changed leaves the pool only behind its end record, and an abort puts
+	// it back under its latch.
 	dh.Lock()
-	err = ops.LogApply(t, dh, encodePageSet(newDirectoryPayload(1, 0, buckets), bootstrap))
-	dh.Unlock()
-	dh.Release()
-	if err != nil {
+	t.AtEnd(func() {
+		dh.Unlock()
+		dh.Release()
+	})
+	if err := ops.LogApply(t, dh, encodePageSet(newDirectoryPayload(1, 0, buckets))); err != nil {
 		return nil, fmt.Errorf("hashindex: creating %q: %w", name, err)
 	}
 	return &Table{name: name, dir: dirID, pager: pager}, nil
@@ -354,6 +364,9 @@ func (tb *Table) latchChain(c *chainRef, h *buffer.Handle) error {
 // another slot; past that bound (506 buckets on a 4 KiB page) chains
 // absorb all growth and lengthen with the table.
 func (tb *Table) descendX(key []byte, c *chainRef) error {
+	if tb.owed.Load() > 0 {
+		tb.payOwed()
+	}
 	dh, d, err := tb.fetchDir()
 	if err != nil {
 		return err
@@ -407,13 +420,9 @@ func (tb *Table) Insert(tx *txn.Txn, key, val []byte) error {
 			// purge the ghost under a system transaction and retry as a
 			// plain insert.
 			st := tb.pager.BeginSystem()
-			err := ops.LogApply(st, c.handle(pi), encodePurge(key, old, true))
-			if err == nil {
-				err = st.Commit() // before the latches go: its undo is physical (ops.go)
-			}
+			err := st.End(ops.LogApply(st, c.handle(pi), encodePurge(key)))
 			c.release()
 			if err != nil {
-				_ = st.Abort()
 				return err
 			}
 			continue
@@ -502,21 +511,13 @@ func (tb *Table) relocate(c *chainRef, pi int, key, val []byte, ghost bool, es i
 	// The purge splices val's bytes away: build the reinsert first.
 	reinsert := encodeReinsert(key, val, ghost)
 	st := tb.pager.BeginSystem()
-	if err := ops.LogApply(st, c.handle(pi), encodePurge(key, val, ghost)); err != nil {
-		c.release()
-		_ = st.Abort()
-		return false, err
-	}
-	err := ops.LogApply(st, c.handle(target), reinsert)
+	err := ops.LogApply(st, c.handle(pi), encodePurge(key))
 	if err == nil {
-		err = st.Commit()
+		err = ops.LogApply(st, c.handle(target), reinsert)
 	}
+	err = st.End(err) // before the latches go (see ops.go)
 	c.release()
-	if err != nil {
-		_ = st.Abort()
-		return false, err
-	}
-	return false, nil
+	return false, err
 }
 
 // Delete logically deletes key under tx by turning its record into a ghost
@@ -556,17 +557,14 @@ func (tb *Table) makeRoom(c *chainRef, need int, purge bool) (bool, error) {
 		}
 		return st
 	}
-	for i := 0; purge && i < c.n; i++ {
-		if err := ops.PurgeGhosts(c.handle(i), opHashPurge, sys); err != nil {
-			c.release()
-			if st != nil {
-				_ = st.Abort()
-			}
-			return false, err
-		}
+	var err error
+	for i := 0; purge && i < c.n && err == nil; i++ {
+		err = ops.PurgeGhosts(c.handle(i), opHashPurge, sys)
 	}
 	if st != nil {
-		err := st.Commit()
+		err = st.End(err) // before the latches go (see ops.go)
+	}
+	if st != nil || err != nil {
 		c.release()
 		return false, err
 	}
@@ -579,23 +577,17 @@ func (tb *Table) makeRoom(c *chainRef, need int, purge bool) (bool, error) {
 	st = tb.pager.BeginSystem()
 	nh, err := tb.pager.AllocateNode(st, page.TypeHash, page.NewRecords(page.KindBucket,
 		bucketExt(tail.bucketNum, tail.levelStamp, c.dv.id, page.InvalidID, tail.chainPos+1)))
-	if err != nil {
-		c.release()
-		_ = st.Abort()
-		return false, err
+	if err == nil {
+		newID := nh.ID()
+		nh.Release()
+		// The tail's new image differs only in its next stamp.
+		linked := append([]byte(nil), c.handle(last).Page().Payload()...)
+		copy(linked[page.LayoutHeaderSize:], bucketExt(tail.bucketNum, tail.levelStamp, tail.dir, newID, tail.chainPos))
+		err = ops.LogApply(st, c.handle(last), encodePageSet(linked))
 	}
-	newID := nh.ID()
-	nh.Release()
-	// The tail's new image differs only in its next stamp.
-	oldPayload := c.handle(last).Page().Payload()
-	linked := append([]byte(nil), oldPayload...)
-	copy(linked[page.LayoutHeaderSize:], bucketExt(tail.bucketNum, tail.levelStamp, tail.dir, newID, tail.chainPos))
-	if err = ops.LogApply(st, c.handle(last), encodePageSet(linked, oldPayload)); err == nil {
-		err = st.Commit()
-	}
+	err = st.End(err) // before the latches go (see ops.go)
 	c.release()
 	if err != nil {
-		_ = st.Abort()
 		return false, err
 	}
 	tb.overflows.Add(1)
@@ -606,8 +598,8 @@ func (tb *Table) makeRoom(c *chainRef, need int, purge bool) (bool, error) {
 // user operations during rollback: a fresh descent finds the key wherever
 // splits or relocations moved it, and a CLR records the compensation.
 func (tb *Table) undoInsert(t *txn.Txn, key []byte, undoNext page.LSN) error {
-	return tb.compensate(t, key, undoNext, func(curVal []byte, ghost bool) ([]byte, int) {
-		return encodePurge(key, curVal, ghost), 0
+	return tb.compensate(t, key, undoNext, func([]byte, bool) ([]byte, int) {
+		return encodePurge(key), 0
 	})
 }
 
@@ -727,10 +719,45 @@ func (tb *Table) Scan(start, end []byte, fn func(key, val []byte) bool) error {
 	}
 }
 
-// trySplit runs one opportunistic bucket split round. Errors are dropped
-// like B-tree adoption failures: the next chain extension retries, and
+// trySplit owes the table one bucket split round and runs the rounds owed.
+// A round never waits for the directory latch: when another thread holds
+// it — a reader, or a write-back of the directory page — the round stays
+// owed, and the next writer to descend runs it first. The rounds therefore
+// follow the chain extensions, not who held the directory when, and a
+// load lays out the same pages with background write-back or without.
+func (tb *Table) trySplit() {
+	tb.owed.Add(1)
+	tb.payOwed()
+}
+
+// payOwed runs the split rounds owed while the directory latch is free.
+// Errors are dropped like B-tree adoption failures, the round with them:
 // real corruption resurfaces through the descent cross-checks.
-func (tb *Table) trySplit() { _ = tb.splitOnce() }
+func (tb *Table) payOwed() {
+	for busy := 0; tb.owed.Load() > 0; {
+		err := tb.splitOnce()
+		if err == errDirectoryBusy {
+			// Shared holders hold the latch briefly: yield to them a few
+			// times before leaving the round to the next writer.
+			if busy++; busy > yieldsPerRound {
+				return
+			}
+			runtime.Gosched()
+			continue
+		}
+		tb.owed.Add(-1)
+		if err != nil {
+			return
+		}
+	}
+}
+
+// yieldsPerRound bounds how often a writer that owes a split round yields
+// the processor to the directory latch's shared holders.
+const yieldsPerRound = 8
+
+// errDirectoryBusy reports a split round that found the directory latched.
+var errDirectoryBusy = errors.New("hashindex: directory latched")
 
 // splitOnce performs one linear-hashing split: bucket N (the round
 // pointer) redistributes its entries between itself and the new bucket
@@ -746,10 +773,10 @@ func (tb *Table) splitOnce() error {
 		return err
 	}
 	defer dh.Release()
-	// Opportunistic: a concurrently running split (or a writer mid-crab)
-	// means someone else is making progress.
+	// The round waits for no one: with the directory latched elsewhere it
+	// stays owed (see trySplit).
 	if !dh.TryLock() {
-		return nil
+		return errDirectoryBusy
 	}
 	d, err := parseDirectory(dh.Page().Payload())
 	if err != nil {
@@ -816,11 +843,11 @@ func (tb *Table) splitOnce() error {
 
 	st := tb.pager.BeginSystem()
 	abort := func(err error) error {
-		// Latches must be down before Abort: physical compensation
-		// re-fetches and re-latches the pages it rewrites.
+		// Abort before the latches go: it puts back the pages already
+		// rewritten, under their latches (see ops.go).
+		_ = st.Abort()
 		c.release()
 		dh.Unlock()
-		_ = st.Abort()
 		return err
 	}
 	// The new bucket's chain, allocated tail-first so each page's next
@@ -854,7 +881,7 @@ func (tb *Table) splitOnce() error {
 		if err != nil {
 			return abort(err)
 		}
-		if err := ops.LogApply(st, c.handle(i), encodePageSet(nn, c.handle(i).Page().Payload())); err != nil {
+		if err := ops.LogApply(st, c.handle(i), encodePageSet(nn)); err != nil {
 			return abort(err)
 		}
 	}
@@ -865,7 +892,7 @@ func (tb *Table) splitOnce() error {
 		level, next = level+1, 0
 	}
 	nd := newDirectoryPayload(level, next, append(d.buckets(), newChain))
-	if err := ops.LogApply(st, dh, encodePageSet(nd, dh.Page().Payload())); err != nil {
+	if err := ops.LogApply(st, dh, encodePageSet(nd)); err != nil {
 		return abort(err)
 	}
 	if err := st.Commit(); err != nil {

@@ -6,9 +6,11 @@
 // processing, redo and rollback on one code path.
 //
 // Redo is physical and always forward (§5.1.2): every op is deterministic
-// given the page's prior state, and compensation during rollback logs a CLR
-// whose payload is itself a forward op (the inverse), so redo never
-// distinguishes normal records from CLRs.
+// given the page's prior state, and a compensation logs a CLR whose payload
+// is itself a forward op, so redo never distinguishes normal records from
+// CLRs. Only user ops carry undo information. A system transaction's op is
+// its redo alone: restart drops a system transaction the crash cut, and a
+// runtime abort puts back the copies LogApply took (txn.Txn.Abort).
 package pageop
 
 import (
@@ -19,7 +21,6 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/page"
 	"repro/internal/txn"
-	"repro/internal/wal"
 )
 
 // ErrBadOp reports an unparseable or inapplicable op payload.
@@ -28,9 +29,7 @@ var ErrBadOp = errors.New("pageop: bad op payload")
 // Kind names a shared op. Each engine numbers the ops in its own opcode
 // block (the leading payload byte) and maps its codes to Kinds; the payload
 // layouts behind the code byte are identical across engines, so one
-// implementation serves both. An engine must number the five entry ops
-// consecutively in the order below: Inverse derives Reinsert's code from
-// Purge's and vice versa.
+// implementation serves both.
 type Kind uint8
 
 const (
@@ -44,14 +43,14 @@ const (
 	Ghost
 	// Update: root u64, key b16, new value b32, old value b32. User op.
 	Update
-	// Purge: key b16, old value b32, old ghost u8. Physical removal
-	// (ghost cleanup, entry relocation, insert compensation).
+	// Purge: key b16. Physical removal (ghost cleanup and entry relocation
+	// by system transactions, insert compensation); never undone.
 	Purge
-	// Reinsert: key b16, value b32, ghost u8. Physical reinsertion
-	// (entry relocation; compensation of Purge).
+	// Reinsert: key b16, value b32, ghost u8. Physical reinsertion (entry
+	// relocation).
 	Reinsert
-	// Replace: new payload b32, old payload b32. Whole-payload rewrite;
-	// its own compensation.
+	// Replace: new payload b32. Whole-payload rewrite (a structural
+	// rewrite, or a system transaction's abort putting a copy back).
 	Replace
 )
 
@@ -178,21 +177,20 @@ func EncodeUpdate(code uint8, root page.ID, key, newVal, oldVal []byte) []byte {
 	return AppendBytes32(AppendBytes32(AppendBytes16(AppendU64(append(b, code), uint64(root)), key), newVal), oldVal)
 }
 
-// EncodePurge builds a Purge op; EncodeReinsert has the same layout.
-func EncodePurge(code uint8, key, oldVal []byte, wasGhost bool) []byte {
-	b := make([]byte, 0, 1+2+len(key)+4+len(oldVal)+1)
-	return append(AppendBytes32(AppendBytes16(append(b, code), key), oldVal), boolByte(wasGhost))
+// EncodePurge builds a Purge op.
+func EncodePurge(code uint8, key []byte) []byte {
+	return AppendBytes16(append(make([]byte, 0, 1+2+len(key)), code), key)
 }
 
 // EncodeReinsert builds a Reinsert op.
 func EncodeReinsert(code uint8, key, val []byte, ghost bool) []byte {
-	return EncodePurge(code, key, val, ghost)
+	b := make([]byte, 0, 1+2+len(key)+4+len(val)+1)
+	return append(AppendBytes32(AppendBytes16(append(b, code), key), val), boolByte(ghost))
 }
 
 // EncodeReplace builds a Replace op.
-func EncodeReplace(code uint8, newPayload, oldPayload []byte) []byte {
-	b := make([]byte, 0, 1+4+len(newPayload)+4+len(oldPayload))
-	return AppendBytes32(AppendBytes32(append(b, code), newPayload), oldPayload)
+func EncodeReplace(code uint8, newPayload []byte) []byte {
+	return AppendBytes32(append(make([]byte, 0, 1+4+len(newPayload)), code), newPayload)
 }
 
 // badOp wraps a cursor failure.
@@ -208,7 +206,6 @@ func Apply(k Kind, op []byte, pg *page.Page) error {
 	switch k {
 	case Replace:
 		newP := c.Bytes32()
-		c.Bytes32() // old payload: undo information only
 		if c.Err() != nil {
 			return badOp(&c)
 		}
@@ -224,8 +221,9 @@ func Apply(k Kind, op []byte, pg *page.Page) error {
 		c.U64()
 		key, val = c.Bytes16(), c.Bytes32()
 		c.Bytes32() // old value: undo information only
-	case Purge, Reinsert:
-		// Purge carries the old value and flag as undo information only.
+	case Purge:
+		key = c.Bytes16()
+	case Reinsert:
 		key, val, flag = c.Bytes16(), c.Bytes32(), c.U8() == 1
 	default:
 		return fmt.Errorf("%w: opcode %d is not a shared op", ErrBadOp, op[0])
@@ -279,54 +277,20 @@ func setValue(pg *page.Page, r page.Records, i int, val []byte) error {
 	return pg.SetRecordValue(i, val)
 }
 
-// RedoOnly returns shared op k without its undo information — the fields
-// Apply skips: the old value of an Update or a Purge, the old payload of a
-// Replace. Apply leaves the same page either way. Any other op, and one too
-// malformed to reach that field (Apply rejects both forms alike), comes
-// back as op itself.
+// RedoOnly returns shared op k without its undo information — the old
+// value of an Update, the one field Apply skips; Apply leaves the same page
+// either way. Any other op carries none, and comes back as op itself, as
+// does an Update too malformed to reach that field (Apply rejects both
+// forms alike).
 func RedoOnly(k Kind, op []byte) []byte {
-	c := NewCursor(op, 1)
-	switch k {
-	case Update:
-		c.U64()
-		c.Bytes16()
-		c.Bytes32()
-	case Purge:
-		c.Bytes16()
-	case Replace:
-		c.Bytes32()
-	default:
+	if k != Update {
 		return op
 	}
-	return c.WithoutBytes32()
-}
-
-// Inverse constructs the forward-applicable compensation of a physical
-// shared op (Purge, Reinsert, Replace) given the page's current contents.
-func Inverse(k Kind, op []byte, pg *page.Page) ([]byte, error) {
 	c := NewCursor(op, 1)
-	switch k {
-	case Purge, Reinsert:
-		key := c.Bytes16()
-		val := c.Bytes32()
-		ghost := c.U8() == 1
-		if c.Err() != nil {
-			return nil, badOp(&c)
-		}
-		code := op[0] + 1 // Purge -> Reinsert
-		if k == Reinsert {
-			code = op[0] - 1
-		}
-		return EncodePurge(code, key, val, ghost), nil
-	case Replace:
-		c.Bytes32()
-		oldP := c.Bytes32()
-		if c.Err() != nil {
-			return nil, badOp(&c)
-		}
-		return EncodeReplace(op[0], oldP, pg.Payload()), nil
-	}
-	return nil, fmt.Errorf("%w: no physical inverse for opcode %d", ErrBadOp, op[0])
+	c.U64()
+	c.Bytes16()
+	c.Bytes32()
+	return c.WithoutBytes32()
 }
 
 // UserOp is a parsed user-level op (Insert, Ghost, Update): what logical
@@ -356,18 +320,26 @@ func ParseUser(k Kind, op []byte) (UserOp, error) {
 	return u, nil
 }
 
-// Ops binds the log-then-apply protocol to one engine's applier and
-// physical inverter.
+// Ops binds the log-then-apply protocol to one engine's applier and its
+// whole-payload Replace opcode.
 type Ops struct {
 	Apply   func(op []byte, pg *page.Page) error
-	Inverse func(op []byte, pg *page.Page) ([]byte, error)
+	Replace uint8
 }
 
 // LogApply logs an update op under t and applies it to the latched page,
 // maintaining both chains and the buffer-pool dirty state. Forward
 // processing and redo share Apply, so replay is exact by construction. The
-// caller must hold the page's write latch.
+// caller must hold the page's write latch — for a system transaction, until
+// it ends: its first change to a page saves a copy of the page, which an
+// abort puts back under that latch as a Replace CLR.
 func (o Ops) LogApply(t *txn.Txn, h *buffer.Handle, op []byte) error {
+	if t.System() && !t.Changed(h.ID()) {
+		prior := append([]byte(nil), h.Page().Payload()...)
+		t.Save(h.ID(), func() error {
+			return o.LogApplyCLR(t, h, EncodeReplace(o.Replace, prior), page.ZeroLSN)
+		})
+	}
 	lsn, err := t.LogUpdate(h.ID(), h.Page().LSN(), op)
 	if err != nil {
 		return err
@@ -393,25 +365,6 @@ func (o Ops) applyLogged(h *buffer.Handle, op []byte, lsn page.LSN) error {
 	return nil
 }
 
-// CompensatePhysical undoes a structural op in place: the page it touched
-// is latched exclusively and the inverse op logged as a CLR. Safe because
-// system transactions hold their page latches until commit, so no other
-// work can intervene on those pages before a crash.
-func (o Ops) CompensatePhysical(t *txn.Txn, fetch func(page.ID) (*buffer.Handle, error), rec *wal.Record) error {
-	h, err := fetch(rec.PageID)
-	if err != nil {
-		return err
-	}
-	defer h.Release()
-	h.Lock()
-	defer h.Unlock()
-	inv, err := o.Inverse(rec.Payload, h.Page())
-	if err != nil {
-		return err
-	}
-	return o.LogApplyCLR(t, h, inv, rec.PrevLSN)
-}
-
 // PurgeGhosts physically removes every ghost record of the exclusively
 // latched record page behind h — the cheap way to make room, tried before
 // any split — logging one Purge op under the engine's opcode per ghost in
@@ -427,7 +380,7 @@ func (o Ops) PurgeGhosts(h *buffer.Handle, code uint8, sys func() *txn.Txn) erro
 		if i >= r.Count() {
 			return nil
 		}
-		key, val, ghost, err := r.Record(i)
+		key, _, ghost, err := r.Record(i)
 		if err != nil {
 			return err
 		}
@@ -435,9 +388,8 @@ func (o Ops) PurgeGhosts(h *buffer.Handle, code uint8, sys func() *txn.Txn) erro
 			i++
 			continue
 		}
-		// EncodePurge copies key and value out of the page before the op
-		// applies.
-		if err := o.LogApply(sys(), h, EncodePurge(code, key, val, true)); err != nil {
+		// EncodePurge copies the key out of the page before the op applies.
+		if err := o.LogApply(sys(), h, EncodePurge(code, key)); err != nil {
 			return err
 		}
 	}

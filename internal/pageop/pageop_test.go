@@ -5,7 +5,13 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/buffer"
+	"repro/internal/iosim"
 	"repro/internal/page"
+	"repro/internal/pagemap"
+	"repro/internal/storage"
+	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 func bucketPage(t *testing.T) *page.Page {
@@ -27,9 +33,9 @@ func TestTruncatedOpsRejected(t *testing.T) {
 		Insert:   EncodeInsert(64, 9, []byte("k2"), []byte("v2")),
 		Ghost:    EncodeGhost(65, 9, []byte("k"), true, false),
 		Update:   EncodeUpdate(66, 9, []byte("k"), []byte("new"), []byte("v")),
-		Purge:    EncodePurge(67, []byte("k"), []byte("v"), false),
+		Purge:    EncodePurge(67, []byte("k")),
 		Reinsert: EncodeReinsert(68, []byte("k2"), []byte("v2"), true),
-		Replace:  EncodeReplace(69, []byte("NEW"), []byte("OLD")),
+		Replace:  EncodeReplace(69, []byte("NEW")),
 	}
 	for k, op := range ops {
 		for cut := 1; cut < len(op); cut++ {
@@ -55,54 +61,12 @@ func TestTruncatedOpsRejected(t *testing.T) {
 		{Reinsert, EncodeReinsert(68, []byte("k"), nil, false)},     // present key
 		{Update, EncodeUpdate(66, 9, []byte("absent"), nil, nil)},
 		{Ghost, EncodeGhost(65, 9, []byte("absent"), true, false)},
-		{Purge, EncodePurge(67, []byte("absent"), nil, false)},
+		{Purge, EncodePurge(67, []byte("absent"))},
 		{None, []byte{200}},
 	} {
 		if err := Apply(bad.k, bad.op, pg); !errors.Is(err, ErrBadOp) {
 			t.Errorf("inapplicable op of kind %d: %v", bad.k, err)
 		}
-	}
-}
-
-// TestInverseRestoresPage: applying a physical op and then its Inverse
-// brings the page back byte for byte (the payload is canonical), and the
-// inverse carries the neighbouring opcode of the same engine block.
-func TestInverseRestoresPage(t *testing.T) {
-	for _, c := range []struct {
-		k       Kind
-		op      []byte
-		invCode uint8
-	}{
-		{Purge, EncodePurge(67, []byte("k"), []byte("v"), false), 68},
-		{Reinsert, EncodeReinsert(68, []byte("k2"), []byte("v2"), true), 67},
-		{Replace, EncodeReplace(69, []byte("NEW"), nil), 69},
-	} {
-		pg := bucketPage(t)
-		before := append([]byte(nil), pg.Payload()...)
-		// The old payload a real Replace would carry.
-		if c.k == Replace {
-			c.op = EncodeReplace(69, []byte("NEW"), before)
-		}
-		if err := Apply(c.k, c.op, pg); err != nil {
-			t.Fatal(err)
-		}
-		inv, err := Inverse(c.k, c.op, pg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inv[0] != c.invCode {
-			t.Errorf("inverse of kind %d carries opcode %d, want %d", c.k, inv[0], c.invCode)
-		}
-		invKind := map[Kind]Kind{Purge: Reinsert, Reinsert: Purge, Replace: Replace}[c.k]
-		if err := Apply(invKind, inv, pg); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(pg.Payload(), before) {
-			t.Errorf("kind %d: op then inverse did not restore the page", c.k)
-		}
-	}
-	if _, err := Inverse(Insert, EncodeInsert(64, 9, []byte("k"), nil), bucketPage(t)); !errors.Is(err, ErrBadOp) {
-		t.Errorf("user op has no physical inverse: %v", err)
 	}
 }
 
@@ -234,4 +198,93 @@ func mustParse(t *testing.T, pg *page.Page) page.Records {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TestSystemAbortRestoresCopies: a system transaction's first change to a
+// page saves a copy of it, and Abort, run while the pages are still
+// latched, puts each copy back as a Replace CLR — the page reads as it did
+// before, its LSN is the CLR's, and replaying the page's chain onto its
+// formatted image reaches the same bytes. A user transaction's change
+// saves nothing: user ops are undone logically.
+func TestSystemAbortRestoresCopies(t *testing.T) {
+	dev := storage.NewDevice(storage.Config{PageSize: 512, Slots: 16, Profile: iosim.Instant})
+	pm := pagemap.New(16)
+	log := wal.NewManager(iosim.Instant)
+	pool := buffer.NewPool(buffer.Config{Capacity: 8, Device: dev, Map: pm, Log: log})
+	txns := txn.NewManager(log)
+	kinds := map[uint8]Kind{64: Insert, 65: Ghost, 66: Update, 67: Purge, 68: Reinsert, 69: Replace}
+	apply := func(op []byte, pg *page.Page) error { return Apply(kinds[op[0]], op, pg) }
+	o := Ops{Apply: apply, Replace: 69}
+
+	var hs []*buffer.Handle
+	formatted := bucketPage(t).Payload()
+	for i := 0; i < 2; i++ {
+		h, err := pool.Create(pm.AllocateLogical(), page.TypeHash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Lock()
+		if err := h.Page().SetPayload(formatted); err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	user := txns.Begin()
+	if err := o.LogApply(user, hs[0], EncodeInsert(64, 9, []byte("u"), []byte("user"))); err != nil {
+		t.Fatal(err)
+	}
+	if user.Changed(hs[0].ID()) {
+		t.Fatal("a user transaction's change saved a copy")
+	}
+	before := [][]byte{bytes.Clone(hs[0].Page().Payload()), bytes.Clone(hs[1].Page().Payload())}
+	lsnBefore := []page.LSN{hs[0].Page().LSN(), hs[1].Page().LSN()}
+
+	st := txns.BeginSystem()
+	for _, step := range []struct {
+		h  *buffer.Handle
+		op []byte
+	}{
+		{hs[0], EncodePurge(67, []byte("k"))},
+		{hs[0], EncodeReinsert(68, []byte("k2"), []byte("moved"), false)},
+		{hs[1], EncodeReplace(69, []byte("rewritten"))},
+	} {
+		if err := o.LogApply(st, step.h, step.op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hs {
+		if !bytes.Equal(h.Page().Payload(), before[i]) {
+			t.Fatalf("page %d after abort:\n%x\nwant\n%x", i, h.Page().Payload(), before[i])
+		}
+		clr, err := log.Read(h.Page().LSN())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if clr.Type != wal.TypeCLR || !bytes.Equal(clr.Payload, EncodeReplace(69, before[i])) {
+			t.Fatalf("page %d: newest record is %v %x, want a Replace CLR of the copy", i, clr.Type, clr.Payload)
+		}
+		// Replay the chain above the page's LSN before the system
+		// transaction onto a copy of that state.
+		chain, err := log.WalkPageChain(h.Page().LSN(), lsnBefore[i], h.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed := page.New(h.ID(), page.TypeHash, 512)
+		if err := replayed.SetPayload(before[i]); err != nil {
+			t.Fatal(err)
+		}
+		for j := len(chain) - 1; j >= 0; j-- {
+			if err := apply(chain[j].Payload, replayed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(replayed.Payload(), before[i]) {
+			t.Fatalf("page %d: replaying its chain does not reach the restored bytes", i)
+		}
+		h.Unlock()
+		h.Release()
+	}
 }

@@ -5,10 +5,11 @@
 //   - fuzzy checkpoints that flush the dirty pages present at checkpoint
 //     start and snapshot the active transaction table, the dirty page
 //     table, the page recovery index, and the page map;
-//   - restart recovery after a system failure: log analysis, physical
-//     redo with the logged-completed-write optimization (PRI update
-//     records), and logical undo of loser transactions — including the
-//     Fig. 12 repair of PRI updates lost in the crash;
+//   - restart recovery after a system failure: log analysis, which drops
+//     the system transactions the crash cut, physical redo with the
+//     logged-completed-write optimization (PRI update records), and
+//     logical undo of loser user transactions — including the Fig. 12
+//     repair of PRI updates lost in the crash;
 //   - media recovery after a device failure: restore a full backup set and
 //     replay the log forward.
 package recovery

@@ -410,7 +410,7 @@ func TestUndoRollsBackLosersInLSNOrder(t *testing.T) {
 	}
 	txns2 := txn.NewManager(r.log)
 	txns2.SetUndoer(rawUndoer{pool2})
-	rep, err := Undo(UndoDeps{Txns: txns2}, res)
+	rep, err := Undo(txns2, res)
 	if err != nil {
 		t.Fatal(err)
 	}

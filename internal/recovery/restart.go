@@ -1,10 +1,11 @@
 package recovery
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/backup"
 	"repro/internal/buffer"
@@ -16,17 +17,26 @@ import (
 )
 
 // AnalysisResult is the outcome of the log-analysis pass (Fig. 12, first
-// two rows): the loser transactions, the recovery requirements (dirty page
-// table), and the reconstructed page recovery index and page map. It is
-// the one source of a page's recovery target: a page whose last write
-// completed has it in PRI (LastLSN), a page still in the recovery
-// requirements has it in Heads.
+// two rows): the losers, the recovery requirements (dirty page table), and
+// the reconstructed page recovery index and page map. It is the one source
+// of a page's recovery target: a page whose last write completed has it in
+// PRI (LastLSN), a page still in the recovery requirements has it in Heads.
 type AnalysisResult struct {
 	// CheckpointLSN is the end record of the checkpoint the analysis
 	// started from (ZeroLSN when the log has no completed checkpoint).
 	CheckpointLSN page.LSN
-	// Losers maps in-flight transactions to the head of their chains.
+	// Losers maps in-flight user transactions to the head of their chains.
 	Losers map[wal.TxnID]page.LSN
+	// Dropped maps each system transaction the crash cut (no end record)
+	// to its update and CLR records: being contents-neutral (§5.1.5), it is
+	// dropped, not undone. It held the latches of the pages it changed
+	// until its commit, so on each page its records are the chain's tail
+	// and no image holding them reached the device (buffer.Pool) or a
+	// completed checkpoint (DirtyPages waits for the latch). They leave the
+	// recovery requirements, each page whose head is one goes back to the
+	// PagePrevLSN of the first, and redo skips them; its format records
+	// stay, leaving orphan pages.
+	Dropped map[wal.TxnID][]page.LSN
 	// DPT maps pages that may need redo to their earliest required LSN.
 	DPT map[page.ID]page.LSN
 	// Heads maps every DPT page to its chain head: the newest update, CLR
@@ -47,19 +57,22 @@ type AnalysisResult struct {
 // reconstructed page map.
 func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 	res := &AnalysisResult{
-		Losers: make(map[wal.TxnID]page.LSN),
-		DPT:    make(map[page.ID]page.LSN),
-		Heads:  make(map[page.ID]page.LSN),
+		Losers:  make(map[wal.TxnID]page.LSN),
+		Dropped: make(map[wal.TxnID][]page.LSN),
+		DPT:     make(map[page.ID]page.LSN),
+		Heads:   make(map[page.ID]page.LSN),
+		PRI:     core.NewPRI(),
+		Map:     pagemap.New(slotCount),
 	}
 	start := wal.FirstLSN()
-	res.PRI = core.NewPRI()
-	res.Map = pagemap.New(slotCount)
 
 	// pending tracks, per page, the LSNs of updates not yet confirmed
 	// written; a write-complete record confirms everything at or below
 	// its recorded PageLSN. heads tracks each page's newest chain record.
 	pending := make(map[page.ID][]page.LSN)
 	heads := make(map[page.ID]page.LSN)
+	// sys holds the headers of each unended system transaction's updates.
+	sys := make(map[wal.TxnID][]wal.Record)
 
 	if master := log.Master(); master != page.ZeroLSN {
 		rec, err := log.Read(master)
@@ -108,6 +121,9 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 				pending[rec.PageID] = append(pending[rec.PageID], rec.LSN)
 				heads[rec.PageID] = rec.LSN
 			}
+			if txn.IsSystemID(rec.Txn) {
+				sys[rec.Txn] = append(sys[rec.Txn], wal.Record{LSN: rec.LSN, PageID: rec.PageID, PagePrevLSN: rec.PagePrevLSN})
+			}
 		case wal.TypeFormat:
 			res.Losers[rec.Txn] = rec.LSN
 			res.Map.AdoptFresh(rec.PageID)
@@ -121,31 +137,37 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 			})
 		case wal.TypeCommit, wal.TypeSysCommit, wal.TypeAbort:
 			delete(res.Losers, rec.Txn)
+			delete(sys, rec.Txn)
 		case wal.TypePRIUpdate:
 			// Fig. 12 row 2: "Remove the data page from the recovery
 			// requirements; add the page in the page recovery index."
 			if op, _ := core.DecodePRIOp(rec.Payload); op == core.PRIOpWriteComplete {
-				wc, err := core.DecodeWriteComplete(rec.Payload)
-				if err == nil {
-					rest := pending[rec.PageID][:0]
-					for _, lsn := range pending[rec.PageID] {
-						if lsn > wc.PageLSN {
-							rest = append(rest, lsn)
-						}
-					}
-					pending[rec.PageID] = rest
+				if wc, err := core.DecodeWriteComplete(rec.Payload); err == nil {
+					pending[rec.PageID] = slices.DeleteFunc(pending[rec.PageID], func(l page.LSN) bool { return l <= wc.PageLSN })
 				}
 			}
-			if err := core.ApplyPRIRecord(res.PRI, res.Map, rec); err != nil {
-				// A malformed PRI record is not fatal to analysis;
-				// the page will simply be re-read during redo.
-				return true
-			}
+			// A malformed PRI record is not fatal to analysis; the page
+			// will simply be re-read during redo.
+			_ = core.ApplyPRIRecord(res.PRI, res.Map, rec)
 		}
 		return true
 	})
 	if err != nil {
 		return nil, err
+	}
+	for id := range res.Losers {
+		if !txn.IsSystemID(id) {
+			continue
+		}
+		delete(res.Losers, id)
+		res.Dropped[id] = nil
+		for _, r := range slices.Backward(sys[id]) { // newest first: back along each page's chain
+			res.Dropped[id] = append(res.Dropped[id], r.LSN)
+			if heads[r.PageID] == r.LSN {
+				heads[r.PageID] = r.PagePrevLSN
+			}
+			pending[r.PageID] = slices.DeleteFunc(pending[r.PageID], func(l page.LSN) bool { return l == r.LSN })
+		}
 	}
 
 	for p, lsns := range pending {
@@ -173,9 +195,6 @@ type PrepReport struct {
 	// is touched here; each page's missing chain tail is replayed on
 	// demand (foreground faults first) and in the background.
 	PagesMarked int
-	// NeverWritten counts marked pages that never reached the device
-	// before the crash; they rebuild purely from their log chains.
-	NeverWritten int
 }
 
 // PrepareRedo reshapes the redo pass the way PrepareMedia reshapes media
@@ -205,9 +224,6 @@ func PrepareRedo(a *AnalysisResult) ([]RedoPage, *PrepReport) {
 			// that image is then all recovery has to build on.
 			a.PRI.Set(id, core.Entry{LastLSN: head})
 		}
-		if _, written := a.Map.Lookup(id); !written {
-			rep.NeverWritten++
-		}
 		backlog = append(backlog, RedoPage{ID: id, Cost: int64(head - recLSN)})
 	}
 	return backlog, rep
@@ -232,28 +248,24 @@ type RedoDeps struct {
 // RedoReport quantifies a redo pass — experiment E4 compares PagesRead
 // with and without the completed-write optimization.
 type RedoReport struct {
-	RecordsConsidered int
-	RecordsApplied    int
-	PagesRead         int
-	PRIRepairs        int
+	RecordsApplied int
+	PagesRead      int
+	PRIRepairs     int
 }
 
 // Redo replays history forward from the earliest recovery requirement
 // ("redo is physical", §5.1.2). For every update record whose page is in
 // the DPT at or above its recLSN, the page is read (once) and the record
 // applied exactly when the PageLSN shows it missing, with the per-page
-// chain as a defensive cross-check (§5.1.4).
+// chain as a defensive cross-check (§5.1.4). The records of a dropped
+// system transaction are skipped.
 func Redo(d RedoDeps, a *AnalysisResult) (*RedoReport, error) {
 	rep := &RedoReport{}
 	if len(a.DPT) == 0 {
 		return rep, nil
 	}
-	start := page.LSN(^uint64(0))
-	for _, lsn := range a.DPT {
-		if lsn < start {
-			start = lsn
-		}
-	}
+
+	start := slices.Min(slices.Collect(maps.Values(a.DPT)))
 	seen := make(map[page.ID]bool)
 	var redoErr error
 	scanErr := d.Log.Scan(start, func(rec *wal.Record) bool {
@@ -263,10 +275,9 @@ func Redo(d RedoDeps, a *AnalysisResult) (*RedoReport, error) {
 			return true
 		}
 		recLSN, inDPT := a.DPT[rec.PageID]
-		if !inDPT || rec.LSN < recLSN {
+		if !inDPT || rec.LSN < recLSN || slices.Contains(a.Dropped[rec.Txn], rec.LSN) {
 			return true
 		}
-		rep.RecordsConsidered++
 		h, err := fetchForRedo(d, rec)
 		if err != nil {
 			redoErr = err
@@ -313,8 +324,7 @@ func Redo(d RedoDeps, a *AnalysisResult) (*RedoReport, error) {
 			// Defensive per-page chain check (§5.1.4): the record's
 			// predecessor must be exactly the state on the page.
 			if rec.PagePrevLSN != pg.LSN() {
-				redoErr = fmt.Errorf(
-					"recovery: redo of LSN %d on page %d out of sequence: record expects PageLSN %d, page has %d",
+				redoErr = fmt.Errorf("recovery: redo of LSN %d on page %d out of sequence: record expects PageLSN %d, page has %d",
 					rec.LSN, rec.PageID, rec.PagePrevLSN, pg.LSN())
 				return false
 			}
@@ -346,8 +356,7 @@ func fetchForRedo(d RedoDeps, rec *wal.Record) (*buffer.Handle, error) {
 		// can recreate it. Updates to it will follow the format record
 		// in the scan.
 		if rec.Type != wal.TypeFormat {
-			return nil, fmt.Errorf(
-				"recovery: redo of LSN %d targets unwritten page %d with no format record first",
+			return nil, fmt.Errorf("recovery: redo of LSN %d targets unwritten page %d with no format record first",
 				rec.LSN, rec.PageID)
 		}
 		d.Map.AdoptFresh(rec.PageID)
@@ -356,41 +365,30 @@ func fetchForRedo(d RedoDeps, rec *wal.Record) (*buffer.Handle, error) {
 	return nil, err
 }
 
-// UndoDeps is what the undo pass needs.
-type UndoDeps struct {
-	Txns *txn.Manager
-}
-
 // UndoReport quantifies the undo pass.
 type UndoReport struct {
+	// LosersRolledBack counts the user transactions rolled back.
 	LosersRolledBack int
-	SystemLosers     int
 }
 
-// Undo rolls back every loser transaction through the transaction
-// manager's registered Undoer (logical compensation for user updates,
-// physical inverse for system-transaction structural ops), in descending
-// order of their final LSNs as ARIES prescribes.
-func Undo(d UndoDeps, a *AnalysisResult) (*UndoReport, error) {
+// Undo rolls back every loser user transaction through the transaction
+// manager's registered Undoer (logical compensation), in descending order
+// of their final LSNs as ARIES prescribes. A dropped system transaction is
+// not undone and gets no end record: Undo reserves its ID instead, so that
+// no later end record under the same ID can claim its records.
+func Undo(txns *txn.Manager, a *AnalysisResult) (*UndoReport, error) {
 	rep := &UndoReport{}
-	type loser struct {
-		id   wal.TxnID
-		last page.LSN
+	for id := range a.Dropped {
+		txns.Reserve(id)
 	}
-	losers := make([]loser, 0, len(a.Losers))
-	for id, last := range a.Losers {
-		losers = append(losers, loser{id, last})
-	}
-	sort.Slice(losers, func(i, j int) bool { return losers[i].last > losers[j].last })
-	for _, l := range losers {
-		t := d.Txns.AdoptLoser(l.id, l.last)
-		if err := t.Abort(); err != nil {
-			return rep, fmt.Errorf("recovery: rolling back loser %d: %w", l.id, err)
+	losers := slices.SortedFunc(maps.Keys(a.Losers), func(x, y wal.TxnID) int {
+		return cmp.Compare(a.Losers[y], a.Losers[x])
+	})
+	for _, id := range losers {
+		if err := txns.AdoptLoser(id, a.Losers[id]).Abort(); err != nil {
+			return rep, fmt.Errorf("recovery: rolling back loser %d: %w", id, err)
 		}
 		rep.LosersRolledBack++
-		if txn.IsSystemID(l.id) {
-			rep.SystemLosers++
-		}
 	}
 	return rep, nil
 }

@@ -51,8 +51,8 @@ var (
 	ErrNoUndoer  = errors.New("txn: no undo handler registered")
 )
 
-// Undoer performs the logical compensation for one update record during
-// rollback ("undo is logical, i.e., applies to the same key values",
+// Undoer performs the logical compensation for one user update record
+// during rollback ("undo is logical, i.e., applies to the same key values",
 // §5.1.2). Implementations must apply the inverse operation through the
 // storage structure and log a CLR via Txn.LogCLR.
 type Undoer interface {
@@ -130,6 +130,17 @@ type Txn struct {
 	// then a crash can still make it a loser whose undo the archive release
 	// floor (OldestActiveBeginLSN) must keep readable.
 	ended bool
+	// saved lists, for a system transaction, each page it changed with what
+	// puts back the copy taken before the first change (see Save); atEnd
+	// runs once the end record is laid (see AtEnd).
+	saved []savedPage
+	atEnd []func()
+}
+
+// savedPage is one page a system transaction changed.
+type savedPage struct {
+	id      page.ID
+	restore func() error
 }
 
 // Begin starts a user transaction.
@@ -204,6 +215,37 @@ func (t *Txn) LogUpdate(pageID page.ID, pagePrevLSN page.LSN, payload []byte) (p
 	})
 }
 
+// Changed reports whether the system transaction has saved page id, that
+// is, changed it already.
+func (t *Txn) Changed(id page.ID) bool {
+	for _, s := range t.saved {
+		if s.id == id {
+			return true
+		}
+	}
+	return false
+}
+
+// Save registers restore as what puts page id back — as a whole-page CLR
+// of a copy taken before the system transaction's first change to it,
+// whose latch the caller holds until the transaction ends. A system
+// transaction is redo-only: Abort puts copies back, newest first.
+func (t *Txn) Save(id page.ID, restore func() error) {
+	t.saved = append(t.saved, savedPage{id: id, restore: restore})
+}
+
+// AtEnd registers fn to run once the transaction's end record is laid —
+// commit or abort, newest first: how a caller holds a page latch until then.
+func (t *Txn) AtEnd(fn func()) { t.atEnd = append(t.atEnd, fn) }
+
+// finish runs the AtEnd functions.
+func (t *Txn) finish() {
+	for i := len(t.atEnd) - 1; i >= 0; i-- {
+		t.atEnd[i]()
+	}
+	t.atEnd, t.saved = nil, nil
+}
+
 // LogCLR appends a compensation record during rollback. undoNext names the
 // next record to undo (the PrevLSN of the record being compensated), so
 // that a rollback interrupted by a crash resumes exactly where it stopped.
@@ -240,9 +282,10 @@ func (t *Txn) Commit() error {
 	if t.system {
 		typ = wal.TypeSysCommit
 		// Chaos point: a system transaction's changes are applied and its
-		// commit record is not yet logged. A crash here rolls it back
-		// physically, which is sound only while it still holds the
-		// latches of every page it changed.
+		// commit record is not yet logged. A crash here cuts it, and
+		// restart drops it (recovery.Analyze): sound because it still holds
+		// the latch of every page it changed, so no image holding a change
+		// of it reached the device (buffer.Pool's write-back).
 		chaos.At("txn.syscommit")
 	}
 	lsn := t.end(typ)
@@ -256,6 +299,7 @@ func (t *Txn) Commit() error {
 		}
 	}
 	t.state = Committed
+	t.finish()
 	t.mgr.mu.Lock()
 	delete(t.mgr.active, t.id)
 	if t.system {
@@ -265,6 +309,18 @@ func (t *Txn) Commit() error {
 	}
 	t.mgr.mu.Unlock()
 	return nil
+}
+
+// End ends the transaction by the outcome of its work: it commits when err
+// is nil, and otherwise aborts and returns err. A system transaction ends
+// so before it drops the latches of the pages it changed, which its abort
+// puts back.
+func (t *Txn) End(err error) error {
+	if err == nil {
+		return t.Commit()
+	}
+	_ = t.Abort()
+	return err
 }
 
 // end lays the transaction's end record (commit, sys-commit or abort) and
@@ -284,20 +340,28 @@ func (t *Txn) end(typ wal.RecType) page.LSN {
 	return lsn
 }
 
-// Abort rolls the transaction back: it walks the per-transaction chain
-// backwards, invoking the registered Undoer for every update record (which
-// performs the logical compensation and logs a CLR), skipping over
-// already-compensated spans via the CLRs' UndoNext pointers, and finally
-// appends an abort record.
+// Abort rolls the transaction back and appends an abort record. A user
+// transaction walks its per-transaction chain backwards, invoking the
+// registered Undoer for every update record (which performs the logical
+// compensation and logs a CLR), skipping over already-compensated spans via
+// the CLRs' UndoNext pointers. A system transaction, still holding the
+// latch of every page it changed, puts back the copies Save registered.
 func (t *Txn) Abort() error {
 	if t.state != Active {
 		return fmt.Errorf("%w: %v", ErrNotActive, t.state)
 	}
-	if err := t.rollbackTo(page.ZeroLSN); err != nil {
+	if t.system {
+		for i := len(t.saved) - 1; i >= 0; i-- {
+			if err := t.saved[i].restore(); err != nil {
+				return fmt.Errorf("txn %d restoring page %d: %w", t.id, t.saved[i].id, err)
+			}
+		}
+	} else if err := t.rollback(); err != nil {
 		return err
 	}
 	t.end(wal.TypeAbort)
 	t.state = Aborted
+	t.finish()
 	t.mgr.mu.Lock()
 	delete(t.mgr.active, t.id)
 	if t.system {
@@ -309,14 +373,13 @@ func (t *Txn) Abort() error {
 	return nil
 }
 
-// rollbackTo undoes the transaction's updates down to (but excluding)
-// records at or before stopAt.
-func (t *Txn) rollbackTo(stopAt page.LSN) error {
+// rollback undoes every update of the transaction.
+func (t *Txn) rollback() error {
 	t.mgr.mu.Lock()
 	undoer := t.mgr.undoer
 	t.mgr.mu.Unlock()
 	lsn := t.LastLSN()
-	for lsn != page.ZeroLSN && lsn > stopAt {
+	for lsn != page.ZeroLSN {
 		rec, err := t.mgr.log.Read(lsn)
 		if err != nil {
 			return fmt.Errorf("txn %d rollback: %w", t.id, err)
@@ -367,19 +430,33 @@ func (m *Manager) Active() []ActiveEntry {
 	return out
 }
 
-// AdoptLoser reconstructs an in-flight transaction found during restart log
-// analysis so that the undo pass can roll it back. The restored transaction
-// is active with the given chain head.
+// AdoptLoser reconstructs an in-flight user transaction found during
+// restart log analysis so that the undo pass can roll it back. The restored
+// transaction is active with the given chain head, and its ID reserved.
 func (m *Manager) AdoptLoser(id wal.TxnID, lastLSN page.LSN) *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t := &Txn{mgr: m, id: id, system: IsSystemID(id), state: Active}
 	t.lastLSN.Store(uint64(lastLSN))
 	m.active[id] = t
+	m.reserveLocked(id)
+	return t
+}
+
+// Reserve makes sure no transaction begun from now on gets id: restart
+// reserves the ID of a system transaction it dropped, which has no end
+// record, so that no later end record under the same ID can claim its
+// records.
+func (m *Manager) Reserve(id wal.TxnID) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.reserveLocked(id)
+}
+
+func (m *Manager) reserveLocked(id wal.TxnID) {
 	if id&^systemBit >= m.nextID {
 		m.nextID = (id &^ systemBit) + 1
 	}
-	return t
 }
 
 // ActiveCount returns the number of in-flight transactions.

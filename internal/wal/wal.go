@@ -50,10 +50,10 @@
 // failed incarnation's readers and in-flight appenders run on undisturbed —
 // their appends publish, but never become stable. A commit force then
 // reports ErrCommitLost for a record the seal left above the stable prefix,
-// and Flush reports ErrSealed, which keeps a page whose log did not survive
-// off the device. Recovery builds the next incarnation with TakeOver, which
-// owns exactly the surviving bytes — the stable prefix and the master
-// pointer — and continues the LSN sequence after them. A transaction is
+// and Flush and FlushPublished report ErrSealed, which keeps a page whose
+// log did not survive off the device. Recovery builds the next incarnation
+// with TakeOver, which owns exactly the surviving bytes — the stable prefix
+// and the master pointer — and continues the LSN sequence after them. A transaction is
 // tied to the manager it began on, so nothing of a failed incarnation can
 // reach its successor's log.
 //
@@ -681,6 +681,24 @@ func (m *Manager) Flush(upTo page.LSN) error {
 	defer m.flushMu.Unlock()
 	m.flushTo(upTo)
 	if m.sealed && int64(upTo) >= m.flushed.Load() {
+		return ErrSealed
+	}
+	return nil
+}
+
+// FlushPublished forces every record published so far — everything below
+// EndLSN at the call. It is how an image leaves the pool no earlier than
+// the commit that covers it: a system transaction appends its commit before
+// it drops its page latches, so a caller that took a page's latch and then
+// flushes everything published has the commit of every change on the page
+// stable. On a sealed log it reports ErrSealed unless everything published
+// already was stable.
+func (m *Manager) FlushPublished() error {
+	m.flushMu.Lock()
+	defer m.flushMu.Unlock()
+	end := m.ready.Load()
+	m.flushTo(page.LSN(end))
+	if m.sealed && end > m.flushed.Load() {
 		return ErrSealed
 	}
 	return nil

@@ -122,14 +122,10 @@ func (db *DB) BackupNow() (uint64, BackupReport, error) {
 				}
 			}
 		}
-		h, err := db.pool.Fetch(id)
+		pg, err := db.cloneCovered(id)
 		if err != nil {
 			return 0, rep, fmt.Errorf("spf: backing up page %d: %w", id, err)
 		}
-		h.RLock()
-		pg := h.Page().Clone()
-		h.RUnlock()
-		h.Release()
 		if err := w.Add(pg); err != nil {
 			return 0, rep, err
 		}
@@ -219,14 +215,10 @@ func (db *DB) BackupPage(id PageID) error {
 			return err
 		}
 	}
-	h, err := db.pool.Fetch(id)
+	pg, err := db.cloneCovered(id)
 	if err != nil {
 		return err
 	}
-	h.RLock()
-	pg := h.Page().Clone()
-	h.RUnlock()
-	h.Release()
 	ref, err := db.store.PutPage(pg)
 	if err != nil {
 		return err
@@ -236,6 +228,27 @@ func (db *DB) BackupPage(id PageID) error {
 	chaos.At("spf.backuppage")
 	db.installBackup(id, ref)
 	return nil
+}
+
+// cloneCovered copies page id under its read latch and returns the copy
+// once the log is stable through everything published when it was taken.
+// A backup obeys the rule a write-back does (buffer.Pool): no image leaves
+// the pool ahead of the commit that covers it. A system transaction can
+// commit between a backup's flush and its copy, and restart drops one whose
+// commit the crash cut; the copy must not hold its change.
+func (db *DB) cloneCovered(id PageID) (*page.Page, error) {
+	h, err := db.pool.Fetch(id)
+	if err != nil {
+		return nil, err
+	}
+	h.RLock()
+	pg := h.Page().Clone()
+	h.RUnlock()
+	h.Release()
+	if err := db.log.FlushPublished(); err != nil {
+		return nil, err
+	}
+	return pg, nil
 }
 
 // InjectPageFault arms a fault on the physical slot currently holding the
@@ -448,7 +461,7 @@ func (db *DB) finishRecovery(a *recovery.AnalysisResult, redo func() error) (rec
 	// Undo runs while background redo drains: each page a rollback
 	// touches is fetched through the validating pool read, so its redo
 	// completes right there — per page, redo still strictly precedes undo.
-	undoRep, err := recovery.Undo(recovery.UndoDeps{Txns: db.txns}, a)
+	undoRep, err := recovery.Undo(db.txns, a)
 	if err != nil {
 		return fail(fmt.Errorf("undo: %w", err))
 	}

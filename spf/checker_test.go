@@ -45,12 +45,14 @@ const (
 // wal.crash and restart.prep each corrupt a page's stored image, so that
 // single-page recovery runs inside the crash and inside restart. The
 // checkpoint points land in a half-taken checkpoint, the wal.archive ones
-// and wal.recycle inside an archiver pass, and restore.complete crashes a
-// second time while restart's redo backlog drains.
+// and wal.recycle inside an archiver pass, restore.complete crashes a
+// second time while restart's redo backlog drains, and txn.syscommit cuts
+// a system transaction whose changes are applied but whose commit is not
+// logged, which restart then drops.
 var crashPoints = []string{
 	"wal.publish", "buffer.writeback", "restore.complete", "recovery.checkpoint",
 	"wal.archive.seal", "wal.archive.write", "wal.recycle",
-	"recovery.checkpoint.snapshot",
+	"recovery.checkpoint.snapshot", "txn.syscommit",
 }
 
 var (
@@ -116,7 +118,7 @@ func (cv *coverage) add(name string) {
 // class, and each thing below.
 func sequentialCoverage() []string {
 	names := []string{"restart that queued redo pages", "media recovery that replayed log written after the backup",
-		"aborted transaction"}
+		"aborted transaction", "restart that dropped a system transaction"}
 	for _, p := range append(crashPoints, "wal.crash", "restart.prep", "wal.recycle without an archive") {
 		names = append(names, "crash at "+p)
 	}
@@ -479,7 +481,23 @@ func (c *checker) armCrash(point string) {
 		// the schedule has left some pages dirty.
 		cr.budget = 1 + c.s.intn(6)
 	} else {
-		chaos.Arm(point, cr.fireAt, func(chaos.Hit) { c.signal(cr) })
+		chaos.Arm(point, cr.fireAt, func(chaos.Hit) {
+			if point == "txn.syscommit" {
+				// The crash lands right here, so that it cuts the system
+				// transaction: the database goes down first, as Crash
+				// takes it down, a concurrent commit's force makes the
+				// transaction's changes stable, and the seal comes before
+				// its commit. Restart finds it without an end record and
+				// drops it.
+				db.mu.Lock()
+				db.crashed = true
+				db.down.Store(true)
+				db.mu.Unlock()
+				db.log.FlushAll()
+				db.log.Crash()
+			}
+			c.signal(cr)
+		})
 	}
 	go func() {
 		defer close(cr.done)
@@ -581,8 +599,11 @@ func (c *checker) restart() {
 	if rep.Prep.PagesMarked > 0 {
 		c.cov.add("restart that queued redo pages")
 	}
-	if cr.inflight && rep.Undo.LosersRolledBack > rep.Undo.SystemLosers {
+	if cr.inflight && rep.Undo.LosersRolledBack > 0 {
 		c.cov.add("crash that cut a user transaction with updates on both engines")
+	}
+	if len(rep.Analysis.Dropped) > 0 {
+		c.cov.add("restart that dropped a system transaction")
 	}
 	c.check(fmt.Sprintf("after a crash at %s#%d (fired %v)", cr.point, cr.fireAt, fired), slices.Collect(maps.Keys(last.Analysis.DPT)))
 	chaos.Reset()
@@ -931,14 +952,18 @@ func runConcurrent(t *testing.T, seed int64, cov *coverage, engine string) {
 }
 
 // chaosSeeds returns the seed set: CHAOS_SEEDS (comma-separated integers)
-// when set, else 1 to 8, and whether it is the default. The first crash of
-// seed s is at crashPoints[s mod 8], so the default seeds reach every
-// point.
+// when set, else 1 to len(crashPoints), and whether it is the default. The
+// first crash of seed s is at crashPoints[s mod len(crashPoints)], so the
+// default seeds reach every point.
 func chaosSeeds(t *testing.T) ([]int64, bool) {
 	t.Helper()
 	env := os.Getenv("CHAOS_SEEDS")
 	if env == "" {
-		return []int64{1, 2, 3, 4, 5, 6, 7, 8}, true
+		seeds := make([]int64, len(crashPoints))
+		for i := range seeds {
+			seeds[i] = int64(i + 1)
+		}
+		return seeds, true
 	}
 	var seeds []int64
 	for _, f := range strings.Split(env, ",") {
@@ -955,7 +980,8 @@ func chaosSeeds(t *testing.T) ([]int64, bool) {
 // that a seed that failed under one of them reproduces under the same name.
 
 // TestChaosTortureCrashRestartVerify runs the sequential checker on every
-// seed, its first crash at crashPoints[seed mod 8], and over the default
+// seed, its first crash at crashPoints[seed mod len(crashPoints)], and over
+// the default
 // seeds fails unless coverage holds.
 func TestChaosTortureCrashRestartVerify(t *testing.T) {
 	seeds, byDefault := chaosSeeds(t)

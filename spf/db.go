@@ -685,21 +685,19 @@ func (db *DB) CreateIndexKind(name string, kind IndexKind) (*Index, error) {
 
 	st := db.txns.BeginSystem()
 	eng, err := db.createEngine(st, name, kind)
+	var h *buffer.Handle
+	if err == nil {
+		h, err = db.pool.Fetch(db.metaID)
+	}
 	if err != nil {
 		_ = st.Abort()
 		return fail(err)
 	}
 	// Register in the meta page. The registry maps name → root page; the
 	// root page's type tags the engine, so reopen needs no catalog change.
-	h, err := db.pool.Fetch(db.metaID)
-	if err != nil {
-		return fail(err)
-	}
+	// The system transaction ends before the latch goes.
 	h.Lock()
-	err = db.logMetaPut(st, h, name, eng.Root(), page.InvalidID)
-	if err == nil {
-		err = st.Commit() // before the latch goes: its undo is physical
-	}
+	err = st.End(db.logMetaPut(st, h, name, eng.Root()))
 	h.Unlock()
 	h.Release()
 	if err != nil {
@@ -711,8 +709,8 @@ func (db *DB) CreateIndexKind(name string, kind IndexKind) (*Index, error) {
 	return &Index{db: db, eng: eng}, nil
 }
 
-func (db *DB) logMetaPut(t *txn.Txn, h *buffer.Handle, name string, root, oldRoot page.ID) error {
-	op := btree.EncodeMetaPut(name, root, oldRoot)
+func (db *DB) logMetaPut(t *txn.Txn, h *buffer.Handle, name string, root page.ID) error {
+	op := btree.EncodeMetaPut(name, root)
 	lsn, err := t.Log(&wal.Record{
 		Type: wal.TypeUpdate, PageID: h.ID(), PagePrevLSN: h.Page().LSN(), Payload: op,
 	})

@@ -332,10 +332,11 @@ func TestRestartLosersRolledBackOnDemand(t *testing.T) {
 
 // TestSystemTransactionHoldsItsPagesUntilCommit: an insert purges a ghost
 // under a system transaction, and a crash seals the log before that
-// transaction's commit record. Restart undoes the purge physically, which
-// is sound only if nothing changed the page before the commit: a second
-// transaction re-inserting the purged key must wait for the latch, and
-// what its commit reports must be what restart shows.
+// transaction's commit record. Restart drops the transaction, putting the
+// page back at its record before the purge, which is sound only if
+// nothing changed the page before the commit: a second transaction
+// re-inserting the purged key must wait for the latch, and what its
+// commit reports must be what restart shows.
 func TestSystemTransactionHoldsItsPagesUntilCommit(t *testing.T) {
 	defer chaos.Reset()
 	db := openTestDB(t, testOptions())
