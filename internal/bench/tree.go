@@ -19,6 +19,7 @@ import (
 	"repro/internal/iosim"
 	"repro/internal/page"
 	"repro/internal/pagemap"
+	"repro/internal/pageop"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -78,7 +79,11 @@ func newTree(b *testing.B, frames int) (*pager, *btree.Tree) {
 }
 
 func (p *pager) Undo(t *txn.Txn, rec *wal.Record) error {
-	return btree.Compensate(t, p, rec)
+	u, err := pageop.ParseUser(rec.Payload)
+	if err != nil {
+		return err
+	}
+	return btree.Open("", u.Root, p).Compensate(t, u, rec.PrevLSN)
 }
 
 func (p *pager) AllocateNode(t *txn.Txn, typ page.Type, initialPayload []byte) (*buffer.Handle, error) {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/iosim"
 	"repro/internal/page"
 	"repro/internal/pagemap"
+	"repro/internal/pageop"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -58,7 +59,11 @@ func newTestPager(t *testing.T, pageSize, slots, frames int) *testPager {
 
 // Undo implements txn.Undoer via the shared compensation entry point.
 func (p *testPager) Undo(t *txn.Txn, rec *wal.Record) error {
-	return Compensate(t, p, rec)
+	u, err := pageop.ParseUser(rec.Payload)
+	if err != nil {
+		return err
+	}
+	return Open("", u.Root, p).Compensate(t, u, rec.PrevLSN)
 }
 
 func (p *testPager) AllocateNode(t *txn.Txn, typ page.Type, initialPayload []byte) (*buffer.Handle, error) {
@@ -380,6 +385,66 @@ func TestAbortRollsBackInserts(t *testing.T) {
 		}
 	}
 	verifyClean(t, tr)
+}
+
+// TestAbortRevivesTheGhostsItsGrowthSpared: a transaction deletes every
+// other key; then it, or a concurrent transaction that commits, grows
+// every remaining value, and it re-inserts some keys it deleted with
+// larger values, so full leaves must make room while its ghosts sit in
+// them. Its rollback revives those ghosts, so the purge that makes room
+// spares them (txn.Txn.HoldGhost) and the leaves split instead,
+// and a re-insert's undo puts the ghost back rather than purging it: after
+// the abort every key it deleted reads as before.
+func TestAbortRevivesTheGhostsItsGrowthSpared(t *testing.T) {
+	const n = 400
+	grown := bytes.Repeat([]byte("g"), 60)
+	for _, concurrent := range []bool{false, true} {
+		tr, p := newTestTree(t)
+		tx := p.txns.Begin()
+		for i := 0; i < n; i++ {
+			if err := tr.Insert(tx, key(i), val(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustCommit(t, tx)
+		tx = p.txns.Begin()
+		for i := 0; i < n; i += 2 {
+			if err := tr.Delete(tx, key(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		filler := tx
+		if concurrent {
+			filler = p.txns.Begin()
+		}
+		for i := 1; i < n; i += 2 {
+			if err := tr.Update(filler, key(i), grown); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if concurrent {
+			mustCommit(t, filler)
+		} else {
+			for i := 0; i < n; i += 20 {
+				if err := tr.Insert(tx, key(i), bytes.Repeat(grown, 3)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := tx.Abort(); err != nil {
+			t.Fatalf("concurrent=%v: %v", concurrent, err)
+		}
+		for i := 0; i < n; i++ {
+			want := val(i)
+			if concurrent && i%2 == 1 {
+				want = grown
+			}
+			if got, err := tr.Get(key(i)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("concurrent=%v: get %d after abort: %q, %v", concurrent, i, got, err)
+			}
+		}
+		verifyClean(t, tr)
+	}
 }
 
 func TestAbortAcrossSplits(t *testing.T) {

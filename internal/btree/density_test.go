@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/page"
+	"repro/internal/pageop"
 )
 
 // levelFill is the occupancy of one tree level: its pages in key order and
@@ -226,7 +227,7 @@ func TestAdoptionMakesRoomInAFullFosterParent(t *testing.T) {
 	filler := append(append([]byte(nil), k...), '+')
 	room := h.Page().Capacity() - parent.Size() - 2
 	tx := p.txns.Begin()
-	if err := ops.LogApply(tx, h, encodeLeafInsert(tr.root, filler, make([]byte, room-page.RecordSize(len(filler), 0)))); err != nil {
+	if err := ops.LogApply(tx, h, pageop.EncodeInsert(tr.root, filler, make([]byte, room-page.RecordSize(len(filler), 0)))); err != nil {
 		t.Fatal(err)
 	}
 	h.Unlock()

@@ -7,87 +7,45 @@ import (
 
 	"repro/internal/page"
 	"repro/internal/pageop"
-	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
-// Op codes for the redo payloads of B-tree log records. Redo is physical
-// ("applies to the same data pages", §5.1.2): every op is deterministic
-// given the page's prior state and always applied forward — a compensation
-// logs a CLR whose payload is itself a forward op, so redo never
-// distinguishes normal records from CLRs.
+// Op codes for the redo payloads of the B-tree's structural log records.
+// Its entry ops (insert, ghost, update, purge) and whole-node replace are
+// the shared ops of internal/pageop, under the codes pageop owns: 1 to 4
+// and 11, with 5 for the hash index's reinsert. Redo is physical ("applies to the same data pages", §5.1.2):
+// every op is deterministic given the page's prior state and always applied
+// forward — a compensation logs a CLR whose payload is itself a forward op,
+// so redo never distinguishes normal records from CLRs.
 //
 // Only the user ops carry undo information, and their undo is logical (a
 // fresh descent finds the key wherever splits moved it, §5.1.2). A
 // structural op is its redo alone: system transactions are redo-only.
 // Restart drops one the crash cut (recovery.Analyze), and a runtime abort
 // puts back the copies taken before the first change to each page, logged
-// as opReplaceNode CLRs (txn.Txn.Abort). Retired codes stay reserved.
+// as pageop.Replace CLRs (txn.Txn.Abort). Retired codes stay reserved.
 const (
-	opInvalid uint8 = iota
-	// opLeafInsert: tree root, key, value. User op.
-	opLeafInsert
-	// opLeafGhost: tree root, key, ghost flag, prior flag. User op
-	// (logical delete and its compensation).
-	opLeafGhost
-	// opLeafUpdate: tree root, key, new value, old value. User op.
-	opLeafUpdate
-	// opLeafPurge: key. Physical removal of an entry (ghost cleanup by
-	// system transactions; insert compensation).
-	opLeafPurge
-	_ // 5, retired: the reinsert that compensated a purge
 	// opSplitTruncate: foster pid, foster key.
-	opSplitTruncate
+	opSplitTruncate uint8 = 6
 	// opClearFoster: no fields; the chain-high fence drops to the high
 	// fence and the foster pointer goes.
-	opClearFoster
-	_ // 8, retired: the set-foster that compensated a foster clear
+	opClearFoster uint8 = 7
+	// 8, retired: the set-foster that compensated a foster clear.
 	// opAdopt: separator, child pid.
-	opAdopt
-	_ // 10, retired: the de-adopt that compensated an adopt
-	// opReplaceNode: new payload (root growth; a system transaction's
-	// abort putting a copy back).
-	opReplaceNode
+	opAdopt uint8 = 9
+	// 10, retired: the de-adopt that compensated an adopt.
 	// opMetaPut: tree name, root pid. Root == 0 deletes the binding.
-	opMetaPut
+	opMetaPut uint8 = 12
 	// opRawSet: new payload, old payload. For TypeRaw test pages, whose
 	// tests undo it themselves.
-	opRawSet
+	opRawSet uint8 = 13
 )
 
 // ErrBadOp reports an unparseable or inapplicable op payload.
 var ErrBadOp = pageop.ErrBadOp
 
-// kindOf maps the opcodes whose payload and semantics the hash index shares
-// (the entry ops and the whole-payload replace) to their shared op.
-func kindOf(code uint8) pageop.Kind {
-	switch {
-	case code >= opLeafInsert && code <= opLeafPurge:
-		return pageop.Insert + pageop.Kind(code-opLeafInsert)
-	case code == opReplaceNode:
-		return pageop.Replace
-	}
-	return pageop.None
-}
-
 // ops is the log-then-apply protocol bound to the B-tree's applier.
-var ops = pageop.Ops{Apply: applyOp, Replace: opReplaceNode}
-
-func encodeLeafInsert(root page.ID, key, val []byte) []byte {
-	return pageop.EncodeInsert(opLeafInsert, root, key, val)
-}
-
-func encodeLeafGhost(root page.ID, key []byte, ghost, prior bool) []byte {
-	return pageop.EncodeGhost(opLeafGhost, root, key, ghost, prior)
-}
-
-func encodeLeafUpdate(root page.ID, key, newVal, oldVal []byte) []byte {
-	return pageop.EncodeUpdate(opLeafUpdate, root, key, newVal, oldVal)
-}
-
-func encodeLeafPurge(key []byte) []byte {
-	return pageop.EncodePurge(opLeafPurge, key)
-}
+var ops = pageop.Ops{Apply: applyOp}
 
 func encodeSplitTruncate(fosterPID page.ID, fosterKey []byte) []byte {
 	return pageop.AppendBytes16(pageop.AppendU64([]byte{opSplitTruncate}, uint64(fosterPID)), fosterKey)
@@ -97,10 +55,6 @@ func encodeClearFoster() []byte { return []byte{opClearFoster} }
 
 func encodeAdopt(sep []byte, child page.ID) []byte {
 	return pageop.AppendU64(pageop.AppendBytes16([]byte{opAdopt}, sep), uint64(child))
-}
-
-func encodeReplaceNode(newPayload []byte) []byte {
-	return pageop.EncodeReplace(opReplaceNode, newPayload)
 }
 
 // EncodeMetaPut builds the op registering tree name -> root in the meta
@@ -118,8 +72,10 @@ func EncodeRawSet(newPayload, oldPayload []byte) []byte {
 }
 
 // Applier applies redo ops to pages; it implements core.RedoApplier for
-// every page type the engine stores (B-tree nodes, the meta page, raw test
-// pages).
+// every page either engine stores — B-tree nodes, hash directories, buckets
+// and overflow pages, the meta page, raw test pages: the shared ops both
+// engines log go through pageop.Apply, and every other code is the
+// B-tree's.
 type Applier struct{}
 
 // ApplyRedo applies the record's redo action to pg. The caller advances
@@ -136,9 +92,6 @@ func applyOp(payload []byte, pg *page.Page) error {
 		return fmt.Errorf("%w: empty payload", ErrBadOp)
 	}
 	code := payload[0]
-	if k := kindOf(code); k != pageop.None {
-		return pageop.Apply(k, payload, pg)
-	}
 	c := pageop.NewCursor(payload, 1)
 	switch code {
 	case opRawSet:
@@ -164,6 +117,9 @@ func applyOp(payload []byte, pg *page.Page) error {
 			reg[name] = root
 		}
 		return pg.SetPayload(encodeRegistry(reg))
+	case opSplitTruncate, opClearFoster, opAdopt: // node ops, below
+	default:
+		return pageop.Apply(payload, pg)
 	}
 
 	// All remaining ops operate on B-tree nodes.
@@ -195,7 +151,7 @@ func applyOp(payload []byte, pg *page.Page) error {
 	case opClearFoster:
 		// chain-high = high, copied: the fence aliases the page spliced.
 		return setFoster(pg, page.InvalidID, slotChain, n.high.clone())
-	case opAdopt:
+	default: // opAdopt
 		// (sep, child) enters a branch: child covers [sep, nextSep).
 		sep := c.Bytes16()
 		child := c.Take(8)
@@ -210,8 +166,6 @@ func applyOp(payload []byte, pg *page.Page) error {
 			return fmt.Errorf("%w: separator %q", ErrKeyExists, sep)
 		}
 		return pg.InsertRecord(i, sep, child, false)
-	default:
-		return fmt.Errorf("%w: opcode %d", ErrBadOp, code)
 	}
 }
 
@@ -240,45 +194,6 @@ func setFoster(pg *page.Page, foster page.ID, slot int, f fence) error {
 	}
 	binary.LittleEndian.PutUint64(ext[3:], uint64(foster))
 	return nil
-}
-
-// RedoOnly returns op without its undo information, which is what the log
-// archive keeps of an update whose transaction has committed: the old
-// value of a leaf update, the only undo field a B-tree op logs but a raw
-// set's. applyOp leaves the same page either way; any other op comes back
-// as op itself.
-func RedoOnly(op []byte) []byte {
-	if len(op) == 0 {
-		return op
-	}
-	return pageop.RedoOnly(kindOf(op[0]), op)
-}
-
-// Compensate undoes one user update record during rollback through a fresh
-// descent, logging a CLR whose payload is the forward-applicable
-// compensation. Only user transactions roll back this way; a structural op
-// is never compensated (see the opcode table).
-func Compensate(t *txn.Txn, pager Pager, rec *wal.Record) error {
-	k := pageop.None
-	if len(rec.Payload) > 0 {
-		k = kindOf(rec.Payload[0])
-	}
-	if k != pageop.Insert && k != pageop.Ghost && k != pageop.Update {
-		return fmt.Errorf("%w: no user op to compensate at LSN %d", ErrBadOp, rec.LSN)
-	}
-	u, err := pageop.ParseUser(k, rec.Payload)
-	if err != nil {
-		return err
-	}
-	tr := Open("", u.Root, pager)
-	switch k {
-	case pageop.Insert:
-		return tr.undoInsert(t, u.Key, rec.PrevLSN)
-	case pageop.Ghost:
-		return tr.undoGhost(t, u.Key, u.Prior, u.Ghost, rec.PrevLSN)
-	default:
-		return tr.undoUpdate(t, u.Key, u.OldVal, rec.PrevLSN)
-	}
 }
 
 // Meta-page registry: the named-tree directory stored in the engine's meta

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/page"
+	"repro/internal/pageop"
 	"repro/internal/txn"
 )
 
@@ -588,7 +589,7 @@ func (tr *Tree) Insert(tx *txn.Txn, key, val []byte) error {
 			lt.unpin(h, true)
 			return fmt.Errorf("%w: %d bytes", ErrValueTooLarge, entrySize)
 		}
-		_, ghost, found, ferr := v.Get(key)
+		old, ghost, found, ferr := v.Get(key)
 		if ferr != nil {
 			lt.unpin(h, true)
 			return ferr
@@ -599,7 +600,7 @@ func (tr *Tree) Insert(tx *txn.Txn, key, val []byte) error {
 			return fmt.Errorf("%w: %q", ErrKeyExists, key)
 		}
 		if v.Size()+entrySize <= h.Page().Capacity() {
-			err := ops.LogApply(tx, h, encodeLeafInsert(tr.root, key, val))
+			err := ops.LogInsert(tx, h, tr.root, key, val, ghost, old)
 			lt.unpin(h, true)
 			tr.finishAdoptions(pend, lt)
 			return err
@@ -643,7 +644,7 @@ func (tr *Tree) Update(tx *txn.Txn, key, val []byte) error {
 		}
 		old := append([]byte(nil), curVal...)
 		if v.Size()-len(old)+len(val) <= h.Page().Capacity() {
-			err := ops.LogApply(tx, h, encodeLeafUpdate(tr.root, key, val, old))
+			err := ops.LogApply(tx, h, pageop.EncodeUpdate(tr.root, key, val, old))
 			lt.unpin(h, true)
 			tr.finishAdoptions(pend, lt)
 			return err
@@ -678,65 +679,40 @@ func (tr *Tree) Delete(tx *txn.Txn, key []byte) error {
 		tr.finishAdoptions(pend, lt)
 		return fmt.Errorf("%w: %q", ErrKeyNotFound, key)
 	}
-	err = ops.LogApply(tx, h, encodeLeafGhost(tr.root, key, true, false))
+	err = ops.LogApply(tx, h, pageop.EncodeGhost(tr.root, key, true, false))
 	lt.unpin(h, true)
 	tr.finishAdoptions(pend, lt)
 	return err
 }
 
-// undoInsert, undoDelete, undoUpdate perform the logical compensation for
-// user operations during rollback: a fresh descent finds the key wherever
-// splits may have moved it, and a CLR records the compensation.
-func (tr *Tree) undoInsert(t *txn.Txn, key []byte, undoNext page.LSN) error {
-	return tr.compensate(t, key, undoNext, func([]byte, bool) ([]byte, int) {
-		// Inverse of insert: remove the record. Ghosting suffices
-		// logically, but physical purge reclaims the space directly
-		// and keeps rollback idempotent.
-		return encodeLeafPurge(key), 0
-	})
-}
-
-// undoGhost restores the ghost flag a user delete (or its inverse)
-// changed: the compensation sets the flag back to prior.
-func (tr *Tree) undoGhost(t *txn.Txn, key []byte, prior, was bool, undoNext page.LSN) error {
-	return tr.compensate(t, key, undoNext, func([]byte, bool) ([]byte, int) {
-		return encodeLeafGhost(tr.root, key, prior, was), 0
-	})
-}
-
-func (tr *Tree) undoUpdate(t *txn.Txn, key, oldVal []byte, undoNext page.LSN) error {
-	return tr.compensate(t, key, undoNext, func(curVal []byte, ghost bool) ([]byte, int) {
-		return encodeLeafUpdate(tr.root, key, oldVal, curVal), len(oldVal) - len(curVal)
-	})
-}
-
-// compensate descends like a writer (exclusive leaf latch, no adoptions —
-// rollback performs no optional maintenance) and logs the compensation CLR.
-// makeOp also says how many bytes the compensation adds to the leaf: the
-// old value an update undo restores may no longer fit where other
-// transactions filled the room its shrinking freed, and rollback must not
-// fail, so it splits the leaf the way a growing update would and retries.
-func (tr *Tree) compensate(t *txn.Txn, key []byte, undoNext page.LSN,
-	makeOp func(curVal []byte, ghost bool) (op []byte, grow int)) error {
+// Compensate performs the logical compensation of user op u during
+// rollback, logging u.Compensation as a CLR whose undo-next is undoNext: it
+// descends like a writer (exclusive leaf latch, no adoptions — rollback
+// performs no optional maintenance), so it finds the key wherever splits
+// moved it. The old value an update undo restores may no longer fit where
+// other transactions filled the room its shrinking freed, and rollback must
+// not fail, so it splits the leaf the way a growing update would and
+// retries.
+func (tr *Tree) Compensate(t *txn.Txn, u pageop.UserOp, undoNext page.LSN) error {
 	lt := &latchTracker{}
 	for attempt := 0; ; attempt++ {
 		if attempt > maxAttempts {
 			return errors.New("btree: compensation did not converge after splits")
 		}
-		h, v, _, err := tr.descend(key, nil, true, lt)
+		h, v, _, err := tr.descend(u.Key, nil, true, lt)
 		if err != nil {
 			return err
 		}
-		curVal, ghost, found, err := v.Get(key)
+		curVal, _, found, err := v.Get(u.Key)
 		if err != nil {
 			lt.unpin(h, true)
 			return err
 		}
 		if !found {
 			lt.unpin(h, true)
-			return fmt.Errorf("btree: compensation target %q vanished: %w", key, ErrKeyNotFound)
+			return fmt.Errorf("btree: compensation target %q vanished: %w", u.Key, ErrKeyNotFound)
 		}
-		op, grow := makeOp(curVal, ghost)
+		op, grow := u.Compensation(curVal)
 		if v.Size()+grow <= h.Page().Capacity() {
 			err := ops.LogApplyCLR(t, h, op, undoNext)
 			lt.unpin(h, true)
@@ -778,7 +754,7 @@ func (tr *Tree) makeSpace(id page.ID, need int, key []byte, purge bool, lt *latc
 	// First try reclaiming ghost records — cheaper than splitting.
 	if purge && v.isLeaf() {
 		var st *txn.Txn
-		err := ops.PurgeGhosts(h, opLeafPurge, func() *txn.Txn {
+		purged, err := ops.PurgeGhosts(h, func() *txn.Txn {
 			if st == nil {
 				st = tr.pager.BeginSystem()
 			}
@@ -787,7 +763,7 @@ func (tr *Tree) makeSpace(id page.ID, need int, key []byte, purge bool, lt *latc
 		if st != nil {
 			err = st.End(err) // an abort puts the leaf back under its latch
 		}
-		if st != nil || err != nil {
+		if purged > 0 || err != nil {
 			lt.unpin(h, true)
 			return err
 		}
@@ -883,7 +859,7 @@ func (tr *Tree) growRoot(need int, lt *latchTracker) error {
 		// n's fences alias the root page, which stays untouched until the
 		// op (whose encoder copies the new payload) applies.
 		newRoot := newNodePayload(n.level+1, n.low, n.high, n.chain, page.InvalidID, mID)
-		err = ops.LogApply(st, h, encodeReplaceNode(newRoot))
+		err = ops.LogApply(st, h, pageop.EncodeReplace(newRoot))
 	}
 	err = st.End(err) // before the latch goes, like a foster split
 	lt.unpin(h, true)

@@ -10,8 +10,19 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/page"
+	"repro/internal/pageop"
 	"repro/internal/txn"
 )
+
+// ops is the log-then-apply protocol bound to pageop.Apply: every op the
+// hash index logs is a shared op (internal/pageop), so the index has no
+// opcodes and no applier of its own. The discipline is the B-tree's
+// (§5.1.2): redo is physical and always forward; undo of user ops is
+// logical through a fresh descent (Compensate), for a split may have moved
+// the key to another bucket; a structural change — a bucket split's
+// rewrites, overflow linking, directory updates, logged as pageop.Replace —
+// is its redo alone, for system transactions are redo-only.
+var ops = pageop.Ops{Apply: pageop.Apply}
 
 // Pager abstracts what the table needs from the engine — the same three
 // operations the B-tree needs (page allocation with format logging and
@@ -87,7 +98,7 @@ func Create(t *txn.Txn, name string, pager Pager) (*Table, error) {
 		dh.Unlock()
 		dh.Release()
 	})
-	if err := ops.LogApply(t, dh, encodePageSet(newDirectoryPayload(1, 0, buckets))); err != nil {
+	if err := ops.LogApply(t, dh, pageop.EncodeReplace(newDirectoryPayload(1, 0, buckets))); err != nil {
 		return nil, fmt.Errorf("hashindex: creating %q: %w", name, err)
 	}
 	return &Table{name: name, dir: dirID, pager: pager}, nil
@@ -416,15 +427,16 @@ func (tb *Table) Insert(tx *txn.Txn, key, val []byte) error {
 			return fmt.Errorf("%w: %q", ErrKeyExists, key)
 		}
 		if pi >= 0 && c.node(pi).Size()-len(old)+len(val) > capacity {
-			// The revival value does not fit over the ghost: physically
-			// purge the ghost under a system transaction and retry as a
-			// plain insert.
-			st := tb.pager.BeginSystem()
-			err := st.End(ops.LogApply(st, c.handle(pi), encodePurge(key)))
-			c.release()
+			// The revival value does not fit over the ghost: relocate the
+			// ghost, as a growing update relocates its entry, and retry
+			// there. The ghost moves rather than goes, for the rollback of
+			// the delete that left it may revive it (txn.Txn.HoldGhost);
+			// makeRoom purges it if no transaction holds it.
+			extended, err := tb.relocate(&c, pi, key, old, true, es, true)
 			if err != nil {
 				return err
 			}
+			grew = grew || extended
 			continue
 		}
 		if pi < 0 {
@@ -432,7 +444,7 @@ func (tb *Table) Insert(tx *txn.Txn, key, val []byte) error {
 			pi = c.roomFor(es, -1)
 		}
 		if pi >= 0 {
-			err := ops.LogApply(tx, c.handle(pi), encodeInsert(tb.dir, key, val))
+			err := ops.LogInsert(tx, c.handle(pi), tb.dir, key, val, ghost, old)
 			c.release()
 			if err == nil && grew {
 				tb.trySplit()
@@ -479,7 +491,7 @@ func (tb *Table) Update(tx *txn.Txn, key, val []byte) error {
 		// old aliases the page; every op encoder below copies it out before
 		// its op applies.
 		if c.node(pi).Size()-len(old)+len(val) <= capacity {
-			err := ops.LogApply(tx, c.handle(pi), encodeUpdate(tb.dir, key, val, old))
+			err := ops.LogApply(tx, c.handle(pi), pageop.EncodeUpdate(tb.dir, key, val, old))
 			c.release()
 			if err == nil && grew {
 				tb.trySplit()
@@ -509,13 +521,13 @@ func (tb *Table) relocate(c *chainRef, pi int, key, val []byte, ghost bool, es i
 		return tb.makeRoom(c, es, purge)
 	}
 	// The purge splices val's bytes away: build the reinsert first.
-	reinsert := encodeReinsert(key, val, ghost)
+	reinsert := pageop.EncodeReinsert(key, val, ghost)
 	st := tb.pager.BeginSystem()
-	err := ops.LogApply(st, c.handle(pi), encodePurge(key))
+	err := ops.LogApply(st, c.handle(pi), pageop.EncodePurge(key))
 	if err == nil {
 		err = ops.LogApply(st, c.handle(target), reinsert)
 	}
-	err = st.End(err) // before the latches go (see ops.go)
+	err = st.End(err) // before the latches go (see pageop.Ops.LogApply)
 	c.release()
 	return false, err
 }
@@ -539,7 +551,7 @@ func (tb *Table) Delete(tx *txn.Txn, key []byte) error {
 		c.release()
 		return fmt.Errorf("%w: %q", ErrKeyNotFound, key)
 	}
-	err = ops.LogApply(tx, c.handle(pi), encodeGhost(tb.dir, key, true, false))
+	err = ops.LogApply(tx, c.handle(pi), pageop.EncodeGhost(tb.dir, key, true, false))
 	c.release()
 	return err
 }
@@ -557,14 +569,17 @@ func (tb *Table) makeRoom(c *chainRef, need int, purge bool) (bool, error) {
 		}
 		return st
 	}
+	purged := 0
 	var err error
 	for i := 0; purge && i < c.n && err == nil; i++ {
-		err = ops.PurgeGhosts(c.handle(i), opHashPurge, sys)
+		var n int
+		n, err = ops.PurgeGhosts(c.handle(i), sys)
+		purged += n
 	}
 	if st != nil {
-		err = st.End(err) // before the latches go (see ops.go)
+		err = st.End(err) // before the latches go (see pageop.Ops.LogApply)
 	}
-	if st != nil || err != nil {
+	if purged > 0 || err != nil {
 		c.release()
 		return false, err
 	}
@@ -583,9 +598,9 @@ func (tb *Table) makeRoom(c *chainRef, need int, purge bool) (bool, error) {
 		// The tail's new image differs only in its next stamp.
 		linked := append([]byte(nil), c.handle(last).Page().Payload()...)
 		copy(linked[page.LayoutHeaderSize:], bucketExt(tail.bucketNum, tail.levelStamp, tail.dir, newID, tail.chainPos))
-		err = ops.LogApply(st, c.handle(last), encodePageSet(linked))
+		err = ops.LogApply(st, c.handle(last), pageop.EncodeReplace(linked))
 	}
-	err = st.End(err) // before the latches go (see ops.go)
+	err = st.End(err) // before the latches go (see pageop.Ops.LogApply)
 	c.release()
 	if err != nil {
 		return false, err
@@ -594,60 +609,40 @@ func (tb *Table) makeRoom(c *chainRef, need int, purge bool) (bool, error) {
 	return true, nil
 }
 
-// undoInsert, undoGhost, undoUpdate perform the logical compensation for
-// user operations during rollback: a fresh descent finds the key wherever
-// splits or relocations moved it, and a CLR records the compensation.
-func (tb *Table) undoInsert(t *txn.Txn, key []byte, undoNext page.LSN) error {
-	return tb.compensate(t, key, undoNext, func([]byte, bool) ([]byte, int) {
-		return encodePurge(key), 0
-	})
-}
-
-func (tb *Table) undoGhost(t *txn.Txn, key []byte, prior, was bool, undoNext page.LSN) error {
-	return tb.compensate(t, key, undoNext, func([]byte, bool) ([]byte, int) {
-		return encodeGhost(tb.dir, key, prior, was), 0
-	})
-}
-
-func (tb *Table) undoUpdate(t *txn.Txn, key, oldVal []byte, undoNext page.LSN) error {
-	return tb.compensate(t, key, undoNext, func(curVal []byte, ghost bool) ([]byte, int) {
-		return encodeUpdate(tb.dir, key, oldVal, curVal), len(oldVal) - len(curVal)
-	})
-}
-
-// compensate logs the compensation makeOp builds as a CLR. makeOp also
-// says how many bytes it adds to the entry: the old value an update undo
-// restores may no longer fit where other transactions filled the room its
-// shrinking freed, and rollback must not fail, so the entry is relocated
-// the way a growing update relocates it — reclaiming no ghost, which its
-// own rollback may have yet to revive — and the compensation retried.
-func (tb *Table) compensate(t *txn.Txn, key []byte, undoNext page.LSN,
-	makeOp func(curVal []byte, ghost bool) (op []byte, grow int)) error {
+// Compensate performs the logical compensation of user op u during
+// rollback, logging u.Compensation as a CLR whose undo-next is undoNext: a
+// fresh descent finds the key wherever splits or relocations moved it. The
+// old value an update undo restores may no longer fit where other
+// transactions filled the room its shrinking freed, and rollback must not
+// fail, so the entry is relocated the way a growing update relocates it —
+// reclaiming no ghost, which its own rollback may have yet to revive — and
+// the compensation retried.
+func (tb *Table) Compensate(t *txn.Txn, u pageop.UserOp, undoNext page.LSN) error {
 	var c chainRef
 	for attempt := 0; ; attempt++ {
 		if attempt > maxAttempts {
 			return errors.New("hashindex: compensation did not converge")
 		}
-		if err := tb.descendX(key, &c); err != nil {
+		if err := tb.descendX(u.Key, &c); err != nil {
 			return err
 		}
-		pi, curVal, ghost, err := c.find(key)
+		pi, curVal, ghost, err := c.find(u.Key)
 		if err != nil {
 			c.release()
 			return err
 		}
 		if pi < 0 {
 			c.release()
-			return fmt.Errorf("hashindex: compensation target %q vanished: %w", key, ErrKeyNotFound)
+			return fmt.Errorf("hashindex: compensation target %q vanished: %w", u.Key, ErrKeyNotFound)
 		}
 		// curVal aliases the page; the op encoder copies it before it applies.
-		op, grow := makeOp(curVal, ghost)
+		op, grow := u.Compensation(curVal)
 		if c.node(pi).Size()+grow <= c.handle(pi).Page().Capacity() {
 			err := ops.LogApplyCLR(t, c.handle(pi), op, undoNext)
 			c.release()
 			return err
 		}
-		if _, err := tb.relocate(&c, pi, key, curVal, ghost, page.RecordSize(len(key), len(curVal)+grow), false); err != nil {
+		if _, err := tb.relocate(&c, pi, u.Key, curVal, ghost, page.RecordSize(len(u.Key), len(curVal)+grow), false); err != nil {
 			return err
 		}
 	}
@@ -844,7 +839,7 @@ func (tb *Table) splitOnce() error {
 	st := tb.pager.BeginSystem()
 	abort := func(err error) error {
 		// Abort before the latches go: it puts back the pages already
-		// rewritten, under their latches (see ops.go).
+		// rewritten, under their latches (see pageop.Ops.LogApply).
 		_ = st.Abort()
 		c.release()
 		dh.Unlock()
@@ -881,7 +876,7 @@ func (tb *Table) splitOnce() error {
 		if err != nil {
 			return abort(err)
 		}
-		if err := ops.LogApply(st, c.handle(i), encodePageSet(nn)); err != nil {
+		if err := ops.LogApply(st, c.handle(i), pageop.EncodeReplace(nn)); err != nil {
 			return abort(err)
 		}
 	}
@@ -892,7 +887,7 @@ func (tb *Table) splitOnce() error {
 		level, next = level+1, 0
 	}
 	nd := newDirectoryPayload(level, next, append(d.buckets(), newChain))
-	if err := ops.LogApply(st, dh, encodePageSet(nd)); err != nil {
+	if err := ops.LogApply(st, dh, pageop.EncodeReplace(nd)); err != nil {
 		return abort(err)
 	}
 	if err := st.Commit(); err != nil {

@@ -81,6 +81,9 @@ type Manager struct {
 	active map[wal.TxnID]*Txn
 	undoer Undoer
 	stats  Stats
+	// ghosts counts, per key, the active user transactions whose delete
+	// left the key a ghost (HoldGhost): their rollback revives it.
+	ghosts map[string]int
 }
 
 // NewManager creates a transaction manager on the given log.
@@ -89,6 +92,7 @@ func NewManager(log *wal.Manager) *Manager {
 		log:    log,
 		nextID: 1,
 		active: make(map[wal.TxnID]*Txn),
+		ghosts: make(map[string]int),
 	}
 }
 
@@ -135,6 +139,8 @@ type Txn struct {
 	// runs once the end record is laid (see AtEnd).
 	saved []savedPage
 	atEnd []func()
+	// ghosts lists the keys a user transaction's deletes left ghosts.
+	ghosts []string
 }
 
 // savedPage is one page a system transaction changed.
@@ -232,6 +238,27 @@ func (t *Txn) Changed(id page.ID) bool {
 // transaction is redo-only: Abort puts copies back, newest first.
 func (t *Txn) Save(id page.ID, restore func() error) {
 	t.saved = append(t.saved, savedPage{id: id, restore: restore})
+}
+
+// HoldGhost records that the user transaction's delete left key a ghost.
+// Until the transaction's end record is laid, its rollback may revive the
+// ghost, so no system transaction may purge it (GhostHeld). Keys are held
+// across all indexes alike: a held key only spares its ghosts elsewhere
+// until the transaction ends.
+func (t *Txn) HoldGhost(key []byte) {
+	k := string(key)
+	t.mgr.mu.Lock()
+	t.mgr.ghosts[k]++
+	t.mgr.mu.Unlock()
+	t.ghosts = append(t.ghosts, k)
+}
+
+// GhostHeld reports whether an active user transaction — t or any other —
+// holds the ghost of key (HoldGhost).
+func (t *Txn) GhostHeld(key []byte) bool {
+	t.mgr.mu.Lock()
+	defer t.mgr.mu.Unlock()
+	return t.mgr.ghosts[string(key)] > 0
 }
 
 // AtEnd registers fn to run once the transaction's end record is laid —
@@ -337,6 +364,15 @@ func (t *Txn) end(typ wal.RecType) page.LSN {
 	lsn := t.mgr.log.Append(&wal.Record{Type: typ, Txn: t.id, PrevLSN: t.LastLSN()})
 	t.lastLSN.Store(uint64(lsn))
 	t.ended = true
+	// The ghosts it held may go: a purge logs behind this record, so a
+	// crash that loses the record, making the transaction a loser whose
+	// rollback revives them, loses the purge too.
+	for _, k := range t.ghosts {
+		if t.mgr.ghosts[k]--; t.mgr.ghosts[k] == 0 {
+			delete(t.mgr.ghosts, k)
+		}
+	}
+	t.ghosts = nil
 	return lsn
 }
 

@@ -428,3 +428,30 @@ func TestActiveExcludesTransactionsWithAnEndRecord(t *testing.T) {
 		t.Errorf("%d transactions left in the table after all ended", n)
 	}
 }
+
+// TestGhostHeldUntilTheTransactionEnds: a key a user transaction's delete
+// left a ghost reads as held, to any transaction, until the last
+// transaction holding it lays its end record, commit or abort alike.
+func TestGhostHeldUntilTheTransactionEnds(t *testing.T) {
+	_, m, _ := newManagers()
+	a, b := m.Begin(), m.Begin()
+	a.HoldGhost([]byte("k"))
+	b.HoldGhost([]byte("k"))
+	a.HoldGhost([]byte("j"))
+	st := m.BeginSystem()
+	if !st.GhostHeld([]byte("k")) || !st.GhostHeld([]byte("j")) || st.GhostHeld([]byte("x")) {
+		t.Fatal("held keys not reported, or an unheld one reported")
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if !st.GhostHeld([]byte("k")) || st.GhostHeld([]byte("j")) {
+		t.Fatal("after the first holder's commit: k must stay held by the second, j must not")
+	}
+	if err := b.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if st.GhostHeld([]byte("k")) {
+		t.Fatal("k still held after its last holder aborted")
+	}
+}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/iosim"
 	"repro/internal/page"
@@ -486,6 +488,8 @@ func TestAppendBatchScanOrder(t *testing.T) {
 
 // TestRecycleReleasesChunks: the chunks Recycle cuts go back to the
 // garbage collector, so a log at rest holds its tail, not spare megabytes.
+// Each chunk carries a finalizer; every cut chunk must become unreachable
+// within a few collections, and no chunk the log still holds may.
 func TestRecycleReleasesChunks(t *testing.T) {
 	m := newTestLog()
 	payload := make([]byte, 32<<10)
@@ -493,17 +497,32 @@ func TestRecycleReleasesChunks(t *testing.T) {
 		m.Append(&Record{Type: TypeUpdate, Txn: 1, PageID: 2, Payload: payload})
 	}
 	m.FlushAll()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	chunks := m.table().chunks
+	freed := make([]atomic.Bool, len(chunks))
+	for i, c := range chunks {
+		runtime.SetFinalizer(&c[0], func(*byte) { freed[i].Store(true) })
+	}
+	chunks = nil
 	k := m.Recycle(m.FlushedLSN())
 	if k < 4 {
 		t.Fatalf("Recycle cut %d chunks, want ≥ 4", k)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	allFreed := func() bool {
+		for i := 0; i < k; i++ {
+			if !freed[i].Load() {
+				return false
+			}
+		}
+		return true
+	}
+	for gc := 0; gc < 20 && !allFreed(); gc++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond) // finalizers run on their own goroutine
+	}
 	runtime.KeepAlive(m)
-	if dropped := int64(before.HeapAlloc) - int64(after.HeapAlloc); dropped < int64(k)*chunkSize {
-		t.Fatalf("recycling %d chunks released %d bytes, want ≥ %d", k, dropped, int64(k)*chunkSize)
+	for i := range freed {
+		if cut := i < k; freed[i].Load() != cut {
+			t.Errorf("chunk %d of %d (%d cut): unreachable %v, want %v", i, len(freed), k, freed[i].Load(), cut)
+		}
 	}
 }

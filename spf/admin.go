@@ -425,7 +425,7 @@ func (db *DB) Restart() (*DB, *RestartReport, error) {
 		}
 		redoRep, err := recovery.Redo(recovery.RedoDeps{
 			Log: ndb.log, Pool: ndb.pool, Map: ndb.pmap, PRI: ndb.pri,
-			Applier: applier{}, PageSize: db.opts.PageSize,
+			Applier: btree.Applier{}, PageSize: db.opts.PageSize,
 			LogPRIRepair: func(pid page.ID, lsn page.LSN) {
 				ndb.log.Append(&wal.Record{
 					Type: wal.TypePRIUpdate, PageID: pid,
@@ -512,13 +512,11 @@ func (db *DB) reopenCatalog() error {
 			return derr
 		}
 		for name, root := range reg {
-			rh, err := db.pool.Fetch(root)
+			eng, err := db.openEngine(name, root)
 			if err != nil {
 				return fmt.Errorf("spf: reopening index %q: %w", name, err)
 			}
-			rootType := rh.Page().Type()
-			rh.Release()
-			db.engines[name] = db.openEngine(name, root, rootType)
+			db.engines[name] = eng
 		}
 		return nil
 	}

@@ -118,7 +118,7 @@ func (cv *coverage) add(name string) {
 // class, and each thing below.
 func sequentialCoverage() []string {
 	names := []string{"restart that queued redo pages", "media recovery that replayed log written after the backup",
-		"aborted transaction", "restart that dropped a system transaction"}
+		"aborted transaction", "aborted transaction that deleted", "restart that dropped a system transaction"}
 	for _, p := range append(crashPoints, "wal.crash", "restart.prep", "wal.recycle without an archive") {
 		names = append(names, "crash at "+p)
 	}
@@ -159,9 +159,6 @@ type checker struct {
 	// until recovery returns; operation errors are expected only then.
 	crashing atomic.Bool
 	crash    *pendingCrash
-	// deleters is held shared by a transaction from its first delete to
-	// its end, and exclusively by a crash: see hole (a) in transaction.
-	deleters sync.RWMutex
 
 	// sequential marks a schedule run on one goroutine. Its checks after a
 	// recovery also hold that the drained restore queue left none of its
@@ -308,9 +305,7 @@ func (c *checker) transaction(s *schedule, key func() int, between func()) (appl
 		var val []byte
 		if !exists || s.intn(4) != 0 {
 			val = c.value(s)
-		} else if !deleted {
-			c.deleters.RLock()
-			defer c.deleters.RUnlock()
+		} else {
 			deleted = true
 		}
 		if err := c.write(tx, kk, val, exists); err != nil {
@@ -322,16 +317,14 @@ func (c *checker) transaction(s *schedule, key func() int, between func()) (appl
 			between()
 		}
 	}
-	// Hole (a): a ghost purge can reclaim the ghost of a delete whose
-	// transaction has not ended, and its rollback — by Abort, or by restart
-	// after a crash — then fails. Until that is closed, a transaction that
-	// deleted neither aborts nor is cut by a crash, which waits for it on
-	// deleters.
-	if !deleted && s.intn(6) == 0 {
+	if s.intn(6) == 0 {
 		if err := tx.Abort(); err != nil {
 			c.expect(err)
 		} else {
 			c.cov.add("aborted transaction")
+			if deleted {
+				c.cov.add("aborted transaction that deleted")
+			}
 		}
 		return applied, false
 	}
@@ -502,8 +495,6 @@ func (c *checker) armCrash(point string) {
 	go func() {
 		defer close(cr.done)
 		<-cr.signal
-		c.deleters.Lock()
-		defer c.deleters.Unlock()
 		db.Crash()
 	}()
 	c.crash = cr

@@ -203,7 +203,8 @@ func newDB(opts Options, dev *storage.Device, store *backup.Store, log *wal.Mana
 	db.txns = txn.NewManager(log)
 	db.txns.SetUndoer(undoer{db})
 	db.res = &backup.Resolver{Store: store, Log: log, PageSize: opts.PageSize}
-	db.rec = core.NewRecoverer(log, pri, db.res, applier{})
+	// btree.Applier redoes every op both engines log (see its doc).
+	db.rec = core.NewRecoverer(log, pri, db.res, btree.Applier{})
 	db.pool = buffer.NewPool(buffer.Config{
 		Capacity: opts.PoolFrames, Device: dev, Map: pmap, Log: log,
 		Hooks: db.hooks(),
@@ -551,15 +552,27 @@ func (db *DB) inheritParked(prev *DB) {
 	}
 }
 
-// undoer adapts the engine to the transaction manager's rollback; like
-// redo, undo routes on the record payload's opcode namespace.
+// undoer adapts the engines to the transaction manager's rollback: it
+// parses the user op once and compensates it through the engine whose root
+// page the op names (rootKind, the tag the catalog reopens by — not
+// db.engines: restart undoes before the catalog reopens). It opens the
+// engine itself rather than through openEngine: boxed in an Engine, the
+// opened index would escape to the heap on every undone record.
 type undoer struct{ db *DB }
 
 func (u undoer) Undo(t *txn.Txn, rec *wal.Record) error {
-	if hashindex.IsHashOp(rec.Payload) {
-		return hashindex.Compensate(t, u.db, rec)
+	op, err := pageop.ParseUser(rec.Payload)
+	if err != nil {
+		return fmt.Errorf("spf: undo of LSN %d: %w", rec.LSN, err)
 	}
-	return btree.Compensate(t, u.db, rec)
+	kind, err := u.db.rootKind(op.Root)
+	if err != nil {
+		return err
+	}
+	if kind == KindHash {
+		return hashindex.Open("", op.Root, u.db).Compensate(t, op, rec.PrevLSN)
+	}
+	return btree.Open("", op.Root, u.db).Compensate(t, op, rec.PrevLSN)
 }
 
 // AllocateNode implements btree.Pager: it allocates a logical page,
@@ -717,7 +730,7 @@ func (db *DB) logMetaPut(t *txn.Txn, h *buffer.Handle, name string, root page.ID
 	if err != nil {
 		return err
 	}
-	if err := (applier{}).ApplyRedo(&wal.Record{Payload: op}, h.Page()); err != nil {
+	if err := (btree.Applier{}).ApplyRedo(&wal.Record{Payload: op}, h.Page()); err != nil {
 		return err
 	}
 	h.Page().SetLSN(lsn)

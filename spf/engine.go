@@ -7,7 +7,6 @@ import (
 	"repro/internal/hashindex"
 	"repro/internal/page"
 	"repro/internal/txn"
-	"repro/internal/wal"
 )
 
 // IndexKind selects the storage engine behind a named index. The paper's
@@ -156,36 +155,33 @@ func (e hashEngine) Counters() EngineCounters {
 	return c
 }
 
-// applier is the combined redo applier: log records carry their engine in
-// the leading payload byte (the hash index's opcodes occupy a disjoint
-// namespace), so one dispatch serves chain replay, restart redo, and media
-// restore for every page type either engine stores.
-type applier struct{}
-
-func (applier) ApplyRedo(rec *wal.Record, pg *page.Page) error {
-	if hashindex.IsHashOp(rec.Payload) {
-		return hashindex.Applier{}.ApplyRedo(rec, pg)
+// rootKind reads the engine of the index rooted at root off its root page,
+// whose type is the engine tag: hash directories are TypeHash, B-tree roots
+// TypeBTree. The catalog reopen and undo dispatch on it.
+func (db *DB) rootKind(root page.ID) (IndexKind, error) {
+	h, err := db.pool.Fetch(root)
+	if err != nil {
+		return 0, err
 	}
-	return btree.Applier{}.ApplyRedo(rec, pg)
+	typ := h.Page().Type()
+	h.Release()
+	if typ == page.TypeHash {
+		return KindHash, nil
+	}
+	return KindBTree, nil
 }
 
-// RedoOnly strips op's undo information under the same dispatch: the log
-// archive's hook for updates whose transaction has committed.
-func (applier) RedoOnly(op []byte) []byte {
-	if hashindex.IsHashOp(op) {
-		return hashindex.RedoOnly(op)
+// openEngine attaches the right engine to an already-created index rooted
+// at root — the catalog-reopen dispatch.
+func (db *DB) openEngine(name string, root page.ID) (Engine, error) {
+	kind, err := db.rootKind(root)
+	if err != nil {
+		return nil, err
 	}
-	return btree.RedoOnly(op)
-}
-
-// openEngine attaches the right engine to an already-created index whose
-// root page is rootType — the catalog-reopen dispatch. The root page type
-// is the engine tag: hash directories are TypeHash, B-tree roots TypeBTree.
-func (db *DB) openEngine(name string, root page.ID, rootType page.Type) Engine {
-	if rootType == page.TypeHash {
-		return hashEngine{hashindex.Open(name, root, db)}
+	if kind == KindHash {
+		return hashEngine{hashindex.Open(name, root, db)}, nil
 	}
-	return btreeEngine{btree.Open(name, root, db)}
+	return btreeEngine{btree.Open(name, root, db)}, nil
 }
 
 // createEngine builds a fresh engine of the given kind under st.

@@ -5,6 +5,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/iosim"
 	"repro/internal/page"
+	"repro/internal/pageop"
 	"repro/internal/wal"
 )
 
@@ -30,7 +31,7 @@ func (db *DB) initLifecycle(prev *DB) {
 	db.archiver = archive.New(db.log, db.arch, archive.Config{
 		SegmentBytes: lo.SegmentBytes,
 		ReleaseFloor: db.archiveReleaseFloor,
-		RedoOnly:     applier{}.RedoOnly,
+		RedoOnly:     pageop.RedoOnly,
 		Logf:         lo.Logf,
 		Clock:        db.opts.clock,
 	})

@@ -81,10 +81,11 @@ type Options struct {
 	// interrupted by a simulated Crash report wal.ErrCommitLost instead
 	// of claiming durability.
 	GroupCommitWindow time.Duration
-	// SinglePageRecovery enables the page recovery index and the
-	// recovery path (default on via Open; set DisableSinglePageRecovery
-	// to model a traditional engine that escalates to media failure —
-	// the Fig. 1 baseline).
+	// DisableSinglePageRecovery turns off the page recovery index and
+	// the single-page recovery path, which are on by default: a failed
+	// page then escalates to media failure, as in a traditional engine —
+	// the Fig. 1 baseline. RecoverMedia, which restores every page by
+	// single-page recovery, is refused.
 	DisableSinglePageRecovery bool
 	// DisablePageLSNCheck turns off the PageLSN cross-check against the
 	// page recovery index on every buffer-pool read (ablation A2). Lost

@@ -9,8 +9,9 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/backup"
-	"repro/internal/hashindex"
+	"repro/internal/btree"
 	"repro/internal/page"
+	"repro/internal/pageop"
 	"repro/internal/wal"
 )
 
@@ -136,7 +137,7 @@ func TestArchiveHoldsOnlyChainRecords(t *testing.T) {
 						t.Fatalf("%v record at %d: %v, %v", rec.Type, lsn, got, err)
 					}
 					if !bytes.Equal(got.Payload, rec.Payload) {
-						if !bytes.Equal(got.Payload, applier{}.RedoOnly(rec.Payload)) {
+						if !bytes.Equal(got.Payload, pageop.RedoOnly(rec.Payload)) {
 							t.Fatalf("%v record at %d archived as %x, logged %x", rec.Type, lsn, got.Payload, rec.Payload)
 						}
 						stripped++
@@ -357,7 +358,7 @@ func TestRedoOnlyChainRepairsAndRestores(t *testing.T) {
 			}
 			cut := 0
 			for i, rec := range archived {
-				if !bytes.Equal(rec.Payload, applier{}.RedoOnly(live[i].Payload)) {
+				if !bytes.Equal(rec.Payload, pageop.RedoOnly(live[i].Payload)) {
 					t.Fatalf("chain record %d archived as %x, logged %x", rec.LSN, rec.Payload, live[i].Payload)
 				}
 				cut += len(live[i].Payload) - len(rec.Payload)
@@ -401,6 +402,13 @@ func TestRedoOnlyChainRepairsAndRestores(t *testing.T) {
 	}
 }
 
+// loggedOp is an op a history logged and the engine that logged it: the
+// hash index for an op on a hash page, the B-tree for any other.
+type loggedOp struct {
+	op   []byte
+	kind IndexKind
+}
+
 // redoOnlyReplay runs the checker's sequential generator for nops ops on a
 // fresh database — inserts, updates and deletes on both engines, some
 // transactions rolled back, values of 1 to 100 bytes so that both engines
@@ -408,7 +416,7 @@ func TestRedoOnlyChainRepairsAndRestores(t *testing.T) {
 // records twice, every update and CLR once as logged and once in its
 // RedoOnly form, failing as soon as an op leaves the two images of its
 // page different, and returns the logged ops and the final images.
-func redoOnlyReplay(tb testing.TB, seed int64, nops int) (ops [][]byte, pages []*page.Page) {
+func redoOnlyReplay(tb testing.TB, seed int64, nops int) (ops []loggedOp, pages []*page.Page) {
 	tb.Helper()
 	var db *DB
 	checked(tb, func() {
@@ -437,15 +445,19 @@ func redoOnlyReplay(tb testing.TB, seed int64, nops int) (ops [][]byte, pages []
 			if a == nil {
 				return true
 			}
-			ro := applier{}.RedoOnly(rec.Payload)
-			ea := applier{}.ApplyRedo(rec, a)
-			eb := applier{}.ApplyRedo(&wal.Record{Payload: ro}, b)
+			ro := pageop.RedoOnly(rec.Payload)
+			ea := btree.Applier{}.ApplyRedo(rec, a)
+			eb := btree.Applier{}.ApplyRedo(&wal.Record{Payload: ro}, b)
 			if ea != nil || eb != nil || !bytes.Equal(a.Encode(), b.Encode()) {
 				failure = fmt.Errorf("%v at %d on page %d: whole %v, redo-only %v, pages equal %v",
 					rec.Type, rec.LSN, rec.PageID, ea, eb, bytes.Equal(a.Encode(), b.Encode()))
 				return false
 			}
-			ops = append(ops, bytes.Clone(rec.Payload))
+			kind := KindBTree
+			if a.Type() == page.TypeHash {
+				kind = KindHash
+			}
+			ops = append(ops, loggedOp{bytes.Clone(rec.Payload), kind})
 		}
 		return true
 	})
@@ -474,13 +486,13 @@ func TestRedoOnlyReplayMatchesWholeReplay(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/seed=%d", kind, seed), func(t *testing.T) {
 				codes := make(map[byte]bool)
 				n, cut := 0, 0
-				for _, op := range ops {
-					if hashindex.IsHashOp(op) != (kind == KindHash) {
+				for _, o := range ops {
+					if o.kind != kind {
 						continue
 					}
-					codes[op[0]] = true
+					codes[o.op[0]] = true
 					n++
-					cut += len(op) - len(applier{}.RedoOnly(op))
+					cut += len(o.op) - len(pageop.RedoOnly(o.op))
 				}
 				if cut == 0 || len(codes) < 5 {
 					t.Fatalf("%d ops of %d opcodes, %d undo bytes cut: the history is too thin", n, len(codes), cut)
@@ -498,26 +510,26 @@ func TestRedoOnlyReplayMatchesWholeReplay(t *testing.T) {
 func FuzzRedoOnly(f *testing.F) {
 	ops, pages := redoOnlyReplay(f, 1, 400)
 	for j := 0; j < 81; j++ {
-		f.Add(ops[j*len(ops)/81])
+		f.Add(ops[j*len(ops)/81].op)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 1, 2})
 	f.Fuzz(func(t *testing.T, op []byte) {
 		orig := bytes.Clone(op)
-		ro := applier{}.RedoOnly(op)
+		ro := pageop.RedoOnly(op)
 		if !bytes.Equal(op, orig) {
 			t.Fatalf("RedoOnly wrote to its argument: %x -> %x", orig, op)
 		}
 		if len(ro) > len(op) {
 			t.Fatalf("RedoOnly grew %x to %x", op, ro)
 		}
-		if again := (applier{}).RedoOnly(ro); !bytes.Equal(again, ro) {
+		if again := pageop.RedoOnly(ro); !bytes.Equal(again, ro) {
 			t.Fatalf("RedoOnly not idempotent: %x -> %x -> %x", op, ro, again)
 		}
 		for _, base := range pages {
 			a, b := base.Clone(), base.Clone()
-			ea := applier{}.ApplyRedo(&wal.Record{Payload: op}, a)
-			eb := applier{}.ApplyRedo(&wal.Record{Payload: ro}, b)
+			ea := btree.Applier{}.ApplyRedo(&wal.Record{Payload: op}, a)
+			eb := btree.Applier{}.ApplyRedo(&wal.Record{Payload: ro}, b)
 			if (ea == nil) != (eb == nil) || !bytes.Equal(a.Encode(), b.Encode()) {
 				t.Fatalf("op %x on page %d: whole %v, redo-only %v", op, base.ID(), ea, eb)
 			}
