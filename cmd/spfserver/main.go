@@ -45,7 +45,6 @@ func main() {
 		dataSlots  = flag.Int("data-slots", 1<<16, "data device capacity in pages")
 		poolFrames = flag.Int("pool-frames", 4096, "buffer pool frames")
 		maint      = flag.Bool("maintenance", true, "enable background write-back and scrubbing")
-		backupN    = flag.Int("backup-every", 0, "per-page backup after N updates (0 disables)")
 
 		workers  = flag.Int("workers", 128, "request worker pool size")
 		reqTimeo = flag.Duration("request-timeout", 5*time.Second, "per-request deadline")
@@ -58,11 +57,10 @@ func main() {
 	flag.Parse()
 
 	opts := spf.Options{
-		PageSize:            *pageSize,
-		DataSlots:           *dataSlots,
-		PoolFrames:          *poolFrames,
-		BackupEveryNUpdates: *backupN,
-		Maintenance:         spf.MaintenanceOptions{Enabled: *maint},
+		PageSize:    *pageSize,
+		DataSlots:   *dataSlots,
+		PoolFrames:  *poolFrames,
+		Maintenance: spf.MaintenanceOptions{Enabled: *maint},
 	}
 	if *lifecycle {
 		opts.Lifecycle = spf.LifecycleOptions{

@@ -82,6 +82,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("silently corrupted the stored image of page %d\n", victim)
+	before := db.Metrics().Recovery.Recoveries
 
 	// The next read detects the failure, walks the per-page log chain
 	// from the page's format record, rebuilds the page, retires the bad
@@ -91,8 +92,15 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("read through single-page recovery: user0500 = %s\n", v2)
+	if want := `{"name":"u500","credits":5000}`; string(v2) != want {
+		log.Fatalf("read %s after the corruption, committed %s", v2, want)
+	}
 
 	st := db.Metrics()
+	if st.Recovery.Recoveries <= before {
+		log.Fatalf("the read was served without a recovery (%d before, %d after)",
+			before, st.Recovery.Recoveries)
+	}
 	fmt.Printf("recoveries=%d escalations=%d retired-slots=%d pri-ranges=%d (%d bytes for %d pages)\n",
 		st.Recovery.Recoveries, st.Recovery.Escalations, st.RetiredSlots,
 		st.PRI.Ranges, st.PRI.Bytes, st.Pages)

@@ -277,6 +277,8 @@ func E10RecoveryLatency(chainLengths []int) (*E10Result, error) {
 		opts.LogProfile = iosim.HDD
 		opts.DataProfile = iosim.HDD
 		opts.BackupProfile = iosim.HDD
+		// No page backup but the explicit one: the chain is the variable.
+		opts.BackupEveryNUpdates = -1
 		db, err := open(opts)
 		if err != nil {
 			return nil, err

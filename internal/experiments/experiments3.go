@@ -229,7 +229,8 @@ type E14Result struct {
 // since the last page backup." The victim is written back after every
 // commit — the policy takes its backups at write-back — so after an
 // explicit backup and totalUpdates updates, backup-every-n replays exactly
-// totalUpdates % n records, and no policy replays all of them.
+// totalUpdates % n records, and a negative n — no policy — replays all of
+// them.
 func E14BackupPolicySweep(intervals []int, totalUpdates int) (*E14Result, error) {
 	res := &E14Result{Applied: map[int]int{}}
 	t := report.NewTable("E14 / §6 — page backup interval vs recovery work",
@@ -284,7 +285,7 @@ func E14BackupPolicySweep(intervals []int, totalUpdates int) (*E14Result, error)
 		}
 		label := fmt.Sprintf("%d", n)
 		backups := "policy"
-		if n == 0 {
+		if n < 0 {
 			label = "never (single initial backup)"
 			backups = "1 (manual)"
 		}

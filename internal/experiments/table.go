@@ -190,7 +190,7 @@ var Table = []Experiment{
 		// nonzero remainder: the updates since the policy's last backup
 		// (7, 17, 17), or the whole history without the policy.
 		const updates = 317
-		intervals := []int{10, 25, 100, 0}
+		intervals := []int{10, 25, 100, -1} // -1: never
 		res, err := E14BackupPolicySweep(intervals, updates)
 		if err != nil {
 			return nil, err

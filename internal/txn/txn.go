@@ -130,9 +130,9 @@ type Txn struct {
 	beginLSN page.LSN
 	// ended is set, under the manager's mutex, in the step that lays the
 	// transaction's end record: from then on it is no row of the ATT. A
-	// user commit stays in the table until its force returns, because until
-	// then a crash can still make it a loser whose undo the archive release
-	// floor (OldestActiveBeginLSN) must keep readable.
+	// user commit or abort stays in the table until its force returns,
+	// because until then a crash can still make it a loser whose undo the
+	// archive release floor (OldestActiveBeginLSN) must keep readable.
 	ended bool
 	// saved lists, for a system transaction, each page it changed with what
 	// puts back the copy taken before the first change (see Save); atEnd
@@ -395,9 +395,17 @@ func (t *Txn) Abort() error {
 	} else if err := t.rollback(); err != nil {
 		return err
 	}
-	t.end(wal.TypeAbort)
+	lsn := t.end(wal.TypeAbort)
 	t.state = Aborted
 	t.finish()
+	if !t.system {
+		// Like a commit, a user abort leaves the table once its record is
+		// stable: until then a crash makes it a loser again, whose rollback
+		// reads the records the archive release floor keeps.
+		if err := t.mgr.log.Flush(lsn); err != nil {
+			return fmt.Errorf("txn %d abort not durable: %w", t.id, err)
+		}
+	}
 	t.mgr.mu.Lock()
 	delete(t.mgr.active, t.id)
 	if t.system {

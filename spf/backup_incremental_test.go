@@ -119,7 +119,7 @@ func TestBackupNowSkipsUnchangedPages(t *testing.T) {
 // per-page backup policy on it also holds at most one copy per page between
 // full backups, and a full backup releases every one of them.
 func TestBackupNowBoundsBackupDevice(t *testing.T) {
-	t.Run("full backups only", func(t *testing.T) { backupDeviceBound(t, 0) })
+	t.Run("full backups only", func(t *testing.T) { backupDeviceBound(t, -1) })
 	t.Run("page backup policy", func(t *testing.T) { backupDeviceBound(t, 8) })
 }
 
@@ -136,8 +136,8 @@ func backupDeviceBound(t *testing.T, backupEvery int) {
 
 	opts := testOptions()
 	opts.BackupSlots = 2 * pages
+	opts.BackupEveryNUpdates = backupEvery
 	if backupEvery > 0 {
-		opts.BackupEveryNUpdates = backupEvery
 		opts.BackupSlots += pages
 	}
 	db := openTestDB(t, opts)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/backup"
 	"repro/internal/btree"
 	"repro/internal/buffer"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/hashindex"
 	"repro/internal/maintenance"
@@ -425,6 +426,14 @@ func (db *DB) recoverPage(id page.ID, have *page.Page) (*page.Page, bool, error)
 	if err != nil {
 		return nil, false, err
 	}
+	// §6's bound: a repair that replayed a long chain backs the page up as
+	// rebuilt, so its next repair starts there. The copy is taken before
+	// the page is installed, as completeWrite's is under the flush mutex:
+	// a BackupNow or BackupPage copying this page waits for the load, and
+	// installs its own backup after this one.
+	if n := db.opts.BackupEveryNUpdates; n > 0 && rep.RecordsApplied >= n {
+		db.backUpImage(pg)
+	}
 	// A ticket still queued for the page is void (the scheduler also tells
 	// a reader's recovery from a worker's).
 	db.sched.NoteForegroundRepair(id)
@@ -451,13 +460,14 @@ func (db *DB) onMarkDirty(page.ID) {
 // It is also where §6's backup policy runs: the index entry adds the
 // write's updates to the page's count, and once that reaches
 // Options.BackupEveryNUpdates the image being written — in hand, and
-// consistent — is copied to the backup store as the page's backup. A copy
-// the backup device refuses is skipped; the count stays due, so the next
-// write-back tries again. The copy needs no backupMu: it is taken under the
-// frame's flush mutex, so a BackupNow's FlushAll write of this frame waits
-// until it is installed, and a write-back that starts after that one holds
-// every update the page had below the set's asOf — its chain never reaches
-// below the log the backup recycles.
+// consistent — is copied to the backup store as the page's backup
+// (backUpImage). A copy the backup device refuses is skipped; the count
+// stays due, so the next write-back tries again. The copy needs no
+// backupMu: it is taken under the frame's flush mutex, so a BackupNow's
+// FlushAll write of this frame waits until it is installed, and a
+// write-back that starts after that one holds every update the page had
+// below the set's asOf — its chain never reaches below the log the backup
+// recycles.
 func (db *DB) completeWrite(info buffer.WriteInfo) []*wal.Record {
 	if db.opts.DisableSinglePageRecovery {
 		return nil
@@ -466,9 +476,7 @@ func (db *DB) completeWrite(info buffer.WriteInfo) []*wal.Record {
 	if err != nil {
 		db.pri.Set(info.Page, core.Entry{LastLSN: info.PageLSN})
 	} else if n := db.opts.BackupEveryNUpdates; n > 0 && e.Updates >= n {
-		if ref, err := db.store.PutPage(info.Image); err == nil {
-			db.installBackup(info.Page, ref)
-		}
+		db.backUpImage(info.Image)
 	}
 	return []*wal.Record{{
 		Type: wal.TypePRIUpdate, PageID: info.Page,
@@ -476,6 +484,25 @@ func (db *DB) completeWrite(info buffer.WriteInfo) []*wal.Record {
 			PageLSN: info.PageLSN, Dest: info.Dest,
 		}),
 	}}
+}
+
+// backUpImage copies pg, a consistent image of its page, to the backup
+// store and installs the copy as the page's backup. Like every backup copy
+// it is written only once the log is stable through the image's PageLSN —
+// a write-back's image already is, by the write-ahead rule; a rebuilt one
+// is forced here. A copy the log or the backup device refuses is skipped.
+func (db *DB) backUpImage(pg *page.Page) {
+	if lsn := pg.LSN(); lsn >= db.log.FlushedLSN() && db.log.Flush(lsn) != nil {
+		return
+	}
+	ref, err := db.store.PutPage(pg)
+	if err != nil {
+		return
+	}
+	// Chaos point: the copy is on the backup device, the index does not
+	// name it yet.
+	chaos.At("spf.backupcopy")
+	db.installBackup(pg.ID(), ref)
 }
 
 // installBackup registers ref as page id's backup and logs it; the copy it

@@ -94,7 +94,9 @@ func corruptAndVerify(t *testing.T, db *DB, ix *Index, victim PageID, n int) {
 // and after truncation, including through a transient archive fault.
 func TestLifecycleRepairAcrossTruncationBoundary(t *testing.T) {
 	const n = 300
-	db := openTestDB(t, lifecycleOptions())
+	opts := lifecycleOptions()
+	opts.BackupEveryNUpdates = -1 // the churned chains stay above the full backup
+	db := openTestDB(t, opts)
 	defer db.Close()
 	ix := loadIndex(t, db, "t", n)
 	if _, _, err := db.BackupNow(); err != nil {
@@ -133,6 +135,39 @@ func TestLifecycleRepairAcrossTruncationBoundary(t *testing.T) {
 	if got := db.Metrics().Archive.Retries; got == 0 {
 		t.Error("transient archive fault was not retried")
 	}
+}
+
+// TestAbortCutByACrashRollsBackAgain: a rolled-back transaction whose abort
+// record a crash cut is a loser again at restart, and its rollback reads its
+// update records. A full backup's horizon passes them, so the archive keeps
+// them only while the abort record is unstable; a release between the abort
+// and the crash must not drop them.
+func TestAbortCutByACrashRollsBackAgain(t *testing.T) {
+	const n = 300
+	db := openTestDB(t, lifecycleOptions())
+	ix := loadIndex(t, db, "t", n)
+	tx := db.Begin()
+	for i := 0; i < n; i += 3 {
+		if err := ix.Update(tx, k(i), genValue(1, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := db.BackupNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ArchiveNow(); err != nil {
+		t.Fatal(err)
+	}
+	db.Crash()
+	rdb, _, err := db.Restart()
+	if err != nil {
+		t.Fatalf("restart after the abort: %v", err)
+	}
+	defer rdb.Close()
+	expectIndexes(t, reopened(t, rdb, []*Index{ix}), n, -1)
 }
 
 // TestLifecycleSurvivesCrashRestart crashes after truncation and verifies
@@ -304,8 +339,8 @@ func TestLifecyclePausesOnArchiveFault(t *testing.T) {
 // and with §6's page backups taken at write-back beside it.
 
 // noArchiveIndexes opens a database without the log archive, taking a page
-// backup every backupEvery updates (none when zero), and loads n keys into
-// a B-tree and a hash index.
+// backup every backupEvery updates (none when negative), and loads n keys
+// into a B-tree and a hash index.
 func noArchiveIndexes(t *testing.T, backupEvery, n int) (*DB, []*Index) {
 	t.Helper()
 	opts := testOptions()
@@ -384,7 +419,7 @@ func TestBackupTruncatesWithoutArchive(t *testing.T) {
 	for _, leg := range []struct {
 		name        string
 		backupEvery int
-	}{{"in-place", 0}, {"in-place+page-backups", 20}} {
+	}{{"in-place", -1}, {"in-place+page-backups", 20}} {
 		name, backupEvery := leg.name, leg.backupEvery
 		t.Run(name+"/recover-every-page", func(t *testing.T) {
 			db, ixs := backedUpWithoutArchive(t, backupEvery, n)
@@ -400,7 +435,7 @@ func TestBackupTruncatesWithoutArchive(t *testing.T) {
 					pageBackups++
 				}
 			}
-			if backupEvery == 0 && applied == 0 {
+			if backupEvery < 0 && applied == 0 {
 				t.Fatal("no page replayed any history since the backup")
 			}
 			if backupEvery > 0 && pageBackups == 0 {
@@ -517,7 +552,7 @@ func TestBackupTruncatesWithoutArchive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if e.Backup.Kind != core.BackupFormat && (backupEvery == 0 || e.Backup.Kind != core.BackupPage) {
+				if e.Backup.Kind != core.BackupFormat && (backupEvery < 0 || e.Backup.Kind != core.BackupPage) {
 					t.Fatalf("page %d born after the set is backed by %v, want its format record", id, e.Backup.Kind)
 				}
 				if _, err := db.RecoverPageNow(id); err != nil {

@@ -91,14 +91,21 @@ type Options struct {
 	// page recovery index on every buffer-pool read (ablation A2). Lost
 	// writes then go undetected until a fence check or checksum fails.
 	DisablePageLSNCheck bool
-	// BackupEveryNUpdates takes a per-page backup once a page has
-	// accumulated N updates since its last backup (0 disables the policy),
-	// which bounds the per-page log chain and hence single-page recovery
-	// time (§6). The updates are counted in the page's recovery index
-	// entry as its write-backs report them; the write-back that brings the
-	// count to N copies the image it writes to the backup store, so a page
-	// still in the pool is backed up when it is next written. Counts live
-	// in memory only: a restart starts every page at zero.
+	// BackupEveryNUpdates bounds the per-page log chain, and hence
+	// single-page recovery time (§6): a page backup is taken once N updates
+	// would otherwise have to be replayed. Zero selects the default, 64; a
+	// negative value never takes one. Two places copy a page:
+	//   - the write-back that brings the page's count of written-back
+	//     updates (kept in its recovery index entry) to N copies the image
+	//     it writes, so a page still in the pool is backed up when it is
+	//     next written;
+	//   - a repair that replays N or more records — a read, a restore
+	//     worker or the scrub rebuilding the page — copies the image it
+	//     rebuilt, so the page's next repair starts from that copy instead
+	//     of replaying the chain again.
+	// Counts live in memory only: a restart starts every page at zero, and
+	// the repair that rebuilds a page the crash left stale is what bounds
+	// its chain then.
 	BackupEveryNUpdates int
 	// Maintenance configures the background maintenance service: async
 	// dirty-page write-back with grouped PRI logging, plus the continuous
@@ -197,6 +204,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PoolFrames == 0 {
 		o.PoolFrames = 1024
+	}
+	if o.BackupEveryNUpdates == 0 {
+		o.BackupEveryNUpdates = 64
 	}
 	return o
 }

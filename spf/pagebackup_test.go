@@ -284,3 +284,178 @@ func TestBackupPageCannotStraddleBackupNow(t *testing.T) {
 		t.Fatalf("read through recovery: %q, %v", got, err)
 	}
 }
+
+// crashWithChains opens a database that takes a page backup every `every`
+// updates, loads n keys, takes a full backup and runs fill, which commits
+// updates the pool keeps dirty — no write-back counts them, so each page's
+// chain above the set lives only in the log — and then crashes it.
+func crashWithChains(t *testing.T, every, n int, fill func(db *DB, ix *Index)) *DB {
+	t.Helper()
+	opts := testOptions()
+	opts.BackupEveryNUpdates = every
+	opts.clock = clock.NewManual() // never advanced: nothing forces the log behind a test's back
+	db := openTestDB(t, opts)
+	ix := loadIndex(t, db, "t", n)
+	if _, _, err := db.BackupNow(); err != nil {
+		t.Fatal(err)
+	}
+	fill(db, ix)
+	db.Crash()
+	return db
+}
+
+// TestRepairBacksUpALongChain: a repair that replays N or more records
+// copies the page it rebuilt and installs the copy as the page's backup, so
+// the page's next repair replays nothing; a repair that replays fewer takes
+// no copy.
+func TestRepairBacksUpALongChain(t *testing.T) {
+	const every, n = 8, 200
+	var long, short PageID
+	db, _ := restartDrained(t, crashWithChains(t, every, n, func(db *DB, ix *Index) {
+		long, short = findLeafOf(t, db, ix, k(0)), findLeafOf(t, db, ix, k(n-1))
+		if long == short {
+			t.Fatal("the first and last key share a leaf")
+		}
+		for i := 0; i < every; i++ {
+			updateKey(t, db, ix, 0, fmt.Sprintf("long-%02d", i))
+		}
+		for i := 0; i < every-1; i++ {
+			updateKey(t, db, ix, n-1, fmt.Sprintf("short-%02d", i))
+		}
+	}))
+	ix, err := db.Index("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := db.pri.Get(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Backup.Kind != core.BackupPage || e.Backup.AsOf != e.LastLSN {
+		t.Fatalf("page rebuilt from %d records is backed by %+v, want a copy as of LSN %d", every, e.Backup, e.LastLSN)
+	}
+	if b := backupOf(t, db, short); b.Kind != core.BackupFull {
+		t.Fatalf("page rebuilt from %d records is backed by %+v, want the full set", every-1, b)
+	}
+	if rep := recoverNow(t, db, long); rep.BackupKind != core.BackupPage || rep.RecordsApplied != 0 {
+		t.Fatalf("repair after the copy: %+v; want the copy and nothing to replay", rep)
+	}
+	if rep := recoverNow(t, db, short); rep.BackupKind != core.BackupFull || rep.RecordsApplied != every-1 {
+		t.Fatalf("repair without a copy: %+v; want the full set and %d records", rep, every-1)
+	}
+	for i, want := range map[int]string{0: fmt.Sprintf("long-%02d", every-1), n - 1: fmt.Sprintf("short-%02d", every-2)} {
+		if got, err := ix.Get(k(i)); err != nil || string(got) != want {
+			t.Fatalf("key %d after the repairs: %q, %v; want %q", i, got, err, want)
+		}
+	}
+}
+
+// TestMediaRestoreReplaysNothingTheRestartReplayed: a restart drain that
+// rebuilds every page the crash left stale, each from N or more records,
+// backs each up as rebuilt; a device failure next restores every page from
+// those copies and the full set without replaying a record, and every key
+// reads back its last committed value.
+func TestMediaRestoreReplaysNothingTheRestartReplayed(t *testing.T) {
+	const every, n = 8, 200
+	stale := map[PageID]bool{}
+	db, _ := restartDrained(t, crashWithChains(t, every, n, func(db *DB, ix *Index) {
+		for i := 0; i < n; i++ {
+			stale[findLeafOf(t, db, ix, k(i))] = true
+		}
+		for gen := 0; gen < every; gen++ {
+			rewriteAll(t, db, ix, n, gen)
+		}
+	}))
+	if m := db.Metrics().Recovery; m.Recoveries < int64(len(stale)) || m.RecordsApplied < int64(every*len(stale)) {
+		t.Fatalf("the restart drain rebuilt %+v; want %d pages from %d records or more each", m, len(stale), every)
+	}
+	for id := range stale {
+		if b := backupOf(t, db, id); b.Kind != core.BackupPage {
+			t.Fatalf("page %d, rebuilt by the restart, is backed by %+v; want its copy", id, b)
+		}
+	}
+	db.FailDevice()
+	mdb, _, err := db.RecoverMedia()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mdb.Close()
+	mdb.DrainRestore()
+	if m := mdb.Metrics().Recovery; m.Recoveries < int64(len(stale)) || m.RecordsApplied != 0 || m.Escalations != 0 {
+		t.Fatalf("media restore: %+v; want every page restored with no record replayed", m)
+	}
+	mix, err := mdb.Index("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectGeneration(t, mix, n, every-1)
+}
+
+// TestRepairCopyCutByACrash: a crash after a repair's copy is written, and
+// before the index record that names it is stable, leaves the restarted
+// index naming the page's previous backup — parked, not freed — and the
+// next repair rebuilds the page from it to its committed value.
+func TestRepairCopyCutByACrash(t *testing.T) {
+	defer chaos.Reset()
+	const every, n = 8, 200
+	var victim PageID
+	var old core.BackupRef
+	crashed := crashWithChains(t, every, n, func(db *DB, ix *Index) {
+		victim = findLeafOf(t, db, ix, k(n/2))
+		if err := db.BackupPage(victim); err != nil {
+			t.Fatal(err)
+		}
+		old = backupOf(t, db, victim)
+		for i := 0; i < every; i++ {
+			updateKey(t, db, ix, n/2, fmt.Sprintf("cut-%02d", i))
+		}
+	})
+	// The restart drain's repair of the victim waits between its copy and
+	// the index update until the restart, whose checkpoint forces the log,
+	// has returned: from then on nothing forces the log.
+	held, release := make(chan struct{}), make(chan struct{})
+	chaos.Arm("spf.backupcopy", 1, func(chaos.Hit) {
+		close(held)
+		<-release
+	})
+	db, _, err := crashed.Restart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		db.DrainRestore()
+		close(drained)
+	}()
+	select {
+	case <-held:
+		close(release)
+		<-drained
+	case <-drained:
+		t.Fatal("the restart drain took no copy")
+	}
+	if b := backupOf(t, db, victim); b == old || b.Kind != core.BackupPage {
+		t.Fatalf("the drain's repair left backup %+v; want a new copy beside %+v", b, old)
+	}
+	// The slot goes bad too, so the next repair must resolve a backup.
+	if err := db.CorruptPage(victim); err != nil {
+		t.Fatal(err)
+	}
+	db.Crash()
+	rdb, _, err := db.Restart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	rix, err := rdb.Index("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := rix.Get(k(n / 2)); err != nil || string(got) != fmt.Sprintf("cut-%02d", every-1) {
+		t.Fatalf("read after the crash: %q, %v", got, err)
+	}
+	rdb.DrainRestore()
+	if m := rdb.Metrics().Recovery; m.RecordsApplied < every || m.Escalations != 0 {
+		t.Fatalf("recovery after the crash: %+v; want the %d records above the previous backup replayed", m, every)
+	}
+}

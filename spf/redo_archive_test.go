@@ -305,6 +305,7 @@ func TestRedoOnlyChainRepairsAndRestores(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			opts := lifecycleOptions()
 			opts.Lifecycle.SegmentBytes = 4 << 20 // each ArchiveNow collects one batch
+			opts.BackupEveryNUpdates = -1         // the whole chain stays above the backup
 			db := openTestDB(t, opts)
 			ix := loadIndexKind(t, db, "t", kind, n)
 			if _, _, err := db.BackupNow(); err != nil {
