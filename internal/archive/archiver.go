@@ -209,7 +209,7 @@ func (a *Archiver) drain(force bool) error {
 		// crash (or fault) here leaves the cursor behind the live log, and
 		// the records are simply re-collected and re-archived next time.
 		chaos.At("wal.archive.write")
-		err = a.store.retry(writeBackoff, func() error { return a.store.AppendRun(recs, a.cfg.RedoOnly) })
+		err = a.store.retry(func() error { return a.store.AppendRun(recs, a.cfg.RedoOnly) })
 		if err != nil {
 			a.degrade(err)
 			return err
@@ -219,8 +219,10 @@ func (a *Archiver) drain(force bool) error {
 	return nil
 }
 
-// collect copies up to one segment's worth of records from the live log
-// starting at cursor, stopping at the flushed boundary.
+// collect gathers up to one segment's worth of records from the live log
+// starting at cursor, stopping at the flushed boundary. Only the Record
+// Scan reuses is copied: each payload aliases flushed log bytes, which are
+// never written again, and AppendRun encodes what it keeps into the run.
 func (a *Archiver) collect(cursor, flushed page.LSN) ([]*wal.Record, error) {
 	var recs []*wal.Record
 	var size int64
@@ -229,7 +231,6 @@ func (a *Archiver) collect(cursor, flushed page.LSN) ([]*wal.Record, error) {
 			return false
 		}
 		cp := *r
-		cp.Payload = append([]byte(nil), r.Payload...)
 		recs = append(recs, &cp)
 		size += int64(wal.RecordSize(r))
 		return size < a.cfg.SegmentBytes
@@ -240,25 +241,18 @@ func (a *Archiver) collect(cursor, flushed page.LSN) ([]*wal.Record, error) {
 	return recs, nil
 }
 
-// writeBackoff and readBackoff are the first waits after an archive device
-// fault, doubling per retry. Nominally: a sleep shorter than a millisecond
-// lasts about a millisecond when the P is otherwise idle, because the
-// runtime's netpoller rounds the wait up, so both really are ≥1ms and
-// smaller values would change nothing. The archiver is a background
-// goroutine, and no caller waits on its writes; a healthy archive read
-// never waits. retryAttempts bounds the tries of one write or read: after
-// it, a write fault pauses recycling until the device recovers, and a read
-// fault fails the page repair that needed the record.
-const (
-	retryAttempts = 5
-	writeBackoff  = 200 * time.Microsecond
-	readBackoff   = 100 * time.Microsecond
-)
+// retryAttempts bounds the tries of one archive write or read: a faulted
+// operation is retried at once, as the buffer pool re-reads a failed
+// device read — a wait would cost a millisecond or more (the runtime
+// rounds a short sleep up) and buy nothing the next try does not. After
+// the last try a write fault pauses recycling until the device recovers
+// (the next step retries from the same cursor), and a read fault fails the
+// page repair that needed the record.
+const retryAttempts = 5
 
 // retry runs op until it succeeds or fails other than with ErrArchiveIO,
-// at most retryAttempts times, waiting delay after the first fault and
-// doubling the wait per retry.
-func (s *Store) retry(delay time.Duration, op func() error) error {
+// at most retryAttempts times.
+func (s *Store) retry(op func() error) error {
 	var err error
 	for i := 0; i < retryAttempts; i++ {
 		if err = op(); !errors.Is(err, ErrArchiveIO) {
@@ -266,8 +260,6 @@ func (s *Store) retry(delay time.Duration, op func() error) error {
 		}
 		if i < retryAttempts-1 {
 			s.retries.Add(1)
-			time.Sleep(delay)
-			delay *= 2
 		}
 	}
 	return err
@@ -287,25 +279,25 @@ func (a *Archiver) recovered() {
 	}
 }
 
-// Reader wraps a Store with bounded retry + backoff and implements
+// Reader wraps a Store with bounded retry and implements
 // wal.ArchiveReader — the read-side graceful degradation: a transient
 // archive fault costs a retry, not a failed page repair.
 type Reader struct {
 	s *Store
 }
 
-// NewReader returns a retrying reader over s: retryAttempts tries, the
-// wait after a fault readBackoff, doubling per retry.
+// NewReader returns a retrying reader over s: retryAttempts tries, each
+// at once.
 func (s *Store) NewReader() *Reader { return &Reader{s: s} }
 
 // ReadRecord implements wal.ArchiveReader.
 func (r *Reader) ReadRecord(lsn page.LSN) (rec *wal.Record, err error) {
-	err = r.s.retry(readBackoff, func() (e error) { rec, e = r.s.ReadRecord(lsn); return e })
+	err = r.s.retry(func() (e error) { rec, e = r.s.ReadRecord(lsn); return e })
 	return rec, err
 }
 
 // WalkChain implements wal.ArchiveReader.
 func (r *Reader) WalkChain(start, stopAfter page.LSN, pageID page.ID) (chain []*wal.Record, err error) {
-	err = r.s.retry(readBackoff, func() (e error) { chain, e = r.s.WalkChain(start, stopAfter, pageID); return e })
+	err = r.s.retry(func() (e error) { chain, e = r.s.WalkChain(start, stopAfter, pageID); return e })
 	return chain, err
 }

@@ -12,6 +12,11 @@
 // The Resolver implements core.BackupSource over all three. Pages are
 // written in place, so §5.2.1's pre-move image — what a log-structured
 // store keeps by deferring space reclamation — is not among them.
+//
+// Space is given back by one reachability sweep (Store.Sweep), never when a
+// backup is superseded: "the old backup page may be freed" (§5.2.2) once
+// nothing can resolve against it, and the page recovery index a restart
+// rebuilds is what decides that.
 package backup
 
 import (
@@ -44,17 +49,14 @@ type Store struct {
 	dev      *storage.Device
 	nextSlot storage.PhysID
 	free     []storage.PhysID
-	sets     map[uint64]map[page.ID]storage.PhysID
-	setLSN   map[uint64]page.LSN // log position the set was taken at
+	sets     map[uint64]map[page.ID]storage.PhysID // committed sets
+	open     map[uint64]map[page.ID]storage.PhysID // sets being written
+	setLSN   map[uint64]page.LSN                   // log position the set was taken at
 	// pageLSN records, per set, the LSN each captured image carried — the
 	// basis for the incremental-backup skip decision ("has this page been
 	// written since the previous backup captured it?").
 	pageLSN map[uint64]map[page.ID]page.LSN
-	// slotRef counts how many backup sets reference each set slot. An
-	// incremental set shares the unchanged pages of its predecessor
-	// (AddShared), so a slot is reusable only when the LAST set naming it
-	// is dropped.
-	slotRef map[storage.PhysID]int
+	loose   map[storage.PhysID]struct{} // page copies not yet Installed
 	nextSet uint64
 }
 
@@ -63,9 +65,10 @@ func NewStore(dev *storage.Device) *Store {
 	return &Store{
 		dev:     dev,
 		sets:    make(map[uint64]map[page.ID]storage.PhysID),
+		open:    make(map[uint64]map[page.ID]storage.PhysID),
 		setLSN:  make(map[uint64]page.LSN),
 		pageLSN: make(map[uint64]map[page.ID]page.LSN),
-		slotRef: make(map[storage.PhysID]int),
+		loose:   make(map[storage.PhysID]struct{}),
 		nextSet: 1,
 	}
 }
@@ -88,108 +91,168 @@ func (s *Store) allocLocked() (storage.PhysID, error) {
 	return slot, nil
 }
 
-// PutPage stores an individual backup copy of pg and returns a BackupRef
-// for the page recovery index. The caller frees the page's previous backup
-// (returned by PRI.SetBackup) via FreeSlot — never before the new copy is
-// safely written ("it is not a good idea to overwrite an existing backup
-// page", §5.2.2).
+// PutPage stores an individual backup copy of pg in a fresh slot — never
+// over an existing backup ("it is not a good idea to overwrite an existing
+// backup page", §5.2.2) — and returns a BackupRef for the page recovery
+// index. The copy is a sweep root from its allocation until the caller
+// reports it Installed; a copy whose write fails is left to the next sweep.
 func (s *Store) PutPage(pg *page.Page) (core.BackupRef, error) {
 	s.mu.Lock()
 	slot, err := s.allocLocked()
+	if err == nil {
+		s.loose[slot] = struct{}{}
+	}
 	s.mu.Unlock()
 	if err != nil {
 		return core.BackupRef{}, err
 	}
+	ref := core.BackupRef{Kind: core.BackupPage, Loc: uint64(slot), AsOf: pg.LSN()}
 	if err := s.dev.Write(slot, pg.Encode()); err != nil {
+		s.Installed(ref)
 		return core.BackupRef{}, fmt.Errorf("backup: writing page copy: %w", err)
 	}
-	return core.BackupRef{Kind: core.BackupPage, Loc: uint64(slot), AsOf: pg.LSN()}, nil
+	return ref, nil
 }
 
-// FreeSlot releases an individual backup slot for reuse.
-func (s *Store) FreeSlot(loc uint64) {
+// Installed ends PutPage's hold on ref's copy once the caller has logged
+// the index update naming it, under the exclusion its sweeps take.
+func (s *Store) Installed(ref core.BackupRef) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.freeLocked(storage.PhysID(loc))
+	delete(s.loose, storage.PhysID(ref.Loc))
 }
 
-// freeLocked returns a slot nothing references any more to the free list
-// and discards its image: a free slot holds no space while it waits for
-// reuse. Caller holds s.mu.
-func (s *Store) freeLocked(slot storage.PhysID) {
-	s.dev.Discard(slot)
-	s.free = append(s.free, slot)
-}
-
-// unrefLocked drops one set's reference to slot, freeing it when that was
-// the last. Caller holds s.mu.
-func (s *Store) unrefLocked(slot storage.PhysID) {
-	if s.slotRef[slot]--; s.slotRef[slot] <= 0 {
-		delete(s.slotRef, slot)
-		s.freeLocked(slot)
+// Sweep frees, discarding their images, every slot no root reaches, and
+// forgets every committed set none does. The roots are:
+//
+//   - named, the backup references the page recovery index holds: a page
+//     copy keeps its slot, a set keeps all of its slots;
+//   - the newest committed set, which media recovery restores from even
+//     when the index names none of it (a backup a crash cut before its
+//     index records were stable);
+//   - every set still being written;
+//   - every copy PutPage wrote that is not Installed yet.
+//
+// durable runs first, under the store's mutex: it must make the index
+// named came from durable — force the log — or fail, and then nothing is
+// freed. No slot is allocated meanwhile, so every slot freed is
+// unreachable from that index, the one a restart rebuilds, and from every
+// copy and set begun before the sweep.
+func (s *Store) Sweep(named []core.BackupRef, durable func() error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := durable(); err != nil {
+		return err
 	}
+	live := make(map[uint64]bool, 2)
+	keep := make([]bool, s.nextSlot)
+	for _, ref := range named {
+		switch ref.Kind {
+		case core.BackupFull:
+			live[ref.Loc] = true
+		case core.BackupPage:
+			if ref.Loc < uint64(len(keep)) {
+				keep[ref.Loc] = true
+			}
+		}
+	}
+	live[s.latestLocked()] = true
+	for id, set := range s.sets {
+		if !live[id] {
+			delete(s.sets, id)
+			delete(s.setLSN, id)
+			delete(s.pageLSN, id)
+			continue
+		}
+		for _, slot := range set {
+			keep[slot] = true
+		}
+	}
+	for _, set := range s.open {
+		for _, slot := range set {
+			keep[slot] = true
+		}
+	}
+	for slot := range s.loose {
+		keep[slot] = true
+	}
+	for _, slot := range s.free {
+		keep[slot] = true
+	}
+	for slot, k := range keep {
+		if !k {
+			s.dev.Discard(storage.PhysID(slot))
+			s.free = append(s.free, storage.PhysID(slot))
+		}
+	}
+	return nil
 }
 
 // FullSetWriter accumulates a full database backup.
 type FullSetWriter struct {
 	store *Store
 	setID uint64
-	pages map[page.ID]storage.PhysID
+	pages map[page.ID]storage.PhysID // the store's open entry for the set
 	lsns  map[page.ID]page.LSN
 	done  bool
 }
 
 // BeginFullSet starts a new full backup set. asOf records the log position
 // at which the backup began: every image the set takes holds its page's
-// history below it.
+// history below it. Until Commit or Abort the set's slots are sweep roots.
 func (s *Store) BeginFullSet(asOf page.LSN) *FullSetWriter {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id := s.nextSet
 	s.nextSet++
 	s.setLSN[id] = asOf
-	return &FullSetWriter{
+	w := &FullSetWriter{
 		store: s, setID: id,
 		pages: make(map[page.ID]storage.PhysID),
 		lsns:  make(map[page.ID]page.LSN),
 	}
+	s.open[id] = w.pages
+	return w
 }
 
 // SetID returns the backup set identifier (BackupRef.Loc for BackupFull).
 func (w *FullSetWriter) SetID() uint64 { return w.setID }
 
-// Add copies one page into the set.
+// Add copies one page into the set. A slot whose write fails is freed
+// again at once: nothing can have named it.
 func (w *FullSetWriter) Add(pg *page.Page) error {
 	if w.done {
 		return errors.New("backup: set already committed or aborted")
 	}
-	w.store.mu.Lock()
-	slot, err := w.store.allocLocked()
-	w.store.mu.Unlock()
+	s := w.store
+	s.mu.Lock()
+	slot, err := s.allocLocked()
+	if err == nil {
+		w.pages[pg.ID()] = slot
+	}
+	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	if err := w.store.dev.Write(slot, pg.Encode()); err != nil {
-		w.store.mu.Lock()
-		w.store.freeLocked(slot)
-		w.store.mu.Unlock()
+	if err := s.dev.Write(slot, pg.Encode()); err != nil {
+		s.mu.Lock()
+		delete(w.pages, pg.ID())
+		s.dev.Discard(slot)
+		s.free = append(s.free, slot)
+		s.mu.Unlock()
 		return fmt.Errorf("backup: writing set page: %w", err)
 	}
-	w.store.mu.Lock()
-	w.store.slotRef[slot]++
-	w.store.mu.Unlock()
-	w.pages[pg.ID()] = slot
 	w.lsns[pg.ID()] = pg.LSN()
 	return nil
 }
 
 // AddShared includes a page in the set WITHOUT rewriting its image: the
-// new set references the slot the page already occupies in fromSet (the
+// new set names the slot the page already occupies in fromSet (the
 // incremental-backup path — "the backup should be on direct-access media"
 // §5.2.2 means individual images are addressable, so sharing an unchanged
-// one costs nothing). The slot's reference count is bumped immediately, so
-// dropping fromSet mid-backup cannot free it out from under the new set.
-// The caller asserts the page is unchanged since fromSet captured it.
+// one costs nothing). A slot two sets name stays while either is
+// reachable. The caller asserts the page is unchanged since fromSet
+// captured it.
 func (w *FullSetWriter) AddShared(id page.ID, fromSet uint64) error {
 	if w.done {
 		return errors.New("backup: set already committed or aborted")
@@ -204,7 +267,6 @@ func (w *FullSetWriter) AddShared(id page.ID, fromSet uint64) error {
 	if !in {
 		return fmt.Errorf("%w: page %d in set %d", ErrNotInSet, id, fromSet)
 	}
-	w.store.slotRef[slot]++
 	w.pages[id] = slot
 	w.lsns[id] = w.store.pageLSN[fromSet][id]
 	return nil
@@ -215,23 +277,22 @@ func (w *FullSetWriter) AddShared(id page.ID, fromSet uint64) error {
 func (w *FullSetWriter) Commit() {
 	w.store.mu.Lock()
 	defer w.store.mu.Unlock()
+	delete(w.store.open, w.setID)
 	w.store.sets[w.setID] = w.pages
 	w.store.pageLSN[w.setID] = w.lsns
 	w.done = true
 }
 
-// Abort abandons an uncommitted set: its references are dropped, so the
-// images it wrote are freed and the ones it shared stay with their set.
-// No-op after Commit.
+// Abort abandons an uncommitted set: it stops being a root, so the next
+// sweep frees the images it wrote, and the ones it shared stay with their
+// set. No-op after Commit.
 func (w *FullSetWriter) Abort() {
 	if w.done {
 		return
 	}
 	w.store.mu.Lock()
 	defer w.store.mu.Unlock()
-	for _, slot := range w.pages {
-		w.store.unrefLocked(slot)
-	}
+	delete(w.store.open, w.setID)
 	delete(w.store.setLSN, w.setID)
 	w.done = true
 }
@@ -247,25 +308,6 @@ func (s *Store) SetPageInfo(setID uint64, id page.ID) (page.LSN, bool) {
 	}
 	lsn, in := lsns[id]
 	return lsn, in
-}
-
-// DropSet releases an obsolete backup set. Each of its slots is freed (and
-// its image discarded) only when no other (incremental) set still shares
-// it.
-func (s *Store) DropSet(setID uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	set, ok := s.sets[setID]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownSet, setID)
-	}
-	for _, slot := range set {
-		s.unrefLocked(slot)
-	}
-	delete(s.sets, setID)
-	delete(s.setLSN, setID)
-	delete(s.pageLSN, setID)
-	return nil
 }
 
 // SetPages lists the pages captured in a set (media recovery restores all
@@ -310,11 +352,17 @@ func (s *Store) Sets() []uint64 {
 
 // LatestSet returns the most recent committed full backup set ID, or zero.
 func (s *Store) LatestSet() uint64 {
-	sets := s.Sets()
-	if len(sets) == 0 {
-		return 0
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.latestLocked()
+}
+
+func (s *Store) latestLocked() uint64 {
+	var newest uint64
+	for id := range s.sets {
+		newest = max(newest, id)
 	}
-	return sets[len(sets)-1]
+	return newest
 }
 
 // fetchSlot reads and validates one backup image. The decoded page owns

@@ -61,26 +61,58 @@ func TestFetchWrongPageID(t *testing.T) {
 	}
 }
 
-func TestFreeSlotReuse(t *testing.T) {
+// durable stands for a log force that succeeds.
+func durable() error { return nil }
+
+// setRef names a set as the page recovery index would.
+func setRef(id uint64) core.BackupRef { return core.BackupRef{Kind: core.BackupFull, Loc: id} }
+
+// TestSweepReusesUnnamedCopySlots: an installed copy the index no longer
+// names is discarded by the sweep and its slot reused; the named one stays.
+func TestSweepReusesUnnamedCopySlots(t *testing.T) {
 	s := newStore(t, 2)
 	ref1, err := s.PutPage(testPage(t, 1, 1, "a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PutPage(testPage(t, 2, 1, "b")); err != nil {
+	ref2, err := s.PutPage(testPage(t, 1, 2, "b"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Store full now.
 	if _, err := s.PutPage(testPage(t, 3, 1, "c")); err == nil {
 		t.Fatal("overfull store accepted page")
 	}
-	s.FreeSlot(ref1.Loc)
+	s.Installed(ref1)
+	s.Installed(ref2)
+	if err := s.Sweep([]core.BackupRef{ref2}, durable); err != nil {
+		t.Fatal(err)
+	}
 	// A free slot holds no image while it waits for reuse.
 	if n := s.Device().WrittenSlots(); n != 1 {
-		t.Errorf("%d slots hold an image after FreeSlot, want 1", n)
+		t.Errorf("%d slots hold an image after the sweep, want 1", n)
 	}
-	if _, err := s.PutPage(testPage(t, 3, 1, "c")); err != nil {
-		t.Errorf("free slot not reused: %v", err)
+	if got, err := s.PutPage(testPage(t, 3, 1, "c")); err != nil || got.Loc != ref1.Loc {
+		t.Errorf("free slot not reused: %+v, %v", got, err)
+	}
+}
+
+// TestSweepFreesNothingWhenTheForceFails: a sweep whose log force fails
+// frees nothing — the index it was handed may not be the one a restart
+// rebuilds.
+func TestSweepFreesNothingWhenTheForceFails(t *testing.T) {
+	s := newStore(t, 4)
+	ref, err := s.PutPage(testPage(t, 1, 1, "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Installed(ref)
+	sealed := errors.New("log sealed")
+	if err := s.Sweep(nil, func() error { return sealed }); !errors.Is(err, sealed) {
+		t.Fatalf("sweep over a failed force: %v", err)
+	}
+	if n := s.Device().WrittenSlots(); n != 1 {
+		t.Errorf("%d slots hold an image after a failed sweep, want 1", n)
 	}
 }
 
@@ -140,69 +172,106 @@ func TestFetchFromUnknownSetAndMissingPage(t *testing.T) {
 	}
 }
 
-func TestDropSetFreesSlots(t *testing.T) {
-	s := newStore(t, 4)
+// fullSet commits a set of pages lo..hi, each image carrying payload.
+func fullSet(t *testing.T, s *Store, lo, hi int, payload string) uint64 {
+	t.Helper()
 	w := s.BeginFullSet(1)
-	for i := 1; i <= 4; i++ {
-		if err := w.Add(testPage(t, page.ID(i), 1, "x")); err != nil {
+	for i := lo; i <= hi; i++ {
+		if err := w.Add(testPage(t, page.ID(i), 1, payload)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	w.Commit()
+	return w.SetID()
+}
+
+// TestSweepDiscardsUnreachableSets: a set neither named nor the newest is
+// forgotten, and its slots are discarded and reused.
+func TestSweepDiscardsUnreachableSets(t *testing.T) {
+	s := newStore(t, 8)
+	old := fullSet(t, s, 1, 4, "old")
+	newest := fullSet(t, s, 1, 4, "new")
 	if _, err := s.PutPage(testPage(t, 9, 1, "y")); err == nil {
 		t.Fatal("store should be full")
 	}
-	if err := s.DropSet(w.SetID()); err != nil {
+	if err := s.Sweep(nil, durable); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.Device().WrittenSlots(); n != 0 {
-		t.Errorf("%d slots hold an image after DropSet, want 0", n)
+	if got := s.Sets(); len(got) != 1 || got[0] != newest {
+		t.Fatalf("Sets after the sweep = %v, want [%d]", got, newest)
+	}
+	if _, err := s.SetPages(old); !errors.Is(err, ErrUnknownSet) {
+		t.Errorf("swept set still listed: %v", err)
+	}
+	if n := s.Device().WrittenSlots(); n != 4 {
+		t.Errorf("%d slots hold an image after the sweep, want 4", n)
 	}
 	if _, err := s.PutPage(testPage(t, 9, 1, "y")); err != nil {
 		t.Errorf("slots not freed: %v", err)
 	}
-	if err := s.DropSet(w.SetID()); !errors.Is(err, ErrUnknownSet) {
-		t.Errorf("double drop: %v", err)
+}
+
+// TestSweepKeepsTheNewestSet: media recovery restores from the newest set,
+// so it survives a sweep whose index names none of it.
+func TestSweepKeepsTheNewestSet(t *testing.T) {
+	s := newStore(t, 8)
+	r := &Resolver{Store: s, Log: wal.NewManager(iosim.Instant), PageSize: 512}
+	set := fullSet(t, s, 1, 3, "kept")
+	if err := s.Sweep(nil, durable); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Sets(); len(got) != 1 || got[0] != set {
+		t.Fatalf("Sets after the sweep = %v, want [%d]", got, set)
+	}
+	if n := s.Device().WrittenSlots(); n != 3 {
+		t.Errorf("%d slots hold an image, want 3", n)
+	}
+	if got, err := r.FetchBackup(setRef(set), 2); err != nil || string(got.Payload()) != "kept" {
+		t.Errorf("page 2 from the newest set: %v, %v", got, err)
 	}
 }
 
-// TestDropSetKeepsSharedSlots: an incremental set shares the unchanged
-// images of its predecessor, and dropping the predecessor frees and
-// discards only what the newer set does not name.
-func TestDropSetKeepsSharedSlots(t *testing.T) {
+// TestSweepKeepsSharedSlots: an incremental set shares the unchanged
+// images of its predecessor, and a shared slot survives while either set
+// is reachable — the older one through the index, the newer one through
+// the index or as the newest.
+func TestSweepKeepsSharedSlots(t *testing.T) {
 	s := newStore(t, 8)
 	r := &Resolver{Store: s, Log: wal.NewManager(iosim.Instant), PageSize: 512}
-	w1 := s.BeginFullSet(1)
-	for i := 1; i <= 3; i++ {
-		if err := w1.Add(testPage(t, page.ID(i), 1, "old")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w1.Commit()
+	w1 := fullSet(t, s, 1, 3, "old")
 	w2 := s.BeginFullSet(2)
 	if err := w2.Add(testPage(t, 1, 2, "new")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 2; i <= 3; i++ {
-		if err := w2.AddShared(page.ID(i), w1.SetID()); err != nil {
+		if err := w2.AddShared(page.ID(i), w1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	w2.Commit()
-	if got := s.Sets(); len(got) != 2 || got[0] != w1.SetID() || got[1] != w2.SetID() {
+	// The index still names the older set, the newer is the newest: both
+	// stay, and so do all four images.
+	if err := s.Sweep([]core.BackupRef{setRef(w1)}, durable); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Sets(); len(got) != 2 || got[0] != w1 || got[1] != w2.SetID() {
 		t.Fatalf("Sets = %v", got)
 	}
-	if err := s.DropSet(w1.SetID()); err != nil {
+	if n := s.Device().WrittenSlots(); n != 4 {
+		t.Errorf("%d slots hold an image, want 4", n)
+	}
+	// Once the index names the newer set, the older one goes: page 1's old
+	// image is discarded, the two shared ones and the new one stay.
+	if err := s.Sweep([]core.BackupRef{setRef(w2.SetID())}, durable); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Sets(); len(got) != 1 || got[0] != w2.SetID() {
-		t.Fatalf("Sets after drop = %v", got)
+		t.Fatalf("Sets after the sweep = %v", got)
 	}
-	// Page 1's old image is gone; the two shared ones and the new one stay.
 	if n := s.Device().WrittenSlots(); n != 3 {
 		t.Errorf("%d slots hold an image, want 3", n)
 	}
-	ref := core.BackupRef{Kind: core.BackupFull, Loc: w2.SetID()}
+	ref := setRef(w2.SetID())
 	for i, want := range []string{"new", "old", "old"} {
 		got, err := r.FetchBackup(ref, page.ID(i+1))
 		if err != nil || string(got.Payload()) != want {
@@ -211,8 +280,50 @@ func TestDropSetKeepsSharedSlots(t *testing.T) {
 	}
 }
 
-// TestAbortFreesAnUncommittedSet: a backup that fails part-way gives back
-// the images it wrote and leaves the ones it shared with their set.
+// TestSweepKeepsOpenSetsAndUninstalledCopies: the slots of a set being
+// written and a copy written but not installed are roots however the index
+// reads; an installed copy the index does not name is not. Once the set is
+// abandoned and the copy installed, both go.
+func TestSweepKeepsOpenSetsAndUninstalledCopies(t *testing.T) {
+	s := newStore(t, 8)
+	w := s.BeginFullSet(1)
+	for i := 1; i <= 2; i++ {
+		if err := w.Add(testPage(t, page.ID(i), 1, "open")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pending, err := s.PutPage(testPage(t, 5, 1, "pending"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped, err := s.PutPage(testPage(t, 6, 1, "dropped"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Installed(dropped)
+	if err := s.Sweep(nil, durable); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Device().WrittenSlots(); n != 3 {
+		t.Errorf("%d slots hold an image, want the open set's 2 and the pending copy", n)
+	}
+	r := &Resolver{Store: s, Log: wal.NewManager(iosim.Instant), PageSize: 512}
+	if got, err := r.FetchBackup(pending, 5); err != nil || string(got.Payload()) != "pending" {
+		t.Errorf("pending copy: %v, %v", got, err)
+	}
+	w.Abort()
+	s.Installed(pending)
+	if err := s.Sweep(nil, durable); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Device().WrittenSlots(); n != 0 {
+		t.Errorf("%d slots hold an image with no root left, want 0", n)
+	}
+}
+
+// TestAbortFreesAnUncommittedSet: a backup that fails part-way gives back,
+// at the next sweep, the images it wrote and leaves the ones it shared with
+// their set.
 func TestAbortFreesAnUncommittedSet(t *testing.T) {
 	s := newStore(t, 8)
 	w1 := s.BeginFullSet(1)
@@ -228,6 +339,9 @@ func TestAbortFreesAnUncommittedSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	w2.Abort()
+	if err := s.Sweep(nil, durable); err != nil {
+		t.Fatal(err)
+	}
 	if got := s.Sets(); len(got) != 1 || got[0] != w1.SetID() {
 		t.Fatalf("Sets after abort = %v", got)
 	}
@@ -241,11 +355,8 @@ func TestAbortFreesAnUncommittedSet(t *testing.T) {
 		t.Error("Add after Abort succeeded")
 	}
 	w1.Abort() // committed: no-op
-	if err := s.DropSet(w1.SetID()); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.Device().WrittenSlots(); n != 0 {
-		t.Errorf("%d slots hold an image at the end, want 0", n)
+	if got := s.Sets(); len(got) != 1 || got[0] != w1.SetID() {
+		t.Fatalf("Sets after aborting a committed set = %v", got)
 	}
 }
 

@@ -152,19 +152,10 @@ func (p *PRI) SetRange(lo, hi page.ID, e Entry) {
 	p.setRangeLocked(lo, hi, e)
 }
 
-// Superseded is a backup reference an index update replaced, with the page
-// it was the backup of.
-type Superseded struct {
-	Page page.ID
-	Ref  BackupRef
-}
-
 // ReplaceRange points every page in [lo, hi] at the backup e names — a full
-// set taken at log position takenAt — and reports what it replaced: one
-// Superseded per overlapped range, Page being the first page of the
-// overlap. The report is atomic with the update, so a caller that frees the
-// per-page backup copies a full backup supersedes (§5.2.2) cannot miss one
-// installed just before the range.
+// set taken at log position takenAt. What it replaces is not reported: a
+// backup copy the index stops naming is freed by the backup store's next
+// sweep, once the record describing this update is durable.
 //
 // A page whose LastLSN is at or above takenAt — the next record's LSN when
 // the backup began — keeps it: that write carries an update logged after
@@ -173,17 +164,15 @@ type Superseded struct {
 // recovery would silently stop short. Every other page takes e.LastLSN
 // (zero: not updated since the backup), which is what lets one range cover
 // the database.
-func (p *PRI) ReplaceRange(lo, hi page.ID, e Entry, takenAt page.LSN) []Superseded {
+func (p *PRI) ReplaceRange(lo, hi page.ID, e Entry, takenAt page.LSN) {
 	if hi < lo {
 		panic(fmt.Sprintf("pri: ReplaceRange %d > %d", lo, hi))
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	i, j := p.overlap(lo, hi)
-	old := make([]Superseded, 0, j-i)
 	var kept []rng
 	for _, r := range p.ranges[i:j] {
-		old = append(old, Superseded{Page: max(r.lo, lo), Ref: r.e.Backup})
 		if r.e.LastLSN >= takenAt {
 			kept = append(kept, rng{max(r.lo, lo), min(r.hi, hi), Entry{Backup: e.Backup, LastLSN: r.e.LastLSN}})
 		}
@@ -192,7 +181,6 @@ func (p *PRI) ReplaceRange(lo, hi page.ID, e Entry, takenAt page.LSN) []Supersed
 	for _, k := range kept {
 		p.setRangeLocked(k.lo, k.hi, k.e)
 	}
-	return old
 }
 
 // overlap returns the half-open span of ranges that intersect [lo, hi]: i
@@ -311,28 +299,28 @@ func (p *PRI) RecordWrite(id page.ID, lsn page.LSN, updates int) (Entry, error) 
 	return e, nil
 }
 
-// SetBackup records a new backup for page id and returns the previous
-// backup reference so the caller can free the superseded copy ("the page
-// recovery index gives fast access to its identifier", §5.2.2). If the new
-// backup is at least as recent as every update (ref.AsOf >= LastLSN), the
-// LastLSN resets to the backup point: nothing needs replay. The page's
-// update count restarts at zero.
-func (p *PRI) SetBackup(id page.ID, ref BackupRef) (prev BackupRef, err error) {
+// SetBackup records a new backup for page id. The copy it replaces is not
+// freed here: the backup store's next sweep frees it once the record
+// describing this update is durable ("when a new backup page is taken ...
+// the old backup page may be freed", §5.2.2). If the new backup is at least
+// as recent as every update (ref.AsOf >= LastLSN), the LastLSN resets to
+// the backup point: nothing needs replay. The page's update count restarts
+// at zero.
+func (p *PRI) SetBackup(id page.ID, ref BackupRef) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	i := p.find(id)
 	if i < 0 {
-		return BackupRef{}, fmt.Errorf("%w: %d", ErrNoEntry, id)
+		return fmt.Errorf("%w: %d", ErrNoEntry, id)
 	}
 	e := p.ranges[i].e
-	prev = e.Backup
 	e.Backup = ref
 	e.Updates = 0
 	if ref.AsOf >= e.LastLSN {
 		e.LastLSN = ref.AsOf
 	}
 	p.setRangeLocked(id, id, e)
-	return prev, nil
+	return nil
 }
 
 // RangeCount returns the number of range-compressed records.

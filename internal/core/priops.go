@@ -151,7 +151,7 @@ func ApplyPRIRecord(pri *PRI, pmap PageMapper, rec *wal.Record) error {
 			Loc:  binary.LittleEndian.Uint64(payload[2:]),
 			AsOf: page.LSN(binary.LittleEndian.Uint64(payload[10:])),
 		}
-		if _, err := pri.SetBackup(rec.PageID, ref); err != nil {
+		if err := pri.SetBackup(rec.PageID, ref); err != nil {
 			pri.Set(rec.PageID, Entry{Backup: ref, LastLSN: ref.AsOf})
 		}
 		return nil

@@ -159,7 +159,7 @@ func (b *supersedingBackups) FetchBackup(ref BackupRef, pageID page.ID) (*page.P
 	if b.fetches++; b.fetches == 1 {
 		delete(b.images, ref.Loc)
 		b.images[200] = b.newer
-		if _, err := b.pri.SetBackup(b.pid, BackupRef{Kind: BackupPage, Loc: 200, AsOf: b.newer.LSN()}); err != nil {
+		if err := b.pri.SetBackup(b.pid, BackupRef{Kind: BackupPage, Loc: 200, AsOf: b.newer.LSN()}); err != nil {
 			return nil, err
 		}
 	}
@@ -204,7 +204,7 @@ func (b *overtakingBackups) FetchBackup(ref BackupRef, pageID page.ID) (*page.Pa
 	img, err := b.mapBackups.FetchBackup(ref, pageID)
 	if b.fetches++; b.fetches == 1 {
 		b.images[200] = b.newer
-		if _, serr := b.pri.SetBackup(b.pid, BackupRef{Kind: BackupPage, Loc: 200, AsOf: b.newer.LSN()}); serr != nil {
+		if serr := b.pri.SetBackup(b.pid, BackupRef{Kind: BackupPage, Loc: 200, AsOf: b.newer.LSN()}); serr != nil {
 			return nil, serr
 		}
 		b.log.FlushAll()

@@ -43,9 +43,12 @@ func runHeadsOracle(t *testing.T, seed int64) {
 	archiver := archive.New(r.log, arch, archive.Config{SegmentBytes: 2 << 10})
 	store := backup.NewStore(storage.NewDevice(storage.Config{PageSize: 512, Slots: 4096, Profile: iosim.Instant}))
 
-	// The oracle: the newest chain record of every page, scanned from the
-	// live log up to its flushed end before each archiver step.
+	// The oracle: every page's chain records and the PageLSN of its newest
+	// write-complete, scanned from the live log up to its flushed end before
+	// each archiver step.
 	scanned := make(map[page.ID]page.LSN)
+	chains := make(map[page.ID][]page.LSN)
+	written := make(map[page.ID]page.LSN)
 	cursor := wal.FirstLSN()
 	observe := func(upTo page.LSN) {
 		t.Helper()
@@ -56,6 +59,15 @@ func runHeadsOracle(t *testing.T, seed int64) {
 			switch rec.Type {
 			case wal.TypeUpdate, wal.TypeCLR, wal.TypeFormat:
 				scanned[rec.PageID] = rec.LSN
+				chains[rec.PageID] = append(chains[rec.PageID], rec.LSN)
+			case wal.TypePRIUpdate:
+				if op, _ := core.DecodePRIOp(rec.Payload); op == core.PRIOpWriteComplete {
+					wc, err := core.DecodeWriteComplete(rec.Payload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					written[rec.PageID] = max(written[rec.PageID], wc.PageLSN)
+				}
 			}
 			return true
 		}); err != nil {
@@ -108,7 +120,7 @@ func runHeadsOracle(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.pri.SetBackup(id, ref); err != nil {
+		if err := r.pri.SetBackup(id, ref); err != nil {
 			t.Fatal(err)
 		}
 		r.log.Append(&wal.Record{Type: wal.TypePRIUpdate, PageID: id, Payload: core.EncodeSetBackup(ref)})
@@ -211,6 +223,30 @@ func runHeadsOracle(t *testing.T, seed int64) {
 	for id := range a.DPT {
 		if a.Heads[id] != want(id) {
 			t.Errorf("page %d: analysed head %d, full scan %d", id, a.Heads[id], want(id))
+		}
+	}
+	// The recovery requirements hold a page iff its newest chain record
+	// lies above its newest write-complete, and its RecLSN lies above that
+	// write-complete and at or below the first chain record above it.
+	for _, id := range pages {
+		recLSN, dirty := a.DPT[id]
+		if want := scanned[id] > written[id]; dirty != want {
+			t.Errorf("page %d: in the recovery requirements %v; newest chain record %d, newest write-complete %d",
+				id, dirty, scanned[id], written[id])
+			continue
+		}
+		if !dirty {
+			continue
+		}
+		first := scanned[id]
+		for _, l := range chains[id] {
+			if l > written[id] {
+				first = min(first, l)
+			}
+		}
+		if recLSN <= written[id] || recLSN > first {
+			t.Errorf("page %d: RecLSN %d; newest write-complete %d, first chain record above it %d",
+				id, recLSN, written[id], first)
 		}
 	}
 	marks, _ := PrepareRedo(a)

@@ -37,7 +37,8 @@ type AnalysisResult struct {
 	// PagePrevLSN of the first, and redo skips them; its format records
 	// stay, leaving orphan pages.
 	Dropped map[wal.TxnID][]page.LSN
-	// DPT maps pages that may need redo to their earliest required LSN.
+	// DPT maps pages that may need redo to their RecLSN, a lower bound on
+	// their earliest required LSN.
 	DPT map[page.ID]page.LSN
 	// Heads maps every DPT page to its chain head: the newest update, CLR
 	// or format record the log holds for it — the LSN the page must reach.
@@ -66,11 +67,19 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 	}
 	start := wal.FirstLSN()
 
-	// pending tracks, per page, the LSNs of updates not yet confirmed
-	// written; a write-complete record confirms everything at or below
-	// its recorded PageLSN. heads tracks each page's newest chain record.
-	pending := make(map[page.ID][]page.LSN)
+	// recLSN holds a lower bound on each dirty page's first unwritten
+	// chain record: the first chain record after its last write-complete,
+	// or that write-complete's PageLSN + 1. A write-complete at or above
+	// the page's head takes it out. heads tracks each page's newest chain
+	// record.
+	recLSN := make(map[page.ID]page.LSN)
 	heads := make(map[page.ID]page.LSN)
+	chained := func(id page.ID, lsn page.LSN) {
+		if _, dirty := recLSN[id]; !dirty {
+			recLSN[id] = lsn
+		}
+		heads[id] = lsn
+	}
 	// sys holds the headers of each unended system transaction's updates.
 	sys := make(map[wal.TxnID][]wal.Record)
 
@@ -94,7 +103,7 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 			// has no RecLSN: the record, if it was ever laid, lies above
 			// the begin LSN and the scan meets it.
 			if e.RecLSN != page.ZeroLSN {
-				pending[e.Page] = []page.LSN{e.RecLSN}
+				recLSN[e.Page] = e.RecLSN
 				heads[e.Page] = e.PageLSN
 			}
 		}
@@ -118,8 +127,7 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 		case wal.TypeUpdate, wal.TypeCLR:
 			res.Losers[rec.Txn] = rec.LSN
 			if rec.PageID != page.InvalidID {
-				pending[rec.PageID] = append(pending[rec.PageID], rec.LSN)
-				heads[rec.PageID] = rec.LSN
+				chained(rec.PageID, rec.LSN)
 			}
 			if txn.IsSystemID(rec.Txn) {
 				sys[rec.Txn] = append(sys[rec.Txn], wal.Record{LSN: rec.LSN, PageID: rec.PageID, PagePrevLSN: rec.PagePrevLSN})
@@ -127,8 +135,7 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 		case wal.TypeFormat:
 			res.Losers[rec.Txn] = rec.LSN
 			res.Map.AdoptFresh(rec.PageID)
-			pending[rec.PageID] = append(pending[rec.PageID], rec.LSN)
-			heads[rec.PageID] = rec.LSN
+			chained(rec.PageID, rec.LSN)
 			// A format record is self-registering: it is the page's
 			// backup until something better comes along (§5.2.1).
 			res.PRI.Set(rec.PageID, core.Entry{
@@ -143,7 +150,11 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 			// requirements; add the page in the page recovery index."
 			if op, _ := core.DecodePRIOp(rec.Payload); op == core.PRIOpWriteComplete {
 				if wc, err := core.DecodeWriteComplete(rec.Payload); err == nil {
-					pending[rec.PageID] = slices.DeleteFunc(pending[rec.PageID], func(l page.LSN) bool { return l <= wc.PageLSN })
+					if r, dirty := recLSN[rec.PageID]; dirty && wc.PageLSN >= heads[rec.PageID] {
+						delete(recLSN, rec.PageID)
+					} else if dirty {
+						recLSN[rec.PageID] = max(r, wc.PageLSN+1)
+					}
 				}
 			}
 			// A malformed PRI record is not fatal to analysis; the page
@@ -166,15 +177,17 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 			if heads[r.PageID] == r.LSN {
 				heads[r.PageID] = r.PagePrevLSN
 			}
-			pending[r.PageID] = slices.DeleteFunc(pending[r.PageID], func(l page.LSN) bool { return l == r.LSN })
+			// A page whose head fell below its RecLSN has nothing unwritten
+			// left.
+			if l, dirty := recLSN[r.PageID]; dirty && heads[r.PageID] < l {
+				delete(recLSN, r.PageID)
+			}
 		}
 	}
 
-	for p, lsns := range pending {
-		if len(lsns) > 0 {
-			res.DPT[p] = slices.Min(lsns)
-			res.Heads[p] = heads[p]
-		}
+	for p, l := range recLSN {
+		res.DPT[p] = l
+		res.Heads[p] = heads[p]
 	}
 	return res, nil
 }

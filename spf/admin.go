@@ -19,26 +19,49 @@ import (
 // Checkpoint takes a fuzzy checkpoint (§5.2.6) and returns the LSN of the
 // checkpoint-end record. The checkpoint's redo horizon is pushed to the
 // archiver, whose next step (within 25 ms) lets live log segments beneath
-// it recycle once the archive, or a full backup, covers them too. A
-// checkpoint a crash overtakes leaves the master alone and reports
-// ErrCrashed.
+// it recycle once the archive, or a full backup, covers them too. Once the
+// end record is forced, the checkpoint frees every backup slot the page
+// recovery index cannot reach (sweepBackups) — the one place backup space
+// is given back. A checkpoint a crash overtakes leaves the master alone,
+// frees nothing and reports ErrCrashed.
 func (db *DB) Checkpoint() (LSN, error) {
 	if err := db.opErr(); err != nil {
 		return 0, err
 	}
 	db.ckptMu.Lock()
+	defer db.ckptMu.Unlock()
 	res, err := recovery.Checkpoint(recovery.CheckpointDeps{
 		Log: db.log, Pool: db.pool, Txns: db.txns, PRI: db.pri, Map: db.pmap,
 	})
-	db.ckptMu.Unlock()
 	if err != nil {
 		return 0, err
 	}
 	db.archiver.SetCheckpointHorizon(res.RedoHorizon)
-	// The checkpoint forced the log: every backup copy superseded before it
-	// can go.
-	db.releaseDurable()
+	if err := db.sweepBackups(); err != nil {
+		return 0, err
+	}
 	return res.End, nil
+}
+
+// sweepBackups frees every backup slot nothing reaches (backup.Store.Sweep):
+// the roots are the backups the page recovery index names, the newest full
+// set, a set being written and a copy written but not yet installed. The
+// caller holds ckptMu, so no pointIndexAt is half done, and installMu keeps
+// every installBackup whole: the index read here has the record of each of
+// its updates in the log. The sweep forces the log before it frees, so that
+// index is the one any later restart rebuilds — and later records name
+// only copies and sets that are roots now or begun after the sweep. After a
+// crash this is also what frees the copies whose index record the crash
+// cut.
+func (db *DB) sweepBackups() error {
+	db.installMu.Lock()
+	defer db.installMu.Unlock()
+	var named []core.BackupRef
+	db.pri.ForEachRange(func(_, _ page.ID, e core.Entry) bool {
+		named = append(named, e.Backup)
+		return true
+	})
+	return db.store.Sweep(named, func() error { return db.log.Flush(db.log.EndLSN()) })
 }
 
 // BackupReport quantifies one BackupNow run.
@@ -55,7 +78,7 @@ type BackupReport struct {
 // The set is taken incrementally: a page whose
 // recovery-index LastLSN shows no durable write since the previous set
 // captured it (and which is not dirty in the pool) is shared with that set
-// via slot reference counting instead of being rewritten. The resulting
+// — both name the same slot — instead of being rewritten. The resulting
 // set is still a complete BackupFull source — media recovery and
 // single-page recovery resolve against it exactly as against a from-
 // scratch set; only the backup device traffic shrinks.
@@ -69,10 +92,11 @@ type BackupReport struct {
 // installed — and a page mutated after the flush is caught by IsDirty.
 //
 // Retention: once the new set's index ranges are logged and the log is
-// flushed, every older set is dropped. Nothing can resolve against one any
-// more — the index names the new set for every page and media recovery
-// takes the newest set — so the backup device holds the live set plus,
-// while a backup runs, the one being written. Backups run one at a time.
+// flushed, nothing can resolve against an older set or a page copy taken
+// before the set — the index names the new set for every page and media
+// recovery takes the newest set — so the closing checkpoint's sweep frees
+// them all: the backup device holds the live set plus, while a backup
+// runs, the one being written. Backups run one at a time.
 //
 // Truncation: from then on no chain replay reads below the log position
 // the set is as of, which becomes the archiver's backup horizon (its floor
@@ -137,13 +161,6 @@ func (db *DB) BackupNow() (uint64, BackupReport, error) {
 			return w.SetID(), rep, err
 		}
 	}
-	for _, old := range db.store.Sets() {
-		if old < w.SetID() {
-			if err := db.store.DropSet(old); err != nil {
-				return w.SetID(), rep, err
-			}
-		}
-	}
 	db.archiver.SetBackupHorizon(asOf)
 	if _, err := db.Checkpoint(); err != nil {
 		return w.SetID(), rep, err
@@ -160,9 +177,8 @@ func (db *DB) BackupNow() (uint64, BackupReport, error) {
 // which is what makes the sets the index named before safe to drop: a
 // restart rebuilds the index from the log and must find the new set there.
 // A crash that seals the log before the records are stable leaves them out
-// of the index restart rebuilds, and is reported as ErrCrashed. The
-// per-page backup copies the ranges supersede are released behind the same
-// records. takenAt is the log position the set was taken at:
+// of the index restart rebuilds, and is reported as ErrCrashed. takenAt is
+// the log position the set was taken at:
 // a page written since keeps its index LSN, for the set's image of it may
 // be older than that write (core.PRI.ReplaceRange).
 func (db *DB) pointIndexAt(set uint64, takenAt page.LSN, ids []page.ID) error {
@@ -178,27 +194,21 @@ func (db *DB) pointIndexAt(set uint64, takenAt page.LSN, ids []page.ID) error {
 		for end+1 < len(ids) && ids[end+1] == ids[end]+1 {
 			end++
 		}
-		replaced := db.pri.ReplaceRange(ids[run], ids[end], e, takenAt)
+		db.pri.ReplaceRange(ids[run], ids[end], e, takenAt)
 		last = db.log.Append(&wal.Record{
 			Type:    wal.TypePRIUpdate,
 			PageID:  ids[run],
 			Payload: core.EncodeSetRange(ids[run], ids[end], e, takenAt),
 		})
-		for _, r := range replaced {
-			db.supersedeBackup(r.Page, r.Ref, last)
-		}
 		run = end + 1
 	}
-	if err := db.log.Flush(last); err != nil {
-		return err
-	}
-	db.releaseDurable()
-	return nil
+	return db.log.Flush(last)
 }
 
 // BackupPage takes an explicit backup copy of one page ("a conservative
-// policy might take such a copy after every 100 updates", §5.2.1) and
-// frees the superseded backup. It runs under backupMu, apart from
+// policy might take such a copy after every 100 updates", §5.2.1); the
+// next checkpoint frees the backup it supersedes. It runs under backupMu,
+// apart from
 // BackupNow: a copy taken before a full backup but registered after it
 // would be taken as current — the full backup reset the page's index LSN —
 // and the updates between the copy and the set, whose log the backup
@@ -415,8 +425,7 @@ func (db *DB) Restart() (*DB, *RestartReport, error) {
 		backlog, prepRep = recovery.PrepareRedo(analysis)
 		rep.Prep = *prepRep
 	}
-	ndb := newDB(db.opts, db.dev, db.store, log, analysis.Map, analysis.PRI, db)
-	ndb.inheritParked(db)
+	ndb := newDB(db.opts, db.dev, db.store, db.arch, log, analysis.Map, analysis.PRI)
 	rep.Undo, err = ndb.finishRecovery(analysis, func() error {
 		if rep.OnDemand {
 			chaos.At("restart.prep")
@@ -576,8 +585,7 @@ func (db *DB) RecoverMedia() (*DB, *MediaRecoveryReport, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("spf: media recovery: %w", err)
 	}
-	ndb := newDB(db.opts, db.dev, db.store, log, analysis.Map, analysis.PRI, db)
-	ndb.inheritParked(db)
+	ndb := newDB(db.opts, db.dev, db.store, db.arch, log, analysis.Map, analysis.PRI)
 	undoRep, err := ndb.finishRecovery(analysis, func() error {
 		ndb.workOff(backlog)
 		return nil

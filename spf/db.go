@@ -15,6 +15,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/hashindex"
+	"repro/internal/iosim"
 	"repro/internal/maintenance"
 	"repro/internal/page"
 	"repro/internal/pagemap"
@@ -98,19 +99,17 @@ type DB struct {
 
 	// Log lifecycle: archiver is the per-DB owner of log truncation, arch
 	// the durable log archive it fills (nil unless Options.Lifecycle.Enabled;
-	// shared across Restart/RecoverMedia).
+	// handed on across Restart/RecoverMedia like the other devices).
 	arch     *archive.Store
 	archiver *archive.Archiver
 
-	// backupMu admits one BackupNow at a time; ckptMu keeps a checkpoint's
-	// index snapshot and a backup's re-pointing of the index apart.
-	backupMu sync.Mutex
-	ckptMu   sync.Mutex
-
-	// parked holds superseded backup copies until the record that replaced
-	// each is durable (supersedeBackup).
-	parkMu sync.Mutex
-	parked []parkedBackup
+	// backupMu admits one BackupNow at a time; ckptMu keeps a checkpoint —
+	// its index snapshot and its backup sweep — and a backup's re-pointing
+	// of the index apart; installMu keeps a page copy's index update and its
+	// log record together, apart from the sweep (sweepBackups).
+	backupMu  sync.Mutex
+	ckptMu    sync.Mutex
+	installMu sync.Mutex
 
 	mu      sync.Mutex
 	metaID  page.ID
@@ -156,6 +155,10 @@ type RestartRedoStats struct {
 // Open creates a fresh database.
 func Open(opts Options) (*DB, error) {
 	opts = opts.withDefaults()
+	var arch *archive.Store // the log archive, a durable device like the other three
+	if opts.Lifecycle.Enabled {
+		arch = archive.NewStore(iosim.Instant, wal.FirstLSN())
+	}
 	db := newDB(opts,
 		storage.NewDevice(storage.Config{
 			PageSize: opts.PageSize, Slots: opts.DataSlots,
@@ -165,8 +168,8 @@ func Open(opts Options) (*DB, error) {
 			PageSize: opts.PageSize, Slots: opts.BackupSlots,
 			Profile: opts.BackupProfile, Seed: opts.Seed + 1,
 		})),
-		wal.NewManager(opts.LogProfile),
-		pagemap.New(opts.DataSlots), core.NewPRI(), nil)
+		arch, wal.NewManager(opts.LogProfile),
+		pagemap.New(opts.DataSlots), core.NewPRI())
 
 	// Bootstrap: the meta page holding the index registry.
 	st := db.txns.BeginSystem()
@@ -189,16 +192,16 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// newDB wires a DB over its devices, log, page map and recovery index, up
-// to a running repair queue and a built (not started) log lifecycle: the
-// one constructor behind Open, Restart and RecoverMedia. prev is the failed
-// incarnation a recovery takes over from — it hands on the log archive, a
-// durable device like the other three — and nil for Open. Maintenance and
-// the lifecycle loop start later, once bootstrap or recovery has settled.
-func newDB(opts Options, dev *storage.Device, store *backup.Store, log *wal.Manager,
-	pmap *pagemap.Map, pri *core.PRI, prev *DB) *DB {
+// newDB wires a DB over its devices — data, backup, log archive (nil
+// without one) and log — page map and recovery index, up to a running
+// repair queue and a built (not started) log lifecycle: the one
+// constructor behind Open, Restart and RecoverMedia. Nothing else crosses
+// from a failed incarnation to its successor. Maintenance and the
+// lifecycle loop start later, once bootstrap or recovery has settled.
+func newDB(opts Options, dev *storage.Device, store *backup.Store, arch *archive.Store,
+	log *wal.Manager, pmap *pagemap.Map, pri *core.PRI) *DB {
 	db := &DB{
-		opts: opts, dev: dev, store: store, log: log, pmap: pmap, pri: pri,
+		opts: opts, dev: dev, store: store, arch: arch, log: log, pmap: pmap, pri: pri,
 		engines: make(map[string]Engine),
 	}
 	db.txns = txn.NewManager(log)
@@ -211,7 +214,7 @@ func newDB(opts Options, dev *storage.Device, store *backup.Store, log *wal.Mana
 		Hooks: db.hooks(),
 	})
 	db.startRestore()
-	db.initLifecycle(prev)
+	db.initLifecycle()
 	return db
 }
 
@@ -505,78 +508,23 @@ func (db *DB) backUpImage(pg *page.Page) {
 	db.installBackup(pg.ID(), ref)
 }
 
-// installBackup registers ref as page id's backup and logs it; the copy it
-// supersedes is released only behind that record — a restart that lost the
-// record resolves the page against the old copy again.
+// installBackup registers ref as page id's backup and logs it. The backup
+// it supersedes is freed by a later checkpoint's sweep, which cannot come
+// between the two steps (installMu): a restart that lost the record
+// resolves the page against the old backup again.
 func (db *DB) installBackup(id page.ID, ref core.BackupRef) {
-	old, err := db.pri.SetBackup(id, ref)
-	if err != nil {
+	db.installMu.Lock()
+	defer db.installMu.Unlock()
+	if err := db.pri.SetBackup(id, ref); err != nil {
 		db.pri.Set(id, core.Entry{Backup: ref, LastLSN: ref.AsOf})
 	}
-	lsn := db.log.Append(&wal.Record{
+	// Chaos point: the index names the copy, its log record is not laid.
+	chaos.At("spf.install")
+	db.log.Append(&wal.Record{
 		Type: wal.TypePRIUpdate, PageID: id,
 		Payload: core.EncodeSetBackup(ref),
 	})
-	db.supersedeBackup(id, old, lsn)
-}
-
-// parkedBackup is a superseded backup copy whose release waits for the log
-// record that replaced its reference: until that record is durable, a
-// restart rebuilds an index that still names the copy.
-type parkedBackup struct {
-	page  page.ID
-	ref   core.BackupRef
-	after page.LSN // the replacing PRIUpdate record
-}
-
-// supersedeBackup parks the backup copy that the index update logged at
-// after replaced ("when a new backup page is taken ... the old backup page
-// may be freed and the page recovery index gives fast access to its
-// identifier", §5.2.2), then releases whatever has become releasable.
-func (db *DB) supersedeBackup(id page.ID, old core.BackupRef, after page.LSN) {
-	if old.Kind != core.BackupPage {
-		return // a set, a log record: nothing of its own to free
-	}
-	db.parkMu.Lock()
-	db.parked = append(db.parked, parkedBackup{page: id, ref: old, after: after})
-	db.parkMu.Unlock()
-	db.releaseDurable()
-}
-
-// releaseDurable frees the parked backup copies whose replacing record the
-// log has made durable. Appends reach the queue nearly in LSN order, so
-// only its head is examined; a straggler waits for the next call.
-func (db *DB) releaseDurable() {
-	flushed := db.log.FlushedLSN()
-	db.parkMu.Lock()
-	n := 0
-	for n < len(db.parked) && db.parked[n].after < flushed {
-		n++
-	}
-	ripe := db.parked[:n:n]
-	db.parked = db.parked[n:]
-	db.parkMu.Unlock()
-	for _, b := range ripe {
-		db.store.FreeSlot(b.ref.Loc)
-	}
-}
-
-// inheritParked settles the backup copies prev still had parked when it
-// failed against the index rebuilt from the surviving log: a copy the
-// index names again (its replacement was cut from the log) is live; every
-// other is released.
-func (db *DB) inheritParked(prev *DB) {
-	prev.parkMu.Lock()
-	parked := prev.parked
-	prev.parked = nil
-	prev.parkMu.Unlock()
-	for _, b := range parked {
-		if cur, err := db.pri.Get(b.page); err == nil &&
-			cur.Backup.Kind == b.ref.Kind && cur.Backup.Loc == b.ref.Loc {
-			continue
-		}
-		db.store.FreeSlot(b.ref.Loc)
-	}
+	db.store.Installed(ref)
 }
 
 // undoer adapts the engines to the transaction manager's rollback: it

@@ -3,29 +3,20 @@ package spf
 import (
 	"repro/internal/archive"
 	"repro/internal/core"
-	"repro/internal/iosim"
 	"repro/internal/page"
 	"repro/internal/pageop"
-	"repro/internal/wal"
 )
 
 // initLifecycle builds the archiver, the one owner of log truncation, and
-// with Options.Lifecycle.Enabled its archive: the store (inherited from
-// prev across Restart and RecoverMedia — the archive is a durable device
-// and survives crashes), the retrying archive reader wired into the WAL's
-// truncated-read fallback, and the engines' op codecs through which the
-// archiver stores committed updates redo-only. The background loop is NOT
-// started here — startBackground starts it once the DB is fully constructed —
-// but the archiver exists immediately so the bootstrap (or post-restart)
-// checkpoint can push its redo horizon.
-func (db *DB) initLifecycle(prev *DB) {
+// wires the archive, if there is one, into it: the retrying archive reader
+// serves the WAL's truncated reads, and the engines' op codecs let the
+// archiver store committed updates redo-only. The background loop is NOT
+// started here — startBackground starts it once the DB is fully
+// constructed — but the archiver exists immediately so the bootstrap (or
+// post-restart) checkpoint can push its redo horizon.
+func (db *DB) initLifecycle() {
 	lo := db.opts.Lifecycle
-	if lo.Enabled {
-		if prev != nil && prev.arch != nil {
-			db.arch = prev.arch
-		} else {
-			db.arch = archive.NewStore(iosim.Instant, wal.FirstLSN())
-		}
+	if db.arch != nil {
 		db.log.SetArchive(db.arch.NewReader())
 	}
 	db.archiver = archive.New(db.log, db.arch, archive.Config{
@@ -36,10 +27,10 @@ func (db *DB) initLifecycle(prev *DB) {
 		Clock:        db.opts.clock,
 	})
 	// The surviving backup sets re-establish the backup horizon after a
-	// restart. The oldest counts: a crash between a backup's commit and the
-	// drop of its predecessors leaves both, and the index the restart
-	// rebuilt may still name the older one for pages whose range records
-	// the crash cut from the log.
+	// restart. The oldest counts: a crash after a backup's commit, before
+	// its index records were stable, leaves the index the restart rebuilt
+	// naming the older set, and the sweep keeps both — the older one for
+	// the index, the newer as the newest.
 	if sets := db.store.Sets(); len(sets) > 0 {
 		if lsn, err := db.store.SetLSN(sets[0]); err == nil {
 			db.archiver.SetBackupHorizon(lsn)

@@ -393,8 +393,9 @@ func TestMediaRestoreReplaysNothingTheRestartReplayed(t *testing.T) {
 
 // TestRepairCopyCutByACrash: a crash after a repair's copy is written, and
 // before the index record that names it is stable, leaves the restarted
-// index naming the page's previous backup — parked, not freed — and the
-// next repair rebuilds the page from it to its committed value.
+// index naming the page's previous backup — which no sweep freed, for no
+// durable index stopped naming it — and the next repair rebuilds the page
+// from it to its committed value.
 func TestRepairCopyCutByACrash(t *testing.T) {
 	defer chaos.Reset()
 	const every, n = 8, 200

@@ -252,10 +252,10 @@ func TestBackupNowBesideRepairs(t *testing.T) {
 	}
 }
 
-// TestSupersededPageBackupOutlivesItsUnflushedReplacement: BackupPage frees
-// the copy it supersedes only once the index record naming the new copy is
-// durable. A crash before that rebuilds an index that names the old copy —
-// which must still be there to recover from.
+// TestSupersededPageBackupOutlivesItsUnflushedReplacement: the copy a
+// BackupPage supersedes is freed only by a sweep that forced the index
+// record naming the new copy. A crash before that rebuilds an index that
+// names the old copy — which must still be there to recover from.
 func TestSupersededPageBackupOutlivesItsUnflushedReplacement(t *testing.T) {
 	const n = 200
 	db := openTestDB(t, testOptions())
@@ -274,8 +274,8 @@ func TestSupersededPageBackupOutlivesItsUnflushedReplacement(t *testing.T) {
 	if err := db.BackupPage(victim); err != nil {
 		t.Fatal(err)
 	}
-	// Nothing forced the log since: the second copy's record is volatile,
-	// so the first copy is parked, not freed.
+	// No checkpoint since: the second copy's record is volatile, and no
+	// sweep has freed the first copy.
 	if db.store.Device().RawImage(storage.PhysID(first.Backup.Loc)) == nil {
 		t.Fatal("superseded copy discarded before its replacement's record was durable")
 	}
@@ -300,8 +300,9 @@ func TestSupersededPageBackupOutlivesItsUnflushedReplacement(t *testing.T) {
 }
 
 // TestSupersededPageBackupReleasedBehindTheLog: the other side of the same
-// rule — once the replacing record is durable the old copy goes, at the
-// next log force the engine knows of or, after a crash, at restart.
+// rule — the old copy goes at the next checkpoint, whose sweep forces the
+// replacing record first, or, after a crash that kept the record, at
+// restart.
 func TestSupersededPageBackupReleasedBehindTheLog(t *testing.T) {
 	const n = 200
 	db := openTestDB(t, testOptions())

@@ -325,8 +325,7 @@ func restartBeforeCheckpoint(t *testing.T, db *DB) (*DB, *recovery.AnalysisResul
 		t.Fatal(err)
 	}
 	backlog, _ := recovery.PrepareRedo(a)
-	ndb := newDB(db.opts, db.dev, db.store, log, a.Map, a.PRI, db)
-	ndb.inheritParked(db)
+	ndb := newDB(db.opts, db.dev, db.store, db.arch, log, a.Map, a.PRI)
 	ndb.workOff(backlog)
 	if _, err := recovery.Undo(ndb.txns, a); err != nil {
 		t.Fatal(err)
