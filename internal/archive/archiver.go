@@ -221,22 +221,26 @@ func (a *Archiver) drain(force bool) error {
 
 // collect gathers up to one segment's worth of records from the live log
 // starting at cursor, stopping at the flushed boundary. Only the Record
-// Scan reuses is copied: each payload aliases flushed log bytes, which are
-// never written again, and AppendRun encodes what it keeps into the run.
+// Scan reuses is copied, into one slab for the batch: each payload aliases
+// flushed log bytes, which are never written again, and AppendRun encodes
+// what it keeps into the run.
 func (a *Archiver) collect(cursor, flushed page.LSN) ([]*wal.Record, error) {
-	var recs []*wal.Record
+	var slab []wal.Record
 	var size int64
 	err := a.log.Scan(cursor, func(r *wal.Record) bool {
 		if r.LSN >= flushed {
 			return false
 		}
-		cp := *r
-		recs = append(recs, &cp)
+		slab = append(slab, *r)
 		size += int64(wal.RecordSize(r))
 		return size < a.cfg.SegmentBytes
 	})
 	if err != nil {
 		return nil, err
+	}
+	recs := make([]*wal.Record, len(slab))
+	for i := range slab {
+		recs[i] = &slab[i]
 	}
 	return recs, nil
 }

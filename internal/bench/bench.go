@@ -153,7 +153,7 @@ var Table = []Group{
 		Name: "E21AsyncWriteBack", Metric: "writes/update",
 		Claim: "async write-back >=2x the write-through throughput, at under half its device writes",
 		Rows: []Row{
-			{Name: "sync", Procs: 1, Allocs: allocs(4), Run: func(b *testing.B) float64 { return writeBack(b, false) }},
+			{Name: "sync", Procs: 1, Allocs: allocs(2), Run: func(b *testing.B) float64 { return writeBack(b, false) }},
 			{Name: "async", Procs: 1, Run: func(b *testing.B) float64 { return writeBack(b, true) }},
 		},
 		Check: func(rows map[string]Result) error {
@@ -260,14 +260,15 @@ var Table = []Group{
 	},
 	{
 		// Point reads against a fully resident, static three-level tree —
-		// the regime the decoded-skeleton cache and optimistic latch
+		// the regime the frozen branch copies and optimistic latch
 		// coupling target. optimistic descends with no latch on branch
-		// levels (routes through the frame-cached skeleton, validates the
-		// frame version after every step) and takes only the leaf's shared
-		// latch; latched forces the shared-latch crab on every level, kept
-		// measurable as the before-side. Measured 1.3–1.4x apart on two
-		// cores (the gap is the two latch acquisitions per level and widens
-		// with real cores), so the criterion is the order, not a factor.
+		// levels (routes through the frame-cached frozen copy, validates
+		// the frame version after every step) and takes only the leaf's
+		// shared latch; latched forces the shared-latch crab on every
+		// level, kept measurable as the before-side. Measured 1.3–1.4x
+		// apart on two cores (the gap is the two latch acquisitions per
+		// level and widens with real cores), so the criterion is the
+		// order, not a factor.
 		Name: "E28ResidentReadThroughput", Metric: "optimistic-hit-fraction",
 		Claim: "optimistic no slower than latched, 0 allocs/op, fallbacks <1% of hits on a static tree",
 		Rows: []Row{
@@ -328,9 +329,10 @@ var Table = []Group{
 		// transaction per five ops. Both engines run over the same shared
 		// stack (checksummed pages, WAL, buffer pool), differing only in
 		// how they organize keys; the exact allocs/op are the criterion.
-		// hash/insert inserts a fresh key and rolls it back: its 11 allocs
+		// hash/insert inserts a fresh key and rolls it back: its 8 allocs
 		// are the key, the transaction, the two ops and their log records
-		// and the undo's read of the log, none in the two chain descents.
+		// and the undo's read of the log, none in the two chain descents
+		// and none in the log appends.
 		Name:  "E34EnginePointOps",
 		Claim: "allocs/op per engine and shape exactly as declared",
 		Rows: []Row{
@@ -338,7 +340,7 @@ var Table = []Group{
 			{Name: "btree/mixed", Procs: 1, Allocs: allocs(3), Run: func(b *testing.B) float64 { return pointOps(b, spf.KindBTree, true) }},
 			{Name: "hash/read", Procs: 1, Allocs: allocs(2), Run: func(b *testing.B) float64 { return pointOps(b, spf.KindHash, false) }},
 			{Name: "hash/mixed", Procs: 1, Allocs: allocs(3), Run: func(b *testing.B) float64 { return pointOps(b, spf.KindHash, true) }},
-			{Name: "hash/insert", Procs: 1, Allocs: allocs(11), Run: func(b *testing.B) float64 { return insertOps(b, spf.KindHash) }},
+			{Name: "hash/insert", Procs: 1, Allocs: allocs(8), Run: func(b *testing.B) float64 { return insertOps(b, spf.KindHash) }},
 		},
 	},
 }

@@ -280,7 +280,7 @@ func parallelOps(contended, globalMutex, optimistic bool) func(b *testing.B) flo
 const (
 	// residentShards sizes the E28 key space: residentShards*baseKeys keys
 	// build a three-level tree (root, interior branches, leaves) so the
-	// optimistic descent routes through more than one cached skeleton.
+	// optimistic descent routes through more than one frozen branch copy.
 	residentShards = 32
 	// residentFrames keeps the whole tree resident: E28 measures the pure
 	// in-memory read path, no buffer misses, no charged I/O latency.
@@ -309,8 +309,8 @@ func residentReads(b *testing.B, zipfian, optimistic bool) float64 {
 		b.Fatal(err)
 	}
 	tr.SetOptimistic(optimistic)
-	// Warm pass: faults every page in and (when optimistic) builds the
-	// branch skeleton caches, so the timed region measures steady state.
+	// Warm pass: faults every page in and (when optimistic) caches the
+	// frozen branch copies, so the timed region measures steady state.
 	for _, k := range keys {
 		if _, err := tr.Get(k); err != nil {
 			b.Fatal(err)

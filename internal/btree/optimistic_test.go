@@ -15,8 +15,8 @@ import (
 // protocol of adopt() — the optimistic walk must observe the parent frame's
 // bumped (odd) version and report fallback; racing public readers complete
 // correctly through the latched path; and once the adoption commits, fresh
-// optimistic descents succeed through a REBUILT skeleton that routes via the
-// parent's new separator — the stale pre-adoption skeleton is dead the
+// optimistic descents succeed through a REBUILT frozen copy that routes via
+// the parent's new separator — the stale pre-adoption copy is dead the
 // moment the version moved.
 func TestOptimisticReaderFallsBackDuringAdoption(t *testing.T) {
 	tr, p := newTestTree(t)
@@ -130,7 +130,7 @@ func TestOptimisticReaderFallsBackDuringAdoption(t *testing.T) {
 		t.Error(err)
 	}
 
-	// The mutation invalidated the parent's cached skeleton (version
+	// The mutation invalidated the parent's frozen copy (version
 	// moved): fresh optimistic descents rebuild it and route through the
 	// adopted child's new separator.
 	hits0, fb1 := tr.OptimisticStats()
@@ -169,7 +169,7 @@ func TestOptimisticHitPathZeroAllocs(t *testing.T) {
 	}
 	mustCommit(t, tx)
 
-	// Warm: fault pages in and build the branch skeleton caches.
+	// Warm: fault pages in and cache the frozen branch copies.
 	probes := [][]byte{key(1), key(n / 3), key(n / 2), key(2 * n / 3), key(n - 2)}
 	for _, k := range probes {
 		if _, err := tr.Get(k); err != nil {

@@ -59,7 +59,7 @@ type Tree struct {
 
 	// Optimistic-descent outcome counters: a hit completed the whole
 	// descent routing branch levels without latches; a fallback re-ran it
-	// through the latched crab (writer collision, skeleton miss under
+	// through the latched crab (writer collision, frozen-copy miss under
 	// contention, foster chain on a branch, or any verification anomaly).
 	optHits      atomic.Int64
 	optFallbacks atomic.Int64
@@ -159,10 +159,10 @@ type adoptJob struct {
 //
 // When the optimistic mode is enabled (the default) and the root is known
 // to be a branch, descend first attempts descendOptimistic — the same walk
-// routed through cached skeletons with version validation instead of
-// branch latches — and falls back here on any anomaly. The fallback is the
-// authority: it re-verifies every fence under real latches, so corruption
-// detection never depends on optimistic state.
+// routed through frozen copies of the branches with version validation
+// instead of branch latches — and falls back here on any anomaly. The
+// fallback is the authority: it re-verifies every fence under real latches,
+// so corruption detection never depends on optimistic state.
 func (tr *Tree) descend(key []byte, adopt *txn.Txn, write bool, lt *latchTracker) (*buffer.Handle, node, []adoptJob, error) {
 	if !tr.optimisticOff.Load() && tr.rootIsBranch.Load() {
 		if h, v, pend, ok := tr.descendOptimistic(key, adopt != nil, write, lt); ok {
@@ -193,40 +193,8 @@ func (tr *Tree) descend(key []byte, adopt *txn.Txn, write bool, lt *latchTracker
 		tr.rootIsBranch.Store(true)
 	}
 	for {
-		// Follow the foster chain if the key lies beyond this node's own
-		// range: the foster child's fences must line up with the foster
-		// parent's (Fig. 3).
-		if v.hasFoster() && !coversKey(v.low, v.high, key) {
-			nextID := v.foster
-			if nextID == curID {
-				viol := &CorruptionError{Page: curID, Detail: "foster pointer to self"}
-				lt.unpin(h, excl)
-				return nil, none, nil, viol
-			}
-			nh, err := tr.pager.Fetch(nextID)
-			if err != nil {
-				lt.unpin(h, excl)
-				return nil, none, nil, err
-			}
-			if v.isLeaf() { // same level: same mode
-				lt.latchLeaf(nh, excl)
-			} else {
-				lt.latchBranch(nh, excl)
-			}
-			nv, err := parseNode(nh.Page().Payload())
-			if err != nil {
-				lt.unpin(nh, excl)
-				lt.unpin(h, excl)
-				return nil, none, nil, err
-			}
-			if viol := verifyFences(nextID, curID, &nv, v.high, v.chain, int(v.level)); viol != nil {
-				lt.unpin(nh, excl)
-				lt.unpin(h, excl)
-				return nil, none, nil, viol
-			}
-			lt.unpin(h, excl)
-			h, v, curID = nh, nv, nextID
-			continue
+		if h, v, curID, err = tr.chaseFoster(key, h, v, curID, excl, lt); err != nil {
+			return nil, none, nil, err
 		}
 		if v.isLeaf() {
 			return h, v, pend, nil
@@ -271,27 +239,66 @@ func (tr *Tree) descend(key []byte, adopt *txn.Txn, write bool, lt *latchTracker
 	}
 }
 
+// chaseFoster follows the foster chain from the latched node h (page id,
+// parsed v) to the node whose own range covers key, hand over hand: each
+// foster child is latched in the same mode (the same level), and its fences
+// must line up with the foster parent's high and chain-high fences (Fig. 3)
+// before the foster parent's latch drops. It returns the covering node still
+// latched — h itself when key lies in its range — or an error with every
+// latch released.
+func (tr *Tree) chaseFoster(key []byte, h *buffer.Handle, v node, id page.ID, excl bool, lt *latchTracker) (*buffer.Handle, node, page.ID, error) {
+	for v.hasFoster() && !coversKey(v.low, v.high, key) {
+		nextID := v.foster
+		if nextID == id {
+			lt.unpin(h, excl)
+			return nil, node{}, 0, &CorruptionError{Page: id, Detail: "foster pointer to self"}
+		}
+		nh, err := tr.pager.Fetch(nextID)
+		if err != nil {
+			lt.unpin(h, excl)
+			return nil, node{}, 0, err
+		}
+		if v.isLeaf() {
+			lt.latchLeaf(nh, excl)
+		} else {
+			lt.latchBranch(nh, excl)
+		}
+		nv, err := parseNode(nh.Page().Payload())
+		if err == nil {
+			err = verifyFences(nextID, id, &nv, v.high, v.chain, int(v.level))
+		}
+		if err != nil {
+			lt.unpin(nh, excl)
+			lt.unpin(h, excl)
+			return nil, node{}, 0, err
+		}
+		lt.unpin(h, excl)
+		h, v, id = nh, nv, nextID
+	}
+	return h, v, id, nil
+}
+
 // descendOptimistic is the optimistic-latch-coupling fast path: branch
-// levels are routed through per-frame cached skeletons with NO latch —
-// each hop reads the frame's stable version, routes through the skeleton
-// built from that version, and re-validates the version before acting on
-// the result — while the leaf is still latched for real (shared for
-// readers, exclusive for writers), so mutations and the §4.2 fence
-// verification stay exact. The frame pin is kept throughout (Fetch), so
-// no frame this walk touches can be evicted or replaced mid-read; only
-// the per-level RWMutex traffic is elided.
+// levels are routed with NO latch through a frozen copy of each branch
+// (frozenNode) — each hop reads the frame's stable version, routes through
+// the copy taken at that version, and re-validates the version before
+// acting on the result — while the leaf is still latched for real (shared
+// for readers, exclusive for writers), so mutations and the §4.2 fence
+// verification stay exact. The frame pin is kept throughout (Fetch), so no
+// frame this walk touches can be evicted or replaced mid-read; only the
+// per-level RWMutex traffic is elided.
 //
 // Any anomaly — an odd (writer-active) version, a version that moved, a
-// skeleton that will not build, a foster chain on a branch, a fence
-// mismatch, a fetch error — returns ok=false and the caller falls back to
-// the latched crab, which re-verifies everything authoritatively. The
-// optimistic path therefore never reports corruption itself and never
+// copy that will not parse as a branch, a foster chain on a branch, a
+// fence mismatch, a fetch error — returns ok=false and the caller falls
+// back to the latched crab, which re-verifies everything authoritatively.
+// The optimistic path therefore never reports corruption itself and never
 // routes past a fence check undetected: routing is only trusted when the
 // version it came from is proven unchanged, and the final leaf check runs
 // under a real latch with expectations from that proven snapshot.
 func (tr *Tree) descendOptimistic(key []byte, wantAdopt, write bool, lt *latchTracker) (*buffer.Handle, node, []adoptJob, bool) {
 	var none node
-	curID := tr.root
+	curID, via := tr.root, page.InvalidID
 	h, err := tr.pager.Fetch(curID)
 	if err != nil {
 		return nil, none, nil, false
@@ -301,20 +308,18 @@ func (tr *Tree) descendOptimistic(key []byte, wantAdopt, write bool, lt *latchTr
 		h.Release()
 		return nil, none, nil, false
 	}
-	sk := skeletonFor(h, ver)
+	n := frozenNode(h, ver)
 	expLow, expHigh, expLevel := finite(nil), infFence, -1
 	for {
 		// The node must be a quiescent branch whose fences match what the
-		// parent predicted — the optimistic rendering of verifyFences for
-		// the no-foster branch case (foster on a branch level is rare and
-		// transient; the latched path handles it).
-		if sk == nil || sk.hasFoster() || (expLevel >= 0 && int(sk.level) != expLevel) ||
-			!sk.low.equal(expLow) || !sk.chain.equal(expHigh) || !sk.high.equal(sk.chain) {
+		// parent predicted. A foster chain on a branch level is rare and
+		// transient; the latched path follows it.
+		if n == nil || n.hasFoster() || verifyFences(curID, via, n, expLow, expHigh, expLevel) != nil {
 			h.Release()
 			return nil, none, nil, false
 		}
-		childID, eLow, eHigh := sk.childFor(key)
-		if childID == curID {
+		childID, eLow, eHigh, err := n.childFor(key)
+		if err != nil || childID == curID {
 			h.Release()
 			return nil, none, nil, false
 		}
@@ -323,75 +328,91 @@ func (tr *Tree) descendOptimistic(key []byte, wantAdopt, write bool, lt *latchTr
 			h.Release()
 			return nil, none, nil, false
 		}
-		if sk.level == 1 {
+		if n.level == 1 {
 			// Leaf level: latch for real, then prove the routing that led
 			// here is still current before trusting its expectations.
-			chExcl := write
-			lt.latchLeaf(ch, chExcl)
+			lt.latchLeaf(ch, write)
 			if !h.ValidateVersion(ver) {
-				lt.unpin(ch, chExcl)
+				lt.unpin(ch, write)
 				h.Release()
 				return nil, none, nil, false
 			}
 			h.Release()
 			cv, perr := parseNode(ch.Page().Payload())
 			if perr != nil || verifyFences(childID, curID, &cv, eLow, eHigh, 0) != nil {
-				lt.unpin(ch, chExcl)
+				lt.unpin(ch, write)
 				return nil, none, nil, false
 			}
 			var pend []adoptJob
 			if wantAdopt && cv.hasFoster() && !cv.high.inf {
 				pend = append(pend, adoptJob{parent: curID, child: childID})
 			}
-			// Leaf foster chase under real latches: every step is the
-			// authoritative hand-over-hand §4.2 check, same as descend.
-			lh, lv, lid := ch, cv, childID
-			for lv.hasFoster() && !coversKey(lv.low, lv.high, key) {
-				nextID := lv.foster
-				if nextID == lid {
-					lt.unpin(lh, chExcl)
-					return nil, none, nil, false
-				}
-				nh, err := tr.pager.Fetch(nextID)
-				if err != nil {
-					lt.unpin(lh, chExcl)
-					return nil, none, nil, false
-				}
-				lt.latchLeaf(nh, chExcl)
-				nv, perr := parseNode(nh.Page().Payload())
-				if perr != nil || verifyFences(nextID, lid, &nv, lv.high, lv.chain, 0) != nil {
-					lt.unpin(nh, chExcl)
-					lt.unpin(lh, chExcl)
-					return nil, none, nil, false
-				}
-				lt.unpin(lh, chExcl)
-				lh, lv, lid = nh, nv, nextID
+			lh, lv, _, err := tr.chaseFoster(key, ch, cv, childID, write, lt)
+			if err != nil {
+				return nil, none, nil, false
 			}
 			return lh, lv, pend, true
 		}
-		// Interior hop: snapshot the child's version and skeleton, then
+		// Interior hop: snapshot the child's version and frozen copy, then
 		// prove the parent did not change while we did — the optimistic
 		// equivalent of "the child is verified before the parent latch
 		// drops". The child's fences are checked at the top of the next
-		// iteration against eLow/eHigh, which alias the parent's immutable
-		// skeleton and so outlive the parent pin.
+		// iteration against eLow/eHigh, which alias the parent's frozen
+		// copy and so outlive the parent pin.
 		cver, cstable := ch.StableVersion()
 		if !cstable {
 			ch.Release()
 			h.Release()
 			return nil, none, nil, false
 		}
-		csk := skeletonFor(ch, cver)
-		if csk == nil || !h.ValidateVersion(ver) {
+		cn := frozenNode(ch, cver)
+		if cn == nil || !h.ValidateVersion(ver) {
 			ch.Release()
 			h.Release()
 			return nil, none, nil, false
 		}
 		h.Release()
-		expLevel = int(sk.level) - 1
-		h, ver, sk, curID = ch, cver, csk, childID
+		expLevel = int(n.level) - 1
+		h, ver, n, curID, via = ch, cver, cn, childID, curID
 		expLow, expHigh = eLow, eHigh
 	}
+}
+
+// frozenNode returns h's branch page parsed over a private copy of its
+// payload as of stable frame version ver, building and caching it on the
+// frame on a miss. The copy is never written, so the node and every fence
+// and key it hands out stay valid with no latch held; the parsed node, not
+// just the bytes, is what the frame caches, so a hop on a hit pays for
+// neither the copy nor the parse. Returns nil when the optimistic reader
+// should fall back: the page is contended (a writer holds or grabs the
+// latch mid-copy), the version moved on, or the copy does not parse as a
+// branch.
+func frozenNode(h *buffer.Handle, ver uint64) *node {
+	if c := h.CachedDecoded(ver); c != nil {
+		return c.(*node)
+	}
+	// Cache miss: copy under a non-blocking shared latch. TryRLock keeps
+	// the optimistic path wait-free — a held exclusive latch means a
+	// writer is active and the version would fail validation anyway.
+	if !h.TryRLock() {
+		return nil
+	}
+	// Under the shared latch no writer can be active, so the version is
+	// even and pinned for the duration of the copy; it may still differ
+	// from ver if a writer slipped in between the caller's StableVersion
+	// and our TryRLock.
+	if cur, _ := h.StableVersion(); cur != ver {
+		h.RUnlock()
+		return nil
+	}
+	payload := append([]byte(nil), h.Page().Payload()...)
+	h.RUnlock()
+	n, err := parseNode(payload)
+	if err != nil || n.isLeaf() {
+		return nil
+	}
+	h.StoreDecoded(ver, &n)
+	return &n
 }
 
 // finishAdoptions drains the adoption work a descent noted. Adoption is

@@ -175,12 +175,12 @@ type frame struct {
 	// page: a frame is created per residency, so a reloaded or recovered
 	// page can never satisfy a validation started against its predecessor.
 	version atomic.Uint64
-	// skel caches one immutable decoded object (the B-tree routing
-	// skeleton) stamped with the even version it was built from; a stamp
-	// that no longer matches the current version is dead weight that the
-	// next stable reader overwrites. Stored as any to keep the pool
+	// decoded caches one immutable decoded object (the B-tree's frozen
+	// copy of a branch) stamped with the even version it was built from; a
+	// stamp that no longer matches the current version is dead weight that
+	// the next stable reader overwrites. Stored as any to keep the pool
 	// layer-agnostic.
-	skel atomic.Pointer[versionedBlob]
+	decoded atomic.Pointer[versionedBlob]
 
 	flushMu sync.Mutex
 
@@ -497,28 +497,28 @@ func (h *Handle) ValidateVersion(v uint64) bool {
 	return h.f.version.Load() == v
 }
 
-// CachedSkeleton returns the decoded object cached on the frame if its
+// CachedDecoded returns the decoded object cached on the frame if its
 // stamp matches version v, else nil. The caller must have obtained v from
 // StableVersion and must still ValidateVersion after acting on the result.
-func (h *Handle) CachedSkeleton(v uint64) any {
-	if b := h.f.skel.Load(); b != nil && b.version == v {
+func (h *Handle) CachedDecoded(v uint64) any {
+	if b := h.f.decoded.Load(); b != nil && b.version == v {
 		return b.data
 	}
 	return nil
 }
 
-// StoreSkeleton caches an immutable decoded object stamped with the stable
+// StoreDecoded caches an immutable decoded object stamped with the stable
 // version it was built from. Stale stamps need no explicit invalidation:
-// the version counter has moved on, so CachedSkeleton simply stops
+// the version counter has moved on, so CachedDecoded simply stops
 // returning them. A racing store for a newer version always wins.
-func (h *Handle) StoreSkeleton(v uint64, data any) {
+func (h *Handle) StoreDecoded(v uint64, data any) {
 	b := &versionedBlob{version: v, data: data}
 	for {
-		cur := h.f.skel.Load()
+		cur := h.f.decoded.Load()
 		if cur != nil && cur.version >= v {
 			return
 		}
-		if h.f.skel.CompareAndSwap(cur, b) {
+		if h.f.decoded.CompareAndSwap(cur, b) {
 			return
 		}
 	}

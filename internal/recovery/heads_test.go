@@ -342,3 +342,32 @@ func TestAnalyzeTakesHeadFromDPTRow(t *testing.T) {
 		t.Fatalf("analysis: redo from %d to %d, want %d to %d", a.DPT[id], a.Heads[id], rows[0].RecLSN, rows[0].PageLSN)
 	}
 }
+
+// TestAnalysisRecLSNPassesAnOvertakenWriteComplete: a write-back's image is
+// taken at one update, a second update to the page is logged before the
+// write-back's write-complete record, and the log ends there. The page stays
+// in the recovery requirements with its RecLSN above the image's PageLSN —
+// the image holds the first update — and at or below the second.
+func TestAnalysisRecLSNPassesAnOvertakenWriteComplete(t *testing.T) {
+	log := wal.NewManager(iosim.Instant)
+	const id, tx = page.ID(1), wal.TxnID(1)
+	f := log.Append(&wal.Record{Type: wal.TypeFormat, Txn: tx, PageID: id, Payload: backup.FormatPayload(page.TypeRaw, nil)})
+	u1 := log.Append(&wal.Record{Type: wal.TypeUpdate, Txn: tx, PageID: id, PagePrevLSN: f})
+	u2 := log.Append(&wal.Record{Type: wal.TypeUpdate, Txn: tx, PageID: id, PagePrevLSN: u1})
+	log.Append(&wal.Record{Type: wal.TypePRIUpdate, PageID: id,
+		Payload: core.EncodeWriteComplete(core.WriteCompletePayload{PageLSN: u1, Dest: 1})})
+	log.Append(&wal.Record{Type: wal.TypeCommit, Txn: tx})
+	log.FlushAll()
+
+	a, err := Analyze(log, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recLSN, dirty := a.DPT[id]
+	if !dirty || a.Heads[id] != u2 {
+		t.Fatalf("page in the recovery requirements %v, head %d; want true, %d", dirty, a.Heads[id], u2)
+	}
+	if recLSN <= u1 || recLSN > u2 {
+		t.Fatalf("RecLSN %d; the write-complete's PageLSN is %d, the update it did not cover %d", recLSN, u1, u2)
+	}
+}

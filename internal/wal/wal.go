@@ -503,14 +503,27 @@ func encodeAt(t *chunkTable, pos int64, rec *Record) int64 {
 	total := int64(headerSize + len(rec.Payload) + trailerSize)
 	var hdr [headerSize]byte
 	putHeader(&hdr, rec, total)
-	crc := crc32.Update(0, crcTable, hdr[:])
-	crc = crc32.Update(crc, crcTable, rec.Payload)
-	var tail [trailerSize]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
 	writeAt(t, pos, hdr[:])
 	writeAt(t, pos+headerSize, rec.Payload)
+	// The checksum reads the header back from the log buffer: handed to
+	// crc32, the stack copy would move to the heap on every append.
+	var tail [trailerSize]byte
+	binary.LittleEndian.PutUint32(tail[:], crcAt(t, pos, total-trailerSize))
 	writeAt(t, pos+total-trailerSize, tail[:])
 	return total
+}
+
+// crcAt returns the checksum of the n bytes of t at pos.
+func crcAt(t *chunkTable, pos, n int64) uint32 {
+	var crc uint32
+	for n > 0 {
+		c := t.at(pos)[pos&chunkMask:]
+		c = c[:min(n, int64(len(c)))]
+		crc = crc32.Update(crc, crcTable, c)
+		pos += int64(len(c))
+		n -= int64(len(c))
+	}
+	return crc
 }
 
 // AppendBatch appends every record in recs as one contiguous block: a

@@ -379,6 +379,20 @@ func TestQuickPageChains(t *testing.T) {
 	}
 }
 
+// TestAppendAllocatesNothing pins the zero-allocation append: every
+// update, commit and write-complete goes through it, so a per-record
+// allocation is paid on every log write.
+func TestAppendAllocatesNothing(t *testing.T) {
+	m := newTestLog()
+	payload := make([]byte, 100)
+	allocs := testing.AllocsPerRun(1000, func() {
+		m.Append(&Record{Type: TypeUpdate, Txn: 1, PageID: 5, Payload: payload})
+	})
+	if allocs != 0 {
+		t.Fatalf("Append allocates %.1f times per record, want 0", allocs)
+	}
+}
+
 func BenchmarkAppend(b *testing.B) {
 	m := newTestLog()
 	payload := make([]byte, 100)

@@ -163,7 +163,7 @@ func TestIndexGetToZeroAlloc(t *testing.T) {
 
 	key := []byte("key000123")
 	buf := make([]byte, 0, 64)
-	// Warm the descent (skeleton cache, frame residency).
+	// Warm the descent (frozen branch copies, frame residency).
 	for i := 0; i < 10; i++ {
 		if _, err := ix.GetTo(buf[:0], key); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package spf
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -402,5 +403,73 @@ func TestBackupNowNoticesACrashUnderIt(t *testing.T) {
 	corruptAndVerify(t, ndb, ix2, victim, n)
 	if m := ndb.Metrics(); m.Recovery.Escalations != 0 || m.Restore.Failed != 0 {
 		t.Fatalf("recovery against set %d after the crash: %+v %+v", set1, m.Recovery, m.Restore)
+	}
+}
+
+// TestCommittedSetOutlivesACrashBeforeItsIndex: a crash strikes after
+// BackupNow committed the new set but before the index records that name it
+// are stable. The restarted index names the old set for every page, so only
+// the newest-set root keeps the new one through the restart's sweep — and
+// media recovery, which takes the newest set, restores from it.
+func TestCommittedSetOutlivesACrashBeforeItsIndex(t *testing.T) {
+	const n = 200
+	db := openTestDB(t, testOptions())
+	ix := loadIndex(t, db, "t", n)
+	set1, _, err := db.BackupNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn(t, db, ix, n, 1)
+	// Holding the checkpoint mutex stops BackupNow at the door of
+	// pointIndexAt, after the set's commit and before its index records.
+	db.ckptMu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := db.BackupNow()
+		done <- err
+	}()
+	for db.store.LatestSet() == set1 {
+		runtime.Gosched()
+	}
+	set2 := db.store.LatestSet()
+	db.LogManager().Crash()
+	db.ckptMu.Unlock()
+	if err := <-done; !errors.Is(err, ErrCrashed) {
+		t.Fatalf("BackupNow across a crash = %v, want ErrCrashed", err)
+	}
+	db.Crash()
+	ndb, _, err := db.Restart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix2, err := ndb.Index("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := findLeafOf(t, ndb, ix2, k(100))
+	if cur, err := ndb.pri.Get(victim); err != nil || cur.Backup.Loc != set1 {
+		t.Fatalf("restarted index names %+v (%v), want set %d", cur.Backup, err, set1)
+	}
+	ndb.DrainRestore()
+	if _, err := ndb.store.SetPages(set2); err != nil {
+		t.Fatalf("the restart's sweep dropped the newest committed set: %v", err)
+	}
+	if got := ndb.store.LatestSet(); got != set2 {
+		t.Fatalf("newest set %d, want %d", got, set2)
+	}
+	ndb.FailDevice()
+	mdb, _, err := ndb.RecoverMedia()
+	if err != nil {
+		t.Fatalf("media recovery from set %d: %v", set2, err)
+	}
+	defer mdb.Close()
+	ix3, err := mdb.Index("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if got, err := ix3.Get(k(i)); err != nil || !bytes.Equal(got, v(i)) {
+			t.Fatalf("key %d after media recovery: %q, %v", i, got, err)
+		}
 	}
 }
