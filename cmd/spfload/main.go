@@ -15,7 +15,7 @@
 // Soak mode (-soak) runs the same mixed load for the given duration while
 // sampling the server's /metrics endpoint once a second, and exits
 // nonzero if the bounded log lifecycle fails to hold: the live WAL
-// segment count must stay under -max-live-segments after warmup, and the
+// buffer's bytes must stay under -max-live-bytes after warmup, and the
 // post-GC heap floor must stop growing (last-quarter floor within
 // -max-heap-growth of the steady-state floor). The server's log recycles
 // behind its periodic checkpoints with -lifecycle and behind its periodic
@@ -62,7 +62,7 @@ func main() {
 
 		soak       = flag.Duration("soak", 0, "soak-test length; overrides -duration and enables the resource-bound watchdog")
 		metricsURL = flag.String("metrics-url", "http://127.0.0.1:7071/metrics", "spfserver metrics endpoint sampled by -soak")
-		maxSegs    = flag.Float64("max-live-segments", 16, "soak bound on spf_wal_live_segments after warmup")
+		maxLive    = flag.Float64("max-live-bytes", 16<<20, "soak bound on spf_wal_live_bytes after warmup")
 		maxHeap    = flag.Float64("max-heap-growth", 1.5, "soak bound: final-quarter heap floor / steady-state heap floor")
 	)
 	flag.Parse()
@@ -211,7 +211,7 @@ func main() {
 
 	soakFailed := false
 	if sampler != nil {
-		soakFailed = sampler.finishAndEvaluate(*ramp, *maxSegs, *maxHeap)
+		soakFailed = sampler.finishAndEvaluate(*ramp, *maxLive, *maxHeap)
 	}
 
 	if err, _ := firstErr.Load().(error); err != nil {
@@ -224,10 +224,10 @@ func main() {
 
 // soakSample is one scrape of the gauges the soak watchdog bounds.
 type soakSample struct {
-	at       time.Time
-	segments float64
-	heap     float64
-	paused   float64
+	at        time.Time
+	liveBytes float64
+	heap      float64
+	paused    float64
 }
 
 // soakSampler polls the server's /metrics endpoint in the background.
@@ -253,16 +253,16 @@ func startSoakSampler(url string, every time.Duration) *soakSampler {
 			case <-t.C:
 			}
 			g, err := scrapeGauges(url,
-				"spf_wal_live_segments", "process_heap_alloc_bytes", "spf_archive_paused")
+				"spf_wal_live_bytes", "process_heap_alloc_bytes", "spf_archive_paused")
 			s.mu.Lock()
 			if err != nil {
 				s.scrapeErrs++
 			} else {
 				s.samples = append(s.samples, soakSample{
-					at:       time.Now(),
-					segments: g["spf_wal_live_segments"],
-					heap:     g["process_heap_alloc_bytes"],
-					paused:   g["spf_archive_paused"],
+					at:        time.Now(),
+					liveBytes: g["spf_wal_live_bytes"],
+					heap:      g["process_heap_alloc_bytes"],
+					paused:    g["spf_archive_paused"],
 				})
 			}
 			s.mu.Unlock()
@@ -306,9 +306,9 @@ func scrapeGauges(url string, names ...string) (map[string]float64, error) {
 // true when the run FAILED. The heap check compares post-GC floors (the
 // minimum within a window, robust to GC sawtooth): the floor of the final
 // quarter must stay within maxHeapGrowth of the steady-state floor. The
-// segment check is absolute: a lifecycle that recycles keeps the live
-// chunk count flat regardless of how much history the run writes.
-func (s *soakSampler) finishAndEvaluate(ramp time.Duration, maxSegs, maxHeapGrowth float64) bool {
+// live-log check is absolute: a lifecycle that recycles keeps the live
+// log's bytes flat regardless of how much history the run writes.
+func (s *soakSampler) finishAndEvaluate(ramp time.Duration, maxLive, maxHeapGrowth float64) bool {
 	close(s.stop)
 	<-s.done
 	s.mu.Lock()
@@ -335,15 +335,15 @@ func (s *soakSampler) finishAndEvaluate(ramp time.Duration, maxSegs, maxHeapGrow
 		return true
 	}
 	failed := false
-	var maxSeg, pausedSecs float64
+	var peakLive, pausedSecs float64
 	for _, smp := range warm {
-		if smp.segments > maxSeg {
-			maxSeg = smp.segments
+		if smp.liveBytes > peakLive {
+			peakLive = smp.liveBytes
 		}
 		pausedSecs += smp.paused
 	}
-	if maxSeg > maxSegs {
-		log.Printf("soak: FAIL: live WAL segments peaked at %.0f > bound %.0f — recycling is not keeping up", maxSeg, maxSegs)
+	if peakLive > maxLive {
+		log.Printf("soak: FAIL: live WAL bytes peaked at %.0f > bound %.0f — recycling is not keeping up", peakLive, maxLive)
 		failed = true
 	}
 	floorOf := func(part []soakSample) float64 {
@@ -362,8 +362,8 @@ func (s *soakSampler) finishAndEvaluate(ramp time.Duration, maxSegs, maxHeapGrow
 			steady, final, final/steady, maxHeapGrowth)
 		failed = true
 	}
-	fmt.Printf("soak: samples=%d live-segments-max=%.0f heap-floor=%.1fMiB→%.1fMiB archive-paused-secs=%.0f\n",
-		len(warm), maxSeg, steady/(1<<20), final/(1<<20), pausedSecs)
+	fmt.Printf("soak: samples=%d live-bytes-max=%.0f heap-floor=%.1fMiB→%.1fMiB archive-paused-secs=%.0f\n",
+		len(warm), peakLive, steady/(1<<20), final/(1<<20), pausedSecs)
 	if !failed {
 		log.Printf("soak: bounds held")
 	}

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/server"
+	"repro/internal/wal"
 	"repro/internal/workload"
 	"repro/spf"
 )
@@ -209,7 +210,7 @@ func main() {
 	if err := db.Close(); err != nil {
 		log.Printf("close: %v", err)
 	}
-	fmt.Printf("served: commits=%d pool-hits=%d pool-misses=%d pages=%d live-segments=%d archived-runs=%d\n",
+	fmt.Printf("served: commits=%d pool-hits=%d pool-misses=%d pages=%d live-bytes=%d archived-runs=%d\n",
 		m.Txns.UserCommitted, m.Pool.Hits, m.Pool.Misses, m.Pages,
-		m.Log.LiveSegments, m.Archive.RunsWritten)
+		m.Log.LiveSegments*wal.ChunkSize, m.Archive.RunsWritten)
 }

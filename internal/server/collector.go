@@ -4,6 +4,7 @@ import (
 	"runtime"
 
 	"repro/internal/metrics"
+	"repro/internal/wal"
 	"repro/spf"
 )
 
@@ -38,7 +39,7 @@ func RegisterEngineCollector(reg *metrics.Registry, db *spf.DB) {
 		e.Counter("spf_wal_forced_commits_total", "Commit-triggered log forces.", float64(m.Log.ForcedCommits))
 		e.Counter("spf_wal_group_commit_batches_total", "Group-commit flush batches.", float64(m.Log.GroupCommitBatches))
 		e.Counter("spf_wal_group_commit_waiters_total", "Commits served by group-commit batches.", float64(m.Log.GroupCommitWaiters))
-		e.Gauge("spf_wal_live_segments", "Chunks currently backing the live log buffer.", float64(m.Log.LiveSegments))
+		e.Gauge("spf_wal_live_bytes", "Bytes of chunks currently backing the live log buffer.", float64(m.Log.LiveSegments*wal.ChunkSize))
 		e.Counter("spf_wal_recycled_segments_total", "Live log chunks recycled behind the truncation horizon.", float64(m.Log.RecycledSegments))
 		e.Gauge("spf_wal_truncated_lsn", "Recycling boundary: records below it left the live log (the archive, if on, serves them).", float64(m.Log.TruncatedLSN))
 		e.Counter("spf_wal_archive_reads_total", "Log reads served by the archive fallback.", float64(m.Log.ArchiveReads))

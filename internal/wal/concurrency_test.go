@@ -64,11 +64,11 @@ func TestParallelAppendPublishesAll(t *testing.T) {
 	}
 }
 
-// TestChunkSpanningRecords appends records large enough to straddle the
-// chunk seam and verifies the gather path round-trips them.
+// TestChunkSpanningRecords appends records large enough to straddle
+// several chunk seams and verifies the gather path round-trips them.
 func TestChunkSpanningRecords(t *testing.T) {
 	m := newTestLog()
-	big := make([]byte, 300<<10) // several per 1 MiB chunk; some span seams
+	big := make([]byte, 300<<10) // each spans several 64 KiB chunks
 	var lsns []page.LSN
 	for i := 0; i < 8; i++ {
 		for j := range big {

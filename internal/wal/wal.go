@@ -192,9 +192,19 @@ const firstLSN page.LSN = 16
 // The append buffer is a sequence of fixed-size chunks. Chunks are
 // allocated on demand and never move or shrink, so a filler encoding into
 // its reserved range can never be invalidated by concurrent growth.
-const chunkShift = 20 // 1 MiB
-const chunkSize = 1 << chunkShift
-const chunkMask = chunkSize - 1
+//
+// A chunk is the unit the log holds memory in: a log at rest keeps the one
+// its tail falls in, TakeOver copies one at every restart, and Recycle frees
+// whole chunks. 64 KiB keeps that cost small next to the pages a database
+// holds, while a typical record (tens to hundreds of bytes) still crosses a
+// seam only once in hundreds.
+const chunkShift = 16
+
+// ChunkSize is the size in bytes of one chunk of the live log buffer, the
+// unit Stats.LiveSegments and Stats.RecycledSegments count in.
+const ChunkSize = 1 << chunkShift
+
+const chunkMask = ChunkSize - 1
 
 // Errors returned by log operations.
 var (
@@ -249,10 +259,10 @@ type Stats struct {
 	// either way, so Appends/BatchAppends is the grouping factor of the
 	// batched write-complete logging.
 	BatchAppends int64
-	// LiveSegments is the number of chunks currently backing the live log
-	// (a gauge); RecycledSegments counts chunks recycled over the manager's
-	// lifetime. Their sum times the chunk size is total bytes ever logged,
-	// rounded up to chunks.
+	// LiveSegments is the number of ChunkSize chunks currently backing the
+	// live log (a gauge); RecycledSegments counts chunks recycled over the
+	// manager's lifetime. Their sum times ChunkSize is total bytes ever
+	// logged, rounded up to chunks.
 	LiveSegments     int64
 	RecycledSegments int64
 	// TruncatedLSN is the recycling boundary: records below it are served
@@ -410,9 +420,13 @@ func (m *Manager) table() *chunkTable { return m.chunks.Load() }
 // ensure grows the chunk table until it covers end bytes and returns it.
 // Existing chunks never move, so concurrent fillers are unaffected. New
 // chunks are always fresh: a log at rest holds its tail, not spare
-// megabytes, and making one costs a memclr (one chunk is ~2 500 PUTs of
-// log). A recycled chunk is never handed out again, so a reader still
-// holding an old table can never see it overwritten.
+// chunks, and making one costs a memclr (one chunk is ~160 PUTs of log).
+// A recycled chunk is never handed out again, so a reader still holding an
+// old table can never see it overwritten.
+//
+// The new table appends to the old one's slice, so a growth costs amortised
+// O(1), not a copy of the whole table: appending writes only past the old
+// length, which no holder of an older table reads.
 func (m *Manager) ensure(end int64) *chunkTable {
 	t := m.table()
 	if t.end() >= end {
@@ -423,13 +437,12 @@ func (m *Manager) ensure(end int64) *chunkTable {
 	t = m.table()
 	need := int((end+chunkMask)>>chunkShift - t.first)
 	if len(t.chunks) < need {
-		nt := &chunkTable{first: t.first, chunks: make([][]byte, need)}
-		copy(nt.chunks, t.chunks)
-		for i := len(t.chunks); i < need; i++ {
-			nt.chunks[i] = make([]byte, chunkSize)
+		chunks := t.chunks
+		for len(chunks) < need {
+			chunks = append(chunks, make([]byte, ChunkSize))
 		}
-		m.chunks.Store(nt)
-		t = nt
+		t = &chunkTable{first: t.first, chunks: chunks}
+		m.chunks.Store(t)
 	}
 	return t
 }
@@ -455,18 +468,19 @@ func readAt(t *chunkTable, pos int64, dst []byte) {
 }
 
 // bytesAt returns n bytes of t starting at pos. When the range lies inside
-// one chunk the returned slice aliases the log buffer (zero copy);
-// otherwise it is a freshly gathered copy. Records rarely span the 1 MiB
-// chunk seam.
-func bytesAt(t *chunkTable, pos, n int64) []byte {
+// one chunk the returned slice aliases the log buffer (zero copy) and
+// gathered is false; otherwise it is a freshly gathered copy the caller
+// owns. A record of a few hundred bytes spans a 64 KiB chunk seam once in
+// hundreds.
+func bytesAt(t *chunkTable, pos, n int64) (b []byte, gathered bool) {
 	if pos>>chunkShift == (pos+n-1)>>chunkShift {
 		c := t.at(pos)
 		off := pos & chunkMask
-		return c[off : off+n : off+n]
+		return c[off : off+n : off+n], false
 	}
 	out := make([]byte, n)
 	readAt(t, pos, out)
-	return out
+	return out, true
 }
 
 // lengthAt reads the 4-byte total-length field of the record at pos in t.
@@ -731,9 +745,9 @@ func (m *Manager) flushTo(upTo page.LSN) {
 	if p := int64(upTo); p < ready && p+headerSize+trailerSize <= ready {
 		t := m.table()
 		if total := lengthAt(t, p); total >= headerSize+trailerSize && p+total <= ready {
-			raw := bytesAt(t, p, total)
-			stored := binary.LittleEndian.Uint32(raw[total-trailerSize:])
-			if crc32.Checksum(raw[:total-trailerSize], crcTable) == stored {
+			var stored [trailerSize]byte
+			readAt(t, p+total-trailerSize, stored[:])
+			if crcAt(t, p, total-trailerSize) == binary.LittleEndian.Uint32(stored[:]) {
 				target = p + total
 			}
 			// A checksum mismatch means upTo is not a record start;
@@ -825,7 +839,7 @@ func TakeOver(m *Manager) *Manager {
 	n := int(end>>chunkShift - t.first)
 	chunks := append([][]byte(nil), t.chunks[:n]...)
 	if off := end & chunkMask; off != 0 && n < len(t.chunks) {
-		tail := make([]byte, chunkSize)
+		tail := make([]byte, ChunkSize)
 		copy(tail, t.chunks[n][:off])
 		chunks = append(chunks, tail)
 	}
@@ -951,7 +965,9 @@ func (m *Manager) readRecord(lsn page.LSN, rec *Record) error {
 
 // decodeAt decodes the record at lsn into rec and returns its encoded
 // size. It loads the chunk table once: a Recycle that swaps it meanwhile
-// leaves this view's chunks intact.
+// leaves this view's chunks intact. With copyPayload the payload is the
+// caller's own: a record gathered across a chunk seam already is a private
+// copy and keeps it, any other is copied out of the log buffer once.
 func (m *Manager) decodeAt(lsn page.LSN, rec *Record, copyPayload bool) (int, error) {
 	ready := m.ready.Load()
 	p := int64(lsn)
@@ -966,8 +982,9 @@ func (m *Manager) decodeAt(lsn page.LSN, rec *Record, copyPayload bool) (int, er
 	if total < headerSize+trailerSize || p+total > ready {
 		return 0, fmt.Errorf("%w: at %d", ErrTornRecord, lsn)
 	}
-	size, err := DecodeRecordInto(lsn, bytesAt(t, p, total), rec)
-	if err == nil && copyPayload {
+	raw, gathered := bytesAt(t, p, total)
+	size, err := DecodeRecordInto(lsn, raw, rec)
+	if err == nil && copyPayload && !gathered {
 		rec.Payload = append([]byte(nil), rec.Payload...)
 	}
 	return size, err

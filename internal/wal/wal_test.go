@@ -540,3 +540,115 @@ func TestRecycleReleasesChunks(t *testing.T) {
 		}
 	}
 }
+
+// heldBytes is the memory the log's chunk table holds.
+func heldBytes(m *Manager) int {
+	n := 0
+	for _, c := range m.table().chunks {
+		n += cap(c)
+	}
+	return n
+}
+
+// TestLogAtRestIsOneSmallChunk: once everything logged is recycled, the
+// live log holds the one chunk its tail falls in, and that chunk is 64 KiB
+// — the log at rest costs next to nothing beside the pages.
+func TestLogAtRestIsOneSmallChunk(t *testing.T) {
+	m := newTestLog()
+	payload := make([]byte, 1000)
+	for i := 0; i < 6<<10; i++ { // ~6 MiB of log
+		m.Append(&Record{Type: TypeUpdate, Txn: 1, PageID: 2, Payload: payload})
+	}
+	m.FlushAll()
+	if m.FlushedLSN()&chunkMask == 0 {
+		t.Fatal("the tail ends on a chunk seam; the test wants it mid-chunk")
+	}
+	m.Recycle(m.FlushedLSN())
+	if got := m.Stats().LiveSegments; got != 1 {
+		t.Errorf("live segments at rest = %d, want 1", got)
+	}
+	if got := heldBytes(m); got > 64<<10 {
+		t.Errorf("log at rest holds %d bytes, want at most 64 KiB", got)
+	}
+}
+
+// TestTakeOverCopiesOneChunk: the next incarnation shares every chunk
+// wholly below the seal and copies only the one the seal falls in, so a
+// restart costs one 64 KiB chunk of memory however long the log is.
+func TestTakeOverCopiesOneChunk(t *testing.T) {
+	m := newTestLog()
+	payload := make([]byte, 1000)
+	var lsns []page.LSN
+	for i := 0; i < 1<<10; i++ { // ~1 MiB of log
+		lsns = append(lsns, m.Append(&Record{Type: TypeUpdate, Txn: 1, PageID: 2, Payload: payload}))
+	}
+	m.Flush(lsns[len(lsns)/2])
+	seal := int64(m.FlushedLSN())
+	if seal&chunkMask == 0 {
+		t.Fatal("the seal falls on a chunk seam; the test wants it mid-chunk")
+	}
+	old := m.table().chunks
+	s := TakeOver(m)
+	got := s.table().chunks
+	shared := int(seal>>chunkShift - s.table().first)
+	if len(got) != shared+1 {
+		t.Fatalf("next incarnation holds %d chunks, want %d shared and one copied", len(got), shared)
+	}
+	for i := 0; i < shared; i++ {
+		if &got[i][0] != &old[i][0] {
+			t.Errorf("chunk %d below the seal was copied, want shared", i)
+		}
+	}
+	if c := got[shared]; &c[0] == &old[shared][0] || cap(c) > 64<<10 {
+		t.Errorf("the chunk the seal falls in: shared %v, %d bytes; want a copy of at most 64 KiB",
+			&c[0] == &old[shared][0], cap(c))
+	}
+}
+
+// TestSeamReadCopiesOnce: Read of a record gathered across a chunk seam
+// keeps the gathered copy as its payload, so it allocates no more than
+// Read of a record inside one chunk.
+func TestSeamReadCopiesOnce(t *testing.T) {
+	m := newTestLog()
+	payload := bytes.Repeat([]byte{7}, 1000)
+	var seam, inside page.LSN
+	for seam == page.ZeroLSN || inside == page.ZeroLSN {
+		lsn := m.Append(&Record{Type: TypeUpdate, Txn: 1, PageID: 2, Payload: payload})
+		end := int64(lsn) + int64(headerSize+len(payload)+trailerSize)
+		if int64(lsn)>>chunkShift != (end-1)>>chunkShift {
+			seam = lsn
+		} else {
+			inside = lsn
+		}
+	}
+	read := func(lsn page.LSN) float64 {
+		return testing.AllocsPerRun(100, func() {
+			rec, err := m.Read(lsn)
+			if err != nil || !bytes.Equal(rec.Payload, payload) {
+				t.Fatalf("read at %d: %v", lsn, err)
+			}
+		})
+	}
+	if s, in := read(seam), read(inside); s > in {
+		t.Errorf("Read across a seam allocates %.0f times, inside a chunk %.0f; want no more", s, in)
+	}
+}
+
+// TestGrowthDoesNotCopyTheTable: growing the log by a chunk costs the
+// chunk, not a copy of the whole chunk table, so a log that is never
+// recycled allocates little beyond its own bytes however many chunks it
+// spans.
+func TestGrowthDoesNotCopyTheTable(t *testing.T) {
+	m := newTestLog()
+	payload := make([]byte, 4000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 8<<10; i++ { // ~32 MiB of log, ~500 chunks
+		m.Append(&Record{Type: TypeUpdate, Txn: 1, PageID: 2, Payload: payload})
+	}
+	runtime.ReadMemStats(&after)
+	held := heldBytes(m)
+	if extra := int(after.TotalAlloc-before.TotalAlloc) - held; extra > held/100 {
+		t.Errorf("growing to %d chunks allocated %d bytes beyond the chunks' %d", m.Stats().LiveSegments, extra, held)
+	}
+}
