@@ -5,7 +5,9 @@
 // 64 updates; a negative interval turns it off). The engine takes its
 // backups when it writes a page back, so the hot page is written back after
 // every commit, and when a repair rebuilds a page from N or more records,
-// so the next repair of that page starts from the rebuilt copy.
+// so the next repair of that page starts from the rebuilt copy. A copy is
+// one log record holding the page's image, so the space it costs is log
+// (and archive) space; the backup device holds full backups only.
 //
 //	go run ./examples/backuppolicy
 package main

@@ -10,8 +10,8 @@
 // point of archiving for single-page recovery and media restore.
 //
 // The archive is a redo store: a run keeps only what recovery reads from
-// old history — per-page chain records — and an
-// update whose transaction committed within the same collected batch is
+// old history — per-page chain records, and the page images the log holds
+// as backups — and an update whose transaction committed within the same collected batch is
 // kept redo-only (its undo information stripped by an engine hook). Commit,
 // abort, PRI and checkpoint records are dropped: analysis, their only
 // reader, starts at the master checkpoint, which recycling never passes.
@@ -199,10 +199,12 @@ func consume(f *atomic.Int32) bool {
 // chainRecord reports whether recovery can read a record of type t from
 // the archive: the per-page chain (updates, CLRs and format records —
 // WalkChain, a rollback's wal.Read of its own updates, and a format record
-// serving as a page's backup).
+// serving as a page's backup) and page images, read as backups. An image
+// is on no chain: WalkChain follows the records' prev links, which pass it
+// by.
 func chainRecord(t wal.RecType) bool {
 	switch t {
-	case wal.TypeUpdate, wal.TypeCLR, wal.TypeFormat:
+	case wal.TypeUpdate, wal.TypeCLR, wal.TypeFormat, wal.TypeImage:
 		return true
 	}
 	return false

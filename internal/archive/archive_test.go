@@ -475,8 +475,9 @@ func firstByte(op []byte) []byte { return op[:1] }
 
 // TestArchiveKeepsOnlyChainRecords drives the archiver over a log holding
 // every record type, recycling as it goes: the runs hold per-page chain
-// records only, every other LSN reads ErrNotArchived —
+// records and page images only, every other LSN reads ErrNotArchived —
 // from the store and through the log's fallback — and the drop is counted.
+// A page's archived chain walk passes over the images between its records.
 func TestArchiveKeepsOnlyChainRecords(t *testing.T) {
 	m := wal.NewManager(iosim.Instant)
 	s := NewStore(iosim.Instant, wal.FirstLSN())
@@ -485,6 +486,7 @@ func TestArchiveKeepsOnlyChainRecords(t *testing.T) {
 	chain := make(map[page.LSN]wal.RecType)
 	var dropped []page.LSN
 	last := make(map[page.ID]page.LSN)
+	links := make(map[page.ID]int)
 	appendRec := func(r *wal.Record) {
 		linked := r.Type == wal.TypeUpdate || r.Type == wal.TypeCLR || r.Type == wal.TypeFormat
 		if linked {
@@ -493,6 +495,7 @@ func TestArchiveKeepsOnlyChainRecords(t *testing.T) {
 		lsn := m.Append(r)
 		if linked {
 			last[r.PageID] = lsn
+			links[r.PageID]++
 		}
 		if chainRecord(r.Type) {
 			chain[lsn] = r.Type
@@ -508,6 +511,7 @@ func TestArchiveKeepsOnlyChainRecords(t *testing.T) {
 			appendRec(&wal.Record{Type: wal.TypeFormat, Txn: txn, PageID: pg, Payload: []byte{1}})
 		}
 		appendRec(&wal.Record{Type: wal.TypeUpdate, Txn: txn, PageID: pg, Payload: []byte{2, byte(round), 9, 9}})
+		appendRec(&wal.Record{Type: wal.TypeImage, PageID: pg, Payload: []byte{6, byte(round)}})
 		switch round % 3 {
 		case 0:
 			appendRec(&wal.Record{Type: wal.TypeCommit, Txn: txn})
@@ -565,6 +569,17 @@ func TestArchiveKeepsOnlyChainRecords(t *testing.T) {
 	}
 	if st := s.Stats(); st.RecordsDropped != int64(len(dropped)) || st.Records != int64(len(chain)) {
 		t.Errorf("stats: %d dropped / %d retained, want %d / %d", st.RecordsDropped, st.Records, len(dropped), len(chain))
+	}
+	for pg, head := range last {
+		walked, err := m.WalkPageChain(head, page.ZeroLSN, pg)
+		if err != nil || len(walked) != links[pg] {
+			t.Fatalf("page %d: walked %d records, %v; its chain has %d", pg, len(walked), err, links[pg])
+		}
+		for _, rec := range walked {
+			if rec.Type == wal.TypeImage {
+				t.Fatalf("page %d: the chain walk stepped onto the image at %d", pg, rec.LSN)
+			}
+		}
 	}
 }
 

@@ -3,9 +3,12 @@
 //
 //   - full database backups ("the same type of archive copy as required
 //     after a media failure"), held on direct-access media so single pages
-//     can be fetched individually;
+//     can be fetched individually — the Store, whose device holds full
+//     sets only;
 //   - explicit per-page backup copies, e.g. taken "after every 100 updates
-//     of a data page";
+//     of a data page", held in the log: each is one TypeImage record
+//     (ImageRecord), the in-log copy of §5.2.1, which the live log or an
+//     archive run serves;
 //   - the format log record written when a page is allocated (TypeFormat),
 //     which "may substitute for an explicit backup copy".
 //
@@ -13,10 +16,11 @@
 // written in place, so §5.2.1's pre-move image — what a log-structured
 // store keeps by deferring space reclamation — is not among them.
 //
-// Space is given back by one reachability sweep (Store.Sweep), never when a
-// backup is superseded: "the old backup page may be freed" (§5.2.2) once
-// nothing can resolve against it, and the page recovery index a restart
-// rebuilds is what decides that.
+// A set's space is given back by one reachability sweep (Store.Sweep),
+// never when the set is superseded: "the old backup page may be freed"
+// (§5.2.2) once nothing can resolve against it, and the page recovery index
+// a restart rebuilds is what decides that. A log-held image goes with the
+// log history around it, which the archiver keeps while the index names it.
 package backup
 
 import (
@@ -37,7 +41,7 @@ var (
 	ErrUnknownSet   = errors.New("backup: unknown backup set")
 	ErrNotInSet     = errors.New("backup: page not in backup set")
 	ErrBadSlot      = errors.New("backup: bad backup slot")
-	ErrBadFormatRec = errors.New("backup: malformed format record payload")
+	ErrBadFormatRec = errors.New("backup: malformed format or image record payload")
 	ErrWrongKind    = errors.New("backup: unsupported backup kind")
 )
 
@@ -56,7 +60,6 @@ type Store struct {
 	// basis for the incremental-backup skip decision ("has this page been
 	// written since the previous backup captured it?").
 	pageLSN map[uint64]map[page.ID]page.LSN
-	loose   map[storage.PhysID]struct{} // page copies not yet Installed
 	nextSet uint64
 }
 
@@ -68,7 +71,6 @@ func NewStore(dev *storage.Device) *Store {
 		open:    make(map[uint64]map[page.ID]storage.PhysID),
 		setLSN:  make(map[uint64]page.LSN),
 		pageLSN: make(map[uint64]map[page.ID]page.LSN),
-		loose:   make(map[storage.PhysID]struct{}),
 		nextSet: 1,
 	}
 }
@@ -91,72 +93,33 @@ func (s *Store) allocLocked() (storage.PhysID, error) {
 	return slot, nil
 }
 
-// PutPage stores an individual backup copy of pg in a fresh slot — never
-// over an existing backup ("it is not a good idea to overwrite an existing
-// backup page", §5.2.2) — and returns a BackupRef for the page recovery
-// index. The copy is a sweep root from its allocation until the caller
-// reports it Installed; a copy whose write fails is left to the next sweep.
-func (s *Store) PutPage(pg *page.Page) (core.BackupRef, error) {
-	s.mu.Lock()
-	slot, err := s.allocLocked()
-	if err == nil {
-		s.loose[slot] = struct{}{}
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return core.BackupRef{}, err
-	}
-	ref := core.BackupRef{Kind: core.BackupPage, Loc: uint64(slot), AsOf: pg.LSN()}
-	if err := s.dev.Write(slot, pg.Encode()); err != nil {
-		s.Installed(ref)
-		return core.BackupRef{}, fmt.Errorf("backup: writing page copy: %w", err)
-	}
-	return ref, nil
-}
-
-// Installed ends PutPage's hold on ref's copy once the caller has logged
-// the index update naming it, under the exclusion its sweeps take.
-func (s *Store) Installed(ref core.BackupRef) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.loose, storage.PhysID(ref.Loc))
-}
-
-// Sweep frees, discarding their images, every slot no root reaches, and
-// forgets every committed set none does. The roots are:
+// Sweep frees, discarding their images, the slots of every committed set
+// no root reaches, and forgets the set. The roots are:
 //
-//   - named, the backup references the page recovery index holds: a page
-//     copy keeps its slot, a set keeps all of its slots;
+//   - named, the backup references the page recovery index holds;
 //   - the newest committed set, which media recovery restores from even
 //     when the index names none of it (a backup a crash cut before its
 //     index records were stable);
-//   - every set still being written;
-//   - every copy PutPage wrote that is not Installed yet.
+//   - every set still being written.
 //
-// durable runs first, under the store's mutex: it must make the index
-// named came from durable — force the log — or fail, and then nothing is
-// freed. No slot is allocated meanwhile, so every slot freed is
-// unreachable from that index, the one a restart rebuilds, and from every
-// copy and set begun before the sweep.
+// A slot two sets share stays while either is reachable. durable runs
+// first, under the store's mutex: it must make the index named came from
+// durable — force the log — or fail, and then nothing is freed. No slot is
+// allocated meanwhile, so every slot freed is unreachable from that index,
+// the one a restart rebuilds, and from every set begun before the sweep.
 func (s *Store) Sweep(named []core.BackupRef, durable func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := durable(); err != nil {
 		return err
 	}
-	live := make(map[uint64]bool, 2)
-	keep := make([]bool, s.nextSlot)
+	live := map[uint64]bool{s.latestLocked(): true}
 	for _, ref := range named {
-		switch ref.Kind {
-		case core.BackupFull:
+		if ref.Kind == core.BackupFull {
 			live[ref.Loc] = true
-		case core.BackupPage:
-			if ref.Loc < uint64(len(keep)) {
-				keep[ref.Loc] = true
-			}
 		}
 	}
-	live[s.latestLocked()] = true
+	keep := make([]bool, s.nextSlot)
 	for id, set := range s.sets {
 		if !live[id] {
 			delete(s.sets, id)
@@ -172,9 +135,6 @@ func (s *Store) Sweep(named []core.BackupRef, durable func() error) error {
 		for _, slot := range set {
 			keep[slot] = true
 		}
-	}
-	for slot := range s.loose {
-		keep[slot] = true
 	}
 	for _, slot := range s.free {
 		keep[slot] = true
@@ -403,13 +363,55 @@ func DecodeFormatPayload(b []byte) (page.Type, []byte, error) {
 	return typ, b[6:], nil
 }
 
-// PageFromFormatRecord reconstructs the freshly formatted page a TypeFormat
-// record describes.
-func PageFromFormatRecord(rec *wal.Record, pageSize int) (*page.Page, error) {
-	if rec.Type != wal.TypeFormat {
-		return nil, fmt.Errorf("%w: record %v is not a format record", ErrBadFormatRec, rec.Type)
+// imagePrefix is what a TypeImage payload carries ahead of a format
+// payload: the copied page's PageLSN (8 bytes) and header flags (2).
+const imagePrefix = 8 + 2
+
+// ImageRecord builds the TypeImage record that holds pg as its page's
+// backup copy: pg's PageLSN, flags, type and used payload bytes — the slack
+// beyond them is not logged. The record is the copy and its installation
+// at once: appended, it names itself as the page's backup (ImageRef), and
+// a restart that finds it registers it again. It joins no per-page chain
+// and no transaction.
+func ImageRecord(pg *page.Page) *wal.Record {
+	payload := pg.Payload()
+	buf := make([]byte, imagePrefix+6+len(payload))
+	binary.LittleEndian.PutUint64(buf[0:], uint64(pg.LSN()))
+	binary.LittleEndian.PutUint16(buf[8:], pg.Flags())
+	binary.LittleEndian.PutUint16(buf[10:], uint16(pg.Type()))
+	binary.LittleEndian.PutUint32(buf[12:], uint32(len(payload)))
+	copy(buf[16:], payload)
+	return &wal.Record{Type: wal.TypeImage, PageID: pg.ID(), Payload: buf}
+}
+
+// ImageRef returns the backup reference an appended TypeImage record
+// names: the image in the record at rec.LSN, as of the PageLSN it carries.
+func ImageRef(rec *wal.Record) (core.BackupRef, error) {
+	if rec.Type != wal.TypeImage || len(rec.Payload) < imagePrefix {
+		return core.BackupRef{}, fmt.Errorf("%w: %v record of %d bytes", ErrBadFormatRec, rec.Type, len(rec.Payload))
 	}
-	typ, payload, err := DecodeFormatPayload(rec.Payload)
+	asOf := page.LSN(binary.LittleEndian.Uint64(rec.Payload))
+	return core.BackupRef{Kind: core.BackupLog, Loc: uint64(rec.LSN), AsOf: asOf}, nil
+}
+
+// PageFromLogRecord reconstructs the page image a log record holds: the
+// freshly formatted page a TypeFormat record describes, as of the record
+// itself, or the copy a TypeImage record carries, as of the PageLSN it
+// was taken at.
+func PageFromLogRecord(rec *wal.Record, pageSize int) (*page.Page, error) {
+	b, lsn, flags := rec.Payload, rec.LSN, uint16(0)
+	switch rec.Type {
+	case wal.TypeFormat:
+	case wal.TypeImage:
+		ref, err := ImageRef(rec)
+		if err != nil {
+			return nil, err
+		}
+		lsn, flags, b = ref.AsOf, binary.LittleEndian.Uint16(b[8:]), b[imagePrefix:]
+	default:
+		return nil, fmt.Errorf("%w: record %v holds no page image", ErrBadFormatRec, rec.Type)
+	}
+	typ, payload, err := DecodeFormatPayload(b)
 	if err != nil {
 		return nil, err
 	}
@@ -417,7 +419,8 @@ func PageFromFormatRecord(rec *wal.Record, pageSize int) (*page.Page, error) {
 	if err := pg.SetPayload(payload); err != nil {
 		return nil, err
 	}
-	pg.SetLSN(rec.LSN)
+	pg.SetFlags(flags)
+	pg.SetLSN(lsn)
 	return pg, nil
 }
 
@@ -440,11 +443,12 @@ func (r *Resolver) BackupLSN(ref core.BackupRef, pageID page.ID) page.LSN {
 	return ref.AsOf
 }
 
-// FetchBackup returns the backup image ref names for pageID.
+// FetchBackup returns the backup image ref names for pageID. A log-held
+// image is read through the log, which serves a record recycled out of it
+// from the archive; one of another page, or not as of ref.AsOf, is
+// refused.
 func (r *Resolver) FetchBackup(ref core.BackupRef, pageID page.ID) (*page.Page, error) {
 	switch ref.Kind {
-	case core.BackupPage:
-		return r.Store.fetchSlot(storage.PhysID(ref.Loc), pageID)
 	case core.BackupFull:
 		r.Store.mu.Lock()
 		set, ok := r.Store.sets[ref.Loc]
@@ -461,16 +465,24 @@ func (r *Resolver) FetchBackup(ref core.BackupRef, pageID page.ID) (*page.Page, 
 			return nil, fmt.Errorf("%w: page %d in set %d", ErrNotInSet, pageID, ref.Loc)
 		}
 		return r.Store.fetchSlot(slot, pageID)
-	case core.BackupFormat:
+	case core.BackupLog:
 		rec, err := r.Log.Read(page.LSN(ref.Loc))
 		if err != nil {
-			return nil, fmt.Errorf("backup: reading format record at %d: %w", ref.Loc, err)
+			return nil, fmt.Errorf("backup: reading the image record at %d: %w", ref.Loc, err)
 		}
 		if rec.PageID != pageID {
-			return nil, fmt.Errorf("backup: format record at %d is for page %d, want %d",
-				ref.Loc, rec.PageID, pageID)
+			return nil, fmt.Errorf("%w: %v record at %d is for page %d, want %d",
+				ErrBadFormatRec, rec.Type, ref.Loc, rec.PageID, pageID)
 		}
-		return PageFromFormatRecord(rec, r.PageSize)
+		pg, err := PageFromLogRecord(rec, r.PageSize)
+		if err != nil {
+			return nil, err
+		}
+		if pg.LSN() != ref.AsOf {
+			return nil, fmt.Errorf("%w: %v record at %d holds page %d as of %d, want %d",
+				ErrBadFormatRec, rec.Type, ref.Loc, pageID, pg.LSN(), ref.AsOf)
+		}
+		return pg, nil
 	default:
 		return nil, fmt.Errorf("%w: %v", ErrWrongKind, ref.Kind)
 	}

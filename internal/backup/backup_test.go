@@ -1,6 +1,7 @@
 package backup
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -28,35 +29,16 @@ func testPage(t *testing.T, id page.ID, lsn page.LSN, payload string) *page.Page
 	return pg
 }
 
-func TestPutPageAndFetch(t *testing.T) {
-	s := newStore(t, 16)
-	log := wal.NewManager(iosim.Instant)
-	r := &Resolver{Store: s, Log: log, PageSize: 512}
-	pg := testPage(t, 7, 42, "backup me")
-	ref, err := s.PutPage(pg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Kind != core.BackupPage || ref.AsOf != 42 {
-		t.Errorf("ref = %+v", ref)
-	}
-	got, err := r.FetchBackup(ref, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got.Payload()) != "backup me" || got.LSN() != 42 {
-		t.Errorf("fetched %q lsn=%d", got.Payload(), got.LSN())
-	}
-}
-
+// TestFetchWrongPageID: a set slot that holds another page's image — a
+// misdirected write on the backup device — is refused, not served.
 func TestFetchWrongPageID(t *testing.T) {
 	s := newStore(t, 16)
 	r := &Resolver{Store: s, Log: wal.NewManager(iosim.Instant), PageSize: 512}
-	ref, err := s.PutPage(testPage(t, 7, 1, "x"))
-	if err != nil {
+	set := fullSet(t, s, 7, 8, "x")
+	if err := s.Device().Write(s.sets[set][7], testPage(t, 8, 1, "x").Encode()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.FetchBackup(ref, 8); !errors.Is(err, ErrBadSlot) {
+	if _, err := r.FetchBackup(setRef(set), 7); !errors.Is(err, ErrBadSlot) {
 		t.Errorf("wrong page fetch: %v", err)
 	}
 }
@@ -67,52 +49,22 @@ func durable() error { return nil }
 // setRef names a set as the page recovery index would.
 func setRef(id uint64) core.BackupRef { return core.BackupRef{Kind: core.BackupFull, Loc: id} }
 
-// TestSweepReusesUnnamedCopySlots: an installed copy the index no longer
-// names is discarded by the sweep and its slot reused; the named one stays.
-func TestSweepReusesUnnamedCopySlots(t *testing.T) {
-	s := newStore(t, 2)
-	ref1, err := s.PutPage(testPage(t, 1, 1, "a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref2, err := s.PutPage(testPage(t, 1, 2, "b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Store full now.
-	if _, err := s.PutPage(testPage(t, 3, 1, "c")); err == nil {
-		t.Fatal("overfull store accepted page")
-	}
-	s.Installed(ref1)
-	s.Installed(ref2)
-	if err := s.Sweep([]core.BackupRef{ref2}, durable); err != nil {
-		t.Fatal(err)
-	}
-	// A free slot holds no image while it waits for reuse.
-	if n := s.Device().WrittenSlots(); n != 1 {
-		t.Errorf("%d slots hold an image after the sweep, want 1", n)
-	}
-	if got, err := s.PutPage(testPage(t, 3, 1, "c")); err != nil || got.Loc != ref1.Loc {
-		t.Errorf("free slot not reused: %+v, %v", got, err)
-	}
-}
-
 // TestSweepFreesNothingWhenTheForceFails: a sweep whose log force fails
 // frees nothing — the index it was handed may not be the one a restart
 // rebuilds.
 func TestSweepFreesNothingWhenTheForceFails(t *testing.T) {
 	s := newStore(t, 4)
-	ref, err := s.PutPage(testPage(t, 1, 1, "a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Installed(ref)
+	old := fullSet(t, s, 1, 1, "old")
+	fullSet(t, s, 1, 1, "new")
 	sealed := errors.New("log sealed")
 	if err := s.Sweep(nil, func() error { return sealed }); !errors.Is(err, sealed) {
 		t.Fatalf("sweep over a failed force: %v", err)
 	}
-	if n := s.Device().WrittenSlots(); n != 1 {
-		t.Errorf("%d slots hold an image after a failed sweep, want 1", n)
+	if got := s.Sets(); len(got) != 2 || got[0] != old {
+		t.Errorf("sets after a failed sweep = %v, want both", got)
+	}
+	if n := s.Device().WrittenSlots(); n != 2 {
+		t.Errorf("%d slots hold an image after a failed sweep, want 2", n)
 	}
 }
 
@@ -191,7 +143,12 @@ func TestSweepDiscardsUnreachableSets(t *testing.T) {
 	s := newStore(t, 8)
 	old := fullSet(t, s, 1, 4, "old")
 	newest := fullSet(t, s, 1, 4, "new")
-	if _, err := s.PutPage(testPage(t, 9, 1, "y")); err == nil {
+	probe := func() error {
+		w := s.BeginFullSet(1)
+		defer w.Abort()
+		return w.Add(testPage(t, 9, 1, "y"))
+	}
+	if err := probe(); err == nil {
 		t.Fatal("store should be full")
 	}
 	if err := s.Sweep(nil, durable); err != nil {
@@ -206,7 +163,7 @@ func TestSweepDiscardsUnreachableSets(t *testing.T) {
 	if n := s.Device().WrittenSlots(); n != 4 {
 		t.Errorf("%d slots hold an image after the sweep, want 4", n)
 	}
-	if _, err := s.PutPage(testPage(t, 9, 1, "y")); err != nil {
+	if err := probe(); err != nil {
 		t.Errorf("slots not freed: %v", err)
 	}
 }
@@ -280,11 +237,9 @@ func TestSweepKeepsSharedSlots(t *testing.T) {
 	}
 }
 
-// TestSweepKeepsOpenSetsAndUninstalledCopies: the slots of a set being
-// written and a copy written but not installed are roots however the index
-// reads; an installed copy the index does not name is not. Once the set is
-// abandoned and the copy installed, both go.
-func TestSweepKeepsOpenSetsAndUninstalledCopies(t *testing.T) {
+// TestSweepKeepsOpenSets: the slots of a set being written are roots
+// however the index reads; once the set is abandoned, they go.
+func TestSweepKeepsOpenSets(t *testing.T) {
 	s := newStore(t, 8)
 	w := s.BeginFullSet(1)
 	for i := 1; i <= 2; i++ {
@@ -292,27 +247,13 @@ func TestSweepKeepsOpenSetsAndUninstalledCopies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pending, err := s.PutPage(testPage(t, 5, 1, "pending"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dropped, err := s.PutPage(testPage(t, 6, 1, "dropped"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Installed(dropped)
 	if err := s.Sweep(nil, durable); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.Device().WrittenSlots(); n != 3 {
-		t.Errorf("%d slots hold an image, want the open set's 2 and the pending copy", n)
-	}
-	r := &Resolver{Store: s, Log: wal.NewManager(iosim.Instant), PageSize: 512}
-	if got, err := r.FetchBackup(pending, 5); err != nil || string(got.Payload()) != "pending" {
-		t.Errorf("pending copy: %v, %v", got, err)
+	if n := s.Device().WrittenSlots(); n != 2 {
+		t.Errorf("%d slots hold an image, want the open set's 2", n)
 	}
 	w.Abort()
-	s.Installed(pending)
 	if err := s.Sweep(nil, durable); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +319,7 @@ func TestFormatRecordBackup(t *testing.T) {
 		Type: wal.TypeFormat, Txn: 1, PageID: 9,
 		Payload: FormatPayload(page.TypeBTree, payload),
 	})
-	ref := core.BackupRef{Kind: core.BackupFormat, Loc: uint64(lsn), AsOf: lsn}
+	ref := core.BackupRef{Kind: core.BackupLog, Loc: uint64(lsn), AsOf: lsn}
 	got, err := r.FetchBackup(ref, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -388,6 +329,89 @@ func TestFormatRecordBackup(t *testing.T) {
 	}
 	if got.LSN() != lsn {
 		t.Errorf("reconstructed LSN = %d, want %d (the format record itself)", got.LSN(), lsn)
+	}
+}
+
+// TestImageRecordBackup: a page copy logged as one image record names
+// itself as the page's backup and reads back whole — type, flags, payload
+// and the PageLSN it was taken at, below the record's own LSN.
+func TestImageRecordBackup(t *testing.T) {
+	log := wal.NewManager(iosim.Instant)
+	r := &Resolver{Store: newStore(t, 4), Log: log, PageSize: 512}
+	log.Append(&wal.Record{Type: wal.TypeCommit, Txn: 1}) // the copy is not the log's first record
+	pg := testPage(t, 7, 42, "backup me")
+	pg.SetType(page.TypeHash)
+	pg.SetFlags(0x5)
+	rec := ImageRecord(pg)
+	lsn := log.Append(rec)
+	ref, err := ImageRef(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (core.BackupRef{Kind: core.BackupLog, Loc: uint64(lsn), AsOf: 42}); ref != want {
+		t.Fatalf("ref = %+v, want %+v", ref, want)
+	}
+	if rec.Txn != 0 || rec.PagePrevLSN != 0 {
+		t.Errorf("image record joins transaction %d and chain %d; want neither", rec.Txn, rec.PagePrevLSN)
+	}
+	got, err := r.FetchBackup(ref, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Encode(), pg.Encode()) {
+		t.Errorf("fetched %v %#x %q@%d, want %v %#x %q@%d", got.Type(), got.Flags(), got.Payload(), got.LSN(),
+			pg.Type(), pg.Flags(), pg.Payload(), pg.LSN())
+	}
+}
+
+// TestImageRecordRejectsMalformedPayloads: the image decoder refuses a
+// payload that is cut short or whose used length disagrees with what
+// follows it.
+func TestImageRecordRejectsMalformedPayloads(t *testing.T) {
+	good := ImageRecord(testPage(t, 7, 42, "abc")).Payload
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"empty", nil},
+		{"no page type", good[:imagePrefix]},
+		{"truncated payload", good[:len(good)-1]},
+		{"length mismatch", append(append([]byte(nil), good...), 'd')},
+	} {
+		rec := &wal.Record{Type: wal.TypeImage, LSN: 100, PageID: 7, Payload: tc.payload}
+		if _, err := PageFromLogRecord(rec, 512); !errors.Is(err, ErrBadFormatRec) {
+			t.Errorf("%s: %v, want ErrBadFormatRec", tc.name, err)
+		}
+	}
+}
+
+// TestFetchBackupRejectsAMismatchedImage: a log-held backup reference is
+// served only by the record it names holding an image of the asked page as
+// of the reference's LSN.
+func TestFetchBackupRejectsAMismatchedImage(t *testing.T) {
+	log := wal.NewManager(iosim.Instant)
+	r := &Resolver{Store: newStore(t, 4), Log: log, PageSize: 512}
+	rec := ImageRecord(testPage(t, 7, 16, "copy"))
+	lsn := log.Append(rec)
+	commit := log.Append(&wal.Record{Type: wal.TypeCommit, Txn: 1})
+	format := log.Append(&wal.Record{Type: wal.TypeFormat, Txn: 1, PageID: 7, Payload: FormatPayload(page.TypeRaw, nil)})
+	for _, tc := range []struct {
+		name string
+		ref  core.BackupRef
+		page page.ID
+	}{
+		{"image of another page", core.BackupRef{Kind: core.BackupLog, Loc: uint64(lsn), AsOf: 16}, 8},
+		{"image not as of AsOf", core.BackupRef{Kind: core.BackupLog, Loc: uint64(lsn), AsOf: 17}, 7},
+		{"format record not as of AsOf", core.BackupRef{Kind: core.BackupLog, Loc: uint64(format), AsOf: 16}, 7},
+		{"format record of another page", core.BackupRef{Kind: core.BackupLog, Loc: uint64(format), AsOf: format}, 8},
+		{"record holding no image", core.BackupRef{Kind: core.BackupLog, Loc: uint64(commit), AsOf: commit}, 0},
+	} {
+		if pg, err := r.FetchBackup(tc.ref, tc.page); !errors.Is(err, ErrBadFormatRec) {
+			t.Errorf("%s: %v, %v; want ErrBadFormatRec", tc.name, pg, err)
+		}
+	}
+	if _, err := r.FetchBackup(core.BackupRef{Kind: core.BackupLog, Loc: uint64(lsn), AsOf: 16}, 7); err != nil {
+		t.Errorf("the image itself: %v", err)
 	}
 }
 
@@ -409,7 +433,7 @@ func TestFormatPayloadCodec(t *testing.T) {
 
 func TestPageFromFormatRecordRejectsWrongType(t *testing.T) {
 	rec := &wal.Record{Type: wal.TypeCommit}
-	if _, err := PageFromFormatRecord(rec, 512); !errors.Is(err, ErrBadFormatRec) {
+	if _, err := PageFromLogRecord(rec, 512); !errors.Is(err, ErrBadFormatRec) {
 		t.Errorf("wrong record type: %v", err)
 	}
 }
@@ -420,20 +444,17 @@ func TestResolverRejectsUnknownKind(t *testing.T) {
 	if _, err := r.FetchBackup(core.BackupRef{Kind: core.BackupNone}, 1); !errors.Is(err, ErrWrongKind) {
 		t.Errorf("BackupNone: %v", err)
 	}
-	if _, err := r.FetchBackup(core.BackupRef{Kind: core.BackupFormat + 1, Loc: 1}, 1); !errors.Is(err, ErrWrongKind) {
-		t.Errorf("kind %d: %v", core.BackupFormat+1, err)
+	if _, err := r.FetchBackup(core.BackupRef{Kind: core.BackupLog + 1, Loc: 1}, 1); !errors.Is(err, ErrWrongKind) {
+		t.Errorf("kind %d: %v", core.BackupLog+1, err)
 	}
 }
 
 func TestBackupDeviceFaultSurfaces(t *testing.T) {
 	s := newStore(t, 8)
 	r := &Resolver{Store: s, Log: wal.NewManager(iosim.Instant), PageSize: 512}
-	ref, err := s.PutPage(testPage(t, 3, 5, "fragile"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Device().InjectFault(storage.PhysID(ref.Loc), storage.FaultSilentCorruption, true)
-	if _, err := r.FetchBackup(ref, 3); !errors.Is(err, ErrBadSlot) {
+	set := fullSet(t, s, 3, 3, "fragile")
+	s.Device().InjectFault(s.sets[set][3], storage.FaultSilentCorruption, true)
+	if _, err := r.FetchBackup(setRef(set), 3); !errors.Is(err, ErrBadSlot) {
 		t.Errorf("corrupt backup fetch: %v", err)
 	}
 }

@@ -110,7 +110,7 @@ func (p *pager) AllocateNode(t *txn.Txn, typ page.Type, initialPayload []byte) (
 	h.Page().SetLSN(lsn)
 	h.MarkDirty(lsn)
 	p.pri.Set(id, core.Entry{
-		Backup:  core.BackupRef{Kind: core.BackupFormat, Loc: uint64(lsn), AsOf: lsn},
+		Backup:  core.BackupRef{Kind: core.BackupLog, Loc: uint64(lsn), AsOf: lsn},
 		LastLSN: lsn,
 	})
 	return h, nil

@@ -90,7 +90,7 @@ func (p *testPager) AllocateNode(t *txn.Txn, typ page.Type, initialPayload []byt
 	h.Page().SetLSN(lsn)
 	h.MarkDirty(lsn)
 	p.pri.Set(id, core.Entry{
-		Backup:  core.BackupRef{Kind: core.BackupFormat, Loc: uint64(lsn), AsOf: lsn},
+		Backup:  core.BackupRef{Kind: core.BackupLog, Loc: uint64(lsn), AsOf: lsn},
 		LastLSN: lsn,
 	})
 	return h, nil

@@ -12,11 +12,11 @@ import (
 
 // BackupKind identifies which of the §5.2.1 backup sources an entry points
 // at (cf. Fig. 7: "page identifier or log sequence number of last page
-// formatting or of in-log copy"): a full backup set, an individual page
-// copy, or the page's format record. Two more sources of §5.2.1 have no
-// producer here: an in-log page image, and the pre-move image a
-// log-structured store, which writes every page to a new location, keeps
-// by deferring space reclamation — the kind such a store would add back.
+// formatting or of in-log copy"): a full backup set, or an image held in
+// the log — the page's format record or an in-log page copy. One source of
+// §5.2.1 has no producer here: the pre-move image a log-structured store,
+// which writes every page to a new location, keeps by deferring space
+// reclamation — the kind such a store would add back.
 type BackupKind uint8
 
 const (
@@ -29,14 +29,13 @@ const (
 	// common case ("a single entry should cover a large range of pages
 	// ... e.g., a backup of the entire database", §5.2.2).
 	BackupFull
-	// BackupPage: an individual page backup copy; Loc is the backup
-	// store slot holding the image (an explicit DB.BackupPage, or the
-	// copy write-back takes after every N updates, §6).
-	BackupPage
-	// BackupFormat: Loc is the LSN of the TypeFormat record written when
-	// the page was allocated and formatted; redo of that single record
-	// recreates the initial page (§5.2.1).
-	BackupFormat
+	// BackupLog: Loc is the LSN of a log record that holds the page's
+	// image — the TypeFormat record written when the page was allocated,
+	// whose redo recreates the initial page, or a TypeImage page copy (an
+	// explicit DB.BackupPage, or one §6's policy takes). AsOf is the
+	// image's PageLSN: the format record's own LSN, or the LSN the copied
+	// page carried, below the copy's record.
+	BackupLog
 )
 
 func (k BackupKind) String() string {
@@ -45,10 +44,8 @@ func (k BackupKind) String() string {
 		return "none"
 	case BackupFull:
 		return "full-backup"
-	case BackupPage:
-		return "page-backup"
-	case BackupFormat:
-		return "format-record"
+	case BackupLog:
+		return "log-image"
 	default:
 		return fmt.Sprintf("backup-kind(%d)", uint8(k))
 	}
@@ -57,7 +54,7 @@ func (k BackupKind) String() string {
 // BackupRef locates the most recent backup of a page (Fig. 7, first row).
 type BackupRef struct {
 	Kind BackupKind
-	// Loc is a backup-set ID, backup-store slot, or LSN, per Kind.
+	// Loc is a backup-set ID or an LSN, per Kind.
 	Loc uint64
 	// AsOf is the PageLSN captured in the backup: the per-page chain
 	// walk stops here (§5.2.3).
@@ -154,8 +151,9 @@ func (p *PRI) SetRange(lo, hi page.ID, e Entry) {
 
 // ReplaceRange points every page in [lo, hi] at the backup e names — a full
 // set taken at log position takenAt. What it replaces is not reported: a
-// backup copy the index stops naming is freed by the backup store's next
-// sweep, once the record describing this update is durable.
+// set the index stops naming is freed by the backup store's next sweep,
+// once the record describing this update is durable, and a log-held image
+// goes with the log around it.
 //
 // A page whose LastLSN is at or above takenAt — the next record's LSN when
 // the backup began — keeps it: that write carries an update logged after
@@ -299,28 +297,22 @@ func (p *PRI) RecordWrite(id page.ID, lsn page.LSN, updates int) (Entry, error) 
 	return e, nil
 }
 
-// SetBackup records a new backup for page id. The copy it replaces is not
-// freed here: the backup store's next sweep frees it once the record
-// describing this update is durable ("when a new backup page is taken ...
-// the old backup page may be freed", §5.2.2). If the new backup is at least
-// as recent as every update (ref.AsOf >= LastLSN), the LastLSN resets to
-// the backup point: nothing needs replay. The page's update count restarts
-// at zero.
-func (p *PRI) SetBackup(id page.ID, ref BackupRef) error {
+// SetBackup records a new backup for page id, creating the page's entry
+// if it has none. The backup it replaces is not freed here: a full set
+// goes at the backup store's next sweep, a log-held image once the log
+// below the release horizon goes ("when a new backup page is taken ... the
+// old backup page may be freed", §5.2.2). If the new backup is at least as
+// recent as every update (ref.AsOf >= LastLSN), the LastLSN resets to the
+// backup point: nothing needs replay. The page's update count restarts at
+// zero.
+func (p *PRI) SetBackup(id page.ID, ref BackupRef) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	i := p.find(id)
-	if i < 0 {
-		return fmt.Errorf("%w: %d", ErrNoEntry, id)
-	}
-	e := p.ranges[i].e
-	e.Backup = ref
-	e.Updates = 0
-	if ref.AsOf >= e.LastLSN {
-		e.LastLSN = ref.AsOf
+	e := Entry{Backup: ref, LastLSN: ref.AsOf}
+	if i := p.find(id); i >= 0 {
+		e.LastLSN = max(p.ranges[i].e.LastLSN, ref.AsOf)
 	}
 	p.setRangeLocked(id, id, e)
-	return nil
 }
 
 // RangeCount returns the number of range-compressed records.

@@ -45,12 +45,12 @@ func TestSetRangeCoversAllPages(t *testing.T) {
 func TestSingletonSplitsRange(t *testing.T) {
 	p := NewPRI()
 	p.SetRange(1, 100, fullEntry(1, 10))
-	p.Set(50, Entry{Backup: BackupRef{Kind: BackupPage, Loc: 999, AsOf: 20}, LastLSN: 30})
+	p.Set(50, Entry{Backup: BackupRef{Kind: BackupLog, Loc: 999, AsOf: 20}, LastLSN: 30})
 	if p.RangeCount() != 3 {
 		t.Fatalf("RangeCount = %d, want 3 after split", p.RangeCount())
 	}
 	e, err := p.Get(50)
-	if err != nil || e.Backup.Kind != BackupPage || e.LastLSN != 30 {
+	if err != nil || e.Backup.Kind != BackupLog || e.LastLSN != 30 {
 		t.Errorf("Get(50) = %+v, %v", e, err)
 	}
 	for _, id := range []page.ID{49, 51} {
@@ -101,7 +101,7 @@ func TestSetRangeReplacesOverlaps(t *testing.T) {
 func TestReplaceRangeOverPartialRanges(t *testing.T) {
 	p := NewPRI()
 	p.SetRange(1, 100, fullEntry(1, 10))
-	p.Set(50, Entry{Backup: BackupRef{Kind: BackupPage, Loc: 999, AsOf: 20}, LastLSN: 30})
+	p.Set(50, Entry{Backup: BackupRef{Kind: BackupLog, Loc: 999, AsOf: 20}, LastLSN: 30})
 	p.ReplaceRange(40, 200, fullEntry(2, 0), 31)
 	for id, set := range map[page.ID]uint64{39: 1, 40: 2, 50: 2, 200: 2} {
 		if e, err := p.Get(id); err != nil || e.Backup.Kind != BackupFull || e.Backup.Loc != set {
@@ -168,22 +168,16 @@ func TestSetLastLSN(t *testing.T) {
 
 func TestSetBackupResetsLastLSN(t *testing.T) {
 	p := NewPRI()
-	p.Set(3, Entry{Backup: BackupRef{Kind: BackupPage, Loc: 11, AsOf: 10}, LastLSN: 50})
-	if err := p.SetBackup(3, BackupRef{Kind: BackupPage, Loc: 22, AsOf: 60}); err != nil {
-		t.Fatal(err)
-	}
+	p.Set(3, Entry{Backup: BackupRef{Kind: BackupLog, Loc: 11, AsOf: 10}, LastLSN: 50})
+	p.SetBackup(3, BackupRef{Kind: BackupLog, Loc: 22, AsOf: 60})
 	e, _ := p.Get(3)
 	if e.LastLSN != 60 {
 		t.Errorf("LastLSN = %d, want reset to 60 (backup covers all updates)", e.LastLSN)
 	}
 	// A backup older than the newest update must NOT reset LastLSN.
-	if err := p.SetBackup(3, BackupRef{Kind: BackupPage, Loc: 33, AsOf: 55}); err != nil {
-		t.Fatal(err)
-	}
+	p.SetBackup(3, BackupRef{Kind: BackupLog, Loc: 33, AsOf: 55})
 	p.mustSetLastLSN(t, 3, 90)
-	if err := p.SetBackup(3, BackupRef{Kind: BackupPage, Loc: 44, AsOf: 70}); err != nil {
-		t.Fatal(err)
-	}
+	p.SetBackup(3, BackupRef{Kind: BackupLog, Loc: 44, AsOf: 70})
 	e, _ = p.Get(3)
 	if e.LastLSN != 90 {
 		t.Errorf("LastLSN = %d, want 90 preserved (updates newer than backup)", e.LastLSN)
@@ -200,8 +194,8 @@ func (p *PRI) mustSetLastLSN(t *testing.T, id page.ID, lsn page.LSN) {
 func TestSnapshotRestore(t *testing.T) {
 	p := NewPRI()
 	p.SetRange(1, 1000, fullEntry(1, 10))
-	p.Set(10, Entry{Backup: BackupRef{Kind: BackupPage, Loc: 555, AsOf: 30}, LastLSN: 40})
-	p.Set(20, Entry{Backup: BackupRef{Kind: BackupFormat, Loc: 666, AsOf: 35}, LastLSN: 35})
+	p.Set(10, Entry{Backup: BackupRef{Kind: BackupLog, Loc: 555, AsOf: 30}, LastLSN: 40})
+	p.Set(20, Entry{Backup: BackupRef{Kind: BackupLog, Loc: 666, AsOf: 35}, LastLSN: 35})
 	snap := p.Snapshot()
 	r, err := RestorePRI(snap)
 	if err != nil {
@@ -242,7 +236,7 @@ func TestSizeAccountingAndPaperBound(t *testing.T) {
 	// Fragment every page: worst case stays within the same order of
 	// magnitude as the paper's 16 bytes/page bound.
 	for i := page.ID(1); i <= pages; i++ {
-		p.Set(i, Entry{Backup: BackupRef{Kind: BackupPage, Loc: uint64(i), AsOf: 1}, LastLSN: page.LSN(i)})
+		p.Set(i, Entry{Backup: BackupRef{Kind: BackupLog, Loc: uint64(i), AsOf: 1}, LastLSN: page.LSN(i)})
 	}
 	perPage := float64(p.CompactSizeBytes()) / pages
 	if perPage > 16.5 {
@@ -275,7 +269,7 @@ func TestSetRangePanicsOnInvertedRange(t *testing.T) {
 }
 
 func TestBackupKindStrings(t *testing.T) {
-	for k := BackupNone; k <= BackupFormat+1; k++ {
+	for k := BackupNone; k <= BackupLog+1; k++ {
 		if k.String() == "" {
 			t.Errorf("empty name for kind %d", k)
 		}
@@ -432,9 +426,7 @@ func TestUpdatesCountedPerWriteUntilABackup(t *testing.T) {
 	if e, _ := r.Get(5); e.Updates != 0 || e.LastLSN != 80 {
 		t.Fatalf("restored entry %+v, want the LSN without the count", e)
 	}
-	if err := p.SetBackup(5, BackupRef{Kind: BackupPage, Loc: 3, AsOf: 80}); err != nil {
-		t.Fatal(err)
-	}
+	p.SetBackup(5, BackupRef{Kind: BackupLog, Loc: 3, AsOf: 80})
 	if e, _ := p.Get(5); e.Updates != 0 {
 		t.Fatalf("%d updates counted past the new backup", e.Updates)
 	}
@@ -465,7 +457,7 @@ func TestQuickPageCountMatchesWalk(t *testing.T) {
 			case 3:
 				_, _ = p.SetLastLSN(lo, page.LSN(op>>4%9))
 			default:
-				_ = p.SetBackup(lo, BackupRef{Kind: BackupPage, Loc: uint64(op >> 20), AsOf: page.LSN(op % 3)})
+				p.SetBackup(lo, BackupRef{Kind: BackupLog, Loc: uint64(op >> 20), AsOf: page.LSN(op % 3)})
 			}
 			if p.PageCount() != walk(p) {
 				return false

@@ -13,8 +13,10 @@ import (
 // PRIOp is the sub-opcode of a TypePRIUpdate log record. These records are
 // the paper's §5.2.4 maintenance stream: one system-transaction record
 // after each completed page write (subsuming the "logging completed
-// writes" optimization of §5.1.2 — see Fig. 4 and Fig. 12), plus records
-// for backup events so the index itself is recoverable (§5.2.5).
+// writes" optimization of §5.1.2 — see Fig. 4 and Fig. 12), plus one per
+// range a full backup re-points, so the index itself is recoverable
+// (§5.2.5). A format record or a page copy needs none: it registers itself
+// (recovery.Analyze).
 type PRIOp uint8
 
 const (
@@ -22,8 +24,6 @@ const (
 	// carries the written PageLSN and the physical destination slot.
 	// Doubles as a logged completed write for fast restart redo.
 	PRIOpWriteComplete PRIOp = iota + 1
-	// PRIOpSetBackup: a new individual page backup was taken.
-	PRIOpSetBackup
 	// PRIOpSetRange: a backup reference now covers a page range
 	// (typically the whole database after a full backup).
 	PRIOpSetRange
@@ -33,8 +33,6 @@ func (op PRIOp) String() string {
 	switch op {
 	case PRIOpWriteComplete:
 		return "write-complete"
-	case PRIOpSetBackup:
-		return "set-backup"
 	case PRIOpSetRange:
 		return "set-range"
 	default:
@@ -59,16 +57,6 @@ func EncodeWriteComplete(p WriteCompletePayload) []byte {
 	buf[0] = byte(PRIOpWriteComplete)
 	binary.LittleEndian.PutUint64(buf[1:], uint64(p.PageLSN))
 	binary.LittleEndian.PutUint64(buf[9:], uint64(p.Dest))
-	return buf
-}
-
-// EncodeSetBackup builds a PRIOpSetBackup payload.
-func EncodeSetBackup(ref BackupRef) []byte {
-	buf := make([]byte, 1+1+8+8)
-	buf[0] = byte(PRIOpSetBackup)
-	buf[1] = byte(ref.Kind)
-	binary.LittleEndian.PutUint64(buf[2:], ref.Loc)
-	binary.LittleEndian.PutUint64(buf[10:], uint64(ref.AsOf))
 	return buf
 }
 
@@ -140,19 +128,6 @@ func ApplyPRIRecord(pri *PRI, pmap PageMapper, rec *wal.Record) error {
 			if err := pmap.EnsureMapping(rec.PageID, wc.Dest); err != nil {
 				return err
 			}
-		}
-		return nil
-	case PRIOpSetBackup:
-		if len(payload) != 18 {
-			return fmt.Errorf("%w: set-backup, %d bytes", ErrBadPRIRecord, len(payload))
-		}
-		ref := BackupRef{
-			Kind: BackupKind(payload[1]),
-			Loc:  binary.LittleEndian.Uint64(payload[2:]),
-			AsOf: page.LSN(binary.LittleEndian.Uint64(payload[10:])),
-		}
-		if err := pri.SetBackup(rec.PageID, ref); err != nil {
-			pri.Set(rec.PageID, Entry{Backup: ref, LastLSN: ref.AsOf})
 		}
 		return nil
 	case PRIOpSetRange:

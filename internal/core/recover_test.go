@@ -58,7 +58,7 @@ func buildHistory(t *testing.T, log *wal.Manager, pid page.ID, backupAfter, tail
 		update(i)
 	}
 	backups := &mapBackups{images: map[uint64]*page.Page{100: pg.Clone()}}
-	ref := BackupRef{Kind: BackupPage, Loc: 100, AsOf: pg.LSN()}
+	ref := BackupRef{Kind: BackupLog, Loc: 100, AsOf: pg.LSN()}
 	for i := 0; i < tailUpdates; i++ {
 		update(backupAfter + i)
 	}
@@ -87,7 +87,7 @@ func TestRecoverPageReplaysChain(t *testing.T) {
 	if rep.LogReads != 10 {
 		t.Errorf("log reads = %d, want 10", rep.LogReads)
 	}
-	if rep.BackupKind != BackupPage {
+	if rep.BackupKind != BackupLog {
 		t.Errorf("backup kind = %v", rep.BackupKind)
 	}
 	s := r.Stats()
@@ -137,7 +137,7 @@ func TestRecoverPageEscalatesWithoutBackup(t *testing.T) {
 func TestRecoverPageEscalatesOnMissingBackupImage(t *testing.T) {
 	log := wal.NewManager(iosim.Instant)
 	pri := NewPRI()
-	pri.Set(5, Entry{Backup: BackupRef{Kind: BackupPage, Loc: 1, AsOf: 10}, LastLSN: 10})
+	pri.Set(5, Entry{Backup: BackupRef{Kind: BackupLog, Loc: 1, AsOf: 10}, LastLSN: 10})
 	r := NewRecoverer(log, pri, &mapBackups{images: map[uint64]*page.Page{}}, rawApplier{})
 	if _, _, err := r.RecoverPage(5, nil); !errors.Is(err, ErrEscalate) {
 		t.Fatalf("want ErrEscalate, got %v", err)
@@ -159,9 +159,7 @@ func (b *supersedingBackups) FetchBackup(ref BackupRef, pageID page.ID) (*page.P
 	if b.fetches++; b.fetches == 1 {
 		delete(b.images, ref.Loc)
 		b.images[200] = b.newer
-		if err := b.pri.SetBackup(b.pid, BackupRef{Kind: BackupPage, Loc: 200, AsOf: b.newer.LSN()}); err != nil {
-			return nil, err
-		}
+		b.pri.SetBackup(b.pid, BackupRef{Kind: BackupLog, Loc: 200, AsOf: b.newer.LSN()})
 	}
 	return b.mapBackups.FetchBackup(ref, pageID)
 }
@@ -204,9 +202,7 @@ func (b *overtakingBackups) FetchBackup(ref BackupRef, pageID page.ID) (*page.Pa
 	img, err := b.mapBackups.FetchBackup(ref, pageID)
 	if b.fetches++; b.fetches == 1 {
 		b.images[200] = b.newer
-		if serr := b.pri.SetBackup(b.pid, BackupRef{Kind: BackupPage, Loc: 200, AsOf: b.newer.LSN()}); serr != nil {
-			return nil, serr
-		}
+		b.pri.SetBackup(b.pid, BackupRef{Kind: BackupLog, Loc: 200, AsOf: b.newer.LSN()})
 		b.log.FlushAll()
 		b.log.Recycle(b.newer.LSN())
 	}
@@ -240,7 +236,7 @@ func TestRecoverPageEscalatesOnStaleBackupLSN(t *testing.T) {
 	pg := page.New(5, page.TypeRaw, 512)
 	pg.SetLSN(99) // does not match ref.AsOf below
 	pri := NewPRI()
-	pri.Set(5, Entry{Backup: BackupRef{Kind: BackupPage, Loc: 1, AsOf: 10}, LastLSN: 99})
+	pri.Set(5, Entry{Backup: BackupRef{Kind: BackupLog, Loc: 1, AsOf: 10}, LastLSN: 99})
 	r := NewRecoverer(log, pri, &mapBackups{images: map[uint64]*page.Page{1: pg}}, rawApplier{})
 	if _, _, err := r.RecoverPage(5, nil); !errors.Is(err, ErrEscalate) {
 		t.Fatalf("want ErrEscalate, got %v", err)
@@ -268,7 +264,7 @@ func TestRecoverPageDefensiveSequenceCheck(t *testing.T) {
 	const pid page.ID = 3
 	pg := page.New(pid, page.TypeRaw, 512)
 	backups := &mapBackups{images: map[uint64]*page.Page{1: pg.Clone()}}
-	ref := BackupRef{Kind: BackupPage, Loc: 1, AsOf: pg.LSN()}
+	ref := BackupRef{Kind: BackupLog, Loc: 1, AsOf: pg.LSN()}
 	l1 := log.Append(&wal.Record{Type: wal.TypeUpdate, Txn: 1, PageID: pid, PagePrevLSN: pg.LSN(), Payload: []byte("a")})
 	// Second record lies about its predecessor (claims l1+1000).
 	l2 := log.Append(&wal.Record{Type: wal.TypeUpdate, Txn: 1, PageID: pid, PagePrevLSN: l1 + 1000, Payload: []byte("b")})
@@ -414,7 +410,7 @@ func TestRecoverPageBaseImageRule(t *testing.T) {
 			if rep.OwnImage != tc.own || (got == have) != tc.own {
 				t.Errorf("own image used: report %v, page identity %v, want %v", rep.OwnImage, got == have, tc.own)
 			}
-			if tc.own && rep.BackupKind != BackupNone || !tc.own && rep.BackupKind != BackupPage {
+			if tc.own && rep.BackupKind != BackupNone || !tc.own && rep.BackupKind != BackupLog {
 				t.Errorf("backup kind %v with own image %v", rep.BackupKind, tc.own)
 			}
 			if rep.RecordsApplied != tc.applied || backups.fetches != tc.fetches {

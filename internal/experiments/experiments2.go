@@ -117,7 +117,7 @@ func E07PRISize(dbPages []int) (*E07Result, error) {
 		// Fragment every page: each gets its own backup + LSN.
 		for i := 1; i <= n; i++ {
 			pri.Set(page.ID(i), core.Entry{
-				Backup:  core.BackupRef{Kind: core.BackupPage, Loc: uint64(i), AsOf: page.LSN(i)},
+				Backup:  core.BackupRef{Kind: core.BackupLog, Loc: uint64(i), AsOf: page.LSN(i)},
 				LastLSN: page.LSN(i + 1),
 			})
 		}

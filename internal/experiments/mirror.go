@@ -60,7 +60,7 @@ func (m *mirror) catchUp() (int64, error) {
 		bytesApplied += size
 		switch rec.Type {
 		case wal.TypeFormat:
-			pg, err := backup.PageFromFormatRecord(rec, m.pageSize)
+			pg, err := backup.PageFromLogRecord(rec, m.pageSize)
 			if err != nil {
 				applyErr = err
 				return false

@@ -89,7 +89,7 @@ func (p *testPager) AllocateNode(t *txn.Txn, typ page.Type, initialPayload []byt
 	h.Page().SetLSN(lsn)
 	h.MarkDirty(lsn)
 	p.pri.Set(id, core.Entry{
-		Backup:  core.BackupRef{Kind: core.BackupFormat, Loc: uint64(lsn), AsOf: lsn},
+		Backup:  core.BackupRef{Kind: core.BackupLog, Loc: uint64(lsn), AsOf: lsn},
 		LastLSN: lsn,
 	})
 	return h, nil
@@ -687,7 +687,7 @@ func TestRedoDeterminism(t *testing.T) {
 	err := p.log.Scan(0, func(rec *wal.Record) bool {
 		switch rec.Type {
 		case wal.TypeFormat:
-			pg, err := backup.PageFromFormatRecord(rec, 1024)
+			pg, err := backup.PageFromLogRecord(rec, 1024)
 			if err != nil {
 				t.Fatalf("format record at %d: %v", rec.LSN, err)
 			}

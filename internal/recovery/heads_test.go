@@ -115,15 +115,14 @@ func runHeadsOracle(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := store.PutPage(h.Page().Clone())
+		rec := backup.ImageRecord(h.Page())
 		h.Release()
+		r.log.Append(rec)
+		ref, err := backup.ImageRef(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.pri.SetBackup(id, ref); err != nil {
-			t.Fatal(err)
-		}
-		r.log.Append(&wal.Record{Type: wal.TypePRIUpdate, PageID: id, Payload: core.EncodeSetBackup(ref)})
+		r.pri.SetBackup(id, ref)
 	}
 
 	for step := 0; step < 400; step++ {

@@ -73,7 +73,7 @@ func (r *rig) newRawPage(t testing.TB) page.ID {
 	h.MarkDirty(lsn)
 	h.Release()
 	r.pri.Set(id, core.Entry{
-		Backup:  core.BackupRef{Kind: core.BackupFormat, Loc: uint64(lsn), AsOf: lsn},
+		Backup:  core.BackupRef{Kind: core.BackupLog, Loc: uint64(lsn), AsOf: lsn},
 		LastLSN: lsn,
 	})
 	if err := tx.Commit(); err != nil {
@@ -590,7 +590,7 @@ func TestLateBornPagesReachMediaPreparationWithTheirFormatRecords(t *testing.T) 
 	}
 	rec := core.NewRecoverer(r.log, a.PRI, &backup.Resolver{Store: store, Log: r.log, PageSize: 512}, btree.Applier{})
 	for _, id := range late {
-		if e, err := a.PRI.Get(id); err != nil || e.Backup.Kind != core.BackupFormat {
+		if e, err := a.PRI.Get(id); err != nil || e.Backup.Kind != core.BackupLog {
 			t.Fatalf("page %d born after the set reaches media preparation with %+v, %v", id, e, err)
 		}
 		if pg, _, err := rec.RecoverPage(id, nil); err != nil || string(pg.Payload()) != "born after the set" {

@@ -139,9 +139,16 @@ func Analyze(log *wal.Manager, slotCount int) (*AnalysisResult, error) {
 			// A format record is self-registering: it is the page's
 			// backup until something better comes along (§5.2.1).
 			res.PRI.Set(rec.PageID, core.Entry{
-				Backup:  core.BackupRef{Kind: core.BackupFormat, Loc: uint64(rec.LSN), AsOf: rec.LSN},
+				Backup:  core.BackupRef{Kind: core.BackupLog, Loc: uint64(rec.LSN), AsOf: rec.LSN},
 				LastLSN: rec.LSN,
 			})
+		case wal.TypeImage:
+			// So is a page copy; it changes no page, so it joins no chain
+			// and dirties nothing. A malformed one leaves the page on the
+			// backup it had.
+			if ref, err := backup.ImageRef(rec); err == nil {
+				res.PRI.SetBackup(rec.PageID, ref)
+			}
 		case wal.TypeCommit, wal.TypeSysCommit, wal.TypeAbort:
 			delete(res.Losers, rec.Txn)
 			delete(sys, rec.Txn)
@@ -323,7 +330,7 @@ func Redo(d RedoDeps, a *AnalysisResult) (*RedoReport, error) {
 			return true
 		}
 		if rec.Type == wal.TypeFormat {
-			fresh, err := backup.PageFromFormatRecord(rec, d.PageSize)
+			fresh, err := backup.PageFromLogRecord(rec, d.PageSize)
 			if err != nil {
 				redoErr = err
 				return false

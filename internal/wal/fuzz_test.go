@@ -18,6 +18,9 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(AppendRecord([]byte{1, 2, 3}, &Record{Type: TypeCLR, UndoNext: 99, Payload: []byte{0}})[3:])
 	f.Add([]byte{})
 	f.Add(make([]byte, headerSize+trailerSize))
+	// A page copy: AsOf, flags, page type, used length, then the used bytes.
+	f.Add(AppendRecord(nil, &Record{Type: TypeImage, PageID: 3, Payload: []byte{
+		16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 3, 0, 0, 0, 'a', 'b', 'c'}}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var rec Record
 		if n, err := DecodeRecordInto(page.LSN(64), b, &rec); err == nil {

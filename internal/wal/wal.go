@@ -125,6 +125,12 @@ const (
 	// active transaction table, and PRI/page-map snapshots.
 	TypeCheckpointBegin
 	TypeCheckpointEnd
+	// TypeImage holds a whole page image as the page's backup copy — the
+	// in-log copy of §5.2.1, taken under §6's policy or by an explicit
+	// page backup. Like a format record it registers itself as the page's
+	// backup, but it changes no page: it sits on no per-page chain, and
+	// redo passes over it.
+	TypeImage
 )
 
 func (t RecType) String() string {
@@ -147,6 +153,8 @@ func (t RecType) String() string {
 		return "ckpt-begin"
 	case TypeCheckpointEnd:
 		return "ckpt-end"
+	case TypeImage:
+		return "image"
 	default:
 		return fmt.Sprintf("rectype(%d)", uint8(t))
 	}

@@ -321,7 +321,7 @@ func TestStatsAccumulate(t *testing.T) {
 }
 
 func TestRecTypeStrings(t *testing.T) {
-	for ty := TypeInvalid; ty <= TypeCheckpointEnd+1; ty++ {
+	for ty := TypeInvalid; ty <= TypeImage+1; ty++ {
 		if ty.String() == "" {
 			t.Errorf("empty name for type %d", ty)
 		}

@@ -20,7 +20,7 @@ import (
 // checkpoint-end record. The checkpoint's redo horizon is pushed to the
 // archiver, whose next step (within 25 ms) lets live log segments beneath
 // it recycle once the archive, or a full backup, covers them too. Once the
-// end record is forced, the checkpoint frees every backup slot the page
+// end record is forced, the checkpoint frees every full set the page
 // recovery index cannot reach (sweepBackups) — the one place backup space
 // is given back. A checkpoint a crash overtakes leaves the master alone,
 // frees nothing and reports ErrCrashed.
@@ -30,6 +30,7 @@ func (db *DB) Checkpoint() (LSN, error) {
 	}
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
+	named := db.namedBackups()
 	res, err := recovery.Checkpoint(recovery.CheckpointDeps{
 		Log: db.log, Pool: db.pool, Txns: db.txns, PRI: db.pri, Map: db.pmap,
 	})
@@ -37,30 +38,33 @@ func (db *DB) Checkpoint() (LSN, error) {
 		return 0, err
 	}
 	db.archiver.SetCheckpointHorizon(res.RedoHorizon)
-	if err := db.sweepBackups(); err != nil {
+	if err := db.sweepBackups(named); err != nil {
 		return 0, err
 	}
 	return res.End, nil
 }
 
-// sweepBackups frees every backup slot nothing reaches (backup.Store.Sweep):
-// the roots are the backups the page recovery index names, the newest full
-// set, a set being written and a copy written but not yet installed. The
-// caller holds ckptMu, so no pointIndexAt is half done, and installMu keeps
-// every installBackup whole: the index read here has the record of each of
-// its updates in the log. The sweep forces the log before it frees, so that
-// index is the one any later restart rebuilds — and later records name
-// only copies and sets that are roots now or begun after the sweep. After a
-// crash this is also what frees the copies whose index record the crash
-// cut.
-func (db *DB) sweepBackups() error {
-	db.installMu.Lock()
-	defer db.installMu.Unlock()
+// namedBackups lists the backups the page recovery index names.
+func (db *DB) namedBackups() []core.BackupRef {
 	var named []core.BackupRef
 	db.pri.ForEachRange(func(_, _ page.ID, e core.Entry) bool {
 		named = append(named, e.Backup)
 		return true
 	})
+	return named
+}
+
+// sweepBackups frees every full set nothing reaches (backup.Store.Sweep):
+// the roots are named — the sets the index named as the checkpoint began —,
+// the newest set and a set being written. No index a restart from this
+// checkpoint rebuilds names another set. Only a full backup names a set,
+// and the caller's ckptMu keeps its re-pointing (pointIndexAt) out of the
+// window. A page copy that replaced a set's entry after named was read
+// left that set in named, whichever side of the checkpoint's begin record
+// the copy's record fell — one just below it is in no snapshot. The sweep
+// forces the log before it frees, so every record named reflects is
+// stable.
+func (db *DB) sweepBackups(named []core.BackupRef) error {
 	return db.store.Sweep(named, func() error { return db.log.Flush(db.log.EndLSN()) })
 }
 
@@ -206,9 +210,8 @@ func (db *DB) pointIndexAt(set uint64, takenAt page.LSN, ids []page.ID) error {
 }
 
 // BackupPage takes an explicit backup copy of one page ("a conservative
-// policy might take such a copy after every 100 updates", §5.2.1); the
-// next checkpoint frees the backup it supersedes. It runs under backupMu,
-// apart from
+// policy might take such a copy after every 100 updates", §5.2.1) and logs
+// it as the page's backup (backUpImage). It runs under backupMu, apart from
 // BackupNow: a copy taken before a full backup but registered after it
 // would be taken as current — the full backup reset the page's index LSN —
 // and the updates between the copy and the set, whose log the backup
@@ -229,14 +232,9 @@ func (db *DB) BackupPage(id PageID) error {
 	if err != nil {
 		return err
 	}
-	ref, err := db.store.PutPage(pg)
-	if err != nil {
-		return err
-	}
-	// Chaos point: the copy is on the backup device, the index does not
-	// name it yet.
+	// Chaos point: the page is copied, its record is not laid.
 	chaos.At("spf.backuppage")
-	db.installBackup(id, ref)
+	db.backUpImage(pg)
 	return nil
 }
 

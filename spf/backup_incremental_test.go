@@ -116,8 +116,8 @@ func TestBackupNowSkipsUnchangedPages(t *testing.T) {
 // TestBackupNowBoundsBackupDevice: however many backups are taken, the
 // backup device holds the live set plus, while one is being written, the
 // set in progress — and the last set alone restores the database. With a
-// per-page backup policy on it also holds at most one copy per page between
-// full backups, and a full backup releases every one of them.
+// per-page backup policy on it holds nothing more: the policy's copies are
+// log records, which take no backup slot.
 func TestBackupNowBoundsBackupDevice(t *testing.T) {
 	t.Run("full backups only", func(t *testing.T) { backupDeviceBound(t, -1) })
 	t.Run("page backup policy", func(t *testing.T) { backupDeviceBound(t, 8) })
@@ -126,9 +126,9 @@ func TestBackupNowBoundsBackupDevice(t *testing.T) {
 func backupDeviceBound(t *testing.T, backupEvery int) {
 	const n = 400
 	// The load is deterministic, so a dry run tells how many pages it
-	// makes; the real run gets a backup device of exactly two sets (plus
-	// one copy per page under the policy). A backup that left anything
-	// behind would then find the store full.
+	// makes; the real run gets a backup device of exactly two sets, with
+	// the policy on or off. A backup that left anything behind would then
+	// find the store full.
 	dry := openTestDB(t, testOptions())
 	loadIndex(t, dry, "t", n)
 	pages := dry.PageMapLen()
@@ -137,9 +137,6 @@ func backupDeviceBound(t *testing.T, backupEvery int) {
 	opts := testOptions()
 	opts.BackupSlots = 2 * pages
 	opts.BackupEveryNUpdates = backupEvery
-	if backupEvery > 0 {
-		opts.BackupSlots += pages
-	}
 	db := openTestDB(t, opts)
 	ix := loadIndex(t, db, "t", n)
 	if db.PageMapLen() != pages {
@@ -163,13 +160,16 @@ func backupDeviceBound(t *testing.T, backupEvery int) {
 			if _, err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			if round > 0 { // before the first full set there are only copies
-				held := db.store.Device().WrittenSlots()
-				if held <= pages || held > 2*pages {
-					t.Fatalf("round %d: %d images before the backup; want one set (%d) plus at most a copy per page",
+			if round > 0 { // before the first full set there is nothing
+				if held := db.store.Device().WrittenSlots(); held != pages {
+					t.Fatalf("round %d: %d images before the backup; want one set (%d), the copies in the log",
 						round, held, pages)
 				}
-				pageBackups += held - pages
+			}
+			for _, id := range db.Pages() {
+				if e, err := db.pri.Get(id); err == nil && isCopy(e.Backup) {
+					pageBackups++
+				}
 			}
 		}
 		set, rep, err := db.BackupNow()
@@ -184,7 +184,7 @@ func backupDeviceBound(t *testing.T, backupEvery int) {
 		}
 		// While the set was being written its predecessor was still live —
 		// two sets at the peak — and one once the backup has returned: the
-		// older set and every per-page copy it superseded are gone.
+		// older set is gone.
 		if got := db.store.Device().WrittenSlots(); got != pages {
 			t.Fatalf("round %d: backup device holds %d images for %d pages", round, got, pages)
 		}

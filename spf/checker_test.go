@@ -20,6 +20,7 @@ import (
 	"repro/internal/btree"
 	"repro/internal/chaos"
 	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/hashindex"
 	"repro/internal/page"
 )
@@ -119,7 +120,9 @@ func (cv *coverage) add(name string) {
 func sequentialCoverage() []string {
 	names := []string{"restart that queued redo pages", "media recovery that replayed log written after the backup",
 		"aborted transaction", "aborted transaction that deleted", "restart that dropped a system transaction",
-		"crash that cut a user transaction with updates on both engines"}
+		"crash that cut a user transaction with updates on both engines",
+		"repair resolved from a copy in the live log", "repair resolved from a copy in an archive run",
+		"crash that cut a copy's record"}
 	for _, p := range append(crashPoints, "wal.crash", "restart.prep", "wal.recycle without an archive") {
 		names = append(names, "crash at "+p)
 	}
@@ -185,13 +188,15 @@ type pendingCrash struct {
 }
 
 // newChecker opens a database with an empty B-tree "bt" and hash index
-// "hx". Its archiver runs on a manual clock: it steps on the checker's
-// explicit passes, and on Advance where a caller moves the clock.
-func newChecker(tb testing.TB, s *schedule, cov *coverage, archive bool) *checker {
+// "hx", taking a page copy every backupEvery updates (0: the default).
+// Its archiver runs on a manual clock: it steps on the checker's explicit
+// passes, and on Advance where a caller moves the clock.
+func newChecker(tb testing.TB, s *schedule, cov *coverage, archive bool, backupEvery int) *checker {
 	opts := testOptions()
 	opts.PoolFrames = 48 // evictions, and so write-backs, mid-transaction
 	opts.Restore.Workers = 2
 	opts.Lifecycle = LifecycleOptions{Enabled: archive, SegmentBytes: 4 << 10}
+	opts.BackupEveryNUpdates = backupEvery
 	opts.clock = clock.NewManual()
 	c := &checker{tb: tb, s: s, cov: cov, archive: archive, model: make(map[string][]byte), sticky: make(map[PageID]bool)}
 	db, err := Open(opts)
@@ -529,7 +534,8 @@ func (c *checker) landed() bool {
 }
 
 // use adopts a database and its indexes, and has its pool note every page
-// single-page recovery rebuilds.
+// single-page recovery rebuilds, and every repair a page copy served, by
+// where the log held the copy.
 func (c *checker) use(db *DB) {
 	c.db = db
 	var err error
@@ -543,9 +549,72 @@ func (c *checker) use(db *DB) {
 		c.repairedMu.Lock()
 		c.repaired = append(c.repaired, id)
 		c.repairedMu.Unlock()
-		return recoverPage(id, have)
+		e, _ := db.pri.Get(id)
+		archived := LSN(e.Backup.Loc) < db.log.TruncatedLSN()
+		pg, own, err := recoverPage(id, have)
+		if err == nil && !own && isCopy(e.Backup) {
+			if archived {
+				c.cov.add("repair resolved from a copy in an archive run")
+			} else {
+				c.cov.add("repair resolved from a copy in the live log")
+			}
+		}
+		return pg, own, err
 	}
 	db.pool.SetHooks(h)
+}
+
+// cutCopies returns, for the crashed database, the page copies its index
+// named whose records the crash cut, by page.
+func cutCopies(db *DB) map[PageID]core.BackupRef {
+	cut := make(map[PageID]core.BackupRef)
+	stable := db.log.FlushedLSN()
+	db.pri.ForEachRange(func(lo, hi PageID, e core.Entry) bool {
+		if isCopy(e.Backup) && LSN(e.Backup.Loc) >= stable {
+			for id := lo; id <= hi; id++ {
+				cut[id] = e.Backup
+			}
+		}
+		return true
+	})
+	return cut
+}
+
+// resolveCut has the restarted database repair, off a damaged slot, each
+// page whose copy the crash cut: its index names another backup — the one
+// the page had before the copy — and the read must rebuild the page from
+// it, to the state check then holds against the model. The restarted log
+// reuses the LSNs the crash cut, so a copy the restart's own drain took
+// may sit where the cut one did; the backup the index names must read back
+// either way.
+func (c *checker) resolveCut(cut map[PageID]core.BackupRef) {
+	c.db.DrainRestore()
+	for _, id := range slices.Sorted(maps.Keys(cut)) {
+		e, err := c.db.pri.Get(id)
+		if err != nil {
+			continue // the crash cut the page's allocation too
+		}
+		if _, err := c.db.res.FetchBackup(e.Backup, id); err != nil {
+			c.fatalf("page %d: the restarted index names backup %+v, which does not read back: %v", id, e.Backup, err)
+		}
+		if e.Backup == cut[id] {
+			continue // a new copy at the cut one's LSN
+		}
+		if c.db.EvictPage(id) != nil || c.db.CorruptPage(id) != nil {
+			continue // pinned, or never written back: no slot to damage
+		}
+		c.faults.Add(1)
+		before := c.db.Metrics().Pool.Recoveries
+		h, err := c.db.pool.Fetch(id)
+		if err != nil {
+			c.fatalf("page %d, its copy cut by the crash, not repaired from backup %+v: %v", id, e.Backup, err)
+		}
+		h.Release()
+		if c.db.Metrics().Pool.Recoveries == before {
+			c.fatalf("page %d: a damaged slot was read without a repair", id)
+		}
+		c.cov.add("crash that cut a copy's record")
+	}
 }
 
 // restart recovers from the pending crash and checks the result. For
@@ -558,6 +627,7 @@ func (c *checker) restart() {
 	if cr.point == "restore.complete" {
 		chaos.Arm(cr.point, cr.fireAt, func(chaos.Hit) {})
 	}
+	cut := cutCopies(c.db)
 	ndb, rep, err := c.db.Restart()
 	if err != nil {
 		c.fatalf("restart after a crash at %s#%d: %v", cr.point, cr.fireAt, err)
@@ -597,6 +667,7 @@ func (c *checker) restart() {
 	if len(rep.Analysis.Dropped) > 0 {
 		c.cov.add("restart that dropped a system transaction")
 	}
+	c.resolveCut(cut)
 	c.check(fmt.Sprintf("after a crash at %s#%d (fired %v)", cr.point, cr.fireAt, fired), slices.Collect(maps.Keys(last.Analysis.DPT)))
 	chaos.Reset()
 }
@@ -734,11 +805,13 @@ func (c *checker) closeAndCount(g0 int) {
 
 // sequentialRun shapes one sequential run: how many steps it takes, its
 // first crash point, armed before the first step ("" draws it like the
-// others), and whether the archive is kept off whatever the schedule draws.
+// others), whether the archive is kept off whatever the schedule draws,
+// and how often a page is copied.
 type sequentialRun struct {
-	steps     int
-	first     string
-	noArchive bool
+	steps       int
+	first       string
+	noArchive   bool
+	backupEvery int // Options.BackupEveryNUpdates; 0 the default
 }
 
 // runSequential runs one schedule on one goroutine: run.steps steps, or
@@ -748,7 +821,7 @@ func runSequential(t *testing.T, s *schedule, cov *coverage, run sequentialRun) 
 	btree.ResetMaxLatchDepth()
 	g0 := runtime.NumGoroutine()
 	archive := s.intn(4) != 0 && !run.noArchive
-	c := newChecker(t, s, cov, archive)
+	c := newChecker(t, s, cov, archive, run.backupEvery)
 	c.sequential = true
 	c.load()
 	key := func() int { return s.intn(checkKeys) }
@@ -819,7 +892,7 @@ func runConcurrent(t *testing.T, seed int64, cov *coverage, engine string) {
 	defer chaos.Reset()
 	btree.ResetMaxLatchDepth()
 	g0 := runtime.NumGoroutine()
-	c := newChecker(t, seeded(seed), cov, true)
+	c := newChecker(t, seeded(seed), cov, true, 0)
 	// The archiver races the clients: a goroutine moves its clock one
 	// archiver step (25 ms) every millisecond, through the crash and the
 	// restart (the clock is carried over to the recovered database).
@@ -973,8 +1046,8 @@ func chaosSeeds(t *testing.T) ([]int64, bool) {
 
 // TestChaosTortureCrashRestartVerify runs the sequential checker on every
 // seed, its first crash at crashPoints[seed mod len(crashPoints)], and over
-// the default seeds, with the cut-transaction run below, fails unless
-// coverage holds.
+// the default seeds, with the fixed-seed runs below, fails unless coverage
+// holds.
 func TestChaosTortureCrashRestartVerify(t *testing.T) {
 	seeds, byDefault := chaosSeeds(t)
 	cov := &coverage{}
@@ -999,7 +1072,24 @@ func TestChaosTortureCrashRestartVerify(t *testing.T) {
 		checked(t, func() { runSequential(t, seeded(1), cov, sequentialRun{steps: 80, first: "txn.syscommit"}) })
 		ran++
 	})
-	if ran == len(seeds)+1 {
+	// Page copies, taken after every two updates: within 30 steps, before
+	// any crash, seed 54 repairs pages from copies the live log holds and
+	// from copies an archiver pass moved into a run. With a copy at every
+	// write-back and every repair, seed 124's first crash, made by hand
+	// between two steps, cuts a copy's record in the log's volatile tail,
+	// and the restarted database must rebuild that page from its previous
+	// backup.
+	t.Run("page-copies", func(t *testing.T) {
+		checked(t, func() { runSequential(t, seeded(54), cov, sequentialRun{steps: 30, backupEvery: 2}) })
+		ran++
+	})
+	t.Run("cut-copy", func(t *testing.T) {
+		checked(t, func() {
+			runSequential(t, seeded(124), cov, sequentialRun{steps: 20, first: "restore.complete", backupEvery: 1})
+		})
+		ran++
+	})
+	if ran == len(seeds)+3 {
 		cov.assert(t, sequentialCoverage()...)
 	}
 }

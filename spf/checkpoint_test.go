@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
 )
 
 // recoveryRows are the three ways a restart redoes: on demand behind the
@@ -241,7 +240,7 @@ func TestMediaRecoveryKeepsNewerPageBackups(t *testing.T) {
 		defer ndb.Close()
 		ndb.DrainRestore()
 		e, err := ndb.PRI().Get(leaf)
-		if err != nil || e.Backup.Kind != core.BackupPage {
+		if err != nil || !isCopy(e.Backup) {
 			t.Fatalf("leaf %d resolves against %+v (%v), want its page backup, newer than set %d", leaf, e.Backup, err, set)
 		}
 		ix2, err := ndb.Index("t")

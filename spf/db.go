@@ -12,7 +12,6 @@ import (
 	"repro/internal/backup"
 	"repro/internal/btree"
 	"repro/internal/buffer"
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/hashindex"
 	"repro/internal/iosim"
@@ -103,13 +102,11 @@ type DB struct {
 	arch     *archive.Store
 	archiver *archive.Archiver
 
-	// backupMu admits one BackupNow at a time; ckptMu keeps a checkpoint —
-	// its index snapshot and its backup sweep — and a backup's re-pointing
-	// of the index apart; installMu keeps a page copy's index update and its
-	// log record together, apart from the sweep (sweepBackups).
-	backupMu  sync.Mutex
-	ckptMu    sync.Mutex
-	installMu sync.Mutex
+	// backupMu admits one BackupNow or BackupPage at a time; ckptMu keeps a
+	// checkpoint — its index snapshot and its backup sweep — and a backup's
+	// re-pointing of the index apart.
+	backupMu sync.Mutex
+	ckptMu   sync.Mutex
 
 	mu      sync.Mutex
 	metaID  page.ID
@@ -433,7 +430,7 @@ func (db *DB) recoverPage(id page.ID, have *page.Page) (*page.Page, bool, error)
 	// rebuilt, so its next repair starts there. The copy is taken before
 	// the page is installed, as completeWrite's is under the flush mutex:
 	// a BackupNow or BackupPage copying this page waits for the load, and
-	// installs its own backup after this one.
+	// registers its own backup after this one.
 	if n := db.opts.BackupEveryNUpdates; n > 0 && rep.RecordsApplied >= n {
 		db.backUpImage(pg)
 	}
@@ -463,14 +460,12 @@ func (db *DB) onMarkDirty(page.ID) {
 // It is also where §6's backup policy runs: the index entry adds the
 // write's updates to the page's count, and once that reaches
 // Options.BackupEveryNUpdates the image being written — in hand, and
-// consistent — is copied to the backup store as the page's backup
-// (backUpImage). A copy the backup device refuses is skipped; the count
-// stays due, so the next write-back tries again. The copy needs no
-// backupMu: it is taken under the frame's flush mutex, so a BackupNow's
-// FlushAll write of this frame waits until it is installed, and a
-// write-back that starts after that one holds every update the page had
-// below the set's asOf — its chain never reaches below the log the backup
-// recycles.
+// consistent — is logged as the page's backup (backUpImage). The copy
+// needs no backupMu: it is taken under the frame's flush mutex, so a
+// BackupNow's FlushAll write of this frame waits until it is registered,
+// and a write-back that starts after that one holds every update the page
+// had below the set's asOf — its chain never reaches below the log the
+// backup recycles.
 func (db *DB) completeWrite(info buffer.WriteInfo) []*wal.Record {
 	if db.opts.DisableSinglePageRecovery {
 		return nil
@@ -489,42 +484,19 @@ func (db *DB) completeWrite(info buffer.WriteInfo) []*wal.Record {
 	}}
 }
 
-// backUpImage copies pg, a consistent image of its page, to the backup
-// store and installs the copy as the page's backup. Like every backup copy
-// it is written only once the log is stable through the image's PageLSN —
-// a write-back's image already is, by the write-ahead rule; a rebuilt one
-// is forced here. A copy the log or the backup device refuses is skipped.
+// backUpImage logs pg, a consistent image of its page, as one TypeImage
+// record and registers that record as the page's backup: the record is the
+// copy and its installation at once, and a restart that finds it registers
+// it again (recovery.Analyze). It needs no log force: the record follows
+// the page's history in the log, so no crash keeps it without what lies
+// below it, and one that cuts it leaves the page on the backup it had,
+// which nothing freed meanwhile — the sweep frees only full sets, and the
+// log around a log-held backup stays while an index names it.
 func (db *DB) backUpImage(pg *page.Page) {
-	if lsn := pg.LSN(); lsn >= db.log.FlushedLSN() && db.log.Flush(lsn) != nil {
-		return
-	}
-	ref, err := db.store.PutPage(pg)
-	if err != nil {
-		return
-	}
-	// Chaos point: the copy is on the backup device, the index does not
-	// name it yet.
-	chaos.At("spf.backupcopy")
-	db.installBackup(pg.ID(), ref)
-}
-
-// installBackup registers ref as page id's backup and logs it. The backup
-// it supersedes is freed by a later checkpoint's sweep, which cannot come
-// between the two steps (installMu): a restart that lost the record
-// resolves the page against the old backup again.
-func (db *DB) installBackup(id page.ID, ref core.BackupRef) {
-	db.installMu.Lock()
-	defer db.installMu.Unlock()
-	if err := db.pri.SetBackup(id, ref); err != nil {
-		db.pri.Set(id, core.Entry{Backup: ref, LastLSN: ref.AsOf})
-	}
-	// Chaos point: the index names the copy, its log record is not laid.
-	chaos.At("spf.install")
-	db.log.Append(&wal.Record{
-		Type: wal.TypePRIUpdate, PageID: id,
-		Payload: core.EncodeSetBackup(ref),
-	})
-	db.store.Installed(ref)
+	rec := backup.ImageRecord(pg)
+	db.log.Append(rec)
+	ref, _ := backup.ImageRef(rec) // cannot fail: ImageRecord built rec
+	db.pri.SetBackup(pg.ID(), ref)
 }
 
 // undoer adapts the engines to the transaction manager's rollback: it
@@ -581,7 +553,7 @@ func (db *DB) AllocateNode(t *txn.Txn, typ page.Type, initialPayload []byte) (*b
 	h.MarkDirty(lsn)
 	if !db.opts.DisableSinglePageRecovery {
 		db.pri.Set(id, core.Entry{
-			Backup:  core.BackupRef{Kind: core.BackupFormat, Loc: uint64(lsn), AsOf: lsn},
+			Backup:  core.BackupRef{Kind: core.BackupLog, Loc: uint64(lsn), AsOf: lsn},
 			LastLSN: lsn,
 		})
 	}

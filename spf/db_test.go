@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func testOptions() Options {
@@ -606,12 +604,15 @@ func TestBackupEveryNUpdatesPolicy(t *testing.T) {
 	if err := db.CorruptPage(victim); err != nil {
 		t.Fatal(err)
 	}
+	if b := backupOf(t, db, victim); !isCopy(b) {
+		t.Errorf("backup %+v, want a page copy", b)
+	}
 	rep, err := db.RecoverPageNow(victim)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
-	if rep.BackupKind.String() != "page-backup" {
-		t.Errorf("backup kind = %v, want page-backup", rep.BackupKind)
+	if rep.BackupKind.String() != "log-image" {
+		t.Errorf("backup kind = %v, want log-image", rep.BackupKind)
 	}
 	if rep.RecordsApplied > 40 {
 		t.Errorf("applied %d records; policy should bound the chain near 20", rep.RecordsApplied)
@@ -678,7 +679,7 @@ func TestAbortAfterPolicyBackups(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaf := findLeafOf(t, db, ix, k(25))
-	if e, err := db.pri.Get(leaf); err != nil || e.Backup.Kind != core.BackupPage {
+	if e, err := db.pri.Get(leaf); err != nil || !isCopy(e.Backup) {
 		t.Fatalf("leaf %d backed by %+v (%v) after the flush, want a page backup", leaf, e.Backup, err)
 	}
 	if err := tx.Abort(); err != nil {

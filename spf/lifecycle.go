@@ -45,16 +45,16 @@ func (db *DB) initLifecycle() {
 //   - undo of an active transaction (its chain of log records starts at
 //     its begin LSN; a loser adopted by restart carries a conservative
 //     zero, blocking release until it resolves), and
-//   - log-backed backup references in the page recovery index — a page
-//     whose registered "backup" is its TypeFormat log record must keep
-//     that record readable for full single-page recovery.
+//   - log-held backups the page recovery index names — a page whose
+//     backup is its TypeFormat record or a TypeImage copy must keep that
+//     record readable for full single-page recovery.
 func (db *DB) archiveReleaseFloor() page.LSN {
 	floor := db.log.EndLSN()
 	if lsn, ok := db.txns.OldestActiveBeginLSN(); ok && lsn < floor {
 		floor = lsn
 	}
 	db.pri.ForEachRange(func(lo, hi page.ID, e core.Entry) bool {
-		if e.Backup.Kind == core.BackupFormat {
+		if e.Backup.Kind == core.BackupLog {
 			if l := page.LSN(e.Backup.Loc); l < floor {
 				floor = l
 			}

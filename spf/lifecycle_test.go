@@ -426,14 +426,14 @@ func TestBackupTruncatesWithoutArchive(t *testing.T) {
 			defer db.Close()
 			applied, pageBackups := 0, 0
 			for _, id := range db.Pages() {
+				if e, err := db.pri.Get(id); err == nil && isCopy(e.Backup) {
+					pageBackups++
+				}
 				rep, err := db.RecoverPageNow(id)
 				if err != nil {
 					t.Fatalf("page %d: %v", id, err)
 				}
 				applied += rep.RecordsApplied
-				if rep.BackupKind == core.BackupPage {
-					pageBackups++
-				}
 			}
 			if backupEvery < 0 && applied == 0 {
 				t.Fatal("no page replayed any history since the backup")
@@ -552,7 +552,7 @@ func TestBackupTruncatesWithoutArchive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if e.Backup.Kind != core.BackupFormat && (backupEvery < 0 || e.Backup.Kind != core.BackupPage) {
+				if e.Backup.Kind != core.BackupLog || isCopy(e.Backup) && backupEvery < 0 {
 					t.Fatalf("page %d born after the set is backed by %v, want its format record", id, e.Backup.Kind)
 				}
 				if _, err := db.RecoverPageNow(id); err != nil {

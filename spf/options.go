@@ -66,7 +66,9 @@ type Options struct {
 	// written so far, so a large capacity costs nothing until it is used.
 	DataSlots int
 	// BackupSlots is the backup device capacity in pages (default
-	// 2*DataSlots). Like DataSlots, it costs nothing until written.
+	// 2*DataSlots): it holds full sets only — the live one and, while
+	// BackupNow runs, the one being written. Like DataSlots, it costs
+	// nothing until written.
 	BackupSlots int
 	// PoolFrames is the buffer pool size in frames (default 1024).
 	PoolFrames int
@@ -94,7 +96,10 @@ type Options struct {
 	// BackupEveryNUpdates bounds the per-page log chain, and hence
 	// single-page recovery time (§6): a page backup is taken once N updates
 	// would otherwise have to be replayed. Zero selects the default, 64; a
-	// negative value never takes one. Two places copy a page:
+	// negative value never takes one. A page backup is one TypeImage log
+	// record holding the page's image: the live log, or the archive once
+	// the log is recycled, holds it, not the backup device, and appending
+	// it installs it. Two places copy a page:
 	//   - the write-back that brings the page's count of written-back
 	//     updates (kept in its recovery index entry) to N copies the image
 	//     it writes, so a page still in the pool is backed up when it is

@@ -43,6 +43,12 @@ func backupOf(t *testing.T, db *DB, id PageID) core.BackupRef {
 	return e.Backup
 }
 
+// isCopy reports whether ref names a page copy: an image held in the log
+// that is not the page's format record, whose LSN is its own AsOf.
+func isCopy(ref core.BackupRef) bool {
+	return ref.Kind == core.BackupLog && LSN(ref.Loc) != ref.AsOf
+}
+
 // recoverNow corrupts page id on the device and recovers it explicitly.
 func recoverNow(t *testing.T, db *DB, id PageID) core.Report {
 	t.Helper()
@@ -91,7 +97,7 @@ func TestBackupPageRestartsThePolicyCount(t *testing.T) {
 		write()
 	}
 	rep := recoverNow(t, db, victim)
-	if rep.BackupKind != core.BackupPage || rep.RecordsApplied != every-1 {
+	if rep.BackupKind != core.BackupLog || rep.RecordsApplied != every-1 {
 		t.Fatalf("recovery %+v; want the explicit backup plus the %d updates since", rep, every-1)
 	}
 	if got, err := ix.Get(k(n / 2)); err != nil || string(got) != fmt.Sprintf("step-%03d", step-1) {
@@ -142,7 +148,7 @@ func TestPolicyCountSurvivesEviction(t *testing.T) {
 		}
 	}
 	rep := recoverNow(t, db, victim)
-	if rep.BackupKind != core.BackupPage || rep.RecordsApplied > every {
+	if rep.BackupKind != core.BackupLog || rep.RecordsApplied > every {
 		t.Fatalf("recovery %+v after %d updates; want a page backup at most %d updates old", rep, updates, every)
 	}
 	if got, err := ix.Get(k(n / 2)); err != nil || string(got) != fmt.Sprintf("evicted-%02d", updates-1) {
@@ -169,7 +175,7 @@ func TestPolicyBackupFromFlushBatchSurvivesRestart(t *testing.T) {
 		t.Fatalf("flush batch wrote %d pages: %v", wrote, err)
 	}
 	policy := backupOf(t, db, victim)
-	if policy == explicit || policy.Kind != core.BackupPage {
+	if policy == explicit || !isCopy(policy) {
 		t.Fatalf("backup %+v after the batch, want a new page backup", policy)
 	}
 	db.log.FlushAll()
@@ -183,7 +189,7 @@ func TestPolicyBackupFromFlushBatchSurvivesRestart(t *testing.T) {
 		t.Fatalf("restarted index names %+v, want the batch's %+v", got, policy)
 	}
 	rep := recoverNow(t, ndb, victim)
-	if rep.BackupKind != core.BackupPage || rep.RecordsApplied != 0 {
+	if rep.BackupKind != core.BackupLog || rep.RecordsApplied != 0 {
 		t.Fatalf("recovery %+v; want the batch's backup and nothing to replay", rep)
 	}
 	ix2, err := ndb.Index("t")
@@ -195,10 +201,10 @@ func TestPolicyBackupFromFlushBatchSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestPolicyBackupRefusedByTheBackupDevice: a copy the backup device
-// refuses costs neither the write-back nor the commit; the page stays due
-// and its next write-back takes the backup.
-func TestPolicyBackupRefusedByTheBackupDevice(t *testing.T) {
+// TestPolicyBackupNeedsNoBackupDevice: the policy's copy is a log record,
+// so a failed backup device neither costs the write-back or the commit nor
+// stops the copy; the next repair replays nothing.
+func TestPolicyBackupNeedsNoBackupDevice(t *testing.T) {
 	const every, n = 3, 100
 	db, ix, victim := policyDB(t, every, n)
 	defer db.Close()
@@ -207,27 +213,20 @@ func TestPolicyBackupRefusedByTheBackupDevice(t *testing.T) {
 	}
 	explicit := backupOf(t, db, victim)
 	db.store.Device().FailDevice()
-	for i := 0; i < 2*every; i++ {
-		updateKey(t, db, ix, n/2, fmt.Sprintf("refused-%d", i))
+	defer db.store.Device().Revive()
+	for i := 0; i < every; i++ {
+		updateKey(t, db, ix, n/2, fmt.Sprintf("device-down-%d", i))
 		if err := db.FlushAll(); err != nil {
 			t.Fatalf("write-back beside a failed backup device: %v", err)
 		}
 	}
-	if got := backupOf(t, db, victim); got != explicit {
-		t.Fatalf("index names %+v, a copy the device refused", got)
-	}
-	db.store.Device().Revive()
-	updateKey(t, db, ix, n/2, "accepted")
-	if err := db.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if got := backupOf(t, db, victim); got == explicit || got.Kind != core.BackupPage {
-		t.Fatalf("index names %+v after the device came back, want a new page backup", got)
+	if got := backupOf(t, db, victim); got == explicit || !isCopy(got) {
+		t.Fatalf("index names %+v after %d write-backs beside a failed backup device, want a new page copy", got, every)
 	}
 	if rep := recoverNow(t, db, victim); rep.RecordsApplied != 0 {
-		t.Fatalf("recovery %+v; want the retried backup and nothing to replay", rep)
+		t.Fatalf("recovery %+v; want the policy's copy and nothing to replay", rep)
 	}
-	if got, err := ix.Get(k(n / 2)); err != nil || string(got) != "accepted" {
+	if got, err := ix.Get(k(n / 2)); err != nil || string(got) != fmt.Sprintf("device-down-%d", every-1) {
 		t.Fatalf("read after recovery: %q, %v", got, err)
 	}
 }
@@ -331,13 +330,13 @@ func TestRepairBacksUpALongChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Backup.Kind != core.BackupPage || e.Backup.AsOf != e.LastLSN {
+	if !isCopy(e.Backup) || e.Backup.AsOf != e.LastLSN {
 		t.Fatalf("page rebuilt from %d records is backed by %+v, want a copy as of LSN %d", every, e.Backup, e.LastLSN)
 	}
 	if b := backupOf(t, db, short); b.Kind != core.BackupFull {
 		t.Fatalf("page rebuilt from %d records is backed by %+v, want the full set", every-1, b)
 	}
-	if rep := recoverNow(t, db, long); rep.BackupKind != core.BackupPage || rep.RecordsApplied != 0 {
+	if rep := recoverNow(t, db, long); rep.BackupKind != core.BackupLog || rep.RecordsApplied != 0 {
 		t.Fatalf("repair after the copy: %+v; want the copy and nothing to replay", rep)
 	}
 	if rep := recoverNow(t, db, short); rep.BackupKind != core.BackupFull || rep.RecordsApplied != every-1 {
@@ -370,7 +369,7 @@ func TestMediaRestoreReplaysNothingTheRestartReplayed(t *testing.T) {
 		t.Fatalf("the restart drain rebuilt %+v; want %d pages from %d records or more each", m, len(stale), every)
 	}
 	for id := range stale {
-		if b := backupOf(t, db, id); b.Kind != core.BackupPage {
+		if b := backupOf(t, db, id); !isCopy(b) {
 			t.Fatalf("page %d, rebuilt by the restart, is backed by %+v; want its copy", id, b)
 		}
 	}
@@ -389,74 +388,4 @@ func TestMediaRestoreReplaysNothingTheRestartReplayed(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectGeneration(t, mix, n, every-1)
-}
-
-// TestRepairCopyCutByACrash: a crash after a repair's copy is written, and
-// before the index record that names it is stable, leaves the restarted
-// index naming the page's previous backup — which no sweep freed, for no
-// durable index stopped naming it — and the next repair rebuilds the page
-// from it to its committed value.
-func TestRepairCopyCutByACrash(t *testing.T) {
-	defer chaos.Reset()
-	const every, n = 8, 200
-	var victim PageID
-	var old core.BackupRef
-	crashed := crashWithChains(t, every, n, func(db *DB, ix *Index) {
-		victim = findLeafOf(t, db, ix, k(n/2))
-		if err := db.BackupPage(victim); err != nil {
-			t.Fatal(err)
-		}
-		old = backupOf(t, db, victim)
-		for i := 0; i < every; i++ {
-			updateKey(t, db, ix, n/2, fmt.Sprintf("cut-%02d", i))
-		}
-	})
-	// The restart drain's repair of the victim waits between its copy and
-	// the index update until the restart, whose checkpoint forces the log,
-	// has returned: from then on nothing forces the log.
-	held, release := make(chan struct{}), make(chan struct{})
-	chaos.Arm("spf.backupcopy", 1, func(chaos.Hit) {
-		close(held)
-		<-release
-	})
-	db, _, err := crashed.Restart()
-	if err != nil {
-		t.Fatal(err)
-	}
-	drained := make(chan struct{})
-	go func() {
-		db.DrainRestore()
-		close(drained)
-	}()
-	select {
-	case <-held:
-		close(release)
-		<-drained
-	case <-drained:
-		t.Fatal("the restart drain took no copy")
-	}
-	if b := backupOf(t, db, victim); b == old || b.Kind != core.BackupPage {
-		t.Fatalf("the drain's repair left backup %+v; want a new copy beside %+v", b, old)
-	}
-	// The slot goes bad too, so the next repair must resolve a backup.
-	if err := db.CorruptPage(victim); err != nil {
-		t.Fatal(err)
-	}
-	db.Crash()
-	rdb, _, err := db.Restart()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rdb.Close()
-	rix, err := rdb.Index("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := rix.Get(k(n / 2)); err != nil || string(got) != fmt.Sprintf("cut-%02d", every-1) {
-		t.Fatalf("read after the crash: %q, %v", got, err)
-	}
-	rdb.DrainRestore()
-	if m := rdb.Metrics().Recovery; m.RecordsApplied < every || m.Escalations != 0 {
-		t.Fatalf("recovery after the crash: %+v; want the %d records above the previous backup replayed", m, every)
-	}
 }

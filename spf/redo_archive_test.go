@@ -79,11 +79,12 @@ func liveRecords(t *testing.T, db *DB, into map[page.LSN]*wal.Record) {
 	}
 }
 
-// TestArchiveHoldsOnlyChainRecords: after a lifecycle run with recycles,
-// on both engines, every record the log held below the truncation boundary
-// is in the archive if and only if it is a chain record — commit, abort,
-// sys-commit, PRI and checkpoint records read ErrNotArchived — and each
-// archived record is the logged one or its RedoOnly form.
+// TestArchiveHoldsOnlyChainRecords: after a lifecycle run with recycles and
+// page copies, on both engines, every record the log held below the
+// truncation boundary is in the archive if and only if it is a chain record
+// or a page image — commit, abort, sys-commit, PRI and checkpoint records
+// read ErrNotArchived — and each archived record is the logged one, or a
+// chain record's RedoOnly form.
 func TestArchiveHoldsOnlyChainRecords(t *testing.T) {
 	const n = 150
 	for _, kind := range bothEngines {
@@ -107,6 +108,9 @@ func TestArchiveHoldsOnlyChainRecords(t *testing.T) {
 					keys = append(keys, i)
 				}
 				putEach(t, db, ix, keys, want)
+				if err := db.BackupPage(db.Pages()[round]); err != nil {
+					t.Fatal(err)
+				}
 				doomed := db.Begin()
 				if err := ix.Update(doomed, k(round), []byte("doomed")); err != nil {
 					t.Fatal(err)
@@ -142,13 +146,17 @@ func TestArchiveHoldsOnlyChainRecords(t *testing.T) {
 						}
 						stripped++
 					}
+				case wal.TypeImage:
+					if err != nil || got.Type != rec.Type || !bytes.Equal(got.Payload, rec.Payload) {
+						t.Fatalf("image at %d: %v, %v; logged %x", lsn, got, err, rec.Payload)
+					}
 				default:
 					if !errors.Is(err, archive.ErrNotArchived) {
 						t.Fatalf("%v record at %d: err = %v, want ErrNotArchived", rec.Type, lsn, err)
 					}
 				}
 			}
-			for _, typ := range []wal.RecType{wal.TypeCommit, wal.TypeAbort, wal.TypeSysCommit, wal.TypePRIUpdate, wal.TypeCheckpointEnd, wal.TypeUpdate, wal.TypeCLR} {
+			for _, typ := range []wal.RecType{wal.TypeCommit, wal.TypeAbort, wal.TypeSysCommit, wal.TypePRIUpdate, wal.TypeCheckpointEnd, wal.TypeUpdate, wal.TypeCLR, wal.TypeImage} {
 				if seen[typ] == 0 {
 					t.Errorf("no %v record below the truncation boundary to check", typ)
 				}
@@ -421,7 +429,7 @@ func redoOnlyReplay(tb testing.TB, seed int64, nops int) (ops []loggedOp, pages 
 	tb.Helper()
 	var db *DB
 	checked(tb, func() {
-		c := newChecker(tb, seeded(seed), &coverage{}, false)
+		c := newChecker(tb, seeded(seed), &coverage{}, false, 0)
 		for done := 0; done < nops; {
 			applied, _ := c.transaction(c.s, func() int { return c.s.intn(checkKeys) }, nil)
 			done += applied
@@ -435,7 +443,7 @@ func redoOnlyReplay(tb testing.TB, seed int64, nops int) (ops []loggedOp, pages 
 	err := db.log.Scan(wal.FirstLSN(), func(rec *wal.Record) bool {
 		switch rec.Type {
 		case wal.TypeFormat:
-			pg, err := backup.PageFromFormatRecord(rec, db.opts.PageSize)
+			pg, err := backup.PageFromLogRecord(rec, db.opts.PageSize)
 			if err != nil {
 				failure = err
 				return false

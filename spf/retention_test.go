@@ -11,7 +11,6 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/storage"
 )
 
 // TestReadErrorCostsItsReReads pins the read-error semantics end to end,
@@ -253,10 +252,9 @@ func TestBackupNowBesideRepairs(t *testing.T) {
 	}
 }
 
-// TestSupersededPageBackupOutlivesItsUnflushedReplacement: the copy a
-// BackupPage supersedes is freed only by a sweep that forced the index
-// record naming the new copy. A crash before that rebuilds an index that
-// names the old copy — which must still be there to recover from.
+// TestSupersededPageBackupOutlivesItsUnflushedReplacement: a crash that
+// cuts the record of a BackupPage's copy rebuilds an index that names the
+// copy it superseded — which the log must still hold to recover from.
 func TestSupersededPageBackupOutlivesItsUnflushedReplacement(t *testing.T) {
 	const n = 200
 	db := openTestDB(t, testOptions())
@@ -275,10 +273,10 @@ func TestSupersededPageBackupOutlivesItsUnflushedReplacement(t *testing.T) {
 	if err := db.BackupPage(victim); err != nil {
 		t.Fatal(err)
 	}
-	// No checkpoint since: the second copy's record is volatile, and no
-	// sweep has freed the first copy.
-	if db.store.Device().RawImage(storage.PhysID(first.Backup.Loc)) == nil {
-		t.Fatal("superseded copy discarded before its replacement's record was durable")
+	// Nothing forced the log since: the second copy's record is volatile.
+	second := backupOf(t, db, victim)
+	if second == first.Backup || LSN(second.Loc) < db.log.FlushedLSN() {
+		t.Fatalf("index names %+v with the log flushed to %d; want a second copy, its record volatile", second, db.log.FlushedLSN())
 	}
 	db.Crash()
 	ndb, _, err := db.Restart()
@@ -301,31 +299,31 @@ func TestSupersededPageBackupOutlivesItsUnflushedReplacement(t *testing.T) {
 }
 
 // TestSupersededPageBackupReleasedBehindTheLog: the other side of the same
-// rule — the old copy goes at the next checkpoint, whose sweep forces the
-// replacing record first, or, after a crash that kept the record, at
-// restart.
+// rule — a page copy takes no room on the backup device, and the copy a
+// newer one supersedes stops holding the log back: the release floor
+// follows the newest copy the index names, and so does the index a
+// restart rebuilds once a crash kept that copy's record.
 func TestSupersededPageBackupReleasedBehindTheLog(t *testing.T) {
 	const n = 200
 	db := openTestDB(t, testOptions())
 	ix := loadIndex(t, db, "t", n)
+	if _, _, err := db.BackupNow(); err != nil { // every other page on the set
+		t.Fatal(err)
+	}
 	victim := findLeafOf(t, db, ix, k(100))
-	copies := func(db *DB) int { return db.store.Device().WrittenSlots() }
+	images := db.store.Device().WrittenSlots()
+	var last core.BackupRef
 	for i := 0; i < 3; i++ {
 		if err := db.BackupPage(victim); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.Checkpoint(); err != nil {
-			t.Fatal(err)
+		last = backupOf(t, db, victim)
+		if floor := db.archiveReleaseFloor(); floor != LSN(last.Loc) {
+			t.Fatalf("after copy %d the release floor is %d, want the copy's record at %d", i+1, floor, last.Loc)
 		}
-		if got := copies(db); got != 1 {
-			t.Fatalf("after backup %d and a checkpoint the store holds %d copies of one page", i+1, got)
+		if got := db.store.Device().WrittenSlots(); got != images {
+			t.Fatalf("after copy %d the backup device holds %d images, the set alone %d", i+1, got, images)
 		}
-	}
-	if err := db.BackupPage(victim); err != nil {
-		t.Fatal(err)
-	}
-	if got := copies(db); got != 2 {
-		t.Fatalf("%d copies with the newest one's record still volatile; want 2", got)
 	}
 	db.LogManager().FlushAll()
 	db.Crash()
@@ -334,8 +332,11 @@ func TestSupersededPageBackupReleasedBehindTheLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ndb.Close()
-	if got := copies(ndb); got != 1 {
-		t.Fatalf("%d copies after a restart that kept the newest one's record; want 1", got)
+	if got := backupOf(t, ndb, victim); got != last {
+		t.Fatalf("restarted index names %+v, want the newest copy %+v", got, last)
+	}
+	if floor := ndb.archiveReleaseFloor(); floor != LSN(last.Loc) {
+		t.Fatalf("restarted release floor %d, want the newest copy's record at %d", floor, last.Loc)
 	}
 	ix2, err := ndb.Index("t")
 	if err != nil {

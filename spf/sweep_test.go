@@ -8,258 +8,203 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/buffer"
-	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/storage"
 )
 
-// namedCopiesHeld fails unless every page copy the index of db names still
-// holds its image on the backup device.
-func namedCopiesHeld(t *testing.T, db *DB) {
+// namedImagesReadable fails unless every log-held image the index of db
+// names still reads back as the page's backup.
+func namedImagesReadable(t *testing.T, db *DB) {
 	t.Helper()
-	db.pri.ForEachRange(func(lo, _ PageID, e core.Entry) bool {
-		if e.Backup.Kind == core.BackupPage && db.store.Device().RawImage(storage.PhysID(e.Backup.Loc)) == nil {
-			t.Fatalf("page %d: the index names backup slot %d, which holds no image", lo, e.Backup.Loc)
+	db.pri.ForEachRange(func(lo, hi PageID, e core.Entry) bool {
+		if e.Backup.Kind != core.BackupLog {
+			return true
+		}
+		for id := lo; id <= hi; id++ {
+			if _, err := db.res.FetchBackup(e.Backup, id); err != nil {
+				t.Fatalf("page %d: the index names the image at LSN %d: %v", id, e.Backup.Loc, err)
+			}
 		}
 		return true
 	})
 }
 
-// oneImagePerPage restarts the crashed db, drains the restart's backlog and
-// takes a full backup. The backup device must then hold exactly one image
-// per page — no copy whose index record the crash cut outlives them — and
-// every key of index "t" must read back want(i).
-func oneImagePerPage(t *testing.T, crashed *DB, n int, want func(i int) []byte) {
+// cutN is how many keys the databases of the cut-copy tests hold.
+const cutN = 200
+
+// copySource takes a copy of page victim on a database whose index names a
+// full set for it, and returns the database holding the copy — db, or one
+// it restarted into — and how many of victim's records the set lacks once
+// the copy is taken. The copy's record is the last the log holds, and
+// nothing forces it.
+type copySource func(t *testing.T, db *DB, ix *Index, victim PageID) (*DB, int)
+
+// cutCopy is a copy a crash cut, seen from the database restarted after it.
+type cutCopy struct {
+	db     *DB            // restarted and drained
+	victim PageID         // the page copied
+	old    core.BackupRef // victim's backup before the copy
+	replay int            // how many of victim's records old lacks
+	slots  int            // backup-device slots written before the copy
+}
+
+// crashCopy loads cutN keys under a policy of a copy every every updates,
+// takes a full backup, has copy take a copy of the leaf holding the middle
+// key, checks that the copy's record is volatile, crashes, and restarts
+// and drains.
+func crashCopy(t *testing.T, every int, copy copySource) cutCopy {
 	t.Helper()
-	db, _ := restartDrained(t, crashed)
-	if _, _, err := db.BackupNow(); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.store.Device().WrittenSlots(); got != db.PageMapLen() {
-		t.Fatalf("backup device holds %d images for %d pages after restart, drain and a full backup", got, db.PageMapLen())
-	}
-	ix, err := db.Index("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if got, err := ix.Get(k(i)); err != nil || !bytes.Equal(got, want(i)) {
-			t.Fatalf("key %d: %q, %v; want %q", i, got, err, want(i))
-		}
-	}
-}
-
-// TestRepairCopyCutByACrashIsFreed: a repair's copy whose index record a
-// crash cuts is named by no index the log can rebuild; the restart's sweep
-// frees it.
-func TestRepairCopyCutByACrashIsFreed(t *testing.T) {
-	defer chaos.Reset()
-	const every, n = 8, 200
-	crashed := crashWithChains(t, every, n, func(db *DB, ix *Index) {
-		for i := 0; i < every; i++ {
-			updateKey(t, db, ix, n/2, fmt.Sprintf("cut-%02d", i))
-		}
-	})
-	// As in TestRepairCopyCutByACrash: the drain's copy is installed once
-	// the restart, whose checkpoint forces the log, has returned.
-	held, release := make(chan struct{}), make(chan struct{})
-	chaos.Arm("spf.backupcopy", 1, func(chaos.Hit) {
-		close(held)
-		<-release
-	})
-	db, _, err := crashed.Restart()
-	if err != nil {
-		t.Fatal(err)
-	}
-	drained := make(chan struct{})
-	go func() {
-		db.DrainRestore()
-		close(drained)
-	}()
-	select {
-	case <-held:
-		close(release)
-		<-drained
-	case <-drained:
-		t.Fatal("the restart drain took no copy")
-	}
-	db.Crash()
-	oneImagePerPage(t, db, n, func(i int) []byte {
-		if i == n/2 {
-			return []byte(fmt.Sprintf("cut-%02d", every-1))
-		}
-		return v(i)
-	})
-}
-
-// TestPolicyCopyCutByACrashIsFreed: the copy a write-back takes under the
-// backup policy, its index record cut by a crash, is freed by the restart.
-func TestPolicyCopyCutByACrashIsFreed(t *testing.T) {
-	const every, n = 4, 200
 	opts := testOptions()
 	opts.BackupEveryNUpdates = every
 	opts.clock = clock.NewManual() // never advanced: nothing forces the log behind the test's back
 	db := openTestDB(t, opts)
-	ix := loadIndex(t, db, "t", n)
+	ix := loadIndex(t, db, "t", cutN)
 	if _, _, err := db.BackupNow(); err != nil {
 		t.Fatal(err)
 	}
-	victim := findLeafOf(t, db, ix, k(n/2))
-	for i := 0; i < every; i++ {
-		updateKey(t, db, ix, n/2, fmt.Sprintf("policy-%d", i))
-	}
-	if err := db.EvictPage(victim); err != nil {
-		t.Fatal(err)
-	}
-	if b := backupOf(t, db, victim); b.Kind != core.BackupPage {
-		t.Fatalf("the write-back after %d updates left backup %+v, want a page copy", every, b)
+	c := cutCopy{victim: findLeafOf(t, db, ix, k(cutN/2)), slots: db.store.Device().WrittenSlots()}
+	c.old = backupOf(t, db, c.victim)
+	db, c.replay = copy(t, db, ix, c.victim)
+	cp := backupOf(t, db, c.victim)
+	if !isCopy(cp) || LSN(cp.Loc) < db.log.FlushedLSN() {
+		t.Fatalf("index names %+v with the log flushed to %d; want a copy whose record is volatile", cp, db.log.FlushedLSN())
 	}
 	db.Crash()
-	oneImagePerPage(t, db, n, func(i int) []byte {
-		if i == n/2 {
-			return []byte(fmt.Sprintf("policy-%d", every-1))
-		}
-		return v(i)
-	})
+	c.db, _ = restartDrained(t, db)
+	return c
 }
 
-// TestBackupPageCutByACrashIsFreed: an explicit BackupPage whose index
-// record a crash cuts is freed by the restart.
-func TestBackupPageCutByACrashIsFreed(t *testing.T) {
-	const n = 200
-	opts := testOptions()
-	opts.clock = clock.NewManual()
-	db := openTestDB(t, opts)
-	ix := loadIndex(t, db, "t", n)
-	if _, _, err := db.BackupNow(); err != nil {
+// resolvesAgainstOld: the restarted index names the page's previous
+// backup, and the page resolves against it — the full set and every record
+// above it — to its committed value. Nothing had freed that backup: the
+// copy's registration never reached a durable index.
+func resolvesAgainstOld(t *testing.T, c cutCopy) {
+	t.Helper()
+	if got := backupOf(t, c.db, c.victim); got != c.old {
+		t.Fatalf("restarted index names %+v, want the previous backup %+v", got, c.old)
+	}
+	rep, err := c.db.RecoverPageNow(c.victim)
+	if err != nil || rep.BackupKind != c.old.Kind || rep.RecordsApplied != c.replay {
+		t.Fatalf("recovery %+v, %v; want %v and the %d records above it", rep, err, c.old.Kind, c.replay)
+	}
+	rix, err := c.db.Index("t")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.BackupPage(findLeafOf(t, db, ix, k(n/2))); err != nil {
-		t.Fatal(err)
+	want := fmt.Sprintf("cut-%02d", c.replay-1)
+	if got, err := rix.Get(k(cutN / 2)); err != nil || string(got) != want {
+		t.Fatalf("read after the crash: %q, %v; want %q", got, err, want)
 	}
-	db.Crash()
-	oneImagePerPage(t, db, n, v)
+	if m := c.db.Metrics(); m.Recovery.Escalations != 0 || m.Pool.Escalations != 0 {
+		t.Fatalf("escalations after the crash: %+v %+v", m.Recovery, m.Pool)
+	}
 }
 
-// TestCheckpointWaitsOutAnInstall: a checkpoint's sweep does not run
-// between a copy's index update and its log record. Here the checkpoint's
-// index snapshot names the page's first copy; a BackupPage installs a
-// second one and holds before its record is laid, while the checkpoint
-// goes on to sweep. A sweep that read the index then would free the first
-// copy with nothing durable naming the second; the crash that follows
-// would leave the restarted index naming a discarded slot.
-func TestCheckpointWaitsOutAnInstall(t *testing.T) {
-	defer chaos.Reset()
-	const n = 200
-	opts := testOptions()
-	opts.clock = clock.NewManual()
-	db := openTestDB(t, opts)
-	ix := loadIndex(t, db, "t", n)
-	victim := findLeafOf(t, db, ix, k(n/2))
-	if err := db.BackupPage(victim); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	hold := func(point string) (held, release chan struct{}) {
-		held, release = make(chan struct{}), make(chan struct{})
-		chaos.Arm(point, 1, func(chaos.Hit) {
-			close(held)
-			<-release
+// TestCopyCutByACrash: a page copy whose record a crash cut leaves the page
+// resolving against its previous backup (resolvesAgainstOld). One leg per
+// source of copies outside repair: the write-back under the policy and an
+// explicit BackupPage. TestRepairCopyCutByACrash is the repair's.
+func TestCopyCutByACrash(t *testing.T) {
+	for _, leg := range []struct {
+		name  string
+		every int
+		copy  copySource
+	}{
+		{"policy", 4, func(t *testing.T, db *DB, ix *Index, victim PageID) (*DB, int) {
+			for i := 0; i < 4; i++ {
+				updateKey(t, db, ix, cutN/2, fmt.Sprintf("cut-%02d", i))
+			}
+			if err := db.EvictPage(victim); err != nil { // its write-back takes the copy
+				t.Fatal(err)
+			}
+			return db, 4
+		}},
+		{"explicit", -1, func(t *testing.T, db *DB, ix *Index, victim PageID) (*DB, int) {
+			for i := 0; i < 3; i++ {
+				updateKey(t, db, ix, cutN/2, fmt.Sprintf("cut-%02d", i))
+			}
+			if err := db.BackupPage(victim); err != nil {
+				t.Fatal(err)
+			}
+			return db, 3
+		}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			resolvesAgainstOld(t, crashCopy(t, leg.every, leg.copy))
 		})
-		return held, release
-	}
-	ckptHeld, ckptGo := hold("recovery.checkpoint.snapshot")
-	ckptDone := make(chan error, 1)
-	go func() {
-		_, err := db.Checkpoint()
-		ckptDone <- err
-	}()
-	<-ckptHeld
-	installHeld, installGo := hold("spf.install")
-	pageDone := make(chan error, 1)
-	go func() { pageDone <- db.BackupPage(victim) }()
-	<-installHeld
-	close(ckptGo)
-	// A checkpoint that waits shows nothing to wait on, so give one that
-	// would sweep beside the held install the time to finish first.
-	select {
-	case err := <-ckptDone:
-		ckptDone <- err
-	case <-time.After(200 * time.Millisecond):
-	}
-	close(installGo)
-	if err := <-pageDone; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-ckptDone; err != nil {
-		t.Fatal(err)
-	}
-	db.Crash()
-	ndb, _, err := db.Restart()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ndb.Close()
-	namedCopiesHeld(t, ndb)
-	ix2, err := ndb.Index("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	corruptAndVerify(t, ndb, ix2, victim, n)
-	if m := ndb.Metrics(); m.Recovery.Recoveries != 1 || m.Recovery.Escalations != 0 {
-		t.Fatalf("recovery from the installed copy: %+v", m.Recovery)
 	}
 }
 
-// TestRepairCopyHeldAcrossACheckpoint: a checkpoint that sweeps while a
-// repair's copy is written but not yet installed keeps the copy, which the
-// index names right after.
-func TestRepairCopyHeldAcrossACheckpoint(t *testing.T) {
-	defer chaos.Reset()
-	const every, n = 8, 200
-	crashed := crashWithChains(t, every, n, func(db *DB, ix *Index) {
-		for i := 0; i < every; i++ {
-			updateKey(t, db, ix, n/2, fmt.Sprintf("held-%02d", i))
+// repairCopy is the copySource of a repair that replayed eight records
+// under a policy of a copy every eight updates. Seven updates are written
+// back, then a restart starts every count at zero: the eighth update's
+// write-back counts one and takes no copy, so the repair after it replays
+// eight records and takes one.
+func repairCopy(t *testing.T, db *DB, ix *Index, victim PageID) (*DB, int) {
+	for i := 0; i < 7; i++ {
+		updateKey(t, db, ix, cutN/2, fmt.Sprintf("cut-%02d", i))
+	}
+	if err := db.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	db.log.FlushAll()
+	db.Crash()
+	rdb, _ := restartDrained(t, db)
+	rix, err := rdb.Index("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	updateKey(t, rdb, rix, cutN/2, "cut-07")
+	if err := rdb.EvictPage(victim); err != nil {
+		t.Fatal(err)
+	}
+	rdb.log.FlushAll()
+	if err := rdb.CorruptPage(victim); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := rix.Get(k(cutN / 2)); err != nil || string(got) != "cut-07" {
+		t.Fatalf("read through the repair: %q, %v", got, err)
+	}
+	return rdb, 8
+}
+
+// TestRepairCopyCutByACrash: the copy a repair takes of a page it rebuilt
+// from a long chain, cut by a crash, leaves the page resolving against its
+// previous backup (resolvesAgainstOld).
+func TestRepairCopyCutByACrash(t *testing.T) {
+	resolvesAgainstOld(t, crashCopy(t, 8, repairCopy))
+}
+
+// TestRepairCopyCutByACrashIsFreed: a repair's copy that a crash cut
+// leaves nothing behind. It took no slot on the backup device, and after
+// the restart, its drain and a full backup the device holds exactly one
+// image per page, while every key reads back its committed value.
+func TestRepairCopyCutByACrashIsFreed(t *testing.T) {
+	c := crashCopy(t, 8, repairCopy)
+	if got := c.db.store.Device().WrittenSlots(); got != c.slots {
+		t.Fatalf("backup device holds %d images after the cut copy, %d before it", got, c.slots)
+	}
+	if _, _, err := c.db.BackupNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.db.store.Device().WrittenSlots(); got != c.db.PageMapLen() {
+		t.Fatalf("backup device holds %d images for %d pages after restart, drain and a full backup", got, c.db.PageMapLen())
+	}
+	namedImagesReadable(t, c.db)
+	ix, err := c.db.Index("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cutN; i++ {
+		want := v(i)
+		if i == cutN/2 {
+			want = []byte("cut-07")
 		}
-	})
-	held, release := make(chan struct{}), make(chan struct{})
-	chaos.Arm("spf.backupcopy", 1, func(chaos.Hit) {
-		close(held)
-		<-release
-	})
-	db, _, err := crashed.Restart()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	drained := make(chan struct{})
-	go func() {
-		db.DrainRestore()
-		close(drained)
-	}()
-	select {
-	case <-held:
-	case <-drained:
-		t.Fatal("the restart drain took no copy")
-	}
-	if _, err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	<-drained
-	namedCopiesHeld(t, db)
-	ix, err := db.Index("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ix.Get(k(n / 2)); err != nil || string(got) != fmt.Sprintf("held-%02d", every-1) {
-		t.Fatalf("read after the drain: %q, %v", got, err)
+		if got, err := ix.Get(k(i)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("key %d: %q, %v; want %q", i, got, err, want)
+		}
 	}
 }
 
@@ -366,7 +311,7 @@ func TestCopiesBesideCheckpointsAndBackupsSurviveACrash(t *testing.T) {
 		writers*commits, runs[0].Load(), runs[1].Load(), runs[2].Load())
 	db.Crash()
 	ndb, _ := restartDrained(t, db)
-	namedCopiesHeld(t, ndb)
+	namedImagesReadable(t, ndb)
 	// Every page goes bad, so every read rebuilds its page from a backup.
 	if err := ndb.FlushAll(); err != nil {
 		t.Fatal(err)
